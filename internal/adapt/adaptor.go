@@ -1,6 +1,10 @@
 package adapt
 
-import "plum/internal/mesh"
+import (
+	"slices"
+
+	"plum/internal/mesh"
+)
 
 // Mark is the per-edge adaption target of the paper: each edge is targeted
 // for subdivision, for removal, or left alone, based on an error indicator
@@ -28,9 +32,12 @@ func New(m *mesh.Mesh) *Adaptor {
 	return &Adaptor{M: m, marks: make([]Mark, len(m.Edges))}
 }
 
+// ensure sizes the mark array to the whole edge slab in one step the first
+// time a mark lands beyond it (edges created since the last marking pass).
 func (a *Adaptor) ensure(e mesh.EdgeID) {
-	for int(e) >= len(a.marks) {
-		a.marks = append(a.marks, MarkNone)
+	if old, n := len(a.marks), len(a.M.Edges); int(e) >= old {
+		a.marks = slices.Grow(a.marks, n-old)[:n]
+		clear(a.marks[old:])
 	}
 }
 

@@ -32,6 +32,14 @@ type CoarsenStats struct {
 // Edges cannot be coarsened beyond the initial mesh: marks on level-0
 // edges whose elements have no parent are simply ignored.
 func (a *Adaptor) Coarsen() CoarsenStats {
+	st := a.removeMarked()
+	st.Rerefine = a.Refine()
+	return st
+}
+
+// removeMarked is the removal half of Coarsen: it leaves the mesh possibly
+// non-conforming, for the refinement routine to repair.
+func (a *Adaptor) removeMarked() CoarsenStats {
 	var st CoarsenStats
 
 	// --- Phase 1: remove targeted sibling groups, deepest first, looping
@@ -47,9 +55,8 @@ func (a *Adaptor) Coarsen() CoarsenStats {
 	// --- Phase 2: purge orphaned edges and vertices. ---
 	a.cleanup(&st)
 
-	// --- Phase 3: consume coarsen marks and restore validity. ---
+	// --- Phase 3: consume the coarsen marks. ---
 	a.clearMark(MarkCoarsen)
-	st.Rerefine = a.Refine()
 	return st
 }
 

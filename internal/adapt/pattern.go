@@ -45,6 +45,11 @@ const (
 	KindFull                // 1:8, all six edges bisected
 )
 
+// Children returns how many child elements a subdivision of kind k creates.
+func (k Kind) Children() int {
+	return [...]int{KindNone: 0, KindHalf: 2, KindQuarter: 4, KindFull: 8}[k]
+}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {

@@ -63,18 +63,12 @@ func (a *Adaptor) Refine() RefineStats {
 	}
 }
 
-// refineRound performs one refinement pass: it upgrades element patterns
-// to the valid set {1:2, 1:4, 1:8} with full propagation, bisects every
-// targeted edge, independently subdivides each element according to its
-// final binary pattern, splits boundary faces to match, and consumes the
-// refine marks.
-func (a *Adaptor) refineRound() RefineStats {
-	var st RefineStats
+// propagate upgrades element patterns to a fixpoint and returns the number
+// of element visits. The worklist is seeded with every active element
+// whose pattern is nonzero; upgrades spread through edge incidence lists.
+func (a *Adaptor) propagate() int {
 	m := a.M
-
-	// --- Phase 1: marking propagation to a fixpoint. ---
-	// Seed the worklist with every active element whose pattern is
-	// nonzero; propagate upgrades through edge incidence lists.
+	visits := 0
 	queue := make([]mesh.ElemID, 0, 1024)
 	queued := make([]bool, len(m.Elems))
 	push := func(el mesh.ElemID) {
@@ -97,7 +91,7 @@ func (a *Adaptor) refineRound() RefineStats {
 		if !t.Active() {
 			continue
 		}
-		st.Propagations++
+		visits++
 		p := a.patternOf(t)
 		up := p.Upgrade()
 		add := up &^ p
@@ -118,6 +112,22 @@ func (a *Adaptor) refineRound() RefineStats {
 			}
 		}
 	}
+	return visits
+}
+
+// refineRound performs one refinement pass: it upgrades element patterns
+// to the valid set {1:2, 1:4, 1:8} with full propagation, sizes the mesh
+// slabs for what the final patterns will create, bisects every targeted
+// edge, independently subdivides each element according to its final
+// binary pattern, splits boundary faces to match, and consumes the refine
+// marks.
+func (a *Adaptor) refineRound() RefineStats {
+	var st RefineStats
+	m := a.M
+
+	// --- Phase 1: marking propagation to a fixpoint. ---
+	st.Propagations = a.propagate()
+	m.Reserve(a.roundGrowth())
 
 	// --- Phase 2: bisect all targeted edges. ---
 	// Only edges marked before this loop matter; BisectEdge creates new
@@ -169,6 +179,83 @@ func (a *Adaptor) refineRound() RefineStats {
 	return st
 }
 
+// roundGrowth returns how many vertices, edges, elements and boundary
+// faces the round will create, from the patterns the propagation fixpoint
+// left: a midpoint per marked unbisected edge; the children of every
+// element with a nonzero pattern; two half-edges per bisection, the
+// octahedron diagonal of every 1:8, and the edges interior to each split
+// element face (one when one of its edges is bisected, three when all are),
+// counted from the lowest-numbered active element on the face. The vertex,
+// element and face counts are exact. The edge count is exact on a
+// conforming mesh and an upper bound after coarsening, where a reinstated
+// parent's face may already carry the interior edges its refined
+// neighbour's children use.
+func (a *Adaptor) roundGrowth() (nv, ne, nt, nf int) {
+	m := a.M
+	for e, mk := range a.marks {
+		if mk == MarkRefine && a.activeEdge(mesh.EdgeID(e)) {
+			nv++
+		}
+	}
+	ne = 2 * nv
+	for ti := range m.Elems {
+		t := &m.Elems[ti]
+		if !t.Active() {
+			continue
+		}
+		p := a.patternOf(t)
+		if p == 0 {
+			continue
+		}
+		nt += p.Kind().Children()
+		if p == PatternFull {
+			ne++
+		}
+		for f, fe := range mesh.ElemFaceEdges {
+			split := 0
+			for _, le := range fe {
+				if p.Has(le) {
+					split++
+				}
+			}
+			if split != 0 && !a.lowerAcrossFace(mesh.ElemID(ti), f) {
+				ne += split // 1 or 3: a valid pattern never splits two edges of a face
+			}
+		}
+	}
+	for fi := range m.Faces {
+		f := &m.Faces[fi]
+		if !f.Active() {
+			continue
+		}
+		split := 0
+		for _, e := range f.E {
+			if m.Edges[e].Bisected() || a.MarkOf(e) == MarkRefine {
+				split++
+			}
+		}
+		if split != 0 {
+			nf += split + 1 // 2 or 4 child faces
+		}
+	}
+	return nv, ne, nt, nf
+}
+
+// lowerAcrossFace reports whether a lower-numbered active element shares
+// local face f of element el: it is on the incidence list of one of the
+// face's edges and references a second one.
+func (a *Adaptor) lowerAcrossFace(el mesh.ElemID, f int) bool {
+	m := a.M
+	t := &m.Elems[el]
+	fe := mesh.ElemFaceEdges[f]
+	for _, nb := range m.Edges[t.E[fe[0]]].Elems {
+		if nb < el && m.LocalEdgeOf(nb, t.E[fe[1]]) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // mid returns the midpoint vertex of the element's local edge le.
 func (a *Adaptor) mid(t *mesh.Element, le int) mesh.VertID {
 	return a.M.Edges[t.E[le]].Mid
@@ -195,7 +282,7 @@ func (a *Adaptor) subdivideElem(el mesh.ElemID, p Pattern) int {
 
 	m.DeactivateElement(el)
 
-	var kids []mesh.ElemID
+	kids := m.ChildList(el, p.Kind().Children())
 	add := func(a0, a1, a2, a3 mesh.VertID) {
 		kids = append(kids, m.AddElement(a0, a1, a2, a3, el, root, level))
 	}
@@ -206,12 +293,7 @@ func (a *Adaptor) subdivideElem(el mesh.ElemID, p Pattern) int {
 		// split edge by the midpoint.
 		le := p.SoleEdge()
 		lv := mesh.ElemEdgeVerts[le]
-		var others []int
-		for i := 0; i < 4; i++ {
-			if i != lv[0] && i != lv[1] {
-				others = append(others, i)
-			}
-		}
+		others := mesh.ElemEdgeVerts[5-le] // the opposite edge's two vertices
 		mid := mids[le]
 		add(v[lv[0]], mid, v[others[0]], v[others[1]])
 		add(mid, v[lv[1]], v[others[0]], v[others[1]])

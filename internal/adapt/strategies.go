@@ -81,17 +81,16 @@ func (a *Adaptor) MarkError(err []float64, hi, lo float64) (nRefine, nCoarsen in
 	return nRefine, nCoarsen
 }
 
-// edgeMids returns the midpoints of all active edges.
-func edgeMids(m *mesh.Mesh) []geom.Vec3 {
-	var mids []geom.Vec3
+// eachEdgeMid calls fn with the midpoint of every active edge, in edge
+// order.
+func eachEdgeMid(m *mesh.Mesh, fn func(geom.Vec3)) {
 	for ei := range m.Edges {
 		ed := &m.Edges[ei]
 		if ed.Dead || ed.Bisected() {
 			continue
 		}
-		mids = append(mids, m.EdgeMid(mesh.EdgeID(ei)))
+		fn(m.EdgeMid(mesh.EdgeID(ei)))
 	}
-	return mids
 }
 
 // quantileCut returns the cut value v such that the number of entries of d
@@ -122,11 +121,8 @@ func quantileCut(d []float64, frac float64) float64 {
 // frac-quantile of midpoint distances from c. Used to size the Local_1
 // region.
 func SphereForFraction(m *mesh.Mesh, c geom.Vec3, frac float64) geom.Sphere {
-	mids := edgeMids(m)
-	d := make([]float64, len(mids))
-	for i, p := range mids {
-		d[i] = p.Dist(c)
-	}
+	d := make([]float64, 0, m.NumActiveEdges())
+	eachEdgeMid(m, func(p geom.Vec3) { d = append(d, p.Dist(c)) })
 	return geom.Sphere{Center: c, Radius: quantileCut(d, frac)}
 }
 
@@ -136,20 +132,17 @@ func SphereForFraction(m *mesh.Mesh, c geom.Vec3, frac float64) geom.Sphere {
 // scaled per-axis by the mesh bounding-box proportions. Used to size the
 // Local_2 region.
 func BoxForFraction(m *mesh.Mesh, c geom.Vec3, frac float64) geom.AABB {
-	mids := edgeMids(m)
 	bb := geom.EmptyAABB()
-	for _, p := range mids {
-		bb = bb.Extend(p)
-	}
+	eachEdgeMid(m, func(p geom.Vec3) { bb = bb.Extend(p) })
 	size := bb.Size()
 	scale := geom.Vec3{X: math.Max(size.X, 1e-300), Y: math.Max(size.Y, 1e-300), Z: math.Max(size.Z, 1e-300)}
-	d := make([]float64, len(mids))
-	for i, p := range mids {
+	d := make([]float64, 0, m.NumActiveEdges())
+	eachEdgeMid(m, func(p geom.Vec3) {
 		dx := math.Abs(p.X-c.X) / scale.X
 		dy := math.Abs(p.Y-c.Y) / scale.Y
 		dz := math.Abs(p.Z-c.Z) / scale.Z
-		d[i] = math.Max(dx, math.Max(dy, dz))
-	}
+		d = append(d, math.Max(dx, math.Max(dy, dz)))
+	})
 	h := quantileCut(d, frac)
 	ext := geom.Vec3{X: h * scale.X, Y: h * scale.Y, Z: h * scale.Z}
 	return geom.NewAABB(c.Sub(ext), c.Add(ext))

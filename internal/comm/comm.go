@@ -137,11 +137,11 @@ type World struct {
 	hook        func(src, dst, attempt int) fault.Kind
 	maxAttempts int
 	deadline    time.Duration // wall-clock watchdog per Run; 0 = off
-	pairAttempt []int32 // fault-hook consultations per pair (sender-owned)
-	pairSeq     []int64 // next sequence number per pair (sender-owned)
-	pairExpect  []int64 // next expected sequence per pair (receiver-owned)
-	pairResend  []int64 // extra physical frames per pair (sender-owned)
-	pairBackoff []int64 // Σ 2^try backoff units per pair (sender-owned)
+	pairAttempt []int32       // fault-hook consultations per pair (sender-owned)
+	pairSeq     []int64       // next sequence number per pair (sender-owned)
+	pairExpect  []int64       // next expected sequence per pair (receiver-owned)
+	pairResend  []int64       // extra physical frames per pair (sender-owned)
+	pairBackoff []int64       // Σ 2^try backoff units per pair (sender-owned)
 }
 
 // Stats counts a rank's outgoing traffic. Words counts payload words only;

@@ -171,12 +171,12 @@ func (g *Graph) UpdateWeights(m *mesh.Mesh) {
 		g.Wcomp[i] = 0
 		g.Wremap[i] = 0
 	}
-	idx := make(map[mesh.ElemID]int32, g.N)
+	idx := make([]int32, len(m.Elems)) // root element id → dual index
 	n := int32(0)
 	for i := range m.Elems {
 		t := &m.Elems[i]
 		if t.Level == 0 && !t.Dead {
-			idx[mesh.ElemID(i)] = n
+			idx[i] = n
 			n++
 		}
 	}

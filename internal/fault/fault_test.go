@@ -211,9 +211,9 @@ func TestCrashEnabledGating(t *testing.T) {
 		want bool
 	}{
 		{nilP, false},
-		{&Plan{Seed: 1, Rate: 0.5}, false},                                // default kinds exclude crash
-		{&Plan{Seed: 1, Rate: 0, Kinds: []Kind{Crash}}, false},            // zero rate
-		{&Plan{Seed: 1, Rate: 0.5, Kinds: []Kind{Drop}}, false},           // crash not named
+		{&Plan{Seed: 1, Rate: 0.5}, false}, // default kinds exclude crash
+		{&Plan{Seed: 1, Rate: 0, Kinds: []Kind{Crash}}, false},  // zero rate
+		{&Plan{Seed: 1, Rate: 0.5, Kinds: []Kind{Drop}}, false}, // crash not named
 		{&Plan{Seed: 1, Rate: 0.5, Kinds: []Kind{Crash}}, true},
 		{&Plan{Seed: 1, Rate: 0.5, Kinds: []Kind{Drop, Crash}}, true},
 	}

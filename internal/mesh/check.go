@@ -11,7 +11,10 @@ import "fmt"
 //     endpoints match the element's vertices per ElemEdgeVerts;
 //   - every edge's element incidence list contains exactly the active
 //     elements referencing it;
-//   - every edge appears on both endpoints' vertex incidence lists;
+//   - every live edge stores its endpoints in ascending order and appears
+//     on both endpoints' vertex incidence lists exactly once;
+//   - no two live edges connect the same pair of vertices (FindEdge has no
+//     index beside the vertex lists to enforce either);
 //   - bisected edges have consistent children and midpoint;
 //   - active elements have non-negative volume;
 //   - active boundary faces reference live edges of the face's vertices;
@@ -92,17 +95,20 @@ func (m *Mesh) Check() error {
 				return fmt.Errorf("edge %d: bisected but still bounds %d active elements", i, len(ed.Elems))
 			}
 		}
-		// Vertex incidence must contain this edge.
+		if ed.V[0] >= ed.V[1] {
+			return fmt.Errorf("edge %d: endpoints %v not in ascending order", i, ed.V)
+		}
 		for _, v := range ed.V {
-			found := false
+			n := 0
 			for _, e := range m.Verts[v].Edges {
 				if e == EdgeID(i) {
-					found = true
-					break
+					n++
+				} else if m.Edges[e].V == ed.V {
+					return fmt.Errorf("edge %d: edge %d connects the same vertices %v", i, e, ed.V)
 				}
 			}
-			if !found {
-				return fmt.Errorf("edge %d: missing from vertex %d incidence list", i, v)
+			if n != 1 {
+				return fmt.Errorf("edge %d: on vertex %d incidence list %d times, want 1", i, v, n)
 			}
 		}
 	}

@@ -1,23 +1,12 @@
 package mesh
 
 // Restore reconstructs a Mesh from raw object slabs (as read from a
-// serialized snapshot), rebuilding the edge-lookup map and the active
-// counters. The slabs are adopted, not copied.
+// serialized snapshot), rebuilding the active counters. The slabs are
+// adopted, not copied.
 func Restore(verts []Vertex, edges []Edge, elems []Element, faces []BoundaryFace) *Mesh {
-	m := &Mesh{
-		Verts:       verts,
-		Edges:       edges,
-		Elems:       elems,
-		Faces:       faces,
-		edgeByVerts: make(map[[2]VertID]EdgeID, len(edges)),
-	}
+	m := &Mesh{Verts: verts, Edges: edges, Elems: elems, Faces: faces}
 	for i := range edges {
-		e := &edges[i]
-		if e.Dead {
-			continue
-		}
-		m.edgeByVerts[edgeKey(e.V[0], e.V[1])] = EdgeID(i)
-		if !e.Bisected() {
+		if e := &edges[i]; !e.Dead && !e.Bisected() {
 			m.nActiveEdges++
 		}
 	}
@@ -44,7 +33,6 @@ func (m *Mesh) Clone() *Mesh {
 		Elems:        make([]Element, len(m.Elems)),
 		Faces:        make([]BoundaryFace, len(m.Faces)),
 		Bisections:   append([]Bisection(nil), m.Bisections...),
-		edgeByVerts:  make(map[[2]VertID]EdgeID, len(m.edgeByVerts)),
 		nActiveElems: m.nActiveElems,
 		nActiveEdges: m.nActiveEdges,
 		nActiveFaces: m.nActiveFaces,
@@ -64,9 +52,6 @@ func (m *Mesh) Clone() *Mesh {
 	for i := range m.Faces {
 		c.Faces[i] = m.Faces[i]
 		c.Faces[i].Children = append([]FaceID(nil), m.Faces[i].Children...)
-	}
-	for k, v := range m.edgeByVerts {
-		c.edgeByVerts[k] = v
 	}
 	return c
 }

@@ -87,7 +87,6 @@ func (m *Mesh) Compact() CompactMap {
 			es[j] = cm.Edge[e]
 		}
 	}
-	m.edgeByVerts = make(map[[2]VertID]EdgeID, len(m.Edges))
 	for i := range m.Edges {
 		ed := &m.Edges[i]
 		ed.V[0] = cm.Vert[ed.V[0]]
@@ -103,7 +102,6 @@ func (m *Mesh) Compact() CompactMap {
 			ed.Child[1] = cm.Edge[ed.Child[1]]
 			ed.Mid = cm.Vert[ed.Mid]
 		}
-		m.edgeByVerts[edgeKey(ed.V[0], ed.V[1])] = EdgeID(i)
 	}
 	for i := range m.Elems {
 		t := &m.Elems[i]

@@ -6,7 +6,7 @@ package mesh
 func (m *Mesh) AddChildFace(parent FaceID, v0, v1, v2 VertID) FaceID {
 	id := m.AddBoundaryFace(v0, v1, v2, m.Faces[parent].Patch)
 	m.Faces[id].Parent = parent
-	m.Faces[parent].Children = append(m.Faces[parent].Children, id)
+	m.Faces[parent].Children = push(&m.faceSlab, m.Faces[parent].Children, id, faceChildCap)
 	return id
 }
 

@@ -109,3 +109,44 @@ func TestCheckDetectsFaceOverForeignEdge(t *testing.T) {
 	m.Faces[0].E[0] = m.FindEdge(2, 3)
 	wantCheckError(t, m, "face")
 }
+
+func TestCheckDetectsDuplicateEdge(t *testing.T) {
+	m := validPair(t)
+	// A second live edge over the endpoints of edge 0, registered the way
+	// AddEdge would have: FindEdge could return either.
+	dup := m.Edges[0]
+	dup.Elems = nil
+	m.Edges = append(m.Edges, dup)
+	id := EdgeID(len(m.Edges) - 1)
+	for _, v := range dup.V {
+		m.Verts[v].Edges = append(m.Verts[v].Edges, id)
+	}
+	m.nActiveEdges++
+	wantCheckError(t, m, "connects the same vertices")
+}
+
+func TestCheckDetectsEdgeListedTwice(t *testing.T) {
+	m := validPair(t)
+	v := m.Edges[0].V[0]
+	m.Verts[v].Edges = append(m.Verts[v].Edges, 0)
+	wantCheckError(t, m, "incidence list 2 times")
+}
+
+func TestCheckDetectsEdgeMissingFromVertexList(t *testing.T) {
+	m := validPair(t)
+	v := m.Edges[0].V[1]
+	lst := m.Verts[v].Edges
+	for i, e := range lst {
+		if e == 0 {
+			m.Verts[v].Edges = append(lst[:i:i], lst[i+1:]...)
+		}
+	}
+	wantCheckError(t, m, "incidence list 0 times")
+}
+
+func TestCheckDetectsUnorderedEndpoints(t *testing.T) {
+	m := validPair(t)
+	ed := &m.Edges[0]
+	ed.V[0], ed.V[1] = ed.V[1], ed.V[0]
+	wantCheckError(t, m, "ascending")
+}

@@ -7,7 +7,13 @@
 // keeps the list of edges incident upon it, and every edge keeps the list
 // of elements that share it. The paper notes these lists "eliminate
 // extensive searches and are crucial to the efficiency of the overall
-// adaption scheme".
+// adaption scheme". The vertex lists are also the edge lookup: FindEdge
+// probes the shorter endpoint list, so no separate index is kept in step.
+//
+// The lists are carved from per-mesh blocks (see carve, push) instead of
+// being grown on the heap one append at a time, and Reserve sizes the
+// object slabs and the blocks once per refinement round, so adaption
+// allocates per round, not per object.
 //
 // Refinement history is retained: when an element is subdivided or an edge
 // is bisected, the parent object is deactivated but kept so that
@@ -18,6 +24,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 
 	"plum/internal/geom"
 )
@@ -173,7 +180,12 @@ type Mesh struct {
 	// call to ResetLog, used for solution interpolation.
 	Bisections []Bisection
 
-	edgeByVerts map[[2]VertID]EdgeID
+	// The current carving blocks of the incidence and child lists (see
+	// carve): Edge.Elems and Element.Children, Vertex.Edges,
+	// BoundaryFace.Children.
+	elemSlab []ElemID
+	edgeSlab []EdgeID
+	faceSlab []FaceID
 
 	nActiveElems int
 	nActiveEdges int
@@ -184,11 +196,37 @@ type Mesh struct {
 // and nt elements.
 func New(nv, ne, nt int) *Mesh {
 	return &Mesh{
-		Verts:       make([]Vertex, 0, nv),
-		Edges:       make([]Edge, 0, ne),
-		Elems:       make([]Element, 0, nt),
-		edgeByVerts: make(map[[2]VertID]EdgeID, ne),
+		Verts: make([]Vertex, 0, nv),
+		Edges: make([]Edge, 0, ne),
+		Elems: make([]Element, 0, nt),
 	}
+}
+
+// Reserve makes room for nv more vertices, ne more edges, nt more
+// elements and nf more boundary faces, and for their incidence and child
+// lists, so that a refinement round whose growth is known up front regrows
+// each slab at most once. Every vertex of a round is an edge midpoint, so
+// the bisection log grows with nv; the nt elements are all some parent's
+// children; a split face has at least two.
+func (m *Mesh) Reserve(nv, ne, nt, nf int) {
+	m.Verts = slices.Grow(m.Verts, nv)
+	m.Edges = slices.Grow(m.Edges, ne)
+	m.Elems = slices.Grow(m.Elems, nt)
+	m.Faces = slices.Grow(m.Faces, nf)
+	m.Bisections = slices.Grow(m.Bisections, nv)
+	reserve(&m.edgeSlab, nv*vertEdgeCap)
+	reserve(&m.elemSlab, ne*edgeElemCap+nt)
+	reserve(&m.faceSlab, nf/2*faceChildCap)
+}
+
+// ChildList returns an empty child list for el with room for n children:
+// the element's own cleared list when a reinstated parent is subdivided
+// again and it is large enough, a fresh carve otherwise.
+func (m *Mesh) ChildList(el ElemID, n int) []ElemID {
+	if kids := m.Elems[el].Children; cap(kids) >= n {
+		return kids[:0]
+	}
+	return carve(&m.elemSlab, n)
 }
 
 // AddVertex appends a vertex at p and returns its id.
@@ -204,11 +242,19 @@ func edgeKey(a, b VertID) [2]VertID {
 	return [2]VertID{a, b}
 }
 
-// FindEdge returns the edge connecting a and b, or InvalidEdge if none
-// exists.
+// FindEdge returns the live edge connecting a and b, or InvalidEdge if
+// none exists. A vertex's incidence list holds exactly its live edges, so
+// the probe walks the shorter of the two endpoint lists.
 func (m *Mesh) FindEdge(a, b VertID) EdgeID {
-	if id, ok := m.edgeByVerts[edgeKey(a, b)]; ok {
-		return id
+	key := edgeKey(a, b)
+	lst := m.Verts[a].Edges
+	if lb := m.Verts[b].Edges; len(lb) < len(lst) {
+		lst = lb
+	}
+	for _, e := range lst {
+		if m.Edges[e].V == key {
+			return e
+		}
 	}
 	return InvalidEdge
 }
@@ -220,20 +266,18 @@ func (m *Mesh) AddEdge(a, b VertID) EdgeID {
 	if a == b {
 		panic("mesh: degenerate edge")
 	}
-	key := edgeKey(a, b)
-	if id, ok := m.edgeByVerts[key]; ok {
+	if id := m.FindEdge(a, b); id != InvalidEdge {
 		return id
 	}
 	id := EdgeID(len(m.Edges))
 	m.Edges = append(m.Edges, Edge{
-		V:      key,
+		V:      edgeKey(a, b),
 		Parent: InvalidEdge,
 		Child:  [2]EdgeID{InvalidEdge, InvalidEdge},
 		Mid:    InvalidVert,
 	})
-	m.edgeByVerts[key] = id
-	m.Verts[a].Edges = append(m.Verts[a].Edges, id)
-	m.Verts[b].Edges = append(m.Verts[b].Edges, id)
+	m.Verts[a].Edges = push(&m.edgeSlab, m.Verts[a].Edges, id, vertEdgeCap)
+	m.Verts[b].Edges = push(&m.edgeSlab, m.Verts[b].Edges, id, vertEdgeCap)
 	m.nActiveEdges++
 	return id
 }
@@ -261,7 +305,7 @@ func (m *Mesh) AddElement(v0, v1, v2, v3 VertID, parent ElemID, root ElemID, lev
 	for i, lv := range ElemEdgeVerts {
 		e := m.AddEdge(el.V[lv[0]], el.V[lv[1]])
 		el.E[i] = e
-		m.Edges[e].Elems = append(m.Edges[e].Elems, id)
+		m.Edges[e].Elems = push(&m.elemSlab, m.Edges[e].Elems, id, edgeElemCap)
 	}
 	m.Elems = append(m.Elems, el)
 	m.nActiveElems++
@@ -357,7 +401,7 @@ func (m *Mesh) ReactivateElement(el ElemID) {
 	t := &m.Elems[el]
 	t.Children = t.Children[:0]
 	for _, e := range t.E {
-		m.Edges[e].Elems = append(m.Edges[e].Elems, el)
+		m.Edges[e].Elems = push(&m.elemSlab, m.Edges[e].Elems, el, edgeElemCap)
 	}
 	m.nActiveElems++
 }
@@ -400,7 +444,6 @@ func (m *Mesh) KillEdge(e EdgeID) {
 			}
 		}
 	}
-	delete(m.edgeByVerts, edgeKey(ed.V[0], ed.V[1]))
 }
 
 // KillVertex marks vertex v dead. Its incidence list must be empty.

@@ -38,7 +38,6 @@ func (m *Mesh) Rebase() CompactMap {
 		if e.Bisected() {
 			// The children survive; the parent's linkage dies with it.
 			e.Dead = true
-			delete(m.edgeByVerts, edgeKey(e.V[0], e.V[1]))
 			for _, v := range e.V {
 				lst := m.Verts[v].Edges
 				for j, x := range lst {

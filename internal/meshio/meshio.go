@@ -153,7 +153,7 @@ func Write(out io.Writer, m *mesh.Mesh) error {
 }
 
 // Read deserializes a snapshot written by Write and reconstructs all
-// derived state (edge lookup map, counters).
+// derived state (the active-object counters).
 func Read(in io.Reader) (*mesh.Mesh, error) {
 	r := &reader{r: bufio.NewReader(in)}
 	if r.u32() != magic {

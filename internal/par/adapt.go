@@ -1,6 +1,8 @@
 package par
 
 import (
+	"slices"
+
 	"plum/internal/adapt"
 	"plum/internal/chunk"
 	"plum/internal/fault"
@@ -250,9 +252,9 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	trace := snapshotFaults(xm)
 
 	// --- Target phase: error indicator over local edges. ---
-	initSt := d.Init()
+	localEdges, _ := d.EdgeCensus()
 	for r := 0; r < d.P; r++ {
-		clk.Add(r, float64(initSt.LocalEdges[r])*mdl.MarkEdge)
+		clk.Add(r, float64(localEdges[r])*mdl.MarkEdge)
 	}
 	clk.Barrier()
 	tm.Target = clk.Elapsed()
@@ -295,14 +297,13 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 		clk.Add(r, float64(bisect[r])*mdl.BisectEdge)
 	}
 	// Subdivision work goes to the element's owner, one unit per child.
-	childCount := [4]int64{0, 2, 4, 8}
 	children := d.perRankCounts(0, nElems0, func(i int, cnt []int64, _ *[]int32) {
 		t := &m.Elems[i]
 		if !t.Active() {
 			return
 		}
 		if p := d.patternOf(a, t); p != 0 {
-			cnt[d.OwnerOf(mesh.ElemID(i))] += childCount[p.Kind()]
+			cnt[d.OwnerOf(mesh.ElemID(i))] += int64(p.Kind().Children())
 		}
 	})
 	for r := 0; r < d.P; r++ {
@@ -340,16 +341,51 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 // query (edge id + verdict) per ordered rank pair. The raw contributions
 // merge in chunk order; AggregatePairs puts them in canonical charge
 // order.
+//
+// A midpoint vertex is an endpoint of a dozen new edges, and nearly every
+// vertex lies inside one rank, so the scan first settles, once per
+// endpoint vertex, whether its SPL names more than one rank; only edges
+// with two such endpoints can intersect in more than one and pay for the
+// sorted lists.
 func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
 	m := d.M
-	n := len(m.Edges) - edgesBefore
+	const (
+		wanted = 1 // endpoint of a classified edge, SPL not probed yet
+		shared = 2 // SPL names more than one rank
+	)
+	nv := len(m.Verts)
+	d.vertFlag = slices.Grow(d.vertFlag[:0], nv)[:nv]
+	flag := d.vertFlag
+	clear(flag)
+	classified := m.Edges[edgesBefore:]
+	for i := range classified {
+		// Half-edges inherit their parent's SPL (case 2) and are skipped.
+		if ed := &classified[i]; !ed.Dead && ed.Parent == mesh.InvalidEdge {
+			flag[ed.V[0]], flag[ed.V[1]] = wanted, wanted
+		}
+	}
+	chunk.For(nv, EffectiveWorkers(nv, d.Workers), func(_, lo, hi int) {
+		var buf []int32
+		for v := lo; v < hi; v++ {
+			if flag[v] != wanted {
+				continue
+			}
+			buf = d.VertSPL(mesh.VertID(v), buf)
+			flag[v] = 0
+			if len(buf) > 1 {
+				flag[v] = shared
+			}
+		}
+	})
+	n := len(classified)
 	return chunk.Gather(n, EffectiveWorkers(n, d.Workers), func(lo, hi int) []propagate.PairWords {
 		var out []propagate.PairWords
 		var s0, s1, inter []int32
 		for i := lo; i < hi; i++ {
-			ed := &m.Edges[edgesBefore+i]
-			if ed.Dead || ed.Parent != mesh.InvalidEdge {
-				continue // half-edges inherit their parent's SPL (case 2)
+			ed := &classified[i]
+			if ed.Dead || ed.Parent != mesh.InvalidEdge ||
+				flag[ed.V[0]] != shared || flag[ed.V[1]] != shared {
+				continue // half-edge (case 2), or an endpoint inside one rank
 			}
 			s0 = d.VertSPL(ed.V[0], s0)
 			s1 = d.VertSPL(ed.V[1], s1)
@@ -377,9 +413,9 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	xm := d.adaptFaults(prop)
 	trace := snapshotFaults(xm)
 
-	initSt := d.Init()
+	localEdges, _ := d.EdgeCensus()
 	for r := 0; r < d.P; r++ {
-		clk.Add(r, float64(initSt.LocalEdges[r])*mdl.MarkEdge)
+		clk.Add(r, float64(localEdges[r])*mdl.MarkEdge)
 	}
 	clk.Barrier()
 	tm.Target = clk.Elapsed()

@@ -117,6 +117,14 @@ type Dist struct {
 	// rootDual maps a level-0 element id to its dual index; sized to the
 	// element slab, -1 for non-roots.
 	rootDual []int32
+	// rootOwner maps a level-0 element id straight to its owner
+	// (owner[rootDual[i]]), so the SPL probes resolve an element's rank
+	// in one load. Every write to owner goes through setOwners or
+	// setOwner, which keep it in step.
+	rootOwner []int32
+
+	// vertFlag is classifyPairs' per-vertex scratch, kept across passes.
+	vertFlag []uint8
 }
 
 // NewDist builds the distributed view from a dual-graph partition
@@ -150,6 +158,26 @@ func (d *Dist) rebuildRootIndex() {
 	if int(n) != len(d.owner) {
 		panic(fmt.Sprintf("par: %d roots vs %d owners", n, len(d.owner)))
 	}
+	d.rootOwner = make([]int32, len(d.rootDual))
+	d.setOwners(d.owner)
+}
+
+// setOwners overwrites the ownership map with o and refreshes the
+// root → owner slab (-1 for elements that are not roots).
+func (d *Dist) setOwners(o []int32) {
+	copy(d.owner, o)
+	for i, dv := range d.rootDual {
+		d.rootOwner[i] = -1
+		if dv >= 0 {
+			d.rootOwner[i] = d.owner[dv]
+		}
+	}
+}
+
+// setOwner assigns the tree rooted at level-0 element root to rank r.
+func (d *Dist) setOwner(root mesh.ElemID, r int32) {
+	d.owner[d.rootDual[root]] = r
+	d.rootOwner[root] = r
 }
 
 // Owners returns a copy of the per-dual-vertex owner array.
@@ -263,7 +291,7 @@ func (d *Dist) SetOwners(o []int32) {
 	if len(o) != len(d.owner) {
 		panic("par: owner length mismatch")
 	}
-	copy(d.owner, o)
+	d.setOwners(o)
 }
 
 // DualOf returns the dual index of element el's root.
@@ -279,7 +307,7 @@ func (d *Dist) DualOf(el mesh.ElemID) int32 {
 // OwnerOf returns the processor owning element el (the owner of its root's
 // tree — all descendants move with the root, per the paper's Wremap
 // rationale).
-func (d *Dist) OwnerOf(el mesh.ElemID) int32 { return d.owner[d.DualOf(el)] }
+func (d *Dist) OwnerOf(el mesh.ElemID) int32 { return d.rootOwner[d.M.Elems[el].Root] }
 
 // ApplyCompact updates the root index after a mesh compaction.
 func (d *Dist) ApplyCompact() { d.rebuildRootIndex() }
@@ -309,6 +337,15 @@ func (d *Dist) VertSPL(v mesh.VertID, buf []int32) []int32 {
 func dedupSorted(s []int32) []int32 {
 	if len(s) < 2 {
 		return s
+	}
+	// Most objects are interior to one rank: a list of one repeated owner
+	// needs no sort.
+	i := 1
+	for i < len(s) && s[i] == s[0] {
+		i++
+	}
+	if i == len(s) {
+		return s[:1]
 	}
 	// slices.Sort's pdqsort on the bare int32s: no comparator closure,
 	// no interface boxing — this sort runs once per shared edge/vertex
@@ -341,44 +378,8 @@ type InitStats struct {
 // the per-chunk partial counts merge in chunk order, and every count is an
 // integer sum, so the stats are identical at every worker count.
 func (d *Dist) Init() InitStats {
-	st := InitStats{
-		LocalEdges: make([]int64, d.P),
-		LocalElems: make([]int64, d.P),
-	}
-
-	// Edge scan: per-rank local copies and the shared-edge census. Each
-	// chunk probes SPLs into its own scratch buffer.
-	ne := len(d.M.Edges)
-	ncE := chunk.Count(ne, EffectiveWorkers(ne, d.Workers))
-	edgeLocal := make([][]int64, ncE)
-	edgeShared := make([]int, ncE)
-	chunk.For(ne, EffectiveWorkers(ne, d.Workers), func(c, lo, hi int) {
-		loc := make([]int64, d.P)
-		shared := 0
-		var buf []int32
-		for ei := lo; ei < hi; ei++ {
-			ed := &d.M.Edges[ei]
-			if ed.Dead || ed.Bisected() || len(ed.Elems) == 0 {
-				continue
-			}
-			spl := d.EdgeSPL(mesh.EdgeID(ei), buf)
-			buf = spl
-			for _, r := range spl {
-				loc[r]++
-			}
-			if len(spl) > 1 {
-				shared++
-			}
-		}
-		edgeLocal[c] = loc
-		edgeShared[c] = shared
-	})
-	for c := 0; c < ncE; c++ {
-		for r, n := range edgeLocal[c] {
-			st.LocalEdges[r] += n
-		}
-		st.SharedEdges += edgeShared[c]
-	}
+	st := InitStats{LocalElems: make([]int64, d.P)}
+	st.LocalEdges, st.SharedEdges = d.EdgeCensus()
 
 	// Vertex scan: the shared-vertex census.
 	nv := len(d.M.Verts)
@@ -417,6 +418,34 @@ func (d *Dist) Init() InitStats {
 		st.SharedFraction = float64(st.SharedEdges+st.SharedVerts) / float64(totalE+totalV)
 	}
 	return st
+}
+
+// EdgeCensus runs the chunked edge scan of the initialization analysis:
+// the number of active edges each rank holds a copy of (an edge shared by
+// k ranks counts once on each) and how many edges are shared. It is all
+// the adaption passes need of Init to charge their marking phase. Each
+// chunk probes SPLs into its own scratch buffer; the integer partials
+// merge in chunk order.
+func (d *Dist) EdgeCensus() (local []int64, shared int) {
+	ne := len(d.M.Edges)
+	// Slot P of the per-chunk counters carries the shared-edge count.
+	cnt := chunk.GatherCounts(ne, EffectiveWorkers(ne, d.Workers), d.P+1, func(lo, hi int, cnt []int64) {
+		var buf []int32
+		for ei := lo; ei < hi; ei++ {
+			ed := &d.M.Edges[ei]
+			if ed.Dead || ed.Bisected() || len(ed.Elems) == 0 {
+				continue
+			}
+			buf = d.EdgeSPL(mesh.EdgeID(ei), buf)
+			for _, r := range buf {
+				cnt[r]++
+			}
+			if len(buf) > 1 {
+				cnt[d.P]++
+			}
+		}
+	})
+	return cnt[:d.P], int(cnt[d.P])
 }
 
 // localLoads runs the chunked active-element ownership scan, merging the

@@ -135,7 +135,7 @@ func (d *Dist) ExecuteRemap(newOwner []int32, mdl machine.Model) (RemapResult, e
 				Detail: fmt.Sprintf("moved %d elements but received %d", pl.moved, recvTotal)}
 		}
 		d.accountRemap(pl.flowStart, mdl, &res, nil)
-		copy(d.owner, newOwner)
+		d.setOwners(newOwner)
 		return res, nil
 	}
 
@@ -184,7 +184,7 @@ func (d *Dist) ExecuteRemap(newOwner []int32, mdl machine.Model) (RemapResult, e
 	}
 	resends, backoff := w.RetryCounters()
 	d.accountRemap(pl.flowStart, mdl, &res, &retryCharges{resends: resends, backoff: backoff})
-	copy(d.owner, newOwner)
+	d.setOwners(newOwner)
 	return res, nil
 }
 

@@ -113,7 +113,7 @@ func (d *Dist) ExecuteRemapStreaming(newOwner []int32, mdl machine.Model) (Remap
 	}
 	rollback := func(e *RemapError) (RemapResult, error) {
 		if checkpoint != nil {
-			copy(d.owner, checkpoint)
+			d.setOwners(checkpoint)
 		}
 		return RemapResult{}, e
 	}
@@ -211,7 +211,7 @@ func (d *Dist) ExecuteRemapStreaming(newOwner []int32, mdl machine.Model) (Remap
 		for f := win.f0; f < win.f1; f++ {
 			dst := int32(f % p)
 			for _, ei := range fi.elems[fi.flowStart[f]:fi.flowStart[f+1]] {
-				d.owner[d.rootDual[m.Elems[ei].Root]] = dst
+				d.setOwner(m.Elems[ei].Root, dst)
 			}
 		}
 		if d.Trace != nil {
@@ -242,7 +242,7 @@ func (d *Dist) ExecuteRemapStreaming(newOwner []int32, mdl machine.Model) (Remap
 	d.accountRemap(fi.flowStart, mdl, &res, rc)
 
 	if !faulty {
-		copy(d.owner, newOwner)
+		d.setOwners(newOwner)
 	}
 	return res, nil
 }

@@ -165,6 +165,17 @@ func coarsenCounted(g *dual.Graph, seed int64) (*dual.Graph, []int32, int64) {
 	slices.Sort(pairs)
 	pairs = slices.Compact(pairs)
 	ops += int64(len(pairs))*int64(log2ceil(len(pairs)+1)) + int64(len(pairs))
+	// Adjacency rows: degrees counted from the pairs, every row carved at
+	// its exact length from one backing array, then filled in pair order.
+	deg := make([]int32, nc)
+	for _, pq := range pairs {
+		deg[pq>>32]++
+		deg[uint32(pq)]++
+	}
+	back := make([]int32, 2*len(pairs))
+	for c, n := range deg {
+		cg.Adj[c], back = back[:0:n], back[n:]
+	}
 	for _, pq := range pairs {
 		a, b := int32(pq>>32), int32(uint32(pq))
 		cg.Adj[a] = append(cg.Adj[a], b)

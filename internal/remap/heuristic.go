@@ -28,6 +28,7 @@ func (s *Similarity) Heuristic() (Mapping, int64) {
 
 	// marks[j] collects the processors that marked column j this round.
 	marks := make([][]int32, cols)
+	best := make([]markCand, 0, s.F) // markLargest's top-list scratch
 	s.LastOps = 0
 	for remaining > 0 {
 		s.LastOps += int64(s.P * cols) // one mark+map sweep over the matrix
@@ -41,7 +42,7 @@ func (s *Similarity) Heuristic() (Mapping, int64) {
 			if need == 0 {
 				continue
 			}
-			markLargest(s.S[i], mp, need, int32(i), marks)
+			markLargest(s.S[i], mp, need, int32(i), marks, best)
 		}
 		// Map phase: each marked unassigned column goes to the largest
 		// marked entry.
@@ -82,32 +83,34 @@ func (s *Similarity) Heuristic() (Mapping, int64) {
 	return mp, s.Objective(mp)
 }
 
+// markCand is one entry of markLargest's running top list: column j with
+// similarity w.
+type markCand struct {
+	j int
+	w int64
+}
+
 // markLargest records processor i's marks on the `need` largest entries of
 // row among unassigned columns (ties resolved toward lower column
 // numbers). It is O(cols·need) with need ≤ F, which beats sorting for the
-// small F of practical interest.
-func markLargest(row []int64, mp Mapping, need int, i int32, marks [][]int32) {
-	type cand struct {
-		j int
-		w int64
-	}
-	best := make([]cand, 0, need)
+// small F of practical interest. best is the caller's scratch for the
+// running top list, with room for need entries.
+func markLargest(row []int64, mp Mapping, need int, i int32, marks [][]int32, best []markCand) {
+	best = best[:0]
 	for j, w := range row {
-		if mp[j] >= 0 {
-			continue
+		if mp[j] >= 0 || (len(best) == need && w <= best[need-1].w) {
+			continue // assigned, or not above the full list's smallest entry
 		}
 		// Insert into the running top-`need` list.
 		pos := len(best)
 		for pos > 0 && best[pos-1].w < w {
 			pos--
 		}
-		if pos < need {
-			if len(best) < need {
-				best = append(best, cand{})
-			}
-			copy(best[pos+1:], best[pos:])
-			best[pos] = cand{j, w}
+		if len(best) < need {
+			best = append(best, markCand{})
 		}
+		copy(best[pos+1:], best[pos:])
+		best[pos] = markCand{j, w}
 	}
 	for _, c := range best {
 		marks[c.j] = append(marks[c.j], i)
