@@ -267,13 +267,13 @@ func main() {
 				fmt.Printf("         remap ops=%d crit=%d execT=%.3gs", b.RemapOps, b.RemapCritOps, b.RemapExecTime)
 				if b.Accepted {
 					fmt.Printf(" pack=%.3gs comm=%.3gs rebuild=%.3gs setups=%d setupT=%.3gs",
-						b.Remap.PackTime, b.Remap.CommTime, b.Remap.RebuildTime, b.RemapSetups, b.RemapSetupTime)
+						b.Remap.PackTime, b.Remap.CommTime, b.Remap.RebuildTime, b.Remap.Setups, b.Remap.SetupTime)
 				}
 				fmt.Println()
 				if cfg.Overlap {
 					fmt.Printf("         overlap hidden=%.3gs cost full=%.3gs exposed=%.3gs", b.OverlapTime, b.CostFull, b.Cost)
 					if b.Accepted {
-						fmt.Printf(" peak=%d/%d words", b.RemapPeakWords, b.Remap.Moved*par.RecordWords)
+						fmt.Printf(" peak=%d/%d words", b.Remap.PeakWords, b.Remap.Moved*par.RecordWords)
 					}
 					fmt.Println()
 				}

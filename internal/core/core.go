@@ -110,10 +110,11 @@ type Config struct {
 	// latency-tolerance argument: the repartition + reassignment +
 	// remap-execution critical path runs concurrently with the modeled
 	// solver iterations on the machine clock, the acceptance rule charges
-	// only the exposed (post-overlap) cost, and the remap executes
-	// through the streaming executor (par.ExecuteRemapStreaming), which
+	// only the exposed (post-overlap) cost, and the remap executes under
+	// the streaming window budget (par.ExecuteRemapStreaming), which
 	// bounds peak payload memory to one flow window. False keeps the
-	// paper-faithful strict barrier chain and the bulk-synchronous remap.
+	// paper-faithful strict barrier chain and the whole-payload remap
+	// (par.ExecuteRemap) — the same executor with a single window.
 	// Either way every result byte is identical — overlap changes what
 	// the machine clock charges and how the host buffers the payload,
 	// never the partitions, owners, or payload bytes.
@@ -560,18 +561,9 @@ type BalanceReport struct {
 	// Exchange is the remap exchange schedule the pass charges and (when
 	// accepted) executes under — Config.Exchange, parsed.
 	Exchange machine.Exchange
-	// RemapSetups and RemapSetupTime are the executed remap's modeled
-	// message-setup count and summed setup-time slice
-	// (par.RemapResult.Setups / SetupTime) — the quantities the exchange
-	// schedule exists to shrink. Zero when no remap executed.
-	RemapSetups    int64
-	RemapSetupTime float64
-	// RemapPeakWords is the executed remap's host-side payload
-	// high-water mark in record words (par.RemapResult.PeakWords): the
-	// whole buffer on the bulk-synchronous executor, the largest
-	// in-flight window on the streaming one. Zero when not accepted.
-	RemapPeakWords int64
-	// Remap holds the executed migration (zero when not accepted).
+	// Remap holds the executed migration (zero when not accepted) — its
+	// Setups / SetupTime are the quantities the exchange schedule exists
+	// to shrink, its PeakWords the host-side payload high-water mark.
 	Remap par.RemapResult
 	// Outcome classifies the pass under the fault plan: Committed,
 	// RetriedCommitted, Recovered, RolledBack, or Degraded. Always
@@ -767,9 +759,6 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	}
 	traceRemapExec(f.Cfg.Trace, "remap.exec", &res)
 	rep.Remap = res
-	rep.RemapPeakWords = res.PeakWords
-	rep.RemapSetups = res.Setups
-	rep.RemapSetupTime = res.SetupTime
 	return rep, nil
 }
 

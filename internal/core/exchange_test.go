@@ -81,7 +81,7 @@ func exchangeCycles(t *testing.T, exchange string, topo machine.Topology) []Cycl
 func TestCycleFlatExchangeIsLegacy(t *testing.T) {
 	ref := exchangeCycles(t, "", machine.Topology{})
 	for _, rep := range ref {
-		if b := rep.Balance; b.Accepted && (b.RemapSetups != int64(b.MoveN) || b.RemapSetupTime <= 0) {
+		if b := rep.Balance; b.Accepted && (b.Remap.Setups != int64(b.MoveN) || b.Remap.SetupTime <= 0) {
 			t.Fatalf("flat remap setup accounting wrong: %+v", b)
 		}
 	}
@@ -110,13 +110,13 @@ func TestCycleExchangeInvariants(t *testing.T) {
 			if !fb.Accepted {
 				continue
 			}
-			if gb.RemapSetups >= fb.RemapSetups {
+			if gb.Remap.Setups >= fb.Remap.Setups {
 				t.Errorf("%s cycle %d: %d setups not below flat's %d",
-					exchange, c, gb.RemapSetups, fb.RemapSetups)
+					exchange, c, gb.Remap.Setups, fb.Remap.Setups)
 			}
-			if gb.RemapSetupTime >= fb.RemapSetupTime {
+			if gb.Remap.SetupTime >= fb.Remap.SetupTime {
 				t.Errorf("%s cycle %d: setup time %g not below flat's %g",
-					exchange, c, gb.RemapSetupTime, fb.RemapSetupTime)
+					exchange, c, gb.Remap.SetupTime, fb.Remap.SetupTime)
 			}
 			if gb.Exchange.String() != exchange {
 				t.Errorf("cycle %d: report says exchange %v, want %s", c, gb.Exchange, exchange)

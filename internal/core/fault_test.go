@@ -43,23 +43,23 @@ type cycleFaultTrace struct {
 	Accepted                               bool
 	AdaptRetries, AdaptBackoff, AdaptExh   int64
 	RemapRetries, RemapRetryWords          int64
-	RemapWindowRetries                     int
+	WindowRetries                          int
 	ImbalanceBefore, ImbalanceAfter, RTime float64
 }
 
 func traceOf(rep CycleReport) cycleFaultTrace {
 	return cycleFaultTrace{
-		Outcome:            rep.Outcome,
-		Accepted:           rep.Balance.Accepted,
-		AdaptRetries:       rep.AdaptTime.Retries,
-		AdaptBackoff:       rep.AdaptTime.Backoff,
-		AdaptExh:           rep.AdaptTime.Exhausted,
-		RemapRetries:       rep.Balance.Remap.Retries,
-		RemapRetryWords:    rep.Balance.Remap.RetryWords,
-		RemapWindowRetries: rep.Balance.Remap.WindowRetries,
-		ImbalanceBefore:    rep.Balance.ImbalanceBefore,
-		ImbalanceAfter:     rep.Balance.ImbalanceAfter,
-		RTime:              rep.Balance.Remap.RetryTime,
+		Outcome:         rep.Outcome,
+		Accepted:        rep.Balance.Accepted,
+		AdaptRetries:    rep.AdaptTime.Retries,
+		AdaptBackoff:    rep.AdaptTime.Backoff,
+		AdaptExh:        rep.AdaptTime.Exhausted,
+		RemapRetries:    rep.Balance.Remap.Retries,
+		RemapRetryWords: rep.Balance.Remap.RetryWords,
+		WindowRetries:   rep.Balance.Remap.WindowRetries,
+		ImbalanceBefore: rep.Balance.ImbalanceBefore,
+		ImbalanceAfter:  rep.Balance.ImbalanceAfter,
+		RTime:           rep.Balance.Remap.RetryTime,
 	}
 }
 

@@ -86,19 +86,19 @@ func TestCycleOverlapParity(t *testing.T) {
 		// The streaming executor bounds the payload footprint strictly
 		// below the bulk path's whole-buffer total.
 		total := bOn.Remap.Moved * par.RecordWords
-		if bOn.RemapPeakWords <= 0 || bOn.RemapPeakWords >= total {
+		if bOn.Remap.PeakWords <= 0 || bOn.Remap.PeakWords >= total {
 			t.Errorf("workers=%d: streaming peak %d not strictly below total %d",
-				w, bOn.RemapPeakWords, total)
+				w, bOn.Remap.PeakWords, total)
 		}
-		if bOff.RemapPeakWords != total {
-			t.Errorf("workers=%d: bulk peak %d != total payload %d", w, bOff.RemapPeakWords, total)
+		if bOff.Remap.PeakWords != total {
+			t.Errorf("workers=%d: bulk peak %d != total payload %d", w, bOff.Remap.PeakWords, total)
 		}
 
 		// Everything else — partitions, owners, modeled times, op counts,
 		// the whole remap result — must be byte-identical.
 		repOn.Balance.OverlapTime = bOff.OverlapTime
 		repOn.Balance.Cost = bOff.Cost
-		repOn.Balance.RemapPeakWords = bOff.RemapPeakWords
+		repOn.Balance.Remap.PeakWords = bOff.Remap.PeakWords
 		repOn.Balance.Remap.PeakWords = bOff.Remap.PeakWords
 		if !reflect.DeepEqual(repOn, repOff) {
 			t.Errorf("workers=%d: overlapped cycle diverges beyond the overlap fields:\n on  %+v\n off %+v",

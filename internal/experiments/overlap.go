@@ -89,7 +89,7 @@ func RunOverlapTable(workers int) *OverlapTable {
 			if row.CritOverlap > 0 {
 				row.Speedup = row.CritBulk / row.CritOverlap
 			}
-			row.PeakWords = b.RemapPeakWords
+			row.PeakWords = b.Remap.PeakWords
 			row.TotalWords = b.Remap.Moved * par.RecordWords
 			out.Rows = append(out.Rows, row)
 		}

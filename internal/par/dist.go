@@ -49,20 +49,12 @@ type Dist struct {
 	// means BulkSync at the Dist's worker knob.
 	Prop propagate.Propagator
 
-	// RemapWindow bounds the streaming remap executor's in-flight payload
-	// window, in record words. ≤ 0 selects the adaptive default: the
-	// larger of the biggest single flow and an eighth of the total
-	// payload (see windowBudget). The window plan depends only on the
-	// canonical flow layout and this budget, never on Workers, so
-	// ExecuteRemapStreaming stays byte-identical at any worker count.
-	RemapWindow int64
-
 	// Exchange selects the communication schedule of the remap payload
 	// exchange — flat (legacy, the zero value), aggregated, or
 	// hierarchical (see machine.Exchange). It drives both the wire path
 	// (how records physically move between goroutine ranks) and the
 	// machine-model charges; the node topology side of the hierarchical
-	// schedule comes from the machine.Model passed to the executors.
+	// schedule comes from the machine.Model passed to the executor.
 	// Owners, payloads, Moved/Sets/WordsMoved/PeakWords, and Ops are
 	// identical across schedules; only the communication charges differ.
 	Exchange machine.Exchange
@@ -70,7 +62,7 @@ type Dist struct {
 	// Faults is the deterministic fault-injection plan driving the remap
 	// payload exchange (internal/fault). nil — or a zero-rate plan —
 	// keeps the legacy fault-free exchange byte-identical. When enabled,
-	// the executors run transactionally: the owner array is checkpointed,
+	// the executor runs transactionally: the owner array is checkpointed,
 	// failed windows are re-exchanged up to Retry.WindowRetries times, and
 	// exhausted retries roll the ownership back to the checkpoint with a
 	// typed *RemapError.
@@ -83,7 +75,7 @@ type Dist struct {
 	FaultCycle int
 
 	// StageDeadline arms comm.World.SetDeadline on every world the remap
-	// executors create: a stage whose ranks have not all finished within
+	// executor creates: a stage whose ranks have not all finished within
 	// the deadline fails with a typed timeout instead of hanging the
 	// process. Zero disables the watchdog (the deterministic default —
 	// wall-clock deadlines are inherently timing-dependent).
@@ -241,49 +233,6 @@ func (d *Dist) AliveCount() int {
 		}
 	}
 	return n
-}
-
-// crashedRanks returns the alive ranks fated by the plan to die at the
-// remap boundary of the current fault cycle, sorted ascending — the
-// crash mask the executors inject. Pure function of (plan, cycle, alive
-// set): byte-identical at any worker count. Two guards keep the run
-// recoverable: no crashes are drawn with fewer than two survivors, and
-// if every survivor is fated at once, the lowest-ranked one is spared
-// (a total loss has no survivor to recover onto).
-func (d *Dist) crashedRanks() []int {
-	if !d.Faults.CrashEnabled() {
-		return nil
-	}
-	alive := d.Alive()
-	if len(alive) < 2 {
-		return nil
-	}
-	var out []int
-	for _, r := range alive {
-		if d.Faults.Crashed(fault.StageRemap, d.FaultCycle, int(r)) {
-			out = append(out, int(r))
-		}
-	}
-	if len(out) == len(alive) {
-		out = out[1:]
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// crashMask expands crashed (sorted rank list) into a per-rank bool
-// mask, or nil when there are no crashes.
-func (d *Dist) crashMask(crashed []int) []bool {
-	if len(crashed) == 0 {
-		return nil
-	}
-	mask := make([]bool, d.P)
-	for _, r := range crashed {
-		mask[r] = true
-	}
-	return mask
 }
 
 // SetOwners replaces the ownership map (after a remap decision).

@@ -35,12 +35,12 @@ func approxEq(a, b float64) bool {
 }
 
 // TestRemapFaultRecoveryParity is the recovery half of the determinism
-// contract: with a generous retry budget, a faulted streaming remap must
-// converge to the fault-free result — same owner array, same payload
-// accounting, same pack/rebuild times — with the recovery visible only in
-// the retry counters and the comm-side times. And the entire faulted
-// result, retry traffic included, must be byte-identical at every worker
-// count.
+// contract: with a generous retry budget, a faulted remap must converge to
+// the fault-free result under every window budget — same owner array,
+// same payload accounting, same pack/rebuild times — with the recovery
+// visible only in the retry counters and the comm-side times. And the
+// entire faulted result, retry traffic included, must be byte-identical at
+// every worker count.
 func TestRemapFaultRecoveryParity(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
@@ -51,58 +51,47 @@ func TestRemapFaultRecoveryParity(t *testing.T) {
 	}
 
 	plan := &fault.Plan{Seed: 4242, Rate: 0.25}
-	budget := fault.Retry{MsgAttempts: 10, WindowRetries: 4}
-	var first RemapResult
-	for i, w := range []int{1, 2, 4, 8} {
-		d, _ := bigFixture(t, p)
-		d.Workers = w
-		d.Faults = plan
-		d.Retry = budget
-		res, err := d.ExecuteRemapStreaming(newOwner, machine.SP2())
-		if err != nil {
-			t.Fatalf("workers=%d: recovery failed: %v", w, err)
+	for _, b := range budgets {
+		var first RemapResult
+		for i, w := range []int{1, 2, 4, 8} {
+			d, _ := bigFixture(t, p)
+			d.Workers = w
+			d.Retry = fault.Retry{MsgAttempts: 10, WindowRetries: 4}
+			res, err := d.executeRemap(newOwner, machine.SP2(), b.words, plan)
+			if err != nil {
+				t.Fatalf("budget=%s workers=%d: recovery failed: %v", b.name, w, err)
+			}
+			if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
+				t.Fatalf("budget=%s workers=%d: recovered owner array diverges from fault-free", b.name, w)
+			}
+			if res.Retries == 0 || res.RetryTime == 0 {
+				t.Errorf("budget=%s workers=%d: rate 0.25 left no retry trace: %+v", b.name, w, res)
+			}
+			if res.Total <= refRes.Total || res.CommTime <= refRes.CommTime {
+				t.Errorf("budget=%s workers=%d: retry charges missing from modeled time: total %g vs %g",
+					b.name, w, res.Total, refRes.Total)
+			}
+			got, want := stripRetryFields(res), stripRetryFields(refRes)
+			got.PeakWords = want.PeakWords
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("budget=%s workers=%d: recovered result diverges beyond retry fields:\n got %+v\nwant %+v",
+					b.name, w, got, want)
+			}
+			if !approxEq(res.RebuildTime, refRes.RebuildTime) {
+				t.Errorf("budget=%s workers=%d: rebuild time diverges: %g vs %g",
+					b.name, w, res.RebuildTime, refRes.RebuildTime)
+			}
+			if i == 0 {
+				first = res
+				continue
+			}
+			a := res
+			a.Ops.Crit, a.Ops.MemCrit = first.Ops.Crit, first.Ops.MemCrit
+			if !reflect.DeepEqual(a, first) {
+				t.Errorf("budget=%s workers=%d: faulted result not worker-invariant:\n got %+v\nwant %+v",
+					b.name, w, a, first)
+			}
 		}
-		if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
-			t.Fatalf("workers=%d: recovered owner array diverges from fault-free", w)
-		}
-		if res.Retries == 0 || res.RetryTime == 0 {
-			t.Errorf("workers=%d: rate 0.25 left no retry trace: %+v", w, res)
-		}
-		if res.Total <= refRes.Total || res.CommTime <= refRes.CommTime {
-			t.Errorf("workers=%d: retry charges missing from modeled time: total %g vs %g",
-				w, res.Total, refRes.Total)
-		}
-		if got, want := stripRetryFields(res), stripRetryFields(refRes); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: recovered result diverges beyond retry fields:\n got %+v\nwant %+v",
-				w, got, want)
-		}
-		if !approxEq(res.RebuildTime, refRes.RebuildTime) {
-			t.Errorf("workers=%d: rebuild time diverges: %g vs %g", w, res.RebuildTime, refRes.RebuildTime)
-		}
-		if i == 0 {
-			first = res
-			continue
-		}
-		a := res
-		a.Ops.Crit, a.Ops.MemCrit = first.Ops.Crit, first.Ops.MemCrit
-		if !reflect.DeepEqual(a, first) {
-			t.Errorf("workers=%d: faulted result not worker-invariant:\n got %+v\nwant %+v", w, a, first)
-		}
-	}
-
-	// The bulk executor recovers through the same machinery.
-	d, _ := bigFixture(t, p)
-	d.Faults = plan
-	d.Retry = budget
-	bres, err := d.ExecuteRemap(newOwner, machine.SP2())
-	if err != nil {
-		t.Fatalf("bulk recovery failed: %v", err)
-	}
-	if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
-		t.Fatal("bulk recovered owner array diverges from fault-free")
-	}
-	if bres.Retries == 0 {
-		t.Error("bulk recovery left no retry trace")
 	}
 }
 
@@ -133,6 +122,10 @@ func TestRemapRollbackRestoresOwnership(t *testing.T) {
 		if re.Tries != 2 {
 			t.Errorf("streaming=%v: window tried %d times, want 2", streaming, re.Tries)
 		}
+		// The whole-payload entry is one exchange, not a window stream.
+		if (streaming && re.Window < 0) || (!streaming && re.Window != -1) {
+			t.Errorf("streaming=%v: failure names window %d", streaming, re.Window)
+		}
 		if !reflect.DeepEqual(d.Owners(), before) {
 			t.Fatalf("streaming=%v: ownership not rolled back", streaming)
 		}
@@ -147,13 +140,12 @@ func TestRemapPartialCommitRollback(t *testing.T) {
 	const p = 4
 	d, newOwner := bigFixture(t, p)
 	before := d.Owners()
-	d.RemapWindow = 512 // many small windows
 	// A low fault rate with zero recovery budget: most windows sail
 	// through and commit, but over hundreds of messages some window hits
 	// a fault and aborts the transaction.
-	d.Faults = &fault.Plan{Seed: 3, Rate: 0.05, Kinds: []fault.Kind{fault.Drop}}
+	plan := &fault.Plan{Seed: 3, Rate: 0.05, Kinds: []fault.Kind{fault.Drop}}
 	d.Retry = fault.Retry{MsgAttempts: 1, WindowRetries: 0}
-	_, err := d.ExecuteRemapStreaming(newOwner, machine.SP2())
+	_, err := d.executeRemap(newOwner, machine.SP2(), 512, plan) // many small windows
 	var re *RemapError
 	if !errors.As(err, &re) {
 		t.Fatalf("expected a rolled-back RemapError, got %v", err)
@@ -170,28 +162,29 @@ func TestRemapPartialCommitRollback(t *testing.T) {
 }
 
 // TestRemapZeroRatePlanIsLegacy pins the byte-parity acceptance criterion
-// at the executor level: a present-but-empty fault plan must take the
-// legacy exchange and reproduce the nil-plan result exactly, retry fields
-// and all.
+// at the executor level: under every window budget a present-but-empty
+// fault plan must take the legacy exchange and reproduce the nil-plan
+// result exactly, retry fields and all.
 func TestRemapZeroRatePlanIsLegacy(t *testing.T) {
 	const p = 8
-	refD, newOwner := bigFixture(t, p)
-	refRes, err := refD.ExecuteRemapStreaming(newOwner, machine.SP2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := bigFixture(t, p)
-	d.Faults = &fault.Plan{Seed: 123, Rate: 0}
-	d.Retry = fault.Budget(5)
-	res, err := d.ExecuteRemapStreaming(newOwner, machine.SP2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, refRes) {
-		t.Errorf("zero-rate plan changed the result:\n got %+v\nwant %+v", res, refRes)
-	}
-	if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
-		t.Error("zero-rate plan changed the owner array")
+	for _, b := range budgets {
+		refD, newOwner := bigFixture(t, p)
+		refRes, err := refD.executeRemap(newOwner, machine.SP2(), b.words, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ := bigFixture(t, p)
+		d.Retry = fault.Budget(5)
+		res, err := d.executeRemap(newOwner, machine.SP2(), b.words, &fault.Plan{Seed: 123, Rate: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, refRes) {
+			t.Errorf("budget=%s: zero-rate plan changed the result:\n got %+v\nwant %+v", b.name, res, refRes)
+		}
+		if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
+			t.Errorf("budget=%s: zero-rate plan changed the owner array", b.name)
+		}
 	}
 }
 
@@ -222,18 +215,15 @@ func FuzzReliableExchange(f *testing.F) {
 			return d, newOwner
 		}
 		refD, newOwner := build()
-		refD.RemapWindow = window % 2048
-		refRes, err := refD.ExecuteRemapStreaming(newOwner, machine.SP2())
+		refRes, err := refD.executeRemap(newOwner, machine.SP2(), window%2048, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		d, _ := build()
 		before := d.Owners()
-		d.Faults = plan
 		d.Retry = fault.Retry{MsgAttempts: int(attempts % 8), WindowRetries: int(winRetries % 4)}
-		d.RemapWindow = window % 2048
-		res, err := d.ExecuteRemapStreaming(newOwner, machine.SP2())
+		res, err := d.executeRemap(newOwner, machine.SP2(), window%2048, plan)
 		if err != nil {
 			var re *RemapError
 			if !errors.As(err, &re) {

@@ -69,10 +69,11 @@ func FuzzExecuteRemap(f *testing.F) {
 		}
 
 		// The scatter must conserve records and be chunking-invariant.
-		serial := collectFlows(m, d.rootDual, owners, newOwner, p, 1)
-		chunked := collectFlows(m, d.rootDual, owners, newOwner, p, 3)
+		serial := collectFlowIndex(m, d.rootDual, owners, newOwner, p, 1)
+		chunked := collectFlowIndex(m, d.rootDual, owners, newOwner, p, 3)
+		recs := packAll(d, &serial, 1)
 		if !reflect.DeepEqual(serial.flowStart, chunked.flowStart) ||
-			!reflect.DeepEqual(serial.recs, chunked.recs) {
+			!reflect.DeepEqual(recs, packAll(d, &chunked, 3)) {
 			t.Fatal("chunked scatter diverges from serial")
 		}
 		if serial.moved != wantMoved {
@@ -85,15 +86,14 @@ func FuzzExecuteRemap(f *testing.F) {
 		}
 		// Every record must name a dual vertex of its own flow.
 		for fl := 0; fl < p*p; fl++ {
-			for _, rec := range [][]int64{serial.flowRecs(fl)} {
-				for o := 0; o < len(rec); o += recWords {
-					dv := rec[o]
-					if dv < 0 || int(dv) >= len(owners) {
-						t.Fatalf("flow %d record names dual vertex %d out of range", fl, dv)
-					}
-					if int(owners[dv])*p+int(newOwner[dv]) != fl {
-						t.Fatalf("record for dual vertex %d filed under flow %d->%d", dv, fl/p, fl%p)
-					}
+			rec := recs[serial.flowStart[fl]*recWords : serial.flowStart[fl+1]*recWords]
+			for o := 0; o < len(rec); o += recWords {
+				dv := rec[o]
+				if dv < 0 || int(dv) >= len(owners) {
+					t.Fatalf("flow %d record names dual vertex %d out of range", fl, dv)
+				}
+				if int(owners[dv])*p+int(newOwner[dv]) != fl {
+					t.Fatalf("record for dual vertex %d filed under flow %d->%d", dv, fl/p, fl%p)
 				}
 			}
 		}

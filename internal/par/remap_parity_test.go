@@ -37,6 +37,14 @@ func bigFixture(t testing.TB, p int) (*Dist, []int32) {
 	return d, newOwner
 }
 
+// packAll packs every flow of fi into one record buffer — the
+// whole-payload window — at the given worker knob.
+func packAll(d *Dist, fi *flowIndex, workers int) []int64 {
+	recs := make([]int64, fi.moved*recWords)
+	fi.packRange(d.M, d.rootDual, 0, d.P*d.P, recs, workers)
+	return recs
+}
+
 // TestRemapExecWorkerParity is the determinism contract of the parallel
 // remap execution: the CSR payload buffer, the updated owner array, and
 // the whole RemapResult — modeled float times included — must be
@@ -46,7 +54,8 @@ func TestRemapExecWorkerParity(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
 	refD.Workers = 1
-	refPlan := collectFlows(refD.M, refD.rootDual, refD.owner, newOwner, p, 1)
+	refIdx := collectFlowIndex(refD.M, refD.rootDual, refD.owner, newOwner, p, 1)
+	refRecs := packAll(refD, &refIdx, 1)
 	refRes, err := refD.ExecuteRemap(newOwner, machine.SP2())
 	if err != nil {
 		t.Fatal(err)
@@ -61,11 +70,11 @@ func TestRemapExecWorkerParity(t *testing.T) {
 	for _, w := range []int{2, 4, 8} {
 		d, _ := bigFixture(t, p)
 		d.Workers = w
-		pl := collectFlows(d.M, d.rootDual, d.owner, newOwner, p, EffectiveWorkers(len(d.M.Elems), w))
-		if !reflect.DeepEqual(pl.flowStart, refPlan.flowStart) {
+		fi := collectFlowIndex(d.M, d.rootDual, d.owner, newOwner, p, EffectiveWorkers(len(d.M.Elems), w))
+		if !reflect.DeepEqual(fi.flowStart, refIdx.flowStart) {
 			t.Fatalf("workers=%d: CSR flow offsets diverge", w)
 		}
-		if !reflect.DeepEqual(pl.recs, refPlan.recs) {
+		if !reflect.DeepEqual(packAll(d, &fi, w), refRecs) {
 			t.Fatalf("workers=%d: payload buffer diverges", w)
 		}
 		res, err := d.ExecuteRemap(newOwner, machine.SP2())

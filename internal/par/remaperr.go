@@ -66,8 +66,10 @@ func (f RemapFailure) String() string {
 type RemapError struct {
 	// Failure classifies the fault.
 	Failure RemapFailure
-	// Window is the canonical streaming-window index that failed, or -1
-	// for the bulk exchange / the finalize gather.
+	// Window is the canonical index of the window that failed when the
+	// executor ran under a streaming budget (ExecuteRemapStreaming), or -1
+	// from the whole-payload entry points, the conservation check, and
+	// the finalize gather.
 	Window int
 	// Tries is the number of times the failing window was exchanged.
 	Tries int

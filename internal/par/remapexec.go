@@ -2,6 +2,7 @@ package par
 
 import (
 	"fmt"
+	"math"
 
 	"plum/internal/chunk"
 	"plum/internal/comm"
@@ -23,13 +24,12 @@ type RemapResult struct {
 	// shared-structure perturbation.
 	WordsMoved int64
 	// PeakWords is the high-water mark of the host-side payload buffer,
-	// in record words (Moved × RecordWords is the total). The
-	// bulk-synchronous executor materializes every flow at once, so it
-	// reports the total; the streaming executor packs, exchanges, and
-	// verifies one window of flows at a time, so its peak is the largest
-	// window — strictly below the total on multi-flow workloads. The
-	// figure is computed from the canonical flow layout, never from live
-	// goroutine scheduling, so it is deterministic at any worker count.
+	// in record words (Moved × RecordWords is the total): the largest
+	// window the executor packed. Under the whole-payload budget that is
+	// the total; under the streaming budget it is strictly below the
+	// total on multi-flow workloads. The figure is computed from the
+	// canonical flow layout, never from live goroutine scheduling, so it
+	// is deterministic at any worker count.
 	PeakWords int64
 	// PackTime, CommTime, RebuildTime decompose the modeled remapping
 	// overhead; Total is the slowest-rank end-to-end time.
@@ -67,18 +67,15 @@ type RemapResult struct {
 	RetryTime           float64
 }
 
+// wholePayload is the window budget under which every flow fits one
+// window: the bulk-synchronous exchange of ExecuteRemap.
+const wholePayload = math.MaxInt64
+
 // ExecuteRemap migrates element trees whose dual vertices change owner
 // under newOwner. Real payloads (element records) are exchanged between
 // goroutine ranks over the comm runtime and verified for conservation; the
 // machine model charges pack, transfer, and rebuild costs. On return the
 // ownership map is updated.
-//
-// The payload collection is the CSR flow scatter of collectFlows, run at
-// the Dist's worker knob: flows are laid out in canonical (src, dst)
-// order and elements in slab order within a flow, so the record buffer,
-// the modeled times (float summation order is fixed by the layout, not by
-// map iteration), and the whole RemapResult except Ops.Crit/MemCrit are
-// byte-identical at every worker count.
 //
 // Following the paper's experimental methodology, the data-structure
 // rebuild is charged to the model (RebuildElem per received element)
@@ -86,125 +83,240 @@ type RemapResult struct {
 // authoritative — "all appropriate mesh objects are sent to their new host
 // processor, accurately modeling the communication phase".
 //
-// This is the bulk-synchronous executor: the whole record buffer is
-// materialized before anything is exchanged, so PeakWords equals the
-// total payload. ExecuteRemapStreaming produces the identical result with
-// one window of payload in flight at a time.
-//
-// With Dist.Faults enabled the exchange runs transactionally over the
-// reliable transport: the whole exchange is one commit unit, failed
-// exchanges are re-run up to Retry.WindowRetries times, and exhausted
-// retries return a *RemapError with RolledBack set and the ownership map
-// untouched. Without a plan the legacy plain exchange runs byte-identical
-// to pre-fault behavior.
+// This entry runs the executor with a whole-payload window: every record
+// is packed before anything is exchanged, PeakWords equals the total
+// payload, the exchange is one commit unit, and a *RemapError carries
+// Window -1.
 func (d *Dist) ExecuteRemap(newOwner []int32, mdl machine.Model) (RemapResult, error) {
-	if len(newOwner) != len(d.owner) {
-		return RemapResult{}, fmt.Errorf("par: newOwner has %d entries, want %d", len(newOwner), len(d.owner))
-	}
-	m := d.M
-	p := d.P
-	ew := EffectiveWorkers(len(m.Elems), d.Workers)
-	pl := collectFlows(m, d.rootDual, d.owner, newOwner, p, ew)
+	return d.executeRemap(newOwner, mdl, wholePayload, d.Faults)
+}
 
-	res := RemapResult{
-		Moved:     pl.moved,
-		Sets:      pl.sets,
-		PeakWords: pl.moved * recWords, // the whole buffer is in flight at once
-		Ops:       PredictRemapOps(len(m.Elems), pl.moved, pl.sets, p, d.Workers),
-	}
-
-	// Exchange for real over the message-passing runtime and verify
-	// conservation on the receive side. Each rank's send buffers are
-	// zero-copy subslices of the flat record buffer: rank src owns the
-	// contiguous flow range [src·p, (src+1)·p). The whole table is one
-	// window of the Dist's exchange schedule.
-	plan := &winPlan{f0: 0, f1: p * p, p: p, flowStart: pl.flowStart, rec: pl.flowRecs}
-	if !d.Faults.Enabled() {
-		w := comm.NewWorld(p)
-		w.SetDeadline(d.StageDeadline)
-		recvCount := make([]int64, p)
-		if err := exchangeWindow(w, d.Exchange, mdl.Topo, plan, false, recvCount, nil, nil); err != nil {
-			return RemapResult{}, remapErrFrom(err, -1, 1)
-		}
-		var recvTotal int64
-		for _, n := range recvCount {
-			recvTotal += n
-		}
-		if recvTotal != pl.moved {
-			return RemapResult{}, &RemapError{Failure: FailConservation, Window: -1, Tries: 1, RolledBack: true,
-				Detail: fmt.Sprintf("moved %d elements but received %d", pl.moved, recvTotal)}
-		}
-		d.accountRemap(pl.flowStart, mdl, &res, nil)
-		d.setOwners(newOwner)
-		return res, nil
-	}
-
-	// Transactional path: the whole exchange is one window. Crash fates
-	// are drawn once per stage — the mask kills its ranks at the window
-	// boundary of the first try; a crash aborts the transaction without
-	// retries (there is no rank to retry with), and the caller recovers
-	// by remapping onto the survivors.
-	retry := d.Retry.Normalize()
-	crash := d.crashMask(d.crashedRanks())
-	w := comm.NewWorld(p)
-	w.SetDeadline(d.StageDeadline)
-	w.SetFaults(d.Faults.Hook(fault.StageRemap, d.FaultCycle), retry.MsgAttempts)
-	var recvTotal int64
-	tries := 0
-	for {
-		tries++
-		recvCount := make([]int64, p)
-		failCount := make([]int64, p)
-		if err := exchangeWindow(w, d.Exchange, mdl.Topo, plan, true, recvCount, failCount, crash); err != nil {
-			return RemapResult{}, remapErrFrom(err, -1, tries)
-		}
-		var nfail int64
-		for _, f := range failCount {
-			nfail += f
-		}
-		if nfail == 0 {
-			for _, n := range recvCount {
-				recvTotal += n
-			}
-			break
-		}
-		if tries > retry.WindowRetries {
-			return RemapResult{}, &RemapError{Failure: FailTransfer, Window: -1, Tries: tries, RolledBack: true,
-				Detail: fmt.Sprintf("%d transfers failed after %d attempts per message", nfail, retry.MsgAttempts)}
-		}
-	}
-	res.WindowRetries = tries - 1
-	if recvTotal != pl.moved {
-		return RemapResult{}, &RemapError{Failure: FailConservation, Window: -1, Tries: tries, RolledBack: true,
-			Detail: fmt.Sprintf("moved %d elements but received %d", pl.moved, recvTotal)}
-	}
-	for _, s := range w.RankStats() {
-		res.Retries += s.Retries
-		res.RetryWords += s.RetryWords
-	}
-	resends, backoff := w.RetryCounters()
-	d.accountRemap(pl.flowStart, mdl, &res, &retryCharges{resends: resends, backoff: backoff})
-	d.setOwners(newOwner)
-	return res, nil
+// ExecuteRemapStreaming is ExecuteRemap under the adaptive window budget
+// (see windowBudget): flows are packed, exchanged, and verified one window
+// at a time, so peak payload memory (RemapResult.PeakWords) is the largest
+// window instead of the whole record buffer. Everything else in the result
+// — payload bytes on the wire, owner array, modeled times, op accounting —
+// is byte-identical to ExecuteRemap at any worker count. A *RemapError
+// names the failing window, and with Dist.Trace set each window leaves a
+// remap.window (or, under a fault plan, remap.window.commit / .retry)
+// event.
+func (d *Dist) ExecuteRemapStreaming(newOwner []int32, mdl machine.Model) (RemapResult, error) {
+	return d.executeRemap(newOwner, mdl, 0, d.Faults)
 }
 
 // ExecuteRemapRecovery migrates the elements of crashed ranks onto the
-// survivors after a FailCrash rollback: the same bulk exchange as
+// survivors after a FailCrash rollback: the same whole-payload exchange as
 // ExecuteRemap — same canonical flow layout, same machine-model charges
-// via accountRemap/ChargeFlows — run with the fault plan masked off.
-// Recovery is the repair path, not another fault surface: letting the
-// plan re-draw crash or message fates here could cascade a recovery into
-// another rollback forever, so the modeled recovery runs clean. The dead
+// via accountRemap/ChargeFlows — run without the fault plan. Recovery is
+// the repair path, not another fault surface: letting the plan re-draw
+// crash or message fates here could cascade a recovery into another
+// rollback forever, so the modeled recovery runs clean. The dead
 // ranks' outgoing flows model the survivors replaying those elements
 // from the cycle checkpoint's replica (in process, the dead rank's
 // goroutine serves its checkpointed records); their cost is charged like
 // any other flow, which is exactly the modeled price of re-sourcing the
 // lost subgrid.
 func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapResult, error) {
-	saved := d.Faults
-	d.Faults = nil
-	defer func() { d.Faults = saved }()
-	return d.ExecuteRemap(newOwner, mdl)
+	return d.executeRemap(newOwner, mdl, wholePayload, nil)
+}
+
+// executeRemap is the one remap executor behind the three entry points.
+// budget bounds a window's payload in record words (≤ 0 = adaptive,
+// wholePayload = a single window); plan is the fault plan, nil or
+// zero-rate for the plain exchange.
+//
+// The migrating elements are indexed by the CSR flow scatter of
+// collectFlowIndex at the Dist's worker knob: flows are laid out in
+// canonical (src, dst) order and elements in slab order within a flow.
+// planWindows groups consecutive flows under the budget, and each window
+// is packed into the reused buffer, exchanged for real under the Dist's
+// schedule, and verified flow by flow against the plan before the next is
+// admitted — so no more than one window of payload ever exists on the
+// host. The window layout is computed from the flow offsets alone, never
+// from worker scheduling, and the modeled times are float sums in
+// canonical flow order, so the payload bytes, the owner array and the
+// whole RemapResult except Ops.Crit/MemCrit are byte-identical at every
+// worker count, and identical across budgets up to PeakWords.
+//
+// With an enabled plan the exchange runs transactionally over the
+// reliable transport: the owner array is checkpointed up front, each
+// verified window immediately commits its flows' ownership, a window
+// whose transfers failed is re-exchanged up to Retry.WindowRetries times,
+// and exhausted retries (or structural failures) roll every committed
+// window back to the checkpoint and return a *RemapError with RolledBack
+// set. Without one the plain exchange runs byte-identical to pre-fault
+// behavior and ownership flips once, after the last window.
+func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, plan *fault.Plan) (RemapResult, error) {
+	if len(newOwner) != len(d.owner) {
+		return RemapResult{}, fmt.Errorf("par: newOwner has %d entries, want %d", len(newOwner), len(d.owner))
+	}
+	if !plan.Enabled() {
+		plan = nil
+	}
+	m := d.M
+	p := d.P
+	fi := collectFlowIndex(m, d.rootDual, d.owner, newOwner, p, EffectiveWorkers(len(m.Elems), d.Workers))
+	res := RemapResult{
+		Moved: fi.moved,
+		Sets:  fi.sets,
+		Ops:   PredictRemapOps(len(m.Elems), fi.moved, fi.sets, p, d.Workers),
+	}
+	// The whole-payload exchange is not a stream of windows: its errors
+	// carry Window -1 and it leaves no remap.window events.
+	streaming := budget != wholePayload
+	event := "remap.window"
+	if plan != nil {
+		event = "remap.window.commit"
+	}
+
+	w := comm.NewWorld(p)
+	w.SetDeadline(d.StageDeadline)
+	retry := d.Retry.Normalize()
+	var checkpoint []int32
+	var crash []bool
+	if plan != nil {
+		checkpoint = append([]int32(nil), d.owner...)
+		w.SetFaults(plan.Hook(fault.StageRemap, d.FaultCycle), retry.MsgAttempts)
+		// Crash fates are stage-scoped, drawn once per balance cycle: the
+		// fated ranks die at the first window's boundary, before anything
+		// has committed. A crash poisons the world and aborts without
+		// retries (there is no rank to retry with); the caller recovers by
+		// remapping onto the survivors.
+		crash = d.crashMask(plan)
+	}
+	rollback := func(e *RemapError) (RemapResult, error) {
+		if checkpoint != nil {
+			d.setOwners(checkpoint)
+		}
+		return RemapResult{}, e
+	}
+
+	// Per-rank verified-element and failed-transfer counts of one window
+	// try. Each goroutine rank touches only its own slots and the Runs are
+	// sequential, so there is no contention.
+	counts := make([]int64, 2*p)
+	recv, failed := counts[:p], counts[p:]
+	var recvTotal int64
+	var buf []int64
+	for wi, win := range planWindows(fi.flowStart, windowBudget(fi.flowStart, budget)) {
+		id := -1
+		if streaming {
+			id = wi
+		}
+		base := fi.flowStart[win.f0]
+		words := (fi.flowStart[win.f1] - base) * recWords
+		res.PeakWords = max(res.PeakWords, words)
+		if int64(cap(buf)) < words {
+			buf = make([]int64, words)
+		}
+		bufW := buf[:words]
+		fi.packRange(m, d.rootDual, win.f0, win.f1, bufW, d.Workers)
+		// The window's wire records addressed by canonical flow id, for
+		// whichever exchange schedule moves them. Verification is
+		// plan-exact on every path: a received flow must match the plan's
+		// record count, so torn or misrouted windows fail here, not at the
+		// final conservation check.
+		rec := func(f int) []int64 {
+			lo := (fi.flowStart[f] - base) * recWords
+			hi := (fi.flowStart[f+1] - base) * recWords
+			return bufW[lo:hi]
+		}
+		wp := &winPlan{f0: win.f0, f1: win.f1, p: p, flowStart: fi.flowStart, rec: rec}
+		for tries := 1; ; tries++ {
+			clear(counts)
+			if err := exchangeWindow(w, d.Exchange, mdl.Topo, wp, plan != nil, recv, failed, crash); err != nil {
+				return rollback(remapErrFrom(err, id, tries))
+			}
+			var nfail int64
+			for _, f := range failed {
+				nfail += f
+			}
+			if nfail == 0 {
+				break
+			}
+			if tries > retry.WindowRetries {
+				return rollback(&RemapError{Failure: FailTransfer, Window: id, Tries: tries, RolledBack: true,
+					Detail: fmt.Sprintf("%d transfers failed after %d attempts per message", nfail, retry.MsgAttempts)})
+			}
+			res.WindowRetries++
+			if streaming && d.Trace != nil {
+				d.Trace.Event("warn", "remap.window.retry",
+					obs.Int("window", int64(wi)), obs.Int("failed", nfail), obs.Int("try", int64(tries)))
+			}
+		}
+		for _, n := range recv {
+			recvTotal += n
+		}
+		crash = nil // only the first window carries the mask
+		if plan != nil {
+			// Commit the window: every element in its flows now belongs to
+			// the flow's destination rank. Writes are idempotent per dual
+			// vertex and cover exactly the vertices whose owner changes.
+			for f := win.f0; f < win.f1; f++ {
+				dst := int32(f % p)
+				for _, ei := range fi.elems[fi.flowStart[f]:fi.flowStart[f+1]] {
+					d.setOwner(m.Elems[ei].Root, dst)
+				}
+			}
+		}
+		if streaming && d.Trace != nil {
+			// The serial window loop is canonical order by construction:
+			// one event per window, in plan order.
+			d.Trace.Event("info", event,
+				obs.Int("window", int64(wi)), obs.Int("flows", int64(win.f1-win.f0)), obs.Int("words", words))
+		}
+	}
+	if recvTotal != fi.moved {
+		return rollback(&RemapError{Failure: FailConservation, Window: -1, Tries: 1, RolledBack: true,
+			Detail: fmt.Sprintf("moved %d elements but received %d", fi.moved, recvTotal)})
+	}
+
+	var rc *retryCharges
+	if plan != nil {
+		for _, s := range w.RankStats() {
+			res.Retries += s.Retries
+			res.RetryWords += s.RetryWords
+		}
+		resends, backoff := w.RetryCounters()
+		rc = &retryCharges{resends: resends, backoff: backoff}
+	}
+	d.accountRemap(fi.flowStart, mdl, &res, rc)
+	// Without a plan ownership flips here; with one the windows already
+	// committed it, and after the last the map equals newOwner.
+	d.setOwners(newOwner)
+	return res, nil
+}
+
+// crashMask returns the per-rank mask of the alive ranks fated by plan to
+// die at the remap boundary of the current fault cycle — the crash mask
+// the executor injects — or nil when none is. Pure function of (plan,
+// cycle, alive set): byte-identical at any worker count. Two guards keep
+// the run recoverable: no crashes are drawn with fewer than two
+// survivors, and if every survivor is fated at once, the lowest-ranked
+// one is spared (a total loss has no survivor to recover onto).
+func (d *Dist) crashMask(plan *fault.Plan) []bool {
+	if !plan.CrashEnabled() {
+		return nil
+	}
+	alive := d.Alive()
+	if len(alive) < 2 {
+		return nil
+	}
+	var mask []bool
+	fated := 0
+	for _, r := range alive {
+		if plan.Crashed(fault.StageRemap, d.FaultCycle, int(r)) {
+			if mask == nil {
+				mask = make([]bool, d.P)
+			}
+			mask[r] = true
+			fated++
+		}
+	}
+	if fated == len(alive) {
+		mask[alive[0]] = false
+	}
+	return mask
 }
 
 // retryCharges carries the per-(src,dst) recovery counters of one reliable
@@ -215,10 +327,10 @@ type retryCharges struct {
 
 // accountRemap fills the machine-model side of a RemapResult — WordsMoved,
 // PackTime, CommTime, RebuildTime, Total — from the canonical flow layout.
-// Both executors charge the same bulk-synchronous superstep model (all
-// sends, then all receives): the streaming executor changes how the host
+// Every window budget charges the same bulk-synchronous superstep model
+// (all sends, then all receives): windowing changes how the host
 // materializes and exchanges the payload, not the machine being modeled,
-// which is what keeps its RemapResult byte-identical to the bulk path.
+// which is what keeps the RemapResult byte-identical across budgets.
 //
 // The modeled volume uses the cost model's M words per element plus a
 // small shared-structure term proportional to the number of flows
@@ -264,10 +376,8 @@ func (d *Dist) accountRemap(flowStart []int64, mdl machine.Model, res *RemapResu
 		for src := lo; src < hi; src++ {
 			for dst := 0; dst < p; dst++ {
 				elems := flowStart[src*p+dst+1] - flowStart[src*p+dst]
-				var words int64
+				words := flowWords(elems, mdl)
 				if elems > 0 {
-					words = elems * int64(mdl.ElemWords)
-					words += words / 32 // shared-structure perturbation ≈ 3%
 					sendWords[src] += words
 					if flat {
 						// The legacy charge, one expression per flow (with
@@ -321,9 +431,7 @@ func (d *Dist) accountRemap(flowStart []int64, mdl machine.Model, res *RemapResu
 				if elems == 0 {
 					continue
 				}
-				words := elems * int64(mdl.ElemWords)
-				words += words / 32
-				recvWords[dst] += words
+				recvWords[dst] += flowWords(elems, mdl)
 				recvElems[dst] += elems
 			}
 		}
@@ -388,10 +496,16 @@ func (d *Dist) traceRemapRanks(mdl machine.Model, res *RemapResult, sendWords []
 	}
 }
 
+// flowWords is the modeled volume of a flow of elems elements: the cost
+// model's M words per element plus the shared-structure perturbation ≈ 3%.
+func flowWords(elems int64, mdl machine.Model) int64 {
+	words := elems * int64(mdl.ElemWords)
+	return words + words/32
+}
+
 // flowsFromStart converts the canonical flow table into the sparse
 // src-major flow list machine.ChargeFlows consumes, at the modeled volume
-// of accountRemap (ElemWords per element plus the shared-structure
-// perturbation).
+// of accountRemap.
 func flowsFromStart(flowStart []int64, p int, mdl machine.Model) []machine.Flow {
 	var flows []machine.Flow
 	for src := 0; src < p; src++ {
@@ -400,9 +514,7 @@ func flowsFromStart(flowStart []int64, p int, mdl machine.Model) []machine.Flow 
 			if elems == 0 || src == dst {
 				continue
 			}
-			words := elems * int64(mdl.ElemWords)
-			words += words / 32
-			flows = append(flows, machine.Flow{Src: int32(src), Dst: int32(dst), Words: words})
+			flows = append(flows, machine.Flow{Src: int32(src), Dst: int32(dst), Words: flowWords(elems, mdl)})
 		}
 	}
 	return flows

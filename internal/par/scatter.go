@@ -1,15 +1,16 @@
 package par
 
-// The CSR flow scatter behind ExecuteRemap: migrating element records are
-// laid out in one flat buffer, grouped by (src, dst) flow in canonical
+// The CSR flow scatter behind the remap executor: migrating elements are
+// laid out in one flat index, grouped by (src, dst) flow in canonical
 // src-major order, with the same two-pass count/prefix-sum/fill structure
 // as internal/psort's bucket scatter. Pass 1 counts each worker chunk's
 // records per flow; a serial prefix sum lays the flows out contiguously
-// (chunks in input order within each flow); pass 2 fills the buffer in
+// (chunks in input order within each flow); pass 2 fills the index in
 // parallel through per-(chunk, flow) cursors, so the hot loop allocates
 // nothing and no two workers ever write the same word. The layout depends
-// only on the element order — never on the chunking — so the buffer is
-// byte-identical at every worker count.
+// only on the element order — never on the chunking — so the index, and
+// every window of records packRange packs from it, is byte-identical at
+// every worker count.
 
 import (
 	"plum/internal/chunk"
@@ -23,7 +24,7 @@ const recWords = 6
 // RecordWords is the exported size of one migrating element record, in
 // words — Moved × RecordWords is the total payload-buffer volume a remap
 // would materialize, the figure RemapResult.PeakWords is bounded by (and,
-// on the streaming executor, strictly below on multi-flow workloads).
+// under the streaming budget, strictly below on multi-flow workloads).
 const RecordWords = recWords
 
 // SerialCutoff is the object count below which the chunked remap scatter
@@ -41,32 +42,12 @@ func EffectiveWorkers(n, workers int) int {
 	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
 }
 
-// flowPlan is one remap execution's CSR scatter: every migrating
-// element's record in one flat buffer, grouped by flow in canonical
-// (src, dst) order, ascending element id within a flow.
-type flowPlan struct {
-	// recs holds moved × recWords payload words.
-	recs []int64
-	// flowStart has p·p+1 entries of record (not word) offsets; flow
-	// f = src·p + dst owns records [flowStart[f], flowStart[f+1]).
-	// Diagonal flows (src == dst) are always empty.
-	flowStart []int64
-	// moved is the total record count; sets the number of nonempty flows.
-	moved int64
-	sets  int
-}
-
-// flowRecs returns flow f's slice of the record buffer (possibly empty).
-func (pl *flowPlan) flowRecs(f int) []int64 {
-	return pl.recs[pl.flowStart[f]*recWords : pl.flowStart[f+1]*recWords]
-}
-
-// flowIndex is the payload-free half of the CSR scatter: the migrating
-// elements' slab indices grouped by flow in canonical (src, dst) order,
-// ascending element id within a flow. It is an eighth the size of the
-// record buffer (one int32 per element instead of recWords int64), which
-// is what lets the streaming executor bound payload memory to one window
-// while still packing every flow's records in the canonical order.
+// flowIndex is one remap execution's CSR scatter: the migrating elements'
+// slab indices grouped by flow in canonical (src, dst) order, ascending
+// element id within a flow. It is payload-free — a twelfth the size of the
+// records it names (one int32 per element instead of recWords int64) —
+// which is what lets the executor bound payload memory to one window while
+// still packing every flow's records in the canonical order.
 type flowIndex struct {
 	// elems holds the moved elements' slab indices, grouped by flow.
 	elems []int32
@@ -182,21 +163,6 @@ func (fi *flowIndex) packRange(m *mesh.Mesh, rootDual []int32, f0, f1 int, buf [
 			buf[o+5] = int64(t.Level)
 		}
 	})
-}
-
-// collectFlows builds the full CSR scatter — index plus the complete
-// record buffer — for the bulk-synchronous executor. The streaming
-// executor uses collectFlowIndex directly and packs one window at a time.
-func collectFlows(m *mesh.Mesh, rootDual, owner, newOwner []int32, p, ew int) flowPlan {
-	fi := collectFlowIndex(m, rootDual, owner, newOwner, p, ew)
-	pl := flowPlan{
-		recs:      make([]int64, fi.moved*recWords),
-		flowStart: fi.flowStart,
-		moved:     fi.moved,
-		sets:      fi.sets,
-	}
-	fi.packRange(m, rootDual, 0, p*p, pl.recs, ew)
-	return pl
 }
 
 // PredictRemapOps returns the op accounting ExecuteRemap reports for a

@@ -10,12 +10,22 @@ import (
 	"plum/internal/partition"
 )
 
-// TestRemapStreamingParity is the determinism contract of the streaming
-// executor: at every worker count its RemapResult — payload conservation,
-// owner array, modeled float times, op accounting — must be byte-identical
-// to the bulk-synchronous path. Only PeakWords may (and must) differ: the
-// streaming peak is the largest window, strictly below the bulk path's
-// whole-buffer total on this multi-flow fixture.
+// budgets is the window-budget axis of the executor parity tests: the
+// whole payload in one window (ExecuteRemap), the adaptive eighth
+// (ExecuteRemapStreaming), and a budget far below any realistic flow — one
+// flow per window.
+var budgets = []struct {
+	name  string
+	words int64
+}{{"whole", wholePayload}, {"adaptive", 0}, {"64", 64}}
+
+// TestRemapStreamingParity is the determinism contract of the window
+// budget: under every budget and at every worker count the RemapResult —
+// payload conservation, owner array, modeled float times, op accounting —
+// must be byte-identical to the bulk-synchronous entry point. Only
+// PeakWords may (and, below the whole payload, must) differ: the streaming
+// peak is the largest window, strictly below the whole-buffer total on
+// this multi-flow fixture.
 func TestRemapStreamingParity(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
@@ -24,41 +34,54 @@ func TestRemapStreamingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refRes.PeakWords != refRes.Moved*recWords {
-		t.Fatalf("bulk peak %d != total payload %d", refRes.PeakWords, refRes.Moved*recWords)
+	total := refRes.Moved * recWords
+	if refRes.PeakWords != total {
+		t.Fatalf("bulk peak %d != total payload %d", refRes.PeakWords, total)
 	}
 
-	for _, w := range []int{1, 2, 4, 8} {
-		d, _ := bigFixture(t, p)
-		d.Workers = w
-		res, err := d.ExecuteRemapStreaming(newOwner, machine.SP2())
-		if err != nil {
-			t.Fatal(err)
+	for _, b := range budgets {
+		for _, w := range []int{1, 2, 4, 8} {
+			d, _ := bigFixture(t, p)
+			d.Workers = w
+			res, err := d.executeRemap(newOwner, machine.SP2(), b.words, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
+				t.Fatalf("budget=%s workers=%d: owner array diverges from bulk", b.name, w)
+			}
+			switch whole := b.words == wholePayload; {
+			case whole && res.PeakWords != total:
+				t.Errorf("workers=%d: whole-payload peak %d != total %d", w, res.PeakWords, total)
+			case !whole && (res.PeakWords <= 0 || res.PeakWords >= total):
+				t.Errorf("budget=%s workers=%d: streaming peak %d not strictly below total %d",
+					b.name, w, res.PeakWords, total)
+			}
+			// The prediction contract holds under every budget.
+			if pred := PredictRemapOps(len(d.M.Elems), res.Moved, res.Sets, p, w); pred != res.Ops {
+				t.Errorf("budget=%s workers=%d: predicted %+v, executed %+v", b.name, w, pred, res.Ops)
+			}
+			// Everything except the peak and the worker-dependent critical
+			// shares must be bit-identical to the workers=1 bulk reference.
+			res.PeakWords = refRes.PeakWords
+			res.Ops.Crit, res.Ops.MemCrit = refRes.Ops.Crit, refRes.Ops.MemCrit
+			if !reflect.DeepEqual(res, refRes) {
+				t.Errorf("budget=%s workers=%d: RemapResult diverges:\n got %+v\nwant %+v", b.name, w, res, refRes)
+			}
 		}
-		if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
-			t.Fatalf("workers=%d: streaming owner array diverges from bulk", w)
-		}
-		if res.PeakWords <= 0 || res.PeakWords >= res.Moved*recWords {
-			t.Errorf("workers=%d: streaming peak %d not strictly below total %d",
-				w, res.PeakWords, res.Moved*recWords)
-		}
-		// Everything except the peak and the worker-dependent critical
-		// shares must be bit-identical to the workers=1 bulk reference.
-		res.PeakWords = refRes.PeakWords
-		res.Ops.Crit, res.Ops.MemCrit = refRes.Ops.Crit, refRes.Ops.MemCrit
-		if !reflect.DeepEqual(res, refRes) {
-			t.Errorf("workers=%d: streaming RemapResult diverges:\n got %+v\nwant %+v", w, res, refRes)
-		}
-		// And the prediction contract holds for the streaming path too.
-		d2, _ := bigFixture(t, p)
-		d2.Workers = w
-		res2, err := d2.ExecuteRemapStreaming(newOwner, machine.SP2())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred := PredictRemapOps(len(d2.M.Elems), res2.Moved, res2.Sets, p, w); pred != res2.Ops {
-			t.Errorf("workers=%d: predicted %+v, streaming executed %+v", w, pred, res2.Ops)
-		}
+	}
+
+	// The streaming entry point is the adaptive budget.
+	d, _ := bigFixture(t, p)
+	d.Workers = 1
+	res, err := d.ExecuteRemapStreaming(newOwner, machine.SP2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, _ := bigFixture(t, p)
+	d2.Workers = 1
+	if want, _ := d2.executeRemap(newOwner, machine.SP2(), 0, nil); !reflect.DeepEqual(res, want) {
+		t.Errorf("ExecuteRemapStreaming diverges from the adaptive budget:\n got %+v\nwant %+v", res, want)
 	}
 }
 
@@ -76,12 +99,12 @@ func TestStreamingWindowBudget(t *testing.T) {
 
 	d, _ := bigFixture(t, p)
 	d.Workers = 4
-	d.RemapWindow = 64 // far below any realistic flow: one flow per window
 	// The largest flow is the atomic commit unit, so the peak is exactly
 	// the largest single flow under a sub-flow budget (indexed before the
 	// execution flips the ownership).
 	fi := collectFlowIndex(d.M, d.rootDual, d.Owners(), newOwner, p, 1)
-	res, err := d.ExecuteRemapStreaming(newOwner, machine.SP2())
+	// 64 words is far below any realistic flow: one flow per window.
+	res, err := d.executeRemap(newOwner, machine.SP2(), 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +153,7 @@ func TestStreamingSerialFallback(t *testing.T) {
 	// A budget covering everything yields exactly one window whose peak
 	// is the bulk total.
 	d.SetOwners(partition.Partition(g, 4, partition.MethodGraphGrow))
-	d.RemapWindow = res.Moved * recWords
-	one, err := d.ExecuteRemapStreaming(newOwner, machine.SP2())
+	one, err := d.executeRemap(newOwner, machine.SP2(), res.Moved*recWords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
