@@ -1,11 +1,8 @@
-// Package plum's root benchmark suite regenerates every table and figure
-// of the paper's evaluation (one bench per exhibit) and adds ablation
-// benches for the design choices called out in DESIGN.md. Run with:
+// Package plum's root benchmarks are the kernel micro-benchmarks no
+// bench/ workload isolates; whole-cycle and per-layer measurement lives in
+// bench/ (see bench/README.md). Run with:
 //
-//	go test -bench=. -benchmem
-//
-// Figure benches execute the full paper-scale experiment per iteration, so
-// expect seconds per op; the point is regeneration, not micro-timing.
+//	go test -run '^$' -bench . -benchmem ./...
 package plum
 
 import (
@@ -13,153 +10,10 @@ import (
 	"runtime"
 	"testing"
 
-	"plum/internal/adapt"
 	"plum/internal/dual"
 	"plum/internal/experiments"
-	"plum/internal/machine"
-	"plum/internal/mesh"
-	"plum/internal/par"
-	"plum/internal/partition"
-	"plum/internal/refine"
-	"plum/internal/remap"
 	"plum/internal/sfc"
 )
-
-// ------------------------------------------------------- paper exhibits
-
-// BenchmarkTable1AdaptionProgression regenerates Table 1: grid-size
-// progression through one refinement and one coarsening for the three
-// edge-marking strategies.
-func BenchmarkTable1AdaptionProgression(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.RunTable1()
-		if len(t.Rows) != 3 {
-			b.Fatal("wrong row count")
-		}
-	}
-}
-
-// BenchmarkFig8AdaptionSpeedup regenerates Figure 8: parallel speedup of
-// the refinement and coarsening stages, P = 1…64.
-func BenchmarkFig8AdaptionSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig8()
-		if len(f.Curves) != 3 {
-			b.Fatal("missing curves")
-		}
-	}
-}
-
-// BenchmarkFig9Anatomy regenerates Figure 9: adaption vs. reassignment vs.
-// remapping time, Local_1 and Local_2.
-func BenchmarkFig9Anatomy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig9()
-		if len(f.Curves) != 2 {
-			b.Fatal("missing curves")
-		}
-	}
-}
-
-// BenchmarkFig10MapperComparison regenerates Figure 10: optimal vs.
-// heuristic processor assignment, F = 1, 2, 4, 8.
-func BenchmarkFig10MapperComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig10()
-		if len(f.Points) == 0 {
-			b.Fatal("no points")
-		}
-	}
-}
-
-// BenchmarkFig11RemapScaling regenerates Figure 11: remapping time vs.
-// number of elements moved.
-func BenchmarkFig11RemapScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig11()
-		if len(f.Points) == 0 {
-			b.Fatal("no points")
-		}
-	}
-}
-
-// BenchmarkFig12SolverImprovement regenerates Figure 12: flow-solver time
-// with and without load balancing.
-func BenchmarkFig12SolverImprovement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig12()
-		if len(f.Curves) != 3 {
-			b.Fatal("missing curves")
-		}
-	}
-}
-
-// BenchmarkExtensionRepeatedAdaption regenerates the repeated-adaption
-// study (the paper's closing conjecture; not a figure in the paper).
-func BenchmarkExtensionRepeatedAdaption(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := experiments.RunExtensionRepeated(8, 4)
-		if e.FinalGain() <= 1 {
-			b.Fatal("no gain")
-		}
-	}
-}
-
-// ------------------------------------------------------------ ablations
-
-// BenchmarkAblationPartitioners compares the full partitioner family —
-// graph-based and SFC backends — on the standard adapted mesh (Local_2
-// refinement) at equal k. ns/op is the wall-time comparison (the SFC
-// backends must beat Multilevel here); the "imbalance" metric reports the
-// paper's Wmax/Wavg, which all backends keep within the 1.10 operating
-// point.
-func BenchmarkAblationPartitioners(b *testing.B) {
-	m := experiments.BaseMesh()
-	g := dual.Build(m)
-	a := adapt.New(m)
-	a.MarkStrategyRefine(adapt.Local2, experiments.Seed)
-	a.Refine()
-	g.UpdateWeights(m)
-	for _, meth := range partition.Methods {
-		b.Run(meth.String(), func(b *testing.B) {
-			var imb float64
-			for i := 0; i < b.N; i++ {
-				asg := partition.Partition(g, 16, meth)
-				if len(asg) != g.N {
-					b.Fatal("bad assignment")
-				}
-				imb = partition.Imbalance(g, asg, 16)
-			}
-			b.ReportMetric(imb, "imbalance")
-		})
-	}
-}
-
-// BenchmarkSFCIncrementalRepartition isolates the payoff of the cached
-// curve order: repartitioning after a weight update (what happens every
-// adaption step) is a single O(n) scan plus the FM smoothing pass, versus
-// a from-scratch partition for the graph backends.
-func BenchmarkSFCIncrementalRepartition(b *testing.B) {
-	m := experiments.BaseMesh()
-	g := dual.Build(m)
-	a := adapt.New(m)
-	a.MarkStrategyRefine(adapt.Local2, experiments.Seed)
-	a.Refine()
-	g.UpdateWeights(m)
-	r := refine.NewBandFM(0)
-	for _, c := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
-		s := partition.NewSFC(g, c)
-		b.Run(c.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				asg := s.Repartition(g, 16)
-				r.Refine(g, asg, 16, 2)
-				if len(asg) != g.N {
-					b.Fatal("bad assignment")
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkSFCKeys measures raw key throughput of the two curve kernels,
 // serial versus the GOMAXPROCS worker pool (identical output either way).
@@ -188,212 +42,4 @@ func benchWorkers() []int {
 		return []int{1, p}
 	}
 	return []int{1}
-}
-
-// BenchmarkNewSFC is the acceptance benchmark of the parallel SFC
-// pipeline: the full from-scratch build — parallel key generation,
-// parallel sample sort, parallel weighted cut — on the adapted paper mesh
-// at k=16, workers=1 versus workers=GOMAXPROCS. The assignments are
-// identical at every worker count; only the wall time may differ.
-func BenchmarkNewSFC(b *testing.B) {
-	m := experiments.BaseMesh()
-	g := dual.Build(m)
-	a := adapt.New(m)
-	a.MarkStrategyRefine(adapt.Local2, experiments.Seed)
-	a.Refine()
-	g.UpdateWeights(m)
-	for _, c := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
-		for _, bw := range benchWorkers() {
-			b.Run(fmt.Sprintf("%s/workers=%d", c, bw), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					s := partition.NewSFCWorkers(g, c, bw)
-					asg := s.Repartition(g, 16)
-					if len(asg) != g.N {
-						b.Fatal("bad assignment")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkRepartition isolates the O(n) incremental cut (the operation
-// the framework runs after every adaption step), serial versus chunked.
-func BenchmarkRepartition(b *testing.B) {
-	m := experiments.BaseMesh()
-	g := dual.Build(m)
-	a := adapt.New(m)
-	a.MarkStrategyRefine(adapt.Local2, experiments.Seed)
-	a.Refine()
-	g.UpdateWeights(m)
-	for _, bw := range benchWorkers() {
-		s := partition.NewSFCWorkers(g, sfc.Hilbert, bw)
-		b.Run(fmt.Sprintf("workers=%d", bw), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				asg := s.Repartition(g, 16)
-				if len(asg) != g.N {
-					b.Fatal("bad assignment")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDualGraph quantifies the paper's central design choice:
-// partitioning the constant initial-mesh dual stays the same price after
-// adaption, while partitioning the adapted mesh directly grows with it.
-func BenchmarkAblationDualGraph(b *testing.B) {
-	adapted := experiments.BaseMesh()
-	a := adapt.New(adapted)
-	a.MarkStrategyRefine(adapt.Local2, experiments.Seed)
-	a.Refine()
-
-	b.Run("constant-dual", func(b *testing.B) {
-		g := dual.Build(adapted) // level-0 roots only: size fixed forever
-		g.UpdateWeights(adapted)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			partition.Partition(g, 16, partition.MethodInertial)
-		}
-	})
-	b.Run("adapted-mesh", func(b *testing.B) {
-		g := dual.BuildActive(adapted) // grows with every refinement
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			partition.Partition(g, 16, partition.MethodInertial)
-		}
-	})
-}
-
-// BenchmarkAblationIncidence verifies the paper's data-structure claim:
-// the edge→element incidence lists "eliminate extensive searches".
-func BenchmarkAblationIncidence(b *testing.B) {
-	m := experiments.BaseMesh()
-	probe := []mesh.EdgeID{1, 1000, 30000, 70000}
-	b.Run("incidence-list", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, e := range probe {
-				n += len(m.Edges[e].Elems)
-			}
-			if n == 0 {
-				b.Fatal("no incident elements")
-			}
-		}
-	})
-	b.Run("exhaustive-scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, e := range probe {
-				for ti := range m.Elems {
-					t := &m.Elems[ti]
-					if !t.Active() {
-						continue
-					}
-					for _, te := range t.E {
-						if te == e {
-							n++
-							break
-						}
-					}
-				}
-			}
-			if n == 0 {
-				b.Fatal("no incident elements")
-			}
-		}
-	})
-}
-
-// BenchmarkAblationMappers isolates the two reassignment algorithms on a
-// P=64, F=4 similarity matrix (the Fig. 10 gap, measured on the host).
-func BenchmarkAblationMappers(b *testing.B) {
-	m := experiments.BaseMesh()
-	g := dual.Build(m)
-	a := adapt.New(m)
-	a.MarkStrategyRefine(adapt.Local2, experiments.Seed)
-	a.Refine()
-	g.UpdateWeights(m)
-	const p, f = 64, 4
-	oldAsg := partition.Partition(g, p, partition.MethodInertial)
-	newPart := partition.Partition(g, p*f, partition.MethodInertial)
-	sim := remap.Build(oldAsg, newPart, g.Wremap, p, f)
-	b.Run("heuristic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if mp, _ := sim.Heuristic(); len(mp) != p*f {
-				b.Fatal("bad mapping")
-			}
-		}
-	})
-	b.Run("optimal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if mp, _ := sim.Optimal(); len(mp) != p*f {
-				b.Fatal("bad mapping")
-			}
-		}
-	})
-}
-
-// ------------------------------------------------------- micro-benches
-
-// BenchmarkRefineLocal2 measures one paper-scale Local_2 refinement.
-func BenchmarkRefineLocal2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := experiments.BaseMesh()
-		a := adapt.New(m)
-		a.MarkStrategyRefine(adapt.Local2, experiments.Seed)
-		st := a.Refine()
-		if st.TotalSubdivided() == 0 {
-			b.Fatal("no refinement")
-		}
-	}
-}
-
-// BenchmarkCoarsenFull measures coarsening everything back to the initial
-// mesh after a Local_1 refinement.
-func BenchmarkCoarsenFull(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := experiments.BaseMesh()
-		a := adapt.New(m)
-		a.MarkStrategyRefine(adapt.Local1, experiments.Seed)
-		a.Refine()
-		a.MarkStrategyCoarsen(adapt.Local1, experiments.Seed)
-		st := a.Coarsen()
-		if st.GroupsRemoved == 0 {
-			b.Fatal("no coarsening")
-		}
-	}
-}
-
-// BenchmarkDualBuild measures construction of the paper-scale dual graph.
-func BenchmarkDualBuild(b *testing.B) {
-	m := experiments.BaseMesh()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := dual.Build(m)
-		if g.N != m.NumActiveElems() {
-			b.Fatal("bad dual")
-		}
-	}
-}
-
-// BenchmarkParallelRefineP64 measures the distributed refinement pipeline
-// at P=64 including SPL maintenance and propagation accounting.
-func BenchmarkParallelRefineP64(b *testing.B) {
-	mdl := machine.SP2()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := experiments.BaseMesh()
-		g := dual.Build(m)
-		asg := partition.Partition(g, 64, partition.MethodInertial)
-		b.StartTimer()
-
-		d := par.NewDist(m, 64, asg)
-		a := adapt.New(m)
-		a.MarkStrategyRefine(adapt.Random, experiments.Seed)
-		_, tm := d.ParallelRefine(a, mdl)
-		if tm.Total <= 0 {
-			b.Fatal("no timing")
-		}
-	}
 }

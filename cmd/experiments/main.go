@@ -10,11 +10,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
-)
 
-import (
 	"plum/internal/core"
 	"plum/internal/experiments"
 	"plum/internal/machine"
@@ -37,25 +36,36 @@ func main() {
 	traceFm := flag.String("trace-format", "perfetto", "trace export format: perfetto or jsonl")
 	metricF := flag.String("metrics", "", "write a Prometheus text-format metrics dump of the cycle-driving experiments to this file")
 	flag.Parse()
-	if *traceFm != "perfetto" && *traceFm != "jsonl" {
-		fmt.Fprintf(os.Stderr, "unknown -trace-format %q (have perfetto, jsonl)\n", *traceFm)
+	if !slices.Contains(obs.TraceFormats, *traceFm) {
+		fmt.Fprintf(os.Stderr, "unknown -trace-format %q (have %s)\n", *traceFm, strings.Join(obs.TraceFormats, ", "))
 		os.Exit(2)
 	}
 	if *k < 1 {
 		fmt.Fprintf(os.Stderr, "invalid -k %d: need at least 1 partition\n", *k)
 		os.Exit(2)
 	}
-	if _, ok := refine.ByName(*refiner, *workers); !ok {
-		fmt.Fprintf(os.Stderr, "unknown refiner %q (have %s)\n", *refiner, strings.Join(refine.Names, ", "))
-		os.Exit(2)
+	// The backend names resolve here, once; the runners take typed values.
+	var forced refine.Refiner
+	if *refiner != "" {
+		var ok bool
+		if forced, ok = refine.ByName(*refiner, *workers); !ok {
+			fmt.Fprintf(os.Stderr, "unknown refiner %q (have %s)\n", *refiner, strings.Join(refine.Names, ", "))
+			os.Exit(2)
+		}
 	}
-	if _, ok := propagate.ByName(*propg, *workers); !ok {
+	prop, ok := propagate.ByName(*propg)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown propagator %q (have %s)\n", *propg, strings.Join(propagate.Names, ", "))
 		os.Exit(2)
 	}
-	if _, err := machine.ExchangeByName(*exchange); err != nil {
-		fmt.Fprintf(os.Stderr, "unknown exchange %q (have %s)\n", *exchange, strings.Join(machine.ExchangeNames, ", "))
-		os.Exit(2)
+	var schedules []machine.Exchange
+	if *exchange != "" {
+		x, err := machine.ExchangeByName(*exchange)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "unknown exchange %q (have %s)\n", *exchange, strings.Join(machine.ExchangeNames, ", "))
+			os.Exit(2)
+		}
+		schedules = []machine.Exchange{x}
 	}
 	if *nodesize < 0 {
 		fmt.Fprintf(os.Stderr, "invalid -nodesize %d: need 0 (sweep) or a positive ranks-per-node\n", *nodesize)
@@ -73,13 +83,13 @@ func main() {
 		{"fig11", func() fmt.Stringer { return experiments.RunFig11() }},
 		{"fig12", func() fmt.Stringer { return experiments.RunFig12() }},
 		{"extension", func() fmt.Stringer { return experiments.RunExtensionRepeated(8, 6) }},
-		{"partitioners", func() fmt.Stringer { return experiments.RunPartitionerTable(*k, *workers, *refiner) }},
+		{"partitioners", func() fmt.Stringer { return experiments.RunPartitionerTable(*k, *workers, forced) }},
 		{"remap", func() fmt.Stringer { return experiments.RunRemapExecTable(*workers) }},
-		{"adapt", func() fmt.Stringer { return experiments.RunAdaptTable(*workers, *propg) }},
+		{"adapt", func() fmt.Stringer { return experiments.RunAdaptTable(*workers, prop) }},
 		{"overlap", func() fmt.Stringer { return experiments.RunOverlapTable(*workers) }},
 		{"faults", func() fmt.Stringer { return experiments.RunFaultTable(*faultSeed, *workers) }},
 		{"recover", func() fmt.Stringer { return experiments.RunRecoverTable(*faultSeed, *workers) }},
-		{"comm", func() fmt.Stringer { return experiments.RunCommTable(*exchange, *nodesize) }},
+		{"comm", func() fmt.Stringer { return experiments.RunCommTable(*nodesize, schedules...) }},
 	}
 
 	// The observability sinks: the cycle-driving runners (faults, recover,
@@ -126,37 +136,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if tr != nil {
-		if err := writeObsFile(*traceF, func(w *os.File) error {
-			if *traceFm == "jsonl" {
-				return obs.WriteJSONL(w, tr)
-			}
-			return obs.WritePerfetto(w, tr)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
+	if err := obs.WriteFiles(*traceF, *traceFm, tr, *metricF, reg); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if reg != nil {
-		if err := writeObsFile(*metricF, func(w *os.File) error {
-			return obs.WritePrometheus(w, reg)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeObsFile creates path and streams one export into it, reporting
-// create, write, and close errors alike.
-func writeObsFile(path string, write func(*os.File) error) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(fh); err != nil {
-		fh.Close()
-		return err
-	}
-	return fh.Close()
 }

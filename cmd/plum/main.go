@@ -5,7 +5,7 @@
 // report line per cycle.
 //
 //	go run ./cmd/plum -p 16 -cycles 3 -strategy local1
-//	go run ./cmd/plum -p 64 -f 4 -mapper optimal -partitioner spectral
+//	go run ./cmd/plum -p 64 -f 4 -mapper optimal -partitioner hilbert
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof on the -pprof server
 	"os"
+	"slices"
 
 	"plum/internal/adapt"
 	"plum/internal/chunk"
@@ -29,7 +30,6 @@ import (
 	"plum/internal/par"
 	"plum/internal/partition"
 	"plum/internal/propagate"
-	"plum/internal/refine"
 	"plum/internal/solver"
 )
 
@@ -44,8 +44,8 @@ func main() {
 		strat   = flag.String("strategy", "local1", "edge-marking strategy: local1, local2, random, error")
 		thresh  = flag.Float64("threshold", 1.2, "imbalance threshold Wmax/Wavg for repartitioning")
 		mapper  = flag.String("mapper", "heuristic", "processor reassignment: heuristic, optimal")
-		parter  = flag.String("partitioner", "multilevel", "repartitioner: graphgrow, inertial, spectral, multilevel, morton, hilbert")
-		refiner = flag.String("refiner", "", "boundary-refinement backend: bandfm, diffusion, fm (default: adaptive — band-FM when the effective worker count exceeds 1, classic FM on serial hosts and inside multilevel)")
+		parter  = flag.String("partitioner", "multilevel", "repartitioner: graphgrow, inertial, multilevel, morton, hilbert")
+		refiner = flag.String("refiner", "", "boundary-refinement backend forced on every partitioner: bandfm, diffusion, fm (default: each partitioner's own — band-FM for morton, hilbert and graphgrow, classic FM inside multilevel; the same partitions at any -workers)")
 		propg   = flag.String("propagator", "", "adaption frontier-propagation backend: bulksync, aggregated (default: bulksync)")
 		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated, hierarchical (default: flat; hierarchical needs -nodesize > 1)")
 		nodesz  = flag.Int("nodesize", 0, "ranks per node of the machine topology (0 = flat machine; >1 prices intra-node messages at the cheap node rates)")
@@ -64,8 +64,8 @@ func main() {
 		pprofA  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
-	if *traceFm != "perfetto" && *traceFm != "jsonl" {
-		log.Fatalf("unknown -trace-format %q (have perfetto, jsonl)", *traceFm)
+	if !slices.Contains(obs.TraceFormats, *traceFm) {
+		log.Fatalf("unknown -trace-format %q (have %v)", *traceFm, obs.TraceFormats)
 	}
 	if *pprofA != "" {
 		go func() { log.Printf("pprof server: %v", http.ListenAndServe(*pprofA, nil)) }()
@@ -87,26 +87,18 @@ func main() {
 	}
 	method, ok := partition.MethodByName(*parter)
 	if !ok {
-		log.Fatalf("unknown partitioner %q", *parter)
+		log.Fatalf("unknown partitioner %q (have %v)", *parter, partition.Methods)
 	}
 	cfg.Method = method
-	if _, ok := refine.ByName(*refiner, *workers); !ok {
-		log.Fatalf("unknown refiner %q (have %v)", *refiner, refine.Names)
-	}
+	// core.New resolves — and rejects — the three backend names.
 	cfg.Refiner = *refiner
-	if _, ok := propagate.ByName(*propg, *workers); !ok {
-		log.Fatalf("unknown propagator %q (have %v)", *propg, propagate.Names)
-	}
 	cfg.Propagator = *propg
-	if _, err := machine.ExchangeByName(*exch); err != nil {
-		log.Fatalf("unknown exchange %q (have %v)", *exch, machine.ExchangeNames)
-	}
 	cfg.Exchange = *exch
 	if *nodesz < 0 {
 		log.Fatalf("invalid -nodesize %d: need 0 (flat machine) or a positive ranks-per-node", *nodesz)
 	}
 	if *nodesz > 1 {
-		cfg.Topology = machine.NodeTopology(*nodesz)
+		cfg.Model.Topo = machine.NodeTopology(*nodesz)
 	}
 	plan, err := fault.Parse(*faults)
 	if err != nil {
@@ -134,22 +126,8 @@ func main() {
 		cfg.Metrics = reg
 	}
 	flushObs := func() {
-		if tr != nil {
-			if err := writeObsFile(*traceF, func(w *os.File) error {
-				if *traceFm == "jsonl" {
-					return obs.WriteJSONL(w, tr)
-				}
-				return obs.WritePerfetto(w, tr)
-			}); err != nil {
-				log.Printf("trace: %v", err)
-			}
-		}
-		if reg != nil {
-			if err := writeObsFile(*metricF, func(w *os.File) error {
-				return obs.WritePrometheus(w, reg)
-			}); err != nil {
-				log.Printf("metrics: %v", err)
-			}
+		if err := obs.WriteFiles(*traceF, *traceFm, tr, *metricF, reg); err != nil {
+			log.Print(err)
 		}
 	}
 	// notify routes the run's stderr one-liners through the trace event
@@ -182,10 +160,9 @@ func main() {
 	if refName == "" {
 		refName = "auto"
 	}
-	propName, _ := propagate.ByName(cfg.Propagator, cfg.Workers)
 	fmt.Printf("config: P=%d F=%d threshold=%.2f mapper=%s partitioner=%s refiner=%s propagator=%s exchange=%s nodesize=%d workers=%d overlap=%v\n",
-		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Mapper, cfg.Method, refName, propName.Name(),
-		fw.D.Exchange, cfg.Topology.RanksPerNode, chunk.Workers(cfg.Workers), cfg.Overlap)
+		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Mapper, cfg.Method, refName, propagate.Names[fw.D.Prop],
+		fw.D.Exchange, cfg.Model.Topo.RanksPerNode, chunk.Workers(cfg.Workers), cfg.Overlap)
 	if plan.Enabled() {
 		r := cfg.Retry.Normalize()
 		fmt.Printf("faults: %s attempts=%d window-retries=%d\n", plan, r.MsgAttempts, r.WindowRetries)
@@ -293,20 +270,6 @@ func main() {
 	}
 	fmt.Printf("final mesh valid: %s\n", m.Stats())
 	flushObs()
-}
-
-// writeObsFile creates path and streams one export into it, reporting
-// create, write, and close errors alike.
-func writeObsFile(path string, write func(*os.File) error) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(fh); err != nil {
-		fh.Close()
-		return err
-	}
-	return fh.Close()
 }
 
 func maxInt(a, b int) int {

@@ -257,8 +257,14 @@ func TestMarkRandomFraction(t *testing.T) {
 	if n != want {
 		t.Errorf("marked %d, want %d", n, want)
 	}
-	if got := a.NumMarked(MarkRefine); got != n {
-		t.Errorf("NumMarked = %d, want %d", got, n)
+	got := 0
+	for _, mk := range a.MarksSnapshot() {
+		if mk == MarkRefine {
+			got++
+		}
+	}
+	if got != n {
+		t.Errorf("%d edges carry the mark, MarkRandom reported %d", got, n)
 	}
 	// Determinism.
 	a2 := New(meshgen.SmallBox())

@@ -55,28 +55,10 @@ func (a *Adaptor) MarkOf(e mesh.EdgeID) Mark {
 	return a.marks[e]
 }
 
-// NumMarked returns how many edges currently carry mark mk.
-func (a *Adaptor) NumMarked(mk Mark) int {
-	n := 0
-	for _, m := range a.marks {
-		if m == mk {
-			n++
-		}
-	}
-	return n
-}
-
 // MarksSnapshot exposes the per-edge mark array (indexed by EdgeID) for
 // read-only inspection by the distributed layer. Callers must not mutate
 // it; use SetMark.
 func (a *Adaptor) MarksSnapshot() []Mark { return a.marks }
-
-// ClearMarks resets every edge mark to MarkNone.
-func (a *Adaptor) ClearMarks() {
-	for i := range a.marks {
-		a.marks[i] = MarkNone
-	}
-}
 
 // clearMark resets marks equal to mk.
 func (a *Adaptor) clearMark(mk Mark) {

@@ -1,7 +1,7 @@
 // Package comm is the message-passing runtime that stands in for MPI: a
 // World of P ranks executing SPMD functions on goroutines, point-to-point
-// sends with (source, tag) matching, and the collectives the parallel mesh
-// adaption needs (Barrier, Allreduce, Allgather, Alltoallv, Gather). All
+// sends with (source, tag) matching, and the collectives the remap and
+// finalization phases use (Alltoallv, Gather). All
 // communication is by value over in-process queues — ranks share no
 // mutable state, matching the distributed-memory discipline of the paper's
 // C++/MPI implementation.
@@ -14,8 +14,8 @@
 // framed path (SendReliable/RecvReliable, see reliable.go) with sequence
 // numbers, checksums, and bounded retry, driven by a deterministic fault
 // hook installed via World.SetFaults. A rank that panics no longer hangs
-// the other P−1 ranks: Run poisons the world, wakes every blocked Recv and
-// Barrier, and returns an aggregated error naming the failing ranks.
+// the other P−1 ranks: Run poisons the world, wakes every blocked Recv,
+// and returns an aggregated error naming the failing ranks.
 package comm
 
 import (
@@ -36,7 +36,7 @@ type message struct {
 }
 
 // poisonMark is the sentinel panic value used to unwind ranks that were
-// blocked in Recv or Barrier when another rank died. Run recognizes and
+// blocked in Recv when another rank died. Run recognizes and
 // filters it so the aggregated error names only the original failures.
 type poisonMark struct{}
 
@@ -121,11 +121,8 @@ type World struct {
 	p     int
 	boxes []*mailbox
 
-	barrierMu  sync.Mutex
-	barrierCnt int
-	barrierGen int
-	barrierCv  *sync.Cond
-	dead       bool // set by poison(); guarded by barrierMu
+	deadMu sync.Mutex
+	dead   bool // set by poison(); guarded by deadMu
 
 	statsMu sync.Mutex
 	stats   []Stats
@@ -171,20 +168,18 @@ func NewWorld(p int) *World {
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
-	w.barrierCv = sync.NewCond(&w.barrierMu)
 	return w
 }
 
 // P returns the number of ranks.
 func (w *World) P() int { return w.p }
 
-// poison marks the world dead and wakes every rank blocked in Barrier or
-// Recv; they unwind with the poison sentinel instead of waiting forever.
+// poison marks the world dead and wakes every rank blocked in Recv; they
+// unwind with the poison sentinel instead of waiting forever.
 func (w *World) poison() {
-	w.barrierMu.Lock()
+	w.deadMu.Lock()
 	w.dead = true
-	w.barrierCv.Broadcast()
-	w.barrierMu.Unlock()
+	w.deadMu.Unlock()
 	for _, mb := range w.boxes {
 		mb.mu.Lock()
 		mb.dead = true
@@ -195,8 +190,8 @@ func (w *World) poison() {
 
 // Poisoned reports whether a rank failure has killed this world.
 func (w *World) Poisoned() bool {
-	w.barrierMu.Lock()
-	defer w.barrierMu.Unlock()
+	w.deadMu.Lock()
+	defer w.deadMu.Unlock()
 	return w.dead
 }
 
@@ -220,7 +215,7 @@ const watchdogGrace = 100 * time.Millisecond
 
 // Run executes f on every rank concurrently and returns when all ranks
 // finish. A panic on any rank poisons the world — every other rank blocked
-// in Recv or Barrier unwinds instead of deadlocking — and Run returns an
+// in Recv unwinds instead of deadlocking — and Run returns an
 // aggregated error naming the ranks that originally panicked, each with
 // the stack trace captured at the panic site. Modeled rank deaths
 // (Comm.Crash) are separated from genuine panics and reported as a
@@ -303,15 +298,6 @@ func (w *World) RankStats() []Stats {
 	return append([]Stats(nil), w.stats...)
 }
 
-// ResetStats zeroes the traffic counters.
-func (w *World) ResetStats() {
-	w.statsMu.Lock()
-	defer w.statsMu.Unlock()
-	for i := range w.stats {
-		w.stats[i] = Stats{}
-	}
-}
-
 // Comm is one rank's handle on the World.
 type Comm struct {
 	w    *World
@@ -354,138 +340,10 @@ func (c *Comm) Recv(src, tag int) ([]int64, int) {
 	return m.data, m.src
 }
 
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() {
-	w := c.w
-	w.barrierMu.Lock()
-	defer w.barrierMu.Unlock()
-	if w.dead {
-		panic(poisonSentinel)
-	}
-	gen := w.barrierGen
-	w.barrierCnt++
-	if w.barrierCnt == w.p {
-		w.barrierCnt = 0
-		w.barrierGen++
-		w.barrierCv.Broadcast()
-		return
-	}
-	for gen == w.barrierGen {
-		w.barrierCv.Wait()
-		if w.dead {
-			panic(poisonSentinel)
-		}
-	}
-}
-
-// Reduction operators for Allreduce.
-type Op int
-
-// Supported reduction operators.
 const (
-	OpSum Op = iota
-	OpMax
-	OpMin
-)
-
-func (o Op) apply(a, b int64) int64 {
-	switch o {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	default:
-		if a < b {
-			return a
-		}
-		return b
-	}
-}
-
-const (
-	tagReduce = -1000 - iota
-	tagGather
-	tagAllgather
+	tagGather = -1000 - iota
 	tagAlltoall
-	tagBcast
 )
-
-// lenCheck validates that a collective partner sent the expected number of
-// words; the panic (converted to an error by Run) names both ranks so a
-// mismatched collective fails loudly instead of corrupting the reduction.
-func lenCheck(coll string, self, have, src, got int) {
-	if got != have {
-		panic(fmt.Sprintf("comm: %s length mismatch: rank %d has %d words but rank %d sent %d",
-			coll, self, have, src, got))
-	}
-}
-
-// Allreduce combines vals elementwise across all ranks with op and returns
-// the result (identical on every rank). Implemented as a recursive
-// -doubling butterfly over point-to-point messages. Ranks must pass
-// equal-length slices; a mismatch fails naming the offending ranks.
-func (c *Comm) Allreduce(vals []int64, op Op) []int64 {
-	res := append([]int64(nil), vals...)
-	p := c.w.p
-	// Butterfly over the largest power of two ≤ p, with pre/post folding
-	// for the remainder ranks.
-	pow := 1
-	for pow*2 <= p {
-		pow *= 2
-	}
-	rem := p - pow
-	r := c.rank
-	// Fold remainder ranks into their partners.
-	if r >= pow {
-		c.Send(r-pow, tagReduce, res)
-		got, _ := c.Recv(r-pow, tagBcast)
-		lenCheck("Allreduce", r, len(res), r-pow, len(got))
-		return got
-	}
-	if r < rem {
-		d, _ := c.Recv(r+pow, tagReduce)
-		lenCheck("Allreduce", r, len(res), r+pow, len(d))
-		for i := range res {
-			res[i] = op.apply(res[i], d[i])
-		}
-	}
-	for mask := 1; mask < pow; mask *= 2 {
-		partner := r ^ mask
-		c.Send(partner, tagReduce, res)
-		d, _ := c.Recv(partner, tagReduce)
-		lenCheck("Allreduce", r, len(res), partner, len(d))
-		for i := range res {
-			res[i] = op.apply(res[i], d[i])
-		}
-	}
-	if r < rem {
-		c.Send(r+pow, tagBcast, res)
-	}
-	return res
-}
-
-// Allgather collects each rank's slice on every rank, indexed by rank.
-// Like MPI_Allgather, every rank must contribute the same number of words;
-// a mismatch fails naming the offending ranks.
-func (c *Comm) Allgather(vals []int64) [][]int64 {
-	p := c.w.p
-	for dst := 0; dst < p; dst++ {
-		if dst != c.rank {
-			c.Send(dst, tagAllgather, vals)
-		}
-	}
-	out := make([][]int64, p)
-	out[c.rank] = append([]int64(nil), vals...)
-	for i := 0; i < p-1; i++ {
-		d, src := c.Recv(AnySource, tagAllgather)
-		lenCheck("Allgather", c.rank, len(vals), src, len(d))
-		out[src] = d
-	}
-	return out
-}
 
 // Gather collects each rank's slice on root (other ranks get nil). Slices
 // may have different lengths (MPI_Gatherv semantics).

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -62,58 +61,6 @@ func TestSendIsolation(t *testing.T) {
 	})
 }
 
-func TestBarrier(t *testing.T) {
-	const p = 8
-	w := NewWorld(p)
-	var phase atomic.Int64
-	w.Run(func(c *Comm) {
-		phase.Add(1)
-		c.Barrier()
-		if got := phase.Load(); got != p {
-			t.Errorf("rank %d passed barrier with phase=%d", c.Rank(), got)
-		}
-		c.Barrier()
-	})
-}
-
-func TestAllreduceSum(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 5, 8, 13} {
-		w := NewWorld(p)
-		w.Run(func(c *Comm) {
-			res := c.Allreduce([]int64{int64(c.Rank()), 1}, OpSum)
-			wantSum := int64(p * (p - 1) / 2)
-			if res[0] != wantSum || res[1] != int64(p) {
-				t.Errorf("P=%d rank %d: Allreduce = %v, want [%d %d]", p, c.Rank(), res, wantSum, p)
-			}
-		})
-	}
-}
-
-func TestAllreduceMaxMin(t *testing.T) {
-	p := 6
-	w := NewWorld(p)
-	w.Run(func(c *Comm) {
-		mx := c.Allreduce([]int64{int64(c.Rank())}, OpMax)
-		mn := c.Allreduce([]int64{int64(c.Rank())}, OpMin)
-		if mx[0] != int64(p-1) || mn[0] != 0 {
-			t.Errorf("rank %d: max %d min %d", c.Rank(), mx[0], mn[0])
-		}
-	})
-}
-
-func TestAllgather(t *testing.T) {
-	p := 5
-	w := NewWorld(p)
-	w.Run(func(c *Comm) {
-		out := c.Allgather([]int64{int64(c.Rank() * 10)})
-		for r := 0; r < p; r++ {
-			if out[r][0] != int64(r*10) {
-				t.Errorf("rank %d: out[%d] = %v", c.Rank(), r, out[r])
-			}
-		}
-	})
-}
-
 func TestGather(t *testing.T) {
 	p := 4
 	w := NewWorld(p)
@@ -165,11 +112,6 @@ func TestStatsCounters(t *testing.T) {
 	if st[1].Msgs != 0 {
 		t.Errorf("rank 1 stats = %+v", st[1])
 	}
-	w.ResetStats()
-	st = w.RankStats()
-	if st[0].Msgs != 0 || st[0].Words != 0 {
-		t.Error("ResetStats did not zero counters")
-	}
 }
 
 func TestRunReturnsPanicAsError(t *testing.T) {
@@ -191,8 +133,9 @@ func TestRunReturnsPanicAsError(t *testing.T) {
 }
 
 func TestRunUnblocksDeadlockedRanks(t *testing.T) {
-	// One rank dies while the others are blocked in Recv and Barrier; the
-	// poison must wake all of them and the error must name only rank 0.
+	// One rank dies while the others are blocked in Recv, on a specific
+	// source and on any; the poison must wake all of them and the error
+	// must name only rank 0.
 	w := NewWorld(4)
 	done := make(chan error, 1)
 	go func() {
@@ -203,7 +146,7 @@ func TestRunUnblocksDeadlockedRanks(t *testing.T) {
 			case 1:
 				c.Recv(0, 42) // never sent
 			default:
-				c.Barrier() // never completed
+				c.Recv(AnySource, 43) // never sent
 			}
 		})
 	}()
@@ -221,34 +164,14 @@ func TestRunUnblocksDeadlockedRanks(t *testing.T) {
 }
 
 func TestCollectiveLengthValidation(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		f    func(c *Comm)
-	}{
-		{"Allreduce", func(c *Comm) {
-			c.Allreduce(make([]int64, 1+c.Rank()%2), OpSum)
-		}},
-		{"Allgather", func(c *Comm) {
-			c.Allgather(make([]int64, 1+c.Rank()%2))
-		}},
-		{"Reduce", func(c *Comm) {
-			c.Reduce(0, make([]int64, 1+c.Rank()%2), OpSum)
-		}},
-		{"Alltoallv", func(c *Comm) {
-			c.Alltoallv(make([][]int64, c.P()-1))
-		}},
-	} {
-		err := NewWorld(4).Run(tc.f)
-		if err == nil {
-			t.Errorf("%s with mismatched lengths succeeded", tc.name)
-			continue
-		}
-		if tc.name != "Alltoallv" && !strings.Contains(err.Error(), "length mismatch") {
-			t.Errorf("%s error does not name the mismatch: %v", tc.name, err)
-		}
-		if !strings.Contains(err.Error(), "rank") {
-			t.Errorf("%s error does not name a rank: %v", tc.name, err)
-		}
+	err := NewWorld(4).Run(func(c *Comm) {
+		c.Alltoallv(make([][]int64, c.P()-1))
+	})
+	if err == nil {
+		t.Fatal("Alltoallv with one buffer too few succeeded")
+	}
+	if !strings.Contains(err.Error(), "rank") {
+		t.Errorf("Alltoallv error does not name a rank: %v", err)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestCrashRanksSortedAndComplete(t *testing.T) {
 }
 
 func TestCrashUnblocksSurvivors(t *testing.T) {
-	// Survivors blocked in Recv and Barrier must be woken by the poison,
+	// Survivors blocked in Recv must be woken by the poison,
 	// and their collateral unwinds must not pollute the crash report.
 	w := NewWorld(4)
 	done := make(chan error, 1)
@@ -64,7 +64,7 @@ func TestCrashUnblocksSurvivors(t *testing.T) {
 			case 1:
 				c.Recv(0, 42) // never sent
 			default:
-				c.Barrier() // never completed
+				c.Recv(AnySource, 43) // never sent
 			}
 		})
 	}()
@@ -141,7 +141,7 @@ func TestDeadlineReturnsTimeoutError(t *testing.T) {
 func TestDeadlineZeroDisablesWatchdog(t *testing.T) {
 	w := NewWorld(2)
 	w.SetDeadline(0)
-	if err := w.Run(func(c *Comm) { c.Barrier() }); err != nil {
+	if err := w.Run(func(c *Comm) { c.Gather(0, []int64{1}) }); err != nil {
 		t.Fatalf("unexpired watchdog broke a clean run: %v", err)
 	}
 }
@@ -155,7 +155,7 @@ func TestDeadlineGenerousPassesCleanRun(t *testing.T) {
 		} else if c.Rank() == 1 {
 			c.Recv(0, 0)
 		}
-		c.Barrier()
+		c.Gather(0, nil)
 	})
 	if err != nil {
 		t.Fatalf("run under a generous deadline failed: %v", err)

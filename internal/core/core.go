@@ -60,7 +60,11 @@ type Config struct {
 	Method partition.Method
 	// Mapper chooses heuristic or optimal processor reassignment.
 	Mapper Mapper
-	// Model is the machine model for timing.
+	// Model is the machine model for timing. Model.Topo is the machine's
+	// node structure: RanksPerNode consecutive ranks share a node with
+	// cheap intra-node message rates (see machine.NodeTopology); its zero
+	// value is a flat machine on which every pair pays the interconnect
+	// rates. New validates it.
 	Model machine.Model
 	// Cost holds the gain/cost decision constants.
 	Cost remap.CostModel
@@ -72,32 +76,32 @@ type Config struct {
 	// runtime.GOMAXPROCS. Partition assignments are identical at every
 	// worker count; only wall time changes.
 	Workers int
-	// Refiner names the boundary-refinement backend applied after every
-	// repartition: "bandfm" (the deterministic band-limited parallel
+	// Refiner names the boundary-refinement backend forced on every
+	// partitioner: "bandfm" (the deterministic band-limited parallel
 	// FM), "diffusion" (Jostle-style weighted diffusion), or "fm" (the
-	// classic serial sweep). "" keeps each backend's own default —
-	// band-FM for the parallel SFC path, classic FM inside Multilevel.
-	// See internal/refine.
+	// classic serial sweep). "" keeps each partitioner's own default —
+	// band-FM for the SFC methods and graphgrow, classic FM inside
+	// multilevel — which, like every named choice, gives the same
+	// partitions at any Workers. New resolves the name once. See
+	// internal/refine.
 	Refiner string
-	// Propagator names the frontier-propagation backend driving the
-	// parallel adaption phases: "bulksync" (the paper's per-pair
-	// exchange) or "aggregated" (per-rank message aggregation for high
-	// processor counts). "" selects bulksync. See internal/propagate.
+	// Propagator names the exchange schedule of the adaption passes'
+	// notification traffic: "bulksync" (the paper's one message per rank
+	// pair) or "aggregated" (one combined message per source rank, for
+	// high processor counts). "" selects bulksync. It is independent of
+	// Exchange, which schedules the remap payload. New resolves the name
+	// once into Framework.D.Prop. See internal/propagate.
 	Propagator string
 	// Exchange names the remap payload exchange schedule: "flat" (one
 	// message per flow — the paper's semantics and the legacy path),
 	// "aggregated" (one combined frame per source rank), or
 	// "hierarchical" (two-level per-node gather / inter-node exchange /
-	// scatter; requires Topology.RanksPerNode > 1). "" selects flat. The
+	// scatter; requires Model.Topo.RanksPerNode > 1). "" selects flat. The
 	// owner array and payload bytes are identical under every schedule;
 	// only the modeled communication charges and the wire framing differ.
-	// See internal/machine.Exchange.
+	// New resolves the name once into Framework.D.Exchange. See
+	// internal/machine.Exchange.
 	Exchange string
-	// Topology is the machine's node structure: RanksPerNode consecutive
-	// ranks share a node with cheap intra-node message rates. The zero
-	// value is a flat machine on which every pair pays the interconnect
-	// rates — the legacy model, bit for bit. See machine.NodeTopology.
-	Topology machine.Topology
 	// SolverIters is the number of proxy flow-solver iterations each
 	// cycle runs before adaption, and the multiplier of the modeled
 	// CycleReport.SolverTime — a single knob so the proxy solve and the
@@ -202,6 +206,12 @@ type Framework struct {
 	A   *adapt.Adaptor
 	S   *solver.Solver
 
+	// forcedRefiner is Config.Refiner resolved by New: the backend forced
+	// on every partitioner, nil when the config leaves each its own
+	// default. sfcRefiner is what the SFC hot path in repartition runs:
+	// the forced backend, or refine.Default.
+	forcedRefiner, sfcRefiner refine.Refiner
+
 	// sfcCache holds the curve order for the SFC partitioners. The dual
 	// graph's centroids never change, so the order is computed once and
 	// every later repartition is an O(n) scan (see partition.SFCPartitioner).
@@ -231,31 +241,6 @@ func (f *Framework) CheckpointStats() ckpt.Stats {
 	return f.ck.Stats()
 }
 
-// refiner resolves the boundary-refinement backend for the SFC hot path
-// at the framework's worker knob. "" resolves adaptively via
-// refine.Default: band-FM when the dual graph and worker knob would
-// actually run it parallel, the classic serial sweep otherwise (serial
-// hosts don't pay the ~2× band overhead). New validated the name, so the
-// fallback is purely defensive.
-func (f *Framework) refiner() refine.Refiner {
-	if f.Cfg.Refiner != "" {
-		if r, ok := refine.ByName(f.Cfg.Refiner, f.Cfg.Workers); ok {
-			return r
-		}
-	}
-	return refine.Default(f.G.N, f.Cfg.Workers)
-}
-
-// optRefiner returns the refiner forced on every partitioning backend,
-// or nil when the config leaves each backend its own default ("").
-func optRefiner(cfg Config) refine.Refiner {
-	if cfg.Refiner == "" {
-		return nil
-	}
-	r, _ := refine.ByName(cfg.Refiner, cfg.Workers)
-	return r
-}
-
 // repartition divides the dual graph into k parts with the configured
 // method and returns the abstract operation accounting of the
 // partitioning itself. Every backend reports honest, nonzero cost: the
@@ -265,13 +250,13 @@ func optRefiner(cfg Config) refine.Refiner {
 // so only the first call pays the O(n log n) parallel sort and the
 // critical-path count divides the parallel phases across Cfg.Workers.
 // Refinement ops land in the Mem share, charged at Model.MemOp.
-func (f *Framework) repartition(k int) (partition.Assignment, partition.Ops) {
+func (f *Framework) repartition(k int) (partition.Assignment, machine.Ops) {
 	c, ok := f.Cfg.Method.Curve()
 	if !ok {
 		return partition.PartitionCounted(f.G, k, f.Cfg.Method,
-			partition.Options{Workers: f.Cfg.Workers, Seed: f.Cfg.Seed, Refiner: optRefiner(f.Cfg)})
+			partition.Options{Workers: f.Cfg.Workers, Seed: f.Cfg.Seed, Refiner: f.forcedRefiner})
 	}
-	var ops partition.Ops
+	var ops machine.Ops
 	if f.sfcCache == nil || f.sfcCache.Curve != c {
 		f.sfcCache = partition.NewSFCWorkers(f.G, c, f.Cfg.Workers)
 		ops.Total = f.sfcCache.LastOps // the one-time sort
@@ -280,7 +265,7 @@ func (f *Framework) repartition(k int) (partition.Assignment, partition.Ops) {
 	asg := f.sfcCache.Repartition(f.G, k)
 	ops.Total += f.sfcCache.LastOps
 	ops.Crit += f.sfcCache.LastCritOps
-	ops.AddMem(f.refiner().Refine(f.G, asg, k, 2))
+	ops.Add(f.sfcRefiner.Refine(f.G, asg, k, 2))
 	return asg, ops
 }
 
@@ -297,10 +282,14 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	if cfg.SolverIters == 0 {
 		cfg.SolverIters = 3
 	}
-	if _, ok := refine.ByName(cfg.Refiner, cfg.Workers); !ok {
-		return nil, fmt.Errorf("core: unknown refiner %q (have %v)", cfg.Refiner, refine.Names)
+	var forced refine.Refiner
+	if cfg.Refiner != "" {
+		var ok bool
+		if forced, ok = refine.ByName(cfg.Refiner, cfg.Workers); !ok {
+			return nil, fmt.Errorf("core: unknown refiner %q (have %v)", cfg.Refiner, refine.Names)
+		}
 	}
-	prop, ok := propagate.ByName(cfg.Propagator, cfg.Workers)
+	prop, ok := propagate.ByName(cfg.Propagator)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown propagator %q (have %v)", cfg.Propagator, propagate.Names)
 	}
@@ -308,15 +297,12 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := cfg.Topology.Validate(); err != nil {
+	if err := cfg.Model.Topo.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if exch == machine.ExchangeHierarchical && cfg.Topology.Flat() {
-		return nil, fmt.Errorf("core: exchange %q needs a node topology (set Config.Topology.RanksPerNode > 1, e.g. -nodesize on the CLIs)", exch)
+	if exch == machine.ExchangeHierarchical && cfg.Model.Topo.Flat() {
+		return nil, fmt.Errorf("core: exchange %q needs a node topology (set Config.Model.Topo.RanksPerNode > 1, e.g. -nodesize on the CLIs)", exch)
 	}
-	// The machine model carries the topology from here on: every CommTime
-	// charge in the adaption and remap paths sees the same node structure.
-	cfg.Model.Topo = cfg.Topology
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -349,10 +335,10 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 		}
 	}
 	g := dual.Build(m)
-	asg := partitionMaybeAgglomerated(g, cfg)
+	asg := partitionMaybeAgglomerated(g, cfg, forced)
 	d := par.NewDist(m, cfg.P, asg)
 	d.Workers = cfg.Workers // the remap scatter and SPL scans share the knob
-	d.Prop = prop           // the adaption phases' frontier-propagation backend
+	d.Prop = prop           // the adaption passes' notification exchange schedule
 	d.Exchange = exch       // the remap payload exchange schedule
 	d.Faults = cfg.Faults   // fault plan + recovery budget for the balance cycles
 	d.Retry = cfg.Retry
@@ -365,6 +351,12 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 		D:   d,
 		A:   adapt.New(m),
 		S:   sol,
+
+		forcedRefiner: forced,
+		sfcRefiner:    forced,
+	}
+	if forced == nil {
+		fw.sfcRefiner = refine.Default(g.N, cfg.Workers)
 	}
 	if cfg.Checkpoint {
 		fw.ck = ckpt.New()
@@ -373,10 +365,10 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 }
 
 // partitionMaybeAgglomerated partitions g into cfg.P parts, optionally via
-// superelement agglomeration for very large duals. New already validated
-// cfg.Refiner.
-func partitionMaybeAgglomerated(g *dual.Graph, cfg Config) partition.Assignment {
-	opt := partition.Options{Workers: cfg.Workers, Seed: cfg.Seed, Refiner: optRefiner(cfg)}
+// superelement agglomeration for very large duals. forced is the resolved
+// Config.Refiner (nil = per-backend defaults).
+func partitionMaybeAgglomerated(g *dual.Graph, cfg Config, forced refine.Refiner) partition.Assignment {
+	opt := partition.Options{Workers: cfg.Workers, Seed: cfg.Seed, Refiner: forced}
 	if cfg.Agglomerate <= 1 {
 		asg, _ := partition.PartitionCounted(g, cfg.P, cfg.Method, opt)
 		return asg
@@ -631,9 +623,14 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	traceEvaluate(f.Cfg.Trace, rep.ImbalanceBefore, true)
 	rep.Repartitioned = true
 
-	// Repartition the dual graph into S·F parts over the S survivors.
-	nParts := rep.Alive * f.Cfg.F
-	newPart, partOps := f.repartition(nParts)
+	// Repartition the dual graph into S·F parts over the S survivors and
+	// reassign the parts to them.
+	pr, err := f.propose(alive)
+	if err != nil {
+		return rep, err
+	}
+	partOps := pr.partOps
+	rep.Objective = pr.objective
 	rep.RepartitionOps = partOps.Total
 	rep.RepartitionCritOps = partOps.Crit
 	rep.RefineOps = partOps.MemTotal
@@ -641,28 +638,15 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.RepartitionCompTime = float64(partOps.Crit-partOps.MemCrit) * f.Cfg.Model.CompOp
 	rep.RepartitionMemTime = float64(partOps.MemCrit) * f.Cfg.Model.MemOp
 	rep.RepartitionTime = rep.RepartitionCompTime + rep.RepartitionMemTime
-	traceRepartition(f.Cfg.Trace, f.Cfg.Model, partOps, nParts)
-
-	// Similarity matrix + processor reassignment, in the compacted
-	// survivor index space (identity when every rank is alive).
-	sim := remap.Build(f.compactOwners(alive), newPart, f.G.Wremap, rep.Alive, f.Cfg.F)
-	var mp remap.Mapping
-	if f.Cfg.Mapper == MapperOptimal {
-		mp, rep.Objective = sim.Optimal()
-	} else {
-		mp, rep.Objective = sim.Heuristic()
-	}
-	if err := sim.Validate(mp); err != nil {
-		return rep, err
-	}
-	rep.ReassignOps = sim.LastOps
-	rep.ReassignTime = float64(sim.LastOps) * f.Cfg.Model.MemOp
-	traceReassign(f.Cfg.Trace, sim.LastOps, rep.ReassignTime, rep.Objective)
+	traceRepartition(f.Cfg.Trace, f.Cfg.Model, partOps, len(alive)*f.Cfg.F)
+	rep.ReassignOps = pr.sim.LastOps
+	rep.ReassignTime = float64(pr.sim.LastOps) * f.Cfg.Model.MemOp
+	traceReassign(f.Cfg.Trace, pr.sim.LastOps, rep.ReassignTime, rep.Objective)
 
 	// Projected new loads under the mapping, one slot per survivor.
 	newLoads := make([]int64, rep.Alive)
-	for v, p := range newPart {
-		newLoads[mp[p]] += f.G.Wcomp[v]
+	for v, p := range pr.part {
+		newLoads[pr.mapping[p]] += f.G.Wcomp[v]
 	}
 	rep.WmaxNew = slices.Max(newLoads)
 	rep.ImbalanceAfter = par.ImbalanceFactor(newLoads)
@@ -675,7 +659,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// (exactly the quantities ExecuteRemap will report), so the decision
 	// can weigh it without running the remap; RedistCost models the wire
 	// volume, RemapExecTime the CPU-side plan/pack/unpack ops.
-	rep.MoveC, rep.MoveN = sim.MoveStats(mp)
+	rep.MoveC, rep.MoveN = pr.sim.MoveStats(pr.mapping)
 	remapOps := par.PredictRemapOps(len(f.M.Elems), rep.MoveC, rep.MoveN, f.Cfg.P, f.Cfg.Workers)
 	rep.RemapOps = remapOps.Total
 	rep.RemapCritOps = remapOps.Crit
@@ -690,8 +674,8 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 		rep.OverlapTime = min(window, pipeline)
 	}
 	rep.Cost = rep.CostFull - rep.OverlapTime
-	// This comparison is remap.CostModel.WorthwhileTotal applied to the
-	// reported quantities, so the report can never drift from the decision.
+	// The decision compares the reported quantities themselves, so the
+	// report can never drift from it.
 	if rep.Gain <= rep.Cost {
 		rep.ImbalanceAfter = rep.ImbalanceBefore // discarded
 		traceDecision(f.Cfg.Trace, rep.Gain, rep.MoveC, rep.MoveN, false)
@@ -704,12 +688,8 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// overlapped cycle streams the payload one flow window at a time;
 	// the paper-faithful baseline keeps the bulk-synchronous exchange.
 	// Both produce byte-identical results up to PeakWords.
-	newOwner := make([]int32, len(newPart))
-	for v, p := range newPart {
-		newOwner[v] = alive[mp[p]]
-	}
+	newOwner := pr.owners(alive)
 	var res par.RemapResult
-	var err error
 	if f.Cfg.Overlap {
 		res, err = f.D.ExecuteRemapStreaming(newOwner, f.Cfg.Model)
 	} else {
@@ -760,6 +740,43 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	traceRemapExec(f.Cfg.Trace, "remap.exec", &res)
 	rep.Remap = res
 	return rep, nil
+}
+
+// proposal is one candidate redistribution over the surviving ranks: the
+// new partitioning, its assignment to processors, and what computing the
+// two cost.
+type proposal struct {
+	part      partition.Assignment
+	partOps   machine.Ops
+	sim       *remap.Similarity // LastOps holds the mapper's work
+	mapping   remap.Mapping
+	objective int64
+}
+
+// propose runs the sequence the balance pass and crash recovery share:
+// repartition the dual graph into F parts per survivor, build the
+// similarity matrix in the compacted survivor index space (identity when
+// every rank is alive), and reassign the parts with the configured mapper.
+func (f *Framework) propose(alive []int32) (proposal, error) {
+	var pr proposal
+	pr.part, pr.partOps = f.repartition(len(alive) * f.Cfg.F)
+	pr.sim = remap.Build(f.compactOwners(alive), pr.part, f.G.Wremap, len(alive), f.Cfg.F)
+	if f.Cfg.Mapper == MapperOptimal {
+		pr.mapping, pr.objective = pr.sim.Optimal()
+	} else {
+		pr.mapping, pr.objective = pr.sim.Heuristic()
+	}
+	return pr, pr.sim.Validate(pr.mapping)
+}
+
+// owners returns the ownership the proposal assigns: every dual vertex
+// goes to the survivor its part is mapped to.
+func (pr proposal) owners(alive []int32) []int32 {
+	out := make([]int32, len(pr.part))
+	for v, p := range pr.part {
+		out[v] = alive[pr.mapping[p]]
+	}
+	return out
 }
 
 // compactOwners returns the owner array mapped into the compacted
@@ -814,28 +831,16 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	}
 	f.D.MarkDead(re.Crashed)
 	alive := f.D.Alive()
-	s := len(alive)
-	if s < 1 {
+	if len(alive) < 1 {
 		return fmt.Errorf("core: no surviving ranks after crash of %v", re.Crashed)
 	}
-	rep.Alive = s
+	rep.Alive = len(alive)
 
-	newPart, _ := f.repartition(s * f.Cfg.F)
-	sim := remap.Build(f.compactOwners(alive), newPart, f.G.Wremap, s, f.Cfg.F)
-	var mp remap.Mapping
-	if f.Cfg.Mapper == MapperOptimal {
-		mp, _ = sim.Optimal()
-	} else {
-		mp, _ = sim.Heuristic()
-	}
-	if err := sim.Validate(mp); err != nil {
+	pr, err := f.propose(alive)
+	if err != nil {
 		return err
 	}
-	newOwner := make([]int32, len(newPart))
-	for v, p := range newPart {
-		newOwner[v] = alive[mp[p]]
-	}
-	res, err := f.D.ExecuteRemapRecovery(newOwner, f.Cfg.Model)
+	res, err := f.D.ExecuteRemapRecovery(pr.owners(alive), f.Cfg.Model)
 	if err != nil {
 		return fmt.Errorf("core: survivor recovery after crash of %v failed: %w", re.Crashed, err)
 	}
@@ -936,20 +941,9 @@ func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 	return rep, nil
 }
 
-// SolverImprovement returns the Fig. 12 quantity: the ratio of flow-solver
-// execution time on the unbalanced distribution to that on the balanced
-// one, together with the theoretical bound 8P/(P+7) for a single
-// isotropically refined processor.
-func SolverImprovement(wmaxUnbalanced, wmaxBalanced int64) float64 {
-	if wmaxBalanced == 0 {
-		return 1
-	}
-	return float64(wmaxUnbalanced) / float64(wmaxBalanced)
-}
-
 // ImprovementBound returns the paper's maximum possible improvement for P
 // processors when one processor's N elements are all isotropically
-// refined: 8P/(P+7).
+// refined: 8P/(P+7) — the bound column of Fig. 12.
 func ImprovementBound(p int) float64 {
 	return 8 * float64(p) / (float64(p) + 7)
 }

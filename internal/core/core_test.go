@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"plum/internal/adapt"
 	"plum/internal/geom"
+	"plum/internal/mesh"
 	"plum/internal/meshgen"
 	"plum/internal/partition"
 	"plum/internal/propagate"
@@ -247,12 +249,6 @@ func TestImprovementBound(t *testing.T) {
 	if ImprovementBound(1024) >= 8 {
 		t.Error("bound must stay below 8")
 	}
-	if SolverImprovement(800, 100) != 8 {
-		t.Error("SolverImprovement ratio")
-	}
-	if SolverImprovement(800, 0) != 1 {
-		t.Error("SolverImprovement zero guard")
-	}
 }
 
 func TestMapperString(t *testing.T) {
@@ -364,9 +360,13 @@ func TestBalanceSplitsMemCompTime(t *testing.T) {
 // backend and rejects unknown names at construction.
 func TestRefinerKnob(t *testing.T) {
 	for _, name := range refine.Names {
-		f := newFW(t, 8)
-		f.Cfg.Refiner = name
-		f.Cfg.Method = partition.MethodHilbertSFC
+		cfg := DefaultConfig(8)
+		cfg.Refiner = name // resolved by New, so it goes in up front
+		cfg.Method = partition.MethodHilbertSFC
+		f, err := New(meshgen.SmallBox(), nil, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
 		f.A.Refine()
 		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.4}, adapt.MarkRefine)
@@ -387,33 +387,49 @@ func TestRefinerKnob(t *testing.T) {
 
 // TestBalanceWorkerCountInvariance runs the full SFC pipeline at several
 // worker counts and demands identical ownership — the framework-level
-// restatement of the psort determinism guarantee. The refiner is forced
-// by name: the adaptive default (refine.Default) intentionally switches
-// between band-FM and classic FM as the effective worker count crosses
-// 1, so only a named backend carries the cross-worker-count invariance
-// this test asserts.
+// restatement of the psort determinism guarantee. It holds for a named
+// refiner on a small mesh and for the default ("") on a dual graph above
+// refine.SerialCutoff, where the band-FM's parallel path really runs at
+// workers > 1 and its serial replay at workers = 1.
 func TestBalanceWorkerCountInvariance(t *testing.T) {
-	var ref []int32
-	for _, workers := range []int{1, 2, 5} {
-		f := newFW(t, 8)
-		f.Cfg.Method = partition.MethodHilbertSFC
-		f.Cfg.Workers = workers
-		f.Cfg.Refiner = "bandfm"
-		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
-		f.A.Refine()
-		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.4}, adapt.MarkRefine)
-		f.A.Refine()
-		if _, err := f.Balance(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		owners := f.D.Owners()
-		if ref == nil {
-			ref = owners
-			continue
-		}
-		for v := range owners {
-			if owners[v] != ref[v] {
-				t.Fatalf("workers=%d: ownership diverges at vertex %d", workers, v)
+	for _, tc := range []struct {
+		refiner string
+		mesh    func() *mesh.Mesh
+		workers []int
+	}{
+		{"bandfm", meshgen.SmallBox, []int{1, 2, 5}},
+		{"", func() *mesh.Mesh { return meshgen.Box(9, 9, 9, geom.Vec3{X: 1, Y: 1, Z: 1}) }, []int{1, 2, 4}},
+	} {
+		var ref []int32
+		for _, workers := range tc.workers {
+			cfg := DefaultConfig(8)
+			cfg.Method = partition.MethodHilbertSFC
+			cfg.Workers = workers
+			cfg.Refiner = tc.refiner
+			f, err := New(tc.mesh(), nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.refiner == "" && f.G.N < refine.SerialCutoff {
+				t.Fatalf("dual graph has %d vertices, need ≥ %d", f.G.N, refine.SerialCutoff)
+			}
+			f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
+			f.A.Refine()
+			f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.4}, adapt.MarkRefine)
+			f.A.Refine()
+			rep, err := f.Balance()
+			if err != nil {
+				t.Fatalf("refiner=%q workers=%d: %v", tc.refiner, workers, err)
+			}
+			if !rep.Accepted {
+				t.Fatalf("refiner=%q workers=%d: fixture executed no remap", tc.refiner, workers)
+			}
+			owners := f.D.Owners()
+			if ref == nil {
+				ref = owners
+			} else if !slices.Equal(owners, ref) {
+				t.Errorf("refiner=%q workers=%d: ownership diverges from workers=%d",
+					tc.refiner, workers, tc.workers[0])
 			}
 		}
 	}

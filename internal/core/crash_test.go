@@ -63,15 +63,15 @@ func crashTraceOf(rep CycleReport) crashTrace {
 // weight over the survivors equals the mesh's total weight.
 func verifySurvivorOwnership(t *testing.T, f *Framework, label string) {
 	t.Helper()
-	dead := make(map[int32]bool)
-	for _, r := range f.D.DeadRanks() {
-		dead[int32(r)] = true
+	alive := make(map[int32]bool)
+	for _, r := range f.D.Alive() {
+		alive[r] = true
 	}
 	for v, o := range f.D.Owners() {
 		if o < 0 || int(o) >= f.Cfg.P {
 			t.Fatalf("%s: vertex %d owned by out-of-range rank %d", label, v, o)
 		}
-		if dead[o] {
+		if !alive[o] {
 			t.Fatalf("%s: vertex %d still owned by dead rank %d", label, v, o)
 		}
 	}
@@ -128,7 +128,7 @@ func TestCycleCrashRecovery(t *testing.T) {
 
 			var refOwners []int32
 			var refTraces []crashTrace
-			var refDead []int
+			var refAlive []int32
 			for _, w := range []int{1, 2, 4, 8} {
 				c := cfg
 				c.Workers = w
@@ -152,7 +152,7 @@ func TestCycleCrashRecovery(t *testing.T) {
 				}
 				verifySurvivorOwnership(t, f, "post-run")
 				if refOwners == nil {
-					refOwners, refTraces, refDead = owners, traces, f.D.DeadRanks()
+					refOwners, refTraces, refAlive = owners, traces, f.D.Alive()
 					continue
 				}
 				if !reflect.DeepEqual(owners, refOwners) {
@@ -162,7 +162,7 @@ func TestCycleCrashRecovery(t *testing.T) {
 					t.Errorf("overlap=%v seed=%d workers=%d: crash trace not worker-invariant:\n got %+v\nwant %+v",
 						overlap, seed, w, traces, refTraces)
 				}
-				if !reflect.DeepEqual(f.D.DeadRanks(), refDead) {
+				if !reflect.DeepEqual(f.D.Alive(), refAlive) {
 					t.Errorf("overlap=%v seed=%d workers=%d: dead set not worker-invariant", overlap, seed, w)
 				}
 			}

@@ -27,14 +27,14 @@ func TestNewValidatesExchange(t *testing.T) {
 	}
 
 	cfg = base()
-	cfg.Topology = machine.Topology{RanksPerNode: 4} // missing intra rates
+	cfg.Model.Topo = machine.Topology{RanksPerNode: 4} // missing intra rates
 	if _, err := New(meshgen.UnitCube(), nil, cfg); err == nil {
 		t.Error("invalid topology accepted")
 	}
 
 	cfg = base()
 	cfg.Exchange = "hierarchical"
-	cfg.Topology = machine.NodeTopology(2)
+	cfg.Model.Topo = machine.NodeTopology(2)
 	f, err := New(meshgen.UnitCube(), nil, cfg)
 	if err != nil {
 		t.Fatalf("valid hierarchical config rejected: %v", err)
@@ -42,7 +42,7 @@ func TestNewValidatesExchange(t *testing.T) {
 	if f.D.Exchange != machine.ExchangeHierarchical {
 		t.Errorf("Dist.Exchange = %v", f.D.Exchange)
 	}
-	if f.Cfg.Model.Topo != cfg.Topology {
+	if f.Cfg.Model.Topo != cfg.Model.Topo {
 		t.Error("topology not threaded into the machine model")
 	}
 }
@@ -53,7 +53,7 @@ func exchangeCycles(t *testing.T, exchange string, topo machine.Topology) []Cycl
 	t.Helper()
 	cfg := DefaultConfig(8)
 	cfg.Exchange = exchange
-	cfg.Topology = topo
+	cfg.Model.Topo = topo
 	f, err := New(meshgen.Box(8, 8, 8, geom.Vec3{X: 1, Y: 1, Z: 1}), nil, cfg)
 	if err != nil {
 		t.Fatal(err)

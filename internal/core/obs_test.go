@@ -157,7 +157,7 @@ func TestTraceContent(t *testing.T) {
 // the nil check, so a disabled observer costs one pointer compare.
 func TestTraceDisabledIsFree(t *testing.T) {
 	mdl := machine.SP2()
-	var ops partition.Ops
+	var ops machine.Ops
 	var res par.RemapResult
 	var tm par.AdaptTimings
 	errBoom := errors.New("boom")

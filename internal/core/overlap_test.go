@@ -21,9 +21,8 @@ func overlapFW(t *testing.T, workers int, overlap bool) *Framework {
 	cfg.Method = partition.MethodHilbertSFC
 	cfg.Workers = workers
 	cfg.Overlap = overlap
-	// The adaptive default refiner intentionally switches backends as the
-	// effective worker count crosses 1; a named backend carries the
-	// cross-worker-count invariance this file asserts.
+	// Named rather than defaulted, so the bytes this file pins do not
+	// move if the SFC path's default refiner ever does.
 	cfg.Refiner = "bandfm"
 	f, err := New(m, nil, cfg)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"plum/internal/machine"
 	"plum/internal/obs"
 	"plum/internal/par"
-	"plum/internal/partition"
 )
 
 // The balance pipeline's trace and metrics emission. Every helper takes
@@ -115,7 +114,7 @@ func traceEvaluate(tr *obs.Trace, imbalance float64, repartition bool) {
 
 // traceRepartition records the repartitioning stage, priced serially
 // from its op totals, and advances the cursor.
-func traceRepartition(tr *obs.Trace, mdl machine.Model, ops partition.Ops, parts int) {
+func traceRepartition(tr *obs.Trace, mdl machine.Model, ops machine.Ops, parts int) {
 	if tr == nil {
 		return
 	}

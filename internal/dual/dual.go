@@ -105,63 +105,6 @@ func Build(m *mesh.Mesh) *Graph {
 	return g
 }
 
-// BuildActive constructs the dual graph of the mesh's current *active*
-// elements — what a partitioner would have to process if it worked on the
-// adapted mesh directly instead of the constant initial-mesh dual. It
-// exists to quantify the paper's central argument (the ablation bench
-// BenchmarkAblationDualGraph): this graph grows with every adaption while
-// Build's graph does not.
-func BuildActive(m *mesh.Mesh) *Graph {
-	var actives []mesh.ElemID
-	idx := make(map[mesh.ElemID]int32)
-	for i := range m.Elems {
-		if m.Elems[i].Active() {
-			idx[mesh.ElemID(i)] = int32(len(actives))
-			actives = append(actives, mesh.ElemID(i))
-		}
-	}
-	n := len(actives)
-	g := &Graph{
-		N:          n,
-		Adj:        make([][]int32, n),
-		Wcomp:      make([]int64, n),
-		Wremap:     make([]int64, n),
-		EdgeWeight: 1,
-		Centroid:   make([]geom.Vec3, n),
-	}
-	type faceKey [3]mesh.VertID
-	mk := func(a, b, c mesh.VertID) faceKey {
-		if a > b {
-			a, b = b, a
-		}
-		if b > c {
-			b, c = c, b
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return faceKey{a, b, c}
-	}
-	faces := make(map[faceKey]int32, 2*n)
-	for i, el := range actives {
-		t := &m.Elems[el]
-		g.Centroid[i] = m.ElemCentroid(el)
-		g.Wcomp[i] = 1
-		g.Wremap[i] = 1
-		for _, fv := range mesh.ElemFaceVerts {
-			k := mk(t.V[fv[0]], t.V[fv[1]], t.V[fv[2]])
-			if j, ok := faces[k]; ok {
-				g.Adj[i] = append(g.Adj[i], j)
-				g.Adj[j] = append(g.Adj[j], int32(i))
-				delete(faces, k)
-			} else {
-				faces[k] = int32(i)
-			}
-		}
-	}
-	return g
-}
-
 // UpdateWeights recomputes Wcomp and Wremap from the mesh's current
 // refinement forest — this is the "translation" of an adapted grid onto
 // the constant dual graph. It assumes roots are exactly the level-0
@@ -223,9 +166,6 @@ func (g *Graph) NumEdges() int {
 	}
 	return n / 2
 }
-
-// Degree returns the degree of dual vertex v.
-func (g *Graph) Degree(v int) int { return len(g.Adj[v]) }
 
 // Agglomerate groups dual vertices into superelements of roughly the given
 // size by greedy BFS growth, returning a new graph and the mapping from

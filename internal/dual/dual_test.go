@@ -18,7 +18,7 @@ func TestBuildUnitCube(t *testing.T) {
 	// Kuhn cube: the 6 path tets form a cycle around the main diagonal —
 	// every tet shares internal faces with exactly 2 others.
 	for v := 0; v < g.N; v++ {
-		if got := g.Degree(v); got != 2 {
+		if got := len(g.Adj[v]); got != 2 {
 			t.Errorf("dual vertex %d degree = %d, want 2", v, got)
 		}
 	}
@@ -105,8 +105,8 @@ func TestDualAdjacencySymmetric(t *testing.T) {
 	m := meshgen.SmallBox()
 	g := Build(m)
 	for v := 0; v < g.N; v++ {
-		if g.Degree(v) > 4 {
-			t.Fatalf("tet %d has %d face neighbours (max 4)", v, g.Degree(v))
+		if len(g.Adj[v]) > 4 {
+			t.Fatalf("tet %d has %d face neighbours (max 4)", v, len(g.Adj[v]))
 		}
 		for _, w := range g.Adj[v] {
 			found := false
@@ -127,7 +127,7 @@ func TestBoundaryTetsHaveFewerNeighbors(t *testing.T) {
 	g := Build(m)
 	nBoundary := 0
 	for v := 0; v < g.N; v++ {
-		if g.Degree(v) < 4 {
+		if len(g.Adj[v]) < 4 {
 			nBoundary++
 		}
 	}

@@ -23,7 +23,7 @@ type AdaptExecRow struct {
 	Msgs, Words    int64
 	// Ops is the pass's abstract work accounting (par.PredictAdaptOps of
 	// the executed quantities).
-	Ops propagate.Ops
+	Ops machine.Ops
 	// Target/Propagate/Execute/Classify/Total decompose the modeled SP2
 	// adaption time.
 	Target, Propagate, Execute, Classify, Total float64
@@ -44,16 +44,13 @@ type AdaptExecTable struct {
 }
 
 // RunAdaptTable refines the paper mesh with the Local_2 strategy under
-// the given propagation backend ("" = bulksync) for a range of processor
-// counts, reporting the execution anatomy at the given worker knob (≤ 0 =
-// GOMAXPROCS). Each row rebuilds the mesh: the pass mutates it.
-func RunAdaptTable(workers int, propagator string) *AdaptExecTable {
+// the given propagation exchange schedule (see propagate.ByName) for a
+// range of processor counts, reporting the execution anatomy at the given
+// worker knob (≤ 0 = GOMAXPROCS). Each row rebuilds the mesh: the pass
+// mutates it.
+func RunAdaptTable(workers int, prop machine.Exchange) *AdaptExecTable {
 	mdl := machine.SP2()
-	prop, ok := propagate.ByName(propagator, workers)
-	if !ok {
-		panic(fmt.Sprintf("experiments: unknown propagator %q", propagator))
-	}
-	out := &AdaptExecTable{Workers: workers, Propagator: prop.Name()}
+	out := &AdaptExecTable{Workers: workers, Propagator: propagate.Names[prop]}
 	for _, p := range ProcCounts {
 		m := BaseMesh()
 		g := dual.Build(m)

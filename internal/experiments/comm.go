@@ -94,26 +94,19 @@ type CommRow struct {
 
 // CommTable is the high-P communication sweep.
 type CommTable struct {
-	// Only holds the swept subset when the -exchange / -nodesize flags
-	// narrow the axes; empty Exchange string means all three schedules.
+	// Rows holds the swept subset when the -exchange / -nodesize flags
+	// narrow the axes.
 	Rows []CommRow
 }
 
-// RunCommTable charges the synthetic high-P flow sets through the exchange
-// schedules and returns the sweep. exchange narrows the schedule axis to
-// one name ("" sweeps all three); nodesize narrows the ranks-per-node axis
-// (0 sweeps the defaults). The table is purely modeled — no mesh, no
-// goroutines — and byte-identical across runs and worker counts.
-func RunCommTable(exchange string, nodesize int) *CommTable {
-	var schedules []machine.Exchange
-	if exchange == "" {
+// RunCommTable charges the synthetic high-P flow sets through the given
+// exchange schedules (none = all three) and returns the sweep; nodesize
+// narrows the ranks-per-node axis (0 sweeps the defaults). The table is
+// purely modeled — no mesh, no goroutines — and byte-identical across
+// runs and worker counts.
+func RunCommTable(nodesize int, schedules ...machine.Exchange) *CommTable {
+	if len(schedules) == 0 {
 		schedules = []machine.Exchange{machine.ExchangeFlat, machine.ExchangeAggregated, machine.ExchangeHierarchical}
-	} else {
-		x, err := machine.ExchangeByName(exchange)
-		if err != nil {
-			panic(err)
-		}
-		schedules = []machine.Exchange{x}
 	}
 	rpns := commNodes
 	if nodesize > 0 {

@@ -12,7 +12,7 @@ import (
 // — and the aggregated↔hierarchical crossover is visible in the sweep
 // (each schedule wins at least one cell).
 func TestCommTableOrderingAndCrossover(t *testing.T) {
-	tab := RunCommTable("", 0)
+	tab := RunCommTable(0)
 	setup := map[[3]int]float64{}
 	words := map[[2]int]int64{}
 	for _, r := range tab.Rows {
@@ -62,8 +62,8 @@ func TestCommTableOrderingAndCrossover(t *testing.T) {
 // byte-for-byte across GOMAXPROCS settings, so two runs must render
 // identically.
 func TestCommTableDeterministic(t *testing.T) {
-	a := RunCommTable("", 0).String()
-	b := RunCommTable("", 0).String()
+	a := RunCommTable(0).String()
+	b := RunCommTable(0).String()
 	if a != b {
 		t.Fatal("comm table not byte-stable across runs")
 	}
@@ -74,7 +74,7 @@ func TestCommTableDeterministic(t *testing.T) {
 
 // TestCommTableNarrowing checks the -exchange / -nodesize axes.
 func TestCommTableNarrowing(t *testing.T) {
-	tab := RunCommTable("aggregated", 32)
+	tab := RunCommTable(32, machine.ExchangeAggregated)
 	if len(tab.Rows) != len(commProcs) {
 		t.Fatalf("narrowed sweep has %d rows, want %d", len(tab.Rows), len(commProcs))
 	}

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"plum/internal/adapt"
+	"plum/internal/core"
 	"plum/internal/dual"
 	"plum/internal/machine"
 	"plum/internal/mesh"
@@ -445,7 +446,7 @@ func RunFig12() *Fig12 {
 			f.Curves[s] = append(f.Curves[s], Fig12Point{
 				P:           p,
 				Improvement: float64(res.WmaxOld) / float64(res.WmaxNew),
-				Bound:       8 * float64(p) / (float64(p) + 7),
+				Bound:       core.ImprovementBound(p),
 			})
 		}
 	}

@@ -213,7 +213,7 @@ func TestPartitionerTableClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale comparison (runs the Lanczos backends)")
 	}
-	tb := RunPartitionerTable(16, 0, "")
+	tb := RunPartitionerTable(16, 0, nil)
 	if len(tb.Rows) != len(partition.Methods) {
 		t.Fatalf("table has %d rows, want %d", len(tb.Rows), len(partition.Methods))
 	}

@@ -7,6 +7,7 @@ import (
 
 	"plum/internal/adapt"
 	"plum/internal/dual"
+	"plum/internal/machine"
 	"plum/internal/partition"
 	"plum/internal/refine"
 )
@@ -23,7 +24,7 @@ type PartitionerRow struct {
 	IncrementalSeconds float64
 	// Ops is the backend's abstract op accounting — the figure charged to
 	// the remap acceptance rule. Nonzero for every backend.
-	Ops partition.Ops
+	Ops machine.Ops
 	// Imbalance is the paper's load-imbalance factor Wmax/Wavg.
 	Imbalance float64
 	// EdgeCut is the number of dual edges crossing partition boundaries.
@@ -45,11 +46,11 @@ type PartitionerTable struct {
 // RunPartitionerTable measures all backends on the Local_2-adapted paper
 // mesh, partitioning into k parts (k < 1 is treated as 1) with the given
 // worker knob for the parallel SFC and refinement phases (≤ 0 =
-// GOMAXPROCS). A named refinement backend is forced on every
-// partitioner; "" leaves each backend its own default (refine.Default —
-// band-FM when the graph and knob would run it parallel, classic FM
-// otherwise and always inside Multilevel).
-func RunPartitionerTable(k, workers int, refiner string) *PartitionerTable {
+// GOMAXPROCS). A non-nil refinement backend is forced on every
+// partitioner; nil leaves each its own default (refine.Default, the
+// band-FM, for the SFC methods and graphgrow; classic FM inside
+// multilevel).
+func RunPartitionerTable(k, workers int, forced refine.Refiner) *PartitionerTable {
 	if k < 1 {
 		k = 1
 	}
@@ -60,19 +61,13 @@ func RunPartitionerTable(k, workers int, refiner string) *PartitionerTable {
 	a.Refine()
 	g.UpdateWeights(m)
 
-	// "" leaves every backend its own default refiner; a concrete name is
-	// forced on all of them. The incremental exhibit refines with the SFC
-	// path's adaptive default unless a name was forced.
-	var forced refine.Refiner
+	// The incremental exhibit refines with the SFC path's default unless
+	// a backend was forced.
 	label := "auto"
-	if refiner != "" {
-		if r, ok := refine.ByName(refiner, workers); ok {
-			forced = r
-			label = r.Name()
-		}
-	}
 	incR := forced
-	if incR == nil {
+	if forced != nil {
+		label = forced.Name()
+	} else {
 		incR = refine.Default(g.N, workers)
 	}
 	opt := partition.Options{Workers: workers, Refiner: forced}

@@ -23,7 +23,7 @@ type RemapExecRow struct {
 	WordsMoved int64
 	// Ops is the scatter/pack/unpack accounting (par.PredictRemapOps of
 	// the executed quantities).
-	Ops par.Ops
+	Ops machine.Ops
 	// PackTime/CommTime/RebuildTime/Total decompose the modeled SP2
 	// remapping overhead.
 	PackTime, CommTime, RebuildTime, Total float64

@@ -106,11 +106,6 @@ func (b AABB) Center() Vec3 { return b.Min.Mid(b.Max) }
 // Size returns the per-axis extents of the box.
 func (b AABB) Size() Vec3 { return b.Max.Sub(b.Min) }
 
-// Empty reports whether the box contains no points.
-func (b AABB) Empty() bool {
-	return b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z
-}
-
 // Sphere is a ball in R^3, used to describe the Local_1 adaption region.
 type Sphere struct {
 	Center Vec3
@@ -182,15 +177,4 @@ func TetAspectRatio(a, b, c, d Vec3) float64 {
 		return math.Inf(1)
 	}
 	return longest / shortest
-}
-
-// TriArea returns the area of the triangle (a, b, c).
-func TriArea(a, b, c Vec3) float64 {
-	return 0.5 * b.Sub(a).Cross(c.Sub(a)).Norm()
-}
-
-// TriNormal returns the (unnormalized) normal of the triangle (a, b, c)
-// with right-hand orientation.
-func TriNormal(a, b, c Vec3) Vec3 {
-	return b.Sub(a).Cross(c.Sub(a))
 }

@@ -144,15 +144,12 @@ func TestAABB(t *testing.T) {
 	if !b.Contains(b.Min) || !b.Contains(b.Max) {
 		t.Error("boundary points must be contained")
 	}
-	if b.Empty() {
-		t.Error("non-empty box reported empty")
-	}
 	e := EmptyAABB()
-	if !e.Empty() {
-		t.Error("EmptyAABB not empty")
+	if e.Contains(Vec3{}) || e.Contains(b.Min) {
+		t.Error("EmptyAABB contains a point")
 	}
 	e2 := e.Extend(Vec3{1, 1, 1})
-	if e2.Empty() || !e2.Contains(Vec3{1, 1, 1}) {
+	if e2.Min != (Vec3{1, 1, 1}) || e2.Max != (Vec3{1, 1, 1}) || !e2.Contains(Vec3{1, 1, 1}) {
 		t.Error("Extend of empty box")
 	}
 	u := b.Union(NewAABB(Vec3{-1, -1, -1}, Vec3{0, 0, 0}))
@@ -181,16 +178,5 @@ func TestAllRegion(t *testing.T) {
 	var r Region = All{}
 	if !r.Contains(Vec3{1e30, -1e30, 0}) {
 		t.Error("All must contain everything")
-	}
-}
-
-func TestTriAreaNormal(t *testing.T) {
-	a, b, c := Vec3{}, Vec3{2, 0, 0}, Vec3{0, 2, 0}
-	if got := TriArea(a, b, c); !almostEq(got, 2, 1e-15) {
-		t.Errorf("TriArea = %v", got)
-	}
-	n := TriNormal(a, b, c)
-	if n != (Vec3{0, 0, 4}) {
-		t.Errorf("TriNormal = %v", n)
 	}
 }

@@ -14,8 +14,7 @@ import (
 //     O(P) per rank at high connectivity.
 //   - ExchangeAggregated: each source packs all of its outgoing flows
 //     into one combined frame and pays a single setup; destinations
-//     drain at the per-word rate (mirrors propagate.Aggregated). Setups
-//     scale O(P) total per round.
+//     drain at the per-word rate. Setups scale O(P) total per round.
 //   - ExchangeHierarchical: a two-level per-node schedule — ranks gather
 //     combined frames to their node leader, leaders exchange one
 //     combined frame per communicating node pair, leaders scatter
@@ -112,14 +111,6 @@ func (m Model) SetupTime(src, dst int) float64 {
 	return m.Tsetup
 }
 
-// WordTime returns the per-word copy time of the (src, dst) link.
-func (m Model) WordTime(src, dst int) float64 {
-	if m.Topo.SameNode(src, dst) {
-		return m.Topo.IntraTlat
-	}
-	return m.Tlat
-}
-
 // ChargeFlows bills the clock for moving the flows under the given
 // exchange schedule and returns the charge breakdown. Flows must be in
 // canonical src-major order; charges are applied in a deterministic
@@ -164,75 +155,48 @@ func (m Model) chargeFlat(clk *Clock, flows []Flow, retry RetryFunc) ExchangeCha
 }
 
 // chargeAggregated bills one combined message per active source and a
-// per-word drain on every destination. The flat-topology branch keeps the
-// exact expressions of the legacy propagate.Aggregated backend —
-// MsgTime over the int64 total, in[r]·Tlat drain — so existing charges
-// stay bit-identical; the node-topology branch prices each flow's words
-// at its own link rate and discounts the setup to IntraTsetup when a
-// source's every destination shares its node.
+// per-word drain on every destination. Each rank's words are totalled per
+// link level as integers and each total is priced once, so on a flat
+// topology — where the intra total is exactly zero — the charges are the
+// plain MsgTime over the source's combined total and total·Tlat drain. On
+// a node topology the setup drops to IntraTsetup when a source's every
+// destination shares its node.
 func (m Model) chargeAggregated(clk *Clock, flows []Flow, retry RetryFunc) ExchangeCharge {
 	p := clk.P()
 	var ch ExchangeCharge
-	if m.Topo.Flat() {
-		out := make([]int64, p)
-		in := make([]int64, p)
-		for _, f := range flows {
-			out[f.Src] += f.Words
-			in[f.Dst] += f.Words
-			ch.Words += f.Words
-			ch.InterWords += f.Words
-		}
-		for r := 0; r < p; r++ {
-			if out[r] > 0 {
-				clk.Add(r, m.MsgTime(out[r]))
-				ch.Msgs++
-				ch.SetupTime += m.Tsetup
-				if retry != nil {
-					retry(int32(r), CombinedDst, out[r])
-				}
-			}
-			if in[r] > 0 {
-				clk.Add(r, float64(in[r])*m.Tlat)
-			}
-		}
-		return ch
-	}
-	out := make([]int64, p)
-	sendT := make([]float64, p)
-	drainT := make([]float64, p)
-	allIntra := make([]bool, p)
-	for i := range allIntra {
-		allIntra[i] = true
-	}
+	type traffic struct{ inter, intra int64 }
+	out := make([]traffic, p)
+	in := make([]traffic, p)
 	for _, f := range flows {
-		src, dst := int(f.Src), int(f.Dst)
-		wt := m.WordTime(src, dst)
-		sendT[src] += float64(f.Words) * wt
-		drainT[dst] += float64(f.Words) * wt
-		out[src] += f.Words
 		ch.Words += f.Words
-		if m.Topo.SameNode(src, dst) {
+		if m.Topo.SameNode(int(f.Src), int(f.Dst)) {
+			out[f.Src].intra += f.Words
+			in[f.Dst].intra += f.Words
 			ch.IntraWords += f.Words
 		} else {
-			allIntra[src] = false
+			out[f.Src].inter += f.Words
+			in[f.Dst].inter += f.Words
 			ch.InterWords += f.Words
 		}
 	}
+	wordTime := func(t traffic) float64 {
+		return float64(t.inter)*m.Tlat + float64(t.intra)*m.Topo.IntraTlat
+	}
 	for r := 0; r < p; r++ {
-		if out[r] > 0 {
+		if words := out[r].inter + out[r].intra; words > 0 {
 			setup := m.Tsetup
-			if allIntra[r] {
+			if out[r].inter == 0 {
 				setup = m.Topo.IntraTsetup
 			}
-			clk.Add(r, setup+sendT[r])
+			clk.Add(r, setup+wordTime(out[r]))
 			ch.Msgs++
 			ch.SetupTime += setup
 			if retry != nil {
-				retry(int32(r), CombinedDst, out[r])
+				retry(int32(r), CombinedDst, words)
 			}
 		}
-		if drainT[r] > 0 {
-			clk.Add(r, drainT[r])
+		if in[r].inter+in[r].intra > 0 {
+			clk.Add(r, wordTime(in[r]))
 		}
 	}
 	return ch

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 )
@@ -190,4 +192,49 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 		}
 	}
 	return nil
+}
+
+// TraceFormats lists the -trace-format spellings WriteFiles accepts.
+var TraceFormats = []string{"perfetto", "jsonl"}
+
+// WriteFiles is the CLIs' exit-path flush: it writes the trace to
+// tracePath in the named format and the metrics dump to metricsPath. A
+// nil sink skips its file. Both files are attempted; the errors come back
+// joined, each labelled with its sink.
+func WriteFiles(tracePath, format string, tr *Trace, metricsPath string, reg *Registry) error {
+	var terr, merr error
+	if tr != nil {
+		switch format {
+		case "perfetto":
+			terr = writeFile(tracePath, func(w io.Writer) error { return WritePerfetto(w, tr) })
+		case "jsonl":
+			terr = writeFile(tracePath, func(w io.Writer) error { return WriteJSONL(w, tr) })
+		default:
+			terr = fmt.Errorf("unknown format %q (have %v)", format, TraceFormats)
+		}
+	}
+	if reg != nil {
+		merr = writeFile(metricsPath, func(w io.Writer) error { return WritePrometheus(w, reg) })
+	}
+	if terr != nil {
+		terr = fmt.Errorf("trace: %w", terr)
+	}
+	if merr != nil {
+		merr = fmt.Errorf("metrics: %w", merr)
+	}
+	return errors.Join(terr, merr)
+}
+
+// writeFile creates path and streams one export into it, reporting
+// create, write, and close errors alike.
+func writeFile(path string, write func(io.Writer) error) error {
+	fh, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(fh); err != nil {
+		fh.Close()
+		return err
+	}
+	return fh.Close()
 }

@@ -106,14 +106,6 @@ func (t *Trace) Now() float64 {
 	return t.now
 }
 
-// Seek moves the modeled-time cursor to ts.
-func (t *Trace) Seek(ts float64) {
-	if t == nil {
-		return
-	}
-	t.now = ts
-}
-
 // Advance moves the modeled-time cursor forward by d seconds.
 func (t *Trace) Advance(d float64) {
 	if t == nil {

@@ -33,8 +33,7 @@ type AdaptTimings struct {
 	// CommRounds is the number of propagation supersteps.
 	CommRounds int
 	// Msgs and Words count the propagation + classification traffic
-	// under the propagation backend's exchange model (see
-	// propagate.BulkSync and propagate.Aggregated). SetupTime is the
+	// under the propagation exchange schedule (Dist.Prop). SetupTime is the
 	// summed modeled message-setup slice of those charges, reported
 	// separately so the setup/volume split is visible alongside the remap
 	// executor's.
@@ -47,7 +46,7 @@ type AdaptTimings struct {
 	// (PredictAdaptOps of the phase quantities): Total and MemTotal are
 	// worker-invariant, Crit/MemCrit reflect the effective worker count
 	// actually used (Crit == Total on the serial fallbacks).
-	Ops propagate.Ops
+	Ops machine.Ops
 	// Retries, Backoff, and Exhausted are the modeled retry traffic a
 	// fault plan (Dist.Faults) injected into this pass's notification
 	// exchanges: extra message sends, Σ 2^try backoff units (charged at
@@ -57,38 +56,20 @@ type AdaptTimings struct {
 	Retries, Backoff, Exhausted int64
 }
 
-// propagator resolves the frontier-propagation backend: the Prop knob, or
-// BulkSync at the Dist's worker knob when unset.
-func (d *Dist) propagator() propagate.Propagator {
-	if d.Prop != nil {
-		return d.Prop
-	}
-	return propagate.NewBulkSync(d.Workers)
-}
-
-// adaptFaults arms prop with the cycle's modeled exchange-fault model and
-// returns it — nil when faults are off or the backend is not fault-aware.
-// One model spans the whole fault cycle (refine and coarsen continue the
-// same per-pair attempt sequence, so their draws are independent); when
-// faults are off the backend is explicitly disarmed, so a backend shared
-// across Dists or cycles never carries a stale model into a pass that
-// must stay byte-identical to the fault-free baseline.
-func (d *Dist) adaptFaults(prop propagate.Propagator) *fault.ExchangeModel {
-	fa, ok := prop.(propagate.FaultAware)
-	if !ok {
-		return nil
-	}
+// engine builds the pass's frontier-propagation engine: the Prop schedule
+// at the Dist's worker knob, with the cycle's modeled exchange-fault model
+// when the plan is on. One model spans the whole fault cycle (refine and
+// coarsen continue the same per-pair attempt sequence, so their draws are
+// independent); with faults off the engine carries none, so the pass stays
+// byte-identical to the fault-free baseline.
+func (d *Dist) engine() propagate.Engine {
 	if !d.Faults.Enabled() {
-		fa.SetFaults(nil)
 		d.adaptX = nil
-		return nil
-	}
-	if d.adaptX == nil || d.adaptXCycle != d.FaultCycle {
+	} else if d.adaptX == nil || d.adaptXCycle != d.FaultCycle {
 		d.adaptX = d.Faults.Exchange(fault.StageAdapt, d.FaultCycle, d.Retry.Normalize().MsgAttempts)
 		d.adaptXCycle = d.FaultCycle
 	}
-	fa.SetFaults(d.adaptX)
-	return d.adaptX
+	return propagate.Engine{Exchange: d.Prop, Workers: d.Workers, Faults: d.adaptX}
 }
 
 // faultTrace snapshots an ExchangeModel's cumulative counters so a pass
@@ -211,7 +192,7 @@ func (d *Dist) perRankCounts(lo, hi int, visit func(i int, cnt []int64, buf *[]i
 // slab scans resolve their worker count against par.SerialCutoff (the
 // engine's rounds already carry theirs against propagate.SerialCutoff),
 // so a serial host or a small mesh reports Crit == Total.
-func PredictAdaptOps(nEdges, nElems, mutations, classified int64, prop propagate.Result, workers int) propagate.Ops {
+func PredictAdaptOps(nEdges, nElems, mutations, classified int64, prop propagate.Result, workers int) machine.Ops {
 	o := prop.Ops
 	ewE := EffectiveWorkers(int(nEdges), workers)
 	ewN := EffectiveWorkers(int(nElems), workers)
@@ -247,8 +228,8 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	var tm AdaptTimings
 	m := d.M
 	clk := machine.NewClock(d.P)
-	prop := d.propagator()
-	xm := d.adaptFaults(prop)
+	prop := d.engine()
+	xm := prop.Faults
 	trace := snapshotFaults(xm)
 
 	// --- Target phase: error indicator over local edges. ---
@@ -409,8 +390,8 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	var tm AdaptTimings
 	m := d.M
 	clk := machine.NewClock(d.P)
-	prop := d.propagator()
-	xm := d.adaptFaults(prop)
+	prop := d.engine()
+	xm := prop.Faults
 	trace := snapshotFaults(xm)
 
 	localEdges, _ := d.EdgeCensus()

@@ -13,7 +13,7 @@ import (
 // runAdaptFaultPass is runAdaptPass with a fault plan armed on the Dist:
 // the adaption notification exchanges draw modeled faults and the passes
 // report the retry traffic in AdaptTimings.
-func runAdaptFaultPass(t testing.TB, p, w int, prop propagate.Propagator, plan *fault.Plan, cycle int) adaptRun {
+func runAdaptFaultPass(t testing.TB, p, w int, prop machine.Exchange, plan *fault.Plan, cycle int) adaptRun {
 	t.Helper()
 	d, a := adaptFixture(t, p, w, prop)
 	d.Faults = plan
@@ -51,14 +51,11 @@ func TestAdaptFaultCharges(t *testing.T) {
 	plan := &fault.Plan{Seed: 2026, Rate: 0.3}
 	for _, name := range propagate.Names {
 		t.Run(name, func(t *testing.T) {
-			mk := func(w int) propagate.Propagator {
-				prop, _ := propagate.ByName(name, w)
-				return prop
-			}
-			clean := runAdaptPass(t, p, 1, mk(1))
+			prop, _ := propagate.ByName(name)
+			clean := runAdaptPass(t, p, 1, prop)
 			var first adaptRun
 			for i, w := range []int{1, 2, 4} {
-				got := runAdaptFaultPass(t, p, w, mk(w), plan, 1)
+				got := runAdaptFaultPass(t, p, w, prop, plan, 1)
 				if got.RefineSt != clean.RefineSt || got.CoarsenSt != clean.CoarsenSt ||
 					got.Elems != clean.Elems || got.Edges != clean.Edges {
 					t.Fatalf("workers=%d: fault plan changed the adaption result", w)
@@ -94,21 +91,21 @@ func TestAdaptFaultCharges(t *testing.T) {
 }
 
 // TestAdaptZeroRatePlanIsClean pins byte parity at the adaption level: a
-// present-but-empty plan must disarm the backend and reproduce the
-// fault-free timings exactly, and two different fault cycles over the
+// present-but-empty plan must leave the engine without a fault model and
+// reproduce the fault-free timings exactly, and two different fault cycles over the
 // same plan must draw different schedules.
 func TestAdaptZeroRatePlanIsClean(t *testing.T) {
 	const p = 8
-	prop := func() propagate.Propagator { pr, _ := propagate.ByName("bulksync", 2); return pr }
-	clean := runAdaptPass(t, p, 2, prop())
-	zero := runAdaptFaultPass(t, p, 2, prop(), &fault.Plan{Seed: 1, Rate: 0}, 1)
+	const prop = machine.ExchangeFlat
+	clean := runAdaptPass(t, p, 2, prop)
+	zero := runAdaptFaultPass(t, p, 2, prop, &fault.Plan{Seed: 1, Rate: 0}, 1)
 	if !reflect.DeepEqual(zero, clean) {
 		t.Errorf("zero-rate plan changed the adaption:\n got %+v\nwant %+v", zero, clean)
 	}
 
 	plan := &fault.Plan{Seed: 11, Rate: 0.4}
-	c1 := runAdaptFaultPass(t, p, 2, prop(), plan, 1)
-	c2 := runAdaptFaultPass(t, p, 2, prop(), plan, 2)
+	c1 := runAdaptFaultPass(t, p, 2, prop, plan, 1)
+	c2 := runAdaptFaultPass(t, p, 2, prop, plan, 2)
 	if c1.RefineTm.Retries == c2.RefineTm.Retries && c1.RefineTm.Backoff == c2.RefineTm.Backoff &&
 		c1.CoarsenTm.Backoff == c2.CoarsenTm.Backoff {
 		t.Error("two fault cycles drew identical retry schedules")

@@ -16,8 +16,8 @@ import (
 // adaptFixture distributes a parallel-scale box mesh (large enough to
 // engage the chunked slab scans and, with dense marks, the engine's
 // parallel frontier rounds) over p ranks with the given worker knob and
-// propagation backend.
-func adaptFixture(t testing.TB, p, w int, prop propagate.Propagator) (*Dist, *adapt.Adaptor) {
+// propagation exchange schedule.
+func adaptFixture(t testing.TB, p, w int, prop machine.Exchange) (*Dist, *adapt.Adaptor) {
 	t.Helper()
 	m := meshgen.Box(12, 12, 12, geom.Vec3{X: 1, Y: 1, Z: 1}) // 10368 elements
 	g := dual.Build(m)
@@ -38,7 +38,7 @@ type adaptRun struct {
 	Edges     int
 }
 
-func runAdaptPass(t testing.TB, p, w int, prop propagate.Propagator) adaptRun {
+func runAdaptPass(t testing.TB, p, w int, prop machine.Exchange) adaptRun {
 	t.Helper()
 	d, a := adaptFixture(t, p, w, prop)
 	var out adaptRun
@@ -71,14 +71,11 @@ func TestAdaptWorkerParity(t *testing.T) {
 	const p = 8
 	for _, name := range propagate.Names {
 		t.Run(name, func(t *testing.T) {
-			mk := func(w int) propagate.Propagator {
-				prop, ok := propagate.ByName(name, w)
-				if !ok {
-					t.Fatalf("unknown backend %q", name)
-				}
-				return prop
+			prop, ok := propagate.ByName(name)
+			if !ok {
+				t.Fatalf("unknown backend %q", name)
 			}
-			ref := runAdaptPass(t, p, 1, mk(1))
+			ref := runAdaptPass(t, p, 1, prop)
 			if ref.RefineTm.Ops.Crit != ref.RefineTm.Ops.Total ||
 				ref.CoarsenTm.Ops.Crit != ref.CoarsenTm.Ops.Total {
 				t.Fatalf("workers=1 must report Crit == Total: refine %+v coarsen %+v",
@@ -88,7 +85,7 @@ func TestAdaptWorkerParity(t *testing.T) {
 				t.Fatalf("fixture exchanged nothing interesting: %+v", ref.RefineTm)
 			}
 			for _, w := range []int{2, 4, 8} {
-				got := runAdaptPass(t, p, w, mk(w))
+				got := runAdaptPass(t, p, w, prop)
 				if got.RefineSt != ref.RefineSt || got.CoarsenSt != ref.CoarsenSt {
 					t.Errorf("workers=%d: kernel stats diverge", w)
 				}
@@ -126,8 +123,7 @@ func TestAdaptWorkerParity(t *testing.T) {
 // accumulate in sorted (src, dst) pair order and must be bit-identical.
 func TestAdaptChargeDeterministic(t *testing.T) {
 	run := func() adaptRun {
-		prop, _ := propagate.ByName("bulksync", 4)
-		return runAdaptPass(t, 8, 4, prop)
+		return runAdaptPass(t, 8, 4, machine.ExchangeFlat)
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -159,13 +155,13 @@ func TestAdaptSerialFallbackCritEqualsTotal(t *testing.T) {
 	}
 }
 
-// TestAggregatedBatchesMessages pins the point of the Aggregated backend:
-// identical word volume, strictly fewer messages than the per-pair
-// BulkSync exchange on a fixture with real rank fan-out.
+// TestAggregatedBatchesMessages pins the point of the aggregated
+// schedule: identical word volume, strictly fewer messages than the
+// per-pair bulksync exchange on a fixture with real rank fan-out.
 func TestAggregatedBatchesMessages(t *testing.T) {
 	const p = 8
-	bulk := runAdaptPass(t, p, 2, propagate.NewBulkSync(2))
-	agg := runAdaptPass(t, p, 2, propagate.NewAggregated(2))
+	bulk := runAdaptPass(t, p, 2, machine.ExchangeFlat)
+	agg := runAdaptPass(t, p, 2, machine.ExchangeAggregated)
 	if bulk.RefineSt != agg.RefineSt || bulk.Elems != agg.Elems {
 		t.Fatal("backends must not change the adaption result")
 	}

@@ -26,7 +26,6 @@ import (
 	"plum/internal/mesh"
 	"plum/internal/obs"
 	"plum/internal/partition"
-	"plum/internal/propagate"
 )
 
 // Dist is a distributed view: a mesh plus processor ownership of each
@@ -44,10 +43,11 @@ type Dist struct {
 	// worker count.
 	Workers int
 
-	// Prop selects the frontier-propagation backend driving
-	// ParallelRefine and ParallelCoarsen (see internal/propagate). nil
-	// means BulkSync at the Dist's worker knob.
-	Prop propagate.Propagator
+	// Prop is the exchange schedule of the adaption passes' notification
+	// traffic — the propagation rounds, the classification round and the
+	// coarsening consistency exchange (see internal/propagate). The zero
+	// value, flat, is the paper's bulksync: one message per rank pair.
+	Prop machine.Exchange
 
 	// Exchange selects the communication schedule of the remap payload
 	// exchange — flat (legacy, the zero value), aggregated, or
@@ -99,7 +99,7 @@ type Dist struct {
 	// adaptX is the cycle's modeled fault model for the adaption
 	// notification exchanges, rebuilt when FaultCycle advances: refine and
 	// coarsen within one cycle continue the same per-pair attempt
-	// sequence, so their fault draws stay independent (see adaptFaults).
+	// sequence, so their fault draws stay independent (see engine).
 	adaptX      *fault.ExchangeModel
 	adaptXCycle int
 
@@ -191,27 +191,6 @@ func (d *Dist) MarkDead(ranks []int) {
 	}
 }
 
-// HasDead reports whether any rank has been lost.
-func (d *Dist) HasDead() bool {
-	for _, dd := range d.dead {
-		if dd {
-			return true
-		}
-	}
-	return false
-}
-
-// DeadRanks returns the lost ranks, sorted ascending (nil when none).
-func (d *Dist) DeadRanks() []int {
-	var out []int
-	for r, dd := range d.dead {
-		if dd {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Alive returns the surviving ranks, sorted ascending. With no deaths it
 // is simply [0, P).
 func (d *Dist) Alive() []int32 {
@@ -243,23 +222,10 @@ func (d *Dist) SetOwners(o []int32) {
 	d.setOwners(o)
 }
 
-// DualOf returns the dual index of element el's root.
-func (d *Dist) DualOf(el mesh.ElemID) int32 {
-	r := d.M.Elems[el].Root
-	dv := d.rootDual[r]
-	if dv < 0 {
-		panic("par: element root is not a dual vertex")
-	}
-	return dv
-}
-
 // OwnerOf returns the processor owning element el (the owner of its root's
 // tree — all descendants move with the root, per the paper's Wremap
 // rationale).
 func (d *Dist) OwnerOf(el mesh.ElemID) int32 { return d.rootOwner[d.M.Elems[el].Root] }
-
-// ApplyCompact updates the root index after a mesh compaction.
-func (d *Dist) ApplyCompact() { d.rebuildRootIndex() }
 
 // EdgeSPL returns the sorted shared-processor list of edge e: the owners
 // of all active elements sharing it. A len > 1 list marks a shared edge.

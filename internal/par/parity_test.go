@@ -104,7 +104,7 @@ func TestSFCPartitionParity(t *testing.T) {
 		// Distributed over an SFC partition.
 		m := meshgen.SmallBox()
 		g := dual.Build(m)
-		s := partition.NewSFC(g, curve)
+		s := partition.NewSFCWorkers(g, curve, 0)
 		asg := s.Repartition(g, p)
 		refine.NewBandFM(0).Refine(g, asg, p, 2)
 		d := NewDist(m, p, asg)

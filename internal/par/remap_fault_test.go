@@ -116,7 +116,7 @@ func TestRemapRollbackRestoresOwnership(t *testing.T) {
 		if !errors.As(err, &re) {
 			t.Fatalf("streaming=%v: error %v is not a *RemapError", streaming, err)
 		}
-		if re.Failure != FailTransfer || !re.RolledBack || !re.Retryable() {
+		if re.Failure != FailTransfer || !re.RolledBack {
 			t.Fatalf("streaming=%v: unexpected failure %+v", streaming, re)
 		}
 		if re.Tries != 2 {

@@ -105,11 +105,6 @@ func (e *RemapError) Error() string {
 	return s
 }
 
-// Retryable reports whether the failure is the kind the transaction layer
-// retries (transport-level transfer failures, as opposed to structural
-// corruption).
-func (e *RemapError) Retryable() bool { return e.Failure == FailTransfer }
-
 // remapErrFrom classifies a comm.World.Run error into a rolled-back
 // RemapError: modeled rank deaths become FailCrash carrying the dead
 // ranks (so core can run survivor recovery), blown stage deadlines

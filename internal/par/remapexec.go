@@ -54,7 +54,7 @@ type RemapResult struct {
 	// Total is worker-invariant, Crit the critical-path share at the
 	// effective worker count actually used (Crit == Total on the serial
 	// fallback below SerialCutoff elements).
-	Ops Ops
+	Ops machine.Ops
 	// Retries and RetryWords count the extra physical frames (and their
 	// payload words, in record words on the wire) the reliable exchange
 	// sent recovering injected faults; WindowRetries the window

@@ -14,6 +14,7 @@ package par
 
 import (
 	"plum/internal/chunk"
+	"plum/internal/machine"
 	"plum/internal/mesh"
 )
 
@@ -173,9 +174,9 @@ func (fi *flowIndex) packRange(m *mesh.Mesh, rootDual []int32, f0, f1 int, buf [
 // the scatter work to the acceptance rule's cost side before deciding
 // whether to execute the remap; an executed remap then reports the same
 // figures in RemapResult.Ops.
-func PredictRemapOps(nElems int, moved int64, sets, p, workers int) Ops {
+func PredictRemapOps(nElems int, moved int64, sets, p, workers int) machine.Ops {
 	ew := EffectiveWorkers(nElems, workers)
-	var o Ops
+	var o machine.Ops
 	// Pass 1: the chunked count scan streams the element slab
 	// (compute-bound); the per-chunk flow tables fold into the workers'
 	// scans, so Total is identical at every worker count.

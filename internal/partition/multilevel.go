@@ -6,26 +6,21 @@ import (
 
 	"plum/internal/dual"
 	"plum/internal/geom"
+	"plum/internal/machine"
 	"plum/internal/refine"
 )
 
-// Multilevel partitions by the Chaco-style multilevel scheme: the dual
-// graph is coarsened by repeated edge matchings until it is small, the
-// coarse graph is partitioned spectrally, and the partition is projected
-// back up with boundary refinement at every level.
-func Multilevel(g *dual.Graph, k int) Assignment {
-	asg, _ := multilevelCounted(g, k, Options{Seed: 1})
-	return asg
-}
-
-// multilevelCounted is Multilevel with op accounting: the matching and
-// edge-collapse work of every coarsening level, the spectral solve on the
-// coarsest graph, and the projection plus boundary refinement of every
-// uncoarsening level. The scheme itself is serial (only the configured
+// multilevelCounted partitions by the Chaco-style multilevel scheme: the
+// dual graph is coarsened by repeated edge matchings until it is small,
+// the coarse graph is partitioned spectrally, and the partition is
+// projected back up with boundary refinement at every level. It counts
+// the matching and edge-collapse work of every coarsening level, the
+// spectral solve on the coarsest graph, and the projection plus boundary
+// refinement of every uncoarsening level. The scheme itself is serial (only the configured
 // refiner's passes may parallelize, on levels big enough to engage it).
 // opt.Seed offsets the per-level matching RNG; seed 1 reproduces the
 // historical level-index seeding.
-func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, Ops) {
+func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.Ops) {
 	const coarseTarget = 200
 	target := coarseTarget
 	if 4*k > target {
@@ -40,7 +35,7 @@ func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, Ops) {
 		r = refine.FM{}
 	}
 
-	var ops Ops
+	var ops machine.Ops
 
 	// Coarsening chain.
 	type level struct {
@@ -62,7 +57,7 @@ func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, Ops) {
 	// Initial partition of the coarsest graph.
 	asg, sops := spectralCounted(cur, k)
 	ops.Add(sops)
-	ops.AddMem(r.Refine(cur, asg, k, 4))
+	ops.Add(r.Refine(cur, asg, k, 4))
 
 	// Uncoarsen with refinement.
 	for li := len(levels) - 1; li >= 1; li-- {
@@ -74,7 +69,7 @@ func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, Ops) {
 		}
 		asg = fineAsg
 		ops.AddSerial(int64(fine.N))
-		ops.AddMem(r.Refine(fine, asg, k, 2))
+		ops.Add(r.Refine(fine, asg, k, 2))
 	}
 	return asg, ops
 }

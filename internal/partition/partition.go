@@ -2,15 +2,16 @@
 // graph, standing in for the Chaco package the paper uses ("multilevel
 // spectral Lanczos partitioning algorithm with local Kernighan-Lin
 // refinement"). The paper treats the partitioner as a pluggable black box;
-// this package supplies the same family:
+// this package supplies the same family, selected by Method:
 //
-//   - GraphGrow:  greedy BFS graph growing (fast, moderate quality);
-//   - InertialRB: recursive coordinate bisection along principal axes;
-//   - SpectralRB: recursive spectral bisection using Lanczos Fiedler
-//     vectors (internal/sparse);
-//   - Multilevel: matching-based coarsening, spectral partitioning of the
-//     coarse graph, and Kernighan–Lin/Fiduccia–Mattheyses boundary
-//     refinement during uncoarsening — the Chaco-style default.
+//   - graphgrow:  greedy BFS graph growing (fast, moderate quality);
+//   - inertial:   recursive coordinate bisection along principal axes;
+//   - multilevel: matching-based coarsening, recursive spectral bisection
+//     of the coarse graph (Lanczos Fiedler vectors, internal/sparse), and
+//     Kernighan–Lin/Fiduccia–Mattheyses boundary refinement during
+//     uncoarsening — the Chaco-style default;
+//   - morton, hilbert: weighted cuts of a space-filling-curve ordering
+//     (sfc.go).
 //
 // All partitioners balance the dual graph's computational weights Wcomp.
 package partition
@@ -22,6 +23,7 @@ import (
 
 	"plum/internal/dual"
 	"plum/internal/geom"
+	"plum/internal/machine"
 	"plum/internal/refine"
 	"plum/internal/sfc"
 	"plum/internal/sparse"
@@ -81,7 +83,6 @@ type Method int
 const (
 	MethodGraphGrow Method = iota
 	MethodInertial
-	MethodSpectral
 	MethodMultilevel
 	// MethodMortonSFC and MethodHilbertSFC cut a space-filling-curve
 	// ordering of the element centroids into weighted chunks (see sfc.go):
@@ -94,7 +95,7 @@ const (
 // Methods lists every available partitioner, in declaration order — the
 // iteration table for experiments, benchmarks, and CLI validation.
 var Methods = []Method{
-	MethodGraphGrow, MethodInertial, MethodSpectral, MethodMultilevel,
+	MethodGraphGrow, MethodInertial, MethodMultilevel,
 	MethodMortonSFC, MethodHilbertSFC,
 }
 
@@ -105,8 +106,6 @@ func (m Method) String() string {
 		return "graphgrow"
 	case MethodInertial:
 		return "inertial"
-	case MethodSpectral:
-		return "spectral"
 	case MethodMultilevel:
 		return "multilevel"
 	case MethodMortonSFC:
@@ -151,12 +150,10 @@ type Options struct {
 	Seed int64
 	// Refiner is the boundary-refinement backend applied by the backends
 	// that smooth their cuts (GraphGrow, Multilevel, the SFC methods).
-	// nil selects each backend's own default: refine.Default — the
-	// deterministic band-limited parallel FM when the graph and worker
-	// knob would actually run it parallel, the classic serial sweep
-	// otherwise — for the SFC pipeline and GraphGrow, and always the
-	// classic sweep for Multilevel (whose per-level graphs are small and
-	// serial). A non-nil value wins everywhere.
+	// nil selects each backend's own default: refine.Default (the
+	// deterministic band-limited FM) for the SFC pipeline and GraphGrow,
+	// the classic serial sweep for Multilevel (whose per-level graphs are
+	// small and serial). A non-nil value wins everywhere.
 	Refiner refine.Refiner
 }
 
@@ -168,45 +165,6 @@ func (o Options) refinerFor(n int) refine.Refiner {
 		return o.Refiner
 	}
 	return refine.Default(n, o.Workers)
-}
-
-// Ops is the abstract work accounting of one partitioning call, charged
-// to the remap acceptance rule via machine.Model.AlgOp.
-type Ops struct {
-	// Total is the op count summed over all workers — the energy/work
-	// side, and what a serial machine would pay.
-	Total int64
-	// Crit is the critical-path op count: the slowest worker's share plus
-	// the serial merge terms. Equals Total for fully serial work.
-	Crit int64
-	// MemTotal and MemCrit are the memory-bound (scatter-dominated) share
-	// of Total and Crit — today the boundary-refinement work — which the
-	// machine model charges at Model.MemOp; the compute-bound remainder
-	// (key encoding, sorting, eigen-solves) is charged at Model.CompOp.
-	MemTotal int64
-	MemCrit  int64
-}
-
-// Add accumulates o2 into o, serial ops contributing to both sides.
-func (o *Ops) Add(o2 Ops) {
-	o.Total += o2.Total
-	o.Crit += o2.Crit
-}
-
-// AddSerial accumulates purely serial work: it extends the critical path
-// one-for-one.
-func (o *Ops) AddSerial(n int64) {
-	o.Total += n
-	o.Crit += n
-}
-
-// AddMem accumulates memory-bound refinement work: it counts toward the
-// totals and toward the MemTotal/MemCrit share charged at Model.MemOp.
-func (o *Ops) AddMem(ro refine.Ops) {
-	o.Total += ro.Total
-	o.Crit += ro.Crit
-	o.MemTotal += ro.Total
-	o.MemCrit += ro.Crit
 }
 
 // Partition divides g into k parts with the chosen method. A valid
@@ -222,7 +180,7 @@ func Partition(g *dual.Graph, k int, m Method) Assignment {
 // operation count of the work it actually did, so the framework can
 // charge repartitioning to the remap acceptance rule regardless of
 // method.
-func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, Ops) {
+func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, machine.Ops) {
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
@@ -231,8 +189,6 @@ func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, 
 		return graphGrowCounted(g, k, opt)
 	case MethodInertial:
 		return inertialCounted(g, k)
-	case MethodSpectral:
-		return spectralCounted(g, k)
 	case MethodMortonSFC:
 		return sfcCounted(g, k, sfc.Morton, opt)
 	case MethodHilbertSFC:
@@ -242,21 +198,15 @@ func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, 
 	}
 }
 
-// GraphGrow partitions by growing all k regions simultaneously from
+// graphGrowCounted partitions by growing all k regions simultaneously from
 // spread-out seeds: at every step the lightest part with a live frontier
 // absorbs one unassigned neighbour. Growing lightest-first makes the
 // result balanced by construction even at high k, where sequential growth
-// leaves the last parts only fragmented leftovers.
-func GraphGrow(g *dual.Graph, k int, seed int64) Assignment {
-	asg, _ := graphGrowCounted(g, k, Options{Seed: seed})
-	return asg
-}
-
-// graphGrowCounted is GraphGrow with op accounting: one op per
+// leaves the last parts only fragmented leftovers. It counts one op per
 // lightest-part scan entry, per adjacency visit, and per refinement op.
 // Growth is serial (Total == Crit); only the boundary-smoothing pass of
 // the configured refiner may parallelize.
-func graphGrowCounted(g *dual.Graph, k int, opt Options) (Assignment, Ops) {
+func graphGrowCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.Ops) {
 	seed := opt.Seed
 	var ops int64
 	asg := make(Assignment, g.N)
@@ -268,7 +218,7 @@ func graphGrowCounted(g *dual.Graph, k int, opt Options) (Assignment, Ops) {
 			asg[i] = 0
 		}
 		ops = int64(g.N)
-		return asg, Ops{Total: ops, Crit: ops}
+		return asg, machine.Ops{Total: ops, Crit: ops}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	wts := make([]int64, k)
@@ -345,8 +295,8 @@ func graphGrowCounted(g *dual.Graph, k int, opt Options) (Assignment, Ops) {
 		}
 	}
 	// A refinement pass smooths the growth fronts.
-	out := Ops{Total: ops, Crit: ops}
-	out.AddMem(opt.refinerFor(g.N).Refine(g, asg, k, 2))
+	out := machine.Ops{Total: ops, Crit: ops}
+	out.Add(opt.refinerFor(g.N).Refine(g, asg, k, 2))
 	return asg, out
 }
 
@@ -360,18 +310,12 @@ func argminW(w []int64) int {
 	return best
 }
 
-// InertialRB partitions by recursive inertial bisection: each subdomain is
-// split at the weighted median of element centroids projected onto the
-// subdomain's principal axis.
-func InertialRB(g *dual.Graph, k int) Assignment {
-	asg, _ := inertialCounted(g, k)
-	return asg
-}
-
-// inertialCounted is InertialRB with op accounting: the covariance
+// inertialCounted partitions by recursive inertial bisection: each
+// subdomain is split at the weighted median of element centroids projected
+// onto the subdomain's principal axis. It counts the covariance
 // accumulation and power iteration per subdomain, plus the shared
 // sort-and-split cost counted by recursiveBisect.
-func inertialCounted(g *dual.Graph, k int) (Assignment, Ops) {
+func inertialCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
 	asg := make(Assignment, g.N)
 	idxs := make([]int32, g.N)
 	for i := range idxs {
@@ -388,22 +332,19 @@ func inertialCounted(g *dual.Graph, k int) (Assignment, Ops) {
 		// 3×3 (~12 flops each), and the projection.
 		return vals, int64(len(sub))*11 + 600
 	})
-	return asg, Ops{Total: ops, Crit: ops}
+	return asg, machine.Ops{Total: ops, Crit: ops}
 }
 
-// SpectralRB partitions by recursive spectral bisection: each subdomain is
-// split at the weighted median of its Fiedler vector (Lanczos, see
-// internal/sparse).
-func SpectralRB(g *dual.Graph, k int) Assignment {
-	asg, _ := spectralCounted(g, k)
-	return asg
-}
-
-// spectralCounted is SpectralRB with op accounting: the dominant term is
-// the Lanczos work inside sparse.FiedlerCounted (per-iteration sparse
-// matvecs plus full reorthogonalization), which dwarfs the sort-and-split
-// bookkeeping.
-func spectralCounted(g *dual.Graph, k int) (Assignment, Ops) {
+// spectralCounted partitions by recursive spectral bisection: each
+// subdomain is split at the weighted median of its Fiedler vector
+// (Lanczos, see internal/sparse). It is Multilevel's coarse-graph solver,
+// not a selectable method: on the full dual graph it was the slowest
+// backend on every bench workload, by 3× to 200× modeled run time, and
+// won none on balance or cut (census in CHANGES.md, PR 20). The dominant
+// op term is the Lanczos work inside
+// sparse.FiedlerCounted (per-iteration sparse matvecs plus full
+// reorthogonalization), which dwarfs the sort-and-split bookkeeping.
+func spectralCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
 	asg := make(Assignment, g.N)
 	idxs := make([]int32, g.N)
 	for i := range idxs {
@@ -413,7 +354,7 @@ func spectralCounted(g *dual.Graph, k int) (Assignment, Ops) {
 	recursiveBisect(g, idxs, 0, k, asg, &ops, func(sub []int32) ([]float64, int64) {
 		return subgraphFiedler(g, sub)
 	})
-	return asg, Ops{Total: ops, Crit: ops}
+	return asg, machine.Ops{Total: ops, Crit: ops}
 }
 
 // recursiveBisect splits idxs into k parts numbered [base, base+k),

@@ -57,8 +57,8 @@ func TestPartitionQualityOrdering(t *testing.T) {
 	// on a regular box (sanity on cut quality).
 	g := testGraph(t)
 	k := 8
-	cutGrow := EdgeCut(g, GraphGrow(g, k, 1))
-	cutML := EdgeCut(g, Multilevel(g, k))
+	cutGrow := EdgeCut(g, Partition(g, k, MethodGraphGrow))
+	cutML := EdgeCut(g, Partition(g, k, MethodMultilevel))
 	if cutML > 3*cutGrow {
 		t.Errorf("multilevel cut %d vs graphgrow %d: multilevel much worse", cutML, cutGrow)
 	}
@@ -80,11 +80,16 @@ func TestPartitionAdaptedWeights(t *testing.T) {
 		// produce a wildly imbalanced partition.
 		t.Error("graphgrow ignored adapted weights")
 	}
-	for _, meth := range []Method{MethodInertial, MethodSpectral, MethodMultilevel} {
+	for _, meth := range []Method{MethodInertial, MethodMultilevel} {
 		asg := Partition(g, 8, meth)
 		if imb := Imbalance(g, asg, 8); imb > 1.6 {
 			t.Errorf("%s: imbalance %.3f on adapted weights", meth, imb)
 		}
+	}
+	// Multilevel's coarse-graph solver, held to the same bound directly.
+	asg, _ := spectralCounted(g, 8)
+	if imb := Imbalance(g, asg, 8); imb > 1.6 {
+		t.Errorf("spectral bisection: imbalance %.3f on adapted weights", imb)
 	}
 	// The SFC backends target the paper's operating point: ≤ 1.10.
 	for _, meth := range []Method{MethodMortonSFC, MethodHilbertSFC} {
@@ -102,7 +107,7 @@ func TestSFCIncrementalRepartition(t *testing.T) {
 	m := meshgen.Box(6, 6, 6, geom.Vec3{X: 1, Y: 1, Z: 1})
 	g := dual.Build(m)
 	for _, c := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
-		s := NewSFC(g, c)
+		s := NewSFCWorkers(g, c, 0)
 		sortOps := s.LastOps
 		asg := s.Repartition(g, 8)
 		if s.LastOps >= sortOps {
@@ -119,7 +124,7 @@ func TestSFCIncrementalRepartition(t *testing.T) {
 		refine.NewBandFM(0).Refine(g, asg2, 8, 2)
 		checkAssignment(t, g, asg2, 8, c.String()+"/adapted", 1.10)
 
-		scratch := SFC(g, 8, c)
+		scratch, _ := sfcCounted(g, 8, c, Options{})
 		if imbI, imbS := Imbalance(g, asg2, 8), Imbalance(g, scratch, 8); imbI > imbS*1.05 {
 			t.Errorf("%v: incremental imbalance %.3f much worse than scratch %.3f", c, imbI, imbS)
 		}
@@ -145,7 +150,7 @@ func TestSFCImbalanceBound(t *testing.T) {
 	}
 	for _, c := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
 		for _, k := range []int{2, 5, 8, 16} {
-			asg := NewSFC(g, c).Repartition(g, k)
+			asg := NewSFCWorkers(g, c, 0).Repartition(g, k)
 			ws := Weights(g, asg, k)
 			bound := float64(total)/float64(k) + float64(maxW) + 1e-6
 			for p, w := range ws {
@@ -362,7 +367,7 @@ func TestPartitionCountedReportsWork(t *testing.T) {
 		}
 		// The backends that smooth their cut must report the refinement
 		// work in the Mem share; the pure bisection backends carry none.
-		refines := m != MethodInertial && m != MethodSpectral
+		refines := m != MethodInertial
 		if refines && (ops.MemTotal <= 0 || ops.MemCrit <= 0) {
 			t.Errorf("%v: refinement work missing from the Mem share: %+v", m, ops)
 		}
@@ -388,7 +393,9 @@ func TestMethodString(t *testing.T) {
 			t.Errorf("MethodByName(%q) = %v, %v", m.String(), got, ok)
 		}
 	}
-	if _, ok := MethodByName("nope"); ok {
-		t.Error("MethodByName accepted an unknown name")
+	for _, name := range []string{"nope", "spectral"} {
+		if _, ok := MethodByName(name); ok {
+			t.Errorf("MethodByName accepted %q", name)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"plum/internal/chunk"
 	"plum/internal/dual"
+	"plum/internal/machine"
 	"plum/internal/psort"
 	"plum/internal/sfc"
 )
@@ -39,7 +40,7 @@ type SFCPartitioner struct {
 	// order holds the dual vertices sorted by curve key.
 	order []int32
 	// LastOps records the abstract operation count of the most recent
-	// call (NewSFC or Repartition) summed over all workers, for
+	// call (NewSFCWorkers or Repartition) summed over all workers, for
 	// machine-model cost accounting, mirroring remap.Similarity.LastOps.
 	LastOps int64
 	// LastCritOps is the critical-path share of LastOps: the op count of
@@ -49,15 +50,10 @@ type SFCPartitioner struct {
 	LastCritOps int64
 }
 
-// NewSFC builds the cached curve order of g's centroids with a
-// GOMAXPROCS-sized worker pool (the O(n log n) part: key generation plus
-// one sample sort).
-func NewSFC(g *dual.Graph, c sfc.Curve) *SFCPartitioner {
-	return NewSFCWorkers(g, c, 0)
-}
-
-// NewSFCWorkers is NewSFC with an explicit worker knob (≤ 0 = GOMAXPROCS).
-// The curve order is identical at every worker count.
+// NewSFCWorkers builds the cached curve order of g's centroids (the
+// O(n log n) part: key generation plus one sample sort) with the given
+// worker knob (≤ 0 = GOMAXPROCS). The curve order is identical at every
+// worker count.
 func NewSFCWorkers(g *dual.Graph, c sfc.Curve, workers int) *SFCPartitioner {
 	w := chunk.Workers(workers)
 	s := &SFCPartitioner{Curve: c, Workers: w, order: make([]int32, g.N)}
@@ -79,7 +75,7 @@ func NewSFCWorkers(g *dual.Graph, c sfc.Curve, workers int) *SFCPartitioner {
 	kw := int64(sfc.EffectiveKeyWorkers(g.N, w))
 	sw := int64(psort.SortWorkers(g.N, w))
 	s.LastOps = n + n*logn
-	s.LastCritOps = critClamp(ceilDiv(n, kw)+ceilDiv(n*logn, sw)+sw-1, s.LastOps)
+	s.LastCritOps = critClamp(machine.CeilDiv(n, kw)+machine.CeilDiv(n*logn, sw)+sw-1, s.LastOps)
 	return s
 }
 
@@ -103,7 +99,7 @@ func critClamp(crit, total int64) int64 {
 // Balance guarantee (before refinement): each chunk receives the vertices
 // whose weighted-midpoint prefix falls in one of k equal windows of the
 // total weight, so a chunk's weight exceeds ΣW/k by at most max(Wcomp) —
-// i.e. Imbalance ≤ 1 + k·max(Wcomp)/ΣW. A subsequent FM pass (see SFC)
+// i.e. Imbalance ≤ 1 + k·max(Wcomp)/ΣW. A subsequent FM pass (see sfcCounted)
 // reduces the cut while keeping every part within the larger of that
 // bound and its own 3% tolerance: Wmax ≤ max(ΣW/k + max(Wcomp), 1.03·ΣW/k).
 func (s *SFCPartitioner) Repartition(g *dual.Graph, k int) Assignment {
@@ -149,7 +145,7 @@ func (s *SFCPartitioner) Repartition(g *dual.Graph, k int) Assignment {
 
 	// Weight-sum scan + window scan + fill, for model timing.
 	s.LastOps = 3 * int64(n)
-	s.LastCritOps = critClamp(ceilDiv(3*int64(n), int64(w))+int64(k)+int64(w), s.LastOps)
+	s.LastCritOps = critClamp(machine.CeilDiv(3*int64(n), int64(w))+int64(k)+int64(w), s.LastOps)
 	return asg
 }
 
@@ -309,26 +305,19 @@ func repairBounds(bounds []int, k, n int) {
 	}
 }
 
-// SFC is the one-shot entry point used by Partition: build the curve
-// order, cut it, and smooth the chunk boundaries with the default
-// refinement backend (curve cuts are jagged at the element scale; one
-// cheap boundary pass recovers most of the cut quality).
-func SFC(g *dual.Graph, k int, c sfc.Curve) Assignment {
-	asg, _ := sfcCounted(g, k, c, Options{})
-	return asg
-}
-
-// sfcCounted runs the full SFC pipeline and reports its total and
-// critical-path op counts: sort + incremental cut (compute-bound) plus
-// the configured refiner's smoothing pass (memory-bound, tracked in the
-// Mem share).
-func sfcCounted(g *dual.Graph, k int, c sfc.Curve, opt Options) (Assignment, Ops) {
+// sfcCounted is the one-shot pipeline behind Partition: build the curve
+// order, cut it, and smooth the chunk boundaries with the configured
+// refiner (curve cuts are jagged at the element scale; one cheap boundary
+// pass recovers most of the cut quality). It reports total and
+// critical-path op counts: sort + incremental cut (compute-bound) plus the
+// smoothing pass (memory-bound, tracked in the Mem share).
+func sfcCounted(g *dual.Graph, k int, c sfc.Curve, opt Options) (Assignment, machine.Ops) {
 	s := NewSFCWorkers(g, c, opt.Workers)
-	ops := Ops{Total: s.LastOps, Crit: s.LastCritOps}
+	ops := machine.Ops{Total: s.LastOps, Crit: s.LastCritOps}
 	asg := s.Repartition(g, k)
 	ops.Total += s.LastOps
 	ops.Crit += s.LastCritOps
-	ops.AddMem(opt.refinerFor(g.N).Refine(g, asg, k, 2))
+	ops.Add(opt.refinerFor(g.N).Refine(g, asg, k, 2))
 	return asg, ops
 }
 
@@ -339,9 +328,4 @@ func log2ceil(n int) int {
 		b++
 	}
 	return b
-}
-
-// ceilDiv returns ⌈a/b⌉ for positive b.
-func ceilDiv(a, b int64) int64 {
-	return (a + b - 1) / b
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"plum/internal/chunk"
-	"plum/internal/fault"
 	"plum/internal/machine"
 )
 
@@ -23,11 +22,14 @@ type notif struct {
 	src, dst, edge int32
 }
 
-// runRounds is the superstep engine shared by both backends; x supplies
-// the exchange-charging model. Every phase either runs serially in a
-// canonical order or chunks with per-chunk partials merged in chunk
-// order, so the result and the clock are identical at every worker count.
-func runRounds(w World, frontier []int32, workers int, clk *machine.Clock, mdl machine.Model, x Propagator) Result {
+// Run propagates from the initial frontier (any order, duplicates
+// allowed; the engine canonicalizes) until no round commits a mark,
+// charging per-round visit work and notification traffic to clk with a
+// barrier after every round. It takes ownership of the frontier slice.
+// Every phase either runs serially in a canonical order or chunks with
+// per-chunk partials merged in chunk order, so the result and the clock
+// are identical at every worker count.
+func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine.Model) Result {
 	p := clk.P()
 	var res Result
 
@@ -40,7 +42,7 @@ func runRounds(w World, frontier []int32, workers int, clk *machine.Clock, mdl m
 	for len(frontier) > 0 {
 		res.Rounds++
 		n := len(frontier)
-		ew := EffectiveWorkers(n, workers)
+		ew := EffectiveWorkers(n, eng.Workers)
 		nc := chunk.Count(n, ew)
 
 		// Proposal scan: per-worker frontier buckets. Chunks are
@@ -139,7 +141,7 @@ func runRounds(w World, frontier []int32, workers int, clk *machine.Clock, mdl m
 		for r := 0; r < p; r++ {
 			clk.Add(r, float64(visits[r])*mdl.PropagateVisit)
 		}
-		ch := x.ChargeExchange(clk, mdl, raw)
+		ch := eng.ChargeExchange(clk, mdl, raw)
 		res.Msgs += ch.Msgs
 		res.Words += ch.Words
 		res.SetupTime += ch.SetupTime
@@ -150,108 +152,4 @@ func runRounds(w World, frontier []int32, workers int, clk *machine.Clock, mdl m
 	}
 	res.Ops.Clamp()
 	return res
-}
-
-// Both built-in backends are fault-aware: a set ExchangeModel replays the
-// fault plan against each charged message and bills the sender the
-// modeled recovery — extra sends at the message's own MsgTime, backoff
-// units at Model.RetryBackoff. A nil model (the default) adds zero terms,
-// keeping the fault-free clock bit-identical.
-var (
-	_ FaultAware = (*BulkSync)(nil)
-	_ FaultAware = (*Aggregated)(nil)
-)
-
-// retryCharge bills rank src the modeled recovery cost of one message of
-// the given word count: extra·CommTime + backoff·RetryBackoff. Combined
-// messages (dst = machine.CombinedDst) have no single link, so they price
-// at the interconnect MsgTime — identical to CommTime on a flat topology.
-func retryCharge(clk *machine.Clock, mdl machine.Model, src int, dst int32, words, extra, backoff int64) {
-	if extra != 0 || backoff != 0 {
-		msg := mdl.MsgTime(words)
-		if dst >= 0 {
-			msg = mdl.CommTime(src, int(dst), words)
-		}
-		clk.Add(src, float64(extra)*msg+float64(backoff)*mdl.RetryBackoff)
-	}
-}
-
-// BulkSync is the paper's bulk-synchronous exchange: every nonempty
-// (src, dst) rank pair costs its own message per round, charged to the
-// sender.
-type BulkSync struct {
-	workers int
-	faults  *fault.ExchangeModel
-}
-
-// NewBulkSync returns the bulk-synchronous backend at the given worker
-// knob (≤ 0 = GOMAXPROCS).
-func NewBulkSync(workers int) *BulkSync { return &BulkSync{workers: workers} }
-
-// Name implements Propagator.
-func (b *BulkSync) Name() string { return "bulksync" }
-
-// SetFaults implements FaultAware.
-func (b *BulkSync) SetFaults(x *fault.ExchangeModel) { b.faults = x }
-
-// Run implements Propagator.
-func (b *BulkSync) Run(w World, frontier []int32, clk *machine.Clock, mdl machine.Model) Result {
-	return runRounds(w, frontier, b.workers, clk, mdl, b)
-}
-
-// ChargeExchange implements Propagator: one message per (src, dst) batch
-// through the machine model's flat schedule — the link's CommTime charged
-// to the sender, which on a flat topology is the legacy Tsetup plus
-// per-word copy, bit for bit. With a fault model set, each batch message
-// additionally draws its fate per (src, dst) pair and the sender is
-// billed the modeled retries at the same clock position as before.
-func (b *BulkSync) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []PairWords) machine.ExchangeCharge {
-	return mdl.ChargeFlowsRetry(clk, machine.ExchangeFlat, pairs, func(src, dst int32, words int64) {
-		extra, backoff := b.faults.Resends(src, dst)
-		retryCharge(clk, mdl, int(src), dst, words, extra, backoff)
-	})
-}
-
-// Aggregated is the message-aggregation exchange for high processor
-// counts: each source rank concatenates all of its batches into one
-// combined buffer laid out per destination and pays a single message
-// setup for it; each destination drains its combined inbox at the
-// per-word rate. The word volume is identical to BulkSync; the message
-// count drops from O(P²) to O(P) per round, which is what the Tsetup
-// term rewards at scale.
-type Aggregated struct {
-	workers int
-	faults  *fault.ExchangeModel
-}
-
-// NewAggregated returns the aggregating backend at the given worker knob
-// (≤ 0 = GOMAXPROCS).
-func NewAggregated(workers int) *Aggregated { return &Aggregated{workers: workers} }
-
-// Name implements Propagator.
-func (a *Aggregated) Name() string { return "aggregated" }
-
-// SetFaults implements FaultAware.
-func (a *Aggregated) SetFaults(x *fault.ExchangeModel) { a.faults = x }
-
-// Run implements Propagator.
-func (a *Aggregated) Run(w World, frontier []int32, clk *machine.Clock, mdl machine.Model) Result {
-	return runRounds(w, frontier, a.workers, clk, mdl, a)
-}
-
-// ChargeExchange implements Propagator: one combined message per active
-// source, per-word drain on every destination, through the machine
-// model's aggregated schedule (whose flat-topology branch reproduces the
-// legacy charges bit for bit, and whose node-topology branch prices each
-// flow at its own link rate). The fault unit follows the message model:
-// with a fault model set, each combined message draws one fate — keyed on
-// the source and the machine.CombinedDst sentinel, which cannot collide
-// with a real rank (the fate key truncates dst to 16 bits, and ranks
-// never reach 0xffff) — and a resend repays the whole combined MsgTime:
-// aggregation batches the retries exactly as it batches the sends.
-func (a *Aggregated) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []PairWords) machine.ExchangeCharge {
-	return mdl.ChargeFlowsRetry(clk, machine.ExchangeAggregated, pairs, func(src, dst int32, words int64) {
-		extra, backoff := a.faults.Resends(src, dst)
-		retryCharge(clk, mdl, int(src), dst, words, extra, backoff)
-	})
 }

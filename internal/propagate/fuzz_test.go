@@ -37,8 +37,8 @@ func FuzzPropagate(f *testing.F) {
 			for _, workers := range []int{1, 3} {
 				w := base.clone()
 				clk := machine.NewClock(p)
-				prop, _ := propagate.ByName(name, workers)
-				res := prop.Run(w, slices.Clone(frontier), clk, machine.SP2())
+				x, _ := propagate.ByName(name)
+				res := propagate.Engine{Exchange: x, Workers: workers}.Run(w, slices.Clone(frontier), clk, machine.SP2())
 				if !reflect.DeepEqual(w.marked, refWorld.marked) {
 					t.Fatalf("%s workers=%d: mark set diverges from serial replay", name, workers)
 				}

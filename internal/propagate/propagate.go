@@ -16,16 +16,19 @@
 // the message/word traffic, and the modeled clock are byte-identical at
 // every worker count.
 //
-// Two backends implement the Propagator interface:
+// There is one engine; the message model of its notification exchanges is
+// a machine.Exchange parameter, under two -propagator spellings:
 //
-//   - BulkSync:   the paper's exchange — one message per nonempty
-//     (src, dst) rank pair per round, Tsetup paid per pair.
-//   - Aggregated: message aggregation for high processor counts
-//     (cf. the wait-free AMR literature): each rank concatenates all of a
-//     round's notifications into one combined buffer laid out per
-//     destination, paying one message setup per source rank per round
-//     instead of one per pair; destinations drain their combined inbox at
-//     the per-word rate. Same words, O(P) messages instead of O(P²).
+//   - bulksync (machine.ExchangeFlat, the zero value): the paper's
+//     exchange — one message per nonempty (src, dst) rank pair per round,
+//     Tsetup paid per pair.
+//   - aggregated (machine.ExchangeAggregated): message aggregation for
+//     high processor counts (cf. the wait-free AMR literature): each rank
+//     concatenates all of a round's notifications into one combined
+//     buffer laid out per destination, paying one message setup per
+//     source rank per round instead of one per pair; destinations drain
+//     their combined inbox at the per-word rate. Same words, O(P)
+//     messages instead of O(P²).
 package propagate
 
 import (
@@ -49,79 +52,6 @@ const SerialCutoff = 1 << 10
 // figure, not by the raw knob — the serial fallback is charged serially.
 func EffectiveWorkers(n, workers int) int {
 	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
-}
-
-// Ops is the abstract work accounting of one adaption pass, mirroring
-// par.Ops: Total is the op count summed over all workers, Crit the
-// critical-path share a parallel machine actually waits for, and
-// MemTotal/MemCrit the memory-bound (adjacency-chasing, data-structure
-// mutation) slice of each, charged at machine.Model.MemOp rather than
-// CompOp. A serial execution path reports Crit == Total.
-type Ops struct {
-	Total int64
-	Crit  int64
-	// MemTotal and MemCrit are the memory-bound share of Total and Crit:
-	// frontier visits (SPL and adjacency chasing), the serial commit
-	// drain, and the kernel's element mutations. The compute-bound
-	// remainder (pattern scans, pair bookkeeping) is charged at
-	// Model.CompOp.
-	MemTotal int64
-	MemCrit  int64
-}
-
-// AddSerial accumulates purely serial compute-bound work: it extends the
-// critical path one-for-one.
-func (o *Ops) AddSerial(n int64) {
-	o.Total += n
-	o.Crit += n
-}
-
-// AddSerialMem accumulates purely serial memory-bound work.
-func (o *Ops) AddSerialMem(n int64) {
-	o.Total += n
-	o.Crit += n
-	o.MemTotal += n
-	o.MemCrit += n
-}
-
-// AddParallel accumulates compute-bound work divided across ew workers:
-// the critical path is charged the slowest worker's (ceiling) share.
-func (o *Ops) AddParallel(total int64, ew int) {
-	o.Total += total
-	o.Crit += ceilDiv(total, int64(ew))
-}
-
-// AddParallelMem accumulates memory-bound work divided across ew workers;
-// it counts toward the totals and toward the Mem share charged at MemOp.
-func (o *Ops) AddParallelMem(total int64, ew int) {
-	o.Total += total
-	o.Crit += ceilDiv(total, int64(ew))
-	o.MemTotal += total
-	o.MemCrit += ceilDiv(total, int64(ew))
-}
-
-// Clamp caps the critical path at the total: no schedule is slower than
-// running everything serially, and the per-phase ceiling terms can
-// otherwise nudge past it at tiny sizes.
-func (o *Ops) Clamp() {
-	if o.Crit > o.Total {
-		o.Crit = o.Total
-	}
-	if o.MemCrit > o.MemTotal {
-		o.MemCrit = o.MemTotal
-	}
-}
-
-// Time converts the accounting to modeled seconds on the machine's two
-// rates: the mem-bound critical path at MemOp, the compute-bound
-// remainder at CompOp.
-func (o Ops) Time(mdl machine.Model) float64 {
-	return float64(o.Crit-o.MemCrit)*mdl.CompOp + float64(o.MemCrit)*mdl.MemOp
-}
-
-// ceilDiv returns ⌈a/b⌉ for positive b.
-func ceilDiv(a, b int64) int64 {
-	return (a + b - 1) / b
 }
 
 // World is the mesh-facing surface the engine drives. The distributed
@@ -185,7 +115,7 @@ func PairsFromSPL(out []PairWords, spl []int32, words int64) []PairWords {
 
 // AggregatePairs sorts raw (src, dst, words) contributions by (src, dst)
 // and merges duplicates, returning the canonical batch list
-// ChargeExchange consumes. The input is clobbered.
+// Engine.ChargeExchange consumes. The input is clobbered.
 func AggregatePairs(raw []PairWords) []PairWords {
 	if len(raw) == 0 {
 		return nil
@@ -210,66 +140,78 @@ type Result struct {
 	Visits int64
 	// Marked is the number of edges newly committed.
 	Marked int64
-	// Msgs and Words count the notification traffic under the backend's
-	// exchange semantics. Words is backend-invariant; Msgs is not
-	// (aggregation is the point of the Aggregated backend).
+	// Msgs and Words count the notification traffic under the engine's
+	// exchange schedule. Words is schedule-invariant; Msgs is not
+	// (aggregation exists to shrink it).
 	Msgs, Words int64
 	// SetupTime is the summed modeled message-setup charge of the
-	// exchanges — the slice of the clock the backend's message model
+	// exchanges — the slice of the clock the exchange schedule
 	// controls — reported separately so adaption accounting can show the
 	// setup/volume split alongside the remap executor's.
 	SetupTime float64
-	// Ops is the engine's abstract work accounting: Total and MemTotal
-	// are worker-invariant, Crit/MemCrit reflect the effective worker
-	// count of each round's scan.
-	Ops Ops
+	// Ops is the engine's abstract work accounting: frontier visits and
+	// the serial commit drain are memory-bound, pair bookkeeping
+	// compute-bound. Total and MemTotal are worker-invariant, Crit/MemCrit
+	// reflect the effective worker count of each round's scan.
+	Ops machine.Ops
 }
 
-// Propagator drives frontier propagation to a fixpoint with a specific
-// exchange model. Implementations must be deterministic at every worker
-// count: marks, rounds, traffic, and the modeled clock may depend only on
-// the frontier and the world, never on the chunking.
-type Propagator interface {
-	// Name is the CLI-facing backend name.
-	Name() string
-	// Run propagates from the initial frontier (any order, duplicates
-	// allowed; the engine canonicalizes) until no round commits a mark,
-	// charging per-round visit work and notification traffic to clk with
-	// a barrier after every round. It takes ownership of the frontier
-	// slice.
-	Run(w World, frontier []int32, clk *machine.Clock, mdl machine.Model) Result
-	// ChargeExchange charges one bulk exchange of shared-object
-	// notifications under the backend's message model, given the
-	// per-(src, dst) word counts in canonical sorted order (see
-	// AggregatePairs), and returns the charge breakdown. It does not
-	// barrier; callers own the superstep structure.
-	ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []PairWords) machine.ExchangeCharge
+// Engine is the frontier-propagation engine of one adaption pass. It is a
+// plain value built where it is used: nothing is armed, shared or carried
+// between passes. Marks, rounds, traffic, and the modeled clock depend
+// only on the frontier and the world, never on Workers.
+type Engine struct {
+	// Exchange is the message model of the notification exchanges (see
+	// the package comment); the zero value is the paper's bulksync.
+	Exchange machine.Exchange
+	// Workers bounds the worker goroutines of the frontier scans (≤ 0 =
+	// GOMAXPROCS).
+	Workers int
+	// Faults, when non-nil, replays a deterministic fault plan against
+	// each charged message and bills the sender the modeled recovery:
+	// extra sends at the message's own MsgTime, backoff units at
+	// Model.RetryBackoff. Per-pair messages draw their fate per
+	// (src, dst); a combined frame draws one fate keyed on the source and
+	// the machine.CombinedDst sentinel, and a resend repays the whole
+	// combined MsgTime — aggregation batches the retries exactly as it
+	// batches the sends. Charging runs serially in canonical (src, dst)
+	// order, so the model's attempt counters are worker-invariant. nil
+	// adds exact zeros: the fault-free clock is bit-identical.
+	Faults *fault.ExchangeModel
 }
 
-// FaultAware is the optional capability of a backend whose exchanges can
-// be charged modeled retry traffic from a deterministic fault plan (see
-// fault.ExchangeModel). Both built-in backends implement it. Callers
-// discover it by type assertion — it is deliberately not part of the
-// Propagator interface, so third-party backends stay valid — and disarm
-// with SetFaults(nil). Because ChargeExchange runs serially in canonical
-// (src, dst) pair order, the model's attempt counters and the resulting
-// charges are byte-identical at every worker count.
-type FaultAware interface {
-	SetFaults(x *fault.ExchangeModel)
+// ChargeExchange charges one bulk exchange of shared-object notifications
+// under the engine's schedule, given the per-(src, dst) word counts in
+// canonical sorted order (see AggregatePairs), and returns the charge
+// breakdown. It does not barrier; callers own the superstep structure.
+func (eng Engine) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []PairWords) machine.ExchangeCharge {
+	return mdl.ChargeFlowsRetry(clk, eng.Exchange, pairs, func(src, dst int32, words int64) {
+		extra, backoff := eng.Faults.Resends(src, dst)
+		if extra == 0 && backoff == 0 {
+			return
+		}
+		// A combined frame has no single link, so it prices at the
+		// interconnect MsgTime — identical to CommTime on a flat topology.
+		msg := mdl.MsgTime(words)
+		if dst >= 0 {
+			msg = mdl.CommTime(int(src), int(dst), words)
+		}
+		clk.Add(int(src), float64(extra)*msg+float64(backoff)*mdl.RetryBackoff)
+	})
 }
 
-// Names lists the available backends, default first — the iteration
-// table for CLI validation and tests.
+// Names lists the -propagator spellings, indexed by the machine.Exchange
+// each selects (default first) — the table for CLI help and tests.
 var Names = []string{"bulksync", "aggregated"}
 
-// ByName returns the propagator with the given CLI name ("" selects the
-// default BulkSync) at the given worker knob.
-func ByName(name string, workers int) (Propagator, bool) {
+// ByName resolves a -propagator spelling to the engine's exchange
+// schedule; "" selects bulksync.
+func ByName(name string) (machine.Exchange, bool) {
 	switch name {
 	case "", "bulksync":
-		return NewBulkSync(workers), true
+		return machine.ExchangeFlat, true
 	case "aggregated":
-		return NewAggregated(workers), true
+		return machine.ExchangeAggregated, true
 	}
-	return nil, false
+	return 0, false
 }

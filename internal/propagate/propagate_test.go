@@ -126,15 +126,15 @@ func serialFixpoint(w *hyperWorld, frontier []int32) {
 
 func TestByName(t *testing.T) {
 	for _, name := range propagate.Names {
-		prop, ok := propagate.ByName(name, 2)
-		if !ok || prop.Name() != name {
+		x, ok := propagate.ByName(name)
+		if !ok || propagate.Names[x] != name {
 			t.Fatalf("ByName(%q) broken", name)
 		}
 	}
-	if prop, ok := propagate.ByName("", 1); !ok || prop.Name() != "bulksync" {
+	if x, ok := propagate.ByName(""); !ok || propagate.Names[x] != "bulksync" {
 		t.Fatal("empty name must select bulksync")
 	}
-	if _, ok := propagate.ByName("nope", 1); ok {
+	if _, ok := propagate.ByName("nope"); ok {
 		t.Fatal("accepted unknown backend")
 	}
 }
@@ -178,8 +178,8 @@ func TestRunMatchesSerialFixpoint(t *testing.T) {
 	run := func(name string, workers int) outcome {
 		w := base.clone()
 		clk := machine.NewClock(p)
-		prop, _ := propagate.ByName(name, workers)
-		res := prop.Run(w, slices.Clone(frontier), clk, machine.SP2())
+		x, _ := propagate.ByName(name)
+		res := propagate.Engine{Exchange: x, Workers: workers}.Run(w, slices.Clone(frontier), clk, machine.SP2())
 		return outcome{w.marked, res, clk.Elapsed()}
 	}
 
@@ -214,7 +214,7 @@ func TestRunMatchesSerialFixpoint(t *testing.T) {
 }
 
 // TestAggregatedChargeSemantics pins the two exchange models on a known
-// batch list: BulkSync pays one Tsetup per pair on the sender, Aggregated
+// batch list: bulksync pays one Tsetup per pair on the sender, aggregated
 // one per active source plus a per-word drain on the destination.
 func TestAggregatedChargeSemantics(t *testing.T) {
 	mdl := machine.SP2()
@@ -225,7 +225,7 @@ func TestAggregatedChargeSemantics(t *testing.T) {
 	}
 
 	clk := machine.NewClock(3)
-	ch := propagate.NewBulkSync(1).ChargeExchange(clk, mdl, pairs)
+	ch := propagate.Engine{Exchange: machine.ExchangeFlat}.ChargeExchange(clk, mdl, pairs)
 	if ch.Msgs != 3 || ch.Words != 16 {
 		t.Fatalf("bulksync counted %d msgs / %d words", ch.Msgs, ch.Words)
 	}
@@ -240,7 +240,7 @@ func TestAggregatedChargeSemantics(t *testing.T) {
 	}
 
 	clk = machine.NewClock(3)
-	ch = propagate.NewAggregated(1).ChargeExchange(clk, mdl, pairs)
+	ch = propagate.Engine{Exchange: machine.ExchangeAggregated}.ChargeExchange(clk, mdl, pairs)
 	if ch.Msgs != 2 || ch.Words != 16 {
 		t.Fatalf("aggregated counted %d msgs / %d words", ch.Msgs, ch.Words)
 	}
@@ -260,7 +260,7 @@ func TestAggregatedChargeSemantics(t *testing.T) {
 func TestEmptyFrontier(t *testing.T) {
 	w, _ := newHyperWorld(100, 2, 1, 0)
 	clk := machine.NewClock(2)
-	res := propagate.NewBulkSync(1).Run(w, nil, clk, machine.SP2())
+	res := propagate.Engine{Workers: 1}.Run(w, nil, clk, machine.SP2())
 	if !reflect.DeepEqual(res, propagate.Result{}) {
 		t.Fatalf("empty frontier produced %+v", res)
 	}

@@ -3,6 +3,7 @@ package refine
 import (
 	"plum/internal/chunk"
 	"plum/internal/dual"
+	"plum/internal/machine"
 )
 
 // BandFM is the deterministic band-limited parallel Fiduccia–Mattheyses
@@ -38,32 +39,32 @@ func NewBandFM(workers int) *BandFM { return &BandFM{Workers: workers} }
 func (r *BandFM) Name() string { return "bandfm" }
 
 // Refine implements Refiner.
-func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) Ops {
-	var ops Ops
+func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
+	var ops machine.Ops
 	if k <= 1 || g.N == 0 {
 		return ops
 	}
 	ew := EffectiveWorkers(g.N, r.Workers)
 	w, cnt := partState(g, asg, k, ew, &ops)
 	maxW := balanceCap(w)
-	ops.AddSerial(int64(k))
+	ops.AddSerialMem(int64(k))
 
 	bandIdx := make([]int32, g.N) // band position + 1; 0 = outside the band
 	w0 := make([]int64, k)        // per-class frozen weight snapshot
 
 	for pass := 0; pass < passes; pass++ {
 		band, bops := extractBand(g, asg, ew)
-		ops.AddParallel(bops, ew)
+		ops.AddParallelMem(bops, ew)
 		if len(band) == 0 {
 			break
 		}
 		classes, cops := colorBand(g, band, bandIdx)
-		ops.AddSerial(cops)
+		ops.AddSerialMem(cops)
 
 		moved := 0
 		for _, class := range classes {
 			copy(w0, w)
-			ops.AddSerial(int64(k))
+			ops.AddSerialMem(int64(k))
 			props := make([]int32, len(class))
 			nc := chunk.Count(len(class), ew)
 			chunkOps := make([]int64, nc)
@@ -84,7 +85,7 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) Ops {
 			// Charged at nc, not ew: a class smaller than the worker pool
 			// only ran nc-way parallel, and the critical path must reflect
 			// the parallelism the phase actually achieved.
-			ops.AddParallel(gops, nc)
+			ops.AddParallelMem(gops, nc)
 
 			for i, v := range class {
 				b := props[i]
@@ -99,18 +100,18 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) Ops {
 				cnt[b]++
 				moved++
 			}
-			ops.AddSerial(int64(len(class)))
+			ops.AddSerialMem(int64(len(class)))
 		}
 		for _, v := range band {
 			bandIdx[v] = 0
 		}
-		ops.AddSerial(int64(len(band)))
+		ops.AddSerialMem(int64(len(band)))
 		if moved == 0 {
 			break
 		}
 	}
-	ops.AddSerial(overflowPass(g, asg, k, w, cnt, maxW))
-	ops.clamp()
+	ops.AddSerialMem(overflowPass(g, asg, k, w, cnt, maxW))
+	ops.Clamp()
 	return ops
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"plum/internal/chunk"
 	"plum/internal/dual"
+	"plum/internal/machine"
 )
 
 // Diffusion is a Jostle-style weighted-diffusion refiner: load flows
@@ -39,8 +40,8 @@ func pairKey(p, q int32) uint64 { return uint64(uint32(p))<<32 | uint64(uint32(q
 
 // Refine implements Refiner. passes scales the number of diffusion
 // iterations (two per pass, matching the FM backends' sweep budget).
-func (d *Diffusion) Refine(g *dual.Graph, asg []int32, k, passes int) Ops {
-	var ops Ops
+func (d *Diffusion) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
+	var ops machine.Ops
 	if k <= 1 || g.N == 0 {
 		return ops
 	}
@@ -55,8 +56,8 @@ func (d *Diffusion) Refine(g *dual.Graph, asg []int32, k, passes int) Ops {
 	for it := 0; it < iters; it++ {
 		// Part-adjacency edges of the current cut, deduplicated.
 		pairs, pops := cutPairs(g, asg, ew)
-		ops.AddParallel(pops, ew)
-		ops.AddSerial(int64(len(pairs)))
+		ops.AddParallelMem(pops, ew)
+		ops.AddSerialMem(int64(len(pairs)))
 		if len(pairs) == 0 {
 			break
 		}
@@ -84,7 +85,7 @@ func (d *Diffusion) Refine(g *dual.Graph, asg []int32, k, passes int) Ops {
 				flow[pairKey(q, p)] = -f
 			}
 		}
-		ops.AddSerial(int64(len(pairs)))
+		ops.AddSerialMem(int64(len(pairs)))
 		if len(flow) == 0 {
 			break
 		}
@@ -94,7 +95,7 @@ func (d *Diffusion) Refine(g *dual.Graph, asg []int32, k, passes int) Ops {
 		// Read-only over the frozen flow table; chunk concatenation keeps
 		// candidates in ascending vertex order.
 		cands, cops := flowCandidates(g, asg, flow, ew)
-		ops.AddParallel(cops, ew)
+		ops.AddParallelMem(cops, ew)
 
 		// Serial apply in vertex order, draining each pair's flow budget.
 		moved := 0
@@ -114,13 +115,13 @@ func (d *Diffusion) Refine(g *dual.Graph, asg []int32, k, passes int) Ops {
 			flow[key] = f - wv
 			moved++
 		}
-		ops.AddSerial(int64(len(cands)))
+		ops.AddSerialMem(int64(len(cands)))
 		if moved == 0 {
 			break
 		}
 	}
-	ops.AddSerial(overflowPass(g, asg, k, w, cnt, maxW))
-	ops.clamp()
+	ops.AddSerialMem(overflowPass(g, asg, k, w, cnt, maxW))
+	ops.Clamp()
 	return ops
 }
 

@@ -1,6 +1,9 @@
 package refine
 
-import "plum/internal/dual"
+import (
+	"plum/internal/dual"
+	"plum/internal/machine"
+)
 
 // FM wraps the classic serial Fiduccia–Mattheyses sweep as a Refiner —
 // the pre-band reference implementation, kept as a scenario knob. It is
@@ -12,9 +15,10 @@ type FM struct{}
 func (FM) Name() string { return "fm" }
 
 // Refine implements Refiner.
-func (FM) Refine(g *dual.Graph, asg []int32, k, passes int) Ops {
-	n := FMRefine(g, asg, k, passes)
-	return Ops{Total: n, Crit: n}
+func (FM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
+	var ops machine.Ops
+	ops.AddSerialMem(FMRefine(g, asg, k, passes))
+	return ops
 }
 
 // FMRefine performs Fiduccia–Mattheyses-style boundary refinement on a

@@ -14,57 +14,22 @@
 //     load exchange along the part-adjacency graph. Trades edge cut for
 //     convergence speed on badly imbalanced inputs.
 //   - FM:        the classic serial boundary sweep (the pre-band
-//     reference implementation), kept as a scenario knob.
+//     reference implementation): Multilevel's per-level default and the
+//     "fm" scenario knob.
 //
 // All backends share the serial FM's tolerance and overflow semantics:
 // moves never push a part past the 3% balance cap, never empty a part,
 // and a final overflow pass forces load out of parts the gain phase could
-// not rescue. Every Refine call reports Ops{Total, Crit} charged at the
-// effective worker count of the path actually executed — a serial
-// fallback below SerialCutoff reports Crit == Total.
+// not rescue. Every Refine call reports its work as memory-bound
+// machine.Ops charged at the effective worker count of the path actually
+// executed — a serial fallback below SerialCutoff reports Crit == Total.
 package refine
 
 import (
 	"plum/internal/chunk"
 	"plum/internal/dual"
+	"plum/internal/machine"
 )
-
-// Ops is the abstract work accounting of one refinement call, mirroring
-// the partitioner accounting: Total is the op count summed over all
-// workers, Crit the critical-path share a parallel machine waits for.
-type Ops struct {
-	Total int64
-	Crit  int64
-}
-
-// Add accumulates o2 into o.
-func (o *Ops) Add(o2 Ops) {
-	o.Total += o2.Total
-	o.Crit += o2.Crit
-}
-
-// AddSerial accumulates purely serial work: it extends the critical path
-// one-for-one.
-func (o *Ops) AddSerial(n int64) {
-	o.Total += n
-	o.Crit += n
-}
-
-// AddParallel accumulates work divided across ew workers: the critical
-// path is charged the slowest worker's (ceiling) share.
-func (o *Ops) AddParallel(total int64, ew int) {
-	o.Total += total
-	o.Crit += ceilDiv(total, int64(ew))
-}
-
-// clamp caps the critical path at the total: no schedule is slower than
-// running everything serially, and the per-phase ceiling terms can
-// otherwise nudge past it at tiny sizes.
-func (o *Ops) clamp() {
-	if o.Crit > o.Total {
-		o.Crit = o.Total
-	}
-}
 
 // Refiner improves a k-way assignment in place. Implementations must
 // preserve assignment validity (entries in [0, k), no part emptied), keep
@@ -75,7 +40,7 @@ type Refiner interface {
 	Name() string
 	// Refine runs up to passes improvement sweeps over g and returns the
 	// op accounting of the work performed.
-	Refine(g *dual.Graph, asg []int32, k, passes int) Ops
+	Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops
 }
 
 // SerialCutoff is the vertex count below which the band machinery's
@@ -92,19 +57,15 @@ func EffectiveWorkers(n, workers int) int {
 }
 
 // Default returns the backend used when no refiner is forced: the
-// band-limited parallel FM when an n-vertex refinement would actually run
-// parallel (EffectiveWorkers > 1), the classic serial sweep otherwise —
-// on a serial host, or below SerialCutoff, the band machinery costs ~2×
-// the plain sweep in wall time and the parallelism buys nothing back.
-// Note the trade: because the two backends produce different (equally
-// valid) cuts, the adaptive default is invariant across worker counts
-// only while EffectiveWorkers stays on one side of 1; forcing a name via
-// ByName restores full worker-count invariance.
+// band-limited FM, at every graph size and worker count. Below
+// SerialCutoff, or with one worker, BandFM runs its serial replay, which
+// is byte-identical to its parallel path — so the default cut never
+// depends on how many workers computed it. Choosing the cheaper classic
+// sweep for serial hosts would break that: FM and BandFM produce
+// different (equally valid) cuts. The graph size n therefore plays no
+// part; it stays in the signature callers already spell.
 func Default(n, workers int) Refiner {
-	if EffectiveWorkers(n, workers) > 1 {
-		return NewBandFM(workers)
-	}
-	return FM{}
+	return NewBandFM(workers)
 }
 
 // Names lists the available backends, default first — the iteration
@@ -128,7 +89,7 @@ func ByName(name string, workers int) (Refiner, bool) {
 // partState computes the per-part weight totals and populations with a
 // chunked scan (int64 addition is exact, so the chunk-order merge is
 // identical at every worker count), charging the scan at ew workers.
-func partState(g *dual.Graph, asg []int32, k, ew int, ops *Ops) (w []int64, cnt []int) {
+func partState(g *dual.Graph, asg []int32, k, ew int, ops *machine.Ops) (w []int64, cnt []int) {
 	nc := chunk.Count(g.N, ew)
 	pw := make([][]int64, nc)
 	pc := make([][]int, nc)
@@ -154,8 +115,8 @@ func partState(g *dual.Graph, asg []int32, k, ew int, ops *Ops) (w []int64, cnt 
 	// The scan is charged in parallel and the k-sized reduction serially;
 	// the per-chunk partial arrays are folded into each worker's scan so
 	// Total stays identical at every worker count (only Crit may differ).
-	ops.AddParallel(int64(g.N), ew)
-	ops.AddSerial(int64(k))
+	ops.AddParallelMem(int64(g.N), ew)
+	ops.AddSerialMem(int64(k))
 	return w, cnt
 }
 
@@ -221,9 +182,4 @@ func overflowPass(g *dual.Graph, asg []int32, k int, w []int64, cnt []int, maxW 
 		}
 	}
 	return ops
-}
-
-// ceilDiv returns ⌈a/b⌉ for positive b.
-func ceilDiv(a, b int64) int64 {
-	return (a + b - 1) / b
 }

@@ -2,6 +2,7 @@ package refine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"plum/internal/dual"
@@ -271,18 +272,31 @@ func TestEffectiveWorkers(t *testing.T) {
 	}
 }
 
-// TestDefaultAdaptive pins the adaptive default: band-FM only when the
-// refinement would actually run parallel, the classic sweep otherwise
-// (serial hosts don't pay the ~2× band overhead).
-func TestDefaultAdaptive(t *testing.T) {
-	if r := Default(SerialCutoff, 4); r.Name() != "bandfm" {
-		t.Errorf("parallel default = %s, want bandfm", r.Name())
+// TestDefaultWorkerIndependent pins the determinism contract on the
+// default backend: the same refiner — and therefore the same cut — at
+// every graph size and worker knob, including the serial hosts and small
+// graphs where BandFM runs its serial replay.
+func TestDefaultWorkerIndependent(t *testing.T) {
+	g := gridGraph(20, 20, 12, 3) // 4800 vertices: above SerialCutoff
+	if g.N < SerialCutoff {
+		t.Fatalf("fixture has %d vertices, need ≥ %d", g.N, SerialCutoff)
 	}
-	if r := Default(SerialCutoff, 1); r.Name() != "fm" {
-		t.Errorf("serial-knob default = %s, want fm", r.Name())
-	}
-	if r := Default(SerialCutoff-1, 8); r.Name() != "fm" {
-		t.Errorf("below-cutoff default = %s, want fm", r.Name())
+	const k = 8
+	var ref []int32
+	for _, n := range []int{SerialCutoff - 1, g.N} {
+		for _, w := range []int{1, 2, 4, 8} {
+			r := Default(n, w)
+			if r.Name() != "bandfm" {
+				t.Errorf("Default(%d, %d) = %s, want bandfm", n, w, r.Name())
+			}
+			asg := blockAssignment(g.N, k)
+			r.Refine(g, asg, k, 2)
+			if ref == nil {
+				ref = asg
+			} else if !slices.Equal(asg, ref) {
+				t.Errorf("Default(%d, %d) refined to a different assignment", n, w)
+			}
+		}
 	}
 }
 

@@ -9,7 +9,10 @@ package remap
 // where C is the number of elements moved, N the number of element sets
 // moved, M the words of storage per element, Tlat the remote-memory
 // per-word copy time, and Tsetup the per-message setup time. The new
-// partitioning and mapping are accepted when gain > cost.
+// partitioning and mapping are accepted when gain > cost; core.balance
+// applies the rule with the measured balancing overhead (repartition,
+// reassignment and remap-execution time) added to the cost side, which
+// the paper neglects because its spectral repartitioner runs rarely.
 type CostModel struct {
 	// Titer is the flow-solver time per iteration per element (seconds).
 	Titer float64
@@ -52,23 +55,6 @@ func (c CostModel) Gain(wmaxOld, wmaxNew int64) float64 {
 // dominates N for realistic problems.
 func (c CostModel) RedistCost(moved int64, sets int) float64 {
 	return float64(moved)*float64(c.M)*c.Tlat + float64(sets)*c.Tsetup
-}
-
-// Worthwhile reports the paper's acceptance rule:
-// Titer·Nadapt·(Wmax_old − Wmax_new) > C·M·Tlat + N·Tsetup.
-func (c CostModel) Worthwhile(wmaxOld, wmaxNew int64, moved int64, sets int) bool {
-	return c.Gain(wmaxOld, wmaxNew) > c.RedistCost(moved, sets)
-}
-
-// WorthwhileTotal extends the acceptance rule with the measured
-// load-balancing overhead itself — repartitioning plus reassignment time
-// (seconds) — on the cost side: gain > C·M·Tlat + N·Tsetup + overhead.
-// The paper neglects these terms because its spectral repartitioner runs
-// rarely; with an incremental SFC repartitioner the overhead is an O(n)
-// scan and stays negligible even when rebalancing after every adaption
-// step, which is exactly what this rule makes visible.
-func (c CostModel) WorthwhileTotal(wmaxOld, wmaxNew, moved int64, sets int, overhead float64) bool {
-	return c.Gain(wmaxOld, wmaxNew) > c.RedistCost(moved, sets)+overhead
 }
 
 // SolverTime returns the time (seconds) for Nadapt solver iterations with

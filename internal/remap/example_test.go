@@ -20,7 +20,7 @@ func Example() {
 	c, n := s.MoveStats(mp)
 	fmt.Printf("mapping=%v objective=%d moved=%d sets=%d\n", mp, obj, c, n)
 
-	cID := remap.Identity(2, 1)
+	cID := remap.Mapping{0, 1}
 	cBad, _ := s.MoveStats(cID)
 	fmt.Printf("identity mapping would move %d\n", cBad)
 
@@ -34,9 +34,9 @@ func ExampleCostModel() {
 	cost := remap.DefaultSP2()
 	// Balancing drops the heaviest processor from 8000 to 1000 elements;
 	// the remap moves 50,000 elements in 12 sets.
-	fmt.Println("worthwhile:", cost.Worthwhile(8000, 1000, 50000, 12))
+	fmt.Println("worthwhile:", cost.Gain(8000, 1000) > cost.RedistCost(50000, 12))
 	// A negligible improvement never justifies moving everything.
-	fmt.Println("worthwhile:", cost.Worthwhile(1010, 1000, 50000, 12))
+	fmt.Println("worthwhile:", cost.Gain(1010, 1000) > cost.RedistCost(50000, 12))
 	// Output:
 	// worthwhile: true
 	// worthwhile: false

@@ -39,13 +39,14 @@ func TestSimilarityBuild(t *testing.T) {
 }
 
 func TestIdentityMapping(t *testing.T) {
+	// Partitions {i·F … i·F+F-1} on processor i: every processor gets
+	// exactly F, so the mapping must validate.
 	s := NewSimilarity(3, 2)
-	mp := Identity(3, 2)
-	if err := s.Validate(mp); err != nil {
+	if err := s.Validate(Mapping{0, 0, 1, 1, 2, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if mp[0] != 0 || mp[1] != 0 || mp[2] != 1 || mp[5] != 2 {
-		t.Errorf("identity = %v", mp)
+	if err := s.Validate(Mapping{0, 0, 0, 1, 2, 2}); err == nil {
+		t.Error("accepted a mapping that gives processor 0 three partitions")
 	}
 }
 
@@ -155,7 +156,7 @@ func TestMoveStats(t *testing.T) {
 	s := NewSimilarity(2, 1)
 	s.S[0][0], s.S[0][1] = 10, 4
 	s.S[1][0], s.S[1][1] = 3, 20
-	mp := Identity(2, 1)
+	mp := Mapping{0, 1}
 	c, n := s.MoveStats(mp)
 	if c != 7 {
 		t.Errorf("C = %d, want 7", c)
@@ -233,20 +234,12 @@ func TestCostModel(t *testing.T) {
 		t.Error("cost must be positive")
 	}
 	// A tiny imbalance improvement must not justify moving everything.
-	if c.Worthwhile(1000, 999, 1<<40, 1000) {
-		t.Error("accepted a hugely expensive remap for negligible gain")
+	if c.Gain(1000, 999) > c.RedistCost(1<<40, 1000) {
+		t.Error("a hugely expensive remap costs less than a negligible gain")
 	}
 	// A big improvement with tiny movement must be accepted.
-	if !c.Worthwhile(100000, 1000, 10, 1) {
-		t.Error("rejected an obviously good remap")
-	}
-	// Zero overhead reduces WorthwhileTotal to the paper's rule; a large
-	// balancing overhead must be able to veto an otherwise-good remap.
-	if c.WorthwhileTotal(100000, 1000, 10, 1, 0) != c.Worthwhile(100000, 1000, 10, 1) {
-		t.Error("WorthwhileTotal(…, 0) disagrees with Worthwhile")
-	}
-	if c.WorthwhileTotal(100000, 1000, 10, 1, 1e12) {
-		t.Error("accepted a remap whose balancing overhead dwarfs the gain")
+	if c.Gain(100000, 1000) <= c.RedistCost(10, 1) {
+		t.Error("an obviously good remap costs more than its gain")
 	}
 	if c.SolverTime(2000) != c.Titer*float64(c.Nadapt)*2000 {
 		t.Error("SolverTime formula")

@@ -73,17 +73,6 @@ func (s *Similarity) Total() int64 {
 // processor exactly F partitions.
 type Mapping []int32
 
-// Identity returns the mapping that sends partitions {i·F … i·F+F-1} to
-// processor i (no-op remap when the new partitioning is congruent with the
-// old distribution).
-func Identity(p, f int) Mapping {
-	mp := make(Mapping, p*f)
-	for j := range mp {
-		mp[j] = int32(j / f)
-	}
-	return mp
-}
-
 // Validate checks that the mapping assigns every partition to a processor
 // in range and every processor exactly F partitions.
 func (s *Similarity) Validate(mp Mapping) error {

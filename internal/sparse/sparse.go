@@ -93,25 +93,21 @@ func Scale(a float64, v []float64) {
 	}
 }
 
-// Fiedler computes an approximation to the Fiedler vector of Laplacian L —
-// the eigenvector of the second-smallest eigenvalue — using Lanczos
-// iteration with full reorthogonalization, deflating the constant vector
-// (the trivial nullspace of a connected graph's Laplacian). maxIter bounds
-// the Krylov dimension; tol is the residual tolerance on the Ritz pair.
-// The returned vector has unit norm and zero mean.
+// FiedlerCounted computes an approximation to the Fiedler vector of
+// Laplacian L — the eigenvector of the second-smallest eigenvalue — using
+// Lanczos iteration with full reorthogonalization, deflating the constant
+// vector (the trivial nullspace of a connected graph's Laplacian). maxIter
+// bounds the Krylov dimension; tol is the residual tolerance on the Ritz
+// pair. The returned vector has unit norm and zero mean.
 //
 // Partition quality does not require machine-precision eigenvectors, so
 // callers typically pass maxIter ≈ 60 and tol ≈ 1e-4.
-func Fiedler(L *CSR, maxIter int, tol float64, seed int64) []float64 {
-	v, _ := FiedlerCounted(L, maxIter, tol, seed)
-	return v
-}
-
-// FiedlerCounted is Fiedler with an abstract operation count of the work
-// actually performed: one op per nonzero visited by each sparse matvec
-// and per vector element touched by the dot products, AXPYs, and full
+//
+// The second result is an abstract operation count of the work actually
+// performed: one op per nonzero visited by each sparse matvec and per
+// vector element touched by the dot products, AXPYs, and full
 // reorthogonalization (which grows with the Krylov basis). The count
-// feeds the machine-model cost accounting of the spectral partitioners —
+// feeds the machine-model cost accounting of the spectral bisection —
 // the eigen-solve is exactly the expense the paper's framework treats as
 // a black box, and the count makes it chargeable.
 func FiedlerCounted(L *CSR, maxIter int, tol float64, seed int64) ([]float64, int64) {

@@ -67,7 +67,7 @@ func TestFiedlerPathGraph(t *testing.T) {
 	// The Fiedler vector of a path graph is monotone: it orders the path.
 	n := 20
 	L := Laplacian(pathGraph(n))
-	f := Fiedler(L, 40, 1e-8, 1)
+	f, _ := FiedlerCounted(L, 40, 1e-8, 1)
 	// Zero mean, unit norm.
 	mean := 0.0
 	for _, v := range f {
@@ -111,7 +111,7 @@ func TestFiedlerBisectsDumbbell(t *testing.T) {
 	}
 	link(0, 5)
 	L := Laplacian(adj)
-	f := Fiedler(L, 40, 1e-8, 3)
+	f, _ := FiedlerCounted(L, 40, 1e-8, 3)
 	for i := 1; i < 5; i++ {
 		if f[i]*f[0] < 0 {
 			t.Errorf("vertex %d separated from its clique", i)
@@ -135,7 +135,7 @@ func TestFiedlerEigenvalueResidual(t *testing.T) {
 		adj[j] = append(adj[j], int32(i))
 	}
 	L := Laplacian(adj)
-	f := Fiedler(L, 40, 1e-10, 5)
+	f, _ := FiedlerCounted(L, 40, 1e-10, 5)
 	y := make([]float64, n)
 	L.MulVec(f, y)
 	lambda := Dot(f, y)
@@ -152,7 +152,7 @@ func TestFiedlerEigenvalueResidual(t *testing.T) {
 
 func TestFiedlerSingletonGraph(t *testing.T) {
 	L := Laplacian([][]int32{nil})
-	f := Fiedler(L, 10, 1e-6, 1)
+	f, _ := FiedlerCounted(L, 10, 1e-6, 1)
 	if len(f) != 1 || f[0] != 0 {
 		t.Errorf("singleton Fiedler = %v", f)
 	}
