@@ -34,10 +34,10 @@ func main() {
 	sim := remap.Build(oldAsg, newPart, g.Wremap, P, F)
 
 	fmt.Printf("similarity matrix S (%d processors × %d partitions):\n", P, P*F)
-	for i, row := range sim.S {
+	for i := 0; i < P; i++ {
 		fmt.Printf("  proc %d:", i)
-		for _, w := range row {
-			fmt.Printf("%7d", w)
+		for j := 0; j < P*F; j++ {
+			fmt.Printf("%7d", sim.At(i, j))
 		}
 		fmt.Println()
 	}

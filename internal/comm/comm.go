@@ -1,10 +1,9 @@
 // Package comm is the message-passing runtime that stands in for MPI: a
 // World of P ranks executing SPMD functions on goroutines, point-to-point
-// sends with (source, tag) matching, and the collectives the remap and
-// finalization phases use (Alltoallv, Gather). All
-// communication is by value over in-process queues — ranks share no
-// mutable state, matching the distributed-memory discipline of the paper's
-// C++/MPI implementation.
+// sends with (source, tag) matching, and the one collective the
+// finalization phase uses (Gather). All communication is by value over
+// in-process queues — ranks share no mutable state, matching the
+// distributed-memory discipline of the paper's C++/MPI implementation.
 //
 // Every rank records traffic counters (messages and words sent) so the
 // machine model can translate a run's communication pattern into SP2-class
@@ -78,15 +77,9 @@ func (e *TimeoutError) Error() string {
 // mailbox is a rank's incoming queue with (src, tag) matching.
 type mailbox struct {
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond // on mu
 	q    []message
 	dead bool
-}
-
-func newMailbox() *mailbox {
-	mb := &mailbox{}
-	mb.cond = sync.NewCond(&mb.mu)
-	return mb
 }
 
 func (mb *mailbox) put(m message) {
@@ -116,10 +109,13 @@ func (mb *mailbox) get(src, tag int) message {
 // AnySource matches a message from any rank in Recv.
 const AnySource = -1
 
-// World is a communicator of P ranks.
+// World is a communicator of P ranks. It holds O(P) state — a mailbox
+// and a traffic counter per rank — plus, on the reliable path, one small
+// record per rank pair that has actually exchanged a message; its cost
+// follows the messages sent, not the P² pairs that could send one.
 type World struct {
 	p     int
-	boxes []*mailbox
+	boxes []mailbox
 
 	deadMu sync.Mutex
 	dead   bool // set by poison(); guarded by deadMu
@@ -128,17 +124,36 @@ type World struct {
 	stats   []Stats
 
 	// Reliable-transport state (reliable.go). The hook and budget are set
-	// between Run calls; the per-(src,dst) slots indexed src*p+dst are each
-	// written by exactly one rank goroutine (sender-owned except
-	// pairExpect, which the receiver owns), so no locking is needed.
-	hook        func(src, dst, attempt int) fault.Kind
-	maxAttempts int
-	deadline    time.Duration // wall-clock watchdog per Run; 0 = off
-	pairAttempt []int32       // fault-hook consultations per pair (sender-owned)
-	pairSeq     []int64       // next sequence number per pair (sender-owned)
-	pairExpect  []int64       // next expected sequence per pair (receiver-owned)
-	pairResend  []int64       // extra physical frames per pair (sender-owned)
-	pairBackoff []int64       // Σ 2^try backoff units per pair (sender-owned)
+	// between Run calls. Per-pair state exists only for the pairs that
+	// have used the reliable path, created on first use: sends[src] is
+	// touched by rank src's goroutine alone and recvs[dst] by rank dst's,
+	// so no locking is needed.
+	hook         func(src, dst, attempt int) fault.Kind
+	maxAttempts  int
+	deadline     time.Duration // wall-clock watchdog per Run; 0 = off
+	sends, recvs [][]pairState
+}
+
+// pairState is one rank's side of a (src, dst) pair on the reliable path,
+// keyed by the peer: the sender's counters, or the receiver's sequence.
+type pairState struct {
+	peer    int32
+	attempt int32 // sender: fault-hook consultations so far
+	seq     int64 // sender: next sequence number; receiver: next expected
+	resend  int64 // sender: extra physical frames sent
+	backoff int64 // sender: Σ 2^try backoff units
+}
+
+// pairOf returns peer's entry in a rank's pair list, appended on first
+// use. The pointer is good until the list's next append.
+func pairOf(list *[]pairState, peer int) *pairState {
+	for i := range *list {
+		if int((*list)[i].peer) == peer {
+			return &(*list)[i]
+		}
+	}
+	*list = append(*list, pairState{peer: int32(peer)})
+	return &(*list)[len(*list)-1]
 }
 
 // Stats counts a rank's outgoing traffic. Words counts payload words only;
@@ -157,16 +172,13 @@ type Stats struct {
 
 // NewWorld creates a communicator with p ranks.
 func NewWorld(p int) *World {
-	w := &World{p: p, boxes: make([]*mailbox, p), stats: make([]Stats, p),
+	w := &World{p: p, boxes: make([]mailbox, p), stats: make([]Stats, p),
 		maxAttempts: 1,
-		pairAttempt: make([]int32, p*p),
-		pairSeq:     make([]int64, p*p),
-		pairExpect:  make([]int64, p*p),
-		pairResend:  make([]int64, p*p),
-		pairBackoff: make([]int64, p*p),
+		sends:       make([][]pairState, p),
+		recvs:       make([][]pairState, p),
 	}
 	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
+		w.boxes[i].cond.L = &w.boxes[i].mu
 	}
 	return w
 }
@@ -180,7 +192,8 @@ func (w *World) poison() {
 	w.deadMu.Lock()
 	w.dead = true
 	w.deadMu.Unlock()
-	for _, mb := range w.boxes {
+	for i := range w.boxes {
+		mb := &w.boxes[i]
 		mb.mu.Lock()
 		mb.dead = true
 		mb.cond.Broadcast()
@@ -230,6 +243,7 @@ func (w *World) Run(f func(c *Comm)) error {
 	var wg sync.WaitGroup
 	panics := make([]any, w.p)
 	stacks := make([][]byte, w.p)
+	comms := make([]Comm, w.p)
 	for r := 0; r < w.p; r++ {
 		wg.Add(1)
 		go func(rank int) {
@@ -243,7 +257,8 @@ func (w *World) Run(f func(c *Comm)) error {
 					w.poison()
 				}
 			}()
-			f(&Comm{w: w, rank: rank})
+			comms[rank] = Comm{w: w, rank: rank}
+			f(&comms[rank])
 		}(r)
 	}
 	if w.deadline > 0 {
@@ -340,10 +355,7 @@ func (c *Comm) Recv(src, tag int) ([]int64, int) {
 	return m.data, m.src
 }
 
-const (
-	tagGather = -1000 - iota
-	tagAlltoall
-)
+const tagGather = -1000
 
 // Gather collects each rank's slice on root (other ranks get nil). Slices
 // may have different lengths (MPI_Gatherv semantics).
@@ -356,29 +368,6 @@ func (c *Comm) Gather(root int, vals []int64) [][]int64 {
 	out[root] = append([]int64(nil), vals...)
 	for i := 0; i < c.w.p-1; i++ {
 		d, src := c.Recv(AnySource, tagGather)
-		out[src] = d
-	}
-	return out
-}
-
-// Alltoallv sends bufs[dst] to every dst (nil entries allowed, still
-// delivered as empty) and returns the received buffers indexed by source.
-func (c *Comm) Alltoallv(bufs [][]int64) [][]int64 {
-	p := c.w.p
-	if len(bufs) != p {
-		panic(fmt.Sprintf("comm: Alltoallv on rank %d got %d buffers, need one per rank (%d)",
-			c.rank, len(bufs), p))
-	}
-	for dst := 0; dst < p; dst++ {
-		if dst == c.rank {
-			continue
-		}
-		c.Send(dst, tagAlltoall, bufs[dst])
-	}
-	out := make([][]int64, p)
-	out[c.rank] = append([]int64(nil), bufs[c.rank]...)
-	for i := 0; i < p-1; i++ {
-		d, src := c.Recv(AnySource, tagAlltoall)
 		out[src] = d
 	}
 	return out

@@ -60,13 +60,30 @@ func (w *World) SetFaults(hook func(src, dst, attempt int) fault.Kind, msgAttemp
 	w.maxAttempts = msgAttempts
 }
 
-// RetryCounters returns copies of the per-(src,dst) retry counters the
-// reliable path accumulated, indexed src*P+dst: extra physical frames
-// sent, and modeled backoff units (Σ 2^try per failed attempt, plus one
-// unit per stall), to be scaled by the machine model's RetryBackoff. Call
-// after Run returns.
-func (w *World) RetryCounters() (resends, backoff []int64) {
-	return append([]int64(nil), w.pairResend...), append([]int64(nil), w.pairBackoff...)
+// PairRetry is the recovery one (Src, Dst) pair needed on the reliable
+// path: Resends extra physical frames, and Backoff modeled backoff units
+// (Σ 2^try per failed attempt, plus one unit per stall), to be scaled by
+// the machine model's RetryBackoff.
+type PairRetry struct {
+	Src, Dst         int32
+	Resends, Backoff int64
+}
+
+// RetryCounters returns the retry counters the reliable path accumulated,
+// one entry per pair that needed any recovery, in canonical (Src, Dst)
+// order. Call after Run returns.
+func (w *World) RetryCounters() []PairRetry {
+	var out []PairRetry
+	for src, pairs := range w.sends {
+		lo := len(out)
+		for _, sp := range pairs {
+			if sp.resend > 0 || sp.backoff > 0 {
+				out = append(out, PairRetry{Src: int32(src), Dst: sp.peer, Resends: sp.resend, Backoff: sp.backoff})
+			}
+		}
+		slices.SortFunc(out[lo:], func(a, b PairRetry) int { return int(a.Dst - b.Dst) })
+	}
+	return out
 }
 
 // putFrame sends one physical frame. corruptSalt < 0 sends the frame
@@ -104,15 +121,14 @@ func (c *Comm) SendReliable(dst, tag int, data []int64) bool {
 	if dst < 0 || dst >= w.p {
 		panic(fmt.Sprintf("comm: reliable send to invalid rank %d", dst))
 	}
-	pair := c.rank*w.p + dst
-	seq := w.pairSeq[pair]
-	w.pairSeq[pair]++
+	pair := pairOf(&w.sends[c.rank], dst)
+	seq := pair.seq
+	pair.seq++
 	for try := 0; ; try++ {
 		fate := fault.None
 		if w.hook != nil {
-			a := int(w.pairAttempt[pair])
-			w.pairAttempt[pair]++
-			fate = w.hook(c.rank, dst, a)
+			fate = w.hook(c.rank, dst, int(pair.attempt))
+			pair.attempt++
 		}
 		switch fate {
 		case fault.None:
@@ -120,7 +136,7 @@ func (c *Comm) SendReliable(dst, tag int, data []int64) bool {
 			return true
 		case fault.Stall:
 			// Delivered intact but late: charge one backoff unit.
-			w.pairBackoff[pair]++
+			pair.backoff++
 			c.putFrame(dst, tag, seq, frameFlagOK, data, -1)
 			return true
 		case fault.Duplicate:
@@ -128,7 +144,7 @@ func (c *Comm) SendReliable(dst, tag int, data []int64) bool {
 			// tracking discards the second.
 			c.putFrame(dst, tag, seq, frameFlagOK, data, -1)
 			c.putFrame(dst, tag, seq, frameFlagOK, data, -1)
-			w.pairResend[pair]++
+			pair.resend++
 			w.statsMu.Lock()
 			w.stats[c.rank].Retries++
 			w.stats[c.rank].RetryWords += int64(len(data))
@@ -144,14 +160,14 @@ func (c *Comm) SendReliable(dst, tag int, data []int64) bool {
 		}
 		if try+1 >= w.maxAttempts {
 			c.putFrame(dst, tag, seq, frameFlagFailed, nil, -1)
-			w.pairBackoff[pair]++ // the failure notification's timeout
+			pair.backoff++ // the failure notification's timeout
 			w.statsMu.Lock()
 			w.stats[c.rank].Failed++
 			w.statsMu.Unlock()
 			return false
 		}
-		w.pairResend[pair]++
-		w.pairBackoff[pair] += 1 << min(try, 16)
+		pair.resend++
+		pair.backoff += 1 << min(try, 16)
 		w.statsMu.Lock()
 		w.stats[c.rank].Retries++
 		w.stats[c.rank].RetryWords += int64(len(data))
@@ -173,53 +189,22 @@ func (c *Comm) RecvReliable(src, tag int) (data []int64, from int, ok bool) {
 				c.rank, m.src, len(m.data)))
 		}
 		seq, flags, sum := m.data[0], m.data[1], m.data[2]
-		pair := m.src*w.p + c.rank
-		if seq < w.pairExpect[pair] {
+		pair := pairOf(&w.recvs[c.rank], m.src)
+		if seq < pair.seq {
 			continue // stale duplicate of an already-delivered message
 		}
 		if flags == frameFlagFailed {
-			w.pairExpect[pair] = seq + 1
+			pair.seq = seq + 1
 			return nil, m.src, false
 		}
 		payload := m.data[frameHdr:]
 		if checksum(payload) != sum {
 			continue // corrupted in flight; a retry is already on the way
 		}
-		w.pairExpect[pair] = seq + 1
+		pair.seq = seq + 1
 		if len(payload) == 0 {
 			payload = nil // match the plain path's empty-message value
 		}
 		return payload, m.src, true
 	}
-}
-
-// AlltoallvReliable is Alltoallv over the reliable path: bufs[dst] goes to
-// every dst through SendReliable, and the result is indexed by source.
-// Transfers that exhausted their attempt budget leave a nil entry and are
-// reported in failed (sorted source ranks); the exchange itself always
-// completes — no rank blocks on a lost message.
-func (c *Comm) AlltoallvReliable(bufs [][]int64) (out [][]int64, failed []int) {
-	p := c.w.p
-	if len(bufs) != p {
-		panic(fmt.Sprintf("comm: AlltoallvReliable on rank %d got %d buffers, need one per rank (%d)",
-			c.rank, len(bufs), p))
-	}
-	for dst := 0; dst < p; dst++ {
-		if dst == c.rank {
-			continue
-		}
-		c.SendReliable(dst, tagAlltoall, bufs[dst])
-	}
-	out = make([][]int64, p)
-	out[c.rank] = append([]int64(nil), bufs[c.rank]...)
-	for i := 0; i < p-1; i++ {
-		d, src, ok := c.RecvReliable(AnySource, tagAlltoall)
-		if !ok {
-			failed = append(failed, src)
-			continue
-		}
-		out[src] = d
-	}
-	slices.Sort(failed)
-	return out, failed
 }

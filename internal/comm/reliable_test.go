@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -23,6 +22,43 @@ func exchangePayloads(p, src int) [][]int64 {
 	return bufs
 }
 
+// exchangeAll is the all-pairs exchange the transport tests drive: rank
+// self sends bufs[dst] to every other dst in ascending order — over the
+// reliable path or the plain one — and takes one message from every other
+// source. The result is indexed by source (the rank's own buffer copied
+// through); transfers that exhausted their attempt budget leave a nil
+// entry and are listed, ascending, in failed.
+func exchangeAll(c *Comm, bufs [][]int64, reliable bool) (out [][]int64, failed []int) {
+	const tag = 7
+	p, self := c.P(), c.Rank()
+	for dst := 0; dst < p; dst++ {
+		switch {
+		case dst == self:
+		case reliable:
+			c.SendReliable(dst, tag, bufs[dst])
+		default:
+			c.Send(dst, tag, bufs[dst])
+		}
+	}
+	out = make([][]int64, p)
+	out[self] = append([]int64(nil), bufs[self]...)
+	for src := 0; src < p; src++ {
+		switch {
+		case src == self:
+		case reliable:
+			d, _, ok := c.RecvReliable(src, tag)
+			if !ok {
+				failed = append(failed, src)
+				continue
+			}
+			out[src] = d
+		default:
+			out[src], _ = c.Recv(src, tag)
+		}
+	}
+	return out, failed
+}
+
 func runReliableExchange(t *testing.T, p int, plan *fault.Plan, attempts int) ([][][]int64, [][]int, *World) {
 	t.Helper()
 	w := NewWorld(p)
@@ -30,7 +66,7 @@ func runReliableExchange(t *testing.T, p int, plan *fault.Plan, attempts int) ([
 	outs := make([][][]int64, p)
 	fails := make([][]int, p)
 	if err := w.Run(func(c *Comm) {
-		out, failed := c.AlltoallvReliable(exchangePayloads(p, c.Rank()))
+		out, failed := exchangeAll(c, exchangePayloads(p, c.Rank()), true)
 		outs[c.Rank()] = out
 		fails[c.Rank()] = failed
 	}); err != nil {
@@ -41,13 +77,13 @@ func runReliableExchange(t *testing.T, p int, plan *fault.Plan, attempts int) ([
 
 func TestReliableExchangeNoFaults(t *testing.T) {
 	// Without a fault hook, the reliable exchange must deliver exactly the
-	// plain Alltoallv result with identical Msgs/Words stats.
+	// plain exchange's result with identical Msgs/Words stats.
 	p := 5
 	outs, fails, w := runReliableExchange(t, p, nil, 3)
 	wPlain := NewWorld(p)
 	plain := make([][][]int64, p)
 	wPlain.Run(func(c *Comm) {
-		plain[c.Rank()] = c.Alltoallv(exchangePayloads(p, c.Rank()))
+		plain[c.Rank()], _ = exchangeAll(c, exchangePayloads(p, c.Rank()), false)
 	})
 	for r := 0; r < p; r++ {
 		if len(fails[r]) != 0 {
@@ -93,11 +129,10 @@ func TestReliableExchangeRecoversFaults(t *testing.T) {
 	if retries == 0 {
 		t.Error("rate 0.4 produced no retries")
 	}
-	resends, backoff := w.RetryCounters()
 	var rs, bo int64
-	for i := range resends {
-		rs += resends[i]
-		bo += backoff[i]
+	for _, pr := range w.RetryCounters() {
+		rs += pr.Resends
+		bo += pr.Backoff
 	}
 	if rs == 0 || bo == 0 {
 		t.Errorf("pair counters empty: resends %d backoff %d", rs, bo)
@@ -116,9 +151,7 @@ func TestReliableExchangeDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(w1.RankStats(), w2.RankStats()) {
 		t.Error("stats not deterministic under faults")
 	}
-	r1, b1 := w1.RetryCounters()
-	r2, b2 := w2.RetryCounters()
-	if !reflect.DeepEqual(r1, r2) || !reflect.DeepEqual(b1, b2) {
+	if !reflect.DeepEqual(w1.RetryCounters(), w2.RetryCounters()) {
 		t.Error("retry counters not deterministic under faults")
 	}
 }
@@ -192,11 +225,15 @@ func TestReliableSequencesSpanRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.pairAttempt[0*2+1]; got != 6 {
-		t.Errorf("attempt counter after 3 rounds × 2 attempts = %d, want 6", got)
+	pair := w.sends[0][0] // rank 0's only pair: 0 -> 1
+	if pair.peer != 1 || len(w.sends[0]) != 1 || len(w.sends[1]) != 0 {
+		t.Fatalf("sender-side pair state = %+v, want one pair 0 -> 1", w.sends)
 	}
-	if got := w.pairSeq[0*2+1]; got != 3 {
-		t.Errorf("sequence counter after 3 rounds = %d, want 3", got)
+	if pair.attempt != 6 {
+		t.Errorf("attempt counter after 3 rounds × 2 attempts = %d, want 6", pair.attempt)
+	}
+	if pair.seq != 3 {
+		t.Errorf("sequence counter after 3 rounds = %d, want 3", pair.seq)
 	}
 }
 
@@ -214,21 +251,4 @@ func FuzzChecksumDetectsSingleWordFlips(f *testing.F) {
 			t.Fatalf("single-word flip undetected: %v", buf)
 		}
 	})
-}
-
-func BenchmarkAlltoallvReliable(b *testing.B) {
-	for _, faulty := range []bool{false, true} {
-		b.Run(fmt.Sprintf("faults=%v", faulty), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w := NewWorld(8)
-				if faulty {
-					plan := &fault.Plan{Seed: 42, Rate: 0.2}
-					w.SetFaults(plan.Hook(fault.StageRemap, 0), 4)
-				}
-				w.Run(func(c *Comm) {
-					c.AlltoallvReliable(exchangePayloads(8, c.Rank()))
-				})
-			}
-		})
-	}
 }

@@ -50,7 +50,7 @@ type Dist struct {
 	Prop machine.Exchange
 
 	// Exchange selects the communication schedule of the remap payload
-	// exchange — flat (legacy, the zero value), aggregated, or
+	// exchange — flat (the zero value), aggregated, or
 	// hierarchical (see machine.Exchange). It drives both the wire path
 	// (how records physically move between goroutine ranks) and the
 	// machine-model charges; the node topology side of the hierarchical
@@ -61,7 +61,7 @@ type Dist struct {
 
 	// Faults is the deterministic fault-injection plan driving the remap
 	// payload exchange (internal/fault). nil — or a zero-rate plan —
-	// keeps the legacy fault-free exchange byte-identical. When enabled,
+	// runs the exchange over the plain transport, fault-free. When enabled,
 	// the executor runs transactionally: the owner array is checkpointed,
 	// failed windows are re-exchanged up to Retry.WindowRetries times, and
 	// exhausted retries roll the ownership back to the checkpoint with a

@@ -3,18 +3,19 @@ package par
 // The wire side of the exchange schedules. accountRemap charges the
 // machine model for a schedule; this file actually moves the element
 // records between goroutine ranks under the same schedule, over the plain
-// or reliable comm transport:
+// or reliable comm transport. One rule holds on every schedule: only the
+// flows that exist ride the wire. A rank sends its stripe of the window's
+// flow list and receives the flows the by-destination index names for it;
+// no rank loops over the other P−1, and a pair that moves nothing costs
+// no message, no fault draw and no transport state.
 //
-//   - flat: one Alltoallv buffer per (src, dst) flow — the legacy path,
-//     kept byte-identical (same sends in the same order, so the fault
-//     schedule's per-pair attempt counters advance exactly as before).
-//   - aggregated: window flows ride inside combined frames
-//     (comm.PackCombined) with per-flow sub-headers. The remap table has
+//   - flat: one message per (src, dst) flow, the paper's remap semantics.
+//   - aggregated: the same messages, each wrapped in a combined frame
+//     (comm.PackCombined) with a per-flow sub-header. The remap table has
 //     at most one flow per (src, dst) pair per window, so each frame
 //     carries a single sub; the schedule's setup savings — one modeled
 //     setup per source instead of one per pair — are machine.ChargeFlows'
-//     business, while this path proves the framing end to end and skips
-//     empty flows entirely.
+//     business, while this path proves the framing end to end.
 //   - hierarchical: a real two-level relay. Members gather their window
 //     flows to the node leader in one combined frame, leaders exchange
 //     one combined frame per communicating node pair, leaders scatter
@@ -22,12 +23,12 @@ package par
 //     headers.
 //
 // Every expectation — who sends, who receives, how many words — is
-// derived from the canonical flow offsets on both sides of every hop,
-// never from received data. A sender therefore always sends exactly the
-// frames its receivers wait for (possibly partial or empty after an
-// upstream reliable failure), so no rank can block on a lost transfer:
-// missing flows surface as want-mismatches at their final destination and
-// are counted as window failures for the transactional retry loop.
+// derived from the canonical flow list on both sides of every hop, never
+// from received data. A sender therefore always sends exactly the frames
+// its receivers wait for (possibly partial or empty after an upstream
+// reliable failure), so no rank can block on a lost transfer: missing
+// flows surface as want-mismatches at their final destination and are
+// counted as window failures for the transactional retry loop.
 
 import (
 	"fmt"
@@ -37,24 +38,27 @@ import (
 	"plum/internal/machine"
 )
 
-// Positive message tags for the combined-frame exchange paths; the comm
-// package's built-in collectives use negative tags, so these never
-// collide with an in-flight Alltoallv.
+// Message tags of the exchange paths (comm.Gather uses a negative one).
 const (
-	tagCombined = 100 + iota
+	tagFlow = 100 + iota
 	tagGatherUp
 	tagInterNode
 	tagScatterDown
 )
 
-// winPlan describes one exchange window over the canonical flow layout:
-// flows [f0, f1) of the p×p table, with rec returning flow f's wire
-// records (zero-copy subslices of the caller's record buffer).
+// winPlan describes one exchange window over the canonical flow list:
+// flows [f0, f1) of fi, whose packed records fill buf. Everything a rank
+// derives from it is bounded by the flows it takes part in.
 type winPlan struct {
-	f0, f1    int
-	p         int
-	flowStart []int64
-	rec       func(f int) []int64
+	fi     *flowIndex
+	f0, f1 int
+	buf    []int64
+}
+
+// rec returns window flow f's wire records: a zero-copy subslice of buf.
+func (pl *winPlan) rec(f int) []int64 {
+	base := pl.fi.flowStart[pl.f0]
+	return pl.buf[(pl.fi.flowStart[f]-base)*recWords : (pl.fi.flowStart[f+1]-base)*recWords]
 }
 
 // want returns flow f's planned element count, zero outside the window.
@@ -62,7 +66,24 @@ func (pl *winPlan) want(f int) int64 {
 	if f < pl.f0 || f >= pl.f1 {
 		return 0
 	}
-	return pl.flowStart[f+1] - pl.flowStart[f]
+	return pl.fi.flowStart[f+1] - pl.fi.flowStart[f]
+}
+
+// out returns the window's flows [lo, hi) that ranks [r0, r1) send.
+func (pl *winPlan) out(r0, r1 int) (lo, hi int) {
+	lo = max(int(pl.fi.outStart[r0]), pl.f0)
+	return lo, max(lo, min(int(pl.fi.outStart[r1]), pl.f1))
+}
+
+// hasIn reports whether rank r receives a flow of the window.
+func (pl *winPlan) hasIn(r int) bool {
+	return slices.ContainsFunc(pl.fi.in(r), func(f int32) bool { return pl.want(int(f)) > 0 })
+}
+
+// sub returns flow f as a combined-frame sub carrying data.
+func (pl *winPlan) sub(f int, data []int64) comm.SubFrame {
+	fl := pl.fi.flows[f]
+	return comm.SubFrame{Src: fl.src, Dst: fl.dst, Data: data}
 }
 
 // exchangeWindow runs one window of the remap exchange under the selected
@@ -77,15 +98,9 @@ func (pl *winPlan) want(f int) int64 {
 // reports it as a *comm.CrashError. The returned error is a rank panic
 // aggregated by comm.World.Run.
 func exchangeWindow(w *comm.World, x machine.Exchange, topo machine.Topology, pl *winPlan, reliable bool, recv, failCount []int64, crash []bool) error {
-	var body func(c *comm.Comm)
-	switch x {
-	case machine.ExchangeAggregated:
-		body = func(c *comm.Comm) { exchangeAggregated(c, pl, reliable, recv, failCount) }
-	case machine.ExchangeHierarchical:
-		info := buildHierInfo(pl, topo)
-		body = func(c *comm.Comm) { exchangeHierarchical(c, topo, pl, info, reliable, recv, failCount) }
-	default:
-		body = func(c *comm.Comm) { exchangeFlat(c, pl, reliable, recv, failCount) }
+	body := func(c *comm.Comm) { exchangeDirect(c, pl, x == machine.ExchangeAggregated, reliable, recv, failCount) }
+	if x == machine.ExchangeHierarchical {
+		body = func(c *comm.Comm) { exchangeHierarchical(c, topo, pl, reliable, recv, failCount) }
 	}
 	if crash == nil {
 		return w.Run(body)
@@ -98,122 +113,67 @@ func exchangeWindow(w *comm.World, x machine.Exchange, topo machine.Topology, pl
 	})
 }
 
-// exchangeFlat is the legacy schedule: every rank contributes one
-// Alltoallv buffer per destination (empty outside its window flows) and
-// verifies each received flow against the plan.
-func exchangeFlat(c *comm.Comm, pl *winPlan, reliable bool, recv, failCount []int64) {
-	p := pl.p
-	self := c.Rank()
-	bufs := make([][]int64, p)
-	for f := pl.f0; f < pl.f1; f++ {
-		if f/p == self {
-			bufs[f%p] = pl.rec(f)
-		}
-	}
-	var got [][]int64
-	var failed []int
+// sendFrame sends one frame over the selected transport.
+func sendFrame(c *comm.Comm, reliable bool, dst, tag int, frame []int64) {
 	if reliable {
-		got, failed = c.AlltoallvReliable(bufs)
-		failCount[self] = int64(len(failed))
+		c.SendReliable(dst, tag, frame)
 	} else {
-		got = c.Alltoallv(bufs)
+		c.Send(dst, tag, frame)
 	}
-	for from, data := range got {
-		if from == self || slices.Contains(failed, from) {
+}
+
+// recvFrame takes one frame from src; ok is false when the reliable
+// transfer exhausted its budget.
+func recvFrame(c *comm.Comm, reliable bool, src, tag int) ([]int64, bool) {
+	if reliable {
+		d, _, ok := c.RecvReliable(src, tag)
+		return d, ok
+	}
+	d, _ := c.Recv(src, tag)
+	return d, true
+}
+
+// exchangeDirect is the flat and the aggregated schedule: every rank
+// sends each of its window flows straight to the flow's destination —
+// bare records, or (combined) wrapped in a single-sub combined frame —
+// and takes its incoming window flows in ascending source order, so the
+// exchange is deterministic without a barrier. Each received flow is
+// verified against the plan.
+func exchangeDirect(c *comm.Comm, pl *winPlan, combined, reliable bool, recv, failCount []int64) {
+	self := c.Rank()
+	lo, hi := pl.out(self, self+1)
+	for f := lo; f < hi; f++ {
+		data := pl.rec(f)
+		if combined {
+			data = comm.PackCombined([]comm.SubFrame{pl.sub(f, data)})
+		}
+		sendFrame(c, reliable, int(pl.fi.flows[f].dst), tagFlow, data)
+	}
+	for _, f := range pl.fi.in(self) {
+		want := pl.want(int(f))
+		if want == 0 {
 			continue
 		}
-		want := pl.want(from*p + self)
+		from := pl.fi.flows[f].src
+		data, ok := recvFrame(c, reliable, int(from), tagFlow)
+		if !ok {
+			failCount[self]++
+			continue
+		}
+		if combined {
+			subs := unpackVia(data, self, c.P())
+			if len(subs) != 1 || subs[0].Src != from || int(subs[0].Dst) != self {
+				panic(fmt.Sprintf("par: combined flow %d->%d does not match its plan (%d subs)",
+					from, self, len(subs)))
+			}
+			data = subs[0].Data
+		}
 		if int64(len(data)) != want*recWords {
 			panic(fmt.Sprintf("par: window flow %d->%d carried %d words, want %d",
 				from, self, len(data), want*recWords))
 		}
 		recv[self] += want
 	}
-}
-
-// exchangeAggregated wraps each nonempty window flow in a combined frame.
-// Receivers take frames from their expected sources in ascending rank
-// order, so the exchange is deterministic without a barrier.
-func exchangeAggregated(c *comm.Comm, pl *winPlan, reliable bool, recv, failCount []int64) {
-	p := pl.p
-	self := c.Rank()
-	for f := pl.f0; f < pl.f1; f++ {
-		dst := f % p
-		if f/p != self || dst == self || pl.want(f) == 0 {
-			continue
-		}
-		frame := comm.PackCombined([]comm.SubFrame{{Src: int32(self), Dst: int32(dst), Data: pl.rec(f)}})
-		if reliable {
-			c.SendReliable(dst, tagCombined, frame)
-		} else {
-			c.Send(dst, tagCombined, frame)
-		}
-	}
-	for from := 0; from < p; from++ {
-		want := pl.want(from*p + self)
-		if from == self || want == 0 {
-			continue
-		}
-		var frame []int64
-		if reliable {
-			d, _, ok := c.RecvReliable(from, tagCombined)
-			if !ok {
-				failCount[self]++
-				continue
-			}
-			frame = d
-		} else {
-			frame, _ = c.Recv(from, tagCombined)
-		}
-		subs := unpackVia(frame, self, p)
-		if len(subs) != 1 || int(subs[0].Src) != from || int(subs[0].Dst) != self ||
-			int64(len(subs[0].Data)) != want*recWords {
-			panic(fmt.Sprintf("par: combined flow %d->%d does not match its plan (%d subs)",
-				from, self, len(subs)))
-		}
-		recv[self] += want
-	}
-}
-
-// hierInfo is the plan-derived routing knowledge of one hierarchical
-// window, computed once and shared read-only by every rank goroutine:
-// which ranks send or receive anything, and which node pairs exchange an
-// inter-node combined frame.
-type hierInfo struct {
-	hasOut, hasIn []bool
-	outNodes      [][]int32 // per node: dst nodes it sends a combined frame to
-	inNodes       [][]int32 // per node: src nodes it receives a combined frame from
-}
-
-func buildHierInfo(pl *winPlan, topo machine.Topology) *hierInfo {
-	p := pl.p
-	nn := topo.Nodes(p)
-	info := &hierInfo{
-		hasOut:   make([]bool, p),
-		hasIn:    make([]bool, p),
-		outNodes: make([][]int32, nn),
-		inNodes:  make([][]int32, nn),
-	}
-	for f := pl.f0; f < pl.f1; f++ {
-		src, dst := f/p, f%p
-		if src == dst || pl.want(f) == 0 {
-			continue
-		}
-		info.hasOut[src] = true
-		info.hasIn[dst] = true
-		na, nb := topo.Node(src), topo.Node(dst)
-		if na != nb {
-			info.outNodes[na] = append(info.outNodes[na], int32(nb))
-			info.inNodes[nb] = append(info.inNodes[nb], int32(na))
-		}
-	}
-	for n := 0; n < nn; n++ {
-		slices.Sort(info.outNodes[n])
-		info.outNodes[n] = slices.Compact(info.outNodes[n])
-		slices.Sort(info.inNodes[n])
-		info.inNodes[n] = slices.Compact(info.inNodes[n])
-	}
-	return info
 }
 
 // unpackVia unpacks a combined frame that arrived over a checksum-clean
@@ -237,16 +197,16 @@ func unpackVia(frame []int64, self, p int) []comm.SubFrame {
 // against the plan: every expected flow must be present with exactly
 // want·recWords words. A missing flow counts as a transfer failure on the
 // reliable path (an upstream hop exhausted its budget) and panics on the
-// plain path; a present-but-wrong-size flow is always a bug.
+// plain path; a present-but-wrong-size flow is always a bug. delivered is
+// keyed by flow id.
 func collectDelivered(pl *winPlan, self int, delivered map[int][]int64, reliable bool, recv, failCount []int64) {
-	p := pl.p
-	for src := 0; src < p; src++ {
-		f := src*p + self
-		want := pl.want(f)
-		if src == self || want == 0 {
+	for _, f := range pl.fi.in(self) {
+		want := pl.want(int(f))
+		if want == 0 {
 			continue
 		}
-		data, ok := delivered[f]
+		src := pl.fi.flows[f].src
+		data, ok := delivered[int(f)]
 		switch {
 		case ok && int64(len(data)) == want*recWords:
 			recv[self] += want
@@ -263,54 +223,45 @@ func collectDelivered(pl *winPlan, self int, delivered map[int][]int64, reliable
 
 // exchangeHierarchical relays the window through node leaders in three
 // hops — gather up, inter-node, scatter down — with every frame built and
-// received against the shared plan info.
-func exchangeHierarchical(c *comm.Comm, topo machine.Topology, pl *winPlan, info *hierInfo, reliable bool, recv, failCount []int64) {
-	p := pl.p
+// received against the plan. A leader walks its own node's stripe of the
+// flow list and its members' by-destination lists; no rank walks the
+// whole window.
+func exchangeHierarchical(c *comm.Comm, topo machine.Topology, pl *winPlan, reliable bool, recv, failCount []int64) {
+	p := c.P()
 	self := c.Rank()
 	node := topo.Node(self)
 	leader := topo.Leader(node)
-
-	send := func(dst, tag int, frame []int64) {
-		if reliable {
-			c.SendReliable(dst, tag, frame)
-		} else {
-			c.Send(dst, tag, frame)
+	// flowOf resolves a routed sub-frame to its window flow; a sub the
+	// plan does not hold is a routing bug.
+	flowOf := func(s comm.SubFrame) int {
+		f := pl.fi.find(s.Src, s.Dst)
+		if pl.want(f) == 0 {
+			panic(fmt.Sprintf("par: rank %d received sub-frame %d->%d outside the window plan", self, s.Src, s.Dst))
 		}
-	}
-	// recvFrame returns ok=false when the reliable transfer exhausted its
-	// budget; the flows it carried then surface as misses downstream.
-	recvFrame := func(src, tag int) ([]int64, bool) {
-		if reliable {
-			d, _, ok := c.RecvReliable(src, tag)
-			return d, ok
-		}
-		d, _ := c.Recv(src, tag)
-		return d, true
+		return f
 	}
 
 	if self != leader {
 		// Member: gather outgoing window flows up to the leader in one
 		// combined frame (destination-ascending sub order) ...
-		if info.hasOut[self] {
+		if f, hi := pl.out(self, self+1); f < hi {
 			var subs []comm.SubFrame
-			for dst := 0; dst < p; dst++ {
-				if f := self*p + dst; dst != self && pl.want(f) > 0 {
-					subs = append(subs, comm.SubFrame{Src: int32(self), Dst: int32(dst), Data: pl.rec(f)})
-				}
+			for ; f < hi; f++ {
+				subs = append(subs, pl.sub(f, pl.rec(f)))
 			}
-			send(leader, tagGatherUp, comm.PackCombined(subs))
+			sendFrame(c, reliable, leader, tagGatherUp, comm.PackCombined(subs))
 		}
 		// ... and take incoming flows from the leader's scatter frame. A
 		// failed scatter delivery leaves the map empty, so every expected
 		// flow is counted as a miss.
-		if info.hasIn[self] {
+		if pl.hasIn(self) {
 			delivered := make(map[int][]int64)
-			if frame, ok := recvFrame(leader, tagScatterDown); ok {
+			if frame, ok := recvFrame(c, reliable, leader, tagScatterDown); ok {
 				for _, s := range unpackVia(frame, self, p) {
 					if int(s.Dst) != self {
 						panic(fmt.Sprintf("par: rank %d received scatter sub-frame for rank %d", self, s.Dst))
 					}
-					delivered[int(s.Src)*p+int(s.Dst)] = s.Data
+					delivered[flowOf(s)] = s.Data
 				}
 			}
 			collectDelivered(pl, self, delivered, reliable, recv, failCount)
@@ -321,16 +272,16 @@ func exchangeHierarchical(c *comm.Comm, topo machine.Topology, pl *winPlan, info
 	// Leader: route the node's window traffic. have maps flow id to the
 	// records currently held; the leader's own flows ride free.
 	have := make(map[int][]int64)
-	for dst := 0; dst < p; dst++ {
-		if f := self*p + dst; dst != self && pl.want(f) > 0 {
-			have[f] = pl.rec(f)
-		}
+	for f, hi := pl.out(self, self+1); f < hi; f++ {
+		have[f] = pl.rec(f)
 	}
-	for m := self + 1; m < p && topo.Node(m) == node; m++ {
-		if !info.hasOut[m] {
+	end := self + 1 // one past the node's last rank
+	for ; end < p && topo.Node(end) == node; end++ {
+		m := end
+		if lo, hi := pl.out(m, m+1); lo >= hi {
 			continue
 		}
-		frame, ok := recvFrame(m, tagGatherUp)
+		frame, ok := recvFrame(c, reliable, m, tagGatherUp)
 		if !ok {
 			continue // the member's flows surface as misses at their destinations
 		}
@@ -338,65 +289,70 @@ func exchangeHierarchical(c *comm.Comm, topo machine.Topology, pl *winPlan, info
 			if int(s.Src) != m {
 				panic(fmt.Sprintf("par: leader %d got gather sub-frame claiming source %d from member %d", self, s.Src, m))
 			}
-			have[int(s.Src)*p+int(s.Dst)] = s.Data
+			have[flowOf(s)] = s.Data
 		}
 	}
 
 	// Inter-node: one combined frame per communicating node pair, sent
 	// even when gather failures left it partial or empty — the receiving
 	// leader's expectation comes from the plan, not from what survived.
-	for _, nb := range info.outNodes[node] {
+	lo, hi := pl.out(self, end)
+	var outNodes, inNodes []int // the nodes this one sends a frame to, and takes one from
+	for _, fl := range pl.fi.flows[lo:hi] {
+		outNodes = append(outNodes, topo.Node(int(fl.dst)))
+	}
+	for r := self; r < end; r++ {
+		for _, f := range pl.fi.in(r) {
+			if pl.want(int(f)) > 0 {
+				inNodes = append(inNodes, topo.Node(int(pl.fi.flows[f].src)))
+			}
+		}
+	}
+	peers := func(nodes []int) []int {
+		slices.Sort(nodes)
+		return slices.DeleteFunc(slices.Compact(nodes), func(n int) bool { return n == node })
+	}
+	for _, nb := range peers(outNodes) {
 		var subs []comm.SubFrame
-		for f := pl.f0; f < pl.f1; f++ {
-			src, dst := f/p, f%p
-			if topo.Node(src) != node || topo.Node(dst) != int(nb) {
+		for f := lo; f < hi; f++ {
+			if topo.Node(int(pl.fi.flows[f].dst)) != nb {
 				continue
 			}
 			if data, ok := have[f]; ok {
-				subs = append(subs, comm.SubFrame{Src: int32(src), Dst: int32(dst), Data: data})
+				subs = append(subs, pl.sub(f, data))
 			}
 		}
-		send(topo.Leader(int(nb)), tagInterNode, comm.PackCombined(subs))
+		sendFrame(c, reliable, topo.Leader(nb), tagInterNode, comm.PackCombined(subs))
 	}
-	for _, na := range info.inNodes[node] {
-		frame, ok := recvFrame(topo.Leader(int(na)), tagInterNode)
+	for _, na := range peers(inNodes) {
+		frame, ok := recvFrame(c, reliable, topo.Leader(na), tagInterNode)
 		if !ok {
 			continue
 		}
 		for _, s := range unpackVia(frame, self, p) {
-			if topo.Node(int(s.Src)) != int(na) || topo.Node(int(s.Dst)) != node {
+			if topo.Node(int(s.Src)) != na || topo.Node(int(s.Dst)) != node {
 				panic(fmt.Sprintf("par: leader %d got inter-node sub-frame %d->%d from node %d", self, s.Src, s.Dst, na))
 			}
-			have[int(s.Src)*p+int(s.Dst)] = s.Data
+			have[flowOf(s)] = s.Data
 		}
 	}
 
 	// Scatter: one combined frame per member with expected incoming flows
 	// (source-ascending sub order), again sent even when partial.
-	for m := self + 1; m < p && topo.Node(m) == node; m++ {
-		if !info.hasIn[m] {
+	for m := self + 1; m < end; m++ {
+		if !pl.hasIn(m) {
 			continue
 		}
 		var subs []comm.SubFrame
-		for src := 0; src < p; src++ {
-			if f := src*p + m; src != m && pl.want(f) > 0 {
-				if data, ok := have[f]; ok {
-					subs = append(subs, comm.SubFrame{Src: int32(src), Dst: int32(m), Data: data})
-				}
+		for _, f := range pl.fi.in(m) {
+			if data, ok := have[int(f)]; ok && pl.want(int(f)) > 0 {
+				subs = append(subs, pl.sub(int(f), data))
 			}
 		}
-		send(m, tagScatterDown, comm.PackCombined(subs))
+		sendFrame(c, reliable, m, tagScatterDown, comm.PackCombined(subs))
 	}
 	// The leader's own incoming flows never leave the routing table.
-	if info.hasIn[self] {
-		delivered := make(map[int][]int64)
-		for src := 0; src < p; src++ {
-			if f := src*p + self; src != self {
-				if data, ok := have[f]; ok {
-					delivered[f] = data
-				}
-			}
-		}
-		collectDelivered(pl, self, delivered, reliable, recv, failCount)
+	if pl.hasIn(self) {
+		collectDelivered(pl, self, have, reliable, recv, failCount)
 	}
 }

@@ -29,9 +29,16 @@ func nodeModel() machine.Model {
 // owners — flat, aggregated, and hierarchical differ only in the modeled
 // communication charges — and within each schedule the whole RemapResult,
 // modeled floats included, is byte-identical at workers 1/2/4/8 and
-// between the bulk and streaming executors.
+// between the bulk and streaming executors. It holds at P = 8, where
+// nearly every rank pair carries a flow, and at P = 512, where nearly none
+// does and the schedules walk flow lists instead of rank ranges.
 func TestExchangeParity(t *testing.T) {
-	const p = 8
+	for _, p := range []int{8, 512} {
+		testExchangeParity(t, p)
+	}
+}
+
+func testExchangeParity(t *testing.T, p int) {
 	mdl := nodeModel()
 
 	type outcome struct {
@@ -106,7 +113,11 @@ func TestExchangeParity(t *testing.T) {
 			t.Errorf("%v: schedule-invariant fields diverge from flat:\n got %+v\nwant %+v",
 				x, got.res, flat.res)
 		}
-		if got.res.Setups >= flat.res.Setups {
+		// At P = 512 every rank sends to its two ring neighbours only, and
+		// relaying two flows through a leader saves nothing: there the
+		// hierarchical schedule may tie with flat, never exceed it.
+		tie := x == machine.ExchangeHierarchical && p > 8
+		if got.res.Setups > flat.res.Setups || got.res.Setups == flat.res.Setups && !tie {
 			t.Errorf("%v: %d setups not below flat's %d", x, got.res.Setups, flat.res.Setups)
 		}
 	}

@@ -72,28 +72,39 @@ func FuzzExecuteRemap(f *testing.F) {
 		serial := collectFlowIndex(m, d.rootDual, owners, newOwner, p, 1)
 		chunked := collectFlowIndex(m, d.rootDual, owners, newOwner, p, 3)
 		recs := packAll(d, &serial, 1)
-		if !reflect.DeepEqual(serial.flowStart, chunked.flowStart) ||
+		if !reflect.DeepEqual(serial, chunked) ||
 			!reflect.DeepEqual(recs, packAll(d, &chunked, 3)) {
 			t.Fatal("chunked scatter diverges from serial")
 		}
-		if serial.moved != wantMoved {
-			t.Fatalf("scatter moved %d records, want %d", serial.moved, wantMoved)
+		if int64(len(serial.elems)) != wantMoved {
+			t.Fatalf("scatter moved %d records, want %d", len(serial.elems), wantMoved)
 		}
-		for fl := 0; fl < p*p; fl++ {
-			if got := serial.flowStart[fl+1] - serial.flowStart[fl]; got != wantFlow[fl] {
-				t.Fatalf("flow %d->%d carries %d records, want %d", fl/p, fl%p, got, wantFlow[fl])
+		// The flow list holds exactly the pairs that move something, in
+		// canonical order, with the oracle's counts.
+		f := 0
+		for pair, want := range wantFlow {
+			got := int64(0)
+			if f < len(serial.flows) && serial.flows[f] == (flow{int32(pair / p), int32(pair % p)}) {
+				got = serial.flowStart[f+1] - serial.flowStart[f]
+				f++
+			}
+			if got != want || serial.find(int32(pair/p), int32(pair%p)) >= 0 != (want > 0) {
+				t.Fatalf("flow %d->%d carries %d records, want %d", pair/p, pair%p, got, want)
 			}
 		}
+		if f != len(serial.flows) {
+			t.Fatalf("flow list %v is not the canonical list of nonempty pairs", serial.flows)
+		}
 		// Every record must name a dual vertex of its own flow.
-		for fl := 0; fl < p*p; fl++ {
-			rec := recs[serial.flowStart[fl]*recWords : serial.flowStart[fl+1]*recWords]
+		for f, fl := range serial.flows {
+			rec := recs[serial.flowStart[f]*recWords : serial.flowStart[f+1]*recWords]
 			for o := 0; o < len(rec); o += recWords {
 				dv := rec[o]
 				if dv < 0 || int(dv) >= len(owners) {
-					t.Fatalf("flow %d record names dual vertex %d out of range", fl, dv)
+					t.Fatalf("flow %d record names dual vertex %d out of range", f, dv)
 				}
-				if int(owners[dv])*p+int(newOwner[dv]) != fl {
-					t.Fatalf("record for dual vertex %d filed under flow %d->%d", dv, fl/p, fl%p)
+				if owners[dv] != fl.src || newOwner[dv] != fl.dst {
+					t.Fatalf("record for dual vertex %d filed under flow %d->%d", dv, fl.src, fl.dst)
 				}
 			}
 		}

@@ -40,8 +40,8 @@ func bigFixture(t testing.TB, p int) (*Dist, []int32) {
 // packAll packs every flow of fi into one record buffer — the
 // whole-payload window — at the given worker knob.
 func packAll(d *Dist, fi *flowIndex, workers int) []int64 {
-	recs := make([]int64, fi.moved*recWords)
-	fi.packRange(d.M, d.rootDual, 0, d.P*d.P, recs, workers)
+	recs := make([]int64, len(fi.elems)*recWords)
+	fi.packRange(d.M, d.rootDual, 0, len(fi.flows), recs, workers)
 	return recs
 }
 
@@ -71,8 +71,8 @@ func TestRemapExecWorkerParity(t *testing.T) {
 		d, _ := bigFixture(t, p)
 		d.Workers = w
 		fi := collectFlowIndex(d.M, d.rootDual, d.owner, newOwner, p, EffectiveWorkers(len(d.M.Elems), w))
-		if !reflect.DeepEqual(fi.flowStart, refIdx.flowStart) {
-			t.Fatalf("workers=%d: CSR flow offsets diverge", w)
+		if !reflect.DeepEqual(fi, refIdx) {
+			t.Fatalf("workers=%d: CSR flow index diverges", w)
 		}
 		if !reflect.DeepEqual(packAll(d, &fi, w), refRecs) {
 			t.Fatalf("workers=%d: payload buffer diverges", w)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"plum/internal/chunk"
 	"plum/internal/comm"
 	"plum/internal/fault"
 	"plum/internal/machine"
@@ -144,8 +143,13 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapR
 // whose transfers failed is re-exchanged up to Retry.WindowRetries times,
 // and exhausted retries (or structural failures) roll every committed
 // window back to the checkpoint and return a *RemapError with RolledBack
-// set. Without one the plain exchange runs byte-identical to pre-fault
-// behavior and ownership flips once, after the last window.
+// set. Without one the exchange runs over the plain transport, draws no
+// fates, and ownership flips once, after the last window.
+//
+// Every structure the executor builds is sized by the slab, the moved
+// elements, the flows that exist or P — the flow index, the window plan,
+// the wire exchange, the transport's per-pair state and the accounting
+// all walk the flow list, never the P² pairs that could carry one.
 func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, plan *fault.Plan) (RemapResult, error) {
 	if len(newOwner) != len(d.owner) {
 		return RemapResult{}, fmt.Errorf("par: newOwner has %d entries, want %d", len(newOwner), len(d.owner))
@@ -156,10 +160,11 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 	m := d.M
 	p := d.P
 	fi := collectFlowIndex(m, d.rootDual, d.owner, newOwner, p, EffectiveWorkers(len(m.Elems), d.Workers))
+	moved := int64(len(fi.elems))
 	res := RemapResult{
-		Moved: fi.moved,
-		Sets:  fi.sets,
-		Ops:   PredictRemapOps(len(m.Elems), fi.moved, fi.sets, p, d.Workers),
+		Moved: moved,
+		Sets:  len(fi.flows),
+		Ops:   PredictRemapOps(len(m.Elems), moved, len(fi.flows), p, d.Workers),
 	}
 	// The whole-payload exchange is not a stream of windows: its errors
 	// carry Window -1 and it leaves no remap.window events.
@@ -211,17 +216,10 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 		}
 		bufW := buf[:words]
 		fi.packRange(m, d.rootDual, win.f0, win.f1, bufW, d.Workers)
-		// The window's wire records addressed by canonical flow id, for
-		// whichever exchange schedule moves them. Verification is
-		// plan-exact on every path: a received flow must match the plan's
-		// record count, so torn or misrouted windows fail here, not at the
-		// final conservation check.
-		rec := func(f int) []int64 {
-			lo := (fi.flowStart[f] - base) * recWords
-			hi := (fi.flowStart[f+1] - base) * recWords
-			return bufW[lo:hi]
-		}
-		wp := &winPlan{f0: win.f0, f1: win.f1, p: p, flowStart: fi.flowStart, rec: rec}
+		// Verification is plan-exact on every path: a received flow must
+		// match the plan's record count, so torn or misrouted windows fail
+		// here, not at the final conservation check.
+		wp := &winPlan{fi: &fi, f0: win.f0, f1: win.f1, buf: bufW}
 		for tries := 1; ; tries++ {
 			clear(counts)
 			if err := exchangeWindow(w, d.Exchange, mdl.Topo, wp, plan != nil, recv, failed, crash); err != nil {
@@ -253,9 +251,8 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 			// the flow's destination rank. Writes are idempotent per dual
 			// vertex and cover exactly the vertices whose owner changes.
 			for f := win.f0; f < win.f1; f++ {
-				dst := int32(f % p)
 				for _, ei := range fi.elems[fi.flowStart[f]:fi.flowStart[f+1]] {
-					d.setOwner(m.Elems[ei].Root, dst)
+					d.setOwner(m.Elems[ei].Root, fi.flows[f].dst)
 				}
 			}
 		}
@@ -266,21 +263,20 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 				obs.Int("window", int64(wi)), obs.Int("flows", int64(win.f1-win.f0)), obs.Int("words", words))
 		}
 	}
-	if recvTotal != fi.moved {
+	if recvTotal != moved {
 		return rollback(&RemapError{Failure: FailConservation, Window: -1, Tries: 1, RolledBack: true,
-			Detail: fmt.Sprintf("moved %d elements but received %d", fi.moved, recvTotal)})
+			Detail: fmt.Sprintf("moved %d elements but received %d", moved, recvTotal)})
 	}
 
-	var rc *retryCharges
+	var retries []comm.PairRetry
 	if plan != nil {
 		for _, s := range w.RankStats() {
 			res.Retries += s.Retries
 			res.RetryWords += s.RetryWords
 		}
-		resends, backoff := w.RetryCounters()
-		rc = &retryCharges{resends: resends, backoff: backoff}
+		retries = w.RetryCounters()
 	}
-	d.accountRemap(fi.flowStart, mdl, &res, rc)
+	d.accountRemap(&fi, mdl, &res, retries)
 	// Without a plan ownership flips here; with one the windows already
 	// committed it, and after the last the map equals newOwner.
 	d.setOwners(newOwner)
@@ -319,14 +315,8 @@ func (d *Dist) crashMask(plan *fault.Plan) []bool {
 	return mask
 }
 
-// retryCharges carries the per-(src,dst) recovery counters of one reliable
-// exchange (comm.World.RetryCounters) into the machine-model accounting.
-type retryCharges struct {
-	resends, backoff []int64
-}
-
 // accountRemap fills the machine-model side of a RemapResult — WordsMoved,
-// PackTime, CommTime, RebuildTime, Total — from the canonical flow layout.
+// PackTime, CommTime, RebuildTime, Total — from the canonical flow list.
 // Every window budget charges the same bulk-synchronous superstep model
 // (all sends, then all receives): windowing changes how the host
 // materializes and exchanges the payload, not the machine being modeled,
@@ -335,107 +325,92 @@ type retryCharges struct {
 // The modeled volume uses the cost model's M words per element plus a
 // small shared-structure term proportional to the number of flows
 // (partition-boundary data is a small percentage and causes the slight
-// perturbations the paper notes). The pack side is chunked over source
-// ranks and the unpack side over destination ranks: every rank's flows
-// form a contiguous stripe of the canonical layout handled by exactly one
-// chunk, so the per-rank float sums are bit-identical at every worker
-// count. The worker count is resolved against the p² flow table these
-// loops actually walk — at practical rank counts that is far below
-// SerialCutoff, so chunk.For takes its inline single-chunk path and no
-// goroutines are spawned for a few thousand scalar adds (PredictRemapOps
-// charges this phase serially).
+// perturbations the paper notes). One serial walk of the flows that exist
+// fills the per-rank sums — a rank's float charges accumulate in
+// ascending destination order, the canonical order of its stripe — so the
+// work is O(sets + p) and the result cannot depend on the worker count
+// (PredictRemapOps charges this phase serially).
 //
-// When the reliable exchange recovered injected faults, rc carries its
-// per-pair retry counters: each resent message is charged another MsgTime
-// of the pair's modeled volume and each backoff unit Model.RetryBackoff,
-// on the sending rank, inside the same send-phase superstep — so retry
+// When the reliable exchange recovered injected faults, retries carries
+// its per-pair counters in the same canonical order: each resent message
+// is charged another CommTime of the pair's modeled volume and each
+// backoff unit Model.RetryBackoff, on the sending rank, inside the same
+// send-phase superstep and right behind the pair's own charge — so retry
 // cost lands on CommTime/Total exactly where a real sender would stall.
-// The per-pair counters come from deterministic single-writer slots, so
-// the charges are byte-identical at any worker count. A nil rc (the
-// fault-free path) adds no terms at all, keeping the float streams
-// bit-exact with pre-fault output.
-func (d *Dist) accountRemap(flowStart []int64, mdl machine.Model, res *RemapResult, rc *retryCharges) {
+// Under the hierarchical schedule the counters sit on the physical pairs
+// of the relay (member→leader, leader→leader, leader→member), which need
+// not be flows; such a pair is priced at its link rate over zero volume.
+// A nil retries (the fault-free path) adds no terms at all.
+func (d *Dist) accountRemap(fi *flowIndex, mdl machine.Model, res *RemapResult, retries []comm.PairRetry) {
 	p := d.P
 	flat := d.Exchange == machine.ExchangeFlat
-	acctW := EffectiveWorkers(p*p, d.Workers)
 	sendWords := make([]int64, p)
 	recvWords := make([]int64, p)
 	recvElems := make([]int64, p)
 	packT := make([]float64, p)
 	sendT := make([]float64, p)
 	retryT := make([]float64, p)
-	// Per-source setup accounting of the flat schedule; the aggregated and
-	// hierarchical schedules report theirs from machine.ChargeFlows below.
-	// These are per-src arrays, not res fields, because the chunked loop
-	// may run on several workers.
-	setups := make([]int64, p)
+	// The flat schedule's setup charge, summed per source first like every
+	// other float here; the aggregated and hierarchical schedules report
+	// theirs from machine.ChargeFlows below.
 	setupT := make([]float64, p)
-	intraW := make([]int64, p)
-	interW := make([]int64, p)
-	chunk.For(p, acctW, func(_, lo, hi int) {
-		for src := lo; src < hi; src++ {
-			for dst := 0; dst < p; dst++ {
-				elems := flowStart[src*p+dst+1] - flowStart[src*p+dst]
-				words := flowWords(elems, mdl)
-				if elems > 0 {
-					sendWords[src] += words
-					if flat {
-						// The legacy charge, one expression per flow (with
-						// CommTime ≡ MsgTime on a flat topology), so the
-						// float stream is bit-identical to the pre-exchange
-						// path.
-						sendT[src] += float64(words)*mdl.PackWord + mdl.CommTime(src, dst, words)
-						setups[src]++
-						setupT[src] += mdl.SetupTime(src, dst)
-						if mdl.Topo.SameNode(src, dst) {
-							intraW[src] += words
-						} else {
-							interW[src] += words
-						}
-					} else {
-						// Combined schedules charge the wire through
-						// ChargeFlows; only the pack cost is per flow.
-						sendT[src] += float64(words) * mdl.PackWord
-					}
-					packT[src] += float64(words) * mdl.PackWord
-				}
-				if rc != nil {
-					// Empty flows still ride the wire as zero-payload
-					// frames, so their retries cost a setup each. Under the
-					// combined schedules the retry counters sit on the
-					// physical pairs of the relay (member→leader,
-					// leader→leader, leader→member); the modeled charge
-					// prices them at the pair's link rate over the pair's
-					// planned flow volume, which the flat schedule reduces
-					// to the legacy MsgTime expression.
-					pair := src*p + dst
-					var rt float64
-					if n := rc.resends[pair]; n > 0 {
-						rt += float64(n) * mdl.CommTime(src, dst, words)
-					}
-					if b := rc.backoff[pair]; b > 0 {
-						rt += float64(b) * mdl.RetryBackoff
-					}
-					if rt > 0 {
-						sendT[src] += rt
-						retryT[src] += rt
-					}
-				}
-			}
+	for f, k := 0, 0; f < len(fi.flows) || k < len(retries); {
+		// The next pair in canonical order has a flow, a retry record, or
+		// both.
+		var c int
+		switch {
+		case k == len(retries):
+			c = -1
+		case f == len(fi.flows):
+			c = 1
+		default:
+			c = fi.flows[f].compare(flow{retries[k].Src, retries[k].Dst})
 		}
-	})
-	chunk.For(p, acctW, func(_, lo, hi int) {
-		for dst := lo; dst < hi; dst++ {
-			for src := 0; src < p; src++ {
-				elems := flowStart[src*p+dst+1] - flowStart[src*p+dst]
-				if elems == 0 {
-					continue
+		var words int64
+		if c <= 0 {
+			src, dst := int(fi.flows[f].src), int(fi.flows[f].dst)
+			elems := fi.flowStart[f+1] - fi.flowStart[f]
+			words = flowWords(elems, mdl)
+			sendWords[src] += words
+			recvWords[dst] += words
+			recvElems[dst] += elems
+			if flat {
+				// One expression per flow (CommTime ≡ MsgTime on a flat
+				// topology), summed per source: the float stream the
+				// flat schedule has always produced. Routing it through
+				// machine.ChargeFlows like the other two would re-round
+				// the sums in the last place.
+				sendT[src] += float64(words)*mdl.PackWord + mdl.CommTime(src, dst, words)
+				res.Setups++
+				setupT[src] += mdl.SetupTime(src, dst)
+				if mdl.Topo.SameNode(src, dst) {
+					res.IntraWords += words
+				} else {
+					res.InterWords += words
 				}
-				recvWords[dst] += flowWords(elems, mdl)
-				recvElems[dst] += elems
+			} else {
+				// Combined schedules charge the wire through ChargeFlows;
+				// only the pack cost is per flow.
+				sendT[src] += float64(words) * mdl.PackWord
 			}
+			packT[src] += float64(words) * mdl.PackWord
+			f++
 		}
-	})
+		if c >= 0 {
+			r := retries[k]
+			src := int(r.Src)
+			var rt float64
+			if r.Resends > 0 {
+				rt += float64(r.Resends) * mdl.CommTime(src, int(r.Dst), words)
+			}
+			if r.Backoff > 0 {
+				rt += float64(r.Backoff) * mdl.RetryBackoff
+			}
+			sendT[src] += rt
+			retryT[src] += rt
+			k++
+		}
+	}
 
 	clk := machine.NewClock(p)
 	for r := 0; r < p; r++ {
@@ -443,19 +418,13 @@ func (d *Dist) accountRemap(flowStart []int64, mdl machine.Model, res *RemapResu
 		clk.Add(r, sendT[r])
 		res.PackTime = max(res.PackTime, packT[r])
 		res.RetryTime = max(res.RetryTime, retryT[r])
+		res.SetupTime += setupT[r]
 	}
-	if flat {
-		for r := 0; r < p; r++ {
-			res.Setups += setups[r]
-			res.SetupTime += setupT[r]
-			res.IntraWords += intraW[r]
-			res.InterWords += interW[r]
-		}
-	} else {
+	if !flat {
 		// The combined schedules' wire charges (setups, volume at link
 		// rate, drains, the hierarchical relay's internal barriers) land
 		// here, inside the same send superstep the flat charge occupies.
-		ch := mdl.ChargeFlows(clk, d.Exchange, flowsFromStart(flowStart, p, mdl))
+		ch := mdl.ChargeFlows(clk, d.Exchange, fi.machineFlows(mdl))
 		res.Setups = ch.Msgs
 		res.SetupTime = ch.SetupTime
 		res.IntraWords = ch.IntraWords
@@ -503,19 +472,12 @@ func flowWords(elems int64, mdl machine.Model) int64 {
 	return words + words/32
 }
 
-// flowsFromStart converts the canonical flow table into the sparse
-// src-major flow list machine.ChargeFlows consumes, at the modeled volume
-// of accountRemap.
-func flowsFromStart(flowStart []int64, p int, mdl machine.Model) []machine.Flow {
-	var flows []machine.Flow
-	for src := 0; src < p; src++ {
-		for dst := 0; dst < p; dst++ {
-			elems := flowStart[src*p+dst+1] - flowStart[src*p+dst]
-			if elems == 0 || src == dst {
-				continue
-			}
-			flows = append(flows, machine.Flow{Src: int32(src), Dst: int32(dst), Words: flowWords(elems, mdl)})
-		}
+// machineFlows converts the flow list into the src-major flow list
+// machine.ChargeFlows consumes, at the modeled volume of accountRemap.
+func (fi *flowIndex) machineFlows(mdl machine.Model) []machine.Flow {
+	flows := make([]machine.Flow, len(fi.flows))
+	for f, fl := range fi.flows {
+		flows[f] = machine.Flow{Src: fl.src, Dst: fl.dst, Words: flowWords(fi.flowStart[f+1]-fi.flowStart[f], mdl)}
 	}
 	return flows
 }

@@ -2,17 +2,24 @@ package par
 
 // The CSR flow scatter behind the remap executor: migrating elements are
 // laid out in one flat index, grouped by (src, dst) flow in canonical
-// src-major order, with the same two-pass count/prefix-sum/fill structure
-// as internal/psort's bucket scatter. Pass 1 counts each worker chunk's
-// records per flow; a serial prefix sum lays the flows out contiguously
-// (chunks in input order within each flow); pass 2 fills the index in
-// parallel through per-(chunk, flow) cursors, so the hot loop allocates
-// nothing and no two workers ever write the same word. The layout depends
-// only on the element order — never on the chunking — so the index, and
-// every window of records packRange packs from it, is byte-identical at
-// every worker count.
+// src-major order, over the list of flows that exist. It keeps the
+// two-pass count/prefix-sum/fill structure of internal/psort's bucket
+// scatter, with the table of flows built sparse: pass 1 counts each worker
+// chunk's records per flow in per-source lists of the destinations seen; a
+// serial merge sorts the union into the canonical flow list and lays the
+// flows out contiguously (chunks in input order within each flow); pass 2
+// fills the index in parallel through per-(chunk, flow) cursors, so no two
+// workers ever write the same word. The layout depends only on the element
+// order — never on the chunking — so the index, and every window of
+// records packRange packs from it, is byte-identical at every worker
+// count. Nothing here is sized by the p² rank pairs that could exchange
+// data: memory and work are O(slab + moved + workers·(sets + p)).
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
+
 	"plum/internal/chunk"
 	"plum/internal/machine"
 	"plum/internal/mesh"
@@ -43,22 +50,82 @@ func EffectiveWorkers(n, workers int) int {
 	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
 }
 
+// flow is one (source, destination) rank pair that moves at least one
+// element.
+type flow struct{ src, dst int32 }
+
+// compare orders flows canonically: by source, then destination.
+func (a flow) compare(b flow) int {
+	return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
+}
+
 // flowIndex is one remap execution's CSR scatter: the migrating elements'
 // slab indices grouped by flow in canonical (src, dst) order, ascending
-// element id within a flow. It is payload-free — a twelfth the size of the
-// records it names (one int32 per element instead of recWords int64) —
-// which is what lets the executor bound payload memory to one window while
-// still packing every flow's records in the canonical order.
+// element id within a flow, over the list of flows that exist. It is
+// payload-free — a twelfth the size of the records it names (one int32 per
+// element instead of recWords int64) — which is what lets the executor
+// bound payload memory to one window while still packing every flow's
+// records in the canonical order. Its size is O(moved + sets + p).
 type flowIndex struct {
-	// elems holds the moved elements' slab indices, grouped by flow.
+	// elems holds the moved elements' slab indices, grouped by flow; its
+	// length is the cost model's C.
 	elems []int32
-	// flowStart has p·p+1 entries of record offsets; flow f = src·p + dst
-	// owns indices [flowStart[f], flowStart[f+1]). Diagonal flows
-	// (src == dst) are always empty.
+	// flows lists the nonempty flows in canonical order (none is
+	// diagonal); flow f owns elems[flowStart[f]:flowStart[f+1]]. Its
+	// length is the cost model's N.
+	flows     []flow
 	flowStart []int64
-	// moved is the total record count; sets the number of nonempty flows.
-	moved int64
-	sets  int
+	// outStart has p+1 entries: rank r sends flows [outStart[r],
+	// outStart[r+1]) — a contiguous stripe, the list being src-major.
+	outStart []int32
+	// inFlows lists the flow ids by destination, ascending source within
+	// one: rank r receives inFlows[inStart[r]:inStart[r+1]].
+	inStart, inFlows []int32
+}
+
+// in returns the flows rank r receives, ascending by source.
+func (fi *flowIndex) in(r int) []int32 { return fi.inFlows[fi.inStart[r]:fi.inStart[r+1]] }
+
+// find returns the id of flow src→dst, or -1 when no element takes it: a
+// binary search of the source's stripe.
+func (fi *flowIndex) find(src, dst int32) int {
+	lo, end := int(fi.outStart[src]), int(fi.outStart[src+1])
+	for hi := end; lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); fi.flows[mid].dst < dst {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == end || fi.flows[lo].dst != dst {
+		return -1
+	}
+	return lo
+}
+
+// flowCounts counts one chunk's movers per flow without a table of rank
+// pairs: per source, a linked list of (destination, count) cells. A rank
+// sends to few others, so the walk is short.
+type flowCounts struct {
+	head  []int32 // per source: its newest cell, -1 for none
+	cells []flowCell
+}
+
+type flowCell struct {
+	flow
+	next int32 // the source's next cell, -1 at the end
+	n    int32
+}
+
+func (fc *flowCounts) add(src, dst int32) {
+	for k := fc.head[src]; k >= 0; k = fc.cells[k].next {
+		if fc.cells[k].dst == dst {
+			fc.cells[k].n++
+			return
+		}
+	}
+	fc.cells = append(fc.cells, flowCell{flow{src, dst}, fc.head[src], 1})
+	fc.head[src] = int32(len(fc.cells) - 1)
 }
 
 // collectFlowIndex builds the CSR flow index for a remap from owner to
@@ -69,73 +136,97 @@ type flowIndex struct {
 // vertices.
 func collectFlowIndex(m *mesh.Mesh, rootDual, owner, newOwner []int32, p, ew int) flowIndex {
 	n := len(m.Elems)
-	nf := p * p
-	// flowOf classifies element i, returning a negative value for
-	// elements that stay put. It is the shared hot loop of both passes.
-	flowOf := func(i int) int {
+	// route classifies element i; ok is false for elements that stay put.
+	// It is the shared hot loop of both passes.
+	route := func(i int) (src, dst int32, ok bool) {
 		t := &m.Elems[i]
 		if t.Dead {
-			return -1
+			return 0, 0, false
 		}
 		dv := rootDual[t.Root]
 		if dv < 0 {
-			return -1
+			return 0, 0, false
 		}
-		src, dst := owner[dv], newOwner[dv]
-		if src == dst {
-			return -1
-		}
-		return int(src)*p + int(dst)
+		src, dst = owner[dv], newOwner[dv]
+		return src, dst, src != dst
 	}
 
 	// Pass 1 — per-chunk, per-flow record counts.
 	nc := chunk.Count(n, ew)
-	counts := make([][]int32, nc)
+	counts := make([]flowCounts, nc)
 	chunk.For(n, ew, func(c, lo, hi int) {
-		cnt := make([]int32, nf)
+		fc := flowCounts{head: make([]int32, p)}
+		for r := range fc.head {
+			fc.head[r] = -1
+		}
 		for i := lo; i < hi; i++ {
-			if f := flowOf(i); f >= 0 {
-				cnt[f]++
+			if src, dst, ok := route(i); ok {
+				fc.add(src, dst)
 			}
 		}
-		counts[c] = cnt
+		counts[c] = fc
 	})
+
+	// Merge — the flows that exist are the union of the chunks' cells, in
+	// canonical order; each rank's stripe of them follows.
+	var fi flowIndex
+	for _, fc := range counts {
+		for _, cell := range fc.cells {
+			fi.flows = append(fi.flows, cell.flow)
+		}
+	}
+	slices.SortFunc(fi.flows, flow.compare)
+	fi.flows = slices.Compact(fi.flows)
+	sets := len(fi.flows)
+	fi.outStart = make([]int32, p+1)
+	fi.inStart = make([]int32, p+1)
+	for _, fl := range fi.flows {
+		fi.outStart[fl.src+1]++
+		fi.inStart[fl.dst+1]++
+	}
+	for r := 0; r < p; r++ {
+		fi.outStart[r+1] += fi.outStart[r]
+		fi.inStart[r+1] += fi.inStart[r]
+	}
+	fi.inFlows = make([]int32, sets)
+	next := slices.Clone(fi.inStart[:p])
+	for f, fl := range fi.flows {
+		fi.inFlows[next[fl.dst]] = int32(f)
+		next[fl.dst]++
+	}
 
 	// Prefix sum — flows laid out in canonical order, chunks in input
 	// order within each flow, so concatenation reproduces the global
-	// element order regardless of the chunk count.
-	fi := flowIndex{flowStart: make([]int64, nf+1)}
-	cursor := make([][]int64, nc)
-	for c := range cursor {
-		cursor[c] = make([]int64, nf)
+	// element order regardless of the chunk count. Chunk c's cursors are
+	// cursor[c*sets : (c+1)*sets].
+	cursor := make([]int64, nc*sets)
+	for c, fc := range counts {
+		for _, cell := range fc.cells {
+			cursor[c*sets+fi.find(cell.src, cell.dst)] = int64(cell.n)
+		}
 	}
+	fi.flowStart = make([]int64, sets+1)
 	var pos int64
-	for f := 0; f < nf; f++ {
+	for f := 0; f < sets; f++ {
 		fi.flowStart[f] = pos
 		for c := 0; c < nc; c++ {
-			cursor[c][f] = pos
-			pos += int64(counts[c][f])
-		}
-		if pos > fi.flowStart[f] {
-			fi.sets++
+			pos, cursor[c*sets+f] = pos+cursor[c*sets+f], pos
 		}
 	}
-	fi.flowStart[nf] = pos
-	fi.moved = pos
+	fi.flowStart[sets] = pos
 
 	// Pass 2 — parallel index fill. Every (chunk, flow) region is
 	// disjoint, so the scatter needs no locks and allocates nothing per
 	// element.
 	fi.elems = make([]int32, pos)
 	chunk.For(n, ew, func(c, lo, hi int) {
-		cur := cursor[c]
+		cur := cursor[c*sets : (c+1)*sets]
 		for i := lo; i < hi; i++ {
-			f := flowOf(i)
-			if f < 0 {
-				continue
+			if src, dst, ok := route(i); ok {
+				f := fi.find(src, dst)
+				fi.elems[cur[f]] = int32(i)
+				cur[f]++
 			}
-			fi.elems[cur[f]] = int32(i)
-			cur[f]++
 		}
 	})
 	return fi
@@ -173,17 +264,22 @@ func (fi *flowIndex) packRange(m *mesh.Mesh, rootDual []int32, f0, f1 int, buf [
 // return) and N (element sets, its second), so the framework can charge
 // the scatter work to the acceptance rule's cost side before deciding
 // whether to execute the remap; an executed remap then reports the same
-// figures in RemapResult.Ops.
+// figures in RemapResult.Ops. Every term is linear in the slab, the moved
+// records, the flows or p — none in the p² pairs that could exist.
 func PredictRemapOps(nElems int, moved int64, sets, p, workers int) machine.Ops {
 	ew := EffectiveWorkers(nElems, workers)
 	var o machine.Ops
 	// Pass 1: the chunked count scan streams the element slab
-	// (compute-bound); the per-chunk flow tables fold into the workers'
+	// (compute-bound); the per-chunk flow counts fold into the workers'
 	// scans, so Total is identical at every worker count.
 	o.AddParallel(int64(nElems), ew)
-	// Prefix-sum layout over the p² flow table plus per-flow message
-	// bookkeeping: serial, compute-bound.
-	o.AddSerial(int64(p*p) + int64(sets))
+	// Every moved record looks its flow up twice — the destination list
+	// walk of the count, the stripe search of the fill: compute-bound.
+	o.AddParallel(2*moved, ew)
+	// The merge: sorting the flow list, its layout prefix sum, the
+	// per-rank stripes and by-destination index, and the per-flow message
+	// and accounting bookkeeping: serial, compute-bound.
+	o.AddSerial(2*int64(p) + int64(sets)*int64(3+bits.Len(uint(sets))))
 	// Pass 2: the parallel record fill — scatter writes, memory-bound.
 	o.AddParallelMem(moved*recWords, ew)
 	// Unpack side: draining and verifying the received records touches

@@ -112,7 +112,7 @@ func TestStreamingWindowBudget(t *testing.T) {
 		t.Fatal("tiny window budget changed the owner array")
 	}
 	var largest int64
-	for f := 0; f < p*p; f++ {
+	for f := range fi.flows {
 		largest = max(largest, fi.flowStart[f+1]-fi.flowStart[f])
 	}
 	if res.PeakWords != largest*recWords {

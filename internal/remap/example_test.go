@@ -12,9 +12,7 @@ func Example() {
 	// Two processors, F=1. Most of processor 0's data lands in new
 	// partition 1 and vice versa: the identity mapping would move almost
 	// everything, the similarity-driven mapping almost nothing.
-	s := remap.NewSimilarity(2, 1)
-	s.S[0][0], s.S[0][1] = 10, 90
-	s.S[1][0], s.S[1][1] = 80, 20
+	s := remap.FromDense(1, [][]int64{{10, 90}, {80, 20}})
 
 	mp, obj := s.Heuristic()
 	c, n := s.MoveStats(mp)

@@ -14,21 +14,19 @@ func (s *Similarity) Optimal() (Mapping, int64) {
 	n := s.Cols()
 	// Build the duplicated cost matrix for minimization: row r is copy
 	// r%F of processor r/F; cost = maxS − S so that minimal cost matches
-	// maximal weight.
+	// maximal weight. The matrix is dense — the matching is O(n³) anyway.
 	var maxS int64
-	for i := 0; i < s.P; i++ {
-		for j := 0; j < n; j++ {
-			if s.S[i][j] > maxS {
-				maxS = s.S[i][j]
-			}
-		}
+	for _, e := range s.ents {
+		maxS = max(maxS, e.w)
 	}
 	cost := make([][]int64, n)
 	for r := 0; r < n; r++ {
 		cost[r] = make([]int64, n)
-		proc := r / s.F
-		for j := 0; j < n; j++ {
-			cost[r][j] = maxS - s.S[proc][j]
+		for j := range cost[r] {
+			cost[r][j] = maxS
+		}
+		for _, e := range s.row(r / s.F) {
+			cost[r][e.col] = maxS - e.w
 		}
 	}
 	colRow := hungarian(cost)
