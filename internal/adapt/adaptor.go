@@ -25,6 +25,13 @@ type Adaptor struct {
 	M *mesh.Mesh
 
 	marks []Mark
+
+	// Per-pass scratch kept across passes: the propagation worklist and
+	// its members (a set of elements), and the edges active boundary faces
+	// hold against cleanup.
+	queue     []mesh.ElemID
+	queued    bitset
+	protected bitset
 }
 
 // New returns an Adaptor for m with no edges marked.
@@ -75,20 +82,38 @@ func (a *Adaptor) activeEdge(e mesh.EdgeID) bool {
 	return !ed.Dead && !ed.Bisected()
 }
 
-// Compact forwards to the mesh's compaction and remaps the mark array
+// Compact forwards to the mesh's compaction and moves the marks to their
+// edges' new ids, in place: survivors keep their order, so none moves up
 // (paper: "objects are renumbered as a result of compaction and all
 // internal and shared data are updated accordingly").
 func (a *Adaptor) Compact() mesh.CompactMap {
 	cm := a.M.Compact()
-	remapped := make([]Mark, len(a.M.Edges))
+	if cm.Edge == nil {
+		return cm // nothing was dead
+	}
+	n := 0
 	for old, mk := range a.marks {
-		if mk == MarkNone {
-			continue
-		}
 		if ne := cm.Edge[old]; ne != mesh.InvalidEdge {
-			remapped[ne] = mk
+			a.marks[ne] = mk
+			n++
 		}
 	}
-	a.marks = remapped
+	a.marks = a.marks[:n]
 	return cm
+}
+
+// bitset is a set of slab indices, a bit each so that keeping one between
+// passes costs the live heap next to nothing.
+type bitset []uint64
+
+func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) add(i int32)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) remove(i int32)   { b[i>>6] &^= 1 << (i & 63) }
+
+// empty returns b as the empty set over n indices, reusing its storage.
+func (b bitset) empty(n int) bitset {
+	words := (n + 63) / 64
+	b = slices.Grow(b[:0], words)[:words]
+	clear(b)
+	return b
 }

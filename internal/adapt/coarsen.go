@@ -152,14 +152,15 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 	m := a.M
 
 	// Edges referenced by active boundary faces must survive.
-	protected := make(map[mesh.EdgeID]bool)
+	a.protected = a.protected.empty(len(m.Edges))
+	protected := a.protected
 	for fi := range m.Faces {
 		f := &m.Faces[fi]
 		if !f.Active() {
 			continue
 		}
 		for _, e := range f.E {
-			protected[e] = true
+			protected.add(int32(e))
 		}
 	}
 
@@ -190,7 +191,7 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 			// created fresh; initial-mesh edges always retain incident
 			// elements, so an element-free, face-free, parent-free edge is
 			// refinement garbage.
-			if ed.Parent == mesh.InvalidEdge && len(ed.Elems) == 0 && !protected[mesh.EdgeID(ei)] {
+			if ed.Parent == mesh.InvalidEdge && len(ed.Elems) == 0 && !protected.has(int32(ei)) {
 				v0, v1 := ed.V[0], ed.V[1]
 				m.KillEdge(mesh.EdgeID(ei))
 				st.EdgesPurged++
@@ -209,7 +210,7 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 // edgeUnused reports whether e can be purged: live, not further bisected,
 // bounding no active element, and not referenced by an active boundary
 // face.
-func (a *Adaptor) edgeUnused(e mesh.EdgeID, protected map[mesh.EdgeID]bool) bool {
+func (a *Adaptor) edgeUnused(e mesh.EdgeID, protected bitset) bool {
 	ed := &a.M.Edges[e]
-	return !ed.Dead && !ed.Bisected() && len(ed.Elems) == 0 && !protected[e]
+	return !ed.Dead && !ed.Bisected() && len(ed.Elems) == 0 && !protected.has(int32(e))
 }

@@ -69,11 +69,12 @@ func (a *Adaptor) Refine() RefineStats {
 func (a *Adaptor) propagate() int {
 	m := a.M
 	visits := 0
-	queue := make([]mesh.ElemID, 0, 1024)
-	queued := make([]bool, len(m.Elems))
+	queue := a.queue[:0]
+	a.queued = a.queued.empty(len(m.Elems))
+	queued := a.queued
 	push := func(el mesh.ElemID) {
-		if !queued[el] && m.Elems[el].Active() {
-			queued[el] = true
+		if !queued.has(int32(el)) && m.Elems[el].Active() {
+			queued.add(int32(el))
 			queue = append(queue, el)
 		}
 	}
@@ -86,7 +87,7 @@ func (a *Adaptor) propagate() int {
 	for len(queue) > 0 {
 		el := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		queued[el] = false
+		queued.remove(int32(el))
 		t := &m.Elems[el]
 		if !t.Active() {
 			continue
@@ -112,6 +113,7 @@ func (a *Adaptor) propagate() int {
 			}
 		}
 	}
+	a.queue = queue
 	return visits
 }
 

@@ -322,16 +322,11 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 		if sol != nil {
 			sol.SyncAfterAdaption() // interpolate onto the new vertices
 		}
-		cm := m.Rebase()
+		m.Rebase()
 		if sol != nil {
-			// Rebase compacts vertex ids; carry the field across.
-			u := make([]float64, len(m.Verts))
-			for old, nv := range cm.Vert {
-				if nv >= 0 && old < len(sol.U) {
-					u[nv] = sol.U[old]
-				}
-			}
-			sol.U = u
+			sol.SyncAfterAdaption() // Rebase renumbers the vertices; the field follows
+		} else {
+			m.ResetLog()
 		}
 	}
 	g := dual.Build(m)
@@ -924,6 +919,8 @@ func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 	rep.Refine, rep.AdaptTime = f.D.ParallelRefine(f.A, f.Cfg.Model)
 	if f.S != nil {
 		f.S.SyncAfterAdaption()
+	} else {
+		f.M.ResetLog() // nobody consumes the log: keep it one cycle long
 	}
 	traceAdapt(f.Cfg.Trace, rep.AdaptTime)
 	bal, err := f.balance(rep.SolverTime)

@@ -207,6 +207,24 @@ func TestCycleWithSolver(t *testing.T) {
 	}
 }
 
+// TestSolverlessCycleResetsLog checks that with no solver to consume it
+// the mesh's log does not outlive the cycle that wrote it.
+func TestSolverlessCycleResetsLog(t *testing.T) {
+	f := newFW(t, 4)
+	for c := 0; c < 10; c++ {
+		rep, err := f.Cycle(func(a *adapt.Adaptor) { a.MarkRandom(0.01, adapt.MarkRefine, int64(c)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Refine.EdgesBisected == 0 {
+			t.Fatalf("cycle %d bisected nothing", c)
+		}
+		if n := len(f.M.Bisections); n > rep.Refine.EdgesBisected {
+			t.Fatalf("cycle %d: %d log entries after a cycle of %d bisections", c, n, rep.Refine.EdgesBisected)
+		}
+	}
+}
+
 func TestOptimalMapperPath(t *testing.T) {
 	f := newFW(t, 4)
 	f.Cfg.Mapper = MapperOptimal

@@ -62,7 +62,7 @@ func RunExtensionRepeated(p, cycles int) *Extension {
 				Min: geom.Vec3{},
 				Max: geom.Vec3{X: sp.Center.X - 0.4, Y: 1, Z: 1},
 			}, adapt.MarkCoarsen)
-			fw.A.Coarsen()
+			fw.D.ParallelCoarsen(fw.A, fw.Cfg.Model)
 			rep, err := fw.Cycle(func(a *adapt.Adaptor) {
 				a.MarkRegion(*sp, adapt.MarkRefine)
 			})

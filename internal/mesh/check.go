@@ -1,6 +1,9 @@
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Check verifies the structural invariants of the mesh and returns the
 // first violation found, or nil. It is O(mesh size) and intended for tests
@@ -20,8 +23,9 @@ import "fmt"
 //   - active boundary faces reference live edges of the face's vertices;
 //   - size counters match a full recount.
 func (m *Mesh) Check() error {
-	// Recount incidence from scratch.
-	inc := make(map[EdgeID][]ElemID)
+	// Recount incidence from scratch: how many active elements reference
+	// each edge.
+	inc := make([]int32, len(m.Edges))
 	nActiveElems := 0
 	for i := range m.Elems {
 		t := &m.Elems[i]
@@ -45,7 +49,7 @@ func (m *Mesh) Check() error {
 			if edgeKey(a, b) != edgeKey(ed.V[0], ed.V[1]) {
 				return fmt.Errorf("elem %d: edge %d endpoints %v != element vertices (%d,%d)", i, e, ed.V, a, b)
 			}
-			inc[e] = append(inc[e], ElemID(i))
+			inc[e]++
 		}
 		if v := m.ElemVolume(ElemID(i)); v < 0 {
 			return fmt.Errorf("elem %d: negative volume %g", i, v)
@@ -67,16 +71,14 @@ func (m *Mesh) Check() error {
 		if !ed.Bisected() {
 			nActiveEdges++
 		}
-		want := inc[EdgeID(i)]
-		if len(want) != len(ed.Elems) {
-			return fmt.Errorf("edge %d: incidence list has %d entries, recount %d", i, len(ed.Elems), len(want))
+		if int(inc[i]) != len(ed.Elems) {
+			return fmt.Errorf("edge %d: incidence list has %d entries, recount %d", i, len(ed.Elems), inc[i])
 		}
-		seen := make(map[ElemID]bool, len(want))
-		for _, el := range want {
-			seen[el] = true
-		}
-		for _, el := range ed.Elems {
-			if !seen[el] {
+		// As many distinct active elements that reference the edge as
+		// there are in all: the list is exactly those.
+		for j, el := range ed.Elems {
+			if el < 0 || int(el) >= len(m.Elems) || !m.Elems[el].Active() ||
+				m.LocalEdgeOf(el, EdgeID(i)) < 0 || slices.Contains(ed.Elems[:j], el) {
 				return fmt.Errorf("edge %d: stale incidence entry elem %d", i, el)
 			}
 		}

@@ -33,6 +33,7 @@ func (m *Mesh) Clone() *Mesh {
 		Elems:        make([]Element, len(m.Elems)),
 		Faces:        make([]BoundaryFace, len(m.Faces)),
 		Bisections:   append([]Bisection(nil), m.Bisections...),
+		Renumbering:  append([]VertID(nil), m.Renumbering...),
 		nActiveElems: m.nActiveElems,
 		nActiveEdges: m.nActiveEdges,
 		nActiveFaces: m.nActiveFaces,

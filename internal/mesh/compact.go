@@ -1,7 +1,12 @@
 package mesh
 
+import "slices"
+
 // CompactMap records the renumbering performed by Compact: old id → new
-// id, with -1 for objects that were dropped.
+// id, with -1 for objects that were dropped. Survivors keep their order,
+// so every map is monotone. The slices are scratch the mesh owns and
+// reuses: a map is valid until the next Compact of the same mesh, and all
+// four are nil when nothing was dead and so nothing moved.
 type CompactMap struct {
 	Vert []VertID
 	Edge []EdgeID
@@ -9,91 +14,67 @@ type CompactMap struct {
 	Face []FaceID
 }
 
-// Compact drops dead vertices, edges, elements, and boundary faces, and
-// renumbers the survivors densely. It models the compaction the paper
-// performs during the coarsening phase ("objects are renumbered as a
-// result of compaction and all internal and shared data are updated
-// accordingly"). It returns the renumbering so callers (solution fields,
-// partition assignments, distributed-mesh bookkeeping) can update their
-// own arrays.
+// Compact drops dead vertices, edges, elements, and boundary faces,
+// renumbers the survivors densely in id order, and moves every live
+// incidence and child list into fresh blocks sized to what is alive, so
+// the slots and list blocks the dead held become garbage. It is the
+// compaction the paper performs during the coarsening phase ("objects are
+// renumbered as a result of compaction and all internal and shared data
+// are updated accordingly"). The bisection log is renumbered, and loses the
+// entries whose edge or midpoint died; the vertex renumbering is added to
+// Renumbering for vertex-indexed fields to follow at their next sync. The
+// returned map lets callers holding edge, element or face ids (the
+// adaptor's marks) update them. With nothing dead nothing moves, and it
+// returns after the scan that finds that out.
+//
+// The initial mesh's vertices, edges and elements are never dead, so they
+// keep their ids for the life of the mesh.
 func (m *Mesh) Compact() CompactMap {
-	cm := CompactMap{
-		Vert: make([]VertID, len(m.Verts)),
-		Edge: make([]EdgeID, len(m.Edges)),
-		Elem: make([]ElemID, len(m.Elems)),
-		Face: make([]FaceID, len(m.Faces)),
+	cm := &m.scratch
+	cm.Vert = resize(cm.Vert, len(m.Verts))
+	cm.Edge = resize(cm.Edge, len(m.Edges))
+	cm.Elem = resize(cm.Elem, len(m.Elems))
+	cm.Face = resize(cm.Face, len(m.Faces))
+	slots := len(m.Verts) + len(m.Edges) + len(m.Elems) + len(m.Faces)
+
+	m.Verts = compactSlab(m.Verts, cm.Vert, func(v *Vertex) bool { return v.Dead })
+	m.Edges = compactSlab(m.Edges, cm.Edge, func(e *Edge) bool { return e.Dead })
+	m.Elems = compactSlab(m.Elems, cm.Elem, func(t *Element) bool { return t.Dead })
+	m.Faces = compactSlab(m.Faces, cm.Face, func(f *BoundaryFace) bool { return f.Dead })
+	if len(m.Verts)+len(m.Edges)+len(m.Elems)+len(m.Faces) == slots {
+		return CompactMap{}
 	}
 
-	nv := 0
+	// Size one fresh block per list kind to the survivors' lists, each at
+	// the capacity push would have grown it to. Nothing live points into
+	// the old blocks once the lists have moved.
+	var nEdgeIDs, nElemIDs, nFaceIDs int
 	for i := range m.Verts {
-		if m.Verts[i].Dead {
-			cm.Vert[i] = InvalidVert
-			continue
-		}
-		cm.Vert[i] = VertID(nv)
-		if nv != i {
-			m.Verts[nv] = m.Verts[i]
-		}
-		nv++
+		nEdgeIDs += liveCap(m.Verts[i].Edges, cm.Edge, vertEdgeCap)
 	}
-	m.Verts = m.Verts[:nv]
-
-	ne := 0
 	for i := range m.Edges {
-		if m.Edges[i].Dead {
-			cm.Edge[i] = InvalidEdge
-			continue
-		}
-		cm.Edge[i] = EdgeID(ne)
-		if ne != i {
-			m.Edges[ne] = m.Edges[i]
-		}
-		ne++
+		nElemIDs += liveCap(m.Edges[i].Elems, cm.Elem, edgeElemCap)
 	}
-	m.Edges = m.Edges[:ne]
-
-	nt := 0
 	for i := range m.Elems {
-		if m.Elems[i].Dead {
-			cm.Elem[i] = InvalidElem
-			continue
-		}
-		cm.Elem[i] = ElemID(nt)
-		if nt != i {
-			m.Elems[nt] = m.Elems[i]
-		}
-		nt++
+		nElemIDs += liveCap(m.Elems[i].Children, cm.Elem, elemChildCap)
 	}
-	m.Elems = m.Elems[:nt]
-
-	nf := 0
 	for i := range m.Faces {
-		if m.Faces[i].Dead {
-			cm.Face[i] = InvalidFace
-			continue
-		}
-		cm.Face[i] = FaceID(nf)
-		if nf != i {
-			m.Faces[nf] = m.Faces[i]
-		}
-		nf++
+		nFaceIDs += liveCap(m.Faces[i].Children, cm.Face, faceChildCap)
 	}
-	m.Faces = m.Faces[:nf]
+	m.edgeSlab = make([]EdgeID, 0, nEdgeIDs)
+	m.elemSlab = make([]ElemID, 0, nElemIDs)
+	m.faceSlab = make([]FaceID, 0, nFaceIDs)
 
 	// Rewrite references.
 	for i := range m.Verts {
-		es := m.Verts[i].Edges
-		for j, e := range es {
-			es[j] = cm.Edge[e]
-		}
+		v := &m.Verts[i]
+		v.Edges = recarve(&m.edgeSlab, v.Edges, cm.Edge, vertEdgeCap)
 	}
 	for i := range m.Edges {
 		ed := &m.Edges[i]
 		ed.V[0] = cm.Vert[ed.V[0]]
 		ed.V[1] = cm.Vert[ed.V[1]]
-		for j, el := range ed.Elems {
-			ed.Elems[j] = cm.Elem[el]
-		}
+		ed.Elems = recarve(&m.elemSlab, ed.Elems, cm.Elem, edgeElemCap)
 		if ed.Parent != InvalidEdge {
 			ed.Parent = cm.Edge[ed.Parent]
 		}
@@ -115,13 +96,7 @@ func (m *Mesh) Compact() CompactMap {
 			t.Parent = cm.Elem[t.Parent]
 		}
 		t.Root = cm.Elem[t.Root]
-		kept := t.Children[:0]
-		for _, c := range t.Children {
-			if nc := cm.Elem[c]; nc != InvalidElem {
-				kept = append(kept, nc)
-			}
-		}
-		t.Children = kept
+		t.Children = recarve(&m.elemSlab, t.Children, cm.Elem, elemChildCap)
 	}
 	for i := range m.Faces {
 		f := &m.Faces[i]
@@ -134,20 +109,91 @@ func (m *Mesh) Compact() CompactMap {
 		if f.Parent != InvalidFace {
 			f.Parent = cm.Face[f.Parent]
 		}
-		kept := f.Children[:0]
-		for _, c := range f.Children {
-			if nc := cm.Face[c]; nc != InvalidFace {
-				kept = append(kept, nc)
+		f.Children = recarve(&m.faceSlab, f.Children, cm.Face, faceChildCap)
+	}
+
+	kept := m.Bisections[:0]
+	for _, b := range m.Bisections {
+		if cm.Edge[b.Edge] == InvalidEdge || cm.Vert[b.Mid] == InvalidVert {
+			continue // bisected and coarsened away again before any sync
+		}
+		kept = append(kept, Bisection{Edge: cm.Edge[b.Edge], A: cm.Vert[b.A], B: cm.Vert[b.B], Mid: cm.Vert[b.Mid]})
+	}
+	m.Bisections = kept
+
+	if len(m.Renumbering) == 0 {
+		m.Renumbering = append(m.Renumbering, cm.Vert...)
+	} else {
+		for old, v := range m.Renumbering {
+			if v != InvalidVert {
+				m.Renumbering[old] = cm.Vert[v]
 			}
 		}
-		f.Children = kept
 	}
-	for i := range m.Bisections {
-		b := &m.Bisections[i]
-		b.Edge = cm.Edge[b.Edge]
-		b.A = cm.Vert[b.A]
-		b.B = cm.Vert[b.B]
-		b.Mid = cm.Vert[b.Mid]
+	return *cm
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// compactSlab moves the live records of slab down over the dead ones,
+// keeping their order, fills ids with the old → new map, and zeroes the
+// vacated tail so that its list headers stop pinning their blocks.
+func compactSlab[T any, ID ~int32](slab []T, ids []ID, dead func(*T) bool) []T {
+	n := 0
+	for i := range slab {
+		if dead(&slab[i]) {
+			ids[i] = -1
+			continue
+		}
+		ids[i] = ID(n)
+		if n != i {
+			slab[n] = slab[i]
+		}
+		n++
 	}
-	return cm
+	clear(slab[n:])
+	return slab[:n]
+}
+
+// elemChildCap stands in for a first-carve capacity of element child
+// lists: ChildList carves the pattern's exact 2, 4 or 8, which is what
+// doubling from 2 gives.
+const elemChildCap = 2
+
+// liveCap returns the capacity the entries of l that survive the
+// renumbering need as a list first carved at first: what push would have
+// grown it to — first doubled until they fit — and nothing for none.
+func liveCap[ID ~int32](l []ID, ids []ID, first int) int {
+	n := 0
+	for _, x := range l {
+		if ids[x] >= 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	c := first
+	for c < n {
+		c *= 2
+	}
+	return c
+}
+
+// recarve returns the surviving entries of l, renumbered, in a list of
+// their liveCap carved from *s; nil when none survive.
+func recarve[ID ~int32](s *[]ID, l []ID, ids []ID, first int) []ID {
+	c := liveCap(l, ids, first)
+	if c == 0 {
+		return nil
+	}
+	out := carve(s, c)
+	for _, x := range l {
+		if nx := ids[x]; nx >= 0 {
+			out = append(out, nx)
+		}
+	}
+	return out
 }

@@ -18,8 +18,10 @@
 // Refinement history is retained: when an element is subdivided or an edge
 // is bisected, the parent object is deactivated but kept so that
 // coarsening can reinstate it without reconstruction ("the parent edges
-// and elements are retained at each refinement step"). The Compact method
-// models the renumbering compaction the paper performs after coarsening.
+// and elements are retained at each refinement step"). What coarsening
+// removes is only marked dead; Compact is the renumbering compaction the
+// paper performs during coarsening, and the distributed coarsening pass
+// (par.Dist.ParallelCoarsen) ends with it, so the slabs hold what is alive.
 package mesh
 
 import (
@@ -179,6 +181,14 @@ type Mesh struct {
 	// Bisections is the ordered log of edge bisections since the last
 	// call to ResetLog, used for solution interpolation.
 	Bisections []Bisection
+	// Renumbering is the other half of the log: old → new vertex id (-1
+	// for a vertex dropped) over the compactions since the last ResetLog,
+	// composed when there was more than one, empty when there was none.
+	// Its domain is the vertex slab as the first of them found it. A
+	// vertex-indexed field that has followed the log since before then
+	// applies it before it reads Bisections, whose entries Compact keeps
+	// in current ids.
+	Renumbering []VertID
 
 	// The current carving blocks of the incidence and child lists (see
 	// carve): Edge.Elems and Element.Children, Vertex.Edges,
@@ -190,6 +200,9 @@ type Mesh struct {
 	nActiveElems int
 	nActiveEdges int
 	nActiveFaces int
+
+	// scratch holds Compact's id maps between calls.
+	scratch CompactMap
 }
 
 // New returns an empty mesh with capacity hints for nv vertices, ne edges
@@ -535,9 +548,12 @@ func (m *Mesh) TotalVolume() float64 {
 	return v
 }
 
-// ResetLog clears the bisection log (call after consuming it for solution
-// interpolation).
-func (m *Mesh) ResetLog() { m.Bisections = m.Bisections[:0] }
+// ResetLog clears the bisection log and the pending vertex renumbering
+// (call after a vertex-indexed field has consumed both).
+func (m *Mesh) ResetLog() {
+	m.Bisections = m.Bisections[:0]
+	m.Renumbering = m.Renumbering[:0]
+}
 
 // Stats summarizes mesh size.
 type Stats struct {

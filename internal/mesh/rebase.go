@@ -8,8 +8,9 @@ package mesh
 // using the dual graph for all future adaptions" — after Rebase, the dual
 // graph built from this mesh has one vertex per current element, and
 // coarsening can no longer undo the pre-adaption (edges cannot be
-// coarsened beyond the new initial mesh).
-func (m *Mesh) Rebase() CompactMap {
+// coarsened beyond the new initial mesh). The compaction renumbers the
+// vertices; Renumbering holds the map for vertex-indexed fields to follow.
+func (m *Mesh) Rebase() {
 	// Kill retained parents (inactive, subdivided objects) so compaction
 	// drops them, then clear tree linkage on the survivors.
 	for i := range m.Elems {
@@ -51,7 +52,7 @@ func (m *Mesh) Rebase() CompactMap {
 		}
 	}
 
-	cm := m.Compact()
+	m.Compact()
 
 	for i := range m.Elems {
 		t := &m.Elems[i]
@@ -71,6 +72,7 @@ func (m *Mesh) Rebase() CompactMap {
 		f.Parent = InvalidFace
 		f.Children = f.Children[:0]
 	}
-	m.ResetLog()
-	return cm
+	// The history the bisection log describes is gone; the renumbering
+	// is still owed to whoever holds a vertex field.
+	m.Bisections = m.Bisections[:0]
 }

@@ -385,7 +385,10 @@ func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
 // the propagation backend, sibling-group removal charged to the parent's
 // owner, and the conformity re-refinement charged to the new children's
 // owners. The mark scan and both execution scans are chunked like
-// ParallelRefine's.
+// ParallelRefine's. The pass ends with the paper's compaction
+// (adapt.Adaptor.Compact): the slabs it leaves hold no dead object, ids
+// past the initial mesh's are renumbered, and the mesh's log carries the
+// vertex renumbering to the solver's next SyncAfterAdaption.
 func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.CoarsenStats, AdaptTimings) {
 	var tm AdaptTimings
 	m := d.M
@@ -445,7 +448,8 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	tm.Propagate = propEnd - tm.Target
 
 	// Snapshot liveness so the post-kernel scans can attribute removals.
-	deadBefore := make([]bool, nElems0)
+	d.deadBefore = slices.Grow(d.deadBefore[:0], nElems0)[:nElems0]
+	deadBefore := d.deadBefore
 	chunk.For(nElems0, EffectiveWorkers(nElems0, d.Workers), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			deadBefore[i] = m.Elems[i].Dead
@@ -481,6 +485,16 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	clk.Barrier()
 	tm.Execute = clk.Elapsed() - propEnd
 	tm.Total = clk.Elapsed()
+
+	// Compaction: the renumbering the paper folds into removal. It is
+	// booked the way the scans above are, as one more pass over the element
+	// slab, serial and memory-bound (the kernel's walks of the other slabs
+	// ride along, as its removal and cleanup sweeps do); the clock has paid
+	// for it already, per removed element, in Model.RemoveElem.
+	scanned := int64(len(m.Elems))
+	if cm := a.Compact(); cm.Elem != nil {
+		res.Ops.AddSerialMem(scanned)
+	}
 
 	var mutations int64
 	for r := 0; r < d.P; r++ {

@@ -115,8 +115,10 @@ type Dist struct {
 	// setOwner, which keep it in step.
 	rootOwner []int32
 
-	// vertFlag is classifyPairs' per-vertex scratch, kept across passes.
-	vertFlag []uint8
+	// vertFlag is classifyPairs' per-vertex scratch and deadBefore
+	// ParallelCoarsen's per-element liveness snapshot, kept across passes.
+	vertFlag   []uint8
+	deadBefore []bool
 }
 
 // NewDist builds the distributed view from a dual-graph partition

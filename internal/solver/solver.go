@@ -84,10 +84,22 @@ func (s *Solver) EdgeError() []float64 {
 	return errv
 }
 
-// SyncAfterAdaption extends the solution over vertices created since the
-// last sync (linear interpolation along bisected edges, as the paper
-// does) and clears the mesh's bisection log.
+// SyncAfterAdaption brings the solution up to date with the mesh's log and
+// clears it: the field first follows its vertices through a pending
+// compaction renumbering, then extends over the vertices created since the
+// last sync (linear interpolation along bisected edges, as the paper does).
 func (s *Solver) SyncAfterAdaption() {
+	if rn := s.M.Renumbering; len(rn) != 0 {
+		// In place: survivors keep their order, so no value moves up.
+		n := 0
+		for old, nv := range rn[:min(len(rn), len(s.U))] {
+			if nv != mesh.InvalidVert {
+				s.U[nv] = s.U[old]
+				n++
+			}
+		}
+		s.U = s.U[:n]
+	}
 	s.U = adapt.InterpolateBisections(s.M, s.U)
 	s.M.ResetLog()
 }

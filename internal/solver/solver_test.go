@@ -149,3 +149,77 @@ func percentile(v []float64, q float64) float64 {
 	}
 	return pos[idx]
 }
+
+// linear is a field midpoint interpolation reproduces, and one that tells
+// the lattice's vertices apart.
+func linear(p geom.Vec3) float64 { return p.X + 8*p.Y + 64*p.Z }
+
+// checkLinear verifies the field covers the vertex slab and still holds
+// the linear field at every live vertex's position.
+func checkLinear(t *testing.T, s *Solver, step string) {
+	t.Helper()
+	if len(s.U) != len(s.M.Verts) {
+		t.Fatalf("%s: %d values for %d vertex slots", step, len(s.U), len(s.M.Verts))
+	}
+	for v := range s.M.Verts {
+		if vt := &s.M.Verts[v]; !vt.Dead && math.Abs(s.U[v]-linear(vt.Pos)) > 1e-12 {
+			t.Fatalf("%s: vertex %d at %v holds %g, want %g", step, v, vt.Pos, s.U[v], linear(vt.Pos))
+		}
+	}
+}
+
+// TestSolverFieldFollowsVertices checks that the field, looked up by vertex
+// position, is unchanged by compaction: one compaction before a sync, then
+// two with a refinement between them before the next.
+func TestSolverFieldFollowsVertices(t *testing.T) {
+	m := meshgen.SmallBox()
+	a := adapt.New(m)
+	s := New(m, linear)
+	left := geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}
+	right := geom.Sphere{Center: geom.Vec3{X: 1, Y: 1, Z: 1}, Radius: 0.6}
+
+	a.MarkRegion(left, adapt.MarkRefine)
+	a.Refine()
+	a.MarkRegion(right, adapt.MarkRefine)
+	a.Refine()
+	s.SyncAfterAdaption()
+	checkLinear(t, s, "refined")
+
+	a.MarkRegion(left, adapt.MarkCoarsen)
+	a.Coarsen()
+	if cm := a.Compact(); cm.Vert == nil {
+		t.Fatal("coarsening left nothing to compact")
+	}
+	s.SyncAfterAdaption()
+	checkLinear(t, s, "one compaction")
+
+	a.MarkRegion(left, adapt.MarkRefine)
+	a.Refine()
+	a.MarkRegion(right, adapt.MarkCoarsen)
+	a.Coarsen()
+	a.Compact()
+	a.MarkRegion(left, adapt.MarkCoarsen)
+	a.Coarsen()
+	a.Compact()
+	s.SyncAfterAdaption()
+	checkLinear(t, s, "two compactions before one sync")
+	if err := m.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSyncAfterUndoneBisections is the regression test for a bisection log
+// that outlived what it names: edges bisected and coarsened away again
+// before any sync used to reach the interpolation as index -1.
+func TestSyncAfterUndoneBisections(t *testing.T) {
+	m := meshgen.SmallBox()
+	a := adapt.New(m)
+	s := New(m, linear)
+	a.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
+	a.Refine()
+	a.MarkRegion(geom.All{}, adapt.MarkCoarsen)
+	a.Coarsen()
+	a.Compact()
+	s.SyncAfterAdaption()
+	checkLinear(t, s, "refined, coarsened, compacted, synced")
+}
