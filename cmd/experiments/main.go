@@ -30,7 +30,6 @@ func main() {
 	refiner := flag.String("refiner", "", "boundary-refinement backend for -exp partitioners: "+strings.Join(refine.Names, ", ")+" ('' = per-backend default)")
 	propg := flag.String("propagator", "", "frontier-propagation backend for -exp adapt: "+strings.Join(propagate.Names, ", ")+" ('' = bulksync)")
 	exchange := flag.String("exchange", "", "remap exchange schedule for -exp comm: "+strings.Join(machine.ExchangeNames, ", ")+" ('' = sweep all)")
-	nodesize := flag.Int("nodesize", 0, "ranks per node for -exp comm (0 = sweep the default axis)")
 	jsonOut := flag.Bool("json", false, "emit the selected experiments as one JSON object keyed by name instead of text tables")
 	traceF := flag.String("trace", "", "write a combined deterministic trace of the cycle-driving experiments (faults, recover, overlap) to this file")
 	traceFm := flag.String("trace-format", "perfetto", "trace export format: perfetto or jsonl")
@@ -67,10 +66,6 @@ func main() {
 		}
 		schedules = []machine.Exchange{x}
 	}
-	if *nodesize < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -nodesize %d: need 0 (sweep) or a positive ranks-per-node\n", *nodesize)
-		os.Exit(2)
-	}
 
 	runners := []struct {
 		name string
@@ -89,7 +84,7 @@ func main() {
 		{"overlap", func() fmt.Stringer { return experiments.RunOverlapTable(*workers) }},
 		{"faults", func() fmt.Stringer { return experiments.RunFaultTable(*faultSeed, *workers) }},
 		{"recover", func() fmt.Stringer { return experiments.RunRecoverTable(*faultSeed, *workers) }},
-		{"comm", func() fmt.Stringer { return experiments.RunCommTable(*nodesize, schedules...) }},
+		{"comm", func() fmt.Stringer { return experiments.RunCommTable(schedules...) }},
 	}
 
 	// The observability sinks: the cycle-driving runners (faults, recover,

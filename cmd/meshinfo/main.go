@@ -1,7 +1,7 @@
 // Command meshinfo generates a mesh and prints its statistics: object
-// counts, element quality histogram, dual-graph structure, and — for a
-// given processor count — the shared-object overhead of the paper's
-// initialization phase.
+// counts, an edge aspect-ratio histogram of the elements, dual-graph
+// structure, and — for a given processor count — the shared-object
+// overhead of the paper's initialization phase.
 //
 //	go run ./cmd/meshinfo                 # paper-scale rotor mesh
 //	go run ./cmd/meshinfo -box 8          # 8×8×8 unit box
@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("  %s\n", m.Stats())
 	fmt.Printf("  total volume: %.6g\n", m.TotalVolume())
 
-	// Quality histogram (longest/shortest edge ratio).
+	// Aspect-ratio histogram (longest/shortest edge ratio).
 	var buckets [6]int
 	lims := []float64{1.5, 2, 3, 5, 10}
 	for i := range m.Elems {

@@ -24,7 +24,6 @@ import (
 	"plum/internal/core"
 	"plum/internal/fault"
 	"plum/internal/geom"
-	"plum/internal/machine"
 	"plum/internal/meshgen"
 	"plum/internal/obs"
 	"plum/internal/par"
@@ -47,8 +46,7 @@ func main() {
 		parter  = flag.String("partitioner", "multilevel", "repartitioner: graphgrow, inertial, multilevel, morton, hilbert")
 		refiner = flag.String("refiner", "", "boundary-refinement backend forced on every partitioner: bandfm, diffusion, fm (default: each partitioner's own — band-FM for morton, hilbert and graphgrow, classic FM inside multilevel; the same partitions at any -workers)")
 		propg   = flag.String("propagator", "", "adaption frontier-propagation backend: bulksync, aggregated (default: bulksync)")
-		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated, hierarchical (default: flat; hierarchical needs -nodesize > 1)")
-		nodesz  = flag.Int("nodesize", 0, "ranks per node of the machine topology (0 = flat machine; >1 prices intra-node messages at the cheap node rates)")
+		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated (default: flat)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "worker goroutines for parallel partitioning and refinement phases (0 = GOMAXPROCS)")
 		overlap = flag.Bool("overlap", false, "hide the balance pipeline behind the solver iterations and stream the remap payload one flow window at a time")
@@ -94,12 +92,6 @@ func main() {
 	cfg.Refiner = *refiner
 	cfg.Propagator = *propg
 	cfg.Exchange = *exch
-	if *nodesz < 0 {
-		log.Fatalf("invalid -nodesize %d: need 0 (flat machine) or a positive ranks-per-node", *nodesz)
-	}
-	if *nodesz > 1 {
-		cfg.Model.Topo = machine.NodeTopology(*nodesz)
-	}
 	plan, err := fault.Parse(*faults)
 	if err != nil {
 		log.Fatal(err)
@@ -160,9 +152,9 @@ func main() {
 	if refName == "" {
 		refName = "auto"
 	}
-	fmt.Printf("config: P=%d F=%d threshold=%.2f mapper=%s partitioner=%s refiner=%s propagator=%s exchange=%s nodesize=%d workers=%d overlap=%v\n",
+	fmt.Printf("config: P=%d F=%d threshold=%.2f mapper=%s partitioner=%s refiner=%s propagator=%s exchange=%s workers=%d overlap=%v\n",
 		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Mapper, cfg.Method, refName, propagate.Names[fw.D.Prop],
-		fw.D.Exchange, cfg.Model.Topo.RanksPerNode, chunk.Workers(cfg.Workers), cfg.Overlap)
+		fw.D.Exchange, chunk.Workers(cfg.Workers), cfg.Overlap)
 	if plan.Enabled() {
 		r := cfg.Retry.Normalize()
 		fmt.Printf("faults: %s attempts=%d window-retries=%d\n", plan, r.MsgAttempts, r.WindowRetries)

@@ -60,11 +60,8 @@ type Config struct {
 	Method partition.Method
 	// Mapper chooses heuristic or optimal processor reassignment.
 	Mapper Mapper
-	// Model is the machine model for timing. Model.Topo is the machine's
-	// node structure: RanksPerNode consecutive ranks share a node with
-	// cheap intra-node message rates (see machine.NodeTopology); its zero
-	// value is a flat machine on which every pair pays the interconnect
-	// rates. New validates it.
+	// Model is the machine model for timing: per-operation costs plus one
+	// link level, on which every message pays Tsetup + words·Tlat.
 	Model machine.Model
 	// Cost holds the gain/cost decision constants.
 	Cost remap.CostModel
@@ -93,12 +90,11 @@ type Config struct {
 	// once into Framework.D.Prop. See internal/propagate.
 	Propagator string
 	// Exchange names the remap payload exchange schedule: "flat" (one
-	// message per flow — the paper's semantics and the legacy path),
-	// "aggregated" (one combined frame per source rank), or
-	// "hierarchical" (two-level per-node gather / inter-node exchange /
-	// scatter; requires Model.Topo.RanksPerNode > 1). "" selects flat. The
-	// owner array and payload bytes are identical under every schedule;
-	// only the modeled communication charges and the wire framing differ.
+	// message per flow — the paper's semantics) or "aggregated" (one
+	// combined frame per source rank). "" selects flat. It is a pricing
+	// parameter, like Propagator: the owner array, the payload bytes and
+	// the fault fates are identical under both; only the modeled
+	// communication charges and the acceptance rule's setup term differ.
 	// New resolves the name once into Framework.D.Exchange. See
 	// internal/machine.Exchange.
 	Exchange string
@@ -296,12 +292,6 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	exch, err := machine.ExchangeByName(cfg.Exchange)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
-	}
-	if err := cfg.Model.Topo.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if exch == machine.ExchangeHierarchical && cfg.Model.Topo.Flat() {
-		return nil, fmt.Errorf("core: exchange %q needs a node topology (set Config.Model.Topo.RanksPerNode > 1, e.g. -nodesize on the CLIs)", exch)
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -661,7 +651,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.RemapExecTime = remapOps.Time(f.Cfg.Model)
 	rep.Gain = f.Cfg.Cost.Gain(rep.WmaxOld, rep.WmaxNew)
 	pipeline := rep.RepartitionTime + rep.ReassignTime + rep.RemapExecTime
-	rep.CostFull = redistCost(f.Cfg.Cost, f.Cfg.Model, f.D.Exchange, rep.Alive, rep.MoveC, rep.MoveN) + pipeline
+	rep.CostFull = redistCost(f.Cfg.Cost, f.D.Exchange, rep.Alive, rep.MoveC, rep.MoveN) + pipeline
 	if f.Cfg.Overlap {
 		// Latency tolerance: the CPU-side pipeline hides behind the
 		// solver iterations; only the exposed remainder delays the
@@ -850,30 +840,15 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	return nil
 }
 
-// redistCost is the acceptance rule's wire-redistribution term under the
-// configured exchange schedule. Flat keeps the paper's C·M·Tlat + N·Tsetup
-// exactly. Aggregated caps the setup term at one combined message per
-// source: C·M·Tlat + min(N, P)·Tsetup. Hierarchical moves the payload
-// three times — gather and scatter at the cheap intra-node rates, the
-// inter-node hop at the interconnect rate — and caps the setups at two
-// intra-node messages per source/destination plus one inter-node message
-// per communicating node pair. The predictions deliberately mirror how
-// machine.ChargeFlows bills the executed remap, so the decision and the
-// execution can't price the same schedule differently.
-func redistCost(c remap.CostModel, mdl machine.Model, x machine.Exchange, p int, moved int64, sets int) float64 {
-	words := float64(moved) * float64(c.M)
-	switch x {
-	case machine.ExchangeAggregated:
-		return words*c.Tlat + float64(min(sets, p))*c.Tsetup
-	case machine.ExchangeHierarchical:
-		t := mdl.Topo
-		nodes := t.Nodes(p)
-		interPairs := min(sets, nodes*(nodes-1))
-		return words*c.Tlat + 2*words*t.IntraTlat +
-			2*float64(min(sets, p))*t.IntraTsetup + float64(interPairs)*c.Tsetup
-	default:
-		return c.RedistCost(moved, sets)
+// redistCost is the acceptance rule's wire-redistribution term, the
+// paper's prediction from C and N: C·M·Tlat + N·Tsetup under flat, with
+// the setups capped at one combined message per live source,
+// min(N, alive), under aggregated.
+func redistCost(c remap.CostModel, x machine.Exchange, alive int, moved int64, sets int) float64 {
+	if x == machine.ExchangeAggregated {
+		sets = min(sets, alive)
 	}
+	return c.RedistCost(moved, sets)
 }
 
 // CycleReport records one full solution/adaption cycle.

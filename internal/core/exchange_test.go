@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"plum/internal/adapt"
+	"plum/internal/fault"
 	"plum/internal/geom"
 	"plum/internal/machine"
 	"plum/internal/meshgen"
@@ -22,38 +23,31 @@ func TestNewValidatesExchange(t *testing.T) {
 
 	cfg = base()
 	cfg.Exchange = "hierarchical"
-	if _, err := New(meshgen.UnitCube(), nil, cfg); err == nil || !strings.Contains(err.Error(), "node topology") {
-		t.Errorf("hierarchical on a flat machine: got %v", err)
+	if _, err := New(meshgen.UnitCube(), nil, cfg); err == nil ||
+		!strings.Contains(err.Error(), `unknown exchange "hierarchical" (have [flat aggregated])`) {
+		t.Errorf("hierarchical: got %v", err)
 	}
 
 	cfg = base()
-	cfg.Model.Topo = machine.Topology{RanksPerNode: 4} // missing intra rates
-	if _, err := New(meshgen.UnitCube(), nil, cfg); err == nil {
-		t.Error("invalid topology accepted")
-	}
-
-	cfg = base()
-	cfg.Exchange = "hierarchical"
-	cfg.Model.Topo = machine.NodeTopology(2)
+	cfg.Exchange = "aggregated"
 	f, err := New(meshgen.UnitCube(), nil, cfg)
 	if err != nil {
-		t.Fatalf("valid hierarchical config rejected: %v", err)
+		t.Fatalf("valid aggregated config rejected: %v", err)
 	}
-	if f.D.Exchange != machine.ExchangeHierarchical {
+	if f.D.Exchange != machine.ExchangeAggregated {
 		t.Errorf("Dist.Exchange = %v", f.D.Exchange)
-	}
-	if f.Cfg.Model.Topo != cfg.Model.Topo {
-		t.Error("topology not threaded into the machine model")
 	}
 }
 
 // exchangeCycles runs two balance cycles on the corner-refined box under
-// the given exchange config and returns the reports.
-func exchangeCycles(t *testing.T, exchange string, topo machine.Topology) []CycleReport {
+// the given exchange schedule and fault plan (nil = fault-free) and
+// returns the reports.
+func exchangeCycles(t *testing.T, exchange string, plan *fault.Plan) []CycleReport {
 	t.Helper()
 	cfg := DefaultConfig(8)
 	cfg.Exchange = exchange
-	cfg.Model.Topo = topo
+	cfg.Faults = plan
+	cfg.Retry = fault.Budget(8)
 	f, err := New(meshgen.Box(8, 8, 8, geom.Vec3{X: 1, Y: 1, Z: 1}), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,31 +68,33 @@ func exchangeCycles(t *testing.T, exchange string, topo machine.Topology) []Cycl
 	return reps
 }
 
-// TestCycleFlatExchangeIsLegacy pins the satellite bugfix contract at the
-// framework level: the default config, an explicit "flat" exchange, and a
-// flat topology all produce byte-identical cycle reports — Exchange and
-// the new setup fields included — so the legacy path cannot have drifted.
+// TestCycleFlatExchangeIsLegacy pins the default at the framework level:
+// the default config and an explicit "flat" exchange produce
+// byte-identical cycle reports — Exchange and the setup fields included.
 func TestCycleFlatExchangeIsLegacy(t *testing.T) {
-	ref := exchangeCycles(t, "", machine.Topology{})
+	ref := exchangeCycles(t, "", nil)
 	for _, rep := range ref {
 		if b := rep.Balance; b.Accepted && (b.Remap.Setups != int64(b.MoveN) || b.Remap.SetupTime <= 0) {
 			t.Fatalf("flat remap setup accounting wrong: %+v", b)
 		}
 	}
-	got := exchangeCycles(t, "flat", machine.Topology{})
+	got := exchangeCycles(t, "flat", nil)
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatal("explicit flat exchange diverges from the default config")
 	}
 }
 
-// TestCycleExchangeInvariants runs the same workload under all three
+// TestCycleExchangeInvariants runs the same workload under both
 // schedules: the mesh evolution and balance decisions must be identical,
-// while the setup accounting must shrink under the combined schedules.
+// while the setup accounting must shrink under the aggregated schedule.
+// Under a fault plan the schedules send the same frames to the same
+// fates, so the recovery counters match too.
 func TestCycleExchangeInvariants(t *testing.T) {
-	topo := machine.NodeTopology(4)
-	flat := exchangeCycles(t, "flat", topo)
-	for _, exchange := range []string{"aggregated", "hierarchical"} {
-		got := exchangeCycles(t, exchange, topo)
+	for _, plan := range []*fault.Plan{nil, {Seed: 15, Rate: 0.15, Kinds: []fault.Kind{fault.Drop, fault.Corrupt}}} {
+		flat := exchangeCycles(t, "flat", plan)
+		const exchange = "aggregated"
+		got := exchangeCycles(t, exchange, plan)
+		retried := false
 		for c := range flat {
 			fb, gb := flat[c].Balance, got[c].Balance
 			if gb.ImbalanceBefore != fb.ImbalanceBefore || gb.ImbalanceAfter != fb.ImbalanceAfter ||
@@ -107,6 +103,12 @@ func TestCycleExchangeInvariants(t *testing.T) {
 				t.Fatalf("%s cycle %d: schedule changed the physics:\n got %+v\nwant %+v",
 					exchange, c, gb, fb)
 			}
+			if gb.Outcome != fb.Outcome || gb.Remap.Retries != fb.Remap.Retries ||
+				gb.Remap.RetryWords != fb.Remap.RetryWords || gb.Remap.WindowRetries != fb.Remap.WindowRetries {
+				t.Errorf("%s cycle %d: schedule changed the recovery:\n got %+v\nwant %+v",
+					exchange, c, gb, fb)
+			}
+			retried = retried || fb.Remap.Retries > 0
 			if !fb.Accepted {
 				continue
 			}
@@ -121,6 +123,9 @@ func TestCycleExchangeInvariants(t *testing.T) {
 			if gb.Exchange.String() != exchange {
 				t.Errorf("cycle %d: report says exchange %v, want %s", c, gb.Exchange, exchange)
 			}
+		}
+		if plan != nil && !retried {
+			t.Error("fault plan left no retries to compare")
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // The high-P communication sweep: a purely modeled experiment charging one
-// remap-shaped flow set through every exchange schedule at processor
-// counts far beyond what the mesh experiments run, to expose where the
-// message-setup term flips the schedule ranking. The flow set mimics a
+// remap-shaped flow set through both exchange schedules at processor
+// counts far beyond what the mesh experiments run, to expose what the
+// message-setup term costs as P grows. The flow set mimics a
 // settled SFC repartition at scale: each rank exchanges small element sets
 // with its curve neighbors (distance 1/2/3 at 4/2/1 elements) plus
 // long-range hypercube partners (rank ^ 2^k, one element each) standing in
@@ -18,12 +18,9 @@ import (
 // use — so the table is a statement about the model, not a reimplementation
 // of it.
 
-// commProcs and commNodes are the sweep axes: processor count × ranks per
-// node. Powers of two keep the hypercube partner set exact.
-var (
-	commProcs = []int{64, 1024, 16384, 131072}
-	commNodes = []int{16, 64}
-)
+// commProcs is the sweep axis: the processor count. Powers of two keep the
+// hypercube partner set exact.
+var commProcs = []int{64, 1024, 16384, 131072}
 
 // commFlows builds the canonical src-major flow list for p ranks: SFC
 // curve neighbors at distance 1, 2, 3 carrying 4, 2, 1 elements, plus
@@ -74,80 +71,70 @@ func commFlows(p, elemWords int) []machine.Flow {
 	return flows
 }
 
-// CommRow is one (P, ranks-per-node, exchange) cell: the charge breakdown
-// of moving the synthetic flow set under that schedule.
+// CommRow is one (P, exchange) cell: the charge breakdown of moving the
+// synthetic flow set under that schedule.
 type CommRow struct {
-	P, RPN   int
+	P        int
 	Exchange machine.Exchange
 	// Flows is the point-to-point flow count (schedule-independent).
 	Flows int
 	// Setups is the message count — one setup per message; SetupTime its
-	// summed modeled cost, the column the schedules exist to shrink.
+	// modeled cost summed over all ranks, which no rank waits for.
 	Setups    int64
 	SetupTime float64
 	// CommTime is the exchange's modeled elapsed time (max over ranks).
 	CommTime float64
-	// Words is the logical payload; IntraWords/InterWords the wire traffic
-	// per link level (hierarchical forwarding stores words twice).
-	Words, IntraWords, InterWords int64
+	// Words is the logical payload.
+	Words int64
 }
 
 // CommTable is the high-P communication sweep.
 type CommTable struct {
-	// Rows holds the swept subset when the -exchange / -nodesize flags
-	// narrow the axes.
+	// Rows holds the swept subset when the -exchange flag narrows the
+	// schedule axis.
 	Rows []CommRow
 }
 
 // RunCommTable charges the synthetic high-P flow sets through the given
-// exchange schedules (none = all three) and returns the sweep; nodesize
-// narrows the ranks-per-node axis (0 sweeps the defaults). The table is
+// exchange schedules (none = both) and returns the sweep. The table is
 // purely modeled — no mesh, no goroutines — and byte-identical across
 // runs and worker counts.
-func RunCommTable(nodesize int, schedules ...machine.Exchange) *CommTable {
+func RunCommTable(schedules ...machine.Exchange) *CommTable {
 	if len(schedules) == 0 {
-		schedules = []machine.Exchange{machine.ExchangeFlat, machine.ExchangeAggregated, machine.ExchangeHierarchical}
-	}
-	rpns := commNodes
-	if nodesize > 0 {
-		rpns = []int{nodesize}
+		schedules = []machine.Exchange{machine.ExchangeFlat, machine.ExchangeAggregated}
 	}
 	out := &CommTable{}
+	mdl := machine.SP2()
 	for _, p := range commProcs {
-		mdl := machine.SP2()
 		flows := commFlows(p, mdl.ElemWords)
-		for _, rpn := range rpns {
-			mdl.Topo = machine.NodeTopology(rpn)
-			for _, x := range schedules {
-				clk := machine.NewClock(p)
-				ch := mdl.ChargeFlows(clk, x, flows)
-				clk.Barrier()
-				out.Rows = append(out.Rows, CommRow{
-					P: p, RPN: rpn, Exchange: x,
-					Flows:  len(flows),
-					Setups: ch.Msgs, SetupTime: ch.SetupTime,
-					CommTime: clk.Elapsed(),
-					Words:    ch.Words, IntraWords: ch.IntraWords, InterWords: ch.InterWords,
-				})
-			}
+		for _, x := range schedules {
+			clk := machine.NewClock(p)
+			ch := mdl.ChargeFlows(clk, x, flows)
+			clk.Barrier()
+			out.Rows = append(out.Rows, CommRow{
+				P: p, Exchange: x,
+				Flows:  len(flows),
+				Setups: ch.Msgs, SetupTime: ch.SetupTime,
+				CommTime: clk.Elapsed(),
+				Words:    ch.Words,
+			})
 		}
 	}
 	return out
 }
 
-// String renders the sweep with the per-(P, node) setup-time winner
-// marked. The output is byte-stable: CI diffs it across GOMAXPROCS and
-// worker counts.
+// String renders the sweep with the per-P elapsed-time winner marked. The
+// output is byte-stable: CI diffs it across GOMAXPROCS and worker counts.
 func (t *CommTable) String() string {
 	tb := newTable(
 		"High-P remap exchange sweep: modeled charges of an SFC-neighbor + hypercube flow set",
-		"(SP2 interconnect, intra-node 5µs setup / 0.05µs word; setups is the message count)")
-	tb.row("P", "node", "exchange", "flows", "setups", "setup (s)", "comm (s)", "words", "intra wds", "inter wds", "")
+		"(SP2 interconnect; setups is the message count, setup (s) its cost summed over ranks, comm (s) the elapsed time)")
+	tb.row("P", "exchange", "flows", "setups", "setup (s)", "comm (s)", "words", "")
 	for i := 0; i < len(t.Rows); {
 		j := i
 		best := i
-		for j < len(t.Rows) && t.Rows[j].P == t.Rows[i].P && t.Rows[j].RPN == t.Rows[i].RPN {
-			if t.Rows[j].SetupTime < t.Rows[best].SetupTime {
+		for j < len(t.Rows) && t.Rows[j].P == t.Rows[i].P {
+			if t.Rows[j].CommTime < t.Rows[best].CommTime {
 				best = j
 			}
 			j++
@@ -156,11 +143,10 @@ func (t *CommTable) String() string {
 			r := t.Rows[k]
 			mark := ""
 			if k == best && j-i > 1 {
-				mark = " <- min setup"
+				mark = " <- min comm"
 			}
-			tb.row(r.P, r.RPN, r.Exchange.String(), r.Flows, r.Setups,
-				fmt.Sprintf("%.4g", r.SetupTime), fmt.Sprintf("%.4g", r.CommTime),
-				r.Words, r.IntraWords, r.InterWords, mark)
+			tb.row(r.P, r.Exchange.String(), r.Flows, r.Setups,
+				fmt.Sprintf("%.4g", r.SetupTime), fmt.Sprintf("%.4g", r.CommTime), r.Words, mark)
 		}
 		i = j
 	}

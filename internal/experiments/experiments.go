@@ -198,14 +198,13 @@ type Fig9 struct {
 // RunFig9 reproduces Figure 9 (execution-time anatomy, F = 1, heuristic
 // mapper).
 func RunFig9() *Fig9 {
-	mdl := machine.SP2()
 	f := &Fig9{Curves: map[adapt.Strategy][]Fig9Point{}}
 	for _, s := range []adapt.Strategy{adapt.Local1, adapt.Local2} {
 		for _, p := range ProcCounts {
 			if p == 1 {
 				continue
 			}
-			pt := runBalancePipeline(s, p, 1, false, mdl)
+			pt := runBalancePipeline(s, p, 1, false)
 			f.Curves[s] = append(f.Curves[s], Fig9Point{
 				P: p, Adaption: pt.AdaptTime, Reassign: pt.ReassignTime, Remap: pt.RemapTime,
 			})
@@ -240,10 +239,32 @@ type pipelineResult struct {
 	WmaxNew      int64
 }
 
-// runBalancePipeline refines with strategy s on P processors, then
-// repartitions into P·F parts, reassigns with the chosen mapper, and
-// executes the remap, returning all measurements.
-func runBalancePipeline(s adapt.Strategy, p, fgran int, optimal bool, mdl machine.Model) pipelineResult {
+// pipelineKey names one runBalancePipeline cell.
+type pipelineKey struct {
+	s        adapt.Strategy
+	p, fgran int
+	optimal  bool
+}
+
+// pipelineMemo holds the cells already run: the results are deterministic
+// value structs, and Figs. 9, 11 and 12 share a third of their cells.
+var (
+	pipelineMu   sync.Mutex
+	pipelineMemo = map[pipelineKey]pipelineResult{}
+)
+
+// runBalancePipeline refines with strategy s on P processors of the SP2
+// model, then repartitions into P·F parts, reassigns with the chosen
+// mapper, and executes the remap, returning all measurements. Each cell
+// runs once per process.
+func runBalancePipeline(s adapt.Strategy, p, fgran int, optimal bool) pipelineResult {
+	key := pipelineKey{s, p, fgran, optimal}
+	pipelineMu.Lock()
+	defer pipelineMu.Unlock()
+	if res, ok := pipelineMemo[key]; ok {
+		return res
+	}
+	mdl := machine.SP2()
 	m := BaseMesh()
 	g := dual.Build(m)
 	asg := partition.Partition(g, p, partition.MethodInertial)
@@ -288,6 +309,7 @@ func runBalancePipeline(s adapt.Strategy, p, fgran int, optimal bool, mdl machin
 		panic(err)
 	}
 	res.RemapTime = rr.Total
+	pipelineMemo[key] = res
 	return res
 }
 
@@ -394,11 +416,10 @@ type Fig11 struct {
 
 // RunFig11 reproduces Figure 11 for the Local_2 refinement strategy.
 func RunFig11() *Fig11 {
-	mdl := machine.SP2()
 	out := &Fig11{}
 	for _, p := range []int{4, 8, 16, 32, 64} {
 		for _, fg := range Fgrans {
-			res := runBalancePipeline(adapt.Local2, p, fg, false, mdl)
+			res := runBalancePipeline(adapt.Local2, p, fg, false)
 			out.Points = append(out.Points, Fig11Point{P: p, F: fg, Moved: res.Moved, RemapTime: res.RemapTime})
 		}
 	}
@@ -435,14 +456,13 @@ type Fig12 struct {
 // vs balanced partitions after one refinement, per strategy, with the
 // theoretical bound 8P/(P+7).
 func RunFig12() *Fig12 {
-	mdl := machine.SP2()
 	f := &Fig12{Curves: map[adapt.Strategy][]Fig12Point{}}
 	for _, s := range adapt.Strategies {
 		for _, p := range ProcCounts {
 			if p == 1 {
 				continue
 			}
-			res := runBalancePipeline(s, p, 1, false, mdl)
+			res := runBalancePipeline(s, p, 1, false)
 			f.Curves[s] = append(f.Curves[s], Fig12Point{
 				P:           p,
 				Improvement: float64(res.WmaxOld) / float64(res.WmaxNew),

@@ -5,51 +5,6 @@ import (
 	"testing"
 )
 
-func TestTopology(t *testing.T) {
-	var flat Topology
-	if !flat.Flat() || flat.SameNode(0, 0) || flat.Nodes(8) != 8 || flat.Leader(3) != 3 {
-		t.Fatalf("zero topology is not the flat machine: %+v", flat)
-	}
-	if err := flat.Validate(); err != nil {
-		t.Fatalf("zero topology must validate: %v", err)
-	}
-
-	topo := NodeTopology(4)
-	if topo.Flat() {
-		t.Fatal("NodeTopology(4) reports flat")
-	}
-	if err := topo.Validate(); err != nil {
-		t.Fatalf("NodeTopology(4): %v", err)
-	}
-	if topo.Node(0) != 0 || topo.Node(3) != 0 || topo.Node(4) != 1 || topo.Node(11) != 2 {
-		t.Error("Node blocks wrong")
-	}
-	if !topo.SameNode(0, 3) || topo.SameNode(3, 4) || !topo.SameNode(5, 6) {
-		t.Error("SameNode wrong")
-	}
-	if topo.Nodes(8) != 2 || topo.Nodes(9) != 3 || topo.Nodes(1) != 1 {
-		t.Error("Nodes ceiling wrong")
-	}
-	if topo.Leader(0) != 0 || topo.Leader(2) != 8 {
-		t.Error("Leader wrong")
-	}
-	// Intra-node messaging must actually be the cheap path.
-	if topo.IntraTsetup >= SP2().Tsetup || topo.IntraTlat >= SP2().Tlat {
-		t.Errorf("intra rates not cheaper than interconnect: %+v", topo)
-	}
-
-	for _, bad := range []Topology{
-		{RanksPerNode: -1},
-		{RanksPerNode: 4},                    // node topology without rates
-		{RanksPerNode: 4, IntraTsetup: 1e-6}, // missing word rate
-		{RanksPerNode: 2, IntraTsetup: -1, IntraTlat: 1e-7},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate accepted %+v", bad)
-		}
-	}
-}
-
 func TestExchangeNames(t *testing.T) {
 	for i, name := range ExchangeNames {
 		x, err := ExchangeByName(name)
@@ -65,28 +20,6 @@ func TestExchangeNames(t *testing.T) {
 	}
 }
 
-// TestCommTimeFlatTopology pins the bit-parity contract: on a flat
-// topology CommTime is MsgTime for every pair, so legacy charges cannot
-// drift.
-func TestCommTimeFlatTopology(t *testing.T) {
-	mdl := SP2()
-	for _, words := range []int64{0, 1, 17, 1 << 20} {
-		if mdl.CommTime(0, 1, words) != mdl.MsgTime(words) {
-			t.Fatalf("flat CommTime(%d) != MsgTime", words)
-		}
-	}
-	mdl.Topo = NodeTopology(4)
-	if got, want := mdl.CommTime(0, 1, 100), mdl.Topo.IntraTsetup+100*mdl.Topo.IntraTlat; got != want {
-		t.Errorf("intra CommTime = %g, want %g", got, want)
-	}
-	if mdl.CommTime(3, 4, 100) != mdl.MsgTime(100) {
-		t.Error("inter-node CommTime must be MsgTime")
-	}
-	if mdl.CommTime(0, 1, 100) >= mdl.CommTime(3, 4, 100) {
-		t.Error("intra-node message not cheaper than inter-node")
-	}
-}
-
 var chargeFixture = []Flow{
 	{Src: 0, Dst: 1, Words: 10},
 	{Src: 0, Dst: 2, Words: 5},
@@ -95,13 +28,13 @@ var chargeFixture = []Flow{
 	{Src: 4, Dst: 5, Words: 8},
 }
 
-// TestChargeFlatLegacyParity pins the flat schedule on a flat topology to
-// the legacy per-flow MsgTime charges.
+// TestChargeFlatLegacyParity pins the flat schedule to the paper's
+// per-flow MsgTime charges.
 func TestChargeFlatLegacyParity(t *testing.T) {
 	mdl := SP2()
 	clk := NewClock(8)
 	ch := mdl.ChargeFlows(clk, ExchangeFlat, chargeFixture)
-	if ch.Msgs != 5 || ch.Words != 27 || ch.IntraWords != 0 || ch.InterWords != 27 {
+	if ch.Msgs != 5 || ch.Words != 27 {
 		t.Fatalf("flat charge %+v", ch)
 	}
 	if got, want := ch.SetupTime, 5*mdl.Tsetup; got != want {
@@ -115,9 +48,9 @@ func TestChargeFlatLegacyParity(t *testing.T) {
 	}
 }
 
-// TestChargeAggregatedLegacyParity pins the aggregated schedule on a flat
-// topology to the legacy propagate.Aggregated expressions: MsgTime over
-// each source's combined total, per-word Tlat drain on destinations.
+// TestChargeAggregatedLegacyParity pins the aggregated schedule to the
+// legacy propagate.Aggregated expressions: MsgTime over each source's
+// combined total, per-word Tlat drain on destinations.
 func TestChargeAggregatedLegacyParity(t *testing.T) {
 	mdl := SP2()
 	clk := NewClock(8)
@@ -136,50 +69,12 @@ func TestChargeAggregatedLegacyParity(t *testing.T) {
 	}
 }
 
-// TestChargeHierarchical checks the three-phase schedule on a small node
-// topology: gather and scatter hops at the intra rates, one inter-node
-// frame per communicating node pair, leaders exempt from their own
-// gather/scatter.
-func TestChargeHierarchical(t *testing.T) {
-	mdl := SP2()
-	mdl.Topo = NodeTopology(4)
-	clk := NewClock(8)
-	// Node 0 = ranks 0-3, node 1 = ranks 4-7.
-	flows := []Flow{
-		{Src: 0, Dst: 5, Words: 10}, // leader 0 -> node 1: no gather hop
-		{Src: 1, Dst: 6, Words: 4},  // member gather + inter + scatter
-		{Src: 2, Dst: 3, Words: 7},  // intra-node only: no inter hop
-	}
-	ch := mdl.ChargeFlows(clk, ExchangeHierarchical, flows)
-	if ch.Words != 21 {
-		t.Fatalf("Words = %d", ch.Words)
-	}
-	// Gather: ranks 1 and 2 (rank 0 is its node's leader). Inter: one
-	// frame node0->node1 (14 words). Scatter: leader 4 -> ranks 5, 6, and
-	// leader 0 -> rank 3.
-	if ch.Msgs != 2+1+3 {
-		t.Errorf("Msgs = %d, want 6", ch.Msgs)
-	}
-	if got, want := ch.SetupTime, 5*mdl.Topo.IntraTsetup+1*mdl.Tsetup; got != want {
-		t.Errorf("SetupTime %g want %g", got, want)
-	}
-	if ch.InterWords != 14 {
-		t.Errorf("InterWords = %d, want 14", ch.InterWords)
-	}
-	// Gather stores 4+7 intra, scatter 4+10+7 intra.
-	if ch.IntraWords != 11+21 {
-		t.Errorf("IntraWords = %d, want 32", ch.IntraWords)
-	}
-}
-
-// TestExchangeSetupScaling is the tentpole's scaling claim in miniature:
+// TestExchangeSetupScaling is the schedules' scaling claim in miniature:
 // on an all-pairs flow set the modeled setup time must rank
-// hierarchical < aggregated < flat once P is large relative to the node
-// size.
+// aggregated < flat, over the same logical words.
 func TestExchangeSetupScaling(t *testing.T) {
-	const p, rpn = 64, 16
+	const p = 64
 	mdl := SP2()
-	mdl.Topo = NodeTopology(rpn)
 	var flows []Flow
 	for s := 0; s < p; s++ {
 		for d := 0; d < p; d++ {
@@ -188,19 +83,13 @@ func TestExchangeSetupScaling(t *testing.T) {
 			}
 		}
 	}
-	setup := map[Exchange]float64{}
-	words := map[Exchange]int64{}
-	for _, x := range []Exchange{ExchangeFlat, ExchangeAggregated, ExchangeHierarchical} {
-		ch := mdl.ChargeFlows(NewClock(p), x, flows)
-		setup[x] = ch.SetupTime
-		words[x] = ch.Words
+	flat := mdl.ChargeFlows(NewClock(p), ExchangeFlat, flows)
+	agg := mdl.ChargeFlows(NewClock(p), ExchangeAggregated, flows)
+	if flat.Words != agg.Words {
+		t.Fatalf("logical words differ across schedules: %d vs %d", flat.Words, agg.Words)
 	}
-	if words[ExchangeFlat] != words[ExchangeAggregated] || words[ExchangeFlat] != words[ExchangeHierarchical] {
-		t.Fatalf("logical words differ across schedules: %v", words)
-	}
-	if !(setup[ExchangeHierarchical] < setup[ExchangeAggregated] && setup[ExchangeAggregated] < setup[ExchangeFlat]) {
-		t.Errorf("setup ranking violated: hier %g, agg %g, flat %g",
-			setup[ExchangeHierarchical], setup[ExchangeAggregated], setup[ExchangeFlat])
+	if !(agg.SetupTime < flat.SetupTime) {
+		t.Errorf("setup ranking violated: agg %g, flat %g", agg.SetupTime, flat.SetupTime)
 	}
 }
 
@@ -208,8 +97,7 @@ func TestExchangeSetupScaling(t *testing.T) {
 // clocks and charges — the figures feed determinism-diffed reports.
 func TestChargeDeterminism(t *testing.T) {
 	mdl := SP2()
-	mdl.Topo = NodeTopology(4)
-	for _, x := range []Exchange{ExchangeFlat, ExchangeAggregated, ExchangeHierarchical} {
+	for _, x := range []Exchange{ExchangeFlat, ExchangeAggregated} {
 		c1, c2 := NewClock(8), NewClock(8)
 		ch1 := mdl.ChargeFlows(c1, x, chargeFixture)
 		ch2 := mdl.ChargeFlows(c2, x, chargeFixture)
@@ -241,17 +129,5 @@ func TestRetryHookPosition(t *testing.T) {
 	want := []call{{0, CombinedDst, 15}, {1, CombinedDst, 3}, {2, CombinedDst, 1}, {4, CombinedDst, 8}}
 	if !reflect.DeepEqual(calls, want) {
 		t.Fatalf("aggregated retry calls: %+v, want %+v", calls, want)
-	}
-
-	calls = nil
-	mdl.Topo = NodeTopology(4)
-	mdl.ChargeFlowsRetry(NewClock(8), ExchangeHierarchical, chargeFixture, hook)
-	for _, c := range calls {
-		if c.dst != CombinedDst {
-			t.Fatalf("hierarchical retry with real dst: %+v", c)
-		}
-	}
-	if len(calls) == 0 {
-		t.Fatal("hierarchical schedule fired no retry hooks")
 	}
 }

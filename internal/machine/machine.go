@@ -60,10 +60,6 @@ type Model struct {
 	// dominated by memory latency, roughly twice the compute rate on
 	// 1996-class hardware. It replaces the upper half of the old AlgOp.
 	MemOp float64
-	// Topo is the node topology: which ranks share an SMP node and the
-	// cheaper intra-node message rates. The zero value is a flat machine,
-	// on which CommTime equals MsgTime for every pair.
-	Topo Topology
 }
 
 // SP2 returns the model calibrated to the paper's 64-node IBM SP2.

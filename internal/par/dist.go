@@ -50,13 +50,12 @@ type Dist struct {
 	Prop machine.Exchange
 
 	// Exchange selects the communication schedule of the remap payload
-	// exchange — flat (the zero value), aggregated, or
-	// hierarchical (see machine.Exchange). It drives both the wire path
-	// (how records physically move between goroutine ranks) and the
-	// machine-model charges; the node topology side of the hierarchical
-	// schedule comes from the machine.Model passed to the executor.
-	// Owners, payloads, Moved/Sets/WordsMoved/PeakWords, and Ops are
-	// identical across schedules; only the communication charges differ.
+	// exchange — flat (the zero value) or aggregated (see
+	// machine.Exchange). It is a pricing parameter of the machine model,
+	// as Prop is for the notifications: the records move between goroutine
+	// ranks the same way under both, so owners, payloads, fault fates,
+	// Moved/Sets/WordsMoved/PeakWords, and Ops are identical across
+	// schedules; only the communication charges differ.
 	Exchange machine.Exchange
 
 	// Faults is the deterministic fault-injection plan driving the remap

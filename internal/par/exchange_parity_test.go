@@ -1,10 +1,12 @@
 package par
 
 import (
-	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"plum/internal/comm"
 	"plum/internal/fault"
 	"plum/internal/machine"
 )
@@ -13,25 +15,18 @@ import (
 var exchanges = []machine.Exchange{
 	machine.ExchangeFlat,
 	machine.ExchangeAggregated,
-	machine.ExchangeHierarchical,
 }
 
-// nodeModel returns the SP2 machine on a 4-ranks-per-node topology — the
-// fixture every schedule (hierarchical included) can run on.
-func nodeModel() machine.Model {
-	mdl := machine.SP2()
-	mdl.Topo = machine.NodeTopology(4)
-	return mdl
-}
-
-// TestExchangeParity is the tentpole's determinism contract: the three
+// TestExchangeParity is the schedules' determinism contract: both
 // exchange schedules move byte-identical payloads to byte-identical
-// owners — flat, aggregated, and hierarchical differ only in the modeled
-// communication charges — and within each schedule the whole RemapResult,
-// modeled floats included, is byte-identical at workers 1/2/4/8 and
-// between the bulk and streaming executors. It holds at P = 8, where
-// nearly every rank pair carries a flow, and at P = 512, where nearly none
-// does and the schedules walk flow lists instead of rank ranges.
+// owners — flat and aggregated differ only in the modeled communication
+// charges — and within each schedule the whole RemapResult, modeled
+// floats included, is byte-identical at workers 1/2/4/8 and between the
+// bulk and streaming executors. It holds at P = 8, where nearly every
+// rank pair carries a flow, and at P = 512, where nearly none does and
+// the executor walks flow lists instead of rank ranges. Under a fault
+// plan the two schedules send the same frames to the same fates, so they
+// also recover identically.
 func TestExchangeParity(t *testing.T) {
 	for _, p := range []int{8, 512} {
 		testExchangeParity(t, p)
@@ -39,16 +34,19 @@ func TestExchangeParity(t *testing.T) {
 }
 
 func testExchangeParity(t *testing.T, p int) {
-	mdl := nodeModel()
+	mdl := machine.SP2()
 
 	type outcome struct {
 		res    RemapResult
 		owners []int32
 	}
+	var plan *fault.Plan
 	run := func(x machine.Exchange, workers int, streaming bool) outcome {
 		d, newOwner := bigFixture(t, p)
 		d.Workers = workers
 		d.Exchange = x
+		d.Faults = plan
+		d.Retry = fault.Retry{MsgAttempts: 12, WindowRetries: 6}
 		var res RemapResult
 		var err error
 		if streaming {
@@ -113,19 +111,31 @@ func testExchangeParity(t *testing.T, p int) {
 			t.Errorf("%v: schedule-invariant fields diverge from flat:\n got %+v\nwant %+v",
 				x, got.res, flat.res)
 		}
-		// At P = 512 every rank sends to its two ring neighbours only, and
-		// relaying two flows through a leader saves nothing: there the
-		// hierarchical schedule may tie with flat, never exceed it.
-		tie := x == machine.ExchangeHierarchical && p > 8
-		if got.res.Setups > flat.res.Setups || got.res.Setups == flat.res.Setups && !tie {
+		if got.res.Setups >= flat.res.Setups {
 			t.Errorf("%v: %d setups not below flat's %d", x, got.res.Setups, flat.res.Setups)
 		}
 	}
+
+	// Fault leg: same frames, same fates — the schedules recover to the
+	// fault-free owners through identical retries.
+	plan = &fault.Plan{Seed: 1717, Rate: 0.25}
+	ff, fa := run(machine.ExchangeFlat, 4, true), run(machine.ExchangeAggregated, 4, true)
+	if !reflect.DeepEqual(ff.owners, flat.owners) || !reflect.DeepEqual(fa.owners, flat.owners) {
+		t.Fatal("recovered owners diverge from fault-free")
+	}
+	if ff.res.Retries == 0 && ff.res.WindowRetries == 0 {
+		t.Error("rate 0.25 left no recovery trace")
+	}
+	if fa.res.Retries != ff.res.Retries || fa.res.RetryWords != ff.res.RetryWords ||
+		fa.res.WindowRetries != ff.res.WindowRetries {
+		t.Errorf("recovery differs across schedules: flat %d/%d/%d, aggregated %d/%d/%d",
+			ff.res.Retries, ff.res.RetryWords, ff.res.WindowRetries,
+			fa.res.Retries, fa.res.RetryWords, fa.res.WindowRetries)
+	}
 }
 
-// TestFlatExchangeLegacyAccounting pins the flat schedule on a flat
-// topology to the paper's accounting: one setup per element set at
-// exactly Tsetup each.
+// TestFlatExchangeLegacyAccounting pins the flat schedule to the paper's
+// accounting: one setup per element set at exactly Tsetup each.
 func TestFlatExchangeLegacyAccounting(t *testing.T) {
 	mdl := machine.SP2()
 	d, newOwner := bigFixture(t, 8)
@@ -140,58 +150,21 @@ func TestFlatExchangeLegacyAccounting(t *testing.T) {
 	if got, want := res.SetupTime, float64(res.Sets)*mdl.Tsetup; got != want {
 		t.Errorf("flat SetupTime = %g, want Sets·Tsetup = %g", got, want)
 	}
-	if res.IntraWords != 0 || res.InterWords != res.WordsMoved {
-		t.Errorf("flat topology split wrong: intra %d inter %d moved %d",
-			res.IntraWords, res.InterWords, res.WordsMoved)
-	}
 }
 
-// TestHierarchicalFaultRecovery runs the hierarchical wire path under an
-// aggressive fault plan: with a generous budget the remap must converge
-// to the fault-free owners byte-identically at every worker count; with a
-// starved budget it must roll back to the pre-remap ownership rather than
-// commit a torn state.
-func TestHierarchicalFaultRecovery(t *testing.T) {
-	const p = 8
-	mdl := nodeModel()
-	refD, newOwner := bigFixture(t, p)
-	refD.Exchange = machine.ExchangeHierarchical
-	if _, err := refD.ExecuteRemapStreaming(newOwner, mdl); err != nil {
-		t.Fatal(err)
+// TestRetryNamingNoFlowPanics: every message of the exchange is a flow's,
+// so a retry record for a pair the flow list does not hold is a bug in
+// the transport or the plan, never a price.
+func TestRetryNamingNoFlowPanics(t *testing.T) {
+	d, newOwner := bigFixture(t, 8) // ring flows only: 0->4 moves nothing
+	fi := collectFlowIndex(d.M, d.rootDual, d.owner, newOwner, d.P, 1)
+	if fi.find(0, 4) >= 0 {
+		t.Fatal("fixture has a 0->4 flow")
 	}
-
-	plan := &fault.Plan{Seed: 1717, Rate: 0.25}
-	for _, w := range []int{1, 4} {
-		d, _ := bigFixture(t, p)
-		d.Workers = w
-		d.Exchange = machine.ExchangeHierarchical
-		d.Faults = plan
-		d.Retry = fault.Retry{MsgAttempts: 12, WindowRetries: 6}
-		res, err := d.ExecuteRemapStreaming(newOwner, mdl)
-		if err != nil {
-			t.Fatalf("workers=%d: hierarchical recovery failed: %v", w, err)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "retry counters for 0->4 name no flow") {
+			t.Fatalf("bogus retry record: got %q", msg)
 		}
-		if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
-			t.Fatalf("workers=%d: recovered owners diverge from fault-free", w)
-		}
-		if res.Retries == 0 && res.WindowRetries == 0 {
-			t.Errorf("workers=%d: rate 0.25 left no recovery trace", w)
-		}
-	}
-
-	// Starved budget: rate-1 drops can never converge; the stream must
-	// report rollback with the pre-remap ownership intact.
-	d, _ := bigFixture(t, p)
-	before := d.Owners()
-	d.Exchange = machine.ExchangeHierarchical
-	d.Faults = &fault.Plan{Seed: 3, Rate: 1, Kinds: []fault.Kind{fault.Drop}}
-	d.Retry = fault.Retry{MsgAttempts: 1, WindowRetries: 1}
-	_, err := d.ExecuteRemapStreaming(newOwner, mdl)
-	var re *RemapError
-	if !errors.As(err, &re) || !re.RolledBack {
-		t.Fatalf("starved hierarchical remap returned %v, want rolled-back RemapError", err)
-	}
-	if !reflect.DeepEqual(d.Owners(), before) {
-		t.Fatal("rollback left a torn owner array")
-	}
+	}()
+	d.accountRemap(&fi, machine.SP2(), &RemapResult{}, []comm.PairRetry{{Src: 0, Dst: 4, Resends: 1}})
 }

@@ -35,19 +35,13 @@ type RemapResult struct {
 	PackTime, CommTime, RebuildTime, Total float64
 	// Setups counts the message setups of the base exchange under the
 	// Dist's schedule — one per message of the schedule, so flat pays one
-	// per nonempty flow while aggregated and hierarchical pay far fewer at
-	// high P (retransmissions are counted in Retries, not here). SetupTime
-	// is their summed modeled setup charge: the component of CommTime the
-	// exchange schedule exists to shrink, reported separately so callers
-	// never fold it silently into volume time.
+	// per nonempty flow and aggregated one per sending rank
+	// (retransmissions are counted in Retries, not here). SetupTime is
+	// their modeled setup charge, Setups·Tsetup: the component of CommTime
+	// the exchange schedule exists to shrink, reported separately so
+	// callers never fold it silently into volume time.
 	Setups    int64
 	SetupTime float64
-	// IntraWords and InterWords split the exchanged wire volume by link
-	// level under the model's node topology; on a flat machine all volume
-	// is InterWords. The hierarchical schedule forwards words over both an
-	// intra-node hop and an inter-node hop, so their sum can exceed
-	// WordsMoved — that forwarding is the price of the setup savings.
-	IntraWords, InterWords int64
 	// Ops is the abstract work accounting of the scatter, pack, and
 	// unpack phases, equal to PredictRemapOps of the executed quantities:
 	// Total is worker-invariant, Crit the critical-path share at the
@@ -128,14 +122,14 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapR
 // collectFlowIndex at the Dist's worker knob: flows are laid out in
 // canonical (src, dst) order and elements in slab order within a flow.
 // planWindows groups consecutive flows under the budget, and each window
-// is packed into the reused buffer, exchanged for real under the Dist's
-// schedule, and verified flow by flow against the plan before the next is
-// admitted — so no more than one window of payload ever exists on the
-// host. The window layout is computed from the flow offsets alone, never
-// from worker scheduling, and the modeled times are float sums in
-// canonical flow order, so the payload bytes, the owner array and the
-// whole RemapResult except Ops.Crit/MemCrit are byte-identical at every
-// worker count, and identical across budgets up to PeakWords.
+// is packed into the reused buffer, exchanged for real, and verified flow
+// by flow against the plan before the next is admitted — so no more than
+// one window of payload ever exists on the host. The window layout is
+// computed from the flow offsets alone, never from worker scheduling, and
+// the modeled times are float sums in canonical flow order, so the
+// payload bytes, the owner array and the whole RemapResult except
+// Ops.Crit/MemCrit are byte-identical at every worker count, and
+// identical across budgets up to PeakWords.
 //
 // With an enabled plan the exchange runs transactionally over the
 // reliable transport: the owner array is checkpointed up front, each
@@ -222,7 +216,7 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 		wp := &winPlan{fi: &fi, f0: win.f0, f1: win.f1, buf: bufW}
 		for tries := 1; ; tries++ {
 			clear(counts)
-			if err := exchangeWindow(w, d.Exchange, mdl.Topo, wp, plan != nil, recv, failed, crash); err != nil {
+			if err := exchangeWindow(w, wp, plan != nil, recv, failed, crash); err != nil {
 				return rollback(remapErrFrom(err, id, tries))
 			}
 			var nfail int64
@@ -332,103 +326,70 @@ func (d *Dist) crashMask(plan *fault.Plan) []bool {
 // (PredictRemapOps charges this phase serially).
 //
 // When the reliable exchange recovered injected faults, retries carries
-// its per-pair counters in the same canonical order: each resent message
-// is charged another CommTime of the pair's modeled volume and each
-// backoff unit Model.RetryBackoff, on the sending rank, inside the same
-// send-phase superstep and right behind the pair's own charge — so retry
-// cost lands on CommTime/Total exactly where a real sender would stall.
-// Under the hierarchical schedule the counters sit on the physical pairs
-// of the relay (member→leader, leader→leader, leader→member), which need
-// not be flows; such a pair is priced at its link rate over zero volume.
-// A nil retries (the fault-free path) adds no terms at all.
+// its per-pair counters in the same canonical order — every message is a
+// flow's, so every record names a flow (one that does not is a bug and
+// panics): each resent message is charged another MsgTime of the flow's
+// modeled volume and each backoff unit Model.RetryBackoff, on the sending
+// rank, inside the same send-phase superstep and right behind the flow's
+// own pack charge — so retry cost lands on CommTime/Total exactly where a
+// real sender would stall. A nil retries (the fault-free path) adds no
+// terms at all.
+//
+// The wire itself — setups, volume, and under aggregated the receivers'
+// drains — is charged by machine.ChargeFlows under the Dist's schedule,
+// on top of each rank's pack + retry sum and inside the same superstep.
 func (d *Dist) accountRemap(fi *flowIndex, mdl machine.Model, res *RemapResult, retries []comm.PairRetry) {
 	p := d.P
-	flat := d.Exchange == machine.ExchangeFlat
 	sendWords := make([]int64, p)
 	recvWords := make([]int64, p)
 	recvElems := make([]int64, p)
 	packT := make([]float64, p)
-	sendT := make([]float64, p)
 	retryT := make([]float64, p)
-	// The flat schedule's setup charge, summed per source first like every
-	// other float here; the aggregated and hierarchical schedules report
-	// theirs from machine.ChargeFlows below.
-	setupT := make([]float64, p)
-	for f, k := 0, 0; f < len(fi.flows) || k < len(retries); {
-		// The next pair in canonical order has a flow, a retry record, or
-		// both.
-		var c int
-		switch {
-		case k == len(retries):
-			c = -1
-		case f == len(fi.flows):
-			c = 1
-		default:
-			c = fi.flows[f].compare(flow{retries[k].Src, retries[k].Dst})
-		}
-		var words int64
-		if c <= 0 {
-			src, dst := int(fi.flows[f].src), int(fi.flows[f].dst)
-			elems := fi.flowStart[f+1] - fi.flowStart[f]
-			words = flowWords(elems, mdl)
-			sendWords[src] += words
-			recvWords[dst] += words
-			recvElems[dst] += elems
-			if flat {
-				// One expression per flow (CommTime ≡ MsgTime on a flat
-				// topology), summed per source: the float stream the
-				// flat schedule has always produced. Routing it through
-				// machine.ChargeFlows like the other two would re-round
-				// the sums in the last place.
-				sendT[src] += float64(words)*mdl.PackWord + mdl.CommTime(src, dst, words)
-				res.Setups++
-				setupT[src] += mdl.SetupTime(src, dst)
-				if mdl.Topo.SameNode(src, dst) {
-					res.IntraWords += words
-				} else {
-					res.InterWords += words
-				}
-			} else {
-				// Combined schedules charge the wire through ChargeFlows;
-				// only the pack cost is per flow.
-				sendT[src] += float64(words) * mdl.PackWord
-			}
-			packT[src] += float64(words) * mdl.PackWord
-			f++
-		}
-		if c >= 0 {
+	wire := make([]machine.Flow, len(fi.flows))
+	clk := machine.NewClock(p)
+	k := 0 // cursor into retries
+	for f, fl := range fi.flows {
+		src, dst := int(fl.src), int(fl.dst)
+		elems := fi.flowStart[f+1] - fi.flowStart[f]
+		words := flowWords(elems, mdl)
+		wire[f] = machine.Flow{Src: fl.src, Dst: fl.dst, Words: words}
+		sendWords[src] += words
+		recvWords[dst] += words
+		recvElems[dst] += elems
+		pack := float64(words) * mdl.PackWord
+		clk.Add(src, pack)
+		packT[src] += pack
+		if k < len(retries) && retries[k].Src == fl.src && retries[k].Dst == fl.dst {
 			r := retries[k]
-			src := int(r.Src)
 			var rt float64
 			if r.Resends > 0 {
-				rt += float64(r.Resends) * mdl.CommTime(src, int(r.Dst), words)
+				rt += float64(r.Resends) * mdl.MsgTime(words)
 			}
 			if r.Backoff > 0 {
 				rt += float64(r.Backoff) * mdl.RetryBackoff
 			}
-			sendT[src] += rt
+			clk.Add(src, rt)
 			retryT[src] += rt
 			k++
 		}
 	}
-
-	clk := machine.NewClock(p)
+	if k < len(retries) {
+		panic(fmt.Sprintf("par: retry counters for %d->%d name no flow", retries[k].Src, retries[k].Dst))
+	}
 	for r := 0; r < p; r++ {
 		res.WordsMoved += sendWords[r]
-		clk.Add(r, sendT[r])
 		res.PackTime = max(res.PackTime, packT[r])
 		res.RetryTime = max(res.RetryTime, retryT[r])
-		res.SetupTime += setupT[r]
 	}
-	if !flat {
-		// The combined schedules' wire charges (setups, volume at link
-		// rate, drains, the hierarchical relay's internal barriers) land
-		// here, inside the same send superstep the flat charge occupies.
-		ch := mdl.ChargeFlows(clk, d.Exchange, fi.machineFlows(mdl))
-		res.Setups = ch.Msgs
-		res.SetupTime = ch.SetupTime
-		res.IntraWords = ch.IntraWords
-		res.InterWords = ch.InterWords
+	ch := mdl.ChargeFlows(clk, d.Exchange, wire)
+	res.Setups = ch.Msgs
+	res.SetupTime = ch.SetupTime
+	var sendT []float64 // each rank's send superstep, read off the clock before the barrier
+	if d.Trace != nil {
+		sendT = make([]float64, p)
+		for r := range sendT {
+			sendT[r] = clk.Rank(r)
+		}
 	}
 	clk.Barrier()
 	res.CommTime = clk.Elapsed() - res.PackTime
@@ -449,9 +410,11 @@ func (d *Dist) accountRemap(fi *flowIndex, mdl machine.Model, res *RemapResult, 
 // cursor past res.Total afterwards). It runs serially after the chunked
 // accounting loops over per-rank arrays whose values are bit-identical
 // at every worker count, so emission order and span contents are
-// canonical. The send span covers a rank's pack + wire charges of the
-// send superstep; the rebuild span starts at the superstep barrier
-// (pack + comm elapsed) and covers the rank's unpack/rebuild charge.
+// canonical. The send span covers a rank's send superstep — pack, retry
+// and wire charges, sendT being its clock reading before the barrier (so
+// under aggregated a rank that only receives shows its drain, words 0);
+// the rebuild span starts at the superstep barrier (pack + comm elapsed)
+// and covers the rank's unpack/rebuild charge.
 func (d *Dist) traceRemapRanks(mdl machine.Model, res *RemapResult, sendWords []int64, sendT []float64, recvWords, recvElems []int64) {
 	base := d.Trace.Now()
 	rebuildAt := base + res.PackTime + res.CommTime
@@ -470,14 +433,4 @@ func (d *Dist) traceRemapRanks(mdl machine.Model, res *RemapResult, sendWords []
 func flowWords(elems int64, mdl machine.Model) int64 {
 	words := elems * int64(mdl.ElemWords)
 	return words + words/32
-}
-
-// machineFlows converts the flow list into the src-major flow list
-// machine.ChargeFlows consumes, at the modeled volume of accountRemap.
-func (fi *flowIndex) machineFlows(mdl machine.Model) []machine.Flow {
-	flows := make([]machine.Flow, len(fi.flows))
-	for f, fl := range fi.flows {
-		flows[f] = machine.Flow{Src: fl.src, Dst: fl.dst, Words: flowWords(fi.flowStart[f+1]-fi.flowStart[f], mdl)}
-	}
-	return flows
 }

@@ -82,8 +82,8 @@ type World interface {
 // PairWords is one (src, dst) notification batch of an exchange: Words
 // message words bound from rank Src to rank Dst. It is the machine
 // model's Flow — the adaption notification exchanges and the remap
-// payload exchange feed the same topology-aware charge functions, so
-// their communication models can never drift apart.
+// payload exchange feed the same charge functions, so their communication
+// models can never drift apart.
 type PairWords = machine.Flow
 
 // comparePairs orders batches by (src, dst) — the canonical exchange
@@ -190,13 +190,7 @@ func (eng Engine) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []
 		if extra == 0 && backoff == 0 {
 			return
 		}
-		// A combined frame has no single link, so it prices at the
-		// interconnect MsgTime — identical to CommTime on a flat topology.
-		msg := mdl.MsgTime(words)
-		if dst >= 0 {
-			msg = mdl.CommTime(int(src), int(dst), words)
-		}
-		clk.Add(int(src), float64(extra)*msg+float64(backoff)*mdl.RetryBackoff)
+		clk.Add(int(src), float64(extra)*mdl.MsgTime(words)+float64(backoff)*mdl.RetryBackoff)
 	})
 }
 
