@@ -1,8 +1,9 @@
 // Command experiments regenerates the tables and figures of the paper's
-// evaluation section. Select a single experiment with -exp or run all.
+// evaluation section. Select experiments with -exp or run all.
 //
-//	go run ./cmd/experiments            # everything
-//	go run ./cmd/experiments -exp fig8  # one figure
+//	go run ./cmd/experiments                 # everything
+//	go run ./cmd/experiments -exp fig8       # one figure
+//	go run ./cmd/experiments -exp fig9,fig12 # a list, in one process
 package main
 
 import (
@@ -10,35 +11,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
-	"time"
 
-	"plum/internal/core"
 	"plum/internal/experiments"
-	"plum/internal/machine"
-	"plum/internal/obs"
 	"plum/internal/propagate"
 	"plum/internal/refine"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1, fig8, fig9, fig10, fig11, fig12, extension, partitioners, remap, adapt, overlap, faults, recover, comm, all")
+	exp := flag.String("exp", "all", "comma-separated experiments to run: table1, fig8, fig9, fig10, fig11, fig12, extension, partitioners, remap, adapt, overlap, faults, recover, comm, all")
 	k := flag.Int("k", 16, "partition count for -exp partitioners")
 	faultSeed := flag.Int64("fault-seed", 7, "fault schedule seed for -exp faults")
 	workers := flag.Int("workers", 0, "worker goroutines for parallel partitioning, refinement, and adaption phases (0 = GOMAXPROCS)")
 	refiner := flag.String("refiner", "", "boundary-refinement backend for -exp partitioners: "+strings.Join(refine.Names, ", ")+" ('' = per-backend default)")
 	propg := flag.String("propagator", "", "frontier-propagation backend for -exp adapt: "+strings.Join(propagate.Names, ", ")+" ('' = bulksync)")
-	exchange := flag.String("exchange", "", "remap exchange schedule for -exp comm: "+strings.Join(machine.ExchangeNames, ", ")+" ('' = sweep all)")
 	jsonOut := flag.Bool("json", false, "emit the selected experiments as one JSON object keyed by name instead of text tables")
-	traceF := flag.String("trace", "", "write a combined deterministic trace of the cycle-driving experiments (faults, recover, overlap) to this file")
-	traceFm := flag.String("trace-format", "perfetto", "trace export format: perfetto or jsonl")
-	metricF := flag.String("metrics", "", "write a Prometheus text-format metrics dump of the cycle-driving experiments to this file")
 	flag.Parse()
-	if !slices.Contains(obs.TraceFormats, *traceFm) {
-		fmt.Fprintf(os.Stderr, "unknown -trace-format %q (have %s)\n", *traceFm, strings.Join(obs.TraceFormats, ", "))
-		os.Exit(2)
-	}
 	if *k < 1 {
 		fmt.Fprintf(os.Stderr, "invalid -k %d: need at least 1 partition\n", *k)
 		os.Exit(2)
@@ -56,15 +44,6 @@ func main() {
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown propagator %q (have %s)\n", *propg, strings.Join(propagate.Names, ", "))
 		os.Exit(2)
-	}
-	var schedules []machine.Exchange
-	if *exchange != "" {
-		x, err := machine.ExchangeByName(*exchange)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "unknown exchange %q (have %s)\n", *exchange, strings.Join(machine.ExchangeNames, ", "))
-			os.Exit(2)
-		}
-		schedules = []machine.Exchange{x}
 	}
 
 	runners := []struct {
@@ -84,44 +63,33 @@ func main() {
 		{"overlap", func() fmt.Stringer { return experiments.RunOverlapTable(*workers) }},
 		{"faults", func() fmt.Stringer { return experiments.RunFaultTable(*faultSeed, *workers) }},
 		{"recover", func() fmt.Stringer { return experiments.RunRecoverTable(*faultSeed, *workers) }},
-		{"comm", func() fmt.Stringer { return experiments.RunCommTable(schedules...) }},
+		{"comm", func() fmt.Stringer { return experiments.RunCommTable() }},
 	}
 
-	// The observability sinks: the cycle-driving runners (faults, recover,
-	// overlap) attach them to every framework they build.
-	var tr *obs.Trace
-	var reg *obs.Registry
-	if *traceF != "" {
-		tr = obs.NewTrace()
+	want := map[string]bool{}
+	for _, name := range strings.Split(*exp, ",") {
+		known := name == "all"
+		for _, r := range runners {
+			known = known || r.name == name
+		}
+		if !known {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
+			os.Exit(2)
+		}
+		want[name] = true
 	}
-	if *metricF != "" {
-		reg = obs.NewRegistry()
-		core.RegisterHelp(reg)
-	}
-	experiments.SetObs(tr, reg)
-
-	ran := false
 	results := map[string]any{}
 	for _, r := range runners {
-		if *exp != "all" && *exp != r.name {
+		if !want["all"] && !want[r.name] {
 			continue
 		}
-		ran = true
-		t0 := time.Now()
-		out := r.run()
 		if *jsonOut {
 			// One object keyed by experiment name; the rows are the same
 			// structs the text tables render.
-			results[r.name] = out
-			fmt.Fprintf(os.Stderr, "[%s regenerated in %v]\n", r.name, time.Since(t0).Round(time.Millisecond))
+			results[r.name] = r.run()
 			continue
 		}
-		fmt.Println(out)
-		fmt.Printf("[%s regenerated in %v]\n\n", r.name, time.Since(t0).Round(time.Millisecond))
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fmt.Println(r.run())
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -130,9 +98,5 @@ func main() {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	if err := obs.WriteFiles(*traceF, *traceFm, tr, *metricF, reg); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 }

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"plum/internal/machine"
 )
@@ -33,40 +35,25 @@ func commFlows(p, elemWords int) []machine.Flow {
 		return w + w/32
 	}
 	var flows []machine.Flow
-	var dsts []int32
 	for src := 0; src < p; src++ {
-		dsts = dsts[:0]
-		for _, nb := range []struct{ d, elems int }{{1, 4}, {2, 2}, {3, 1}} {
-			if src+nb.d < p {
-				dsts = append(dsts, int32(src+nb.d))
+		first := len(flows)
+		add := func(dst int, elems int64) {
+			flows = append(flows, machine.Flow{Src: int32(src), Dst: int32(dst), Words: wordsFor(elems)})
+		}
+		for d := 1; d <= 3; d++ {
+			if src+d < p {
+				add(src+d, 8>>d)
 			}
-			if src-nb.d >= 0 {
-				dsts = append(dsts, int32(src-nb.d))
+			if src-d >= 0 {
+				add(src-d, 8>>d)
 			}
 		}
 		for k := 4; 1<<k < p; k++ {
-			dsts = append(dsts, int32(src^(1<<k)))
-		}
-		elems := func(dst int32) int64 {
-			switch d := int(dst) - src; {
-			case d == 1 || d == -1:
-				return 4
-			case d == 2 || d == -2:
-				return 2
-			default:
-				return 1
-			}
+			add(src^(1<<k), 1)
 		}
 		// Ascending dst within each src keeps the list canonical without a
 		// global sort.
-		for i := 1; i < len(dsts); i++ {
-			for j := i; j > 0 && dsts[j] < dsts[j-1]; j-- {
-				dsts[j], dsts[j-1] = dsts[j-1], dsts[j]
-			}
-		}
-		for _, dst := range dsts {
-			flows = append(flows, machine.Flow{Src: int32(src), Dst: dst, Words: wordsFor(elems(dst))})
-		}
+		slices.SortFunc(flows[first:], func(a, b machine.Flow) int { return cmp.Compare(a.Dst, b.Dst) })
 	}
 	return flows
 }
@@ -90,24 +77,19 @@ type CommRow struct {
 
 // CommTable is the high-P communication sweep.
 type CommTable struct {
-	// Rows holds the swept subset when the -exchange flag narrows the
-	// schedule axis.
 	Rows []CommRow
 }
 
-// RunCommTable charges the synthetic high-P flow sets through the given
-// exchange schedules (none = both) and returns the sweep. The table is
-// purely modeled — no mesh, no goroutines — and byte-identical across
-// runs and worker counts.
-func RunCommTable(schedules ...machine.Exchange) *CommTable {
-	if len(schedules) == 0 {
-		schedules = []machine.Exchange{machine.ExchangeFlat, machine.ExchangeAggregated}
-	}
+// RunCommTable charges the synthetic high-P flow sets through both
+// exchange schedules and returns the sweep. The table is purely modeled —
+// no mesh, no goroutines — and byte-identical across runs and worker
+// counts.
+func RunCommTable() *CommTable {
 	out := &CommTable{}
 	mdl := machine.SP2()
 	for _, p := range commProcs {
 		flows := commFlows(p, mdl.ElemWords)
-		for _, x := range schedules {
+		for _, x := range []machine.Exchange{machine.ExchangeFlat, machine.ExchangeAggregated} {
 			clk := machine.NewClock(p)
 			ch := mdl.ChargeFlows(clk, x, flows)
 			clk.Barrier()

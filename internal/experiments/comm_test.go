@@ -45,16 +45,3 @@ func TestCommTableDeterministic(t *testing.T) {
 		t.Fatal("empty table")
 	}
 }
-
-// TestCommTableNarrowing checks the -exchange axis.
-func TestCommTableNarrowing(t *testing.T) {
-	tab := RunCommTable(machine.ExchangeAggregated)
-	if len(tab.Rows) != len(commProcs) {
-		t.Fatalf("narrowed sweep has %d rows, want %d", len(tab.Rows), len(commProcs))
-	}
-	for _, r := range tab.Rows {
-		if r.Exchange != machine.ExchangeAggregated {
-			t.Fatalf("narrowed sweep leaked row %+v", r)
-		}
-	}
-}

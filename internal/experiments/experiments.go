@@ -5,7 +5,8 @@
 //
 // The absolute numbers depend on the synthetic mesh and the model
 // calibration; the claims under reproduction are the *shapes*: who wins,
-// by roughly what factor, and where the curves bend (see EXPERIMENTS.md).
+// by roughly what factor, and where the curves bend (see the README). The
+// modeled tables are pinned byte for byte by testdata/modeled.golden.
 package experiments
 
 import (
@@ -31,16 +32,127 @@ const Seed = 12345
 // ProcCounts is the processor axis of the paper's figures.
 var ProcCounts = []int{1, 2, 4, 8, 16, 32, 64}
 
-// baseMesh caches the paper-scale mesh; experiments clone it.
-var (
-	baseOnce sync.Once
-	base     *mesh.Mesh
-)
+// Fgrans is the granularity axis of Figs. 10 and 11.
+var Fgrans = []int{1, 2, 4, 8}
+
+// paperMesh is the paper-scale rotor mesh, generated once; experiments
+// clone it.
+var paperMesh = sync.OnceValue(meshgen.PaperMesh)
 
 // BaseMesh returns a clone of the paper-scale rotor mesh (generated once).
-func BaseMesh() *mesh.Mesh {
-	baseOnce.Do(func() { base = meshgen.PaperMesh() })
-	return base.Clone()
+func BaseMesh() *mesh.Mesh { return paperMesh().Clone() }
+
+// adaptedMesh returns the Local_2-adapted paper mesh and its weighted dual
+// graph, built once. Fig. 10 and the partitioner and remap tables share
+// them; callers must not mutate either.
+var adaptedMesh = sync.OnceValues(func() (*mesh.Mesh, *dual.Graph) {
+	m := BaseMesh()
+	g := dual.Build(m)
+	a := adapt.New(m)
+	a.MarkStrategyRefine(adapt.Local2, Seed)
+	a.Refine()
+	g.UpdateWeights(m)
+	return m, g
+})
+
+// ---------------------------------------------------------------- cells
+
+// adaptCell is one (strategy, P) run of the experiment behind Figs. 8, 9,
+// 11 and 12: the rotor mesh, partitioned inertially over P processors, is
+// refined once, balanced once per granularity F from the same refined
+// state, and then coarsened.
+type adaptCell struct {
+	Refine, Coarsen float64 // modeled ParallelRefine / ParallelCoarsen totals
+	// Balance[i] is the balance pipeline at F = Fgrans[i]. Fig. 11 sweeps
+	// F for Local_2 at P ≥ 4; every other cell runs F = 1 only.
+	Balance []pipelineResult
+}
+
+// pipelineResult carries one balance step's measurements.
+type pipelineResult struct {
+	ReassignTime, RemapTime float64
+	Moved                   int64
+	WmaxOld, WmaxNew        int64
+}
+
+type cellKey struct {
+	s adapt.Strategy
+	p int
+}
+
+// cells memoizes the runs: each is deterministic, and the four figures
+// share them, so each runs once per process.
+var (
+	cellsMu sync.Mutex
+	cells   = map[cellKey]*adaptCell{}
+)
+
+// cell returns the (s, p) run, computing it on first use.
+func cell(s adapt.Strategy, p int) *adaptCell {
+	cellsMu.Lock()
+	defer cellsMu.Unlock()
+	if c, ok := cells[cellKey{s, p}]; ok {
+		return c
+	}
+	mdl := machine.SP2()
+	m := BaseMesh()
+	g := dual.Build(m)
+	d := par.NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
+	a := adapt.New(m)
+	a.MarkStrategyRefine(s, Seed)
+	_, tm := d.ParallelRefine(a, mdl)
+	g.UpdateWeights(m)
+	c := &adaptCell{Refine: tm.Total}
+
+	fgrans := Fgrans[:1]
+	if s == adapt.Local2 && p >= 4 {
+		fgrans = Fgrans
+	}
+	// Every F balances the same refined state: the remap moves only the
+	// ownership, which is restored after each run and before coarsening.
+	owners := d.Owners()
+	for _, fg := range fgrans {
+		c.Balance = append(c.Balance, balance(d, g, fg, mdl))
+		d.SetOwners(owners)
+	}
+
+	a.MarkStrategyCoarsen(s, Seed)
+	_, tm = d.ParallelCoarsen(a, mdl)
+	c.Coarsen = tm.Total
+	cells[cellKey{s, p}] = c
+	return c
+}
+
+// balance repartitions d's refined mesh into P·F parts, reassigns them
+// with the heuristic mapper, and executes the remap.
+func balance(d *par.Dist, g *dual.Graph, fgran int, mdl machine.Model) pipelineResult {
+	owners := d.Owners()
+	newPart := partition.Partition(g, d.P*fgran, partition.MethodInertial)
+	sim := remap.Build(owners, newPart, g.Wremap, d.P, fgran)
+	mp, _ := sim.Heuristic()
+	res := pipelineResult{ReassignTime: float64(sim.LastOps) * mdl.MemOp}
+	res.Moved, _ = sim.MoveStats(mp)
+
+	newOwner := make([]int32, len(newPart))
+	for v, part := range newPart {
+		newOwner[v] = mp[part]
+	}
+	res.WmaxOld, res.WmaxNew = wmax(owners, g.Wcomp, d.P), wmax(newOwner, g.Wcomp, d.P)
+	rr, err := d.ExecuteRemap(newOwner, mdl)
+	if err != nil {
+		panic(err)
+	}
+	res.RemapTime = rr.Total
+	return res
+}
+
+// wmax returns the heaviest of p processor loads under owner.
+func wmax(owner []int32, w []int64, p int) int64 {
+	loads := make([]int64, p)
+	for v, o := range owner {
+		loads[o] += w[v]
+	}
+	return slices.Max(loads)
 }
 
 // ---------------------------------------------------------------- Table 1
@@ -121,30 +233,15 @@ type Fig8 struct {
 // RunFig8 reproduces Figure 8 (speedup of the refinement and coarsening
 // stages for the three strategies).
 func RunFig8() *Fig8 {
-	mdl := machine.SP2()
 	f := &Fig8{Curves: map[adapt.Strategy][]Fig8Point{}}
 	for _, s := range adapt.Strategies {
-		var t1R, t1C float64
+		t1 := cell(s, 1)
 		for _, p := range ProcCounts {
-			m := BaseMesh()
-			g := dual.Build(m)
-			asg := partition.Partition(g, p, partition.MethodInertial)
-			d := par.NewDist(m, p, asg)
-			a := adapt.New(m)
-
-			a.MarkStrategyRefine(s, Seed)
-			_, tmR := d.ParallelRefine(a, mdl)
-
-			a.MarkStrategyCoarsen(s, Seed)
-			_, tmC := d.ParallelCoarsen(a, mdl)
-
-			pt := Fig8Point{P: p, Refine: tmR.Total, Coarsen: tmC.Total}
-			if p == 1 {
-				t1R, t1C = tmR.Total, tmC.Total
-			}
-			pt.SpeedupR = t1R / tmR.Total
-			pt.SpeedupC = t1C / tmC.Total
-			f.Curves[s] = append(f.Curves[s], pt)
+			c := cell(s, p)
+			f.Curves[s] = append(f.Curves[s], Fig8Point{
+				P: p, Refine: c.Refine, Coarsen: c.Coarsen,
+				SpeedupR: t1.Refine / c.Refine, SpeedupC: t1.Coarsen / c.Coarsen,
+			})
 		}
 	}
 	return f
@@ -200,13 +297,10 @@ type Fig9 struct {
 func RunFig9() *Fig9 {
 	f := &Fig9{Curves: map[adapt.Strategy][]Fig9Point{}}
 	for _, s := range []adapt.Strategy{adapt.Local1, adapt.Local2} {
-		for _, p := range ProcCounts {
-			if p == 1 {
-				continue
-			}
-			pt := runBalancePipeline(s, p, 1, false)
+		for _, p := range ProcCounts[1:] {
+			c := cell(s, p)
 			f.Curves[s] = append(f.Curves[s], Fig9Point{
-				P: p, Adaption: pt.AdaptTime, Reassign: pt.ReassignTime, Remap: pt.RemapTime,
+				P: p, Adaption: c.Refine, Reassign: c.Balance[0].ReassignTime, Remap: c.Balance[0].RemapTime,
 			})
 		}
 	}
@@ -226,93 +320,6 @@ func (f *Fig9) String() string {
 	return b.String()
 }
 
-// pipelineResult carries the measurements shared by Figs. 9-12.
-type pipelineResult struct {
-	AdaptTime    float64
-	ReassignTime float64
-	ReassignOps  int64
-	RemapTime    float64
-	Moved        int64
-	Sets         int
-	Objective    int64
-	WmaxOld      int64
-	WmaxNew      int64
-}
-
-// pipelineKey names one runBalancePipeline cell.
-type pipelineKey struct {
-	s        adapt.Strategy
-	p, fgran int
-	optimal  bool
-}
-
-// pipelineMemo holds the cells already run: the results are deterministic
-// value structs, and Figs. 9, 11 and 12 share a third of their cells.
-var (
-	pipelineMu   sync.Mutex
-	pipelineMemo = map[pipelineKey]pipelineResult{}
-)
-
-// runBalancePipeline refines with strategy s on P processors of the SP2
-// model, then repartitions into P·F parts, reassigns with the chosen
-// mapper, and executes the remap, returning all measurements. Each cell
-// runs once per process.
-func runBalancePipeline(s adapt.Strategy, p, fgran int, optimal bool) pipelineResult {
-	key := pipelineKey{s, p, fgran, optimal}
-	pipelineMu.Lock()
-	defer pipelineMu.Unlock()
-	if res, ok := pipelineMemo[key]; ok {
-		return res
-	}
-	mdl := machine.SP2()
-	m := BaseMesh()
-	g := dual.Build(m)
-	asg := partition.Partition(g, p, partition.MethodInertial)
-	d := par.NewDist(m, p, asg)
-	a := adapt.New(m)
-	a.MarkStrategyRefine(s, Seed)
-	_, tm := d.ParallelRefine(a, mdl)
-	g.UpdateWeights(m)
-
-	var res pipelineResult
-	res.AdaptTime = tm.Total
-	loads := make([]int64, p)
-	for v, o := range d.Owners() {
-		loads[o] += g.Wcomp[v]
-	}
-	res.WmaxOld = slices.Max(loads)
-
-	newPart := partition.Partition(g, p*fgran, partition.MethodInertial)
-	sim := remap.Build(d.Owners(), newPart, g.Wremap, p, fgran)
-	var mp remap.Mapping
-	if optimal {
-		mp, res.Objective = sim.Optimal()
-	} else {
-		mp, res.Objective = sim.Heuristic()
-	}
-	res.ReassignOps = sim.LastOps
-	res.ReassignTime = float64(sim.LastOps) * mdl.MemOp
-	res.Moved, res.Sets = sim.MoveStats(mp)
-
-	newLoads := make([]int64, p)
-	for v, part := range newPart {
-		newLoads[mp[part]] += g.Wcomp[v]
-	}
-	res.WmaxNew = slices.Max(newLoads)
-
-	newOwner := make([]int32, len(newPart))
-	for v, part := range newPart {
-		newOwner[v] = mp[part]
-	}
-	rr, err := d.ExecuteRemap(newOwner, mdl)
-	if err != nil {
-		panic(err)
-	}
-	res.RemapTime = rr.Total
-	pipelineMemo[key] = res
-	return res
-}
-
 // ---------------------------------------------------------------- Fig. 10
 
 // Fig10Point is one (P, F) mapper comparison.
@@ -328,27 +335,18 @@ type Fig10 struct {
 	Points []Fig10Point
 }
 
-// Fgrans is the granularity axis of Figs. 10 and 11.
-var Fgrans = []int{1, 2, 4, 8}
-
 // RunFig10 reproduces Figure 10: execution time and data movement of the
 // two mappers for F = 1, 2, 4, 8. The refined mesh and its dual weights do
-// not depend on P or F, so they are computed once.
+// not depend on P or F, so they are the shared adapted fixture. The old
+// owners are the pre-adaption balanced partition: the dual graph of the
+// unadapted mesh has unit weights.
 func RunFig10() *Fig10 {
 	mdl := machine.SP2()
-	m := BaseMesh()
-	g := dual.Build(m)
-	a := adapt.New(m)
-	a.MarkStrategyRefine(adapt.Local2, Seed)
-	a.Refine()
-	g.UpdateWeights(m)
-
+	_, g := adaptedMesh()
+	g0 := dual.Build(paperMesh())
 	out := &Fig10{}
-	for _, p := range ProcCounts {
-		if p == 1 {
-			continue
-		}
-		oldAsg := initialOwners(g, p)
+	for _, p := range ProcCounts[1:] {
+		oldAsg := partition.Partition(g0, p, partition.MethodInertial)
 		for _, fg := range Fgrans {
 			newPart := partition.Partition(g, p*fg, partition.MethodInertial)
 			sim := remap.Build(oldAsg, newPart, g.Wremap, p, fg)
@@ -368,22 +366,6 @@ func RunFig10() *Fig10 {
 		}
 	}
 	return out
-}
-
-// initialOwners computes the pre-adaption balanced ownership: a P-way
-// partition of the dual graph with unit weights (the state before the
-// refinement unbalanced it).
-func initialOwners(g *dual.Graph, p int) []int32 {
-	uniform := &dual.Graph{
-		N: g.N, Adj: g.Adj, EdgeWeight: g.EdgeWeight, Centroid: g.Centroid,
-		Wcomp:  make([]int64, g.N),
-		Wremap: make([]int64, g.N),
-	}
-	for i := range uniform.Wcomp {
-		uniform.Wcomp[i] = 1
-		uniform.Wremap[i] = 1
-	}
-	return partition.Partition(uniform, p, partition.MethodInertial)
 }
 
 // String renders both panels.
@@ -417,9 +399,9 @@ type Fig11 struct {
 // RunFig11 reproduces Figure 11 for the Local_2 refinement strategy.
 func RunFig11() *Fig11 {
 	out := &Fig11{}
-	for _, p := range []int{4, 8, 16, 32, 64} {
-		for _, fg := range Fgrans {
-			res := runBalancePipeline(adapt.Local2, p, fg, false)
+	for _, p := range ProcCounts[2:] { // P ≥ 4
+		for i, fg := range Fgrans {
+			res := cell(adapt.Local2, p).Balance[i]
 			out.Points = append(out.Points, Fig11Point{P: p, F: fg, Moved: res.Moved, RemapTime: res.RemapTime})
 		}
 	}
@@ -458,11 +440,8 @@ type Fig12 struct {
 func RunFig12() *Fig12 {
 	f := &Fig12{Curves: map[adapt.Strategy][]Fig12Point{}}
 	for _, s := range adapt.Strategies {
-		for _, p := range ProcCounts {
-			if p == 1 {
-				continue
-			}
-			res := runBalancePipeline(s, p, 1, false)
+		for _, p := range ProcCounts[1:] {
+			res := cell(s, p).Balance[0]
 			f.Curves[s] = append(f.Curves[s], Fig12Point{
 				P:           p,
 				Improvement: float64(res.WmaxOld) / float64(res.WmaxNew),

@@ -1,15 +1,21 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"plum/internal/adapt"
+	"plum/internal/dual"
+	"plum/internal/machine"
+	"plum/internal/par"
 	"plum/internal/partition"
+	"plum/internal/remap"
 )
 
 // These tests verify the paper's headline claims on the regenerated
-// experiments (shape, not absolute numbers — see EXPERIMENTS.md).
+// experiments (shape, not absolute numbers — see the README); the modeled
+// numbers themselves are pinned by testdata/modeled.golden.
 
 func TestTable1Claims(t *testing.T) {
 	tb := RunTable1()
@@ -340,5 +346,85 @@ func TestBaseMeshIsolated(t *testing.T) {
 	m2 := BaseMesh()
 	if m2.NumActiveElems() != n {
 		t.Fatal("BaseMesh clone leaked adaption state")
+	}
+}
+
+// freshAdaption is Fig. 8's driver before the cells, kept as an oracle: a
+// fresh mesh refined on P processors and coarsened straight after.
+func freshAdaption(s adapt.Strategy, p int) (refine, coarsen float64) {
+	mdl := machine.SP2()
+	m := BaseMesh()
+	g := dual.Build(m)
+	d := par.NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
+	a := adapt.New(m)
+	a.MarkStrategyRefine(s, Seed)
+	_, tmR := d.ParallelRefine(a, mdl)
+	a.MarkStrategyCoarsen(s, Seed)
+	_, tmC := d.ParallelCoarsen(a, mdl)
+	return tmR.Total, tmC.Total
+}
+
+// freshPipeline is the balance driver before the cells (runBalancePipeline
+// without its memo), kept as an oracle: a fresh mesh refined on P
+// processors, repartitioned into P·F parts, reassigned and remapped.
+func freshPipeline(t *testing.T, s adapt.Strategy, p, fgran int) (adaptTime float64, res pipelineResult) {
+	mdl := machine.SP2()
+	m := BaseMesh()
+	g := dual.Build(m)
+	d := par.NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
+	a := adapt.New(m)
+	a.MarkStrategyRefine(s, Seed)
+	_, tm := d.ParallelRefine(a, mdl)
+	g.UpdateWeights(m)
+
+	loads := make([]int64, p)
+	for v, o := range d.Owners() {
+		loads[o] += g.Wcomp[v]
+	}
+	res.WmaxOld = slices.Max(loads)
+
+	newPart := partition.Partition(g, p*fgran, partition.MethodInertial)
+	sim := remap.Build(d.Owners(), newPart, g.Wremap, p, fgran)
+	mp, _ := sim.Heuristic()
+	res.ReassignTime = float64(sim.LastOps) * mdl.MemOp
+	res.Moved, _ = sim.MoveStats(mp)
+
+	newLoads := make([]int64, p)
+	for v, part := range newPart {
+		newLoads[mp[part]] += g.Wcomp[v]
+	}
+	res.WmaxNew = slices.Max(newLoads)
+
+	newOwner := make([]int32, len(newPart))
+	for v, part := range newPart {
+		newOwner[v] = mp[part]
+	}
+	rr, err := d.ExecuteRemap(newOwner, mdl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.RemapTime = rr.Total
+	return tm.Total, res
+}
+
+// TestCellMatchesFreshPipeline pins the cell's reuse of one refined Dist:
+// every F balanced from it, with the owners restored in between, and the
+// coarsening that follows must be bit-equal to a fresh run of each.
+// Not skipped under -short, so the race job covers the owner restore.
+func TestCellMatchesFreshPipeline(t *testing.T) {
+	const p = 8
+	c := cell(adapt.Local2, p)
+	refine, coarsen := freshAdaption(adapt.Local2, p)
+	if c.Refine != refine || c.Coarsen != coarsen {
+		t.Errorf("cell refine/coarsen %v/%v, fresh %v/%v", c.Refine, c.Coarsen, refine, coarsen)
+	}
+	for i, fg := range Fgrans[:2] {
+		adaptTime, want := freshPipeline(t, adapt.Local2, p, fg)
+		if adaptTime != refine {
+			t.Errorf("F=%d: fresh refine %v, want %v", fg, adaptTime, refine)
+		}
+		if c.Balance[i] != want {
+			t.Errorf("F=%d: cell %+v, fresh %+v", fg, c.Balance[i], want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"plum/internal/adapt"
@@ -63,23 +64,21 @@ func RunExtensionRepeated(p, cycles int) *Extension {
 				Max: geom.Vec3{X: sp.Center.X - 0.4, Y: 1, Z: 1},
 			}, adapt.MarkCoarsen)
 			fw.D.ParallelCoarsen(fw.A, fw.Cfg.Model)
-			rep, err := fw.Cycle(func(a *adapt.Adaptor) {
+			if _, err := fw.Cycle(func(a *adapt.Adaptor) {
 				a.MarkRegion(*sp, adapt.MarkRefine)
-			})
-			if err != nil {
+			}); err != nil {
 				panic(err)
 			}
 			sp.Center.X += 2.0 / float64(cycles)
 			imb, _ := fw.Evaluate()
-			_ = rep
 			return imb, fw.M.NumActiveElems()
 		}
 		imbB, elems := step(balanced, sB)
 		imbU, _ := step(unbalanced, sU)
 
 		// Solver time until the next adaption, at the post-cycle loads.
-		cumB += balanced.Cfg.Cost.SolverTime(maxLoad(balanced))
-		cumU += unbalanced.Cfg.Cost.SolverTime(maxLoad(unbalanced))
+		cumB += balanced.Cfg.Cost.SolverTime(slices.Max(balanced.Loads()))
+		cumU += unbalanced.Cfg.Cost.SolverTime(slices.Max(unbalanced.Loads()))
 		out.Points = append(out.Points, ExtensionPoint{
 			Cycle: c, Elems: elems,
 			ImbBalanced: imbB, ImbUnbalanced: imbU,
@@ -89,23 +88,13 @@ func RunExtensionRepeated(p, cycles int) *Extension {
 	return out
 }
 
-func maxLoad(fw *core.Framework) int64 {
-	var m int64
-	for _, l := range fw.Loads() {
-		if l > m {
-			m = l
-		}
-	}
-	return m
-}
-
-// FinalGain returns the cumulative solver-time ratio after the last cycle.
-func (e *Extension) FinalGain() float64 {
-	last := e.Points[len(e.Points)-1]
-	if last.CumBalanced == 0 {
+// Gain returns the cumulative solver-time ratio unbalanced / balanced up
+// to this cycle.
+func (pt ExtensionPoint) Gain() float64 {
+	if pt.CumBalanced == 0 {
 		return 1
 	}
-	return last.CumUnbalanced / last.CumBalanced
+	return pt.CumUnbalanced / pt.CumBalanced
 }
 
 // String renders the study.
@@ -115,13 +104,9 @@ func (e *Extension) String() string {
 	fmt.Fprintf(&b, "%6s%9s%14s%14s%16s%16s%10s\n",
 		"cycle", "elems", "imb(bal)", "imb(unbal)", "cum bal (s)", "cum unbal (s)", "gain")
 	for _, pt := range e.Points {
-		gain := 1.0
-		if pt.CumBalanced > 0 {
-			gain = pt.CumUnbalanced / pt.CumBalanced
-		}
 		fmt.Fprintf(&b, "%6d%9d%14.2f%14.2f%16.4g%16.4g%10.2f\n",
 			pt.Cycle, pt.Elems, pt.ImbBalanced, pt.ImbUnbalanced,
-			pt.CumBalanced, pt.CumUnbalanced, gain)
+			pt.CumBalanced, pt.CumUnbalanced, pt.Gain())
 	}
 	return b.String()
 }

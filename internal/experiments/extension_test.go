@@ -10,9 +10,7 @@ func TestExtensionRepeatedAdaption(t *testing.T) {
 	if len(e.Points) != 4 {
 		t.Fatalf("got %d points", len(e.Points))
 	}
-	first := e.Points[0]
-	firstGain := first.CumUnbalanced / first.CumBalanced
-	finalGain := e.FinalGain()
+	firstGain, finalGain := e.Points[0].Gain(), e.Points[len(e.Points)-1].Gain()
 	if finalGain <= 1.05 {
 		t.Fatalf("no cumulative benefit: %.2f", finalGain)
 	}

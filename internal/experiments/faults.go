@@ -8,6 +8,7 @@ import (
 	"plum/internal/core"
 	"plum/internal/fault"
 	"plum/internal/geom"
+	"plum/internal/mesh"
 	"plum/internal/meshgen"
 )
 
@@ -86,22 +87,9 @@ func RunFaultTable(seed int64, workers int) *FaultTable {
 			cfg.Overlap = true // stream the remap: windows are the commit unit
 			cfg.Faults = &fault.Plan{Seed: seed, Rate: rate}
 			cfg.Retry = fault.Budget(budget)
-			applyObs(&cfg)
-			f, err := core.New(meshgen.Box(8, 8, 8, geom.Vec3{X: 1, Y: 1, Z: 1}), nil, cfg)
-			if err != nil {
-				panic(err)
-			}
+			_, reps := runCycles(meshgen.Box(8, 8, 8, geom.Vec3{X: 1, Y: 1, Z: 1}), cfg, faultCycles, shrinkingSphere)
 			row := FaultRow{Rate: rate, Budget: budget}
-			radius := 0.7
-			for c := 0; c < faultCycles; c++ {
-				r := radius
-				rep, err := f.Cycle(func(a *adapt.Adaptor) {
-					a.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: r}, adapt.MarkRefine)
-				})
-				if err != nil {
-					panic(err)
-				}
-				radius *= 0.8
+			for _, rep := range reps {
 				row.Outcomes = append(row.Outcomes, rep.Outcome)
 				row.MsgRetries += rep.Balance.Remap.Retries
 				row.RetryWords += rep.Balance.Remap.RetryWords
@@ -117,21 +105,54 @@ func RunFaultTable(seed int64, workers int) *FaultTable {
 	return out
 }
 
-// shortOutcome compresses an outcome for the table's per-cycle column.
-func shortOutcome(o core.BalanceOutcome) string {
-	switch o {
-	case core.OutcomeCommitted:
-		return "ok"
-	case core.OutcomeRetriedCommitted:
-		return "retried"
-	case core.OutcomeRecovered:
-		return "RECOVERED"
-	case core.OutcomeRolledBack:
-		return "rollback"
-	case core.OutcomeDegraded:
-		return "DEGRADED"
+// runCycles builds a framework on m under cfg and runs n balance cycles,
+// marking cycle c with mark(c, ·), and returns the framework and the
+// cycles' reports.
+func runCycles(m *mesh.Mesh, cfg core.Config, n int, mark func(c int, a *adapt.Adaptor)) (*core.Framework, []core.CycleReport) {
+	f, err := core.New(m, nil, cfg)
+	if err != nil {
+		panic(err)
 	}
-	return o.String()
+	reps := make([]core.CycleReport, n)
+	for c := range reps {
+		if reps[c], err = f.Cycle(func(a *adapt.Adaptor) { mark(c, a) }); err != nil {
+			panic(err)
+		}
+	}
+	return f, reps
+}
+
+// shrinkingSphere is the fault and recovery sweeps' marking: cycle c
+// refines a sphere about the box corner of radius 0.7·0.8^c.
+func shrinkingSphere(c int, a *adapt.Adaptor) {
+	r := 0.7
+	for range c {
+		r *= 0.8
+	}
+	a.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: r}, adapt.MarkRefine)
+}
+
+// shortOutcomes renders a row's per-cycle outcomes, compressed, for the
+// tables' outcomes column.
+func shortOutcomes(outcomes []core.BalanceOutcome) string {
+	names := make([]string, len(outcomes))
+	for i, o := range outcomes {
+		switch o {
+		case core.OutcomeCommitted:
+			names[i] = "ok"
+		case core.OutcomeRetriedCommitted:
+			names[i] = "retried"
+		case core.OutcomeRecovered:
+			names[i] = "RECOVERED"
+		case core.OutcomeRolledBack:
+			names[i] = "rollback"
+		case core.OutcomeDegraded:
+			names[i] = "DEGRADED"
+		default:
+			names[i] = o.String()
+		}
+	}
+	return strings.Join(names, ",")
 }
 
 // String renders the sweep.
@@ -141,11 +162,7 @@ func (t *FaultTable) String() string {
 	tb.row("rate", "budget", "outcomes", "msg rty", "rty wds", "win rty",
 		"ad rty", "ad bkf", "rty t (s)", "imb")
 	for _, r := range t.Rows {
-		names := make([]string, len(r.Outcomes))
-		for i, o := range r.Outcomes {
-			names[i] = shortOutcome(o)
-		}
-		tb.row(fmt.Sprintf("%.2f", r.Rate), r.Budget, strings.Join(names, ","),
+		tb.row(fmt.Sprintf("%.2f", r.Rate), r.Budget, shortOutcomes(r.Outcomes),
 			r.MsgRetries, r.RetryWords, r.WindowRetries, r.AdaptRetries, r.AdaptBackoff,
 			fmt.Sprintf("%.3g", r.RetryTime), fmt.Sprintf("%.2f", r.FinalImbalance))
 	}

@@ -10,8 +10,8 @@ import (
 // determinism contract: zero-rate rows are all-committed with zero retry
 // traffic, faulted rows with budget recover or degrade gracefully (never
 // a third state), a generous budget beats a zero budget, and the whole
-// table — every outcome, counter, and modeled float — is byte-identical
-// at workers 1 and 4 and across repeated runs.
+// table — every outcome, counter, and modeled float — is identical at
+// workers 1 and 4.
 func TestFaultTableClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale sweep (CI pins the sweep's determinism race-enabled via cmd/experiments)")
@@ -66,14 +66,11 @@ func TestFaultTableClaims(t *testing.T) {
 		}
 	}
 
-	// Worker parity and run-to-run determinism, rendered string included.
+	// Worker parity: an independent second run, compared field by field
+	// (String is a pure function of the rows, TestTableStringsStable).
 	w4 := RunFaultTable(seed, 4)
 	if !reflect.DeepEqual(tb.Rows, w4.Rows) {
 		t.Errorf("fault table not worker-invariant:\n got %+v\nwant %+v", w4.Rows, tb.Rows)
-	}
-	again := RunFaultTable(seed, 1)
-	if tb.String() != again.String() {
-		t.Error("two identical sweeps rendered differently")
 	}
 
 	// A different seed draws a different schedule.

@@ -42,15 +42,12 @@ type OverlapTable struct {
 	Rows []OverlapRow
 }
 
-// overlapWorkerAxis is the worker sweep when no explicit knob is given.
-var overlapWorkerAxis = []int{1, 4}
-
 // RunOverlapTable runs one overlapped cycle (Hilbert repartitioner,
 // Local_2 refinement, Config.Overlap on) per processor count and worker
 // knob and reports the overlap anatomy. workers > 0 pins a single worker
-// count; ≤ 0 sweeps the default axis.
+// count; ≤ 0 sweeps workers 1 and 4.
 func RunOverlapTable(workers int) *OverlapTable {
-	axis := overlapWorkerAxis
+	axis := []int{1, 4}
 	if workers > 0 {
 		axis = []int{workers}
 	}
@@ -64,17 +61,10 @@ func RunOverlapTable(workers int) *OverlapTable {
 			cfg.Method = partition.MethodHilbertSFC
 			cfg.Workers = w
 			cfg.Overlap = true
-			applyObs(&cfg)
-			f, err := core.New(BaseMesh(), nil, cfg)
-			if err != nil {
-				panic(err)
-			}
-			rep, err := f.Cycle(func(a *adapt.Adaptor) {
+			_, reps := runCycles(BaseMesh(), cfg, 1, func(_ int, a *adapt.Adaptor) {
 				a.MarkStrategyRefine(adapt.Local2, Seed)
 			})
-			if err != nil {
-				panic(err)
-			}
+			rep := reps[0]
 			b := rep.Balance
 			row := OverlapRow{
 				P: p, Workers: w,

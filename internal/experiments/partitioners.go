@@ -5,8 +5,6 @@ import (
 	"math"
 	"time"
 
-	"plum/internal/adapt"
-	"plum/internal/dual"
 	"plum/internal/machine"
 	"plum/internal/partition"
 	"plum/internal/refine"
@@ -54,12 +52,7 @@ func RunPartitionerTable(k, workers int, forced refine.Refiner) *PartitionerTabl
 	if k < 1 {
 		k = 1
 	}
-	m := BaseMesh()
-	g := dual.Build(m)
-	a := adapt.New(m)
-	a.MarkStrategyRefine(adapt.Local2, Seed)
-	a.Refine()
-	g.UpdateWeights(m)
+	_, g := adaptedMesh()
 
 	// The incremental exhibit refines with the SFC path's default unless
 	// a backend was forced.

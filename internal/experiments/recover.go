@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"plum/internal/adapt"
 	"plum/internal/core"
 	"plum/internal/fault"
 	"plum/internal/geom"
@@ -76,22 +75,9 @@ func RunRecoverTable(seed int64, workers int) *RecoverTable {
 			cfg.Overlap = true // stream the remap: crashes hit the first window
 			cfg.Faults = &fault.Plan{Seed: seed, Rate: rate, Kinds: kinds}
 			cfg.Retry = fault.Budget(3)
-			applyObs(&cfg)
-			f, err := core.New(meshgen.Box(8, 8, 8, geom.Vec3{X: 1, Y: 1, Z: 1}), nil, cfg)
-			if err != nil {
-				panic(err)
-			}
+			f, reps := runCycles(meshgen.Box(8, 8, 8, geom.Vec3{X: 1, Y: 1, Z: 1}), cfg, recoverCycles, shrinkingSphere)
 			row := RecoverRow{Rate: rate, Mixed: mixed}
-			radius := 0.7
-			for c := 0; c < recoverCycles; c++ {
-				r := radius
-				rep, err := f.Cycle(func(a *adapt.Adaptor) {
-					a.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: r}, adapt.MarkRefine)
-				})
-				if err != nil {
-					panic(err)
-				}
-				radius *= 0.8
+			for _, rep := range reps {
 				row.Outcomes = append(row.Outcomes, rep.Outcome)
 				row.Crashed = append(row.Crashed, rep.Balance.CrashedRanks...)
 				row.RecMoved += rep.Balance.Recovery.Moved
@@ -114,10 +100,6 @@ func (t *RecoverTable) String() string {
 	tb.row("rate", "kinds", "outcomes", "crashed", "alive", "rec mv", "rec wds",
 		"ckpt", "rst", "dlt wds", "imb")
 	for _, r := range t.Rows {
-		names := make([]string, len(r.Outcomes))
-		for i, o := range r.Outcomes {
-			names[i] = shortOutcome(o)
-		}
 		kinds := "crash"
 		if r.Mixed {
 			kinds = "c+drop"
@@ -126,7 +108,7 @@ func (t *RecoverTable) String() string {
 		if len(r.Crashed) > 0 {
 			crashed = strings.Trim(strings.Join(strings.Fields(fmt.Sprint(r.Crashed)), ","), "[]")
 		}
-		tb.row(fmt.Sprintf("%.2f", r.Rate), kinds, strings.Join(names, ","), crashed, r.Alive,
+		tb.row(fmt.Sprintf("%.2f", r.Rate), kinds, shortOutcomes(r.Outcomes), crashed, r.Alive,
 			r.RecMoved, r.RecWords, r.Captures, r.Restores, r.DeltaWords,
 			fmt.Sprintf("%.2f", r.FinalImbalance))
 	}

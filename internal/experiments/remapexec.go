@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"plum/internal/adapt"
-	"plum/internal/dual"
 	"plum/internal/machine"
 	"plum/internal/par"
 	"plum/internal/partition"
@@ -44,17 +42,11 @@ type RemapExecTable struct {
 // RunRemapExecTable runs the Local_2 balance pipeline on the paper mesh
 // and executes the accepted remap for a range of processor counts,
 // reporting the execution anatomy at the given worker knob (≤ 0 =
-// GOMAXPROCS). The adapted mesh is shared across rows (ExecuteRemap
-// mutates only the ownership map, which each row rebuilds).
+// GOMAXPROCS). The shared adapted mesh is only read (ExecuteRemap mutates
+// only the Dist's ownership map, which each row rebuilds).
 func RunRemapExecTable(workers int) *RemapExecTable {
 	mdl := machine.SP2()
-	m := BaseMesh()
-	g := dual.Build(m)
-	a := adapt.New(m)
-	a.MarkStrategyRefine(adapt.Local2, Seed)
-	a.Refine()
-	g.UpdateWeights(m)
-
+	m, g := adaptedMesh()
 	out := &RemapExecTable{Workers: workers}
 	for _, p := range ProcCounts {
 		if p < 4 {
