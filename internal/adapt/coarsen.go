@@ -57,13 +57,16 @@ func (a *Adaptor) removeMarked() CoarsenStats {
 
 	// --- Phase 3: consume the coarsen marks. ---
 	a.clearMark(MarkCoarsen)
+	a.touchedSlots = -1 // elements died and came back
 	return st
 }
 
 // removeElemGroups does one sweep removing sibling groups triggered by
 // coarsen marks and returns how many were removed. A group is removable
 // when all children are active leaves (deeper levels must unwind first)
-// and at least one child edge carries a coarsen mark.
+// and at least one child edge carries a coarsen mark. A reinstated parent
+// may sit on an edge a neighbour keeps bisected, so it goes on the carry
+// list for the re-refinement.
 func (a *Adaptor) removeElemGroups(st *CoarsenStats) int {
 	m := a.M
 	removed := 0
@@ -96,6 +99,7 @@ func (a *Adaptor) removeElemGroups(st *CoarsenStats) int {
 			st.ElemsRemoved++
 		}
 		m.ReactivateElement(mesh.ElemID(ti))
+		a.carry = append(a.carry, mesh.ElemID(ti))
 		removed++
 		st.GroupsRemoved++
 	}

@@ -27,11 +27,11 @@ func (s RefineStats) TotalSubdivided() int {
 	return s.Subdivided[KindHalf] + s.Subdivided[KindQuarter] + s.Subdivided[KindFull]
 }
 
-// patternOf returns the element's current 6-bit pattern: local edges that
+// PatternOf returns the element's current 6-bit pattern: local edges that
 // are marked for refinement or already bisected (the latter occurs for
 // parents reinstated by coarsening, which must be re-subdivided to restore
 // a conforming mesh).
-func (a *Adaptor) patternOf(t *mesh.Element) Pattern {
+func (a *Adaptor) PatternOf(t *mesh.Element) Pattern {
 	var p Pattern
 	for le, e := range t.E {
 		if a.M.Edges[e].Bisected() || a.MarkOf(e) == MarkRefine {
@@ -50,23 +50,29 @@ func (a *Adaptor) Refine() RefineStats {
 	var st RefineStats
 	for {
 		round := a.refineRound()
-		st.Propagations += round.Propagations
-		st.EdgesBisected += round.EdgesBisected
-		for k := range st.Subdivided {
-			st.Subdivided[k] += round.Subdivided[k]
-		}
-		st.NewElems += round.NewElems
-		st.FacesSubdivided += round.FacesSubdivided
+		st.add(round)
 		if round.TotalSubdivided() == 0 && round.FacesSubdivided == 0 {
 			return st
 		}
 	}
 }
 
+// add accumulates one round's statistics into s.
+func (s *RefineStats) add(round RefineStats) {
+	s.Propagations += round.Propagations
+	s.EdgesBisected += round.EdgesBisected
+	for k := range s.Subdivided {
+		s.Subdivided[k] += round.Subdivided[k]
+	}
+	s.NewElems += round.NewElems
+	s.FacesSubdivided += round.FacesSubdivided
+}
+
 // propagate upgrades element patterns to a fixpoint and returns the number
-// of element visits. The worklist is seeded with every active element
+// of element visits. The worklist is seeded with every active element of
+// cands (ascending, a superset of the nonzero patterns: the touched set)
 // whose pattern is nonzero; upgrades spread through edge incidence lists.
-func (a *Adaptor) propagate() int {
+func (a *Adaptor) propagate(cands []mesh.ElemID) int {
 	m := a.M
 	visits := 0
 	queue := a.queue[:0]
@@ -78,10 +84,9 @@ func (a *Adaptor) propagate() int {
 			queue = append(queue, el)
 		}
 	}
-	for ti := range m.Elems {
-		t := &m.Elems[ti]
-		if t.Active() && a.patternOf(t) != 0 {
-			push(mesh.ElemID(ti))
+	for _, el := range cands {
+		if a.PatternOf(&m.Elems[el]) != 0 {
+			push(el)
 		}
 	}
 	for len(queue) > 0 {
@@ -93,7 +98,7 @@ func (a *Adaptor) propagate() int {
 			continue
 		}
 		visits++
-		p := a.patternOf(t)
+		p := a.PatternOf(t)
 		up := p.Upgrade()
 		add := up &^ p
 		if add == 0 {
@@ -122,55 +127,50 @@ func (a *Adaptor) propagate() int {
 // slabs for what the final patterns will create, bisects every targeted
 // edge, independently subdivides each element according to its final
 // binary pattern, splits boundary faces to match, and consumes the refine
-// marks.
+// marks. Every element walk is a walk of the touched set in ascending id
+// order, the order of the slab, so ids and creation order are those a slab
+// scan gives.
 func (a *Adaptor) refineRound() RefineStats {
 	var st RefineStats
 	m := a.M
 
 	// --- Phase 1: marking propagation to a fixpoint. ---
-	st.Propagations = a.propagate()
-	m.Reserve(a.roundGrowth())
+	st.Propagations = a.propagate(a.Touched())
+	touched, edges := a.Touched(), a.refineEdges()
+	m.Reserve(a.roundGrowth(touched, edges))
 
 	// --- Phase 2: bisect all targeted edges. ---
-	// Only edges marked before this loop matter; BisectEdge creates new
-	// edges (never marked) so iterating the snapshot is safe.
-	nMarks := len(a.marks)
-	for e := 0; e < nMarks; e++ {
-		if a.marks[e] != MarkRefine {
-			continue
-		}
-		ed := &m.Edges[e]
-		if ed.Dead {
-			continue
-		}
-		if !ed.Bisected() {
-			m.BisectEdge(mesh.EdgeID(e))
+	// BisectEdge creates new edges (never marked), so the list stays whole.
+	for _, e := range edges {
+		if ed := &m.Edges[e]; !ed.Dead && !ed.Bisected() {
+			m.BisectEdge(e)
 			st.EdgesBisected++
 		}
 	}
 
 	// --- Phase 3: subdivide each element independently. ---
 	nElems := len(m.Elems)
-	for ti := 0; ti < nElems; ti++ {
-		t := &m.Elems[ti]
-		if !t.Active() {
-			continue
-		}
-		var p Pattern
-		for le, e := range t.E {
-			if m.Edges[e].Bisected() {
-				p |= EdgeBit(le)
-			}
-		}
+	for _, el := range touched {
+		p := a.bisectedPattern(&m.Elems[el])
 		if p == 0 {
 			continue
 		}
 		if !p.Valid() {
-			panic(fmt.Sprintf("adapt: element %d has invalid final pattern %06b", ti, p))
+			panic(fmt.Sprintf("adapt: element %d has invalid final pattern %06b", el, p))
 		}
-		kids := a.subdivideElem(mesh.ElemID(ti), p)
+		kids := a.subdivideElem(el, p)
 		st.Subdivided[p.Kind()]++
 		st.NewElems += kids
+	}
+	// Every touched element on a bisected edge is now subdivided. A child
+	// lands on one only when the edge's halves were already split before
+	// the round (after coarsening); the next round takes it from the carry
+	// list.
+	a.carry = a.carry[:0]
+	for ti := nElems; ti < len(m.Elems); ti++ {
+		if a.bisectedPattern(&m.Elems[ti]) != 0 {
+			a.carry = append(a.carry, mesh.ElemID(ti))
+		}
 	}
 
 	// --- Phase 4: split boundary faces to match their edges. ---
@@ -181,9 +181,21 @@ func (a *Adaptor) refineRound() RefineStats {
 	return st
 }
 
+// bisectedPattern returns the pattern of the element's bisected edges.
+func (a *Adaptor) bisectedPattern(t *mesh.Element) Pattern {
+	var p Pattern
+	for le, e := range t.E {
+		if a.M.Edges[e].Bisected() {
+			p |= EdgeBit(le)
+		}
+	}
+	return p
+}
+
 // roundGrowth returns how many vertices, edges, elements and boundary
 // faces the round will create, from the patterns the propagation fixpoint
-// left: a midpoint per marked unbisected edge; the children of every
+// left over the touched elements and the refine-marked edges: a midpoint
+// per marked unbisected edge; the children of every
 // element with a nonzero pattern; two half-edges per bisection, the
 // octahedron diagonal of every 1:8, and the edges interior to each split
 // element face (one when one of its edges is bisected, three when all are),
@@ -192,20 +204,17 @@ func (a *Adaptor) refineRound() RefineStats {
 // conforming mesh and an upper bound after coarsening, where a reinstated
 // parent's face may already carry the interior edges its refined
 // neighbour's children use.
-func (a *Adaptor) roundGrowth() (nv, ne, nt, nf int) {
+func (a *Adaptor) roundGrowth(touched []mesh.ElemID, edges []mesh.EdgeID) (nv, ne, nt, nf int) {
 	m := a.M
-	for e, mk := range a.marks {
-		if mk == MarkRefine && a.activeEdge(mesh.EdgeID(e)) {
+	for _, e := range edges {
+		if a.activeEdge(e) {
 			nv++
 		}
 	}
 	ne = 2 * nv
-	for ti := range m.Elems {
-		t := &m.Elems[ti]
-		if !t.Active() {
-			continue
-		}
-		p := a.patternOf(t)
+	for _, el := range touched {
+		t := &m.Elems[el]
+		p := a.PatternOf(t)
 		if p == 0 {
 			continue
 		}
@@ -220,7 +229,7 @@ func (a *Adaptor) roundGrowth() (nv, ne, nt, nf int) {
 					split++
 				}
 			}
-			if split != 0 && !a.lowerAcrossFace(mesh.ElemID(ti), f) {
+			if split != 0 && !a.lowerAcrossFace(el, f) {
 				ne += split // 1 or 3: a valid pattern never splits two edges of a face
 			}
 		}

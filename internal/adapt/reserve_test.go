@@ -15,8 +15,8 @@ func checkedRounds(t *testing.T, a *Adaptor, exactEdges bool, what string) {
 	t.Helper()
 	m := a.M
 	for round := 0; ; round++ {
-		a.propagate()
-		nv, ne, nt, nf := a.roundGrowth()
+		a.propagate(a.Touched())
+		nv, ne, nt, nf := a.roundGrowth(a.Touched(), a.refineEdges())
 		v0, e0, t0, f0 := len(m.Verts), len(m.Edges), len(m.Elems), len(m.Faces)
 		st := a.refineRound()
 		gv, ge, gt, gf := len(m.Verts)-v0, len(m.Edges)-e0, len(m.Elems)-t0, len(m.Faces)-f0

@@ -3,7 +3,6 @@ package adapt
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"plum/internal/geom"
 	"plum/internal/mesh"
@@ -94,26 +93,77 @@ func eachEdgeMid(m *mesh.Mesh, fn func(geom.Vec3)) {
 }
 
 // quantileCut returns the cut value v such that the number of entries of d
-// with d[i] <= v is as close as possible to frac*len(d). Unlike a plain
-// order statistic it is robust to heavy ties (lattice meshes produce whole
-// shells of equal distances).
+// with d[i] <= v is as close as possible to frac*len(d), the smallest such
+// v unless the largest entry is as close. Unlike a plain order statistic it
+// is robust to heavy ties (lattice meshes produce whole shells of equal
+// distances). The count #{d <= v} grows with v, so the closest cut is the
+// value at rank ⌈frac·n⌉ or the largest one below it: one selection and
+// one pass find both, and d is left permuted. An empty d cuts at 0.
 func quantileCut(d []float64, frac float64) float64 {
-	sort.Float64s(d)
-	target := frac * float64(len(d))
-	best := d[len(d)-1]
-	bestDiff := math.Abs(float64(len(d)) - target)
-	for i := 0; i < len(d); {
-		j := i
-		for j < len(d) && d[j] == d[i] {
-			j++
+	n := len(d)
+	if n == 0 {
+		return 0
+	}
+	target := frac * float64(n)
+	k := min(max(int(math.Ceil(target))-1, 0), n-1)
+	v1 := selectKth(d, k)
+	var j0, j1 int
+	v0, top := math.Inf(-1), d[0]
+	for _, x := range d {
+		if x <= v1 {
+			j1++
+			if x < v1 {
+				j0++
+				v0 = max(v0, x)
+			}
 		}
-		// Cutting at value d[i] includes entries [0, j).
-		if diff := math.Abs(float64(j) - target); diff < bestDiff {
-			best, bestDiff = d[i], diff
-		}
-		i = j
+		top = max(top, x)
+	}
+	best, bestDiff := top, math.Abs(float64(n)-target)
+	if diff := math.Abs(float64(j0) - target); j0 > 0 && diff < bestDiff {
+		best, bestDiff = v0, diff
+	}
+	if diff := math.Abs(float64(j1) - target); diff < bestDiff {
+		best = v1
 	}
 	return best
+}
+
+// selectKth permutes d so that d[k] holds the value of rank k (0-based)
+// and returns it: quickselect with a median-of-three pivot and a
+// three-way partition, so runs of equal values cost one pass.
+func selectKth(d []float64, k int) float64 {
+	lo, hi := 0, len(d)
+	for hi-lo > 1 {
+		a, b, c := d[lo], d[lo+(hi-lo)/2], d[hi-1]
+		if a > b {
+			a, b = b, a
+		}
+		p := max(a, min(b, c)) // the median of the three
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := d[i]; {
+			case x < p:
+				d[lt], d[i] = x, d[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				d[gt], d[i] = x, d[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	return d[k]
 }
 
 // SphereForFraction returns a sphere centred at c containing approximately

@@ -93,18 +93,6 @@ func (t faultTrace) record(x *fault.ExchangeModel, tm *AdaptTimings) {
 	tm.Exhausted = x.Exhausted - t.exhausted
 }
 
-// patternOf mirrors the adaptor's pattern computation: local edges that
-// are marked for refinement or already bisected.
-func (d *Dist) patternOf(a *adapt.Adaptor, t *mesh.Element) adapt.Pattern {
-	var p adapt.Pattern
-	for le, e := range t.E {
-		if d.M.Edges[e].Bisected() || a.MarkOf(e) == adapt.MarkRefine {
-			p |= adapt.EdgeBit(le)
-		}
-	}
-	return p
-}
-
 // adaptWorld adapts the (Dist, Adaptor) pair to the propagation engine's
 // World interface: patterns are proposed against the live mark set
 // (reads only, safe across worker goroutines), commits go through
@@ -121,7 +109,7 @@ func (w adaptWorld) Propose(el int32, buf []int32) []int32 {
 	if !t.Active() {
 		return buf
 	}
-	p := w.d.patternOf(w.a, t)
+	p := w.a.PatternOf(t)
 	add := p.Upgrade() &^ p
 	if add == 0 {
 		return buf
@@ -150,20 +138,16 @@ func (w adaptWorld) SPL(e int32, spl []int32) []int32 {
 }
 
 // seedFrontier returns the initial propagation frontier: every active
-// element with a nonzero pattern, in ascending element order (the
-// chunked gather preserves the slab order).
+// element with a nonzero pattern, in ascending element order (a serial
+// walk of the adaptor's touched set).
 func (d *Dist) seedFrontier(a *adapt.Adaptor) []int32 {
-	n := len(d.M.Elems)
-	return chunk.Gather(n, EffectiveWorkers(n, d.Workers), func(lo, hi int) []int32 {
-		var loc []int32
-		for i := lo; i < hi; i++ {
-			t := &d.M.Elems[i]
-			if t.Active() && d.patternOf(a, t) != 0 {
-				loc = append(loc, int32(i))
-			}
+	var seed []int32
+	for _, el := range a.Touched() {
+		if a.PatternOf(&d.M.Elems[el]) != 0 {
+			seed = append(seed, int32(el))
 		}
-		return loc
-	})
+	}
+	return seed
 }
 
 // perRankCounts runs a chunked scan over [lo, hi), calling visit with a
@@ -191,7 +175,11 @@ func (d *Dist) perRankCounts(lo, hi int, visit func(i int, cnt []int64, buf *[]i
 // scan). The
 // slab scans resolve their worker count against par.SerialCutoff (the
 // engine's rounds already carry theirs against propagate.SerialCutoff),
-// so a serial host or a small mesh reports Crit == Total.
+// so a serial host or a small mesh reports Crit == Total. The slab scans
+// are the paper's: each rank scans its local objects. The host refinement
+// walks only the touched elements (adapt.Adaptor.Touched) and no longer
+// performs the element scans it is charged for, by design; the charge is
+// the machine's, not the host's.
 func PredictAdaptOps(nEdges, nElems, mutations, classified int64, prop propagate.Result, workers int) machine.Ops {
 	o := prop.Ops
 	ewE := EffectiveWorkers(int(nEdges), workers)
@@ -222,8 +210,9 @@ func PredictAdaptOps(nEdges, nElems, mutations, classified int64, prop propagate
 // shared-edge classification round. The mesh mutation is performed by the
 // (verified) serial kernel; the per-rank work and message pattern are
 // replayed against the ownership map and charged to the machine model.
-// All scans are chunked over Workers goroutines with the same
-// determinism contract as ExecuteRemap and Init.
+// The edge scans are chunked over Workers goroutines with the same
+// determinism contract as ExecuteRemap and Init; the seed and the
+// children count walk the adaptor's touched set serially.
 func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.RefineStats, AdaptTimings) {
 	var tm AdaptTimings
 	m := d.M
@@ -278,15 +267,12 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 		clk.Add(r, float64(bisect[r])*mdl.BisectEdge)
 	}
 	// Subdivision work goes to the element's owner, one unit per child.
-	children := d.perRankCounts(0, nElems0, func(i int, cnt []int64, _ *[]int32) {
-		t := &m.Elems[i]
-		if !t.Active() {
-			return
+	children := make([]int64, d.P)
+	for _, el := range a.Touched() {
+		if p := a.PatternOf(&m.Elems[el]); p != 0 {
+			children[d.OwnerOf(el)] += int64(p.Kind().Children())
 		}
-		if p := d.patternOf(a, t); p != 0 {
-			cnt[d.OwnerOf(mesh.ElemID(i))] += int64(p.Kind().Children())
-		}
-	})
+	}
 	for r := 0; r < d.P; r++ {
 		clk.Add(r, float64(children[r])*mdl.SubdivideChild)
 	}
