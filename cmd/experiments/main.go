@@ -14,7 +14,7 @@ import (
 	"strings"
 
 	"plum/internal/experiments"
-	"plum/internal/propagate"
+	"plum/internal/machine"
 	"plum/internal/refine"
 )
 
@@ -24,7 +24,7 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 7, "fault schedule seed for -exp faults")
 	workers := flag.Int("workers", 0, "worker goroutines for parallel partitioning, refinement, and adaption phases (0 = GOMAXPROCS)")
 	refiner := flag.String("refiner", "", "boundary-refinement backend for -exp partitioners: "+strings.Join(refine.Names, ", ")+" ('' = per-backend default)")
-	propg := flag.String("propagator", "", "frontier-propagation backend for -exp adapt: "+strings.Join(propagate.Names, ", ")+" ('' = bulksync)")
+	propg := flag.String("propagator", "", "adaption notification exchange schedule for -exp adapt: "+strings.Join(machine.ExchangeNames, ", ")+" ('' = flat)")
 	jsonOut := flag.Bool("json", false, "emit the selected experiments as one JSON object keyed by name instead of text tables")
 	flag.Parse()
 	if *k < 1 {
@@ -40,9 +40,9 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	prop, ok := propagate.ByName(*propg)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown propagator %q (have %s)\n", *propg, strings.Join(propagate.Names, ", "))
+	prop, err := machine.ExchangeByName(*propg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "unknown propagator %q (have %s)\n", *propg, strings.Join(machine.ExchangeNames, ", "))
 		os.Exit(2)
 	}
 

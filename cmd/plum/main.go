@@ -28,7 +28,6 @@ import (
 	"plum/internal/obs"
 	"plum/internal/par"
 	"plum/internal/partition"
-	"plum/internal/propagate"
 	"plum/internal/solver"
 )
 
@@ -45,7 +44,7 @@ func main() {
 		mapper  = flag.String("mapper", "heuristic", "processor reassignment: heuristic, optimal")
 		parter  = flag.String("partitioner", "multilevel", "repartitioner: graphgrow, inertial, multilevel, morton, hilbert")
 		refiner = flag.String("refiner", "", "boundary-refinement backend forced on every partitioner: bandfm, diffusion, fm (default: each partitioner's own — band-FM for morton, hilbert and graphgrow, classic FM inside multilevel; the same partitions at any -workers)")
-		propg   = flag.String("propagator", "", "adaption frontier-propagation backend: bulksync, aggregated (default: bulksync)")
+		propg   = flag.String("propagator", "", "adaption notification exchange schedule: flat, aggregated (default: flat)")
 		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated (default: flat)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "worker goroutines for parallel partitioning and refinement phases (0 = GOMAXPROCS)")
@@ -153,7 +152,7 @@ func main() {
 		refName = "auto"
 	}
 	fmt.Printf("config: P=%d F=%d threshold=%.2f mapper=%s partitioner=%s refiner=%s propagator=%s exchange=%s workers=%d overlap=%v\n",
-		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Mapper, cfg.Method, refName, propagate.Names[fw.D.Prop],
+		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Mapper, cfg.Method, refName, fw.D.Prop,
 		fw.D.Exchange, chunk.Workers(cfg.Workers), cfg.Overlap)
 	if plan.Enabled() {
 		r := cfg.Retry.Normalize()

@@ -12,6 +12,7 @@ import (
 	"plum/internal/adapt"
 	"plum/internal/dual"
 	"plum/internal/geom"
+	"plum/internal/machine"
 	"plum/internal/meshgen"
 	"plum/internal/partition"
 	"plum/internal/remap"
@@ -59,9 +60,8 @@ func main() {
 		100*(1-float64(objH)/float64(objO)))
 
 	// The acceptance rule with SP2 constants.
-	cost := remap.DefaultSP2()
-	gain := cost.Gain(1200, 800) // example Wmax improvement
-	rc := cost.RedistCost(cH, nH)
+	gain := remap.DefaultSP2().Gain(1200, 800) // example Wmax improvement
+	rc := machine.SP2().RedistCost(cH, nH)
 	fmt.Printf("example decision: gain %.4gs vs redistribution cost %.4gs -> accept=%v\n",
 		gain, rc, gain > rc)
 

@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -18,13 +19,11 @@ import (
 	"plum/internal/ckpt"
 	"plum/internal/dual"
 	"plum/internal/fault"
-	"plum/internal/geom"
 	"plum/internal/machine"
 	"plum/internal/mesh"
 	"plum/internal/obs"
 	"plum/internal/par"
 	"plum/internal/partition"
-	"plum/internal/propagate"
 	"plum/internal/refine"
 	"plum/internal/remap"
 	"plum/internal/solver"
@@ -61,9 +60,11 @@ type Config struct {
 	// Mapper chooses heuristic or optimal processor reassignment.
 	Mapper Mapper
 	// Model is the machine model for timing: per-operation costs plus one
-	// link level, on which every message pays Tsetup + words·Tlat.
+	// link level, on which every message pays Tsetup + words·Tlat. The
+	// acceptance rule prices the predicted redistribution from the same
+	// constants (Model.RedistCost) that charge the executed remap.
 	Model machine.Model
-	// Cost holds the gain/cost decision constants.
+	// Cost holds the solver constants of the gain side of the decision.
 	Cost remap.CostModel
 	// Seed drives any randomized components.
 	Seed int64
@@ -83,11 +84,11 @@ type Config struct {
 	// internal/refine.
 	Refiner string
 	// Propagator names the exchange schedule of the adaption passes'
-	// notification traffic: "bulksync" (the paper's one message per rank
-	// pair) or "aggregated" (one combined message per source rank, for
-	// high processor counts). "" selects bulksync. It is independent of
-	// Exchange, which schedules the remap payload. New resolves the name
-	// once into Framework.D.Prop. See internal/propagate.
+	// notification traffic, spelled like Exchange: "flat" (the paper's one
+	// message per rank pair) or "aggregated" (one combined message per
+	// source rank, for high processor counts). "" selects flat. It is
+	// independent of Exchange, which schedules the remap payload. New
+	// resolves the name once into Framework.D.Prop. See internal/propagate.
 	Propagator string
 	// Exchange names the remap payload exchange schedule: "flat" (one
 	// message per flow — the paper's semantics) or "aggregated" (one
@@ -119,18 +120,6 @@ type Config struct {
 	// the machine clock charges and how the host buffers the payload,
 	// never the partitions, owners, or payload bytes.
 	Overlap bool
-	// PreAdapt uniformly refines the mesh this many times before the
-	// dual graph is built, then rebases the refinement history — the
-	// paper's remedy when the initial mesh is too small for good
-	// partitions ("one can then allow the initial mesh to be adapted one
-	// or more times before using the dual graph for all future
-	// adaptions").
-	PreAdapt int
-	// Agglomerate, when > 1, groups roughly this many dual vertices into
-	// superelements before partitioning — the paper's remedy when the
-	// initial mesh is too *large* and partitioning time would be
-	// excessive.
-	Agglomerate int
 	// Faults is the deterministic fault-injection plan for the balance
 	// cycles (internal/fault): the remap payload exchange runs over the
 	// reliable transport with real injected faults, and the adaption
@@ -278,6 +267,16 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	if cfg.SolverIters == 0 {
 		cfg.SolverIters = 3
 	}
+	if !slices.Contains(partition.Methods, cfg.Method) {
+		return nil, fmt.Errorf("core: unknown method %d (have %v)", int(cfg.Method), partition.Methods)
+	}
+	if cfg.Mapper != MapperHeuristic && cfg.Mapper != MapperOptimal {
+		return nil, fmt.Errorf("core: unknown mapper %d", int(cfg.Mapper))
+	}
+	if math.IsNaN(cfg.ImbalanceThreshold) {
+		// imb > NaN is always false: the balancer would never run.
+		return nil, errors.New("core: ImbalanceThreshold is NaN")
+	}
 	var forced refine.Refiner
 	if cfg.Refiner != "" {
 		var ok bool
@@ -285,9 +284,9 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 			return nil, fmt.Errorf("core: unknown refiner %q (have %v)", cfg.Refiner, refine.Names)
 		}
 	}
-	prop, ok := propagate.ByName(cfg.Propagator)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown propagator %q (have %v)", cfg.Propagator, propagate.Names)
+	prop, err := machine.ExchangeByName(cfg.Propagator)
+	if err != nil {
+		return nil, fmt.Errorf("core: unknown propagator %q (have %v)", cfg.Propagator, machine.ExchangeNames)
 	}
 	exch, err := machine.ExchangeByName(cfg.Exchange)
 	if err != nil {
@@ -305,22 +304,9 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 		// audited state to recover to.
 		cfg.Checkpoint = true
 	}
-	for i := 0; i < cfg.PreAdapt; i++ {
-		pa := adapt.New(m)
-		pa.MarkRegion(geom.All{}, adapt.MarkRefine)
-		pa.Refine()
-		if sol != nil {
-			sol.SyncAfterAdaption() // interpolate onto the new vertices
-		}
-		m.Rebase()
-		if sol != nil {
-			sol.SyncAfterAdaption() // Rebase renumbers the vertices; the field follows
-		} else {
-			m.ResetLog()
-		}
-	}
 	g := dual.Build(m)
-	asg := partitionMaybeAgglomerated(g, cfg, forced)
+	asg, _ := partition.PartitionCounted(g, cfg.P, cfg.Method,
+		partition.Options{Workers: cfg.Workers, Seed: cfg.Seed, Refiner: forced})
 	d := par.NewDist(m, cfg.P, asg)
 	d.Workers = cfg.Workers // the remap scatter and SPL scans share the knob
 	d.Prop = prop           // the adaption passes' notification exchange schedule
@@ -347,24 +333,6 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 		fw.ck = ckpt.New()
 	}
 	return fw, nil
-}
-
-// partitionMaybeAgglomerated partitions g into cfg.P parts, optionally via
-// superelement agglomeration for very large duals. forced is the resolved
-// Config.Refiner (nil = per-backend defaults).
-func partitionMaybeAgglomerated(g *dual.Graph, cfg Config, forced refine.Refiner) partition.Assignment {
-	opt := partition.Options{Workers: cfg.Workers, Seed: cfg.Seed, Refiner: forced}
-	if cfg.Agglomerate <= 1 {
-		asg, _ := partition.PartitionCounted(g, cfg.P, cfg.Method, opt)
-		return asg
-	}
-	coarse, group := g.Agglomerate(cfg.Agglomerate)
-	coarseAsg, _ := partition.PartitionCounted(coarse, cfg.P, cfg.Method, opt)
-	asg := make(partition.Assignment, g.N)
-	for v := range asg {
-		asg[v] = coarseAsg[group[v]]
-	}
-	return asg
 }
 
 // Loads returns the per-processor computational weight under the current
@@ -651,7 +619,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.RemapExecTime = remapOps.Time(f.Cfg.Model)
 	rep.Gain = f.Cfg.Cost.Gain(rep.WmaxOld, rep.WmaxNew)
 	pipeline := rep.RepartitionTime + rep.ReassignTime + rep.RemapExecTime
-	rep.CostFull = redistCost(f.Cfg.Cost, f.D.Exchange, rep.Alive, rep.MoveC, rep.MoveN) + pipeline
+	rep.CostFull = redistCost(f.Cfg.Model, f.D.Exchange, rep.Alive, rep.MoveC, rep.MoveN) + pipeline
 	if f.Cfg.Overlap {
 		// Latency tolerance: the CPU-side pipeline hides behind the
 		// solver iterations; only the exposed remainder delays the
@@ -841,14 +809,14 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 }
 
 // redistCost is the acceptance rule's wire-redistribution term, the
-// paper's prediction from C and N: C·M·Tlat + N·Tsetup under flat, with
-// the setups capped at one combined message per live source,
-// min(N, alive), under aggregated.
-func redistCost(c remap.CostModel, x machine.Exchange, alive int, moved int64, sets int) float64 {
+// paper's prediction from C and N on the machine the remap executes on:
+// C·M·Tlat + N·Tsetup under flat, with the setups capped at one combined
+// message per live source, min(N, alive), under aggregated.
+func redistCost(mdl machine.Model, x machine.Exchange, alive int, moved int64, sets int) float64 {
 	if x == machine.ExchangeAggregated {
 		sets = min(sets, alive)
 	}
-	return c.RedistCost(moved, sets)
+	return mdl.RedistCost(moved, sets)
 }
 
 // CycleReport records one full solution/adaption cycle.

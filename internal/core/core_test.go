@@ -7,10 +7,10 @@ import (
 
 	"plum/internal/adapt"
 	"plum/internal/geom"
+	"plum/internal/machine"
 	"plum/internal/mesh"
 	"plum/internal/meshgen"
 	"plum/internal/partition"
-	"plum/internal/propagate"
 	"plum/internal/refine"
 	"plum/internal/solver"
 )
@@ -33,10 +33,17 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(m, nil, Config{P: 2, F: 0}); err == nil {
 		t.Error("accepted F=0")
 	}
-	bad := DefaultConfig(2)
-	bad.Propagator = "nope"
-	if _, err := New(meshgen.UnitCube(), nil, bad); err == nil {
-		t.Error("accepted unknown propagator")
+	for name, spoil := range map[string]func(*Config){
+		"unknown propagator": func(c *Config) { c.Propagator = "bulksync" },
+		"unknown method":     func(c *Config) { c.Method = partition.Method(len(partition.Methods)) },
+		"unknown mapper":     func(c *Config) { c.Mapper = MapperOptimal + 1 },
+		"NaN threshold":      func(c *Config) { c.ImbalanceThreshold = math.NaN() },
+	} {
+		bad := DefaultConfig(2)
+		spoil(&bad)
+		if _, err := New(meshgen.UnitCube(), nil, bad); err == nil {
+			t.Errorf("accepted %s", name)
+		}
 	}
 }
 
@@ -45,7 +52,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // propagation backend: nonzero totals, a critical path no longer than the
 // total, and the modeled wall clock derived from them.
 func TestCycleAdaptAccounting(t *testing.T) {
-	for _, name := range propagate.Names {
+	for _, name := range machine.ExchangeNames {
 		m := meshgen.SmallBox()
 		cfg := DefaultConfig(4)
 		cfg.Propagator = name
@@ -151,7 +158,7 @@ func par_ImbalanceFactor(loads []int64) float64 {
 func TestCostDecisionRejectsPointlessRemap(t *testing.T) {
 	f := newFW(t, 4)
 	// Make remapping prohibitively expensive.
-	f.Cfg.Cost.Tlat = 1 // one second per word
+	f.Cfg.Model.Tlat = 1 // one second per word
 	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
 	f.A.Refine()
 	ownersBefore := f.D.Owners()
@@ -317,7 +324,7 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 		// The acceptance rule must see the whole balancing overhead: the
 		// reported cost is redistribution + repartition + reassignment +
 		// remap execution.
-		wantCost := f.Cfg.Cost.RedistCost(rep.MoveC, rep.MoveN) +
+		wantCost := f.Cfg.Model.RedistCost(rep.MoveC, rep.MoveN) +
 			rep.RepartitionTime + rep.ReassignTime + rep.RemapExecTime
 		if math.Abs(rep.Cost-wantCost) > 1e-12 {
 			t.Errorf("%v: cost %.6g does not include the balancing overhead (want %.6g)",

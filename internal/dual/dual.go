@@ -166,78 +166,3 @@ func (g *Graph) NumEdges() int {
 	}
 	return n / 2
 }
-
-// Agglomerate groups dual vertices into superelements of roughly the given
-// size by greedy BFS growth, returning a new graph and the mapping from
-// original vertices to superelements. The paper suggests this to bound
-// partitioning time for extremely large initial meshes.
-func (g *Graph) Agglomerate(size int) (*Graph, []int32) {
-	if size < 1 {
-		size = 1
-	}
-	group := make([]int32, g.N)
-	for i := range group {
-		group[i] = -1
-	}
-	var nGroups int32
-	queue := make([]int32, 0, size)
-	for s := 0; s < g.N; s++ {
-		if group[s] >= 0 {
-			continue
-		}
-		id := nGroups
-		nGroups++
-		cnt := 0
-		queue = append(queue[:0], int32(s))
-		group[s] = id
-		for len(queue) > 0 && cnt < size {
-			v := queue[0]
-			queue = queue[1:]
-			cnt++
-			for _, w := range g.Adj[v] {
-				if group[w] < 0 && cnt+len(queue) < size {
-					group[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	coarse := &Graph{
-		N:          int(nGroups),
-		Adj:        make([][]int32, nGroups),
-		Wcomp:      make([]int64, nGroups),
-		Wremap:     make([]int64, nGroups),
-		EdgeWeight: g.EdgeWeight,
-		Centroid:   make([]geom.Vec3, nGroups),
-	}
-	wsum := make([]float64, nGroups)
-	seen := make(map[[2]int32]bool)
-	for v := 0; v < g.N; v++ {
-		gv := group[v]
-		coarse.Wcomp[gv] += g.Wcomp[v]
-		coarse.Wremap[gv] += g.Wremap[v]
-		coarse.Centroid[gv] = coarse.Centroid[gv].Add(g.Centroid[v])
-		wsum[gv]++
-		for _, w := range g.Adj[v] {
-			gw := group[w]
-			if gv == gw {
-				continue
-			}
-			a, b := gv, gw
-			if a > b {
-				a, b = b, a
-			}
-			if !seen[[2]int32{a, b}] {
-				seen[[2]int32{a, b}] = true
-				coarse.Adj[a] = append(coarse.Adj[a], b)
-				coarse.Adj[b] = append(coarse.Adj[b], a)
-			}
-		}
-	}
-	for i := range coarse.Centroid {
-		if wsum[i] > 0 {
-			coarse.Centroid[i] = coarse.Centroid[i].Scale(1 / wsum[i])
-		}
-	}
-	return coarse, group
-}

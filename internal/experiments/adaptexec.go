@@ -9,7 +9,6 @@ import (
 	"plum/internal/machine"
 	"plum/internal/par"
 	"plum/internal/partition"
-	"plum/internal/propagate"
 )
 
 // AdaptExecRow is one processor count's adaption-phase anatomy.
@@ -44,13 +43,13 @@ type AdaptExecTable struct {
 }
 
 // RunAdaptTable refines the paper mesh with the Local_2 strategy under
-// the given propagation exchange schedule (see propagate.ByName) for a
+// the given propagation exchange schedule (see machine.ExchangeByName) for a
 // range of processor counts, reporting the execution anatomy at the given
 // worker knob (≤ 0 = GOMAXPROCS). Each row rebuilds the mesh: the pass
 // mutates it.
 func RunAdaptTable(workers int, prop machine.Exchange) *AdaptExecTable {
 	mdl := machine.SP2()
-	out := &AdaptExecTable{Workers: workers, Propagator: propagate.Names[prop]}
+	out := &AdaptExecTable{Workers: workers, Propagator: prop.String()}
 	for _, p := range ProcCounts {
 		m := BaseMesh()
 		g := dual.Build(m)

@@ -88,6 +88,13 @@ func (m Model) MsgTime(words int64) float64 {
 	return m.Tsetup + float64(words)*m.Tlat
 }
 
+// RedistCost returns the paper's predicted redistribution overhead
+// (seconds) of moving C elements in N sets: C·M·Tlat + N·Tsetup, with M
+// = ElemWords. The paper notes C·M dominates N for realistic problems.
+func (m Model) RedistCost(moved int64, sets int) float64 {
+	return float64(moved)*float64(m.ElemWords)*m.Tlat + float64(sets)*m.Tsetup
+}
+
 // Clock tracks per-rank elapsed time across an SPMD computation. Work is
 // added per rank; Barrier advances every rank to the maximum (bulk-
 // synchronous superstep semantics); Elapsed reports the slowest rank.

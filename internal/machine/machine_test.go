@@ -19,6 +19,20 @@ func TestSP2Constants(t *testing.T) {
 	}
 }
 
+// TestRedistCost pins the acceptance rule's wire price, C·M·Tlat +
+// N·Tsetup, on hand-computed cases: one in exact binary fractions, and
+// the SP2 constants (1000 elements of 50 words at 0.25 µs plus 12 setups
+// of 40 µs = 12.5 ms + 0.48 ms).
+func TestRedistCost(t *testing.T) {
+	m := Model{Tlat: 0.5, Tsetup: 4, ElemWords: 3}
+	if got := m.RedistCost(10, 2); got != 23 {
+		t.Errorf("RedistCost(10, 2) = %g, want 10·3·0.5 + 2·4 = 23", got)
+	}
+	if got := SP2().RedistCost(1000, 12); got < 0.01298-1e-15 || got > 0.01298+1e-15 {
+		t.Errorf("SP2 RedistCost(1000, 12) = %.17g, want 0.01298", got)
+	}
+}
+
 func TestMemCompSplit(t *testing.T) {
 	m := SP2()
 	if m.CompOp <= 0 || m.MemOp <= 0 {

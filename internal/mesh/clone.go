@@ -1,28 +1,5 @@
 package mesh
 
-// Restore reconstructs a Mesh from raw object slabs (as read from a
-// serialized snapshot), rebuilding the active counters. The slabs are
-// adopted, not copied.
-func Restore(verts []Vertex, edges []Edge, elems []Element, faces []BoundaryFace) *Mesh {
-	m := &Mesh{Verts: verts, Edges: edges, Elems: elems, Faces: faces}
-	for i := range edges {
-		if e := &edges[i]; !e.Dead && !e.Bisected() {
-			m.nActiveEdges++
-		}
-	}
-	for i := range elems {
-		if elems[i].Active() {
-			m.nActiveElems++
-		}
-	}
-	for i := range faces {
-		if faces[i].Active() {
-			m.nActiveFaces++
-		}
-	}
-	return m
-}
-
 // Clone returns a deep copy of the mesh. The experiment harness uses this
 // to run one generated mesh through many independent adaption/partition
 // scenarios without regenerating it.

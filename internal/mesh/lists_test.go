@@ -56,7 +56,7 @@ func checkFindEdge(t *testing.T, m *mesh.Mesh, rng *rand.Rand, step string) {
 }
 
 // TestFindEdgeMatchesBruteForce drives random refine / coarsen / Compact /
-// Clone / Rebase sequences and holds the list-probing FindEdge to a scan
+// Clone sequences and holds the list-probing FindEdge to a scan
 // of the edge slab after every step: the vertex incidence lists are the
 // only edge index the mesh has.
 func TestFindEdgeMatchesBruteForce(t *testing.T) {
@@ -67,7 +67,7 @@ func TestFindEdgeMatchesBruteForce(t *testing.T) {
 		checkFindEdge(t, m, rng, "initial")
 		for range 12 {
 			var name string
-			switch op := rng.Intn(6); op {
+			switch op := rng.Intn(5); op {
 			case 0, 1:
 				name = "refine"
 				a.MarkRandom(0.02+0.1*rng.Float64(), adapt.MarkRefine, rng.Int63())
@@ -82,10 +82,6 @@ func TestFindEdgeMatchesBruteForce(t *testing.T) {
 			case 4:
 				name = "clone"
 				m = m.Clone()
-				a = adapt.New(m)
-			case 5:
-				name = "rebase"
-				m.Rebase()
 				a = adapt.New(m)
 			}
 			checkFindEdge(t, m, rng, name)

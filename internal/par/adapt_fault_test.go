@@ -7,7 +7,6 @@ import (
 	"plum/internal/adapt"
 	"plum/internal/fault"
 	"plum/internal/machine"
-	"plum/internal/propagate"
 )
 
 // runAdaptFaultPass is runAdaptPass with a fault plan armed on the Dist:
@@ -49,9 +48,9 @@ func stripFaultTimes(tm AdaptTimings) AdaptTimings {
 func TestAdaptFaultCharges(t *testing.T) {
 	const p = 8
 	plan := &fault.Plan{Seed: 2026, Rate: 0.3}
-	for _, name := range propagate.Names {
+	for _, name := range machine.ExchangeNames {
 		t.Run(name, func(t *testing.T) {
-			prop, _ := propagate.ByName(name)
+			prop, _ := machine.ExchangeByName(name)
 			clean := runAdaptPass(t, p, 1, prop)
 			var first adaptRun
 			for i, w := range []int{1, 2, 4} {

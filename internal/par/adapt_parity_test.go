@@ -10,7 +10,6 @@ import (
 	"plum/internal/machine"
 	"plum/internal/meshgen"
 	"plum/internal/partition"
-	"plum/internal/propagate"
 )
 
 // adaptFixture distributes a parallel-scale box mesh (large enough to
@@ -69,11 +68,11 @@ func normCrit(tm AdaptTimings) AdaptTimings {
 // for workers ∈ {1, 2, 4, 8}.
 func TestAdaptWorkerParity(t *testing.T) {
 	const p = 8
-	for _, name := range propagate.Names {
+	for _, name := range machine.ExchangeNames {
 		t.Run(name, func(t *testing.T) {
-			prop, ok := propagate.ByName(name)
-			if !ok {
-				t.Fatalf("unknown backend %q", name)
+			prop, err := machine.ExchangeByName(name)
+			if err != nil {
+				t.Fatal(err)
 			}
 			ref := runAdaptPass(t, p, 1, prop)
 			if ref.RefineTm.Ops.Crit != ref.RefineTm.Ops.Total ||
@@ -157,7 +156,7 @@ func TestAdaptSerialFallbackCritEqualsTotal(t *testing.T) {
 
 // TestAggregatedBatchesMessages pins the point of the aggregated
 // schedule: identical word volume, strictly fewer messages than the
-// per-pair bulksync exchange on a fixture with real rank fan-out.
+// per-pair flat exchange on a fixture with real rank fan-out.
 func TestAggregatedBatchesMessages(t *testing.T) {
 	const p = 8
 	bulk := runAdaptPass(t, p, 2, machine.ExchangeFlat)

@@ -46,7 +46,8 @@ type Dist struct {
 	// Prop is the exchange schedule of the adaption passes' notification
 	// traffic — the propagation rounds, the classification round and the
 	// coarsening consistency exchange (see internal/propagate). The zero
-	// value, flat, is the paper's bulksync: one message per rank pair.
+	// value, flat, is the paper's bulk-synchronous exchange: one message
+	// per rank pair.
 	Prop machine.Exchange
 
 	// Exchange selects the communication schedule of the remap payload

@@ -251,23 +251,6 @@ func TestPartitionOversizedK(t *testing.T) {
 	}
 }
 
-func TestAgglomerate(t *testing.T) {
-	g := testGraph(t)
-	cg, group := g.Agglomerate(8)
-	if cg.N >= g.N {
-		t.Fatalf("agglomeration did not shrink: %d -> %d", g.N, cg.N)
-	}
-	if len(group) != g.N {
-		t.Fatal("group map wrong length")
-	}
-	if cg.TotalWcomp() != g.TotalWcomp() {
-		t.Errorf("weight not conserved: %d != %d", cg.TotalWcomp(), g.TotalWcomp())
-	}
-	// Partitioning the agglomerated graph must still work.
-	asg := Partition(cg, 4, MethodMultilevel)
-	checkAssignment(t, cg, asg, 4, "agglomerated", 1.6)
-}
-
 // TestSFCWorkerParity is the determinism contract of the parallel
 // pipeline: the curve order and every Assignment must be identical at any
 // worker count, on a graph large enough to engage the parallel sample

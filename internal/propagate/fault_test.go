@@ -26,9 +26,9 @@ func faultPairs(p int) []propagate.PairWords {
 // fault model and returns the per-rank times plus the counters.
 func chargeWith(t *testing.T, name string, p int, x *fault.ExchangeModel) ([]float64, int64, int64) {
 	t.Helper()
-	sched, ok := propagate.ByName(name)
-	if !ok {
-		t.Fatalf("unknown backend %q", name)
+	sched, err := machine.ExchangeByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
 	clk := machine.NewClock(p)
 	propagate.Engine{Exchange: sched, Workers: 1, Faults: x}.ChargeExchange(clk, machine.SP2(), faultPairs(p))
@@ -49,7 +49,7 @@ func chargeWith(t *testing.T, name string, p int, x *fault.ExchangeModel) ([]flo
 func TestChargeExchangeFaultCharges(t *testing.T) {
 	const p = 6
 	plan := &fault.Plan{Seed: 77, Rate: 0.5}
-	for _, name := range propagate.Names {
+	for _, name := range machine.ExchangeNames {
 		t.Run(name, func(t *testing.T) {
 			clean, _, _ := chargeWith(t, name, p, nil)
 
@@ -101,10 +101,10 @@ func TestChargeExchangeFaultCharges(t *testing.T) {
 func TestChargeExchangeExhaustion(t *testing.T) {
 	const p = 4
 	plan := &fault.Plan{Seed: 5, Rate: 1, Kinds: []fault.Kind{fault.Drop}}
-	for _, name := range propagate.Names {
+	for _, name := range machine.ExchangeNames {
 		x := plan.Exchange(fault.StageAdapt, 0, 1)
 		_, resent, backoff := chargeWith(t, name, p, x)
-		wantMsgs := int64(p * (p - 1)) // bulksync: one per pair
+		wantMsgs := int64(p * (p - 1)) // flat: one per pair
 		if name == "aggregated" {
 			wantMsgs = p // one combined message per source
 		}

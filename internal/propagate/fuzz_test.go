@@ -29,7 +29,7 @@ func FuzzPropagate(f *testing.F) {
 		refWorld := base.clone()
 		serialFixpoint(refWorld, frontier)
 
-		for _, name := range propagate.Names {
+		for _, name := range machine.ExchangeNames {
 			var ref *struct {
 				res     propagate.Result
 				elapsed float64
@@ -37,7 +37,7 @@ func FuzzPropagate(f *testing.F) {
 			for _, workers := range []int{1, 3} {
 				w := base.clone()
 				clk := machine.NewClock(p)
-				x, _ := propagate.ByName(name)
+				x, _ := machine.ExchangeByName(name)
 				res := propagate.Engine{Exchange: x, Workers: workers}.Run(w, slices.Clone(frontier), clk, machine.SP2())
 				if !reflect.DeepEqual(w.marked, refWorld.marked) {
 					t.Fatalf("%s workers=%d: mark set diverges from serial replay", name, workers)

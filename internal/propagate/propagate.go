@@ -17,11 +17,12 @@
 // every worker count.
 //
 // There is one engine; the message model of its notification exchanges is
-// a machine.Exchange parameter, under two -propagator spellings:
+// a machine.Exchange parameter, spelled on the -propagator flag with the
+// same machine.ExchangeNames as the remap's -exchange:
 //
-//   - bulksync (machine.ExchangeFlat, the zero value): the paper's
-//     exchange — one message per nonempty (src, dst) rank pair per round,
-//     Tsetup paid per pair.
+//   - flat (machine.ExchangeFlat, the zero value): the paper's
+//     bulk-synchronous exchange — one message per nonempty (src, dst) rank
+//     pair per round, Tsetup paid per pair.
 //   - aggregated (machine.ExchangeAggregated): message aggregation for
 //     high processor counts (cf. the wait-free AMR literature): each rank
 //     concatenates all of a round's notifications into one combined
@@ -162,7 +163,7 @@ type Result struct {
 // only on the frontier and the world, never on Workers.
 type Engine struct {
 	// Exchange is the message model of the notification exchanges (see
-	// the package comment); the zero value is the paper's bulksync.
+	// the package comment); the zero value is the paper's flat exchange.
 	Exchange machine.Exchange
 	// Workers bounds the worker goroutines of the frontier scans (≤ 0 =
 	// GOMAXPROCS).
@@ -192,20 +193,4 @@ func (eng Engine) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []
 		}
 		clk.Add(int(src), float64(extra)*mdl.MsgTime(words)+float64(backoff)*mdl.RetryBackoff)
 	})
-}
-
-// Names lists the -propagator spellings, indexed by the machine.Exchange
-// each selects (default first) — the table for CLI help and tests.
-var Names = []string{"bulksync", "aggregated"}
-
-// ByName resolves a -propagator spelling to the engine's exchange
-// schedule; "" selects bulksync.
-func ByName(name string) (machine.Exchange, bool) {
-	switch name {
-	case "", "bulksync":
-		return machine.ExchangeFlat, true
-	case "aggregated":
-		return machine.ExchangeAggregated, true
-	}
-	return 0, false
 }

@@ -124,21 +124,6 @@ func serialFixpoint(w *hyperWorld, frontier []int32) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range propagate.Names {
-		x, ok := propagate.ByName(name)
-		if !ok || propagate.Names[x] != name {
-			t.Fatalf("ByName(%q) broken", name)
-		}
-	}
-	if x, ok := propagate.ByName(""); !ok || propagate.Names[x] != "bulksync" {
-		t.Fatal("empty name must select bulksync")
-	}
-	if _, ok := propagate.ByName("nope"); ok {
-		t.Fatal("accepted unknown backend")
-	}
-}
-
 func TestAggregatePairs(t *testing.T) {
 	raw := []propagate.PairWords{
 		{Src: 2, Dst: 1, Words: 3},
@@ -178,12 +163,12 @@ func TestRunMatchesSerialFixpoint(t *testing.T) {
 	run := func(name string, workers int) outcome {
 		w := base.clone()
 		clk := machine.NewClock(p)
-		x, _ := propagate.ByName(name)
+		x, _ := machine.ExchangeByName(name)
 		res := propagate.Engine{Exchange: x, Workers: workers}.Run(w, slices.Clone(frontier), clk, machine.SP2())
 		return outcome{w.marked, res, clk.Elapsed()}
 	}
 
-	for _, name := range propagate.Names {
+	for _, name := range machine.ExchangeNames {
 		ref := run(name, 1)
 		if !reflect.DeepEqual(ref.marked, refWorld.marked) {
 			t.Fatalf("%s: mark set diverges from the serial replay", name)
@@ -214,7 +199,7 @@ func TestRunMatchesSerialFixpoint(t *testing.T) {
 }
 
 // TestAggregatedChargeSemantics pins the two exchange models on a known
-// batch list: bulksync pays one Tsetup per pair on the sender, aggregated
+// batch list: flat pays one Tsetup per pair on the sender, aggregated
 // one per active source plus a per-word drain on the destination.
 func TestAggregatedChargeSemantics(t *testing.T) {
 	mdl := machine.SP2()
@@ -227,16 +212,16 @@ func TestAggregatedChargeSemantics(t *testing.T) {
 	clk := machine.NewClock(3)
 	ch := propagate.Engine{Exchange: machine.ExchangeFlat}.ChargeExchange(clk, mdl, pairs)
 	if ch.Msgs != 3 || ch.Words != 16 {
-		t.Fatalf("bulksync counted %d msgs / %d words", ch.Msgs, ch.Words)
+		t.Fatalf("flat counted %d msgs / %d words", ch.Msgs, ch.Words)
 	}
 	if got, want := ch.SetupTime, 3*mdl.Tsetup; got != want {
-		t.Errorf("bulksync reported setup time %g, want %g", got, want)
+		t.Errorf("flat reported setup time %g, want %g", got, want)
 	}
 	if got, want := clk.Rank(0), mdl.MsgTime(10)+mdl.MsgTime(5); got != want {
-		t.Errorf("bulksync rank 0 charged %g, want %g", got, want)
+		t.Errorf("flat rank 0 charged %g, want %g", got, want)
 	}
 	if clk.Rank(1) != 0 {
-		t.Error("bulksync must not charge receivers")
+		t.Error("flat must not charge receivers")
 	}
 
 	clk = machine.NewClock(3)

@@ -3,6 +3,7 @@ package remap_test
 import (
 	"fmt"
 
+	"plum/internal/machine"
 	"plum/internal/remap"
 )
 
@@ -27,14 +28,15 @@ func Example() {
 	// identity mapping would move 170
 }
 
-// ExampleCostModel shows the paper's gain/cost acceptance rule.
+// ExampleCostModel shows the paper's gain/cost acceptance rule: the gain
+// from the solver constants, the redistribution cost from the machine.
 func ExampleCostModel() {
-	cost := remap.DefaultSP2()
+	cost, mdl := remap.DefaultSP2(), machine.SP2()
 	// Balancing drops the heaviest processor from 8000 to 1000 elements;
 	// the remap moves 50,000 elements in 12 sets.
-	fmt.Println("worthwhile:", cost.Gain(8000, 1000) > cost.RedistCost(50000, 12))
+	fmt.Println("worthwhile:", cost.Gain(8000, 1000) > mdl.RedistCost(50000, 12))
 	// A negligible improvement never justifies moving everything.
-	fmt.Println("worthwhile:", cost.Gain(1010, 1000) > cost.RedistCost(50000, 12))
+	fmt.Println("worthwhile:", cost.Gain(1010, 1000) > mdl.RedistCost(50000, 12))
 	// Output:
 	// worthwhile: true
 	// worthwhile: false

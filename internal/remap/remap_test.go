@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"plum/internal/machine"
 )
 
 // paperLikeMatrix builds a P=4, F=2 similarity matrix in the spirit of the
@@ -207,21 +209,21 @@ func TestValidateRejects(t *testing.T) {
 }
 
 func TestCostModel(t *testing.T) {
-	c := DefaultSP2()
+	c, mdl := DefaultSP2(), machine.SP2()
 	gain := c.Gain(1000, 600)
 	if gain <= 0 {
 		t.Error("gain must be positive for reduced Wmax")
 	}
-	cost := c.RedistCost(10000, 12)
+	cost := mdl.RedistCost(10000, 12)
 	if cost <= 0 {
 		t.Error("cost must be positive")
 	}
 	// A tiny imbalance improvement must not justify moving everything.
-	if c.Gain(1000, 999) > c.RedistCost(1<<40, 1000) {
+	if c.Gain(1000, 999) > mdl.RedistCost(1<<40, 1000) {
 		t.Error("a hugely expensive remap costs less than a negligible gain")
 	}
 	// A big improvement with tiny movement must be accepted.
-	if c.Gain(100000, 1000) <= c.RedistCost(10, 1) {
+	if c.Gain(100000, 1000) <= mdl.RedistCost(10, 1) {
 		t.Error("an obviously good remap costs more than its gain")
 	}
 	if c.SolverTime(2000) != c.Titer*float64(c.Nadapt)*2000 {
