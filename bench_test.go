@@ -12,8 +12,32 @@ import (
 
 	"plum/internal/dual"
 	"plum/internal/experiments"
+	"plum/internal/partition"
 	"plum/internal/sfc"
 )
+
+// BenchmarkDualBuild measures the dual-graph build of the 61k-tet rotor:
+// face matching, centroids and the initial weights.
+func BenchmarkDualBuild(b *testing.B) {
+	m := experiments.BaseMesh()
+	for b.Loop() {
+		if g := dual.Build(m); g.N == 0 {
+			b.Fatal("empty dual graph")
+		}
+	}
+}
+
+// BenchmarkMultilevel measures one paper-default multilevel partition of
+// the rotor's dual graph at k = 64: coarsening, the spectral solve of the
+// coarsest graph, and the projection with FM refinement per level.
+func BenchmarkMultilevel(b *testing.B) {
+	g := dual.Build(experiments.BaseMesh())
+	for b.Loop() {
+		if asg, _ := partition.PartitionCounted(g, 64, partition.MethodMultilevel, partition.Options{}); len(asg) != g.N {
+			b.Fatal("bad assignment")
+		}
+	}
+}
 
 // BenchmarkSFCKeys measures raw key throughput of the two curve kernels,
 // serial versus the GOMAXPROCS worker pool (identical output either way).

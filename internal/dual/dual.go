@@ -50,15 +50,20 @@ type Graph struct {
 // elements are never removed, so the graph is identical either way.
 // Weights are initialized from the current refinement forest (Wcomp =
 // Wremap = 1 on an unadapted mesh).
+//
+// Faces are matched without hashing: the 4n root faces are
+// counting-sorted by their smallest vertex, and within a bucket (a few
+// faces per vertex) a face pairs with the earlier unmatched face on the
+// same other two vertices. The pairs are then replayed in (element, face)
+// order, so every row lists its neighbours in the order the faces are
+// met, and the rows are carved from one backing array.
 func Build(m *mesh.Mesh) *Graph {
 	// Level-0 elements occupy a prefix of the element slab only on a
 	// freshly generated mesh, so collect them explicitly.
 	var roots []mesh.ElemID
-	rootIdx := make(map[mesh.ElemID]int32)
 	for i := range m.Elems {
 		t := &m.Elems[i]
 		if t.Level == 0 && !t.Dead {
-			rootIdx[mesh.ElemID(i)] = int32(len(roots))
 			roots = append(roots, mesh.ElemID(i))
 		}
 	}
@@ -72,33 +77,70 @@ func Build(m *mesh.Mesh) *Graph {
 		Centroid:   make([]geom.Vec3, n),
 	}
 
-	// Face adjacency via a map from sorted vertex triples to elements.
-	type faceKey [3]mesh.VertID
-	mk := func(a, b, c mesh.VertID) faceKey {
-		if a > b {
-			a, b = b, a
-		}
-		if b > c {
-			b, c = c, b
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return faceKey{a, b, c}
-	}
-	faces := make(map[faceKey]int32, 2*n)
+	// Face 4i+f is local face f of root i, as a sorted vertex triple.
+	keys := make([][3]mesh.VertID, 4*n)
 	for i, el := range roots {
 		t := &m.Elems[el]
 		g.Centroid[i] = m.ElemCentroid(el)
-		for _, fv := range mesh.ElemFaceVerts {
-			k := mk(t.V[fv[0]], t.V[fv[1]], t.V[fv[2]])
-			if j, ok := faces[k]; ok {
-				g.Adj[i] = append(g.Adj[i], j)
-				g.Adj[j] = append(g.Adj[j], int32(i))
-				delete(faces, k)
-			} else {
-				faces[k] = int32(i)
+		for f, fv := range mesh.ElemFaceVerts {
+			a, b, c := t.V[fv[0]], t.V[fv[1]], t.V[fv[2]]
+			if a > b {
+				a, b = b, a
 			}
+			if b > c {
+				b, c = c, b
+			}
+			if a > b {
+				a, b = b, a
+			}
+			keys[4*i+f] = [3]mesh.VertID{a, b, c}
+		}
+	}
+	// Stable counting sort of the faces by smallest vertex.
+	start := make([]int32, len(m.Verts)+1)
+	for _, k := range keys {
+		start[k[0]+1]++
+	}
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	byVert := make([]int32, len(keys))
+	fill := append([]int32(nil), start[:len(m.Verts)]...)
+	for q, k := range keys {
+		byVert[fill[k[0]]] = int32(q)
+		fill[k[0]]++
+	}
+	// earlier[q] is the face q closes, set on the later face of each pair
+	// only; -2 marks a face already paired from its own side.
+	earlier := make([]int32, len(keys))
+	for i := range earlier {
+		earlier[i] = -1
+	}
+	deg := make([]int32, n)
+	pairs := 0
+	for v := 0; v < len(m.Verts); v++ {
+		bucket := byVert[start[v]:start[v+1]]
+		for x, q := range bucket {
+			for _, p := range bucket[:x] {
+				if earlier[p] == -1 && keys[p] == keys[q] {
+					earlier[q], earlier[p] = p, -2
+					deg[q/4]++
+					deg[p/4]++
+					pairs++
+					break
+				}
+			}
+		}
+	}
+	back := make([]int32, 2*pairs)
+	for i, d := range deg {
+		g.Adj[i], back = back[:0:d], back[d:]
+	}
+	for q, p := range earlier {
+		if p >= 0 {
+			i, j := int32(q/4), p/4
+			g.Adj[i] = append(g.Adj[i], j)
+			g.Adj[j] = append(g.Adj[j], i)
 		}
 	}
 	g.UpdateWeights(m)

@@ -1,6 +1,8 @@
 package dual
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"plum/internal/adapt"
@@ -142,6 +144,87 @@ func TestBoundaryTetsHaveFewerNeighbors(t *testing.T) {
 	}
 }
 
+// mapAdjacency is the hash-map face matcher Build replaced, kept as its
+// oracle: faces are keyed by their sorted vertex triple, a face meeting
+// an open entry closes it, and both rows are appended at that moment.
+func mapAdjacency(m *mesh.Mesh) [][]int32 {
+	var roots []mesh.ElemID
+	for i := range m.Elems {
+		if t := &m.Elems[i]; t.Level == 0 && !t.Dead {
+			roots = append(roots, mesh.ElemID(i))
+		}
+	}
+	adj := make([][]int32, len(roots))
+	faces := make(map[[3]mesh.VertID]int32, 2*len(roots))
+	for i, el := range roots {
+		t := &m.Elems[el]
+		for _, fv := range mesh.ElemFaceVerts {
+			k := [3]mesh.VertID{t.V[fv[0]], t.V[fv[1]], t.V[fv[2]]}
+			slices.Sort(k[:])
+			if j, ok := faces[k]; ok {
+				adj[i] = append(adj[i], j)
+				adj[j] = append(adj[j], int32(i))
+				delete(faces, k)
+			} else {
+				faces[k] = int32(i)
+			}
+		}
+	}
+	return adj
+}
+
+// relabelVerts permutes m's vertex ids at random, in the vertex slab and
+// in every element's corner list: the only vertex references Build reads.
+// The generators number vertices in lattice order, so their faces'
+// smallest-vertex buckets follow element order; relabelled, they do not.
+func relabelVerts(m *mesh.Mesh, seed int64) {
+	perm := rand.New(rand.NewSource(seed)).Perm(len(m.Verts))
+	verts := make([]mesh.Vertex, len(m.Verts))
+	for v, p := range perm {
+		verts[p] = m.Verts[v]
+	}
+	m.Verts = verts
+	for i := range m.Elems {
+		for k, v := range m.Elems[i].V {
+			m.Elems[i].V[k] = mesh.VertID(perm[v])
+		}
+	}
+}
+
+// TestBuildMatchesMapOracle pins Build's rows, entry for entry, to the
+// map matcher's on the paper's rotor, a 24×8×8 box, the box after one
+// refinement (the roots no longer fill the slab alone), and the box with
+// its vertex ids shuffled.
+func TestBuildMatchesMapOracle(t *testing.T) {
+	box := func() *mesh.Mesh { return meshgen.Box(24, 8, 8, geom.Vec3{X: 3, Y: 1, Z: 1}) }
+	adapted := box()
+	a := adapt.New(adapted)
+	a.MarkRegion(geom.Sphere{Center: geom.Vec3{X: 1, Y: 0.5, Z: 0.5}, Radius: 0.4}, adapt.MarkRefine)
+	a.Refine()
+	relabelled := box()
+	relabelVerts(relabelled, 1)
+	for _, c := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{
+		{"rotor", meshgen.PaperMesh()},
+		{"box24x8x8", box()},
+		{"box24x8x8/refined", adapted},
+		{"box24x8x8/relabelled", relabelled},
+	} {
+		g := Build(c.m)
+		want := mapAdjacency(c.m)
+		if g.N != len(want) {
+			t.Fatalf("%s: N = %d, oracle %d", c.name, g.N, len(want))
+		}
+		for v := range want {
+			if !slices.Equal(g.Adj[v], want[v]) {
+				t.Fatalf("%s: row %d = %v, oracle %v", c.name, v, g.Adj[v], want[v])
+			}
+		}
+	}
+}
+
 func TestUpdateWeightsPanicsOnWrongMesh(t *testing.T) {
 	m := meshgen.UnitCube()
 	g := Build(m)
@@ -153,5 +236,3 @@ func TestUpdateWeightsPanicsOnWrongMesh(t *testing.T) {
 	}()
 	g.UpdateWeights(other)
 }
-
-var _ = mesh.InvalidElem // keep import for doc-reference clarity

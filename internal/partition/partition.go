@@ -350,9 +350,13 @@ func spectralCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
 	for i := range idxs {
 		idxs[i] = int32(i)
 	}
+	local := make([]int32, g.N)
+	for i := range local {
+		local[i] = -1
+	}
 	var ops int64
 	recursiveBisect(g, idxs, 0, k, asg, &ops, func(sub []int32) ([]float64, int64) {
-		return subgraphFiedler(g, sub)
+		return subgraphFiedler(g, sub, local)
 	})
 	return asg, machine.Ops{Total: ops, Crit: ops}
 }
@@ -480,9 +484,9 @@ func principalAxis(g *dual.Graph, sub []int32) geom.Vec3 {
 }
 
 // subgraphFiedler computes the Fiedler embedding of the induced subgraph,
-// reporting the op count of the extraction plus the Lanczos solve.
-func subgraphFiedler(g *dual.Graph, sub []int32) ([]float64, int64) {
-	local := make(map[int32]int32, len(sub))
+// reporting the op count of the extraction plus the Lanczos solve. local
+// is a g.N-long scratch index, -1 everywhere on entry and on return.
+func subgraphFiedler(g *dual.Graph, sub []int32, local []int32) ([]float64, int64) {
 	for i, v := range sub {
 		local[v] = int32(i)
 	}
@@ -491,10 +495,13 @@ func subgraphFiedler(g *dual.Graph, sub []int32) ([]float64, int64) {
 	for i, v := range sub {
 		ops += 1 + int64(len(g.Adj[v]))
 		for _, w := range g.Adj[v] {
-			if lw, ok := local[w]; ok {
+			if lw := local[w]; lw >= 0 {
 				adj[i] = append(adj[i], lw)
 			}
 		}
+	}
+	for _, v := range sub {
+		local[v] = -1
 	}
 	L := sparse.Laplacian(adj)
 	vec, fops := sparse.FiedlerCounted(L, 60, 1e-4, 42)

@@ -123,6 +123,13 @@ func FiedlerCounted(L *CSR, maxIter int, tol float64, seed int64) ([]float64, in
 		maxIter = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
+	// Every tridiagonal eigen-solve below starts inverse iteration from
+	// the same seed-7 vector, of at most maxIter entries; draw it once.
+	start := make([]float64, maxIter)
+	rng7 := rand.New(rand.NewSource(7))
+	for i := range start {
+		start[i] = rng7.Float64() - 0.5
+	}
 
 	// Start vector: random, orthogonal to the constant vector.
 	v := make([]float64, n)
@@ -167,7 +174,7 @@ func FiedlerCounted(L *CSR, maxIter int, tol float64, seed int64) ([]float64, in
 
 		// Check convergence of the smallest Ritz pair every few steps.
 		if j >= 2 && (j%4 == 0 || j == maxIter-1) {
-			if resid := smallestRitzResidual(alpha, beta[:len(alpha)-1]); resid*math.Abs(b) < tol {
+			if resid := smallestRitzResidual(alpha, beta[:len(alpha)-1], start); resid*math.Abs(b) < tol {
 				break
 			}
 		}
@@ -183,7 +190,7 @@ func FiedlerCounted(L *CSR, maxIter int, tol float64, seed int64) ([]float64, in
 		e = append([]float64(nil), beta[:k-1]...)
 	}
 	evec := make([]float64, k)
-	tridiagSmallest(d, e, evec)
+	tridiagSmallest(d, e, start, evec)
 
 	out := make([]float64, n)
 	for i, q := range basis {
@@ -211,12 +218,13 @@ func deflate(v []float64) {
 
 // smallestRitzResidual returns the magnitude of the last eigenvector
 // component of the smallest eigenpair of the symmetric tridiagonal matrix
-// (diag d, off-diag e) — the standard Lanczos residual indicator.
-func smallestRitzResidual(d, e []float64) float64 {
+// (diag d, off-diag e) — the standard Lanczos residual indicator. start
+// is tridiagSmallest's start vector.
+func smallestRitzResidual(d, e, start []float64) float64 {
 	dd := append([]float64(nil), d...)
 	ee := append([]float64(nil), e...)
 	vec := make([]float64, len(d))
-	tridiagSmallest(dd, ee, vec)
+	tridiagSmallest(dd, ee, start, vec)
 	return math.Abs(vec[len(vec)-1])
 }
 
@@ -224,8 +232,9 @@ func smallestRitzResidual(d, e []float64) float64 {
 // tridiagonal matrix with diagonal d and off-diagonal e (len(e) =
 // len(d)-1), storing a unit eigenvector in vec, and returns the
 // eigenvalue. d and e are clobbered. It uses bisection (Sturm sequences)
-// for the eigenvalue and inverse iteration for the vector.
-func tridiagSmallest(d, e []float64, vec []float64) float64 {
+// for the eigenvalue and inverse iteration for the vector, started from
+// the first len(d) entries of start.
+func tridiagSmallest(d, e, start, vec []float64) float64 {
 	n := len(d)
 	if n == 1 {
 		vec[0] = 1
@@ -276,11 +285,8 @@ func tridiagSmallest(d, e []float64, vec []float64) float64 {
 	// Inverse iteration: solve (T − λI)x = b via the Thomas algorithm
 	// with a tiny shift to keep the factorization nonsingular.
 	shift := lambda - 1e-10*(1+math.Abs(lambda))
-	rng := rand.New(rand.NewSource(7))
 	x := vec
-	for i := range x {
-		x[i] = rng.Float64() - 0.5
-	}
+	copy(x, start[:n])
 	diag := make([]float64, n)
 	for it := 0; it < 3; it++ {
 		// Thomas-algorithm solve of (T − shift·I)x = b.

@@ -163,7 +163,7 @@ func TestTridiagSmallest(t *testing.T) {
 	d := []float64{2, 2, 2}
 	e := []float64{-1, -1}
 	vec := make([]float64, 3)
-	got := tridiagSmallest(d, e, vec)
+	got := tridiagSmallest(d, e, []float64{0.3, -0.2, 0.1}, vec)
 	want := 2 - math.Sqrt2
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("λmin = %g, want %g", got, want)
