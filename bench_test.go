@@ -7,11 +7,17 @@ package plum
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
+	"plum/internal/adapt"
 	"plum/internal/dual"
 	"plum/internal/experiments"
+	"plum/internal/geom"
+	"plum/internal/machine"
+	"plum/internal/meshgen"
+	"plum/internal/par"
 	"plum/internal/partition"
 	"plum/internal/sfc"
 )
@@ -35,6 +41,32 @@ func BenchmarkMultilevel(b *testing.B) {
 	for b.Loop() {
 		if asg, _ := partition.PartitionCounted(g, 64, partition.MethodMultilevel, partition.Options{}); len(asg) != g.N {
 			b.Fatal("bad assignment")
+		}
+	}
+}
+
+// BenchmarkParallelRefine measures one distributed refinement pass of the
+// rotor at P = 2048 (hilbert), the pass the highp-reassign workload spends
+// its refinement time in: the sphere holding 5 % of the edge midpoints at
+// the mid-arc point is marked, then ParallelRefine runs the marking
+// census, the propagation, the kernel and the shared-edge classification.
+// Cloning the mesh and marking stay off the clock.
+func BenchmarkParallelRefine(b *testing.B) {
+	const p = 2048
+	base := experiments.BaseMesh()
+	asg := partition.Partition(dual.Build(base), p, partition.MethodHilbertSFC)
+	rp := meshgen.DefaultRotor()
+	r, th := (rp.R0+rp.R1)/2, rp.Sweep/2
+	region := adapt.SphereForFraction(base, geom.Vec3{X: r * math.Cos(th), Y: r * math.Sin(th)}, 0.05)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := base.Clone()
+		d, a := par.NewDist(m, p, asg), adapt.New(m)
+		a.MarkRegion(region, adapt.MarkRefine)
+		b.StartTimer()
+		if st, _ := d.ParallelRefine(a, machine.SP2()); st.NewElems == 0 {
+			b.Fatal("nothing refined")
 		}
 	}
 }

@@ -96,13 +96,14 @@ func (t faultTrace) record(x *fault.ExchangeModel, tm *AdaptTimings) {
 // adaptWorld adapts the (Dist, Adaptor) pair to the propagation engine's
 // World interface: patterns are proposed against the live mark set
 // (reads only, safe across worker goroutines), commits go through
-// SetMark serially, and reach/SPL probes walk the edge incidence lists.
+// SetMark serially, and reach/SPL probes walk the edge incidence lists
+// into the owner slab.
 type adaptWorld struct {
 	d *Dist
 	a *adapt.Adaptor
 }
 
-func (w adaptWorld) Owner(el int32) int32 { return w.d.OwnerOf(mesh.ElemID(el)) }
+func (w adaptWorld) Owner(el int32) int32 { return w.d.own[el] }
 
 func (w adaptWorld) Propose(el int32, buf []int32) []int32 {
 	t := &w.d.M.Elems[el]
@@ -134,7 +135,7 @@ func (w adaptWorld) Reach(e int32, elems []int32) []int32 {
 }
 
 func (w adaptWorld) SPL(e int32, spl []int32) []int32 {
-	return w.d.EdgeSPL(mesh.EdgeID(e), spl)
+	return w.d.edgeSPL(spl, mesh.EdgeID(e))
 }
 
 // seedFrontier returns the initial propagation frontier: every active
@@ -179,7 +180,9 @@ func (d *Dist) perRankCounts(lo, hi int, visit func(i int, cnt []int64, buf *[]i
 // are the paper's: each rank scans its local objects. The host refinement
 // walks only the touched elements (adapt.Adaptor.Touched) and no longer
 // performs the element scans it is charged for, by design; the charge is
-// the machine's, not the host's.
+// the machine's, not the host's. So is the classification charge, one
+// SPL-intersection probe per new edge: the host derives each endpoint's
+// SPL once and intersects only the edges whose two endpoints are shared.
 func PredictAdaptOps(nEdges, nElems, mutations, classified int64, prop propagate.Result, workers int) machine.Ops {
 	o := prop.Ops
 	ewE := EffectiveWorkers(int(nEdges), workers)
@@ -222,7 +225,8 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	trace := snapshotFaults(xm)
 
 	// --- Target phase: error indicator over local edges. ---
-	localEdges, _ := d.EdgeCensus()
+	d.fillOwn(0)
+	localEdges, _ := d.edgeCensus()
 	for r := 0; r < d.P; r++ {
 		clk.Add(r, float64(localEdges[r])*mdl.MarkEdge)
 	}
@@ -257,9 +261,8 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 		if ed.Dead || ed.Bisected() {
 			return
 		}
-		spl := d.EdgeSPL(mesh.EdgeID(ei), *buf)
-		*buf = spl
-		for _, r := range spl {
+		*buf = d.edgeSPL((*buf)[:0], mesh.EdgeID(ei))
+		for _, r := range *buf {
 			cnt[r]++
 		}
 	})
@@ -270,7 +273,7 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	children := make([]int64, d.P)
 	for _, el := range a.Touched() {
 		if p := a.PatternOf(&m.Elems[el]); p != 0 {
-			children[d.OwnerOf(el)] += int64(p.Kind().Children())
+			children[d.own[el]] += int64(p.Kind().Children())
 		}
 	}
 	for r := 0; r < d.P; r++ {
@@ -279,6 +282,7 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	edgesBefore := len(m.Edges)
 
 	st := a.Refine()
+	d.fillOwn(nElems0)
 
 	clk.Barrier()
 	execEnd := clk.Elapsed()
@@ -310,53 +314,88 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 // order.
 //
 // A midpoint vertex is an endpoint of a dozen new edges, and nearly every
-// vertex lies inside one rank, so the scan first settles, once per
-// endpoint vertex, whether its SPL names more than one rank; only edges
-// with two such endpoints can intersect in more than one and pay for the
-// sorted lists.
+// vertex lies inside one rank, so each endpoint's SPL is derived once: a
+// chunked vertex scan writes the list of every endpoint it finds shared
+// into its chunk's buffer, the buffers merge in chunk order into one cache,
+// and the edge scan intersects the cached lists of the edges whose two
+// endpoints are both shared — only those can intersect in more than one
+// rank.
 func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
 	m := d.M
+	// at[v] is where vertex v's cached list starts (the cache holds its
+	// length there, then its ranks), or one of:
 	const (
-		wanted = 1 // endpoint of a classified edge, SPL not probed yet
-		shared = 2 // SPL names more than one rank
+		unwanted = -1 // no classified edge ends at v, or its SPL names one rank
+		wanted   = -2 // a classified edge ends at v, SPL not derived yet
 	)
 	nv := len(m.Verts)
-	d.vertFlag = slices.Grow(d.vertFlag[:0], nv)[:nv]
-	flag := d.vertFlag
-	clear(flag)
+	d.vsplAt = slices.Grow(d.vsplAt[:0], nv)[:nv]
+	at := d.vsplAt
+	for v := range at {
+		at[v] = unwanted
+	}
 	classified := m.Edges[edgesBefore:]
 	for i := range classified {
 		// Half-edges inherit their parent's SPL (case 2) and are skipped.
 		if ed := &classified[i]; !ed.Dead && ed.Parent == mesh.InvalidEdge {
-			flag[ed.V[0]], flag[ed.V[1]] = wanted, wanted
+			at[ed.V[0]], at[ed.V[1]] = wanted, wanted
 		}
 	}
-	chunk.For(nv, EffectiveWorkers(nv, d.Workers), func(_, lo, hi int) {
-		var buf []int32
+	ew := EffectiveWorkers(nv, d.Workers)
+	nc := chunk.Count(nv, ew)
+	for len(d.vsplParts) < nc {
+		d.vsplParts = append(d.vsplParts, nil)
+	}
+	parts := d.vsplParts[:nc]
+	chunk.For(nv, ew, func(c, lo, hi int) {
+		buf := parts[c][:0]
 		for v := lo; v < hi; v++ {
-			if flag[v] != wanted {
+			if at[v] != wanted {
 				continue
 			}
-			buf = d.VertSPL(mesh.VertID(v), buf)
-			flag[v] = 0
-			if len(buf) > 1 {
-				flag[v] = shared
+			o := len(buf)
+			buf = d.vertSPL(append(buf, 0), mesh.VertID(v))
+			if k := len(buf) - o - 1; k > 1 {
+				buf[o], at[v] = int32(k), int32(o)
+			} else {
+				buf, at[v] = buf[:o], unwanted
+			}
+		}
+		parts[c] = buf
+	})
+	// Merge: chunk c's lists move up by the lengths of the chunks before it.
+	var size int
+	for _, p := range parts {
+		size += len(p)
+	}
+	d.vspl = slices.Grow(d.vspl[:0], size)[:size]
+	cache := d.vspl
+	chunk.For(nv, ew, func(c, lo, hi int) {
+		base := 0
+		for _, p := range parts[:c] {
+			base += len(p)
+		}
+		copy(cache[base:], parts[c])
+		for v := lo; v < hi; v++ {
+			if at[v] >= 0 {
+				at[v] += int32(base)
 			}
 		}
 	})
+	spl := func(v mesh.VertID) []int32 {
+		o := at[v] + 1
+		return cache[o : o+cache[o-1]]
+	}
 	n := len(classified)
 	return chunk.Gather(n, EffectiveWorkers(n, d.Workers), func(lo, hi int) []propagate.PairWords {
 		var out []propagate.PairWords
-		var s0, s1, inter []int32
+		var inter []int32
 		for i := lo; i < hi; i++ {
 			ed := &classified[i]
-			if ed.Dead || ed.Parent != mesh.InvalidEdge ||
-				flag[ed.V[0]] != shared || flag[ed.V[1]] != shared {
+			if ed.Dead || ed.Parent != mesh.InvalidEdge || at[ed.V[0]] < 0 || at[ed.V[1]] < 0 {
 				continue // half-edge (case 2), or an endpoint inside one rank
 			}
-			s0 = d.VertSPL(ed.V[0], s0)
-			s1 = d.VertSPL(ed.V[1], s1)
-			inter = intersectSorted(inter[:0], s0, s1)
+			inter = intersectSorted(inter[:0], spl(ed.V[0]), spl(ed.V[1]))
 			if len(inter) <= 1 {
 				continue // internal edge (cases 1 and 3)
 			}
@@ -383,7 +422,8 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	xm := prop.Faults
 	trace := snapshotFaults(xm)
 
-	localEdges, _ := d.EdgeCensus()
+	d.fillOwn(0)
+	localEdges, _ := d.edgeCensus()
 	for r := 0; r < d.P; r++ {
 		clk.Add(r, float64(localEdges[r])*mdl.MarkEdge)
 	}
@@ -411,12 +451,9 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 			if ed.Dead || ed.Bisected() {
 				continue
 			}
-			spl := d.EdgeSPL(mesh.EdgeID(ei), buf)
-			buf = spl
-			if len(spl) < 2 {
-				continue
+			if buf = d.edgeSPL(buf[:0], mesh.EdgeID(ei)); len(buf) > 1 {
+				out = propagate.PairsFromSPL(out, buf, 1)
 			}
-			out = propagate.PairsFromSPL(out, spl, 1)
 		}
 		return out
 	})
@@ -443,11 +480,12 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	})
 
 	st := a.Coarsen()
+	d.fillOwn(nElems0)
 
 	// Removal work: newly dead elements, charged to their tree's owner.
 	removed := d.perRankCounts(0, nElems0, func(i int, cnt []int64, _ *[]int32) {
 		if m.Elems[i].Dead && !deadBefore[i] {
-			cnt[d.OwnerOf(mesh.ElemID(i))]++
+			cnt[d.own[i]]++
 		}
 	})
 	for r := 0; r < d.P; r++ {
@@ -461,7 +499,7 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	tail := len(m.Elems) - nElems0
 	created := d.perRankCounts(nElems0, len(m.Elems), func(i int, cnt []int64, _ *[]int32) {
 		if !m.Elems[i].Dead {
-			cnt[d.OwnerOf(mesh.ElemID(i))]++
+			cnt[d.own[i]]++
 		}
 	})
 	res.Ops.AddParallel(int64(tail), EffectiveWorkers(tail, d.Workers))

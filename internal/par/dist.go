@@ -110,14 +110,23 @@ type Dist struct {
 	// element slab, -1 for non-roots.
 	rootDual []int32
 	// rootOwner maps a level-0 element id straight to its owner
-	// (owner[rootDual[i]]), so the SPL probes resolve an element's rank
-	// in one load. Every write to owner goes through setOwners or
+	// (owner[rootDual[i]]). Every write to owner goes through setOwners or
 	// setOwner, which keep it in step.
 	rootOwner []int32
+	// own[el] is the rank owning element el, rootOwner[Elems[el].Root]:
+	// the dense slab every SPL probe reads. Init and the adaption passes
+	// fill it before their first probe and extend it over the tail their
+	// kernel appends (fillOwn); the next ownership change or compaction
+	// leaves it stale, so nothing outside those scans reads it.
+	own []int32
 
-	// vertFlag is classifyPairs' per-vertex scratch and deadBefore
-	// ParallelCoarsen's per-element liveness snapshot, kept across passes.
-	vertFlag   []uint8
+	// vsplAt, vsplParts and vspl are classifyPairs' per-vertex SPL cache,
+	// and deadBefore is ParallelCoarsen's per-element liveness snapshot;
+	// all are kept across passes, so a pass allocates only when the mesh
+	// grows.
+	vsplAt     []int32
+	vsplParts  [][]int32
+	vspl       []int32
 	deadBefore []bool
 }
 
@@ -229,52 +238,62 @@ func (d *Dist) SetOwners(o []int32) {
 // rationale).
 func (d *Dist) OwnerOf(el mesh.ElemID) int32 { return d.rootOwner[d.M.Elems[el].Root] }
 
-// EdgeSPL returns the sorted shared-processor list of edge e: the owners
-// of all active elements sharing it. A len > 1 list marks a shared edge.
-func (d *Dist) EdgeSPL(e mesh.EdgeID, buf []int32) []int32 {
-	buf = buf[:0]
-	for _, el := range d.M.Edges[e].Elems {
-		buf = append(buf, d.OwnerOf(el))
-	}
-	return dedupSorted(buf)
+// fillOwn refreshes the owner slab over elements [lo, len(Elems)) in one
+// chunked streaming scan of the element slab: lo = 0 before a pass's
+// first probe, the pre-kernel slab length once the kernel has appended.
+func (d *Dist) fillOwn(lo int) {
+	elems, rootOwner := d.M.Elems, d.rootOwner
+	n := len(elems)
+	d.own = slices.Grow(d.own[:lo], n-lo)[:n]
+	own := d.own[lo:]
+	tail := elems[lo:]
+	chunk.For(n-lo, EffectiveWorkers(n-lo, d.Workers), func(_, clo, chi int) {
+		for i := clo; i < chi; i++ {
+			own[i] = rootOwner[tail[i].Root]
+		}
+	})
 }
 
-// VertSPL returns the sorted shared-processor list of vertex v (owners of
-// active elements incident to v through its edges).
-func (d *Dist) VertSPL(v mesh.VertID, buf []int32) []int32 {
-	buf = buf[:0]
+// edgeSPL appends the sorted shared-processor list of edge e — the owners
+// of the active elements sharing it — to dst. A list longer than one marks
+// a shared edge. It reads the owner slab.
+func (d *Dist) edgeSPL(dst []int32, e mesh.EdgeID) []int32 {
+	lo, own := len(dst), d.own
+	for _, el := range d.M.Edges[e].Elems {
+		dst = addRank(dst, lo, own[el])
+	}
+	return dst
+}
+
+// vertSPL appends the sorted shared-processor list of vertex v — the
+// owners of the active elements incident to v through its edges — to dst.
+// It reads the owner slab.
+func (d *Dist) vertSPL(dst []int32, v mesh.VertID) []int32 {
+	lo, own, edges := len(dst), d.own, d.M.Edges
 	for _, e := range d.M.Verts[v].Edges {
-		for _, el := range d.M.Edges[e].Elems {
-			buf = append(buf, d.OwnerOf(el))
+		for _, el := range edges[e].Elems {
+			dst = addRank(dst, lo, own[el])
 		}
 	}
-	return dedupSorted(buf)
+	return dst
 }
 
-func dedupSorted(s []int32) []int32 {
-	if len(s) < 2 {
+// addRank inserts rank r into the sorted unique list s[lo:]. A list holds
+// a handful of distinct ranks, so insertion beats collecting and sorting;
+// most objects lie inside one rank, and r equal to the last entry returns
+// after two compares.
+func addRank(s []int32, lo int, r int32) []int32 {
+	i := len(s)
+	for i > lo && s[i-1] > r {
+		i--
+	}
+	if i > lo && s[i-1] == r {
 		return s
 	}
-	// Most objects are interior to one rank: a list of one repeated owner
-	// needs no sort.
-	i := 1
-	for i < len(s) && s[i] == s[0] {
-		i++
-	}
-	if i == len(s) {
-		return s[:1]
-	}
-	// slices.Sort's pdqsort on the bare int32s: no comparator closure,
-	// no interface boxing — this sort runs once per shared edge/vertex
-	// probe, so comparator overhead is a real cost on the SPL hot path.
-	slices.Sort(s)
-	out := s[:1]
-	for _, x := range s[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+	s = append(s, 0)
+	copy(s[i+1:], s[i:])
+	s[i] = r
+	return s
 }
 
 // InitStats summarizes the initialization phase: shared-object counts and
@@ -295,55 +314,44 @@ type InitStats struct {
 // the per-chunk partial counts merge in chunk order, and every count is an
 // integer sum, so the stats are identical at every worker count.
 func (d *Dist) Init() InitStats {
-	st := InitStats{LocalElems: make([]int64, d.P)}
-	st.LocalEdges, st.SharedEdges = d.EdgeCensus()
+	d.fillOwn(0)
+	var st InitStats
+	st.LocalEdges, st.SharedEdges = d.edgeCensus()
 
-	// Vertex scan: the shared-vertex census.
+	// Vertex scan: the shared-vertex census (slot 0 shared, slot 1 total).
 	nv := len(d.M.Verts)
-	ncV := chunk.Count(nv, EffectiveWorkers(nv, d.Workers))
-	vertShared := make([]int, ncV)
-	vertTotal := make([]int, ncV)
-	chunk.For(nv, EffectiveWorkers(nv, d.Workers), func(c, lo, hi int) {
-		shared, total := 0, 0
+	vc := chunk.GatherCounts(nv, EffectiveWorkers(nv, d.Workers), 2, func(lo, hi int, cnt []int64) {
 		var buf []int32
 		for vi := lo; vi < hi; vi++ {
 			v := &d.M.Verts[vi]
 			if v.Dead || len(v.Edges) == 0 {
 				continue
 			}
-			total++
-			spl := d.VertSPL(mesh.VertID(vi), buf)
-			buf = spl
-			if len(spl) > 1 {
-				shared++
+			cnt[1]++
+			if buf = d.vertSPL(buf[:0], mesh.VertID(vi)); len(buf) > 1 {
+				cnt[0]++
 			}
 		}
-		vertShared[c] = shared
-		vertTotal[c] = total
 	})
-	totalV := 0
-	for c := 0; c < ncV; c++ {
-		st.SharedVerts += vertShared[c]
-		totalV += vertTotal[c]
-	}
+	st.SharedVerts = int(vc[0])
 
 	// Element scan: per-rank local subgrid sizes.
-	copy(st.LocalElems, d.localLoads())
+	st.LocalElems = d.RankLoads()
 
-	totalE := d.M.NumActiveEdges()
-	if totalE+totalV > 0 {
-		st.SharedFraction = float64(st.SharedEdges+st.SharedVerts) / float64(totalE+totalV)
+	total := int64(d.M.NumActiveEdges()) + vc[1]
+	if total > 0 {
+		st.SharedFraction = float64(st.SharedEdges+st.SharedVerts) / float64(total)
 	}
 	return st
 }
 
-// EdgeCensus runs the chunked edge scan of the initialization analysis:
+// edgeCensus runs the chunked edge scan of the initialization analysis:
 // the number of active edges each rank holds a copy of (an edge shared by
 // k ranks counts once on each) and how many edges are shared. It is all
 // the adaption passes need of Init to charge their marking phase. Each
 // chunk probes SPLs into its own scratch buffer; the integer partials
-// merge in chunk order.
-func (d *Dist) EdgeCensus() (local []int64, shared int) {
+// merge in chunk order. The owner slab must be filled.
+func (d *Dist) edgeCensus() (local []int64, shared int) {
 	ne := len(d.M.Edges)
 	// Slot P of the per-chunk counters carries the shared-edge count.
 	cnt := chunk.GatherCounts(ne, EffectiveWorkers(ne, d.Workers), d.P+1, func(lo, hi int, cnt []int64) {
@@ -353,7 +361,7 @@ func (d *Dist) EdgeCensus() (local []int64, shared int) {
 			if ed.Dead || ed.Bisected() || len(ed.Elems) == 0 {
 				continue
 			}
-			buf = d.EdgeSPL(mesh.EdgeID(ei), buf)
+			buf = d.edgeSPL(buf[:0], mesh.EdgeID(ei))
 			for _, r := range buf {
 				cnt[r]++
 			}
@@ -365,9 +373,12 @@ func (d *Dist) EdgeCensus() (local []int64, shared int) {
 	return cnt[:d.P], int(cnt[d.P])
 }
 
-// localLoads runs the chunked active-element ownership scan, merging the
-// per-chunk partial counts in chunk order.
-func (d *Dist) localLoads() []int64 {
+// RankLoads returns the active-element count per processor — the Wcomp
+// load the preliminary-evaluation step balances. The scan is chunked over
+// Workers goroutines; integer partial sums merge in chunk order, so the
+// result is identical at every worker count. It resolves owners through
+// the roots, so it is right at any time, not only inside a pass.
+func (d *Dist) RankLoads() []int64 {
 	n := len(d.M.Elems)
 	return chunk.GatherCounts(n, EffectiveWorkers(n, d.Workers), d.P, func(lo, hi int, cnt []int64) {
 		for i := lo; i < hi; i++ {
@@ -376,14 +387,6 @@ func (d *Dist) localLoads() []int64 {
 			}
 		}
 	})
-}
-
-// RankLoads returns the active-element count per processor — the Wcomp
-// load the preliminary-evaluation step balances. The scan is chunked over
-// Workers goroutines; integer partial sums merge in chunk order, so the
-// result is identical at every worker count.
-func (d *Dist) RankLoads() []int64 {
-	return d.localLoads()
 }
 
 // ImbalanceFactor returns the paper's Wmax/Wavg metric over the current

@@ -268,22 +268,3 @@ func TestFinalizeGather(t *testing.T) {
 		t.Errorf("result: %+v", res)
 	}
 }
-
-func TestEdgeAndVertSPL(t *testing.T) {
-	d, _, _ := fixture(t, 2)
-	shared := 0
-	var buf []int32
-	for ei := range d.M.Edges {
-		spl := d.EdgeSPL(mesh.EdgeID(ei), buf)
-		buf = spl
-		if len(spl) > 2 {
-			t.Fatalf("edge SPL %v larger than P", spl)
-		}
-		if len(spl) == 2 {
-			shared++
-		}
-	}
-	if shared == 0 {
-		t.Error("no shared edges for P=2")
-	}
-}
