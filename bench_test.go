@@ -6,9 +6,7 @@
 package plum
 
 import (
-	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"plum/internal/adapt"
@@ -71,31 +69,19 @@ func BenchmarkParallelRefine(b *testing.B) {
 	}
 }
 
-// BenchmarkSFCKeys measures raw key throughput of the two curve kernels,
-// serial versus the GOMAXPROCS worker pool (identical output either way).
-func BenchmarkSFCKeys(b *testing.B) {
-	m := experiments.BaseMesh()
-	g := dual.Build(m)
+// BenchmarkSFCBuild measures one curve-order build of the rotor's dual
+// graph plus one cut of it at k = 8, per curve: the key pass, the sort
+// and the weighted cut, as an SFC method's initial partition runs them
+// before its boundary refinement.
+func BenchmarkSFCBuild(b *testing.B) {
+	g := dual.Build(experiments.BaseMesh())
 	for _, c := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
-		for _, bw := range benchWorkers() {
-			b.Run(fmt.Sprintf("%s/workers=%d", c, bw), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					keys := sfc.KeysWorkers(c, g.Centroid, bw)
-					if len(keys) != g.N {
-						b.Fatal("bad keys")
-					}
+		b.Run(c.String(), func(b *testing.B) {
+			for b.Loop() {
+				if asg := partition.NewSFCWorkers(g, c, 2).Repartition(g, 8); len(asg) != g.N {
+					b.Fatal("bad assignment")
 				}
-			})
-		}
+			}
+		})
 	}
-}
-
-// benchWorkers returns the worker counts the parallel-pipeline benches
-// compare: the serial baseline and the machine's full parallelism (when
-// they differ).
-func benchWorkers() []int {
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		return []int{1, p}
-	}
-	return []int{1}
 }

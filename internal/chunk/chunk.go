@@ -1,9 +1,8 @@
 // Package chunk is the shared chunked-scan machinery behind every
-// parallel O(n) loop in the pipeline: the psort sample sort's scatter
-// phases, the SFC key generation, the par remap scatter and SPL scans,
-// the band-FM gain phases, and the propagation engine's frontier sweeps.
-// It grew out of three private copies (psort, par, refine) of the same
-// worker-resolution and range-splitting helpers.
+// parallel O(n) loop in the pipeline: the par remap scatter and SPL
+// scans, the band-FM gain phases, and the propagation engine's frontier
+// sweeps. It grew out of private copies of the same worker-resolution
+// and range-splitting helpers.
 //
 // Determinism contract: chunk boundaries depend only on n and the
 // resolved worker count — never on scheduling — so callers that reduce
@@ -27,8 +26,8 @@ func Workers(n int) int {
 
 // EffectiveWorkers resolves the worker count a chunked scan actually runs
 // with: the knob via Workers, clamped to 1 below the caller's serial
-// cutoff and to n above it. The psort, refine, par, and propagate
-// subsystems wrap this with their own cutoffs; cost models must divide
+// cutoff and to n above it. The refine, par, and propagate subsystems
+// wrap this with their own cutoffs; cost models must divide
 // parallel phases by the resolved figure, not by the raw knob — a serial
 // fallback must be charged serially.
 func EffectiveWorkers(n, workers, cutoff int) int {

@@ -68,9 +68,9 @@ type Config struct {
 	Cost remap.CostModel
 	// Seed drives any randomized components.
 	Seed int64
-	// Workers bounds the worker-goroutine count of the parallel
-	// partitioning and refinement phases (SFC key generation, sample
-	// sort, chunked weighted cut, band-FM gain scatter). ≤ 0 means
+	// Workers bounds the worker-goroutine count of the parallel scans
+	// (band-FM gain scatter, remap flow scatter, SPL scans), and is the
+	// worker count the model charges the SFC pipeline across. ≤ 0 means
 	// runtime.GOMAXPROCS. Partition assignments are identical at every
 	// worker count; only wall time changes.
 	Workers int
@@ -193,14 +193,16 @@ type Framework struct {
 
 	// forcedRefiner is Config.Refiner resolved by New: the backend forced
 	// on every partitioner, nil when the config leaves each its own
-	// default. sfcRefiner is what the SFC hot path in repartition runs:
-	// the forced backend, or refine.Default.
-	forcedRefiner, sfcRefiner refine.Refiner
+	// default.
+	forcedRefiner refine.Refiner
 
 	// sfcCache holds the curve order for the SFC partitioners. The dual
-	// graph's centroids never change, so the order is computed once and
-	// every later repartition is an O(n) scan (see partition.SFCPartitioner).
-	sfcCache *partition.SFCPartitioner
+	// graph's centroids never change, so New builds the order once for
+	// the initial partition and every later repartition is an O(n) scan
+	// (see partition.SFCPartitioner). sfcBilled records whether a
+	// repartition has charged that build yet: the first one pays it.
+	sfcCache  *partition.SFCPartitioner
+	sfcBilled bool
 
 	// cycles counts completed Cycle calls; it scopes the fault keys so
 	// each cycle draws an independent schedule (par.Dist.FaultCycle).
@@ -232,25 +234,23 @@ func (f *Framework) CheckpointStats() ckpt.Stats {
 // graph partitioners count their matching/eigen-solve/refinement work
 // (the paper times only reassignment and remap, which silently flatters
 // its spectral partitioner); the SFC methods use the cached curve order,
-// so only the first call pays the O(n log n) parallel sort and the
-// critical-path count divides the parallel phases across Cfg.Workers.
-// Refinement ops land in the Mem share, charged at Model.MemOp.
+// so only the first call pays the O(n log n) sort and the critical-path
+// count divides the parallel phases across Cfg.Workers. Refinement ops
+// land in the Mem share, charged at Model.MemOp.
 func (f *Framework) repartition(k int) (partition.Assignment, machine.Ops) {
+	opt := partition.Options{Workers: f.Cfg.Workers, Seed: f.Cfg.Seed, Refiner: f.forcedRefiner}
 	c, ok := f.Cfg.Method.Curve()
 	if !ok {
-		return partition.PartitionCounted(f.G, k, f.Cfg.Method,
-			partition.Options{Workers: f.Cfg.Workers, Seed: f.Cfg.Seed, Refiner: f.forcedRefiner})
+		return partition.PartitionCounted(f.G, k, f.Cfg.Method, opt)
 	}
-	var ops machine.Ops
 	if f.sfcCache == nil || f.sfcCache.Curve != c {
-		f.sfcCache = partition.NewSFCWorkers(f.G, c, f.Cfg.Workers)
-		ops.Total = f.sfcCache.LastOps // the one-time sort
-		ops.Crit = f.sfcCache.LastCritOps
+		f.sfcCache, f.sfcBilled = partition.NewSFCWorkers(f.G, c, f.Cfg.Workers), false
 	}
-	asg := f.sfcCache.Repartition(f.G, k)
-	ops.Total += f.sfcCache.LastOps
-	ops.Crit += f.sfcCache.LastCritOps
-	ops.Add(f.sfcRefiner.Refine(f.G, asg, k, 2))
+	asg, ops := f.sfcCache.CutCounted(f.G, k, opt)
+	if !f.sfcBilled {
+		ops.Add(f.sfcCache.BuildOps())
+		f.sfcBilled = true
+	}
 	return asg, ops
 }
 
@@ -305,8 +305,19 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 		cfg.Checkpoint = true
 	}
 	g := dual.Build(m)
-	asg, _ := partition.PartitionCounted(g, cfg.P, cfg.Method,
-		partition.Options{Workers: cfg.Workers, Seed: cfg.Seed, Refiner: forced})
+	fw := &Framework{
+		Cfg: cfg,
+		M:   m,
+		G:   g,
+		A:   adapt.New(m),
+		S:   sol,
+
+		forcedRefiner: forced,
+	}
+	// The initial partition is not charged: the first balance pass pays
+	// for the curve order it reuses.
+	asg, _ := fw.repartition(cfg.P)
+	fw.sfcBilled = false
 	d := par.NewDist(m, cfg.P, asg)
 	d.Workers = cfg.Workers // the remap scatter and SPL scans share the knob
 	d.Prop = prop           // the adaption passes' notification exchange schedule
@@ -315,20 +326,7 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	d.Retry = cfg.Retry
 	d.StageDeadline = cfg.StageDeadline
 	d.Trace = cfg.Trace // per-rank remap spans + streaming window events
-	fw := &Framework{
-		Cfg: cfg,
-		M:   m,
-		G:   g,
-		D:   d,
-		A:   adapt.New(m),
-		S:   sol,
-
-		forcedRefiner: forced,
-		sfcRefiner:    forced,
-	}
-	if forced == nil {
-		fw.sfcRefiner = refine.Default(g.N, cfg.Workers)
-	}
+	fw.D = d
 	if cfg.Checkpoint {
 		fw.ck = ckpt.New()
 	}

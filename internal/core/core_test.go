@@ -412,7 +412,7 @@ func TestRefinerKnob(t *testing.T) {
 
 // TestBalanceWorkerCountInvariance runs the full SFC pipeline at several
 // worker counts and demands identical ownership — the framework-level
-// restatement of the psort determinism guarantee. It holds for a named
+// restatement of the curve order's determinism guarantee. It holds for a named
 // refiner on a small mesh and for the default ("") on a dual graph above
 // refine.SerialCutoff, where the band-FM's parallel path really runs at
 // workers > 1 and its serial replay at workers = 1.

@@ -43,8 +43,8 @@ type PartitionerTable struct {
 
 // RunPartitionerTable measures all backends on the Local_2-adapted paper
 // mesh, partitioning into k parts (k < 1 is treated as 1) with the given
-// worker knob for the parallel SFC and refinement phases (≤ 0 =
-// GOMAXPROCS). A non-nil refinement backend is forced on every
+// worker knob for the parallel refinement phases and the SFC charges (≤ 0
+// = GOMAXPROCS). A non-nil refinement backend is forced on every
 // partitioner; nil leaves each its own default (refine.Default, the
 // band-FM, for the SFC methods and graphgrow; classic FM inside
 // multilevel).
@@ -57,11 +57,8 @@ func RunPartitionerTable(k, workers int, forced refine.Refiner) *PartitionerTabl
 	// The incremental exhibit refines with the SFC path's default unless
 	// a backend was forced.
 	label := "auto"
-	incR := forced
 	if forced != nil {
 		label = forced.Name()
-	} else {
-		incR = refine.Default(g.N, workers)
 	}
 	opt := partition.Options{Workers: workers, Refiner: forced}
 	out := &PartitionerTable{K: k, Refiner: label}
@@ -76,10 +73,7 @@ func RunPartitionerTable(k, workers int, forced refine.Refiner) *PartitionerTabl
 
 		if c, ok := meth.Curve(); ok {
 			s := partition.NewSFCWorkers(g, c, workers)
-			row.IncrementalSeconds = minTime(func() {
-				inc := s.Repartition(g, k)
-				incR.Refine(g, inc, k, 2)
-			})
+			row.IncrementalSeconds = minTime(func() { s.CutCounted(g, k, opt) })
 		}
 		out.Rows = append(out.Rows, row)
 	}

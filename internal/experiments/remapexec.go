@@ -6,9 +6,7 @@ import (
 	"plum/internal/machine"
 	"plum/internal/par"
 	"plum/internal/partition"
-	"plum/internal/refine"
 	"plum/internal/remap"
-	"plum/internal/sfc"
 )
 
 // RemapExecRow is one processor count's remap-execution anatomy.
@@ -56,9 +54,7 @@ func RunRemapExecTable(workers int) *RemapExecTable {
 		d := par.NewDist(m, p, asg)
 		d.Workers = workers
 
-		s := partition.NewSFCWorkers(g, sfc.Hilbert, workers)
-		newPart := s.Repartition(g, p)
-		refine.Default(g.N, workers).Refine(g, newPart, p, 2)
+		newPart, _ := partition.PartitionCounted(g, p, partition.MethodHilbertSFC, partition.Options{Workers: workers})
 		sim := remap.Build(d.Owners(), newPart, g.Wremap, p, 1)
 		mp, _ := sim.Heuristic()
 		newOwner := make([]int32, len(newPart))

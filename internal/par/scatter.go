@@ -2,9 +2,9 @@ package par
 
 // The CSR flow scatter behind the remap executor: migrating elements are
 // laid out in one flat index, grouped by (src, dst) flow in canonical
-// src-major order, over the list of flows that exist. It keeps the
-// two-pass count/prefix-sum/fill structure of internal/psort's bucket
-// scatter, with the table of flows built sparse: pass 1 counts each worker
+// src-major order, over the list of flows that exist. It is a two-pass
+// count/prefix-sum/fill bucket scatter, with the table of flows built
+// sparse: pass 1 counts each worker
 // chunk's records per flow in per-source lists of the destinations seen; a
 // serial merge sorts the union into the canonical flow list and lays the
 // flows out contiguously (chunks in input order within each flow); pass 2

@@ -57,6 +57,23 @@ func gridGraph(nx, ny, nz int, seed int64) *dual.Graph {
 	return g
 }
 
+// FuzzSortByKey feeds arbitrary bytes as keys to the curve-order radix
+// sort: each byte picks one of eight keys that differ in a low, a middle
+// and the top byte, so passes are skipped and ties are everywhere. The
+// order must equal the (key, index) reference.
+func FuzzSortByKey(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{255, 1, 255, 1, 255, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		keys := make([]uint64, len(data))
+		for i, b := range data {
+			keys[i] = uint64(b&1) | uint64(b>>1&1)<<27 | uint64(b>>2&1)<<63
+		}
+		checkSortByKey(t, "fuzz", keys)
+	})
+}
+
 // FuzzPartitionAssignment is the repo-wide partitioner contract: every
 // backend, on every connected graph with 1 ≤ k ≤ N, must return an
 // Assignment where (a) every entry is in [0, k), (b) every part is

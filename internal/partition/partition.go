@@ -140,10 +140,10 @@ func MethodByName(name string) (Method, bool) {
 
 // Options configures a partitioning call.
 type Options struct {
-	// Workers bounds the worker-goroutine count of the parallel phases
-	// (SFC key generation, sample sort, chunked weighted cut, boundary
-	// refinement). ≤ 0 means runtime.GOMAXPROCS. Assignments are
-	// identical at every worker count.
+	// Workers bounds the worker-goroutine count of the parallel boundary
+	// refinement, and is the worker count the model charges the SFC
+	// pipeline across (see SFCPartitioner). ≤ 0 means runtime.GOMAXPROCS.
+	// Assignments are identical at every worker count.
 	Workers int
 	// Seed drives randomized components (GraphGrow seeding, multilevel
 	// matching order). 0 is treated as 1, the historical default.

@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"plum/internal/adapt"
@@ -247,6 +250,95 @@ func TestPartitionOversizedK(t *testing.T) {
 					t.Errorf("%v k=%d: vertex %d in invalid part %d", m, k, v, p)
 				}
 			}
+		}
+	}
+}
+
+// refSortByKey is the (key, index) order sortByKey must produce, by a
+// comparison sort.
+func refSortByKey(keys []uint64) []int32 {
+	idx := make([]int32, len(keys))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
+	})
+	return idx
+}
+
+// checkSortByKey compares sortByKey with the reference on a copy of keys.
+func checkSortByKey(t testing.TB, name string, keys []uint64) {
+	t.Helper()
+	want := refSortByKey(keys)
+	if got := sortByKey(slices.Clone(keys)); !slices.Equal(got, want) {
+		t.Fatalf("%s (n=%d): radix order differs from the (key, index) reference", name, len(keys))
+	}
+}
+
+// genKeys returns n keys, key i drawn from key(i).
+func genKeys(n int, key func(i int) uint64) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	return keys
+}
+
+// TestSortMatchesReference holds the curve-order radix sort to a
+// comparison sort on (key, index): empty and single inputs, keys sharing
+// their high bytes (those passes skipped), and 2¹⁶+3 keys with heavy
+// duplicates over the full 64-bit range.
+func TestSortMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pool := genKeys(97, func(int) uint64 { return rng.Uint64() })
+	for name, keys := range map[string][]uint64{
+		"empty":             {},
+		"one":               {42},
+		"shared-high-bytes": genKeys(5000, func(int) uint64 { return 0x7f3a<<48 | uint64(rng.Intn(1<<20)) }),
+		"duplicates":        genKeys(1<<16+3, func(int) uint64 { return pool[rng.Intn(len(pool))] }),
+	} {
+		checkSortByKey(t, name, keys)
+	}
+}
+
+// TestSortDuplicateKeyDeterminism pins the tie-break: with every key equal
+// (every digit skipped) the order is exactly index order.
+func TestSortDuplicateKeyDeterminism(t *testing.T) {
+	idx := sortByKey(genKeys(1000, func(int) uint64 { return 0xdeadbeef }))
+	for i, v := range idx {
+		if v != int32(i) {
+			t.Fatalf("equal-key tie-break broken at %d: got index %d", i, v)
+		}
+	}
+}
+
+// TestSortAlreadySortedAndReversed covers sorted and reversed runs.
+func TestSortAlreadySortedAndReversed(t *testing.T) {
+	checkSortByKey(t, "ascending", genKeys(5000, func(i int) uint64 { return uint64(i) << 40 }))
+	checkSortByKey(t, "descending", genKeys(5000, func(i int) uint64 { return uint64(5000-i) << 40 }))
+}
+
+// TestSortIndexByKey checks the index order the partitioner builds
+// directly, without the reference: a permutation of 0..n-1 in (key, index)
+// order, on dense duplicates.
+func TestSortIndexByKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	keys := genKeys(4096+321, func(int) uint64 { return rng.Uint64() % 64 })
+	orig := slices.Clone(keys)
+	idx := sortByKey(keys)
+	seen := make([]bool, len(orig))
+	for i, v := range idx {
+		if seen[v] {
+			t.Fatalf("index %d appears twice", v)
+		}
+		seen[v] = true
+		if i == 0 {
+			continue
+		}
+		a, b := idx[i-1], v
+		if orig[a] > orig[b] || (orig[a] == orig[b] && a >= b) {
+			t.Fatalf("order violated at %d: (%d,%d) then (%d,%d)", i, orig[a], a, orig[b], b)
 		}
 	}
 }

@@ -1,18 +1,26 @@
 package partition
 
 import (
-	"sort"
-
 	"plum/internal/chunk"
 	"plum/internal/dual"
 	"plum/internal/machine"
-	"plum/internal/psort"
 	"plum/internal/sfc"
 )
 
-// repartSerialCutoff is the vertex count below which Repartition's chunked
-// worker pool costs more than it recovers and the serial scan is used.
-const repartSerialCutoff = 1 << 13
+// The serial cutoffs of the parallel SFC pipeline the model charges (see
+// SFCPartitioner): below them a phase is charged serially.
+const (
+	// keysSerialCutoff is the point count from which key generation is
+	// charged across the workers.
+	keysSerialCutoff = 1 << 12
+	// sortSerialCutoff is the pair count from which the sample sort is
+	// charged across the workers, at no fewer than sortSerialCutoff/8
+	// pairs per worker.
+	sortSerialCutoff = 1 << 13
+	// repartSerialCutoff is the vertex count from which Repartition's
+	// weight scans are charged across the workers.
+	repartSerialCutoff = 1 << 13
+)
 
 // SFCPartitioner partitions the dual graph geometrically along a
 // space-filling curve: element centroids are quantized onto the curve's
@@ -20,10 +28,12 @@ const repartSerialCutoff = 1 << 13
 // weighted chunks. Curve locality makes the chunks spatially compact, and
 // the whole construction is O(n log n) — no eigen-solves.
 //
-// Every phase is parallel: key generation (sfc.KeysWorkers), the key sort
-// (psort's sample sort), and the weighted chunk cut (chunked prefix sums).
-// Equal keys are tie-broken by vertex index, so the curve order — and
-// therefore every Assignment — is byte-identical at any worker count.
+// The host runs one serial key pass, a stable radix sort and a serial
+// cut. The model charges the parallel pipeline of Borrell et al. instead,
+// over Workers: chunked key generation, a sample sort and a chunked
+// weighted cut, each charged serially below its size cutoff. Equal keys
+// keep vertex-index order, so the curve order, every Assignment and every
+// charge depend only on the graph and the worker knob.
 //
 // The curve order depends only on the centroids, which are fixed for the
 // lifetime of the dual graph (the paper's central invariant: the initial
@@ -34,8 +44,8 @@ const repartSerialCutoff = 1 << 13
 type SFCPartitioner struct {
 	// Curve is the space-filling curve used for ordering.
 	Curve sfc.Curve
-	// Workers is the resolved worker count used by the parallel phases
-	// (≥ 1; construction resolves 0 to GOMAXPROCS).
+	// Workers is the resolved worker count the model charges the parallel
+	// phases across (≥ 1; construction resolves 0 to GOMAXPROCS).
 	Workers int
 	// order holds the dual vertices sorted by curve key.
 	order []int32
@@ -51,32 +61,78 @@ type SFCPartitioner struct {
 }
 
 // NewSFCWorkers builds the cached curve order of g's centroids (the
-// O(n log n) part: key generation plus one sample sort) with the given
-// worker knob (≤ 0 = GOMAXPROCS). The curve order is identical at every
-// worker count.
+// O(n log n) part: key generation plus one sort), charged across the
+// given worker knob (≤ 0 = GOMAXPROCS). The curve order is the same at
+// every worker count.
 func NewSFCWorkers(g *dual.Graph, c sfc.Curve, workers int) *SFCPartitioner {
-	w := chunk.Workers(workers)
-	s := &SFCPartitioner{Curve: c, Workers: w, order: make([]int32, g.N)}
-	keys := sfc.KeysWorkers(c, g.Centroid, w)
-	for i := range s.order {
-		s.order[i] = int32(i)
-	}
-	psort.SortIndexByKey(keys, s.order, w)
-
-	// n key generations + n log2 n comparisons, for model timing. The
-	// critical path divides each phase by the worker count that phase
-	// *actually* ran with — both fall back to serial below their size
-	// cutoffs, and charging the knob instead would undercount the work a
-	// small graph really costs. The sample-sort's serial splitter
-	// selection is O(w² · oversample · log) — noise at any realistic
-	// n/w — and is folded into the +w term.
-	n := int64(g.N)
-	logn := int64(log2ceil(g.N))
-	kw := int64(sfc.EffectiveKeyWorkers(g.N, w))
-	sw := int64(psort.SortWorkers(g.N, w))
-	s.LastOps = n + n*logn
-	s.LastCritOps = critClamp(machine.CeilDiv(n, kw)+machine.CeilDiv(n*logn, sw)+sw-1, s.LastOps)
+	s := &SFCPartitioner{Curve: c, Workers: chunk.Workers(workers)}
+	s.order = sortByKey(sfc.Keys(c, g.Centroid))
+	b := s.BuildOps()
+	s.LastOps, s.LastCritOps = b.Total, b.Crit
 	return s
+}
+
+// BuildOps is the charge of building the curve order: n key generations
+// plus n·log2 n sort comparisons. The critical path divides each phase by
+// the workers it would run on, which is 1 below the phase's cutoff, so a
+// small graph is charged its whole serial cost. The sample sort's serial
+// splitter selection is folded into its +w term.
+func (s *SFCPartitioner) BuildOps() machine.Ops {
+	n := len(s.order)
+	kw := int64(phaseWorkers(n, s.Workers, keysSerialCutoff))
+	sw := int64(phaseWorkers(n, min(s.Workers, n/(sortSerialCutoff/8)), sortSerialCutoff))
+	keys, cmps := int64(n), int64(n)*int64(log2ceil(n))
+	crit := machine.CeilDiv(keys, kw) + machine.CeilDiv(cmps, sw) + sw - 1
+	return machine.Ops{Total: keys + cmps, Crit: critClamp(crit, keys+cmps)}
+}
+
+// phaseWorkers is the worker count a pipeline phase over n items is
+// charged across: w, or 1 below the phase's serial cutoff.
+func phaseWorkers(n, w, cutoff int) int {
+	if w <= 1 || n < cutoff {
+		return 1
+	}
+	return w
+}
+
+// sortByKey returns the indices of keys ordered by key, equal keys in
+// index order — the (key, index) order of the curve. It is a stable LSD
+// radix sort in 8-bit digits that skips every digit all keys share. keys
+// is used as scratch.
+func sortByKey(keys []uint64) []int32 {
+	n := len(keys)
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	if n < 2 {
+		return idx
+	}
+	var count [8][256]int // every digit's histogram, from one read of the keys
+	for _, k := range keys {
+		for d := range count {
+			count[d][k>>(8*d)&0xff]++
+		}
+	}
+	keys2, idx2 := make([]uint64, n), make([]int32, n)
+	for d := range count {
+		shift := 8 * d
+		pos := &count[d]
+		if pos[keys[0]>>shift&0xff] == n {
+			continue // one bucket holds every key: the pass would be a copy
+		}
+		sum := 0
+		for b, c := range pos {
+			pos[b], sum = sum, sum+c
+		}
+		for i, k := range keys {
+			b := k >> shift & 0xff
+			keys2[pos[b]], idx2[pos[b]] = k, idx[i]
+			pos[b]++
+		}
+		keys, keys2, idx, idx2 = keys2, keys, idx2, idx
+	}
+	return idx
 }
 
 // critClamp caps a critical-path estimate at the total: the serial merge
@@ -90,16 +146,14 @@ func critClamp(crit, total int64) int64 {
 }
 
 // Repartition cuts the cached curve order into k chunks balancing the
-// graph's *current* Wcomp, in O(n) work and O(n/Workers) critical path.
-// It is safe to call repeatedly as the weights evolve across adaption
-// steps; the sorted order is reused. The cut is identical at every worker
-// count: the chunked scan reproduces the serial prefix-sum windows
-// exactly.
+// graph's *current* Wcomp, in O(n) work, charged at O(n/Workers) critical
+// path. It is safe to call repeatedly as the weights evolve across
+// adaption steps; the sorted order is reused.
 //
 // Balance guarantee (before refinement): each chunk receives the vertices
 // whose weighted-midpoint prefix falls in one of k equal windows of the
 // total weight, so a chunk's weight exceeds ΣW/k by at most max(Wcomp) —
-// i.e. Imbalance ≤ 1 + k·max(Wcomp)/ΣW. A subsequent FM pass (see sfcCounted)
+// i.e. Imbalance ≤ 1 + k·max(Wcomp)/ΣW. A subsequent FM pass (see CutCounted)
 // reduces the cut while keeping every part within the larger of that
 // bound and its own 3% tolerance: Wmax ≤ max(ΣW/k + max(Wcomp), 1.03·ΣW/k).
 func (s *SFCPartitioner) Repartition(g *dual.Graph, k int) Assignment {
@@ -113,66 +167,26 @@ func (s *SFCPartitioner) Repartition(g *dual.Graph, k int) Assignment {
 	if k > n {
 		k = n
 	}
-	w := s.Workers
-	if w < 1 {
-		w = chunk.Workers(w)
-	}
-
-	// Resolve the worker count the cut actually runs with; the serial
-	// fallback must also be *charged* serially.
-	if w > 1 && n < repartSerialCutoff {
-		w = 1
-	}
-	var bounds []int
-	if w <= 1 {
-		bounds = s.cutSerial(g, k)
-	} else {
-		bounds = s.cutParallel(g, k, w)
-	}
+	bounds := s.cutSerial(g, k)
 	repairBounds(bounds, k, n)
-
-	// Fill: every vertex between consecutive bounds belongs to that part.
-	// Chunked over the order; each index is written exactly once.
-	chunk.For(n, w, func(_, lo, hi int) {
-		p := sort.Search(k, func(p int) bool { return bounds[p+1] > lo })
-		for i := lo; i < hi; i++ {
-			for i >= bounds[p+1] {
-				p++
-			}
-			asg[s.order[i]] = int32(p)
+	for p := 0; p < k; p++ {
+		for _, v := range s.order[bounds[p]:bounds[p+1]] {
+			asg[v] = int32(p)
 		}
-	})
+	}
 
 	// Weight-sum scan + window scan + fill, for model timing.
+	w := phaseWorkers(n, s.Workers, repartSerialCutoff)
 	s.LastOps = 3 * int64(n)
 	s.LastCritOps = critClamp(machine.CeilDiv(3*int64(n), int64(w))+int64(k)+int64(w), s.LastOps)
 	return asg
 }
 
-// windowOf returns the weight window of a vertex whose interval starts
-// at prefix with weight wv: the window containing the interval midpoint.
-// This is THE expression both cut paths share — the worker-count
-// invariance of Repartition rests on the parallel replay performing
-// bit-identical float64 arithmetic to the serial scan, so any change here
-// changes both paths together.
-func windowOf(prefix, wv, total int64, k int) int {
-	mid := float64(prefix) + float64(wv)/2
-	p := int(mid * float64(k) / float64(total))
-	if p > k-1 {
-		return k - 1
-	}
-	return p
-}
-
-// equalCountBounds fills the all-weights-zero cut: equal-count chunks.
-func equalCountBounds(bounds []int, k, n int) {
-	for p := 1; p < k; p++ {
-		bounds[p] = p * n / k
-	}
-}
-
 // cutSerial computes the raw window boundaries with a single prefix-sum
-// scan — the reference semantics cutParallel must reproduce exactly.
+// scan: vertex i (in curve order) belongs to the window containing the
+// midpoint of its weight interval [prefix, prefix+w). Midpoints are
+// increasing along the order, so chunks are contiguous. Without weight
+// the chunks are equal-count.
 func (s *SFCPartitioner) cutSerial(g *dual.Graph, k int) []int {
 	n := len(s.order)
 	var total int64
@@ -182,104 +196,23 @@ func (s *SFCPartitioner) cutSerial(g *dual.Graph, k int) []int {
 	bounds := make([]int, k+1)
 	bounds[k] = n
 	if total == 0 {
-		equalCountBounds(bounds, k, n)
+		for p := 1; p < k; p++ {
+			bounds[p] = p * n / k
+		}
 		return bounds
 	}
 	for p := 1; p < k; p++ {
 		bounds[p] = -1
 	}
-	// Chunk boundaries: vertex i (in curve order) belongs to the window
-	// containing the midpoint of its weight interval [prefix, prefix+w).
-	// Midpoints are increasing along the order, so chunks are contiguous.
 	var prefix int64
 	for i, v := range s.order {
-		p := windowOf(prefix, g.Wcomp[v], total, k)
+		mid := float64(prefix) + float64(g.Wcomp[v])/2
+		p := min(int(mid*float64(k)/float64(total)), k-1)
 		// First vertex of each window starts that window's chunk.
 		for q := p; q >= 1 && bounds[q] < 0; q-- {
 			bounds[q] = i
 		}
 		prefix += g.Wcomp[v]
-	}
-	return bounds
-}
-
-// cutParallel computes the same boundaries as cutSerial with a two-pass
-// chunked prefix sum: pass one accumulates per-chunk weight totals, a
-// short serial scan turns them into chunk offsets, and pass two replays
-// each chunk with its exact global prefix, recording the first vertex
-// landing in each weight window. Because every per-vertex computation
-// sees the same int64 prefix and performs the same float64 arithmetic as
-// the serial scan, the resulting windows are bit-identical.
-func (s *SFCPartitioner) cutParallel(g *dual.Graph, k, w int) []int {
-	n := len(s.order)
-	nc := chunk.Count(n, w)
-
-	// Pass 1: per-chunk weight sums → exclusive chunk offsets.
-	chunkSum := make([]int64, nc)
-	chunk.For(n, w, func(c, lo, hi int) {
-		var sum int64
-		for _, v := range s.order[lo:hi] {
-			sum += g.Wcomp[v]
-		}
-		chunkSum[c] = sum
-	})
-	offset := make([]int64, nc)
-	var total int64
-	for c, sum := range chunkSum {
-		offset[c] = total
-		total += sum
-	}
-
-	bounds := make([]int, k+1)
-	bounds[k] = n
-	if total == 0 {
-		equalCountBounds(bounds, k, n)
-		return bounds
-	}
-
-	// Pass 2: window-first scan per chunk. firsts[chunk][p] is the first
-	// in-chunk curve position whose weight midpoint lands in window p, or
-	// -1. Windows are nondecreasing along the order, so only the first
-	// hit per window matters.
-	firsts := make([][]int32, nc)
-	chunk.For(n, w, func(c, lo, hi int) {
-		fw := make([]int32, k)
-		for p := range fw {
-			fw[p] = -1
-		}
-		prefix := offset[c]
-		for i := lo; i < hi; i++ {
-			v := s.order[i]
-			p := windowOf(prefix, g.Wcomp[v], total, k)
-			if fw[p] < 0 {
-				fw[p] = int32(i)
-			}
-			prefix += g.Wcomp[v]
-		}
-		firsts[c] = fw
-	})
-
-	// Merge: the global first of window p is the earliest chunk's first
-	// (chunks cover increasing index ranges). The serial scan's backfill
-	// assigns bounds[q] the first vertex whose window is ≥ q, i.e. the
-	// minimum first over all windows ≥ q — a reverse running minimum.
-	fw := make([]int32, k)
-	for p := range fw {
-		fw[p] = -1
-	}
-	for _, cf := range firsts {
-		for p, i := range cf {
-			if fw[p] < 0 && i >= 0 {
-				fw[p] = i
-			}
-		}
-	}
-	carry := int32(-1)
-	for p := k - 1; p >= 1; p-- {
-		if fw[p] >= 0 && (carry < 0 || fw[p] < carry) {
-			carry = fw[p]
-		}
-		bounds[p] = int(carry)
 	}
 	return bounds
 }
@@ -305,19 +238,25 @@ func repairBounds(bounds []int, k, n int) {
 	}
 }
 
+// CutCounted cuts the cached order into k parts (Repartition) and smooths
+// the chunk boundaries with opt's refiner (curve cuts are jagged at the
+// element scale; one cheap boundary pass recovers most of the cut
+// quality). It reports the cut's compute-bound ops plus the smoothing
+// pass's memory-bound ones; the build's are BuildOps, for the caller to
+// charge once.
+func (s *SFCPartitioner) CutCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.Ops) {
+	asg := s.Repartition(g, k)
+	ops := machine.Ops{Total: s.LastOps, Crit: s.LastCritOps}
+	ops.Add(opt.refinerFor(g.N).Refine(g, asg, k, 2))
+	return asg, ops
+}
+
 // sfcCounted is the one-shot pipeline behind Partition: build the curve
-// order, cut it, and smooth the chunk boundaries with the configured
-// refiner (curve cuts are jagged at the element scale; one cheap boundary
-// pass recovers most of the cut quality). It reports total and
-// critical-path op counts: sort + incremental cut (compute-bound) plus the
-// smoothing pass (memory-bound, tracked in the Mem share).
+// order and charge it to its first cut.
 func sfcCounted(g *dual.Graph, k int, c sfc.Curve, opt Options) (Assignment, machine.Ops) {
 	s := NewSFCWorkers(g, c, opt.Workers)
-	ops := machine.Ops{Total: s.LastOps, Crit: s.LastCritOps}
-	asg := s.Repartition(g, k)
-	ops.Total += s.LastOps
-	ops.Crit += s.LastCritOps
-	ops.Add(opt.refinerFor(g.N).Refine(g, asg, k, 2))
+	asg, ops := s.CutCounted(g, k, opt)
+	ops.Add(s.BuildOps())
 	return asg, ops
 }
 

@@ -15,10 +15,7 @@
 // use.
 package sfc
 
-import (
-	"plum/internal/chunk"
-	"plum/internal/geom"
-)
+import "plum/internal/geom"
 
 // Bits is the lattice resolution per axis: coordinates are quantized to
 // [0, 2^Bits), and three axes interleave into a 3·Bits = 63-bit key.
@@ -107,86 +104,74 @@ func MortonDecode(key uint64) (x, y, z uint32) {
 
 // HilbertEncode returns the Hilbert-curve index of the lattice cell
 // (x, y, z), using Skilling's transpose algorithm (J. Skilling,
-// "Programming the Hilbert curve", AIP Conf. Proc. 707, 2004).
+// "Programming the Hilbert curve", AIP Conf. Proc. 707, 2004). The
+// transpose form lives in the three coordinates themselves, and its bit
+// planes interleave into the key, most significant plane first and x
+// highest within a plane: the Morton interleave of (z, y, x).
+//
+// It is the key pass's hot loop, so each step is branch-free: with set
+// all ones when the axis's bit b is 1, "invert x's low bits if set, else
+// exchange them with the axis's" is x ^= low&set, then the exchange
+// masked by ^set.
 func HilbertEncode(x, y, z uint32) uint64 {
-	X := [3]uint32{x & maxCoord, y & maxCoord, z & maxCoord}
+	x, y, z = x&maxCoord, y&maxCoord, z&maxCoord
 
 	// Inverse undo of the excess work (top bit down to bit 1).
-	for q := uint32(1 << (Bits - 1)); q > 1; q >>= 1 {
-		p := q - 1
-		for i := 0; i < 3; i++ {
-			if X[i]&q != 0 {
-				X[0] ^= p
-			} else {
-				t := (X[0] ^ X[i]) & p
-				X[0] ^= t
-				X[i] ^= t
-			}
-		}
+	for b := Bits - 1; b > 0; b-- {
+		low := uint32(1)<<b - 1
+		x ^= low & -(x >> b & 1)
+		set := -(y >> b & 1)
+		t := (x ^ y) & low &^ set
+		x ^= t ^ low&set
+		y ^= t
+		set = -(z >> b & 1)
+		t = (x ^ z) & low &^ set
+		x ^= t ^ low&set
+		z ^= t
 	}
-	// Gray encode.
-	for i := 1; i < 3; i++ {
-		X[i] ^= X[i-1]
+	// Gray encode. The correction t XORs 2^b − 1 over every set bit b ≥ 1
+	// of z, so bit j of t is the parity of z's bits above j: the inverse
+	// Gray code of z>>1.
+	y ^= x
+	z ^= y
+	t := z >> 1
+	for s := 1; s < Bits; s <<= 1 {
+		t ^= t >> s
 	}
-	var t uint32
-	for q := uint32(1 << (Bits - 1)); q > 1; q >>= 1 {
-		if X[2]&q != 0 {
-			t ^= q - 1
-		}
-	}
-	for i := 0; i < 3; i++ {
-		X[i] ^= t
-	}
-	return transposeToKey(X)
+	return MortonEncode(z^t, y^t, x^t)
 }
 
 // HilbertDecode inverts HilbertEncode.
 func HilbertDecode(key uint64) (x, y, z uint32) {
-	X := keyToTranspose(key)
+	z, y, x = MortonDecode(key)
 
 	// Gray decode by H ^ (H/2).
-	t := X[2] >> 1
-	for i := 2; i > 0; i-- {
-		X[i] ^= X[i-1]
-	}
-	X[0] ^= t
+	t := z >> 1
+	z ^= y
+	y ^= x
+	x ^= t
 	// Undo the excess work (bit 1 up to the top bit).
 	for q := uint32(2); q != 1<<Bits; q <<= 1 {
 		p := q - 1
-		for i := 2; i >= 0; i-- {
-			if X[i]&q != 0 {
-				X[0] ^= p
-			} else {
-				t := (X[0] ^ X[i]) & p
-				X[0] ^= t
-				X[i] ^= t
-			}
+		if z&q != 0 {
+			x ^= p
+		} else {
+			t := (x ^ z) & p
+			x ^= t
+			z ^= t
+		}
+		if y&q != 0 {
+			x ^= p
+		} else {
+			t := (x ^ y) & p
+			x ^= t
+			y ^= t
+		}
+		if x&q != 0 {
+			x ^= p
 		}
 	}
-	return X[0], X[1], X[2]
-}
-
-// transposeToKey interleaves the transpose form into a single key, most
-// significant bit plane first, axis 0 highest within a plane.
-func transposeToKey(X [3]uint32) uint64 {
-	var key uint64
-	for bit := Bits - 1; bit >= 0; bit-- {
-		for i := 0; i < 3; i++ {
-			key = key<<1 | uint64(X[i]>>uint(bit)&1)
-		}
-	}
-	return key
-}
-
-// keyToTranspose inverts transposeToKey.
-func keyToTranspose(key uint64) [3]uint32 {
-	var X [3]uint32
-	for bit := Bits - 1; bit >= 0; bit-- {
-		for i := 0; i < 3; i++ {
-			X[i] = X[i]<<1 | uint32(key>>uint(3*bit+2-i)&1)
-		}
-	}
-	return X
+	return x, y, z
 }
 
 // ------------------------------------------------------------ quantizer
@@ -240,71 +225,18 @@ func (q Quantizer) Key(c Curve, p geom.Vec3) uint64 {
 	return c.Encode(x, y, z)
 }
 
-// keysSerialCutoff is the point count below which the chunked worker pool
-// costs more than it recovers and KeysWorkers runs serially.
-const keysSerialCutoff = 1 << 12
-
-// EffectiveKeyWorkers returns the worker count KeysWorkers actually uses
-// for n points under the given knob: 1 when the serial path wins. Cost
-// models must divide key-generation time by this figure, not by the raw
-// knob.
-func EffectiveKeyWorkers(n, workers int) int {
-	w := chunk.Workers(workers)
-	if w <= 1 || n < keysSerialCutoff {
-		return 1
-	}
-	return w
-}
-
 // Keys computes the curve keys of a point set, quantized over the set's
-// own bounding box. It is the one-call entry point used by the
-// partitioner; key generation parallelizes over GOMAXPROCS workers (see
-// KeysWorkers).
+// own bounding box, in one serial pass: the partitioner's key
+// generation.
 func Keys(c Curve, pts []geom.Vec3) []uint64 {
-	return KeysWorkers(c, pts, 0)
-}
-
-// KeysWorkers is Keys with an explicit worker knob (≤ 0 = GOMAXPROCS).
-// The output is byte-identical at every worker count: the bounding box is
-// an exact min/max reduction (commutative and associative in float64, no
-// rounding), and each key depends only on its own point and the box.
-func KeysWorkers(c Curve, pts []geom.Vec3, workers int) []uint64 {
-	n := len(pts)
-	w := EffectiveKeyWorkers(n, workers)
-	if w <= 1 {
-		b := geom.EmptyAABB()
-		for _, p := range pts {
-			b = b.Extend(p)
-		}
-		q := NewQuantizer(b)
-		keys := make([]uint64, n)
-		for i, p := range pts {
-			keys[i] = q.Key(c, p)
-		}
-		return keys
-	}
-
-	// Chunked min/max reduction for the bounding box.
-	boxes := make([]geom.AABB, chunk.Count(n, w))
-	chunk.For(n, w, func(c, lo, hi int) {
-		b := geom.EmptyAABB()
-		for _, p := range pts[lo:hi] {
-			b = b.Extend(p)
-		}
-		boxes[c] = b
-	})
 	b := geom.EmptyAABB()
-	for _, cb := range boxes {
-		b = b.Union(cb)
+	for _, p := range pts {
+		b = b.Extend(p)
 	}
-
-	// Chunked key fill: every write is to a distinct index.
 	q := NewQuantizer(b)
-	keys := make([]uint64, n)
-	chunk.For(n, w, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = q.Key(c, pts[i])
-		}
-	})
+	keys := make([]uint64, len(pts))
+	for i, p := range pts {
+		keys[i] = q.Key(c, p)
+	}
 	return keys
 }

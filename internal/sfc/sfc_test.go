@@ -42,6 +42,9 @@ func TestRoundTripRandom(t *testing.T) {
 			if gx != x || gy != y || gz != z {
 				t.Fatalf("%v round trip (%d,%d,%d) -> (%d,%d,%d)", c, x, y, z, gx, gy, gz)
 			}
+			if c == Hilbert && HilbertEncode(x, y, z) != refHilbertEncode(x, y, z) {
+				t.Fatalf("HilbertEncode(%d,%d,%d) differs from the array-form reference", x, y, z)
+			}
 		}
 	}
 }
@@ -153,36 +156,39 @@ func TestCurveString(t *testing.T) {
 	}
 }
 
-// TestKeysWorkersParity pins the parallel-pipeline contract: KeysWorkers
-// must be byte-identical to the serial path at every worker count, above
-// and below the serial cutoff.
-func TestKeysWorkersParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{0, 1, 100, keysSerialCutoff - 1, keysSerialCutoff, keysSerialCutoff * 3} {
-		pts := make([]geom.Vec3, n)
-		for i := range pts {
-			pts[i] = geom.Vec3{
-				X: rng.Float64()*20 - 10,
-				Y: rng.Float64() * 0.01, // anisotropic: exercises per-axis scaling
-				Z: rng.NormFloat64(),
-			}
-		}
-		for _, c := range []Curve{Morton, Hilbert} {
-			want := KeysWorkers(c, pts, 1)
-			for _, w := range []int{0, 2, 3, 5, 8, 64} {
-				got := KeysWorkers(c, pts, w)
-				if len(got) != len(want) {
-					t.Fatalf("%v n=%d workers=%d: length %d != %d", c, n, w, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%v n=%d workers=%d: key %d differs: %#x != %#x",
-							c, n, w, i, got[i], want[i])
-					}
-				}
+// refHilbertEncode is Skilling's transpose algorithm in its textbook
+// array form, with the bit planes interleaved one bit at a time: the
+// reference HilbertEncode's register-resident version must equal.
+func refHilbertEncode(x, y, z uint32) uint64 {
+	X := [3]uint32{x & maxCoord, y & maxCoord, z & maxCoord}
+	for q := uint32(1 << (Bits - 1)); q > 1; q >>= 1 {
+		p := q - 1
+		for i := 0; i < 3; i++ {
+			if X[i]&q != 0 {
+				X[0] ^= p
+			} else {
+				t := (X[0] ^ X[i]) & p
+				X[0] ^= t
+				X[i] ^= t
 			}
 		}
 	}
+	for i := 1; i < 3; i++ {
+		X[i] ^= X[i-1]
+	}
+	var t uint32
+	for q := uint32(1 << (Bits - 1)); q > 1; q >>= 1 {
+		if X[2]&q != 0 {
+			t ^= q - 1
+		}
+	}
+	var key uint64
+	for bit := Bits - 1; bit >= 0; bit-- {
+		for i := 0; i < 3; i++ {
+			key = key<<1 | uint64((X[i]^t)>>uint(bit)&1)
+		}
+	}
+	return key
 }
 
 func absDiff(a, b uint32) uint32 {
@@ -193,15 +199,19 @@ func absDiff(a, b uint32) uint32 {
 }
 
 // FuzzHilbertRoundTrip fuzzes the encode↔decode round trip of the Hilbert
-// kernel over the whole lattice.
+// kernel over the whole lattice, and the encoder against the array-form
+// reference.
 func FuzzHilbertRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint32(0))
 	f.Add(uint32(1), uint32(2), uint32(3))
 	f.Add(uint32(maxCoord), uint32(maxCoord), uint32(maxCoord))
 	f.Add(uint32(1<<20), uint32(1<<10), uint32(1))
 	f.Fuzz(func(t *testing.T, x, y, z uint32) {
-		x, y, z = x&maxCoord, y&maxCoord, z&maxCoord
 		key := HilbertEncode(x, y, z)
+		if ref := refHilbertEncode(x, y, z); key != ref {
+			t.Fatalf("HilbertEncode(%d,%d,%d) = %#x, reference %#x", x, y, z, key, ref)
+		}
+		x, y, z = x&maxCoord, y&maxCoord, z&maxCoord
 		if key >= 1<<63 {
 			t.Fatalf("key %#x exceeds 63 bits", key)
 		}
