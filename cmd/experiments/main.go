@@ -15,7 +15,6 @@ import (
 
 	"plum/internal/experiments"
 	"plum/internal/machine"
-	"plum/internal/refine"
 )
 
 func main() {
@@ -23,7 +22,6 @@ func main() {
 	k := flag.Int("k", 16, "partition count for -exp partitioners")
 	faultSeed := flag.Int64("fault-seed", 7, "fault schedule seed for -exp faults")
 	workers := flag.Int("workers", 0, "worker goroutines for parallel partitioning, refinement, and adaption phases (0 = GOMAXPROCS)")
-	refiner := flag.String("refiner", "", "boundary-refinement backend for -exp partitioners: "+strings.Join(refine.Names, ", ")+" ('' = per-backend default)")
 	propg := flag.String("propagator", "", "adaption notification exchange schedule for -exp adapt: "+strings.Join(machine.ExchangeNames, ", ")+" ('' = flat)")
 	jsonOut := flag.Bool("json", false, "emit the selected experiments as one JSON object keyed by name instead of text tables")
 	flag.Parse()
@@ -31,15 +29,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "invalid -k %d: need at least 1 partition\n", *k)
 		os.Exit(2)
 	}
-	// The backend names resolve here, once; the runners take typed values.
-	var forced refine.Refiner
-	if *refiner != "" {
-		var ok bool
-		if forced, ok = refine.ByName(*refiner, *workers); !ok {
-			fmt.Fprintf(os.Stderr, "unknown refiner %q (have %s)\n", *refiner, strings.Join(refine.Names, ", "))
-			os.Exit(2)
-		}
-	}
+	// The propagator name resolves here, once; the runner takes a typed value.
 	prop, err := machine.ExchangeByName(*propg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown propagator %q (have %s)\n", *propg, strings.Join(machine.ExchangeNames, ", "))
@@ -57,7 +47,7 @@ func main() {
 		{"fig11", func() fmt.Stringer { return experiments.RunFig11() }},
 		{"fig12", func() fmt.Stringer { return experiments.RunFig12() }},
 		{"extension", func() fmt.Stringer { return experiments.RunExtensionRepeated(8, 6) }},
-		{"partitioners", func() fmt.Stringer { return experiments.RunPartitionerTable(*k, *workers, forced) }},
+		{"partitioners", func() fmt.Stringer { return experiments.RunPartitionerTable(*k, *workers) }},
 		{"remap", func() fmt.Stringer { return experiments.RunRemapExecTable(*workers) }},
 		{"adapt", func() fmt.Stringer { return experiments.RunAdaptTable(*workers, prop) }},
 		{"overlap", func() fmt.Stringer { return experiments.RunOverlapTable(*workers) }},

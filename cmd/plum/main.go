@@ -43,7 +43,6 @@ func main() {
 		thresh  = flag.Float64("threshold", 1.2, "imbalance threshold Wmax/Wavg for repartitioning")
 		mapper  = flag.String("mapper", "heuristic", "processor reassignment: heuristic, optimal")
 		parter  = flag.String("partitioner", "multilevel", "repartitioner: graphgrow, inertial, multilevel, morton, hilbert")
-		refiner = flag.String("refiner", "", "boundary-refinement backend forced on every partitioner: bandfm, diffusion, fm (default: each partitioner's own — band-FM for morton, hilbert and graphgrow, classic FM inside multilevel; the same partitions at any -workers)")
 		propg   = flag.String("propagator", "", "adaption notification exchange schedule: flat, aggregated (default: flat)")
 		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated (default: flat)")
 		seed    = flag.Int64("seed", 1, "random seed")
@@ -87,8 +86,7 @@ func main() {
 		log.Fatalf("unknown partitioner %q (have %v)", *parter, partition.Methods)
 	}
 	cfg.Method = method
-	// core.New resolves — and rejects — the three backend names.
-	cfg.Refiner = *refiner
+	// core.New resolves — and rejects — the two schedule names.
 	cfg.Propagator = *propg
 	cfg.Exchange = *exch
 	plan, err := fault.Parse(*faults)
@@ -147,12 +145,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("mesh: %s\n", m.Stats())
-	refName := cfg.Refiner
-	if refName == "" {
-		refName = "auto"
-	}
-	fmt.Printf("config: P=%d F=%d threshold=%.2f mapper=%s partitioner=%s refiner=%s propagator=%s exchange=%s workers=%d overlap=%v\n",
-		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Mapper, cfg.Method, refName, fw.D.Prop,
+	fmt.Printf("config: P=%d F=%d threshold=%.2f mapper=%s partitioner=%s propagator=%s exchange=%s workers=%d overlap=%v\n",
+		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Mapper, cfg.Method, fw.D.Prop,
 		fw.D.Exchange, chunk.Workers(cfg.Workers), cfg.Overlap)
 	if plan.Enabled() {
 		r := cfg.Retry.Normalize()

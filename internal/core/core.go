@@ -24,7 +24,6 @@ import (
 	"plum/internal/obs"
 	"plum/internal/par"
 	"plum/internal/partition"
-	"plum/internal/refine"
 	"plum/internal/remap"
 	"plum/internal/solver"
 )
@@ -74,15 +73,6 @@ type Config struct {
 	// runtime.GOMAXPROCS. Partition assignments are identical at every
 	// worker count; only wall time changes.
 	Workers int
-	// Refiner names the boundary-refinement backend forced on every
-	// partitioner: "bandfm" (the deterministic band-limited parallel
-	// FM), "diffusion" (Jostle-style weighted diffusion), or "fm" (the
-	// classic serial sweep). "" keeps each partitioner's own default —
-	// band-FM for the SFC methods and graphgrow, classic FM inside
-	// multilevel — which, like every named choice, gives the same
-	// partitions at any Workers. New resolves the name once. See
-	// internal/refine.
-	Refiner string
 	// Propagator names the exchange schedule of the adaption passes'
 	// notification traffic, spelled like Exchange: "flat" (the paper's one
 	// message per rank pair) or "aggregated" (one combined message per
@@ -191,11 +181,6 @@ type Framework struct {
 	A   *adapt.Adaptor
 	S   *solver.Solver
 
-	// forcedRefiner is Config.Refiner resolved by New: the backend forced
-	// on every partitioner, nil when the config leaves each its own
-	// default.
-	forcedRefiner refine.Refiner
-
 	// sfcCache holds the curve order for the SFC partitioners. The dual
 	// graph's centroids never change, so New builds the order once for
 	// the initial partition and every later repartition is an O(n) scan
@@ -238,7 +223,7 @@ func (f *Framework) CheckpointStats() ckpt.Stats {
 // count divides the parallel phases across Cfg.Workers. Refinement ops
 // land in the Mem share, charged at Model.MemOp.
 func (f *Framework) repartition(k int) (partition.Assignment, machine.Ops) {
-	opt := partition.Options{Workers: f.Cfg.Workers, Seed: f.Cfg.Seed, Refiner: f.forcedRefiner}
+	opt := partition.Options{Workers: f.Cfg.Workers, Seed: f.Cfg.Seed}
 	c, ok := f.Cfg.Method.Curve()
 	if !ok {
 		return partition.PartitionCounted(f.G, k, f.Cfg.Method, opt)
@@ -277,13 +262,6 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 		// imb > NaN is always false: the balancer would never run.
 		return nil, errors.New("core: ImbalanceThreshold is NaN")
 	}
-	var forced refine.Refiner
-	if cfg.Refiner != "" {
-		var ok bool
-		if forced, ok = refine.ByName(cfg.Refiner, cfg.Workers); !ok {
-			return nil, fmt.Errorf("core: unknown refiner %q (have %v)", cfg.Refiner, refine.Names)
-		}
-	}
 	prop, err := machine.ExchangeByName(cfg.Propagator)
 	if err != nil {
 		return nil, fmt.Errorf("core: unknown propagator %q (have %v)", cfg.Propagator, machine.ExchangeNames)
@@ -311,8 +289,6 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 		G:   g,
 		A:   adapt.New(m),
 		S:   sol,
-
-		forcedRefiner: forced,
 	}
 	// The initial partition is not charged: the first balance pass pays
 	// for the curve order it reuses.
@@ -444,9 +420,9 @@ type BalanceReport struct {
 	RepartitionOps     int64
 	RepartitionCritOps int64
 	// RefineOps and RefineCritOps are the memory-bound refinement share
-	// of the figures above (the band-FM/diffusion gain scatter), charged
-	// at Model.MemOp; the compute-bound remainder (key encoding, sorts,
-	// eigen-solves) is charged at Model.CompOp.
+	// of the figures above (band-FM's gain scatter, classic FM's sweeps),
+	// charged at Model.MemOp; the compute-bound remainder (key encoding,
+	// sorts, eigen-solves) is charged at Model.CompOp.
 	RefineOps     int64
 	RefineCritOps int64
 	// RepartitionTime = RepartitionCompTime + RepartitionMemTime: the

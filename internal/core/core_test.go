@@ -381,61 +381,31 @@ func TestBalanceSplitsMemCompTime(t *testing.T) {
 	}
 }
 
-// TestRefinerKnob runs the balance pipeline under every refinement
-// backend and rejects unknown names at construction.
-func TestRefinerKnob(t *testing.T) {
-	for _, name := range refine.Names {
-		cfg := DefaultConfig(8)
-		cfg.Refiner = name // resolved by New, so it goes in up front
-		cfg.Method = partition.MethodHilbertSFC
-		f, err := New(meshgen.SmallBox(), nil, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
-		f.A.Refine()
-		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.4}, adapt.MarkRefine)
-		f.A.Refine()
-		rep, err := f.Balance()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if rep.Repartitioned && rep.Accepted && rep.ImbalanceAfter >= rep.ImbalanceBefore {
-			t.Errorf("%s: accepted remap did not improve balance: %.3f -> %.3f",
-				name, rep.ImbalanceBefore, rep.ImbalanceAfter)
-		}
-	}
-	if _, err := New(meshgen.SmallBox(), nil, Config{P: 2, F: 1, Refiner: "nope"}); err == nil {
-		t.Error("accepted unknown refiner")
-	}
-}
-
 // TestBalanceWorkerCountInvariance runs the full SFC pipeline at several
 // worker counts and demands identical ownership — the framework-level
-// restatement of the curve order's determinism guarantee. It holds for a named
-// refiner on a small mesh and for the default ("") on a dual graph above
-// refine.SerialCutoff, where the band-FM's parallel path really runs at
-// workers > 1 and its serial replay at workers = 1.
+// restatement of the curve order's determinism guarantee — and an
+// accepted remap that improves balance. It holds on a small mesh and on a
+// dual graph above refine.SerialCutoff, where the band-FM's parallel path
+// really runs at workers > 1 and its serial replay at workers = 1.
 func TestBalanceWorkerCountInvariance(t *testing.T) {
 	for _, tc := range []struct {
-		refiner string
+		name    string
 		mesh    func() *mesh.Mesh
 		workers []int
 	}{
-		{"bandfm", meshgen.SmallBox, []int{1, 2, 5}},
-		{"", func() *mesh.Mesh { return meshgen.Box(9, 9, 9, geom.Vec3{X: 1, Y: 1, Z: 1}) }, []int{1, 2, 4}},
+		{"small", meshgen.SmallBox, []int{1, 2, 5}},
+		{"box9", func() *mesh.Mesh { return meshgen.Box(9, 9, 9, geom.Vec3{X: 1, Y: 1, Z: 1}) }, []int{1, 2, 4}},
 	} {
 		var ref []int32
 		for _, workers := range tc.workers {
 			cfg := DefaultConfig(8)
 			cfg.Method = partition.MethodHilbertSFC
 			cfg.Workers = workers
-			cfg.Refiner = tc.refiner
 			f, err := New(tc.mesh(), nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.refiner == "" && f.G.N < refine.SerialCutoff {
+			if tc.name == "box9" && f.G.N < refine.SerialCutoff {
 				t.Fatalf("dual graph has %d vertices, need ≥ %d", f.G.N, refine.SerialCutoff)
 			}
 			f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
@@ -444,17 +414,21 @@ func TestBalanceWorkerCountInvariance(t *testing.T) {
 			f.A.Refine()
 			rep, err := f.Balance()
 			if err != nil {
-				t.Fatalf("refiner=%q workers=%d: %v", tc.refiner, workers, err)
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
 			if !rep.Accepted {
-				t.Fatalf("refiner=%q workers=%d: fixture executed no remap", tc.refiner, workers)
+				t.Fatalf("%s workers=%d: fixture executed no remap", tc.name, workers)
+			}
+			if rep.ImbalanceAfter >= rep.ImbalanceBefore {
+				t.Errorf("%s workers=%d: accepted remap did not improve balance: %.3f -> %.3f",
+					tc.name, workers, rep.ImbalanceBefore, rep.ImbalanceAfter)
 			}
 			owners := f.D.Owners()
 			if ref == nil {
 				ref = owners
 			} else if !slices.Equal(owners, ref) {
-				t.Errorf("refiner=%q workers=%d: ownership diverges from workers=%d",
-					tc.refiner, workers, tc.workers[0])
+				t.Errorf("%s workers=%d: ownership diverges from workers=%d",
+					tc.name, workers, tc.workers[0])
 			}
 		}
 	}

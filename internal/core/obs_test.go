@@ -64,7 +64,6 @@ func tracedRun(t *testing.T, workers int, overlap, faulty bool) (perfetto, jsonl
 		cfg.Method = partition.MethodHilbertSFC
 		cfg.Workers = workers
 		cfg.Overlap = overlap
-		cfg.Refiner = "bandfm"
 		cfg.Trace = tr
 		cfg.Metrics = reg
 		f, err = New(m, nil, cfg)

@@ -21,9 +21,6 @@ func overlapFW(t *testing.T, workers int, overlap bool) *Framework {
 	cfg.Method = partition.MethodHilbertSFC
 	cfg.Workers = workers
 	cfg.Overlap = overlap
-	// Named rather than defaulted, so the bytes this file pins do not
-	// move if the SFC path's default refiner ever does.
-	cfg.Refiner = "bandfm"
 	f, err := New(m, nil, cfg)
 	if err != nil {
 		t.Fatal(err)

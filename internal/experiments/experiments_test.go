@@ -219,7 +219,7 @@ func TestPartitionerTableClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale comparison (runs the Lanczos backends)")
 	}
-	tb := RunPartitionerTable(16, 0, nil)
+	tb := RunPartitionerTable(16, 0)
 	if len(tb.Rows) != len(partition.Methods) {
 		t.Fatalf("table has %d rows, want %d", len(tb.Rows), len(partition.Methods))
 	}

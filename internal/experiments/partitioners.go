@@ -7,7 +7,6 @@ import (
 
 	"plum/internal/machine"
 	"plum/internal/partition"
-	"plum/internal/refine"
 )
 
 // PartitionerRow is one backend's quality/cost measurement on the
@@ -36,32 +35,23 @@ type PartitionerRow struct {
 // reach spectral-class balance at a fraction of the cost, and repartition
 // incrementally in O(n).
 type PartitionerTable struct {
-	K       int
-	Refiner string
-	Rows    []PartitionerRow
+	K    int
+	Rows []PartitionerRow
 }
 
 // RunPartitionerTable measures all backends on the Local_2-adapted paper
 // mesh, partitioning into k parts (k < 1 is treated as 1) with the given
 // worker knob for the parallel refinement phases and the SFC charges (≤ 0
-// = GOMAXPROCS). A non-nil refinement backend is forced on every
-// partitioner; nil leaves each its own default (refine.Default, the
-// band-FM, for the SFC methods and graphgrow; classic FM inside
-// multilevel).
-func RunPartitionerTable(k, workers int, forced refine.Refiner) *PartitionerTable {
+// = GOMAXPROCS). Each partitioner refines with its own backend: band-FM
+// for the SFC methods and graphgrow, classic FM inside multilevel.
+func RunPartitionerTable(k, workers int) *PartitionerTable {
 	if k < 1 {
 		k = 1
 	}
 	_, g := adaptedMesh()
 
-	// The incremental exhibit refines with the SFC path's default unless
-	// a backend was forced.
-	label := "auto"
-	if forced != nil {
-		label = forced.Name()
-	}
-	opt := partition.Options{Workers: workers, Refiner: forced}
-	out := &PartitionerTable{K: k, Refiner: label}
+	opt := partition.Options{Workers: workers}
+	out := &PartitionerTable{K: k}
 	for _, meth := range partition.Methods {
 		row := PartitionerRow{Method: meth}
 		var asg partition.Assignment
@@ -114,7 +104,7 @@ func (t *PartitionerTable) Row(m partition.Method) PartitionerRow {
 // workers and the critical-path share (equal for the serial graph
 // backends).
 func (t *PartitionerTable) String() string {
-	tb := newTable(fmt.Sprintf("Partitioner backends on the Local_2-adapted mesh, k=%d, refiner=%s (host wall time)", t.K, t.Refiner))
+	tb := newTable(fmt.Sprintf("Partitioner backends on the Local_2-adapted mesh, k=%d (host wall time)", t.K))
 	tb.row("method", "t_part (s)", "t_incr (s)", "ops", "crit ops", "refine crit", "Wmax/Wavg", "edge cut")
 	for _, r := range t.Rows {
 		inc := "-"

@@ -106,7 +106,7 @@ func TestSFCPartitionParity(t *testing.T) {
 		g := dual.Build(m)
 		s := partition.NewSFCWorkers(g, curve, 0)
 		asg := s.Repartition(g, p)
-		refine.NewBandFM(0).Refine(g, asg, p, 2)
+		refine.Default(g.N, 0).Refine(g, asg, p, 2)
 		d := NewDist(m, p, asg)
 		a := adapt.New(m)
 		a.MarkRandom(0.15, adapt.MarkRefine, 77)
@@ -123,7 +123,7 @@ func TestSFCPartitionParity(t *testing.T) {
 		// minimize movement, then the executed remap.
 		g.UpdateWeights(m)
 		newPart := s.Repartition(g, p)
-		refine.NewBandFM(0).Refine(g, newPart, p, 2)
+		refine.Default(g.N, 0).Refine(g, newPart, p, 2)
 		if imb := partition.Imbalance(g, newPart, p); imb > 1.10 {
 			t.Errorf("%v: repartition imbalance %.3f > 1.10", curve, imb)
 		}

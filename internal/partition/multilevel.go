@@ -12,13 +12,14 @@ import (
 // multilevelCounted partitions by the Chaco-style multilevel scheme: the
 // dual graph is coarsened by repeated edge matchings until it is small,
 // the coarse graph is partitioned spectrally, and the partition is
-// projected back up with boundary refinement at every level. It counts
-// the matching and edge-collapse work of every coarsening level, the
-// spectral solve on the coarsest graph, and the projection plus boundary
-// refinement of every uncoarsening level. The scheme itself is serial (only the configured
-// refiner's passes may parallelize, on levels big enough to engage it).
-// opt.Seed offsets the per-level matching RNG; seed 1 reproduces the
-// historical level-index seeding.
+// projected back up with boundary refinement at every level. The
+// refinement is the classic cascading FM sweep (refine.FMRefine), charged
+// as serial memory-bound work: the scheme is serial end to end, and
+// opt.Workers plays no part. It counts the matching and edge-collapse
+// work of every coarsening level, the spectral solve on the coarsest
+// graph, and the projection plus boundary refinement of every
+// uncoarsening level. opt.Seed offsets the per-level matching RNG; seed 1
+// reproduces the historical level-index seeding.
 func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.Ops) {
 	const coarseTarget = 200
 	target := coarseTarget
@@ -26,13 +27,6 @@ func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.O
 		target = 4 * k
 	}
 	seed := opt.Seed
-	// Multilevel's per-level graphs are small and the scheme is serial,
-	// so its historical default refiner is the classic cascading FM
-	// sweep; an explicitly configured backend (Options.Refiner) wins.
-	r := opt.Refiner
-	if r == nil {
-		r = refine.FM{}
-	}
 
 	var ops machine.Ops
 
@@ -56,7 +50,7 @@ func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.O
 	// Initial partition of the coarsest graph.
 	asg, sops := spectralCounted(cur, k)
 	ops.Add(sops)
-	ops.Add(r.Refine(cur, asg, k, 4))
+	ops.AddSerialMem(refine.FMRefine(cur, asg, k, 4))
 
 	// Uncoarsen with refinement.
 	for li := len(levels) - 1; li >= 1; li-- {
@@ -68,7 +62,7 @@ func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.O
 		}
 		asg = fineAsg
 		ops.AddSerial(int64(fine.N))
-		ops.Add(r.Refine(fine, asg, k, 2))
+		ops.AddSerialMem(refine.FMRefine(fine, asg, k, 2))
 	}
 	return asg, ops
 }
@@ -184,8 +178,3 @@ func coarsenCounted(g *dual.Graph, seed int64) (*dual.Graph, []int32, int64) {
 	}
 	return cg, cmap, ops
 }
-
-// Boundary refinement lives in internal/refine since the band-FM
-// extraction: the classic serial sweep is refine.FMRefine, and the
-// partitioners smooth their cuts through the Options.Refiner backend
-// (refine.BandFM by default).

@@ -140,31 +140,16 @@ func MethodByName(name string) (Method, bool) {
 
 // Options configures a partitioning call.
 type Options struct {
-	// Workers bounds the worker-goroutine count of the parallel boundary
-	// refinement, and is the worker count the model charges the SFC
-	// pipeline across (see SFCPartitioner). ≤ 0 means runtime.GOMAXPROCS.
-	// Assignments are identical at every worker count.
+	// Workers bounds the worker-goroutine count of the band-FM boundary
+	// refinement (refine.Default) that the SFC methods and GraphGrow run
+	// after their cuts, and is the worker count the model charges the SFC
+	// pipeline across (see SFCPartitioner). Multilevel refines with the
+	// serial classic sweep (refine.FMRefine) and ignores it. ≤ 0 means
+	// runtime.GOMAXPROCS. Assignments are identical at every worker count.
 	Workers int
 	// Seed drives randomized components (GraphGrow seeding, multilevel
 	// matching order). 0 is treated as 1, the historical default.
 	Seed int64
-	// Refiner is the boundary-refinement backend applied by the backends
-	// that smooth their cuts (GraphGrow, Multilevel, the SFC methods).
-	// nil selects each backend's own default: refine.Default (the
-	// deterministic band-limited FM) for the SFC pipeline and GraphGrow,
-	// the classic serial sweep for Multilevel (whose per-level graphs are
-	// small and serial). A non-nil value wins everywhere.
-	Refiner refine.Refiner
-}
-
-// refinerFor returns the configured refinement backend for an n-vertex
-// graph, defaulting to refine.Default at the options' worker knob (the
-// default of every backend except Multilevel — see multilevelCounted).
-func (o Options) refinerFor(n int) refine.Refiner {
-	if o.Refiner != nil {
-		return o.Refiner
-	}
-	return refine.Default(n, o.Workers)
 }
 
 // Partition divides g into k parts with the chosen method. A valid
@@ -204,8 +189,8 @@ func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, 
 // result balanced by construction even at high k, where sequential growth
 // leaves the last parts only fragmented leftovers. It counts one op per
 // lightest-part scan entry, per adjacency visit, and per refinement op.
-// Growth is serial (Total == Crit); only the boundary-smoothing pass of
-// the configured refiner may parallelize.
+// Growth is serial (Total == Crit); only the band-FM boundary-smoothing
+// pass may parallelize.
 func graphGrowCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.Ops) {
 	seed := opt.Seed
 	var ops int64
@@ -296,7 +281,7 @@ func graphGrowCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.Op
 	}
 	// A refinement pass smooths the growth fronts.
 	out := machine.Ops{Total: ops, Crit: ops}
-	out.Add(opt.refinerFor(g.N).Refine(g, asg, k, 2))
+	out.Add(refine.Default(g.N, opt.Workers).Refine(g, asg, k, 2))
 	return asg, out
 }
 

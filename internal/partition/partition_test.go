@@ -9,6 +9,7 @@ import (
 	"plum/internal/adapt"
 	"plum/internal/dual"
 	"plum/internal/geom"
+	"plum/internal/machine"
 	"plum/internal/meshgen"
 	"plum/internal/refine"
 	"plum/internal/sfc"
@@ -124,7 +125,7 @@ func TestSFCIncrementalRepartition(t *testing.T) {
 		a.Refine()
 		g.UpdateWeights(m)
 		asg2 := s.Repartition(g, 8)
-		refine.NewBandFM(0).Refine(g, asg2, 8, 2)
+		refine.Default(g.N, 0).Refine(g, asg2, 8, 2)
 		checkAssignment(t, g, asg2, 8, c.String()+"/adapted", 1.10)
 
 		scratch, _ := sfcCounted(g, 8, c, Options{})
@@ -186,33 +187,39 @@ func TestImbalancePerfect(t *testing.T) {
 	}
 }
 
-// TestRefinersImproveCut pins the partition-facing contract of every
-// refinement backend on a mesh dual: starting from a deliberately bad
-// odd/even striping, the FM-family backends must reduce the cut, and
-// none may break balance. (The per-backend algorithmic contracts live in
-// internal/refine's own tests.)
+// TestRefinersImproveCut pins the partition-facing contract of both
+// refiners on a mesh dual — band-FM as the SFC methods and graphgrow call
+// it, classic FM as multilevel charges it: starting from a deliberately
+// bad odd/even striping, each must reduce the cut without breaking
+// balance. (The algorithmic contracts live in internal/refine's own
+// tests.)
 func TestRefinersImproveCut(t *testing.T) {
 	g := testGraph(t)
-	for _, name := range refine.Names {
-		r, ok := refine.ByName(name, 0)
-		if !ok {
-			t.Fatalf("refiner %q missing", name)
-		}
+	for _, r := range []struct {
+		name   string
+		refine func(asg Assignment) machine.Ops
+	}{
+		{"bandfm", func(asg Assignment) machine.Ops { return refine.Default(g.N, 0).Refine(g, asg, 2, 8) }},
+		{"fm", func(asg Assignment) machine.Ops {
+			var ops machine.Ops
+			ops.AddSerialMem(refine.FMRefine(g, asg, 2, 8))
+			return ops
+		}},
+	} {
 		asg := make(Assignment, g.N)
 		for i := range asg {
 			asg[i] = int32(i % 2)
 		}
 		before := EdgeCut(g, asg)
-		ops := r.Refine(g, asg, 2, 8)
-		after := EdgeCut(g, asg)
-		if name != "diffusion" && after >= before {
-			t.Errorf("%s did not improve cut: %d -> %d", name, before, after)
+		ops := r.refine(asg)
+		if after := EdgeCut(g, asg); after >= before {
+			t.Errorf("%s did not improve cut: %d -> %d", r.name, before, after)
 		}
 		if imb := Imbalance(g, asg, 2); imb > 1.2 {
-			t.Errorf("%s broke balance: %.3f", name, imb)
+			t.Errorf("%s broke balance: %.3f", r.name, imb)
 		}
 		if ops.Total <= 0 || ops.Crit <= 0 || ops.Crit > ops.Total {
-			t.Errorf("%s: bad op accounting %+v", name, ops)
+			t.Errorf("%s: bad op accounting %+v", r.name, ops)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"plum/internal/chunk"
 	"plum/internal/dual"
 	"plum/internal/machine"
+	"plum/internal/refine"
 	"plum/internal/sfc"
 )
 
@@ -239,15 +240,15 @@ func repairBounds(bounds []int, k, n int) {
 }
 
 // CutCounted cuts the cached order into k parts (Repartition) and smooths
-// the chunk boundaries with opt's refiner (curve cuts are jagged at the
-// element scale; one cheap boundary pass recovers most of the cut
+// the chunk boundaries with band-FM at opt.Workers (curve cuts are jagged
+// at the element scale; one cheap boundary pass recovers most of the cut
 // quality). It reports the cut's compute-bound ops plus the smoothing
 // pass's memory-bound ones; the build's are BuildOps, for the caller to
 // charge once.
 func (s *SFCPartitioner) CutCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.Ops) {
 	asg := s.Repartition(g, k)
 	ops := machine.Ops{Total: s.LastOps, Crit: s.LastCritOps}
-	ops.Add(opt.refinerFor(g.N).Refine(g, asg, k, 2))
+	ops.Add(refine.Default(g.N, opt.Workers).Refine(g, asg, k, 2))
 	return asg, ops
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // BandFM is the deterministic band-limited parallel Fiduccia–Mattheyses
-// refiner — the default backend. Each pass:
+// refiner returned by Default. Each pass:
 //
 //  1. extracts the boundary band (vertices with a neighbour in another
 //     part) with a chunked parallel scan;
@@ -32,13 +32,9 @@ type BandFM struct {
 	Workers int
 }
 
-// NewBandFM returns a band-limited FM refiner with the given worker knob.
-func NewBandFM(workers int) *BandFM { return &BandFM{Workers: workers} }
-
-// Name implements Refiner.
-func (r *BandFM) Name() string { return "bandfm" }
-
-// Refine implements Refiner.
+// Refine runs up to passes band sweeps over g, improving asg (a k-way
+// assignment) in place, and returns the op accounting of the work
+// performed.
 func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 	var ops machine.Ops
 	if k <= 1 || g.N == 0 {
@@ -188,10 +184,11 @@ func taken(colors []int32, c int32) bool {
 	return false
 }
 
-// proposeMove replicates the serial FM move selection for v against the
-// frozen weight snapshot w0: the best positive-gain move that fits the
-// balance cap, or a zero-gain move into a strictly lighter part. conn is
-// a k-sized scratch owned by the calling worker.
+// proposeMove is the move rule both refiners share: v's best
+// positive-gain move that fits the balance cap under the part weights w0,
+// or a zero-gain move into a strictly lighter part, or v's own part when
+// neither exists. BandFM passes a frozen per-class snapshot, FMRefine the
+// live weights. conn is a k-sized scratch owned by the caller.
 func proposeMove(g *dual.Graph, asg []int32, v int32, w0 []int64, maxW int64, conn []int32) int32 {
 	a := asg[v]
 	for i := range conn {

@@ -4,10 +4,11 @@ import "testing"
 
 // FuzzRefinerValidity is the package-wide refiner contract under
 // arbitrary connected lattice graphs, weight distributions, and starting
-// partitions: every backend must preserve assignment validity (entries
+// partitions: both refiners must preserve assignment validity (entries
 // in range, no part emptied), never push the heaviest part past
 // max(Wmax_before, the 3% cap), report sane ops, and — the determinism
-// contract — produce byte-identical output at any worker count.
+// contract — produce byte-identical output at any worker count. FMRefine
+// must also match its inline reference sweep move for move.
 func FuzzRefinerValidity(f *testing.F) {
 	f.Add(uint8(3), uint8(3), uint8(3), uint8(4), uint8(0), int64(1))
 	f.Add(uint8(6), uint8(2), uint8(1), uint8(7), uint8(1), int64(2))
@@ -20,18 +21,21 @@ func FuzzRefinerValidity(f *testing.F) {
 		if k > g.N {
 			k = g.N
 		}
-		name := Names[int(ri)%len(Names)]
+		serial := backends(1)
+		ix := int(ri) % len(serial)
+		name := serial[ix].name
 
 		init := blockAssignment(g.N, k)
+		checkFMMatchesReference(t, g, init, k, 2, "fm/block")
+
 		var total, before int64
 		for _, w := range g.Wcomp {
 			total += w
 		}
 		before = maxLoad(g, init, k)
 
-		serial, _ := ByName(name, 1)
 		ref := append([]int32(nil), init...)
-		refOps := serial.Refine(g, ref, k, 2)
+		refOps := serial[ix].refine(g, ref, k, 2)
 		if refOps.Crit != refOps.Total {
 			t.Fatalf("%s workers=1: Crit %d != Total %d", name, refOps.Crit, refOps.Total)
 		}
@@ -50,9 +54,8 @@ func FuzzRefinerValidity(f *testing.F) {
 				name, k, after, before, cap)
 		}
 
-		par, _ := ByName(name, 4)
 		got := append([]int32(nil), init...)
-		ops := par.Refine(g, got, k, 2)
+		ops := backends(4)[ix].refine(g, got, k, 2)
 		if ops.Crit > ops.Total {
 			t.Fatalf("%s workers=4: critical path %d exceeds total %d", name, ops.Crit, ops.Total)
 		}

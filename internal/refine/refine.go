@@ -4,25 +4,25 @@
 // serial Fiduccia–Mattheyses pass became the critical-path bottleneck of
 // the otherwise-parallel SFC balance pipeline.
 //
-// Three backends implement the Refiner interface:
+// Two refiners live here, and each partitioner calls its own:
 //
-//   - BandFM:    a deterministic band-limited parallel FM — extract the
-//     boundary band, color it into conflict-free classes, compute gains
-//     per class in parallel against a frozen snapshot, apply moves in a
-//     fixed serial order. Byte-identical output at every worker count.
-//   - Diffusion: a Jostle-style weighted-diffusion refiner — first-order
-//     load exchange along the part-adjacency graph. Trades edge cut for
-//     convergence speed on badly imbalanced inputs.
-//   - FM:        the classic serial boundary sweep (the pre-band
-//     reference implementation): Multilevel's per-level default and the
-//     "fm" scenario knob.
+//   - BandFM (Default): a deterministic band-limited parallel FM —
+//     extract the boundary band, color it into conflict-free classes,
+//     compute move proposals per class in parallel against a frozen
+//     snapshot, apply them in a fixed serial order. Byte-identical output
+//     at every worker count. The SFC methods and graphgrow smooth their
+//     cuts with it.
+//   - FMRefine: the classic serial cascading sweep, run at every level of
+//     multilevel.
 //
-// All backends share the serial FM's tolerance and overflow semantics:
-// moves never push a part past the 3% balance cap, never empty a part,
-// and a final overflow pass forces load out of parts the gain phase could
-// not rescue. Every Refine call reports its work as memory-bound
-// machine.Ops charged at the effective worker count of the path actually
-// executed — a serial fallback below SerialCutoff reports Crit == Total.
+// Both pick a vertex's target part with the same move rule (proposeMove)
+// — band-FM against a frozen per-class snapshot, FM against the live
+// weights — and share the tolerance and overflow semantics: moves never
+// push a part past the 3% balance cap, never empty a part, and a final
+// overflow pass forces load out of parts the gain phase could not rescue.
+// Their work is memory-bound op accounting; BandFM charges it at the
+// effective worker count of the path actually executed — a serial
+// fallback below SerialCutoff reports Crit == Total.
 package refine
 
 import (
@@ -30,18 +30,6 @@ import (
 	"plum/internal/dual"
 	"plum/internal/machine"
 )
-
-// Refiner improves a k-way assignment in place. Implementations must
-// preserve assignment validity (entries in [0, k), no part emptied), keep
-// every move inside the 3% balance cap, and be deterministic at every
-// worker count.
-type Refiner interface {
-	// Name is the CLI-facing backend name.
-	Name() string
-	// Refine runs up to passes improvement sweeps over g and returns the
-	// op accounting of the work performed.
-	Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops
-}
 
 // SerialCutoff is the vertex count below which the band machinery's
 // chunk bookkeeping costs more than the parallelism recovers; smaller
@@ -56,34 +44,16 @@ func EffectiveWorkers(n, workers int) int {
 	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
 }
 
-// Default returns the backend used when no refiner is forced: the
-// band-limited FM, at every graph size and worker count. Below
-// SerialCutoff, or with one worker, BandFM runs its serial replay, which
-// is byte-identical to its parallel path — so the default cut never
-// depends on how many workers computed it. Choosing the cheaper classic
-// sweep for serial hosts would break that: FM and BandFM produce
-// different (equally valid) cuts. The graph size n therefore plays no
-// part; it stays in the signature callers already spell.
-func Default(n, workers int) Refiner {
-	return NewBandFM(workers)
-}
-
-// Names lists the available backends, default first — the iteration
-// table for CLI validation and tests.
-var Names = []string{"bandfm", "diffusion", "fm"}
-
-// ByName returns the refiner with the given CLI name ("" selects the
-// default BandFM) at the given worker knob.
-func ByName(name string, workers int) (Refiner, bool) {
-	switch name {
-	case "", "bandfm":
-		return NewBandFM(workers), true
-	case "diffusion":
-		return NewDiffusion(workers), true
-	case "fm":
-		return FM{}, true
-	}
-	return nil, false
+// Default returns the band-limited FM refiner at the given worker knob,
+// at every graph size. Below SerialCutoff, or with one worker, BandFM
+// runs its serial replay, which is byte-identical to its parallel path —
+// so the cut never depends on how many workers computed it. Choosing the
+// cheaper classic sweep for serial hosts would break that: FMRefine and
+// BandFM produce different (equally valid) cuts. The graph size n
+// therefore plays no part; it stays in the signature callers already
+// spell.
+func Default(n, workers int) *BandFM {
+	return &BandFM{Workers: workers}
 }
 
 // partState computes the per-part weight totals and populations with a

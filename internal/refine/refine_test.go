@@ -1,12 +1,14 @@
 package refine
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"plum/internal/dual"
 	"plum/internal/geom"
+	"plum/internal/machine"
 )
 
 // gridGraph builds a connected nx×ny×nz lattice dual graph with
@@ -109,50 +111,202 @@ func edgeCut(g *dual.Graph, asg []int32) int64 {
 	return cut
 }
 
-// TestBandFMWorkerParity is the determinism contract of the tentpole:
-// BandFM (and Diffusion, which shares the frozen-phase/serial-apply
-// structure) must produce byte-identical assignments at every worker
-// count, on a graph large enough to engage the parallel band machinery.
-func TestBandFMWorkerParity(t *testing.T) {
-	g := gridGraph(24, 24, 16, 5) // 9216 vertices > SerialCutoff
-	for _, k := range []int{2, 7, 16} {
-		init := blockAssignment(g.N, k)
-		for _, backend := range []func(w int) Refiner{
-			func(w int) Refiner { return NewBandFM(w) },
-			func(w int) Refiner { return NewDiffusion(w) },
-		} {
-			ref := append([]int32(nil), init...)
-			refOps := backend(1).Refine(g, ref, k, 2)
-			if refOps.Crit != refOps.Total {
-				t.Errorf("%s k=%d workers=1: Crit %d != Total %d on the serial replay",
-					backend(1).Name(), k, refOps.Crit, refOps.Total)
+// checkerboardAssignment deals the lattice's diagonals round-robin over k
+// parts ((x+y+z) mod k): every edge is cut, so gain moves abound. Parts
+// past the longest diagonal stay empty.
+func checkerboardAssignment(g *dual.Graph, k int) []int32 {
+	asg := make([]int32, g.N)
+	for v, c := range g.Centroid {
+		asg[v] = int32(int(c.X+c.Y+c.Z) % k)
+	}
+	return asg
+}
+
+// backend is one of the package's two refiners, as its partitioner calls
+// it, at a fixed worker knob.
+type backend struct {
+	name   string
+	refine func(g *dual.Graph, asg []int32, k, passes int) machine.Ops
+}
+
+// backends lists band-FM (Default, at the given worker knob) and the
+// classic FM sweep, whose op count multilevel charges as serial
+// memory-bound work.
+func backends(workers int) []backend {
+	return []backend{
+		{"bandfm", func(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
+			return Default(g.N, workers).Refine(g, asg, k, passes)
+		}},
+		{"fm", func(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
+			var ops machine.Ops
+			ops.AddSerialMem(FMRefine(g, asg, k, passes))
+			return ops
+		}},
+	}
+}
+
+// refFMRefine is the classic FM sweep as written before it shared
+// band-FM's move rule: the gain/fit/balance selection inline, against the
+// live weights. FMRefine must match it move for move and op for op.
+func refFMRefine(g *dual.Graph, asg []int32, k, passes int) int64 {
+	var ops int64
+	if k <= 1 {
+		return ops
+	}
+	w := make([]int64, k)
+	for v, p := range asg {
+		w[p] += g.Wcomp[v]
+	}
+	maxW := balanceCap(w)
+	cnt := make([]int, k)
+	for _, p := range asg {
+		cnt[p]++
+	}
+	conn := make([]int32, k)
+	for pass := 0; pass < passes; pass++ {
+		moved := 0
+		for v := 0; v < g.N; v++ {
+			ops += 1 + int64(len(g.Adj[v]))
+			a := asg[v]
+			if cnt[a] <= 1 {
+				continue
 			}
-			for _, w := range []int{2, 4, 8} {
-				got := append([]int32(nil), init...)
-				ops := backend(w).Refine(g, got, k, 2)
-				for v := range got {
-					if got[v] != ref[v] {
-						t.Fatalf("%s k=%d workers=%d: vertex %d in part %d, serial replay says %d",
-							backend(w).Name(), k, w, v, got[v], ref[v])
-					}
+			boundary := false
+			for _, u := range g.Adj[v] {
+				if asg[u] != a {
+					boundary = true
+					break
 				}
-				if ops.Total != refOps.Total {
-					t.Errorf("%s k=%d workers=%d: total ops %d != serial total %d (work must be worker-invariant)",
-						backend(w).Name(), k, w, ops.Total, refOps.Total)
+			}
+			if !boundary {
+				continue
+			}
+			for i := range conn {
+				conn[i] = 0
+			}
+			for _, u := range g.Adj[v] {
+				conn[asg[u]]++
+			}
+			bestPart := a
+			bestGain := int32(0)
+			for _, u := range g.Adj[v] {
+				b := asg[u]
+				if b == a || b == bestPart {
+					continue
 				}
-				if ops.Crit >= ops.Total {
-					t.Errorf("%s k=%d workers=%d: parallel run not discounted (crit %d vs total %d)",
-						backend(w).Name(), k, w, ops.Crit, ops.Total)
+				gain := conn[b] - conn[a]
+				fits := w[b]+g.Wcomp[v] <= maxW
+				better := gain > bestGain && fits
+				balances := gain == bestGain && bestPart == a && w[b]+g.Wcomp[v] < w[a]
+				if better || (balances && fits) {
+					bestPart = b
+					bestGain = gain
+				}
+			}
+			if bestPart != a {
+				asg[v] = bestPart
+				w[a] -= g.Wcomp[v]
+				w[bestPart] += g.Wcomp[v]
+				cnt[a]--
+				cnt[bestPart]++
+				moved++
+			}
+		}
+		if moved == 0 {
+			break
+		}
+	}
+	ops += overflowPass(g, asg, k, w, cnt, maxW)
+	return ops
+}
+
+// checkFMMatchesReference runs FMRefine and refFMRefine from the same
+// start and fails on any difference in assignment or op count.
+func checkFMMatchesReference(t *testing.T, g *dual.Graph, init []int32, k, passes int, label string) {
+	t.Helper()
+	got := append([]int32(nil), init...)
+	want := append([]int32(nil), init...)
+	gotOps := FMRefine(g, got, k, passes)
+	wantOps := refFMRefine(g, want, k, passes)
+	if gotOps != wantOps {
+		t.Fatalf("%s: FMRefine reported %d ops, reference %d", label, gotOps, wantOps)
+	}
+	for v := range got {
+		if got[v] != want[v] {
+			t.Fatalf("%s: vertex %d in part %d, reference says %d", label, v, got[v], want[v])
+		}
+	}
+}
+
+// TestFMMatchesReference pins the shared move rule: FMRefine, which
+// delegates the target choice to proposeMove against live weights, makes
+// exactly the moves of the inline reference sweep and reports the same
+// op count.
+func TestFMMatchesReference(t *testing.T) {
+	fixtures := []struct {
+		name string
+		g    *dual.Graph
+	}{
+		{"small", gridGraph(6, 6, 5, 3)},
+		{"large", gridGraph(20, 18, 14, 9)},
+	}
+	for _, fx := range fixtures {
+		for _, k := range []int{2, 5, 16} {
+			starts := []struct {
+				name string
+				asg  []int32
+			}{
+				{"block", blockAssignment(fx.g.N, k)},
+				{"checkerboard", checkerboardAssignment(fx.g, k)},
+			}
+			for _, st := range starts {
+				for _, passes := range []int{2, 8} {
+					label := fmt.Sprintf("%s/%s k=%d passes=%d", fx.name, st.name, k, passes)
+					checkFMMatchesReference(t, fx.g, st.asg, k, passes, label)
 				}
 			}
 		}
 	}
 }
 
-// TestRefinerContract runs the shared backend contract over every
-// refiner: validity and non-empty parts are preserved, no move pushes
-// the heaviest part past the 3% balance cap (Wmax never exceeds
-// max(Wmax_before, cap)), and the op accounting is sane.
+// TestBandFMWorkerParity is the determinism contract of band-FM: it
+// must produce byte-identical assignments at every worker count, on a
+// graph large enough to engage the parallel band machinery.
+func TestBandFMWorkerParity(t *testing.T) {
+	g := gridGraph(24, 24, 16, 5) // 9216 vertices > SerialCutoff
+	for _, k := range []int{2, 7, 16} {
+		init := blockAssignment(g.N, k)
+		ref := append([]int32(nil), init...)
+		refOps := Default(g.N, 1).Refine(g, ref, k, 2)
+		if refOps.Crit != refOps.Total {
+			t.Errorf("k=%d workers=1: Crit %d != Total %d on the serial replay",
+				k, refOps.Crit, refOps.Total)
+		}
+		for _, w := range []int{2, 4, 8} {
+			got := append([]int32(nil), init...)
+			ops := Default(g.N, w).Refine(g, got, k, 2)
+			for v := range got {
+				if got[v] != ref[v] {
+					t.Fatalf("k=%d workers=%d: vertex %d in part %d, serial replay says %d",
+						k, w, v, got[v], ref[v])
+				}
+			}
+			if ops.Total != refOps.Total {
+				t.Errorf("k=%d workers=%d: total ops %d != serial total %d (work must be worker-invariant)",
+					k, w, ops.Total, refOps.Total)
+			}
+			if ops.Crit >= ops.Total {
+				t.Errorf("k=%d workers=%d: parallel run not discounted (crit %d vs total %d)",
+					k, w, ops.Crit, ops.Total)
+			}
+		}
+	}
+}
+
+// TestRefinerContract runs the shared contract over both refiners:
+// validity and non-empty parts are preserved, no move pushes the heaviest
+// part past the 3% balance cap (Wmax never exceeds max(Wmax_before,
+// cap)), and the op accounting is sane.
 func TestRefinerContract(t *testing.T) {
 	fixtures := []struct {
 		name string
@@ -166,17 +320,13 @@ func TestRefinerContract(t *testing.T) {
 		for _, w := range fx.g.Wcomp {
 			total += w
 		}
-		for _, name := range Names {
+		for _, r := range backends(4) {
 			for _, k := range []int{2, 5, 8} {
-				r, ok := ByName(name, 4)
-				if !ok {
-					t.Fatalf("refiner %q missing", name)
-				}
 				asg := blockAssignment(fx.g.N, k)
 				before := maxLoad(fx.g, asg, k)
-				ops := r.Refine(fx.g, asg, k, 2)
+				ops := r.refine(fx.g, asg, k, 2)
 
-				label := fx.name + "/" + name
+				label := fx.name + "/" + r.name
 				checkValid(t, fx.g, asg, k, label)
 				cap := int64(float64(total) / float64(k) * 1.03)
 				if cap < 1 {
@@ -211,22 +361,14 @@ func TestRefinerContract(t *testing.T) {
 // diagonal-checkerboard start is perfectly balanced (every dimension
 // divides k) and every edge is cut, so positive-gain moves abound.
 func TestBandFMGainPhaseCutNonIncrease(t *testing.T) {
-	const nx, ny, nz = 12, 12, 8
-	g := gridGraph(nx, ny, nz, 1)
+	g := gridGraph(12, 12, 8, 1)
 	for i := range g.Wcomp {
 		g.Wcomp[i] = 1
 	}
 	for _, k := range []int{2, 4} {
-		asg := make([]int32, g.N)
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				for x := 0; x < nx; x++ {
-					asg[(z*ny+y)*nx+x] = int32((x + y + z) % k)
-				}
-			}
-		}
+		asg := checkerboardAssignment(g, k)
 		before := edgeCut(g, asg)
-		NewBandFM(3).Refine(g, asg, k, 8)
+		Default(g.N, 3).Refine(g, asg, k, 8)
 		after := edgeCut(g, asg)
 		if after > before {
 			t.Errorf("k=%d: gain phase increased cut %d -> %d", k, before, after)
@@ -285,12 +427,8 @@ func TestDefaultWorkerIndependent(t *testing.T) {
 	var ref []int32
 	for _, n := range []int{SerialCutoff - 1, g.N} {
 		for _, w := range []int{1, 2, 4, 8} {
-			r := Default(n, w)
-			if r.Name() != "bandfm" {
-				t.Errorf("Default(%d, %d) = %s, want bandfm", n, w, r.Name())
-			}
 			asg := blockAssignment(g.N, k)
-			r.Refine(g, asg, k, 2)
+			Default(n, w).Refine(g, asg, k, 2)
 			if ref == nil {
 				ref = asg
 			} else if !slices.Equal(asg, ref) {
@@ -300,53 +438,17 @@ func TestDefaultWorkerIndependent(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range Names {
-		r, ok := ByName(name, 2)
-		if !ok || r.Name() != name {
-			t.Errorf("ByName(%q) = %v, %v", name, r, ok)
-		}
-	}
-	if r, ok := ByName("", 2); !ok || r.Name() != "bandfm" {
-		t.Errorf("default refiner = %v, %v; want bandfm", r, ok)
-	}
-	if _, ok := ByName("nope", 2); ok {
-		t.Error("ByName accepted an unknown backend")
-	}
-}
-
 // TestRefineDegenerate covers the k ≤ 1 and empty-graph guards.
 func TestRefineDegenerate(t *testing.T) {
 	g := gridGraph(3, 3, 3, 1)
 	asg := make([]int32, g.N)
-	for _, name := range Names {
-		r, _ := ByName(name, 2)
-		if ops := r.Refine(g, asg, 1, 2); ops.Total != 0 {
-			t.Errorf("%s: k=1 did work: %+v", name, ops)
+	for _, r := range backends(2) {
+		if ops := r.refine(g, asg, 1, 2); ops.Total != 0 {
+			t.Errorf("%s: k=1 did work: %+v", r.name, ops)
 		}
 		empty := &dual.Graph{}
-		if ops := r.Refine(empty, nil, 4, 2); ops.Total != 0 {
-			t.Errorf("%s: empty graph did work: %+v", name, ops)
+		if ops := r.refine(empty, nil, 4, 2); ops.Total != 0 {
+			t.Errorf("%s: empty graph did work: %+v", r.name, ops)
 		}
 	}
-}
-
-// TestDiffusionRebalances exercises the scenario the diffusion knob
-// exists for: a grossly imbalanced input whose load must flow across the
-// part-adjacency graph toward the cap.
-func TestDiffusionRebalances(t *testing.T) {
-	g := gridGraph(12, 12, 8, 7)
-	k := 6
-	// Pathological start: part 0 owns almost everything.
-	asg := make([]int32, g.N)
-	for v := g.N - k + 1; v < g.N; v++ {
-		asg[v] = int32(v - (g.N - k))
-	}
-	before := maxLoad(g, asg, k)
-	NewDiffusion(2).Refine(g, asg, k, 4)
-	after := maxLoad(g, asg, k)
-	if after >= before {
-		t.Errorf("diffusion did not reduce Wmax: %d -> %d", before, after)
-	}
-	checkValid(t, g, asg, k, "diffusion/imbalanced")
 }
