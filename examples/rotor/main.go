@@ -49,9 +49,9 @@ func main() {
 					hi = e
 				}
 			}
-			// Refine the sharpest 'shock-like' edges, coarsen the
-			// quietest far field (never below the initial mesh).
-			a.MarkError(errv, 0.35*hi, 0.005*hi)
+			// Refine the sharpest 'shock-like' edges; lo < 0 marks
+			// nothing for coarsening, which Cycle does not run.
+			a.MarkError(errv, 0.35*hi, -1)
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -34,10 +34,17 @@ func main() {
 
 	var accepted, rejected int
 	for step := 1; step <= 6; step++ {
-		// Advance the front and rebuild the solution around it (the
-		// proxy for time integration).
+		// Advance the front and coarsen the wake it left behind: Cycle's
+		// adaption only refines, so coarsening comes first.
 		front += 0.5
 		x0 := front
+		wake := geom.AABB{Min: geom.Vec3{X: 0}, Max: geom.Vec3{X: x0 - 0.6, Y: 1, Z: 1}}
+		fw.A.MarkRegion(wake, adapt.MarkCoarsen)
+		fw.D.ParallelCoarsen(fw.A, fw.Cfg.Model)
+		fw.S.SyncAfterAdaption() // the field follows the renumbered vertices
+
+		// Rebuild the solution around the front (the proxy for time
+		// integration).
 		for i := range m.Verts {
 			if !m.Verts[i].Dead {
 				sol.U[i] = solver.PlanarShock(x0, 0.08)(m.Verts[i].Pos)
@@ -52,16 +59,11 @@ func main() {
 					hi = e
 				}
 			}
-			a.MarkError(errv, 0.3*hi, 0.01*hi)
+			a.MarkError(errv, 0.3*hi, -1) // refine only: the wake is coarsened above
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Coarsen the wake the front left behind.
-		wake := geom.AABB{Min: geom.Vec3{X: 0}, Max: geom.Vec3{X: x0 - 0.6, Y: 1, Z: 1}}
-		fw.A.MarkRegion(wake, adapt.MarkCoarsen)
-		fw.D.ParallelCoarsen(fw.A, fw.Cfg.Model)
-		fw.S.SyncAfterAdaption() // the field follows the renumbered vertices
 
 		b := rep.Balance
 		state := "balanced"

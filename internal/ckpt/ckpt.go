@@ -23,9 +23,9 @@ type State struct {
 	Cycle int
 	// Streak is the consecutive-rollback streak at capture time.
 	Streak int
-	// Owners is the element → owning-rank map.
+	// Owners is the dual vertex → owning-rank map.
 	Owners []int32
-	// Weights are the per-element computational weights.
+	// Weights are the per-dual-vertex computational weights (Wcomp).
 	Weights []int64
 }
 

@@ -91,11 +91,9 @@ type Config struct {
 	Exchange string
 	// SolverIters is the number of proxy flow-solver iterations each
 	// cycle runs before adaption, and the multiplier of the modeled
-	// CycleReport.SolverTime — a single knob so the proxy solve and the
-	// modeled cost can never silently disagree (Cycle used to hardcode
-	// Iterate(3) while SolverTime modeled the cost model's Nadapt
-	// iterations). 0 selects the default of 3; negative is rejected by
-	// New.
+	// CycleReport.SolverTime — one knob, so the proxy solve and the
+	// modeled cost cannot disagree. 0 selects the default of 3; negative
+	// is rejected by New.
 	SolverIters int
 	// Overlap hides the balance pipeline behind the solver, the paper's
 	// latency-tolerance argument: the repartition + reassignment +
@@ -811,12 +809,22 @@ type CycleReport struct {
 	Outcome BalanceOutcome
 }
 
+// CoarsenMarksError is Cycle's refusal of a mark function that left Marks
+// coarsen marks: the cycle only refines, so coarsen before it
+// (par.Dist.ParallelCoarsen) instead.
+type CoarsenMarksError struct{ Marks int }
+
+func (e *CoarsenMarksError) Error() string {
+	return fmt.Sprintf("core: mark left %d coarsen marks, and Cycle only refines: coarsen before the cycle", e.Marks)
+}
+
 // Cycle executes one pass of the paper's Fig. 1 loop: flow solution, edge
-// marking via the supplied function, parallel mesh adaption, solution
-// transfer, and the balance pipeline. With Config.Overlap on, the balance
-// pipeline's CPU-side critical path is modeled as running concurrently
-// with the solver iterations, and the acceptance rule charges only the
-// exposed remainder.
+// marking via the supplied function, parallel mesh refinement (a coarsen
+// mark fails the cycle with a *CoarsenMarksError before the mesh changes),
+// solution transfer, and the balance pipeline. With Config.Overlap on,
+// the balance pipeline's CPU-side critical path is modeled as running
+// concurrently with the solver iterations, and the acceptance rule
+// charges only the exposed remainder.
 func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 	var rep CycleReport
 	// Scope this cycle's fault keys: the adaption exchanges and the remap
@@ -833,6 +841,17 @@ func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 	}
 	traceSolver(f.Cfg.Trace, rep.SolverTime, f.Cfg.SolverIters)
 	mark(f.A)
+	coarsen := 0
+	for _, mk := range f.A.MarksSnapshot() {
+		if mk == adapt.MarkCoarsen {
+			coarsen++
+		}
+	}
+	if coarsen > 0 {
+		err := &CoarsenMarksError{Marks: coarsen}
+		traceCycleError(f.Cfg.Trace, err)
+		return rep, err
+	}
 	rep.Refine, rep.AdaptTime = f.D.ParallelRefine(f.A, f.Cfg.Model)
 	if f.S != nil {
 		f.S.SyncAfterAdaption()

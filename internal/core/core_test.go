@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -211,6 +212,41 @@ func TestCycleWithSolver(t *testing.T) {
 	}
 	if err := m.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCycleRejectsCoarsenMarks: Cycle adapts by refinement alone, so a
+// mark function that leaves coarsen marks fails the cycle with a typed
+// error naming them, before the mesh changes, instead of dropping them.
+// Coarsening first, as the drivers do, clears them.
+func TestCycleRejectsCoarsenMarks(t *testing.T) {
+	f := newFW(t, 4)
+	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
+	f.A.Refine()
+	elems := f.M.NumActiveElems()
+	var nCoarsen int
+	_, err := f.Cycle(func(a *adapt.Adaptor) {
+		errv := make([]float64, len(a.M.Edges))
+		for e := range errv {
+			errv[e] = float64(e % 10)
+		}
+		_, nCoarsen = a.MarkError(errv, 8.5, 0.5)
+	})
+	var ce *CoarsenMarksError
+	if !errors.As(err, &ce) || ce.Marks != nCoarsen || nCoarsen == 0 {
+		t.Fatalf("Cycle with %d coarsen marks returned %v", nCoarsen, err)
+	}
+	if got := f.M.NumActiveElems(); got != elems {
+		t.Fatalf("the refused cycle adapted the mesh: %d elements, was %d", got, elems)
+	}
+
+	f.D.ParallelCoarsen(f.A, f.Cfg.Model)
+	rep, err := f.Cycle(func(a *adapt.Adaptor) { a.MarkRandom(0.05, adapt.MarkRefine, 3) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Refine.NewElems == 0 {
+		t.Error("the cycle after coarsening refined nothing")
 	}
 }
 

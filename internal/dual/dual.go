@@ -45,11 +45,11 @@ type Graph struct {
 	Centroid []geom.Vec3
 }
 
-// Build constructs the dual graph of m's initial (level-0) elements. It
-// must be called on the initial mesh, before or after adaption — level-0
-// elements are never removed, so the graph is identical either way.
-// Weights are initialized from the current refinement forest (Wcomp =
-// Wremap = 1 on an unadapted mesh).
+// Build constructs the dual graph of m's initial (level-0) elements: dual
+// vertex i is root element i, one of the prefix [0, m.NumRoots()) the mesh
+// keeps for its whole life, so the graph is identical before and after
+// adaption. Weights are initialized from the current refinement forest
+// (Wcomp = Wremap = 1 on an unadapted mesh).
 //
 // Faces are matched without hashing: the 4n root faces are
 // counting-sorted by their smallest vertex, and within a bucket (a few
@@ -58,16 +58,7 @@ type Graph struct {
 // order, so every row lists its neighbours in the order the faces are
 // met, and the rows are carved from one backing array.
 func Build(m *mesh.Mesh) *Graph {
-	// Level-0 elements occupy a prefix of the element slab only on a
-	// freshly generated mesh, so collect them explicitly.
-	var roots []mesh.ElemID
-	for i := range m.Elems {
-		t := &m.Elems[i]
-		if t.Level == 0 && !t.Dead {
-			roots = append(roots, mesh.ElemID(i))
-		}
-	}
-	n := len(roots)
+	n := m.NumRoots()
 	g := &Graph{
 		N:          n,
 		Adj:        make([][]int32, n),
@@ -79,9 +70,9 @@ func Build(m *mesh.Mesh) *Graph {
 
 	// Face 4i+f is local face f of root i, as a sorted vertex triple.
 	keys := make([][3]mesh.VertID, 4*n)
-	for i, el := range roots {
-		t := &m.Elems[el]
-		g.Centroid[i] = m.ElemCentroid(el)
+	for i := range n {
+		t := &m.Elems[i]
+		g.Centroid[i] = m.ElemCentroid(mesh.ElemID(i))
 		for f, fv := range mesh.ElemFaceVerts {
 			a, b, c := t.V[fv[0]], t.V[fv[1]], t.V[fv[2]]
 			if a > b {
@@ -149,34 +140,22 @@ func Build(m *mesh.Mesh) *Graph {
 
 // UpdateWeights recomputes Wcomp and Wremap from the mesh's current
 // refinement forest — this is the "translation" of an adapted grid onto
-// the constant dual graph. It assumes roots are exactly the level-0
-// elements in their original order (as produced by Build).
+// the constant dual graph. An element's Root is its dual vertex, so the
+// pass allocates nothing.
 func (g *Graph) UpdateWeights(m *mesh.Mesh) {
-	for i := range g.Wcomp {
-		g.Wcomp[i] = 0
-		g.Wremap[i] = 0
+	if m.NumRoots() != g.N {
+		panic(fmt.Sprintf("dual: mesh has %d roots, graph has %d", m.NumRoots(), g.N))
 	}
-	idx := make([]int32, len(m.Elems)) // root element id → dual index
-	n := int32(0)
-	for i := range m.Elems {
-		t := &m.Elems[i]
-		if t.Level == 0 && !t.Dead {
-			idx[i] = n
-			n++
-		}
-	}
-	if int(n) != g.N {
-		panic(fmt.Sprintf("dual: mesh has %d roots, graph has %d", n, g.N))
-	}
+	clear(g.Wcomp)
+	clear(g.Wremap)
 	for i := range m.Elems {
 		t := &m.Elems[i]
 		if t.Dead {
 			continue
 		}
-		r := idx[t.Root]
-		g.Wremap[r]++
+		g.Wremap[t.Root]++
 		if t.Active() {
-			g.Wcomp[r]++
+			g.Wcomp[t.Root]++
 		}
 	}
 }

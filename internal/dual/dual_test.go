@@ -148,16 +148,11 @@ func TestBoundaryTetsHaveFewerNeighbors(t *testing.T) {
 // oracle: faces are keyed by their sorted vertex triple, a face meeting
 // an open entry closes it, and both rows are appended at that moment.
 func mapAdjacency(m *mesh.Mesh) [][]int32 {
-	var roots []mesh.ElemID
-	for i := range m.Elems {
-		if t := &m.Elems[i]; t.Level == 0 && !t.Dead {
-			roots = append(roots, mesh.ElemID(i))
-		}
-	}
-	adj := make([][]int32, len(roots))
-	faces := make(map[[3]mesh.VertID]int32, 2*len(roots))
-	for i, el := range roots {
-		t := &m.Elems[el]
+	n := m.NumRoots()
+	adj := make([][]int32, n)
+	faces := make(map[[3]mesh.VertID]int32, 2*n)
+	for i := range n {
+		t := &m.Elems[i]
 		for _, fv := range mesh.ElemFaceVerts {
 			k := [3]mesh.VertID{t.V[fv[0]], t.V[fv[1]], t.V[fv[2]]}
 			slices.Sort(k[:])
@@ -193,8 +188,8 @@ func relabelVerts(m *mesh.Mesh, seed int64) {
 
 // TestBuildMatchesMapOracle pins Build's rows, entry for entry, to the
 // map matcher's on the paper's rotor, a 24×8×8 box, the box after one
-// refinement (the roots no longer fill the slab alone), and the box with
-// its vertex ids shuffled.
+// refinement (the roots are now a prefix of the slab, not all of it), and
+// the box with its vertex ids shuffled.
 func TestBuildMatchesMapOracle(t *testing.T) {
 	box := func() *mesh.Mesh { return meshgen.Box(24, 8, 8, geom.Vec3{X: 3, Y: 1, Z: 1}) }
 	adapted := box()
@@ -222,6 +217,24 @@ func TestBuildMatchesMapOracle(t *testing.T) {
 				t.Fatalf("%s: row %d = %v, oracle %v", c.name, v, g.Adj[v], want[v])
 			}
 		}
+	}
+}
+
+// TestUpdateWeightsAllocatesNothing pins the translation of an adapted
+// mesh onto the dual graph at zero allocations: a root's id is its dual
+// vertex, so no root → vertex map is built per call.
+func TestUpdateWeightsAllocatesNothing(t *testing.T) {
+	m := meshgen.SmallBox()
+	g := Build(m)
+	a := adapt.New(m)
+	a.MarkRegion(geom.Sphere{Center: geom.Vec3{X: 0.5, Y: 0.5, Z: 0.5}, Radius: 0.4}, adapt.MarkRefine)
+	a.Refine()
+	if allocs := testing.AllocsPerRun(20, func() { g.UpdateWeights(m) }); allocs != 0 {
+		t.Errorf("UpdateWeights allocates %v times per call, want 0", allocs)
+	}
+	if g.TotalWremap() != int64(m.NumElemsTotal()) || g.TotalWcomp() != int64(m.NumActiveElems()) {
+		t.Errorf("weights (%d, %d) after refinement, mesh has (%d, %d)",
+			g.TotalWcomp(), g.TotalWremap(), m.NumActiveElems(), m.NumElemsTotal())
 	}
 }
 

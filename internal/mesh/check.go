@@ -10,6 +10,8 @@ import (
 // and debugging, not hot paths.
 //
 // Invariants checked:
+//   - elements [0, NumRoots) are exactly the level-0 elements, and each is
+//     its own Root (the dual graph's vertex ids);
 //   - every active element references 6 live, unbisected edges whose
 //     endpoints match the element's vertices per ElemEdgeVerts;
 //   - every edge's element incidence list contains exactly the active
@@ -29,6 +31,9 @@ func (m *Mesh) Check() error {
 	nActiveElems := 0
 	for i := range m.Elems {
 		t := &m.Elems[i]
+		if root := i < m.nRoots; root != (t.Level == 0) || root && t.Root != ElemID(i) {
+			return fmt.Errorf("elem %d: level %d, root %d, but roots are the prefix [0, %d)", i, t.Level, t.Root, m.nRoots)
+		}
 		if !t.Active() {
 			continue
 		}

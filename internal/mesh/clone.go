@@ -11,6 +11,7 @@ func (m *Mesh) Clone() *Mesh {
 		Faces:        make([]BoundaryFace, len(m.Faces)),
 		Bisections:   append([]Bisection(nil), m.Bisections...),
 		Renumbering:  append([]VertID(nil), m.Renumbering...),
+		nRoots:       m.nRoots,
 		nActiveElems: m.nActiveElems,
 		nActiveEdges: m.nActiveEdges,
 		nActiveFaces: m.nActiveFaces,

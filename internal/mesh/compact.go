@@ -28,7 +28,8 @@ type CompactMap struct {
 // returns after the scan that finds that out.
 //
 // The initial mesh's vertices, edges and elements are never dead, so they
-// keep their ids for the life of the mesh.
+// keep their ids for the life of the mesh; a root killed by hand leaves the
+// survivors as the shorter prefix [0, NumRoots).
 func (m *Mesh) Compact() CompactMap {
 	cm := &m.scratch
 	cm.Vert = resize(cm.Vert, len(m.Verts))
@@ -44,6 +45,13 @@ func (m *Mesh) Compact() CompactMap {
 	if len(m.Verts)+len(m.Edges)+len(m.Elems)+len(m.Faces) == slots {
 		return CompactMap{}
 	}
+	roots := 0
+	for _, id := range cm.Elem[:m.nRoots] {
+		if id != InvalidElem {
+			roots++
+		}
+	}
+	m.nRoots = roots
 
 	// Size one fresh block per list kind to the survivors' lists, each at
 	// the capacity push would have grown it to. Nothing live points into

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -142,6 +143,32 @@ func TestCheckDetectsEdgeMissingFromVertexList(t *testing.T) {
 		}
 	}
 	wantCheckError(t, m, "incidence list 0 times")
+}
+
+func TestCheckDetectsBrokenRootPrefix(t *testing.T) {
+	m := validPair(t)
+	m.Elems[1].Root = 0 // a root that is not its own
+	wantCheckError(t, m, "roots are the prefix")
+
+	m = validPair(t)
+	m.Elems[1].Level = 1 // a child inside the prefix
+	wantCheckError(t, m, "roots are the prefix")
+
+	m = validPair(t)
+	m.nRoots = 1 // a level-0 element past it
+	wantCheckError(t, m, "roots are the prefix")
+}
+
+func TestAddElementPanicsOnRootAfterChild(t *testing.T) {
+	m := validPair(t)
+	mid := m.AddVertex(geom.Vec3{X: 0.5})
+	m.AddElement(0, mid, 2, 3, 0, 0, 1)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "initial element added after a refinement child") {
+			t.Fatalf("root after a child: got panic %q", msg)
+		}
+	}()
+	m.AddElement(1, 2, 3, mid, InvalidElem, InvalidElem, 0)
 }
 
 func TestCheckDetectsUnorderedEndpoints(t *testing.T) {

@@ -130,8 +130,9 @@ func (e *Edge) Other(v VertID) VertID {
 
 // Element is a tetrahedron defined by 4 vertices and, canonically, by its
 // 6 edges (see ElemEdgeVerts). Parent/Children record the refinement tree;
-// Root is the initial-mesh ancestor used as the dual-graph vertex the
-// element contributes weight to. An element with children is inactive.
+// Root is the initial-mesh ancestor, whose id is the dual-graph vertex the
+// element contributes weight to (see Mesh.NumRoots). An element with
+// children is inactive.
 type Element struct {
 	V        [4]VertID
 	E        [6]EdgeID
@@ -197,6 +198,7 @@ type Mesh struct {
 	edgeSlab []EdgeID
 	faceSlab []FaceID
 
+	nRoots       int // initial elements, ids [0, nRoots) (see NumRoots)
 	nActiveElems int
 	nActiveEdges int
 	nActiveFaces int
@@ -300,6 +302,7 @@ func (m *Mesh) AddEdge(a, b VertID) EdgeID {
 // its six edges. The vertex order is normalized so the signed volume is
 // non-negative. root is the dual-graph vertex the element belongs to; pass
 // InvalidElem to make the element its own root (initial-mesh elements).
+// Roots come first: one added after a refinement child panics.
 func (m *Mesh) AddElement(v0, v1, v2, v3 VertID, parent ElemID, root ElemID, level int32) ElemID {
 	vol := geom.TetVolume(m.Verts[v0].Pos, m.Verts[v1].Pos, m.Verts[v2].Pos, m.Verts[v3].Pos)
 	if vol < 0 {
@@ -307,7 +310,11 @@ func (m *Mesh) AddElement(v0, v1, v2, v3 VertID, parent ElemID, root ElemID, lev
 	}
 	id := ElemID(len(m.Elems))
 	if root == InvalidElem {
+		if m.nRoots != len(m.Elems) {
+			panic("mesh: initial element added after a refinement child")
+		}
 		root = id
+		m.nRoots++
 	}
 	el := Element{
 		V:      [4]VertID{v0, v1, v2, v3},
@@ -477,6 +484,12 @@ func (m *Mesh) NumVerts() int {
 	}
 	return n
 }
+
+// NumRoots returns the number of initial elements. AddElement creates them
+// before any child, adaption never kills one, and Compact keeps survivors
+// in order, so they are elements [0, NumRoots) for the life of the mesh,
+// each its own Root, and root r is dual vertex r.
+func (m *Mesh) NumRoots() int { return m.nRoots }
 
 // NumActiveElems returns the number of active (leaf) elements — the
 // "Elements" column of the paper's Table 1.

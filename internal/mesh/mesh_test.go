@@ -206,8 +206,8 @@ func TestCompactRenumbers(t *testing.T) {
 	if cm.Elem[e0] == InvalidElem {
 		t.Error("live element dropped")
 	}
-	if len(m.Verts) != 4 || len(m.Elems) != 1 || len(m.Edges) != 6 {
-		t.Errorf("compacted sizes: %d verts %d edges %d elems", len(m.Verts), len(m.Edges), len(m.Elems))
+	if len(m.Verts) != 4 || len(m.Elems) != 1 || len(m.Edges) != 6 || m.NumRoots() != 1 {
+		t.Errorf("compacted sizes: %d verts %d edges %d elems %d roots", len(m.Verts), len(m.Edges), len(m.Elems), m.NumRoots())
 	}
 	if err := m.Check(); err != nil {
 		t.Fatalf("Check after compact: %v", err)

@@ -336,8 +336,10 @@ func TestCompactWorkerParity(t *testing.T) {
 
 // FuzzCompact drives twin meshes through one script of refinements,
 // coarsenings and solver syncs; one twin also compacts where the script
-// says so. Both must stay valid, the compacting twin must be the other
-// relabelled, and a field synced on both must agree vertex for vertex.
+// says so. Both must stay valid (Check holds the roots to the prefix
+// [0, NumRoots)) and keep every initial element as a root, the compacting
+// twin must be the other relabelled, and a field synced on both must agree
+// vertex for vertex.
 func FuzzCompact(f *testing.F) {
 	f.Add([]byte{0x21, 0x05, 0x93, 0x0a, 0x47}) // refine, coarsen, compact, sync late
 	f.Add([]byte{0x00, 0x04, 0x09, 0x0a})       // refine, coarsen the same region, compact, then the first sync
@@ -386,6 +388,9 @@ func FuzzCompact(f *testing.F) {
 				}
 				if err := w.m.Check(); err != nil {
 					t.Fatalf("step %d twin %d: %v", step, i, err)
+				}
+				if got := w.m.NumRoots(); got != 6*nx*ny*nz {
+					t.Fatalf("step %d twin %d: %d roots, want the %d initial elements", step, i, got, 6*nx*ny*nz)
 				}
 			}
 			if err := relabelled(tw[0].m, tw[1].m); err != nil {

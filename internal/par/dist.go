@@ -103,17 +103,11 @@ type Dist struct {
 	adaptX      *fault.ExchangeModel
 	adaptXCycle int
 
-	// owner[i] is the processor owning dual vertex i (level-0 element
-	// tree i, in dual.Build scan order).
+	// owner[r] is the processor owning root element r's tree, which is
+	// dual vertex r: the mesh keeps its roots at ids [0, NumRoots), so
+	// owner[Elems[el].Root] is element el's owner, with no map between.
 	owner []int32
-	// rootDual maps a level-0 element id to its dual index; sized to the
-	// element slab, -1 for non-roots.
-	rootDual []int32
-	// rootOwner maps a level-0 element id straight to its owner
-	// (owner[rootDual[i]]). Every write to owner goes through setOwners or
-	// setOwner, which keep it in step.
-	rootOwner []int32
-	// own[el] is the rank owning element el, rootOwner[Elems[el].Root]:
+	// own[el] is the rank owning element el, owner[Elems[el].Root]:
 	// the dense slab every SPL probe reads. Init and the adaption passes
 	// fill it before their first probe and extend it over the tail their
 	// kernel appends (fillOwn); the next ownership change or compaction
@@ -134,53 +128,17 @@ type Dist struct {
 // assignment mapped directly to processors (partition i → processor i).
 // asg must have one entry per dual vertex.
 func NewDist(m *mesh.Mesh, p int, asg partition.Assignment) *Dist {
+	if len(asg) != m.NumRoots() {
+		panic(fmt.Sprintf("par: %d roots vs %d owners", m.NumRoots(), len(asg)))
+	}
 	d := &Dist{M: m, P: p, owner: make([]int32, len(asg))}
 	copy(d.owner, asg)
-	d.rebuildRootIndex()
 	for _, o := range d.owner {
 		if o < 0 || int(o) >= p {
 			panic(fmt.Sprintf("par: owner %d out of range", o))
 		}
 	}
 	return d
-}
-
-func (d *Dist) rebuildRootIndex() {
-	d.rootDual = make([]int32, len(d.M.Elems))
-	for i := range d.rootDual {
-		d.rootDual[i] = -1
-	}
-	n := int32(0)
-	for i := range d.M.Elems {
-		t := &d.M.Elems[i]
-		if t.Level == 0 && !t.Dead {
-			d.rootDual[i] = n
-			n++
-		}
-	}
-	if int(n) != len(d.owner) {
-		panic(fmt.Sprintf("par: %d roots vs %d owners", n, len(d.owner)))
-	}
-	d.rootOwner = make([]int32, len(d.rootDual))
-	d.setOwners(d.owner)
-}
-
-// setOwners overwrites the ownership map with o and refreshes the
-// root → owner slab (-1 for elements that are not roots).
-func (d *Dist) setOwners(o []int32) {
-	copy(d.owner, o)
-	for i, dv := range d.rootDual {
-		d.rootOwner[i] = -1
-		if dv >= 0 {
-			d.rootOwner[i] = d.owner[dv]
-		}
-	}
-}
-
-// setOwner assigns the tree rooted at level-0 element root to rank r.
-func (d *Dist) setOwner(root mesh.ElemID, r int32) {
-	d.owner[d.rootDual[root]] = r
-	d.rootOwner[root] = r
 }
 
 // Owners returns a copy of the per-dual-vertex owner array.
@@ -230,26 +188,26 @@ func (d *Dist) SetOwners(o []int32) {
 	if len(o) != len(d.owner) {
 		panic("par: owner length mismatch")
 	}
-	d.setOwners(o)
+	copy(d.owner, o)
 }
 
 // OwnerOf returns the processor owning element el (the owner of its root's
 // tree — all descendants move with the root, per the paper's Wremap
 // rationale).
-func (d *Dist) OwnerOf(el mesh.ElemID) int32 { return d.rootOwner[d.M.Elems[el].Root] }
+func (d *Dist) OwnerOf(el mesh.ElemID) int32 { return d.owner[d.M.Elems[el].Root] }
 
 // fillOwn refreshes the owner slab over elements [lo, len(Elems)) in one
 // chunked streaming scan of the element slab: lo = 0 before a pass's
 // first probe, the pre-kernel slab length once the kernel has appended.
 func (d *Dist) fillOwn(lo int) {
-	elems, rootOwner := d.M.Elems, d.rootOwner
+	elems, owner := d.M.Elems, d.owner
 	n := len(elems)
 	d.own = slices.Grow(d.own[:lo], n-lo)[:n]
 	own := d.own[lo:]
 	tail := elems[lo:]
 	chunk.For(n-lo, EffectiveWorkers(n-lo, d.Workers), func(_, clo, chi int) {
 		for i := clo; i < chi; i++ {
-			own[i] = rootOwner[tail[i].Root]
+			own[i] = owner[tail[i].Root]
 		}
 	})
 }

@@ -157,7 +157,7 @@ func TestFlatExchangeLegacyAccounting(t *testing.T) {
 // the transport or the plan, never a price.
 func TestRetryNamingNoFlowPanics(t *testing.T) {
 	d, newOwner := bigFixture(t, 8) // ring flows only: 0->4 moves nothing
-	fi := collectFlowIndex(d.M, d.rootDual, d.owner, newOwner, d.P, 1)
+	fi := collectFlowIndex(d.M, d.owner, newOwner, d.P, 1)
 	if fi.find(0, 4) >= 0 {
 		t.Fatal("fixture has a 0->4 flow")
 	}

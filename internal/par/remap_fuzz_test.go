@@ -58,19 +58,15 @@ func FuzzExecuteRemap(f *testing.F) {
 			if el.Dead {
 				continue
 			}
-			dv := d.rootDual[el.Root]
-			if dv < 0 {
-				continue
-			}
-			if src, dst := owners[dv], newOwner[dv]; src != dst {
+			if src, dst := owners[el.Root], newOwner[el.Root]; src != dst {
 				wantFlow[int(src)*p+int(dst)]++
 				wantMoved++
 			}
 		}
 
 		// The scatter must conserve records and be chunking-invariant.
-		serial := collectFlowIndex(m, d.rootDual, owners, newOwner, p, 1)
-		chunked := collectFlowIndex(m, d.rootDual, owners, newOwner, p, 3)
+		serial := collectFlowIndex(m, owners, newOwner, p, 1)
+		chunked := collectFlowIndex(m, owners, newOwner, p, 3)
 		recs := packAll(d, &serial, 1)
 		if !reflect.DeepEqual(serial, chunked) ||
 			!reflect.DeepEqual(recs, packAll(d, &chunked, 3)) {

@@ -41,7 +41,7 @@ func bigFixture(t testing.TB, p int) (*Dist, []int32) {
 // whole-payload window — at the given worker knob.
 func packAll(d *Dist, fi *flowIndex, workers int) []int64 {
 	recs := make([]int64, len(fi.elems)*recWords)
-	fi.packRange(d.M, d.rootDual, 0, len(fi.flows), recs, workers)
+	fi.packRange(d.M, 0, len(fi.flows), recs, workers)
 	return recs
 }
 
@@ -54,7 +54,7 @@ func TestRemapExecWorkerParity(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
 	refD.Workers = 1
-	refIdx := collectFlowIndex(refD.M, refD.rootDual, refD.owner, newOwner, p, 1)
+	refIdx := collectFlowIndex(refD.M, refD.owner, newOwner, p, 1)
 	refRecs := packAll(refD, &refIdx, 1)
 	refRes, err := refD.ExecuteRemap(newOwner, machine.SP2())
 	if err != nil {
@@ -70,7 +70,7 @@ func TestRemapExecWorkerParity(t *testing.T) {
 	for _, w := range []int{2, 4, 8} {
 		d, _ := bigFixture(t, p)
 		d.Workers = w
-		fi := collectFlowIndex(d.M, d.rootDual, d.owner, newOwner, p, EffectiveWorkers(len(d.M.Elems), w))
+		fi := collectFlowIndex(d.M, d.owner, newOwner, p, EffectiveWorkers(len(d.M.Elems), w))
 		if !reflect.DeepEqual(fi, refIdx) {
 			t.Fatalf("workers=%d: CSR flow index diverges", w)
 		}

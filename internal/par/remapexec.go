@@ -153,7 +153,7 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 	}
 	m := d.M
 	p := d.P
-	fi := collectFlowIndex(m, d.rootDual, d.owner, newOwner, p, EffectiveWorkers(len(m.Elems), d.Workers))
+	fi := collectFlowIndex(m, d.owner, newOwner, p, EffectiveWorkers(len(m.Elems), d.Workers))
 	moved := int64(len(fi.elems))
 	res := RemapResult{
 		Moved: moved,
@@ -185,7 +185,7 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 	}
 	rollback := func(e *RemapError) (RemapResult, error) {
 		if checkpoint != nil {
-			d.setOwners(checkpoint)
+			copy(d.owner, checkpoint)
 		}
 		return RemapResult{}, e
 	}
@@ -209,7 +209,7 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 			buf = make([]int64, words)
 		}
 		bufW := buf[:words]
-		fi.packRange(m, d.rootDual, win.f0, win.f1, bufW, d.Workers)
+		fi.packRange(m, win.f0, win.f1, bufW, d.Workers)
 		// Verification is plan-exact on every path: a received flow must
 		// match the plan's record count, so torn or misrouted windows fail
 		// here, not at the final conservation check.
@@ -246,7 +246,7 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 			// vertex and cover exactly the vertices whose owner changes.
 			for f := win.f0; f < win.f1; f++ {
 				for _, ei := range fi.elems[fi.flowStart[f]:fi.flowStart[f+1]] {
-					d.setOwner(m.Elems[ei].Root, fi.flows[f].dst)
+					d.owner[m.Elems[ei].Root] = fi.flows[f].dst
 				}
 			}
 		}
@@ -273,7 +273,7 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 	d.accountRemap(&fi, mdl, &res, retries)
 	// Without a plan ownership flips here; with one the windows already
 	// committed it, and after the last the map equals newOwner.
-	d.setOwners(newOwner)
+	copy(d.owner, newOwner)
 	return res, nil
 }
 

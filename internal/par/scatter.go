@@ -26,7 +26,8 @@ import (
 )
 
 // recWords is the size of one migrating element record in the real
-// payload exchange: (dualVertex, v0..v3, level).
+// payload exchange: (root, v0..v3, level), the root element id being the
+// tree's dual vertex.
 const recWords = 6
 
 // RecordWords is the exported size of one migrating element record, in
@@ -129,12 +130,12 @@ func (fc *flowCounts) add(src, dst int32) {
 }
 
 // collectFlowIndex builds the CSR flow index for a remap from owner to
-// newOwner over p ranks with ew workers. An element migrates when it is
-// live, its root is a dual vertex, and that vertex changes owner; its
+// newOwner over p ranks with ew workers, both indexed by root element id.
+// An element migrates when it is live and its root changes owner; its
 // whole refinement tree moves with it (the paper's Wremap rationale),
 // which is why the scan walks the element slab rather than the dual
 // vertices.
-func collectFlowIndex(m *mesh.Mesh, rootDual, owner, newOwner []int32, p, ew int) flowIndex {
+func collectFlowIndex(m *mesh.Mesh, owner, newOwner []int32, p, ew int) flowIndex {
 	n := len(m.Elems)
 	// route classifies element i; ok is false for elements that stay put.
 	// It is the shared hot loop of both passes.
@@ -143,11 +144,7 @@ func collectFlowIndex(m *mesh.Mesh, rootDual, owner, newOwner []int32, p, ew int
 		if t.Dead {
 			return 0, 0, false
 		}
-		dv := rootDual[t.Root]
-		if dv < 0 {
-			return 0, 0, false
-		}
-		src, dst = owner[dv], newOwner[dv]
+		src, dst = owner[t.Root], newOwner[t.Root]
 		return src, dst, src != dst
 	}
 
@@ -237,7 +234,7 @@ func collectFlowIndex(m *mesh.Mesh, rootDual, owner, newOwner []int32, p, ew int
 // range in canonical order, and each one is written independently from
 // its slab index, so the fill parallelizes over records with no flow
 // bookkeeping and the buffer content never depends on the chunking.
-func (fi *flowIndex) packRange(m *mesh.Mesh, rootDual []int32, f0, f1 int, buf []int64, workers int) {
+func (fi *flowIndex) packRange(m *mesh.Mesh, f0, f1 int, buf []int64, workers int) {
 	base := fi.flowStart[f0]
 	n := int(fi.flowStart[f1] - base)
 	if int64(len(buf)) != int64(n)*recWords {
@@ -247,7 +244,7 @@ func (fi *flowIndex) packRange(m *mesh.Mesh, rootDual []int32, f0, f1 int, buf [
 		for r := lo; r < hi; r++ {
 			t := &m.Elems[fi.elems[base+int64(r)]]
 			o := r * recWords
-			buf[o+0] = int64(rootDual[t.Root])
+			buf[o+0] = int64(t.Root)
 			buf[o+1] = int64(t.V[0])
 			buf[o+2] = int64(t.V[1])
 			buf[o+3] = int64(t.V[2])

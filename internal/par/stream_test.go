@@ -102,7 +102,7 @@ func TestStreamingWindowBudget(t *testing.T) {
 	// The largest flow is the atomic commit unit, so the peak is exactly
 	// the largest single flow under a sub-flow budget (indexed before the
 	// execution flips the ownership).
-	fi := collectFlowIndex(d.M, d.rootDual, d.Owners(), newOwner, p, 1)
+	fi := collectFlowIndex(d.M, d.Owners(), newOwner, p, 1)
 	// 64 words is far below any realistic flow: one flow per window.
 	res, err := d.executeRemap(newOwner, machine.SP2(), 64, nil)
 	if err != nil {
