@@ -14,6 +14,7 @@ import (
 	"plum/internal/experiments"
 	"plum/internal/geom"
 	"plum/internal/machine"
+	"plum/internal/mesh"
 	"plum/internal/meshgen"
 	"plum/internal/par"
 	"plum/internal/partition"
@@ -43,6 +44,14 @@ func BenchmarkMultilevel(b *testing.B) {
 	}
 }
 
+// midArcSphere is the sphere holding 5 % of the rotor's edge midpoints at
+// the mid-arc point.
+func midArcSphere(m *mesh.Mesh) geom.Region {
+	rp := meshgen.DefaultRotor()
+	r, th := (rp.R0+rp.R1)/2, rp.Sweep/2
+	return adapt.SphereForFraction(m, geom.Vec3{X: r * math.Cos(th), Y: r * math.Sin(th)}, 0.05)
+}
+
 // BenchmarkParallelRefine measures one distributed refinement pass of the
 // rotor at P = 2048 (hilbert), the pass the highp-reassign workload spends
 // its refinement time in: the sphere holding 5 % of the edge midpoints at
@@ -53,9 +62,7 @@ func BenchmarkParallelRefine(b *testing.B) {
 	const p = 2048
 	base := experiments.BaseMesh()
 	asg := partition.Partition(dual.Build(base), p, partition.MethodHilbertSFC)
-	rp := meshgen.DefaultRotor()
-	r, th := (rp.R0+rp.R1)/2, rp.Sweep/2
-	region := adapt.SphereForFraction(base, geom.Vec3{X: r * math.Cos(th), Y: r * math.Sin(th)}, 0.05)
+	region := midArcSphere(base)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -83,5 +90,41 @@ func BenchmarkSFCBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkMeshClone measures one Clone of the rotor mesh: its records hold
+// no pointers, so it is a copy of each slab and list block.
+func BenchmarkMeshClone(b *testing.B) {
+	m := experiments.BaseMesh()
+	b.ReportAllocs()
+	for b.Loop() {
+		if c := m.Clone(); len(c.Elems) != len(m.Elems) {
+			b.Fatal("short clone")
+		}
+	}
+}
+
+// BenchmarkCompact measures one Compact of the rotor after the mid-arc
+// sphere was refined and then coarsened, which leaves dead objects in
+// every slab: the slab moves, the list re-carve and the id rewrite.
+// Cloning the uncompacted mesh stays off the clock.
+func BenchmarkCompact(b *testing.B) {
+	base := experiments.BaseMesh()
+	a := adapt.New(base)
+	region := midArcSphere(base)
+	a.MarkRegion(region, adapt.MarkRefine)
+	a.Refine()
+	a.MarkRegion(region, adapt.MarkCoarsen)
+	a.Coarsen()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := base.Clone()
+		b.StartTimer()
+		if cm := m.Compact(); cm.Elem == nil {
+			b.Fatal("nothing to compact")
+		}
 	}
 }

@@ -123,7 +123,7 @@ func TestPropagationAcrossElements(t *testing.T) {
 	if d == mesh.InvalidEdge {
 		t.Fatal("no body diagonal found")
 	}
-	if got := len(m.Edges[d].Elems); got != 6 {
+	if got := m.Edges[d].NumElems(); got != 6 {
 		t.Fatalf("diagonal shared by %d elements, want 6", got)
 	}
 	a.SetMark(d, MarkRefine)

@@ -188,7 +188,7 @@ func (a *Adaptor) Touched() []mesh.ElemID {
 	}
 	for _, e := range a.refined[a.foldedEdges:] {
 		if a.marks[e] == MarkRefine {
-			for _, el := range m.Edges[e].Elems {
+			for _, el := range m.EdgeElems(e) {
 				add(el)
 			}
 		}

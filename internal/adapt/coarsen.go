@@ -73,12 +73,14 @@ func (a *Adaptor) removeElemGroups(st *CoarsenStats) int {
 	nElems := len(m.Elems)
 	for ti := 0; ti < nElems; ti++ {
 		t := &m.Elems[ti]
-		if t.Dead || len(t.Children) == 0 {
+		first, n := t.Children()
+		if t.Dead || n == 0 {
 			continue
 		}
+		end := first + mesh.ElemID(n)
 		all := true
 		trigger := false
-		for _, c := range t.Children {
+		for c := first; c < end; c++ {
 			ch := &m.Elems[c]
 			if !ch.Active() {
 				all = false
@@ -93,7 +95,7 @@ func (a *Adaptor) removeElemGroups(st *CoarsenStats) int {
 		if !all || !trigger {
 			continue
 		}
-		for _, c := range t.Children {
+		for c := first; c < end; c++ {
 			m.DeactivateElement(c)
 			m.KillElement(c)
 			st.ElemsRemoved++
@@ -117,19 +119,21 @@ func (a *Adaptor) removeFaceGroups(st *CoarsenStats) int {
 	nFaces := len(m.Faces)
 	for fi := 0; fi < nFaces; fi++ {
 		f := &m.Faces[fi]
-		if f.Dead || len(f.Children) == 0 {
+		first, n := f.Children()
+		if f.Dead || n == 0 {
 			continue
 		}
+		end := first + mesh.FaceID(n)
 		all := true
 		stale := false
-		for _, c := range f.Children {
+		for c := first; c < end; c++ {
 			cf := &m.Faces[c]
 			if !cf.Active() {
 				all = false
 				break
 			}
 			for _, e := range cf.E {
-				if len(m.Edges[e].Elems) == 0 {
+				if m.Edges[e].NumElems() == 0 {
 					stale = true
 				}
 			}
@@ -137,7 +141,7 @@ func (a *Adaptor) removeFaceGroups(st *CoarsenStats) int {
 		if !all || !stale {
 			continue
 		}
-		for _, c := range f.Children {
+		for c := first; c < end; c++ {
 			m.KillFace(c)
 		}
 		m.ReactivateFace(mesh.FaceID(fi))
@@ -183,7 +187,7 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 					m.KillEdge(c1)
 					m.ReactivateEdge(mesh.EdgeID(ei))
 					st.EdgesPurged += 2
-					if len(m.Verts[mid].Edges) == 0 {
+					if m.Verts[mid].NumEdges() == 0 {
 						m.KillVertex(mid)
 						st.VertsPurged++
 					}
@@ -195,12 +199,12 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 			// created fresh; initial-mesh edges always retain incident
 			// elements, so an element-free, face-free, parent-free edge is
 			// refinement garbage.
-			if ed.Parent == mesh.InvalidEdge && len(ed.Elems) == 0 && !protected.has(int32(ei)) {
+			if ed.Parent == mesh.InvalidEdge && ed.NumElems() == 0 && !protected.has(int32(ei)) {
 				v0, v1 := ed.V[0], ed.V[1]
 				m.KillEdge(mesh.EdgeID(ei))
 				st.EdgesPurged++
 				for _, v := range [2]mesh.VertID{v0, v1} {
-					if !m.Verts[v].Dead && len(m.Verts[v].Edges) == 0 {
+					if !m.Verts[v].Dead && m.Verts[v].NumEdges() == 0 {
 						m.KillVertex(v)
 						st.VertsPurged++
 					}
@@ -216,5 +220,5 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 // face.
 func (a *Adaptor) edgeUnused(e mesh.EdgeID, protected bitset) bool {
 	ed := &a.M.Edges[e]
-	return !ed.Dead && !ed.Bisected() && len(ed.Elems) == 0 && !protected.has(int32(e))
+	return !ed.Dead && !ed.Bisected() && ed.NumElems() == 0 && !protected.has(int32(e))
 }

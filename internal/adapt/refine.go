@@ -113,7 +113,7 @@ func (a *Adaptor) propagate(cands []mesh.ElemID) int {
 			// Neighbours sharing the newly marked edge must re-check
 			// their patterns (this is the communication step in the
 			// distributed implementation).
-			for _, nb := range m.Edges[e].Elems {
+			for _, nb := range m.EdgeElems(e) {
 				push(nb)
 			}
 		}
@@ -259,7 +259,7 @@ func (a *Adaptor) lowerAcrossFace(el mesh.ElemID, f int) bool {
 	m := a.M
 	t := &m.Elems[el]
 	fe := mesh.ElemFaceEdges[f]
-	for _, nb := range m.Edges[t.E[fe[0]]].Elems {
+	for _, nb := range m.EdgeElems(t.E[fe[0]]) {
 		if nb < el && m.LocalEdgeOf(nb, t.E[fe[1]]) >= 0 {
 			return true
 		}
@@ -291,11 +291,10 @@ func (a *Adaptor) subdivideElem(el mesh.ElemID, p Pattern) int {
 		}
 	}
 
+	// The children are consecutive AddElement calls: el's sibling group.
 	m.DeactivateElement(el)
-
-	kids := m.ChildList(el, p.Kind().Children())
 	add := func(a0, a1, a2, a3 mesh.VertID) {
-		kids = append(kids, m.AddElement(a0, a1, a2, a3, el, root, level))
+		m.AddElement(a0, a1, a2, a3, el, root, level)
 	}
 
 	switch p.Kind() {
@@ -363,8 +362,8 @@ func (a *Adaptor) subdivideElem(el mesh.ElemID, p Pattern) int {
 		}
 	}
 
-	m.Elems[el].Children = kids
-	return len(kids)
+	_, n := m.Elems[el].Children()
+	return n
 }
 
 // refineFaces splits every active boundary face whose edges were bisected,

@@ -126,7 +126,10 @@ func refineChecked(t *testing.T, a *Adaptor) (RefineStats, int) {
 	}
 }
 
-// sameSlabs reports the first slab in which two meshes differ.
+// sameSlabs reports the first slab or incidence list in which two meshes
+// differ. The records hold each list's place in its block and each child
+// range, so comparing them checks the layout and the sibling groups; the
+// lists' entries, in order, are compared through the accessors.
 func sameSlabs(a, b *mesh.Mesh) error {
 	switch {
 	case !reflect.DeepEqual(a.Verts, b.Verts):
@@ -139,6 +142,16 @@ func sameSlabs(a, b *mesh.Mesh) error {
 		return fmt.Errorf("boundary-face slabs differ")
 	case !reflect.DeepEqual(a.Bisections, b.Bisections):
 		return fmt.Errorf("bisection logs differ")
+	}
+	for v := range a.Verts {
+		if x, y := a.VertEdges(mesh.VertID(v)), b.VertEdges(mesh.VertID(v)); !slices.Equal(x, y) {
+			return fmt.Errorf("vertex %d edge lists %v and %v", v, x, y)
+		}
+	}
+	for e := range a.Edges {
+		if x, y := a.EdgeElems(mesh.EdgeID(e)), b.EdgeElems(mesh.EdgeID(e)); !slices.Equal(x, y) {
+			return fmt.Errorf("edge %d element lists %v and %v", e, x, y)
+		}
 	}
 	return nil
 }

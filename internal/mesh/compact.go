@@ -15,9 +15,10 @@ type CompactMap struct {
 }
 
 // Compact drops dead vertices, edges, elements, and boundary faces,
-// renumbers the survivors densely in id order, and moves every live
-// incidence and child list into fresh blocks sized to what is alive, so
-// the slots and list blocks the dead held become garbage. It is the
+// renumbers the survivors densely in id order, and re-carves every live
+// incidence list into a fresh block, so the slots and carves the dead held
+// are reclaimed. A sibling group survives or dies whole and keeps its
+// order, so it stays an id range and only its first id moves. It is the
 // compaction the paper performs during the coarsening phase ("objects are
 // renumbered as a result of compaction and all internal and shared data
 // are updated accordingly"). The bisection log is renumbered, and loses the
@@ -53,36 +54,21 @@ func (m *Mesh) Compact() CompactMap {
 	}
 	m.nRoots = roots
 
-	// Size one fresh block per list kind to the survivors' lists, each at
-	// the capacity push would have grown it to. Nothing live points into
-	// the old blocks once the lists have moved.
-	var nEdgeIDs, nElemIDs, nFaceIDs int
-	for i := range m.Verts {
-		nEdgeIDs += liveCap(m.Verts[i].Edges, cm.Edge, vertEdgeCap)
-	}
-	for i := range m.Edges {
-		nElemIDs += liveCap(m.Edges[i].Elems, cm.Elem, edgeElemCap)
-	}
-	for i := range m.Elems {
-		nElemIDs += liveCap(m.Elems[i].Children, cm.Elem, elemChildCap)
-	}
-	for i := range m.Faces {
-		nFaceIDs += liveCap(m.Faces[i].Children, cm.Face, faceChildCap)
-	}
-	m.edgeSlab = make([]EdgeID, 0, nEdgeIDs)
-	m.elemSlab = make([]ElemID, 0, nElemIDs)
-	m.faceSlab = make([]FaceID, 0, nFaceIDs)
-
-	// Rewrite references.
+	// Re-carve the lists into one fresh block per kind, at the class push
+	// would have grown each to. The survivors never need more than the old
+	// block's capacity, and a smaller block would be copied again by the
+	// next round's Reserve.
+	edgeBlk := make([]EdgeID, 0, cap(m.edgeBlk))
+	elemBlk := make([]ElemID, 0, cap(m.elemBlk))
 	for i := range m.Verts {
 		v := &m.Verts[i]
-		v.Edges = recarve(&m.edgeSlab, v.Edges, cm.Edge, vertEdgeCap)
+		v.edgeOff, v.nEdges, v.edgeCls = recarve(&edgeBlk, m.edgeBlk, v.edgeOff, v.nEdges, cm.Edge, vertEdgeCap)
 	}
 	for i := range m.Edges {
 		ed := &m.Edges[i]
 		ed.V[0] = cm.Vert[ed.V[0]]
 		ed.V[1] = cm.Vert[ed.V[1]]
-		ed.Elems = recarve(&m.elemSlab, ed.Elems, cm.Elem, edgeElemCap)
+		ed.elemOff, ed.nElems, ed.elemCls = recarve(&elemBlk, m.elemBlk, ed.elemOff, ed.nElems, cm.Elem, edgeElemCap)
 		if ed.Parent != InvalidEdge {
 			ed.Parent = cm.Edge[ed.Parent]
 		}
@@ -92,6 +78,7 @@ func (m *Mesh) Compact() CompactMap {
 			ed.Mid = cm.Vert[ed.Mid]
 		}
 	}
+	m.edgeBlk, m.elemBlk = edgeBlk, elemBlk
 	for i := range m.Elems {
 		t := &m.Elems[i]
 		for j := range t.V {
@@ -104,7 +91,9 @@ func (m *Mesh) Compact() CompactMap {
 			t.Parent = cm.Elem[t.Parent]
 		}
 		t.Root = cm.Elem[t.Root]
-		t.Children = recarve(&m.elemSlab, t.Children, cm.Elem, elemChildCap)
+		if t.nKids != 0 {
+			t.kids = cm.Elem[t.kids]
+		}
 	}
 	for i := range m.Faces {
 		f := &m.Faces[i]
@@ -117,7 +106,9 @@ func (m *Mesh) Compact() CompactMap {
 		if f.Parent != InvalidFace {
 			f.Parent = cm.Face[f.Parent]
 		}
-		f.Children = recarve(&m.faceSlab, f.Children, cm.Face, faceChildCap)
+		if f.nKids != 0 {
+			f.kids = cm.Face[f.kids]
+		}
 	}
 
 	kept := m.Bisections[:0]
@@ -146,8 +137,8 @@ func (m *Mesh) Compact() CompactMap {
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // compactSlab moves the live records of slab down over the dead ones,
-// keeping their order, fills ids with the old → new map, and zeroes the
-// vacated tail so that its list headers stop pinning their blocks.
+// keeping their order, and fills ids with the old → new map. The vacated
+// tail is left as it is: records hold no pointers, so it pins nothing.
 func compactSlab[T any, ID ~int32](slab []T, ids []ID, dead func(*T) bool) []T {
 	n := 0
 	for i := range slab {
@@ -161,47 +152,5 @@ func compactSlab[T any, ID ~int32](slab []T, ids []ID, dead func(*T) bool) []T {
 		}
 		n++
 	}
-	clear(slab[n:])
 	return slab[:n]
-}
-
-// elemChildCap stands in for a first-carve capacity of element child
-// lists: ChildList carves the pattern's exact 2, 4 or 8, which is what
-// doubling from 2 gives.
-const elemChildCap = 2
-
-// liveCap returns the capacity the entries of l that survive the
-// renumbering need as a list first carved at first: what push would have
-// grown it to — first doubled until they fit — and nothing for none.
-func liveCap[ID ~int32](l []ID, ids []ID, first int) int {
-	n := 0
-	for _, x := range l {
-		if ids[x] >= 0 {
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	c := first
-	for c < n {
-		c *= 2
-	}
-	return c
-}
-
-// recarve returns the surviving entries of l, renumbered, in a list of
-// their liveCap carved from *s; nil when none survive.
-func recarve[ID ~int32](s *[]ID, l []ID, ids []ID, first int) []ID {
-	c := liveCap(l, ids, first)
-	if c == 0 {
-		return nil
-	}
-	out := carve(s, c)
-	for _, x := range l {
-		if nx := ids[x]; nx >= 0 {
-			out = append(out, nx)
-		}
-	}
-	return out
 }

@@ -41,13 +41,13 @@ func wantCheckError(t *testing.T, m *Mesh, substr string) {
 func TestCheckDetectsStaleIncidence(t *testing.T) {
 	m := validPair(t)
 	// Inject a stale entry into an edge's element list.
-	m.Edges[0].Elems = append(m.Edges[0].Elems, 1)
+	m.addEdgeElem(0, 1)
 	wantCheckError(t, m, "incidence")
 }
 
 func TestCheckDetectsMissingIncidence(t *testing.T) {
 	m := validPair(t)
-	m.Edges[0].Elems = m.Edges[0].Elems[:0]
+	m.Edges[0].nElems = 0
 	wantCheckError(t, m, "incidence")
 }
 
@@ -55,7 +55,7 @@ func TestCheckDetectsDanglingVertexEdge(t *testing.T) {
 	m := validPair(t)
 	// Vertex incidence listing an edge that does not contain it.
 	other := m.FindEdge(2, 3)
-	m.Verts[0].Edges = append(m.Verts[0].Edges, other)
+	m.addVertEdge(0, other)
 	wantCheckError(t, m, "does not contain")
 }
 
@@ -116,11 +116,11 @@ func TestCheckDetectsDuplicateEdge(t *testing.T) {
 	// A second live edge over the endpoints of edge 0, registered the way
 	// AddEdge would have: FindEdge could return either.
 	dup := m.Edges[0]
-	dup.Elems = nil
+	dup.elemOff, dup.nElems, dup.elemCls = 0, 0, 0
 	m.Edges = append(m.Edges, dup)
 	id := EdgeID(len(m.Edges) - 1)
 	for _, v := range dup.V {
-		m.Verts[v].Edges = append(m.Verts[v].Edges, id)
+		m.addVertEdge(v, id)
 	}
 	m.nActiveEdges++
 	wantCheckError(t, m, "connects the same vertices")
@@ -129,20 +129,25 @@ func TestCheckDetectsDuplicateEdge(t *testing.T) {
 func TestCheckDetectsEdgeListedTwice(t *testing.T) {
 	m := validPair(t)
 	v := m.Edges[0].V[0]
-	m.Verts[v].Edges = append(m.Verts[v].Edges, 0)
+	m.addVertEdge(v, 0)
 	wantCheckError(t, m, "incidence list 2 times")
 }
 
 func TestCheckDetectsEdgeMissingFromVertexList(t *testing.T) {
 	m := validPair(t)
 	v := m.Edges[0].V[1]
-	lst := m.Verts[v].Edges
-	for i, e := range lst {
-		if e == 0 {
-			m.Verts[v].Edges = append(lst[:i:i], lst[i+1:]...)
-		}
-	}
+	m.delVertEdge(v, 0)
 	wantCheckError(t, m, "incidence list 0 times")
+}
+
+func TestCheckDetectsListPastItsBlock(t *testing.T) {
+	m := validPair(t)
+	m.Edges[0].elemOff = int32(len(m.elemBlk)) // a carve past the block's end
+	wantCheckError(t, m, "edge 0: element list")
+
+	m = validPair(t)
+	m.Verts[0].nEdges = vertEdgeCap + 1 // more entries than the carve holds
+	wantCheckError(t, m, "vertex 0: edge list")
 }
 
 func TestCheckDetectsBrokenRootPrefix(t *testing.T) {
@@ -176,4 +181,84 @@ func TestCheckDetectsUnorderedEndpoints(t *testing.T) {
 	ed := &m.Edges[0]
 	ed.V[0], ed.V[1] = ed.V[1], ed.V[0]
 	wantCheckError(t, m, "ascending")
+}
+
+// splitPair is validPair with element 0 split in two across its edge
+// (0, 1): a sibling group, elements [2, 4).
+func splitPair(t *testing.T) *Mesh {
+	t.Helper()
+	m := validPair(t)
+	mid := m.BisectEdge(m.FindEdge(0, 1))
+	m.DeactivateElement(0)
+	m.AddElement(0, mid, 2, 3, 0, 0, 1)
+	m.AddElement(mid, 1, 2, 3, 0, 0, 1)
+	if first, n := m.Elems[0].Children(); first != 2 || n != 2 {
+		t.Fatalf("fixture: children [%d, %d), want [2, 4)", first, int(first)+n)
+	}
+	if err := m.Check(); err != nil {
+		t.Fatalf("fixture invalid: %v", err)
+	}
+	return m
+}
+
+func TestCheckDetectsBrokenChildRange(t *testing.T) {
+	m := splitPair(t)
+	m.Elems[3].Parent = 1 // a member with another parent
+	wantCheckError(t, m, "another parent")
+
+	m = splitPair(t)
+	m.DeactivateElement(3)
+	m.KillElement(3) // half the group removed
+	wantCheckError(t, m, "partly dead")
+
+	m = splitPair(t)
+	m.Elems[0].nKids = 1 // a live child outside its parent's range
+	wantCheckError(t, m, "not in its parent")
+
+	for _, p := range []ElemID{4, -2} {
+		m = splitPair(t)
+		m.Elems[1].Parent = p // a parent past either end of the slab
+		wantCheckError(t, m, "outside the slab")
+	}
+
+	m = validPair(t)
+	m.AddBoundaryFace(0, 1, 2, 0)
+	m.AddBoundaryFace(0, 1, 3, 0)
+	f := &m.Faces[0]
+	f.kids, f.nKids = 1, 1 // a face group whose member has no parent
+	wantCheckError(t, m, "face 0: child range member 1 has another parent")
+}
+
+// wantPanic runs f and fails unless it panics with a message containing
+// substr.
+func wantPanic(t *testing.T, substr string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, substr) {
+			t.Fatalf("got panic %q, want one containing %q", msg, substr)
+		}
+	}()
+	f()
+}
+
+func TestListWritersPanicOnBrokenLists(t *testing.T) {
+	// Removing an entry a list does not hold: the element is no longer on
+	// its edges' lists the second time.
+	m := validPair(t)
+	m.DeactivateElement(0)
+	wantPanic(t, "does not hold", func() { m.DeactivateElement(0) })
+
+	// A list at the largest length its field holds.
+	blk := make([]EdgeID, maxListLen)
+	var off int32
+	n, cls := uint16(maxListLen), classOf(maxListLen, vertEdgeCap)
+	wantPanic(t, "list length overflows", func() { push(&blk, &off, &n, &cls, 0, vertEdgeCap) })
+
+	// A sibling group at the largest count its field holds, and an id that
+	// does not extend a group.
+	first, kids := ElemID(0), uint8(maxChildren)
+	wantPanic(t, "child count overflows", func() { addChild(&first, &kids, maxChildren) })
+	kids = 2
+	wantPanic(t, "consecutive ids", func() { addChild(&first, &kids, 3) })
 }

@@ -1,7 +1,9 @@
 package mesh_test
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -92,84 +94,135 @@ func TestFindEdgeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// overflow fills l to its capacity and one entry beyond, with a value no
-// list holds, and returns the grown list.
-func overflow[T ~int32](l []T) []T {
-	for n := cap(l) - len(l) + 1; n > 0; n-- {
-		l = append(l, -7)
+// lists copies every incidence list of m out through the accessors.
+func lists(m *mesh.Mesh) (edges [][]mesh.EdgeID, elems [][]mesh.ElemID) {
+	for v := range m.Verts {
+		edges = append(edges, slices.Clone(m.VertEdges(mesh.VertID(v))))
 	}
-	return l
+	for e := range m.Edges {
+		elems = append(elems, slices.Clone(m.EdgeElems(mesh.EdgeID(e))))
+	}
+	return edges, elems
 }
 
-// TestCarvedListsDoNotAlias appends past the carved capacity of one
-// incidence or child list at a time and verifies every other list of the
-// mesh keeps its contents: an overflowing append must move to the heap,
-// never write into the list carved next.
+// sameLists reports the first incidence list of m that differs from the
+// copies lists took.
+func sameLists(m *mesh.Mesh, edges [][]mesh.EdgeID, elems [][]mesh.ElemID) error {
+	if len(m.Verts) != len(edges) || len(m.Edges) != len(elems) {
+		return fmt.Errorf("%d vertices and %d edges, want %d and %d", len(m.Verts), len(m.Edges), len(edges), len(elems))
+	}
+	for v := range m.Verts {
+		if got := m.VertEdges(mesh.VertID(v)); !slices.Equal(got, edges[v]) {
+			return fmt.Errorf("vertex %d edge list %v, was %v", v, got, edges[v])
+		}
+	}
+	for e := range m.Edges {
+		if got := m.EdgeElems(mesh.EdgeID(e)); !slices.Equal(got, elems[e]) {
+			return fmt.Errorf("edge %d element list %v, was %v", e, got, elems[e])
+		}
+	}
+	return nil
+}
+
+// Sinks for TestCarvedListsDoNotAlias's appends.
+var (
+	grownEdges []mesh.EdgeID
+	grownElems []mesh.ElemID
+)
+
+// TestCarvedListsDoNotAlias appends to the result of every accessor and
+// verifies every list of the mesh keeps its contents: an accessor's
+// capacity is its length, so an append copies instead of writing into the
+// block, where the next entry belongs to the list itself or its
+// neighbour.
 func TestCarvedListsDoNotAlias(t *testing.T) {
 	m := meshgen.Box(2, 2, 2, geom.Vec3{X: 1, Y: 1, Z: 1})
 	a := adapt.New(m)
 	a.MarkRandom(0.3, adapt.MarkRefine, 7)
 	a.Refine()
+	edges, elems := lists(m)
+	for v := range m.Verts {
+		grownEdges = append(m.VertEdges(mesh.VertID(v)), -7)
+	}
+	for e := range m.Edges {
+		grownElems = append(m.EdgeElems(mesh.EdgeID(e)), -7)
+	}
+	if err := sameLists(m, edges, elems); err != nil {
+		t.Fatalf("after appending to every accessor's result: %v", err)
+	}
+}
 
-	type snapshot struct {
-		edges    [][]mesh.EdgeID
-		elems    [][]mesh.ElemID
-		children [][]mesh.ElemID
-	}
-	snap := func() snapshot {
-		var s snapshot
-		for i := range m.Verts {
-			s.edges = append(s.edges, slices.Clone(m.Verts[i].Edges))
-		}
-		for i := range m.Edges {
-			s.elems = append(s.elems, slices.Clone(m.Edges[i].Elems))
-		}
-		for i := range m.Elems {
-			s.children = append(s.children, slices.Clone(m.Elems[i].Children))
-		}
-		return s
-	}
-	same := func(want snapshot, what string) {
-		t.Helper()
-		for i := range m.Verts {
-			if !slices.Equal(m.Verts[i].Edges, want.edges[i]) {
-				t.Fatalf("%s: vertex %d edge list changed: %v, was %v", what, i, m.Verts[i].Edges, want.edges[i])
+// TestMeshRecordsHoldNoPointers walks the record types field by field: a
+// pointer-bearing field would make the GC scan the slabs again and Clone
+// share state between copies.
+func TestMeshRecordsHoldNoPointers(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
 			}
-		}
-		for i := range m.Edges {
-			if !slices.Equal(m.Edges[i].Elems, want.elems[i]) {
-				t.Fatalf("%s: edge %d element list changed: %v, was %v", what, i, m.Edges[i].Elems, want.elems[i])
-			}
-		}
-		for i := range m.Elems {
-			if !slices.Equal(m.Elems[i].Children, want.children[i]) {
-				t.Fatalf("%s: element %d child list changed: %v, was %v", what, i, m.Elems[i].Children, want.children[i])
-			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Slice, reflect.Map, reflect.Pointer, reflect.String, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: mesh records must hold no pointers", path, ty.Kind())
 		}
 	}
+	for _, rec := range []any{mesh.Vertex{}, mesh.Edge{}, mesh.Element{}, mesh.BoundaryFace{}, mesh.Bisection{}} {
+		ty := reflect.TypeOf(rec)
+		walk(ty.Name(), ty)
+	}
+}
 
-	for i := 0; i < len(m.Verts); i += 5 {
-		before := snap()
-		old := m.Verts[i].Edges
-		m.Verts[i].Edges = overflow(old)
-		m.Verts[i].Edges = old
-		same(before, "vertex list overflow")
-	}
-	for i := 0; i < len(m.Edges); i += 7 {
-		before := snap()
-		old := m.Edges[i].Elems
-		m.Edges[i].Elems = overflow(old)
-		m.Edges[i].Elems = old
-		same(before, "edge list overflow")
-	}
-	for i := range m.Elems {
-		if len(m.Elems[i].Children) == 0 {
-			continue
+// TestCloneAllocatesConstant pins Clone to a copy of each slab and list
+// block: the same number of allocations on a box and on a refined box
+// eight times its size.
+func TestCloneAllocatesConstant(t *testing.T) {
+	small := meshgen.Box(2, 2, 2, geom.Vec3{X: 1, Y: 1, Z: 1})
+	big := meshgen.Box(4, 4, 4, geom.Vec3{X: 1, Y: 1, Z: 1})
+	a := adapt.New(big)
+	a.MarkRandom(0.2, adapt.MarkRefine, 3)
+	a.Refine()
+	big.ResetLog()
+	// The Mesh, its four slabs and its two list blocks.
+	const want = 7
+	for _, m := range []*mesh.Mesh{small, big} {
+		if got := testing.AllocsPerRun(10, func() { m.Clone() }); got != want {
+			t.Errorf("Clone of %d elements allocates %v times, want %d", len(m.Elems), got, want)
 		}
-		before := snap()
-		old := m.Elems[i].Children
-		m.Elems[i].Children = overflow(old)
-		m.Elems[i].Children = old
-		same(before, "child list overflow")
+	}
+}
+
+// TestCloneIsIndependent adapts and compacts a clone and checks that the
+// original keeps every list and stays valid.
+func TestCloneIsIndependent(t *testing.T) {
+	m := meshgen.Box(3, 3, 3, geom.Vec3{X: 1, Y: 1, Z: 1})
+	a := adapt.New(m)
+	a.MarkRandom(0.2, adapt.MarkRefine, 5)
+	a.Refine()
+	edges, elems := lists(m)
+	slabs := []any{slices.Clone(m.Verts), slices.Clone(m.Edges), slices.Clone(m.Elems), slices.Clone(m.Faces)}
+
+	c := m.Clone()
+	ac := adapt.New(c)
+	ac.MarkRandom(0.3, adapt.MarkRefine, 6)
+	ac.Refine()
+	ac.MarkRandom(0.5, adapt.MarkCoarsen, 7)
+	ac.Coarsen()
+	ac.Compact()
+	if err := c.Check(); err != nil {
+		t.Fatalf("clone: %v", err)
+	}
+	if err := sameLists(m, edges, elems); err != nil {
+		t.Fatalf("original changed with its clone: %v", err)
+	}
+	if got := []any{m.Verts, m.Edges, m.Elems, m.Faces}; !reflect.DeepEqual(got, slabs) {
+		t.Fatal("original's slabs changed with its clone")
+	}
+	if err := m.Check(); err != nil {
+		t.Fatalf("original: %v", err)
 	}
 }

@@ -10,10 +10,13 @@
 // adaption scheme". The vertex lists are also the edge lookup: FindEdge
 // probes the shorter endpoint list, so no separate index is kept in step.
 //
-// The lists are carved from per-mesh blocks (see carve, push) instead of
-// being grown on the heap one append at a time, and Reserve sizes the
-// object slabs and the blocks once per refinement round, so adaption
-// allocates per round, not per object.
+// The records hold no pointers. Each incidence list is an offset, a length
+// and a capacity class into one per-mesh block per list kind (see push),
+// read through VertEdges and EdgeElems, and a sibling group is the id
+// range its consecutive creation gave it (see Element.Children). Reserve
+// sizes the object slabs and the blocks once per refinement round, so
+// adaption allocates per round, not per object, and the GC never scans
+// the mesh.
 //
 // Refinement history is retained: when an element is subdivided or an edge
 // is bisected, the parent object is deactivated but kept so that
@@ -92,26 +95,40 @@ func LocalEdge(a, b int) int {
 	return -1
 }
 
-// Vertex is a mesh vertex. Pos is its position; Edges is the incidence
-// list of all edges meeting at this vertex.
+// Vertex is a mesh vertex at Pos. Its incidence list, the live edges
+// meeting at it, is Mesh.VertEdges.
 type Vertex struct {
-	Pos   geom.Vec3
-	Edges []EdgeID
-	Dead  bool
+	Pos geom.Vec3
+	// The incidence list in Mesh.edgeBlk (see push).
+	edgeOff int32
+	nEdges  uint16
+	edgeCls uint8
+	Dead    bool
 }
 
-// Edge is a mesh edge connecting two vertices. It records the elements
-// sharing it (incidence list), and — once bisected — the midpoint vertex
-// and its two child edges. An edge with children is inactive: it no longer
-// bounds any active element, but it is retained for coarsening.
+// NumEdges returns the length of the vertex's incidence list.
+func (v *Vertex) NumEdges() int { return int(v.nEdges) }
+
+// Edge is a mesh edge connecting two vertices. It records the active
+// elements sharing it (its incidence list, Mesh.EdgeElems), and — once
+// bisected — the midpoint vertex and its two child edges. An edge with
+// children is inactive: it no longer bounds any active element, but it is
+// retained for coarsening.
 type Edge struct {
 	V      [2]VertID
-	Elems  []ElemID // active elements sharing this edge
 	Parent EdgeID
 	Child  [2]EdgeID // (V[0],Mid) and (Mid,V[1]); InvalidEdge if not bisected
 	Mid    VertID    // midpoint vertex; InvalidVert if not bisected
-	Dead   bool
+	// The incidence list in Mesh.elemBlk (see push).
+	elemOff int32
+	nElems  uint16
+	elemCls uint8
+	Dead    bool
 }
+
+// NumElems returns the length of the edge's incidence list: the number of
+// active elements sharing it.
+func (e *Edge) NumElems() int { return int(e.nElems) }
 
 // Bisected reports whether the edge has been split into two child edges.
 func (e *Edge) Bisected() bool { return e.Child[0] != InvalidEdge }
@@ -129,37 +146,49 @@ func (e *Edge) Other(v VertID) VertID {
 }
 
 // Element is a tetrahedron defined by 4 vertices and, canonically, by its
-// 6 edges (see ElemEdgeVerts). Parent/Children record the refinement tree;
-// Root is the initial-mesh ancestor, whose id is the dual-graph vertex the
-// element contributes weight to (see Mesh.NumRoots). An element with
-// children is inactive.
+// 6 edges (see ElemEdgeVerts). Parent and Children record the refinement
+// tree; Root is the initial-mesh ancestor, whose id is the dual-graph
+// vertex the element contributes weight to (see Mesh.NumRoots). An element
+// with children is inactive.
 type Element struct {
-	V        [4]VertID
-	E        [6]EdgeID
-	Parent   ElemID
-	Children []ElemID
-	Root     ElemID
-	Level    int32
-	Dead     bool
+	V      [4]VertID
+	E      [6]EdgeID
+	Parent ElemID
+	Root   ElemID
+	Level  int32
+	kids   ElemID // the sibling group [kids, kids+nKids) (see Children)
+	nKids  uint8
+	Dead   bool
 }
+
+// Children returns the element's children, the ids [first, first+n); n is
+// 0 for a leaf. AddElement creates a sibling group by consecutive calls
+// and coarsening removes it whole, and Compact keeps survivors in order,
+// so a group is always an id range.
+func (t *Element) Children() (first ElemID, n int) { return t.kids, int(t.nKids) }
 
 // Active reports whether the element is a live leaf of the refinement
 // forest (participates in the computational mesh).
-func (t *Element) Active() bool { return !t.Dead && len(t.Children) == 0 }
+func (t *Element) Active() bool { return !t.Dead && t.nKids == 0 }
 
 // BoundaryFace is a triangular face on the external boundary of the mesh.
 // Patch labels the boundary patch it belongs to (inflow, wall, …).
 type BoundaryFace struct {
-	V        [3]VertID
-	E        [3]EdgeID
-	Patch    int32
-	Parent   FaceID
-	Children []FaceID
-	Dead     bool
+	V      [3]VertID
+	E      [3]EdgeID
+	Patch  int32
+	Parent FaceID
+	kids   FaceID // the sibling group [kids, kids+nKids) (see Children)
+	nKids  uint8
+	Dead   bool
 }
 
+// Children returns the face's children, the ids [first, first+n), created
+// by consecutive AddChildFace calls; n is 0 for a leaf.
+func (f *BoundaryFace) Children() (first FaceID, n int) { return f.kids, int(f.nKids) }
+
 // Active reports whether the boundary face is a live leaf.
-func (f *BoundaryFace) Active() bool { return !f.Dead && len(f.Children) == 0 }
+func (f *BoundaryFace) Active() bool { return !f.Dead && f.nKids == 0 }
 
 // Bisection records one edge bisection, in creation order, so that
 // vertex-stored solution fields can be interpolated after adaption: the
@@ -191,12 +220,10 @@ type Mesh struct {
 	// in current ids.
 	Renumbering []VertID
 
-	// The current carving blocks of the incidence and child lists (see
-	// carve): Edge.Elems and Element.Children, Vertex.Edges,
-	// BoundaryFace.Children.
-	elemSlab []ElemID
-	edgeSlab []EdgeID
-	faceSlab []FaceID
+	// The blocks the incidence lists live in (see push): every vertex's
+	// edges in edgeBlk, every edge's elements in elemBlk.
+	edgeBlk []EdgeID
+	elemBlk []ElemID
 
 	nRoots       int // initial elements, ids [0, nRoots) (see NumRoots)
 	nActiveElems int
@@ -208,40 +235,69 @@ type Mesh struct {
 }
 
 // New returns an empty mesh with capacity hints for nv vertices, ne edges
-// and nt elements.
+// and nt elements, and for the first carves of their incidence lists (a
+// list block that grows by copying costs a mesh generator a third of its
+// time).
 func New(nv, ne, nt int) *Mesh {
 	return &Mesh{
-		Verts: make([]Vertex, 0, nv),
-		Edges: make([]Edge, 0, ne),
-		Elems: make([]Element, 0, nt),
+		Verts:   make([]Vertex, 0, nv),
+		Edges:   make([]Edge, 0, ne),
+		Elems:   make([]Element, 0, nt),
+		edgeBlk: make([]EdgeID, 0, nv*vertEdgeCap),
+		elemBlk: make([]ElemID, 0, ne*edgeElemCap),
 	}
 }
 
 // Reserve makes room for nv more vertices, ne more edges, nt more
-// elements and nf more boundary faces, and for their incidence and child
-// lists, so that a refinement round whose growth is known up front regrows
-// each slab at most once. Every vertex of a round is an edge midpoint, so
-// the bisection log grows with nv; the nt elements are all some parent's
-// children; a split face has at least two.
+// elements and nf more boundary faces, and for their incidence lists, so
+// that a refinement round whose growth is known up front regrows each
+// slab and block at most once. Every vertex of a round is an edge
+// midpoint, so the bisection log grows with nv.
 func (m *Mesh) Reserve(nv, ne, nt, nf int) {
 	m.Verts = slices.Grow(m.Verts, nv)
 	m.Edges = slices.Grow(m.Edges, ne)
 	m.Elems = slices.Grow(m.Elems, nt)
 	m.Faces = slices.Grow(m.Faces, nf)
 	m.Bisections = slices.Grow(m.Bisections, nv)
-	reserve(&m.edgeSlab, nv*vertEdgeCap)
-	reserve(&m.elemSlab, ne*edgeElemCap+nt)
-	reserve(&m.faceSlab, nf/2*faceChildCap)
+	m.edgeBlk = slices.Grow(m.edgeBlk, nv*vertEdgeCap)
+	m.elemBlk = slices.Grow(m.elemBlk, ne*edgeElemCap)
 }
 
-// ChildList returns an empty child list for el with room for n children:
-// the element's own cleared list when a reinstated parent is subdivided
-// again and it is large enough, a fresh carve otherwise.
-func (m *Mesh) ChildList(el ElemID, n int) []ElemID {
-	if kids := m.Elems[el].Children; cap(kids) >= n {
-		return kids[:0]
-	}
-	return carve(&m.elemSlab, n)
+// VertEdges returns vertex v's incidence list: the live edges meeting at
+// it. The slice is a view of the mesh, valid until the mesh next changes;
+// its capacity is its length, so appending to it copies.
+func (m *Mesh) VertEdges(v VertID) []EdgeID {
+	x := &m.Verts[v]
+	return view(m.edgeBlk, x.edgeOff, x.nEdges)
+}
+
+// EdgeElems returns edge e's incidence list: the active elements sharing
+// it. Like VertEdges it is a view, valid until the mesh next changes.
+func (m *Mesh) EdgeElems(e EdgeID) []ElemID {
+	x := &m.Edges[e]
+	return view(m.elemBlk, x.elemOff, x.nElems)
+}
+
+// addVertEdge and addEdgeElem push onto an incidence list; delVertEdge and
+// delEdgeElem remove from one, and panic when the entry is missing.
+func (m *Mesh) addVertEdge(v VertID, e EdgeID) {
+	x := &m.Verts[v]
+	push(&m.edgeBlk, &x.edgeOff, &x.nEdges, &x.edgeCls, e, vertEdgeCap)
+}
+
+func (m *Mesh) addEdgeElem(e EdgeID, el ElemID) {
+	x := &m.Edges[e]
+	push(&m.elemBlk, &x.elemOff, &x.nElems, &x.elemCls, el, edgeElemCap)
+}
+
+func (m *Mesh) delVertEdge(v VertID, e EdgeID) {
+	x := &m.Verts[v]
+	del(m.edgeBlk, x.edgeOff, &x.nEdges, e)
+}
+
+func (m *Mesh) delEdgeElem(e EdgeID, el ElemID) {
+	x := &m.Edges[e]
+	del(m.elemBlk, x.elemOff, &x.nElems, el)
 }
 
 // AddVertex appends a vertex at p and returns its id.
@@ -262,8 +318,8 @@ func edgeKey(a, b VertID) [2]VertID {
 // the probe walks the shorter of the two endpoint lists.
 func (m *Mesh) FindEdge(a, b VertID) EdgeID {
 	key := edgeKey(a, b)
-	lst := m.Verts[a].Edges
-	if lb := m.Verts[b].Edges; len(lb) < len(lst) {
+	lst := m.VertEdges(a)
+	if lb := m.VertEdges(b); len(lb) < len(lst) {
 		lst = lb
 	}
 	for _, e := range lst {
@@ -291,8 +347,8 @@ func (m *Mesh) AddEdge(a, b VertID) EdgeID {
 		Child:  [2]EdgeID{InvalidEdge, InvalidEdge},
 		Mid:    InvalidVert,
 	})
-	m.Verts[a].Edges = push(&m.edgeSlab, m.Verts[a].Edges, id, vertEdgeCap)
-	m.Verts[b].Edges = push(&m.edgeSlab, m.Verts[b].Edges, id, vertEdgeCap)
+	m.addVertEdge(a, id)
+	m.addVertEdge(b, id)
 	m.nActiveEdges++
 	return id
 }
@@ -302,7 +358,9 @@ func (m *Mesh) AddEdge(a, b VertID) EdgeID {
 // its six edges. The vertex order is normalized so the signed volume is
 // non-negative. root is the dual-graph vertex the element belongs to; pass
 // InvalidElem to make the element its own root (initial-mesh elements).
-// Roots come first: one added after a refinement child panics.
+// Roots come first: one added after a refinement child panics. A child
+// joins its parent's sibling group, which consecutive calls build (see
+// Element.Children).
 func (m *Mesh) AddElement(v0, v1, v2, v3 VertID, parent ElemID, root ElemID, level int32) ElemID {
 	vol := geom.TetVolume(m.Verts[v0].Pos, m.Verts[v1].Pos, m.Verts[v2].Pos, m.Verts[v3].Pos)
 	if vol < 0 {
@@ -316,6 +374,10 @@ func (m *Mesh) AddElement(v0, v1, v2, v3 VertID, parent ElemID, root ElemID, lev
 		root = id
 		m.nRoots++
 	}
+	if parent != InvalidElem {
+		p := &m.Elems[parent]
+		addChild(&p.kids, &p.nKids, id)
+	}
 	el := Element{
 		V:      [4]VertID{v0, v1, v2, v3},
 		Parent: parent,
@@ -325,7 +387,7 @@ func (m *Mesh) AddElement(v0, v1, v2, v3 VertID, parent ElemID, root ElemID, lev
 	for i, lv := range ElemEdgeVerts {
 		e := m.AddEdge(el.V[lv[0]], el.V[lv[1]])
 		el.E[i] = e
-		m.Edges[e].Elems = push(&m.elemSlab, m.Edges[e].Elems, id, edgeElemCap)
+		m.addEdgeElem(e, id)
 	}
 	m.Elems = append(m.Elems, el)
 	m.nActiveElems++
@@ -352,18 +414,6 @@ func (m *Mesh) AddBoundaryFace(v0, v1, v2 VertID, patch int32) FaceID {
 	m.Faces = append(m.Faces, f)
 	m.nActiveFaces++
 	return id
-}
-
-// removeFromElemList removes el from edge e's incidence list.
-func (m *Mesh) removeFromElemList(e EdgeID, el ElemID) {
-	lst := m.Edges[e].Elems
-	for i, x := range lst {
-		if x == el {
-			lst[i] = lst[len(lst)-1]
-			m.Edges[e].Elems = lst[:len(lst)-1]
-			return
-		}
-	}
 }
 
 // BisectEdge splits edge e at its midpoint, creating the midpoint vertex
@@ -405,23 +455,24 @@ func (m *Mesh) HalfEdge(e EdgeID, v VertID) EdgeID {
 }
 
 // DeactivateElement removes el from its edges' incidence lists. The caller
-// is responsible for recording children (subdivision) or marking it dead
+// is responsible for adding children (subdivision) or marking it dead
 // (coarsening removal).
 func (m *Mesh) DeactivateElement(el ElemID) {
 	for _, e := range m.Elems[el].E {
-		m.removeFromElemList(e, el)
+		m.delEdgeElem(e, el)
 	}
 	m.nActiveElems--
 }
 
 // ReactivateElement re-registers a previously subdivided element el on its
-// edges' incidence lists and clears its child list. Its six edges must be
-// active again (or about to be re-marked for refinement by the caller).
+// edges' incidence lists and forgets its sibling group, which the caller
+// has killed. Its six edges must be active again (or about to be re-marked
+// for refinement by the caller).
 func (m *Mesh) ReactivateElement(el ElemID) {
 	t := &m.Elems[el]
-	t.Children = t.Children[:0]
+	t.kids, t.nKids = 0, 0
 	for _, e := range t.E {
-		m.Edges[e].Elems = push(&m.elemSlab, m.Edges[e].Elems, el, edgeElemCap)
+		m.addEdgeElem(e, el)
 	}
 	m.nActiveElems++
 }
@@ -447,7 +498,7 @@ func (m *Mesh) ReactivateEdge(e EdgeID) {
 // lists. The edge must not bound any active element.
 func (m *Mesh) KillEdge(e EdgeID) {
 	ed := &m.Edges[e]
-	if len(ed.Elems) != 0 {
+	if ed.nElems != 0 {
 		panic("mesh: killing edge still in use")
 	}
 	if !ed.Dead && !ed.Bisected() {
@@ -455,20 +506,13 @@ func (m *Mesh) KillEdge(e EdgeID) {
 	}
 	ed.Dead = true
 	for _, v := range ed.V {
-		lst := m.Verts[v].Edges
-		for i, x := range lst {
-			if x == e {
-				lst[i] = lst[len(lst)-1]
-				m.Verts[v].Edges = lst[:len(lst)-1]
-				break
-			}
-		}
+		m.delVertEdge(v, e)
 	}
 }
 
 // KillVertex marks vertex v dead. Its incidence list must be empty.
 func (m *Mesh) KillVertex(v VertID) {
-	if len(m.Verts[v].Edges) != 0 {
+	if m.Verts[v].nEdges != 0 {
 		panic("mesh: killing vertex with live edges")
 	}
 	m.Verts[v].Dead = true

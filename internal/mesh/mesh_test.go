@@ -67,7 +67,7 @@ func TestEdgeDedup(t *testing.T) {
 	if e == InvalidEdge {
 		t.Fatal("FindEdge symmetric lookup failed")
 	}
-	if got := len(m.Edges[e].Elems); got != 2 {
+	if got := m.Edges[e].NumElems(); got != 2 {
 		t.Errorf("shared edge incidence = %d, want 2", got)
 	}
 	if err := m.Check(); err != nil {
@@ -145,7 +145,7 @@ func TestDeactivateReactivateElement(t *testing.T) {
 		t.Error("element still active")
 	}
 	for _, e := range m.Elems[el].E {
-		if len(m.Edges[e].Elems) != 0 {
+		if m.Edges[e].NumElems() != 0 {
 			t.Error("incidence list not cleared")
 		}
 	}

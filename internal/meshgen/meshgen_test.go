@@ -91,7 +91,7 @@ func TestBoxConforming(t *testing.T) {
 				if d == mesh.InvalidEdge {
 					t.Fatalf("cube (%d,%d,%d): missing body diagonal", i, j, k)
 				}
-				if got := len(m.Edges[d].Elems); got != 6 {
+				if got := m.Edges[d].NumElems(); got != 6 {
 					t.Errorf("cube (%d,%d,%d): diagonal shared by %d tets, want 6", i, j, k, got)
 				}
 			}

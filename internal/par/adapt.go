@@ -126,7 +126,7 @@ func (w adaptWorld) Propose(el int32, buf []int32) []int32 {
 func (w adaptWorld) Commit(e int32) { w.a.SetMark(mesh.EdgeID(e), adapt.MarkRefine) }
 
 func (w adaptWorld) Reach(e int32, elems []int32) []int32 {
-	for _, nb := range w.d.M.Edges[e].Elems {
+	for _, nb := range w.d.M.EdgeElems(mesh.EdgeID(e)) {
 		if w.d.M.Elems[nb].Active() {
 			elems = append(elems, int32(nb))
 		}

@@ -18,14 +18,46 @@ import (
 
 // canonMesh is a mesh with every id replaced by its rank among the live
 // ids of its kind — the one monotone relabelling there is — and the dead
-// left out. Two meshes with equal canonical forms are the same mesh, the
-// same refinement history and the same list orders, under that map.
+// left out. Lists are read through the accessors and sibling groups
+// spelled out, so the layout Compact re-carves (list offsets and capacity
+// classes) does not count. Two meshes with equal canonical forms are the
+// same mesh, the same refinement history and the same list orders, under
+// that map.
 type canonMesh struct {
-	Verts []mesh.Vertex
-	Edges []mesh.Edge
-	Elems []mesh.Element
-	Faces []mesh.BoundaryFace
+	Verts []canonVert
+	Edges []canonEdge
+	Elems []canonElem
+	Faces []canonFace
 	Log   []mesh.Bisection
+}
+
+type canonVert struct {
+	Pos   geom.Vec3
+	Edges []mesh.EdgeID
+}
+
+type canonEdge struct {
+	V      [2]mesh.VertID
+	Parent mesh.EdgeID
+	Child  [2]mesh.EdgeID
+	Mid    mesh.VertID
+	Elems  []mesh.ElemID
+}
+
+type canonElem struct {
+	V            [4]mesh.VertID
+	E            [6]mesh.EdgeID
+	Parent, Root mesh.ElemID
+	Level        int32
+	Children     []mesh.ElemID
+}
+
+type canonFace struct {
+	V        [3]mesh.VertID
+	E        [3]mesh.EdgeID
+	Patch    int32
+	Parent   mesh.FaceID
+	Children []mesh.FaceID
 }
 
 // ranks maps each id of a slab to its rank among the live ones, -1 for
@@ -53,6 +85,15 @@ func through[ID ~int32](l []ID, r []ID) []ID {
 	return out
 }
 
+// span renumbers the sibling group [first, first+n), nil when it is empty.
+func span[ID ~int32](first ID, n int, r []ID) []ID {
+	var out []ID
+	for c := first; c < first+ID(n); c++ {
+		out = append(out, r[c])
+	}
+	return out
+}
+
 func ref[ID ~int32](x ID, r []ID) ID {
 	if x < 0 {
 		return x
@@ -66,47 +107,50 @@ func canon(m *mesh.Mesh) canonMesh {
 	rt := ranks[mesh.ElemID](len(m.Elems), func(i int) bool { return m.Elems[i].Dead })
 	rf := ranks[mesh.FaceID](len(m.Faces), func(i int) bool { return m.Faces[i].Dead })
 	var c canonMesh
-	for i, v := range m.Verts {
+	for i := range m.Verts {
 		if rv[i] >= 0 {
-			v.Edges = through(v.Edges, re)
-			c.Verts = append(c.Verts, v)
+			c.Verts = append(c.Verts, canonVert{m.Verts[i].Pos, through(m.VertEdges(mesh.VertID(i)), re)})
 		}
 	}
-	for i, e := range m.Edges {
+	for i := range m.Edges {
 		if re[i] < 0 {
 			continue
 		}
-		e.V = [2]mesh.VertID{rv[e.V[0]], rv[e.V[1]]}
-		e.Elems = through(e.Elems, rt)
-		e.Parent = ref(e.Parent, re)
-		e.Child = [2]mesh.EdgeID{ref(e.Child[0], re), ref(e.Child[1], re)}
-		e.Mid = ref(e.Mid, rv)
-		c.Edges = append(c.Edges, e)
+		e := &m.Edges[i]
+		c.Edges = append(c.Edges, canonEdge{
+			V:      [2]mesh.VertID{rv[e.V[0]], rv[e.V[1]]},
+			Parent: ref(e.Parent, re),
+			Child:  [2]mesh.EdgeID{ref(e.Child[0], re), ref(e.Child[1], re)},
+			Mid:    ref(e.Mid, rv),
+			Elems:  through(m.EdgeElems(mesh.EdgeID(i)), rt),
+		})
 	}
-	for i, t := range m.Elems {
+	for i := range m.Elems {
 		if rt[i] < 0 {
 			continue
 		}
+		t := &m.Elems[i]
+		first, n := t.Children()
+		ct := canonElem{Parent: ref(t.Parent, rt), Root: rt[t.Root], Level: t.Level, Children: span(first, n, rt)}
 		for j := range t.V {
-			t.V[j] = rv[t.V[j]]
+			ct.V[j] = rv[t.V[j]]
 		}
 		for j := range t.E {
-			t.E[j] = re[t.E[j]]
+			ct.E[j] = re[t.E[j]]
 		}
-		t.Parent, t.Root = ref(t.Parent, rt), rt[t.Root]
-		t.Children = through(t.Children, rt)
-		c.Elems = append(c.Elems, t)
+		c.Elems = append(c.Elems, ct)
 	}
-	for i, f := range m.Faces {
+	for i := range m.Faces {
 		if rf[i] < 0 {
 			continue
 		}
+		f := &m.Faces[i]
+		first, n := f.Children()
+		cf := canonFace{Patch: f.Patch, Parent: ref(f.Parent, rf), Children: span(first, n, rf)}
 		for j := range f.V {
-			f.V[j], f.E[j] = rv[f.V[j]], re[f.E[j]]
+			cf.V[j], cf.E[j] = rv[f.V[j]], re[f.E[j]]
 		}
-		f.Parent = ref(f.Parent, rf)
-		f.Children = through(f.Children, rf)
-		c.Faces = append(c.Faces, f)
+		c.Faces = append(c.Faces, cf)
 	}
 	// The log of a mesh that never compacts keeps the bisections coarsening
 	// has undone since; Compact drops them.
@@ -294,9 +338,9 @@ func TestHeapPlateaus(t *testing.T) {
 }
 
 // TestCompactWorkerParity runs the compacting sweep at two worker counts:
-// owners, timings (but the critical-path op shares) and the mesh slabs
-// themselves must be equal. Not skipped under -short: the race jobs run it
-// at GOMAXPROCS 1 and 4.
+// owners, timings (but the critical-path op shares), the mesh slabs
+// themselves and every list read through the accessors must be equal.
+// Not skipped under -short: the race jobs run it at GOMAXPROCS 1 and 4.
 func TestCompactWorkerParity(t *testing.T) {
 	const cycles = 4
 	type pass struct {
@@ -332,13 +376,17 @@ func TestCompactWorkerParity(t *testing.T) {
 		!reflect.DeepEqual(m1.Elems, m3.Elems) || !reflect.DeepEqual(m1.Faces, m3.Faces) {
 		t.Error("mesh slabs differ")
 	}
+	if err := relabelled(m1, m3); err != nil {
+		t.Errorf("meshes differ: %v", err)
+	}
 }
 
 // FuzzCompact drives twin meshes through one script of refinements,
 // coarsenings and solver syncs; one twin also compacts where the script
 // says so. Both must stay valid (Check holds the roots to the prefix
 // [0, NumRoots)) and keep every initial element as a root, the compacting
-// twin must be the other relabelled, and a field synced on both must agree
+// twin must be the other relabelled, a clone of it taken after every step
+// must equal it list for list, and a field synced on both must agree
 // vertex for vertex.
 func FuzzCompact(f *testing.F) {
 	f.Add([]byte{0x21, 0x05, 0x93, 0x0a, 0x47}) // refine, coarsen, compact, sync late
@@ -395,6 +443,9 @@ func FuzzCompact(f *testing.F) {
 			}
 			if err := relabelled(tw[0].m, tw[1].m); err != nil {
 				t.Fatalf("step %d: %v", step, err)
+			}
+			if err := relabelled(tw[0].m.Clone(), tw[0].m); err != nil {
+				t.Fatalf("step %d: clone: %v", step, err)
 			}
 			if len(tw[0].m.Elems) > 20000 {
 				break

@@ -217,7 +217,7 @@ func (d *Dist) fillOwn(lo int) {
 // a shared edge. It reads the owner slab.
 func (d *Dist) edgeSPL(dst []int32, e mesh.EdgeID) []int32 {
 	lo, own := len(dst), d.own
-	for _, el := range d.M.Edges[e].Elems {
+	for _, el := range d.M.EdgeElems(e) {
 		dst = addRank(dst, lo, own[el])
 	}
 	return dst
@@ -227,9 +227,9 @@ func (d *Dist) edgeSPL(dst []int32, e mesh.EdgeID) []int32 {
 // owners of the active elements incident to v through its edges — to dst.
 // It reads the owner slab.
 func (d *Dist) vertSPL(dst []int32, v mesh.VertID) []int32 {
-	lo, own, edges := len(dst), d.own, d.M.Edges
-	for _, e := range d.M.Verts[v].Edges {
-		for _, el := range edges[e].Elems {
+	lo, own, m := len(dst), d.own, d.M
+	for _, e := range m.VertEdges(v) {
+		for _, el := range m.EdgeElems(e) {
 			dst = addRank(dst, lo, own[el])
 		}
 	}
@@ -282,7 +282,7 @@ func (d *Dist) Init() InitStats {
 		var buf []int32
 		for vi := lo; vi < hi; vi++ {
 			v := &d.M.Verts[vi]
-			if v.Dead || len(v.Edges) == 0 {
+			if v.Dead || v.NumEdges() == 0 {
 				continue
 			}
 			cnt[1]++
@@ -316,7 +316,7 @@ func (d *Dist) edgeCensus() (local []int64, shared int) {
 		var buf []int32
 		for ei := lo; ei < hi; ei++ {
 			ed := &d.M.Edges[ei]
-			if ed.Dead || ed.Bisected() || len(ed.Elems) == 0 {
+			if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
 				continue
 			}
 			buf = d.edgeSPL(buf[:0], mesh.EdgeID(ei))

@@ -75,8 +75,8 @@ func checkSPLs(d *Dist) error {
 // sorted and deduplicated.
 func oracleVertSPL(d *Dist, v mesh.VertID) []int32 {
 	var s []int32
-	for _, e := range d.M.Verts[v].Edges {
-		for _, el := range d.M.Edges[e].Elems {
+	for _, e := range d.M.VertEdges(v) {
+		for _, el := range d.M.EdgeElems(e) {
 			s = append(s, d.OwnerOf(el))
 		}
 	}

@@ -50,7 +50,7 @@ func (s *Solver) Iterate(n int) {
 		}
 		for ei := range m.Edges {
 			ed := &m.Edges[ei]
-			if ed.Dead || ed.Bisected() || len(ed.Elems) == 0 {
+			if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
 				continue
 			}
 			a, b := ed.V[0], ed.V[1]
@@ -76,7 +76,7 @@ func (s *Solver) EdgeError() []float64 {
 	errv := make([]float64, len(m.Edges))
 	for ei := range m.Edges {
 		ed := &m.Edges[ei]
-		if ed.Dead || ed.Bisected() || len(ed.Elems) == 0 {
+		if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
 			continue
 		}
 		errv[ei] = math.Abs(s.U[ed.V[1]]-s.U[ed.V[0]]) * m.EdgeLength(mesh.EdgeID(ei))
@@ -111,7 +111,7 @@ func (s *Solver) Residual() float64 {
 	sum, n := 0.0, 0
 	for ei := range m.Edges {
 		ed := &m.Edges[ei]
-		if ed.Dead || ed.Bisected() || len(ed.Elems) == 0 {
+		if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
 			continue
 		}
 		d := s.U[ed.V[1]] - s.U[ed.V[0]]
