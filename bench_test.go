@@ -37,6 +37,7 @@ func BenchmarkDualBuild(b *testing.B) {
 // coarsest graph, and the projection with FM refinement per level.
 func BenchmarkMultilevel(b *testing.B) {
 	g := dual.Build(experiments.BaseMesh())
+	b.ReportAllocs()
 	for b.Loop() {
 		if asg, _ := partition.PartitionCounted(g, 64, partition.MethodMultilevel, partition.Options{}); len(asg) != g.N {
 			b.Fatal("bad assignment")

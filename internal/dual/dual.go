@@ -16,10 +16,16 @@
 //
 // Partitioning and load-balancing times therefore depend only on the
 // initial problem size, not on the adapted mesh.
+//
+// The adjacency is stored in compressed sparse row (CSR) form: vertex v's
+// neighbours are Adjncy[Xadj[v]:Xadj[v+1]], read through Nbrs. The
+// multilevel partitioner's coarse levels are Graphs of the same form that
+// carry only the adjacency and Wcomp.
 package dual
 
 import (
 	"fmt"
+	"slices"
 
 	"plum/internal/geom"
 	"plum/internal/mesh"
@@ -29,9 +35,12 @@ import (
 type Graph struct {
 	// N is the number of dual vertices (= initial mesh elements).
 	N int
-	// Adj holds, for each dual vertex, the dual vertices whose elements
-	// share a face with it (≤ 4 entries).
-	Adj [][]int32
+	// Xadj and Adjncy hold the adjacency in CSR form: the neighbours of
+	// vertex v, the dual vertices whose elements share a face with it
+	// (≤ 4 entries on a mesh dual), are Adjncy[Xadj[v]:Xadj[v+1]].
+	// len(Xadj) == N+1, Xadj[0] == 0 and Xadj[N] == len(Adjncy).
+	Xadj   []int32
+	Adjncy []int32
 	// Wcomp is the computational weight of each dual vertex.
 	Wcomp []int64
 	// Wremap is the data-redistribution weight of each dual vertex.
@@ -56,12 +65,12 @@ type Graph struct {
 // faces per vertex) a face pairs with the earlier unmatched face on the
 // same other two vertices. The pairs are then replayed in (element, face)
 // order, so every row lists its neighbours in the order the faces are
-// met, and the rows are carved from one backing array.
+// met, and the rows are written into one CSR array.
 func Build(m *mesh.Mesh) *Graph {
 	n := m.NumRoots()
 	g := &Graph{
 		N:          n,
-		Adj:        make([][]int32, n),
+		Xadj:       make([]int32, n+1),
 		Wcomp:      make([]int64, n),
 		Wremap:     make([]int64, n),
 		EdgeWeight: 1,
@@ -107,31 +116,32 @@ func Build(m *mesh.Mesh) *Graph {
 	for i := range earlier {
 		earlier[i] = -1
 	}
-	deg := make([]int32, n)
-	pairs := 0
+	// Xadj[i+1] counts row i's degree, then becomes its end offset.
 	for v := 0; v < len(m.Verts); v++ {
 		bucket := byVert[start[v]:start[v+1]]
 		for x, q := range bucket {
 			for _, p := range bucket[:x] {
 				if earlier[p] == -1 && keys[p] == keys[q] {
 					earlier[q], earlier[p] = p, -2
-					deg[q/4]++
-					deg[p/4]++
-					pairs++
+					g.Xadj[q/4+1]++
+					g.Xadj[p/4+1]++
 					break
 				}
 			}
 		}
 	}
-	back := make([]int32, 2*pairs)
-	for i, d := range deg {
-		g.Adj[i], back = back[:0:d], back[d:]
+	for i := 1; i <= n; i++ {
+		g.Xadj[i] += g.Xadj[i-1]
 	}
+	g.Adjncy = make([]int32, g.Xadj[n])
+	next := append([]int32(nil), g.Xadj[:n]...) // each row's write cursor
 	for q, p := range earlier {
 		if p >= 0 {
 			i, j := int32(q/4), p/4
-			g.Adj[i] = append(g.Adj[i], j)
-			g.Adj[j] = append(g.Adj[j], i)
+			g.Adjncy[next[i]] = j
+			next[i]++
+			g.Adjncy[next[j]] = i
+			next[j]++
 		}
 	}
 	g.UpdateWeights(m)
@@ -179,11 +189,50 @@ func (g *Graph) TotalWremap() int64 {
 	return s
 }
 
+// Nbrs returns vertex v's neighbours, a view into Adjncy.
+func (g *Graph) Nbrs(v int32) []int32 {
+	return g.Adjncy[g.Xadj[v]:g.Xadj[v+1]]
+}
+
 // NumEdges returns the number of (undirected) dual edges.
 func (g *Graph) NumEdges() int {
-	n := 0
-	for _, a := range g.Adj {
-		n += len(a)
+	return len(g.Adjncy) / 2
+}
+
+// Check verifies the CSR adjacency: Xadj has N+1 entries and runs
+// monotone from 0 to len(Adjncy), every neighbour is a vertex, no row
+// holds its own vertex or a repeat, every edge appears in both its rows,
+// and Wcomp has one entry per vertex. It returns the first violation.
+func (g *Graph) Check() error {
+	if len(g.Xadj) != g.N+1 {
+		return fmt.Errorf("dual: len(Xadj) = %d, want N+1 = %d", len(g.Xadj), g.N+1)
 	}
-	return n / 2
+	if g.Xadj[0] != 0 || int(g.Xadj[g.N]) != len(g.Adjncy) {
+		return fmt.Errorf("dual: Xadj runs %d..%d, want 0..%d", g.Xadj[0], g.Xadj[g.N], len(g.Adjncy))
+	}
+	if len(g.Wcomp) != g.N {
+		return fmt.Errorf("dual: len(Wcomp) = %d, want N = %d", len(g.Wcomp), g.N)
+	}
+	for v := range g.N {
+		if g.Xadj[v] > g.Xadj[v+1] {
+			return fmt.Errorf("dual: Xadj falls at row %d: %d > %d", v, g.Xadj[v], g.Xadj[v+1])
+		}
+	}
+	seen := make([]int32, g.N) // seen[w] == v+1: w already in row v
+	for v := range int32(g.N) {
+		for _, w := range g.Nbrs(v) {
+			switch {
+			case w < 0 || int(w) >= g.N:
+				return fmt.Errorf("dual: row %d holds %d, outside [0, %d)", v, w, g.N)
+			case w == v:
+				return fmt.Errorf("dual: row %d holds a self-loop", v)
+			case seen[w] == v+1:
+				return fmt.Errorf("dual: row %d holds %d twice", v, w)
+			case !slices.Contains(g.Nbrs(w), v):
+				return fmt.Errorf("dual: edge %d-%d is missing from row %d", v, w, w)
+			}
+			seen[w] = v + 1
+		}
+	}
+	return nil
 }

@@ -20,7 +20,7 @@ func TestBuildUnitCube(t *testing.T) {
 	// Kuhn cube: the 6 path tets form a cycle around the main diagonal —
 	// every tet shares internal faces with exactly 2 others.
 	for v := 0; v < g.N; v++ {
-		if got := len(g.Adj[v]); got != 2 {
+		if got := len(g.Nbrs(int32(v))); got != 2 {
 			t.Errorf("dual vertex %d degree = %d, want 2", v, got)
 		}
 	}
@@ -106,20 +106,39 @@ func TestWeightsAfterCoarsening(t *testing.T) {
 func TestDualAdjacencySymmetric(t *testing.T) {
 	m := meshgen.SmallBox()
 	g := Build(m)
-	for v := 0; v < g.N; v++ {
-		if len(g.Adj[v]) > 4 {
-			t.Fatalf("tet %d has %d face neighbours (max 4)", v, len(g.Adj[v]))
+	if err := g.Check(); err != nil {
+		t.Fatal(err)
+	}
+	for v := range int32(g.N) {
+		if len(g.Nbrs(v)) > 4 {
+			t.Fatalf("tet %d has %d face neighbours (max 4)", v, len(g.Nbrs(v)))
 		}
-		for _, w := range g.Adj[v] {
-			found := false
-			for _, x := range g.Adj[w] {
-				if x == int32(v) {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("adjacency not symmetric: %d -> %d", v, w)
-			}
+	}
+}
+
+// TestCheckDetectsBrokenCSR corrupts a valid graph one invariant at a
+// time; Check must name each.
+func TestCheckDetectsBrokenCSR(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		break_ func(g *Graph)
+	}{
+		{"short Xadj", func(g *Graph) { g.Xadj = g.Xadj[:g.N] }},
+		{"Xadj past Adjncy", func(g *Graph) { g.Adjncy = g.Adjncy[:len(g.Adjncy)-1] }},
+		{"falling Xadj", func(g *Graph) { g.Xadj[1], g.Xadj[2] = g.Xadj[2], g.Xadj[1] }},
+		{"self-loop", func(g *Graph) { g.Adjncy[0] = 0 }},
+		{"out of range", func(g *Graph) { g.Adjncy[0] = int32(g.N) }},
+		{"repeat", func(g *Graph) { g.Adjncy[1] = g.Adjncy[0] }},
+		{"asymmetric", func(g *Graph) { g.Adjncy[g.Xadj[1]] = 3 }},
+		{"short Wcomp", func(g *Graph) { g.Wcomp = g.Wcomp[1:] }},
+	} {
+		g := Build(meshgen.UnitCube())
+		if err := g.Check(); err != nil {
+			t.Fatalf("%s: intact graph fails: %v", c.name, err)
+		}
+		c.break_(g)
+		if g.Check() == nil {
+			t.Errorf("%s: Check passed a broken graph", c.name)
 		}
 	}
 }
@@ -129,7 +148,7 @@ func TestBoundaryTetsHaveFewerNeighbors(t *testing.T) {
 	g := Build(m)
 	nBoundary := 0
 	for v := 0; v < g.N; v++ {
-		if len(g.Adj[v]) < 4 {
+		if len(g.Nbrs(int32(v))) < 4 {
 			nBoundary++
 		}
 	}
@@ -186,10 +205,10 @@ func relabelVerts(m *mesh.Mesh, seed int64) {
 	}
 }
 
-// TestBuildMatchesMapOracle pins Build's rows, entry for entry, to the
+// TestBuildMatchesMapOracle pins Build's CSR rows, entry for entry, to the
 // map matcher's on the paper's rotor, a 24×8×8 box, the box after one
 // refinement (the roots are now a prefix of the slab, not all of it), and
-// the box with its vertex ids shuffled.
+// the box with its vertex ids shuffled. Every graph must also pass Check.
 func TestBuildMatchesMapOracle(t *testing.T) {
 	box := func() *mesh.Mesh { return meshgen.Box(24, 8, 8, geom.Vec3{X: 3, Y: 1, Z: 1}) }
 	adapted := box()
@@ -208,13 +227,16 @@ func TestBuildMatchesMapOracle(t *testing.T) {
 		{"box24x8x8/relabelled", relabelled},
 	} {
 		g := Build(c.m)
+		if err := g.Check(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		want := mapAdjacency(c.m)
 		if g.N != len(want) {
 			t.Fatalf("%s: N = %d, oracle %d", c.name, g.N, len(want))
 		}
 		for v := range want {
-			if !slices.Equal(g.Adj[v], want[v]) {
-				t.Fatalf("%s: row %d = %v, oracle %v", c.name, v, g.Adj[v], want[v])
+			if got := g.Nbrs(int32(v)); !slices.Equal(got, want[v]) {
+				t.Fatalf("%s: row %d = %v, oracle %v", c.name, v, got, want[v])
 			}
 		}
 	}

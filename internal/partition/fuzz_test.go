@@ -15,7 +15,6 @@ func gridGraph(nx, ny, nz int, seed int64) *dual.Graph {
 	n := nx * ny * nz
 	g := &dual.Graph{
 		N:          n,
-		Adj:        make([][]int32, n),
 		Wcomp:      make([]int64, n),
 		Wremap:     make([]int64, n),
 		EdgeWeight: 1,
@@ -23,6 +22,7 @@ func gridGraph(nx, ny, nz int, seed int64) *dual.Graph {
 	}
 	id := func(x, y, z int) int32 { return int32((z*ny+y)*nx + x) }
 	rng := rand.New(rand.NewSource(seed))
+	adj := make([][]int32, n)
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
@@ -40,21 +40,32 @@ func gridGraph(nx, ny, nz int, seed int64) *dual.Graph {
 				g.Wcomp[v] = w
 				g.Wremap[v] = w
 				if x > 0 {
-					g.Adj[v] = append(g.Adj[v], id(x-1, y, z))
-					g.Adj[id(x-1, y, z)] = append(g.Adj[id(x-1, y, z)], v)
+					adj[v] = append(adj[v], id(x-1, y, z))
+					adj[id(x-1, y, z)] = append(adj[id(x-1, y, z)], v)
 				}
 				if y > 0 {
-					g.Adj[v] = append(g.Adj[v], id(x, y-1, z))
-					g.Adj[id(x, y-1, z)] = append(g.Adj[id(x, y-1, z)], v)
+					adj[v] = append(adj[v], id(x, y-1, z))
+					adj[id(x, y-1, z)] = append(adj[id(x, y-1, z)], v)
 				}
 				if z > 0 {
-					g.Adj[v] = append(g.Adj[v], id(x, y, z-1))
-					g.Adj[id(x, y, z-1)] = append(g.Adj[id(x, y, z-1)], v)
+					adj[v] = append(adj[v], id(x, y, z-1))
+					adj[id(x, y, z-1)] = append(adj[id(x, y, z-1)], v)
 				}
 			}
 		}
 	}
+	setRows(g, adj)
 	return g
+}
+
+// setRows stores rows as g's CSR adjacency, row by row.
+func setRows(g *dual.Graph, rows [][]int32) {
+	g.Xadj = make([]int32, 1, len(rows)+1)
+	g.Adjncy = nil
+	for _, r := range rows {
+		g.Adjncy = append(g.Adjncy, r...)
+		g.Xadj = append(g.Xadj, int32(len(g.Adjncy)))
+	}
 }
 
 // FuzzSortByKey feeds arbitrary bytes as keys to the curve-order radix

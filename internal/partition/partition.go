@@ -66,9 +66,9 @@ func Imbalance(g *dual.Graph, asg Assignment, k int) float64 {
 // (uniform edge weights, as in the paper's test cases).
 func EdgeCut(g *dual.Graph, asg Assignment) int64 {
 	var cut int64
-	for v := range g.Adj {
-		for _, w := range g.Adj[v] {
-			if int32(v) < w && asg[v] != asg[w] {
+	for v := range int32(g.N) {
+		for _, w := range g.Nbrs(v) {
+			if v < w && asg[v] != asg[w] {
 				cut++
 			}
 		}
@@ -261,7 +261,7 @@ func graphGrowCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.Op
 		grew := false
 		for len(frontiers[p]) > 0 && !grew {
 			v := frontiers[p][0]
-			nbrs := g.Adj[v]
+			nbrs := g.Nbrs(v)
 			ops += 1 + int64(len(nbrs))
 			for _, u := range nbrs {
 				if asg[u] < 0 {
@@ -307,7 +307,7 @@ func inertialCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
 		idxs[i] = int32(i)
 	}
 	var ops int64
-	recursiveBisect(g, idxs, 0, k, asg, &ops, func(sub []int32) ([]float64, int64) {
+	recursiveBisect(g, idxs, 0, k, asg, &ops, make([]int32, g.N), func(sub []int32) ([]float64, int64) {
 		axis := principalAxis(g, sub)
 		vals := make([]float64, len(sub))
 		for i, v := range sub {
@@ -327,30 +327,32 @@ func inertialCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
 // backend on every bench workload, by 3× to 200× modeled run time, and
 // won none on balance or cut (census in CHANGES.md, PR 20). The dominant
 // op term is the Lanczos work inside
-// sparse.FiedlerCounted (per-iteration sparse matvecs plus full
+// sparse.Lanczos.Fiedler (per-iteration sparse matvecs plus full
 // reorthogonalization), which dwarfs the sort-and-split bookkeeping.
+// Every bisection of the call reuses one Laplacian and one Lanczos
+// workspace.
 func spectralCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
 	asg := make(Assignment, g.N)
 	idxs := make([]int32, g.N)
 	for i := range idxs {
 		idxs[i] = int32(i)
 	}
-	local := make([]int32, g.N)
-	for i := range local {
-		local[i] = -1
+	s := &spectralWork{g: g, local: make([]int32, g.N)}
+	for i := range s.local {
+		s.local[i] = -1
 	}
 	var ops int64
-	recursiveBisect(g, idxs, 0, k, asg, &ops, func(sub []int32) ([]float64, int64) {
-		return subgraphFiedler(g, sub, local)
-	})
+	recursiveBisect(g, idxs, 0, k, asg, &ops, make([]int32, g.N), s.fiedler)
 	return asg, machine.Ops{Total: ops, Crit: ops}
 }
 
 // recursiveBisect splits idxs into k parts numbered [base, base+k),
 // writing into asg. value computes, for a subset, the 1-D embedding to
 // split at the weighted median, and reports the abstract op count of that
-// computation; recursiveBisect adds the sort and scan costs to *ops.
-func recursiveBisect(g *dual.Graph, idxs []int32, base, k int, asg Assignment, ops *int64, value func([]int32) ([]float64, int64)) {
+// computation; recursiveBisect adds the sort and scan costs to *ops. Each
+// split reorders idxs in place, sorted by value, so the two sides are its
+// prefix and suffix; ord is scratch of at least len(idxs) entries.
+func recursiveBisect(g *dual.Graph, idxs []int32, base, k int, asg Assignment, ops *int64, ord []int32, value func([]int32) ([]float64, int64)) {
 	if k <= 1 {
 		for _, v := range idxs {
 			asg[v] = int32(base)
@@ -364,19 +366,19 @@ func recursiveBisect(g *dual.Graph, idxs []int32, base, k int, asg Assignment, o
 	n := int64(len(idxs))
 	*ops += vops + n*int64(log2ceil(len(idxs)+1)) + n
 
-	ord := make([]int, len(idxs))
+	ord = ord[:len(idxs)]
 	for i := range ord {
-		ord[i] = i
+		ord[i] = int32(i)
 	}
 	// Ties broken by position for a fully deterministic split order.
-	slices.SortFunc(ord, func(a, b int) int {
+	slices.SortFunc(ord, func(a, b int32) int {
 		switch {
 		case vals[a] < vals[b]:
 			return -1
 		case vals[a] > vals[b]:
 			return 1
 		}
-		return a - b
+		return int(a - b)
 	})
 
 	var total int64
@@ -408,17 +410,14 @@ func recursiveBisect(g *dual.Graph, idxs []int32, base, k int, asg Assignment, o
 	if split > len(ord) {
 		split = len(ord)
 	}
-	left := make([]int32, 0, split)
-	right := make([]int32, 0, len(ord)-split)
+	// Sort idxs by value: each position of ord becomes the vertex it
+	// points at, and the result is copied back.
 	for i, o := range ord {
-		if i < split {
-			left = append(left, idxs[o])
-		} else {
-			right = append(right, idxs[o])
-		}
+		ord[i] = idxs[o]
 	}
-	recursiveBisect(g, left, base, k1, asg, ops, value)
-	recursiveBisect(g, right, base+k1, k-k1, asg, ops, value)
+	copy(idxs, ord)
+	recursiveBisect(g, idxs[:split], base, k1, asg, ops, ord, value)
+	recursiveBisect(g, idxs[split:], base+k1, k-k1, asg, ops, ord, value)
 }
 
 // principalAxis returns the dominant eigenvector of the weighted
@@ -468,27 +467,38 @@ func principalAxis(g *dual.Graph, sub []int32) geom.Vec3 {
 	return geom.Vec3{X: x[0], Y: x[1], Z: x[2]}
 }
 
-// subgraphFiedler computes the Fiedler embedding of the induced subgraph,
-// reporting the op count of the extraction plus the Lanczos solve. local
-// is a g.N-long scratch index, -1 everywhere on entry and on return.
-func subgraphFiedler(g *dual.Graph, sub []int32, local []int32) ([]float64, int64) {
+// spectralWork is the scratch every bisection of one spectralCounted call
+// reuses: local, a g.N-long index that is -1 everywhere outside a solve,
+// the subgraph's Laplacian, and the Lanczos workspace.
+type spectralWork struct {
+	g     *dual.Graph
+	local []int32
+	L     sparse.CSR
+	lz    sparse.Lanczos
+}
+
+// fiedler computes the Fiedler embedding of the subgraph induced by sub,
+// writing its Laplacian directly from g's rows, and reports the op count
+// of the extraction plus the Lanczos solve.
+func (s *spectralWork) fiedler(sub []int32) ([]float64, int64) {
+	g, local := s.g, s.local
 	for i, v := range sub {
 		local[v] = int32(i)
 	}
 	var ops int64
-	adj := make([][]int32, len(sub))
-	for i, v := range sub {
-		ops += 1 + int64(len(g.Adj[v]))
-		for _, w := range g.Adj[v] {
+	sparse.Laplacian(&s.L, len(sub), func(i int, dst []int32) []int32 {
+		nbrs := g.Nbrs(sub[i])
+		ops += 1 + int64(len(nbrs))
+		for _, w := range nbrs {
 			if lw := local[w]; lw >= 0 {
-				adj[i] = append(adj[i], lw)
+				dst = append(dst, lw)
 			}
 		}
-	}
+		return dst
+	})
 	for _, v := range sub {
 		local[v] = -1
 	}
-	L := sparse.Laplacian(adj)
-	vec, fops := sparse.FiedlerCounted(L, 60, 1e-4, 42)
+	vec, fops := s.lz.Fiedler(&s.L, 60, 1e-4, 42)
 	return vec, ops + fops
 }

@@ -169,11 +169,11 @@ func TestSFCImbalanceBound(t *testing.T) {
 func TestImbalancePerfect(t *testing.T) {
 	g := &dual.Graph{
 		N:          4,
-		Adj:        [][]int32{{1}, {0, 2}, {1, 3}, {2}},
 		Wcomp:      []int64{1, 1, 1, 1},
 		Wremap:     []int64{1, 1, 1, 1},
 		EdgeWeight: 1,
 	}
+	setRows(g, [][]int32{{1}, {0, 2}, {1, 3}, {2}})
 	asg := Assignment{0, 0, 1, 1}
 	if imb := Imbalance(g, asg, 2); imb != 1 {
 		t.Errorf("imbalance = %g, want 1", imb)
@@ -240,12 +240,12 @@ func TestPartitionSinglePart(t *testing.T) {
 func TestPartitionOversizedK(t *testing.T) {
 	g := &dual.Graph{
 		N:          2,
-		Adj:        [][]int32{{1}, {0}},
 		Wcomp:      []int64{3, 5},
 		Wremap:     []int64{3, 5},
 		EdgeWeight: 1,
 		Centroid:   []geom.Vec3{{X: 0}, {X: 1}},
 	}
+	setRows(g, [][]int32{{1}, {0}})
 	for _, m := range Methods {
 		for _, k := range []int{3, 4, 9} {
 			asg := Partition(g, k, m)

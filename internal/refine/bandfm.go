@@ -70,7 +70,7 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 				for i := lo; i < hi; i++ {
 					v := class[i]
 					props[i] = proposeMove(g, asg, v, w0, maxW, conn)
-					lops += 1 + int64(len(g.Adj[v]))
+					lops += 1 + int64(len(g.Nbrs(v)))
 				}
 				chunkOps[c] = lops
 			})
@@ -122,13 +122,13 @@ func extractBand(g *dual.Graph, asg []int32, ew int) (band []int32, ops int64) {
 	chunk.For(g.N, ew, func(c, lo, hi int) {
 		var local []int32
 		var lops int64
-		for v := lo; v < hi; v++ {
+		for v := int32(lo); v < int32(hi); v++ {
 			a := asg[v]
 			lops++
-			for _, u := range g.Adj[v] {
+			for _, u := range g.Nbrs(v) {
 				lops++
 				if asg[u] != a {
-					local = append(local, int32(v))
+					local = append(local, v)
 					break
 				}
 			}
@@ -155,9 +155,10 @@ func colorBand(g *dual.Graph, band []int32, bandIdx []int32) (classes [][]int32,
 	color := make([]int32, len(band))
 	var nbr []int32 // scratch: colors already taken by band neighbours
 	for i, v := range band {
-		ops += 1 + int64(len(g.Adj[v]))
+		adj := g.Nbrs(v)
+		ops += 1 + int64(len(adj))
 		nbr = nbr[:0]
-		for _, u := range g.Adj[v] {
+		for _, u := range adj {
 			if j := bandIdx[u]; j > 0 && int(j-1) < i {
 				nbr = append(nbr, color[j-1])
 			}
@@ -194,7 +195,7 @@ func proposeMove(g *dual.Graph, asg []int32, v int32, w0 []int64, maxW int64, co
 	for i := range conn {
 		conn[i] = 0
 	}
-	adj := g.Adj[v]
+	adj := g.Nbrs(v)
 	for _, u := range adj {
 		conn[asg[u]]++
 	}

@@ -31,14 +31,15 @@ func FMRefine(g *dual.Graph, asg []int32, k, passes int) int64 {
 	conn := make([]int32, k) // scratch: edges from v into each part
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
-		for v := 0; v < g.N; v++ {
-			ops += 1 + int64(len(g.Adj[v]))
+		for v := range int32(g.N) {
+			nbrs := g.Nbrs(v)
+			ops += 1 + int64(len(nbrs))
 			a := asg[v]
 			if cnt[a] <= 1 {
 				continue
 			}
 			boundary := false
-			for _, u := range g.Adj[v] {
+			for _, u := range nbrs {
 				if asg[u] != a {
 					boundary = true
 					break
@@ -47,7 +48,7 @@ func FMRefine(g *dual.Graph, asg []int32, k, passes int) int64 {
 			if !boundary {
 				continue
 			}
-			if b := proposeMove(g, asg, int32(v), w, maxW, conn); b != a {
+			if b := proposeMove(g, asg, v, w, maxW, conn); b != a {
 				asg[v] = b
 				w[a] -= g.Wcomp[v]
 				w[b] += g.Wcomp[v]

@@ -123,13 +123,13 @@ func overflowPass(g *dual.Graph, asg []int32, k int, w []int64, cnt []int, maxW 
 			return ops
 		}
 		moved := false
-		for v := 0; v < g.N && w[over] > maxW; v++ {
+		for v := int32(0); int(v) < g.N && w[over] > maxW; v++ {
 			ops++
 			if asg[v] != int32(over) || cnt[over] <= 1 {
 				continue
 			}
 			best := int32(-1)
-			for _, u := range g.Adj[v] {
+			for _, u := range g.Nbrs(v) {
 				b := asg[u]
 				if b == int32(over) {
 					continue

@@ -18,7 +18,7 @@ func gridGraph(nx, ny, nz int, seed int64) *dual.Graph {
 	n := nx * ny * nz
 	g := &dual.Graph{
 		N:          n,
-		Adj:        make([][]int32, n),
+		Xadj:       make([]int32, 1, n+1),
 		Wcomp:      make([]int64, n),
 		Wremap:     make([]int64, n),
 		EdgeWeight: 1,
@@ -26,6 +26,7 @@ func gridGraph(nx, ny, nz int, seed int64) *dual.Graph {
 	}
 	id := func(x, y, z int) int32 { return int32((z*ny+y)*nx + x) }
 	rng := rand.New(rand.NewSource(seed))
+	adj := make([][]int32, n)
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
@@ -41,19 +42,23 @@ func gridGraph(nx, ny, nz int, seed int64) *dual.Graph {
 				g.Wcomp[v] = w
 				g.Wremap[v] = w
 				if x > 0 {
-					g.Adj[v] = append(g.Adj[v], id(x-1, y, z))
-					g.Adj[id(x-1, y, z)] = append(g.Adj[id(x-1, y, z)], v)
+					adj[v] = append(adj[v], id(x-1, y, z))
+					adj[id(x-1, y, z)] = append(adj[id(x-1, y, z)], v)
 				}
 				if y > 0 {
-					g.Adj[v] = append(g.Adj[v], id(x, y-1, z))
-					g.Adj[id(x, y-1, z)] = append(g.Adj[id(x, y-1, z)], v)
+					adj[v] = append(adj[v], id(x, y-1, z))
+					adj[id(x, y-1, z)] = append(adj[id(x, y-1, z)], v)
 				}
 				if z > 0 {
-					g.Adj[v] = append(g.Adj[v], id(x, y, z-1))
-					g.Adj[id(x, y, z-1)] = append(g.Adj[id(x, y, z-1)], v)
+					adj[v] = append(adj[v], id(x, y, z-1))
+					adj[id(x, y, z-1)] = append(adj[id(x, y, z-1)], v)
 				}
 			}
 		}
+	}
+	for _, row := range adj {
+		g.Adjncy = append(g.Adjncy, row...)
+		g.Xadj = append(g.Xadj, int32(len(g.Adjncy)))
 	}
 	return g
 }
@@ -101,9 +106,9 @@ func maxLoad(g *dual.Graph, asg []int32, k int) int64 {
 
 func edgeCut(g *dual.Graph, asg []int32) int64 {
 	var cut int64
-	for v := range g.Adj {
-		for _, u := range g.Adj[v] {
-			if int32(v) < u && asg[v] != asg[u] {
+	for v := range int32(g.N) {
+		for _, u := range g.Nbrs(v) {
+			if v < u && asg[v] != asg[u] {
 				cut++
 			}
 		}
@@ -165,14 +170,14 @@ func refFMRefine(g *dual.Graph, asg []int32, k, passes int) int64 {
 	conn := make([]int32, k)
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
-		for v := 0; v < g.N; v++ {
-			ops += 1 + int64(len(g.Adj[v]))
+		for v := range int32(g.N) {
+			ops += 1 + int64(len(g.Nbrs(v)))
 			a := asg[v]
 			if cnt[a] <= 1 {
 				continue
 			}
 			boundary := false
-			for _, u := range g.Adj[v] {
+			for _, u := range g.Nbrs(v) {
 				if asg[u] != a {
 					boundary = true
 					break
@@ -184,12 +189,12 @@ func refFMRefine(g *dual.Graph, asg []int32, k, passes int) int64 {
 			for i := range conn {
 				conn[i] = 0
 			}
-			for _, u := range g.Adj[v] {
+			for _, u := range g.Nbrs(v) {
 				conn[asg[u]]++
 			}
 			bestPart := a
 			bestGain := int32(0)
-			for _, u := range g.Adj[v] {
+			for _, u := range g.Nbrs(v) {
 				b := asg[u]
 				if b == a || b == bestPart {
 					continue

@@ -1,13 +1,14 @@
 // Package sparse provides the small sparse-linear-algebra substrate needed
 // by the spectral mesh partitioner: CSR matrices, graph Laplacians, a
-// Lanczos eigensolver for the Fiedler vector, and a symmetric tridiagonal
-// eigensolver. It replaces the eigensolvers the paper obtained from the
-// Chaco package.
+// Lanczos eigensolver for the Fiedler vector with a reusable workspace,
+// and a symmetric tridiagonal eigensolver. It replaces the eigensolvers
+// the paper obtained from the Chaco package.
 package sparse
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // CSR is a square sparse matrix in compressed sparse row form.
@@ -18,42 +19,26 @@ type CSR struct {
 	Val    []float64
 }
 
-// NewCSR assembles a CSR matrix from per-row column/value pairs.
-func NewCSR(rows [][]int32, vals [][]float64) *CSR {
-	n := len(rows)
-	m := &CSR{N: n, RowPtr: make([]int32, n+1)}
-	nnz := 0
-	for _, r := range rows {
-		nnz += len(r)
-	}
-	m.Col = make([]int32, 0, nnz)
-	m.Val = make([]float64, 0, nnz)
-	for i := 0; i < n; i++ {
-		m.RowPtr[i] = int32(len(m.Col))
-		m.Col = append(m.Col, rows[i]...)
-		m.Val = append(m.Val, vals[i]...)
-	}
-	m.RowPtr[n] = int32(len(m.Col))
-	return m
-}
-
-// Laplacian builds the combinatorial graph Laplacian L = D − A from an
-// adjacency list (uniform edge weights).
-func Laplacian(adj [][]int32) *CSR {
-	n := len(adj)
-	rows := make([][]int32, n)
-	vals := make([][]float64, n)
-	for i, nbrs := range adj {
-		rows[i] = make([]int32, 0, len(nbrs)+1)
-		vals[i] = make([]float64, 0, len(nbrs)+1)
-		rows[i] = append(rows[i], int32(i))
-		vals[i] = append(vals[i], float64(len(nbrs)))
-		for _, j := range nbrs {
-			rows[i] = append(rows[i], j)
-			vals[i] = append(vals[i], -1)
+// Laplacian writes the combinatorial graph Laplacian L = D − A of an
+// n-vertex graph (uniform edge weights) into L in one pass, reusing L's
+// storage. row appends vertex i's neighbours to dst and returns the
+// result; row i of L is the diagonal entry (the degree) followed by −1 for
+// each neighbour, in the order row gave them.
+func Laplacian(L *CSR, n int, row func(i int, dst []int32) []int32) {
+	L.N = n
+	L.RowPtr = append(slices.Grow(L.RowPtr[:0], n+1), 0)
+	L.Col = L.Col[:0]
+	L.Val = L.Val[:0]
+	for i := range n {
+		d := len(L.Col)
+		L.Col = row(i, append(L.Col, int32(i)))
+		deg := len(L.Col) - d - 1
+		L.Val = append(L.Val, float64(deg))
+		for range deg {
+			L.Val = append(L.Val, -1)
 		}
+		L.RowPtr = append(L.RowPtr, int32(len(L.Col)))
 	}
-	return NewCSR(rows, vals)
 }
 
 // MulVec computes y = A·x.
@@ -93,12 +78,26 @@ func Scale(a float64, v []float64) {
 	}
 }
 
-// FiedlerCounted computes an approximation to the Fiedler vector of
-// Laplacian L — the eigenvector of the second-smallest eigenvalue — using
-// Lanczos iteration with full reorthogonalization, deflating the constant
-// vector (the trivial nullspace of a connected graph's Laplacian). maxIter
-// bounds the Krylov dimension; tol is the residual tolerance on the Ritz
-// pair. The returned vector has unit norm and zero mean.
+// Lanczos is the reusable workspace of the Fiedler solve: the Krylov
+// basis as one n×maxIter block, the tridiagonal coefficients, the seed-7
+// start vector of the tridiagonal solves with their scratch, and the
+// solve's random source. It grows to the largest solve it has run, so a
+// solve no larger than an earlier one allocates only its result. The zero
+// value is ready to use; a Lanczos is not safe for concurrent use.
+type Lanczos struct {
+	rng             *rand.Rand
+	basis, w        []float64
+	alpha, beta     []float64
+	start           []float64 // seed-7 draws; every solve reads a prefix
+	evec, diag, rhs []float64 // tridiagonal solve scratch
+}
+
+// Fiedler computes an approximation to the Fiedler vector of Laplacian L
+// — the eigenvector of the second-smallest eigenvalue — using Lanczos
+// iteration with full reorthogonalization, deflating the constant vector
+// (the trivial nullspace of a connected graph's Laplacian). maxIter bounds
+// the Krylov dimension; tol is the residual tolerance on the Ritz pair.
+// The returned vector is newly allocated, has unit norm and zero mean.
 //
 // Partition quality does not require machine-precision eigenvectors, so
 // callers typically pass maxIter ≈ 60 and tol ≈ 1e-4.
@@ -110,7 +109,7 @@ func Scale(a float64, v []float64) {
 // feeds the machine-model cost accounting of the spectral bisection —
 // the eigen-solve is exactly the expense the paper's framework treats as
 // a black box, and the count makes it chargeable.
-func FiedlerCounted(L *CSR, maxIter int, tol float64, seed int64) ([]float64, int64) {
+func (l *Lanczos) Fiedler(L *CSR, maxIter int, tol float64, seed int64) ([]float64, int64) {
 	var ops int64
 	n := L.N
 	if n == 1 {
@@ -122,59 +121,72 @@ func FiedlerCounted(L *CSR, maxIter int, tol float64, seed int64) ([]float64, in
 	if maxIter < 1 {
 		maxIter = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
-	// Every tridiagonal eigen-solve below starts inverse iteration from
-	// the same seed-7 vector, of at most maxIter entries; draw it once.
-	start := make([]float64, maxIter)
-	rng7 := rand.New(rand.NewSource(7))
-	for i := range start {
-		start[i] = rng7.Float64() - 0.5
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(7))
 	}
+	// Every tridiagonal eigen-solve starts inverse iteration from the same
+	// seed-7 vector, of at most maxIter entries. The draws of a shorter
+	// vector are a prefix of a longer one's, so it is drawn again only
+	// when it must grow.
+	if len(l.start) < maxIter {
+		l.start = grow(l.start, maxIter)
+		l.rng.Seed(7)
+		for i := range l.start {
+			l.start[i] = l.rng.Float64() - 0.5
+		}
+		l.evec = grow(l.evec, maxIter)
+		l.diag = grow(l.diag, maxIter)
+		l.rhs = grow(l.rhs, maxIter)
+	}
+	l.basis = grow(l.basis, n*maxIter)
+	l.w = grow(l.w, n)
+	l.alpha = slices.Grow(l.alpha[:0], maxIter)
+	l.beta = slices.Grow(l.beta[:0], maxIter)
+	row := func(j int) []float64 { return l.basis[j*n : (j+1)*n] }
 
 	// Start vector: random, orthogonal to the constant vector.
-	v := make([]float64, n)
+	l.rng.Seed(seed)
+	v := row(0)
 	for i := range v {
-		v[i] = rng.Float64() - 0.5
+		v[i] = l.rng.Float64() - 0.5
 	}
 	deflate(v)
 	Scale(1/Norm(v), v)
 
-	basis := make([][]float64, 0, maxIter)
-	var alpha, beta []float64
-	w := make([]float64, n)
-	prev := make([]float64, n)
-
+	w := l.w
 	nnz := int64(len(L.Col))
 	for j := 0; j < maxIter; j++ {
-		basis = append(basis, append([]float64(nil), v...))
+		v := row(j)
 		L.MulVec(v, w)
 		a := Dot(v, w)
-		alpha = append(alpha, a)
+		l.alpha = append(l.alpha, a)
 		Axpy(-a, v, w)
 		if j > 0 {
-			Axpy(-beta[j-1], prev, w)
+			Axpy(-l.beta[j-1], row(j-1), w)
 		}
 		// Full reorthogonalization keeps the basis clean (cheap at the
 		// coarse-graph sizes the multilevel partitioner uses).
 		deflate(w)
-		for _, q := range basis {
-			Axpy(-Dot(q, w), q, w)
+		for q := range j + 1 {
+			Axpy(-Dot(row(q), w), row(q), w)
 		}
 		// Matvec over the nonzeros, ~6 n-length vector passes, and 2
 		// passes per reorthogonalized basis vector.
-		ops += nnz + int64(n)*int64(6+2*len(basis))
+		ops += nnz + int64(n)*int64(6+2*(j+1))
 		b := Norm(w)
 		if b < 1e-12 {
 			break
 		}
-		beta = append(beta, b)
-		copy(prev, v)
-		copy(v, w)
-		Scale(1/b, v)
+		l.beta = append(l.beta, b)
+		if j+1 < maxIter {
+			next := row(j + 1)
+			copy(next, w)
+			Scale(1/b, next)
+		}
 
 		// Check convergence of the smallest Ritz pair every few steps.
 		if j >= 2 && (j%4 == 0 || j == maxIter-1) {
-			if resid := smallestRitzResidual(alpha, beta[:len(alpha)-1], start); resid*math.Abs(b) < tol {
+			if resid := l.smallestRitzResidual(l.alpha, l.beta[:j]); resid*math.Abs(b) < tol {
 				break
 			}
 		}
@@ -183,25 +195,29 @@ func FiedlerCounted(L *CSR, maxIter int, tol float64, seed int64) ([]float64, in
 	// Solve the tridiagonal eigenproblem and assemble the Ritz vector of
 	// the smallest eigenvalue (the deflated operator's smallest is the
 	// original's second-smallest).
-	k := len(alpha)
-	d := append([]float64(nil), alpha...)
-	var e []float64
-	if k > 1 {
-		e = append([]float64(nil), beta[:k-1]...)
-	}
-	evec := make([]float64, k)
-	tridiagSmallest(d, e, start, evec)
+	k := len(l.alpha)
+	evec := l.evec[:k]
+	tridiagSmallest(l.alpha, l.beta[:k-1], l.start, evec, l.diag, l.rhs)
 
 	out := make([]float64, n)
-	for i, q := range basis {
-		Axpy(evec[i], q, out)
+	for i, c := range evec {
+		Axpy(c, row(i), out)
 	}
 	deflate(out)
 	if nm := Norm(out); nm > 0 {
 		Scale(1/nm, out)
 	}
-	ops += int64(len(basis)) * int64(n) // Ritz-vector assembly
+	ops += int64(k) * int64(n) // Ritz-vector assembly
 	return out, ops
+}
+
+// grow returns s resliced to n entries, reallocated when its capacity is
+// short; the entries' values are unspecified.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // deflate removes the mean from v (projects out the constant vector).
@@ -218,23 +234,21 @@ func deflate(v []float64) {
 
 // smallestRitzResidual returns the magnitude of the last eigenvector
 // component of the smallest eigenpair of the symmetric tridiagonal matrix
-// (diag d, off-diag e) — the standard Lanczos residual indicator. start
-// is tridiagSmallest's start vector.
-func smallestRitzResidual(d, e, start []float64) float64 {
-	dd := append([]float64(nil), d...)
-	ee := append([]float64(nil), e...)
-	vec := make([]float64, len(d))
-	tridiagSmallest(dd, ee, start, vec)
+// (diag d, off-diag e) — the standard Lanczos residual indicator.
+func (l *Lanczos) smallestRitzResidual(d, e []float64) float64 {
+	vec := l.evec[:len(d)]
+	tridiagSmallest(d, e, l.start, vec, l.diag, l.rhs)
 	return math.Abs(vec[len(vec)-1])
 }
 
 // tridiagSmallest computes the smallest eigenvalue of the symmetric
 // tridiagonal matrix with diagonal d and off-diagonal e (len(e) =
 // len(d)-1), storing a unit eigenvector in vec, and returns the
-// eigenvalue. d and e are clobbered. It uses bisection (Sturm sequences)
+// eigenvalue; d and e are only read. It uses bisection (Sturm sequences)
 // for the eigenvalue and inverse iteration for the vector, started from
-// the first len(d) entries of start.
-func tridiagSmallest(d, e, start, vec []float64) float64 {
+// the first len(d) entries of start. diag and rhs are scratch of at least
+// len(d) entries.
+func tridiagSmallest(d, e, start, vec, diag, rhs []float64) float64 {
 	n := len(d)
 	if n == 1 {
 		vec[0] = 1
@@ -287,13 +301,13 @@ func tridiagSmallest(d, e, start, vec []float64) float64 {
 	shift := lambda - 1e-10*(1+math.Abs(lambda))
 	x := vec
 	copy(x, start[:n])
-	diag := make([]float64, n)
+	diag, b := diag[:n], rhs[:n]
 	for it := 0; it < 3; it++ {
 		// Thomas-algorithm solve of (T − shift·I)x = b.
 		for i := 0; i < n; i++ {
 			diag[i] = d[i] - shift
 		}
-		b := append([]float64(nil), x...)
+		copy(b, x)
 		for i := 1; i < n; i++ {
 			if math.Abs(diag[i-1]) < 1e-300 {
 				diag[i-1] = 1e-300

@@ -2,8 +2,16 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
+
+// laplacianOf builds the Laplacian of the graph with the given rows.
+func laplacianOf(adj [][]int32) *CSR {
+	L := new(CSR)
+	Laplacian(L, len(adj), func(i int, dst []int32) []int32 { return append(dst, adj[i]...) })
+	return L
+}
 
 func pathGraph(n int) [][]int32 {
 	adj := make([][]int32, n)
@@ -15,9 +23,17 @@ func pathGraph(n int) [][]int32 {
 }
 
 func TestLaplacianStructure(t *testing.T) {
-	L := Laplacian(pathGraph(4))
+	L := laplacianOf(pathGraph(4))
 	if L.N != 4 {
 		t.Fatalf("N = %d", L.N)
+	}
+	// Each row is the degree on the diagonal, then −1 per neighbour in row
+	// order.
+	wantPtr := []int32{0, 2, 5, 8, 10}
+	wantCol := []int32{0, 1, 1, 0, 2, 2, 1, 3, 3, 2}
+	wantVal := []float64{1, -1, 2, -1, -1, 2, -1, -1, 1, -1}
+	if !slices.Equal(L.RowPtr, wantPtr) || !slices.Equal(L.Col, wantCol) || !slices.Equal(L.Val, wantVal) {
+		t.Fatalf("L = %v %v %v, want %v %v %v", L.RowPtr, L.Col, L.Val, wantPtr, wantCol, wantVal)
 	}
 	// Row sums of a Laplacian are zero.
 	x := []float64{1, 1, 1, 1}
@@ -32,10 +48,7 @@ func TestLaplacianStructure(t *testing.T) {
 
 func TestMulVec(t *testing.T) {
 	// 2x2: [[2,-1],[-1,2]]
-	m := NewCSR(
-		[][]int32{{0, 1}, {0, 1}},
-		[][]float64{{2, -1}, {-1, 2}},
-	)
+	m := &CSR{N: 2, RowPtr: []int32{0, 2, 4}, Col: []int32{0, 1, 0, 1}, Val: []float64{2, -1, -1, 2}}
 	y := make([]float64, 2)
 	m.MulVec([]float64{1, 2}, y)
 	if y[0] != 0 || y[1] != 3 {
@@ -66,8 +79,8 @@ func TestBlasHelpers(t *testing.T) {
 func TestFiedlerPathGraph(t *testing.T) {
 	// The Fiedler vector of a path graph is monotone: it orders the path.
 	n := 20
-	L := Laplacian(pathGraph(n))
-	f, _ := FiedlerCounted(L, 40, 1e-8, 1)
+	L := laplacianOf(pathGraph(n))
+	f, _ := new(Lanczos).Fiedler(L, 40, 1e-8, 1)
 	// Zero mean, unit norm.
 	mean := 0.0
 	for _, v := range f {
@@ -110,8 +123,8 @@ func TestFiedlerBisectsDumbbell(t *testing.T) {
 		}
 	}
 	link(0, 5)
-	L := Laplacian(adj)
-	f, _ := FiedlerCounted(L, 40, 1e-8, 3)
+	L := laplacianOf(adj)
+	f, _ := new(Lanczos).Fiedler(L, 40, 1e-8, 3)
 	for i := 1; i < 5; i++ {
 		if f[i]*f[0] < 0 {
 			t.Errorf("vertex %d separated from its clique", i)
@@ -134,8 +147,8 @@ func TestFiedlerEigenvalueResidual(t *testing.T) {
 		adj[i] = append(adj[i], int32(j))
 		adj[j] = append(adj[j], int32(i))
 	}
-	L := Laplacian(adj)
-	f, _ := FiedlerCounted(L, 40, 1e-10, 5)
+	L := laplacianOf(adj)
+	f, _ := new(Lanczos).Fiedler(L, 40, 1e-10, 5)
 	y := make([]float64, n)
 	L.MulVec(f, y)
 	lambda := Dot(f, y)
@@ -151,8 +164,8 @@ func TestFiedlerEigenvalueResidual(t *testing.T) {
 }
 
 func TestFiedlerSingletonGraph(t *testing.T) {
-	L := Laplacian([][]int32{nil})
-	f, _ := FiedlerCounted(L, 10, 1e-6, 1)
+	L := laplacianOf([][]int32{nil})
+	f, _ := new(Lanczos).Fiedler(L, 10, 1e-6, 1)
 	if len(f) != 1 || f[0] != 0 {
 		t.Errorf("singleton Fiedler = %v", f)
 	}
@@ -163,7 +176,7 @@ func TestTridiagSmallest(t *testing.T) {
 	d := []float64{2, 2, 2}
 	e := []float64{-1, -1}
 	vec := make([]float64, 3)
-	got := tridiagSmallest(d, e, []float64{0.3, -0.2, 0.1}, vec)
+	got := tridiagSmallest(d, e, []float64{0.3, -0.2, 0.1}, vec, make([]float64, 3), make([]float64, 3))
 	want := 2 - math.Sqrt2
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("λmin = %g, want %g", got, want)
@@ -172,5 +185,39 @@ func TestTridiagSmallest(t *testing.T) {
 	r := vec[1] / vec[0]
 	if math.Abs(math.Abs(r)-math.Sqrt2) > 1e-6 {
 		t.Errorf("eigenvector ratio = %g, want ±√2", r)
+	}
+}
+
+// ringOf returns the rows of an n-vertex ring with one chord (0, n/2), so
+// the solves below are not all symmetric under rotation.
+func ringOf(n int) [][]int32 {
+	adj := make([][]int32, n)
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		adj[i] = append(adj[i], int32(j))
+		adj[j] = append(adj[j], int32(i))
+	}
+	adj[0] = append(adj[0], int32(n/2))
+	adj[n/2] = append(adj[n/2], 0)
+	return adj
+}
+
+// TestFiedlerReusesWork pins the workspace contract: a solve no larger
+// than an earlier one allocates only its result vector, and a reused
+// workspace gives the same bits and op count as a fresh one, whether the
+// previous solve was larger or smaller.
+func TestFiedlerReusesWork(t *testing.T) {
+	big, small := laplacianOf(ringOf(300)), laplacianOf(ringOf(40))
+	var lz Lanczos
+	for _, L := range []*CSR{small, big, small, big} {
+		got, gotOps := lz.Fiedler(L, 60, 1e-4, 42)
+		want, wantOps := new(Lanczos).Fiedler(L, 60, 1e-4, 42)
+		if gotOps != wantOps || !slices.Equal(got, want) {
+			t.Fatalf("n=%d: reused workspace gives ops %d, fresh %d (vectors equal: %v)",
+				L.N, gotOps, wantOps, slices.Equal(got, want))
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { lz.Fiedler(big, 60, 1e-4, 42) }); allocs != 1 {
+		t.Errorf("a repeated solve allocates %v times, want 1 (its result)", allocs)
 	}
 }
