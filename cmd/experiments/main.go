@@ -14,25 +14,17 @@ import (
 	"strings"
 
 	"plum/internal/experiments"
-	"plum/internal/machine"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments to run: table1, fig8, fig9, fig10, fig11, fig12, extension, partitioners, remap, adapt, overlap, faults, recover, comm, all")
+	exp := flag.String("exp", "all", "comma-separated experiments to run: table1, fig8, fig9, fig10, fig11, fig12, extension, partitioners, overlap, faults, recover, comm, all")
 	k := flag.Int("k", 16, "partition count for -exp partitioners")
 	faultSeed := flag.Int64("fault-seed", 7, "fault schedule seed for -exp faults")
 	workers := flag.Int("workers", 0, "worker goroutines for parallel partitioning, refinement, and adaption phases (0 = GOMAXPROCS)")
-	propg := flag.String("propagator", "", "adaption notification exchange schedule for -exp adapt: "+strings.Join(machine.ExchangeNames, ", ")+" ('' = flat)")
 	jsonOut := flag.Bool("json", false, "emit the selected experiments as one JSON object keyed by name instead of text tables")
 	flag.Parse()
 	if *k < 1 {
 		fmt.Fprintf(os.Stderr, "invalid -k %d: need at least 1 partition\n", *k)
-		os.Exit(2)
-	}
-	// The propagator name resolves here, once; the runner takes a typed value.
-	prop, err := machine.ExchangeByName(*propg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "unknown propagator %q (have %s)\n", *propg, strings.Join(machine.ExchangeNames, ", "))
 		os.Exit(2)
 	}
 
@@ -48,8 +40,6 @@ func main() {
 		{"fig12", func() fmt.Stringer { return experiments.RunFig12() }},
 		{"extension", func() fmt.Stringer { return experiments.RunExtensionRepeated(8, 6) }},
 		{"partitioners", func() fmt.Stringer { return experiments.RunPartitionerTable(*k, *workers) }},
-		{"remap", func() fmt.Stringer { return experiments.RunRemapExecTable(*workers) }},
-		{"adapt", func() fmt.Stringer { return experiments.RunAdaptTable(*workers, prop) }},
 		{"overlap", func() fmt.Stringer { return experiments.RunOverlapTable(*workers) }},
 		{"faults", func() fmt.Stringer { return experiments.RunFaultTable(*faultSeed, *workers) }},
 		{"recover", func() fmt.Stringer { return experiments.RunRecoverTable(*faultSeed, *workers) }},

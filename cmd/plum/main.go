@@ -42,8 +42,7 @@ func main() {
 		strat   = flag.String("strategy", "local1", "edge-marking strategy: local1, local2, random, error")
 		thresh  = flag.Float64("threshold", 1.2, "imbalance threshold Wmax/Wavg for repartitioning")
 		mapper  = flag.String("mapper", "heuristic", "processor reassignment: heuristic, optimal")
-		parter  = flag.String("partitioner", "multilevel", "repartitioner: graphgrow, inertial, multilevel, morton, hilbert")
-		propg   = flag.String("propagator", "", "adaption notification exchange schedule: flat, aggregated (default: flat)")
+		parter  = flag.String("partitioner", "multilevel", fmt.Sprintf("repartitioner, one of %v", partition.Methods))
 		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated (default: flat)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "worker goroutines for parallel partitioning and refinement phases (0 = GOMAXPROCS)")
@@ -86,8 +85,7 @@ func main() {
 		log.Fatalf("unknown partitioner %q (have %v)", *parter, partition.Methods)
 	}
 	cfg.Method = method
-	// core.New resolves — and rejects — the two schedule names.
-	cfg.Propagator = *propg
+	// core.New resolves — and rejects — the schedule name.
 	cfg.Exchange = *exch
 	plan, err := fault.Parse(*faults)
 	if err != nil {
@@ -129,9 +127,9 @@ func main() {
 	rp := meshgen.DefaultRotor()
 	if *scale != 1.0 {
 		s := math.Cbrt(*scale)
-		rp.NR = maxInt(2, int(float64(rp.NR)*s))
-		rp.NTheta = maxInt(2, int(float64(rp.NTheta)*s))
-		rp.NZ = maxInt(2, int(float64(rp.NZ)*s))
+		rp.NR = max(2, int(float64(rp.NR)*s))
+		rp.NTheta = max(2, int(float64(rp.NTheta)*s))
+		rp.NZ = max(2, int(float64(rp.NZ)*s))
 	}
 	m := meshgen.RotorDisk(rp)
 	// Feature at the mid-radius, mid-sweep point of the annulus (the
@@ -145,8 +143,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("mesh: %s\n", m.Stats())
-	fmt.Printf("config: P=%d F=%d threshold=%.2f mapper=%s partitioner=%s propagator=%s exchange=%s workers=%d overlap=%v\n",
-		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Mapper, cfg.Method, fw.D.Prop,
+	fmt.Printf("config: P=%d F=%d threshold=%.2f mapper=%s partitioner=%s exchange=%s workers=%d overlap=%v\n",
+		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Mapper, cfg.Method,
 		fw.D.Exchange, chunk.Workers(cfg.Workers), cfg.Overlap)
 	if plan.Enabled() {
 		r := cfg.Retry.Normalize()
@@ -255,11 +253,4 @@ func main() {
 	}
 	fmt.Printf("final mesh valid: %s\n", m.Stats())
 	flushObs()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -227,6 +227,9 @@ func (s Strategy) String() string {
 	return "unknown"
 }
 
+// MarshalText spells the strategy by its String name in JSON.
+func (s Strategy) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // Strategies lists the three paper scenarios in presentation order.
 var Strategies = []Strategy{Local1, Local2, Random}
 

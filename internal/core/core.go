@@ -73,21 +73,14 @@ type Config struct {
 	// runtime.GOMAXPROCS. Partition assignments are identical at every
 	// worker count; only wall time changes.
 	Workers int
-	// Propagator names the exchange schedule of the adaption passes'
-	// notification traffic, spelled like Exchange: "flat" (the paper's one
-	// message per rank pair) or "aggregated" (one combined message per
-	// source rank, for high processor counts). "" selects flat. It is
-	// independent of Exchange, which schedules the remap payload. New
-	// resolves the name once into Framework.D.Prop. See internal/propagate.
-	Propagator string
 	// Exchange names the remap payload exchange schedule: "flat" (one
 	// message per flow — the paper's semantics) or "aggregated" (one
 	// combined frame per source rank). "" selects flat. It is a pricing
-	// parameter, like Propagator: the owner array, the payload bytes and
-	// the fault fates are identical under both; only the modeled
-	// communication charges and the acceptance rule's setup term differ.
-	// New resolves the name once into Framework.D.Exchange. See
-	// internal/machine.Exchange.
+	// parameter: the owner array, the payload bytes and the fault fates
+	// are identical under both; only the modeled communication charges
+	// and the acceptance rule's setup term differ. The adaption
+	// notifications are always flat. New resolves the name once into
+	// Framework.D.Exchange. See internal/machine.Exchange.
 	Exchange string
 	// SolverIters is the number of proxy flow-solver iterations each
 	// cycle runs before adaption, and the multiplier of the modeled
@@ -260,10 +253,6 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 		// imb > NaN is always false: the balancer would never run.
 		return nil, errors.New("core: ImbalanceThreshold is NaN")
 	}
-	prop, err := machine.ExchangeByName(cfg.Propagator)
-	if err != nil {
-		return nil, fmt.Errorf("core: unknown propagator %q (have %v)", cfg.Propagator, machine.ExchangeNames)
-	}
 	exch, err := machine.ExchangeByName(cfg.Exchange)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -294,7 +283,6 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	fw.sfcBilled = false
 	d := par.NewDist(m, cfg.P, asg)
 	d.Workers = cfg.Workers // the remap scatter and SPL scans share the knob
-	d.Prop = prop           // the adaption passes' notification exchange schedule
 	d.Exchange = exch       // the remap payload exchange schedule
 	d.Faults = cfg.Faults   // fault plan + recovery budget for the balance cycles
 	d.Retry = cfg.Retry
@@ -392,6 +380,9 @@ func (o BalanceOutcome) String() string {
 	}
 	return fmt.Sprintf("BalanceOutcome(%d)", int(o))
 }
+
+// MarshalText spells the outcome by its String name in JSON.
+func (o BalanceOutcome) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
 
 // BalanceReport records one pass through the load-balancing pipeline.
 type BalanceReport struct {

@@ -8,7 +8,6 @@ import (
 
 	"plum/internal/adapt"
 	"plum/internal/geom"
-	"plum/internal/machine"
 	"plum/internal/mesh"
 	"plum/internal/meshgen"
 	"plum/internal/partition"
@@ -35,10 +34,9 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		t.Error("accepted F=0")
 	}
 	for name, spoil := range map[string]func(*Config){
-		"unknown propagator": func(c *Config) { c.Propagator = "bulksync" },
-		"unknown method":     func(c *Config) { c.Method = partition.Method(len(partition.Methods)) },
-		"unknown mapper":     func(c *Config) { c.Mapper = MapperOptimal + 1 },
-		"NaN threshold":      func(c *Config) { c.ImbalanceThreshold = math.NaN() },
+		"unknown method": func(c *Config) { c.Method = partition.Method(len(partition.Methods)) },
+		"unknown mapper": func(c *Config) { c.Mapper = MapperOptimal + 1 },
+		"NaN threshold":  func(c *Config) { c.ImbalanceThreshold = math.NaN() },
 	} {
 		bad := DefaultConfig(2)
 		spoil(&bad)
@@ -49,35 +47,32 @@ func TestNewRejectsBadConfig(t *testing.T) {
 }
 
 // TestCycleAdaptAccounting checks that a cycle surfaces the adaption
-// pass's first-class cost figures in the balance report for every
-// propagation backend: nonzero totals, a critical path no longer than the
-// total, and the modeled wall clock derived from them.
+// pass's first-class cost figures in the balance report: nonzero totals, a
+// critical path no longer than the total, and the modeled wall clock
+// derived from them.
 func TestCycleAdaptAccounting(t *testing.T) {
-	for _, name := range machine.ExchangeNames {
-		m := meshgen.SmallBox()
-		cfg := DefaultConfig(4)
-		cfg.Propagator = name
-		f, err := New(m, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := f.Cycle(func(a *adapt.Adaptor) {
-			a.MarkRandom(0.10, adapt.MarkRefine, 7)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := rep.Balance
-		if b.AdaptOps <= 0 || b.AdaptCritOps <= 0 || b.AdaptCritOps > b.AdaptOps {
-			t.Errorf("%s: bad adapt ops %d/%d", name, b.AdaptOps, b.AdaptCritOps)
-		}
-		if b.AdaptExecTime <= 0 {
-			t.Errorf("%s: no modeled adapt exec time", name)
-		}
-		if b.AdaptOps != rep.AdaptTime.Ops.Total ||
-			b.AdaptExecTime != rep.AdaptTime.Ops.Time(cfg.Model) {
-			t.Errorf("%s: report drifted from the pass's own accounting", name)
-		}
+	m := meshgen.SmallBox()
+	cfg := DefaultConfig(4)
+	f, err := New(m, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.Cycle(func(a *adapt.Adaptor) {
+		a.MarkRandom(0.10, adapt.MarkRefine, 7)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := rep.Balance
+	if b.AdaptOps <= 0 || b.AdaptCritOps <= 0 || b.AdaptCritOps > b.AdaptOps {
+		t.Errorf("bad adapt ops %d/%d", b.AdaptOps, b.AdaptCritOps)
+	}
+	if b.AdaptExecTime <= 0 {
+		t.Error("no modeled adapt exec time")
+	}
+	if b.AdaptOps != rep.AdaptTime.Ops.Total ||
+		b.AdaptExecTime != rep.AdaptTime.Ops.Time(cfg.Model) {
+		t.Error("report drifted from the pass's own accounting")
 	}
 }
 

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"encoding/json"
 	"slices"
 	"strings"
 	"testing"
 
 	"plum/internal/adapt"
+	"plum/internal/core"
 	"plum/internal/dual"
 	"plum/internal/machine"
 	"plum/internal/par"
@@ -265,39 +267,6 @@ func TestPartitionerTableClaims(t *testing.T) {
 	}
 }
 
-func TestRemapExecTableClaims(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper-scale remap anatomy")
-	}
-	tb := RunRemapExecTable(0)
-	if len(tb.Rows) < 3 {
-		t.Fatalf("table has %d rows", len(tb.Rows))
-	}
-	for _, r := range tb.Rows {
-		if r.Moved <= 0 || r.Sets <= 0 || r.WordsMoved < r.Moved*50 {
-			t.Errorf("P=%d: degenerate remap %+v", r.P, r)
-		}
-		if r.Ops.Total <= 0 || r.Ops.Crit <= 0 || r.Ops.Crit > r.Ops.Total {
-			t.Errorf("P=%d: bad ops accounting %+v", r.P, r.Ops)
-		}
-		if r.Total <= 0 || r.Total < r.PackTime {
-			t.Errorf("P=%d: inconsistent modeled times %+v", r.P, r)
-		}
-		if r.HostSeconds <= 0 {
-			t.Errorf("P=%d: no host timing", r.P)
-		}
-	}
-	// More processors split the same movement into more, smaller sets.
-	first, last := tb.Rows[0], tb.Rows[len(tb.Rows)-1]
-	if last.Sets <= first.Sets {
-		t.Errorf("sets did not grow with P: %d@P=%d vs %d@P=%d",
-			first.Sets, first.P, last.Sets, last.P)
-	}
-	if !strings.Contains(tb.String(), "anatomy") {
-		t.Error("table rendering broken")
-	}
-}
-
 // TestTableStringsStable is the byte-stability regression for the report
 // renderers: repeated String() calls on the same data must produce
 // identical bytes with the panels in their fixed order. Fig8.String()
@@ -332,6 +301,26 @@ func TestTableStringsStable(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if ov.String() != ovRef {
 			t.Fatalf("OverlapTable.String() not byte-stable on call %d", i)
+		}
+	}
+}
+
+// TestJSONNamesEnums pins the -json spelling of the tables: every enum
+// they carry marshals as its String name, as a field and as a map key.
+func TestJSONNamesEnums(t *testing.T) {
+	got, err := json.Marshal([]any{
+		&Fig12{Curves: map[adapt.Strategy][]Fig12Point{adapt.Local1: nil}},
+		PartitionerRow{Method: partition.MethodHilbertSFC},
+		CommRow{Exchange: machine.ExchangeAggregated},
+		FaultRow{Outcomes: []core.BalanceOutcome{core.OutcomeRolledBack}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"Local_1":null`, `"Method":"hilbert"`,
+		`"Exchange":"aggregated"`, `"Outcomes":["rolled-back"]`} {
+		if !strings.Contains(string(got), want) {
+			t.Errorf("JSON lacks %s:\n%s", want, got)
 		}
 	}
 }

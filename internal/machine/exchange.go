@@ -13,8 +13,10 @@ import "fmt"
 //     into one combined frame and pays a single setup; destinations
 //     drain at the per-word rate. Setups scale O(P) total per round.
 //
-// The schedule is a pricing parameter of the model: the host moves the
-// same records either way.
+// The schedule is a pricing parameter of the remap payload exchange
+// (-exchange): the host moves the same records either way. The adaption
+// notification exchanges are always flat, the paper's one message per
+// communicating rank pair per round (ChargeFlowsRetry).
 type Exchange int
 
 const (
@@ -32,6 +34,9 @@ func (e Exchange) String() string {
 	}
 	return ExchangeNames[e]
 }
+
+// MarshalText spells the exchange by its String name in JSON.
+func (e Exchange) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
 
 // ExchangeByName parses a CLI spelling; the empty string means flat.
 func ExchangeByName(name string) (Exchange, error) {
@@ -53,16 +58,9 @@ type Flow struct {
 	Words    int64
 }
 
-// CombinedDst is the destination sentinel a charge backend passes to a
-// RetryFunc for a combined frame, which has no single receiver. It keys
-// fault schedules per source without colliding with any real rank.
-const CombinedDst = -1
-
 // RetryFunc lets a caller bill modeled retry/fault recovery per message
-// right behind the message's send-side charge, before any receiver
-// drain. dst is the real destination for per-flow messages and
-// CombinedDst for combined frames; words is the words of the message as
-// sent (the combined total for combined frames).
+// right behind the message's send-side charge: src and dst are the flow's
+// ranks, words its words as sent.
 type RetryFunc func(src, dst int32, words int64)
 
 // ExchangeCharge reports what a charge call billed to the clock.
@@ -84,25 +82,16 @@ type ExchangeCharge struct {
 // canonical src-major order; charges are applied in a deterministic
 // order, so the clock is byte-identical for identical inputs.
 func (m Model) ChargeFlows(clk *Clock, e Exchange, flows []Flow) ExchangeCharge {
-	return m.ChargeFlowsRetry(clk, e, flows, nil)
-}
-
-// ChargeFlowsRetry is ChargeFlows with a per-message retry hook (see
-// RetryFunc); nil behaves like ChargeFlows.
-func (m Model) ChargeFlowsRetry(clk *Clock, e Exchange, flows []Flow, retry RetryFunc) ExchangeCharge {
-	var ch ExchangeCharge
 	if e == ExchangeAggregated {
-		ch = m.chargeAggregated(clk, flows, retry)
-	} else {
-		ch = m.chargeFlat(clk, flows, retry)
+		return m.chargeAggregated(clk, flows)
 	}
-	ch.SetupTime = float64(ch.Msgs) * m.Tsetup
-	return ch
+	return m.ChargeFlowsRetry(clk, flows, nil)
 }
 
-// chargeFlat bills one message per flow, MsgTime of its words, to the
-// sender.
-func (m Model) chargeFlat(clk *Clock, flows []Flow, retry RetryFunc) ExchangeCharge {
+// ChargeFlowsRetry bills the flat schedule — one message per flow, MsgTime
+// of its words, to the sender — with a per-message retry hook (see
+// RetryFunc); a nil hook is ChargeFlows under ExchangeFlat.
+func (m Model) ChargeFlowsRetry(clk *Clock, flows []Flow, retry RetryFunc) ExchangeCharge {
 	var ch ExchangeCharge
 	for _, f := range flows {
 		clk.Add(int(f.Src), m.MsgTime(f.Words))
@@ -112,6 +101,7 @@ func (m Model) chargeFlat(clk *Clock, flows []Flow, retry RetryFunc) ExchangeCha
 			retry(f.Src, f.Dst, f.Words)
 		}
 	}
+	ch.SetupTime = float64(ch.Msgs) * m.Tsetup
 	return ch
 }
 
@@ -119,7 +109,7 @@ func (m Model) chargeFlat(clk *Clock, flows []Flow, retry RetryFunc) ExchangeCha
 // per-word drain on every destination. Each rank's words are totalled as
 // integers and each total is priced once: MsgTime over the source's
 // combined total, total·Tlat of drain.
-func (m Model) chargeAggregated(clk *Clock, flows []Flow, retry RetryFunc) ExchangeCharge {
+func (m Model) chargeAggregated(clk *Clock, flows []Flow) ExchangeCharge {
 	p := clk.P()
 	var ch ExchangeCharge
 	out := make([]int64, p)
@@ -133,13 +123,11 @@ func (m Model) chargeAggregated(clk *Clock, flows []Flow, retry RetryFunc) Excha
 		if out[r] > 0 {
 			clk.Add(r, m.MsgTime(out[r]))
 			ch.Msgs++
-			if retry != nil {
-				retry(int32(r), CombinedDst, out[r])
-			}
 		}
 		if in[r] > 0 {
 			clk.Add(r, float64(in[r])*m.Tlat)
 		}
 	}
+	ch.SetupTime = float64(ch.Msgs) * m.Tsetup
 	return ch
 }

@@ -108,8 +108,7 @@ func TestChargeDeterminism(t *testing.T) {
 }
 
 // TestRetryHookPosition checks that the retry hook fires once per message
-// with the as-sent word count and the CombinedDst sentinel on combined
-// frames.
+// with the flow's ranks and its as-sent word count.
 func TestRetryHookPosition(t *testing.T) {
 	mdl := SP2()
 	type call struct {
@@ -119,15 +118,8 @@ func TestRetryHookPosition(t *testing.T) {
 	var calls []call
 	hook := func(src, dst int32, words int64) { calls = append(calls, call{src, dst, words}) }
 
-	mdl.ChargeFlowsRetry(NewClock(8), ExchangeFlat, chargeFixture, hook)
+	mdl.ChargeFlowsRetry(NewClock(8), chargeFixture, hook)
 	if len(calls) != 5 || calls[0] != (call{0, 1, 10}) {
 		t.Fatalf("flat retry calls: %+v", calls)
-	}
-
-	calls = nil
-	mdl.ChargeFlowsRetry(NewClock(8), ExchangeAggregated, chargeFixture, hook)
-	want := []call{{0, CombinedDst, 15}, {1, CombinedDst, 3}, {2, CombinedDst, 1}, {4, CombinedDst, 8}}
-	if !reflect.DeepEqual(calls, want) {
-		t.Fatalf("aggregated retry calls: %+v, want %+v", calls, want)
 	}
 }

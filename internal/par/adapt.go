@@ -32,8 +32,8 @@ type AdaptTimings struct {
 	Total float64
 	// CommRounds is the number of propagation supersteps.
 	CommRounds int
-	// Msgs and Words count the propagation + classification traffic
-	// under the propagation exchange schedule (Dist.Prop). SetupTime is the
+	// Msgs and Words count the propagation + classification traffic, one
+	// message per communicating rank pair per round. SetupTime is the
 	// summed modeled message-setup slice of those charges, reported
 	// separately so the setup/volume split is visible alongside the remap
 	// executor's.
@@ -56,10 +56,10 @@ type AdaptTimings struct {
 	Retries, Backoff, Exhausted int64
 }
 
-// engine builds the pass's frontier-propagation engine: the Prop schedule
-// at the Dist's worker knob, with the cycle's modeled exchange-fault model
-// when the plan is on. One model spans the whole fault cycle (refine and
-// coarsen continue the same per-pair attempt sequence, so their draws are
+// engine builds the pass's frontier-propagation engine at the Dist's
+// worker knob, with the cycle's modeled exchange-fault model when the plan
+// is on. One model spans the whole fault cycle (refine and coarsen
+// continue the same per-pair attempt sequence, so their draws are
 // independent); with faults off the engine carries none, so the pass stays
 // byte-identical to the fault-free baseline.
 func (d *Dist) engine() propagate.Engine {
@@ -69,7 +69,7 @@ func (d *Dist) engine() propagate.Engine {
 		d.adaptX = d.Faults.Exchange(fault.StageAdapt, d.FaultCycle, d.Retry.Normalize().MsgAttempts)
 		d.adaptXCycle = d.FaultCycle
 	}
-	return propagate.Engine{Exchange: d.Prop, Workers: d.Workers, Faults: d.adaptX}
+	return propagate.Engine{Workers: d.Workers, Faults: d.adaptX}
 }
 
 // faultTrace snapshots an ExchangeModel's cumulative counters so a pass

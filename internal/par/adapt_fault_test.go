@@ -12,9 +12,9 @@ import (
 // runAdaptFaultPass is runAdaptPass with a fault plan armed on the Dist:
 // the adaption notification exchanges draw modeled faults and the passes
 // report the retry traffic in AdaptTimings.
-func runAdaptFaultPass(t testing.TB, p, w int, prop machine.Exchange, plan *fault.Plan, cycle int) adaptRun {
+func runAdaptFaultPass(t testing.TB, p, w int, plan *fault.Plan, cycle int) adaptRun {
 	t.Helper()
-	d, a := adaptFixture(t, p, w, prop)
+	d, a := adaptFixture(t, p, w)
 	d.Faults = plan
 	d.Retry = fault.Budget(3)
 	d.FaultCycle = cycle
@@ -48,44 +48,39 @@ func stripFaultTimes(tm AdaptTimings) AdaptTimings {
 func TestAdaptFaultCharges(t *testing.T) {
 	const p = 8
 	plan := &fault.Plan{Seed: 2026, Rate: 0.3}
-	for _, name := range machine.ExchangeNames {
-		t.Run(name, func(t *testing.T) {
-			prop, _ := machine.ExchangeByName(name)
-			clean := runAdaptPass(t, p, 1, prop)
-			var first adaptRun
-			for i, w := range []int{1, 2, 4} {
-				got := runAdaptFaultPass(t, p, w, prop, plan, 1)
-				if got.RefineSt != clean.RefineSt || got.CoarsenSt != clean.CoarsenSt ||
-					got.Elems != clean.Elems || got.Edges != clean.Edges {
-					t.Fatalf("workers=%d: fault plan changed the adaption result", w)
-				}
-				if got.RefineTm.Retries == 0 || got.RefineTm.Backoff == 0 {
-					t.Errorf("workers=%d: refine left no retry trace: %+v", w, got.RefineTm)
-				}
-				if got.CoarsenTm.Backoff == 0 {
-					t.Errorf("workers=%d: coarsen left no retry trace: %+v", w, got.CoarsenTm)
-				}
-				if got.RefineTm.Total <= clean.RefineTm.Total {
-					t.Errorf("workers=%d: retry charges missing from refine clock: %g vs %g",
-						w, got.RefineTm.Total, clean.RefineTm.Total)
-				}
-				if !reflect.DeepEqual(stripFaultTimes(got.RefineTm), stripFaultTimes(clean.RefineTm)) {
-					t.Errorf("workers=%d: faults changed refine beyond times:\n got %+v\nwant %+v",
-						w, stripFaultTimes(got.RefineTm), stripFaultTimes(clean.RefineTm))
-				}
-				if i == 0 {
-					first = got
-					continue
-				}
-				a := got
-				a.RefineTm.Ops.Crit, a.RefineTm.Ops.MemCrit = first.RefineTm.Ops.Crit, first.RefineTm.Ops.MemCrit
-				a.CoarsenTm.Ops.Crit, a.CoarsenTm.Ops.MemCrit = first.CoarsenTm.Ops.Crit, first.CoarsenTm.Ops.MemCrit
-				if !reflect.DeepEqual(a, first) {
-					t.Errorf("workers=%d: faulted adaption not worker-invariant:\n got %+v\nwant %+v",
-						w, a, first)
-				}
-			}
-		})
+	clean := runAdaptPass(t, p, 1)
+	var first adaptRun
+	for i, w := range []int{1, 2, 4} {
+		got := runAdaptFaultPass(t, p, w, plan, 1)
+		if got.RefineSt != clean.RefineSt || got.CoarsenSt != clean.CoarsenSt ||
+			got.Elems != clean.Elems || got.Edges != clean.Edges {
+			t.Fatalf("workers=%d: fault plan changed the adaption result", w)
+		}
+		if got.RefineTm.Retries == 0 || got.RefineTm.Backoff == 0 {
+			t.Errorf("workers=%d: refine left no retry trace: %+v", w, got.RefineTm)
+		}
+		if got.CoarsenTm.Backoff == 0 {
+			t.Errorf("workers=%d: coarsen left no retry trace: %+v", w, got.CoarsenTm)
+		}
+		if got.RefineTm.Total <= clean.RefineTm.Total {
+			t.Errorf("workers=%d: retry charges missing from refine clock: %g vs %g",
+				w, got.RefineTm.Total, clean.RefineTm.Total)
+		}
+		if !reflect.DeepEqual(stripFaultTimes(got.RefineTm), stripFaultTimes(clean.RefineTm)) {
+			t.Errorf("workers=%d: faults changed refine beyond times:\n got %+v\nwant %+v",
+				w, stripFaultTimes(got.RefineTm), stripFaultTimes(clean.RefineTm))
+		}
+		if i == 0 {
+			first = got
+			continue
+		}
+		a := got
+		a.RefineTm.Ops.Crit, a.RefineTm.Ops.MemCrit = first.RefineTm.Ops.Crit, first.RefineTm.Ops.MemCrit
+		a.CoarsenTm.Ops.Crit, a.CoarsenTm.Ops.MemCrit = first.CoarsenTm.Ops.Crit, first.CoarsenTm.Ops.MemCrit
+		if !reflect.DeepEqual(a, first) {
+			t.Errorf("workers=%d: faulted adaption not worker-invariant:\n got %+v\nwant %+v",
+				w, a, first)
+		}
 	}
 }
 
@@ -95,16 +90,15 @@ func TestAdaptFaultCharges(t *testing.T) {
 // same plan must draw different schedules.
 func TestAdaptZeroRatePlanIsClean(t *testing.T) {
 	const p = 8
-	const prop = machine.ExchangeFlat
-	clean := runAdaptPass(t, p, 2, prop)
-	zero := runAdaptFaultPass(t, p, 2, prop, &fault.Plan{Seed: 1, Rate: 0}, 1)
+	clean := runAdaptPass(t, p, 2)
+	zero := runAdaptFaultPass(t, p, 2, &fault.Plan{Seed: 1, Rate: 0}, 1)
 	if !reflect.DeepEqual(zero, clean) {
 		t.Errorf("zero-rate plan changed the adaption:\n got %+v\nwant %+v", zero, clean)
 	}
 
 	plan := &fault.Plan{Seed: 11, Rate: 0.4}
-	c1 := runAdaptFaultPass(t, p, 2, prop, plan, 1)
-	c2 := runAdaptFaultPass(t, p, 2, prop, plan, 2)
+	c1 := runAdaptFaultPass(t, p, 2, plan, 1)
+	c2 := runAdaptFaultPass(t, p, 2, plan, 2)
 	if c1.RefineTm.Retries == c2.RefineTm.Retries && c1.RefineTm.Backoff == c2.RefineTm.Backoff &&
 		c1.CoarsenTm.Backoff == c2.CoarsenTm.Backoff {
 		t.Error("two fault cycles drew identical retry schedules")

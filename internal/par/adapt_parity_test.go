@@ -14,15 +14,13 @@ import (
 
 // adaptFixture distributes a parallel-scale box mesh (large enough to
 // engage the chunked slab scans and, with dense marks, the engine's
-// parallel frontier rounds) over p ranks with the given worker knob and
-// propagation exchange schedule.
-func adaptFixture(t testing.TB, p, w int, prop machine.Exchange) (*Dist, *adapt.Adaptor) {
+// parallel frontier rounds) over p ranks with the given worker knob.
+func adaptFixture(t testing.TB, p, w int) (*Dist, *adapt.Adaptor) {
 	t.Helper()
 	m := meshgen.Box(12, 12, 12, geom.Vec3{X: 1, Y: 1, Z: 1}) // 10368 elements
 	g := dual.Build(m)
 	d := NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
 	d.Workers = w
-	d.Prop = prop
 	return d, adapt.New(m)
 }
 
@@ -37,9 +35,9 @@ type adaptRun struct {
 	Edges     int
 }
 
-func runAdaptPass(t testing.TB, p, w int, prop machine.Exchange) adaptRun {
+func runAdaptPass(t testing.TB, p, w int) adaptRun {
 	t.Helper()
-	d, a := adaptFixture(t, p, w, prop)
+	d, a := adaptFixture(t, p, w)
 	var out adaptRun
 	a.MarkRandom(0.25, adapt.MarkRefine, 97)
 	out.RefineSt, out.RefineTm = d.ParallelRefine(a, machine.SP2())
@@ -62,55 +60,46 @@ func normCrit(tm AdaptTimings) AdaptTimings {
 }
 
 // TestAdaptWorkerParity is the determinism contract of the parallel
-// adaption engine: for each propagation backend, the marks (hence the
-// mesh), the kernel stats, the whole AdaptTimings — modeled float times,
-// rounds, Msgs, Words included — and the op totals must be byte-identical
-// for workers ∈ {1, 2, 4, 8}.
+// adaption engine: the marks (hence the mesh), the kernel stats, the whole
+// AdaptTimings — modeled float times, rounds, Msgs, Words included — and
+// the op totals must be byte-identical for workers ∈ {1, 2, 4, 8}.
 func TestAdaptWorkerParity(t *testing.T) {
 	const p = 8
-	for _, name := range machine.ExchangeNames {
-		t.Run(name, func(t *testing.T) {
-			prop, err := machine.ExchangeByName(name)
-			if err != nil {
-				t.Fatal(err)
+	ref := runAdaptPass(t, p, 1)
+	if ref.RefineTm.Ops.Crit != ref.RefineTm.Ops.Total ||
+		ref.CoarsenTm.Ops.Crit != ref.CoarsenTm.Ops.Total {
+		t.Fatalf("workers=1 must report Crit == Total: refine %+v coarsen %+v",
+			ref.RefineTm.Ops, ref.CoarsenTm.Ops)
+	}
+	if ref.RefineTm.Msgs == 0 || ref.RefineTm.Marked == 0 || ref.CoarsenTm.Msgs == 0 {
+		t.Fatalf("fixture exchanged nothing interesting: %+v", ref.RefineTm)
+	}
+	for _, w := range []int{2, 4, 8} {
+		got := runAdaptPass(t, p, w)
+		if got.RefineSt != ref.RefineSt || got.CoarsenSt != ref.CoarsenSt {
+			t.Errorf("workers=%d: kernel stats diverge", w)
+		}
+		if got.Elems != ref.Elems || got.Edges != ref.Edges {
+			t.Errorf("workers=%d: mesh diverges: %d/%d vs %d/%d",
+				w, got.Elems, got.Edges, ref.Elems, ref.Edges)
+		}
+		for pass, pair := range map[string][2]AdaptTimings{
+			"refine":  {got.RefineTm, ref.RefineTm},
+			"coarsen": {got.CoarsenTm, ref.CoarsenTm},
+		} {
+			g, r := pair[0], pair[1]
+			if g.Ops.Total != r.Ops.Total || g.Ops.MemTotal != r.Ops.MemTotal {
+				t.Errorf("workers=%d %s: op totals not worker-invariant: %d/%d vs %d/%d",
+					w, pass, g.Ops.Total, g.Ops.MemTotal, r.Ops.Total, r.Ops.MemTotal)
 			}
-			ref := runAdaptPass(t, p, 1, prop)
-			if ref.RefineTm.Ops.Crit != ref.RefineTm.Ops.Total ||
-				ref.CoarsenTm.Ops.Crit != ref.CoarsenTm.Ops.Total {
-				t.Fatalf("workers=1 must report Crit == Total: refine %+v coarsen %+v",
-					ref.RefineTm.Ops, ref.CoarsenTm.Ops)
+			if g.Ops.Crit > g.Ops.Total || g.Ops.MemCrit > g.Ops.MemTotal {
+				t.Errorf("workers=%d %s: critical path exceeds total: %+v", w, pass, g.Ops)
 			}
-			if ref.RefineTm.Msgs == 0 || ref.RefineTm.Marked == 0 || ref.CoarsenTm.Msgs == 0 {
-				t.Fatalf("fixture exchanged nothing interesting: %+v", ref.RefineTm)
+			if !reflect.DeepEqual(normCrit(g), normCrit(r)) {
+				t.Errorf("workers=%d %s: AdaptTimings diverge:\n got %+v\nwant %+v",
+					w, pass, normCrit(g), normCrit(r))
 			}
-			for _, w := range []int{2, 4, 8} {
-				got := runAdaptPass(t, p, w, prop)
-				if got.RefineSt != ref.RefineSt || got.CoarsenSt != ref.CoarsenSt {
-					t.Errorf("workers=%d: kernel stats diverge", w)
-				}
-				if got.Elems != ref.Elems || got.Edges != ref.Edges {
-					t.Errorf("workers=%d: mesh diverges: %d/%d vs %d/%d",
-						w, got.Elems, got.Edges, ref.Elems, ref.Edges)
-				}
-				for pass, pair := range map[string][2]AdaptTimings{
-					"refine":  {got.RefineTm, ref.RefineTm},
-					"coarsen": {got.CoarsenTm, ref.CoarsenTm},
-				} {
-					g, r := pair[0], pair[1]
-					if g.Ops.Total != r.Ops.Total || g.Ops.MemTotal != r.Ops.MemTotal {
-						t.Errorf("workers=%d %s: op totals not worker-invariant: %d/%d vs %d/%d",
-							w, pass, g.Ops.Total, g.Ops.MemTotal, r.Ops.Total, r.Ops.MemTotal)
-					}
-					if g.Ops.Crit > g.Ops.Total || g.Ops.MemCrit > g.Ops.MemTotal {
-						t.Errorf("workers=%d %s: critical path exceeds total: %+v", w, pass, g.Ops)
-					}
-					if !reflect.DeepEqual(normCrit(g), normCrit(r)) {
-						t.Errorf("workers=%d %s: AdaptTimings diverge:\n got %+v\nwant %+v",
-							w, pass, normCrit(g), normCrit(r))
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -122,7 +111,7 @@ func TestAdaptWorkerParity(t *testing.T) {
 // accumulate in sorted (src, dst) pair order and must be bit-identical.
 func TestAdaptChargeDeterministic(t *testing.T) {
 	run := func() adaptRun {
-		return runAdaptPass(t, 8, 4, machine.ExchangeFlat)
+		return runAdaptPass(t, 8, 4)
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -151,29 +140,5 @@ func TestAdaptSerialFallbackCritEqualsTotal(t *testing.T) {
 	_, ctm := d.ParallelCoarsen(a, machine.SP2())
 	if ctm.Ops.Crit != ctm.Ops.Total || ctm.Ops.MemCrit != ctm.Ops.MemTotal {
 		t.Errorf("coarsen serial fallback must report Crit == Total: %+v", ctm.Ops)
-	}
-}
-
-// TestAggregatedBatchesMessages pins the point of the aggregated
-// schedule: identical word volume, strictly fewer messages than the
-// per-pair flat exchange on a fixture with real rank fan-out.
-func TestAggregatedBatchesMessages(t *testing.T) {
-	const p = 8
-	bulk := runAdaptPass(t, p, 2, machine.ExchangeFlat)
-	agg := runAdaptPass(t, p, 2, machine.ExchangeAggregated)
-	if bulk.RefineSt != agg.RefineSt || bulk.Elems != agg.Elems {
-		t.Fatal("backends must not change the adaption result")
-	}
-	if agg.RefineTm.Words != bulk.RefineTm.Words {
-		t.Errorf("word volume must be backend-invariant: %d vs %d",
-			agg.RefineTm.Words, bulk.RefineTm.Words)
-	}
-	if agg.RefineTm.Msgs >= bulk.RefineTm.Msgs {
-		t.Errorf("aggregation did not reduce messages: %d vs %d",
-			agg.RefineTm.Msgs, bulk.RefineTm.Msgs)
-	}
-	if agg.CoarsenTm.Words != bulk.CoarsenTm.Words {
-		t.Errorf("coarsen word volume must be backend-invariant: %d vs %d",
-			agg.CoarsenTm.Words, bulk.CoarsenTm.Words)
 	}
 }

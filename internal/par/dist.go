@@ -43,20 +43,14 @@ type Dist struct {
 	// worker count.
 	Workers int
 
-	// Prop is the exchange schedule of the adaption passes' notification
-	// traffic — the propagation rounds, the classification round and the
-	// coarsening consistency exchange (see internal/propagate). The zero
-	// value, flat, is the paper's bulk-synchronous exchange: one message
-	// per rank pair.
-	Prop machine.Exchange
-
 	// Exchange selects the communication schedule of the remap payload
 	// exchange — flat (the zero value) or aggregated (see
-	// machine.Exchange). It is a pricing parameter of the machine model,
-	// as Prop is for the notifications: the records move between goroutine
-	// ranks the same way under both, so owners, payloads, fault fates,
-	// Moved/Sets/WordsMoved/PeakWords, and Ops are identical across
-	// schedules; only the communication charges differ.
+	// machine.Exchange). It is a pricing parameter of the machine model:
+	// the records move between goroutine ranks the same way under both,
+	// so owners, payloads, fault fates, Moved/Sets/WordsMoved/PeakWords,
+	// and Ops are identical across schedules; only the communication
+	// charges differ. The adaption notifications are always flat (see
+	// internal/propagate).
 	Exchange machine.Exchange
 
 	// Faults is the deterministic fault-injection plan driving the remap

@@ -151,8 +151,10 @@ func (s *coarsener) coarsen(g *dual.Graph, seed int64) (*dual.Graph, []int32, in
 		if cmap[v] >= 0 {
 			continue
 		}
-		// Prefer the heaviest unmatched neighbour (heavy-vertex matching
-		// keeps coarse weights even).
+		// Match the heaviest unmatched neighbour. Nothing caps the merged
+		// weight, so on adapted meshes heavy vertices pile into coarse
+		// vertices heavier than a whole part, which no later level can
+		// split (ROADMAP item 2).
 		var best int32 = -1
 		for _, w := range nbrs {
 			if cmap[w] >= 0 {

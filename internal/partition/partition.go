@@ -116,6 +116,9 @@ func (m Method) String() string {
 	return "unknown"
 }
 
+// MarshalText spells the method by its String name in JSON.
+func (m Method) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
 // Curve returns the space-filling curve of an SFC method; ok is false
 // for the graph partitioners.
 func (m Method) Curve() (sfc.Curve, bool) {

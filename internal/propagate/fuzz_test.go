@@ -13,8 +13,7 @@ import (
 // densities, and rank counts: the fixpoint mark set must equal the serial
 // worklist replay's, and the whole Result (critical-path op shares
 // excepted) plus the modeled clock must be invariant under chunking —
-// workers=1 versus a worker count that engages the parallel rounds — for
-// both backends.
+// workers=1 versus a worker count that engages the parallel rounds.
 func FuzzPropagate(f *testing.F) {
 	f.Add(uint64(1), uint8(10), uint8(4))
 	f.Add(uint64(42), uint8(35), uint8(8))
@@ -29,42 +28,33 @@ func FuzzPropagate(f *testing.F) {
 		refWorld := base.clone()
 		serialFixpoint(refWorld, frontier)
 
-		for _, name := range machine.ExchangeNames {
-			var ref *struct {
-				res     propagate.Result
-				elapsed float64
+		var ref propagate.Result
+		var refElapsed float64
+		for _, workers := range []int{1, 3} {
+			w := base.clone()
+			clk := machine.NewClock(p)
+			res := propagate.Engine{Workers: workers}.Run(w, slices.Clone(frontier), clk, machine.SP2())
+			if !reflect.DeepEqual(w.marked, refWorld.marked) {
+				t.Fatalf("workers=%d: mark set diverges from serial replay", workers)
 			}
-			for _, workers := range []int{1, 3} {
-				w := base.clone()
-				clk := machine.NewClock(p)
-				x, _ := machine.ExchangeByName(name)
-				res := propagate.Engine{Exchange: x, Workers: workers}.Run(w, slices.Clone(frontier), clk, machine.SP2())
-				if !reflect.DeepEqual(w.marked, refWorld.marked) {
-					t.Fatalf("%s workers=%d: mark set diverges from serial replay", name, workers)
-				}
-				if res.Ops.Crit > res.Ops.Total || res.Ops.MemCrit > res.Ops.MemTotal {
-					t.Fatalf("%s workers=%d: critical path exceeds total: %+v", name, workers, res.Ops)
-				}
-				if workers == 1 && res.Ops.Crit != res.Ops.Total {
-					t.Fatalf("%s: serial run must report Crit == Total: %+v", name, res.Ops)
-				}
-				norm := res
-				norm.Ops.Crit, norm.Ops.MemCrit = 0, 0
-				if ref == nil {
-					ref = &struct {
-						res     propagate.Result
-						elapsed float64
-					}{norm, clk.Elapsed()}
-					continue
-				}
-				if !reflect.DeepEqual(norm, ref.res) {
-					t.Fatalf("%s workers=%d: Result not chunking-invariant:\n got %+v\nwant %+v",
-						name, workers, norm, ref.res)
-				}
-				if clk.Elapsed() != ref.elapsed {
-					t.Fatalf("%s workers=%d: modeled clock not chunking-invariant: %g vs %g",
-						name, workers, clk.Elapsed(), ref.elapsed)
-				}
+			if res.Ops.Crit > res.Ops.Total || res.Ops.MemCrit > res.Ops.MemTotal {
+				t.Fatalf("workers=%d: critical path exceeds total: %+v", workers, res.Ops)
+			}
+			if workers == 1 && res.Ops.Crit != res.Ops.Total {
+				t.Fatalf("serial run must report Crit == Total: %+v", res.Ops)
+			}
+			norm := res
+			norm.Ops.Crit, norm.Ops.MemCrit = 0, 0
+			if workers == 1 {
+				ref, refElapsed = norm, clk.Elapsed()
+				continue
+			}
+			if !reflect.DeepEqual(norm, ref) {
+				t.Fatalf("workers=%d: Result not chunking-invariant:\n got %+v\nwant %+v", workers, norm, ref)
+			}
+			if clk.Elapsed() != refElapsed {
+				t.Fatalf("workers=%d: modeled clock not chunking-invariant: %g vs %g",
+					workers, clk.Elapsed(), refElapsed)
 			}
 		}
 	})

@@ -16,20 +16,9 @@
 // the message/word traffic, and the modeled clock are byte-identical at
 // every worker count.
 //
-// There is one engine; the message model of its notification exchanges is
-// a machine.Exchange parameter, spelled on the -propagator flag with the
-// same machine.ExchangeNames as the remap's -exchange:
-//
-//   - flat (machine.ExchangeFlat, the zero value): the paper's
-//     bulk-synchronous exchange — one message per nonempty (src, dst) rank
-//     pair per round, Tsetup paid per pair.
-//   - aggregated (machine.ExchangeAggregated): message aggregation for
-//     high processor counts (cf. the wait-free AMR literature): each rank
-//     concatenates all of a round's notifications into one combined
-//     buffer laid out per destination, paying one message setup per
-//     source rank per round instead of one per pair; destinations drain
-//     their combined inbox at the per-word rate. Same words, O(P)
-//     messages instead of O(P²).
+// The notification exchanges follow the paper's bulk-synchronous model:
+// one message per nonempty (src, dst) rank pair per round, Tsetup paid
+// per pair by the sender (machine.Model.ChargeFlowsRetry).
 package propagate
 
 import (
@@ -141,13 +130,11 @@ type Result struct {
 	Visits int64
 	// Marked is the number of edges newly committed.
 	Marked int64
-	// Msgs and Words count the notification traffic under the engine's
-	// exchange schedule. Words is schedule-invariant; Msgs is not
-	// (aggregation exists to shrink it).
+	// Msgs and Words count the notification traffic: one message per
+	// (src, dst) pair per round.
 	Msgs, Words int64
 	// SetupTime is the summed modeled message-setup charge of the
-	// exchanges — the slice of the clock the exchange schedule
-	// controls — reported separately so adaption accounting can show the
+	// exchanges, reported separately so adaption accounting can show the
 	// setup/volume split alongside the remap executor's.
 	SetupTime float64
 	// Ops is the engine's abstract work accounting: frontier visits and
@@ -162,31 +149,25 @@ type Result struct {
 // between passes. Marks, rounds, traffic, and the modeled clock depend
 // only on the frontier and the world, never on Workers.
 type Engine struct {
-	// Exchange is the message model of the notification exchanges (see
-	// the package comment); the zero value is the paper's flat exchange.
-	Exchange machine.Exchange
 	// Workers bounds the worker goroutines of the frontier scans (≤ 0 =
 	// GOMAXPROCS).
 	Workers int
 	// Faults, when non-nil, replays a deterministic fault plan against
 	// each charged message and bills the sender the modeled recovery:
 	// extra sends at the message's own MsgTime, backoff units at
-	// Model.RetryBackoff. Per-pair messages draw their fate per
-	// (src, dst); a combined frame draws one fate keyed on the source and
-	// the machine.CombinedDst sentinel, and a resend repays the whole
-	// combined MsgTime — aggregation batches the retries exactly as it
-	// batches the sends. Charging runs serially in canonical (src, dst)
-	// order, so the model's attempt counters are worker-invariant. nil
-	// adds exact zeros: the fault-free clock is bit-identical.
+	// Model.RetryBackoff. Each message draws its fate per (src, dst).
+	// Charging runs serially in canonical (src, dst) order, so the
+	// model's attempt counters are worker-invariant. nil adds exact
+	// zeros: the fault-free clock is bit-identical.
 	Faults *fault.ExchangeModel
 }
 
-// ChargeExchange charges one bulk exchange of shared-object notifications
-// under the engine's schedule, given the per-(src, dst) word counts in
-// canonical sorted order (see AggregatePairs), and returns the charge
-// breakdown. It does not barrier; callers own the superstep structure.
+// ChargeExchange charges one bulk exchange of shared-object notifications,
+// one message per pair, given the per-(src, dst) word counts in canonical
+// sorted order (see AggregatePairs), and returns the charge breakdown. It
+// does not barrier; callers own the superstep structure.
 func (eng Engine) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []PairWords) machine.ExchangeCharge {
-	return mdl.ChargeFlowsRetry(clk, eng.Exchange, pairs, func(src, dst int32, words int64) {
+	return mdl.ChargeFlowsRetry(clk, pairs, func(src, dst int32, words int64) {
 		extra, backoff := eng.Faults.Resends(src, dst)
 		if extra == 0 && backoff == 0 {
 			return

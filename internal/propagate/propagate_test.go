@@ -160,48 +160,42 @@ func TestRunMatchesSerialFixpoint(t *testing.T) {
 		res     propagate.Result
 		elapsed float64
 	}
-	run := func(name string, workers int) outcome {
+	run := func(workers int) outcome {
 		w := base.clone()
 		clk := machine.NewClock(p)
-		x, _ := machine.ExchangeByName(name)
-		res := propagate.Engine{Exchange: x, Workers: workers}.Run(w, slices.Clone(frontier), clk, machine.SP2())
+		res := propagate.Engine{Workers: workers}.Run(w, slices.Clone(frontier), clk, machine.SP2())
 		return outcome{w.marked, res, clk.Elapsed()}
 	}
 
-	for _, name := range machine.ExchangeNames {
-		ref := run(name, 1)
-		if !reflect.DeepEqual(ref.marked, refWorld.marked) {
-			t.Fatalf("%s: mark set diverges from the serial replay", name)
+	ref := run(1)
+	if !reflect.DeepEqual(ref.marked, refWorld.marked) {
+		t.Fatal("mark set diverges from the serial replay")
+	}
+	if ref.res.Rounds < 2 || ref.res.Marked == 0 || ref.res.Msgs == 0 {
+		t.Fatalf("fixture not interesting: %+v", ref.res)
+	}
+	if ref.res.Ops.Crit != ref.res.Ops.Total {
+		t.Fatalf("workers=1 must report Crit == Total: %+v", ref.res.Ops)
+	}
+	for _, w := range []int{2, 4, 8} {
+		got := run(w)
+		if !reflect.DeepEqual(got.marked, ref.marked) {
+			t.Errorf("workers=%d: mark set diverges", w)
 		}
-		if ref.res.Rounds < 2 || ref.res.Marked == 0 || ref.res.Msgs == 0 {
-			t.Fatalf("%s: fixture not interesting: %+v", name, ref.res)
+		if got.elapsed != ref.elapsed {
+			t.Errorf("workers=%d: modeled clock diverges: %g vs %g", w, got.elapsed, ref.elapsed)
 		}
-		if ref.res.Ops.Crit != ref.res.Ops.Total {
-			t.Fatalf("%s: workers=1 must report Crit == Total: %+v", name, ref.res.Ops)
-		}
-		for _, w := range []int{2, 4, 8} {
-			got := run(name, w)
-			if !reflect.DeepEqual(got.marked, ref.marked) {
-				t.Errorf("%s workers=%d: mark set diverges", name, w)
-			}
-			if got.elapsed != ref.elapsed {
-				t.Errorf("%s workers=%d: modeled clock diverges: %g vs %g",
-					name, w, got.elapsed, ref.elapsed)
-			}
-			norm := got.res
-			norm.Ops.Crit, norm.Ops.MemCrit = ref.res.Ops.Crit, ref.res.Ops.MemCrit
-			if !reflect.DeepEqual(norm, ref.res) {
-				t.Errorf("%s workers=%d: Result diverges:\n got %+v\nwant %+v",
-					name, w, got.res, ref.res)
-			}
+		norm := got.res
+		norm.Ops.Crit, norm.Ops.MemCrit = ref.res.Ops.Crit, ref.res.Ops.MemCrit
+		if !reflect.DeepEqual(norm, ref.res) {
+			t.Errorf("workers=%d: Result diverges:\n got %+v\nwant %+v", w, got.res, ref.res)
 		}
 	}
 }
 
-// TestAggregatedChargeSemantics pins the two exchange models on a known
-// batch list: flat pays one Tsetup per pair on the sender, aggregated
-// one per active source plus a per-word drain on the destination.
-func TestAggregatedChargeSemantics(t *testing.T) {
+// TestChargeExchangeSemantics pins the notification exchange's message
+// model on a known batch list: one Tsetup per pair, charged to the sender.
+func TestChargeExchangeSemantics(t *testing.T) {
 	mdl := machine.SP2()
 	pairs := []propagate.PairWords{
 		{Src: 0, Dst: 1, Words: 10},
@@ -210,7 +204,7 @@ func TestAggregatedChargeSemantics(t *testing.T) {
 	}
 
 	clk := machine.NewClock(3)
-	ch := propagate.Engine{Exchange: machine.ExchangeFlat}.ChargeExchange(clk, mdl, pairs)
+	ch := propagate.Engine{}.ChargeExchange(clk, mdl, pairs)
 	if ch.Msgs != 3 || ch.Words != 16 {
 		t.Fatalf("flat counted %d msgs / %d words", ch.Msgs, ch.Words)
 	}
@@ -222,21 +216,6 @@ func TestAggregatedChargeSemantics(t *testing.T) {
 	}
 	if clk.Rank(1) != 0 {
 		t.Error("flat must not charge receivers")
-	}
-
-	clk = machine.NewClock(3)
-	ch = propagate.Engine{Exchange: machine.ExchangeAggregated}.ChargeExchange(clk, mdl, pairs)
-	if ch.Msgs != 2 || ch.Words != 16 {
-		t.Fatalf("aggregated counted %d msgs / %d words", ch.Msgs, ch.Words)
-	}
-	if got, want := ch.SetupTime, 2*mdl.Tsetup; got != want {
-		t.Errorf("aggregated reported setup time %g, want %g", got, want)
-	}
-	if got, want := clk.Rank(0), mdl.MsgTime(15)+1*mdl.Tlat; got != want {
-		t.Errorf("aggregated rank 0 charged %g, want %g", got, want)
-	}
-	if got, want := clk.Rank(1), 10*mdl.Tlat; got != want {
-		t.Errorf("aggregated rank 1 charged %g, want %g", got, want)
 	}
 }
 
