@@ -46,6 +46,12 @@ func stripFaultTimes(tm AdaptTimings) AdaptTimings {
 // timing, retry traffic included, must be byte-identical at every worker
 // count.
 func TestAdaptFaultCharges(t *testing.T) {
+	// The notifications travel on the flat schedule, one message per
+	// (src, dst) pair; the subtest is named after it.
+	t.Run("flat", testAdaptFaultCharges)
+}
+
+func testAdaptFaultCharges(t *testing.T) {
 	const p = 8
 	plan := &fault.Plan{Seed: 2026, Rate: 0.3}
 	clean := runAdaptPass(t, p, 1)

@@ -64,6 +64,12 @@ func normCrit(tm AdaptTimings) AdaptTimings {
 // AdaptTimings — modeled float times, rounds, Msgs, Words included — and
 // the op totals must be byte-identical for workers ∈ {1, 2, 4, 8}.
 func TestAdaptWorkerParity(t *testing.T) {
+	// The notifications travel on the flat schedule, one message per
+	// (src, dst) pair; the subtest is named after it.
+	t.Run("flat", testAdaptWorkerParity)
+}
+
+func testAdaptWorkerParity(t *testing.T) {
 	const p = 8
 	ref := runAdaptPass(t, p, 1)
 	if ref.RefineTm.Ops.Crit != ref.RefineTm.Ops.Total ||

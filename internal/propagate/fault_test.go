@@ -42,6 +42,12 @@ func chargeWith(p int, x *fault.ExchangeModel) ([]float64, int64, int64) {
 // strictly positive sender-side time, and two fresh models over the same
 // plan charge bit-identical times and counters.
 func TestChargeExchangeFaultCharges(t *testing.T) {
+	// The notifications travel on the flat schedule, one message per
+	// (src, dst) pair; the subtest is named after it.
+	t.Run("flat", testChargeExchangeFaultCharges)
+}
+
+func testChargeExchangeFaultCharges(t *testing.T) {
 	const p = 6
 	plan := &fault.Plan{Seed: 77, Rate: 0.5}
 	clean, _, _ := chargeWith(p, nil)
