@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"plum/internal/dual"
 	"plum/internal/geom"
@@ -28,6 +29,12 @@ func main() {
 		p   = flag.Int("p", 0, "processors for distribution statistics (0 = skip)")
 	)
 	flag.Parse()
+	switch {
+	case *box < 0:
+		badFlag("invalid -box %d: need ≥ 0", *box)
+	case *p < 0:
+		badFlag("invalid -p %d: need ≥ 0", *p)
+	}
 
 	var m *mesh.Mesh
 	if *box > 0 {
@@ -85,4 +92,11 @@ func main() {
 		log.Fatalf("mesh invariant violated: %v", err)
 	}
 	fmt.Println("mesh invariants: OK")
+}
+
+// badFlag rejects a flag value the way the flag package rejects a
+// malformed one: a message on stderr and exit status 2.
+func badFlag(format string, args ...any) {
+	log.Printf(format, args...)
+	os.Exit(2)
 }

@@ -17,7 +17,6 @@ import (
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof on the -pprof server
 	"os"
-	"slices"
 
 	"plum/internal/adapt"
 	"plum/internal/chunk"
@@ -53,14 +52,18 @@ func main() {
 		deadln  = flag.Duration("deadline", 0, "wall-clock watchdog per comm stage; a stage that exceeds it aborts with a timeout error (0 = no watchdog)")
 		scale   = flag.Float64("scale", 1.0, "mesh scale factor (1.0 = paper's 61k elements)")
 		verbose = flag.Bool("v", false, "print adaption phase breakdowns")
-		traceF  = flag.String("trace", "", "write the run's deterministic per-stage trace to this file (byte-identical at any -workers)")
-		traceFm = flag.String("trace-format", "perfetto", "trace export format: perfetto (Chrome/Perfetto trace-event JSON) or jsonl")
+		traceF  = flag.String("trace", "", "write the run's deterministic per-stage trace to this file as Chrome/Perfetto trace-event JSON (byte-identical at any -workers)")
 		metricF = flag.String("metrics", "", "write a Prometheus text-format metrics dump to this file")
 		pprofA  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
-	if !slices.Contains(obs.TraceFormats, *traceFm) {
-		log.Fatalf("unknown -trace-format %q (have %v)", *traceFm, obs.TraceFormats)
+	switch {
+	case !(*scale > 0) || math.IsInf(*scale, 0):
+		badFlag("invalid -scale %v: need a finite factor > 0", *scale)
+	case *retries < -1:
+		badFlag("invalid -retries %d: need ≥ 0, or -1 for the default policy", *retries)
+	case *cycles < 0:
+		badFlag("invalid -cycles %d: need ≥ 0", *cycles)
 	}
 	if *pprofA != "" {
 		go func() { log.Printf("pprof server: %v", http.ListenAndServe(*pprofA, nil)) }()
@@ -113,7 +116,7 @@ func main() {
 		cfg.Metrics = reg
 	}
 	flushObs := func() {
-		if err := obs.WriteFiles(*traceF, *traceFm, tr, *metricF, reg); err != nil {
+		if err := obs.WriteFiles(*traceF, tr, *metricF, reg); err != nil {
 			log.Print(err)
 		}
 	}
@@ -253,4 +256,11 @@ func main() {
 	}
 	fmt.Printf("final mesh valid: %s\n", m.Stats())
 	flushObs()
+}
+
+// badFlag rejects a flag value the way the flag package rejects a
+// malformed one: a message on stderr and exit status 2.
+func badFlag(format string, args ...any) {
+	log.Printf(format, args...)
+	os.Exit(2)
 }

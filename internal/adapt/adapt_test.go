@@ -152,7 +152,7 @@ func TestRefineFullCube(t *testing.T) {
 		t.Errorf("active elems = %d, want 48", got)
 	}
 	// Boundary faces: 12 quads-halves, each fully split into 4.
-	if got := m.NumActiveFaces(); got != 48 {
+	if got := m.Stats().ActiveFaces; got != 48 {
 		t.Errorf("active faces = %d, want 48", got)
 	}
 	if v := m.TotalVolume(); math.Abs(v-1) > 1e-12 {

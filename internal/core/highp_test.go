@@ -68,7 +68,7 @@ func TestCycleHighP(t *testing.T) {
 			res.reports = append(res.reports, rep.Balance)
 		}
 		var buf bytes.Buffer
-		if err := obs.WriteJSONL(&buf, cfg.Trace); err != nil {
+		if err := obs.WritePerfetto(&buf, cfg.Trace); err != nil {
 			t.Fatal(err)
 		}
 		res.owners, res.trace = f.D.Owners(), buf.Bytes()

@@ -16,11 +16,11 @@ import (
 )
 
 // tracedRun drives a fixture with tracing and metrics attached and
-// returns all three exports as byte slices. The fault-free fixture is
+// returns both exports as byte slices. The fault-free fixture is
 // the overlap-parity one (big enough for real multi-window streaming);
 // the faulty fixture is the mixed crash+drop scenario, which exercises
 // retries, rollbacks, checkpoint restore, and survivor recovery.
-func tracedRun(t *testing.T, workers int, overlap, faulty bool) (perfetto, jsonl, prom []byte) {
+func tracedRun(t *testing.T, workers int, overlap, faulty bool) (perfetto, prom []byte) {
 	t.Helper()
 	tr := obs.NewTrace()
 	reg := obs.NewRegistry()
@@ -87,36 +87,29 @@ func tracedRun(t *testing.T, workers int, overlap, faulty bool) (perfetto, jsonl
 		t.Fatal("trace recorded no spans")
 	}
 
-	var p, j, m bytes.Buffer
+	var p, m bytes.Buffer
 	if err := obs.WritePerfetto(&p, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteJSONL(&j, tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.WritePrometheus(&m, reg); err != nil {
 		t.Fatal(err)
 	}
-	return p.Bytes(), j.Bytes(), m.Bytes()
+	return p.Bytes(), m.Bytes()
 }
 
 // TestTraceWorkerParity is the determinism contract of the tracing
-// layer: every export — Perfetto JSON, JSONL, Prometheus text — must be
+// layer: both exports — Perfetto JSON and Prometheus text — must be
 // byte-identical at workers 1, 2, 4, and 8, with overlap off and on,
 // on the fault-free fixture and on a crash+drop seed that exercises
 // retries, checkpoint restore, and survivor recovery.
 func TestTraceWorkerParity(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		for _, overlap := range []bool{false, true} {
-			refP, refJ, refM := tracedRun(t, 1, overlap, faulty)
+			refP, refM := tracedRun(t, 1, overlap, faulty)
 			for _, w := range []int{2, 4, 8} {
-				p, j, m := tracedRun(t, w, overlap, faulty)
+				p, m := tracedRun(t, w, overlap, faulty)
 				if !bytes.Equal(p, refP) {
 					t.Errorf("faulty=%v overlap=%v workers=%d: perfetto export differs from workers=1",
-						faulty, overlap, w)
-				}
-				if !bytes.Equal(j, refJ) {
-					t.Errorf("faulty=%v overlap=%v workers=%d: jsonl export differs from workers=1",
 						faulty, overlap, w)
 				}
 				if !bytes.Equal(m, refM) {
@@ -132,14 +125,14 @@ func TestTraceWorkerParity(t *testing.T) {
 // it into the trace and the registry, on the faulty fixture (the richest
 // path: solver, adapt phases, remap windows, fault events, recovery).
 func TestTraceContent(t *testing.T) {
-	_, jsonl, prom := tracedRun(t, 2, true, true)
+	perfetto, prom := tracedRun(t, 2, true, true)
 	for _, want := range []string{
-		`"stage":"cycle"`, `"stage":"solver"`, `"stage":"adapt.propagate"`,
-		`"stage":"repartition"`, `"stage":"reassign"`, `"msg":"ckpt.capture"`,
-		`"msg":"balance.evaluate"`,
+		`"name": "cycle"`, `"name": "solver"`, `"name": "adapt.propagate"`,
+		`"name": "repartition"`, `"name": "reassign"`, `"name": "ckpt.capture"`,
+		`"name": "balance.evaluate"`,
 	} {
-		if !bytes.Contains(jsonl, []byte(want)) {
-			t.Errorf("jsonl trace missing %s", want)
+		if !bytes.Contains(perfetto, []byte(want)) {
+			t.Errorf("perfetto trace missing %s", want)
 		}
 	}
 	for _, want := range []string{"plum_cycles_total 3", "plum_outcomes_total{outcome=", "plum_alive_ranks"} {

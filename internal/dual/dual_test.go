@@ -158,8 +158,8 @@ func TestBoundaryTetsHaveFewerNeighbors(t *testing.T) {
 	// Total face count consistency: 4*N = 2*internal + boundary.
 	internal := g.NumEdges()
 	boundary := 4*g.N - 2*internal
-	if boundary != m.NumActiveFaces() {
-		t.Errorf("dual implies %d boundary faces, mesh has %d", boundary, m.NumActiveFaces())
+	if boundary != m.Stats().ActiveFaces {
+		t.Errorf("dual implies %d boundary faces, mesh has %d", boundary, m.Stats().ActiveFaces)
 	}
 }
 

@@ -225,7 +225,9 @@ func TestPartitionerTableClaims(t *testing.T) {
 	if len(tb.Rows) != len(partition.Methods) {
 		t.Fatalf("table has %d rows, want %d", len(tb.Rows), len(partition.Methods))
 	}
+	byMethod := map[partition.Method]PartitionerRow{}
 	for _, r := range tb.Rows {
+		byMethod[r.Method] = r
 		// Honest cost accounting: every backend — graph and SFC alike —
 		// must report nonzero ops for the remap acceptance rule, and the
 		// critical path can never exceed the total.
@@ -236,9 +238,9 @@ func TestPartitionerTableClaims(t *testing.T) {
 			t.Errorf("%v critical path %d exceeds total %d", r.Method, r.Ops.Crit, r.Ops.Total)
 		}
 	}
-	ml := tb.Row(partition.MethodMultilevel)
+	ml := byMethod[partition.MethodMultilevel]
 	for _, m := range []partition.Method{partition.MethodMortonSFC, partition.MethodHilbertSFC} {
-		r := tb.Row(m)
+		r := byMethod[m]
 		// The acceptance bar: SFC beats the Chaco-style multilevel scheme
 		// on modeled partition cost at equal k while staying inside the
 		// paper's operating imbalance of 1.10. The host seconds are close

@@ -43,23 +43,6 @@ type FaultRow struct {
 	FinalImbalance float64
 }
 
-// outcomeCounts tallies the row's outcomes by kind.
-func (r *FaultRow) outcomeCounts() (committed, retried, rolledBack, degraded int) {
-	for _, o := range r.Outcomes {
-		switch o {
-		case core.OutcomeCommitted:
-			committed++
-		case core.OutcomeRetriedCommitted:
-			retried++
-		case core.OutcomeRolledBack:
-			rolledBack++
-		case core.OutcomeDegraded:
-			degraded++
-		}
-	}
-	return
-}
-
 // FaultTable is the fault-tolerance anatomy: how the balance cycles
 // conclude — committed, retried, rolled back, degraded — as the fault
 // rate and the recovery budget vary, with the recovery traffic and its

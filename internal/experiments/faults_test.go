@@ -4,7 +4,26 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"plum/internal/core"
 )
+
+// outcomeCounts tallies the row's outcomes by kind.
+func (r *FaultRow) outcomeCounts() (committed, retried, rolledBack, degraded int) {
+	for _, o := range r.Outcomes {
+		switch o {
+		case core.OutcomeCommitted:
+			committed++
+		case core.OutcomeRetriedCommitted:
+			retried++
+		case core.OutcomeRolledBack:
+			rolledBack++
+		case core.OutcomeDegraded:
+			degraded++
+		}
+	}
+	return
+}
 
 // TestFaultTableClaims verifies the sweep's robustness story and its
 // determinism contract: zero-rate rows are all-committed with zero retry

@@ -43,7 +43,8 @@ type PartitionerTable struct {
 // mesh, partitioning into k parts (k < 1 is treated as 1) with the given
 // worker knob for the parallel refinement phases and the SFC charges (≤ 0
 // = GOMAXPROCS). Each partitioner refines with its own backend: band-FM
-// for the SFC methods and graphgrow, classic FM inside multilevel.
+// for the SFC methods, classic FM inside multilevel; inertial is not
+// refined.
 func RunPartitionerTable(k, workers int) *PartitionerTable {
 	if k < 1 {
 		k = 1
@@ -87,16 +88,6 @@ func minTime(f func()) float64 {
 		}
 	}
 	return best
-}
-
-// Row returns the row of the given method.
-func (t *PartitionerTable) Row(m partition.Method) PartitionerRow {
-	for _, r := range t.Rows {
-		if r.Method == m {
-			return r
-		}
-	}
-	return PartitionerRow{}
 }
 
 // String renders the comparison table. The ops columns are the abstract

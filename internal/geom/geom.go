@@ -51,11 +51,6 @@ func (v Vec3) Mid(w Vec3) Vec3 {
 	return Vec3{0.5 * (v.X + w.X), 0.5 * (v.Y + w.Y), 0.5 * (v.Z + w.Z)}
 }
 
-// Lerp returns v + t*(w-v).
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return Vec3{v.X + t*(w.X-v.X), v.Y + t*(w.Y-v.Y), v.Z + t*(w.Z-v.Z)}
-}
-
 // String implements fmt.Stringer.
 func (v Vec3) String() string { return fmt.Sprintf("(%g, %g, %g)", v.X, v.Y, v.Z) }
 
@@ -93,11 +88,6 @@ func (b AABB) Extend(p Vec3) AABB {
 		Min: Vec3{math.Min(b.Min.X, p.X), math.Min(b.Min.Y, p.Y), math.Min(b.Min.Z, p.Z)},
 		Max: Vec3{math.Max(b.Max.X, p.X), math.Max(b.Max.Y, p.Y), math.Max(b.Max.Z, p.Z)},
 	}
-}
-
-// Union returns the smallest box containing both b and c.
-func (b AABB) Union(c AABB) AABB {
-	return b.Extend(c.Min).Extend(c.Max)
 }
 
 // Center returns the centroid of the box.

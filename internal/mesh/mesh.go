@@ -133,18 +133,6 @@ func (e *Edge) NumElems() int { return int(e.nElems) }
 // Bisected reports whether the edge has been split into two child edges.
 func (e *Edge) Bisected() bool { return e.Child[0] != InvalidEdge }
 
-// Other returns the endpoint of e that is not v. It panics if v is not an
-// endpoint of e.
-func (e *Edge) Other(v VertID) VertID {
-	switch v {
-	case e.V[0]:
-		return e.V[1]
-	case e.V[1]:
-		return e.V[0]
-	}
-	panic("mesh: vertex not an endpoint of edge")
-}
-
 // Element is a tetrahedron defined by 4 vertices and, canonically, by its
 // 6 edges (see ElemEdgeVerts). Parent and Children record the refinement
 // tree; Root is the initial-mesh ancestor, whose id is the dual-graph
@@ -542,9 +530,6 @@ func (m *Mesh) NumActiveElems() int { return m.nActiveElems }
 // NumActiveEdges returns the number of active edges — the "Edges" column
 // of the paper's Table 1.
 func (m *Mesh) NumActiveEdges() int { return m.nActiveEdges }
-
-// NumActiveFaces returns the number of active boundary faces.
-func (m *Mesh) NumActiveFaces() int { return m.nActiveFaces }
 
 // NumElemsTotal returns the total number of non-dead elements in all
 // refinement trees (leaves plus retained parents); per element root this

@@ -221,6 +221,18 @@ func TestCompactRenumbers(t *testing.T) {
 	}
 }
 
+// Other returns the endpoint of e that is not v. It panics if v is not an
+// endpoint of e.
+func (e *Edge) Other(v VertID) VertID {
+	switch v {
+	case e.V[0]:
+		return e.V[1]
+	case e.V[1]:
+		return e.V[0]
+	}
+	panic("mesh: vertex not an endpoint of edge")
+}
+
 func TestEdgeOther(t *testing.T) {
 	m := New(2, 1, 0)
 	a := m.AddVertex(geom.Vec3{})

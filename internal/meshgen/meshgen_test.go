@@ -20,7 +20,7 @@ func TestUnitCubeCounts(t *testing.T) {
 	if got := m.NumActiveEdges(); got != 19 {
 		t.Errorf("edges = %d, want 19", got)
 	}
-	if got := m.NumActiveFaces(); got != 12 {
+	if got := m.Stats().ActiveFaces; got != 12 {
 		t.Errorf("boundary faces = %d, want 12", got)
 	}
 	if err := m.Check(); err != nil {
@@ -66,7 +66,7 @@ func TestBoxCounts(t *testing.T) {
 			t.Errorf("%v: edges = %d, want %d", c, got, want)
 		}
 		wantFaces := 4 * (c.nx*c.ny + c.nx*c.nz + c.ny*c.nz)
-		if got := m.NumActiveFaces(); got != wantFaces {
+		if got := m.Stats().ActiveFaces; got != wantFaces {
 			t.Errorf("%v: faces = %d, want %d", c, got, wantFaces)
 		}
 	}

@@ -10,11 +10,11 @@ import (
 	"strconv"
 )
 
-// The exporters. All three render from the canonical span/event order and
-// format floats via the shortest round-trip rendering (encoding/json and
-// strconv agree on it), so the output bytes are a pure function of the
-// recorded history — the property the CI byte-diffs pin across worker
-// counts and GOMAXPROCS.
+// The exporters. Both render in canonical order (spans and events by
+// Seq, metrics by name) and format floats via the shortest round-trip
+// rendering (encoding/json and strconv agree on it), so the output bytes
+// are a pure function of the recorded history — the property the CI
+// byte-diffs pin across worker counts and GOMAXPROCS.
 
 // perfettoEvent is one Chrome trace-event object. Complete spans use
 // ph "X" with microsecond ts/dur; instants use ph "i"; thread-name
@@ -120,52 +120,6 @@ func attrArgs(attrs []Attr) map[string]string {
 	return m
 }
 
-// jsonlRecord is one JSONL line: a span or an event, discriminated by
-// Kind, in global sequence order.
-type jsonlRecord struct {
-	Seq   int64   `json:"seq"`
-	Kind  string  `json:"kind"`
-	Rank  *int32  `json:"rank,omitempty"`
-	Stage string  `json:"stage,omitempty"`
-	Start float64 `json:"start,omitempty"`
-	Dur   float64 `json:"dur,omitempty"`
-	T     float64 `json:"t,omitempty"`
-	Level string  `json:"level,omitempty"`
-	Msg   string  `json:"msg,omitempty"`
-	Attrs []Attr  `json:"attrs,omitempty"`
-}
-
-// WriteJSONL exports the trace as a JSON-lines event log: one object per
-// span or event, merged into global sequence order — the
-// machine-readable twin of the Perfetto view.
-func WriteJSONL(w io.Writer, t *Trace) error {
-	spans, events := t.Spans(), t.Events()
-	si, ei := 0, 0
-	for si < len(spans) || ei < len(events) {
-		var rec jsonlRecord
-		if ei >= len(events) || (si < len(spans) && spans[si].Seq < events[ei].Seq) {
-			s := spans[si]
-			si++
-			rank := s.Rank
-			rec = jsonlRecord{Seq: s.Seq, Kind: "span", Rank: &rank,
-				Stage: s.Stage, Start: s.Start, Dur: s.Dur, Attrs: s.Attrs}
-		} else {
-			e := events[ei]
-			ei++
-			rec = jsonlRecord{Seq: e.Seq, Kind: "event", T: e.T,
-				Level: e.Level, Msg: e.Msg, Attrs: e.Attrs}
-		}
-		enc, err := json.Marshal(&rec)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(enc, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WritePrometheus exports the registry in the Prometheus text exposition
 // format: # HELP/# TYPE comments per base metric name, then one
 // 'name value' line per series, all in sorted-name order.
@@ -194,24 +148,14 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 	return nil
 }
 
-// TraceFormats lists the -trace-format spellings WriteFiles accepts.
-var TraceFormats = []string{"perfetto", "jsonl"}
-
-// WriteFiles is the CLIs' exit-path flush: it writes the trace to
-// tracePath in the named format and the metrics dump to metricsPath. A
-// nil sink skips its file. Both files are attempted; the errors come back
-// joined, each labelled with its sink.
-func WriteFiles(tracePath, format string, tr *Trace, metricsPath string, reg *Registry) error {
+// WriteFiles is cmd/plum's exit-path flush: it writes the Perfetto trace
+// to tracePath and the metrics dump to metricsPath. A nil sink skips its
+// file. Both files are attempted; the errors come back joined, each
+// labelled with its sink.
+func WriteFiles(tracePath string, tr *Trace, metricsPath string, reg *Registry) error {
 	var terr, merr error
 	if tr != nil {
-		switch format {
-		case "perfetto":
-			terr = writeFile(tracePath, func(w io.Writer) error { return WritePerfetto(w, tr) })
-		case "jsonl":
-			terr = writeFile(tracePath, func(w io.Writer) error { return WriteJSONL(w, tr) })
-		default:
-			terr = fmt.Errorf("unknown format %q (have %v)", format, TraceFormats)
-		}
+		terr = writeFile(tracePath, func(w io.Writer) error { return WritePerfetto(w, tr) })
 	}
 	if reg != nil {
 		merr = writeFile(metricsPath, func(w io.Writer) error { return WritePrometheus(w, reg) })

@@ -1,7 +1,7 @@
 // Package obs is the deterministic observability layer: a span tracer on
-// the modeled machine timeline, a typed counters/gauges registry, and
-// exporters (Chrome/Perfetto trace-event JSON, a JSONL event log, and the
-// Prometheus text exposition format).
+// the modeled machine timeline, a typed counters/gauges registry, and two
+// exporters: Chrome/Perfetto trace-event JSON for the trace and the
+// Prometheus text exposition format for the registry.
 //
 // The tracer records *modeled* time — the machine-model clock the balance
 // pipeline already computes per stage — not host wall time. Spans are

@@ -1,9 +1,11 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -39,14 +41,11 @@ func TestTraceNilSafe(t *testing.T) {
 	reg.Add("b", 2)
 	reg.Set("c", 3)
 	reg.SetHelp("a", "h")
-	if reg.Counter("a") != 0 || reg.Gauge("c") != 0 || reg.Snapshot() != nil {
+	if reg.Snapshot() != nil {
 		t.Fatal("nil Registry must be inert")
 	}
 	var buf bytes.Buffer
 	if err := WritePerfetto(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSONL(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := WritePrometheus(&buf, reg); err != nil {
@@ -109,35 +108,6 @@ func TestPerfettoExport(t *testing.T) {
 	}
 }
 
-func TestJSONLExport(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	n, lastSeq := 0, int64(0)
-	for sc.Scan() {
-		var rec struct {
-			Seq  int64  `json:"seq"`
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("line %d not JSON: %v", n, err)
-		}
-		if rec.Kind != "span" && rec.Kind != "event" {
-			t.Fatalf("line %d bad kind %q", n, rec.Kind)
-		}
-		if rec.Seq <= lastSeq {
-			t.Fatalf("line %d seq %d not increasing", n, rec.Seq)
-		}
-		lastSeq = rec.Seq
-		n++
-	}
-	if n != 5 {
-		t.Fatalf("got %d JSONL lines, want 5", n)
-	}
-}
-
 func TestRegistrySnapshotSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Set("z_gauge", 1.5)
@@ -194,5 +164,60 @@ func TestPrometheusFormat(t *testing.T) {
 	// One TYPE per base name: cycles, outcomes, imbalance, alive.
 	if typesSeen != 4 {
 		t.Errorf("got %d TYPE lines, want 4\n%s", typesSeen, buf.String())
+	}
+}
+
+// TestWriteFiles pins the CLIs' exit-path flush: a good sink is written
+// whatever happens to the other one, each failure is labelled with its
+// sink, and a nil sink leaves no file behind.
+func TestWriteFiles(t *testing.T) {
+	tr, reg := sampleTrace(), NewRegistry()
+	reg.Inc("plum_cycles_total")
+	var wantTrace, wantProm bytes.Buffer
+	if err := WritePerfetto(&wantTrace, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePrometheus(&wantProm, reg); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	good := func(name string) string { return filepath.Join(dir, name) }
+	bad := func(name string) string { return filepath.Join(dir, "missing", name) }
+	readBack := func(path string, want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: bytes differ from the direct export", filepath.Base(path))
+		}
+	}
+
+	if err := WriteFiles(good("t.json"), tr, good("m.prom"), reg); err != nil {
+		t.Fatal(err)
+	}
+	readBack(good("t.json"), wantTrace.Bytes())
+	readBack(good("m.prom"), wantProm.Bytes())
+
+	err := WriteFiles(bad("t.json"), tr, good("m2.prom"), reg)
+	if err == nil || !strings.HasPrefix(err.Error(), "trace: ") || strings.Contains(err.Error(), "metrics:") {
+		t.Errorf("bad trace path: got error %v, want one labelled trace:", err)
+	}
+	readBack(good("m2.prom"), wantProm.Bytes())
+
+	err = WriteFiles(bad("t.json"), tr, bad("m.prom"), reg)
+	if lines := strings.Split(fmt.Sprint(err), "\n"); len(lines) != 2 ||
+		!strings.HasPrefix(lines[0], "trace: ") || !strings.HasPrefix(lines[1], "metrics: ") {
+		t.Errorf("two bad paths: got error %q, want trace: and metrics: joined", err)
+	}
+
+	if err := WriteFiles(good("nil.json"), nil, good("nil.prom"), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"nil.json", "nil.prom"} {
+		if _, err := os.Stat(good(name)); !os.IsNotExist(err) {
+			t.Errorf("nil sink created %s (stat error %v)", name, err)
+		}
 	}
 }

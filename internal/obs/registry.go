@@ -65,22 +65,6 @@ func (r *Registry) SetHelp(base, text string) {
 	r.help[base] = text
 }
 
-// Counter returns the current value of counter name (0 if absent).
-func (r *Registry) Counter(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	return r.counters[name]
-}
-
-// Gauge returns the current value of gauge name (0 if absent).
-func (r *Registry) Gauge(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	return r.gauges[name]
-}
-
 // Snapshot returns every metric sorted by name — counters and gauges
 // interleaved in one canonical order, so two registries fed the same
 // history snapshot to identical bytes whatever the recording order was.

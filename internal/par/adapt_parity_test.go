@@ -131,7 +131,7 @@ func TestAdaptChargeDeterministic(t *testing.T) {
 func TestAdaptSerialFallbackCritEqualsTotal(t *testing.T) {
 	m := meshgen.SmallBox() // 384 elements: far below every cutoff
 	g := dual.Build(m)
-	d := NewDist(m, 4, partition.Partition(g, 4, partition.MethodGraphGrow))
+	d := NewDist(m, 4, partition.Partition(g, 4, partition.MethodInertial))
 	d.Workers = 8
 	a := adapt.New(m)
 	a.MarkRandom(0.15, adapt.MarkRefine, 7)

@@ -206,7 +206,7 @@ func FuzzReliableExchange(f *testing.F) {
 		build := func() (*Dist, []int32) {
 			m := meshgen.SmallBox()
 			g := dual.Build(m)
-			d := NewDist(m, p, partition.Partition(g, p, partition.MethodGraphGrow))
+			d := NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
 			newOwner := d.Owners()
 			for v := range newOwner {
 				if v%2 == 0 {

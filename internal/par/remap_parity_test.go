@@ -145,7 +145,7 @@ func TestPredictRemapOpsMatchesExecute(t *testing.T) {
 func TestRemapSerialFallbackCritEqualsTotal(t *testing.T) {
 	m := meshgen.SmallBox() // 384 elements: far below SerialCutoff
 	g := dual.Build(m)
-	d := NewDist(m, 4, partition.Partition(g, 4, partition.MethodGraphGrow))
+	d := NewDist(m, 4, partition.Partition(g, 4, partition.MethodInertial))
 	d.Workers = 8
 	newOwner := d.Owners()
 	for v := range newOwner {

@@ -133,7 +133,7 @@ func TestStreamingWindowBudget(t *testing.T) {
 func TestStreamingSerialFallback(t *testing.T) {
 	m := meshgen.SmallBox()
 	g := dual.Build(m)
-	d := NewDist(m, 4, partition.Partition(g, 4, partition.MethodGraphGrow))
+	d := NewDist(m, 4, partition.Partition(g, 4, partition.MethodInertial))
 	d.Workers = 8
 	newOwner := d.Owners()
 	for v := range newOwner {
@@ -152,7 +152,7 @@ func TestStreamingSerialFallback(t *testing.T) {
 
 	// A budget covering everything yields exactly one window whose peak
 	// is the bulk total.
-	d.SetOwners(partition.Partition(g, 4, partition.MethodGraphGrow))
+	d.SetOwners(partition.Partition(g, 4, partition.MethodInertial))
 	one, err := d.executeRemap(newOwner, machine.SP2(), res.Moved*recWords, nil)
 	if err != nil {
 		t.Fatal(err)

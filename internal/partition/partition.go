@@ -4,7 +4,6 @@
 // refinement"). The paper treats the partitioner as a pluggable black box;
 // this package supplies the same family, selected by Method:
 //
-//   - graphgrow:  greedy BFS graph growing (fast, moderate quality);
 //   - inertial:   recursive coordinate bisection along principal axes;
 //   - multilevel: matching-based coarsening, recursive spectral bisection
 //     of the coarse graph (Lanczos Fiedler vectors, internal/sparse), and
@@ -18,13 +17,11 @@ package partition
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 
 	"plum/internal/dual"
 	"plum/internal/geom"
 	"plum/internal/machine"
-	"plum/internal/refine"
 	"plum/internal/sfc"
 	"plum/internal/sparse"
 )
@@ -81,8 +78,7 @@ type Method int
 
 // Available partitioners.
 const (
-	MethodGraphGrow Method = iota
-	MethodInertial
+	MethodInertial Method = iota
 	MethodMultilevel
 	// MethodMortonSFC and MethodHilbertSFC cut a space-filling-curve
 	// ordering of the element centroids into weighted chunks (see sfc.go):
@@ -95,15 +91,12 @@ const (
 // Methods lists every available partitioner, in declaration order — the
 // iteration table for experiments, benchmarks, and CLI validation.
 var Methods = []Method{
-	MethodGraphGrow, MethodInertial, MethodMultilevel,
-	MethodMortonSFC, MethodHilbertSFC,
+	MethodInertial, MethodMultilevel, MethodMortonSFC, MethodHilbertSFC,
 }
 
 // String implements fmt.Stringer.
 func (m Method) String() string {
 	switch m {
-	case MethodGraphGrow:
-		return "graphgrow"
 	case MethodInertial:
 		return "inertial"
 	case MethodMultilevel:
@@ -144,14 +137,14 @@ func MethodByName(name string) (Method, bool) {
 // Options configures a partitioning call.
 type Options struct {
 	// Workers bounds the worker-goroutine count of the band-FM boundary
-	// refinement (refine.Default) that the SFC methods and GraphGrow run
-	// after their cuts, and is the worker count the model charges the SFC
-	// pipeline across (see SFCPartitioner). Multilevel refines with the
-	// serial classic sweep (refine.FMRefine) and ignores it. ≤ 0 means
+	// refinement (refine.Default) that the SFC methods run after their
+	// cuts, and is the worker count the model charges the SFC pipeline
+	// across (see SFCPartitioner). Multilevel refines with the serial
+	// classic sweep (refine.FMRefine) and ignores it. ≤ 0 means
 	// runtime.GOMAXPROCS. Assignments are identical at every worker count.
 	Workers int
-	// Seed drives randomized components (GraphGrow seeding, multilevel
-	// matching order). 0 is treated as 1, the historical default.
+	// Seed drives the multilevel matching order. 0 is treated as 1, the
+	// historical default.
 	Seed int64
 }
 
@@ -173,8 +166,6 @@ func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, 
 		opt.Seed = 1
 	}
 	switch m {
-	case MethodGraphGrow:
-		return graphGrowCounted(g, k, opt)
 	case MethodInertial:
 		return inertialCounted(g, k)
 	case MethodMortonSFC:
@@ -184,118 +175,6 @@ func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, 
 	default:
 		return multilevelCounted(g, k, opt)
 	}
-}
-
-// graphGrowCounted partitions by growing all k regions simultaneously from
-// spread-out seeds: at every step the lightest part with a live frontier
-// absorbs one unassigned neighbour. Growing lightest-first makes the
-// result balanced by construction even at high k, where sequential growth
-// leaves the last parts only fragmented leftovers. It counts one op per
-// lightest-part scan entry, per adjacency visit, and per refinement op.
-// Growth is serial (Total == Crit); only the band-FM boundary-smoothing
-// pass may parallelize.
-func graphGrowCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.Ops) {
-	seed := opt.Seed
-	var ops int64
-	asg := make(Assignment, g.N)
-	for i := range asg {
-		asg[i] = -1
-	}
-	if k <= 1 {
-		for i := range asg {
-			asg[i] = 0
-		}
-		ops = int64(g.N)
-		return asg, machine.Ops{Total: ops, Crit: ops}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	wts := make([]int64, k)
-	frontiers := make([][]int32, k)
-
-	// Seeds: strided over the vertex order (spatially coherent for
-	// generated meshes), jittered a little so equal-weight ties differ
-	// between runs with different seeds. At most g.N parts can be seeded;
-	// any further parts stay empty (caller violated k ≤ N).
-	nSeeds := k
-	if nSeeds > g.N {
-		nSeeds = g.N
-	}
-	for p := 0; p < nSeeds; p++ {
-		s := int32((p*g.N + g.N/2) / k)
-		for asg[s] >= 0 {
-			s = int32(rng.Intn(g.N))
-		}
-		asg[s] = int32(p)
-		wts[p] += g.Wcomp[s]
-		frontiers[p] = append(frontiers[p], s)
-	}
-
-	assigned := nSeeds
-	stuck := 0 // parts whose frontier is exhausted
-	for assigned < g.N {
-		// Lightest part with a live frontier grows next.
-		ops += int64(k)
-		p := -1
-		for q := 0; q < k; q++ {
-			if len(frontiers[q]) > 0 && (p < 0 || wts[q] < wts[p]) {
-				p = q
-			}
-		}
-		if p < 0 {
-			// All frontiers exhausted (disconnected remainder): re-seed
-			// the lightest part at an arbitrary unassigned vertex.
-			p = argminW(wts)
-			for v := range asg {
-				if asg[v] < 0 {
-					asg[v] = int32(p)
-					wts[p] += g.Wcomp[v]
-					frontiers[p] = append(frontiers[p], int32(v))
-					assigned++
-					break
-				}
-			}
-			stuck++
-			if stuck > g.N {
-				break // defensive: cannot happen on a finite graph
-			}
-			continue
-		}
-		// Absorb one unassigned neighbour of p's frontier.
-		grew := false
-		for len(frontiers[p]) > 0 && !grew {
-			v := frontiers[p][0]
-			nbrs := g.Nbrs(v)
-			ops += 1 + int64(len(nbrs))
-			for _, u := range nbrs {
-				if asg[u] < 0 {
-					asg[u] = int32(p)
-					wts[p] += g.Wcomp[u]
-					frontiers[p] = append(frontiers[p], u)
-					assigned++
-					grew = true
-					break
-				}
-			}
-			if !grew {
-				// v has no unassigned neighbours left; retire it.
-				frontiers[p] = frontiers[p][1:]
-			}
-		}
-	}
-	// A refinement pass smooths the growth fronts.
-	out := machine.Ops{Total: ops, Crit: ops}
-	out.Add(refine.Default(g.N, opt.Workers).Refine(g, asg, k, 2))
-	return asg, out
-}
-
-func argminW(w []int64) int {
-	best := 0
-	for i, x := range w {
-		if x < w[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // inertialCounted partitions by recursive inertial bisection: each

@@ -10,8 +10,7 @@
 //     extract the boundary band, color it into conflict-free classes,
 //     compute move proposals per class in parallel against a frozen
 //     snapshot, apply them in a fixed serial order. Byte-identical output
-//     at every worker count. The SFC methods and graphgrow smooth their
-//     cuts with it.
+//     at every worker count. The SFC methods smooth their cuts with it.
 //   - FMRefine: the classic serial cascading sweep, run at every level of
 //     multilevel.
 //

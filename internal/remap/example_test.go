@@ -13,7 +13,8 @@ func Example() {
 	// Two processors, F=1. Most of processor 0's data lands in new
 	// partition 1 and vice versa: the identity mapping would move almost
 	// everything, the similarity-driven mapping almost nothing.
-	s := remap.FromDense(1, [][]int64{{10, 90}, {80, 20}})
+	// Four vertices, each given by its old processor, new partition and weight.
+	s := remap.Build([]int32{0, 0, 1, 1}, []int32{0, 1, 0, 1}, []int64{10, 90, 80, 20}, 2, 1)
 
 	mp, obj := s.Heuristic()
 	c, n := s.MoveStats(mp)

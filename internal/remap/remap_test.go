@@ -9,6 +9,20 @@ import (
 	"plum/internal/machine"
 )
 
+// FromDense builds the similarity matrix of len(rows) processors from
+// dense rows of at most len(rows)·f non-negative weights each (missing
+// trailing columns are zero).
+func FromDense(f int, rows [][]int64) *Similarity {
+	var oldProc, newPart []int32
+	var w []int64
+	for i, row := range rows {
+		for j, x := range row {
+			oldProc, newPart, w = append(oldProc, int32(i)), append(newPart, int32(j)), append(w, x)
+		}
+	}
+	return Build(oldProc, newPart, w, len(rows), f)
+}
+
 // paperLikeMatrix builds a P=4, F=2 similarity matrix in the spirit of the
 // paper's Fig. 5 worked example (the figure's exact values are not
 // recoverable from the scanned text, so the example is reconstructed with

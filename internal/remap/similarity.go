@@ -101,20 +101,6 @@ func Build(oldProc, newPart []int32, wremap []int64, p, f int) *Similarity {
 	return s
 }
 
-// FromDense builds the similarity matrix of len(rows) processors from
-// dense rows of at most len(rows)·f non-negative weights each (missing
-// trailing columns are zero).
-func FromDense(f int, rows [][]int64) *Similarity {
-	var oldProc, newPart []int32
-	var w []int64
-	for i, row := range rows {
-		for j, x := range row {
-			oldProc, newPart, w = append(oldProc, int32(i)), append(newPart, int32(j)), append(w, x)
-		}
-	}
-	return Build(oldProc, newPart, w, len(rows), f)
-}
-
 // row returns processor i's nonzero entries in column order.
 func (s *Similarity) row(i int) []entry { return s.ents[s.rowStart[i]:s.rowStart[i+1]] }
 

@@ -55,14 +55,6 @@ func (c Curve) Encode(x, y, z uint32) uint64 {
 	return MortonEncode(x, y, z)
 }
 
-// Decode returns the lattice cell of a curve key.
-func (c Curve) Decode(key uint64) (x, y, z uint32) {
-	if c == Hilbert {
-		return HilbertDecode(key)
-	}
-	return MortonDecode(key)
-}
-
 // ---------------------------------------------------------------- Morton
 
 // spread3 distributes the low 21 bits of v so that bit i lands at bit 3i

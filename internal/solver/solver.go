@@ -104,26 +104,6 @@ func (s *Solver) SyncAfterAdaption() {
 	s.M.ResetLog()
 }
 
-// Residual returns the RMS of the edge differences — a convergence
-// indicator for tests.
-func (s *Solver) Residual() float64 {
-	m := s.M
-	sum, n := 0.0, 0
-	for ei := range m.Edges {
-		ed := &m.Edges[ei]
-		if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
-			continue
-		}
-		d := s.U[ed.V[1]] - s.U[ed.V[0]]
-		sum += d * d
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(sum / float64(n))
-}
-
 // GaussianPulse returns a field with a sharp spherical feature at c — the
 // stand-in for a shock/vortex core that drives Local_1-style adaption.
 func GaussianPulse(c geom.Vec3, width float64) func(geom.Vec3) float64 {

@@ -10,12 +10,32 @@ import (
 	"plum/internal/meshgen"
 )
 
+// residual returns the RMS of the edge differences — a convergence
+// indicator.
+func residual(s *Solver) float64 {
+	m := s.M
+	sum, n := 0.0, 0
+	for ei := range m.Edges {
+		ed := &m.Edges[ei]
+		if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
+			continue
+		}
+		d := s.U[ed.V[1]] - s.U[ed.V[0]]
+		sum += d * d
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return math.Sqrt(sum / float64(n))
+}
+
 func TestIterateSmooths(t *testing.T) {
 	m := meshgen.SmallBox()
 	s := New(m, GaussianPulse(geom.Vec3{X: 0.5, Y: 0.5, Z: 0.5}, 0.1))
-	r0 := s.Residual()
+	r0 := residual(s)
 	s.Iterate(20)
-	r1 := s.Residual()
+	r1 := residual(s)
 	if r1 >= r0 {
 		t.Errorf("smoothing did not reduce residual: %g -> %g", r0, r1)
 	}
@@ -30,7 +50,7 @@ func TestIterateConservesConstant(t *testing.T) {
 			t.Fatalf("vertex %d drifted to %g", i, u)
 		}
 	}
-	if s.Residual() > 1e-12 {
+	if residual(s) > 1e-12 {
 		t.Error("constant field has nonzero residual")
 	}
 }
