@@ -38,7 +38,7 @@ func main() {
 		{"fig10", func() fmt.Stringer { return experiments.RunFig10() }},
 		{"fig11", func() fmt.Stringer { return experiments.RunFig11() }},
 		{"fig12", func() fmt.Stringer { return experiments.RunFig12() }},
-		{"extension", func() fmt.Stringer { return experiments.RunExtensionRepeated(8, 6) }},
+		{"extension", func() fmt.Stringer { return experiments.RunExtensionRepeated(8, 6, 1) }},
 		{"partitioners", func() fmt.Stringer { return experiments.RunPartitionerTable(*k, *workers) }},
 		{"overlap", func() fmt.Stringer { return experiments.RunOverlapTable(*workers) }},
 		{"faults", func() fmt.Stringer { return experiments.RunFaultTable(*faultSeed, *workers) }},

@@ -191,6 +191,8 @@ func main() {
 		fmt.Printf("cycle %d: elems=%d refined=%d adaptT=%.3fs imb %.2f",
 			c, m.NumActiveElems(), rep.Refine.TotalSubdivided(), rep.AdaptTime.Total, b.ImbalanceBefore)
 		switch {
+		case !b.Repartitioned && b.WmaxOld == b.WmaxFloor:
+			fmt.Printf(" (at the granularity floor, no repartition)")
 		case !b.Repartitioned:
 			fmt.Printf(" (balanced, no repartition)")
 		case b.Outcome == core.OutcomeRecovered:

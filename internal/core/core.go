@@ -396,6 +396,13 @@ type BalanceReport struct {
 	ImbalanceAfter float64
 	// WmaxOld and WmaxNew are the heaviest processor loads before/after.
 	WmaxOld, WmaxNew int64
+	// WmaxFloor is the granularity floor of the pass: the lowest Wmax any
+	// assignment of the dual vertices (whole refinement trees) to the
+	// Alive ranks can reach, max(max Wcomp, ⌈ΣWcomp/Alive⌉). A pass over
+	// the threshold with WmaxOld at the floor skips repartitioning, since
+	// no proposal could gain (Repartitioned stays false). Zero when the
+	// imbalance was within the threshold.
+	WmaxFloor int64
 	// Objective is the mapper's 𝒥; MoveC and MoveN are the cost model's
 	// C (elements moved) and N (element sets moved).
 	Objective int64
@@ -536,6 +543,15 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 		traceEvaluate(f.Cfg.Trace, rep.ImbalanceBefore, false)
 		return rep, nil
 	}
+	// At the granularity floor no proposal has WmaxNew < WmaxOld, so its
+	// gain is ≤ 0 ≤ cost and the rule would reject it: skip the
+	// repartition and reassignment it would be charged for.
+	alive64 := int64(rep.Alive)
+	rep.WmaxFloor = max(slices.Max(f.G.Wcomp), (f.G.TotalWcomp()+alive64-1)/alive64)
+	if rep.WmaxOld <= rep.WmaxFloor {
+		traceEvaluate(f.Cfg.Trace, rep.ImbalanceBefore, false)
+		return rep, nil
+	}
 	traceEvaluate(f.Cfg.Trace, rep.ImbalanceBefore, true)
 	rep.Repartitioned = true
 
@@ -559,11 +575,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.ReassignTime = float64(pr.sim.LastOps) * f.Cfg.Model.MemOp
 	traceReassign(f.Cfg.Trace, pr.sim.LastOps, rep.ReassignTime, rep.Objective)
 
-	// Projected new loads under the mapping, one slot per survivor.
-	newLoads := make([]int64, rep.Alive)
-	for v, p := range pr.part {
-		newLoads[pr.mapping[p]] += f.G.Wcomp[v]
-	}
+	newLoads := pr.loads(f.G.Wcomp, rep.Alive)
 	rep.WmaxNew = slices.Max(newLoads)
 	rep.ImbalanceAfter = par.ImbalanceFactor(newLoads)
 
@@ -683,6 +695,17 @@ func (f *Framework) propose(alive []int32) (proposal, error) {
 		pr.mapping, pr.objective = pr.sim.Heuristic()
 	}
 	return pr, pr.sim.Validate(pr.mapping)
+}
+
+// loads returns the projected loads of the n survivors under the
+// proposal: every dual vertex's weight lands on the survivor its part is
+// mapped to.
+func (pr proposal) loads(w []int64, n int) []int64 {
+	out := make([]int64, n)
+	for v, p := range pr.part {
+		out[pr.mapping[p]] += w[v]
+	}
+	return out
 }
 
 // owners returns the ownership the proposal assigns: every dual vertex

@@ -464,3 +464,35 @@ func TestBalanceWorkerCountInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestMultilevelRotorStaysBalanced pins the plum CLI's default run at
+// P = 64 (`plum -p 64 -partitioner multilevel -cycles 4`: the full-scale
+// rotor, the Local_1 strategy, a solver attached). Uncapped heavy-vertex
+// matching built coarse vertices heavier than a whole part there and the
+// accepted partitions drifted to 11.18 by cycle 4; every accepted
+// partition must stay at or below 2. The scaled-down rotors are not a
+// stand-in: at scale 0.2 and 0.4 the same run reads 2.35 and 2.37.
+func TestMultilevelRotorStaysBalanced(t *testing.T) {
+	rp := meshgen.DefaultRotor()
+	m := meshgen.RotorDisk(rp)
+	r, th := (rp.R0+rp.R1)/2, rp.Sweep/2
+	sol := solver.New(m, solver.GaussianPulse(geom.Vec3{X: r * math.Cos(th), Y: r * math.Sin(th)}, 0.3))
+	cfg := DefaultConfig(64)
+	cfg.Method = partition.MethodMultilevel
+	f, err := New(m, sol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 1; c <= 4; c++ {
+		rep, err := f.Cycle(func(a *adapt.Adaptor) { a.MarkStrategyRefine(adapt.Local1, cfg.Seed) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := rep.Balance
+		t.Logf("cycle %d: imb %.2f -> %.2f accepted=%v", c, b.ImbalanceBefore, b.ImbalanceAfter, b.Accepted)
+		if !b.Accepted || b.ImbalanceAfter > 2 {
+			t.Errorf("cycle %d: imbalance %.2f -> %.2f (accepted=%v), want an accepted partition ≤ 2",
+				c, b.ImbalanceBefore, b.ImbalanceAfter, b.Accepted)
+		}
+	}
+}

@@ -39,11 +39,13 @@ type Extension struct {
 // spherical feature sweeps through a box mesh; each cycle refines around
 // the feature and coarsens everything it left behind. The balanced run
 // repartitions/remap per the framework rules; the unbalanced run keeps the
-// initial partitions forever.
-func RunExtensionRepeated(p, cycles int) *Extension {
+// initial partitions forever. seed is both runs' Config.Seed, which seeds
+// the partitioner (the initial partition included); the exhibit uses 1.
+func RunExtensionRepeated(p, cycles int, seed int64) *Extension {
 	mkFW := func(threshold float64) (*core.Framework, *geom.Sphere) {
 		m := meshgen.Box(12, 12, 12, geom.Vec3{X: 3, Y: 1, Z: 1})
 		cfg := core.DefaultConfig(p)
+		cfg.Seed = seed
 		cfg.ImbalanceThreshold = threshold
 		fw, err := core.New(m, nil, cfg)
 		if err != nil {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,10 +12,12 @@ import (
 )
 
 // coarsenSorted is the sort-based contraction coarsener.coarsen charges
-// for, kept as its oracle: the matching visits a fresh rand.Perm, every
-// coarse edge is packed as a (min, max) pair, one sort-and-compact
-// collapses the duplicates, and the rows are filled in pair order.
-func coarsenSorted(g *dual.Graph, seed int64) (*dual.Graph, []int32, int64) {
+// for, kept as its oracle: the matching visits a fresh rand.Perm and pairs
+// each vertex with its heaviest unmatched neighbour that fits the weight
+// cap wcap, every coarse edge is packed as a (min, max) pair, one
+// sort-and-compact collapses the duplicates, and the rows are filled in
+// pair order.
+func coarsenSorted(g *dual.Graph, seed, wcap int64) (*dual.Graph, []int32, int64) {
 	var ops int64
 	rng := rand.New(rand.NewSource(seed))
 	order := rng.Perm(g.N)
@@ -31,7 +34,7 @@ func coarsenSorted(g *dual.Graph, seed int64) (*dual.Graph, []int32, int64) {
 		}
 		var best int32 = -1
 		for _, w := range g.Nbrs(v) {
-			if cmap[w] >= 0 {
+			if cmap[w] >= 0 || g.Wcomp[v]+g.Wcomp[w] > wcap {
 				continue
 			}
 			if best < 0 || g.Wcomp[w] > g.Wcomp[best] {
@@ -105,12 +108,19 @@ func shuffledGraph(nx, ny, nz, iso int, seed int64) *dual.Graph {
 // dual.Graph.Check. Wremap and Centroid are compared on neither side:
 // coarse levels do not carry them, because nothing reads them there (the
 // spectral solve and FM read only the adjacency and Wcomp).
+//
+// The weight cap is fuzzed too. Every coarse vertex with two members
+// weighs at most the cap, and a cap that cannot bind (at least twice the
+// heaviest vertex) matches exactly as the unbounded cap math.MaxInt64,
+// which is plain heavy-vertex matching: the cap moves bytes only where it
+// binds.
 func FuzzCoarsen(f *testing.F) {
-	f.Add(uint8(3), uint8(3), uint8(3), uint8(0), int64(1), int64(1))
-	f.Add(uint8(6), uint8(1), uint8(1), uint8(2), int64(2), int64(5))
-	f.Add(uint8(5), uint8(4), uint8(2), uint8(7), int64(99), int64(3))
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), int64(7), int64(0))
-	f.Fuzz(func(t *testing.T, nx, ny, nz, iso uint8, gseed, mseed int64) {
+	f.Add(uint8(3), uint8(3), uint8(3), uint8(0), int64(1), int64(1), int64(math.MaxInt64))
+	f.Add(uint8(6), uint8(1), uint8(1), uint8(2), int64(2), int64(5), int64(math.MaxInt64))
+	f.Add(uint8(5), uint8(4), uint8(2), uint8(7), int64(99), int64(3), int64(300))
+	f.Add(uint8(7), uint8(7), uint8(7), uint8(3), int64(4), int64(2), int64(40))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), int64(7), int64(0), int64(1))
+	f.Fuzz(func(t *testing.T, nx, ny, nz, iso uint8, gseed, mseed, wcap int64) {
 		dims := func(d uint8) int { return 1 + int(d%8) }
 		g := shuffledGraph(dims(nx), dims(ny), dims(nz), int(iso%8), gseed)
 		if err := g.Check(); err != nil {
@@ -118,8 +128,9 @@ func FuzzCoarsen(f *testing.F) {
 		}
 		c := newCoarsener(g)
 		for lvl := 0; g.N > 1 && lvl < 4; lvl++ {
-			want, wantMap, wantOps := coarsenSorted(g, mseed+int64(lvl))
-			got, gotMap, gotOps := c.coarsen(g, mseed+int64(lvl))
+			seed := mseed + int64(lvl)
+			want, wantMap, wantOps := coarsenSorted(g, seed, wcap)
+			got, gotMap, gotOps := c.coarsen(g, seed, wcap)
 			if err := got.Check(); err != nil {
 				t.Fatalf("level %d: %v", lvl, err)
 			}
@@ -135,6 +146,22 @@ func FuzzCoarsen(f *testing.F) {
 			for v := range int32(want.N) {
 				if !slices.Equal(got.Nbrs(v), want.Nbrs(v)) {
 					t.Fatalf("level %d: row %d = %v, oracle %v", lvl, v, got.Nbrs(v), want.Nbrs(v))
+				}
+			}
+			members := make([]int, got.N)
+			for _, cv := range gotMap {
+				members[cv]++
+			}
+			for cv, n := range members {
+				if n > 1 && got.Wcomp[cv] > wcap {
+					t.Fatalf("level %d: coarse vertex %d merges %d members into weight %d > cap %d",
+						lvl, cv, n, got.Wcomp[cv], wcap)
+				}
+			}
+			if wcap >= 2*slices.Max(g.Wcomp) {
+				_, freeMap, _ := c.coarsen(g, seed, math.MaxInt64)
+				if !slices.Equal(gotMap, freeMap) {
+					t.Fatalf("level %d: cap %d cannot bind, yet the matching differs from the unbounded one", lvl, wcap)
 				}
 			}
 			g = got

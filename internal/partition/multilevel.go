@@ -61,21 +61,31 @@ type level struct {
 	map_ []int32 // fine vertex -> coarse vertex (nil for the finest)
 }
 
-// coarsenChain contracts g until it has at most max(200, 4k) vertices or
-// a matching stalls (keeps ≥ 90 % of the vertices), returning the chain
-// from g (levels[0]) to the coarsest graph and the op count of every
-// contraction, the stalled one included. Level l is matched with seed
-// seed-1+l; seed 1 reproduces the historical level-index seeding.
+// coarsenChain contracts g until it has at most target = max(200, 4k)
+// vertices or a matching stalls (keeps ≥ 90 % of the vertices), returning
+// the chain from g (levels[0]) to the coarsest graph and the op count of
+// every contraction, the stalled one included. Level l is matched with
+// seed seed-1+l; seed 1 reproduces the historical level-index seeding.
+//
+// Every level matches under one weight cap, 1.5·ΣWcomp/target in integer
+// arithmetic (METIS's maxvwgt rule, Karypis & Kumar): a pair merges only
+// if its merged weight fits, so a coarse vertex with two or more members
+// weighs at most 1.5 times the average vertex of a target-sized graph,
+// and a part (the weight of four such vertices or more) is built from
+// several coarse vertices. Without the cap, heavy refined roots pile into
+// coarse vertices heavier than a whole part, which no later level can
+// split. A fine vertex already above the cap stays single.
 func coarsenChain(g *dual.Graph, k int, seed int64) ([]level, int64) {
 	target := max(200, 4*k)
 	levels := []level{{g: g}}
 	if g.N <= target {
 		return levels, 0
 	}
+	wcap := 3 * g.TotalWcomp() / int64(2*target)
 	var ops int64
 	c := newCoarsener(g)
 	for cur := g; cur.N > target; {
-		cg, cmap, cops := c.coarsen(cur, seed-1+int64(len(levels)))
+		cg, cmap, cops := c.coarsen(cur, seed-1+int64(len(levels)), wcap)
 		ops += cops
 		if cg.N >= cur.N*9/10 {
 			break // matching stalled; stop coarsening
@@ -120,9 +130,10 @@ func drawPerm(r *rand.Rand, seed int64, order []int32) {
 	}
 }
 
-// coarsen contracts a random maximal matching of g, returning the coarse
-// graph, the fine→coarse vertex map, and the op count of the matching
-// plus edge collapse. Matched pairs merge their Wcomp; parallel coarse
+// coarsen contracts a random matching of g under the weight cap wcap,
+// returning the coarse graph, the fine→coarse vertex map, and the op count
+// of the matching plus edge collapse. The matching is maximal among the
+// pairs that fit the cap. Matched pairs merge their Wcomp; parallel coarse
 // edges are collapsed. g must be symmetric (every dual graph is); every
 // coarse row comes out in ascending vertex order. The coarse graph
 // carries only its adjacency and Wcomp, all that the spectral solve and
@@ -133,7 +144,7 @@ func drawPerm(r *rand.Rand, seed int64, order []int32) {
 // collapses in linear time instead (a marker-array dedup per coarse row,
 // then one transpose that leaves every row sorted), so the charge models
 // an algorithm this code no longer runs.
-func (s *coarsener) coarsen(g *dual.Graph, seed int64) (*dual.Graph, []int32, int64) {
+func (s *coarsener) coarsen(g *dual.Graph, seed, wcap int64) (*dual.Graph, []int32, int64) {
 	var ops int64
 	order := s.order[:g.N]
 	drawPerm(s.rng, seed, order)
@@ -151,13 +162,12 @@ func (s *coarsener) coarsen(g *dual.Graph, seed int64) (*dual.Graph, []int32, in
 		if cmap[v] >= 0 {
 			continue
 		}
-		// Match the heaviest unmatched neighbour. Nothing caps the merged
-		// weight, so on adapted meshes heavy vertices pile into coarse
-		// vertices heavier than a whole part, which no later level can
-		// split (ROADMAP item 2).
+		// Match the heaviest unmatched neighbour whose merged weight fits
+		// the cap; v stays single when none does. Where the cap does not
+		// bind, this is plain heavy-vertex matching.
 		var best int32 = -1
 		for _, w := range nbrs {
-			if cmap[w] >= 0 {
+			if cmap[w] >= 0 || g.Wcomp[v]+g.Wcomp[w] > wcap {
 				continue
 			}
 			if best < 0 || g.Wcomp[w] > g.Wcomp[best] {
