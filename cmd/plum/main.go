@@ -45,7 +45,7 @@ func main() {
 		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated (default: flat)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "worker goroutines for parallel partitioning and refinement phases (0 = GOMAXPROCS)")
-		overlap = flag.Bool("overlap", false, "hide the balance pipeline behind the solver iterations and stream the remap payload one flow window at a time")
+		overlap = flag.Bool("overlap", false, "hide the balance pipeline behind the solver iterations: the acceptance rule charges only the exposed cost")
 		faults  = flag.String("faults", "", "deterministic fault-injection plan, e.g. seed=7,rate=0.1,kinds=drop+corrupt or kinds=crash (empty = faults off)")
 		retries = flag.Int("retries", -1, "recovery budget with -faults: extra send attempts per message and re-executions per failed remap window (-1 = default policy: 3 attempts, 2 window retries)")
 		ckpt    = flag.Bool("checkpoint", false, "capture a copy-on-write cycle checkpoint before every balance pass (forced on by a crash-capable -faults plan)")
@@ -58,6 +58,12 @@ func main() {
 	)
 	flag.Parse()
 	switch {
+	case *p < 1:
+		badFlag("invalid -p %d: need ≥ 1", *p)
+	case *f < 1:
+		badFlag("invalid -f %d: need ≥ 1", *f)
+	case *deadln < 0:
+		badFlag("invalid -deadline %v: need ≥ 0", *deadln)
 	case !(*scale > 0) || math.IsInf(*scale, 0):
 		badFlag("invalid -scale %v: need a finite factor > 0", *scale)
 	case *retries < -1:
@@ -231,16 +237,13 @@ func main() {
 					b.ReassignOps, b.ReassignTime)
 				fmt.Printf("         remap ops=%d crit=%d execT=%.3gs", b.RemapOps, b.RemapCritOps, b.RemapExecTime)
 				if b.Accepted {
-					fmt.Printf(" pack=%.3gs comm=%.3gs rebuild=%.3gs setups=%d setupT=%.3gs",
-						b.Remap.PackTime, b.Remap.CommTime, b.Remap.RebuildTime, b.Remap.Setups, b.Remap.SetupTime)
+					fmt.Printf(" pack=%.3gs comm=%.3gs rebuild=%.3gs setups=%d setupT=%.3gs peak=%d/%d words",
+						b.Remap.PackTime, b.Remap.CommTime, b.Remap.RebuildTime, b.Remap.Setups, b.Remap.SetupTime,
+						b.Remap.PeakWords, b.Remap.Moved*par.RecordWords)
 				}
 				fmt.Println()
 				if cfg.Overlap {
-					fmt.Printf("         overlap hidden=%.3gs cost full=%.3gs exposed=%.3gs", b.OverlapTime, b.CostFull, b.Cost)
-					if b.Accepted {
-						fmt.Printf(" peak=%d/%d words", b.Remap.PeakWords, b.Remap.Moved*par.RecordWords)
-					}
-					fmt.Println()
+					fmt.Printf("         overlap hidden=%.3gs cost full=%.3gs exposed=%.3gs\n", b.OverlapTime, b.CostFull, b.Cost)
 				}
 			}
 		}

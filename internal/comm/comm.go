@@ -132,6 +132,19 @@ type World struct {
 	maxAttempts  int
 	deadline     time.Duration // wall-clock watchdog per Run; 0 = off
 	sends, recvs [][]pairState
+
+	// Per-Run scratch, allocated once by NewWorld so a Run costs no
+	// per-rank allocation: the SPMD function of the current Run, one
+	// goroutine entry per rank, each rank's handle, and what a rank that
+	// panicked left behind. Runs are sequential, and a world whose Run
+	// failed refuses the next one, so a rank abandoned by the watchdog
+	// never shares these with a later Run.
+	f      func(*Comm)
+	fns    []func()
+	comms  []Comm
+	panics []any
+	stacks [][]byte
+	wg     sync.WaitGroup
 }
 
 // pairState is one rank's side of a (src, dst) pair on the reliable path,
@@ -176,9 +189,15 @@ func NewWorld(p int) *World {
 		maxAttempts: 1,
 		sends:       make([][]pairState, p),
 		recvs:       make([][]pairState, p),
+		fns:         make([]func(), p),
+		comms:       make([]Comm, p),
+		panics:      make([]any, p),
+		stacks:      make([][]byte, p),
 	}
-	for i := range w.boxes {
-		w.boxes[i].cond.L = &w.boxes[i].mu
+	for r := range p {
+		w.boxes[r].cond.L = &w.boxes[r].mu
+		w.comms[r] = Comm{w: w, rank: r}
+		w.fns[r] = func() { w.runRank(r) }
 	}
 	return w
 }
@@ -240,30 +259,16 @@ func (w *World) Run(f func(c *Comm)) error {
 	if w.Poisoned() {
 		return fmt.Errorf("comm: world already poisoned by an earlier rank failure")
 	}
-	var wg sync.WaitGroup
-	panics := make([]any, w.p)
-	stacks := make([][]byte, w.p)
-	comms := make([]Comm, w.p)
-	for r := 0; r < w.p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if e := recover(); e != nil {
-					panics[rank] = e
-					if _, crash := e.(crashMark); !crash && e != poisonSentinel {
-						stacks[rank] = debug.Stack()
-					}
-					w.poison()
-				}
-			}()
-			comms[rank] = Comm{w: w, rank: rank}
-			f(&comms[rank])
-		}(r)
+	clear(w.panics)
+	clear(w.stacks)
+	w.f = f
+	w.wg.Add(w.p)
+	for r := range w.fns {
+		go w.fns[r]()
 	}
 	if w.deadline > 0 {
 		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
+		go func() { w.wg.Wait(); close(done) }()
 		timer := time.NewTimer(w.deadline)
 		defer timer.Stop()
 		select {
@@ -282,11 +287,11 @@ func (w *World) Run(f func(c *Comm)) error {
 			return &TimeoutError{Deadline: w.deadline}
 		}
 	} else {
-		wg.Wait()
+		w.wg.Wait()
 	}
 	var parts []string
 	var crashed []int
-	for r, e := range panics {
+	for r, e := range w.panics {
 		if e == nil || e == poisonSentinel {
 			continue
 		}
@@ -294,7 +299,7 @@ func (w *World) Run(f func(c *Comm)) error {
 			crashed = append(crashed, r)
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("rank %d panicked: %v\n%s", r, e, stacks[r]))
+		parts = append(parts, fmt.Sprintf("rank %d panicked: %v\n%s", r, e, w.stacks[r]))
 	}
 	if parts != nil {
 		return fmt.Errorf("comm: %s", strings.Join(parts, "; "))
@@ -304,6 +309,23 @@ func (w *World) Run(f func(c *Comm)) error {
 		return &CrashError{Ranks: crashed}
 	}
 	return nil
+}
+
+// runRank runs the current Run's function as rank r. A panic poisons the
+// world, so every other rank blocked in Recv unwinds; the rank's panic
+// value (and, for a genuine panic, its stack) is left for Run to report.
+func (w *World) runRank(r int) {
+	defer w.wg.Done()
+	defer func() {
+		if e := recover(); e != nil {
+			w.panics[r] = e
+			if _, crash := e.(crashMark); !crash && e != poisonSentinel {
+				w.stacks[r] = debug.Stack()
+			}
+			w.poison()
+		}
+	}()
+	w.f(&w.comms[r])
 }
 
 // RankStats returns the accumulated traffic counters per rank.

@@ -166,3 +166,23 @@ func TestAnySource(t *testing.T) {
 		}
 	})
 }
+
+// TestRunAllocsIndependentOfP pins that a Run reuses the world's per-rank
+// scratch: the remap runs one Run per window, so a per-rank allocation
+// here would multiply by P and by the window count.
+func TestRunAllocsIndependentOfP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	for _, p := range []int{1, 1024} {
+		w := NewWorld(p)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := w.Run(func(*Comm) {}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("P=%d: Run made %v allocations, want at most 2 at any P", p, allocs)
+		}
+	}
+}

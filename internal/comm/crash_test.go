@@ -136,6 +136,11 @@ func TestDeadlineReturnsTimeoutError(t *testing.T) {
 	if !w.Poisoned() {
 		t.Error("world not poisoned after timeout")
 	}
+	// Run reuses per-world scratch the abandoned rank may still hold, so
+	// a timed-out world must refuse every later Run.
+	if err := w.Run(func(c *Comm) {}); err == nil || errors.As(err, &te) {
+		t.Errorf("timed-out world accepted another Run: %v", err)
+	}
 }
 
 func TestDeadlineZeroDisablesWatchdog(t *testing.T) {

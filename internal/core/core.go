@@ -91,15 +91,11 @@ type Config struct {
 	// Overlap hides the balance pipeline behind the solver, the paper's
 	// latency-tolerance argument: the repartition + reassignment +
 	// remap-execution critical path runs concurrently with the modeled
-	// solver iterations on the machine clock, the acceptance rule charges
-	// only the exposed (post-overlap) cost, and the remap executes under
-	// the streaming window budget (par.ExecuteRemapStreaming), which
-	// bounds peak payload memory to one flow window. False keeps the
-	// paper-faithful strict barrier chain and the whole-payload remap
-	// (par.ExecuteRemap) — the same executor with a single window.
-	// Either way every result byte is identical — overlap changes what
-	// the machine clock charges and how the host buffers the payload,
-	// never the partitions, owners, or payload bytes.
+	// solver iterations on the machine clock, and the acceptance rule
+	// charges only the exposed (post-overlap) cost. False keeps the
+	// paper-faithful strict barrier chain. Overlap only prices: the remap
+	// executes the same way either way, and the partitions, owners and
+	// payload bytes are identical.
 	Overlap bool
 	// Faults is the deterministic fault-injection plan for the balance
 	// cycles (internal/fault): the remap payload exchange runs over the
@@ -612,17 +608,8 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.Accepted = true
 	traceDecision(f.Cfg.Trace, rep.Gain, rep.MoveC, rep.MoveN, true)
 
-	// Execute the remap: ownership follows the accepted mapping. The
-	// overlapped cycle streams the payload one flow window at a time;
-	// the paper-faithful baseline keeps the bulk-synchronous exchange.
-	// Both produce byte-identical results up to PeakWords.
-	newOwner := pr.owners(alive)
-	var res par.RemapResult
-	if f.Cfg.Overlap {
-		res, err = f.D.ExecuteRemapStreaming(newOwner, f.Cfg.Model)
-	} else {
-		res, err = f.D.ExecuteRemap(newOwner, f.Cfg.Model)
-	}
+	// Execute the remap: ownership follows the accepted mapping.
+	res, err := f.D.ExecuteRemap(pr.owners(alive), f.Cfg.Model)
 	if err != nil {
 		var re *par.RemapError
 		if errors.As(err, &re) {

@@ -12,8 +12,8 @@ import (
 )
 
 // overlapFW builds a framework on a mesh big enough to clear the remap
-// scatter's serial cutoff, so the streaming executor exercises real
-// multi-window plans.
+// scatter's serial cutoff, so the executor exercises real multi-window
+// plans.
 func overlapFW(t *testing.T, workers int, overlap bool) *Framework {
 	t.Helper()
 	m := meshgen.Box(12, 12, 12, geom.Vec3{X: 1, Y: 1, Z: 1})
@@ -50,8 +50,8 @@ func runOverlapCycle(t *testing.T, f *Framework) CycleReport {
 // TestCycleOverlapParity is the determinism contract of the overlapped
 // cycle: at every worker count the Overlap=true cycle must produce the
 // byte-identical CycleReport and ownership to the strict-barrier baseline,
-// except for the fields overlap is *supposed* to change — the exposed cost,
-// the hidden time, and the streaming executor's payload peak.
+// except for the fields overlap is *supposed* to change — the exposed cost
+// and the hidden time.
 func TestCycleOverlapParity(t *testing.T) {
 	var refOwners []int32
 	for _, w := range []int{1, 2, 4, 8} {
@@ -80,22 +80,17 @@ func TestCycleOverlapParity(t *testing.T) {
 				w, bOn.Cost, bOn.CostFull, bOn.OverlapTime)
 		}
 		// The streaming executor bounds the payload footprint strictly
-		// below the bulk path's whole-buffer total.
+		// below the whole-buffer total.
 		total := bOn.Remap.Moved * par.RecordWords
 		if bOn.Remap.PeakWords <= 0 || bOn.Remap.PeakWords >= total {
 			t.Errorf("workers=%d: streaming peak %d not strictly below total %d",
 				w, bOn.Remap.PeakWords, total)
-		}
-		if bOff.Remap.PeakWords != total {
-			t.Errorf("workers=%d: bulk peak %d != total payload %d", w, bOff.Remap.PeakWords, total)
 		}
 
 		// Everything else — partitions, owners, modeled times, op counts,
 		// the whole remap result — must be byte-identical.
 		repOn.Balance.OverlapTime = bOff.OverlapTime
 		repOn.Balance.Cost = bOff.Cost
-		repOn.Balance.Remap.PeakWords = bOff.Remap.PeakWords
-		repOn.Balance.Remap.PeakWords = bOff.Remap.PeakWords
 		if !reflect.DeepEqual(repOn, repOff) {
 			t.Errorf("workers=%d: overlapped cycle diverges beyond the overlap fields:\n on  %+v\n off %+v",
 				w, repOn, repOff)

@@ -67,7 +67,7 @@ func RunFaultTable(seed int64, workers int) *FaultTable {
 		for _, budget := range faultBudgets {
 			cfg := core.DefaultConfig(p)
 			cfg.Workers = workers
-			cfg.Overlap = true // stream the remap: windows are the commit unit
+			cfg.Overlap = true // the overlapped cycle's exposed-cost acceptance rule
 			cfg.Faults = &fault.Plan{Seed: seed, Rate: rate}
 			cfg.Retry = fault.Budget(budget)
 			_, reps := runCycles(meshgen.Box(8, 8, 8, geom.Vec3{X: 1, Y: 1, Z: 1}), cfg, faultCycles, shrinkingSphere)

@@ -24,9 +24,9 @@ type OverlapRow struct {
 	// (solver + exposed cost); Hidden is the portion of Pipeline hidden
 	// behind the solve, Speedup the ratio CritBulk/CritOverlap.
 	CritBulk, CritOverlap, Hidden, Speedup float64
-	// PeakWords is the streaming executor's payload high-water mark;
-	// TotalWords the bulk executor's whole-buffer footprint for the same
-	// migration (Moved × par.RecordWords).
+	// PeakWords is the executor's payload high-water mark, its largest
+	// window; TotalWords the whole payload of the same migration (Moved ×
+	// par.RecordWords), the footprint of packing it in one buffer.
 	PeakWords, TotalWords int64
 	// Accepted reports whether the cycle's remap was executed.
 	Accepted bool

@@ -72,7 +72,7 @@ func RunRecoverTable(seed int64, workers int) *RecoverTable {
 			}
 			cfg := core.DefaultConfig(p)
 			cfg.Workers = workers
-			cfg.Overlap = true // stream the remap: crashes hit the first window
+			cfg.Overlap = true // the overlapped cycle's exposed-cost acceptance rule
 			cfg.Faults = &fault.Plan{Seed: seed, Rate: rate, Kinds: kinds}
 			cfg.Retry = fault.Budget(3)
 			f, reps := runCycles(meshgen.Box(8, 8, 8, geom.Vec3{X: 1, Y: 1, Z: 1}), cfg, recoverCycles, shrinkingSphere)

@@ -79,7 +79,7 @@ type Stage uint8
 // The injectable stages.
 const (
 	// StageRemap is the data-remapping payload exchange (the real
-	// record frames moved by ExecuteRemap/ExecuteRemapStreaming).
+	// record frames ExecuteRemap moves, window by window).
 	StageRemap Stage = iota
 	// StageAdapt is the adaption-phase notification exchange charged by
 	// the propagate backends.

@@ -56,10 +56,10 @@ type Dist struct {
 	// Faults is the deterministic fault-injection plan driving the remap
 	// payload exchange (internal/fault). nil — or a zero-rate plan —
 	// runs the exchange over the plain transport, fault-free. When enabled,
-	// the executor runs transactionally: the owner array is checkpointed,
-	// failed windows are re-exchanged up to Retry.WindowRetries times, and
-	// exhausted retries roll the ownership back to the checkpoint with a
-	// typed *RemapError.
+	// the executor runs transactionally over the reliable transport:
+	// failed windows are re-exchanged up to Retry.WindowRetries times,
+	// and exhausted retries return a typed *RemapError with the ownership
+	// untouched, since it flips only after the last window verifies.
 	Faults *fault.Plan
 	// Retry bounds the recovery effort when Faults is enabled; the zero
 	// value normalizes to fault.DefaultRetry.

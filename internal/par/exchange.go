@@ -27,13 +27,22 @@ import (
 // tagFlow tags the exchange's messages (comm.Gather uses a negative one).
 const tagFlow = 100
 
-// winPlan describes one exchange window over the canonical flow list:
-// flows [f0, f1) of fi, whose packed records fill buf. Everything a rank
-// derives from it is bounded by the flows it takes part in.
+// winPlan is one remap's exchange state: the canonical flow list, the
+// window in flight — flows [f0, f1) of fi, whose packed records fill buf
+// — the transport, and the per-rank tallies of one try. The executor
+// builds one per remap and moves it from window to window, so a window's
+// Run allocates nothing of its own. Everything a rank derives from it is
+// bounded by the flows it takes part in.
 type winPlan struct {
-	fi     *flowIndex
-	f0, f1 int
-	buf    []int64
+	fi       *flowIndex
+	f0, f1   int
+	buf      []int64
+	reliable bool
+	// recv[r] accumulates rank r's verified elements; failCount[r] its
+	// transfers that exhausted their attempt budget (reliable path only).
+	recv, failCount []int64
+	// crash, when non-nil, kills the marked ranks at the window boundary.
+	crash []bool
 }
 
 // rec returns window flow f's wire records: a zero-copy subslice of buf.
@@ -56,26 +65,6 @@ func (pl *winPlan) out(r int) (lo, hi int) {
 	return lo, max(lo, min(int(pl.fi.outStart[r+1]), pl.f1))
 }
 
-// exchangeWindow runs one window of the remap exchange, accumulating
-// verified element counts into recv[rank]. On the reliable path
-// (reliable=true) transfers that exhausted their attempt budget are
-// counted into failCount[rank] instead of delivered, and the caller
-// decides whether to retry the window; on the plain path failCount may be
-// nil and any mismatched flow panics (the transport cannot lose data, so
-// it would be a bug). A non-nil crash mask kills the marked ranks at the
-// window boundary — before they send or receive a word — modeling a
-// processor death detected by its peers mid-stage; Run reports it as a
-// *comm.CrashError. The returned error is a rank panic aggregated by
-// comm.World.Run.
-func exchangeWindow(w *comm.World, pl *winPlan, reliable bool, recv, failCount []int64, crash []bool) error {
-	return w.Run(func(c *comm.Comm) {
-		if crash != nil && crash[c.Rank()] {
-			c.Crash()
-		}
-		exchangeFlows(c, pl, reliable, recv, failCount)
-	})
-}
-
 // sendFrame sends one frame over the selected transport.
 func sendFrame(c *comm.Comm, reliable bool, dst int, frame []int64) {
 	if reliable {
@@ -96,15 +85,25 @@ func recvFrame(c *comm.Comm, reliable bool, src int) ([]int64, bool) {
 	return d, true
 }
 
-// exchangeFlows is one rank's side of a window: it sends each of its
-// window flows' records straight to the flow's destination and takes its
-// incoming window flows in ascending source order, so the exchange is
-// deterministic without a barrier. Each received flow is verified against
-// the plan.
-func exchangeFlows(c *comm.Comm, pl *winPlan, reliable bool, recv, failCount []int64) {
+// exchange is one rank's side of the window in flight, the function every
+// window's comm.World.Run executes. A rank the crash mask marks dies at
+// the window boundary — before it sends or receives a word — modeling a
+// processor death detected by its peers mid-stage; Run reports it as a
+// *comm.CrashError. A live rank sends each of its window flows' records
+// straight to the flow's destination and takes its incoming window flows
+// in ascending source order, so the exchange is deterministic without a
+// barrier, and verifies each received flow against the plan. On the
+// reliable path a transfer that exhausted its attempt budget is counted
+// into failCount and the caller decides whether to retry the window; on
+// the plain path a mismatched flow panics (the transport cannot lose
+// data, so it would be a bug), and Run returns the aggregated panic.
+func (pl *winPlan) exchange(c *comm.Comm) {
 	self := c.Rank()
+	if pl.crash != nil && pl.crash[self] {
+		c.Crash()
+	}
 	for f, hi := pl.out(self); f < hi; f++ {
-		sendFrame(c, reliable, int(pl.fi.flows[f].dst), pl.rec(f))
+		sendFrame(c, pl.reliable, int(pl.fi.flows[f].dst), pl.rec(f))
 	}
 	for _, f := range pl.fi.in(self) {
 		want := pl.want(int(f))
@@ -112,15 +111,15 @@ func exchangeFlows(c *comm.Comm, pl *winPlan, reliable bool, recv, failCount []i
 			continue
 		}
 		from := int(pl.fi.flows[f].src)
-		data, ok := recvFrame(c, reliable, from)
+		data, ok := recvFrame(c, pl.reliable, from)
 		if !ok {
-			failCount[self]++
+			pl.failCount[self]++
 			continue
 		}
 		if int64(len(data)) != want*recWords {
 			panic(fmt.Sprintf("par: window flow %d->%d carried %d words, want %d",
 				from, self, len(data), want*recWords))
 		}
-		recv[self] += want
+		pl.recv[self] += want
 	}
 }

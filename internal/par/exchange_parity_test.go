@@ -2,6 +2,7 @@ package par
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,12 +22,12 @@ var exchanges = []machine.Exchange{
 // exchange schedules move byte-identical payloads to byte-identical
 // owners — flat and aggregated differ only in the modeled communication
 // charges — and within each schedule the whole RemapResult, modeled
-// floats included, is byte-identical at workers 1/2/4/8 and between the
-// bulk and streaming executors. It holds at P = 8, where nearly every
-// rank pair carries a flow, and at P = 512, where nearly none does and
-// the executor walks flow lists instead of rank ranges. Under a fault
-// plan the two schedules send the same frames to the same fates, so they
-// also recover identically.
+// floats included, is byte-identical at workers 1/2/4/8 and, up to
+// PeakWords, between the adaptive window plan and a one-window run. It
+// holds at P = 8, where nearly every rank pair carries a flow, and at
+// P = 512, where nearly none does and the executor walks flow lists
+// instead of rank ranges. Under a fault plan the two schedules send the
+// same frames to the same fates, so they also recover identically.
 func TestExchangeParity(t *testing.T) {
 	for _, p := range []int{8, 512} {
 		testExchangeParity(t, p)
@@ -41,28 +42,21 @@ func testExchangeParity(t *testing.T, p int) {
 		owners []int32
 	}
 	var plan *fault.Plan
-	run := func(x machine.Exchange, workers int, streaming bool) outcome {
+	run := func(x machine.Exchange, workers int, budget int64) outcome {
 		d, newOwner := bigFixture(t, p)
 		d.Workers = workers
 		d.Exchange = x
-		d.Faults = plan
 		d.Retry = fault.Retry{MsgAttempts: 12, WindowRetries: 6}
-		var res RemapResult
-		var err error
-		if streaming {
-			res, err = d.ExecuteRemapStreaming(newOwner, mdl)
-		} else {
-			res, err = d.ExecuteRemap(newOwner, mdl)
-		}
+		res, err := d.executeRemap(newOwner, mdl, budget, plan)
 		if err != nil {
-			t.Fatalf("%v workers=%d streaming=%v: %v", x, workers, streaming, err)
+			t.Fatalf("%v workers=%d budget=%d: %v", x, workers, budget, err)
 		}
 		return outcome{res, d.Owners()}
 	}
 
 	refs := map[machine.Exchange]outcome{}
 	for _, x := range exchanges {
-		ref := run(x, 1, false)
+		ref := run(x, 1, 0)
 		if ref.res.Moved == 0 || ref.res.Sets < 2 || ref.res.Setups == 0 || ref.res.SetupTime <= 0 {
 			t.Fatalf("%v: fixture not interesting: %+v", x, ref.res)
 		}
@@ -71,7 +65,7 @@ func testExchangeParity(t *testing.T, p int) {
 		// Worker parity within the schedule: everything but the
 		// critical-path op shares is bit-identical.
 		for _, w := range []int{2, 4, 8} {
-			got := run(x, w, false)
+			got := run(x, w, 0)
 			if !reflect.DeepEqual(got.owners, ref.owners) {
 				t.Fatalf("%v workers=%d: owner array diverges", x, w)
 			}
@@ -81,19 +75,19 @@ func testExchangeParity(t *testing.T, p int) {
 			}
 		}
 
-		// Streaming parity: identical up to PeakWords.
-		st := run(x, 4, true)
-		if !reflect.DeepEqual(st.owners, ref.owners) {
-			t.Fatalf("%v: streaming owner array diverges", x)
+		// Window parity: a one-window run is identical up to PeakWords.
+		one := run(x, 4, math.MaxInt64)
+		if !reflect.DeepEqual(one.owners, ref.owners) {
+			t.Fatalf("%v: one-window owner array diverges", x)
 		}
-		norm := st.res
+		norm := one.res
 		norm.PeakWords = ref.res.PeakWords
 		norm.Ops.Crit, norm.Ops.MemCrit = ref.res.Ops.Crit, ref.res.Ops.MemCrit
 		if !reflect.DeepEqual(norm, ref.res) {
-			t.Errorf("%v: streaming result diverges beyond PeakWords:\n got %+v\nwant %+v", x, st.res, ref.res)
+			t.Errorf("%v: one-window result diverges beyond PeakWords:\n got %+v\nwant %+v", x, one.res, ref.res)
 		}
-		if st.res.PeakWords >= ref.res.PeakWords {
-			t.Errorf("%v: streaming peak %d not below bulk %d", x, st.res.PeakWords, ref.res.PeakWords)
+		if ref.res.PeakWords >= one.res.PeakWords {
+			t.Errorf("%v: streaming peak %d not below one window's %d", x, ref.res.PeakWords, one.res.PeakWords)
 		}
 	}
 
@@ -119,7 +113,7 @@ func testExchangeParity(t *testing.T, p int) {
 	// Fault leg: same frames, same fates — the schedules recover to the
 	// fault-free owners through identical retries.
 	plan = &fault.Plan{Seed: 1717, Rate: 0.25}
-	ff, fa := run(machine.ExchangeFlat, 4, true), run(machine.ExchangeAggregated, 4, true)
+	ff, fa := run(machine.ExchangeFlat, 4, 0), run(machine.ExchangeAggregated, 4, 0)
 	if !reflect.DeepEqual(ff.owners, flat.owners) || !reflect.DeepEqual(fa.owners, flat.owners) {
 		t.Fatal("recovered owners diverge from fault-free")
 	}

@@ -45,7 +45,7 @@ func TestRemapFaultRecoveryParity(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
 	refD.Workers = 1
-	refRes, err := refD.ExecuteRemapStreaming(newOwner, machine.SP2())
+	refRes, err := refD.ExecuteRemap(newOwner, machine.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,54 +96,46 @@ func TestRemapFaultRecoveryParity(t *testing.T) {
 }
 
 // TestRemapRollbackRestoresOwnership pins graceful failure: when every
-// message drops and the budget is tiny, both executors must report a
-// typed, rolled-back transfer failure and leave the ownership map exactly
-// as it was.
+// message drops and the budget is tiny, the executor must report a typed,
+// rolled-back transfer failure of the first window and leave the
+// ownership map exactly as it was.
 func TestRemapRollbackRestoresOwnership(t *testing.T) {
 	const p = 4
-	for _, streaming := range []bool{false, true} {
-		d, newOwner := bigFixture(t, p)
-		before := d.Owners()
-		d.Faults = &fault.Plan{Seed: 9, Rate: 1, Kinds: []fault.Kind{fault.Drop}}
-		d.Retry = fault.Retry{MsgAttempts: 2, WindowRetries: 1}
-		var err error
-		if streaming {
-			_, err = d.ExecuteRemapStreaming(newOwner, machine.SP2())
-		} else {
-			_, err = d.ExecuteRemap(newOwner, machine.SP2())
-		}
-		var re *RemapError
-		if !errors.As(err, &re) {
-			t.Fatalf("streaming=%v: error %v is not a *RemapError", streaming, err)
-		}
-		if re.Failure != FailTransfer || !re.RolledBack {
-			t.Fatalf("streaming=%v: unexpected failure %+v", streaming, re)
-		}
-		if re.Tries != 2 {
-			t.Errorf("streaming=%v: window tried %d times, want 2", streaming, re.Tries)
-		}
-		// The whole-payload entry is one exchange, not a window stream.
-		if (streaming && re.Window < 0) || (!streaming && re.Window != -1) {
-			t.Errorf("streaming=%v: failure names window %d", streaming, re.Window)
-		}
-		if !reflect.DeepEqual(d.Owners(), before) {
-			t.Fatalf("streaming=%v: ownership not rolled back", streaming)
-		}
+	d, newOwner := bigFixture(t, p)
+	before := d.Owners()
+	d.Faults = &fault.Plan{Seed: 9, Rate: 1, Kinds: []fault.Kind{fault.Drop}}
+	d.Retry = fault.Retry{MsgAttempts: 2, WindowRetries: 1}
+	_, err := d.ExecuteRemap(newOwner, machine.SP2())
+	var re *RemapError
+	if !errors.As(err, &re) {
+		t.Fatalf("error %v is not a *RemapError", err)
+	}
+	if re.Failure != FailTransfer || !re.RolledBack {
+		t.Fatalf("unexpected failure %+v", re)
+	}
+	if re.Tries != 2 {
+		t.Errorf("window tried %d times, want 2", re.Tries)
+	}
+	if re.Window != 0 {
+		t.Errorf("failure names window %d, want the first", re.Window)
+	}
+	if !reflect.DeepEqual(d.Owners(), before) {
+		t.Fatal("ownership not rolled back")
 	}
 }
 
-// TestRemapPartialCommitRollback drives the streaming executor into a
-// mid-stream abort — early windows commit, a later one exhausts its
-// retries — and verifies the checkpoint restores even the already
-// committed windows.
+// TestRemapPartialCommitRollback drives the executor into a mid-stream
+// abort — early windows verify, a later one exhausts its retries — and
+// verifies the ownership map is untouched: it flips only after the last
+// window.
 func TestRemapPartialCommitRollback(t *testing.T) {
 	const p = 4
 	d, newOwner := bigFixture(t, p)
 	before := d.Owners()
 	// A low fault rate with zero recovery budget: the fixture's eight
 	// flows ride one per window and only flows that exist draw a fate, so
-	// the seed is picked for a late one — seven windows sail through and
-	// commit, the eighth drops its message and aborts the transaction.
+	// the seed is picked for a late one — seven windows sail through, the
+	// eighth drops its message and aborts the transaction.
 	plan := &fault.Plan{Seed: 5, Rate: 0.05, Kinds: []fault.Kind{fault.Drop}}
 	d.Retry = fault.Retry{MsgAttempts: 1, WindowRetries: 0}
 	_, err := d.executeRemap(newOwner, machine.SP2(), 512, plan) // many small windows
@@ -155,10 +147,10 @@ func TestRemapPartialCommitRollback(t *testing.T) {
 		t.Fatalf("unexpected failure shape: %+v", re)
 	}
 	if re.Window == 0 {
-		t.Skip("first window failed; no partial commit to verify at this seed")
+		t.Skip("first window failed; no verified window to leave behind at this seed")
 	}
 	if !reflect.DeepEqual(d.Owners(), before) {
-		t.Fatal("partial commits survived the rollback")
+		t.Fatal("verified windows changed ownership before the remap committed")
 	}
 }
 

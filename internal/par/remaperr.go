@@ -18,7 +18,7 @@ type RemapFailure int
 // paper over, so they abort without retrying.
 const (
 	// FailTransfer: reliable transfers kept failing after every retry;
-	// ownership was rolled back to the pre-remap checkpoint.
+	// ownership was left at its pre-remap state.
 	FailTransfer RemapFailure = iota
 	// FailConservation: the received element count does not match the
 	// number of migrated elements.
@@ -66,16 +66,15 @@ func (f RemapFailure) String() string {
 type RemapError struct {
 	// Failure classifies the fault.
 	Failure RemapFailure
-	// Window is the canonical index of the window that failed when the
-	// executor ran under a streaming budget (ExecuteRemapStreaming), or -1
-	// from the whole-payload entry points, the conservation check, and
-	// the finalize gather.
+	// Window is the canonical index of the window that failed, or -1
+	// from the conservation check and the finalize gather, which span no
+	// single window.
 	Window int
 	// Tries is the number of times the failing window was exchanged.
 	Tries int
-	// RolledBack reports that the ownership map was restored to its
-	// pre-remap state (always true for FailTransfer; structural failures
-	// before any window committed also roll back trivially).
+	// RolledBack reports that the ownership map is unchanged from its
+	// pre-remap state. The executor writes ownership once, after the last
+	// window verifies, so every remap failure sets it.
 	RolledBack bool
 	// Crashed names the ranks that died when Failure is FailCrash
 	// (sorted ascending); nil otherwise.

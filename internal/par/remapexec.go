@@ -2,7 +2,6 @@ package par
 
 import (
 	"fmt"
-	"math"
 
 	"plum/internal/comm"
 	"plum/internal/fault"
@@ -24,11 +23,10 @@ type RemapResult struct {
 	WordsMoved int64
 	// PeakWords is the high-water mark of the host-side payload buffer,
 	// in record words (Moved × RecordWords is the total): the largest
-	// window the executor packed. Under the whole-payload budget that is
-	// the total; under the streaming budget it is strictly below the
-	// total on multi-flow workloads. The figure is computed from the
-	// canonical flow layout, never from live goroutine scheduling, so it
-	// is deterministic at any worker count.
+	// window the executor packed, strictly below the total whenever more
+	// than one flow moves. The figure is computed from the canonical flow
+	// layout, never from live goroutine scheduling, so it is
+	// deterministic at any worker count.
 	PeakWords int64
 	// PackTime, CommTime, RebuildTime decompose the modeled remapping
 	// overhead; Total is the slowest-rank end-to-end time.
@@ -60,10 +58,6 @@ type RemapResult struct {
 	RetryTime           float64
 }
 
-// wholePayload is the window budget under which every flow fits one
-// window: the bulk-synchronous exchange of ExecuteRemap.
-const wholePayload = math.MaxInt64
-
 // ExecuteRemap migrates element trees whose dual vertices change owner
 // under newOwner. Real payloads (element records) are exchanged between
 // goroutine ranks over the comm runtime and verified for conservation; the
@@ -76,47 +70,36 @@ const wholePayload = math.MaxInt64
 // authoritative — "all appropriate mesh objects are sent to their new host
 // processor, accurately modeling the communication phase".
 //
-// This entry runs the executor with a whole-payload window: every record
-// is packed before anything is exchanged, PeakWords equals the total
-// payload, the exchange is one commit unit, and a *RemapError carries
-// Window -1.
+// The payload streams under the adaptive window budget (see
+// windowBudget): flows are packed, exchanged, and verified one window at
+// a time, so the host holds at most one window of records
+// (RemapResult.PeakWords), while the machine model charges the paper's
+// single bulk-synchronous exchange. A *RemapError names the failing
+// window, and with Dist.Trace set each verified window leaves a
+// remap.window event (and each window retry a remap.window.retry).
 func (d *Dist) ExecuteRemap(newOwner []int32, mdl machine.Model) (RemapResult, error) {
-	return d.executeRemap(newOwner, mdl, wholePayload, d.Faults)
-}
-
-// ExecuteRemapStreaming is ExecuteRemap under the adaptive window budget
-// (see windowBudget): flows are packed, exchanged, and verified one window
-// at a time, so peak payload memory (RemapResult.PeakWords) is the largest
-// window instead of the whole record buffer. Everything else in the result
-// — payload bytes on the wire, owner array, modeled times, op accounting —
-// is byte-identical to ExecuteRemap at any worker count. A *RemapError
-// names the failing window, and with Dist.Trace set each window leaves a
-// remap.window (or, under a fault plan, remap.window.commit / .retry)
-// event.
-func (d *Dist) ExecuteRemapStreaming(newOwner []int32, mdl machine.Model) (RemapResult, error) {
 	return d.executeRemap(newOwner, mdl, 0, d.Faults)
 }
 
 // ExecuteRemapRecovery migrates the elements of crashed ranks onto the
-// survivors after a FailCrash rollback: the same whole-payload exchange as
-// ExecuteRemap — same canonical flow layout, same machine-model charges
-// via accountRemap/ChargeFlows — run without the fault plan. Recovery is
-// the repair path, not another fault surface: letting the plan re-draw
-// crash or message fates here could cascade a recovery into another
-// rollback forever, so the modeled recovery runs clean. The dead
-// ranks' outgoing flows model the survivors replaying those elements
-// from the cycle checkpoint's replica (in process, the dead rank's
-// goroutine serves its checkpointed records); their cost is charged like
-// any other flow, which is exactly the modeled price of re-sourcing the
-// lost subgrid.
+// survivors after a FailCrash rollback: the same streamed exchange as
+// ExecuteRemap — same canonical flow layout and windows, same
+// machine-model charges via accountRemap/ChargeFlows — run without the
+// fault plan. Recovery is the repair path, not another fault surface:
+// letting the plan re-draw crash or message fates here could cascade a
+// recovery into another rollback forever, so the modeled recovery runs
+// clean. The dead ranks' outgoing flows model the survivors replaying
+// those elements from the cycle checkpoint's replica (in process, the
+// dead rank's goroutine serves its checkpointed records); their cost is
+// charged like any other flow, which is exactly the modeled price of
+// re-sourcing the lost subgrid.
 func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapResult, error) {
-	return d.executeRemap(newOwner, mdl, wholePayload, nil)
+	return d.executeRemap(newOwner, mdl, 0, nil)
 }
 
-// executeRemap is the one remap executor behind the three entry points.
-// budget bounds a window's payload in record words (≤ 0 = adaptive,
-// wholePayload = a single window); plan is the fault plan, nil or
-// zero-rate for the plain exchange.
+// executeRemap is the remap executor behind both entry points. budget
+// bounds a window's payload in record words (≤ 0 = adaptive); plan is the
+// fault plan, nil or zero-rate for the plain exchange.
 //
 // The migrating elements are indexed by the CSR flow scatter of
 // collectFlowIndex at the Dist's worker knob: flows are laid out in
@@ -131,14 +114,13 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapR
 // Ops.Crit/MemCrit are byte-identical at every worker count, and
 // identical across budgets up to PeakWords.
 //
-// With an enabled plan the exchange runs transactionally over the
-// reliable transport: the owner array is checkpointed up front, each
-// verified window immediately commits its flows' ownership, a window
+// Ownership flips once, after the last window verifies and the
+// conservation check passes, so every failure leaves it untouched. With
+// an enabled plan the exchange runs over the reliable transport: a window
 // whose transfers failed is re-exchanged up to Retry.WindowRetries times,
-// and exhausted retries (or structural failures) roll every committed
-// window back to the checkpoint and return a *RemapError with RolledBack
-// set. Without one the exchange runs over the plain transport, draws no
-// fates, and ownership flips once, after the last window.
+// and exhausted retries (or structural failures) return a *RemapError
+// with RolledBack set. Without one the exchange runs over the plain
+// transport and draws no fates.
 //
 // Every structure the executor builds is sized by the slab, the moved
 // elements, the flows that exist or P — the flow index, the window plan,
@@ -160,106 +142,75 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 		Sets:  len(fi.flows),
 		Ops:   PredictRemapOps(len(m.Elems), moved, len(fi.flows), p, d.Workers),
 	}
-	// The whole-payload exchange is not a stream of windows: its errors
-	// carry Window -1 and it leaves no remap.window events.
-	streaming := budget != wholePayload
-	event := "remap.window"
-	if plan != nil {
-		event = "remap.window.commit"
-	}
-
-	w := comm.NewWorld(p)
-	w.SetDeadline(d.StageDeadline)
-	retry := d.Retry.Normalize()
-	var checkpoint []int32
-	var crash []bool
-	if plan != nil {
-		checkpoint = append([]int32(nil), d.owner...)
-		w.SetFaults(plan.Hook(fault.StageRemap, d.FaultCycle), retry.MsgAttempts)
-		// Crash fates are stage-scoped, drawn once per balance cycle: the
-		// fated ranks die at the first window's boundary, before anything
-		// has committed. A crash poisons the world and aborts without
-		// retries (there is no rank to retry with); the caller recovers by
-		// remapping onto the survivors.
-		crash = d.crashMask(plan)
-	}
-	rollback := func(e *RemapError) (RemapResult, error) {
-		if checkpoint != nil {
-			copy(d.owner, checkpoint)
-		}
-		return RemapResult{}, e
-	}
 
 	// Per-rank verified-element and failed-transfer counts of one window
 	// try. Each goroutine rank touches only its own slots and the Runs are
 	// sequential, so there is no contention.
 	counts := make([]int64, 2*p)
-	recv, failed := counts[:p], counts[p:]
+	wp := &winPlan{fi: &fi, reliable: plan != nil, recv: counts[:p], failCount: counts[p:]}
+	exchange := wp.exchange // bound once: a window's Run allocates nothing
+
+	w := comm.NewWorld(p)
+	w.SetDeadline(d.StageDeadline)
+	retry := d.Retry.Normalize()
+	if plan != nil {
+		w.SetFaults(plan.Hook(fault.StageRemap, d.FaultCycle), retry.MsgAttempts)
+		// Crash fates are stage-scoped, drawn once per balance cycle: the
+		// fated ranks die at the first window's boundary. A crash poisons
+		// the world and aborts without retries (there is no rank to retry
+		// with); the caller recovers by remapping onto the survivors.
+		wp.crash = d.crashMask(plan)
+	}
+
+	wins := planWindows(fi.flowStart, windowBudget(fi.flowStart, budget))
+	for _, win := range wins {
+		res.PeakWords = max(res.PeakWords, (fi.flowStart[win.f1]-fi.flowStart[win.f0])*recWords)
+	}
+	buf := make([]int64, res.PeakWords) // reused by every window
 	var recvTotal int64
-	var buf []int64
-	for wi, win := range planWindows(fi.flowStart, windowBudget(fi.flowStart, budget)) {
-		id := -1
-		if streaming {
-			id = wi
-		}
-		base := fi.flowStart[win.f0]
-		words := (fi.flowStart[win.f1] - base) * recWords
-		res.PeakWords = max(res.PeakWords, words)
-		if int64(cap(buf)) < words {
-			buf = make([]int64, words)
-		}
-		bufW := buf[:words]
-		fi.packRange(m, win.f0, win.f1, bufW, d.Workers)
+	for wi, win := range wins {
+		words := (fi.flowStart[win.f1] - fi.flowStart[win.f0]) * recWords
+		wp.f0, wp.f1, wp.buf = win.f0, win.f1, buf[:words]
+		fi.packRange(m, win.f0, win.f1, wp.buf, d.Workers)
 		// Verification is plan-exact on every path: a received flow must
 		// match the plan's record count, so torn or misrouted windows fail
 		// here, not at the final conservation check.
-		wp := &winPlan{fi: &fi, f0: win.f0, f1: win.f1, buf: bufW}
 		for tries := 1; ; tries++ {
 			clear(counts)
-			if err := exchangeWindow(w, wp, plan != nil, recv, failed, crash); err != nil {
-				return rollback(remapErrFrom(err, id, tries))
+			if err := w.Run(exchange); err != nil {
+				return RemapResult{}, remapErrFrom(err, wi, tries)
 			}
 			var nfail int64
-			for _, f := range failed {
+			for _, f := range wp.failCount {
 				nfail += f
 			}
 			if nfail == 0 {
 				break
 			}
 			if tries > retry.WindowRetries {
-				return rollback(&RemapError{Failure: FailTransfer, Window: id, Tries: tries, RolledBack: true,
-					Detail: fmt.Sprintf("%d transfers failed after %d attempts per message", nfail, retry.MsgAttempts)})
+				return RemapResult{}, &RemapError{Failure: FailTransfer, Window: wi, Tries: tries, RolledBack: true,
+					Detail: fmt.Sprintf("%d transfers failed after %d attempts per message", nfail, retry.MsgAttempts)}
 			}
 			res.WindowRetries++
-			if streaming && d.Trace != nil {
+			if d.Trace != nil {
 				d.Trace.Event("warn", "remap.window.retry",
 					obs.Int("window", int64(wi)), obs.Int("failed", nfail), obs.Int("try", int64(tries)))
 			}
 		}
-		for _, n := range recv {
+		for _, n := range wp.recv {
 			recvTotal += n
 		}
-		crash = nil // only the first window carries the mask
-		if plan != nil {
-			// Commit the window: every element in its flows now belongs to
-			// the flow's destination rank. Writes are idempotent per dual
-			// vertex and cover exactly the vertices whose owner changes.
-			for f := win.f0; f < win.f1; f++ {
-				for _, ei := range fi.elems[fi.flowStart[f]:fi.flowStart[f+1]] {
-					d.owner[m.Elems[ei].Root] = fi.flows[f].dst
-				}
-			}
-		}
-		if streaming && d.Trace != nil {
+		wp.crash = nil // only the first window carries the mask
+		if d.Trace != nil {
 			// The serial window loop is canonical order by construction:
-			// one event per window, in plan order.
-			d.Trace.Event("info", event,
+			// one event per verified window, in plan order.
+			d.Trace.Event("info", "remap.window",
 				obs.Int("window", int64(wi)), obs.Int("flows", int64(win.f1-win.f0)), obs.Int("words", words))
 		}
 	}
 	if recvTotal != moved {
-		return rollback(&RemapError{Failure: FailConservation, Window: -1, Tries: 1, RolledBack: true,
-			Detail: fmt.Sprintf("moved %d elements but received %d", moved, recvTotal)})
+		return RemapResult{}, &RemapError{Failure: FailConservation, Window: -1, Tries: 1, RolledBack: true,
+			Detail: fmt.Sprintf("moved %d elements but received %d", moved, recvTotal)}
 	}
 
 	var retries []comm.PairRetry
@@ -271,8 +222,6 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 		retries = w.RetryCounters()
 	}
 	d.accountRemap(&fi, mdl, &res, retries)
-	// Without a plan ownership flips here; with one the windows already
-	// committed it, and after the last the map equals newOwner.
 	copy(d.owner, newOwner)
 	return res, nil
 }

@@ -233,25 +233,34 @@ func collectFlowIndex(m *mesh.Mesh, owner, newOwner []int32, p, ew int) flowInde
 // exactly the range's record words. Records are contiguous across the
 // range in canonical order, and each one is written independently from
 // its slab index, so the fill parallelizes over records with no flow
-// bookkeeping and the buffer content never depends on the chunking.
+// bookkeeping and the buffer content never depends on the chunking. A
+// window below the serial cutoff packs inline, without a chunk closure.
 func (fi *flowIndex) packRange(m *mesh.Mesh, f0, f1 int, buf []int64, workers int) {
 	base := fi.flowStart[f0]
 	n := int(fi.flowStart[f1] - base)
 	if int64(len(buf)) != int64(n)*recWords {
 		panic("par: packRange buffer size mismatch")
 	}
-	chunk.For(n, EffectiveWorkers(n, workers), func(_, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			t := &m.Elems[fi.elems[base+int64(r)]]
-			o := r * recWords
-			buf[o+0] = int64(t.Root)
-			buf[o+1] = int64(t.V[0])
-			buf[o+2] = int64(t.V[1])
-			buf[o+3] = int64(t.V[2])
-			buf[o+4] = int64(t.V[3])
-			buf[o+5] = int64(t.Level)
-		}
-	})
+	if w := EffectiveWorkers(n, workers); w > 1 {
+		chunk.For(n, w, func(_, lo, hi int) { fi.pack(m, base, buf, lo, hi) })
+	} else {
+		fi.pack(m, base, buf, 0, n)
+	}
+}
+
+// pack writes records [lo, hi) of the range starting at element offset
+// base into buf.
+func (fi *flowIndex) pack(m *mesh.Mesh, base int64, buf []int64, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		t := &m.Elems[fi.elems[base+int64(r)]]
+		o := r * recWords
+		buf[o+0] = int64(t.Root)
+		buf[o+1] = int64(t.V[0])
+		buf[o+2] = int64(t.V[1])
+		buf[o+3] = int64(t.V[2])
+		buf[o+4] = int64(t.V[3])
+		buf[o+5] = int64(t.Level)
+	}
 }
 
 // PredictRemapOps returns the op accounting ExecuteRemap reports for a

@@ -10,24 +10,26 @@ package par
 // point: it drops from the total to the largest in-flight window.
 
 // DefaultWindowFraction divides the total payload volume to derive the
-// adaptive window budget: ExecuteRemapStreaming targets ⌈total/8⌉ record
+// adaptive window budget: ExecuteRemap targets ⌈total/8⌉ record
 // words per window (floored at the largest single flow, which can never
 // be split), giving roughly eight in-flight windows and a peak strictly
 // below the total whenever more than one flow moves.
 const DefaultWindowFraction = 8
 
-// remapWindow is one commit unit: the contiguous canonical flow range
+// remapWindow is one exchange unit: the contiguous canonical flow range
 // [f0, f1).
 type remapWindow struct{ f0, f1 int }
 
 // planWindows greedily groups consecutive flows into windows of at most
 // budget record words (a single flow larger than the budget gets a window
-// of its own — flows are the atomic commit unit). The plan depends only
+// of its own — a flow is never split). The plan depends only
 // on the flow offsets and the budget, so it is identical at every worker
 // count.
 func planWindows(flowStart []int64, budget int64) []remapWindow {
 	nf := len(flowStart) - 1
-	var wins []remapWindow
+	// Two consecutive windows hold more than budget words, which bounds
+	// the window count.
+	wins := make([]remapWindow, 0, min(int64(nf), 2*(flowStart[nf]*recWords/max(budget, 1)))+1)
 	start := 0
 	var cur int64
 	for f := 0; f < nf; f++ {

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -11,32 +12,31 @@ import (
 )
 
 // budgets is the window-budget axis of the executor parity tests: the
-// whole payload in one window (ExecuteRemap), the adaptive eighth
-// (ExecuteRemapStreaming), and a budget far below any realistic flow — one
-// flow per window.
+// whole payload in one window, the adaptive eighth (ExecuteRemap), and a
+// budget far below any realistic flow — one flow per window.
 var budgets = []struct {
 	name  string
 	words int64
-}{{"whole", wholePayload}, {"adaptive", 0}, {"64", 64}}
+}{{"one", math.MaxInt64}, {"adaptive", 0}, {"64", 64}}
 
 // TestRemapStreamingParity is the determinism contract of the window
 // budget: under every budget and at every worker count the RemapResult —
 // payload conservation, owner array, modeled float times, op accounting —
-// must be byte-identical to the bulk-synchronous entry point. Only
-// PeakWords may (and, below the whole payload, must) differ: the streaming
-// peak is the largest window, strictly below the whole-buffer total on
-// this multi-flow fixture.
+// must be byte-identical to a one-window run. Only PeakWords may (and,
+// below the whole payload, must) differ: the streaming peak is the
+// largest window, strictly below the whole-buffer total on this
+// multi-flow fixture.
 func TestRemapStreamingParity(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
 	refD.Workers = 1
-	refRes, err := refD.ExecuteRemap(newOwner, machine.SP2())
+	refRes, err := refD.executeRemap(newOwner, machine.SP2(), math.MaxInt64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := refRes.Moved * recWords
 	if refRes.PeakWords != total {
-		t.Fatalf("bulk peak %d != total payload %d", refRes.PeakWords, total)
+		t.Fatalf("one-window peak %d != total payload %d", refRes.PeakWords, total)
 	}
 
 	for _, b := range budgets {
@@ -48,12 +48,12 @@ func TestRemapStreamingParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
-				t.Fatalf("budget=%s workers=%d: owner array diverges from bulk", b.name, w)
+				t.Fatalf("budget=%s workers=%d: owner array diverges from one window", b.name, w)
 			}
-			switch whole := b.words == wholePayload; {
-			case whole && res.PeakWords != total:
-				t.Errorf("workers=%d: whole-payload peak %d != total %d", w, res.PeakWords, total)
-			case !whole && (res.PeakWords <= 0 || res.PeakWords >= total):
+			switch one := b.words == math.MaxInt64; {
+			case one && res.PeakWords != total:
+				t.Errorf("workers=%d: one-window peak %d != total %d", w, res.PeakWords, total)
+			case !one && (res.PeakWords <= 0 || res.PeakWords >= total):
 				t.Errorf("budget=%s workers=%d: streaming peak %d not strictly below total %d",
 					b.name, w, res.PeakWords, total)
 			}
@@ -62,7 +62,8 @@ func TestRemapStreamingParity(t *testing.T) {
 				t.Errorf("budget=%s workers=%d: predicted %+v, executed %+v", b.name, w, pred, res.Ops)
 			}
 			// Everything except the peak and the worker-dependent critical
-			// shares must be bit-identical to the workers=1 bulk reference.
+			// shares must be bit-identical to the workers=1 one-window
+			// reference.
 			res.PeakWords = refRes.PeakWords
 			res.Ops.Crit, res.Ops.MemCrit = refRes.Ops.Crit, refRes.Ops.MemCrit
 			if !reflect.DeepEqual(res, refRes) {
@@ -71,17 +72,17 @@ func TestRemapStreamingParity(t *testing.T) {
 		}
 	}
 
-	// The streaming entry point is the adaptive budget.
+	// ExecuteRemap is the adaptive budget.
 	d, _ := bigFixture(t, p)
 	d.Workers = 1
-	res, err := d.ExecuteRemapStreaming(newOwner, machine.SP2())
+	res, err := d.ExecuteRemap(newOwner, machine.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2, _ := bigFixture(t, p)
 	d2.Workers = 1
 	if want, _ := d2.executeRemap(newOwner, machine.SP2(), 0, nil); !reflect.DeepEqual(res, want) {
-		t.Errorf("ExecuteRemapStreaming diverges from the adaptive budget:\n got %+v\nwant %+v", res, want)
+		t.Errorf("ExecuteRemap diverges from the adaptive budget:\n got %+v\nwant %+v", res, want)
 	}
 }
 
@@ -92,7 +93,7 @@ func TestStreamingWindowBudget(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
 	refD.Workers = 4
-	refRes, err := refD.ExecuteRemapStreaming(newOwner, machine.SP2())
+	refRes, err := refD.ExecuteRemap(newOwner, machine.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +128,9 @@ func TestStreamingWindowBudget(t *testing.T) {
 	}
 }
 
-// TestStreamingSerialFallback mirrors the bulk serial-fallback contract:
-// below SerialCutoff elements the streaming executor reports Crit ==
-// Total, and a single-window plan degenerates to the bulk peak.
+// TestStreamingSerialFallback pins the serial-fallback contract: below
+// SerialCutoff elements the executor reports Crit == Total, and a
+// single-window plan's peak is the whole payload.
 func TestStreamingSerialFallback(t *testing.T) {
 	m := meshgen.SmallBox()
 	g := dual.Build(m)
@@ -139,7 +140,7 @@ func TestStreamingSerialFallback(t *testing.T) {
 	for v := range newOwner {
 		newOwner[v] = (newOwner[v] + 1) % 4
 	}
-	res, err := d.ExecuteRemapStreaming(newOwner, machine.SP2())
+	res, err := d.ExecuteRemap(newOwner, machine.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +152,13 @@ func TestStreamingSerialFallback(t *testing.T) {
 	}
 
 	// A budget covering everything yields exactly one window whose peak
-	// is the bulk total.
+	// is the total.
 	d.SetOwners(partition.Partition(g, 4, partition.MethodInertial))
 	one, err := d.executeRemap(newOwner, machine.SP2(), res.Moved*recWords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if one.PeakWords != one.Moved*recWords {
-		t.Errorf("whole-payload budget peak %d, want total %d", one.PeakWords, one.Moved*recWords)
+		t.Errorf("one-window budget peak %d, want total %d", one.PeakWords, one.Moved*recWords)
 	}
 }
