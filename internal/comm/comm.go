@@ -1,20 +1,17 @@
 // Package comm is the message-passing runtime that stands in for MPI: a
-// World of P ranks executing SPMD functions on goroutines, point-to-point
-// sends with (source, tag) matching, and the one collective the
-// finalization phase uses (Gather). All communication is by value over
-// in-process queues — ranks share no mutable state, matching the
-// distributed-memory discipline of the paper's C++/MPI implementation.
+// World of P ranks executing SPMD functions on goroutines, one
+// point-to-point pair (Send, Recv from a named source) and the one
+// collective the finalization phase uses (Gather). All communication is
+// by value over in-process queues — ranks share no mutable state,
+// matching the distributed-memory discipline of the paper's C++/MPI
+// implementation.
 //
-// Every rank records traffic counters (messages and words sent) so the
-// machine model can translate a run's communication pattern into SP2-class
-// time.
-//
-// The package also carries the robustness layer's transport: a reliable
-// framed path (SendReliable/RecvReliable, see reliable.go) with sequence
-// numbers, checksums, and bounded retry, driven by a deterministic fault
-// hook installed via World.SetFaults. A rank that panics no longer hangs
-// the other P−1 ranks: Run poisons the world, wakes every blocked Recv,
-// and returns an aggregated error naming the failing ranks.
+// Every message rides one framed transport (reliable.go): a sequence
+// number, an FNV checksum and bounded retry under the deterministic fault
+// hook installed via World.SetFaults. The machine model, not this
+// package, prices the traffic. A rank that panics never hangs the other
+// P−1 ranks: Run poisons the world, wakes every blocked Recv, and returns
+// an aggregated error naming the failing ranks.
 package comm
 
 import (
@@ -28,10 +25,10 @@ import (
 	"plum/internal/fault"
 )
 
-// message is one in-flight point-to-point payload.
+// message is one in-flight frame.
 type message struct {
-	src, tag int
-	data     []int64
+	src  int
+	data []int64
 }
 
 // poisonMark is the sentinel panic value used to unwind ranks that were
@@ -74,7 +71,7 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("comm: stage deadline %v exceeded: worker hung outside the communication layer", e.Deadline)
 }
 
-// mailbox is a rank's incoming queue with (src, tag) matching.
+// mailbox is a rank's incoming queue, matched by source.
 type mailbox struct {
 	mu   sync.Mutex
 	cond sync.Cond // on mu
@@ -89,7 +86,7 @@ func (mb *mailbox) put(m message) {
 	mb.mu.Unlock()
 }
 
-func (mb *mailbox) get(src, tag int) message {
+func (mb *mailbox) get(src int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
@@ -97,7 +94,7 @@ func (mb *mailbox) get(src, tag int) message {
 			panic(poisonSentinel)
 		}
 		for i, m := range mb.q {
-			if (src == AnySource || m.src == src) && m.tag == tag {
+			if m.src == src {
 				mb.q = append(mb.q[:i], mb.q[i+1:]...)
 				return m
 			}
@@ -106,11 +103,8 @@ func (mb *mailbox) get(src, tag int) message {
 	}
 }
 
-// AnySource matches a message from any rank in Recv.
-const AnySource = -1
-
 // World is a communicator of P ranks. It holds O(P) state — a mailbox
-// and a traffic counter per rank — plus, on the reliable path, one small
+// and the Run scratch per rank — plus, under a fault hook, one small
 // record per rank pair that has actually exchanged a message; its cost
 // follows the messages sent, not the P² pairs that could send one.
 type World struct {
@@ -120,12 +114,9 @@ type World struct {
 	deadMu sync.Mutex
 	dead   bool // set by poison(); guarded by deadMu
 
-	statsMu sync.Mutex
-	stats   []Stats
-
-	// Reliable-transport state (reliable.go). The hook and budget are set
-	// between Run calls. Per-pair state exists only for the pairs that
-	// have used the reliable path, created on first use: sends[src] is
+	// Transport state (reliable.go). The hook and budget are set between
+	// Run calls. Per-pair state exists only under a hook, for the pairs
+	// that have exchanged a message, created on first use: sends[src] is
 	// touched by rank src's goroutine alone and recvs[dst] by rank dst's,
 	// so no locking is needed.
 	hook         func(src, dst, attempt int) fault.Kind
@@ -147,7 +138,7 @@ type World struct {
 	wg     sync.WaitGroup
 }
 
-// pairState is one rank's side of a (src, dst) pair on the reliable path,
+// pairState is one rank's side of a (src, dst) pair under a fault hook,
 // keyed by the peer: the sender's counters, or the receiver's sequence.
 type pairState struct {
 	peer    int32
@@ -169,23 +160,9 @@ func pairOf(list *[]pairState, peer int) *pairState {
 	return &(*list)[len(*list)-1]
 }
 
-// Stats counts a rank's outgoing traffic. Words counts payload words only;
-// the reliable path's frame headers are bookkeeping, not modeled volume.
-type Stats struct {
-	Msgs  int64
-	Words int64
-	// Retries counts extra physical frames the reliable path sent
-	// (retransmissions and duplicate deliveries) and RetryWords their
-	// payload words; Failed counts transfers abandoned after the attempt
-	// budget. All three stay zero on the plain Send path.
-	Retries    int64
-	RetryWords int64
-	Failed     int64
-}
-
 // NewWorld creates a communicator with p ranks.
 func NewWorld(p int) *World {
-	w := &World{p: p, boxes: make([]mailbox, p), stats: make([]Stats, p),
+	w := &World{p: p, boxes: make([]mailbox, p),
 		maxAttempts: 1,
 		sends:       make([][]pairState, p),
 		recvs:       make([][]pairState, p),
@@ -328,13 +305,6 @@ func (w *World) runRank(r int) {
 	w.f(&w.comms[r])
 }
 
-// RankStats returns the accumulated traffic counters per rank.
-func (w *World) RankStats() []Stats {
-	w.statsMu.Lock()
-	defer w.statsMu.Unlock()
-	return append([]Stats(nil), w.stats...)
-}
-
 // Comm is one rank's handle on the World.
 type Comm struct {
 	w    *World
@@ -356,40 +326,26 @@ func (c *Comm) Crash() {
 // P returns the communicator size.
 func (c *Comm) P() int { return c.w.p }
 
-// Send delivers a copy of data to dst with the given tag. It never blocks
-// (buffered semantics, like MPI_Isend with guaranteed buffering).
-func (c *Comm) Send(dst, tag int, data []int64) {
-	if dst < 0 || dst >= c.w.p {
-		panic(fmt.Sprintf("comm: send to invalid rank %d", dst))
-	}
-	cp := append([]int64(nil), data...)
-	c.w.statsMu.Lock()
-	c.w.stats[c.rank].Msgs++
-	c.w.stats[c.rank].Words += int64(len(cp))
-	c.w.statsMu.Unlock()
-	c.w.boxes[dst].put(message{src: c.rank, tag: tag, data: cp})
-}
-
-// Recv blocks until a message with matching source and tag arrives and
-// returns its payload and source rank. Pass AnySource to match any sender.
-func (c *Comm) Recv(src, tag int) ([]int64, int) {
-	m := c.w.boxes[c.rank].get(src, tag)
-	return m.data, m.src
-}
-
-const tagGather = -1000
-
 // Gather collects each rank's slice on root (other ranks get nil). Slices
-// may have different lengths (MPI_Gatherv semantics).
+// may have different lengths (MPI_Gatherv semantics). The root receives
+// in rank order; a transfer that exhausted its attempt budget under a
+// fault hook panics the root, so Run reports it instead of a short
+// result.
 func (c *Comm) Gather(root int, vals []int64) [][]int64 {
 	if c.rank != root {
-		c.Send(root, tagGather, vals)
+		c.Send(root, vals)
 		return nil
 	}
 	out := make([][]int64, c.w.p)
 	out[root] = append([]int64(nil), vals...)
-	for i := 0; i < c.w.p-1; i++ {
-		d, src := c.Recv(AnySource, tagGather)
+	for src := range out {
+		if src == root {
+			continue
+		}
+		d, ok := c.Recv(src)
+		if !ok {
+			panic(fmt.Sprintf("comm: gather from rank %d failed", src))
+		}
 		out[src] = d
 	}
 	return out

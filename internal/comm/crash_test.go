@@ -62,9 +62,9 @@ func TestCrashUnblocksSurvivors(t *testing.T) {
 			case 0:
 				c.Crash()
 			case 1:
-				c.Recv(0, 42) // never sent
+				c.Recv(0) // never sent
 			default:
-				c.Recv(AnySource, 43) // never sent
+				c.Recv(1) // never sent
 			}
 		})
 	}()
@@ -156,9 +156,9 @@ func TestDeadlineGenerousPassesCleanRun(t *testing.T) {
 	w.SetDeadline(time.Minute)
 	err := w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 0, []int64{1})
+			c.Send(1, []int64{1})
 		} else if c.Rank() == 1 {
-			c.Recv(0, 0)
+			c.Recv(0)
 		}
 		c.Gather(0, nil)
 	})

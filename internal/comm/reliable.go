@@ -1,23 +1,25 @@
 package comm
 
-// The reliable transport: framed point-to-point messaging with per-pair
-// sequence numbers, payload checksums, bounded retry, and modeled
-// exponential backoff. Faults are injected by the deterministic hook a
-// World carries (SetFaults); because the hook is a pure function of
-// (src, dst, attempt) and the per-pair attempt counters advance in program
-// order on the owning rank, every injected failure and every recovery is
-// byte-reproducible at any worker count.
+// The transport: framed point-to-point messaging with per-pair sequence
+// numbers, payload checksums, bounded retry, and modeled exponential
+// backoff. It is the only path a message takes. Faults are injected by
+// the deterministic hook a World carries (SetFaults), and what each fate
+// costs is fault.Deliver's policy, shared with the modeled exchanges;
+// because the hook is a pure function of (src, dst, attempt) and the
+// per-pair attempt counters advance in program order on the owning rank,
+// every injected failure and every recovery is byte-reproducible at any
+// worker count.
 //
 // A frame is [seq, flags, checksum, nwords] followed by the payload. The
 // header words model protected control information (MPI envelopes survive
 // payload corruption), so injected corruption only ever touches the
-// payload or the carried checksum. Word counters in Stats count payload
-// words only, which keeps the no-fault reliable path byte-identical in
-// Stats to the plain Send path.
+// payload or the carried checksum. Without a hook no frame can be lost,
+// duplicated or garbled, so neither side keeps sequence state: a send is
+// one clean frame, and a world's cost stays O(P).
 //
-// Delivery contract: for every SendReliable exactly one terminal frame
-// reaches the receiver — a clean frame (possibly after retries) or, when
-// the attempt budget is exhausted, a fail frame. Receivers therefore never
+// Delivery contract: for every Send exactly one terminal frame reaches
+// the receiver — a clean frame (possibly after retries) or, when the
+// attempt budget is exhausted, a fail frame. Receivers therefore never
 // time out and never deadlock; a failed transfer surfaces as ok=false and
 // the caller (the transactional remap) decides whether to retry the window
 // or roll back.
@@ -49,7 +51,7 @@ func checksum(data []int64) int64 {
 }
 
 // SetFaults installs the transport fault hook consulted once per physical
-// send attempt on the reliable path, and the per-message attempt budget
+// send attempt, and the per-message attempt budget
 // (minimum 1, the initial send). A nil hook disables injection. Call
 // between Run invocations only; the hook itself must be pure.
 func (w *World) SetFaults(hook func(src, dst, attempt int) fault.Kind, msgAttempts int) {
@@ -60,8 +62,8 @@ func (w *World) SetFaults(hook func(src, dst, attempt int) fault.Kind, msgAttemp
 	w.maxAttempts = msgAttempts
 }
 
-// PairRetry is the recovery one (Src, Dst) pair needed on the reliable
-// path: Resends extra physical frames, and Backoff modeled backoff units
+// PairRetry is the recovery one (Src, Dst) pair needed under the fault
+// hook: Resends extra physical frames, and Backoff modeled backoff units
 // (Σ 2^try per failed attempt, plus one unit per stall), to be scaled by
 // the machine model's RetryBackoff.
 type PairRetry struct {
@@ -69,9 +71,9 @@ type PairRetry struct {
 	Resends, Backoff int64
 }
 
-// RetryCounters returns the retry counters the reliable path accumulated,
-// one entry per pair that needed any recovery, in canonical (Src, Dst)
-// order. Call after Run returns.
+// RetryCounters returns the retry counters the transport accumulated, one
+// entry per pair that needed any recovery, in canonical (Src, Dst) order
+// (none without a hook). Call after Run returns.
 func (w *World) RetryCounters() []PairRetry {
 	var out []PairRetry
 	for src, pairs := range w.sends {
@@ -89,7 +91,7 @@ func (w *World) RetryCounters() []PairRetry {
 // putFrame sends one physical frame. corruptSalt < 0 sends the frame
 // clean; otherwise one payload word (or, for empty payloads, the carried
 // checksum) is flipped, deterministically chosen by the salt.
-func (c *Comm) putFrame(dst, tag int, seq, flags int64, payload []int64, corruptSalt int64) {
+func (c *Comm) putFrame(dst int, seq, flags int64, payload []int64, corruptSalt int64) {
 	frame := make([]int64, frameHdr+len(payload))
 	frame[0] = seq
 	frame[1] = flags
@@ -103,108 +105,86 @@ func (c *Comm) putFrame(dst, tag int, seq, flags int64, payload []int64, corrupt
 			frame[frameHdr+int(corruptSalt)%len(payload)] ^= 0x2a
 		}
 	}
-	w := c.w
-	w.statsMu.Lock()
-	w.stats[c.rank].Msgs++
-	w.stats[c.rank].Words += int64(len(payload))
-	w.statsMu.Unlock()
-	w.boxes[dst].put(message{src: c.rank, tag: tag, data: frame})
+	c.w.boxes[dst].put(message{src: c.rank, data: frame})
 }
 
-// SendReliable delivers data to dst with the given tag through the framed
-// retry path and reports whether the transfer succeeded within the attempt
-// budget. Failed transfers still deliver a fail frame, so the receiver
-// learns the outcome instead of blocking. Retries and modeled backoff are
-// charged to Stats and the per-pair counters.
-func (c *Comm) SendReliable(dst, tag int, data []int64) bool {
+// Send delivers a copy of data to dst and reports whether the transfer
+// succeeded within the attempt budget. It never blocks (buffered
+// semantics, like MPI_Isend with guaranteed buffering). Under a fault
+// hook each attempt's fate puts the frames fault.Deliver implies — one
+// clean frame, two copies, a frame garbled by a salt of seq+try, or
+// nothing — and a failed transfer still delivers a fail frame, so the
+// receiver learns the outcome instead of blocking. Resends and modeled
+// backoff are charged to the pair's counters (RetryCounters).
+func (c *Comm) Send(dst int, data []int64) bool {
 	w := c.w
 	if dst < 0 || dst >= w.p {
-		panic(fmt.Sprintf("comm: reliable send to invalid rank %d", dst))
+		panic(fmt.Sprintf("comm: send to invalid rank %d", dst))
+	}
+	if w.hook == nil {
+		c.putFrame(dst, 0, frameFlagOK, data, -1)
+		return true
 	}
 	pair := pairOf(&w.sends[c.rank], dst)
 	seq := pair.seq
 	pair.seq++
-	for try := 0; ; try++ {
-		fate := fault.None
-		if w.hook != nil {
-			fate = w.hook(c.rank, dst, int(pair.attempt))
+	resends, backoff, ok := fault.Deliver(w.maxAttempts,
+		func() fault.Kind {
+			a := pair.attempt
 			pair.attempt++
-		}
-		switch fate {
-		case fault.None:
-			c.putFrame(dst, tag, seq, frameFlagOK, data, -1)
-			return true
-		case fault.Stall:
-			// Delivered intact but late: charge one backoff unit.
-			pair.backoff++
-			c.putFrame(dst, tag, seq, frameFlagOK, data, -1)
-			return true
-		case fault.Duplicate:
-			// Both copies are real wire traffic; the receiver's sequence
-			// tracking discards the second.
-			c.putFrame(dst, tag, seq, frameFlagOK, data, -1)
-			c.putFrame(dst, tag, seq, frameFlagOK, data, -1)
-			pair.resend++
-			w.statsMu.Lock()
-			w.stats[c.rank].Retries++
-			w.stats[c.rank].RetryWords += int64(len(data))
-			w.statsMu.Unlock()
-			return true
-		case fault.Corrupt:
-			// The garbled frame reaches the wire (and the receiver's
-			// checksum rejects it); the sender retries after a modeled
-			// timeout.
-			c.putFrame(dst, tag, seq, frameFlagOK, data, seq+int64(try))
-		case fault.Drop:
-			// Lost at the source; nothing reaches the receiver.
-		}
-		if try+1 >= w.maxAttempts {
-			c.putFrame(dst, tag, seq, frameFlagFailed, nil, -1)
-			pair.backoff++ // the failure notification's timeout
-			w.statsMu.Lock()
-			w.stats[c.rank].Failed++
-			w.statsMu.Unlock()
-			return false
-		}
-		pair.resend++
-		pair.backoff += 1 << min(try, 16)
-		w.statsMu.Lock()
-		w.stats[c.rank].Retries++
-		w.stats[c.rank].RetryWords += int64(len(data))
-		w.statsMu.Unlock()
+			return w.hook(c.rank, dst, int(a))
+		},
+		func(try, copies int, corrupt bool) {
+			salt := int64(-1)
+			if corrupt {
+				salt = seq + int64(try)
+			}
+			for range copies {
+				c.putFrame(dst, seq, frameFlagOK, data, salt)
+			}
+		})
+	pair.resend += resends
+	pair.backoff += backoff
+	if !ok {
+		c.putFrame(dst, seq, frameFlagFailed, nil, -1)
 	}
+	return ok
 }
 
-// RecvReliable blocks until one reliable transfer from src (or AnySource)
-// with the given tag reaches a terminal state. It discards stale
-// duplicates and checksum-corrupt frames along the way, returning the
-// payload and true for a clean delivery, or nil and false for a transfer
-// whose sender exhausted its attempt budget.
-func (c *Comm) RecvReliable(src, tag int) (data []int64, from int, ok bool) {
+// Recv blocks until one transfer from src reaches a terminal state. It
+// discards stale duplicates and checksum-corrupt frames along the way,
+// returning the payload and true for a clean delivery, or nil and false
+// for a transfer whose sender exhausted its attempt budget. An empty
+// payload arrives as nil.
+func (c *Comm) Recv(src int) ([]int64, bool) {
 	w := c.w
+	var pair *pairState // nil without a hook: every frame is clean and in order
+	if w.hook != nil {
+		pair = pairOf(&w.recvs[c.rank], src)
+	}
 	for {
-		m := w.boxes[c.rank].get(src, tag)
+		m := w.boxes[c.rank].get(src)
 		if len(m.data) < frameHdr || int64(len(m.data)-frameHdr) != m.data[3] {
 			panic(fmt.Sprintf("comm: rank %d received torn frame from rank %d (%d words)",
-				c.rank, m.src, len(m.data)))
+				c.rank, src, len(m.data)))
 		}
 		seq, flags, sum := m.data[0], m.data[1], m.data[2]
-		pair := pairOf(&w.recvs[c.rank], m.src)
-		if seq < pair.seq {
+		if pair != nil && seq < pair.seq {
 			continue // stale duplicate of an already-delivered message
-		}
-		if flags == frameFlagFailed {
-			pair.seq = seq + 1
-			return nil, m.src, false
 		}
 		payload := m.data[frameHdr:]
 		if checksum(payload) != sum {
 			continue // corrupted in flight; a retry is already on the way
 		}
-		pair.seq = seq + 1
-		if len(payload) == 0 {
-			payload = nil // match the plain path's empty-message value
+		if pair != nil {
+			pair.seq = seq + 1
 		}
-		return payload, m.src, true
+		if flags == frameFlagFailed {
+			return nil, false
+		}
+		if len(payload) == 0 {
+			payload = nil
+		}
+		return payload, true
 	}
 }

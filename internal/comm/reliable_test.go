@@ -23,38 +23,29 @@ func exchangePayloads(p, src int) [][]int64 {
 }
 
 // exchangeAll is the all-pairs exchange the transport tests drive: rank
-// self sends bufs[dst] to every other dst in ascending order — over the
-// reliable path or the plain one — and takes one message from every other
-// source. The result is indexed by source (the rank's own buffer copied
-// through); transfers that exhausted their attempt budget leave a nil
-// entry and are listed, ascending, in failed.
-func exchangeAll(c *Comm, bufs [][]int64, reliable bool) (out [][]int64, failed []int) {
-	const tag = 7
+// self sends bufs[dst] to every other dst in ascending order and takes
+// one message from every other source. The result is indexed by source
+// (the rank's own buffer copied through); transfers that exhausted their
+// attempt budget leave a nil entry and are listed, ascending, in failed.
+func exchangeAll(c *Comm, bufs [][]int64) (out [][]int64, failed []int) {
 	p, self := c.P(), c.Rank()
 	for dst := 0; dst < p; dst++ {
-		switch {
-		case dst == self:
-		case reliable:
-			c.SendReliable(dst, tag, bufs[dst])
-		default:
-			c.Send(dst, tag, bufs[dst])
+		if dst != self {
+			c.Send(dst, bufs[dst])
 		}
 	}
 	out = make([][]int64, p)
 	out[self] = append([]int64(nil), bufs[self]...)
 	for src := 0; src < p; src++ {
-		switch {
-		case src == self:
-		case reliable:
-			d, _, ok := c.RecvReliable(src, tag)
-			if !ok {
-				failed = append(failed, src)
-				continue
-			}
-			out[src] = d
-		default:
-			out[src], _ = c.Recv(src, tag)
+		if src == self {
+			continue
 		}
+		d, ok := c.Recv(src)
+		if !ok {
+			failed = append(failed, src)
+			continue
+		}
+		out[src] = d
 	}
 	return out, failed
 }
@@ -66,7 +57,7 @@ func runReliableExchange(t *testing.T, p int, plan *fault.Plan, attempts int) ([
 	outs := make([][][]int64, p)
 	fails := make([][]int, p)
 	if err := w.Run(func(c *Comm) {
-		out, failed := exchangeAll(c, exchangePayloads(p, c.Rank()), true)
+		out, failed := exchangeAll(c, exchangePayloads(p, c.Rank()))
 		outs[c.Rank()] = out
 		fails[c.Rank()] = failed
 	}); err != nil {
@@ -76,35 +67,38 @@ func runReliableExchange(t *testing.T, p int, plan *fault.Plan, attempts int) ([
 }
 
 func TestReliableExchangeNoFaults(t *testing.T) {
-	// Without a fault hook, the reliable exchange must deliver exactly the
-	// plain exchange's result with identical Msgs/Words stats.
+	// Without a fault hook, the exchange must deliver every payload
+	// exactly — empty ones as nil — with no failures, no retries, and no
+	// per-pair transport state: nothing can be lost, so nothing is
+	// sequenced.
 	p := 5
 	outs, fails, w := runReliableExchange(t, p, nil, 3)
-	wPlain := NewWorld(p)
-	plain := make([][][]int64, p)
-	wPlain.Run(func(c *Comm) {
-		plain[c.Rank()], _ = exchangeAll(c, exchangePayloads(p, c.Rank()), false)
-	})
 	for r := 0; r < p; r++ {
 		if len(fails[r]) != 0 {
 			t.Fatalf("rank %d reported failures with no faults: %v", r, fails[r])
 		}
-		if !reflect.DeepEqual(outs[r], plain[r]) {
-			t.Errorf("rank %d: reliable %v != plain %v", r, outs[r], plain[r])
+		for src := 0; src < p; src++ {
+			want := exchangePayloads(p, src)[r]
+			if len(want) == 0 {
+				want = nil
+			}
+			if !reflect.DeepEqual(outs[r][src], want) {
+				t.Errorf("rank %d from %d: got %v want %v", r, src, outs[r][src], want)
+			}
+		}
+		if len(w.sends[r]) != 0 || len(w.recvs[r]) != 0 {
+			t.Errorf("rank %d kept pair state without a hook: sends %v recvs %v", r, w.sends[r], w.recvs[r])
 		}
 	}
-	st, stPlain := w.RankStats(), wPlain.RankStats()
-	for r := range st {
-		if st[r] != stPlain[r] {
-			t.Errorf("rank %d stats: reliable %+v != plain %+v", r, st[r], stPlain[r])
-		}
+	if rc := w.RetryCounters(); rc != nil {
+		t.Errorf("retry counters without a hook: %v", rc)
 	}
 }
 
 func TestReliableExchangeRecoversFaults(t *testing.T) {
 	// At a moderate fault rate with a generous budget, every transfer must
 	// converge to the fault-free payloads, with the retries showing up in
-	// Stats and the per-pair counters.
+	// the per-pair counters.
 	p := 6
 	plan := &fault.Plan{Seed: 99, Rate: 0.4}
 	outs, fails, w := runReliableExchange(t, p, plan, 12)
@@ -122,13 +116,6 @@ func TestReliableExchangeRecoversFaults(t *testing.T) {
 			}
 		}
 	}
-	var retries int64
-	for _, s := range w.RankStats() {
-		retries += s.Retries
-	}
-	if retries == 0 {
-		t.Error("rate 0.4 produced no retries")
-	}
 	var rs, bo int64
 	for _, pr := range w.RetryCounters() {
 		rs += pr.Resends
@@ -141,15 +128,12 @@ func TestReliableExchangeRecoversFaults(t *testing.T) {
 
 func TestReliableExchangeDeterministic(t *testing.T) {
 	// Same plan, same world size ⇒ byte-identical payloads, failure lists,
-	// stats, and retry counters across runs.
+	// and retry counters across runs.
 	plan := &fault.Plan{Seed: 7, Rate: 0.5}
 	o1, f1, w1 := runReliableExchange(t, 5, plan, 2)
 	o2, f2, w2 := runReliableExchange(t, 5, plan, 2)
 	if !reflect.DeepEqual(o1, o2) || !reflect.DeepEqual(f1, f2) {
 		t.Fatal("reliable exchange not deterministic under faults")
-	}
-	if !reflect.DeepEqual(w1.RankStats(), w2.RankStats()) {
-		t.Error("stats not deterministic under faults")
 	}
 	if !reflect.DeepEqual(w1.RetryCounters(), w2.RetryCounters()) {
 		t.Error("retry counters not deterministic under faults")
@@ -158,7 +142,8 @@ func TestReliableExchangeDeterministic(t *testing.T) {
 
 func TestReliableExchangeBudgetExhaustion(t *testing.T) {
 	// With a rate-1 drop-only plan and one attempt per message, every
-	// off-diagonal transfer must fail — and be *reported*, not deadlock.
+	// off-diagonal transfer must fail — and be *reported*, not deadlock —
+	// at no resend and the one backoff unit of the failure notice.
 	p := 4
 	plan := &fault.Plan{Seed: 1, Rate: 1, Kinds: []fault.Kind{fault.Drop}}
 	outs, fails, w := runReliableExchange(t, p, plan, 1)
@@ -172,12 +157,14 @@ func TestReliableExchangeBudgetExhaustion(t *testing.T) {
 			}
 		}
 	}
-	var failed int64
-	for _, s := range w.RankStats() {
-		failed += s.Failed
+	rc := w.RetryCounters()
+	if len(rc) != p*(p-1) {
+		t.Fatalf("%d pairs carry retry counters, want %d", len(rc), p*(p-1))
 	}
-	if failed != int64(p*(p-1)) {
-		t.Errorf("Stats.Failed = %d, want %d", failed, p*(p-1))
+	for _, pr := range rc {
+		if pr.Resends != 0 || pr.Backoff != 1 {
+			t.Errorf("pair %d->%d: %d resends, %d backoff units; want 0 and 1", pr.Src, pr.Dst, pr.Resends, pr.Backoff)
+		}
 	}
 }
 
@@ -217,9 +204,9 @@ func TestReliableSequencesSpanRuns(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		if err := w.Run(func(c *Comm) {
 			if c.Rank() == 0 {
-				c.SendReliable(1, 1, []int64{int64(round)})
+				c.Send(1, []int64{int64(round)})
 			} else {
-				c.RecvReliable(0, 1)
+				c.Recv(0)
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -234,6 +221,53 @@ func TestReliableSequencesSpanRuns(t *testing.T) {
 	}
 	if pair.seq != 3 {
 		t.Errorf("sequence counter after 3 rounds = %d, want 3", pair.seq)
+	}
+}
+
+// TestSendMatchesExchangeModel pins that a real and a modeled message pay
+// one delivery policy: under the same plan, one pair's sequence of framed
+// Sends leaves the retry counters and failures that the ExchangeModel
+// charges the same sequence as Resent, BackoffUnits and Exhausted.
+func TestSendMatchesExchangeModel(t *testing.T) {
+	const msgs, attempts = 200, 3
+	var resent, backoff, exhausted int64
+	for _, plan := range []*fault.Plan{
+		{Seed: 4, Rate: 0.5},
+		{Seed: 8, Rate: 0.9, Kinds: []fault.Kind{fault.Drop, fault.Corrupt}},
+		{Seed: 6, Rate: 0.3, Kinds: []fault.Kind{fault.Duplicate, fault.Stall}},
+	} {
+		w := NewWorld(2)
+		w.SetFaults(plan.Hook(fault.StageRemap, 1), attempts)
+		var failed int64 // rank 1's alone
+		if err := w.Run(func(c *Comm) {
+			for i := range msgs {
+				if c.Rank() == 0 {
+					c.Send(1, []int64{int64(i), 7})
+				} else if _, ok := c.Recv(0); !ok {
+					failed++
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var real PairRetry
+		if rc := w.RetryCounters(); len(rc) == 1 {
+			real = rc[0]
+		} else if len(rc) > 1 {
+			t.Fatalf("plan %v: counters for %d pairs, want one", plan, len(rc))
+		}
+		x := plan.Exchange(fault.StageRemap, 1, attempts)
+		for range msgs {
+			x.Resends(0, 1)
+		}
+		if real.Resends != x.Resent || real.Backoff != x.BackoffUnits || failed != x.Exhausted {
+			t.Errorf("plan %v: Send paid %d resends, %d backoff, %d failures; the model %d, %d, %d",
+				plan, real.Resends, real.Backoff, failed, x.Resent, x.BackoffUnits, x.Exhausted)
+		}
+		resent, backoff, exhausted = resent+x.Resent, backoff+x.BackoffUnits, exhausted+x.Exhausted
+	}
+	if resent == 0 || backoff == 0 || exhausted == 0 {
+		t.Errorf("the plans exercised too little: %d resends, %d backoff, %d exhausted", resent, backoff, exhausted)
 	}
 }
 

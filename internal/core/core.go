@@ -98,8 +98,8 @@ type Config struct {
 	// payload bytes are identical.
 	Overlap bool
 	// Faults is the deterministic fault-injection plan for the balance
-	// cycles (internal/fault): the remap payload exchange runs over the
-	// reliable transport with real injected faults, and the adaption
+	// cycles (internal/fault): the remap payload exchange's framed
+	// transport sees real injected faults, and the adaption
 	// notification exchanges are charged modeled retry traffic. nil — or
 	// a zero-rate plan — keeps every report and every byte of mesh state
 	// identical to the fault-free baseline. Each cycle draws an

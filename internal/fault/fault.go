@@ -7,15 +7,18 @@
 // and remap layers perform in response — is byte-reproducible at any
 // worker count, per the repo's determinism contract.
 //
-// The comm layer consults a Plan through World.SetFaults on the reliable
+// The comm layer consults a Plan through World.SetFaults on its framed
 // send path (real frames dropped, corrupted, duplicated, or stalled
 // between goroutine ranks); the propagate layer consults it through an
 // ExchangeModel to charge modeled retry traffic on the adaption
 // notification exchanges, whose payloads are modeled rather than moved.
+// Both run one delivery policy, Deliver, so a fate costs a real and a
+// modeled message the same resends and backoff.
 package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -132,20 +135,43 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// hashKey hashes a fault key: the packed word, then each coordinate
+// overflow that did not fit its packed field. A key whose overflows are
+// all zero hashes as its packed word alone, so every schedule drawn with
+// coordinates in range is unchanged; a key with any overflow reaches the
+// hash with every coordinate in full, so distinct keys always feed the
+// hash distinct word sequences.
+func hashKey(packed uint64, overflow ...int) uint64 {
+	h := splitmix64(packed)
+	var spill int
+	for _, v := range overflow {
+		spill |= v
+	}
+	if spill != 0 {
+		for _, v := range overflow {
+			h = splitmix64(h ^ uint64(v))
+		}
+	}
+	return h
+}
+
 // Fate returns the fault (or None) scheduled for one physical send
 // attempt. The attempt index is the per-(cycle, stage, src, dst) count of
 // hook consultations, so retries of a faulted message see fresh draws and
 // a bounded retry loop terminates with probability 1 for any Rate < 1.
 // Crash entries in Kinds are skipped — rank deaths are drawn by Crashed,
 // never per message — so a plan whose Kinds hold only Crash injects no
-// transport faults at all.
+// transport faults at all. The key word packs the cycle's low 4 bits,
+// the stage, both ranks' low 16 bits and the attempt's low 20 bits;
+// hashKey folds in the rest, so two keys agree only by chance, at any
+// cycle, P or attempt count.
 func (p *Plan) Fate(stage Stage, cycle, src, dst, attempt int) Kind {
 	if p == nil || p.Rate <= 0 {
 		return None
 	}
-	key := uint64(cycle)<<40 ^ uint64(stage)<<36 ^
-		uint64(uint16(src))<<20 ^ uint64(uint16(dst))<<4 ^ uint64(uint32(attempt))<<44
-	h := splitmix64(uint64(p.Seed) ^ splitmix64(key))
+	key := uint64(cycle&0xf)<<40 ^ uint64(stage)<<36 ^
+		uint64(src&0xffff)<<20 ^ uint64(dst&0xffff)<<4 ^ uint64(attempt&0xfffff)<<44
+	h := splitmix64(uint64(p.Seed) ^ hashKey(key, cycle>>4, src>>16, dst>>16, attempt>>20))
 	// 53-bit uniform in [0, 1).
 	u := float64(h>>11) / (1 << 53)
 	if u >= p.Rate {
@@ -201,13 +227,14 @@ func (p *Plan) CrashEnabled() bool {
 // (stage, cycle) boundary. Like Fate it is a pure hash — no state — so
 // the set of crashed ranks for a cycle is byte-reproducible at any
 // worker count; unlike Fate the key is rank-scoped, with no message or
-// attempt coordinates.
+// attempt coordinates. The key word holds the cycle's low 40 bits and the
+// rank's low 16; hashKey folds in the rest.
 func (p *Plan) Crashed(stage Stage, cycle, rank int) bool {
 	if !p.CrashEnabled() {
 		return false
 	}
-	key := uint64(cycle)<<24 ^ uint64(stage)<<20 ^ uint64(uint16(rank)) ^ crashSalt
-	h := splitmix64(uint64(p.Seed) ^ splitmix64(key))
+	key := uint64(cycle&0xffffffffff)<<24 ^ uint64(stage)<<20 ^ uint64(rank&0xffff) ^ crashSalt
+	h := splitmix64(uint64(p.Seed) ^ hashKey(key, cycle>>40, rank>>16))
 	u := float64(h>>11) / (1 << 53)
 	return u < p.Rate
 }
@@ -288,9 +315,9 @@ func Parse(s string) (*Plan, error) {
 
 // Retry bounds the recovery effort of the transport and remap layers.
 type Retry struct {
-	// MsgAttempts is the number of physical send attempts the reliable
-	// transport makes per message before declaring the transfer failed
-	// (minimum 1: the initial send).
+	// MsgAttempts is the number of physical send attempts the transport
+	// makes per message before declaring the transfer failed (minimum 1:
+	// the initial send).
 	MsgAttempts int
 	// WindowRetries is the number of times a failed remap window (the
 	// streaming executor's commit unit; the whole exchange for the bulk
@@ -304,12 +331,12 @@ func DefaultRetry() Retry { return Retry{MsgAttempts: 3, WindowRetries: 2} }
 
 // Budget derives a policy from one scalar retry budget b ≥ 0: b extra
 // attempts per message and b window re-executions. Budget(0) disables
-// all recovery — the first fault rolls the transaction back.
+// all recovery — the first fault rolls the transaction back — and the
+// attempt count saturates at math.MaxInt, so the largest budget means
+// "retry without bound", never a wrapped count.
 func Budget(b int) Retry {
-	if b < 0 {
-		b = 0
-	}
-	return Retry{MsgAttempts: 1 + b, WindowRetries: b}
+	b = max(b, 0)
+	return Retry{MsgAttempts: min(b, math.MaxInt-1) + 1, WindowRetries: b}
 }
 
 // Normalize clamps a policy to usable values: at least one send attempt,
@@ -369,44 +396,70 @@ func (p *Plan) Exchange(stage Stage, cycle, msgAttempts int) *ExchangeModel {
 }
 
 // Resends simulates the delivery of one modeled message from src to dst
-// and returns the extra sends and backoff units it cost. Duplicates add
-// a resend without backoff; stalls a backoff unit without a resend;
-// drops and corruptions add both per failed attempt.
+// under Deliver's policy and returns the extra sends and backoff units it
+// cost.
 func (x *ExchangeModel) Resends(src, dst int32) (extra, backoff int64) {
 	if x == nil || !x.plan.Enabled() {
 		return 0, 0
 	}
 	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
-	for try := 0; ; try++ {
+	extra, backoff, delivered := Deliver(x.attempts, func() Kind {
 		a := x.counter[key]
 		x.counter[key] = a + 1
-		switch x.plan.Fate(x.stage, x.cycle, int(src), int(dst), a) {
+		return x.plan.Fate(x.stage, x.cycle, int(src), int(dst), a)
+	}, nil)
+	if !delivered {
+		// Budget exhausted: the notification escalates and is delivered
+		// out of band, at the failure's extra backoff unit.
+		x.Exhausted++
+	}
+	x.Resent += extra
+	x.BackoffUnits += backoff
+	return extra, backoff
+}
+
+// Deliver is the delivery policy of one message, the one place that
+// decides what a fault fate costs: it draws attempt fates until one
+// delivers or attempts are spent. A clean attempt delivers; a stall
+// delivers at one backoff unit; a duplicate delivers two frames, one
+// counted as a resend; a drop loses the attempt at the source and a
+// corruption puts a garbled frame the receiver's checksum rejects, and
+// either lost attempt is retried at one resend and 2^try backoff units
+// (try counting from 0, capped at 2^16). When the last attempt is lost
+// the message fails at one more backoff unit, the failure notice's
+// timeout.
+//
+// put, when non-nil, is called for every attempt that reaches the wire,
+// with the frames it puts there: copies of them (two for a duplicate),
+// garbled when corrupt; a drop reaches nothing and is not reported. A
+// real transport puts those frames; a modeled exchange passes nil.
+// Deliver returns the resends, the backoff units and whether the message
+// got through.
+func Deliver(attempts int, draw func() Kind, put func(try, copies int, corrupt bool)) (resends, backoff int64, delivered bool) {
+	for try := 0; ; try++ {
+		copies, corrupt := 1, false
+		switch draw() {
 		case None:
-			x.Resent += extra
-			x.BackoffUnits += backoff
-			return extra, backoff
-		case Duplicate:
-			extra++
-			x.Resent += extra
-			x.BackoffUnits += backoff
-			return extra, backoff
 		case Stall:
 			backoff++
-			x.Resent += extra
-			x.BackoffUnits += backoff
-			return extra, backoff
+		case Duplicate:
+			copies = 2
+			resends++
+		case Corrupt:
+			corrupt = true
+		default: // Drop
+			copies = 0
 		}
-		// Drop or Corrupt: the attempt is lost.
-		if try+1 >= x.attempts {
-			// Budget exhausted: the notification escalates and is
-			// delivered out of band — charged one extra backoff unit.
-			backoff++
-			x.Exhausted++
-			x.Resent += extra
-			x.BackoffUnits += backoff
-			return extra, backoff
+		if put != nil && copies > 0 {
+			put(try, copies, corrupt)
 		}
-		extra++
+		if copies > 0 && !corrupt {
+			return resends, backoff, true
+		}
+		if try+1 >= attempts {
+			return resends, backoff + 1, false
+		}
+		resends++
 		backoff += 1 << min(try, 16)
 	}
 }

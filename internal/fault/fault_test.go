@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -40,6 +41,78 @@ func TestFateKeySensitivity(t *testing.T) {
 	}
 	if !diffSeed || !diffStage {
 		t.Errorf("schedules not independent: seed diff %v, stage diff %v", diffSeed, diffStage)
+	}
+}
+
+// packedFate is Fate as it drew before the key grew its overflow words:
+// one packed key word. Every key in range must still draw this.
+func packedFate(p *Plan, stage Stage, cycle, src, dst, attempt int) Kind {
+	key := uint64(cycle)<<40 ^ uint64(stage)<<36 ^
+		uint64(uint16(src))<<20 ^ uint64(uint16(dst))<<4 ^ uint64(uint32(attempt))<<44
+	h := splitmix64(uint64(p.Seed) ^ splitmix64(key))
+	if float64(h>>11)/(1<<53) >= p.Rate {
+		return None
+	}
+	return allKinds[splitmix64(h)%uint64(len(allKinds))]
+}
+
+func TestFateKeysInRangeUnchanged(t *testing.T) {
+	p := &Plan{Seed: 13, Rate: 0.7}
+	for _, stage := range []Stage{StageRemap, StageAdapt} {
+		for _, cycle := range []int{0, 1, 4, 15} {
+			for _, src := range []int{0, 1, 2047, 65535} {
+				for _, dst := range []int{0, 3, 65535} {
+					for _, a := range []int{0, 1, 49, 1<<20 - 1} {
+						if got, want := p.Fate(stage, cycle, src, dst, a), packedFate(p, stage, cycle, src, dst, a); got != want {
+							t.Fatalf("Fate(%d, %d, %d, %d, %d) = %v, the packed key drew %v", stage, cycle, src, dst, a, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestFateKeysInjective(t *testing.T) {
+	// Cycle 16 must not replay cycle 0 with the attempt's low bit flipped,
+	// and rank r+65536 must not replay rank r: past the packed fields each
+	// key draws its own fates, agreeing with another's only by chance
+	// (about one in four at rate 1 over four kinds).
+	p := &Plan{Seed: 7, Rate: 1}
+	same, sameSrc, sameDst, n := 0, 0, 0, 0
+	for src := 0; src < 8; src++ {
+		for dst := 0; dst < 8; dst++ {
+			for a := 0; a < 50; a++ {
+				n++
+				k := p.Fate(StageRemap, 0, src, dst, a)
+				if p.Fate(StageRemap, 16, src, dst, a^1) == k {
+					same++
+				}
+				if p.Fate(StageRemap, 0, src+1<<16, dst, a) == k {
+					sameSrc++
+				}
+				if p.Fate(StageRemap, 0, src, dst+1<<16, a) == k {
+					sameDst++
+				}
+			}
+		}
+	}
+	for name, m := range map[string]int{"cycle 16": same, "src+65536": sameSrc, "dst+65536": sameDst} {
+		if m > n/2 {
+			t.Errorf("%s replays %d of %d fates", name, m, n)
+		}
+	}
+	c := &Plan{Seed: 7, Rate: 0.5, Kinds: []Kind{Crash}}
+	sameRank := 0
+	for cycle := 0; cycle < 8; cycle++ {
+		for rank := 0; rank < 64; rank++ {
+			if c.Crashed(StageRemap, cycle, rank) == c.Crashed(StageRemap, cycle, rank+1<<16) {
+				sameRank++
+			}
+		}
+	}
+	if sameRank > 3*8*64/4 {
+		t.Errorf("rank+65536 replays %d of %d crash fates", sameRank, 8*64)
 	}
 }
 
@@ -122,6 +195,63 @@ func TestRetryPolicies(t *testing.T) {
 	}
 	if r := (Retry{MsgAttempts: -2, WindowRetries: -3}).Normalize(); r.MsgAttempts != 1 || r.WindowRetries != 0 {
 		t.Errorf("Normalize clamped to %+v", r)
+	}
+}
+
+func TestBudgetSaturates(t *testing.T) {
+	// The largest budget must mean "retry without bound", not wrap to
+	// a count Normalize clamps to a single attempt.
+	for _, b := range []int{math.MaxInt, math.MaxInt - 1} {
+		r := Budget(b).Normalize()
+		if r.MsgAttempts != math.MaxInt || r.WindowRetries != b {
+			t.Errorf("Budget(%d).Normalize() = %+v, want %d attempts and %d window retries", b, r, math.MaxInt, b)
+		}
+	}
+}
+
+func TestDeliverPolicy(t *testing.T) {
+	type frames struct {
+		try, copies int
+		corrupt     bool
+	}
+	for _, c := range []struct {
+		name             string
+		fates            []Kind
+		attempts         int
+		resends, backoff int64
+		delivered        bool
+		put              []frames
+	}{
+		{"none", []Kind{None}, 3, 0, 0, true, []frames{{0, 1, false}}},
+		{"stall", []Kind{Stall}, 3, 0, 1, true, []frames{{0, 1, false}}},
+		{"duplicate", []Kind{Duplicate}, 3, 1, 0, true, []frames{{0, 2, false}}},
+		{"drop then none", []Kind{Drop, None}, 3, 1, 1, true, []frames{{1, 1, false}}},
+		{"drop, drop, stall", []Kind{Drop, Drop, Stall}, 3, 2, 1 + 2 + 1, true, []frames{{2, 1, false}}},
+		{"drop at a one-attempt budget", []Kind{Drop}, 1, 0, 1, false, nil},
+		{"corrupt until the budget runs out", []Kind{Corrupt, Corrupt, Corrupt}, 3, 2, 1 + 2 + 1, false,
+			[]frames{{0, 1, true}, {1, 1, true}, {2, 1, true}}},
+	} {
+		drawn := 0
+		var put []frames
+		resends, backoff, delivered := Deliver(c.attempts, func() Kind {
+			drawn++
+			return c.fates[drawn-1]
+		}, func(try, copies int, corrupt bool) {
+			put = append(put, frames{try, copies, corrupt})
+		})
+		if resends != c.resends || backoff != c.backoff || delivered != c.delivered {
+			t.Errorf("%s: Deliver = (%d, %d, %v), want (%d, %d, %v)",
+				c.name, resends, backoff, delivered, c.resends, c.backoff, c.delivered)
+		}
+		if drawn != len(c.fates) || !reflect.DeepEqual(put, c.put) {
+			t.Errorf("%s: drew %d fates and put %v, want %d and %v", c.name, drawn, put, len(c.fates), c.put)
+		}
+		// The modeled caller passes no put and must pay the same.
+		drawn = 0
+		r2, b2, d2 := Deliver(c.attempts, func() Kind { drawn++; return c.fates[drawn-1] }, nil)
+		if r2 != resends || b2 != backoff || d2 != delivered {
+			t.Errorf("%s: Deliver without put = (%d, %d, %v), with put (%d, %d, %v)", c.name, r2, b2, d2, resends, backoff, delivered)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ type Model struct {
 	Tsetup float64
 	// RetryBackoff is the modeled time of one transport backoff unit: the
 	// timeout a sender waits before retransmitting a lost or corrupted
-	// message. The reliable path charges Σ 2^try units per recovered
+	// message. The transport charges Σ 2^try units per recovered
 	// message (exponential backoff), so robustness has an honest modeled
 	// cost instead of free retries.
 	RetryBackoff float64

@@ -54,12 +54,14 @@ type Dist struct {
 	Exchange machine.Exchange
 
 	// Faults is the deterministic fault-injection plan driving the remap
-	// payload exchange (internal/fault). nil — or a zero-rate plan —
-	// runs the exchange over the plain transport, fault-free. When enabled,
-	// the executor runs transactionally over the reliable transport:
-	// failed windows are re-exchanged up to Retry.WindowRetries times,
-	// and exhausted retries return a typed *RemapError with the ownership
-	// untouched, since it flips only after the last window verifies.
+	// payload exchange (internal/fault). The exchange always rides comm's
+	// framed transport; nil — or a zero-rate plan — installs no fault
+	// hook, so nothing is dropped and no per-pair state is kept. When
+	// enabled, its hook draws every frame's fate and the executor runs
+	// transactionally: failed windows are re-exchanged up to
+	// Retry.WindowRetries times, and exhausted retries return a typed
+	// *RemapError with the ownership untouched, since it flips only after
+	// the last window verifies.
 	Faults *fault.Plan
 	// Retry bounds the recovery effort when Faults is enabled; the zero
 	// value normalizes to fault.DefaultRetry.

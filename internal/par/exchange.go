@@ -2,21 +2,20 @@ package par
 
 // The wire side of the remap exchange. accountRemap charges the machine
 // model for the Dist's schedule; this file actually moves the element
-// records between goroutine ranks, over the plain or reliable comm
-// transport. The schedule is a pricing parameter only: flat and
-// aggregated send the same frames — each flow's bare records, one
-// message per (src, dst) flow — so they draw the same fault fates and
-// recover identically. One rule holds: only the flows that exist ride
-// the wire. A rank sends its stripe of the window's flow list and
-// receives the flows the by-destination index names for it; no rank
-// loops over the other P−1, and a pair that moves nothing costs no
-// message, no fault draw and no transport state.
+// records between goroutine ranks, over comm's one framed transport. The
+// schedule is a pricing parameter only: flat and aggregated send the same
+// frames — each flow's bare records, one message per (src, dst) flow — so
+// they draw the same fault fates and recover identically. One rule holds:
+// only the flows that exist ride the wire. A rank sends its stripe of the
+// window's flow list and receives the flows the by-destination index
+// names for it; no rank loops over the other P−1, and a pair that moves
+// nothing costs no message, no fault draw and no transport state.
 //
 // Every expectation — who sends, who receives, how many words — is
 // derived from the canonical flow list on both sides, never from
-// received data, so no rank can block on a lost transfer: a reliable
-// transfer that exhausted its budget is counted as a window failure for
-// the transactional retry loop.
+// received data, so no rank can block on a lost transfer: a transfer that
+// exhausted its budget is counted as a window failure for the
+// transactional retry loop.
 
 import (
 	"fmt"
@@ -24,22 +23,18 @@ import (
 	"plum/internal/comm"
 )
 
-// tagFlow tags the exchange's messages (comm.Gather uses a negative one).
-const tagFlow = 100
-
 // winPlan is one remap's exchange state: the canonical flow list, the
 // window in flight — flows [f0, f1) of fi, whose packed records fill buf
-// — the transport, and the per-rank tallies of one try. The executor
-// builds one per remap and moves it from window to window, so a window's
-// Run allocates nothing of its own. Everything a rank derives from it is
-// bounded by the flows it takes part in.
+// — and the per-rank tallies of one try. The executor builds one per
+// remap and moves it from window to window, so a window's Run allocates
+// nothing of its own. Everything a rank derives from it is bounded by the
+// flows it takes part in.
 type winPlan struct {
-	fi       *flowIndex
-	f0, f1   int
-	buf      []int64
-	reliable bool
+	fi     *flowIndex
+	f0, f1 int
+	buf    []int64
 	// recv[r] accumulates rank r's verified elements; failCount[r] its
-	// transfers that exhausted their attempt budget (reliable path only).
+	// transfers that exhausted their attempt budget under a fault plan.
 	recv, failCount []int64
 	// crash, when non-nil, kills the marked ranks at the window boundary.
 	crash []bool
@@ -65,26 +60,6 @@ func (pl *winPlan) out(r int) (lo, hi int) {
 	return lo, max(lo, min(int(pl.fi.outStart[r+1]), pl.f1))
 }
 
-// sendFrame sends one frame over the selected transport.
-func sendFrame(c *comm.Comm, reliable bool, dst int, frame []int64) {
-	if reliable {
-		c.SendReliable(dst, tagFlow, frame)
-	} else {
-		c.Send(dst, tagFlow, frame)
-	}
-}
-
-// recvFrame takes one frame from src; ok is false when the reliable
-// transfer exhausted its budget.
-func recvFrame(c *comm.Comm, reliable bool, src int) ([]int64, bool) {
-	if reliable {
-		d, _, ok := c.RecvReliable(src, tagFlow)
-		return d, ok
-	}
-	d, _ := c.Recv(src, tagFlow)
-	return d, true
-}
-
 // exchange is one rank's side of the window in flight, the function every
 // window's comm.World.Run executes. A rank the crash mask marks dies at
 // the window boundary — before it sends or receives a word — modeling a
@@ -92,18 +67,18 @@ func recvFrame(c *comm.Comm, reliable bool, src int) ([]int64, bool) {
 // *comm.CrashError. A live rank sends each of its window flows' records
 // straight to the flow's destination and takes its incoming window flows
 // in ascending source order, so the exchange is deterministic without a
-// barrier, and verifies each received flow against the plan. On the
-// reliable path a transfer that exhausted its attempt budget is counted
-// into failCount and the caller decides whether to retry the window; on
-// the plain path a mismatched flow panics (the transport cannot lose
-// data, so it would be a bug), and Run returns the aggregated panic.
+// barrier, and verifies each received flow against the plan. A transfer
+// that exhausted its attempt budget is counted into failCount and the
+// caller decides whether to retry the window; a delivered flow of the
+// wrong size panics (the transport delivers frames intact, so it would be
+// a bug), and Run returns the aggregated panic.
 func (pl *winPlan) exchange(c *comm.Comm) {
 	self := c.Rank()
 	if pl.crash != nil && pl.crash[self] {
 		c.Crash()
 	}
 	for f, hi := pl.out(self); f < hi; f++ {
-		sendFrame(c, pl.reliable, int(pl.fi.flows[f].dst), pl.rec(f))
+		c.Send(int(pl.fi.flows[f].dst), pl.rec(f))
 	}
 	for _, f := range pl.fi.in(self) {
 		want := pl.want(int(f))
@@ -111,7 +86,7 @@ func (pl *winPlan) exchange(c *comm.Comm) {
 			continue
 		}
 		from := int(pl.fi.flows[f].src)
-		data, ok := recvFrame(c, pl.reliable, from)
+		data, ok := c.Recv(from)
 		if !ok {
 			pl.failCount[self]++
 			continue

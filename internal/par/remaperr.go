@@ -11,13 +11,13 @@ import (
 type RemapFailure int
 
 // The failure classes. Only FailTransfer is produced by injected faults —
-// it means the reliable exchange exhausted its per-message attempt budget
-// and the window retries, and the transaction rolled back cleanly. The
+// it means the exchange exhausted its per-message attempt budget and the
+// window retries, and the transaction rolled back cleanly. The
 // structural classes (torn records, broken conservation, double gathers, a
 // dead rank) indicate a bug or corruption the retry machinery must never
 // paper over, so they abort without retrying.
 const (
-	// FailTransfer: reliable transfers kept failing after every retry;
+	// FailTransfer: transfers kept failing after every retry;
 	// ownership was left at its pre-remap state.
 	FailTransfer RemapFailure = iota
 	// FailConservation: the received element count does not match the

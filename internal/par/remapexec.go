@@ -47,8 +47,8 @@ type RemapResult struct {
 	// fallback below SerialCutoff elements).
 	Ops machine.Ops
 	// Retries and RetryWords count the extra physical frames (and their
-	// payload words, in record words on the wire) the reliable exchange
-	// sent recovering injected faults; WindowRetries the window
+	// payload words, in record words on the wire) the exchange sent
+	// recovering injected faults; WindowRetries the window
 	// re-executions. RetryTime is the slowest rank's modeled recovery
 	// charge — resent messages at MsgTime plus exponential-backoff units
 	// at Model.RetryBackoff — which is also folded into CommTime/Total.
@@ -99,7 +99,7 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapR
 
 // executeRemap is the remap executor behind both entry points. budget
 // bounds a window's payload in record words (≤ 0 = adaptive); plan is the
-// fault plan, nil or zero-rate for the plain exchange.
+// fault plan, nil or zero-rate for a fault-free exchange.
 //
 // The migrating elements are indexed by the CSR flow scatter of
 // collectFlowIndex at the Dist's worker knob: flows are laid out in
@@ -115,12 +115,12 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapR
 // identical across budgets up to PeakWords.
 //
 // Ownership flips once, after the last window verifies and the
-// conservation check passes, so every failure leaves it untouched. With
-// an enabled plan the exchange runs over the reliable transport: a window
-// whose transfers failed is re-exchanged up to Retry.WindowRetries times,
-// and exhausted retries (or structural failures) return a *RemapError
-// with RolledBack set. Without one the exchange runs over the plain
-// transport and draws no fates.
+// conservation check passes, so every failure leaves it untouched. Every
+// exchange rides comm's framed transport. An enabled plan installs its
+// fault hook: a window whose transfers failed is re-exchanged up to
+// Retry.WindowRetries times, and exhausted retries (or structural
+// failures) return a *RemapError with RolledBack set. Without one the
+// transport draws no fates and keeps no per-pair state.
 //
 // Every structure the executor builds is sized by the slab, the moved
 // elements, the flows that exist or P — the flow index, the window plan,
@@ -147,7 +147,7 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 	// try. Each goroutine rank touches only its own slots and the Runs are
 	// sequential, so there is no contention.
 	counts := make([]int64, 2*p)
-	wp := &winPlan{fi: &fi, reliable: plan != nil, recv: counts[:p], failCount: counts[p:]}
+	wp := &winPlan{fi: &fi, recv: counts[:p], failCount: counts[p:]}
 	exchange := wp.exchange // bound once: a window's Run allocates nothing
 
 	w := comm.NewWorld(p)
@@ -213,15 +213,7 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 			Detail: fmt.Sprintf("moved %d elements but received %d", moved, recvTotal)}
 	}
 
-	var retries []comm.PairRetry
-	if plan != nil {
-		for _, s := range w.RankStats() {
-			res.Retries += s.Retries
-			res.RetryWords += s.RetryWords
-		}
-		retries = w.RetryCounters()
-	}
-	d.accountRemap(&fi, mdl, &res, retries)
+	d.accountRemap(&fi, mdl, &res, w.RetryCounters())
 	copy(d.owner, newOwner)
 	return res, nil
 }
@@ -274,12 +266,13 @@ func (d *Dist) crashMask(plan *fault.Plan) []bool {
 // work is O(sets + p) and the result cannot depend on the worker count
 // (PredictRemapOps charges this phase serially).
 //
-// When the reliable exchange recovered injected faults, retries carries
-// its per-pair counters in the same canonical order — every message is a
+// When the exchange recovered injected faults, retries carries its
+// per-pair counters in the same canonical order — every message is a
 // flow's, so every record names a flow (one that does not is a bug and
-// panics): each resent message is charged another MsgTime of the flow's
-// modeled volume and each backoff unit Model.RetryBackoff, on the sending
-// rank, inside the same send-phase superstep and right behind the flow's
+// panics): each resent message counts into Retries and its flow's record
+// words into RetryWords (every message of a pair is that flow's records),
+// and is charged another MsgTime of the flow's modeled volume and each
+// backoff unit Model.RetryBackoff, on the sending rank, inside the same send-phase superstep and right behind the flow's
 // own pack charge — so retry cost lands on CommTime/Total exactly where a
 // real sender would stall. A nil retries (the fault-free path) adds no
 // terms at all.
@@ -310,6 +303,8 @@ func (d *Dist) accountRemap(fi *flowIndex, mdl machine.Model, res *RemapResult, 
 		packT[src] += pack
 		if k < len(retries) && retries[k].Src == fl.src && retries[k].Dst == fl.dst {
 			r := retries[k]
+			res.Retries += r.Resends
+			res.RetryWords += r.Resends * elems * recWords
 			var rt float64
 			if r.Resends > 0 {
 				rt += float64(r.Resends) * mdl.MsgTime(words)

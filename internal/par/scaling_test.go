@@ -61,3 +61,35 @@ func TestRemapAllocScalesWithP(t *testing.T) {
 		prevMap, prevExec = mapBytes, execBytes
 	}
 }
+
+// TestFaultFreeRemapAllocs pins the allocations of a fault-free remap:
+// without a fault hook the framed transport keeps no per-pair state, so
+// an executed remap allocates about two objects per flow (the frame and
+// the mailbox slot) plus a fixed overhead. The budgets are the
+// allocations measured before the transport was unified, plus a few: a
+// pair list per rank, or any state sized by the rank pairs, spends one
+// or more allocations per rank and overruns them at both P.
+func TestFaultFreeRemapAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	for _, c := range []struct {
+		p      int
+		budget float64
+	}{{8, 80}, {64, 316}} {
+		d, newOwner := bigFixture(t, c.p)
+		d.Workers = 1
+		oldOwner := d.Owners()
+		// Each run remaps there and back, so both legs move the same flows.
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, own := range [][]int32{newOwner, oldOwner} {
+				if _, err := d.ExecuteRemap(own, machine.SP2()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / 2
+		if allocs > c.budget {
+			t.Errorf("P=%d: a fault-free remap made %v allocations, budget %v", c.p, allocs, c.budget)
+		}
+	}
+}
