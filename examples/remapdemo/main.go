@@ -44,17 +44,17 @@ func main() {
 	}
 	fmt.Printf("total remapping weight ΣS = %d\n\n", sim.Total())
 
-	mpH, objH := sim.Heuristic()
+	mpH, objH, opsH := sim.Heuristic()
 	cH, nH := sim.MoveStats(mpH)
 	fmt.Printf("heuristic mapping (partition -> processor): %v\n", mpH)
 	fmt.Printf("  objective 𝒥 = %d, moved C = %d, sets N = %d (%d matrix ops)\n\n",
-		objH, cH, nH, sim.LastOps)
+		objH, cH, nH, opsH)
 
-	mpO, objO := sim.Optimal()
+	mpO, objO, opsO := sim.Optimal()
 	cO, nO := sim.MoveStats(mpO)
 	fmt.Printf("optimal mapping   (partition -> processor): %v\n", mpO)
 	fmt.Printf("  objective 𝒥 = %d, moved C = %d, sets N = %d (%d matrix ops)\n\n",
-		objO, cO, nO, sim.LastOps)
+		objO, cO, nO, opsO)
 
 	fmt.Printf("heuristic is within %.2f%% of the optimal objective\n",
 		100*(1-float64(objH)/float64(objO)))

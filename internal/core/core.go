@@ -159,8 +159,13 @@ func DefaultConfig(p int) Config {
 }
 
 // Framework couples the mesh, its dual graph, the distributed view, the
-// adaptor, and (optionally) a proxy flow solver.
+// adaptor, (optionally) a proxy flow solver, and the one repartitioner
+// the balance pass and crash recovery share.
 type Framework struct {
+	// Cfg is the configuration New resolved: the method, seed and workers
+	// into the repartitioner, and the exchange, workers, fault plan, retry
+	// budget and stage deadline into D. Editing it later re-resolves
+	// none of them; build a new Framework from the changed Config.
 	Cfg Config
 	M   *mesh.Mesh
 	G   *dual.Graph
@@ -168,13 +173,10 @@ type Framework struct {
 	A   *adapt.Adaptor
 	S   *solver.Solver
 
-	// sfcCache holds the curve order for the SFC partitioners. The dual
-	// graph's centroids never change, so New builds the order once for
-	// the initial partition and every later repartition is an O(n) scan
-	// (see partition.SFCPartitioner). sfcBilled records whether a
-	// repartition has charged that build yet: the first one pays it.
-	sfcCache  *partition.SFCPartitioner
-	sfcBilled bool
+	// part repartitions G with Cfg.Method and charges every method's
+	// work (the paper times only reassignment and remap, which flatters
+	// its spectral partitioner), the curve build on the first pass.
+	part *partition.Repartitioner
 
 	// cycles counts completed Cycle calls; it scopes the fault keys so
 	// each cycle draws an independent schedule (par.Dist.FaultCycle).
@@ -198,32 +200,6 @@ func (f *Framework) CheckpointStats() ckpt.Stats {
 		return ckpt.Stats{}
 	}
 	return f.ck.Stats()
-}
-
-// repartition divides the dual graph into k parts with the configured
-// method and returns the abstract operation accounting of the
-// partitioning itself. Every backend reports honest, nonzero cost: the
-// graph partitioners count their matching/eigen-solve/refinement work
-// (the paper times only reassignment and remap, which silently flatters
-// its spectral partitioner); the SFC methods use the cached curve order,
-// so only the first call pays the O(n log n) sort and the critical-path
-// count divides the parallel phases across Cfg.Workers. Refinement ops
-// land in the Mem share, charged at Model.MemOp.
-func (f *Framework) repartition(k int) (partition.Assignment, machine.Ops) {
-	opt := partition.Options{Workers: f.Cfg.Workers, Seed: f.Cfg.Seed}
-	c, ok := f.Cfg.Method.Curve()
-	if !ok {
-		return partition.PartitionCounted(f.G, k, f.Cfg.Method, opt)
-	}
-	if f.sfcCache == nil || f.sfcCache.Curve != c {
-		f.sfcCache, f.sfcBilled = partition.NewSFCWorkers(f.G, c, f.Cfg.Workers), false
-	}
-	asg, ops := f.sfcCache.CutCounted(f.G, k, opt)
-	if !f.sfcBilled {
-		ops.Add(f.sfcCache.BuildOps())
-		f.sfcBilled = true
-	}
-	return asg, ops
 }
 
 // New builds a framework over m: the dual graph is constructed, an initial
@@ -275,9 +251,8 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	}
 	// The initial partition is not charged: the first balance pass pays
 	// for the curve order it reuses.
-	asg, _ := fw.repartition(cfg.P)
-	fw.sfcBilled = false
-	d := par.NewDist(m, cfg.P, asg)
+	fw.part = partition.NewRepartitioner(g, cfg.Method, partition.Options{Workers: cfg.Workers, Seed: cfg.Seed})
+	d := par.NewDist(m, cfg.P, fw.part.Initial(cfg.P))
 	d.Workers = cfg.Workers // the remap scatter and SPL scans share the knob
 	d.Exchange = exch       // the remap payload exchange schedule
 	d.Faults = cfg.Faults   // fault plan + recovery budget for the balance cycles
@@ -494,7 +469,9 @@ type BalanceReport struct {
 	// and exchanged onto the P−|crashed| survivors through the ordinary
 	// remap executor, with its machine-model charges (ChargeFlows under
 	// the configured exchange schedule) intact. Zero unless Outcome is
-	// Recovered.
+	// Recovered. It is the only charge of the recovery: the survivor
+	// repartition and reassignment that planned it are not charged
+	// anywhere (a known under-charge).
 	Recovery par.RemapResult
 }
 
@@ -567,9 +544,9 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.RepartitionMemTime = float64(partOps.MemCrit) * f.Cfg.Model.MemOp
 	rep.RepartitionTime = rep.RepartitionCompTime + rep.RepartitionMemTime
 	traceRepartition(f.Cfg.Trace, f.Cfg.Model, partOps, len(alive)*f.Cfg.F)
-	rep.ReassignOps = pr.sim.LastOps
-	rep.ReassignTime = float64(pr.sim.LastOps) * f.Cfg.Model.MemOp
-	traceReassign(f.Cfg.Trace, pr.sim.LastOps, rep.ReassignTime, rep.Objective)
+	rep.ReassignOps = pr.mapOps
+	rep.ReassignTime = float64(pr.mapOps) * f.Cfg.Model.MemOp
+	traceReassign(f.Cfg.Trace, pr.mapOps, rep.ReassignTime, rep.Objective)
 
 	newLoads := pr.loads(f.G.Wcomp, rep.Alive)
 	rep.WmaxNew = slices.Max(newLoads)
@@ -663,9 +640,10 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 type proposal struct {
 	part      partition.Assignment
 	partOps   machine.Ops
-	sim       *remap.Similarity // LastOps holds the mapper's work
+	sim       *remap.Similarity
 	mapping   remap.Mapping
 	objective int64
+	mapOps    int64 // the mapper's work
 }
 
 // propose runs the sequence the balance pass and crash recovery share:
@@ -674,12 +652,12 @@ type proposal struct {
 // every rank is alive), and reassign the parts with the configured mapper.
 func (f *Framework) propose(alive []int32) (proposal, error) {
 	var pr proposal
-	pr.part, pr.partOps = f.repartition(len(alive) * f.Cfg.F)
+	pr.part, pr.partOps = f.part.Repartition(len(alive) * f.Cfg.F)
 	pr.sim = remap.Build(f.compactOwners(alive), pr.part, f.G.Wremap, len(alive), f.Cfg.F)
 	if f.Cfg.Mapper == MapperOptimal {
-		pr.mapping, pr.objective = pr.sim.Optimal()
+		pr.mapping, pr.objective, pr.mapOps = pr.sim.Optimal()
 	} else {
-		pr.mapping, pr.objective = pr.sim.Heuristic()
+		pr.mapping, pr.objective, pr.mapOps = pr.sim.Heuristic()
 	}
 	return pr, pr.sim.Validate(pr.mapping)
 }
@@ -739,6 +717,11 @@ func (f *Framework) compactOwners(alive []int32) []int32 {
 // forever. The crash set, the survivor plan, and the executed ownership
 // are all pure functions of (plan, cycle, survivors), so the recovered
 // state is byte-identical at any worker count and across repeat runs.
+//
+// The survivor repartition and reassignment run through propose like a
+// balance pass's, but their op counts are dropped: rep.Recovery charges
+// only the survivor remap. The repartitioner needs no reset for the
+// smaller k, since nothing it caches depends on k.
 func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	rep.Accepted = false
 	rep.Outcome = OutcomeRecovered

@@ -17,8 +17,15 @@ import (
 
 func newFW(t *testing.T, p int) *Framework {
 	t.Helper()
-	m := meshgen.SmallBox()
-	f, err := New(m, nil, DefaultConfig(p))
+	return newFWConfig(t, DefaultConfig(p))
+}
+
+// newFWConfig builds a framework over the small box from cfg. New
+// resolves the configuration, so a test that needs another method,
+// mapper or F sets it here, not on Framework.Cfg afterwards.
+func newFWConfig(t *testing.T, cfg Config) *Framework {
+	t.Helper()
+	f, err := New(meshgen.SmallBox(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +271,9 @@ func TestSolverlessCycleResetsLog(t *testing.T) {
 }
 
 func TestOptimalMapperPath(t *testing.T) {
-	f := newFW(t, 4)
-	f.Cfg.Mapper = MapperOptimal
+	cfg := DefaultConfig(4)
+	cfg.Mapper = MapperOptimal
+	f := newFWConfig(t, cfg)
 	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.7}, adapt.MarkRefine)
 	f.A.Refine()
 	rep, err := f.Balance()
@@ -278,8 +286,9 @@ func TestOptimalMapperPath(t *testing.T) {
 }
 
 func TestFGreaterThanOne(t *testing.T) {
-	f := newFW(t, 4)
-	f.Cfg.F = 4
+	cfg := DefaultConfig(4)
+	cfg.F = 4
+	f := newFWConfig(t, cfg)
 	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.7}, adapt.MarkRefine)
 	f.A.Refine()
 	rep, err := f.Balance()
@@ -317,11 +326,13 @@ func TestMapperString(t *testing.T) {
 // by the parallel-SFC PR: after a repartition, every backend — graph and
 // SFC alike — reports nonzero total and critical-path op counts, and the
 // modeled repartitioning time lands on the cost side of the acceptance
-// rule.
+// rule. The refinement share tells the methods apart, so a framework
+// that ran another method than its Config names fails here.
 func TestBalanceChargesEveryPartitioner(t *testing.T) {
 	for _, meth := range partition.Methods {
-		f := newFW(t, 8)
-		f.Cfg.Method = meth
+		cfg := DefaultConfig(8)
+		cfg.Method = meth
+		f := newFWConfig(t, cfg)
 		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
 		f.A.Refine()
 		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.4}, adapt.MarkRefine)
@@ -340,6 +351,10 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 		if rep.RepartitionCritOps > rep.RepartitionOps {
 			t.Errorf("%v: critical path %d exceeds total %d",
 				meth, rep.RepartitionCritOps, rep.RepartitionOps)
+		}
+		// Inertial is the one method that does not refine its cut.
+		if refines := meth != partition.MethodInertial; refines != (rep.RefineOps > 0) {
+			t.Errorf("%v: refine ops %d: the pass did not run this method", meth, rep.RefineOps)
 		}
 		if rep.RepartitionTime <= 0 {
 			t.Errorf("%v: repartition time not charged", meth)
@@ -377,8 +392,9 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 // separately, charged at Model.MemOp, and the compute-bound remainder at
 // Model.CompOp, with RepartitionTime their exact sum.
 func TestBalanceSplitsMemCompTime(t *testing.T) {
-	f := newFW(t, 8)
-	f.Cfg.Method = partition.MethodHilbertSFC
+	cfg := DefaultConfig(8)
+	cfg.Method = partition.MethodHilbertSFC
+	f := newFWConfig(t, cfg)
 	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
 	f.A.Refine()
 	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.4}, adapt.MarkRefine)

@@ -129,8 +129,8 @@ func balance(d *par.Dist, g *dual.Graph, fgran int, mdl machine.Model) pipelineR
 	owners := d.Owners()
 	newPart := partition.Partition(g, d.P*fgran, partition.MethodInertial)
 	sim := remap.Build(owners, newPart, g.Wremap, d.P, fgran)
-	mp, _ := sim.Heuristic()
-	res := pipelineResult{ReassignTime: float64(sim.LastOps) * mdl.MemOp}
+	mp, _, ops := sim.Heuristic()
+	res := pipelineResult{ReassignTime: float64(ops) * mdl.MemOp}
 	res.Moved, _ = sim.MoveStats(mp)
 
 	newOwner := make([]int32, len(newPart))
@@ -352,14 +352,14 @@ func RunFig10() *Fig10 {
 			sim := remap.Build(oldAsg, newPart, g.Wremap, p, fg)
 			pt := Fig10Point{P: p, F: fg}
 
-			mpH, objH := sim.Heuristic()
+			mpH, objH, opsH := sim.Heuristic()
 			pt.HeuristicObj = objH
-			pt.HeuristicTime = float64(sim.LastOps) * mdl.MemOp
+			pt.HeuristicTime = float64(opsH) * mdl.MemOp
 			pt.HeuristicMoved, _ = sim.MoveStats(mpH)
 
-			mpO, objO := sim.Optimal()
+			mpO, objO, opsO := sim.Optimal()
 			pt.OptimalObj = objO
-			pt.OptimalTime = float64(sim.LastOps) * mdl.MemOp
+			pt.OptimalTime = float64(opsO) * mdl.MemOp
 			pt.OptimalMoved, _ = sim.MoveStats(mpO)
 
 			out.Points = append(out.Points, pt)

@@ -377,8 +377,8 @@ func freshPipeline(t *testing.T, s adapt.Strategy, p, fgran int) (adaptTime floa
 
 	newPart := partition.Partition(g, p*fgran, partition.MethodInertial)
 	sim := remap.Build(d.Owners(), newPart, g.Wremap, p, fgran)
-	mp, _ := sim.Heuristic()
-	res.ReassignTime = float64(sim.LastOps) * mdl.MemOp
+	mp, _, ops := sim.Heuristic()
+	res.ReassignTime = float64(ops) * mdl.MemOp
 	res.Moved, _ = sim.MoveStats(mp)
 
 	newLoads := make([]int64, p)

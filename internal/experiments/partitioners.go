@@ -15,9 +15,10 @@ type PartitionerRow struct {
 	Method partition.Method
 	// PartitionSeconds is the wall time of one from-scratch partition.
 	PartitionSeconds float64
-	// IncrementalSeconds is the wall time of a repartition reusing the
-	// cached curve order (SFC backends only; 0 for graph partitioners,
-	// which have no incremental path).
+	// IncrementalSeconds is the wall time of a later Repartition on the
+	// same partition.Repartitioner: the SFC backends reuse their cached
+	// curve order, the graph partitioners cache nothing and partition
+	// from scratch again.
 	IncrementalSeconds float64
 	// Ops is the backend's abstract op accounting — the figure charged to
 	// the remap acceptance rule. Nonzero for every backend.
@@ -62,10 +63,9 @@ func RunPartitionerTable(k, workers int) *PartitionerTable {
 		row.Imbalance = partition.Imbalance(g, asg, k)
 		row.EdgeCut = partition.EdgeCut(g, asg)
 
-		if c, ok := meth.Curve(); ok {
-			s := partition.NewSFCWorkers(g, c, workers)
-			row.IncrementalSeconds = minTime(func() { s.CutCounted(g, k, opt) })
-		}
+		r := partition.NewRepartitioner(g, meth, opt)
+		r.Repartition(k)
+		row.IncrementalSeconds = minTime(func() { r.Repartition(k) })
 		out.Rows = append(out.Rows, row)
 	}
 	return out
@@ -98,11 +98,7 @@ func (t *PartitionerTable) String() string {
 	tb := newTable(fmt.Sprintf("Partitioner backends on the Local_2-adapted mesh, k=%d (host wall time)", t.K))
 	tb.row("method", "t_part (s)", "t_incr (s)", "ops", "crit ops", "refine crit", "Wmax/Wavg", "edge cut")
 	for _, r := range t.Rows {
-		inc := "-"
-		if r.IncrementalSeconds > 0 {
-			inc = fmt.Sprintf("%.6f", r.IncrementalSeconds)
-		}
-		tb.row(r.Method, fmt.Sprintf("%.6f", r.PartitionSeconds), inc,
+		tb.row(r.Method, fmt.Sprintf("%.6f", r.PartitionSeconds), fmt.Sprintf("%.6f", r.IncrementalSeconds),
 			r.Ops.Total, r.Ops.Crit, r.Ops.MemCrit, fmt.Sprintf("%.4f", r.Imbalance), r.EdgeCut)
 	}
 	return tb.String()

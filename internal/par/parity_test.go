@@ -128,7 +128,7 @@ func TestSFCPartitionParity(t *testing.T) {
 			t.Errorf("%v: repartition imbalance %.3f > 1.10", curve, imb)
 		}
 		sim := remap.Build(d.Owners(), newPart, g.Wremap, p, 1)
-		mp, _ := sim.Heuristic()
+		mp, _, _ := sim.Heuristic()
 		if err := sim.Validate(mp); err != nil {
 			t.Fatalf("%v: %v", curve, err)
 		}

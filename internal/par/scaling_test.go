@@ -37,7 +37,7 @@ func TestRemapAllocScalesWithP(t *testing.T) {
 		var mp remap.Mapping
 		mapBytes := allocBytes(func() {
 			sim := remap.Build(d.Owners(), newPart, g.Wremap, p, 1)
-			mp, _ = sim.Heuristic()
+			mp, _, _ = sim.Heuristic()
 		})
 		newOwner := make([]int32, len(newPart))
 		for v, part := range newPart {

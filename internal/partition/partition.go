@@ -22,6 +22,7 @@ import (
 	"plum/internal/dual"
 	"plum/internal/geom"
 	"plum/internal/machine"
+	"plum/internal/refine"
 	"plum/internal/sfc"
 	"plum/internal/sparse"
 )
@@ -82,8 +83,8 @@ const (
 	MethodMultilevel
 	// MethodMortonSFC and MethodHilbertSFC cut a space-filling-curve
 	// ordering of the element centroids into weighted chunks (see sfc.go):
-	// near-linear time, and O(n) incremental repartitioning via
-	// SFCPartitioner.
+	// near-linear time, and O(n) incremental repartitioning on a
+	// Repartitioner, which caches the curve order (SFCPartitioner).
 	MethodMortonSFC
 	MethodHilbertSFC
 )
@@ -137,11 +138,12 @@ func MethodByName(name string) (Method, bool) {
 // Options configures a partitioning call.
 type Options struct {
 	// Workers bounds the worker-goroutine count of the band-FM boundary
-	// refinement (refine.Default) that the SFC methods run after their
-	// cuts, and is the worker count the model charges the SFC pipeline
-	// across (see SFCPartitioner). Multilevel refines with the serial
-	// classic sweep (refine.FMRefine) and ignores it. ≤ 0 means
-	// runtime.GOMAXPROCS. Assignments are identical at every worker count.
+	// refinement (refine.Default) that a Repartitioner runs after every
+	// curve cut, and is the worker count the model charges the curve
+	// build and cut across (see SFCPartitioner). Multilevel refines with
+	// the serial classic sweep (refine.FMRefine) and ignores it, as does
+	// inertial. ≤ 0 means runtime.GOMAXPROCS. Assignments are identical
+	// at every worker count.
 	Workers int
 	// Seed drives the multilevel matching order. 0 is treated as 1, the
 	// historical default.
@@ -160,20 +162,71 @@ func Partition(g *dual.Graph, k int, m Method) Assignment {
 // accounting: every backend — graph and SFC alike — reports the abstract
 // operation count of the work it actually did, so the framework can
 // charge repartitioning to the remap acceptance rule regardless of
-// method.
+// method. It is one Repartition on a fresh Repartitioner, so a curve
+// method's charge includes building its curve order.
 func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, machine.Ops) {
+	return NewRepartitioner(g, m, opt).Repartition(k)
+}
+
+// Repartitioner partitions one dual graph again and again with one
+// method. The dual graph is built once, on the initial mesh, and only its
+// weights change (the paper's central invariant), so what it caches never
+// needs invalidating, whatever the weights or k: the curve methods cache
+// their curve order and cut it in O(n) per call; the graph methods cache
+// nothing.
+type Repartitioner struct {
+	g      *dual.Graph
+	method Method
+	opt    Options
+	sfc    *SFCPartitioner // the curve order; nil for the graph methods
+	build  machine.Ops     // the curve build's charge, until a Repartition pays it
+}
+
+// NewRepartitioner builds the repartitioner of g under method m, sorting
+// g's centroids along the curve for morton and hilbert. An unknown
+// method partitions as multilevel.
+func NewRepartitioner(g *dual.Graph, m Method, opt Options) *Repartitioner {
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
-	switch m {
-	case MethodInertial:
-		return inertialCounted(g, k)
-	case MethodMortonSFC:
-		return sfcCounted(g, k, sfc.Morton, opt)
-	case MethodHilbertSFC:
-		return sfcCounted(g, k, sfc.Hilbert, opt)
+	r := &Repartitioner{g: g, method: m, opt: opt}
+	if c, ok := m.Curve(); ok {
+		r.sfc = NewSFCWorkers(g, c, opt.Workers)
+		r.build = r.sfc.BuildOps()
+	}
+	return r
+}
+
+// Initial returns the setup partition into k parts, uncharged: the first
+// Repartition still pays for the curve order it reuses.
+func (r *Repartitioner) Initial(k int) Assignment {
+	asg, _ := r.cut(k)
+	return asg
+}
+
+// Repartition divides the graph into k parts under its current weights
+// and returns the charge of the work, the curve build included on the
+// first call. Refinement ops land in the Mem share.
+func (r *Repartitioner) Repartition(k int) (Assignment, machine.Ops) {
+	asg, ops := r.cut(k)
+	ops.Add(r.build)
+	r.build = machine.Ops{}
+	return asg, ops
+}
+
+// cut partitions with the method and counts the work, without the curve
+// build. The curve methods smooth the jagged curve cut with band-FM at
+// opt.Workers: one cheap boundary pass recovers most of the cut quality.
+func (r *Repartitioner) cut(k int) (Assignment, machine.Ops) {
+	switch {
+	case r.sfc != nil:
+		asg, ops := r.sfc.cut(r.g, k)
+		ops.Add(refine.Default(r.g.N, r.opt.Workers).Refine(r.g, asg, k, 2))
+		return asg, ops
+	case r.method == MethodInertial:
+		return inertialCounted(r.g, k)
 	default:
-		return multilevelCounted(g, k, opt)
+		return multilevelCounted(r.g, k, r.opt)
 	}
 }
 

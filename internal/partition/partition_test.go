@@ -93,12 +93,13 @@ func TestPartitionAdaptedWeights(t *testing.T) {
 func TestSFCIncrementalRepartition(t *testing.T) {
 	m := meshgen.Box(6, 6, 6, geom.Vec3{X: 1, Y: 1, Z: 1})
 	g := dual.Build(m)
-	for _, c := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
+	for _, meth := range []Method{MethodMortonSFC, MethodHilbertSFC} {
+		c, _ := meth.Curve()
 		s := NewSFCWorkers(g, c, 0)
-		sortOps := s.LastOps
-		asg := s.Repartition(g, 8)
-		if s.LastOps >= sortOps {
-			t.Errorf("%v: incremental scan (%d ops) not cheaper than sort (%d ops)", c, s.LastOps, sortOps)
+		sortOps := s.BuildOps().Total
+		asg, ops := s.cut(g, 8)
+		if ops.Total >= sortOps {
+			t.Errorf("%v: incremental scan (%d ops) not cheaper than sort (%d ops)", c, ops.Total, sortOps)
 		}
 		checkAssignment(t, g, asg, 8, c.String(), 1.35)
 
@@ -111,7 +112,7 @@ func TestSFCIncrementalRepartition(t *testing.T) {
 		refine.Default(g.N, 0).Refine(g, asg2, 8, 2)
 		checkAssignment(t, g, asg2, 8, c.String()+"/adapted", 1.10)
 
-		scratch, _ := sfcCounted(g, 8, c, Options{})
+		scratch, _ := PartitionCounted(g, 8, meth, Options{})
 		if imbI, imbS := Imbalance(g, asg2, 8), Imbalance(g, scratch, 8); imbI > imbS*1.05 {
 			t.Errorf("%v: incremental imbalance %.3f much worse than scratch %.3f", c, imbI, imbS)
 		}
@@ -345,17 +346,17 @@ func TestSFCWorkerParity(t *testing.T) {
 			s := NewSFCWorkers(g, c, w)
 			for _, k := range []int{1, 2, 7, 16, 61} {
 				want := ref.Repartition(g, k)
-				got := s.Repartition(g, k)
+				got, ops := s.cut(g, k)
 				for v := range want {
 					if got[v] != want[v] {
 						t.Fatalf("%v workers=%d k=%d: vertex %d in part %d, serial says %d",
 							c, w, k, v, got[v], want[v])
 					}
 				}
-			}
-			if s.LastCritOps > s.LastOps {
-				t.Errorf("%v workers=%d: critical path %d exceeds total %d",
-					c, w, s.LastCritOps, s.LastOps)
+				if ops.Crit > ops.Total {
+					t.Errorf("%v workers=%d k=%d: critical path %d exceeds total %d",
+						c, w, k, ops.Crit, ops.Total)
+				}
 			}
 		}
 	}
@@ -390,23 +391,63 @@ func TestSFCWorkerParityAfterWeightUpdate(t *testing.T) {
 func TestSFCCritOpsHonestOnSerialFallback(t *testing.T) {
 	g := gridGraph(8, 8, 8, 3) // 512 vertices: below every parallel cutoff
 	s := NewSFCWorkers(g, sfc.Morton, 8)
-	if s.LastCritOps != s.LastOps {
-		t.Errorf("build: crit %d != total %d despite serial fallback", s.LastCritOps, s.LastOps)
+	if b := s.BuildOps(); b.Crit != b.Total {
+		t.Errorf("build: crit %d != total %d despite serial fallback", b.Crit, b.Total)
 	}
-	s.Repartition(g, 4)
-	if s.LastCritOps != s.LastOps {
-		t.Errorf("repartition: crit %d != total %d despite serial fallback", s.LastCritOps, s.LastOps)
+	if _, ops := s.cut(g, 4); ops.Crit != ops.Total {
+		t.Errorf("repartition: crit %d != total %d despite serial fallback", ops.Crit, ops.Total)
 	}
 	// And on a graph large enough to engage the parallel paths, the
 	// discount must appear.
 	big := gridGraph(24, 24, 16, 3) // 9216 > every cutoff
 	sb := NewSFCWorkers(big, sfc.Morton, 8)
-	if sb.LastCritOps >= sb.LastOps {
-		t.Errorf("parallel build not discounted: crit %d vs total %d", sb.LastCritOps, sb.LastOps)
+	if b := sb.BuildOps(); b.Crit >= b.Total {
+		t.Errorf("parallel build not discounted: crit %d vs total %d", b.Crit, b.Total)
 	}
-	sb.Repartition(big, 4)
-	if sb.LastCritOps >= sb.LastOps {
-		t.Errorf("parallel repartition not discounted: crit %d vs total %d", sb.LastCritOps, sb.LastOps)
+	if _, ops := sb.cut(big, 4); ops.Crit >= ops.Total {
+		t.Errorf("parallel repartition not discounted: crit %d vs total %d", ops.Crit, ops.Total)
+	}
+}
+
+// TestRepartitionerContract pins what a Repartitioner caches and what it
+// bills, against the one-shot PartitionCounted, on a graph above
+// repartSerialCutoff: Initial is the one-shot assignment and charges
+// nothing, the first Repartition is the one-shot call in assignment and
+// ops (curve build included), and a later Repartition at a smaller k —
+// the survivor count after a crash — under changed weights is the
+// one-shot assignment at that k, charged without the curve build.
+func TestRepartitionerContract(t *testing.T) {
+	const k, k2 = 16, 13
+	opt := Options{Workers: 4}
+	for _, m := range Methods {
+		g := gridGraph(24, 24, 16, 5) // 9216 vertices > repartSerialCutoff
+		r := NewRepartitioner(g, m, opt)
+		want, wantOps := PartitionCounted(g, k, m, opt)
+		if got := r.Initial(k); !slices.Equal(got, want) {
+			t.Errorf("%v: Initial(%d) differs from the one-shot partition", m, k)
+		}
+		got, ops := r.Repartition(k)
+		if !slices.Equal(got, want) || ops != wantOps {
+			t.Errorf("%v: first Repartition(%d) charged %+v, one-shot %+v (assignments equal: %v)",
+				m, k, ops, wantOps, slices.Equal(got, want))
+		}
+
+		for v := 0; v < g.N/8; v++ {
+			g.Wcomp[v] *= 16 // an adaption step refines one corner
+		}
+		want, wantOps = PartitionCounted(g, k2, m, opt)
+		if c, ok := m.Curve(); ok {
+			b := NewSFCWorkers(g, c, opt.Workers).BuildOps()
+			wantOps.Total -= b.Total
+			wantOps.Crit -= b.Crit
+		}
+		got, ops = r.Repartition(k2)
+		if !slices.Equal(got, want) {
+			t.Errorf("%v: Repartition(%d) differs from the one-shot partition", m, k2)
+		}
+		if ops != wantOps {
+			t.Errorf("%v: Repartition(%d) charged %+v, want %+v", m, k2, ops, wantOps)
+		}
 	}
 }
 

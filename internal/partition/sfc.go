@@ -4,7 +4,6 @@ import (
 	"plum/internal/chunk"
 	"plum/internal/dual"
 	"plum/internal/machine"
-	"plum/internal/refine"
 	"plum/internal/sfc"
 )
 
@@ -42,34 +41,24 @@ const (
 // repartitions after every adaption step in O(n) — a prefix-sum scan over
 // the cached order with the updated Wcomp weights — which makes
 // incremental repartitioning essentially free next to the remap itself.
+// It is the curve cache of the morton and hilbert Repartitioner, which
+// smooths every cut with band-FM and charges the build (BuildOps) to its
+// first Repartition.
 type SFCPartitioner struct {
-	// Curve is the space-filling curve used for ordering.
-	Curve sfc.Curve
 	// Workers is the resolved worker count the model charges the parallel
 	// phases across (≥ 1; construction resolves 0 to GOMAXPROCS).
 	Workers int
 	// order holds the dual vertices sorted by curve key.
 	order []int32
-	// LastOps records the abstract operation count of the most recent
-	// call (NewSFCWorkers or Repartition) summed over all workers, for
-	// machine-model cost accounting, mirroring remap.Similarity.LastOps.
-	LastOps int64
-	// LastCritOps is the critical-path share of LastOps: the op count of
-	// the slowest worker plus the serial merge terms. machine.Model
-	// charges parallel time from this figure; for Workers == 1 it equals
-	// LastOps.
-	LastCritOps int64
 }
 
 // NewSFCWorkers builds the cached curve order of g's centroids (the
 // O(n log n) part: key generation plus one sort), charged across the
-// given worker knob (≤ 0 = GOMAXPROCS). The curve order is the same at
-// every worker count.
+// given worker knob (≤ 0 = GOMAXPROCS) by BuildOps. The curve order is
+// the same at every worker count.
 func NewSFCWorkers(g *dual.Graph, c sfc.Curve, workers int) *SFCPartitioner {
-	s := &SFCPartitioner{Curve: c, Workers: chunk.Workers(workers)}
+	s := &SFCPartitioner{Workers: chunk.Workers(workers)}
 	s.order = sortByKey(sfc.Keys(c, g.Centroid))
-	b := s.BuildOps()
-	s.LastOps, s.LastCritOps = b.Total, b.Crit
 	return s
 }
 
@@ -77,14 +66,17 @@ func NewSFCWorkers(g *dual.Graph, c sfc.Curve, workers int) *SFCPartitioner {
 // plus n·log2 n sort comparisons. The critical path divides each phase by
 // the workers it would run on, which is 1 below the phase's cutoff, so a
 // small graph is charged its whole serial cost. The sample sort's serial
-// splitter selection is folded into its +w term.
+// splitter selection is folded into its +w term. Like the cut's, the
+// critical path is capped at the total: the serial merge terms can
+// otherwise nudge it past at tiny n or w = 1, and no schedule is slower
+// than running everything serially.
 func (s *SFCPartitioner) BuildOps() machine.Ops {
 	n := len(s.order)
 	kw := int64(phaseWorkers(n, s.Workers, keysSerialCutoff))
 	sw := int64(phaseWorkers(n, min(s.Workers, n/(sortSerialCutoff/8)), sortSerialCutoff))
 	keys, cmps := int64(n), int64(n)*int64(log2ceil(n))
 	crit := machine.CeilDiv(keys, kw) + machine.CeilDiv(cmps, sw) + sw - 1
-	return machine.Ops{Total: keys + cmps, Crit: critClamp(crit, keys+cmps)}
+	return machine.Ops{Total: keys + cmps, Crit: min(crit, keys+cmps)}
 }
 
 // phaseWorkers is the worker count a pipeline phase over n items is
@@ -136,34 +128,29 @@ func sortByKey(keys []uint64) []int32 {
 	return idx
 }
 
-// critClamp caps a critical-path estimate at the total: the serial merge
-// terms can otherwise nudge it past the total at tiny n or w=1, and no
-// schedule is slower than running everything serially.
-func critClamp(crit, total int64) int64 {
-	if crit > total {
-		return total
-	}
-	return crit
-}
-
 // Repartition cuts the cached curve order into k chunks balancing the
-// graph's *current* Wcomp, in O(n) work, charged at O(n/Workers) critical
-// path. It is safe to call repeatedly as the weights evolve across
-// adaption steps; the sorted order is reused.
+// graph's *current* Wcomp, in O(n) work. It is safe to call repeatedly as
+// the weights evolve across adaption steps; the sorted order is reused.
 //
 // Balance guarantee (before refinement): each chunk receives the vertices
 // whose weighted-midpoint prefix falls in one of k equal windows of the
 // total weight, so a chunk's weight exceeds ΣW/k by at most max(Wcomp) —
-// i.e. Imbalance ≤ 1 + k·max(Wcomp)/ΣW. A subsequent FM pass (see CutCounted)
+// i.e. Imbalance ≤ 1 + k·max(Wcomp)/ΣW. The Repartitioner's FM pass
 // reduces the cut while keeping every part within the larger of that
 // bound and its own 3% tolerance: Wmax ≤ max(ΣW/k + max(Wcomp), 1.03·ΣW/k).
 func (s *SFCPartitioner) Repartition(g *dual.Graph, k int) Assignment {
+	asg, _ := s.cut(g, k)
+	return asg
+}
+
+// cut is Repartition with its charge: the weight-sum scan, the window
+// scan and the fill, 3n ops at O(n/Workers) critical path, capped at the
+// total.
+func (s *SFCPartitioner) cut(g *dual.Graph, k int) (Assignment, machine.Ops) {
 	n := len(s.order)
 	asg := make(Assignment, n)
 	if k <= 1 || n == 0 {
-		s.LastOps = int64(n)
-		s.LastCritOps = int64(n)
-		return asg
+		return asg, machine.Ops{Total: int64(n), Crit: int64(n)}
 	}
 	if k > n {
 		k = n
@@ -175,12 +162,9 @@ func (s *SFCPartitioner) Repartition(g *dual.Graph, k int) Assignment {
 			asg[v] = int32(p)
 		}
 	}
-
-	// Weight-sum scan + window scan + fill, for model timing.
 	w := phaseWorkers(n, s.Workers, repartSerialCutoff)
-	s.LastOps = 3 * int64(n)
-	s.LastCritOps = critClamp(machine.CeilDiv(3*int64(n), int64(w))+int64(k)+int64(w), s.LastOps)
-	return asg
+	total := 3 * int64(n)
+	return asg, machine.Ops{Total: total, Crit: min(machine.CeilDiv(total, int64(w))+int64(k)+int64(w), total)}
 }
 
 // cutSerial computes the raw window boundaries with a single prefix-sum
@@ -237,28 +221,6 @@ func repairBounds(bounds []int, k, n int) {
 			bounds[p] = bounds[p+1] - 1
 		}
 	}
-}
-
-// CutCounted cuts the cached order into k parts (Repartition) and smooths
-// the chunk boundaries with band-FM at opt.Workers (curve cuts are jagged
-// at the element scale; one cheap boundary pass recovers most of the cut
-// quality). It reports the cut's compute-bound ops plus the smoothing
-// pass's memory-bound ones; the build's are BuildOps, for the caller to
-// charge once.
-func (s *SFCPartitioner) CutCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.Ops) {
-	asg := s.Repartition(g, k)
-	ops := machine.Ops{Total: s.LastOps, Crit: s.LastCritOps}
-	ops.Add(refine.Default(g.N, opt.Workers).Refine(g, asg, k, 2))
-	return asg, ops
-}
-
-// sfcCounted is the one-shot pipeline behind Partition: build the curve
-// order and charge it to its first cut.
-func sfcCounted(g *dual.Graph, k int, c sfc.Curve, opt Options) (Assignment, machine.Ops) {
-	s := NewSFCWorkers(g, c, opt.Workers)
-	asg, ops := s.CutCounted(g, k, opt)
-	ops.Add(s.BuildOps())
-	return asg, ops
 }
 
 // log2ceil returns ceil(log2(n)) for n ≥ 1.

@@ -16,7 +16,7 @@ func Example() {
 	// Four vertices, each given by its old processor, new partition and weight.
 	s := remap.Build([]int32{0, 0, 1, 1}, []int32{0, 1, 0, 1}, []int64{10, 90, 80, 20}, 2, 1)
 
-	mp, obj := s.Heuristic()
+	mp, obj, _ := s.Heuristic()
 	c, n := s.MoveStats(mp)
 	fmt.Printf("mapping=%v objective=%d moved=%d sets=%d\n", mp, obj, c, n)
 

@@ -3,7 +3,9 @@ package remap
 import "slices"
 
 // Heuristic computes a processor assignment with the paper's greedy
-// mark-and-map algorithm and returns the mapping and its objective 𝒥.
+// mark-and-map algorithm and returns the mapping, its objective 𝒥, and
+// the inner-loop operation count that times the reassignment phase
+// (Figs. 9 and 10a).
 //
 // The algorithm repeats two steps until every partition is assigned:
 //
@@ -25,13 +27,13 @@ import "slices"
 // larger mark, so a row runs out after at most as many scans as it has
 // entries and is never read again. Zero-weight marks come off a
 // next-unassigned-column skip list, and the map step visits only the
-// columns the round touched. LastOps counts the entries the rounds
+// columns the round touched. The op count is the entries the rounds
 // examine: at most the row's nonzeros plus its zero marks per processor
 // and round, against the P·F cells per processor and round of a matrix
 // sweep, and nothing at all for a processor that is done.
-func (s *Similarity) Heuristic() (Mapping, int64) {
+func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 	cols := s.Cols()
-	mp := make(Mapping, cols)
+	mp = make(Mapping, cols)
 	for j := range mp {
 		mp[j] = -1
 	}
@@ -89,14 +91,13 @@ func (s *Similarity) Heuristic() (Mapping, int64) {
 		}
 	}
 
-	s.LastOps = 0
 	for len(active) > 0 {
 		round++
 		touched = touched[:0]
 		for _, i := range active {
 			need := int(unmapped[i])
 			top = top[:0]
-			s.LastOps += int64(len(rows[i]))
+			ops += int64(len(rows[i]))
 			for _, e := range rows[i] {
 				if mp[e.col] >= 0 || len(top) == need && e.w <= top[need-1].w {
 					continue // assigned, or not above the full list's smallest entry
@@ -122,7 +123,7 @@ func (s *Similarity) Heuristic() (Mapping, int64) {
 			need -= len(top)
 			for j := nextFree(0); need > 0; j = nextFree(j + 1) {
 				if markedBy[j] != i+1 {
-					s.LastOps++
+					ops++
 					place(i, j, 0)
 					need--
 				}
@@ -135,5 +136,5 @@ func (s *Similarity) Heuristic() (Mapping, int64) {
 		}
 		active = slices.DeleteFunc(active, func(i int32) bool { return unmapped[i] == 0 })
 	}
-	return mp, s.Objective(mp)
+	return mp, s.Objective(mp), ops
 }

@@ -5,12 +5,14 @@ package remap
 // matching exactly as the paper does: each processor and all of its
 // incident edges are duplicated F times, giving a square (P·F)×(P·F)
 // problem solved with the Hungarian algorithm, after which the F copies of
-// each processor are combined into a one-to-F mapping.
+// each processor are combined into a one-to-F mapping. It returns the
+// mapping, its objective 𝒥, and the (P·F)³ inner-loop operation count of
+// the matching.
 //
 // Complexity is O((P·F)³); the paper reports (and our Fig. 10 bench
 // reproduces) roughly two orders of magnitude more runtime than the greedy
 // heuristic.
-func (s *Similarity) Optimal() (Mapping, int64) {
+func (s *Similarity) Optimal() (mp Mapping, objective, ops int64) {
 	n := s.Cols()
 	// Build the duplicated cost matrix for minimization: row r is copy
 	// r%F of processor r/F; cost = maxS − S so that minimal cost matches
@@ -30,12 +32,11 @@ func (s *Similarity) Optimal() (Mapping, int64) {
 		}
 	}
 	colRow := hungarian(cost)
-	s.LastOps = int64(n) * int64(n) * int64(n) // Hungarian inner loops
-	mp := make(Mapping, n)
+	mp = make(Mapping, n)
 	for j, r := range colRow {
 		mp[j] = int32(r / s.F)
 	}
-	return mp, s.Objective(mp)
+	return mp, s.Objective(mp), int64(n) * int64(n) * int64(n) // Hungarian inner loops
 }
 
 // hungarian solves the square assignment problem (minimize total cost) and

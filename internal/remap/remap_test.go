@@ -64,7 +64,7 @@ func TestIdentityMapping(t *testing.T) {
 
 func TestHeuristicValidAndReasonable(t *testing.T) {
 	s := paperLikeMatrix()
-	mp, obj := s.Heuristic()
+	mp, obj, _ := s.Heuristic()
 	if err := s.Validate(mp); err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,8 @@ func TestHeuristicValidAndReasonable(t *testing.T) {
 
 func TestOptimalBeatsOrMatchesHeuristic(t *testing.T) {
 	s := paperLikeMatrix()
-	_, hObj := s.Heuristic()
-	mpO, oObj := s.Optimal()
+	_, hObj, _ := s.Heuristic()
+	mpO, oObj, _ := s.Optimal()
 	if err := s.Validate(mpO); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestOptimalBeatsOrMatchesHeuristic(t *testing.T) {
 func TestOptimalIsOptimalBruteForce(t *testing.T) {
 	// P=3, F=1: brute-force all 6 permutations.
 	s := FromDense(1, [][]int64{{10, 2, 7}, {4, 8, 1}, {6, 5, 9}})
-	_, got := s.Optimal()
+	_, got, _ := s.Optimal()
 	best := int64(-1)
 	perms := [][]int32{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	for _, pm := range perms {
@@ -109,7 +109,7 @@ func TestOptimalIsOptimalBruteForce(t *testing.T) {
 func TestOptimalBruteForceF2(t *testing.T) {
 	// P=2, F=2: enumerate all ways to pick 2 of 4 columns for proc 0.
 	s := FromDense(2, [][]int64{{9, 1, 5, 3}, {2, 8, 4, 7}})
-	_, got := s.Optimal()
+	_, got, _ := s.Optimal()
 	best := int64(-1)
 	for a := 0; a < 4; a++ {
 		for b := a + 1; b < 4; b++ {
@@ -143,11 +143,11 @@ func TestHeuristicHalfApproximation(t *testing.T) {
 			}
 		}
 		s := FromDense(f, rows)
-		mpH, hObj := s.Heuristic()
+		mpH, hObj, _ := s.Heuristic()
 		if err := s.Validate(mpH); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		_, oObj := s.Optimal()
+		_, oObj, _ := s.Optimal()
 		if oObj < hObj {
 			t.Fatalf("trial %d: optimal %d < heuristic %d", trial, oObj, hObj)
 		}
@@ -199,7 +199,7 @@ func TestZeroMoveForCongruentPartitioning(t *testing.T) {
 	// If the new partitions coincide with the old distribution, the
 	// optimal mapping moves nothing.
 	s := FromDense(1, [][]int64{{100}, {0, 100}, {0, 0, 100}, {0, 0, 0, 100}})
-	mp, obj := s.Optimal()
+	mp, obj, _ := s.Optimal()
 	if obj != 400 {
 		t.Errorf("objective = %d, want 400", obj)
 	}
@@ -440,7 +440,7 @@ func checkAgainstDense(t *testing.T, s *Similarity) {
 	t.Helper()
 	S := dense(s)
 	want, denseOps, rounds := denseHeuristic(S, s.P, s.F)
-	got, obj := s.Heuristic()
+	got, obj, ops := s.Heuristic()
 	if !slices.Equal(got, want) {
 		t.Fatalf("P=%d F=%d: mapping diverges from the dense oracle\n got %v\nwant %v\nS = %v", s.P, s.F, got, want, S)
 	}
@@ -465,8 +465,8 @@ func checkAgainstDense(t *testing.T, s *Similarity) {
 	if c, n := s.MoveStats(got); c != wantC || n != len(pairs) || c+obj != s.Total() {
 		t.Errorf("P=%d F=%d: MoveStats = (%d, %d), dense (%d, %d); total %d", s.P, s.F, c, n, wantC, len(pairs), s.Total())
 	}
-	if s.LastOps > denseOps {
-		t.Errorf("P=%d F=%d: LastOps %d above the dense sweep's %d (%d rounds)", s.P, s.F, s.LastOps, denseOps, rounds)
+	if ops > denseOps {
+		t.Errorf("P=%d F=%d: %d ops above the dense sweep's %d (%d rounds)", s.P, s.F, ops, denseOps, rounds)
 	}
 }
 
@@ -502,14 +502,14 @@ func FuzzHeuristic(f *testing.F) {
 // sweep counted 10 G operations — the rounds examine under 10 M entries.
 func TestHeuristicOpsSparse(t *testing.T) {
 	s := randomSimilarity(rand.New(rand.NewSource(3)), 2048, 1, 4)
-	mp, _ := s.Heuristic()
+	mp, _, ops := s.Heuristic()
 	if err := s.Validate(mp); err != nil {
 		t.Fatal(err)
 	}
 	if nnz := len(s.ents); nnz < 4096 || nnz > 4*4096 {
 		t.Fatalf("fixture has %d nonzeros, want about 4 a row", nnz)
 	}
-	if s.LastOps >= 10_000_000 {
-		t.Errorf("LastOps = %d at P=2048, want under 10 M", s.LastOps)
+	if ops >= 10_000_000 {
+		t.Errorf("%d ops at P=2048, want under 10 M", ops)
 	}
 }

@@ -31,11 +31,6 @@ type Similarity struct {
 	// ascending by column, every weight positive.
 	rowStart []int32
 	ents     []entry
-
-	// LastOps records the inner-loop operation count of the most recent
-	// Heuristic or Optimal call, for machine-model timing of the
-	// reassignment phase (Figs. 9 and 10a).
-	LastOps int64
 }
 
 // entry is one nonzero of a similarity row: column col holds weight w.
