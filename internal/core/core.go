@@ -68,8 +68,8 @@ type Config struct {
 	// Seed drives any randomized components.
 	Seed int64
 	// Workers bounds the worker-goroutine count of the parallel scans
-	// (band-FM gain scatter, remap flow scatter, SPL scans), and is the
-	// worker count the model charges the SFC pipeline across. ≤ 0 means
+	// (remap flow scatter, SPL scans), and is the worker count the model
+	// charges the SFC pipeline across. ≤ 0 means
 	// runtime.GOMAXPROCS. Partition assignments are identical at every
 	// worker count; only wall time changes.
 	Workers int
@@ -387,9 +387,10 @@ type BalanceReport struct {
 	RepartitionOps     int64
 	RepartitionCritOps int64
 	// RefineOps and RefineCritOps are the memory-bound refinement share
-	// of the figures above (band-FM's gain scatter, classic FM's sweeps),
-	// charged at Model.MemOp; the compute-bound remainder (key encoding,
-	// sorts, eigen-solves) is charged at Model.CompOp.
+	// of the figures above (multilevel's classic FM sweeps, the one
+	// refiner a partitioner still runs), charged at Model.MemOp; the
+	// compute-bound remainder (key encoding, sorts, curve cuts,
+	// eigen-solves) is charged at Model.CompOp.
 	RefineOps     int64
 	RefineCritOps int64
 	// RepartitionTime = RepartitionCompTime + RepartitionMemTime: the

@@ -11,7 +11,6 @@ import (
 	"plum/internal/mesh"
 	"plum/internal/meshgen"
 	"plum/internal/partition"
-	"plum/internal/refine"
 	"plum/internal/solver"
 )
 
@@ -352,8 +351,9 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 			t.Errorf("%v: critical path %d exceeds total %d",
 				meth, rep.RepartitionCritOps, rep.RepartitionOps)
 		}
-		// Inertial is the one method that does not refine its cut.
-		if refines := meth != partition.MethodInertial; refines != (rep.RefineOps > 0) {
+		// Multilevel is the one method that refines its cut: the curve
+		// methods' exact cut and inertial bisection run no refiner.
+		if refines := meth == partition.MethodMultilevel; refines != (rep.RefineOps > 0) {
 			t.Errorf("%v: refine ops %d: the pass did not run this method", meth, rep.RefineOps)
 		}
 		if rep.RepartitionTime <= 0 {
@@ -390,10 +390,11 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 // TestBalanceSplitsMemCompTime pins the MemOp/CompOp machine-model
 // split: the refinement share of the repartition ops is reported
 // separately, charged at Model.MemOp, and the compute-bound remainder at
-// Model.CompOp, with RepartitionTime their exact sum.
+// Model.CompOp, with RepartitionTime their exact sum. It runs multilevel,
+// the one method whose repartition has a Mem share.
 func TestBalanceSplitsMemCompTime(t *testing.T) {
 	cfg := DefaultConfig(8)
-	cfg.Method = partition.MethodHilbertSFC
+	cfg.Method = partition.MethodMultilevel
 	f := newFWConfig(t, cfg)
 	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
 	f.A.Refine()
@@ -432,8 +433,8 @@ func TestBalanceSplitsMemCompTime(t *testing.T) {
 // worker counts and demands identical ownership — the framework-level
 // restatement of the curve order's determinism guarantee — and an
 // accepted remap that improves balance. It holds on a small mesh and on a
-// dual graph above refine.SerialCutoff, where the band-FM's parallel path
-// really runs at workers > 1 and its serial replay at workers = 1.
+// dual graph of at least 1<<12 vertices, where the curve build is charged
+// across the workers at workers > 1 and serially at workers = 1.
 func TestBalanceWorkerCountInvariance(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -452,8 +453,8 @@ func TestBalanceWorkerCountInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.name == "box9" && f.G.N < refine.SerialCutoff {
-				t.Fatalf("dual graph has %d vertices, need ≥ %d", f.G.N, refine.SerialCutoff)
+			if tc.name == "box9" && f.G.N < 1<<12 {
+				t.Fatalf("dual graph has %d vertices, need ≥ %d", f.G.N, 1<<12)
 			}
 			f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
 			f.A.Refine()

@@ -42,10 +42,9 @@ type PartitionerTable struct {
 
 // RunPartitionerTable measures all backends on the Local_2-adapted paper
 // mesh, partitioning into k parts (k < 1 is treated as 1) with the given
-// worker knob for the parallel refinement phases and the SFC charges (≤ 0
-// = GOMAXPROCS). Each partitioner refines with its own backend: band-FM
-// for the SFC methods, classic FM inside multilevel; inertial is not
-// refined.
+// worker knob for the SFC charges (≤ 0 = GOMAXPROCS). Only multilevel
+// refines, with classic FM at every level; the SFC methods' exact curve
+// cut and inertial's bisection are not refined.
 func RunPartitionerTable(k, workers int) *PartitionerTable {
 	if k < 1 {
 		k = 1

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"plum/internal/dual"
@@ -131,16 +133,9 @@ func FuzzPartitionAssignment(f *testing.F) {
 					maxW = w
 				}
 			}
-			// Documented bound: the raw chunk cut satisfies
-			// Wmax ≤ ΣW/k + max(Wcomp); the FM pass inside SFC may grow a
-			// part up to its own 3% tolerance, so the post-refinement
-			// guarantee is the larger of the two.
-			avg := float64(total) / float64(k)
-			bound := avg + float64(maxW)
-			if fm := avg * 1.03; fm > bound {
-				bound = fm
-			}
-			bound += 1e-6
+			// Documented bound of the curve cut, which nothing refines
+			// afterwards: Wmax ≤ ΣW/k + max(Wcomp).
+			bound := float64(total)/float64(k) + float64(maxW) + 1e-6
 			for p, w := range seen {
 				if float64(w) > bound {
 					t.Fatalf("%v k=%d: part %d weight %d exceeds documented bound %.1f", m, k, p, w, bound)
@@ -148,4 +143,89 @@ func FuzzPartitionAssignment(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCurveCut is the optimality oracle of the curve cut: on up to 48
+// vertices with fuzzed weights (zeros, ones and a heavy tail) taken in a
+// seeded curve order, and 1 ≤ k ≤ min(8, n), the cut's Wmax must equal the
+// minimum bottleneck of every contiguous cut (an O(k·n²) dynamic program),
+// every chunk must be contiguous in curve order and non-empty, Wmax must
+// not exceed the midpoint window cut's, and Crit ≤ Total.
+func FuzzCurveCut(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), int64(1))
+	f.Add([]byte{0, 0, 0, 0, 0}, uint8(4), int64(2))
+	f.Add([]byte{255, 1, 1, 1, 250, 1, 1, 1, 1, 245, 2, 2}, uint8(5), int64(3))
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, uint8(7), int64(4))
+	f.Fuzz(func(t *testing.T, data []byte, kk uint8, seed int64) {
+		n := min(len(data), 48)
+		if n == 0 {
+			return
+		}
+		k := 1 + int(kk)%min(8, n)
+		g := &dual.Graph{N: n, Wcomp: make([]int64, n)}
+		for v, b := range data[:n] {
+			g.Wcomp[v] = int64(b % 16)
+			if b >= 240 {
+				g.Wcomp[v] = int64(b) * 37
+			}
+		}
+		order := make([]int32, n)
+		for i, v := range rand.New(rand.NewSource(seed)).Perm(n) {
+			order[i] = int32(v)
+		}
+		s := &SFCPartitioner{Workers: 1, order: order, prefix: make([]int64, n+1)}
+		asg, ops := s.cut(g, k)
+
+		prefix := make([]int64, n+1)
+		for i, v := range order {
+			prefix[i+1] = prefix[i] + g.Wcomp[v]
+		}
+		w := make([]int64, k)
+		for i, v := range order {
+			p := int(asg[v])
+			if lo := int(asg[order[max(i-1, 0)]]); p < 0 || p >= k || p < lo || p > lo+1 || (i == 0 && p != 0) {
+				t.Fatalf("n=%d k=%d: position %d in part %d after part %d: chunks not contiguous", n, k, i, p, lo)
+			}
+			w[p] += g.Wcomp[v]
+		}
+		if last := asg[order[n-1]]; int(last) != k-1 {
+			t.Fatalf("n=%d k=%d: curve ends in part %d, %d parts empty", n, k, last, k-1-int(last))
+		}
+		got := slices.Max(w)
+		if want := minBottleneck(prefix, k); got != want {
+			t.Fatalf("n=%d k=%d weights %v: Wmax %d, optimum %d", n, k, g.Wcomp, got, want)
+		}
+		if prefix[n] > 0 {
+			mid := make([]int, k+1)
+			mid[k] = n
+			midpointCut(prefix, mid)
+			if mw := wmax(prefix, mid); got > mw {
+				t.Fatalf("n=%d k=%d: Wmax %d above the midpoint cut's %d", n, k, got, mw)
+			}
+		}
+		if ops.Crit > ops.Total {
+			t.Fatalf("n=%d k=%d: critical path %d exceeds total %d", n, k, ops.Crit, ops.Total)
+		}
+	})
+}
+
+// minBottleneck is the reference optimum: the least Wmax over every cut of
+// the n positions into k non-empty contiguous chunks, by dynamic
+// programming over (chunks, prefix length).
+func minBottleneck(prefix []int64, k int) int64 {
+	n := len(prefix) - 1
+	best := slices.Clone(prefix) // one chunk: the whole prefix
+	for j := 2; j <= k; j++ {
+		next := make([]int64, n+1)
+		for i := range next {
+			next[i] = math.MaxInt64
+		}
+		for i := j; i <= n; i++ {
+			for m := j - 1; m < i; m++ {
+				next[i] = min(next[i], max(best[m], prefix[i]-prefix[m]))
+			}
+		}
+		best = next
+	}
+	return best[n]
 }

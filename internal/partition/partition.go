@@ -9,8 +9,8 @@
 //     of the coarse graph (Lanczos Fiedler vectors, internal/sparse), and
 //     Kernighan–Lin/Fiduccia–Mattheyses boundary refinement during
 //     uncoarsening — the Chaco-style default;
-//   - morton, hilbert: weighted cuts of a space-filling-curve ordering
-//     (sfc.go).
+//   - morton, hilbert: the exact minimum-bottleneck contiguous cut of a
+//     space-filling-curve ordering (sfc.go), with no refinement after it.
 //
 // All partitioners balance the dual graph's computational weights Wcomp.
 package partition
@@ -22,7 +22,6 @@ import (
 	"plum/internal/dual"
 	"plum/internal/geom"
 	"plum/internal/machine"
-	"plum/internal/refine"
 	"plum/internal/sfc"
 	"plum/internal/sparse"
 )
@@ -137,10 +136,9 @@ func MethodByName(name string) (Method, bool) {
 
 // Options configures a partitioning call.
 type Options struct {
-	// Workers bounds the worker-goroutine count of the band-FM boundary
-	// refinement (refine.Default) that a Repartitioner runs after every
-	// curve cut, and is the worker count the model charges the curve
-	// build and cut across (see SFCPartitioner). Multilevel refines with
+	// Workers is the worker count the model charges the curve build and
+	// cut across (see SFCPartitioner); it only scales that charge, and
+	// the host runs the curve methods serially. Multilevel refines with
 	// the serial classic sweep (refine.FMRefine) and ignores it, as does
 	// inertial. ≤ 0 means runtime.GOMAXPROCS. Assignments are identical
 	// at every worker count.
@@ -172,8 +170,8 @@ func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, 
 // method. The dual graph is built once, on the initial mesh, and only its
 // weights change (the paper's central invariant), so what it caches never
 // needs invalidating, whatever the weights or k: the curve methods cache
-// their curve order and cut it in O(n) per call; the graph methods cache
-// nothing.
+// their curve order and cut it in near-O(n) per call; the graph methods
+// cache nothing.
 type Repartitioner struct {
 	g      *dual.Graph
 	method Method
@@ -215,14 +213,13 @@ func (r *Repartitioner) Repartition(k int) (Assignment, machine.Ops) {
 }
 
 // cut partitions with the method and counts the work, without the curve
-// build. The curve methods smooth the jagged curve cut with band-FM at
-// opt.Workers: one cheap boundary pass recovers most of the cut quality.
+// build. The curve methods' cut is the exact minimum-bottleneck cut of the
+// curve order, and nothing runs after it: the modeled clock never prices
+// the edge cut, and no cut of the curve balances better.
 func (r *Repartitioner) cut(k int) (Assignment, machine.Ops) {
 	switch {
 	case r.sfc != nil:
-		asg, ops := r.sfc.cut(r.g, k)
-		ops.Add(refine.Default(r.g.N, r.opt.Workers).Refine(r.g, asg, k, 2))
-		return asg, ops
+		return r.sfc.cut(r.g, k)
 	case r.method == MethodInertial:
 		return inertialCounted(r.g, k)
 	default:

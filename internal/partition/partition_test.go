@@ -2,6 +2,7 @@ package partition
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"plum/internal/adapt"
 	"plum/internal/dual"
 	"plum/internal/geom"
-	"plum/internal/machine"
 	"plum/internal/meshgen"
 	"plum/internal/refine"
 	"plum/internal/sfc"
@@ -109,7 +109,6 @@ func TestSFCIncrementalRepartition(t *testing.T) {
 		a.Refine()
 		g.UpdateWeights(m)
 		asg2 := s.Repartition(g, 8)
-		refine.Default(g.N, 0).Refine(g, asg2, 8, 2)
 		checkAssignment(t, g, asg2, 8, c.String()+"/adapted", 1.10)
 
 		scratch, _ := PartitionCounted(g, 8, meth, Options{})
@@ -120,7 +119,7 @@ func TestSFCIncrementalRepartition(t *testing.T) {
 }
 
 // TestSFCImbalanceBound checks the documented balance guarantee of the
-// raw chunk cut (no FM pass): Wmax ≤ ΣW/k + max(Wcomp).
+// curve cut: Wmax ≤ ΣW/k + max(Wcomp).
 func TestSFCImbalanceBound(t *testing.T) {
 	m := meshgen.Box(6, 6, 6, geom.Vec3{X: 1, Y: 1, Z: 1})
 	g := dual.Build(m)
@@ -150,6 +149,49 @@ func TestSFCImbalanceBound(t *testing.T) {
 	}
 }
 
+// TestCurveCutRotorBound pins the curve methods' balance contract on the
+// heavy-tailed weights adaption produces: over four Local_1-style cycles
+// on a toy rotor (7260 roots), the morton and hilbert cuts at P = 8, 64
+// and 2048 must stay within Imbalance ≤ 1 + k·max(Wcomp)/ΣW and balance no
+// worse than the midpoint window cut of the same curve order.
+func TestCurveCutRotorBound(t *testing.T) {
+	rp := meshgen.DefaultRotor()
+	rp.NR, rp.NTheta, rp.NZ = 10, 11, 11
+	m := meshgen.RotorDisk(rp)
+	g := dual.Build(m)
+	centre := geom.Vec3{X: 1.4 * math.Cos(rp.Sweep/2), Y: 1.4 * math.Sin(rp.Sweep/2)}
+	curves := []sfc.Curve{sfc.Morton, sfc.Hilbert}
+	var cuts []*SFCPartitioner
+	for _, c := range curves {
+		cuts = append(cuts, NewSFCWorkers(g, c, 2))
+	}
+	a := adapt.New(m)
+	for cycle := 1; cycle <= 4; cycle++ {
+		a.MarkRegion(adapt.SphereForFraction(m, centre, 0.05), adapt.MarkRefine)
+		a.Refine()
+		g.UpdateWeights(m)
+		total, maxW := int64(0), slices.Max(g.Wcomp)
+		for _, w := range g.Wcomp {
+			total += w
+		}
+		for i, s := range cuts {
+			for _, k := range []int{8, 64, 2048} {
+				asg := s.Repartition(g, k)
+				bound := 1 + float64(k)*float64(maxW)/float64(total)
+				imb := Imbalance(g, asg, k)
+				mid := make([]int, k+1)
+				mid[k] = g.N
+				midpointCut(s.prefix, mid)
+				midImb := float64(wmax(s.prefix, mid)) * float64(k) / float64(total)
+				if imb > bound+1e-9 || imb > midImb+1e-9 {
+					t.Errorf("cycle %d %v k=%d: imbalance %.4f, bound %.4f, midpoint cut %.4f",
+						cycle, curves[i], k, imb, bound, midImb)
+				}
+			}
+		}
+	}
+}
+
 func TestImbalancePerfect(t *testing.T) {
 	g := &dual.Graph{
 		N:          4,
@@ -171,39 +213,28 @@ func TestImbalancePerfect(t *testing.T) {
 	}
 }
 
-// TestRefinersImproveCut pins the partition-facing contract of both
-// refiners on a mesh dual — band-FM as the SFC methods call it, classic
-// FM as multilevel charges it: starting from a deliberately bad odd/even
-// striping, each must reduce the cut without breaking balance. (The algorithmic contracts live in internal/refine's own
+// TestRefinersImproveCut pins the partition-facing contract of the one
+// refiner a partitioner runs on a mesh dual, classic FM as multilevel
+// charges it: starting from a deliberately bad odd/even striping, it must
+// reduce the cut without breaking balance. (The curve methods run no
+// refiner; the algorithmic contracts live in internal/refine's own
 // tests.)
 func TestRefinersImproveCut(t *testing.T) {
 	g := testGraph(t)
-	for _, r := range []struct {
-		name   string
-		refine func(asg Assignment) machine.Ops
-	}{
-		{"bandfm", func(asg Assignment) machine.Ops { return refine.Default(g.N, 0).Refine(g, asg, 2, 8) }},
-		{"fm", func(asg Assignment) machine.Ops {
-			var ops machine.Ops
-			ops.AddSerialMem(refine.FMRefine(g, asg, 2, 8))
-			return ops
-		}},
-	} {
-		asg := make(Assignment, g.N)
-		for i := range asg {
-			asg[i] = int32(i % 2)
-		}
-		before := EdgeCut(g, asg)
-		ops := r.refine(asg)
-		if after := EdgeCut(g, asg); after >= before {
-			t.Errorf("%s did not improve cut: %d -> %d", r.name, before, after)
-		}
-		if imb := Imbalance(g, asg, 2); imb > 1.2 {
-			t.Errorf("%s broke balance: %.3f", r.name, imb)
-		}
-		if ops.Total <= 0 || ops.Crit <= 0 || ops.Crit > ops.Total {
-			t.Errorf("%s: bad op accounting %+v", r.name, ops)
-		}
+	asg := make(Assignment, g.N)
+	for i := range asg {
+		asg[i] = int32(i % 2)
+	}
+	before := EdgeCut(g, asg)
+	ops := refine.FMRefine(g, asg, 2, 8)
+	if after := EdgeCut(g, asg); after >= before {
+		t.Errorf("fm did not improve cut: %d -> %d", before, after)
+	}
+	if imb := Imbalance(g, asg, 2); imb > 1.2 {
+		t.Errorf("fm broke balance: %.3f", imb)
+	}
+	if ops <= 0 {
+		t.Errorf("fm: bad op accounting %d", ops)
 	}
 }
 
@@ -384,6 +415,20 @@ func TestSFCWorkerParityAfterWeightUpdate(t *testing.T) {
 	}
 }
 
+// TestSFCCutAllocatesOnlyAssignment pins the cut's scratch to the
+// SFCPartitioner: once the boundary slab has grown to k, a cut allocates
+// its Assignment and nothing else, whatever the weights.
+func TestSFCCutAllocatesOnlyAssignment(t *testing.T) {
+	g := gridGraph(24, 24, 16, 7)
+	s := NewSFCWorkers(g, sfc.Hilbert, 2)
+	for _, k := range []int{2, 61, 61, 16} {
+		if a := testing.AllocsPerRun(5, func() { s.cut(g, k) }); a != 1 {
+			t.Errorf("k=%d: cut made %.0f allocations, want 1 (the Assignment)", k, a)
+		}
+		g.Wcomp[k] *= 9
+	}
+}
+
 // TestSFCCritOpsHonestOnSerialFallback pins the cost model to the
 // execution path: when the graph is too small for the parallel phases
 // (every cutoff wins), a large worker knob must NOT discount the critical
@@ -470,9 +515,9 @@ func TestPartitionCountedReportsWork(t *testing.T) {
 		if ops.MemTotal > ops.Total || ops.MemCrit > ops.Crit || ops.MemTotal < 0 || ops.MemCrit < 0 {
 			t.Errorf("%v: memory-bound share out of range: %+v", m, ops)
 		}
-		// The backends that smooth their cut must report the refinement
-		// work in the Mem share; the pure bisection backends carry none.
-		refines := m != MethodInertial
+		// Multilevel must report its FM refinement in the Mem share; the
+		// curve cut and inertial bisection refine nothing and carry none.
+		refines := m == MethodMultilevel
 		if refines && (ops.MemTotal <= 0 || ops.MemCrit <= 0) {
 			t.Errorf("%v: refinement work missing from the Mem share: %+v", m, ops)
 		}

@@ -30,26 +30,35 @@ const (
 //
 // The host runs one serial key pass, a stable radix sort and a serial
 // cut. The model charges the parallel pipeline of Borrell et al. instead,
-// over Workers: chunked key generation, a sample sort and a chunked
-// weighted cut, each charged serially below its size cutoff. Equal keys
-// keep vertex-index order, so the curve order, every Assignment and every
-// charge depend only on the graph and the worker knob.
+// over Workers: chunked key generation, a sample sort and the cut's
+// chunked scans, each charged serially below its size cutoff, plus the
+// cut's serial search. Equal keys keep vertex-index order, so the curve
+// order, every Assignment and every charge depend only on the graph and
+// the worker knob.
 //
 // The curve order depends only on the centroids, which are fixed for the
 // lifetime of the dual graph (the paper's central invariant: the initial
 // mesh never changes). An SFCPartitioner therefore sorts once and
-// repartitions after every adaption step in O(n) — a prefix-sum scan over
-// the cached order with the updated Wcomp weights — which makes
-// incremental repartitioning essentially free next to the remap itself.
-// It is the curve cache of the morton and hilbert Repartitioner, which
-// smooths every cut with band-FM and charges the build (BuildOps) to its
-// first Repartition.
+// repartitions after every adaption step with one prefix-sum scan of the
+// cached order under the updated Wcomp weights and a search on those
+// sums, O(n + k·log n·log max(Wcomp)), which makes incremental
+// repartitioning essentially free next to the remap itself. The cut is
+// the exact minimum-bottleneck cut of that order (see Repartition), and
+// nothing runs after it. It is the curve cache of the morton and hilbert
+// Repartitioner, which charges the build (BuildOps) to its first
+// Repartition. The cut's scratch lives here too, so a cut allocates only
+// its Assignment; an SFCPartitioner is therefore not safe for concurrent
+// use.
 type SFCPartitioner struct {
 	// Workers is the resolved worker count the model charges the parallel
 	// phases across (≥ 1; construction resolves 0 to GOMAXPROCS).
 	Workers int
 	// order holds the dual vertices sorted by curve key.
 	order []int32
+	// prefix[i] is the Wcomp of order[:i] (n+1 entries), and bounds the
+	// chunk starts of the cut (k+1 entries): scratch every cut reuses.
+	prefix []int64
+	bounds []int
 }
 
 // NewSFCWorkers builds the cached curve order of g's centroids (the
@@ -57,9 +66,11 @@ type SFCPartitioner struct {
 // given worker knob (≤ 0 = GOMAXPROCS) by BuildOps. The curve order is
 // the same at every worker count.
 func NewSFCWorkers(g *dual.Graph, c sfc.Curve, workers int) *SFCPartitioner {
-	s := &SFCPartitioner{Workers: chunk.Workers(workers)}
-	s.order = sortByKey(sfc.Keys(c, g.Centroid))
-	return s
+	return &SFCPartitioner{
+		Workers: chunk.Workers(workers),
+		order:   sortByKey(sfc.Keys(c, g.Centroid)),
+		prefix:  make([]int64, g.N+1),
+	}
 }
 
 // BuildOps is the charge of building the curve order: n key generations
@@ -128,83 +139,152 @@ func sortByKey(keys []uint64) []int32 {
 	return idx
 }
 
-// Repartition cuts the cached curve order into k chunks balancing the
-// graph's *current* Wcomp, in O(n) work. It is safe to call repeatedly as
+// Repartition cuts the cached curve order into k contiguous chunks
+// balancing the graph's *current* Wcomp. It is safe to call repeatedly as
 // the weights evolve across adaption steps; the sorted order is reused.
 //
-// Balance guarantee (before refinement): each chunk receives the vertices
-// whose weighted-midpoint prefix falls in one of k equal windows of the
-// total weight, so a chunk's weight exceeds ΣW/k by at most max(Wcomp) —
-// i.e. Imbalance ≤ 1 + k·max(Wcomp)/ΣW. The Repartitioner's FM pass
-// reduces the cut while keeping every part within the larger of that
-// bound and its own 3% tolerance: Wmax ≤ max(ΣW/k + max(Wcomp), 1.03·ΣW/k).
+// Balance guarantee: the cut is the contiguous cut of the curve order
+// with the smallest Wmax (exact chains-on-chains partitioning), so no
+// other way of cutting the curve into k chunks balances better, and
+// Wmax < ⌈ΣW/k⌉ + max(Wcomp), i.e. Imbalance ≤ 1 + k·max(Wcomp)/ΣW.
 func (s *SFCPartitioner) Repartition(g *dual.Graph, k int) Assignment {
 	asg, _ := s.cut(g, k)
 	return asg
 }
 
-// cut is Repartition with its charge: the weight-sum scan, the window
-// scan and the fill, 3n ops at O(n/Workers) critical path, capped at the
-// total.
+// cut is Repartition with its charge. The prefix-sum scan, the midpoint
+// window scan and the fill are 3n ops at O(n/Workers) critical path,
+// capped at the total; the bisection's search steps are sequential in k
+// and go serially on the critical path.
 func (s *SFCPartitioner) cut(g *dual.Graph, k int) (Assignment, machine.Ops) {
 	n := len(s.order)
 	asg := make(Assignment, n)
 	if k <= 1 || n == 0 {
 		return asg, machine.Ops{Total: int64(n), Crit: int64(n)}
 	}
-	if k > n {
-		k = n
-	}
-	bounds := s.cutSerial(g, k)
-	repairBounds(bounds, k, n)
+	k = min(k, n)
+	bounds, steps := s.cutSerial(g, k)
 	for p := 0; p < k; p++ {
 		for _, v := range s.order[bounds[p]:bounds[p+1]] {
 			asg[v] = int32(p)
 		}
 	}
 	w := phaseWorkers(n, s.Workers, repartSerialCutoff)
-	total := 3 * int64(n)
-	return asg, machine.Ops{Total: total, Crit: min(machine.CeilDiv(total, int64(w))+int64(k)+int64(w), total)}
+	scans := 3 * int64(n)
+	crit := min(machine.CeilDiv(scans, int64(w))+int64(k)+int64(w), scans)
+	return asg, machine.Ops{Total: scans + steps, Crit: crit + steps}
 }
 
-// cutSerial computes the raw window boundaries with a single prefix-sum
-// scan: vertex i (in curve order) belongs to the window containing the
-// midpoint of its weight interval [prefix, prefix+w). Midpoints are
-// increasing along the order, so chunks are contiguous. Without weight
-// the chunks are equal-count.
-func (s *SFCPartitioner) cutSerial(g *dual.Graph, k int) []int {
+// cutSerial returns the chunk starts of the minimum-bottleneck cut
+// (bounds[p] is chunk p's first position on the curve, bounds[k] = n) and
+// the binary-search steps it took. One scan builds the prefix sums of
+// Wcomp in curve order; the midpoint window cut bounds the optimum from
+// above and max(⌈ΣW/k⌉, max(Wcomp)) from below; bisection on the integer
+// bottleneck finds the least B a greedy probe can fit into k chunks, and
+// the probe at that B places the boundaries. The returned slice is
+// scratch that the next cut overwrites.
+func (s *SFCPartitioner) cutSerial(g *dual.Graph, k int) ([]int, int64) {
 	n := len(s.order)
-	var total int64
-	for _, w := range g.Wcomp {
-		total += w
+	prefix := s.prefix[:n+1]
+	var maxW int64
+	for i, v := range s.order {
+		w := g.Wcomp[v]
+		prefix[i+1] = prefix[i] + w
+		maxW = max(maxW, w)
 	}
-	bounds := make([]int, k+1)
-	bounds[k] = n
+	total := prefix[n]
+	if cap(s.bounds) < k+1 {
+		s.bounds = make([]int, k+1)
+	}
+	bounds := s.bounds[:k+1]
+	bounds[0], bounds[k] = 0, n
 	if total == 0 {
 		for p := 1; p < k; p++ {
 			bounds[p] = p * n / k
 		}
-		return bounds
+		return bounds, 0
 	}
+	midpointCut(prefix, bounds)
+	lo, hi := max(machine.CeilDiv(total, int64(k)), maxW), wmax(prefix, bounds)
+	var steps int64
+	for lo < hi {
+		b := lo + (hi-lo)/2
+		ok, c := probe(prefix, bounds, b)
+		steps += c
+		if ok {
+			hi = b
+		} else {
+			lo = b + 1
+		}
+	}
+	_, c := probe(prefix, bounds, lo)
+	repairBounds(bounds, k, n)
+	return bounds, steps + c
+}
+
+// midpointCut writes the window cut into bounds: vertex i (in curve
+// order) belongs to the one of k equal windows of the total weight that
+// contains the midpoint of its weight interval [prefix[i], prefix[i+1]).
+// Midpoints are increasing along the order, so chunks are contiguous, and
+// a chunk's weight exceeds ΣW/k by at most max(Wcomp).
+func midpointCut(prefix []int64, bounds []int) {
+	n, k := len(prefix)-1, len(bounds)-1
+	total := prefix[n]
 	for p := 1; p < k; p++ {
 		bounds[p] = -1
 	}
-	var prefix int64
-	for i, v := range s.order {
-		mid := float64(prefix) + float64(g.Wcomp[v])/2
+	for i := range n {
+		mid := float64(prefix[i]) + float64(prefix[i+1]-prefix[i])/2
 		p := min(int(mid*float64(k)/float64(total)), k-1)
 		// First vertex of each window starts that window's chunk.
 		for q := p; q >= 1 && bounds[q] < 0; q-- {
 			bounds[q] = i
 		}
-		prefix += g.Wcomp[v]
 	}
-	return bounds
+	repairBounds(bounds, k, n)
+}
+
+// wmax returns the heaviest chunk of the cut bounds.
+func wmax(prefix []int64, bounds []int) int64 {
+	var w int64
+	for p := 1; p < len(bounds); p++ {
+		w = max(w, prefix[bounds[p]]-prefix[bounds[p-1]])
+	}
+	return w
+}
+
+// probe packs the curve greedily into chunks of weight ≤ b: each chunk
+// ends at the last position whose prefix sum stays within b of its start,
+// found by one binary search on prefix. It writes each chunk's end into
+// bounds[1:] (n for the chunks left empty) and reports whether the k
+// chunks reach the end of the curve, and the search steps it took. For
+// b ≥ max(Wcomp) no chunk before the last non-empty one is empty, and the
+// packing fits in k chunks exactly when some contiguous cut has Wmax ≤ b.
+func probe(prefix []int64, bounds []int, b int64) (bool, int64) {
+	n := len(prefix) - 1
+	var steps int64
+	s := 0
+	for p := 1; p < len(bounds); p++ {
+		lim := prefix[s] + b
+		lo, hi := s, n // the answer lies in [lo, hi]: prefix[lo] ≤ lim
+		for lo < hi {
+			mid := int(uint(lo+hi+1) >> 1)
+			if prefix[mid] <= lim {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
+			steps++
+		}
+		bounds[p], s = lo, lo
+	}
+	return s == n, steps
 }
 
 // repairBounds finishes the raw windows: empty trailing windows inherit
 // the next chunk's start, and every chunk is clamped to be non-empty
-// (possible since k ≤ n).
+// (possible since k ≤ n). Every chunk ends up either one vertex or inside
+// its raw range, so none outweighs both its raw weight and max(Wcomp).
 func repairBounds(bounds []int, k, n int) {
 	for p := k - 1; p >= 1; p-- {
 		if bounds[p] < 0 {

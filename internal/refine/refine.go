@@ -4,15 +4,18 @@
 // serial Fiduccia–Mattheyses pass became the critical-path bottleneck of
 // the otherwise-parallel SFC balance pipeline.
 //
-// Two refiners live here, and each partitioner calls its own:
+// Two refiners live here:
 //
+//   - FMRefine: the classic serial cascading sweep, run at every level of
+//     multilevel — the one refiner a partitioner calls.
 //   - BandFM (Default): a deterministic band-limited parallel FM —
 //     extract the boundary band, color it into conflict-free classes,
 //     compute move proposals per class in parallel against a frozen
 //     snapshot, apply them in a fixed serial order. Byte-identical output
-//     at every worker count. The SFC methods smooth their cuts with it.
-//   - FMRefine: the classic serial cascading sweep, run at every level of
-//     multilevel.
+//     at every worker count. No partitioner runs it: the SFC methods'
+//     exact curve cut needs nothing after it. It is kept only because
+//     bench/run.go's repartition probe still calls Default, and can be
+//     deleted once that probe stops.
 //
 // Both pick a vertex's target part with the same move rule (proposeMove)
 // — band-FM against a frozen per-class snapshot, FM against the live
@@ -44,7 +47,7 @@ func EffectiveWorkers(n, workers int) int {
 }
 
 // Default returns the band-limited FM refiner at the given worker knob,
-// at every graph size. Below SerialCutoff, or with one worker, BandFM
+// at every graph size. No partitioner calls it (see the package doc). Below SerialCutoff, or with one worker, BandFM
 // runs its serial replay, which is byte-identical to its parallel path —
 // so the cut never depends on how many workers computed it. Choosing the
 // cheaper classic sweep for serial hosts would break that: FMRefine and

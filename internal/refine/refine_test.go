@@ -127,8 +127,7 @@ func checkerboardAssignment(g *dual.Graph, k int) []int32 {
 	return asg
 }
 
-// backend is one of the package's two refiners, as its partitioner calls
-// it, at a fixed worker knob.
+// backend is one of the package's two refiners at a fixed worker knob.
 type backend struct {
 	name   string
 	refine func(g *dual.Graph, asg []int32, k, passes int) machine.Ops
