@@ -5,7 +5,11 @@
 // report line per cycle.
 //
 //	go run ./cmd/plum -p 16 -cycles 3 -strategy local1
-//	go run ./cmd/plum -p 64 -f 4 -mapper optimal -partitioner hilbert
+//	go run ./cmd/plum -p 64 -f 4 -partitioner hilbert
+//
+// Every balance pass maps the new partitions onto processors with the
+// paper's heuristic; the exact (Hungarian) mapper it is measured against
+// is Fig. 10's reference, run by cmd/experiments -exp fig10.
 package main
 
 import (
@@ -40,7 +44,6 @@ func main() {
 		cycles  = flag.Int("cycles", 3, "solution/adaption cycles to run")
 		strat   = flag.String("strategy", "local1", "edge-marking strategy: local1, local2, random, error")
 		thresh  = flag.Float64("threshold", 1.2, "imbalance threshold Wmax/Wavg for repartitioning")
-		mapper  = flag.String("mapper", "heuristic", "processor reassignment: heuristic, optimal")
 		parter  = flag.String("partitioner", "multilevel", fmt.Sprintf("repartitioner, one of %v", partition.Methods))
 		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated (default: flat)")
 		seed    = flag.Int64("seed", 1, "random seed")
@@ -81,14 +84,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 	cfg.Overlap = *overlap
-	switch *mapper {
-	case "heuristic":
-		cfg.Mapper = core.MapperHeuristic
-	case "optimal":
-		cfg.Mapper = core.MapperOptimal
-	default:
-		log.Fatalf("unknown mapper %q", *mapper)
-	}
 	method, ok := partition.MethodByName(*parter)
 	if !ok {
 		log.Fatalf("unknown partitioner %q (have %v)", *parter, partition.Methods)
@@ -152,8 +147,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("mesh: %s\n", m.Stats())
-	fmt.Printf("config: P=%d F=%d threshold=%.2f mapper=%s partitioner=%s exchange=%s workers=%d overlap=%v\n",
-		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Mapper, cfg.Method,
+	fmt.Printf("config: P=%d F=%d threshold=%.2f partitioner=%s exchange=%s workers=%d overlap=%v\n",
+		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Method,
 		fw.D.Exchange, chunk.Workers(cfg.Workers), cfg.Overlap)
 	if plan.Enabled() {
 		r := cfg.Retry.Normalize()
@@ -228,7 +223,7 @@ func main() {
 				rep.AdaptTime.Target, rep.AdaptTime.Propagate, rep.AdaptTime.Execute,
 				rep.AdaptTime.Classify, rep.AdaptTime.CommRounds, rep.AdaptTime.Msgs, rep.AdaptTime.Words)
 			fmt.Printf("         adapt ops=%d crit=%d execT=%.3gs visits=%d marked=%d\n",
-				b.AdaptOps, b.AdaptCritOps, b.AdaptExecTime,
+				rep.AdaptTime.Ops.Total, rep.AdaptTime.Ops.Crit, rep.AdaptTime.Ops.Time(cfg.Model),
 				rep.AdaptTime.Visits, rep.AdaptTime.Marked)
 			if b.Repartitioned {
 				fmt.Printf("         repart ops=%d crit=%d (refine %d/%d) compT=%.3gs memT=%.3gs reassign ops=%d t=%.3gs\n",

@@ -28,24 +28,10 @@ import (
 	"plum/internal/solver"
 )
 
-// Mapper selects the processor-reassignment algorithm.
-type Mapper int
-
-// Available mappers.
-const (
-	MapperHeuristic Mapper = iota
-	MapperOptimal
-)
-
-// String implements fmt.Stringer.
-func (mp Mapper) String() string {
-	if mp == MapperOptimal {
-		return "optimal"
-	}
-	return "heuristic"
-}
-
-// Config parameterizes the framework.
+// Config parameterizes the framework. It names no mapper: the balance
+// pass and crash recovery both assign partitions to processors with the
+// paper's heuristic (remap.Similarity.Heuristic). The exact
+// remap.Similarity.Optimal is the reference Fig. 10 measures it against.
 type Config struct {
 	// P is the number of processors; F is the number of partitions per
 	// processor (the paper's granularity factor; F=1 suffices for most
@@ -56,8 +42,6 @@ type Config struct {
 	ImbalanceThreshold float64
 	// Method is the repartitioning algorithm.
 	Method partition.Method
-	// Mapper chooses heuristic or optimal processor reassignment.
-	Mapper Mapper
 	// Model is the machine model for timing: per-operation costs plus one
 	// link level, on which every message pays Tsetup + words·Tlat. The
 	// acceptance rule prices the predicted redistribution from the same
@@ -142,15 +126,13 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used throughout the experiments:
-// F=1, threshold 1.2, multilevel partitioner, heuristic mapper, SP2
-// machine constants.
+// F=1, threshold 1.2, multilevel partitioner, SP2 machine constants.
 func DefaultConfig(p int) Config {
 	return Config{
 		P:                  p,
 		F:                  1,
 		ImbalanceThreshold: 1.2,
 		Method:             partition.MethodMultilevel,
-		Mapper:             MapperHeuristic,
 		Model:              machine.SP2(),
 		Cost:               remap.DefaultSP2(),
 		Seed:               1,
@@ -217,9 +199,6 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	}
 	if !slices.Contains(partition.Methods, cfg.Method) {
 		return nil, fmt.Errorf("core: unknown method %d (have %v)", int(cfg.Method), partition.Methods)
-	}
-	if cfg.Mapper != MapperHeuristic && cfg.Mapper != MapperOptimal {
-		return nil, fmt.Errorf("core: unknown mapper %d", int(cfg.Mapper))
 	}
 	if math.IsNaN(cfg.ImbalanceThreshold) {
 		// imb > NaN is always false: the balancer would never run.
@@ -393,9 +372,9 @@ type BalanceReport struct {
 	// eigen-solves) is charged at Model.CompOp.
 	RefineOps     int64
 	RefineCritOps int64
-	// RepartitionTime = RepartitionCompTime + RepartitionMemTime: the
-	// modeled wall clock of the whole repartition, split across the two
-	// machine rates.
+	// RepartitionTime is the modeled wall clock of the whole repartition
+	// (machine.Ops.Time), RepartitionCompTime + RepartitionMemTime its
+	// split across the two machine rates.
 	RepartitionTime     float64
 	RepartitionCompTime float64
 	RepartitionMemTime  float64
@@ -416,16 +395,6 @@ type BalanceReport struct {
 	// critical path at Model.MemOp, the compute-bound remainder at
 	// Model.CompOp.
 	RemapExecTime float64
-	// AdaptOps, AdaptCritOps, and AdaptExecTime describe the parallel
-	// adaption pass that preceded this balance pass
-	// (par.PredictAdaptOps of the executed phase quantities), filled by
-	// Cycle; zero when Balance is invoked directly. Adaption is
-	// mandatory work the cycle performs whatever the remap decision, so
-	// these sit beside the pipeline costs for visibility rather than on
-	// the acceptance rule's cost side.
-	AdaptOps      int64
-	AdaptCritOps  int64
-	AdaptExecTime float64
 	// Gain and Cost are the two sides of the acceptance test; Accepted
 	// reports whether the remap was executed. Cost is the *exposed* cost:
 	// CostFull minus OverlapTime. Without overlap the two are equal.
@@ -543,7 +512,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.RefineCritOps = partOps.MemCrit
 	rep.RepartitionCompTime = float64(partOps.Crit-partOps.MemCrit) * f.Cfg.Model.CompOp
 	rep.RepartitionMemTime = float64(partOps.MemCrit) * f.Cfg.Model.MemOp
-	rep.RepartitionTime = rep.RepartitionCompTime + rep.RepartitionMemTime
+	rep.RepartitionTime = partOps.Time(f.Cfg.Model)
 	traceRepartition(f.Cfg.Trace, f.Cfg.Model, partOps, len(alive)*f.Cfg.F)
 	rep.ReassignOps = pr.mapOps
 	rep.ReassignTime = float64(pr.mapOps) * f.Cfg.Model.MemOp
@@ -650,16 +619,13 @@ type proposal struct {
 // propose runs the sequence the balance pass and crash recovery share:
 // repartition the dual graph into F parts per survivor, build the
 // similarity matrix in the compacted survivor index space (identity when
-// every rank is alive), and reassign the parts with the configured mapper.
+// every rank is alive), and reassign the parts with the paper's heuristic
+// mapper.
 func (f *Framework) propose(alive []int32) (proposal, error) {
 	var pr proposal
 	pr.part, pr.partOps = f.part.Repartition(len(alive) * f.Cfg.F)
 	pr.sim = remap.Build(f.compactOwners(alive), pr.part, f.G.Wremap, len(alive), f.Cfg.F)
-	if f.Cfg.Mapper == MapperOptimal {
-		pr.mapping, pr.objective, pr.mapOps = pr.sim.Optimal()
-	} else {
-		pr.mapping, pr.objective, pr.mapOps = pr.sim.Heuristic()
-	}
+	pr.mapping, pr.objective, pr.mapOps = pr.sim.Heuristic()
 	return pr, pr.sim.Validate(pr.mapping)
 }
 
@@ -849,9 +815,6 @@ func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 		traceCycleError(f.Cfg.Trace, err)
 		return rep, err
 	}
-	bal.AdaptOps = rep.AdaptTime.Ops.Total
-	bal.AdaptCritOps = rep.AdaptTime.Ops.Crit
-	bal.AdaptExecTime = rep.AdaptTime.Ops.Time(f.Cfg.Model)
 	rep.Balance = bal
 	rep.Outcome = bal.Outcome
 	traceCycleEnd(f.Cfg.Trace, rep.Outcome)

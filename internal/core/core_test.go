@@ -20,8 +20,8 @@ func newFW(t *testing.T, p int) *Framework {
 }
 
 // newFWConfig builds a framework over the small box from cfg. New
-// resolves the configuration, so a test that needs another method,
-// mapper or F sets it here, not on Framework.Cfg afterwards.
+// resolves the configuration, so a test that needs another method or F
+// sets it here, not on Framework.Cfg afterwards.
 func newFWConfig(t *testing.T, cfg Config) *Framework {
 	t.Helper()
 	f, err := New(meshgen.SmallBox(), nil, cfg)
@@ -41,7 +41,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	for name, spoil := range map[string]func(*Config){
 		"unknown method": func(c *Config) { c.Method = partition.Method(len(partition.Methods)) },
-		"unknown mapper": func(c *Config) { c.Mapper = MapperOptimal + 1 },
 		"NaN threshold":  func(c *Config) { c.ImbalanceThreshold = math.NaN() },
 	} {
 		bad := DefaultConfig(2)
@@ -52,10 +51,10 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestCycleAdaptAccounting checks that a cycle surfaces the adaption
-// pass's first-class cost figures in the balance report: nonzero totals, a
-// critical path no longer than the total, and the modeled wall clock
-// derived from them.
+// TestCycleAdaptAccounting checks that a cycle reports the adaption
+// pass's first-class cost figures in CycleReport.AdaptTime: nonzero
+// totals, a critical path no longer than the total, and a positive
+// modeled wall clock derived from them.
 func TestCycleAdaptAccounting(t *testing.T) {
 	m := meshgen.SmallBox()
 	cfg := DefaultConfig(4)
@@ -69,16 +68,12 @@ func TestCycleAdaptAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := rep.Balance
-	if b.AdaptOps <= 0 || b.AdaptCritOps <= 0 || b.AdaptCritOps > b.AdaptOps {
-		t.Errorf("bad adapt ops %d/%d", b.AdaptOps, b.AdaptCritOps)
+	ops := rep.AdaptTime.Ops
+	if ops.Total <= 0 || ops.Crit <= 0 || ops.Crit > ops.Total {
+		t.Errorf("bad adapt ops %d/%d", ops.Total, ops.Crit)
 	}
-	if b.AdaptExecTime <= 0 {
+	if ops.Time(cfg.Model) <= 0 {
 		t.Error("no modeled adapt exec time")
-	}
-	if b.AdaptOps != rep.AdaptTime.Ops.Total ||
-		b.AdaptExecTime != rep.AdaptTime.Ops.Time(cfg.Model) {
-		t.Error("report drifted from the pass's own accounting")
 	}
 }
 
@@ -269,18 +264,33 @@ func TestSolverlessCycleResetsLog(t *testing.T) {
 	}
 }
 
+// TestOptimalMapperPath checks the exact mapper as the reference it is:
+// on the cycle's own proposal, Optimal returns a valid mapping whose
+// objective is at least that of the heuristic the cycle maps with, for
+// exactly the (P·F)³ ops Fig. 10 prices.
 func TestOptimalMapperPath(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.Mapper = MapperOptimal
-	f := newFWConfig(t, cfg)
-	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.7}, adapt.MarkRefine)
-	f.A.Refine()
-	rep, err := f.Balance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Repartitioned && rep.ReassignOps < int64(4*4*4) {
-		t.Errorf("optimal ops = %d, want ≥ n³", rep.ReassignOps)
+	for _, fac := range []int{1, 2} {
+		cfg := DefaultConfig(4)
+		cfg.F = fac
+		f := newFWConfig(t, cfg)
+		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.7}, adapt.MarkRefine)
+		f.A.Refine()
+		f.G.UpdateWeights(f.M)
+		pr, err := f.propose(f.D.Alive())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, obj, ops := pr.sim.Optimal()
+		if err := pr.sim.Validate(mp); err != nil {
+			t.Fatalf("F=%d: optimal mapping invalid: %v", fac, err)
+		}
+		if obj < pr.objective {
+			t.Errorf("F=%d: optimal objective %d < the cycle's heuristic %d", fac, obj, pr.objective)
+		}
+		n := int64(cfg.P * fac)
+		if ops != n*n*n {
+			t.Errorf("F=%d: optimal ops = %d, want (P·F)³ = %d", fac, ops, n*n*n)
+		}
 	}
 }
 
@@ -312,12 +322,6 @@ func TestImprovementBound(t *testing.T) {
 	}
 	if ImprovementBound(1024) >= 8 {
 		t.Error("bound must stay below 8")
-	}
-}
-
-func TestMapperString(t *testing.T) {
-	if MapperHeuristic.String() != "heuristic" || MapperOptimal.String() != "optimal" {
-		t.Error("mapper names")
 	}
 }
 

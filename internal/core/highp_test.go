@@ -108,9 +108,9 @@ func TestCycleHighP(t *testing.T) {
 // worker count by design: the critical-path op shares and the modeled
 // times and cost terms derived from them.
 func workerInvariant(b BalanceReport) BalanceReport {
-	b.RepartitionCritOps, b.RefineCritOps, b.RemapCritOps, b.AdaptCritOps = 0, 0, 0, 0
+	b.RepartitionCritOps, b.RefineCritOps, b.RemapCritOps = 0, 0, 0
 	b.RepartitionTime, b.RepartitionCompTime, b.RepartitionMemTime = 0, 0, 0
-	b.RemapExecTime, b.AdaptExecTime = 0, 0
+	b.RemapExecTime = 0
 	b.Cost, b.CostFull, b.OverlapTime = 0, 0, 0
 	b.Remap.Ops.Crit, b.Remap.Ops.MemCrit = 0, 0
 	return b

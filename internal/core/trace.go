@@ -18,17 +18,9 @@ import (
 // imbalances, outcomes. Critical-path figures (Ops.Crit and the
 // Crit-priced BalanceReport times such as RepartitionTime) legitimately
 // depend on the worker knob and NEVER appear in a span or metric —
-// span durations price op totals serially via serialOpTime instead —
-// which is what keeps exports byte-identical at any worker count
-// (TestTraceWorkerParity).
-
-// serialOpTime prices an op accounting at the machine rates as if run
-// serially: the compute share at CompOp, the memory-bound share at
-// MemOp. Unlike the Crit-based wall-clock estimates, this figure is a
-// pure function of the work done, not of how many workers did it.
-func serialOpTime(mdl machine.Model, total, memTotal int64) float64 {
-	return float64(total-memTotal)*mdl.CompOp + float64(memTotal)*mdl.MemOp
-}
+// span durations price op totals as if run serially (machine.Ops.Time
+// with Crit = Total, MemCrit = MemTotal) instead — which is what keeps
+// exports byte-identical at any worker count (TestTraceWorkerParity).
 
 // traceCycleBegin opens the cycle's framework span at the cursor.
 func traceCycleBegin(tr *obs.Trace, cycle int) {
@@ -118,7 +110,8 @@ func traceRepartition(tr *obs.Trace, mdl machine.Model, ops machine.Ops, parts i
 	if tr == nil {
 		return
 	}
-	dur := serialOpTime(mdl, ops.Total, ops.MemTotal)
+	serial := machine.Ops{Total: ops.Total, Crit: ops.Total, MemTotal: ops.MemTotal, MemCrit: ops.MemTotal}
+	dur := serial.Time(mdl)
 	tr.Span(obs.FrameworkRank, "repartition", tr.Now(), dur,
 		obs.Int("parts", int64(parts)), obs.Int("ops", ops.Total), obs.Int("mem_ops", ops.MemTotal))
 	tr.Advance(dur)

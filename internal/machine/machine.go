@@ -88,6 +88,15 @@ func (m Model) MsgTime(words int64) float64 {
 	return m.Tsetup + float64(words)*m.Tlat
 }
 
+// RetryTime returns the sender's modeled stall for recovering one
+// message of the given words: every resend pays the message again
+// (MsgTime) and every backoff unit RetryBackoff. It is the one retry
+// price of the real remap transport and the modeled notification
+// exchanges.
+func (m Model) RetryTime(resends, backoff, words int64) float64 {
+	return float64(resends)*m.MsgTime(words) + float64(backoff)*m.RetryBackoff
+}
+
 // RedistCost returns the paper's predicted redistribution overhead
 // (seconds) of moving C elements in N sets: C·M·Tlat + N·Tsetup, with M
 // = ElemWords. The paper notes C·M dominates N for realistic problems.

@@ -33,6 +33,26 @@ func TestRedistCost(t *testing.T) {
 	}
 }
 
+// TestRetryTime pins the one retry price on exact binary fractions: every
+// resend repays MsgTime(words), every backoff unit RetryBackoff, and a
+// message that needed neither costs exactly zero.
+func TestRetryTime(t *testing.T) {
+	m := Model{Tsetup: 2, Tlat: 0.25, RetryBackoff: 8}
+	for _, c := range []struct {
+		resends, backoff, words int64
+		want                    float64
+	}{
+		{0, 0, 40, 0},
+		{3, 0, 4, 9},  // 3·(2 + 4·0.25)
+		{0, 5, 4, 40}, // 5·8
+		{2, 3, 8, 32}, // 2·(2 + 8·0.25) + 3·8
+	} {
+		if got := m.RetryTime(c.resends, c.backoff, c.words); got != c.want {
+			t.Errorf("RetryTime(%d, %d, %d) = %g, want %g", c.resends, c.backoff, c.words, got, c.want)
+		}
+	}
+}
+
 func TestMemCompSplit(t *testing.T) {
 	m := SP2()
 	if m.CompOp <= 0 || m.MemOp <= 0 {

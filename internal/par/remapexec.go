@@ -271,11 +271,12 @@ func (d *Dist) crashMask(plan *fault.Plan) []bool {
 // flow's, so every record names a flow (one that does not is a bug and
 // panics): each resent message counts into Retries and its flow's record
 // words into RetryWords (every message of a pair is that flow's records),
-// and is charged another MsgTime of the flow's modeled volume and each
-// backoff unit Model.RetryBackoff, on the sending rank, inside the same send-phase superstep and right behind the flow's
-// own pack charge — so retry cost lands on CommTime/Total exactly where a
-// real sender would stall. A nil retries (the fault-free path) adds no
-// terms at all.
+// and the pair is charged Model.RetryTime (another MsgTime of the flow's
+// modeled volume per resend, RetryBackoff per backoff unit) on the
+// sending rank, inside the same send-phase superstep and right behind
+// the flow's own pack charge — so retry cost lands on CommTime/Total
+// exactly where a real sender would stall. A nil retries (the fault-free
+// path) adds no terms at all.
 //
 // The wire itself — setups, volume, and under aggregated the receivers'
 // drains — is charged by machine.ChargeFlows under the Dist's schedule,
@@ -305,13 +306,7 @@ func (d *Dist) accountRemap(fi *flowIndex, mdl machine.Model, res *RemapResult, 
 			r := retries[k]
 			res.Retries += r.Resends
 			res.RetryWords += r.Resends * elems * recWords
-			var rt float64
-			if r.Resends > 0 {
-				rt += float64(r.Resends) * mdl.MsgTime(words)
-			}
-			if r.Backoff > 0 {
-				rt += float64(r.Backoff) * mdl.RetryBackoff
-			}
+			rt := mdl.RetryTime(r.Resends, r.Backoff, words)
 			clk.Add(src, rt)
 			retryT[src] += rt
 			k++

@@ -153,12 +153,12 @@ type Engine struct {
 	// GOMAXPROCS).
 	Workers int
 	// Faults, when non-nil, replays a deterministic fault plan against
-	// each charged message and bills the sender the modeled recovery:
-	// extra sends at the message's own MsgTime, backoff units at
-	// Model.RetryBackoff. Each message draws its fate per (src, dst).
-	// Charging runs serially in canonical (src, dst) order, so the
-	// model's attempt counters are worker-invariant. nil adds exact
-	// zeros: the fault-free clock is bit-identical.
+	// each charged message and bills the sender the modeled recovery,
+	// Model.RetryTime: extra sends at the message's own MsgTime, backoff
+	// units at Model.RetryBackoff. Each message draws its fate per
+	// (src, dst). Charging runs serially in canonical (src, dst) order,
+	// so the model's attempt counters are worker-invariant. nil adds
+	// exact zeros: the fault-free clock is bit-identical.
 	Faults *fault.ExchangeModel
 }
 
@@ -172,6 +172,6 @@ func (eng Engine) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []
 		if extra == 0 && backoff == 0 {
 			return
 		}
-		clk.Add(int(src), float64(extra)*mdl.MsgTime(words)+float64(backoff)*mdl.RetryBackoff)
+		clk.Add(int(src), mdl.RetryTime(extra, backoff, words))
 	})
 }

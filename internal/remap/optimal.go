@@ -9,9 +9,12 @@ package remap
 // mapping, its objective 𝒥, and the (P·F)³ inner-loop operation count of
 // the matching.
 //
-// Complexity is O((P·F)³); the paper reports (and our Fig. 10 bench
-// reproduces) roughly two orders of magnitude more runtime than the greedy
-// heuristic.
+// Complexity is O((P·F)³) time and a dense (P·F)² matrix; the paper
+// reports (and our Fig. 10 bench reproduces) roughly two orders of
+// magnitude more runtime than the greedy heuristic. It is the exact
+// reference, not a cycle option: internal/core maps every balance pass
+// with Heuristic, and Optimal is called only by Fig. 10
+// (experiments.RunFig10), examples/remapdemo and the tests.
 func (s *Similarity) Optimal() (mp Mapping, objective, ops int64) {
 	n := s.Cols()
 	// Build the duplicated cost matrix for minimization: row r is copy

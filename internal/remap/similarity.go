@@ -1,10 +1,11 @@
 // Package remap implements the paper's processor-reassignment machinery:
 // the similarity matrix S that measures how the remapping weights of new
 // partitions are distributed over the processors, a greedy heuristic
-// mapper (mark-and-map), an optimal mapper via maximally-weighted
-// bipartite matching (Hungarian algorithm with F-fold processor
-// duplication), and the analytic gain/cost model that decides whether a
-// new partitioning is worth the data movement.
+// mapper (mark-and-map) that the framework's cycle runs, the optimal
+// mapper it is measured against via maximally-weighted bipartite matching
+// (Hungarian algorithm with F-fold processor duplication), and the
+// analytic gain/cost model that decides whether a new partitioning is
+// worth the data movement.
 package remap
 
 import (
