@@ -202,10 +202,10 @@ func main() {
 		case b.Outcome == core.OutcomeRolledBack || b.Outcome == core.OutcomeDegraded:
 			fmt.Printf(" -> repartitioned, remap ROLLED BACK, continuing on old partition (%s)", b.FaultDetail)
 		case !b.Accepted:
-			fmt.Printf(" -> repartitioned, remap REJECTED (gain %.3g ≤ cost %.3g)", b.Gain, b.Cost)
+			fmt.Printf(" -> repartitioned, remap REJECTED (gain %.3g ≤ %s)", b.Gain, costTerms(b))
 		default:
-			fmt.Printf(" -> %.2f, moved %d elems in %d sets (gain %.3g > cost %.3g), remapT=%.3fs",
-				b.ImbalanceAfter, b.MoveC, b.MoveN, b.Gain, b.Cost, b.Remap.Total)
+			fmt.Printf(" -> %.2f, moved %d elems in %d sets (gain %.3g > %s), remapT=%.3fs",
+				b.ImbalanceAfter, b.MoveC, b.MoveN, b.Gain, costTerms(b), b.Remap.Total)
 			if b.Outcome == core.OutcomeRetriedCommitted {
 				fmt.Printf(" [recovered: %d msg retries, %d window retries]",
 					b.Remap.Retries, b.Remap.WindowRetries)
@@ -256,6 +256,17 @@ func main() {
 	}
 	fmt.Printf("final mesh valid: %s\n", m.Stats())
 	flushObs()
+}
+
+// costTerms spells the cost side of a balance decision: the exposed cost,
+// the predicted remap it charges (pack · wire · rebuild on the slowest
+// rank's clock), the pipeline, the overlap credit, and the paper's
+// total-volume formula beside them.
+func costTerms(b core.BalanceReport) string {
+	pr := b.Predicted
+	return fmt.Sprintf("cost %.3g = remap %.3g [pack %.3g · wire %.3g · rebuild %.3g] + pipeline %.3g − overlap %.3g; paper %.3g",
+		b.Cost, pr.Total, pr.PackTime, pr.CommTime, pr.RebuildTime,
+		b.RepartitionTime+b.ReassignTime+b.RemapExecTime, b.OverlapTime, b.CostPaper)
 }
 
 // badFlag rejects a flag value the way the flag package rejects a

@@ -45,13 +45,15 @@ func main() {
 	fmt.Printf("total remapping weight ΣS = %d\n\n", sim.Total())
 
 	mpH, objH, opsH := sim.Heuristic()
-	cH, nH := sim.MoveStats(mpH)
+	flH, cH := sim.MoveStats(mpH)
+	nH := len(flH)
 	fmt.Printf("heuristic mapping (partition -> processor): %v\n", mpH)
 	fmt.Printf("  objective 𝒥 = %d, moved C = %d, sets N = %d (%d matrix ops)\n\n",
 		objH, cH, nH, opsH)
 
 	mpO, objO, opsO := sim.Optimal()
-	cO, nO := sim.MoveStats(mpO)
+	flO, cO := sim.MoveStats(mpO)
+	nO := len(flO)
 	fmt.Printf("optimal mapping   (partition -> processor): %v\n", mpO)
 	fmt.Printf("  objective 𝒥 = %d, moved C = %d, sets N = %d (%d matrix ops)\n\n",
 		objO, cO, nO, opsO)

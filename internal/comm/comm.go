@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"plum/internal/fault"
@@ -95,7 +96,13 @@ func (mb *mailbox) get(src int) message {
 		}
 		for i, m := range mb.q {
 			if m.src == src {
-				mb.q = append(mb.q[:i], mb.q[i+1:]...)
+				// Zero the vacated tail slot: a message left in the
+				// backing array would pin its frame for as long as the
+				// world lives.
+				n := len(mb.q) - 1
+				copy(mb.q[i:], mb.q[i+1:])
+				mb.q[n] = message{}
+				mb.q = mb.q[:n]
 				return m
 			}
 		}
@@ -123,6 +130,11 @@ type World struct {
 	maxAttempts  int
 	deadline     time.Duration // wall-clock watchdog per Run; 0 = off
 	sends, recvs [][]pairState
+
+	// slab is the frame storage Reserve sized for the next Run, and
+	// slabOff the words already cut from it; Run releases it on return.
+	slab    []int64
+	slabOff atomic.Int64
 
 	// Per-Run scratch, allocated once by NewWorld so a Run costs no
 	// per-rank allocation: the SPMD function of the current Run, one
@@ -181,6 +193,46 @@ func NewWorld(p int) *World {
 
 // P returns the number of ranks.
 func (w *World) P() int { return w.p }
+
+// Reset readies the world for a new exchange, keeping what it has
+// allocated: it empties every mailbox (stale duplicates a fault hook left
+// behind included), drops the transport's per-pair state, uninstalls the
+// fault hook and disarms the deadline — the state NewWorld(p) returns,
+// except that a poisoned world stays poisoned. Like SetFaults it must be
+// called between Run calls.
+func (w *World) Reset() {
+	for i := range w.boxes {
+		mb := &w.boxes[i]
+		clear(mb.q)
+		mb.q = mb.q[:0]
+	}
+	for r := range w.sends {
+		w.sends[r] = w.sends[r][:0]
+		w.recvs[r] = w.recvs[r][:0]
+	}
+	w.hook, w.maxAttempts, w.deadline = nil, 1, 0
+}
+
+// Reserve sizes the next Run's frame storage for msgs messages carrying
+// words payload words in all: their frames are cut from one slab, so the
+// Run allocates once rather than once per message. Frames past the
+// reservation — resends and duplicates under a fault hook — get their
+// own. The world releases the slab when the Run returns; a payload Recv
+// returned aliases it, so a rank that keeps one past the Run keeps the
+// slab alive. Call between Run calls.
+func (w *World) Reserve(msgs int, words int64) {
+	w.slab = make([]int64, int64(msgs)*frameHdr+words)
+	w.slabOff.Store(0)
+}
+
+// frame returns storage for one n-word frame: the next n words of the
+// reserved slab, or a fresh buffer once the slab is spent.
+func (w *World) frame(n int) []int64 {
+	if end := w.slabOff.Add(int64(n)); end <= int64(len(w.slab)) {
+		return w.slab[end-int64(n) : end : end]
+	}
+	return make([]int64, n)
+}
 
 // poison marks the world dead and wakes every rank blocked in Recv; they
 // unwind with the poison sentinel instead of waiting forever.
@@ -266,6 +318,9 @@ func (w *World) Run(f func(c *Comm)) error {
 	} else {
 		w.wg.Wait()
 	}
+	// Drop what the finished Run referenced: a world kept across
+	// exchanges must not pin the last exchange's function or frames.
+	w.f, w.slab = nil, nil
 	var parts []string
 	var crashed []int
 	for r, e := range w.panics {

@@ -92,7 +92,7 @@ func (w *World) RetryCounters() []PairRetry {
 // clean; otherwise one payload word (or, for empty payloads, the carried
 // checksum) is flipped, deterministically chosen by the salt.
 func (c *Comm) putFrame(dst int, seq, flags int64, payload []int64, corruptSalt int64) {
-	frame := make([]int64, frameHdr+len(payload))
+	frame := c.w.frame(frameHdr + len(payload))
 	frame[0] = seq
 	frame[1] = flags
 	frame[2] = checksum(payload)

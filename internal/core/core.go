@@ -6,6 +6,22 @@
 // threshold — repartitions, reassigns partitions to processors so as to
 // minimize data movement, and accepts the remap only when the expected
 // computational gain exceeds the redistribution cost.
+//
+// The gain is the paper's, Titer·Nadapt·(Wmax_old − Wmax_new). The cost is
+// the remap as the machine clock will charge it: the mapping's (source,
+// destination, elements) flows priced by par.ChargeRemap, the function
+// the executor charges every executed remap with — each rank's pack, wire
+// and rebuild time, the slowest rank's total — plus the repartition,
+// reassignment and remap-execution overheads. The remap term is the
+// clock's own: when an accepted pass executes without faults, its
+// Remap.Total equals the predicted Total bit for bit. The overheads are
+// priced beside it, and the remap-execution term is the decision's alone:
+// the clock does not charge it, and its record fill and drain are the
+// same volume the remap term's pack and rebuild already price. The paper's
+// total-volume formula, C·M·Tlat + N·Tsetup, is reported beside it
+// (BalanceReport.CostPaper); it prices every flow as if one rank sent
+// them all, which at thousands of ranks overstates the remap by two
+// orders of magnitude and rejects passes worth their cost.
 package core
 
 import (
@@ -44,8 +60,9 @@ type Config struct {
 	Method partition.Method
 	// Model is the machine model for timing: per-operation costs plus one
 	// link level, on which every message pays Tsetup + words·Tlat. The
-	// acceptance rule prices the predicted redistribution from the same
-	// constants (Model.RedistCost) that charge the executed remap.
+	// acceptance rule prices a proposal's redistribution with the function
+	// that charges the executed remap (par.ChargeRemap): per-rank pack,
+	// wire and rebuild time on this model, the slowest rank's total.
 	Model machine.Model
 	// Cost holds the solver constants of the gain side of the decision.
 	Cost remap.CostModel
@@ -398,21 +415,40 @@ type BalanceReport struct {
 	// Gain and Cost are the two sides of the acceptance test; Accepted
 	// reports whether the remap was executed. Cost is the *exposed* cost:
 	// CostFull minus OverlapTime. Without overlap the two are equal.
+	//
+	// Gain counts the paper's horizon, Cost.Nadapt solver iterations to
+	// the next adaption (100), while the cycle's clock charges
+	// Config.SolverIters (3) per cycle: the rule keeps the paper's
+	// amortization argument — a partition is kept for the iterations it
+	// will serve in a production run — rather than the proxy solve's
+	// shortened one.
 	Gain, Cost float64
 	Accepted   bool
-	// CostFull is the serial (non-overlapped) cost side: the paper's
-	// redistribution terms plus the measured repartition, reassignment,
-	// and remap-execution overheads. It is what the acceptance rule
-	// charges when Config.Overlap is off.
+	// CostFull is the serial (non-overlapped) cost side: Predicted.Total
+	// plus the pipeline — the measured repartition, reassignment and
+	// remap-execution overheads. It is what the acceptance rule charges
+	// when Config.Overlap is off.
 	CostFull float64
+	// Predicted is the remap the rule priced: par.ChargeRemap of the
+	// mapping's flows, the slowest rank's pack, wire and rebuild time on
+	// the same clock that charges the executed remap. When the pass is
+	// accepted and executes fault-free, Remap's Moved, Sets, WordsMoved,
+	// Setups and every time field equal these bit for bit.
+	Predicted par.RemapResult
+	// CostPaper is the paper's redistribution formula for the same
+	// mapping, C·M·Tlat + N·Tsetup over the total volume (setups capped
+	// at one per live source under aggregated). It is reported, not
+	// charged: the total volume overprices a remap whose flows spread
+	// over many ranks, by 157× and 170× on the two remaps of
+	// `plum -p 2048 -partitioner hilbert -cycles 3`.
+	CostPaper float64
 	// OverlapTime is the portion of the balance pipeline's critical path
 	// (repartition + reassignment + remap execution) hidden behind the
 	// cycle's modeled solver iterations when Config.Overlap is on:
-	// min(SolverTime, pipeline). The wire redistribution itself
-	// (C·M·Tlat + N·Tsetup) stays exposed — element state can only move
-	// once the overlapped iterations have finished with it. Zero when
-	// overlap is off or when Balance runs outside a cycle (no solve to
-	// hide behind).
+	// min(SolverTime, pipeline). The predicted remap itself stays
+	// exposed — element state can only move once the overlapped
+	// iterations have finished with it. Zero when overlap is off or when
+	// Balance runs outside a cycle (no solve to hide behind).
 	OverlapTime float64
 	// Exchange is the remap exchange schedule the pass charges and (when
 	// accepted) executes under — Config.Exchange, parsed.
@@ -522,26 +558,31 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.WmaxNew = slices.Max(newLoads)
 	rep.ImbalanceAfter = par.ImbalanceFactor(newLoads)
 
-	// Gain/cost decision. The cost side carries the measured balancing
-	// overhead (repartition + reassignment + remap-execution time) on top
-	// of the paper's redistribution terms — negligible for the
-	// incremental SFC path, which is the point of modeling it. The remap
-	// execution's scatter work is predicted from the mapping's C and N
-	// (exactly the quantities ExecuteRemap will report), so the decision
-	// can weigh it without running the remap; RedistCost models the wire
-	// volume, RemapExecTime the CPU-side plan/pack/unpack ops.
-	rep.MoveC, rep.MoveN = pr.sim.MoveStats(pr.mapping)
+	// Gain/cost decision. The redistribution is priced by the function
+	// that charges the executed remap (par.ChargeRemap) on the mapping's
+	// flows, mapped back from survivor positions to ranks through alive:
+	// the slowest rank's pack + wire + rebuild, which is the executed
+	// Remap.Total bit for bit on the fault-free path. The cost side also
+	// carries the measured balancing overhead (repartition + reassignment
+	// + remap-execution ops) — negligible for the incremental SFC path,
+	// which is the point of modeling it. The remap execution's scatter
+	// work is predicted from the mapping's C and N (exactly the
+	// quantities ExecuteRemap will report).
+	flows, moved := pr.flows(alive)
+	rep.MoveC, rep.MoveN = moved, len(flows)
+	rep.Predicted = par.ChargeRemap(f.Cfg.Model, f.D.Exchange, f.Cfg.P, flows)
+	rep.CostPaper = redistCost(f.Cfg.Model, f.D.Exchange, rep.Alive, rep.MoveC, rep.MoveN)
 	remapOps := par.PredictRemapOps(len(f.M.Elems), rep.MoveC, rep.MoveN, f.Cfg.P, f.Cfg.Workers)
 	rep.RemapOps = remapOps.Total
 	rep.RemapCritOps = remapOps.Crit
 	rep.RemapExecTime = remapOps.Time(f.Cfg.Model)
 	rep.Gain = f.Cfg.Cost.Gain(rep.WmaxOld, rep.WmaxNew)
 	pipeline := rep.RepartitionTime + rep.ReassignTime + rep.RemapExecTime
-	rep.CostFull = redistCost(f.Cfg.Model, f.D.Exchange, rep.Alive, rep.MoveC, rep.MoveN) + pipeline
+	rep.CostFull = rep.Predicted.Total + pipeline
 	if f.Cfg.Overlap {
 		// Latency tolerance: the CPU-side pipeline hides behind the
 		// solver iterations; only the exposed remainder delays the
-		// solution. The wire redistribution stays exposed.
+		// solution. The predicted remap stays exposed.
 		rep.OverlapTime = min(window, pipeline)
 	}
 	rep.Cost = rep.CostFull - rep.OverlapTime
@@ -640,6 +681,18 @@ func (pr proposal) loads(w []int64, n int) []int64 {
 	return out
 }
 
+// flows returns the element sets the proposal moves between ranks, in
+// canonical (Src, Dst) order, and their total: the mapping's MoveStats,
+// mapped back from survivor positions to ranks through alive (ascending,
+// so the order survives).
+func (pr proposal) flows(alive []int32) ([]remap.Flow, int64) {
+	flows, moved := pr.sim.MoveStats(pr.mapping)
+	for i := range flows {
+		flows[i].Src, flows[i].Dst = alive[flows[i].Src], alive[flows[i].Dst]
+	}
+	return flows, moved
+}
+
 // owners returns the ownership the proposal assigns: every dual vertex
 // goes to the survivor its part is mapped to.
 func (pr proposal) owners(alive []int32) []int32 {
@@ -731,10 +784,10 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	return nil
 }
 
-// redistCost is the acceptance rule's wire-redistribution term, the
-// paper's prediction from C and N on the machine the remap executes on:
-// C·M·Tlat + N·Tsetup under flat, with the setups capped at one combined
-// message per live source, min(N, alive), under aggregated.
+// redistCost is the paper's redistribution formula, reported beside the
+// price the rule charges (BalanceReport.CostPaper): C·M·Tlat + N·Tsetup
+// under flat, with the setups capped at one combined message per live
+// source, min(N, alive), under aggregated.
 func redistCost(mdl machine.Model, x machine.Exchange, alive int, moved int64, sets int) float64 {
 	if x == machine.ExchangeAggregated {
 		sets = min(sets, alive)

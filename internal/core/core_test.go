@@ -372,13 +372,21 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 			t.Errorf("%v: remap execution time not charged", meth)
 		}
 		// The acceptance rule must see the whole balancing overhead: the
-		// reported cost is redistribution + repartition + reassignment +
-		// remap execution.
-		wantCost := f.Cfg.Model.RedistCost(rep.MoveC, rep.MoveN) +
-			rep.RepartitionTime + rep.ReassignTime + rep.RemapExecTime
-		if math.Abs(rep.Cost-wantCost) > 1e-12 {
-			t.Errorf("%v: cost %.6g does not include the balancing overhead (want %.6g)",
+		// reported cost is, bit for bit, the predicted remap (the
+		// executor's own per-rank charge of the mapping's flows) +
+		// repartition + reassignment + remap execution. The paper's
+		// total-volume formula is reported beside it, not charged.
+		if rep.Predicted.Total <= 0 || rep.Predicted.Moved != rep.MoveC || rep.Predicted.Sets != rep.MoveN {
+			t.Errorf("%v: predicted remap %+v does not price the mapping's C=%d N=%d",
+				meth, rep.Predicted, rep.MoveC, rep.MoveN)
+		}
+		wantCost := rep.Predicted.Total + (rep.RepartitionTime + rep.ReassignTime + rep.RemapExecTime)
+		if rep.Cost != wantCost {
+			t.Errorf("%v: cost %.17g is not the predicted remap plus the balancing overhead (want %.17g)",
 				meth, rep.Cost, wantCost)
+		}
+		if want := f.Cfg.Model.RedistCost(rep.MoveC, rep.MoveN); rep.CostPaper != want {
+			t.Errorf("%v: CostPaper %.17g, want the paper's C·M·Tlat + N·Tsetup = %.17g", meth, rep.CostPaper, want)
 		}
 		// The pre-decision prediction must be exactly what the executed
 		// remap reports (MoveStats' C and N are ExecuteRemap's Moved and

@@ -131,7 +131,7 @@ func balance(d *par.Dist, g *dual.Graph, fgran int, mdl machine.Model) pipelineR
 	sim := remap.Build(owners, newPart, g.Wremap, d.P, fgran)
 	mp, _, ops := sim.Heuristic()
 	res := pipelineResult{ReassignTime: float64(ops) * mdl.MemOp}
-	res.Moved, _ = sim.MoveStats(mp)
+	_, res.Moved = sim.MoveStats(mp)
 
 	newOwner := make([]int32, len(newPart))
 	for v, part := range newPart {
@@ -355,12 +355,12 @@ func RunFig10() *Fig10 {
 			mpH, objH, opsH := sim.Heuristic()
 			pt.HeuristicObj = objH
 			pt.HeuristicTime = float64(opsH) * mdl.MemOp
-			pt.HeuristicMoved, _ = sim.MoveStats(mpH)
+			_, pt.HeuristicMoved = sim.MoveStats(mpH)
 
 			mpO, objO, opsO := sim.Optimal()
 			pt.OptimalObj = objO
 			pt.OptimalTime = float64(opsO) * mdl.MemOp
-			pt.OptimalMoved, _ = sim.MoveStats(mpO)
+			_, pt.OptimalMoved = sim.MoveStats(mpO)
 
 			out.Points = append(out.Points, pt)
 		}

@@ -379,7 +379,7 @@ func freshPipeline(t *testing.T, s adapt.Strategy, p, fgran int) (adaptTime floa
 	sim := remap.Build(d.Owners(), newPart, g.Wremap, p, fgran)
 	mp, _, ops := sim.Heuristic()
 	res.ReassignTime = float64(ops) * mdl.MemOp
-	res.Moved, _ = sim.MoveStats(mp)
+	_, res.Moved = sim.MoveStats(mp)
 
 	newLoads := make([]int64, p)
 	for v, part := range newPart {

@@ -16,8 +16,9 @@ type OverlapRow struct {
 	// window the balance pipeline may hide behind.
 	Solver float64
 	// Pipeline is the CPU-side balance critical path (repartition +
-	// reassignment + remap execution); Redist the wire redistribution
-	// (C·M·Tlat + N·Tsetup), which stays exposed.
+	// reassignment + remap execution); Redist the predicted remap (the
+	// slowest rank's pack + wire + rebuild, par.ChargeRemap), which stays
+	// exposed.
 	Pipeline, Redist float64
 	// CritBulk and CritOverlap are the cycle's modeled critical path with
 	// the strict barrier chain (solver + full cost) and with overlap
@@ -72,7 +73,7 @@ func RunOverlapTable(workers int) *OverlapTable {
 				Pipeline: b.RepartitionTime + b.ReassignTime + b.RemapExecTime,
 				Accepted: b.Accepted,
 			}
-			row.Redist = b.CostFull - row.Pipeline
+			row.Redist = b.Predicted.Total
 			row.CritBulk = rep.SolverTime + b.CostFull
 			row.CritOverlap = rep.SolverTime + b.Cost
 			row.Hidden = b.OverlapTime

@@ -100,6 +100,9 @@ func (m Model) RetryTime(resends, backoff, words int64) float64 {
 // RedistCost returns the paper's predicted redistribution overhead
 // (seconds) of moving C elements in N sets: C·M·Tlat + N·Tsetup, with M
 // = ElemWords. The paper notes C·M dominates N for realistic problems.
+// It prices the total volume, as if one rank sent every flow; the
+// framework reports it beside the per-rank price its acceptance rule
+// charges (core.BalanceReport.CostPaper).
 func (m Model) RedistCost(moved int64, sets int) float64 {
 	return float64(moved)*float64(m.ElemWords)*m.Tlat + float64(sets)*m.Tsetup
 }

@@ -19,8 +19,8 @@ func TestSP2Constants(t *testing.T) {
 	}
 }
 
-// TestRedistCost pins the acceptance rule's wire price, C·M·Tlat +
-// N·Tsetup, on hand-computed cases: one in exact binary fractions, and
+// TestRedistCost pins the paper's redistribution formula, C·M·Tlat +
+// N·Tsetup (the balance report's CostPaper), on hand-computed cases: one in exact binary fractions, and
 // the SP2 constants (1000 elements of 50 words at 0.25 µs plus 12 setups
 // of 40 µs = 12.5 ms + 0.48 ms).
 func TestRedistCost(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"plum/internal/chunk"
+	"plum/internal/comm"
 	"plum/internal/fault"
 	"plum/internal/machine"
 	"plum/internal/mesh"
@@ -70,11 +71,11 @@ type Dist struct {
 	// each cycle of a run draws an independent fault schedule.
 	FaultCycle int
 
-	// StageDeadline arms comm.World.SetDeadline on every world the remap
-	// executor creates: a stage whose ranks have not all finished within
-	// the deadline fails with a typed timeout instead of hanging the
-	// process. Zero disables the watchdog (the deterministic default —
-	// wall-clock deadlines are inherently timing-dependent).
+	// StageDeadline arms comm.World.SetDeadline on every remap exchange:
+	// a stage whose ranks have not all finished within the deadline fails
+	// with a typed timeout instead of hanging the process. Zero disables
+	// the watchdog (the deterministic default — wall-clock deadlines are
+	// inherently timing-dependent).
 	StageDeadline time.Duration
 
 	// Trace records per-rank remap spans and streaming-window events on
@@ -85,6 +86,12 @@ type Dist struct {
 	// worker loops — and records only worker-invariant quantities, so
 	// traces are byte-identical at any worker count.
 	Trace *obs.Trace
+
+	// world is the remap exchange's communicator, kept from one remap to
+	// the next so an executed remap allocates no per-rank state: Reset
+	// before each remap, dropped when a Run fails (a failed Run poisons
+	// it, and a timed-out one may leave a rank behind).
+	world *comm.World
 
 	// dead marks ranks lost to crash recovery; nil until the first crash.
 	// A dead rank owns no elements, sends no messages, and is excluded

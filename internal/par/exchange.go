@@ -1,6 +1,6 @@
 package par
 
-// The wire side of the remap exchange. accountRemap charges the machine
+// The wire side of the remap exchange. chargeRemap charges the machine
 // model for the Dist's schedule; this file actually moves the element
 // records between goroutine ranks, over comm's one framed transport. The
 // schedule is a pricing parameter only: flat and aggregated send the same
@@ -78,14 +78,14 @@ func (pl *winPlan) exchange(c *comm.Comm) {
 		c.Crash()
 	}
 	for f, hi := pl.out(self); f < hi; f++ {
-		c.Send(int(pl.fi.flows[f].dst), pl.rec(f))
+		c.Send(int(pl.fi.flows[f].Dst), pl.rec(f))
 	}
 	for _, f := range pl.fi.in(self) {
 		want := pl.want(int(f))
 		if want == 0 {
 			continue
 		}
-		from := int(pl.fi.flows[f].src)
+		from := int(pl.fi.flows[f].Src)
 		data, ok := c.Recv(from)
 		if !ok {
 			pl.failCount[self]++

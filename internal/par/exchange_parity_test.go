@@ -160,5 +160,5 @@ func TestRetryNamingNoFlowPanics(t *testing.T) {
 			t.Fatalf("bogus retry record: got %q", msg)
 		}
 	}()
-	d.accountRemap(&fi, machine.SP2(), &RemapResult{}, []comm.PairRetry{{Src: 0, Dst: 4, Resends: 1}})
+	chargeRemap(machine.SP2(), d.Exchange, d.P, fi.flows, []comm.PairRetry{{Src: 0, Dst: 4, Resends: 1}}, nil)
 }

@@ -76,12 +76,16 @@ func FuzzExecuteRemap(f *testing.F) {
 			t.Fatalf("scatter moved %d records, want %d", len(serial.elems), wantMoved)
 		}
 		// The flow list holds exactly the pairs that move something, in
-		// canonical order, with the oracle's counts.
+		// canonical order, with the oracle's counts in both flowStart and
+		// Elems.
 		f := 0
 		for pair, want := range wantFlow {
 			got := int64(0)
-			if f < len(serial.flows) && serial.flows[f] == (flow{int32(pair / p), int32(pair % p)}) {
+			if f < len(serial.flows) && serial.flows[f].Src == int32(pair/p) && serial.flows[f].Dst == int32(pair%p) {
 				got = serial.flowStart[f+1] - serial.flowStart[f]
+				if serial.flows[f].Elems != got {
+					t.Fatalf("flow %d owns %d records but its Elems reads %d", f, got, serial.flows[f].Elems)
+				}
 				f++
 			}
 			if got != want || serial.find(int32(pair/p), int32(pair%p)) >= 0 != (want > 0) {
@@ -99,8 +103,8 @@ func FuzzExecuteRemap(f *testing.F) {
 				if dv < 0 || int(dv) >= len(owners) {
 					t.Fatalf("flow %d record names dual vertex %d out of range", f, dv)
 				}
-				if owners[dv] != fl.src || newOwner[dv] != fl.dst {
-					t.Fatalf("record for dual vertex %d filed under flow %d->%d", dv, fl.src, fl.dst)
+				if owners[dv] != fl.Src || newOwner[dv] != fl.Dst {
+					t.Fatalf("record for dual vertex %d filed under flow %d->%d", dv, fl.Src, fl.Dst)
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"plum/internal/fault"
 	"plum/internal/machine"
 	"plum/internal/obs"
+	"plum/internal/remap"
 )
 
 // RemapResult reports one executed data remapping.
@@ -84,7 +85,7 @@ func (d *Dist) ExecuteRemap(newOwner []int32, mdl machine.Model) (RemapResult, e
 // ExecuteRemapRecovery migrates the elements of crashed ranks onto the
 // survivors after a FailCrash rollback: the same streamed exchange as
 // ExecuteRemap — same canonical flow layout and windows, same
-// machine-model charges via accountRemap/ChargeFlows — run without the
+// machine-model charges via ChargeRemap — run without the
 // fault plan. Recovery is the repair path, not another fault surface:
 // letting the plan re-draw crash or message fates here could cascade a
 // recovery into another rollback forever, so the modeled recovery runs
@@ -126,6 +127,10 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapR
 // elements, the flows that exist or P — the flow index, the window plan,
 // the wire exchange, the transport's per-pair state and the accounting
 // all walk the flow list, never the P² pairs that could carry one.
+// The communicator is the Dist's own, reset per remap, and a window's
+// frames are cut from one slab reserved for it, so the executor's
+// allocations are a fixed set of buffers per remap and one slab per window
+// try — none per message and none per rank.
 func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, plan *fault.Plan) (RemapResult, error) {
 	if len(newOwner) != len(d.owner) {
 		return RemapResult{}, fmt.Errorf("par: newOwner has %d entries, want %d", len(newOwner), len(d.owner))
@@ -137,11 +142,6 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 	p := d.P
 	fi := collectFlowIndex(m, d.owner, newOwner, p, EffectiveWorkers(len(m.Elems), d.Workers))
 	moved := int64(len(fi.elems))
-	res := RemapResult{
-		Moved: moved,
-		Sets:  len(fi.flows),
-		Ops:   PredictRemapOps(len(m.Elems), moved, len(fi.flows), p, d.Workers),
-	}
 
 	// Per-rank verified-element and failed-transfer counts of one window
 	// try. Each goroutine rank touches only its own slots and the Runs are
@@ -150,7 +150,13 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 	wp := &winPlan{fi: &fi, recv: counts[:p], failCount: counts[p:]}
 	exchange := wp.exchange // bound once: a window's Run allocates nothing
 
-	w := comm.NewWorld(p)
+	w := d.world
+	if w == nil {
+		w = comm.NewWorld(p)
+		d.world = w
+	} else {
+		w.Reset()
+	}
 	w.SetDeadline(d.StageDeadline)
 	retry := d.Retry.Normalize()
 	if plan != nil {
@@ -163,11 +169,13 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 	}
 
 	wins := planWindows(fi.flowStart, windowBudget(fi.flowStart, budget))
+	var peak int64
 	for _, win := range wins {
-		res.PeakWords = max(res.PeakWords, (fi.flowStart[win.f1]-fi.flowStart[win.f0])*recWords)
+		peak = max(peak, (fi.flowStart[win.f1]-fi.flowStart[win.f0])*recWords)
 	}
-	buf := make([]int64, res.PeakWords) // reused by every window
+	buf := make([]int64, peak) // reused by every window
 	var recvTotal int64
+	windowRetries := 0
 	for wi, win := range wins {
 		words := (fi.flowStart[win.f1] - fi.flowStart[win.f0]) * recWords
 		wp.f0, wp.f1, wp.buf = win.f0, win.f1, buf[:words]
@@ -177,7 +185,9 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 		// here, not at the final conservation check.
 		for tries := 1; ; tries++ {
 			clear(counts)
+			w.Reserve(win.f1-win.f0, words)
 			if err := w.Run(exchange); err != nil {
+				d.world = nil // a failed Run poisons its world
 				return RemapResult{}, remapErrFrom(err, wi, tries)
 			}
 			var nfail int64
@@ -191,7 +201,7 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 				return RemapResult{}, &RemapError{Failure: FailTransfer, Window: wi, Tries: tries, RolledBack: true,
 					Detail: fmt.Sprintf("%d transfers failed after %d attempts per message", nfail, retry.MsgAttempts)}
 			}
-			res.WindowRetries++
+			windowRetries++
 			if d.Trace != nil {
 				d.Trace.Event("warn", "remap.window.retry",
 					obs.Int("window", int64(wi)), obs.Int("failed", nfail), obs.Int("try", int64(tries)))
@@ -213,7 +223,10 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 			Detail: fmt.Sprintf("moved %d elements but received %d", moved, recvTotal)}
 	}
 
-	d.accountRemap(&fi, mdl, &res, w.RetryCounters())
+	res := chargeRemap(mdl, d.Exchange, p, fi.flows, w.RetryCounters(), d.Trace)
+	res.PeakWords = peak
+	res.Ops = PredictRemapOps(len(m.Elems), moved, len(fi.flows), p, d.Workers)
+	res.WindowRetries = windowRetries
 	copy(d.owner, newOwner)
 	return res, nil
 }
@@ -250,8 +263,21 @@ func (d *Dist) crashMask(plan *fault.Plan) []bool {
 	return mask
 }
 
-// accountRemap fills the machine-model side of a RemapResult — WordsMoved,
-// PackTime, CommTime, RebuildTime, Total — from the canonical flow list.
+// ChargeRemap prices a remap on the machine clock from its flows alone:
+// the flows in canonical (Src, Dst) order, elements per flow, on p ranks
+// under the exchange schedule x. It fills Moved, Sets, WordsMoved, the
+// time decomposition PackTime, CommTime, RebuildTime, Total, and Setups /
+// SetupTime. It is the one remap price: the executor charges every
+// executed remap with it, and the balance pass prices a proposal with it
+// before deciding, so an accepted remap's Total is the remap term the
+// decision priced — bit for bit, on the fault-free path.
+func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flow) RemapResult {
+	return chargeRemap(mdl, x, p, flows, nil, nil)
+}
+
+// chargeRemap is ChargeRemap with the executed exchange's retry counters
+// and the trace the per-rank spans go to (nil for none).
+//
 // Every window budget charges the same bulk-synchronous superstep model
 // (all sends, then all receives): windowing changes how the host
 // materializes and exchanges the payload, not the machine being modeled,
@@ -276,36 +302,36 @@ func (d *Dist) crashMask(plan *fault.Plan) []bool {
 // sending rank, inside the same send-phase superstep and right behind
 // the flow's own pack charge — so retry cost lands on CommTime/Total
 // exactly where a real sender would stall. A nil retries (the fault-free
-// path) adds no terms at all.
+// path, and every prediction) adds no terms at all.
 //
 // The wire itself — setups, volume, and under aggregated the receivers'
-// drains — is charged by machine.ChargeFlows under the Dist's schedule,
-// on top of each rank's pack + retry sum and inside the same superstep.
-func (d *Dist) accountRemap(fi *flowIndex, mdl machine.Model, res *RemapResult, retries []comm.PairRetry) {
-	p := d.P
+// drains — is charged by machine.ChargeFlows under the schedule, on top
+// of each rank's pack + retry sum and inside the same superstep.
+func chargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flow, retries []comm.PairRetry, tr *obs.Trace) RemapResult {
+	res := RemapResult{Sets: len(flows)}
 	sendWords := make([]int64, p)
 	recvWords := make([]int64, p)
 	recvElems := make([]int64, p)
 	packT := make([]float64, p)
 	retryT := make([]float64, p)
-	wire := make([]machine.Flow, len(fi.flows))
+	wire := make([]machine.Flow, len(flows))
 	clk := machine.NewClock(p)
 	k := 0 // cursor into retries
-	for f, fl := range fi.flows {
-		src, dst := int(fl.src), int(fl.dst)
-		elems := fi.flowStart[f+1] - fi.flowStart[f]
-		words := flowWords(elems, mdl)
-		wire[f] = machine.Flow{Src: fl.src, Dst: fl.dst, Words: words}
+	for f, fl := range flows {
+		src, dst := int(fl.Src), int(fl.Dst)
+		words := flowWords(fl.Elems, mdl)
+		wire[f] = machine.Flow{Src: fl.Src, Dst: fl.Dst, Words: words}
+		res.Moved += fl.Elems
 		sendWords[src] += words
 		recvWords[dst] += words
-		recvElems[dst] += elems
+		recvElems[dst] += fl.Elems
 		pack := float64(words) * mdl.PackWord
 		clk.Add(src, pack)
 		packT[src] += pack
-		if k < len(retries) && retries[k].Src == fl.src && retries[k].Dst == fl.dst {
+		if k < len(retries) && retries[k].Src == fl.Src && retries[k].Dst == fl.Dst {
 			r := retries[k]
 			res.Retries += r.Resends
-			res.RetryWords += r.Resends * elems * recWords
+			res.RetryWords += r.Resends * fl.Elems * recWords
 			rt := mdl.RetryTime(r.Resends, r.Backoff, words)
 			clk.Add(src, rt)
 			retryT[src] += rt
@@ -320,11 +346,11 @@ func (d *Dist) accountRemap(fi *flowIndex, mdl machine.Model, res *RemapResult, 
 		res.PackTime = max(res.PackTime, packT[r])
 		res.RetryTime = max(res.RetryTime, retryT[r])
 	}
-	ch := mdl.ChargeFlows(clk, d.Exchange, wire)
+	ch := mdl.ChargeFlows(clk, x, wire)
 	res.Setups = ch.Msgs
 	res.SetupTime = ch.SetupTime
 	var sendT []float64 // each rank's send superstep, read off the clock before the barrier
-	if d.Trace != nil {
+	if tr != nil {
 		sendT = make([]float64, p)
 		for r := range sendT {
 			sendT[r] = clk.Rank(r)
@@ -339,9 +365,10 @@ func (d *Dist) accountRemap(fi *flowIndex, mdl machine.Model, res *RemapResult, 
 	res.RebuildTime = clk.Elapsed() - res.CommTime - res.PackTime
 	res.Total = clk.Elapsed()
 
-	if d.Trace != nil {
-		d.traceRemapRanks(mdl, res, sendWords, sendT, recvWords, recvElems)
+	if tr != nil {
+		traceRemapRanks(tr, mdl, &res, sendWords, sendT, recvWords, recvElems)
 	}
+	return res
 }
 
 // traceRemapRanks emits the executed remap's per-rank spans on the
@@ -354,15 +381,15 @@ func (d *Dist) accountRemap(fi *flowIndex, mdl machine.Model, res *RemapResult, 
 // under aggregated a rank that only receives shows its drain, words 0);
 // the rebuild span starts at the superstep barrier (pack + comm elapsed)
 // and covers the rank's unpack/rebuild charge.
-func (d *Dist) traceRemapRanks(mdl machine.Model, res *RemapResult, sendWords []int64, sendT []float64, recvWords, recvElems []int64) {
-	base := d.Trace.Now()
+func traceRemapRanks(tr *obs.Trace, mdl machine.Model, res *RemapResult, sendWords []int64, sendT []float64, recvWords, recvElems []int64) {
+	base := tr.Now()
 	rebuildAt := base + res.PackTime + res.CommTime
-	for r := 0; r < d.P; r++ {
+	for r := range sendT {
 		if sendT[r] > 0 {
-			d.Trace.Span(int32(r), "remap.send", base, sendT[r], obs.Int("words", sendWords[r]))
+			tr.Span(int32(r), "remap.send", base, sendT[r], obs.Int("words", sendWords[r]))
 		}
 		if dur := float64(recvWords[r])*mdl.UnpackWord + float64(recvElems[r])*mdl.RebuildElem; dur > 0 {
-			d.Trace.Span(int32(r), "remap.rebuild", rebuildAt, dur, obs.Int("elems", recvElems[r]))
+			tr.Span(int32(r), "remap.rebuild", rebuildAt, dur, obs.Int("elems", recvElems[r]))
 		}
 	}
 }

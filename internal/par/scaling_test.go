@@ -62,25 +62,26 @@ func TestRemapAllocScalesWithP(t *testing.T) {
 	}
 }
 
-// TestFaultFreeRemapAllocs pins the allocations of a fault-free remap:
-// without a fault hook the framed transport keeps no per-pair state, so
-// an executed remap allocates about two objects per flow (the frame and
-// the mailbox slot) plus a fixed overhead. The budgets are the
-// allocations measured before the transport was unified, plus a few: a
-// pair list per rank, or any state sized by the rank pairs, spends one
-// or more allocations per rank and overruns them at both P.
+// TestFaultFreeRemapAllocs pins the allocations of a fault-free remap on a
+// Dist that has remapped before: the Dist keeps its communicator, and a
+// window's frames are cut from one slab, so an executed remap allocates a
+// fixed number of buffers (flow index, window plan, payload, slab, the
+// charge's per-rank sums) whatever P is and however many flows move. The
+// one budget holds from 8 ranks to 2048 (about 4000 flows): it is the
+// largest reading, 66 at P = 2048, plus a few. An allocation per frame,
+// per mailbox or per rank — a fresh world per remap, say — overruns it at
+// P = 64 and by far at P = 2048.
 func TestFaultFreeRemapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")
 	}
-	for _, c := range []struct {
-		p      int
-		budget float64
-	}{{8, 80}, {64, 316}} {
-		d, newOwner := bigFixture(t, c.p)
+	const budget = 72
+	for _, p := range []int{8, 64, 2048} {
+		d, newOwner := bigFixture(t, p)
 		d.Workers = 1
 		oldOwner := d.Owners()
-		// Each run remaps there and back, so both legs move the same flows.
+		// Each run remaps there and back, so both legs move the same flows;
+		// AllocsPerRun's warm-up run makes the Dist's first remap.
 		allocs := testing.AllocsPerRun(10, func() {
 			for _, own := range [][]int32{newOwner, oldOwner} {
 				if _, err := d.ExecuteRemap(own, machine.SP2()); err != nil {
@@ -88,8 +89,8 @@ func TestFaultFreeRemapAllocs(t *testing.T) {
 				}
 			}
 		}) / 2
-		if allocs > c.budget {
-			t.Errorf("P=%d: a fault-free remap made %v allocations, budget %v", c.p, allocs, c.budget)
+		if allocs > budget {
+			t.Errorf("P=%d: a fault-free remap made %v allocations, budget %v at any P", p, allocs, budget)
 		}
 	}
 }

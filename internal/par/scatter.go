@@ -23,6 +23,7 @@ import (
 	"plum/internal/chunk"
 	"plum/internal/machine"
 	"plum/internal/mesh"
+	"plum/internal/remap"
 )
 
 // recWords is the size of one migrating element record in the real
@@ -51,15 +52,6 @@ func EffectiveWorkers(n, workers int) int {
 	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
 }
 
-// flow is one (source, destination) rank pair that moves at least one
-// element.
-type flow struct{ src, dst int32 }
-
-// compare orders flows canonically: by source, then destination.
-func (a flow) compare(b flow) int {
-	return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
-}
-
 // flowIndex is one remap execution's CSR scatter: the migrating elements'
 // slab indices grouped by flow in canonical (src, dst) order, ascending
 // element id within a flow, over the list of flows that exist. It is
@@ -72,9 +64,10 @@ type flowIndex struct {
 	// length is the cost model's C.
 	elems []int32
 	// flows lists the nonempty flows in canonical order (none is
-	// diagonal); flow f owns elems[flowStart[f]:flowStart[f+1]]. Its
-	// length is the cost model's N.
-	flows     []flow
+	// diagonal), each with its element count — the list ChargeRemap
+	// prices; flow f owns elems[flowStart[f]:flowStart[f+1]]. Its length
+	// is the cost model's N.
+	flows     []remap.Flow
 	flowStart []int64
 	// outStart has p+1 entries: rank r sends flows [outStart[r],
 	// outStart[r+1]) — a contiguous stripe, the list being src-major.
@@ -92,13 +85,13 @@ func (fi *flowIndex) in(r int) []int32 { return fi.inFlows[fi.inStart[r]:fi.inSt
 func (fi *flowIndex) find(src, dst int32) int {
 	lo, end := int(fi.outStart[src]), int(fi.outStart[src+1])
 	for hi := end; lo < hi; {
-		if mid := int(uint(lo+hi) >> 1); fi.flows[mid].dst < dst {
+		if mid := int(uint(lo+hi) >> 1); fi.flows[mid].Dst < dst {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == end || fi.flows[lo].dst != dst {
+	if lo == end || fi.flows[lo].Dst != dst {
 		return -1
 	}
 	return lo
@@ -113,9 +106,9 @@ type flowCounts struct {
 }
 
 type flowCell struct {
-	flow
-	next int32 // the source's next cell, -1 at the end
-	n    int32
+	src, dst int32
+	next     int32 // the source's next cell, -1 at the end
+	n        int32
 }
 
 func (fc *flowCounts) add(src, dst int32) {
@@ -125,7 +118,7 @@ func (fc *flowCounts) add(src, dst int32) {
 			return
 		}
 	}
-	fc.cells = append(fc.cells, flowCell{flow{src, dst}, fc.head[src], 1})
+	fc.cells = append(fc.cells, flowCell{src, dst, fc.head[src], 1})
 	fc.head[src] = int32(len(fc.cells) - 1)
 }
 
@@ -169,17 +162,19 @@ func collectFlowIndex(m *mesh.Mesh, owner, newOwner []int32, p, ew int) flowInde
 	var fi flowIndex
 	for _, fc := range counts {
 		for _, cell := range fc.cells {
-			fi.flows = append(fi.flows, cell.flow)
+			fi.flows = append(fi.flows, remap.Flow{Src: cell.src, Dst: cell.dst})
 		}
 	}
-	slices.SortFunc(fi.flows, flow.compare)
+	slices.SortFunc(fi.flows, func(a, b remap.Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
 	fi.flows = slices.Compact(fi.flows)
 	sets := len(fi.flows)
 	fi.outStart = make([]int32, p+1)
 	fi.inStart = make([]int32, p+1)
 	for _, fl := range fi.flows {
-		fi.outStart[fl.src+1]++
-		fi.inStart[fl.dst+1]++
+		fi.outStart[fl.Src+1]++
+		fi.inStart[fl.Dst+1]++
 	}
 	for r := 0; r < p; r++ {
 		fi.outStart[r+1] += fi.outStart[r]
@@ -188,8 +183,8 @@ func collectFlowIndex(m *mesh.Mesh, owner, newOwner []int32, p, ew int) flowInde
 	fi.inFlows = make([]int32, sets)
 	next := slices.Clone(fi.inStart[:p])
 	for f, fl := range fi.flows {
-		fi.inFlows[next[fl.dst]] = int32(f)
-		next[fl.dst]++
+		fi.inFlows[next[fl.Dst]] = int32(f)
+		next[fl.Dst]++
 	}
 
 	// Prefix sum — flows laid out in canonical order, chunks in input
@@ -209,6 +204,7 @@ func collectFlowIndex(m *mesh.Mesh, owner, newOwner []int32, p, ew int) flowInde
 		for c := 0; c < nc; c++ {
 			pos, cursor[c*sets+f] = pos+cursor[c*sets+f], pos
 		}
+		fi.flows[f].Elems = pos - fi.flowStart[f]
 	}
 	fi.flowStart[sets] = pos
 

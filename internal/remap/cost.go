@@ -9,12 +9,13 @@ package remap
 // where C is the number of elements moved and N the number of element
 // sets moved. The cost side's machine constants — M words per element,
 // the per-word copy time Tlat and the per-message setup time Tsetup — are
-// machine.Model's, priced by machine.Model.RedistCost, so the rule reads
-// the same machine the executed remap is charged on. The new partitioning
-// and mapping are accepted when gain > cost; core.balance applies the rule
-// with the measured balancing overhead (repartition, reassignment and
-// remap-execution time) added to the cost side, which the paper neglects
-// because its spectral repartitioner runs rarely.
+// machine.Model's (machine.Model.RedistCost is the formula). The new
+// partitioning and mapping are accepted when gain > cost. core.balance
+// keeps the gain and replaces the cost's total-volume formula with the
+// executor's own per-rank charge of the mapping's flows (MoveStats'
+// flows priced by par.ChargeRemap), plus the measured balancing overhead
+// (repartition, reassignment and remap-execution time) that the paper
+// neglects because its spectral repartitioner runs rarely.
 type CostModel struct {
 	// Titer is the flow-solver time per iteration per element (seconds).
 	Titer float64

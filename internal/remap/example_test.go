@@ -17,11 +17,11 @@ func Example() {
 	s := remap.Build([]int32{0, 0, 1, 1}, []int32{0, 1, 0, 1}, []int64{10, 90, 80, 20}, 2, 1)
 
 	mp, obj, _ := s.Heuristic()
-	c, n := s.MoveStats(mp)
-	fmt.Printf("mapping=%v objective=%d moved=%d sets=%d\n", mp, obj, c, n)
+	flows, c := s.MoveStats(mp)
+	fmt.Printf("mapping=%v objective=%d moved=%d sets=%d\n", mp, obj, c, len(flows))
 
 	cID := remap.Mapping{0, 1}
-	cBad, _ := s.MoveStats(cID)
+	_, cBad := s.MoveStats(cID)
 	fmt.Printf("identity mapping would move %d\n", cBad)
 
 	// Output:

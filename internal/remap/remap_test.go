@@ -161,12 +161,12 @@ func TestMoveStats(t *testing.T) {
 	// 2 procs, F=1: identity mapping moves the off-diagonal weight.
 	s := FromDense(1, [][]int64{{10, 4}, {3, 20}})
 	mp := Mapping{0, 1}
-	c, n := s.MoveStats(mp)
+	flows, c := s.MoveStats(mp)
 	if c != 7 {
 		t.Errorf("C = %d, want 7", c)
 	}
-	if n != 2 {
-		t.Errorf("N = %d, want 2", n)
+	if want := []Flow{{0, 1, 4}, {1, 0, 3}}; !slices.Equal(flows, want) {
+		t.Errorf("flows = %v, want %v", flows, want)
 	}
 	// C + objective = total.
 	if c+s.Objective(mp) != s.Total() {
@@ -184,14 +184,14 @@ func TestMoveStatsCombinesDestinations(t *testing.T) {
 	if err := s.Validate(mp); err != nil {
 		t.Fatal(err)
 	}
-	c, n := s.MoveStats(mp)
+	flows, c := s.MoveStats(mp)
 	if c != 13 {
 		t.Errorf("C = %d, want 13", c)
 	}
 	// Four (source partition → destination) flows collapse into two
 	// (source processor → destination processor) sets.
-	if n != 2 {
-		t.Errorf("N = %d, want 2 (sets combined per destination)", n)
+	if want := []Flow{{0, 1, 11}, {1, 0, 2}}; !slices.Equal(flows, want) {
+		t.Errorf("flows = %v, want %v (sets combined per destination)", flows, want)
 	}
 }
 
@@ -203,9 +203,9 @@ func TestZeroMoveForCongruentPartitioning(t *testing.T) {
 	if obj != 400 {
 		t.Errorf("objective = %d, want 400", obj)
 	}
-	c, n := s.MoveStats(mp)
-	if c != 0 || n != 0 {
-		t.Errorf("C,N = %d,%d, want 0,0", c, n)
+	flows, c := s.MoveStats(mp)
+	if c != 0 || len(flows) != 0 {
+		t.Errorf("C,N = %d,%d, want 0,0", c, len(flows))
 	}
 }
 
@@ -462,8 +462,22 @@ func checkAgainstDense(t *testing.T, s *Similarity) {
 	if obj != wantObj || s.Objective(got) != wantObj {
 		t.Errorf("P=%d F=%d: objective %d (Objective() %d), dense %d", s.P, s.F, obj, s.Objective(got), wantObj)
 	}
-	if c, n := s.MoveStats(got); c != wantC || n != len(pairs) || c+obj != s.Total() {
-		t.Errorf("P=%d F=%d: MoveStats = (%d, %d), dense (%d, %d); total %d", s.P, s.F, c, n, wantC, len(pairs), s.Total())
+	flows, c := s.MoveStats(got)
+	if c != wantC || len(flows) != len(pairs) || c+obj != s.Total() {
+		t.Errorf("P=%d F=%d: MoveStats = (%d, %d), dense (%d, %d); total %d", s.P, s.F, c, len(flows), wantC, len(pairs), s.Total())
+	}
+	var sum int64
+	for k, fl := range flows {
+		if k > 0 && (fl.Src < flows[k-1].Src || fl.Src == flows[k-1].Src && fl.Dst <= flows[k-1].Dst) {
+			t.Fatalf("P=%d F=%d: flows %v and %v out of canonical order", s.P, s.F, flows[k-1], fl)
+		}
+		if !pairs[[2]int32{fl.Src, fl.Dst}] || fl.Elems <= 0 {
+			t.Fatalf("P=%d F=%d: flow %v is not a dense pair", s.P, s.F, fl)
+		}
+		sum += fl.Elems
+	}
+	if sum != c {
+		t.Errorf("P=%d F=%d: flows carry %d elements, C = %d", s.P, s.F, sum, c)
 	}
 	if ops > denseOps {
 		t.Errorf("P=%d F=%d: %d ops above the dense sweep's %d (%d rounds)", s.P, s.F, ops, denseOps, rounds)

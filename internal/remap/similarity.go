@@ -164,27 +164,45 @@ func (s *Similarity) Objective(mp Mapping) int64 {
 	return obj
 }
 
-// MoveStats returns the data-movement statistics of a mapping:
-// C = ΣS − 𝒥 is the total number of elements that must move, and N is the
-// number of element sets moved — one per (source processor, destination
-// processor) pair with nonzero traffic, combining partitions that share a
-// destination (cf. the paper's Fig. 7, where two rather than three sets
-// leave a processor whose two partitions land on the same destination).
-func (s *Similarity) MoveStats(mp Mapping) (c int64, n int) {
-	// sentBy[dst] = i+1 once source i has been seen sending to dst.
-	sentBy := make([]int32, s.P)
+// Flow is one (source processor, destination processor) element set of a
+// mapping: Elems elements move from Src to Dst (Src ≠ Dst).
+type Flow struct {
+	Src, Dst int32
+	Elems    int64
+}
+
+// MoveStats returns the data-movement statistics of a mapping: the
+// element sets it moves, one Flow per (source processor, destination
+// processor) pair with nonzero traffic in canonical (Src, Dst) order —
+// partitions that share a destination combine (cf. the paper's Fig. 7,
+// where two rather than three sets leave a processor whose two partitions
+// land on the same destination) — and their total C = ΣS − 𝒥, the number
+// of elements that must move. len(flows) is the cost model's N.
+func (s *Similarity) MoveStats(mp Mapping) (flows []Flow, c int64) {
+	// slot[dst] is the current row's flow to dst, or -1.
+	slot := make([]int32, s.P)
+	for i := range slot {
+		slot[i] = -1
+	}
 	for i := 0; i < s.P; i++ {
+		lo := len(flows)
 		for _, e := range s.row(i) {
 			dst := mp[e.col]
 			if dst == int32(i) {
 				continue
 			}
 			c += e.w
-			if sentBy[dst] != int32(i)+1 {
-				sentBy[dst] = int32(i) + 1
-				n++
+			if slot[dst] < 0 {
+				slot[dst] = int32(len(flows))
+				flows = append(flows, Flow{Src: int32(i), Dst: dst})
 			}
+			flows[slot[dst]].Elems += e.w
 		}
+		row := flows[lo:]
+		for _, fl := range row {
+			slot[fl.Dst] = -1
+		}
+		slices.SortFunc(row, func(a, b Flow) int { return cmp.Compare(a.Dst, b.Dst) })
 	}
-	return c, n
+	return flows, c
 }
