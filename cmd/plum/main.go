@@ -205,7 +205,7 @@ func main() {
 			fmt.Printf(" -> repartitioned, remap REJECTED (gain %.3g ≤ %s)", b.Gain, costTerms(b))
 		default:
 			fmt.Printf(" -> %.2f, moved %d elems in %d sets (gain %.3g > %s), remapT=%.3fs",
-				b.ImbalanceAfter, b.MoveC, b.MoveN, b.Gain, costTerms(b), b.Remap.Total)
+				b.ImbalanceAfter, b.Predicted.Moved, b.Predicted.Sets, b.Gain, costTerms(b), b.Remap.Total)
 			if b.Outcome == core.OutcomeRetriedCommitted {
 				fmt.Printf(" [recovered: %d msg retries, %d window retries]",
 					b.Remap.Retries, b.Remap.WindowRetries)
@@ -266,7 +266,7 @@ func costTerms(b core.BalanceReport) string {
 	pr := b.Predicted
 	return fmt.Sprintf("cost %.3g = remap %.3g [pack %.3g · wire %.3g · rebuild %.3g] + pipeline %.3g − overlap %.3g; paper %.3g",
 		b.Cost, pr.Total, pr.PackTime, pr.CommTime, pr.RebuildTime,
-		b.RepartitionTime+b.ReassignTime+b.RemapExecTime, b.OverlapTime, b.CostPaper)
+		b.PipelineTime(), b.OverlapTime, b.CostPaper)
 }
 
 // badFlag rejects a flag value the way the flag package rejects a

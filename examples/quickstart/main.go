@@ -33,7 +33,7 @@ func main() {
 
 	if rep.Balance.Accepted {
 		fmt.Printf("rebalanced to %.2f by moving %d elements in %d sets\n",
-			rep.Balance.ImbalanceAfter, rep.Balance.MoveC, rep.Balance.MoveN)
+			rep.Balance.ImbalanceAfter, rep.Balance.Predicted.Moved, rep.Balance.Predicted.Sets)
 		fmt.Printf("decision: gain %.3gs > cost %.3gs on the SP2 model\n",
 			rep.Balance.Gain, rep.Balance.Cost)
 	} else if rep.Balance.Repartitioned {

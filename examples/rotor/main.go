@@ -60,7 +60,7 @@ func main() {
 		fmt.Printf("cycle %d: %7d elems, +%d refined, imbalance %.2f",
 			cycle, m.NumActiveElems(), rep.Refine.NewElems, b.ImbalanceBefore)
 		if b.Accepted {
-			fmt.Printf(" -> %.2f (moved %d elements)", b.ImbalanceAfter, b.MoveC)
+			fmt.Printf(" -> %.2f (moved %d elements)", b.ImbalanceAfter, b.Predicted.Moved)
 		}
 		fmt.Println()
 	}

@@ -69,7 +69,7 @@ func main() {
 		state := "balanced"
 		switch {
 		case b.Accepted:
-			state = fmt.Sprintf("remapped %d elems", b.MoveC)
+			state = fmt.Sprintf("remapped %d elems", b.Predicted.Moved)
 			accepted++
 		case b.Repartitioned:
 			state = "remap rejected"

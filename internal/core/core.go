@@ -131,14 +131,14 @@ type Config struct {
 	// send/rebuild tracks, fault retries, checkpoints, crash recovery.
 	// Only worker-invariant quantities are recorded, so exports are
 	// byte-identical at every worker count. nil (the default) disables
-	// tracing at the cost of one pointer compare per stage — zero
-	// allocations on the cycle hot path. Not safe for concurrent
-	// Frameworks; give each its own Trace.
+	// tracing: every emission on a nil trace returns at once and
+	// allocates nothing. Not safe for concurrent Frameworks; give each
+	// its own Trace.
 	Trace *obs.Trace
 	// Metrics, when non-nil, accumulates framework counters and gauges
 	// (cycles, outcomes, ops, moved elements, retries, checkpoint words,
 	// imbalance) after each completed cycle, for Prometheus text dumps.
-	// Same determinism and nil-cost contract as Trace.
+	// Same determinism contract as Trace; nil disables it.
 	Metrics *obs.Registry
 }
 
@@ -370,11 +370,9 @@ type BalanceReport struct {
 	// no proposal could gain (Repartitioned stays false). Zero when the
 	// imbalance was within the threshold.
 	WmaxFloor int64
-	// Objective is the mapper's 𝒥; MoveC and MoveN are the cost model's
-	// C (elements moved) and N (element sets moved).
+	// Objective is the mapper's 𝒥. The cost model's C (elements moved)
+	// and N (element sets moved) are Predicted.Moved and Predicted.Sets.
 	Objective int64
-	MoveC     int64
-	MoveN     int
 	// RepartitionOps and RepartitionCritOps describe the partitioner's
 	// work including refinement: total ops summed over all workers, and
 	// the critical-path share (what a parallel machine actually waits
@@ -481,6 +479,14 @@ type BalanceReport struct {
 	Recovery par.RemapResult
 }
 
+// PipelineTime is the balance pipeline's overhead on the cost side:
+// RepartitionTime + ReassignTime + RemapExecTime, added in that order.
+// CostFull charges it beside Predicted.Total, and with Config.Overlap it
+// is what may hide behind the solver (OverlapTime).
+func (b *BalanceReport) PipelineTime() float64 {
+	return b.RepartitionTime + b.ReassignTime + b.RemapExecTime
+}
+
 // Balance runs the repartitioning / reassignment / cost-decision /
 // remapping pipeline of the framework once. When the current partitions
 // are adequately balanced, or when the redistribution cost exceeds the
@@ -498,6 +504,7 @@ func (f *Framework) Balance() (BalanceReport, error) { return f.balance(0) }
 func (f *Framework) balance(window float64) (BalanceReport, error) {
 	var rep BalanceReport
 	rep.Exchange = f.D.Exchange
+	tr := f.Cfg.Trace
 	f.G.UpdateWeights(f.M)
 	// Capture the recoverable cycle state before anything mutates: a rank
 	// crash mid-remap restores to exactly this point before the survivor
@@ -505,7 +512,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	if f.ck != nil {
 		f.ck.Capture(ckpt.State{Cycle: f.D.FaultCycle, Streak: f.rollbackStreak,
 			Owners: f.D.Owners(), Weights: f.G.Wcomp})
-		traceCkptCapture(f.Cfg.Trace, f.D.FaultCycle)
+		tr.Event("info", "ckpt.capture", obs.Int("cycle", int64(f.D.FaultCycle)))
 	}
 	// All balance targets are the surviving ranks: after a crash the run
 	// continues on fewer processors, and dead ranks must never appear in
@@ -518,21 +525,19 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.ImbalanceBefore = par.ImbalanceFactor(loads)
 	rep.ImbalanceAfter = rep.ImbalanceBefore
 	rep.WmaxOld = slices.Max(loads)
-	if rep.ImbalanceBefore <= f.Cfg.ImbalanceThreshold {
-		traceEvaluate(f.Cfg.Trace, rep.ImbalanceBefore, false)
+	if rep.ImbalanceBefore > f.Cfg.ImbalanceThreshold {
+		// At the granularity floor no proposal has WmaxNew < WmaxOld, so
+		// its gain is ≤ 0 ≤ cost and the rule would reject it: skip the
+		// repartition and reassignment it would be charged for.
+		alive64 := int64(rep.Alive)
+		rep.WmaxFloor = max(slices.Max(f.G.Wcomp), (f.G.TotalWcomp()+alive64-1)/alive64)
+		rep.Repartitioned = rep.WmaxOld > rep.WmaxFloor
+	}
+	tr.Event("info", "balance.evaluate",
+		obs.Float("imbalance", rep.ImbalanceBefore), obs.Bool("repartition", rep.Repartitioned))
+	if !rep.Repartitioned {
 		return rep, nil
 	}
-	// At the granularity floor no proposal has WmaxNew < WmaxOld, so its
-	// gain is ≤ 0 ≤ cost and the rule would reject it: skip the
-	// repartition and reassignment it would be charged for.
-	alive64 := int64(rep.Alive)
-	rep.WmaxFloor = max(slices.Max(f.G.Wcomp), (f.G.TotalWcomp()+alive64-1)/alive64)
-	if rep.WmaxOld <= rep.WmaxFloor {
-		traceEvaluate(f.Cfg.Trace, rep.ImbalanceBefore, false)
-		return rep, nil
-	}
-	traceEvaluate(f.Cfg.Trace, rep.ImbalanceBefore, true)
-	rep.Repartitioned = true
 
 	// Repartition the dual graph into S·F parts over the S survivors and
 	// reassign the parts to them.
@@ -549,10 +554,14 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.RepartitionCompTime = float64(partOps.Crit-partOps.MemCrit) * f.Cfg.Model.CompOp
 	rep.RepartitionMemTime = float64(partOps.MemCrit) * f.Cfg.Model.MemOp
 	rep.RepartitionTime = partOps.Time(f.Cfg.Model)
-	traceRepartition(f.Cfg.Trace, f.Cfg.Model, partOps, len(alive)*f.Cfg.F)
+	traceRepartition(tr, f.Cfg.Model, partOps, len(alive)*f.Cfg.F)
 	rep.ReassignOps = pr.mapOps
 	rep.ReassignTime = float64(pr.mapOps) * f.Cfg.Model.MemOp
-	traceReassign(f.Cfg.Trace, pr.mapOps, rep.ReassignTime, rep.Objective)
+	// The mapper's similarity scans run serially, so ReassignTime is
+	// already worker-invariant.
+	tr.Span(obs.FrameworkRank, "reassign", tr.Now(), rep.ReassignTime,
+		obs.Int("ops", pr.mapOps), obs.Int("objective", rep.Objective))
+	tr.Advance(rep.ReassignTime)
 
 	newLoads := pr.loads(f.G.Wcomp, rep.Alive)
 	rep.WmaxNew = slices.Max(newLoads)
@@ -568,16 +577,15 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// which is the point of modeling it. The remap execution's scatter
 	// work is predicted from the mapping's C and N (exactly the
 	// quantities ExecuteRemap will report).
-	flows, moved := pr.flows(alive)
-	rep.MoveC, rep.MoveN = moved, len(flows)
-	rep.Predicted = par.ChargeRemap(f.Cfg.Model, f.D.Exchange, f.Cfg.P, flows)
-	rep.CostPaper = redistCost(f.Cfg.Model, f.D.Exchange, rep.Alive, rep.MoveC, rep.MoveN)
-	remapOps := par.PredictRemapOps(len(f.M.Elems), rep.MoveC, rep.MoveN, f.Cfg.P, f.Cfg.Workers)
+	rep.Predicted = par.ChargeRemap(f.Cfg.Model, f.D.Exchange, f.Cfg.P, pr.flows(alive))
+	moved, sets := rep.Predicted.Moved, rep.Predicted.Sets
+	rep.CostPaper = redistCost(f.Cfg.Model, f.D.Exchange, rep.Alive, moved, sets)
+	remapOps := par.PredictRemapOps(len(f.M.Elems), moved, sets, f.Cfg.P, f.Cfg.Workers)
 	rep.RemapOps = remapOps.Total
 	rep.RemapCritOps = remapOps.Crit
 	rep.RemapExecTime = remapOps.Time(f.Cfg.Model)
 	rep.Gain = f.Cfg.Cost.Gain(rep.WmaxOld, rep.WmaxNew)
-	pipeline := rep.RepartitionTime + rep.ReassignTime + rep.RemapExecTime
+	pipeline := rep.PipelineTime()
 	rep.CostFull = rep.Predicted.Total + pipeline
 	if f.Cfg.Overlap {
 		// Latency tolerance: the CPU-side pipeline hides behind the
@@ -587,14 +595,17 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	}
 	rep.Cost = rep.CostFull - rep.OverlapTime
 	// The decision compares the reported quantities themselves, so the
-	// report can never drift from it.
-	if rep.Gain <= rep.Cost {
+	// report can never drift from it. The Crit-priced cost side depends on
+	// the worker knob, so the trace records only the worker-invariant
+	// inputs and the verdict.
+	rep.Accepted = rep.Gain > rep.Cost
+	tr.Event("info", "remap.decide",
+		obs.Float("gain", rep.Gain), obs.Int("moved", moved), obs.Int("sets", int64(sets)),
+		obs.Bool("accepted", rep.Accepted))
+	if !rep.Accepted {
 		rep.ImbalanceAfter = rep.ImbalanceBefore // discarded
-		traceDecision(f.Cfg.Trace, rep.Gain, rep.MoveC, rep.MoveN, false)
 		return rep, nil
 	}
-	rep.Accepted = true
-	traceDecision(f.Cfg.Trace, rep.Gain, rep.MoveC, rep.MoveN, true)
 
 	// Execute the remap: ownership follows the accepted mapping.
 	res, err := f.D.ExecuteRemap(pr.owners(alive), f.Cfg.Model)
@@ -630,7 +641,12 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 				if f.rollbackStreak >= DegradedStreak {
 					rep.Outcome = OutcomeDegraded
 				}
-				traceRollback(f.Cfg.Trace, rep.Outcome, rep.FaultDetail)
+				level := "warn"
+				if rep.Outcome == OutcomeDegraded {
+					level = "error"
+				}
+				tr.Event(level, "balance.rollback",
+					obs.String("outcome", rep.Outcome.String()), obs.String("detail", rep.FaultDetail))
 				return rep, nil
 			}
 		}
@@ -640,7 +656,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	if res.Retries > 0 || res.WindowRetries > 0 {
 		rep.Outcome = OutcomeRetriedCommitted
 	}
-	traceRemapExec(f.Cfg.Trace, "remap.exec", &res)
+	traceRemapExec(tr, execStages, &res)
 	rep.Remap = res
 	return rep, nil
 }
@@ -682,15 +698,15 @@ func (pr proposal) loads(w []int64, n int) []int64 {
 }
 
 // flows returns the element sets the proposal moves between ranks, in
-// canonical (Src, Dst) order, and their total: the mapping's MoveStats,
-// mapped back from survivor positions to ranks through alive (ascending,
-// so the order survives).
-func (pr proposal) flows(alive []int32) ([]remap.Flow, int64) {
-	flows, moved := pr.sim.MoveStats(pr.mapping)
+// canonical (Src, Dst) order: the mapping's MoveStats, mapped back from
+// survivor positions to ranks through alive (ascending, so the order
+// survives).
+func (pr proposal) flows(alive []int32) []remap.Flow {
+	flows, _ := pr.sim.MoveStats(pr.mapping)
 	for i := range flows {
 		flows[i].Src, flows[i].Dst = alive[flows[i].Src], alive[flows[i].Dst]
 	}
-	return flows, moved
+	return flows
 }
 
 // owners returns the ownership the proposal assigns: every dual vertex
@@ -747,7 +763,10 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	rep.Outcome = OutcomeRecovered
 	rep.FaultDetail = re.Error()
 	rep.CrashedRanks = append([]int(nil), re.Crashed...)
-	traceCrash(f.Cfg.Trace, re.Crashed)
+	tr := f.Cfg.Trace
+	for _, r := range re.Crashed {
+		tr.Event("error", "rank.crash", obs.Int("rank", int64(r)))
+	}
 	// The executor already rolled its transaction back; the checkpoint
 	// restore is the audited path, and also recovers the outcome streak
 	// captured before the pass started.
@@ -755,7 +774,7 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 		if st, ok := f.ck.Restore(); ok {
 			f.D.SetOwners(st.Owners)
 			f.rollbackStreak = st.Streak
-			traceCkptRestore(f.Cfg.Trace, st.Cycle)
+			tr.Event("info", "ckpt.restore", obs.Int("cycle", int64(st.Cycle)))
 		}
 	}
 	f.D.MarkDead(re.Crashed)
@@ -773,7 +792,7 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	if err != nil {
 		return fmt.Errorf("core: survivor recovery after crash of %v failed: %w", re.Crashed, err)
 	}
-	traceRemapExec(f.Cfg.Trace, "remap.recovery", &res)
+	traceRemapExec(tr, recoveryStages, &res)
 	rep.Recovery = res
 	f.rollbackStreak = 0
 
@@ -834,7 +853,8 @@ func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 	// Scope this cycle's fault keys: the adaption exchanges and the remap
 	// payload both draw from the cycle's own schedule.
 	f.D.FaultCycle = f.cycles
-	traceCycleBegin(f.Cfg.Trace, f.cycles)
+	tr := f.Cfg.Trace
+	tr.Begin("cycle", obs.Int("cycle", int64(f.cycles)))
 	f.cycles++
 	loads := f.Loads()
 	rep.SolverTime = f.Cfg.Cost.SolverTimeIters(slices.Max(loads), f.Cfg.SolverIters)
@@ -843,7 +863,8 @@ func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 		// the iterations SolverTime modeled (one knob, see Config).
 		f.S.Iterate(f.Cfg.SolverIters)
 	}
-	traceSolver(f.Cfg.Trace, rep.SolverTime, f.Cfg.SolverIters)
+	tr.Span(obs.FrameworkRank, "solver", tr.Now(), rep.SolverTime, obs.Int("iters", int64(f.Cfg.SolverIters)))
+	tr.Advance(rep.SolverTime)
 	mark(f.A)
 	coarsen := 0
 	for _, mk := range f.A.MarksSnapshot() {
@@ -853,7 +874,8 @@ func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 	}
 	if coarsen > 0 {
 		err := &CoarsenMarksError{Marks: coarsen}
-		traceCycleError(f.Cfg.Trace, err)
+		tr.Event("error", "cycle.error", obs.String("err", err.Error()))
+		tr.End(obs.String("outcome", "error"))
 		return rep, err
 	}
 	rep.Refine, rep.AdaptTime = f.D.ParallelRefine(f.A, f.Cfg.Model)
@@ -862,15 +884,16 @@ func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 	} else {
 		f.M.ResetLog() // nobody consumes the log: keep it one cycle long
 	}
-	traceAdapt(f.Cfg.Trace, rep.AdaptTime)
+	traceAdapt(tr, rep.AdaptTime)
 	bal, err := f.balance(rep.SolverTime)
 	if err != nil {
-		traceCycleError(f.Cfg.Trace, err)
+		tr.Event("error", "cycle.error", obs.String("err", err.Error()))
+		tr.End(obs.String("outcome", "error"))
 		return rep, err
 	}
 	rep.Balance = bal
 	rep.Outcome = bal.Outcome
-	traceCycleEnd(f.Cfg.Trace, rep.Outcome)
+	tr.End(obs.String("outcome", rep.Outcome.String()))
 	recordCycleMetrics(f.Cfg.Metrics, f, &rep)
 	return rep, nil
 }

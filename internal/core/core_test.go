@@ -127,8 +127,8 @@ func TestBalanceAfterLocalizedRefinement(t *testing.T) {
 	if rep.WmaxNew >= rep.WmaxOld {
 		t.Errorf("Wmax did not improve: %d -> %d", rep.WmaxOld, rep.WmaxNew)
 	}
-	if rep.MoveC <= 0 || rep.MoveN <= 0 || rep.Remap.Moved != rep.MoveC {
-		t.Errorf("movement accounting: C=%d N=%d remap=%+v", rep.MoveC, rep.MoveN, rep.Remap)
+	if pr := rep.Predicted; pr.Moved <= 0 || pr.Sets <= 0 || rep.Remap.Moved != pr.Moved {
+		t.Errorf("movement accounting: C=%d N=%d remap=%+v", pr.Moved, pr.Sets, rep.Remap)
 	}
 	// After the remap the actual loads must match the projection.
 	newImb := par_ImbalanceFactor(f.Loads())
@@ -376,16 +376,15 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 		// executor's own per-rank charge of the mapping's flows) +
 		// repartition + reassignment + remap execution. The paper's
 		// total-volume formula is reported beside it, not charged.
-		if rep.Predicted.Total <= 0 || rep.Predicted.Moved != rep.MoveC || rep.Predicted.Sets != rep.MoveN {
-			t.Errorf("%v: predicted remap %+v does not price the mapping's C=%d N=%d",
-				meth, rep.Predicted, rep.MoveC, rep.MoveN)
+		if pr := rep.Predicted; pr.Total <= 0 || pr.Moved <= 0 || pr.Sets <= 0 {
+			t.Errorf("%v: predicted remap %+v prices no movement", meth, pr)
 		}
 		wantCost := rep.Predicted.Total + (rep.RepartitionTime + rep.ReassignTime + rep.RemapExecTime)
 		if rep.Cost != wantCost {
 			t.Errorf("%v: cost %.17g is not the predicted remap plus the balancing overhead (want %.17g)",
 				meth, rep.Cost, wantCost)
 		}
-		if want := f.Cfg.Model.RedistCost(rep.MoveC, rep.MoveN); rep.CostPaper != want {
+		if want := f.Cfg.Model.RedistCost(rep.Predicted.Moved, rep.Predicted.Sets); rep.CostPaper != want {
 			t.Errorf("%v: CostPaper %.17g, want the paper's C·M·Tlat + N·Tsetup = %.17g", meth, rep.CostPaper, want)
 		}
 		// The pre-decision prediction must be exactly what the executed

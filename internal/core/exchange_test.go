@@ -74,7 +74,7 @@ func exchangeCycles(t *testing.T, exchange string, plan *fault.Plan) []CycleRepo
 func TestCycleFlatExchangeIsLegacy(t *testing.T) {
 	ref := exchangeCycles(t, "", nil)
 	for _, rep := range ref {
-		if b := rep.Balance; b.Accepted && (b.Remap.Setups != int64(b.MoveN) || b.Remap.SetupTime <= 0) {
+		if b := rep.Balance; b.Accepted && (b.Remap.Setups != int64(b.Predicted.Sets) || b.Remap.SetupTime <= 0) {
 			t.Fatalf("flat remap setup accounting wrong: %+v", b)
 		}
 	}
@@ -98,7 +98,7 @@ func TestCycleExchangeInvariants(t *testing.T) {
 		for c := range flat {
 			fb, gb := flat[c].Balance, got[c].Balance
 			if gb.ImbalanceBefore != fb.ImbalanceBefore || gb.ImbalanceAfter != fb.ImbalanceAfter ||
-				gb.Accepted != fb.Accepted || gb.MoveC != fb.MoveC || gb.MoveN != fb.MoveN ||
+				gb.Accepted != fb.Accepted || gb.Predicted.Moved != fb.Predicted.Moved || gb.Predicted.Sets != fb.Predicted.Sets ||
 				gb.Remap.Moved != fb.Remap.Moved || gb.Remap.WordsMoved != fb.Remap.WordsMoved {
 				t.Fatalf("%s cycle %d: schedule changed the physics:\n got %+v\nwant %+v",
 					exchange, c, gb, fb)

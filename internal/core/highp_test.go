@@ -82,7 +82,7 @@ func TestCycleHighP(t *testing.T) {
 			c, b.ImbalanceBefore, b.ImbalanceAfter, b.Accepted, b.Remap.Moved, b.Remap.Sets, b.ReassignOps)
 		if b.Accepted {
 			accepted++
-			if b.Remap.Moved != b.MoveC || b.Remap.Sets != b.MoveN || b.ImbalanceAfter >= b.ImbalanceBefore {
+			if b.Remap.Moved != b.Predicted.Moved || b.Remap.Sets != b.Predicted.Sets || b.ImbalanceAfter >= b.ImbalanceBefore {
 				t.Errorf("cycle %d: executed remap disagrees with its proposal: %+v", c, b)
 			}
 		}

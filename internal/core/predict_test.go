@@ -115,7 +115,7 @@ func checkProposalFlows(t *testing.T, name string, f *Framework) {
 		}
 		return int(a.Dst - b.Dst)
 	})
-	if got, _ := pr.flows(alive); !slices.Equal(got, want) {
+	if got := pr.flows(alive); !slices.Equal(got, want) {
 		t.Errorf("%s: the decision prices %d flows, the proposal moves %d (first %v vs %v)",
 			name, len(got), len(want), got[:min(3, len(got))], want[:min(3, len(want))])
 	}

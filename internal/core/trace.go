@@ -6,12 +6,11 @@ import (
 	"plum/internal/par"
 )
 
-// The balance pipeline's trace and metrics emission. Every helper takes
-// the trace/registry first and checks it for nil before touching its
-// arguments, so a disabled observer costs one pointer compare per call
-// site and — because the obs.Attr slices are built after the check —
-// zero allocations on the cycle hot path (TestTraceDisabledIsFree pins
-// this with testing.AllocsPerRun).
+// The balance pipeline's multi-span emitters and its metrics. The
+// cycle calls the tracer directly wherever one span or event is one
+// call: obs builds an attribute without formatting it and copies the
+// attributes it keeps, so an emission on a nil trace allocates nothing
+// (TestTraceDisabledIsFree pins this with testing.AllocsPerRun).
 //
 // Recorded quantities are exclusively worker-invariant: op totals,
 // modeled phase times from the canonical flow layout, moved counts,
@@ -22,40 +21,11 @@ import (
 // with Crit = Total, MemCrit = MemTotal) instead — which is what keeps
 // exports byte-identical at any worker count (TestTraceWorkerParity).
 
-// traceCycleBegin opens the cycle's framework span at the cursor.
-func traceCycleBegin(tr *obs.Trace, cycle int) {
-	if tr == nil {
-		return
-	}
-	tr.Begin("cycle", obs.Int("cycle", int64(cycle)))
-}
-
-// traceCycleEnd closes the cycle span with its outcome.
-func traceCycleEnd(tr *obs.Trace, outcome BalanceOutcome) {
-	if tr == nil {
-		return
-	}
-	tr.End(obs.String("outcome", outcome.String()))
-}
-
-// traceSolver records the modeled solver iterations and advances the
-// cursor past them.
-func traceSolver(tr *obs.Trace, dur float64, iters int) {
-	if tr == nil {
-		return
-	}
-	tr.Span(obs.FrameworkRank, "solver", tr.Now(), dur, obs.Int("iters", int64(iters)))
-	tr.Advance(dur)
-}
-
 // traceAdapt records the adaption pass: phase children laid end to end
 // under an enclosing span of the pass's modeled total, then advances
 // the cursor. All AdaptTimings phase times are worker-invariant (the
 // adapt parity tests mask only Ops.Crit/MemCrit).
 func traceAdapt(tr *obs.Trace, tm par.AdaptTimings) {
-	if tr == nil {
-		return
-	}
 	t0 := tr.Now()
 	tr.Span(obs.FrameworkRank, "adapt", t0, tm.Total,
 		obs.Int("visits", tm.Visits), obs.Int("marked", tm.Marked),
@@ -68,48 +38,9 @@ func traceAdapt(tr *obs.Trace, tm par.AdaptTimings) {
 	tr.Advance(tm.Total)
 }
 
-// traceCycleError closes the cycle span after a hard pipeline error
-// (timeout, structural failure) so the span stack stays balanced.
-func traceCycleError(tr *obs.Trace, err error) {
-	if tr == nil {
-		return
-	}
-	tr.Event("error", "cycle.error", obs.String("err", err.Error()))
-	tr.End(obs.String("outcome", "error"))
-}
-
-// traceCkptCapture records a cycle-checkpoint capture.
-func traceCkptCapture(tr *obs.Trace, cycle int) {
-	if tr == nil {
-		return
-	}
-	tr.Event("info", "ckpt.capture", obs.Int("cycle", int64(cycle)))
-}
-
-// traceCkptRestore records a cycle-checkpoint restore during crash
-// recovery.
-func traceCkptRestore(tr *obs.Trace, cycle int) {
-	if tr == nil {
-		return
-	}
-	tr.Event("info", "ckpt.restore", obs.Int("cycle", int64(cycle)))
-}
-
-// traceEvaluate records the preliminary-evaluation verdict.
-func traceEvaluate(tr *obs.Trace, imbalance float64, repartition bool) {
-	if tr == nil {
-		return
-	}
-	tr.Event("info", "balance.evaluate",
-		obs.Float("imbalance", imbalance), obs.Bool("repartition", repartition))
-}
-
 // traceRepartition records the repartitioning stage, priced serially
 // from its op totals, and advances the cursor.
 func traceRepartition(tr *obs.Trace, mdl machine.Model, ops machine.Ops, parts int) {
-	if tr == nil {
-		return
-	}
 	serial := machine.Ops{Total: ops.Total, Crit: ops.Total, MemTotal: ops.MemTotal, MemCrit: ops.MemTotal}
 	dur := serial.Time(mdl)
 	tr.Span(obs.FrameworkRank, "repartition", tr.Now(), dur,
@@ -117,72 +48,32 @@ func traceRepartition(tr *obs.Trace, mdl machine.Model, ops machine.Ops, parts i
 	tr.Advance(dur)
 }
 
-// traceReassign records the processor-reassignment stage (the mapper's
-// similarity scans run serially, so ReassignTime is already invariant)
-// and advances the cursor.
-func traceReassign(tr *obs.Trace, ops int64, dur float64, objective int64) {
-	if tr == nil {
-		return
-	}
-	tr.Span(obs.FrameworkRank, "reassign", tr.Now(), dur,
-		obs.Int("ops", ops), obs.Int("objective", objective))
-	tr.Advance(dur)
-}
+// remapStages names an executed remap's enclosing span and its three
+// phase children. The names are constants, not built by concatenation,
+// so naming a span allocates nothing.
+type remapStages struct{ whole, pack, comm, rebuild string }
 
-// traceDecision records the gain/cost verdict. The modeled cost side is
-// Crit-priced and worker-dependent, so only the worker-invariant inputs
-// (gain, movement quantities) and the verdict itself are recorded.
-func traceDecision(tr *obs.Trace, gain float64, moved int64, sets int, accepted bool) {
-	if tr == nil {
-		return
-	}
-	tr.Event("info", "remap.decide",
-		obs.Float("gain", gain), obs.Int("moved", moved), obs.Int("sets", int64(sets)),
-		obs.Bool("accepted", accepted))
-}
+var (
+	execStages     = remapStages{"remap.exec", "remap.exec.pack", "remap.exec.comm", "remap.exec.rebuild"}
+	recoveryStages = remapStages{"remap.recovery", "remap.recovery.pack", "remap.recovery.comm", "remap.recovery.rebuild"}
+)
 
-// traceRemapExec records the executed remap's enclosing span with its
-// phase children (all from the canonical flow layout, byte-identical at
-// every worker count) and advances the cursor past the remap. The
-// per-rank send/rebuild spans were already emitted against the same
-// base cursor by par's accounting.
-func traceRemapExec(tr *obs.Trace, stage string, res *par.RemapResult) {
-	if tr == nil {
-		return
-	}
+// traceRemapExec records an executed remap's enclosing span with its phase
+// children (all from the canonical flow layout, byte-identical at every
+// worker count) and advances the cursor past the remap. The per-rank
+// send/rebuild spans were already emitted against the same base cursor
+// by par's accounting.
+func traceRemapExec(tr *obs.Trace, st remapStages, res *par.RemapResult) {
 	t0 := tr.Now()
-	tr.Span(obs.FrameworkRank, stage, t0, res.Total,
+	tr.Span(obs.FrameworkRank, st.whole, t0, res.Total,
 		obs.Int("moved", res.Moved), obs.Int("sets", int64(res.Sets)),
 		obs.Int("words", res.WordsMoved), obs.Int("setups", res.Setups),
 		obs.Int("retries", res.Retries), obs.Int("window_retries", int64(res.WindowRetries)))
-	tr.Span(obs.FrameworkRank, stage+".pack", t0, res.PackTime)
-	tr.Span(obs.FrameworkRank, stage+".comm", t0+res.PackTime, res.CommTime,
+	tr.Span(obs.FrameworkRank, st.pack, t0, res.PackTime)
+	tr.Span(obs.FrameworkRank, st.comm, t0+res.PackTime, res.CommTime,
 		obs.Float("setup_s", res.SetupTime))
-	tr.Span(obs.FrameworkRank, stage+".rebuild", t0+res.PackTime+res.CommTime, res.RebuildTime)
+	tr.Span(obs.FrameworkRank, st.rebuild, t0+res.PackTime+res.CommTime, res.RebuildTime)
 	tr.Advance(res.Total)
-}
-
-// traceRollback records a rolled-back (or degraded) balance pass.
-func traceRollback(tr *obs.Trace, outcome BalanceOutcome, detail string) {
-	if tr == nil {
-		return
-	}
-	level := "warn"
-	if outcome == OutcomeDegraded {
-		level = "error"
-	}
-	tr.Event(level, "balance.rollback",
-		obs.String("outcome", outcome.String()), obs.String("detail", detail))
-}
-
-// traceCrash records the rank deaths that aborted a remap.
-func traceCrash(tr *obs.Trace, crashed []int) {
-	if tr == nil {
-		return
-	}
-	for _, r := range crashed {
-		tr.Event("error", "rank.crash", obs.Int("rank", int64(r)))
-	}
 }
 
 // recordCycleMetrics accumulates one completed cycle's counters and

@@ -70,7 +70,7 @@ func RunOverlapTable(workers int) *OverlapTable {
 			row := OverlapRow{
 				P: p, Workers: w,
 				Solver:   rep.SolverTime,
-				Pipeline: b.RepartitionTime + b.ReassignTime + b.RemapExecTime,
+				Pipeline: b.PipelineTime(),
 				Accepted: b.Accepted,
 			}
 			row.Redist = b.Predicted.Total

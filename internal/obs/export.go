@@ -115,7 +115,7 @@ func attrArgs(attrs []Attr) map[string]string {
 	}
 	m := make(map[string]string, len(attrs))
 	for _, a := range attrs {
-		m[a.Key] = a.Val
+		m[a.Key] = a.Value()
 	}
 	return m
 }

@@ -12,63 +12,98 @@
 // trace is byte-identical at any worker count and GOMAXPROCS.
 //
 // Every method on Trace and Registry is safe on a nil receiver and does
-// nothing, so instrumented code needs no enabled-flag plumbing. Because
-// variadic attribute slices are built by the *caller*, hot paths must
-// still guard emission with an explicit nil check (or route through a
-// nil-checking helper that builds the attributes after the check) to stay
-// allocation-free when tracing is off; see core's trace helpers.
+// nothing, so instrumented code needs no enabled-flag plumbing and no
+// guard: an Attr is a plain typed value that formats nothing until an
+// exporter renders it, and Trace copies the attributes it keeps instead
+// of holding the caller's variadic slice, so that slice never escapes and
+// an emission on a nil *Trace allocates nothing.
 package obs
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // FrameworkRank is the span rank of framework-level (non-per-rank)
 // stages: the solver, the partitioner, the mapper. Exporters render it as
 // its own track beside the per-rank tracks.
 const FrameworkRank int32 = -1
 
-// Attr is one key/value annotation on a span or event. Values are
-// pre-rendered strings so emission order, not type reflection, decides
-// the bytes; use the constructors to format deterministically.
+// Attr is one key/value annotation on a span or event: a key and one
+// int, float, bool or string value. Building one formats nothing; the
+// exporters render the value with Value, so emission order, not type
+// reflection, decides the bytes.
 type Attr struct {
-	Key string `json:"k"`
-	Val string `json:"v"`
+	Key  string
+	kind attrKind
+	num  uint64 // the int64 or float64 bits, or the bool as 0/1
+	str  string
 }
 
+type attrKind uint8
+
+const (
+	kindString attrKind = iota
+	kindInt
+	kindFloat
+	kindBool
+)
+
 // String builds a string attribute.
-func String(k, v string) Attr { return Attr{Key: k, Val: v} }
+func String(k, v string) Attr { return Attr{Key: k, str: v} }
 
 // Int builds an integer attribute.
-func Int(k string, v int64) Attr { return Attr{Key: k, Val: strconv.FormatInt(v, 10)} }
+func Int(k string, v int64) Attr { return Attr{Key: k, kind: kindInt, num: uint64(v)} }
 
 // Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr { return Attr{Key: k, Val: strconv.FormatBool(v)} }
+func Bool(k string, v bool) Attr {
+	a := Attr{Key: k, kind: kindBool}
+	if v {
+		a.num = 1
+	}
+	return a
+}
 
-// Float builds a float attribute with the shortest round-trip rendering
-// ('g', precision -1) — the same bytes on every platform for the same
-// bits, which is what keeps attribute-carrying traces diffable.
-func Float(k string, v float64) Attr { return Attr{Key: k, Val: strconv.FormatFloat(v, 'g', -1, 64)} }
+// Float builds a float attribute.
+func Float(k string, v float64) Attr { return Attr{Key: k, kind: kindFloat, num: math.Float64bits(v)} }
+
+// Value renders the attribute's value: integers in base 10, floats with
+// the shortest round-trip rendering ('g', precision -1) — the same bytes
+// on every platform for the same bits, which is what keeps
+// attribute-carrying traces diffable — and bools as true/false.
+func (a Attr) Value() string {
+	switch a.kind {
+	case kindInt:
+		return strconv.FormatInt(int64(a.num), 10)
+	case kindFloat:
+		return strconv.FormatFloat(math.Float64frombits(a.num), 'g', -1, 64)
+	case kindBool:
+		return strconv.FormatBool(a.num != 0)
+	}
+	return a.str
+}
 
 // Span is one completed stage on the modeled timeline. Start and Dur are
 // modeled seconds; Rank is the machine rank the stage ran on, or
 // FrameworkRank for framework-level stages. Seq is the global emission
 // sequence number shared with events, fixing a canonical total order.
 type Span struct {
-	Seq   int64   `json:"seq"`
-	Rank  int32   `json:"rank"`
-	Stage string  `json:"stage"`
-	Start float64 `json:"start"`
-	Dur   float64 `json:"dur"`
-	Attrs []Attr  `json:"attrs,omitempty"`
+	Seq   int64
+	Rank  int32
+	Stage string
+	Start float64
+	Dur   float64
+	Attrs []Attr
 }
 
 // Event is one instantaneous occurrence (a checkpoint capture, a window
 // retry, a crash) at modeled time T.
 type Event struct {
-	Seq   int64   `json:"seq"`
-	T     float64 `json:"t"`
-	Level string  `json:"level"`
-	Msg   string  `json:"msg"`
-	Attrs []Attr  `json:"attrs,omitempty"`
+	Seq   int64
+	T     float64
+	Level string
+	Msg   string
+	Attrs []Attr
 }
 
 // openSpan is one Begin awaiting its End.
@@ -90,13 +125,11 @@ type Trace struct {
 	spans  []Span
 	events []Event
 	open   []openSpan
+	attrs  []Attr // the arena every kept attribute list is cut from
 }
 
 // NewTrace returns an empty trace with the cursor at modeled time zero.
 func NewTrace() *Trace { return &Trace{} }
-
-// Enabled reports whether the trace is live (non-nil).
-func (t *Trace) Enabled() bool { return t != nil }
 
 // Now returns the modeled-time cursor.
 func (t *Trace) Now() float64 {
@@ -120,7 +153,7 @@ func (t *Trace) Begin(stage string, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	t.open = append(t.open, openSpan{rank: FrameworkRank, stage: stage, start: t.now, attrs: attrs})
+	t.open = append(t.open, openSpan{rank: FrameworkRank, stage: stage, start: t.now, attrs: t.keep(attrs, nil)})
 }
 
 // End closes the innermost open span at the cursor, appending any extra
@@ -132,7 +165,9 @@ func (t *Trace) End(attrs ...Attr) {
 	}
 	o := t.open[len(t.open)-1]
 	t.open = t.open[:len(t.open)-1]
-	t.Span(o.rank, o.stage, o.start, t.now-o.start, append(o.attrs, attrs...)...)
+	t.seq++
+	t.spans = append(t.spans, Span{Seq: t.seq, Rank: o.rank, Stage: o.stage, Start: o.start, Dur: t.now - o.start,
+		Attrs: t.keep(o.attrs, attrs)})
 }
 
 // Span records one completed stage with an explicit start and duration —
@@ -143,7 +178,7 @@ func (t *Trace) Span(rank int32, stage string, start, dur float64, attrs ...Attr
 		return
 	}
 	t.seq++
-	t.spans = append(t.spans, Span{Seq: t.seq, Rank: rank, Stage: stage, Start: start, Dur: dur, Attrs: attrs})
+	t.spans = append(t.spans, Span{Seq: t.seq, Rank: rank, Stage: stage, Start: start, Dur: dur, Attrs: t.keep(attrs, nil)})
 }
 
 // Event records an instantaneous occurrence at the cursor. level is
@@ -153,7 +188,19 @@ func (t *Trace) Event(level, msg string, attrs ...Attr) {
 		return
 	}
 	t.seq++
-	t.events = append(t.events, Event{Seq: t.seq, T: t.now, Level: level, Msg: msg, Attrs: attrs})
+	t.events = append(t.events, Event{Seq: t.seq, T: t.now, Level: level, Msg: msg, Attrs: t.keep(attrs, nil)})
+}
+
+// keep copies a then b into the trace's attribute arena and returns the
+// copy (nil when both are empty). No caller's slice is ever stored, so a
+// variadic attribute list never escapes its call.
+func (t *Trace) keep(a, b []Attr) []Attr {
+	if len(a)+len(b) == 0 {
+		return nil
+	}
+	n := len(t.attrs)
+	t.attrs = append(append(t.attrs, a...), b...)
+	return t.attrs[n:len(t.attrs):len(t.attrs)]
 }
 
 // Spans returns the recorded spans in emission order.

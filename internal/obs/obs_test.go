@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -33,7 +34,7 @@ func TestTraceNilSafe(t *testing.T) {
 	tr.Span(0, "y", 0, 1)
 	tr.Event("info", "z")
 	tr.Advance(1)
-	if tr.Now() != 0 || tr.Enabled() || tr.Spans() != nil || tr.Events() != nil {
+	if tr.Now() != 0 || tr.Spans() != nil || tr.Events() != nil {
 		t.Fatal("nil Trace must be inert")
 	}
 	var reg *Registry
@@ -219,5 +220,100 @@ func TestWriteFiles(t *testing.T) {
 		if _, err := os.Stat(good(name)); !os.IsNotExist(err) {
 			t.Errorf("nil sink created %s (stat error %v)", name, err)
 		}
+	}
+}
+
+// TestAttrRendering pins how every attribute kind renders at export: one
+// span and one event carrying the same attributes, compared with literal
+// bytes. Integers render in base 10, floats with the shortest round-trip
+// 'g' form (negative zero keeps its sign), bools as true/false, and a
+// string is JSON-escaped by the exporter.
+func TestAttrRendering(t *testing.T) {
+	attrs := []Attr{
+		Int("i0", 0), Int("i7", 7), Int("i100", 100), Int("ineg", -1), Int("imax", math.MaxInt64),
+		Float("f0.1", 0.1), Float("f1e-7", 1e-7), Float("f3e21", 3e21), Float("fneg0", math.Copysign(0, -1)),
+		Bool("btrue", true), Bool("bfalse", false),
+		String("s", `say "hi" \ bye`),
+	}
+	tr := NewTrace()
+	tr.Span(0, "span", 0, 1, attrs...)
+	tr.Event("info", "event", attrs...)
+	var buf bytes.Buffer
+	if err := WritePerfetto(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{
+ "traceEvents": [
+  {
+   "name": "thread_name",
+   "ph": "M",
+   "ts": 0,
+   "pid": 0,
+   "tid": 0,
+   "args": {
+    "name": "framework"
+   }
+  },
+  {
+   "name": "thread_name",
+   "ph": "M",
+   "ts": 0,
+   "pid": 0,
+   "tid": 1,
+   "args": {
+    "name": "rank 0"
+   }
+  },
+  {
+   "name": "span",
+   "ph": "X",
+   "ts": 0,
+   "dur": 1000000,
+   "pid": 0,
+   "tid": 1,
+   "args": {
+    "bfalse": "false",
+    "btrue": "true",
+    "f0.1": "0.1",
+    "f1e-7": "1e-07",
+    "f3e21": "3e+21",
+    "fneg0": "-0",
+    "i0": "0",
+    "i100": "100",
+    "i7": "7",
+    "imax": "9223372036854775807",
+    "ineg": "-1",
+    "s": "say \"hi\" \\ bye"
+   }
+  },
+  {
+   "name": "event",
+   "ph": "i",
+   "ts": 0,
+   "pid": 0,
+   "tid": 0,
+   "s": "t",
+   "args": {
+    "bfalse": "false",
+    "btrue": "true",
+    "f0.1": "0.1",
+    "f1e-7": "1e-07",
+    "f3e21": "3e+21",
+    "fneg0": "-0",
+    "i0": "0",
+    "i100": "100",
+    "i7": "7",
+    "imax": "9223372036854775807",
+    "ineg": "-1",
+    "level": "info",
+    "s": "say \"hi\" \\ bye"
+   }
+  }
+ ],
+ "displayTimeUnit": "ms"
+}
+`
+	if got := buf.String(); got != want {
+		t.Errorf("export differs from the pinned bytes:\n got %s\nwant %s", got, want)
 	}
 }

@@ -79,12 +79,13 @@ type Dist struct {
 	StageDeadline time.Duration
 
 	// Trace records per-rank remap spans and streaming-window events on
-	// the modeled timeline (internal/obs). nil disables tracing; every
-	// emission site guards on the nil explicitly, so the disabled path
-	// costs one pointer compare and zero allocations. Emission happens
-	// only from serial canonical-order code — never inside the chunked
-	// worker loops — and records only worker-invariant quantities, so
-	// traces are byte-identical at any worker count.
+	// the modeled timeline (internal/obs). nil disables tracing: an
+	// emission on a nil trace does nothing and allocates nothing, and only
+	// the per-rank spans, whose arrays cost work to build, check for nil
+	// first. Emission happens only from serial canonical-order code —
+	// never inside the chunked worker loops — and records only
+	// worker-invariant quantities, so traces are byte-identical at any
+	// worker count.
 	Trace *obs.Trace
 
 	// world is the remap exchange's communicator, kept from one remap to

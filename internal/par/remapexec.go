@@ -202,21 +202,17 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 					Detail: fmt.Sprintf("%d transfers failed after %d attempts per message", nfail, retry.MsgAttempts)}
 			}
 			windowRetries++
-			if d.Trace != nil {
-				d.Trace.Event("warn", "remap.window.retry",
-					obs.Int("window", int64(wi)), obs.Int("failed", nfail), obs.Int("try", int64(tries)))
-			}
+			d.Trace.Event("warn", "remap.window.retry",
+				obs.Int("window", int64(wi)), obs.Int("failed", nfail), obs.Int("try", int64(tries)))
 		}
 		for _, n := range wp.recv {
 			recvTotal += n
 		}
 		wp.crash = nil // only the first window carries the mask
-		if d.Trace != nil {
-			// The serial window loop is canonical order by construction:
-			// one event per verified window, in plan order.
-			d.Trace.Event("info", "remap.window",
-				obs.Int("window", int64(wi)), obs.Int("flows", int64(win.f1-win.f0)), obs.Int("words", words))
-		}
+		// The serial window loop is canonical order by construction: one
+		// event per verified window, in plan order.
+		d.Trace.Event("info", "remap.window",
+			obs.Int("window", int64(wi)), obs.Int("flows", int64(win.f1-win.f0)), obs.Int("words", words))
 	}
 	if recvTotal != moved {
 		return RemapResult{}, &RemapError{Failure: FailConservation, Window: -1, Tries: 1, RolledBack: true,
