@@ -6,17 +6,20 @@ import (
 	"slices"
 	"testing"
 
+	"plum/internal/adapt"
 	"plum/internal/dual"
 	"plum/internal/geom"
 	"plum/internal/meshgen"
 )
 
-// coarsenSorted is the sort-based contraction coarsener.coarsen charges
-// for, kept as its oracle: the matching visits a fresh rand.Perm and pairs
-// each vertex with its heaviest unmatched neighbour that fits the weight
-// cap wcap, every coarse edge is packed as a (min, max) pair, one
-// sort-and-compact collapses the duplicates, and the rows are filled in
-// pair order.
+// coarsenSorted is the sort-based contraction, kept as coarsener.coarsen's
+// oracle: the matching visits a fresh rand.Perm and pairs each vertex with
+// its heaviest unmatched neighbour that fits the weight cap wcap, every
+// coarse edge is packed as a (min, max) pair, one sort-and-compact
+// collapses the duplicates, and the rows are filled in pair order. Its op
+// count is the linear collapse's charge, not the sort's: one per vertex
+// the matching visits plus deg for each still unmatched, 1 + deg per fine
+// vertex read, and two per distinct coarse edge.
 func coarsenSorted(g *dual.Graph, seed, wcap int64) (*dual.Graph, []int32, int64) {
 	var ops int64
 	rng := rand.New(rand.NewSource(seed))
@@ -28,10 +31,11 @@ func coarsenSorted(g *dual.Graph, seed, wcap int64) (*dual.Graph, []int32, int64
 	var nc int32
 	for _, vi := range order {
 		v := int32(vi)
-		ops += 1 + int64(len(g.Nbrs(v)))
+		ops++
 		if cmap[v] >= 0 {
 			continue
 		}
+		ops += int64(len(g.Nbrs(v)))
 		var best int32 = -1
 		for _, w := range g.Nbrs(v) {
 			if cmap[w] >= 0 || g.Wcomp[v]+g.Wcomp[w] > wcap {
@@ -70,7 +74,7 @@ func coarsenSorted(g *dual.Graph, seed, wcap int64) (*dual.Graph, []int32, int64
 	}
 	slices.Sort(packed)
 	packed = slices.Compact(packed)
-	ops += int64(len(packed))*int64(log2ceil(len(packed)+1)) + int64(len(packed))
+	ops += 2 * int64(len(packed))
 	rows := make([][]int32, nc)
 	for _, pq := range packed {
 		a, b := int32(pq>>32), int32(uint32(pq))
@@ -195,14 +199,15 @@ func TestMatchOrderIsRandPerm(t *testing.T) {
 
 // TestMultilevelAllocsBounded pins the allocation budget of one multilevel
 // partition: a constant per coarsening level (the coarse graph and its
-// map, and FM's part tallies) plus a fixed amount per call and one result
-// vector per Fiedler solve. Fresh scratch per level, a rand.Perm and a
-// random source per level, or a Laplacian built row by row per solve
-// would each break it.
+// map) plus a fixed amount per call (the coarsener, FM's scratch, the
+// assignment buffers and boundary bitsets) and one result vector per
+// Fiedler solve. Fresh scratch per level (coarsener or FM), a rand.Perm
+// and a random source per level, or a Laplacian built row by row per
+// solve would each break it.
 func TestMultilevelAllocsBounded(t *testing.T) {
 	g := dual.Build(meshgen.Box(16, 8, 8, geom.Vec3{X: 2, Y: 1, Z: 1}))
 	const k = 8
-	levels, _ := coarsenChain(g, k, 1)
+	levels, _, _ := coarsenChain(g, k, 1)
 	if len(levels) < 4 {
 		t.Fatalf("only %d levels; the bound below needs a deeper chain", len(levels))
 	}
@@ -212,7 +217,7 @@ func TestMultilevelAllocsBounded(t *testing.T) {
 		}
 	})
 	t.Logf("%v allocations over %d levels", allocs, len(levels))
-	const perLevel, perSolve, fixed = 10, 1, 80
+	const perLevel, perSolve, fixed = 8, 1, 80
 	if bound := float64(perLevel*len(levels) + perSolve*(k-1) + fixed); allocs > bound {
 		t.Errorf("multilevel allocates %v times over %d levels, want ≤ %v", allocs, len(levels), bound)
 	}
@@ -224,12 +229,47 @@ func TestMultilevelAllocsBounded(t *testing.T) {
 // sort-and-split bookkeeping.
 func BenchmarkFiedler(b *testing.B) {
 	const k = 64
-	levels, _ := coarsenChain(dual.Build(meshgen.PaperMesh()), k, 1)
+	levels, _, _ := coarsenChain(dual.Build(meshgen.PaperMesh()), k, 1)
 	g := levels[len(levels)-1].g
 	b.ReportAllocs()
 	for b.Loop() {
 		if asg, _ := spectralCounted(g, k); len(asg) != g.N {
 			b.Fatal("bad assignment")
+		}
+	}
+}
+
+// TestMultilevelCarriedBoundaryIsExact holds the boundary carried down
+// the chain to FM over every vertex: on the rotor's dual graph, weighted
+// as rotor-adapt leaves it after 0, 2 and 4 refinements of a 5 % sphere
+// at the mid-arc point, multilevel seeding each level's FM with the fine
+// vertices of the coarser level's final boundary partitions exactly as
+// multilevel seeding it with every vertex, at k = 8 and 64.
+func TestMultilevelCarriedBoundaryIsExact(t *testing.T) {
+	rp := meshgen.DefaultRotor()
+	m := meshgen.RotorDisk(rp)
+	g := dual.Build(m)
+	r := (rp.R0 + rp.R1) / 2
+	centre := geom.Vec3{X: r * math.Cos(rp.Sweep/2), Y: r * math.Sin(rp.Sweep/2)}
+	a := adapt.New(m)
+	for refined := 0; refined <= 4; refined++ {
+		if refined > 0 {
+			a.MarkRegion(adapt.SphereForFraction(m, centre, 0.05), adapt.MarkRefine)
+			a.Refine()
+			g.UpdateWeights(m)
+		}
+		if refined%2 != 0 {
+			continue
+		}
+		for _, k := range []int{8, 64} {
+			carried, cops := multilevel(g, k, Options{Seed: 1}, true)
+			every, eops := multilevel(g, k, Options{Seed: 1}, false)
+			if !slices.Equal(carried, every) {
+				t.Errorf("after %d refinements, k=%d: the carried boundary partitions differently from every-vertex FM", refined, k)
+			}
+			if cops.Total >= eops.Total {
+				t.Errorf("after %d refinements, k=%d: carried run charged %d ops, every-vertex run %d", refined, k, cops.Total, eops.Total)
+			}
 		}
 	}
 }

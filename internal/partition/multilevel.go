@@ -12,45 +12,76 @@ import (
 // dual graph is coarsened by repeated edge matchings until it is small,
 // the coarse graph is partitioned spectrally, and the partition is
 // projected back up with boundary refinement at every level. The
-// refinement is the classic cascading FM sweep (refine.FMRefine), charged
-// as serial memory-bound work: the scheme is serial end to end, and
-// opt.Workers plays no part. It counts the matching and edge-collapse
-// work of every coarsening level, the spectral solve on the coarsest
-// graph, and the projection plus boundary refinement of every
-// uncoarsening level. opt.Seed offsets the per-level matching RNG; seed 1
-// reproduces the historical level-index seeding.
+// refinement is boundary-driven FM (refine.FM), charged as serial
+// memory-bound work: the scheme is serial end to end, and opt.Workers
+// plays no part. It counts the matching and edge collapse of every
+// coarsening level, the spectral solve on the coarsest graph, and the
+// projection plus refinement of every uncoarsening level. opt.Seed
+// offsets the per-level matching RNG; seed 1 reproduces the historical
+// level-index seeding.
+//
+// FM walks only the boundary, and the boundary is carried down the chain:
+// a fine vertex whose coarse vertex is interior has every neighbour in
+// that coarse vertex or in an interior neighbour of it, all in one part,
+// so it is interior too. Each level's FM therefore starts from the fine
+// vertices of the coarser level's final boundary, set in the projection's
+// own loop, and the partitions are those of FM over every vertex.
 //
 // The chain runs on one coarsener, sized at level 0 and reused by every
-// level, and the projection alternates between two assignment buffers, so
-// the call allocates little beyond the coarse graphs and maps it keeps.
+// level; FM runs on one scratch, sized at level 0 too, whose
+// external-degree array is the coarsener's dead marker array. The
+// projection alternates between two assignment buffers and two boundary
+// bitsets, so the call allocates little beyond the coarse graphs and maps
+// it keeps.
 func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.Ops) {
-	var ops machine.Ops
-	levels, cops := coarsenChain(g, k, opt.Seed)
-	ops.AddSerial(cops)
+	return multilevel(g, k, opt, true)
+}
 
-	// Initial partition of the coarsest graph.
+// multilevel is multilevelCounted. With carry false every vertex of every
+// level is an FM candidate, the reference the carried boundary is held to
+// (TestMultilevelCarriedBoundaryIsExact).
+func multilevel(g *dual.Graph, k int, opt Options, carry bool) (Assignment, machine.Ops) {
+	var ops machine.Ops
+	levels, spare, cops := coarsenChain(g, k, opt.Seed)
+	ops.AddSerial(cops)
+	fm := refine.NewFM(k, spare)
+
+	// Initial partition of the coarsest graph, every vertex a candidate.
+	// Level li keeps its boundary in bnds[li%2] and, below the coarsest,
+	// its assignment in bufs[li%2], so the finest (li = 0) lands in the
+	// g.N-long buffer.
 	cur := levels[len(levels)-1].g
 	asg, sops := spectralCounted(cur, k)
 	ops.Add(sops)
-	ops.AddSerialMem(refine.FMRefine(cur, asg, k, 4))
+	bnds := [2][]uint64{make([]uint64, refine.Words(g.N)), make([]uint64, refine.Words(g.N))}
+	bnd := bnds[(len(levels)-1)%2][:refine.Words(cur.N)]
+	ops.AddSerialMem(refine.AllVertices(bnd, cur.N) + fm.Refine(cur, asg, 4, bnd))
 	if len(levels) == 1 {
 		return asg, ops
 	}
 
-	// Uncoarsen with refinement. Level li projects onto level li-1 through
-	// bufs[li%2], so the finest projection (li = 1) lands in the g.N-long
-	// buffer that is returned.
-	bufs := [2]Assignment{make(Assignment, levels[1].g.N), make(Assignment, g.N)}
+	// Uncoarsen with refinement: project level li onto level li-1, marking
+	// as candidates the fine vertices of coarse boundary vertices.
+	bufs := [2]Assignment{make(Assignment, g.N), make(Assignment, levels[1].g.N)}
 	for li := len(levels) - 1; li >= 1; li-- {
 		fine := levels[li-1].g
 		cmap := levels[li].map_
-		fineAsg := bufs[li%2][:fine.N]
-		for v := range fineAsg {
-			fineAsg[v] = asg[cmap[v]]
+		fineAsg := bufs[(li-1)%2][:fine.N]
+		cand := bnds[(li-1)%2][:refine.Words(fine.N)]
+		for i := range cand {
+			var word uint64
+			for v, end := i<<6, min(fine.N, i<<6+64); v < end; v++ {
+				c := cmap[v]
+				fineAsg[v] = asg[c]
+				if !carry || bnd[c>>6]&(1<<(c&63)) != 0 {
+					word |= 1 << (v & 63)
+				}
+			}
+			cand[i] = word
 		}
-		asg = fineAsg
+		asg, bnd = fineAsg, cand
 		ops.AddSerial(int64(fine.N))
-		ops.AddSerialMem(refine.FMRefine(fine, asg, k, 2))
+		ops.AddSerialMem(fm.Refine(fine, asg, 2, bnd))
 	}
 	return asg, ops
 }
@@ -63,8 +94,10 @@ type level struct {
 
 // coarsenChain contracts g until it has at most target = max(200, 4k)
 // vertices or a matching stalls (keeps ≥ 90 % of the vertices), returning
-// the chain from g (levels[0]) to the coarsest graph and the op count of
-// every contraction, the stalled one included. Level l is matched with
+// the chain from g (levels[0]) to the coarsest graph, a g.N-long int32
+// scratch the chain no longer reads (the coarsener's marker array, or a
+// fresh one when g is already small), and the op count of every
+// contraction, the stalled one included. Level l is matched with
 // seed seed-1+l; seed 1 reproduces the historical level-index seeding.
 //
 // Every level matches under one weight cap, 1.5·ΣWcomp/target in integer
@@ -75,11 +108,11 @@ type level struct {
 // several coarse vertices. Without the cap, heavy refined roots pile into
 // coarse vertices heavier than a whole part, which no later level can
 // split. A fine vertex already above the cap stays single.
-func coarsenChain(g *dual.Graph, k int, seed int64) ([]level, int64) {
+func coarsenChain(g *dual.Graph, k int, seed int64) ([]level, []int32, int64) {
 	target := max(200, 4*k)
 	levels := []level{{g: g}}
 	if g.N <= target {
-		return levels, 0
+		return levels, make([]int32, g.N), 0
 	}
 	wcap := 3 * g.TotalWcomp() / int64(2*target)
 	var ops int64
@@ -93,7 +126,7 @@ func coarsenChain(g *dual.Graph, k int, seed int64) ([]level, int64) {
 		levels = append(levels, level{g: cg, map_: cmap})
 		cur = cg
 	}
-	return levels, ops
+	return levels, c.mark, ops
 }
 
 // coarsener is the scratch of one multilevel call's coarsening chain,
@@ -139,11 +172,13 @@ func drawPerm(r *rand.Rand, seed int64, order []int32) {
 // carries only its adjacency and Wcomp, all that the spectral solve and
 // the refinement read.
 //
-// The op count charges the paper's collapse: a sort of the packed coarse
-// edge pairs, np·log2⌈np+1⌉ + np for np distinct coarse edges. The host
-// collapses in linear time instead (a marker-array dedup per coarse row,
-// then one transpose that leaves every row sorted), so the charge models
-// an algorithm this code no longer runs.
+// The collapse is linear: a marker-array dedup writes each coarse row in
+// first-seen order, then one transpose leaves every row sorted. The op
+// count charges what runs: one op per vertex the matching visits, plus
+// deg for the neighbour scan of each vertex still unmatched when visited
+// (a matched one is skipped unread); 1 + deg per fine member read by the
+// dedup; and 2·np for the transpose of the np distinct coarse edges, one
+// write per direction.
 func (s *coarsener) coarsen(g *dual.Graph, seed, wcap int64) (*dual.Graph, []int32, int64) {
 	var ops int64
 	order := s.order[:g.N]
@@ -157,11 +192,12 @@ func (s *coarsener) coarsen(g *dual.Graph, seed, wcap int64) (*dual.Graph, []int
 	}
 	var nc int32
 	for _, v := range order {
-		nbrs := g.Nbrs(v)
-		ops += 1 + int64(len(nbrs))
+		ops++
 		if cmap[v] >= 0 {
 			continue
 		}
+		nbrs := g.Nbrs(v)
+		ops += int64(len(nbrs))
 		// Match the heaviest unmatched neighbour whose merged weight fits
 		// the cap; v stays single when none does. Where the cap does not
 		// bind, this is plain heavy-vertex matching.
@@ -214,8 +250,7 @@ func (s *coarsener) coarsen(g *dual.Graph, seed, wcap int64) (*dual.Graph, []int
 		}
 		cg.Xadj[c+1] = int32(len(nbr))
 	}
-	np := len(nbr) / 2
-	ops += int64(np)*int64(log2ceil(np+1)) + int64(np)
+	ops += int64(len(nbr)) // 2·np: the transpose writes both directions
 	// Transpose: row c's entries are written to their own rows in
 	// ascending c, so every row ends sorted. The graph is symmetric, so
 	// the transposed row has row c's length, and Xadj serves both.

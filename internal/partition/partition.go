@@ -139,7 +139,7 @@ type Options struct {
 	// Workers is the worker count the model charges the curve build and
 	// cut across (see SFCPartitioner); it only scales that charge, and
 	// the host runs the curve methods serially. Multilevel refines with
-	// the serial classic sweep (refine.FMRefine) and ignores it, as does
+	// the serial boundary-driven sweep (refine.FM) and ignores it, as does
 	// inertial. ≤ 0 means runtime.GOMAXPROCS. Assignments are identical
 	// at every worker count.
 	Workers int

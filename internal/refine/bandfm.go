@@ -106,7 +106,14 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 			break
 		}
 	}
-	ops.AddSerialMem(overflowPass(g, asg, k, w, cnt, maxW))
+	ops.AddSerialMem(overflowPass(g, asg, k, w, cnt, maxW, func(v, a, b int32) int64 {
+		asg[v] = b
+		w[a] -= g.Wcomp[v]
+		w[b] += g.Wcomp[v]
+		cnt[a]--
+		cnt[b]++
+		return 0
+	}))
 	ops.Clamp()
 	return ops
 }
@@ -183,38 +190,4 @@ func taken(colors []int32, c int32) bool {
 		}
 	}
 	return false
-}
-
-// proposeMove is the move rule both refiners share: v's best
-// positive-gain move that fits the balance cap under the part weights w0,
-// or a zero-gain move into a strictly lighter part, or v's own part when
-// neither exists. BandFM passes a frozen per-class snapshot, FMRefine the
-// live weights. conn is a k-sized scratch owned by the caller.
-func proposeMove(g *dual.Graph, asg []int32, v int32, w0 []int64, maxW int64, conn []int32) int32 {
-	a := asg[v]
-	for i := range conn {
-		conn[i] = 0
-	}
-	adj := g.Nbrs(v)
-	for _, u := range adj {
-		conn[asg[u]]++
-	}
-	wv := g.Wcomp[v]
-	bestPart := a
-	bestGain := int32(0)
-	for _, u := range adj {
-		b := asg[u]
-		if b == a || b == bestPart {
-			continue
-		}
-		gain := conn[b] - conn[a]
-		fits := w0[b]+wv <= maxW
-		better := gain > bestGain && fits
-		balances := gain == bestGain && bestPart == a && w0[b]+wv < w0[a]
-		if better || (balances && fits) {
-			bestPart = b
-			bestGain = gain
-		}
-	}
-	return bestPart
 }

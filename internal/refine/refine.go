@@ -6,8 +6,10 @@
 //
 // Two refiners live here:
 //
-//   - FMRefine: the classic serial cascading sweep, run at every level of
-//     multilevel — the one refiner a partitioner calls.
+//   - FM (FMRefine on fresh scratch): the classic serial cascading
+//     sweep, walking only the boundary, which it carries as moves
+//     cascade — the one refiner a partitioner calls, at every level of
+//     multilevel, with the boundary carried down the chain.
 //   - BandFM (Default): a deterministic band-limited parallel FM —
 //     extract the boundary band, color it into conflict-free classes,
 //     compute move proposals per class in parallel against a frozen
@@ -111,10 +113,15 @@ func balanceCap(w []int64) int64 {
 // flow-driven moves alone cannot rescue a badly imbalanced input, so
 // force vertices out of overloaded parts into their lightest neighbouring
 // part, accepting cut damage, until every part fits or no vertex can
-// leave. Purely serial; returns its op count.
-func overflowPass(g *dual.Graph, asg []int32, k int, w []int64, cnt []int, maxW int64) int64 {
+// leave. move reassigns v from part a to part b, carrying w and cnt (and
+// whatever else the caller tracks), and returns its own op count. Purely
+// serial; returns its op count: k per round for finding the heaviest
+// overloaded part, one per vertex scanned plus deg for each vertex of that
+// part whose neighbours it reads, and what the moves report.
+func overflowPass(g *dual.Graph, asg []int32, k int, w []int64, cnt []int, maxW int64, move func(v, a, b int32) int64) int64 {
 	var ops int64
 	for iter := 0; iter < 2*k; iter++ {
+		ops += int64(k)
 		over := -1
 		for p := 0; p < k; p++ {
 			if w[p] > maxW && (over < 0 || w[p] > w[over]) {
@@ -131,7 +138,9 @@ func overflowPass(g *dual.Graph, asg []int32, k int, w []int64, cnt []int, maxW 
 				continue
 			}
 			best := int32(-1)
-			for _, u := range g.Nbrs(v) {
+			nbrs := g.Nbrs(v)
+			ops += int64(len(nbrs))
+			for _, u := range nbrs {
 				b := asg[u]
 				if b == int32(over) {
 					continue
@@ -141,11 +150,7 @@ func overflowPass(g *dual.Graph, asg []int32, k int, w []int64, cnt []int, maxW 
 				}
 			}
 			if best >= 0 && w[best]+g.Wcomp[v] <= maxW {
-				asg[v] = best
-				w[over] -= g.Wcomp[v]
-				w[best] += g.Wcomp[v]
-				cnt[over]--
-				cnt[best]++
+				ops += move(v, int32(over), best)
 				moved = true
 			}
 		}
