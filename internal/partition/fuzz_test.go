@@ -150,7 +150,9 @@ func FuzzPartitionAssignment(f *testing.F) {
 // seeded curve order, and 1 ≤ k ≤ min(8, n), the cut's Wmax must equal the
 // minimum bottleneck of every contiguous cut (an O(k·n²) dynamic program),
 // every chunk must be contiguous in curve order and non-empty, Wmax must
-// not exceed the midpoint window cut's, and Crit ≤ Total.
+// not exceed the midpoint window cut's, and Crit ≤ Total. The bracketed
+// probes must place the boundaries of a plain unbounded probe at the same
+// bottleneck, in no more search steps than the unbounded bisection.
 func FuzzCurveCut(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), int64(1))
 	f.Add([]byte{0, 0, 0, 0, 0}, uint8(4), int64(2))
@@ -206,7 +208,71 @@ func FuzzCurveCut(f *testing.F) {
 		if ops.Crit > ops.Total {
 			t.Fatalf("n=%d k=%d: critical path %d exceeds total %d", n, k, ops.Crit, ops.Total)
 		}
+		if prefix[n] > 0 {
+			want, wantSteps := refCut(prefix, k)
+			bounds, steps := s.cutSerial(g, k)
+			if !slices.Equal(bounds, want) {
+				t.Fatalf("n=%d k=%d weights %v: bounded cut %v, unbounded probe %v", n, k, g.Wcomp, bounds, want)
+			}
+			if steps > wantSteps {
+				t.Fatalf("n=%d k=%d: %d search steps, unbounded bisection %d", n, k, steps, wantSteps)
+			}
+		}
 	})
+}
+
+// refProbe is the greedy probe without brackets: every boundary's binary
+// search spans [start, n]. It is the reference the bracketed probe must
+// reproduce.
+func refProbe(prefix []int64, bounds []int, b int64) (bool, int64) {
+	n := len(prefix) - 1
+	var steps int64
+	s := 0
+	for p := 1; p < len(bounds); p++ {
+		lim := prefix[s] + b
+		lo, hi := s, n // the answer lies in [lo, hi]: prefix[lo] ≤ lim
+		for lo < hi {
+			mid := int(uint(lo+hi+1) >> 1)
+			if prefix[mid] <= lim {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
+			steps++
+		}
+		bounds[p], s = lo, lo
+	}
+	return s == n, steps
+}
+
+// refCut is the bisection with unbounded probes, on prefix sums with a
+// positive total: the repaired boundaries of the probe at the least
+// fitting bottleneck, and the search steps of every probe, the final one
+// included.
+func refCut(prefix []int64, k int) ([]int, int64) {
+	n := len(prefix) - 1
+	var maxW int64
+	for i := range n {
+		maxW = max(maxW, prefix[i+1]-prefix[i])
+	}
+	bounds := make([]int, k+1)
+	bounds[k] = n
+	midpointCut(prefix, bounds)
+	lo, hi := max((prefix[n]+int64(k)-1)/int64(k), maxW), wmax(prefix, bounds)
+	var steps int64
+	for lo < hi {
+		b := lo + (hi-lo)/2
+		ok, c := refProbe(prefix, bounds, b)
+		steps += c
+		if ok {
+			hi = b
+		} else {
+			lo = b + 1
+		}
+	}
+	_, c := refProbe(prefix, bounds, lo)
+	repairBounds(bounds, k, n)
+	return bounds, steps + c
 }
 
 // minBottleneck is the reference optimum: the least Wmax over every cut of

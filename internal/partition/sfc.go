@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math/bits"
+
 	"plum/internal/chunk"
 	"plum/internal/dual"
 	"plum/internal/machine"
@@ -55,10 +57,12 @@ type SFCPartitioner struct {
 	Workers int
 	// order holds the dual vertices sorted by curve key.
 	order []int32
-	// prefix[i] is the Wcomp of order[:i] (n+1 entries), and bounds the
-	// chunk starts of the cut (k+1 entries): scratch every cut reuses.
-	prefix []int64
-	bounds []int
+	// prefix[i] is the Wcomp of order[:i] (n+1 entries); bounds, lowB and
+	// highB hold k+1 chunk starts each, the probe being written and the
+	// bisection's last failed and last passed probes: scratch every cut
+	// reuses.
+	prefix              []int64
+	bounds, lowB, highB []int
 }
 
 // NewSFCWorkers builds the cached curve order of g's centroids (the
@@ -181,7 +185,11 @@ func (s *SFCPartitioner) cut(g *dual.Graph, k int) (Assignment, machine.Ops) {
 // Wcomp in curve order; the midpoint window cut bounds the optimum from
 // above and max(⌈ΣW/k⌉, max(Wcomp)) from below; bisection on the integer
 // bottleneck finds the least B a greedy probe can fit into k chunks, and
-// the probe at that B places the boundaries. The returned slice is
+// the probe at that B places the boundaries. A greedy boundary never
+// moves left as b grows, so each probe searches for boundary p only
+// between the last failed probe's and the last passed probe's
+// (separator-index bounding, after Pinar & Aykanat); the last passed
+// probe, when there is one, ran at B itself. The returned slice is
 // scratch that the next cut overwrites.
 func (s *SFCPartitioner) cutSerial(g *dual.Graph, k int) ([]int, int64) {
 	n := len(s.order)
@@ -194,9 +202,9 @@ func (s *SFCPartitioner) cutSerial(g *dual.Graph, k int) ([]int, int64) {
 	}
 	total := prefix[n]
 	if cap(s.bounds) < k+1 {
-		s.bounds = make([]int, k+1)
+		s.bounds, s.lowB, s.highB = make([]int, k+1), make([]int, k+1), make([]int, k+1)
 	}
-	bounds := s.bounds[:k+1]
+	bounds, low, high := s.bounds[:k+1], s.lowB[:k+1], s.highB[:k+1]
 	bounds[0], bounds[k] = 0, n
 	if total == 0 {
 		for p := 1; p < k; p++ {
@@ -206,20 +214,31 @@ func (s *SFCPartitioner) cutSerial(g *dual.Graph, k int) ([]int, int64) {
 	}
 	midpointCut(prefix, bounds)
 	lo, hi := max(machine.CeilDiv(total, int64(k)), maxW), wmax(prefix, bounds)
+	for p := range low {
+		low[p], high[p] = 0, n
+	}
+	high[0] = 0
 	var steps int64
+	passed := false
 	for lo < hi {
 		b := lo + (hi-lo)/2
-		ok, c := probe(prefix, bounds, b)
+		ok, c := probe(prefix, bounds, low, high, b)
 		steps += c
 		if ok {
-			hi = b
+			hi, passed = b, true
+			bounds, high = high, bounds
 		} else {
 			lo = b + 1
+			bounds, low = low, bounds
 		}
 	}
-	_, c := probe(prefix, bounds, lo)
-	repairBounds(bounds, k, n)
-	return bounds, steps + c
+	if !passed {
+		_, c := probe(prefix, bounds, low, high, lo)
+		steps += c
+		high = bounds
+	}
+	repairBounds(high, k, n)
+	return high, steps
 }
 
 // midpointCut writes the window cut into bounds: vertex i (in curve
@@ -255,18 +274,27 @@ func wmax(prefix []int64, bounds []int) int64 {
 
 // probe packs the curve greedily into chunks of weight ≤ b: each chunk
 // ends at the last position whose prefix sum stays within b of its start,
-// found by one binary search on prefix. It writes each chunk's end into
+// found by one binary search on prefix. low[p] and high[p] must bracket
+// the end; the search runs between max(start, low[p]) and high[p] when
+// that span's most steps are at most the whole span [start, n]'s fewest,
+// and over the whole span otherwise, so no boundary costs more steps
+// than an unbracketed search. It writes each chunk's end into
 // bounds[1:] (n for the chunks left empty) and reports whether the k
 // chunks reach the end of the curve, and the search steps it took. For
 // b ≥ max(Wcomp) no chunk before the last non-empty one is empty, and the
 // packing fits in k chunks exactly when some contiguous cut has Wmax ≤ b.
-func probe(prefix []int64, bounds []int, b int64) (bool, int64) {
+func probe(prefix []int64, bounds, low, high []int, b int64) (bool, int64) {
 	n := len(prefix) - 1
 	var steps int64
 	s := 0
 	for p := 1; p < len(bounds); p++ {
 		lim := prefix[s] + b
 		lo, hi := s, n // the answer lies in [lo, hi]: prefix[lo] ≤ lim
+		// A span of m gaps takes between bits.Len(m+1)−1 and bits.Len(m)
+		// steps.
+		if l, h := max(s, low[p]), high[p]; bits.Len(uint(h-l)) < bits.Len(uint(n-s+1)) {
+			lo, hi = l, h
+		}
 		for lo < hi {
 			mid := int(uint(lo+hi+1) >> 1)
 			if prefix[mid] <= lim {

@@ -25,12 +25,22 @@ import "slices"
 // partitions scans its own row for its largest unassigned entries — every
 // column it marks is assigned by the end of the round, to it or to a
 // larger mark, so a row runs out after at most as many scans as it has
-// entries and is never read again. Zero-weight marks come off a
+// entries and is never read again. A processor whose row has run out is
+// exhausted: it can only mark zeros on the lowest free columns, so every
+// exhausted processor marks a prefix of the same free list, and the lower
+// one wins each zero tie. One whose need the lower ones already reach
+// this round changes nothing and is never visited: a max tree over the
+// exhausted needs hands the round, in ascending order, only the
+// processors that need more than every lower one, and each marks just
+// the free columns beyond the lower ones' reach. Zero marks come off a
 // next-unassigned-column skip list, and the map step visits only the
-// columns the round touched. The op count is the entries the rounds
-// examine: at most the row's nonzeros plus its zero marks per processor
-// and round, against the P·F cells per processor and round of a matrix
-// sweep, and nothing at all for a processor that is done.
+// columns the round touched. The op count is the row entries scanned plus
+// the zero marks placed; like the skip list's, the tree's walk is
+// bookkeeping it leaves out, and every processor it visits places at
+// least one mark. Every column the walk marks is assigned that round, so
+// the walk's share of the count is at most P·F over the whole mapping,
+// where Z exhausted processors each marking their whole need would place
+// up to Z·F marks every round.
 func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 	cols := s.Cols()
 	mp = make(Mapping, cols)
@@ -45,11 +55,16 @@ func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 	}
 	top := make([]entry, 0, s.F)
 	unmapped := make([]int32, s.P) // partitions still needed per processor
-	active := make([]int32, s.P)   // processors with unmapped > 0, ascending
+	active := make([]int32, s.P)   // processors with nonzeros left and unmapped > 0, ascending
 	for i := range active {
 		unmapped[i] = int32(s.F)
 		active[i] = int32(i)
 	}
+	// exhausted holds processor i's need once its row has run out (0 while
+	// the row lasts and once it is done) in a max tree, so the walk finds
+	// the next exhausted processor that needs more than the lower ones
+	// reach without visiting the ones in between.
+	exhausted := newMaxTree(s.P)
 	// skip[j] is a column ≥ j at or before the next unassigned one (cols
 	// when none is left); nextFree follows and compresses the chain.
 	skip := make([]int32, cols+1)
@@ -67,10 +82,9 @@ func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 		return r
 	}
 	// best[j] is the winning mark of column j in round markedIn[j]−1: the
-	// first processor to mark it, replaced only by a strictly larger
-	// weight. Processors mark in ascending order, so ties stay with the
-	// lowest. markedBy[j] = i+1 keeps processor i's zero marks off the
-	// columns it marked this round.
+	// largest weight, ties to the lower processor, whatever order the
+	// marks arrive in. markedBy[j] = i+1 keeps processor i's zero marks
+	// off the columns it marked this round.
 	type mark struct {
 		proc int32
 		w    int64
@@ -78,7 +92,7 @@ func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 	best := make([]mark, cols)
 	markedIn := make([]int32, cols)
 	markedBy := make([]int32, cols)
-	var touched []int32
+	touched := make([]int32, 0, cols) // the columns a round marked
 	var round int32
 	place := func(i, j int32, w int64) {
 		markedBy[j] = i + 1
@@ -86,12 +100,12 @@ func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 			markedIn[j] = round
 			best[j] = mark{i, w}
 			touched = append(touched, j)
-		} else if w > best[j].w {
+		} else if w > best[j].w || w == best[j].w && i < best[j].proc {
 			best[j] = mark{i, w}
 		}
 	}
 
-	for len(active) > 0 {
+	for len(active) > 0 || exhausted.max() > 0 {
 		round++
 		touched = touched[:0]
 		for _, i := range active {
@@ -115,7 +129,9 @@ func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 				top[pos] = e
 			}
 			if len(top) == 0 {
-				rows[i] = nil
+				rows[i] = nil // exhausted: it marks in the walk below
+				exhausted.set(i, int32(need))
+				continue
 			}
 			for _, e := range top {
 				place(i, e.col, e.w)
@@ -129,12 +145,80 @@ func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 				}
 			}
 		}
-		for _, j := range touched {
-			mp[j] = best[j].proc
-			unmapped[mp[j]]--
-			skip[j] = j + 1
+		// The walk: each exhausted processor that needs more than the
+		// lower ones reach marks the free columns at positions [reach,
+		// unmapped[i]); every other one would lose all its zero ties.
+		var reach int32
+		var j int32
+		for i := exhausted.firstAbove(0, 0); i >= 0; i = exhausted.firstAbove(i+1, reach) {
+			for ; reach < unmapped[i]; reach++ {
+				j = nextFree(j)
+				ops++
+				place(i, j, 0)
+				j++
+			}
 		}
-		active = slices.DeleteFunc(active, func(i int32) bool { return unmapped[i] == 0 })
+		for _, j := range touched {
+			i := best[j].proc
+			mp[j] = i
+			unmapped[i]--
+			skip[j] = j + 1
+			if rows[i] == nil {
+				exhausted.set(i, unmapped[i])
+			}
+		}
+		active = slices.DeleteFunc(active, func(i int32) bool { return unmapped[i] == 0 || rows[i] == nil })
 	}
 	return mp, s.Objective(mp), ops
+}
+
+// maxTree is a binary max tree over the processors' needs, with the
+// leaves padded to a power of two.
+type maxTree []int32
+
+func newMaxTree(n int) maxTree {
+	size := 1
+	for size < n {
+		size *= 2
+	}
+	return make(maxTree, 2*size)
+}
+
+// max returns the largest need.
+func (t maxTree) max() int32 { return t[1] }
+
+// set stores processor i's need and updates its ancestors.
+func (t maxTree) set(i, need int32) {
+	v := len(t)/2 + int(i)
+	t[v] = need
+	for v > 1 {
+		v >>= 1
+		t[v] = max(t[2*v], t[2*v+1])
+	}
+}
+
+// firstAbove returns the lowest processor ≥ x whose need exceeds r, or
+// −1: it climbs past the subtrees that stay within r, then descends.
+func (t maxTree) firstAbove(x, r int32) int32 {
+	n := len(t) / 2
+	if int(x) >= n {
+		return -1
+	}
+	v := n + int(x)
+	for t[v] <= r {
+		for v&1 == 1 {
+			if v == 1 {
+				return -1
+			}
+			v >>= 1
+		}
+		v++
+	}
+	for v < n {
+		v *= 2
+		if t[v] <= r {
+			v++
+		}
+	}
+	return int32(v - n)
 }

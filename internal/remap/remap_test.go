@@ -511,19 +511,49 @@ func FuzzHeuristic(f *testing.F) {
 	})
 }
 
-// TestHeuristicOpsSparse pins the mapper's work to the nonzeros: at
-// P = 2048 with about four nonzeros a row — the shape on which the dense
-// sweep counted 10 G operations — the rounds examine under 10 M entries.
+// TestHeuristicOpsSparse pins the mapper's work to linear in the
+// nonzeros and the columns, ops ≤ 2·(nnz + P·F), on the shape where
+// zero-weight marks are most of the mapping: about four nonzeros a row
+// and a fifth of the rows empty, at P = 2048 for F = 1…3 and at
+// P = 16384. The exhausted processors (empty rows, or rows run out) must
+// not each pay for their zero marks every round.
 func TestHeuristicOpsSparse(t *testing.T) {
-	s := randomSimilarity(rand.New(rand.NewSource(3)), 2048, 1, 4)
-	mp, _, ops := s.Heuristic()
-	if err := s.Validate(mp); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ p, f int }{{2048, 1}, {2048, 2}, {2048, 3}, {16384, 1}} {
+		s := randomSimilarity(rand.New(rand.NewSource(1)), c.p, c.f, 4)
+		mp, _, ops := s.Heuristic()
+		if err := s.Validate(mp); err != nil {
+			t.Fatal(err)
+		}
+		nnz, empty := len(s.ents), 0
+		for i := range s.P {
+			if len(s.row(i)) == 0 {
+				empty++
+			}
+		}
+		if nnz < 3*c.p || nnz > 6*c.p || 5*empty < c.p {
+			t.Fatalf("P=%d F=%d: fixture has %d nonzeros and %d empty rows, want about 4 a row and at least a fifth empty", c.p, c.f, nnz, empty)
+		}
+		if bound := 2 * int64(nnz+c.p*c.f); ops > bound {
+			t.Errorf("P=%d F=%d: %d ops, want at most 2·(nnz + P·F) = %d", c.p, c.f, ops, bound)
+		}
 	}
-	if nnz := len(s.ents); nnz < 4096 || nnz > 4*4096 {
-		t.Fatalf("fixture has %d nonzeros, want about 4 a row", nnz)
+}
+
+// TestHeuristicAllocatesUpFront pins the mapper's allocations to its
+// fixed set of scratch arrays: the count must not grow with P, the
+// nonzeros or the rounds.
+func TestHeuristicAllocatesUpFront(t *testing.T) {
+	var want float64
+	for _, p := range []int{64, 2048} {
+		s := randomSimilarity(rand.New(rand.NewSource(1)), p, 2, 4)
+		got := testing.AllocsPerRun(3, func() { s.Heuristic() })
+		if p == 64 {
+			want = got
+		} else if got != want {
+			t.Errorf("P=%d: %.0f allocations, %.0f at P=64", p, got, want)
+		}
 	}
-	if ops >= 10_000_000 {
-		t.Errorf("%d ops at P=2048, want under 10 M", ops)
+	if want > 11 {
+		t.Errorf("%.0f allocations, want at most the 11 scratch arrays", want)
 	}
 }
