@@ -47,7 +47,7 @@ func main() {
 		parter  = flag.String("partitioner", "multilevel", fmt.Sprintf("repartitioner, one of %v", partition.Methods))
 		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated (default: flat)")
 		seed    = flag.Int64("seed", 1, "random seed")
-		workers = flag.Int("workers", 0, "worker goroutines for parallel partitioning and refinement phases (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "worker goroutines of the remap scatter, SPL scans and propagation (the host partitions and refines serially); on the modeled clock it moves only the curve partitioners' and the remap execution's critical paths (0 = GOMAXPROCS)")
 		overlap = flag.Bool("overlap", false, "hide the balance pipeline behind the solver iterations: the acceptance rule charges only the exposed cost")
 		faults  = flag.String("faults", "", "deterministic fault-injection plan, e.g. seed=7,rate=0.1,kinds=drop+corrupt or kinds=crash (empty = faults off)")
 		retries = flag.Int("retries", -1, "recovery budget with -faults: extra send attempts per message and re-executions per failed remap window (-1 = default policy: 3 attempts, 2 window retries)")
@@ -147,15 +147,19 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("mesh: %s\n", m.Stats())
-	fmt.Printf("config: P=%d F=%d threshold=%.2f partitioner=%s exchange=%s workers=%d overlap=%v\n",
+	fmt.Printf("config: P=%d F=%d threshold=%.2f partitioner=%s exchange=%s workers=%d overlap=%v",
 		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Method,
 		fw.D.Exchange, chunk.Workers(cfg.Workers), cfg.Overlap)
+	if cfg.StageDeadline > 0 {
+		fmt.Printf(" deadline=%v", cfg.StageDeadline)
+	}
+	fmt.Println()
 	if plan.Enabled() {
 		r := cfg.Retry.Normalize()
 		fmt.Printf("faults: %s attempts=%d window-retries=%d\n", plan, r.MsgAttempts, r.WindowRetries)
 	}
 	if fw.Cfg.Checkpoint {
-		fmt.Printf("checkpoint: copy-on-write cycle snapshots on (deadline=%v)\n", fw.Cfg.StageDeadline)
+		fmt.Println("checkpoint: copy-on-write cycle snapshots on")
 	}
 
 	var stratFn func(a *adapt.Adaptor)
@@ -222,15 +226,12 @@ func main() {
 			fmt.Printf("         target=%.4f propagate=%.4f execute=%.4f classify=%.4f rounds=%d msgs=%d words=%d\n",
 				rep.AdaptTime.Target, rep.AdaptTime.Propagate, rep.AdaptTime.Execute,
 				rep.AdaptTime.Classify, rep.AdaptTime.CommRounds, rep.AdaptTime.Msgs, rep.AdaptTime.Words)
-			fmt.Printf("         adapt ops=%d crit=%d execT=%.3gs visits=%d marked=%d\n",
-				rep.AdaptTime.Ops.Total, rep.AdaptTime.Ops.Crit, rep.AdaptTime.Ops.Time(cfg.Model),
-				rep.AdaptTime.Visits, rep.AdaptTime.Marked)
+			fmt.Printf("         adapt ops=%d (mem %d) visits=%d marked=%d\n",
+				rep.AdaptTime.Ops.Total, rep.AdaptTime.Ops.Mem, rep.AdaptTime.Visits, rep.AdaptTime.Marked)
 			if b.Repartitioned {
-				fmt.Printf("         repart ops=%d crit=%d (refine %d/%d) compT=%.3gs memT=%.3gs reassign ops=%d t=%.3gs\n",
-					b.RepartitionOps, b.RepartitionCritOps, b.RefineOps, b.RefineCritOps,
-					b.RepartitionCompTime, b.RepartitionMemTime,
-					b.ReassignOps, b.ReassignTime)
-				fmt.Printf("         remap ops=%d crit=%d execT=%.3gs", b.RemapOps, b.RemapCritOps, b.RemapExecTime)
+				fmt.Printf("         repart ops=%d (refine %d) t=%.3gs reassign ops=%d t=%.3gs\n",
+					b.RepartitionOps, b.RefineOps, b.RepartitionTime, b.ReassignOps, b.ReassignTime)
+				fmt.Printf("         remap ops=%d execT=%.3gs", b.RemapOps, b.RemapExecTime)
 				if b.Accepted {
 					fmt.Printf(" pack=%.3gs comm=%.3gs rebuild=%.3gs setups=%d setupT=%.3gs peak=%d/%d words",
 						b.Remap.PackTime, b.Remap.CommTime, b.Remap.RebuildTime, b.Remap.Setups, b.Remap.SetupTime,

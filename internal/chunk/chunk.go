@@ -1,8 +1,8 @@
 // Package chunk is the shared chunked-scan machinery behind every
-// parallel O(n) loop in the pipeline: the par remap scatter and SPL
-// scans, the band-FM gain phases, and the propagation engine's frontier
-// sweeps. It grew out of private copies of the same worker-resolution
-// and range-splitting helpers.
+// parallel O(n) loop on the host: the remap scatter and pack, the SPL and
+// classification scans, and the propagation engine's frontier sweeps
+// (plus the band-FM refiner no partitioner runs). The worker count bounds
+// goroutines only: no op count depends on it.
 //
 // Determinism contract: chunk boundaries depend only on n and the
 // resolved worker count — never on scheduling — so callers that reduce
@@ -27,9 +27,7 @@ func Workers(n int) int {
 // EffectiveWorkers resolves the worker count a chunked scan actually runs
 // with: the knob via Workers, clamped to 1 below the caller's serial
 // cutoff and to n above it. The refine, par, and propagate subsystems
-// wrap this with their own cutoffs; cost models must divide
-// parallel phases by the resolved figure, not by the raw knob — a serial
-// fallback must be charged serially.
+// wrap this with their own cutoffs.
 func EffectiveWorkers(n, workers, cutoff int) int {
 	w := Workers(workers)
 	if n < cutoff || w < 1 {

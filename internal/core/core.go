@@ -68,11 +68,14 @@ type Config struct {
 	Cost remap.CostModel
 	// Seed drives any randomized components.
 	Seed int64
-	// Workers bounds the worker-goroutine count of the parallel scans
-	// (remap flow scatter, SPL scans), and is the worker count the model
-	// charges the SFC pipeline across. ≤ 0 means
-	// runtime.GOMAXPROCS. Partition assignments are identical at every
-	// worker count; only wall time changes.
+	// Workers bounds the host's goroutines in the remap scatter and
+	// pack, the SPL and classification scans, and the propagation
+	// frontier; the host partitions and refines serially. On the modeled
+	// clock it moves exactly two prices, each a critical path across
+	// Workers: RepartitionTime (curve methods only) and RemapExecTime,
+	// and through them the acceptance rule's cost side. Every op count
+	// and every assignment is identical at every worker count. ≤ 0 means
+	// runtime.GOMAXPROCS.
 	Workers int
 	// Exchange names the remap payload exchange schedule: "flat" (one
 	// message per flow — the paper's semantics) or "aggregated" (one
@@ -373,42 +376,33 @@ type BalanceReport struct {
 	// Objective is the mapper's 𝒥. The cost model's C (elements moved)
 	// and N (element sets moved) are Predicted.Moved and Predicted.Sets.
 	Objective int64
-	// RepartitionOps and RepartitionCritOps describe the partitioner's
-	// work including refinement: total ops summed over all workers, and
-	// the critical-path share (what a parallel machine actually waits
-	// for — equal for fully serial backends). Every backend reports
-	// nonzero cost.
-	RepartitionOps     int64
-	RepartitionCritOps int64
-	// RefineOps and RefineCritOps are the memory-bound refinement share
-	// of the figures above (multilevel's classic FM sweeps, the one
-	// refiner a partitioner still runs), charged at Model.MemOp; the
-	// compute-bound remainder (key encoding, sorts, curve cuts,
-	// eigen-solves) is charged at Model.CompOp.
-	RefineOps     int64
-	RefineCritOps int64
-	// RepartitionTime is the modeled wall clock of the whole repartition
-	// (machine.Ops.Time), RepartitionCompTime + RepartitionMemTime its
-	// split across the two machine rates.
-	RepartitionTime     float64
-	RepartitionCompTime float64
-	RepartitionMemTime  float64
+	// RepartitionOps is the partitioner's work including refinement.
+	// Every backend reports nonzero work.
+	RepartitionOps int64
+	// RefineOps is the memory-bound refinement share of RepartitionOps
+	// (multilevel's classic FM sweeps, the one refiner a partitioner
+	// still runs), charged at Model.MemOp; the compute-bound remainder
+	// (key encoding, sorts, curve cuts, eigen-solves) is charged at
+	// Model.CompOp.
+	RefineOps int64
+	// RepartitionTime is the modeled wall clock of the repartition: the
+	// partitioner's critical path priced by machine.Ops.Time. Only the
+	// curve methods model a parallel pipeline (across Config.Workers);
+	// for the others it prices RepartitionOps.
+	RepartitionTime float64
 	// ReassignOps and ReassignTime describe the mapper's work
 	// (similarity-matrix scans: memory-bound, charged at Model.MemOp).
 	ReassignOps  int64
 	ReassignTime float64
-	// RemapOps and RemapCritOps describe the remap execution's scatter,
-	// pack, and unpack work (par.PredictRemapOps of the mapping's C and
-	// N): total ops over all workers and the critical-path share at the
-	// framework's worker knob. They are computed before the gain/cost
-	// decision — an executed remap reports the identical figures in
-	// Remap.Ops — so RemapExecTime sits on the acceptance rule's cost
-	// side next to the repartition and reassignment overheads.
-	RemapOps     int64
-	RemapCritOps int64
-	// RemapExecTime is RemapOps' modeled wall clock: the mem-bound
-	// critical path at Model.MemOp, the compute-bound remainder at
-	// Model.CompOp.
+	// RemapOps is the remap execution's scatter, pack, and unpack work
+	// (par.PredictRemapOps of the mapping's C and N). It is computed
+	// before the gain/cost decision, so RemapExecTime sits on the
+	// acceptance rule's cost side next to the repartition and
+	// reassignment overheads.
+	RemapOps int64
+	// RemapExecTime is the modeled wall clock of that execution: its
+	// critical path across Config.Workers, the memory-bound share at
+	// Model.MemOp, the compute-bound remainder at Model.CompOp.
 	RemapExecTime float64
 	// Gain and Cost are the two sides of the acceptance test; Accepted
 	// reports whether the remap was executed. Cost is the *exposed* cost:
@@ -545,16 +539,11 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	partOps := pr.partOps
 	rep.Objective = pr.objective
-	rep.RepartitionOps = partOps.Total
-	rep.RepartitionCritOps = partOps.Crit
-	rep.RefineOps = partOps.MemTotal
-	rep.RefineCritOps = partOps.MemCrit
-	rep.RepartitionCompTime = float64(partOps.Crit-partOps.MemCrit) * f.Cfg.Model.CompOp
-	rep.RepartitionMemTime = float64(partOps.MemCrit) * f.Cfg.Model.MemOp
-	rep.RepartitionTime = partOps.Time(f.Cfg.Model)
-	traceRepartition(tr, f.Cfg.Model, partOps, len(alive)*f.Cfg.F)
+	rep.RepartitionOps = pr.partOps.Total
+	rep.RefineOps = pr.partOps.Mem
+	rep.RepartitionTime = pr.partCrit.Time(f.Cfg.Model)
+	traceRepartition(tr, f.Cfg.Model, pr.partOps, len(alive)*f.Cfg.F)
 	rep.ReassignOps = pr.mapOps
 	rep.ReassignTime = float64(pr.mapOps) * f.Cfg.Model.MemOp
 	// The mapper's similarity scans run serially, so ReassignTime is
@@ -580,10 +569,9 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.Predicted = par.ChargeRemap(f.Cfg.Model, f.D.Exchange, f.Cfg.P, pr.flows(alive))
 	moved, sets := rep.Predicted.Moved, rep.Predicted.Sets
 	rep.CostPaper = redistCost(f.Cfg.Model, f.D.Exchange, rep.Alive, moved, sets)
-	remapOps := par.PredictRemapOps(len(f.M.Elems), moved, sets, f.Cfg.P, f.Cfg.Workers)
+	remapOps, remapCrit := par.PredictRemapOps(len(f.M.Elems), moved, sets, f.Cfg.P, f.Cfg.Workers)
 	rep.RemapOps = remapOps.Total
-	rep.RemapCritOps = remapOps.Crit
-	rep.RemapExecTime = remapOps.Time(f.Cfg.Model)
+	rep.RemapExecTime = remapCrit.Time(f.Cfg.Model)
 	rep.Gain = f.Cfg.Cost.Gain(rep.WmaxOld, rep.WmaxNew)
 	pipeline := rep.PipelineTime()
 	rep.CostFull = rep.Predicted.Total + pipeline
@@ -595,9 +583,9 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	}
 	rep.Cost = rep.CostFull - rep.OverlapTime
 	// The decision compares the reported quantities themselves, so the
-	// report can never drift from it. The Crit-priced cost side depends on
-	// the worker knob, so the trace records only the worker-invariant
-	// inputs and the verdict.
+	// report can never drift from it. The cost side prices two critical
+	// paths that depend on the worker knob, so the trace records only the
+	// worker-invariant inputs and the verdict.
 	rep.Accepted = rep.Gain > rep.Cost
 	tr.Event("info", "remap.decide",
 		obs.Float("gain", rep.Gain), obs.Int("moved", moved), obs.Int("sets", int64(sets)),
@@ -666,7 +654,8 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 // two cost.
 type proposal struct {
 	part      partition.Assignment
-	partOps   machine.Ops
+	partOps   machine.Ops // the partitioner's work
+	partCrit  machine.Ops // and its critical path
 	sim       *remap.Similarity
 	mapping   remap.Mapping
 	objective int64
@@ -680,7 +669,7 @@ type proposal struct {
 // mapper.
 func (f *Framework) propose(alive []int32) (proposal, error) {
 	var pr proposal
-	pr.part, pr.partOps = f.part.Repartition(len(alive) * f.Cfg.F)
+	pr.part, pr.partOps, pr.partCrit = f.part.Repartition(len(alive) * f.Cfg.F)
 	pr.sim = remap.Build(f.compactOwners(alive), pr.part, f.G.Wremap, len(alive), f.Cfg.F)
 	pr.mapping, pr.objective, pr.mapOps = pr.sim.Heuristic()
 	return pr, pr.sim.Validate(pr.mapping)

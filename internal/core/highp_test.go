@@ -104,18 +104,6 @@ func TestCycleHighP(t *testing.T) {
 	}
 }
 
-// workerInvariant strips a BalanceReport of the figures that depend on the
-// worker count by design: the critical-path op shares and the modeled
-// times and cost terms derived from them.
-func workerInvariant(b BalanceReport) BalanceReport {
-	b.RepartitionCritOps, b.RefineCritOps, b.RemapCritOps = 0, 0, 0
-	b.RepartitionTime, b.RepartitionCompTime, b.RepartitionMemTime = 0, 0, 0
-	b.RemapExecTime = 0
-	b.Cost, b.CostFull, b.OverlapTime = 0, 0, 0
-	b.Remap.Ops.Crit, b.Remap.Ops.MemCrit = 0, 0
-	return b
-}
-
 // moreRanksThanVertices is 3072 dual vertices over 5000 ranks, refined
 // around a sphere for cycles cycles: every rank holds at most one root, so
 // Wmax sits at the granularity floor (the heaviest root) from the first

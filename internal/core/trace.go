@@ -12,19 +12,18 @@ import (
 // attributes it keeps, so an emission on a nil trace allocates nothing
 // (TestTraceDisabledIsFree pins this with testing.AllocsPerRun).
 //
-// Recorded quantities are exclusively worker-invariant: op totals,
+// Recorded quantities are exclusively worker-invariant: op counts,
 // modeled phase times from the canonical flow layout, moved counts,
-// imbalances, outcomes. Critical-path figures (Ops.Crit and the
-// Crit-priced BalanceReport times such as RepartitionTime) legitimately
-// depend on the worker knob and NEVER appear in a span or metric —
-// span durations price op totals as if run serially (machine.Ops.Time
-// with Crit = Total, MemCrit = MemTotal) instead — which is what keeps
-// exports byte-identical at any worker count (TestTraceWorkerParity).
+// imbalances, outcomes. The two critical-path prices (RepartitionTime,
+// RemapExecTime) legitimately depend on the worker knob and NEVER appear
+// in a span or metric — the repartition span prices the partitioner's
+// work serially instead — which is what keeps exports byte-identical at
+// any worker count (TestTraceWorkerParity).
 
 // traceAdapt records the adaption pass: phase children laid end to end
 // under an enclosing span of the pass's modeled total, then advances
-// the cursor. All AdaptTimings phase times are worker-invariant (the
-// adapt parity tests mask only Ops.Crit/MemCrit).
+// the cursor. All AdaptTimings fields are worker-invariant (the adapt
+// parity tests compare them whole).
 func traceAdapt(tr *obs.Trace, tm par.AdaptTimings) {
 	t0 := tr.Now()
 	tr.Span(obs.FrameworkRank, "adapt", t0, tm.Total,
@@ -39,12 +38,11 @@ func traceAdapt(tr *obs.Trace, tm par.AdaptTimings) {
 }
 
 // traceRepartition records the repartitioning stage, priced serially
-// from its op totals, and advances the cursor.
-func traceRepartition(tr *obs.Trace, mdl machine.Model, ops machine.Ops, parts int) {
-	serial := machine.Ops{Total: ops.Total, Crit: ops.Total, MemTotal: ops.MemTotal, MemCrit: ops.MemTotal}
-	dur := serial.Time(mdl)
+// from its work, and advances the cursor.
+func traceRepartition(tr *obs.Trace, mdl machine.Model, work machine.Ops, parts int) {
+	dur := work.Time(mdl)
 	tr.Span(obs.FrameworkRank, "repartition", tr.Now(), dur,
-		obs.Int("parts", int64(parts)), obs.Int("ops", ops.Total), obs.Int("mem_ops", ops.MemTotal))
+		obs.Int("parts", int64(parts)), obs.Int("ops", work.Total), obs.Int("mem_ops", work.Mem))
 	tr.Advance(dur)
 }
 

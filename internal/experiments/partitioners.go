@@ -20,8 +20,8 @@ type PartitionerRow struct {
 	// curve order, the graph partitioners cache nothing and partition
 	// from scratch again.
 	IncrementalSeconds float64
-	// Ops is the backend's abstract op accounting — the figure charged to
-	// the remap acceptance rule. Nonzero for every backend.
+	// Ops is the backend's work, curve build included — the count the
+	// remap acceptance rule prices. Nonzero for every backend.
 	Ops machine.Ops
 	// Imbalance is the paper's load-imbalance factor Wmax/Wavg.
 	Imbalance float64
@@ -41,17 +41,16 @@ type PartitionerTable struct {
 }
 
 // RunPartitionerTable measures all backends on the Local_2-adapted paper
-// mesh, partitioning into k parts (k < 1 is treated as 1) with the given
-// worker knob for the SFC charges (≤ 0 = GOMAXPROCS). Only multilevel
-// refines, with classic FM at every level; the SFC methods' exact curve
-// cut and inertial's bisection are not refined.
-func RunPartitionerTable(k, workers int) *PartitionerTable {
+// mesh, partitioning into k parts (k < 1 is treated as 1). Only
+// multilevel refines, with classic FM at every level; the SFC methods'
+// exact curve cut and inertial's bisection are not refined.
+func RunPartitionerTable(k int) *PartitionerTable {
 	if k < 1 {
 		k = 1
 	}
 	_, g := adaptedMesh()
 
-	opt := partition.Options{Workers: workers}
+	var opt partition.Options
 	out := &PartitionerTable{K: k}
 	for _, meth := range partition.Methods {
 		row := PartitionerRow{Method: meth}
@@ -89,16 +88,15 @@ func minTime(f func()) float64 {
 	return best
 }
 
-// String renders the comparison table. The ops columns are the abstract
-// work the framework charges to the remap acceptance rule: total over all
-// workers and the critical-path share (equal for the serial graph
-// backends).
+// String renders the comparison table. The ops columns are the work the
+// framework counts for the remap acceptance rule and its memory-bound
+// refinement share.
 func (t *PartitionerTable) String() string {
 	tb := newTable(fmt.Sprintf("Partitioner backends on the Local_2-adapted mesh, k=%d (host wall time)", t.K))
-	tb.row("method", "t_part (s)", "t_incr (s)", "ops", "crit ops", "refine crit", "Wmax/Wavg", "edge cut")
+	tb.row("method", "t_part (s)", "t_incr (s)", "ops", "refine ops", "Wmax/Wavg", "edge cut")
 	for _, r := range t.Rows {
 		tb.row(r.Method, fmt.Sprintf("%.6f", r.PartitionSeconds), fmt.Sprintf("%.6f", r.IncrementalSeconds),
-			r.Ops.Total, r.Ops.Crit, r.Ops.MemCrit, fmt.Sprintf("%.4f", r.Imbalance), r.EdgeCut)
+			r.Ops.Total, r.Ops.Mem, fmt.Sprintf("%.4f", r.Imbalance), r.EdgeCut)
 	}
 	return tb.String()
 }

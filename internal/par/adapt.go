@@ -13,9 +13,9 @@ import (
 
 // AdaptTimings reports the modeled SP2 execution time of one parallel
 // adaption phase, broken down the way the paper instruments it. Every
-// field except Ops.Crit/MemCrit is byte-identical at every worker count:
-// the scans merge integer partials in chunk order and the message charges
-// accumulate in sorted (src, dst) pair order, never map order.
+// field is byte-identical at every worker count: the scans merge integer
+// partials in chunk order and the message charges accumulate in sorted
+// (src, dst) pair order, never map order.
 type AdaptTimings struct {
 	// Target is the edge-marking (error indicator) phase: perfectly
 	// distributed across local edges.
@@ -43,9 +43,7 @@ type AdaptTimings struct {
 	// propagation engine performed; Marked the edges it newly committed.
 	Visits, Marked int64
 	// Ops is the abstract work accounting of the whole pass
-	// (PredictAdaptOps of the phase quantities): Total and MemTotal are
-	// worker-invariant, Crit/MemCrit reflect the effective worker count
-	// actually used (Crit == Total on the serial fallbacks).
+	// (PredictAdaptOps of the phase quantities).
 	Ops machine.Ops
 	// Retries, Backoff, and Exhausted are the modeled retry traffic a
 	// fault plan (Dist.Faults) injected into this pass's notification
@@ -166,44 +164,35 @@ func (d *Dist) perRankCounts(lo, hi int, visit func(i int, cnt []int64, buf *[]i
 }
 
 // PredictAdaptOps returns the op accounting one parallel adaption pass
-// reports for the given phase quantities: the chunked target/shared-mark
-// scans over nEdges edges, the two chunked slab-sized element scans
-// (seed or snapshot, plus the execution charge over nElems), the
-// kernel's serial element mutations, the SPL-intersection classification
-// over the classified new edges, and the propagation engine's result —
-// which also carries any pass-specific extras the caller charged into
-// prop.Ops (classification pair bookkeeping, coarsening's created-tail
-// scan). The
-// slab scans resolve their worker count against par.SerialCutoff (the
-// engine's rounds already carry theirs against propagate.SerialCutoff),
-// so a serial host or a small mesh reports Crit == Total. The slab scans
-// are the paper's: each rank scans its local objects. The host refinement
+// reports for the given phase quantities: the target/shared-mark scans
+// over nEdges edges, the two slab-sized element scans (seed or snapshot,
+// plus the execution charge over nElems), the kernel's element
+// mutations, the SPL-intersection classification over the classified new
+// edges, and the propagation engine's result — which also carries any
+// pass-specific extras the caller charged into prop.Ops (classification
+// pair bookkeeping, coarsening's created-tail scan). The slab scans are
+// the paper's: each rank scans its local objects. The host refinement
 // walks only the touched elements (adapt.Adaptor.Touched) and no longer
 // performs the element scans it is charged for, by design; the charge is
 // the machine's, not the host's. So is the classification charge, one
 // SPL-intersection probe per new edge: the host derives each endpoint's
 // SPL once and intersects only the edges whose two endpoints are shared.
-func PredictAdaptOps(nEdges, nElems, mutations, classified int64, prop propagate.Result, workers int) machine.Ops {
+func PredictAdaptOps(nEdges, nElems, mutations, classified int64, prop propagate.Result) machine.Ops {
 	o := prop.Ops
-	ewE := EffectiveWorkers(int(nEdges), workers)
-	ewN := EffectiveWorkers(int(nElems), workers)
 	// The target mark scan streams the edge slab (compute-bound); the
 	// bisection / shared-mark scan probes SPLs over the same slab
 	// (memory-bound pointer chasing).
-	o.AddParallel(nEdges, ewE)
-	o.AddParallelMem(nEdges, ewE)
+	o.AddComp(nEdges)
+	o.AddMem(nEdges)
 	// Seed/snapshot plus execution-charge pattern scans over the element
 	// slab (compute-bound).
-	o.AddParallel(2*nElems, ewN)
-	// Kernel mutations: serial element creation/removal (memory-bound
+	o.AddComp(2 * nElems)
+	// Kernel mutations: element creation/removal (memory-bound
 	// data-structure updates).
-	o.AddSerialMem(mutations)
+	o.AddMem(mutations)
 	// Classification: SPL-intersection probe over the new-edge slab
 	// (memory-bound).
-	if classified > 0 {
-		o.AddParallelMem(classified, EffectiveWorkers(int(classified), workers))
-	}
-	o.Clamp()
+	o.AddMem(classified)
 	return o
 }
 
@@ -299,9 +288,9 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	tm.Classify = clk.Elapsed() - execEnd
 	tm.Total = clk.Elapsed()
 
-	res.Ops.AddSerial(int64(len(pairs)))
+	res.Ops.AddComp(int64(len(pairs)))
 	tm.Ops = PredictAdaptOps(int64(nEdges0), int64(nElems0), int64(st.NewElems),
-		int64(len(m.Edges)-edgesBefore), res, d.Workers)
+		int64(len(m.Edges)-edgesBefore), res)
 	trace.record(xm, &tm)
 	return st, tm
 }
@@ -460,7 +449,7 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	pairs := propagate.AggregatePairs(raw)
 	var res propagate.Result
 	res.Rounds = 1
-	res.Ops.AddSerial(int64(len(pairs)))
+	res.Ops.AddComp(int64(len(pairs)))
 	ch := prop.ChargeExchange(clk, mdl, pairs)
 	res.Msgs, res.Words, res.SetupTime = ch.Msgs, ch.Words, ch.SetupTime
 	clk.Barrier()
@@ -493,16 +482,15 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	}
 	// Re-refinement work: elements created during the pass. This tail
 	// scan is a third element pass ParallelRefine doesn't have, so it is
-	// charged into the pass's accounting here, at the tail's own
-	// effective worker count (PredictAdaptOps covers only the two
-	// slab-sized scans).
+	// charged into the pass's accounting here (PredictAdaptOps covers only
+	// the two slab-sized scans).
 	tail := len(m.Elems) - nElems0
 	created := d.perRankCounts(nElems0, len(m.Elems), func(i int, cnt []int64, _ *[]int32) {
 		if !m.Elems[i].Dead {
 			cnt[d.own[i]]++
 		}
 	})
-	res.Ops.AddParallel(int64(tail), EffectiveWorkers(tail, d.Workers))
+	res.Ops.AddComp(int64(tail))
 	for r := 0; r < d.P; r++ {
 		clk.Add(r, float64(created[r])*mdl.SubdivideChild)
 	}
@@ -517,14 +505,14 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	// for it already, per removed element, in Model.RemoveElem.
 	scanned := int64(len(m.Elems))
 	if cm := a.Compact(); cm.Elem != nil {
-		res.Ops.AddSerialMem(scanned)
+		res.Ops.AddMem(scanned)
 	}
 
 	var mutations int64
 	for r := 0; r < d.P; r++ {
 		mutations += removed[r] + created[r]
 	}
-	tm.Ops = PredictAdaptOps(int64(nEdges0), int64(nElems0), mutations, 0, res, d.Workers)
+	tm.Ops = PredictAdaptOps(int64(nEdges0), int64(nElems0), mutations, 0, res)
 	trace.record(xm, &tm)
 	return st, tm
 }

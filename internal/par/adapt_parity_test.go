@@ -51,18 +51,10 @@ func runAdaptPass(t testing.TB, p, w int) adaptRun {
 	return out
 }
 
-// normCrit zeroes the critical-path op shares, the only AdaptTimings
-// fields allowed to vary with the worker knob (they reflect the effective
-// worker count actually used).
-func normCrit(tm AdaptTimings) AdaptTimings {
-	tm.Ops.Crit, tm.Ops.MemCrit = 0, 0
-	return tm
-}
-
 // TestAdaptWorkerParity is the determinism contract of the parallel
 // adaption engine: the marks (hence the mesh), the kernel stats, the whole
-// AdaptTimings — modeled float times, rounds, Msgs, Words included — and
-// the op totals must be byte-identical for workers ∈ {1, 2, 4, 8}.
+// AdaptTimings — modeled float times, rounds, Msgs, Words and ops
+// included — must be byte-identical for workers ∈ {1, 2, 4, 8}.
 func TestAdaptWorkerParity(t *testing.T) {
 	// The notifications travel on the flat schedule, one message per
 	// (src, dst) pair; the subtest is named after it.
@@ -72,11 +64,6 @@ func TestAdaptWorkerParity(t *testing.T) {
 func testAdaptWorkerParity(t *testing.T) {
 	const p = 8
 	ref := runAdaptPass(t, p, 1)
-	if ref.RefineTm.Ops.Crit != ref.RefineTm.Ops.Total ||
-		ref.CoarsenTm.Ops.Crit != ref.CoarsenTm.Ops.Total {
-		t.Fatalf("workers=1 must report Crit == Total: refine %+v coarsen %+v",
-			ref.RefineTm.Ops, ref.CoarsenTm.Ops)
-	}
 	if ref.RefineTm.Msgs == 0 || ref.RefineTm.Marked == 0 || ref.CoarsenTm.Msgs == 0 {
 		t.Fatalf("fixture exchanged nothing interesting: %+v", ref.RefineTm)
 	}
@@ -93,17 +80,8 @@ func testAdaptWorkerParity(t *testing.T) {
 			"refine":  {got.RefineTm, ref.RefineTm},
 			"coarsen": {got.CoarsenTm, ref.CoarsenTm},
 		} {
-			g, r := pair[0], pair[1]
-			if g.Ops.Total != r.Ops.Total || g.Ops.MemTotal != r.Ops.MemTotal {
-				t.Errorf("workers=%d %s: op totals not worker-invariant: %d/%d vs %d/%d",
-					w, pass, g.Ops.Total, g.Ops.MemTotal, r.Ops.Total, r.Ops.MemTotal)
-			}
-			if g.Ops.Crit > g.Ops.Total || g.Ops.MemCrit > g.Ops.MemTotal {
-				t.Errorf("workers=%d %s: critical path exceeds total: %+v", w, pass, g.Ops)
-			}
-			if !reflect.DeepEqual(normCrit(g), normCrit(r)) {
-				t.Errorf("workers=%d %s: AdaptTimings diverge:\n got %+v\nwant %+v",
-					w, pass, normCrit(g), normCrit(r))
+			if g, r := pair[0], pair[1]; !reflect.DeepEqual(g, r) {
+				t.Errorf("workers=%d %s: AdaptTimings diverge:\n got %+v\nwant %+v", w, pass, g, r)
 			}
 		}
 	}
@@ -122,29 +100,5 @@ func TestAdaptChargeDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two identical adaptions differ:\n  %+v\n  %+v", a, b)
-	}
-}
-
-// TestAdaptSerialFallbackCritEqualsTotal pins the cost model to the
-// execution path: below the serial cutoffs a large worker knob must not
-// discount the critical path.
-func TestAdaptSerialFallbackCritEqualsTotal(t *testing.T) {
-	m := meshgen.SmallBox() // 384 elements: far below every cutoff
-	g := dual.Build(m)
-	d := NewDist(m, 4, partition.Partition(g, 4, partition.MethodInertial))
-	d.Workers = 8
-	a := adapt.New(m)
-	a.MarkRandom(0.15, adapt.MarkRefine, 7)
-	_, tm := d.ParallelRefine(a, machine.SP2())
-	if tm.Ops.Total == 0 {
-		t.Fatal("no ops reported")
-	}
-	if tm.Ops.Crit != tm.Ops.Total || tm.Ops.MemCrit != tm.Ops.MemTotal {
-		t.Errorf("serial fallback must report Crit == Total: %+v", tm.Ops)
-	}
-	a.MarkRandom(0.3, adapt.MarkCoarsen, 9)
-	_, ctm := d.ParallelCoarsen(a, machine.SP2())
-	if ctm.Ops.Crit != ctm.Ops.Total || ctm.Ops.MemCrit != ctm.Ops.MemTotal {
-		t.Errorf("coarsen serial fallback must report Crit == Total: %+v", ctm.Ops)
 	}
 }

@@ -338,8 +338,8 @@ func TestHeapPlateaus(t *testing.T) {
 }
 
 // TestCompactWorkerParity runs the compacting sweep at two worker counts:
-// owners, timings (but the critical-path op shares), the mesh slabs
-// themselves and every list read through the accessors must be equal.
+// owners, timings, the mesh slabs themselves and every list read through
+// the accessors must be equal.
 // Not skipped under -short: the race jobs run it at GOMAXPROCS 1 and 4.
 func TestCompactWorkerParity(t *testing.T) {
 	const cycles = 4
@@ -355,7 +355,6 @@ func TestCompactWorkerParity(t *testing.T) {
 			_, p.Coarsen = d.ParallelCoarsen(a, machine.SP2())
 			markFront(a, c, cycles)
 			_, p.Refine = d.ParallelRefine(a, machine.SP2())
-			p.Coarsen, p.Refine = normCrit(p.Coarsen), normCrit(p.Refine)
 			out = append(out, p)
 		}
 		return d, out

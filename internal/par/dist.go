@@ -48,8 +48,8 @@ type Dist struct {
 	// exchange — flat (the zero value) or aggregated (see
 	// machine.Exchange). It is a pricing parameter of the machine model:
 	// the records move between goroutine ranks the same way under both,
-	// so owners, payloads, fault fates, Moved/Sets/WordsMoved/PeakWords,
-	// and Ops are identical across schedules; only the communication
+	// so owners, payloads, fault fates and Moved/Sets/WordsMoved/PeakWords
+	// are identical across schedules; only the communication
 	// charges differ. The adaption notifications are always flat (see
 	// internal/propagate).
 	Exchange machine.Exchange

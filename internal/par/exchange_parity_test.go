@@ -62,14 +62,12 @@ func testExchangeParity(t *testing.T, p int) {
 		}
 		refs[x] = ref
 
-		// Worker parity within the schedule: everything but the
-		// critical-path op shares is bit-identical.
+		// Worker parity within the schedule: the result is bit-identical.
 		for _, w := range []int{2, 4, 8} {
 			got := run(x, w, 0)
 			if !reflect.DeepEqual(got.owners, ref.owners) {
 				t.Fatalf("%v workers=%d: owner array diverges", x, w)
 			}
-			got.res.Ops.Crit, got.res.Ops.MemCrit = ref.res.Ops.Crit, ref.res.Ops.MemCrit
 			if !reflect.DeepEqual(got.res, ref.res) {
 				t.Errorf("%v workers=%d: RemapResult diverges:\n got %+v\nwant %+v", x, w, got.res, ref.res)
 			}
@@ -82,7 +80,6 @@ func testExchangeParity(t *testing.T, p int) {
 		}
 		norm := one.res
 		norm.PeakWords = ref.res.PeakWords
-		norm.Ops.Crit, norm.Ops.MemCrit = ref.res.Ops.Crit, ref.res.Ops.MemCrit
 		if !reflect.DeepEqual(norm, ref.res) {
 			t.Errorf("%v: one-window result diverges beyond PeakWords:\n got %+v\nwant %+v", x, one.res, ref.res)
 		}
@@ -101,7 +98,7 @@ func testExchangeParity(t *testing.T, p int) {
 		}
 		if got.res.Moved != flat.res.Moved || got.res.Sets != flat.res.Sets ||
 			got.res.WordsMoved != flat.res.WordsMoved || got.res.PeakWords != flat.res.PeakWords ||
-			got.res.Ops != flat.res.Ops || got.res.PackTime != flat.res.PackTime {
+			got.res.PackTime != flat.res.PackTime {
 			t.Errorf("%v: schedule-invariant fields diverge from flat:\n got %+v\nwant %+v",
 				x, got.res, flat.res)
 		}

@@ -14,13 +14,12 @@ import (
 
 // stripRetryFields zeroes the recovery-only fields of a RemapResult, the
 // time components retry charges flow into (RebuildTime is a subtraction
-// against the inflated CommTime, so it can differ in the last ulp), and
-// the worker-dependent critical op shares, so a faulted-but-recovered
-// result can be compared against the fault-free reference.
+// against the inflated CommTime, so it can differ in the last ulp), so a
+// faulted-but-recovered result can be compared against the fault-free
+// reference.
 func stripRetryFields(r RemapResult) RemapResult {
 	r.Retries, r.RetryWords, r.WindowRetries, r.RetryTime = 0, 0, 0, 0
 	r.CommTime, r.Total, r.RebuildTime = 0, 0, 0
-	r.Ops.Crit, r.Ops.MemCrit = 0, 0
 	return r
 }
 
@@ -85,11 +84,9 @@ func TestRemapFaultRecoveryParity(t *testing.T) {
 				first = res
 				continue
 			}
-			a := res
-			a.Ops.Crit, a.Ops.MemCrit = first.Ops.Crit, first.Ops.MemCrit
-			if !reflect.DeepEqual(a, first) {
+			if !reflect.DeepEqual(res, first) {
 				t.Errorf("budget=%s workers=%d: faulted result not worker-invariant:\n got %+v\nwant %+v",
-					b.name, w, a, first)
+					b.name, w, res, first)
 			}
 		}
 	}

@@ -48,8 +48,7 @@ func packAll(d *Dist, fi *flowIndex, workers int) []int64 {
 // TestRemapExecWorkerParity is the determinism contract of the parallel
 // remap execution: the CSR payload buffer, the updated owner array, and
 // the whole RemapResult — modeled float times included — must be
-// byte-identical at every worker count. Only the critical-path op shares
-// may differ (they reflect the effective worker count actually used).
+// byte-identical at every worker count.
 func TestRemapExecWorkerParity(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
@@ -59,9 +58,6 @@ func TestRemapExecWorkerParity(t *testing.T) {
 	refRes, err := refD.ExecuteRemap(newOwner, machine.SP2())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if refRes.Ops.Crit != refRes.Ops.Total || refRes.Ops.MemCrit != refRes.Ops.MemTotal {
-		t.Fatalf("workers=1 must report Crit == Total: %+v", refRes.Ops)
 	}
 	if refRes.Moved == 0 || refRes.Sets < 2 {
 		t.Fatalf("fixture moved nothing interesting: %+v", refRes)
@@ -84,16 +80,7 @@ func TestRemapExecWorkerParity(t *testing.T) {
 		if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
 			t.Fatalf("workers=%d: owner array diverges", w)
 		}
-		if res.Ops.Crit > res.Ops.Total || res.Ops.MemCrit > res.Ops.MemTotal {
-			t.Errorf("workers=%d: critical path exceeds total: %+v", w, res.Ops)
-		}
-		if res.Ops.Total != refRes.Ops.Total || res.Ops.MemTotal != refRes.Ops.MemTotal {
-			t.Errorf("workers=%d: op totals not worker-invariant: %d/%d vs %d/%d",
-				w, res.Ops.Total, res.Ops.MemTotal, refRes.Ops.Total, refRes.Ops.MemTotal)
-		}
-		// Everything but the critical-path shares must be bit-identical —
-		// the modeled times are float sums in canonical flow order.
-		res.Ops.Crit, res.Ops.MemCrit = refRes.Ops.Crit, refRes.Ops.MemCrit
+		// The modeled times are float sums in canonical flow order.
 		if !reflect.DeepEqual(res, refRes) {
 			t.Errorf("workers=%d: RemapResult diverges:\n got %+v\nwant %+v", w, res, refRes)
 		}
@@ -121,27 +108,10 @@ func TestRemapResultDeterministic(t *testing.T) {
 	}
 }
 
-// TestPredictRemapOpsMatchesExecute pins the acceptance-rule contract:
-// the ops predicted from (nElems, C, N) before the decision are exactly
-// what the executed remap reports.
-func TestPredictRemapOpsMatchesExecute(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		d, newOwner := bigFixture(t, 4)
-		d.Workers = w
-		res, err := d.ExecuteRemap(newOwner, machine.SP2())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pred := PredictRemapOps(len(d.M.Elems), res.Moved, res.Sets, d.P, w)
-		if pred != res.Ops {
-			t.Errorf("workers=%d: predicted %+v, executed %+v", w, pred, res.Ops)
-		}
-	}
-}
-
-// TestRemapSerialFallbackCritEqualsTotal pins the cost model to the
-// execution path: below SerialCutoff elements a large worker knob must
-// not discount the critical path.
+// TestRemapSerialFallbackCritEqualsTotal pins the critical path the
+// remap-execution price reads: below SerialCutoff elements a large worker
+// knob must not discount it — it equals the work — while a slab at the
+// cutoff is discounted.
 func TestRemapSerialFallbackCritEqualsTotal(t *testing.T) {
 	m := meshgen.SmallBox() // 384 elements: far below SerialCutoff
 	g := dual.Build(m)
@@ -155,8 +125,11 @@ func TestRemapSerialFallbackCritEqualsTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops.Crit != res.Ops.Total || res.Ops.MemCrit != res.Ops.MemTotal {
-		t.Errorf("serial fallback must report Crit == Total: %+v", res.Ops)
+	if work, crit := PredictRemapOps(len(m.Elems), res.Moved, res.Sets, d.P, 8); crit != work {
+		t.Errorf("serial fallback: critical path %+v != work %+v", crit, work)
+	}
+	if work, crit := PredictRemapOps(SerialCutoff, res.Moved, res.Sets, d.P, 8); crit.Total >= work.Total || crit.Mem >= work.Mem {
+		t.Errorf("parallel execution not discounted: critical path %+v vs work %+v", crit, work)
 	}
 	if ew := EffectiveWorkers(len(m.Elems), 8); ew != 1 {
 		t.Errorf("EffectiveWorkers(%d, 8) = %d, want 1", len(m.Elems), ew)

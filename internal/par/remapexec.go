@@ -41,12 +41,6 @@ type RemapResult struct {
 	// callers never fold it silently into volume time.
 	Setups    int64
 	SetupTime float64
-	// Ops is the abstract work accounting of the scatter, pack, and
-	// unpack phases, equal to PredictRemapOps of the executed quantities:
-	// Total is worker-invariant, Crit the critical-path share at the
-	// effective worker count actually used (Crit == Total on the serial
-	// fallback below SerialCutoff elements).
-	Ops machine.Ops
 	// Retries and RetryWords count the extra physical frames (and their
 	// payload words, in record words on the wire) the exchange sent
 	// recovering injected faults; WindowRetries the window
@@ -111,9 +105,9 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapR
 // one window of payload ever exists on the host. The window layout is
 // computed from the flow offsets alone, never from worker scheduling, and
 // the modeled times are float sums in canonical flow order, so the
-// payload bytes, the owner array and the whole RemapResult except
-// Ops.Crit/MemCrit are byte-identical at every worker count, and
-// identical across budgets up to PeakWords.
+// payload bytes, the owner array and the whole RemapResult are
+// byte-identical at every worker count, and identical across budgets up
+// to PeakWords.
 //
 // Ownership flips once, after the last window verifies and the
 // conservation check passes, so every failure leaves it untouched. Every
@@ -221,7 +215,6 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 
 	res := chargeRemap(mdl, d.Exchange, p, fi.flows, w.RetryCounters(), d.Trace)
 	res.PeakWords = peak
-	res.Ops = PredictRemapOps(len(m.Elems), moved, len(fi.flows), p, d.Workers)
 	res.WindowRetries = windowRetries
 	copy(d.owner, newOwner)
 	return res, nil

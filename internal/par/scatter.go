@@ -40,14 +40,14 @@ const RecordWords = recWords
 // SerialCutoff is the object count below which the chunked remap scatter
 // and the shared-object scans (Init, RankLoads) fall back to a serial
 // loop: under ~8k objects the chunk bookkeeping costs more than the
-// parallelism recovers. The serial path must be charged serially — cost
-// reports below the cutoff have Crit == Total.
+// parallelism recovers. The remap execution's critical path
+// (PredictRemapOps) is its work below the cutoff.
 const SerialCutoff = 1 << 13
 
 // EffectiveWorkers resolves the worker count a chunked scan actually runs
 // with: the knob (≤ 0 = GOMAXPROCS), clamped to 1 below SerialCutoff
-// objects and to n above it. Cost models must divide the parallel phases
-// by this figure, not by the raw knob.
+// objects and to n above it. It bounds the host's goroutines, and
+// PredictRemapOps divides the remap execution's chunked phases by it.
 func EffectiveWorkers(n, workers int) int {
 	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
 }
@@ -259,34 +259,37 @@ func (fi *flowIndex) pack(m *mesh.Mesh, base int64, buf []int64, lo, hi int) {
 	}
 }
 
-// PredictRemapOps returns the op accounting ExecuteRemap reports for a
+// PredictRemapOps returns the work of one remap execution's scatter,
+// pack and unpack, and its critical path at the given worker knob, for a
 // remap of moved element records in sets flows over an nElems-entry
-// element slab on p ranks at the given worker knob. The quantities are
-// exactly the cost model's C (elements moved, remap.MoveStats' first
-// return) and N (element sets, its second), so the framework can charge
-// the scatter work to the acceptance rule's cost side before deciding
-// whether to execute the remap; an executed remap then reports the same
-// figures in RemapResult.Ops. Every term is linear in the slab, the moved
-// records, the flows or p — none in the p² pairs that could exist.
-func PredictRemapOps(nElems int, moved int64, sets, p, workers int) machine.Ops {
-	ew := EffectiveWorkers(nElems, workers)
-	var o machine.Ops
+// element slab on p ranks. The quantities are exactly the cost model's C
+// (elements moved, remap.MoveStats' first return) and N (element sets,
+// its second), so the framework prices the execution on the acceptance
+// rule's cost side before deciding whether to execute the remap. The
+// critical path divides the chunked phases by the effective worker count,
+// which is 1 below SerialCutoff elements, so there it equals the work;
+// like the curve charge's it is capped at the work. Every term is linear
+// in the slab, the moved records, the flows or p — none in the p² pairs
+// that could exist.
+func PredictRemapOps(nElems int, moved int64, sets, p, workers int) (work, crit machine.Ops) {
+	ew := int64(EffectiveWorkers(nElems, workers))
 	// Pass 1: the chunked count scan streams the element slab
 	// (compute-bound); the per-chunk flow counts fold into the workers'
-	// scans, so Total is identical at every worker count.
-	o.AddParallel(int64(nElems), ew)
+	// scans, so the work is the same at every worker count.
+	scan := int64(nElems)
 	// Every moved record looks its flow up twice — the destination list
 	// walk of the count, the stripe search of the fill: compute-bound.
-	o.AddParallel(2*moved, ew)
+	lookups := 2 * moved
 	// The merge: sorting the flow list, its layout prefix sum, the
 	// per-rank stripes and by-destination index, and the per-flow message
 	// and accounting bookkeeping: serial, compute-bound.
-	o.AddSerial(2*int64(p) + int64(sets)*int64(3+bits.Len(uint(sets))))
-	// Pass 2: the parallel record fill — scatter writes, memory-bound.
-	o.AddParallelMem(moved*recWords, ew)
-	// Unpack side: draining and verifying the received records touches
-	// the same volume once more, memory-bound.
-	o.AddParallelMem(moved*recWords, ew)
-	o.Clamp()
-	return o
+	merge := 2*int64(p) + int64(sets)*int64(3+bits.Len(uint(sets)))
+	// Pass 2, the parallel record fill (scatter writes), and the unpack
+	// side, draining and verifying the received records: each touches the
+	// moved volume once, memory-bound.
+	records := moved * recWords
+	work = machine.Ops{Total: scan + lookups + merge + 2*records, Mem: 2 * records}
+	critMem := 2 * machine.CeilDiv(records, ew)
+	critTotal := machine.CeilDiv(scan, ew) + machine.CeilDiv(lookups, ew) + merge + critMem
+	return work, machine.Ops{Total: min(critTotal, work.Total), Mem: min(critMem, work.Mem)}
 }

@@ -57,15 +57,9 @@ func TestRemapStreamingParity(t *testing.T) {
 				t.Errorf("budget=%s workers=%d: streaming peak %d not strictly below total %d",
 					b.name, w, res.PeakWords, total)
 			}
-			// The prediction contract holds under every budget.
-			if pred := PredictRemapOps(len(d.M.Elems), res.Moved, res.Sets, p, w); pred != res.Ops {
-				t.Errorf("budget=%s workers=%d: predicted %+v, executed %+v", b.name, w, pred, res.Ops)
-			}
-			// Everything except the peak and the worker-dependent critical
-			// shares must be bit-identical to the workers=1 one-window
-			// reference.
+			// Everything except the peak must be bit-identical to the
+			// workers=1 one-window reference.
 			res.PeakWords = refRes.PeakWords
-			res.Ops.Crit, res.Ops.MemCrit = refRes.Ops.Crit, refRes.Ops.MemCrit
 			if !reflect.DeepEqual(res, refRes) {
 				t.Errorf("budget=%s workers=%d: RemapResult diverges:\n got %+v\nwant %+v", b.name, w, res, refRes)
 			}
@@ -129,8 +123,8 @@ func TestStreamingWindowBudget(t *testing.T) {
 }
 
 // TestStreamingSerialFallback pins the serial-fallback contract: below
-// SerialCutoff elements the executor reports Crit == Total, and a
-// single-window plan's peak is the whole payload.
+// SerialCutoff elements a multi-flow remap still streams below its whole
+// payload, and a single-window plan's peak is the whole payload.
 func TestStreamingSerialFallback(t *testing.T) {
 	m := meshgen.SmallBox()
 	g := dual.Build(m)
@@ -143,9 +137,6 @@ func TestStreamingSerialFallback(t *testing.T) {
 	res, err := d.ExecuteRemap(newOwner, machine.SP2())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Ops.Crit != res.Ops.Total || res.Ops.MemCrit != res.Ops.MemTotal {
-		t.Errorf("serial fallback must report Crit == Total: %+v", res.Ops)
 	}
 	if res.PeakWords >= res.Moved*recWords && res.Sets > 1 {
 		t.Errorf("multi-flow peak %d not below total %d", res.PeakWords, res.Moved*recWords)

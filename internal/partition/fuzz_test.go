@@ -150,7 +150,8 @@ func FuzzPartitionAssignment(f *testing.F) {
 // seeded curve order, and 1 ≤ k ≤ min(8, n), the cut's Wmax must equal the
 // minimum bottleneck of every contiguous cut (an O(k·n²) dynamic program),
 // every chunk must be contiguous in curve order and non-empty, Wmax must
-// not exceed the midpoint window cut's, and Crit ≤ Total. The bracketed
+// not exceed the midpoint window cut's, and the critical path must not
+// exceed the work. The bracketed
 // probes must place the boundaries of a plain unbounded probe at the same
 // bottleneck, in no more search steps than the unbounded bisection.
 func FuzzCurveCut(f *testing.F) {
@@ -176,7 +177,7 @@ func FuzzCurveCut(f *testing.F) {
 			order[i] = int32(v)
 		}
 		s := &SFCPartitioner{Workers: 1, order: order, prefix: make([]int64, n+1)}
-		asg, ops := s.cut(g, k)
+		asg, work, crit := s.cut(g, k)
 
 		prefix := make([]int64, n+1)
 		for i, v := range order {
@@ -205,8 +206,8 @@ func FuzzCurveCut(f *testing.F) {
 				t.Fatalf("n=%d k=%d: Wmax %d above the midpoint cut's %d", n, k, got, mw)
 			}
 		}
-		if ops.Crit > ops.Total {
-			t.Fatalf("n=%d k=%d: critical path %d exceeds total %d", n, k, ops.Crit, ops.Total)
+		if crit.Total > work.Total {
+			t.Fatalf("n=%d k=%d: critical path %d exceeds work %d", n, k, crit.Total, work.Total)
 		}
 		if prefix[n] > 0 {
 			want, wantSteps := refCut(prefix, k)

@@ -43,7 +43,7 @@ func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, machine.O
 func multilevel(g *dual.Graph, k int, opt Options, carry bool) (Assignment, machine.Ops) {
 	var ops machine.Ops
 	levels, spare, cops := coarsenChain(g, k, opt.Seed)
-	ops.AddSerial(cops)
+	ops.AddComp(cops)
 	fm := refine.NewFM(k, spare)
 
 	// Initial partition of the coarsest graph, every vertex a candidate.
@@ -55,7 +55,7 @@ func multilevel(g *dual.Graph, k int, opt Options, carry bool) (Assignment, mach
 	ops.Add(sops)
 	bnds := [2][]uint64{make([]uint64, refine.Words(g.N)), make([]uint64, refine.Words(g.N))}
 	bnd := bnds[(len(levels)-1)%2][:refine.Words(cur.N)]
-	ops.AddSerialMem(refine.AllVertices(bnd, cur.N) + fm.Refine(cur, asg, 4, bnd))
+	ops.AddMem(refine.AllVertices(bnd, cur.N) + fm.Refine(cur, asg, 4, bnd))
 	if len(levels) == 1 {
 		return asg, ops
 	}
@@ -80,8 +80,8 @@ func multilevel(g *dual.Graph, k int, opt Options, carry bool) (Assignment, mach
 			cand[i] = word
 		}
 		asg, bnd = fineAsg, cand
-		ops.AddSerial(int64(fine.N))
-		ops.AddSerialMem(fm.Refine(fine, asg, 2, bnd))
+		ops.AddComp(int64(fine.N))
+		ops.AddMem(fm.Refine(fine, asg, 2, bnd))
 	}
 	return asg, ops
 }

@@ -136,12 +136,11 @@ func MethodByName(name string) (Method, bool) {
 
 // Options configures a partitioning call.
 type Options struct {
-	// Workers is the worker count the model charges the curve build and
-	// cut across (see SFCPartitioner); it only scales that charge, and
-	// the host runs the curve methods serially. Multilevel refines with
-	// the serial boundary-driven sweep (refine.FM) and ignores it, as does
-	// inertial. ≤ 0 means runtime.GOMAXPROCS. Assignments are identical
-	// at every worker count.
+	// Workers is the worker count the curve methods' critical path
+	// divides their parallel phases across (see SFCPartitioner). It moves
+	// nothing else: the host partitions serially, multilevel and inertial
+	// ignore it, and assignments and work are identical at every value.
+	// ≤ 0 means runtime.GOMAXPROCS.
 	Workers int
 	// Seed drives the multilevel matching order. 0 is treated as 1, the
 	// historical default.
@@ -158,12 +157,12 @@ func Partition(g *dual.Graph, k int, m Method) Assignment {
 
 // PartitionCounted is Partition with explicit options and honest cost
 // accounting: every backend — graph and SFC alike — reports the abstract
-// operation count of the work it actually did, so the framework can
-// charge repartitioning to the remap acceptance rule regardless of
-// method. It is one Repartition on a fresh Repartitioner, so a curve
-// method's charge includes building its curve order.
+// operation count of the work it actually did. It is one Repartition on
+// a fresh Repartitioner, so a curve method's work includes building its
+// curve order.
 func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, machine.Ops) {
-	return NewRepartitioner(g, m, opt).Repartition(k)
+	asg, work, _ := NewRepartitioner(g, m, opt).Repartition(k)
+	return asg, work
 }
 
 // Repartitioner partitions one dual graph again and again with one
@@ -177,7 +176,9 @@ type Repartitioner struct {
 	method Method
 	opt    Options
 	sfc    *SFCPartitioner // the curve order; nil for the graph methods
-	build  machine.Ops     // the curve build's charge, until a Repartition pays it
+	// The curve build's work and critical path, until a Repartition pays
+	// them.
+	build, buildCrit machine.Ops
 }
 
 // NewRepartitioner builds the repartitioner of g under method m, sorting
@@ -190,7 +191,7 @@ func NewRepartitioner(g *dual.Graph, m Method, opt Options) *Repartitioner {
 	r := &Repartitioner{g: g, method: m, opt: opt}
 	if c, ok := m.Curve(); ok {
 		r.sfc = NewSFCWorkers(g, c, opt.Workers)
-		r.build = r.sfc.BuildOps()
+		r.build, r.buildCrit = r.sfc.BuildOps()
 	}
 	return r
 }
@@ -198,33 +199,40 @@ func NewRepartitioner(g *dual.Graph, m Method, opt Options) *Repartitioner {
 // Initial returns the setup partition into k parts, uncharged: the first
 // Repartition still pays for the curve order it reuses.
 func (r *Repartitioner) Initial(k int) Assignment {
-	asg, _ := r.cut(k)
+	asg, _, _ := r.cut(k)
 	return asg
 }
 
 // Repartition divides the graph into k parts under its current weights
-// and returns the charge of the work, the curve build included on the
-// first call. Refinement ops land in the Mem share.
-func (r *Repartitioner) Repartition(k int) (Assignment, machine.Ops) {
-	asg, ops := r.cut(k)
-	ops.Add(r.build)
-	r.build = machine.Ops{}
-	return asg, ops
+// and returns the work and the critical path the model prices, the curve
+// build included on the first call. Refinement ops land in the Mem share.
+// Only the curve methods model a parallel pipeline; multilevel and
+// inertial run serially, so their critical path is their work.
+func (r *Repartitioner) Repartition(k int) (asg Assignment, work, crit machine.Ops) {
+	asg, work, crit = r.cut(k)
+	work.Add(r.build)
+	crit.Add(r.buildCrit)
+	r.build, r.buildCrit = machine.Ops{}, machine.Ops{}
+	return asg, work, crit
 }
 
-// cut partitions with the method and counts the work, without the curve
-// build. The curve methods' cut is the exact minimum-bottleneck cut of the
-// curve order, and nothing runs after it: the modeled clock never prices
-// the edge cut, and no cut of the curve balances better.
-func (r *Repartitioner) cut(k int) (Assignment, machine.Ops) {
+// cut partitions with the method and counts the work and its critical
+// path, without the curve build. The curve methods' cut is the exact
+// minimum-bottleneck cut of the curve order, and nothing runs after it:
+// the modeled clock never prices the edge cut, and no cut of the curve
+// balances better.
+func (r *Repartitioner) cut(k int) (Assignment, machine.Ops, machine.Ops) {
+	var asg Assignment
+	var work machine.Ops
 	switch {
 	case r.sfc != nil:
 		return r.sfc.cut(r.g, k)
 	case r.method == MethodInertial:
-		return inertialCounted(r.g, k)
+		asg, work = inertialCounted(r.g, k)
 	default:
-		return multilevelCounted(r.g, k, r.opt)
+		asg, work = multilevelCounted(r.g, k, r.opt)
 	}
+	return asg, work, work
 }
 
 // inertialCounted partitions by recursive inertial bisection: each
@@ -249,7 +257,7 @@ func inertialCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
 		// 3×3 (~12 flops each), and the projection.
 		return vals, int64(len(sub))*11 + 600
 	})
-	return asg, machine.Ops{Total: ops, Crit: ops}
+	return asg, machine.Ops{Total: ops}
 }
 
 // spectralCounted partitions by recursive spectral bisection: each
@@ -275,7 +283,7 @@ func spectralCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
 	}
 	var ops int64
 	recursiveBisect(g, idxs, 0, k, asg, &ops, make([]int32, g.N), s.fiedler)
-	return asg, machine.Ops{Total: ops, Crit: ops}
+	return asg, machine.Ops{Total: ops}
 }
 
 // recursiveBisect splits idxs into k parts numbered [base, base+k),

@@ -96,10 +96,10 @@ func TestSFCIncrementalRepartition(t *testing.T) {
 	for _, meth := range []Method{MethodMortonSFC, MethodHilbertSFC} {
 		c, _ := meth.Curve()
 		s := NewSFCWorkers(g, c, 0)
-		sortOps := s.BuildOps().Total
-		asg, ops := s.cut(g, 8)
-		if ops.Total >= sortOps {
-			t.Errorf("%v: incremental scan (%d ops) not cheaper than sort (%d ops)", c, ops.Total, sortOps)
+		sortOps, _ := s.BuildOps()
+		asg, ops, _ := s.cut(g, 8)
+		if ops.Total >= sortOps.Total {
+			t.Errorf("%v: incremental scan (%d ops) not cheaper than sort (%d ops)", c, ops.Total, sortOps.Total)
 		}
 		checkAssignment(t, g, asg, 8, c.String(), 1.35)
 
@@ -365,8 +365,9 @@ func TestSortIndexByKey(t *testing.T) {
 }
 
 // TestSFCWorkerParity is the determinism contract of the parallel
-// pipeline: the curve order and every Assignment must be identical at any
-// worker count, on a graph large enough to engage the parallel sample
+// pipeline: the curve order, every Assignment and the work must be
+// identical at any worker count, and the critical path must not exceed
+// the work, on a graph large enough to engage the parallel sample
 // sort and the chunked cut (n > the serial cutoffs), with heavy-tailed
 // weights and duplicate curve keys.
 func TestSFCWorkerParity(t *testing.T) {
@@ -376,17 +377,20 @@ func TestSFCWorkerParity(t *testing.T) {
 		for _, w := range []int{2, 3, 4, 8} {
 			s := NewSFCWorkers(g, c, w)
 			for _, k := range []int{1, 2, 7, 16, 61} {
-				want := ref.Repartition(g, k)
-				got, ops := s.cut(g, k)
+				want, wantWork, _ := ref.cut(g, k)
+				got, work, crit := s.cut(g, k)
 				for v := range want {
 					if got[v] != want[v] {
 						t.Fatalf("%v workers=%d k=%d: vertex %d in part %d, serial says %d",
 							c, w, k, v, got[v], want[v])
 					}
 				}
-				if ops.Crit > ops.Total {
-					t.Errorf("%v workers=%d k=%d: critical path %d exceeds total %d",
-						c, w, k, ops.Crit, ops.Total)
+				if work != wantWork {
+					t.Errorf("%v workers=%d k=%d: work %+v, serial %+v", c, w, k, work, wantWork)
+				}
+				if crit.Total > work.Total {
+					t.Errorf("%v workers=%d k=%d: critical path %d exceeds work %d",
+						c, w, k, crit.Total, work.Total)
 				}
 			}
 		}
@@ -429,28 +433,28 @@ func TestSFCCutAllocatesOnlyAssignment(t *testing.T) {
 	}
 }
 
-// TestSFCCritOpsHonestOnSerialFallback pins the cost model to the
-// execution path: when the graph is too small for the parallel phases
-// (every cutoff wins), a large worker knob must NOT discount the critical
-// path — the work ran serially and must be charged serially.
-func TestSFCCritOpsHonestOnSerialFallback(t *testing.T) {
+// TestSFCCriticalPathHonestOnSerialFallback pins the critical path the curve
+// charge prices: when the graph is too small for the parallel phases
+// (every cutoff wins), a large worker knob must NOT discount it — the
+// critical path equals the work.
+func TestSFCCriticalPathHonestOnSerialFallback(t *testing.T) {
 	g := gridGraph(8, 8, 8, 3) // 512 vertices: below every parallel cutoff
 	s := NewSFCWorkers(g, sfc.Morton, 8)
-	if b := s.BuildOps(); b.Crit != b.Total {
-		t.Errorf("build: crit %d != total %d despite serial fallback", b.Crit, b.Total)
+	if work, crit := s.BuildOps(); crit != work {
+		t.Errorf("build: critical path %+v != work %+v despite serial fallback", crit, work)
 	}
-	if _, ops := s.cut(g, 4); ops.Crit != ops.Total {
-		t.Errorf("repartition: crit %d != total %d despite serial fallback", ops.Crit, ops.Total)
+	if _, work, crit := s.cut(g, 4); crit != work {
+		t.Errorf("repartition: critical path %+v != work %+v despite serial fallback", crit, work)
 	}
 	// And on a graph large enough to engage the parallel paths, the
 	// discount must appear.
 	big := gridGraph(24, 24, 16, 3) // 9216 > every cutoff
 	sb := NewSFCWorkers(big, sfc.Morton, 8)
-	if b := sb.BuildOps(); b.Crit >= b.Total {
-		t.Errorf("parallel build not discounted: crit %d vs total %d", b.Crit, b.Total)
+	if work, crit := sb.BuildOps(); crit.Total >= work.Total {
+		t.Errorf("parallel build not discounted: critical path %d vs work %d", crit.Total, work.Total)
 	}
-	if _, ops := sb.cut(big, 4); ops.Crit >= ops.Total {
-		t.Errorf("parallel repartition not discounted: crit %d vs total %d", ops.Crit, ops.Total)
+	if _, work, crit := sb.cut(big, 4); crit.Total >= work.Total {
+		t.Errorf("parallel repartition not discounted: critical path %d vs work %d", crit.Total, work.Total)
 	}
 }
 
@@ -460,7 +464,8 @@ func TestSFCCritOpsHonestOnSerialFallback(t *testing.T) {
 // nothing, the first Repartition is the one-shot call in assignment and
 // ops (curve build included), and a later Repartition at a smaller k —
 // the survivor count after a crash — under changed weights is the
-// one-shot assignment at that k, charged without the curve build.
+// one-shot assignment at that k, charged without the curve build. The
+// graph methods' critical path is their work.
 func TestRepartitionerContract(t *testing.T) {
 	const k, k2 = 16, 13
 	opt := Options{Workers: 4}
@@ -471,10 +476,13 @@ func TestRepartitionerContract(t *testing.T) {
 		if got := r.Initial(k); !slices.Equal(got, want) {
 			t.Errorf("%v: Initial(%d) differs from the one-shot partition", m, k)
 		}
-		got, ops := r.Repartition(k)
+		got, ops, crit := r.Repartition(k)
 		if !slices.Equal(got, want) || ops != wantOps {
 			t.Errorf("%v: first Repartition(%d) charged %+v, one-shot %+v (assignments equal: %v)",
 				m, k, ops, wantOps, slices.Equal(got, want))
+		}
+		if _, curve := m.Curve(); !curve && crit != ops {
+			t.Errorf("%v: critical path %+v, work %+v: a serial method's must be equal", m, crit, ops)
 		}
 
 		for v := 0; v < g.N/8; v++ {
@@ -482,11 +490,10 @@ func TestRepartitionerContract(t *testing.T) {
 		}
 		want, wantOps = PartitionCounted(g, k2, m, opt)
 		if c, ok := m.Curve(); ok {
-			b := NewSFCWorkers(g, c, opt.Workers).BuildOps()
+			b, _ := NewSFCWorkers(g, c, opt.Workers).BuildOps()
 			wantOps.Total -= b.Total
-			wantOps.Crit -= b.Crit
 		}
-		got, ops = r.Repartition(k2)
+		got, ops, _ = r.Repartition(k2)
 		if !slices.Equal(got, want) {
 			t.Errorf("%v: Repartition(%d) differs from the one-shot partition", m, k2)
 		}
@@ -497,31 +504,28 @@ func TestRepartitionerContract(t *testing.T) {
 }
 
 // TestPartitionCountedReportsWork pins the honest-cost contract: every
-// backend reports nonzero total and critical-path ops, with Crit ≤ Total,
-// and Partition returns the same assignment as PartitionCounted.
+// backend reports nonzero work, and Partition returns the same assignment
+// as PartitionCounted.
 func TestPartitionCountedReportsWork(t *testing.T) {
 	g := testGraph(t)
 	for _, m := range Methods {
 		asg, ops := PartitionCounted(g, 4, m, Options{})
-		if ops.Total <= 0 || ops.Crit <= 0 {
+		if ops.Total <= 0 {
 			t.Errorf("%v: zero cost reported: %+v", m, ops)
-		}
-		if ops.Crit > ops.Total {
-			t.Errorf("%v: critical path %d exceeds total %d", m, ops.Crit, ops.Total)
 		}
 		if ops.Total < int64(g.N) {
 			t.Errorf("%v: total ops %d below one visit per vertex (n=%d)", m, ops.Total, g.N)
 		}
-		if ops.MemTotal > ops.Total || ops.MemCrit > ops.Crit || ops.MemTotal < 0 || ops.MemCrit < 0 {
+		if ops.Mem > ops.Total || ops.Mem < 0 {
 			t.Errorf("%v: memory-bound share out of range: %+v", m, ops)
 		}
 		// Multilevel must report its FM refinement in the Mem share; the
 		// curve cut and inertial bisection refine nothing and carry none.
 		refines := m == MethodMultilevel
-		if refines && (ops.MemTotal <= 0 || ops.MemCrit <= 0) {
+		if refines && ops.Mem <= 0 {
 			t.Errorf("%v: refinement work missing from the Mem share: %+v", m, ops)
 		}
-		if !refines && ops.MemTotal != 0 {
+		if !refines && ops.Mem != 0 {
 			t.Errorf("%v: unexpected Mem share %+v for a refinement-free backend", m, ops)
 		}
 		plain := Partition(g, 4, m)

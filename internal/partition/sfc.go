@@ -35,8 +35,8 @@ const (
 // over Workers: chunked key generation, a sample sort and the cut's
 // chunked scans, each charged serially below its size cutoff, plus the
 // cut's serial search. Equal keys keep vertex-index order, so the curve
-// order, every Assignment and every charge depend only on the graph and
-// the worker knob.
+// order, every Assignment and the work depend only on the graph, and the
+// critical path only on the graph and Workers.
 //
 // The curve order depends only on the centroids, which are fixed for the
 // lifetime of the dual graph (the paper's central invariant: the initial
@@ -52,8 +52,8 @@ const (
 // its Assignment; an SFCPartitioner is therefore not safe for concurrent
 // use.
 type SFCPartitioner struct {
-	// Workers is the resolved worker count the model charges the parallel
-	// phases across (≥ 1; construction resolves 0 to GOMAXPROCS).
+	// Workers is the resolved worker count the critical path divides the
+	// parallel phases across (≥ 1; construction resolves 0 to GOMAXPROCS).
 	Workers int
 	// order holds the dual vertices sorted by curve key.
 	order []int32
@@ -77,21 +77,22 @@ func NewSFCWorkers(g *dual.Graph, c sfc.Curve, workers int) *SFCPartitioner {
 	}
 }
 
-// BuildOps is the charge of building the curve order: n key generations
-// plus n·log2 n sort comparisons. The critical path divides each phase by
-// the workers it would run on, which is 1 below the phase's cutoff, so a
-// small graph is charged its whole serial cost. The sample sort's serial
-// splitter selection is folded into its +w term. Like the cut's, the
-// critical path is capped at the total: the serial merge terms can
-// otherwise nudge it past at tiny n or w = 1, and no schedule is slower
-// than running everything serially.
-func (s *SFCPartitioner) BuildOps() machine.Ops {
+// BuildOps is the charge of building the curve order: the work, n key
+// generations plus n·log2 n sort comparisons, and its critical path. The
+// critical path divides each phase by the workers it would run on, which
+// is 1 below the phase's cutoff, so a small graph is charged its whole
+// work. The sample sort's serial splitter selection is folded into its
+// +w term. Like the cut's, the critical path is capped at the work: the
+// serial merge terms can otherwise nudge it past at tiny n or w = 1, and
+// no schedule is slower than running everything serially. Both are
+// compute-bound.
+func (s *SFCPartitioner) BuildOps() (work, crit machine.Ops) {
 	n := len(s.order)
 	kw := int64(phaseWorkers(n, s.Workers, keysSerialCutoff))
 	sw := int64(phaseWorkers(n, min(s.Workers, n/(sortSerialCutoff/8)), sortSerialCutoff))
 	keys, cmps := int64(n), int64(n)*int64(log2ceil(n))
-	crit := machine.CeilDiv(keys, kw) + machine.CeilDiv(cmps, sw) + sw - 1
-	return machine.Ops{Total: keys + cmps, Crit: min(crit, keys+cmps)}
+	path := machine.CeilDiv(keys, kw) + machine.CeilDiv(cmps, sw) + sw - 1
+	return machine.Ops{Total: keys + cmps}, machine.Ops{Total: min(path, keys+cmps)}
 }
 
 // phaseWorkers is the worker count a pipeline phase over n items is
@@ -152,19 +153,20 @@ func sortByKey(keys []uint64) []int32 {
 // other way of cutting the curve into k chunks balances better, and
 // Wmax < ⌈ΣW/k⌉ + max(Wcomp), i.e. Imbalance ≤ 1 + k·max(Wcomp)/ΣW.
 func (s *SFCPartitioner) Repartition(g *dual.Graph, k int) Assignment {
-	asg, _ := s.cut(g, k)
+	asg, _, _ := s.cut(g, k)
 	return asg
 }
 
-// cut is Repartition with its charge. The prefix-sum scan, the midpoint
-// window scan and the fill are 3n ops at O(n/Workers) critical path,
-// capped at the total; the bisection's search steps are sequential in k
-// and go serially on the critical path.
-func (s *SFCPartitioner) cut(g *dual.Graph, k int) (Assignment, machine.Ops) {
+// cut is Repartition with its charge, the work and its critical path,
+// both compute-bound. The prefix-sum scan, the midpoint window scan and
+// the fill are 3n ops at O(n/Workers) critical path, capped at the work;
+// the bisection's search steps are sequential in k and go whole onto the
+// critical path.
+func (s *SFCPartitioner) cut(g *dual.Graph, k int) (asg Assignment, work, crit machine.Ops) {
 	n := len(s.order)
-	asg := make(Assignment, n)
+	asg = make(Assignment, n)
 	if k <= 1 || n == 0 {
-		return asg, machine.Ops{Total: int64(n), Crit: int64(n)}
+		return asg, machine.Ops{Total: int64(n)}, machine.Ops{Total: int64(n)}
 	}
 	k = min(k, n)
 	bounds, steps := s.cutSerial(g, k)
@@ -175,8 +177,8 @@ func (s *SFCPartitioner) cut(g *dual.Graph, k int) (Assignment, machine.Ops) {
 	}
 	w := phaseWorkers(n, s.Workers, repartSerialCutoff)
 	scans := 3 * int64(n)
-	crit := min(machine.CeilDiv(scans, int64(w))+int64(k)+int64(w), scans)
-	return asg, machine.Ops{Total: scans + steps, Crit: crit + steps}
+	path := min(machine.CeilDiv(scans, int64(w))+int64(k)+int64(w), scans)
+	return asg, machine.Ops{Total: scans + steps}, machine.Ops{Total: path + steps}
 }
 
 // cutSerial returns the chunk starts of the minimum-bottleneck cut

@@ -75,7 +75,7 @@ func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine
 			props = append(props, propParts[c]...)
 		}
 		res.Visits += int64(n)
-		res.Ops.AddParallelMem(int64(n), ew)
+		res.Ops.AddMem(int64(n))
 
 		// Commit phase: serial, ascending (edge, src), duplicates merged.
 		// The frontier slice is fully consumed, so its backing array is
@@ -116,7 +116,7 @@ func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine
 			}
 			i = j
 		}
-		res.Ops.AddSerialMem(int64(len(props)))
+		res.Ops.AddMem(int64(len(props)))
 
 		// The outbox is already in (src, dst, edge) order: edges ascend
 		// outermost, but a stable sort on (src, dst) keeps edge order
@@ -135,7 +135,7 @@ func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine
 				raw = append(raw, PairWords{Src: nt.src, Dst: nt.dst, Words: 1})
 			}
 		}
-		res.Ops.AddSerial(int64(len(raw)))
+		res.Ops.AddComp(int64(len(raw)))
 
 		// Charge the round and synchronize.
 		for r := 0; r < p; r++ {
@@ -150,6 +150,5 @@ func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine
 		slices.Sort(next)
 		frontier = slices.Compact(next)
 	}
-	res.Ops.Clamp()
 	return res
 }

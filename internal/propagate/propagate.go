@@ -38,8 +38,8 @@ const SerialCutoff = 1 << 10
 
 // EffectiveWorkers resolves the worker count a propagation round actually
 // runs with: the knob (≤ 0 = GOMAXPROCS), clamped to 1 below SerialCutoff
-// frontier elements. Cost models must divide the parallel phases by this
-// figure, not by the raw knob — the serial fallback is charged serially.
+// frontier elements. It bounds the host's goroutines only; the op count
+// does not depend on it.
 func EffectiveWorkers(n, workers int) int {
 	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
 }
@@ -139,8 +139,7 @@ type Result struct {
 	SetupTime float64
 	// Ops is the engine's abstract work accounting: frontier visits and
 	// the serial commit drain are memory-bound, pair bookkeeping
-	// compute-bound. Total and MemTotal are worker-invariant, Crit/MemCrit
-	// reflect the effective worker count of each round's scan.
+	// compute-bound.
 	Ops machine.Ops
 }
 

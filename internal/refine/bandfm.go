@@ -22,9 +22,9 @@ import (
 // Because class members are pairwise non-adjacent, a proposal's gain is
 // still exact when it is applied — every accepted move has gain ≥ 0, so
 // the gain phase never increases the edge cut. The serial apply order is
-// fixed by vertex index, so the output is byte-identical at every worker
-// count; below SerialCutoff the same algorithm runs as a serial replay
-// and is charged serially (Crit == Total).
+// fixed by vertex index, so the output and its op count are
+// byte-identical at every worker count; below SerialCutoff the same
+// algorithm runs as a serial replay.
 type BandFM struct {
 	// Workers bounds the worker-goroutine count of the band-extraction
 	// and gain phases (≤ 0 = GOMAXPROCS). Output is identical at every
@@ -43,24 +43,24 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 	ew := EffectiveWorkers(g.N, r.Workers)
 	w, cnt := partState(g, asg, k, ew, &ops)
 	maxW := balanceCap(w)
-	ops.AddSerialMem(int64(k))
+	ops.AddMem(int64(k))
 
 	bandIdx := make([]int32, g.N) // band position + 1; 0 = outside the band
 	w0 := make([]int64, k)        // per-class frozen weight snapshot
 
 	for pass := 0; pass < passes; pass++ {
 		band, bops := extractBand(g, asg, ew)
-		ops.AddParallelMem(bops, ew)
+		ops.AddMem(bops)
 		if len(band) == 0 {
 			break
 		}
 		classes, cops := colorBand(g, band, bandIdx)
-		ops.AddSerialMem(cops)
+		ops.AddMem(cops)
 
 		moved := 0
 		for _, class := range classes {
 			copy(w0, w)
-			ops.AddSerialMem(int64(k))
+			ops.AddMem(int64(k))
 			props := make([]int32, len(class))
 			nc := chunk.Count(len(class), ew)
 			chunkOps := make([]int64, nc)
@@ -74,14 +74,9 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 				}
 				chunkOps[c] = lops
 			})
-			var gops int64
 			for _, c := range chunkOps {
-				gops += c
+				ops.AddMem(c)
 			}
-			// Charged at nc, not ew: a class smaller than the worker pool
-			// only ran nc-way parallel, and the critical path must reflect
-			// the parallelism the phase actually achieved.
-			ops.AddParallelMem(gops, nc)
 
 			for i, v := range class {
 				b := props[i]
@@ -96,17 +91,17 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 				cnt[b]++
 				moved++
 			}
-			ops.AddSerialMem(int64(len(class)))
+			ops.AddMem(int64(len(class)))
 		}
 		for _, v := range band {
 			bandIdx[v] = 0
 		}
-		ops.AddSerialMem(int64(len(band)))
+		ops.AddMem(int64(len(band)))
 		if moved == 0 {
 			break
 		}
 	}
-	ops.AddSerialMem(overflowPass(g, asg, k, w, cnt, maxW, func(v, a, b int32) int64 {
+	ops.AddMem(overflowPass(g, asg, k, w, cnt, maxW, func(v, a, b int32) int64 {
 		asg[v] = b
 		w[a] -= g.Wcomp[v]
 		w[b] += g.Wcomp[v]
@@ -114,7 +109,6 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 		cnt[b]++
 		return 0
 	}))
-	ops.Clamp()
 	return ops
 }
 

@@ -24,9 +24,8 @@
 // weights — and share the tolerance and overflow semantics: moves never
 // push a part past the 3% balance cap, never empty a part, and a final
 // overflow pass forces load out of parts the gain phase could not rescue.
-// Their work is memory-bound op accounting; BandFM charges it at the
-// effective worker count of the path actually executed — a serial
-// fallback below SerialCutoff reports Crit == Total.
+// Their work is memory-bound op accounting, the same at every worker
+// count.
 package refine
 
 import (
@@ -37,13 +36,12 @@ import (
 
 // SerialCutoff is the vertex count below which the band machinery's
 // chunk bookkeeping costs more than the parallelism recovers; smaller
-// graphs run the serial replay and report Crit == Total.
+// graphs run the serial replay.
 const SerialCutoff = 1 << 12
 
 // EffectiveWorkers resolves the worker count a refinement actually runs
-// with: the knob (≤ 0 = GOMAXPROCS), clamped to 1 below SerialCutoff.
-// Cost models must divide the parallel phases by this figure, not by the
-// raw knob — the serial fallback must be charged serially.
+// with: the knob (≤ 0 = GOMAXPROCS), clamped to 1 below SerialCutoff. It
+// bounds the host's goroutines only; the op count does not depend on it.
 func EffectiveWorkers(n, workers int) int {
 	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
 }
@@ -61,8 +59,9 @@ func Default(n, workers int) *BandFM {
 }
 
 // partState computes the per-part weight totals and populations with a
-// chunked scan (int64 addition is exact, so the chunk-order merge is
-// identical at every worker count), charging the scan at ew workers.
+// chunked scan over ew workers (int64 addition is exact, so the
+// chunk-order merge is identical at every worker count), charging the
+// scan and the k-sized reduction into ops.
 func partState(g *dual.Graph, asg []int32, k, ew int, ops *machine.Ops) (w []int64, cnt []int) {
 	nc := chunk.Count(g.N, ew)
 	pw := make([][]int64, nc)
@@ -86,11 +85,9 @@ func partState(g *dual.Graph, asg []int32, k, ew int, ops *machine.Ops) (w []int
 			cnt[p] += pc[c][p]
 		}
 	}
-	// The scan is charged in parallel and the k-sized reduction serially;
-	// the per-chunk partial arrays are folded into each worker's scan so
-	// Total stays identical at every worker count (only Crit may differ).
-	ops.AddParallelMem(int64(g.N), ew)
-	ops.AddSerialMem(int64(k))
+	// The per-chunk partial arrays fold into each worker's scan, so the
+	// count is the same at every worker count.
+	ops.AddMem(int64(g.N) + int64(k))
 	return w, cnt
 }
 

@@ -143,7 +143,7 @@ func backends(workers int) []backend {
 		}},
 		{"fm", func(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 			var ops machine.Ops
-			ops.AddSerialMem(FMRefine(g, asg, k, passes))
+			ops.AddMem(FMRefine(g, asg, k, passes))
 			return ops
 		}},
 	}
@@ -321,10 +321,6 @@ func TestBandFMWorkerParity(t *testing.T) {
 		init := blockAssignment(g.N, k)
 		ref := append([]int32(nil), init...)
 		refOps := Default(g.N, 1).Refine(g, ref, k, 2)
-		if refOps.Crit != refOps.Total {
-			t.Errorf("k=%d workers=1: Crit %d != Total %d on the serial replay",
-				k, refOps.Crit, refOps.Total)
-		}
 		for _, w := range []int{2, 4, 8} {
 			got := append([]int32(nil), init...)
 			ops := Default(g.N, w).Refine(g, got, k, 2)
@@ -334,13 +330,9 @@ func TestBandFMWorkerParity(t *testing.T) {
 						k, w, v, got[v], ref[v])
 				}
 			}
-			if ops.Total != refOps.Total {
-				t.Errorf("k=%d workers=%d: total ops %d != serial total %d (work must be worker-invariant)",
-					k, w, ops.Total, refOps.Total)
-			}
-			if ops.Crit >= ops.Total {
-				t.Errorf("k=%d workers=%d: parallel run not discounted (crit %d vs total %d)",
-					k, w, ops.Crit, ops.Total)
+			if ops != refOps {
+				t.Errorf("k=%d workers=%d: ops %+v != serial replay's %+v (work must be worker-invariant)",
+					k, w, ops, refOps)
 			}
 		}
 	}
@@ -386,12 +378,9 @@ func TestRefinerContract(t *testing.T) {
 				if ops.Total <= 0 {
 					t.Errorf("%s k=%d: no work reported", label, k)
 				}
-				if ops.Crit > ops.Total {
-					t.Errorf("%s k=%d: critical path %d exceeds total %d", label, k, ops.Crit, ops.Total)
-				}
-				if fx.g.N < SerialCutoff && ops.Crit != ops.Total {
-					t.Errorf("%s k=%d: serial fallback must report Crit == Total (got %d != %d)",
-						label, k, ops.Crit, ops.Total)
+				if ops.Mem != ops.Total {
+					t.Errorf("%s k=%d: refinement is memory-bound, yet %d of %d ops are not",
+						label, k, ops.Total-ops.Mem, ops.Total)
 				}
 			}
 		}
