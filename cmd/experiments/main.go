@@ -20,7 +20,7 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments to run: table1, fig8, fig9, fig10, fig11, fig12, extension, partitioners, overlap, faults, recover, comm, all")
 	k := flag.Int("k", 16, "partition count for -exp partitioners")
 	faultSeed := flag.Int64("fault-seed", 7, "fault schedule seed for -exp faults")
-	workers := flag.Int("workers", 0, "worker goroutines of the remap scatter, SPL scans and propagation (the host partitions and refines serially); on the modeled clock it moves only the curve partitioners' and the remap execution's critical paths (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker goroutines of the SPL and classification scans and propagation (the host partitions and refines serially); on the modeled clock it moves only the curve partitioners' and the remap execution's critical paths (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit the selected experiments as one JSON object keyed by name instead of text tables")
 	flag.Parse()
 	if *k < 1 {

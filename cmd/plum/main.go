@@ -47,12 +47,11 @@ func main() {
 		parter  = flag.String("partitioner", "multilevel", fmt.Sprintf("repartitioner, one of %v", partition.Methods))
 		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated (default: flat)")
 		seed    = flag.Int64("seed", 1, "random seed")
-		workers = flag.Int("workers", 0, "worker goroutines of the remap scatter, SPL scans and propagation (the host partitions and refines serially); on the modeled clock it moves only the curve partitioners' and the remap execution's critical paths (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "worker goroutines of the SPL and classification scans and propagation (the host partitions and refines serially); on the modeled clock it moves only the curve partitioners' and the remap execution's critical paths (0 = GOMAXPROCS)")
 		overlap = flag.Bool("overlap", false, "hide the balance pipeline behind the solver iterations: the acceptance rule charges only the exposed cost")
 		faults  = flag.String("faults", "", "deterministic fault-injection plan, e.g. seed=7,rate=0.1,kinds=drop+corrupt or kinds=crash (empty = faults off)")
 		retries = flag.Int("retries", -1, "recovery budget with -faults: extra send attempts per message and re-executions per failed remap window (-1 = default policy: 3 attempts, 2 window retries)")
 		ckpt    = flag.Bool("checkpoint", false, "capture a copy-on-write cycle checkpoint before every balance pass (forced on by a crash-capable -faults plan)")
-		deadln  = flag.Duration("deadline", 0, "wall-clock watchdog per comm stage; a stage that exceeds it aborts with a timeout error (0 = no watchdog)")
 		scale   = flag.Float64("scale", 1.0, "mesh scale factor (1.0 = paper's 61k elements)")
 		verbose = flag.Bool("v", false, "print adaption phase breakdowns")
 		traceF  = flag.String("trace", "", "write the run's deterministic per-stage trace to this file as Chrome/Perfetto trace-event JSON (byte-identical at any -workers)")
@@ -65,8 +64,6 @@ func main() {
 		badFlag("invalid -p %d: need ≥ 1", *p)
 	case *f < 1:
 		badFlag("invalid -f %d: need ≥ 1", *f)
-	case *deadln < 0:
-		badFlag("invalid -deadline %v: need ≥ 0", *deadln)
 	case !(*scale > 0) || math.IsInf(*scale, 0):
 		badFlag("invalid -scale %v: need a finite factor > 0", *scale)
 	case *retries < -1:
@@ -100,7 +97,6 @@ func main() {
 		cfg.Retry = fault.Budget(*retries)
 	}
 	cfg.Checkpoint = *ckpt
-	cfg.StageDeadline = *deadln
 
 	// The observability hooks. Both stay nil (and cost nothing) unless
 	// asked for; flushObs writes them out on every exit path, so degraded
@@ -147,13 +143,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("mesh: %s\n", m.Stats())
-	fmt.Printf("config: P=%d F=%d threshold=%.2f partitioner=%s exchange=%s workers=%d overlap=%v",
+	fmt.Printf("config: P=%d F=%d threshold=%.2f partitioner=%s exchange=%s workers=%d overlap=%v\n",
 		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Method,
 		fw.D.Exchange, chunk.Workers(cfg.Workers), cfg.Overlap)
-	if cfg.StageDeadline > 0 {
-		fmt.Printf(" deadline=%v", cfg.StageDeadline)
-	}
-	fmt.Println()
 	if plan.Enabled() {
 		r := cfg.Retry.Normalize()
 		fmt.Printf("faults: %s attempts=%d window-retries=%d\n", plan, r.MsgAttempts, r.WindowRetries)

@@ -1,6 +1,5 @@
 // Package chunk is the shared chunked-scan machinery behind every
-// parallel O(n) loop on the host: the remap scatter and pack, the SPL and
-// classification scans, and the propagation engine's frontier sweeps
+// parallel O(n) loop on the host: the SPL and classification scans, and the propagation engine's frontier sweeps
 // (plus the band-FM refiner no partitioner runs). The worker count bounds
 // goroutines only: no op count depends on it.
 //

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"plum/internal/adapt"
 	"plum/internal/ckpt"
@@ -68,9 +67,9 @@ type Config struct {
 	Cost remap.CostModel
 	// Seed drives any randomized components.
 	Seed int64
-	// Workers bounds the host's goroutines in the remap scatter and
-	// pack, the SPL and classification scans, and the propagation
-	// frontier; the host partitions and refines serially. On the modeled
+	// Workers bounds the host's goroutines in the SPL and
+	// classification scans and the propagation frontier; the host
+	// partitions and refines serially. On the modeled
 	// clock it moves exactly two prices, each a critical path across
 	// Workers: RepartitionTime (curve methods only) and RemapExecTime,
 	// and through them the acceptance rule's cost side. Every op count
@@ -80,7 +79,7 @@ type Config struct {
 	// Exchange names the remap payload exchange schedule: "flat" (one
 	// message per flow — the paper's semantics) or "aggregated" (one
 	// combined frame per source rank). "" selects flat. It is a pricing
-	// parameter: the owner array, the payload bytes and the fault fates
+	// parameter: the owner array, the moved elements and the fault fates
 	// are identical under both; only the modeled communication charges
 	// and the acceptance rule's setup term differ. The adaption
 	// notifications are always flat. New resolves the name once into
@@ -99,12 +98,13 @@ type Config struct {
 	// charges only the exposed (post-overlap) cost. False keeps the
 	// paper-faithful strict barrier chain. Overlap only prices: the remap
 	// executes the same way either way, and the partitions, owners and
-	// payload bytes are identical.
+	// moved elements are identical.
 	Overlap bool
 	// Faults is the deterministic fault-injection plan for the balance
-	// cycles (internal/fault): the remap payload exchange's framed
-	// transport sees real injected faults, and the adaption
-	// notification exchanges are charged modeled retry traffic. nil — or
+	// cycles (internal/fault): the remap payload exchange and the
+	// adaption notification exchanges draw their messages' fates from it
+	// and are charged the modeled retry traffic, and a remap window whose
+	// messages stay undelivered is retried or rolled back. nil — or
 	// a zero-rate plan — keeps every report and every byte of mesh state
 	// identical to the fault-free baseline. Each cycle draws an
 	// independent schedule (the fault keys carry the cycle index).
@@ -121,13 +121,6 @@ type Config struct {
 	// the changed words. New force-enables it when the fault plan can
 	// crash ranks; it can also be turned on alone to measure the cost.
 	Checkpoint bool
-	// StageDeadline arms a wall-clock watchdog on every remap exchange
-	// stage: a stage whose worker ranks have not all finished within the
-	// deadline fails with a typed timeout error instead of hanging the
-	// process. Zero (the default) disables the watchdog — wall-clock
-	// deadlines are inherently timing-dependent, so determinism-sensitive
-	// runs leave this off. Negative is rejected by New.
-	StageDeadline time.Duration
 	// Trace, when non-nil, records per-stage spans and events on the
 	// modeled timeline as the cycles run — solver, adaption phases,
 	// repartition, reassignment, remap execution with per-rank
@@ -165,8 +158,8 @@ func DefaultConfig(p int) Config {
 // the balance pass and crash recovery share.
 type Framework struct {
 	// Cfg is the configuration New resolved: the method, seed and workers
-	// into the repartitioner, and the exchange, workers, fault plan, retry
-	// budget and stage deadline into D. Editing it later re-resolves
+	// into the repartitioner, and the exchange, workers, fault plan and
+	// retry budget into D. Editing it later re-resolves
 	// none of them; build a new Framework from the changed Config.
 	Cfg Config
 	M   *mesh.Mesh
@@ -231,9 +224,6 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.StageDeadline < 0 {
-		return nil, fmt.Errorf("core: negative StageDeadline %v", cfg.StageDeadline)
-	}
 	if cfg.Faults.CrashEnabled() {
 		// Crash recovery restores from the cycle checkpoint before the
 		// survivor remap; a crash plan without checkpoints would have no
@@ -252,11 +242,10 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	// for the curve order it reuses.
 	fw.part = partition.NewRepartitioner(g, cfg.Method, partition.Options{Workers: cfg.Workers, Seed: cfg.Seed})
 	d := par.NewDist(m, cfg.P, fw.part.Initial(cfg.P))
-	d.Workers = cfg.Workers // the remap scatter and SPL scans share the knob
+	d.Workers = cfg.Workers // the SPL and classification scans share the knob
 	d.Exchange = exch       // the remap payload exchange schedule
 	d.Faults = cfg.Faults   // fault plan + recovery budget for the balance cycles
 	d.Retry = cfg.Retry
-	d.StageDeadline = cfg.StageDeadline
 	d.Trace = cfg.Trace // per-rank remap spans + streaming window events
 	fw.D = d
 	if cfg.Checkpoint {
@@ -311,7 +300,7 @@ const (
 	// single retry.
 	OutcomeCommitted BalanceOutcome = iota
 	// OutcomeRetriedCommitted: the remap executed and converged to the
-	// fault-free result, but only after transport or window retries.
+	// fault-free result, but only after message or window retries.
 	OutcomeRetriedCommitted
 	// OutcomeRecovered: one or more ranks crashed mid-remap; the pass
 	// restored the cycle checkpoint and remapped the dead ranks' elements
@@ -394,7 +383,8 @@ type BalanceReport struct {
 	// (similarity-matrix scans: memory-bound, charged at Model.MemOp).
 	ReassignOps  int64
 	ReassignTime float64
-	// RemapOps is the remap execution's scatter, pack, and unpack work
+	// RemapOps is the remap execution's modeled work — the mover scan,
+	// the flow bookkeeping, and packing and unpacking the records
 	// (par.PredictRemapOps of the mapping's C and N). It is computed
 	// before the gain/cost decision, so RemapExecTime sits on the
 	// acceptance rule's cost side next to the repartition and
@@ -563,8 +553,8 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// Remap.Total bit for bit on the fault-free path. The cost side also
 	// carries the measured balancing overhead (repartition + reassignment
 	// + remap-execution ops) — negligible for the incremental SFC path,
-	// which is the point of modeling it. The remap execution's scatter
-	// work is predicted from the mapping's C and N (exactly the
+	// which is the point of modeling it. The remap execution's work is
+	// predicted from the mapping's C and N (exactly the
 	// quantities ExecuteRemap will report).
 	rep.Predicted = par.ChargeRemap(f.Cfg.Model, f.D.Exchange, f.Cfg.P, pr.flows(alive))
 	moved, sets := rep.Predicted.Moved, rep.Predicted.Sets
@@ -609,11 +599,6 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 					return rep, rerr
 				}
 				return rep, nil
-			case re.Failure == par.FailTimeout:
-				// A hung worker blew the stage deadline: the worker pool
-				// is torn mid-stage and there is no deterministic state to
-				// continue from. Surface the typed error.
-				return rep, err
 			case re.RolledBack:
 				// Graceful degradation: the remap exhausted its recovery
 				// budget and restored the pre-balance ownership, so the cycle

@@ -359,7 +359,7 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 		if rep.RepartitionTime <= 0 {
 			t.Errorf("%v: repartition time not charged", meth)
 		}
-		// The remap execution's scatter work is predicted before the
+		// The remap execution's work is predicted before the
 		// decision and sits on the cost side too.
 		if rep.RemapOps <= 0 {
 			t.Errorf("%v: bad remap ops %d", meth, rep.RemapOps)

@@ -129,7 +129,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the trace goldens in test
 // TestTraceGolden pins the exported bytes of one toy run — the Perfetto
 // trace and the Prometheus dump — against committed goldens: a 6³ box at
 // P = 4, two cycles with overlap pricing and a crash+drop plan whose
-// single-attempt transport forces window retries. Cycle 0 executes a
+// single-attempt budget forces window retries. Cycle 0 executes a
 // remap after retries, cycle 1 loses a rank and recovers, so the files
 // hold every stage the cycle emits: cycle, solver, the adaption phases,
 // checkpoint capture and restore, evaluate, repartition, reassign,

@@ -11,9 +11,8 @@ import (
 	"plum/internal/partition"
 )
 
-// overlapFW builds a framework on a mesh big enough to clear the remap
-// scatter's serial cutoff, so the executor exercises real multi-window
-// plans.
+// overlapFW builds a framework on a mesh big enough to clear the serial
+// cutoff, so the executor exercises real multi-window plans.
 func overlapFW(t *testing.T, workers int, overlap bool) *Framework {
 	t.Helper()
 	m := meshgen.Box(12, 12, 12, geom.Vec3{X: 1, Y: 1, Z: 1})

@@ -30,7 +30,7 @@ type FaultRow struct {
 	Budget int
 	// Outcomes is each cycle's conclusion, in order.
 	Outcomes []core.BalanceOutcome
-	// MsgRetries and RetryWords are the remap transport's summed retry
+	// MsgRetries and RetryWords are the remap exchange's summed retry
 	// traffic; WindowRetries the re-executed remap windows.
 	MsgRetries, RetryWords int64
 	WindowRetries          int

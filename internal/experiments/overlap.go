@@ -25,20 +25,24 @@ type OverlapRow struct {
 	// (solver + exposed cost); Hidden is the portion of Pipeline hidden
 	// behind the solve, Speedup the ratio CritBulk/CritOverlap.
 	CritBulk, CritOverlap, Hidden, Speedup float64
-	// PeakWords is the executor's payload high-water mark, its largest
-	// window; TotalWords the whole payload of the same migration (Moved ×
-	// par.RecordWords), the footprint of packing it in one buffer.
+	// PeakWords is the executor's largest window, in record words;
+	// TotalWords the whole payload of the same migration (Moved ×
+	// par.RecordWords), what a single window would hold.
 	PeakWords, TotalWords int64
 	// Accepted reports whether the cycle's remap was executed.
 	Accepted bool
 }
 
 // OverlapTable is the overlapped-cycle anatomy: how much of the balance
-// pipeline the solver iterations hide and how far the streaming remap
-// executor cuts the payload footprint, on the Local_2-adapted paper mesh
-// with the incremental Hilbert repartitioner. The modeled figures are
-// identical at every worker count (the determinism contract), so the
-// workers axis demonstrates invariance rather than scaling.
+// pipeline the solver iterations hide and how far the windowed remap
+// keeps its largest window below the whole payload, on the
+// Local_2-adapted paper mesh with the incremental Hilbert repartitioner.
+// The workers axis shows the pipeline's per-worker pricing: the curve
+// charge and the remap-execution price are critical paths across the
+// worker knob, so pipe, crit bulk and speedup (and, where the pipeline
+// outgrows the solve, hidden and crit ovlp) differ between wk 1 and 4,
+// while solver, redist and the word columns are the same at every worker
+// count.
 type OverlapTable struct {
 	Rows []OverlapRow
 }

@@ -3,17 +3,16 @@
 // key (cycle, stage, src, dst, attempt) to a fault Kind, derived from a
 // seed by a splitmix64-style hash: no state, no clocks, no randomness at
 // run time. Because the key never mentions worker counts or goroutine
-// scheduling, every injected failure — and every recovery the transport
-// and remap layers perform in response — is byte-reproducible at any
+// scheduling, every injected failure — and every recovery the exchanges
+// and the remap perform in response — is byte-reproducible at any
 // worker count, per the repo's determinism contract.
 //
-// The comm layer consults a Plan through World.SetFaults on its framed
-// send path (real frames dropped, corrupted, duplicated, or stalled
-// between goroutine ranks); the propagate layer consults it through an
-// ExchangeModel to charge modeled retry traffic on the adaption
-// notification exchanges, whose payloads are modeled rather than moved.
-// Both run one delivery policy, Deliver, so a fate costs a real and a
-// modeled message the same resends and backoff.
+// Every message exchange consults a Plan through an ExchangeModel: the
+// remap payload exchange, window by window, and the adaption notification
+// rounds. The mesh is shared ground truth, so no payload moves between
+// ranks; what a fate costs, and whether the message gets through, is the
+// one delivery policy Deliver, so every exchange prices a fault the same
+// resends and backoff.
 package fault
 
 import (
@@ -23,7 +22,7 @@ import (
 	"strings"
 )
 
-// Kind classifies one injected transport fault.
+// Kind classifies one injected message fault.
 type Kind uint8
 
 // The injectable fault kinds. None means the attempt goes through clean.
@@ -45,7 +44,7 @@ const (
 	// Crash kills a whole modeled rank at a stage boundary. Unlike the
 	// four message kinds above, its fate is rank-scoped — keyed on
 	// (seed, cycle, stage, rank) via Crashed, not drawn per message —
-	// and recovery is a survivor remap, not a transport retry.
+	// and recovery is a survivor remap, not a message retry.
 	Crash
 )
 
@@ -81,8 +80,8 @@ type Stage uint8
 
 // The injectable stages.
 const (
-	// StageRemap is the data-remapping payload exchange (the real
-	// record frames ExecuteRemap moves, window by window).
+	// StageRemap is the data-remapping payload exchange (the element
+	// records ExecuteRemap prices, window by window).
 	StageRemap Stage = iota
 	// StageAdapt is the adaption-phase notification exchange charged by
 	// the propagate backends.
@@ -161,7 +160,7 @@ func hashKey(packed uint64, overflow ...int) uint64 {
 // a bounded retry loop terminates with probability 1 for any Rate < 1.
 // Crash entries in Kinds are skipped — rank deaths are drawn by Crashed,
 // never per message — so a plan whose Kinds hold only Crash injects no
-// transport faults at all. The key word packs the cycle's low 4 bits,
+// message faults at all. The key word packs the cycle's low 4 bits,
 // the stage, both ranks' low 16 bits and the attempt's low 20 bits;
 // hashKey folds in the rest, so two keys agree only by chance, at any
 // cycle, P or attempt count.
@@ -239,16 +238,6 @@ func (p *Plan) Crashed(stage Stage, cycle, rank int) bool {
 	return u < p.Rate
 }
 
-// Hook returns the comm-layer transport hook with the stage and cycle
-// bound: a pure function the World consults once per physical send
-// attempt. A nil plan returns a nil hook.
-func (p *Plan) Hook(stage Stage, cycle int) func(src, dst, attempt int) Kind {
-	if p == nil {
-		return nil
-	}
-	return func(src, dst, attempt int) Kind { return p.Fate(stage, cycle, src, dst, attempt) }
-}
-
 // String renders the plan in the syntax Parse accepts.
 func (p *Plan) String() string {
 	if p == nil {
@@ -313,15 +302,14 @@ func Parse(s string) (*Plan, error) {
 	return p, nil
 }
 
-// Retry bounds the recovery effort of the transport and remap layers.
+// Retry bounds the recovery effort of the exchanges and the remap.
 type Retry struct {
-	// MsgAttempts is the number of physical send attempts the transport
-	// makes per message before declaring the transfer failed (minimum 1:
-	// the initial send).
+	// MsgAttempts is the number of send attempts made per message before
+	// the transfer is declared failed (minimum 1: the initial send).
 	MsgAttempts int
-	// WindowRetries is the number of times a failed remap window (the
-	// streaming executor's commit unit; the whole exchange for the bulk
-	// executor) is re-executed before the transaction rolls back.
+	// WindowRetries is the number of times a failed remap window, the
+	// remap executor's commit unit, is re-exchanged before the
+	// transaction rolls back.
 	WindowRetries int
 }
 
@@ -355,18 +343,19 @@ func (r Retry) Normalize() Retry {
 	return r
 }
 
-// ExchangeModel replays a plan against a modeled (not physically moved)
-// message exchange — the propagate backends' notification rounds — so
-// modeled robustness is charged the same honest retry cost as the real
-// payload path. It keeps one attempt counter per (src, dst) pair within
-// its (stage, cycle) scope; ChargeExchange is called serially per round,
-// in canonical sorted pair order, so the counters and the resulting
-// charges are byte-identical at every worker count.
+// ExchangeModel replays a plan against one exchange scope: the remap
+// payload exchange of one remap, or the adaption notification rounds of
+// one cycle. It keeps one attempt counter per (src, dst) pair within its
+// (stage, cycle) scope; callers draw serially, in canonical pair order,
+// so the counters and the resulting charges are byte-identical at every
+// worker count.
 //
-// Notifications are control-plane traffic the adaption algorithm cannot
-// lose without corrupting the mesh, so a pair that exhausts its attempt
-// budget is still modeled as delivered (escalation — e.g. rerouting —
-// charged as one extra backoff unit) and counted in Exhausted.
+// Resends reports whether each message got through. The remap fails a
+// window on an undelivered message. Notifications are control-plane
+// traffic the adaption algorithm cannot lose without corrupting the mesh,
+// so the propagate backends model an undelivered one as escalated
+// (e.g. rerouted) at the failure's extra backoff unit; Exhausted counts
+// them.
 type ExchangeModel struct {
 	plan     *Plan
 	stage    Stage
@@ -376,7 +365,7 @@ type ExchangeModel struct {
 
 	// Resent and BackoffUnits accumulate the modeled retry traffic:
 	// extra message sends and Σ 2^try backoff units. Exhausted counts
-	// pairs that ran out of budget and escalated.
+	// messages that ran out of budget.
 	Resent       int64
 	BackoffUnits int64
 	Exhausted    int64
@@ -395,27 +384,26 @@ func (p *Plan) Exchange(stage Stage, cycle, msgAttempts int) *ExchangeModel {
 		counter: make(map[uint64]int)}
 }
 
-// Resends simulates the delivery of one modeled message from src to dst
-// under Deliver's policy and returns the extra sends and backoff units it
-// cost.
-func (x *ExchangeModel) Resends(src, dst int32) (extra, backoff int64) {
+// Resends simulates the delivery of one message from src to dst under
+// Deliver's policy: it returns the extra sends and backoff units it cost
+// and whether it was delivered within the attempt budget. A nil model or
+// a disabled plan delivers every message clean.
+func (x *ExchangeModel) Resends(src, dst int32) (extra, backoff int64, delivered bool) {
 	if x == nil || !x.plan.Enabled() {
-		return 0, 0
+		return 0, 0, true
 	}
 	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
-	extra, backoff, delivered := Deliver(x.attempts, func() Kind {
+	extra, backoff, delivered = Deliver(x.attempts, func() Kind {
 		a := x.counter[key]
 		x.counter[key] = a + 1
 		return x.plan.Fate(x.stage, x.cycle, int(src), int(dst), a)
-	}, nil)
+	})
 	if !delivered {
-		// Budget exhausted: the notification escalates and is delivered
-		// out of band, at the failure's extra backoff unit.
 		x.Exhausted++
 	}
 	x.Resent += extra
 	x.BackoffUnits += backoff
-	return extra, backoff
+	return extra, backoff, delivered
 }
 
 // Deliver is the delivery policy of one message, the one place that
@@ -427,35 +415,19 @@ func (x *ExchangeModel) Resends(src, dst int32) (extra, backoff int64) {
 // either lost attempt is retried at one resend and 2^try backoff units
 // (try counting from 0, capped at 2^16). When the last attempt is lost
 // the message fails at one more backoff unit, the failure notice's
-// timeout.
-//
-// put, when non-nil, is called for every attempt that reaches the wire,
-// with the frames it puts there: copies of them (two for a duplicate),
-// garbled when corrupt; a drop reaches nothing and is not reported. A
-// real transport puts those frames; a modeled exchange passes nil.
-// Deliver returns the resends, the backoff units and whether the message
-// got through.
-func Deliver(attempts int, draw func() Kind, put func(try, copies int, corrupt bool)) (resends, backoff int64, delivered bool) {
+// timeout. Deliver returns the resends, the backoff units and whether the
+// message got through.
+func Deliver(attempts int, draw func() Kind) (resends, backoff int64, delivered bool) {
 	for try := 0; ; try++ {
-		copies, corrupt := 1, false
 		switch draw() {
 		case None:
-		case Stall:
-			backoff++
-		case Duplicate:
-			copies = 2
-			resends++
-		case Corrupt:
-			corrupt = true
-		default: // Drop
-			copies = 0
-		}
-		if put != nil && copies > 0 {
-			put(try, copies, corrupt)
-		}
-		if copies > 0 && !corrupt {
 			return resends, backoff, true
+		case Stall:
+			return resends, backoff + 1, true
+		case Duplicate:
+			return resends + 1, backoff, true
 		}
+		// Drop or Corrupt: the attempt is lost.
 		if try+1 >= attempts {
 			return resends, backoff + 1, false
 		}

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -174,7 +173,7 @@ func TestKindsRestriction(t *testing.T) {
 
 func TestNilAndZeroPlans(t *testing.T) {
 	var p *Plan
-	if p.Fate(StageRemap, 0, 0, 1, 0) != None || p.Enabled() || p.Hook(StageRemap, 0) != nil {
+	if p.Fate(StageRemap, 0, 0, 1, 0) != None || p.Enabled() || p.Exchange(StageRemap, 0, 3) != nil {
 		t.Error("nil plan must be inert")
 	}
 	z := &Plan{Seed: 9}
@@ -210,48 +209,73 @@ func TestBudgetSaturates(t *testing.T) {
 }
 
 func TestDeliverPolicy(t *testing.T) {
-	type frames struct {
-		try, copies int
-		corrupt     bool
-	}
 	for _, c := range []struct {
 		name             string
 		fates            []Kind
 		attempts         int
 		resends, backoff int64
 		delivered        bool
-		put              []frames
 	}{
-		{"none", []Kind{None}, 3, 0, 0, true, []frames{{0, 1, false}}},
-		{"stall", []Kind{Stall}, 3, 0, 1, true, []frames{{0, 1, false}}},
-		{"duplicate", []Kind{Duplicate}, 3, 1, 0, true, []frames{{0, 2, false}}},
-		{"drop then none", []Kind{Drop, None}, 3, 1, 1, true, []frames{{1, 1, false}}},
-		{"drop, drop, stall", []Kind{Drop, Drop, Stall}, 3, 2, 1 + 2 + 1, true, []frames{{2, 1, false}}},
-		{"drop at a one-attempt budget", []Kind{Drop}, 1, 0, 1, false, nil},
-		{"corrupt until the budget runs out", []Kind{Corrupt, Corrupt, Corrupt}, 3, 2, 1 + 2 + 1, false,
-			[]frames{{0, 1, true}, {1, 1, true}, {2, 1, true}}},
+		{"none", []Kind{None}, 3, 0, 0, true},
+		{"stall", []Kind{Stall}, 3, 0, 1, true},
+		{"duplicate", []Kind{Duplicate}, 3, 1, 0, true},
+		{"drop then none", []Kind{Drop, None}, 3, 1, 1, true},
+		{"drop, drop, stall", []Kind{Drop, Drop, Stall}, 3, 2, 1 + 2 + 1, true},
+		{"drop at a one-attempt budget", []Kind{Drop}, 1, 0, 1, false},
+		{"corrupt until the budget runs out", []Kind{Corrupt, Corrupt, Corrupt}, 3, 2, 1 + 2 + 1, false},
 	} {
 		drawn := 0
-		var put []frames
 		resends, backoff, delivered := Deliver(c.attempts, func() Kind {
 			drawn++
 			return c.fates[drawn-1]
-		}, func(try, copies int, corrupt bool) {
-			put = append(put, frames{try, copies, corrupt})
 		})
 		if resends != c.resends || backoff != c.backoff || delivered != c.delivered {
 			t.Errorf("%s: Deliver = (%d, %d, %v), want (%d, %d, %v)",
 				c.name, resends, backoff, delivered, c.resends, c.backoff, c.delivered)
 		}
-		if drawn != len(c.fates) || !reflect.DeepEqual(put, c.put) {
-			t.Errorf("%s: drew %d fates and put %v, want %d and %v", c.name, drawn, put, len(c.fates), c.put)
+		if drawn != len(c.fates) {
+			t.Errorf("%s: drew %d fates, want %d", c.name, drawn, len(c.fates))
 		}
-		// The modeled caller passes no put and must pay the same.
-		drawn = 0
-		r2, b2, d2 := Deliver(c.attempts, func() Kind { drawn++; return c.fates[drawn-1] }, nil)
-		if r2 != resends || b2 != backoff || d2 != delivered {
-			t.Errorf("%s: Deliver without put = (%d, %d, %v), with put (%d, %d, %v)", c.name, r2, b2, d2, resends, backoff, delivered)
+	}
+}
+
+// TestExchangeModelDeliveredMatchesDeliver pins the model to the policy:
+// one pair's sequence of messages, replayed by hand through Deliver on
+// the plan's fates with the pair's attempt counter carried across
+// messages, is charged the same resends and backoff, and a message is
+// reported undelivered exactly when Deliver runs out of attempts.
+func TestExchangeModelDeliveredMatchesDeliver(t *testing.T) {
+	const msgs, attempts = 200, 3
+	var failed, delivered int64
+	for _, plan := range []*Plan{
+		{Seed: 4, Rate: 0.5},
+		{Seed: 8, Rate: 0.9, Kinds: []Kind{Drop, Corrupt}},
+		{Seed: 6, Rate: 0.3, Kinds: []Kind{Duplicate, Stall}},
+	} {
+		x := plan.Exchange(StageRemap, 1, attempts)
+		a, lost := 0, int64(0)
+		for i := range msgs {
+			wr, wb, wok := Deliver(attempts, func() Kind {
+				a++
+				return plan.Fate(StageRemap, 1, 0, 1, a-1)
+			})
+			r, b, ok := x.Resends(0, 1)
+			if r != wr || b != wb || ok != wok {
+				t.Fatalf("plan %v message %d: model (%d, %d, %v), Deliver (%d, %d, %v)", plan, i, r, b, ok, wr, wb, wok)
+			}
+			if ok {
+				delivered++
+			} else {
+				lost++
+			}
 		}
+		if x.Exhausted != lost {
+			t.Errorf("plan %v: Exhausted %d, %d messages undelivered", plan, x.Exhausted, lost)
+		}
+		failed += lost
+	}
+	if failed == 0 || delivered == 0 {
+		t.Errorf("the plans exercised too little: %d delivered, %d failed", delivered, failed)
 	}
 }
 
@@ -281,14 +305,14 @@ func TestExchangeModelDeterministic(t *testing.T) {
 
 func TestExchangeModelBudgetExhaustion(t *testing.T) {
 	x := (&Plan{Seed: 1, Rate: 1, Kinds: []Kind{Drop}}).Exchange(StageAdapt, 0, 2)
-	extra, backoff := x.Resends(0, 1)
+	extra, backoff, delivered := x.Resends(0, 1)
 	// Two attempts, both dropped: one resend, backoff for the retry plus
 	// the escalation unit.
-	if extra != 1 || x.Exhausted != 1 || backoff < 2 {
-		t.Errorf("exhaustion path: extra=%d backoff=%d exhausted=%d", extra, backoff, x.Exhausted)
+	if extra != 1 || delivered || x.Exhausted != 1 || backoff < 2 {
+		t.Errorf("exhaustion path: extra=%d backoff=%d delivered=%v exhausted=%d", extra, backoff, delivered, x.Exhausted)
 	}
 	var nilX *ExchangeModel
-	if e, b := nilX.Resends(0, 1); e != 0 || b != 0 {
+	if e, b, ok := nilX.Resends(0, 1); e != 0 || b != 0 || !ok {
 		t.Error("nil ExchangeModel must be inert")
 	}
 }

@@ -40,9 +40,9 @@ type Model struct {
 	Tlat float64
 	// Tsetup is the per-message setup time.
 	Tsetup float64
-	// RetryBackoff is the modeled time of one transport backoff unit: the
-	// timeout a sender waits before retransmitting a lost or corrupted
-	// message. The transport charges Σ 2^try units per recovered
+	// RetryBackoff is the modeled time of one backoff unit: the timeout a
+	// sender waits before retransmitting a lost or corrupted message.
+	// fault.Deliver charges Σ 2^try units per recovered
 	// message (exponential backoff), so robustness has an honest modeled
 	// cost instead of free retries.
 	RetryBackoff float64
@@ -91,8 +91,7 @@ func (m Model) MsgTime(words int64) float64 {
 // RetryTime returns the sender's modeled stall for recovering one
 // message of the given words: every resend pays the message again
 // (MsgTime) and every backoff unit RetryBackoff. It is the one retry
-// price of the real remap transport and the modeled notification
-// exchanges.
+// price of the remap payload exchange and the notification exchanges.
 func (m Model) RetryTime(resends, backoff, words int64) float64 {
 	return float64(resends)*m.MsgTime(words) + float64(backoff)*m.RetryBackoff
 }

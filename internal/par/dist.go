@@ -1,27 +1,26 @@
 // Package par implements the distributed-memory view of the adaptive mesh:
 // processor ownership of the dual graph's element trees, shared-object
 // bookkeeping (the paper's shared processor lists, SPLs), the parallel
-// 3D_TAG execution phases with SP2-class time accounting, data remapping
-// with real message traffic over internal/comm, and the finalization
-// gather that reassembles a global mesh.
+// 3D_TAG execution phases with SP2-class time accounting, data remapping,
+// and the finalization gather that reassembles a global mesh.
 //
-// Substitution note (cf. DESIGN.md): the mesh itself is a shared ground
-// truth mutated by the serial adaption kernel, while the distributed
-// algorithm's work and communication pattern are replayed rank-by-rank
-// against the ownership map and charged to the machine model. This mirrors
-// the paper's own methodology for the remapping phase ("all appropriate
-// mesh objects are sent to their new host processor, accurately modeling
-// the communication phase" with the rebuild incomplete); we additionally
-// move real payloads between goroutine ranks and verify conservation.
+// Substitution note: the mesh itself is a shared ground truth mutated by
+// the serial adaption kernel, while the distributed algorithm's work and
+// communication pattern are replayed rank-by-rank against the ownership
+// map and charged to the machine model. This mirrors the paper's own
+// methodology for the remapping phase ("all appropriate mesh objects are
+// sent to their new host processor, accurately modeling the communication
+// phase" with the rebuild incomplete): the remap and finalization
+// exchanges are modeled from their canonical flow lists, and injected
+// faults are drawn through the same fault.ExchangeModel as the adaption
+// notifications.
 package par
 
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"plum/internal/chunk"
-	"plum/internal/comm"
 	"plum/internal/fault"
 	"plum/internal/machine"
 	"plum/internal/mesh"
@@ -36,9 +35,8 @@ type Dist struct {
 	P int
 
 	// Workers bounds the worker-goroutine count of the chunked O(mesh)
-	// scans — the remap execution's CSR flow scatter, the Init
-	// shared-object analysis, RankLoads, and the adaption-phase
-	// target/execute/classification scans. ≤ 0 means
+	// scans — the Init shared-object analysis, RankLoads, and the
+	// adaption-phase target/execute/classification scans. ≤ 0 means
 	// runtime.GOMAXPROCS; below SerialCutoff objects every scan falls
 	// back to a serial loop regardless. Results are identical at every
 	// worker count.
@@ -47,22 +45,19 @@ type Dist struct {
 	// Exchange selects the communication schedule of the remap payload
 	// exchange — flat (the zero value) or aggregated (see
 	// machine.Exchange). It is a pricing parameter of the machine model:
-	// the records move between goroutine ranks the same way under both,
-	// so owners, payloads, fault fates and Moved/Sets/WordsMoved/PeakWords
-	// are identical across schedules; only the communication
-	// charges differ. The adaption notifications are always flat (see
+	// both schedules carry each flow's records as one message, so owners,
+	// fault fates and Moved/Sets/WordsMoved/PeakWords are identical across
+	// schedules; only the communication charges differ. The adaption notifications are always flat (see
 	// internal/propagate).
 	Exchange machine.Exchange
 
-	// Faults is the deterministic fault-injection plan driving the remap
-	// payload exchange (internal/fault). The exchange always rides comm's
-	// framed transport; nil — or a zero-rate plan — installs no fault
-	// hook, so nothing is dropped and no per-pair state is kept. When
-	// enabled, its hook draws every frame's fate and the executor runs
-	// transactionally: failed windows are re-exchanged up to
-	// Retry.WindowRetries times, and exhausted retries return a typed
-	// *RemapError with the ownership untouched, since it flips only after
-	// the last window verifies.
+	// Faults is the deterministic fault-injection plan of the remap
+	// payload exchange and the adaption notifications (internal/fault).
+	// nil — or a zero-rate plan — draws no fates. When enabled, the remap
+	// executor runs transactionally: a window with an undelivered message
+	// is re-exchanged up to Retry.WindowRetries times, and exhausted
+	// retries return a typed *RemapError with the ownership untouched,
+	// since it flips only after the last window is delivered.
 	Faults *fault.Plan
 	// Retry bounds the recovery effort when Faults is enabled; the zero
 	// value normalizes to fault.DefaultRetry.
@@ -70,13 +65,6 @@ type Dist struct {
 	// FaultCycle scopes the fault keys to the enclosing balance cycle, so
 	// each cycle of a run draws an independent fault schedule.
 	FaultCycle int
-
-	// StageDeadline arms comm.World.SetDeadline on every remap exchange:
-	// a stage whose ranks have not all finished within the deadline fails
-	// with a typed timeout instead of hanging the process. Zero disables
-	// the watchdog (the deterministic default — wall-clock deadlines are
-	// inherently timing-dependent).
-	StageDeadline time.Duration
 
 	// Trace records per-rank remap spans and streaming-window events on
 	// the modeled timeline (internal/obs). nil disables tracing: an
@@ -87,12 +75,6 @@ type Dist struct {
 	// worker-invariant quantities, so traces are byte-identical at any
 	// worker count.
 	Trace *obs.Trace
-
-	// world is the remap exchange's communicator, kept from one remap to
-	// the next so an executed remap allocates no per-rank state: Reset
-	// before each remap, dropped when a Run fails (a failed Run poisons
-	// it, and a timed-out one may leave a rank behind).
-	world *comm.World
 
 	// dead marks ranks lost to crash recovery; nil until the first crash.
 	// A dead rank owns no elements, sends no messages, and is excluded
@@ -126,6 +108,21 @@ type Dist struct {
 	vsplParts  [][]int32
 	vspl       []int32
 	deadBefore []bool
+}
+
+// SerialCutoff is the object count below which the chunked shared-object
+// scans (Init, RankLoads, the adaption passes) fall back to a serial
+// loop: under ~8k objects the chunk bookkeeping costs more than the
+// parallelism recovers. The remap execution's critical path
+// (PredictRemapOps) is its work below the cutoff.
+const SerialCutoff = 1 << 13
+
+// EffectiveWorkers resolves the worker count a chunked scan actually runs
+// with: the knob (≤ 0 = GOMAXPROCS), clamped to 1 below SerialCutoff
+// objects and to n above it. It bounds the host's goroutines, and
+// PredictRemapOps divides the remap execution's chunked phases by it.
+func EffectiveWorkers(n, workers int) int {
+	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
 }
 
 // NewDist builds the distributed view from a dual-graph partition

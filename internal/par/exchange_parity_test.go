@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"plum/internal/comm"
 	"plum/internal/fault"
 	"plum/internal/machine"
+	"plum/internal/remap"
 )
 
 // exchanges is the iteration table for the parity tests.
@@ -145,11 +146,11 @@ func TestFlatExchangeLegacyAccounting(t *testing.T) {
 
 // TestRetryNamingNoFlowPanics: every message of the exchange is a flow's,
 // so a retry record for a pair the flow list does not hold is a bug in
-// the transport or the plan, never a price.
+// the executor or the plan, never a price.
 func TestRetryNamingNoFlowPanics(t *testing.T) {
 	d, newOwner := bigFixture(t, 8) // ring flows only: 0->4 moves nothing
-	fi := collectFlowIndex(d.M, d.owner, newOwner, d.P, 1)
-	if fi.find(0, 4) >= 0 {
+	flows := countFlows(d.M, d.owner, newOwner, d.P)
+	if slices.ContainsFunc(flows, func(fl remap.Flow) bool { return fl.Src == 0 && fl.Dst == 4 }) {
 		t.Fatal("fixture has a 0->4 flow")
 	}
 	defer func() {
@@ -157,5 +158,5 @@ func TestRetryNamingNoFlowPanics(t *testing.T) {
 			t.Fatalf("bogus retry record: got %q", msg)
 		}
 	}()
-	chargeRemap(machine.SP2(), d.Exchange, d.P, fi.flows, []comm.PairRetry{{Src: 0, Dst: 4, Resends: 1}}, nil)
+	chargeRemap(machine.SP2(), d.Exchange, d.P, flows, []pairRetry{{Src: 0, Dst: 4, Resends: 1}}, nil)
 }

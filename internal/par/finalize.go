@@ -1,19 +1,18 @@
 package par
 
 import (
+	"errors"
 	"fmt"
 
-	"plum/internal/comm"
 	"plum/internal/machine"
-	"plum/internal/mesh"
 )
 
 // FinalizeResult reports the finalization phase: connecting the individual
 // subgrids into one global mesh on a host processor (needed for
 // visualization and restarts, per the paper).
 type FinalizeResult struct {
-	// Elems is the number of elements gathered (must equal the active
-	// element count of the ground-truth mesh).
+	// Elems is the number of elements gathered: the active element count
+	// of the ground-truth mesh.
 	Elems int64
 	// Words is the gathered data volume.
 	Words int64
@@ -21,73 +20,42 @@ type FinalizeResult struct {
 	Time float64
 }
 
-// Finalize performs the finalization phase: every rank packs its active
-// local elements (with a globally consistent numbering — element ids are
-// already global in this implementation) and a gather on the host rank 0
-// concatenates them into a global mesh. The reassembled element count is
-// verified against the ground truth.
-func (d *Dist) Finalize(mdl machine.Model) (FinalizeResult, error) {
-	m := d.M
+// finalizeWords is the size of one gathered element record:
+// (elemID, v0..v3). Element ids are already global, so the records need
+// no renumbering.
+const finalizeWords = 5
 
-	// Pack per-rank payloads: (elemID, v0..v3) per active element.
-	const recWords = 5
-	bufs := make([][]int64, d.P)
-	for i := range m.Elems {
-		t := &m.Elems[i]
-		if !t.Active() {
+// Finalize models the finalization phase: every surviving rank sends its
+// active local elements to the host, the lowest surviving rank, which
+// concatenates them into a global mesh. Like the remap, the gather is
+// charged to the machine model rather than moved: each live sender pays
+// one message of its records, and the host pays their receive cost
+// serially. Dead ranks send nothing: it fails when one still owns
+// elements (survivor recovery moves them all), or when no rank survives
+// to host the gather.
+func (d *Dist) Finalize(mdl machine.Model) (FinalizeResult, error) {
+	alive := d.Alive()
+	if len(alive) == 0 {
+		return FinalizeResult{}, errors.New("par: finalize: no surviving rank to host the gather")
+	}
+	loads := d.RankLoads()
+	for r, dead := range d.dead {
+		if dead && loads[r] > 0 {
+			return FinalizeResult{}, fmt.Errorf("par: finalize: dead rank %d owns %d elements", r, loads[r])
+		}
+	}
+	host := int(alive[0])
+	res := FinalizeResult{}
+	clk := machine.NewClock(d.P)
+	for _, r := range alive {
+		res.Elems += loads[r]
+		if int(r) == host {
 			continue
 		}
-		r := d.OwnerOf(mesh.ElemID(i))
-		bufs[r] = append(bufs[r], int64(i), int64(t.V[0]), int64(t.V[1]), int64(t.V[2]), int64(t.V[3]))
-	}
-
-	var gathered int64
-	w := comm.NewWorld(d.P)
-	if err := w.Run(func(c *comm.Comm) {
-		out := c.Gather(0, bufs[c.Rank()])
-		if c.Rank() != 0 {
-			return
-		}
-		// Element ids index the slab, so a flat bitset replaces the old
-		// map[int64]bool — the host-side duplicate check no longer
-		// reallocates (or hashes) on large meshes.
-		seen := make([]bool, len(m.Elems))
-		var n int64
-		for _, data := range out {
-			if len(data)%recWords != 0 {
-				panic("par: torn finalize record")
-			}
-			for k := 0; k < len(data); k += recWords {
-				id := data[k]
-				if id < 0 || id >= int64(len(seen)) {
-					panic(fmt.Sprintf("par: gathered element id %d out of range", id))
-				}
-				if seen[id] {
-					panic(fmt.Sprintf("par: element %d gathered twice", id))
-				}
-				seen[id] = true
-				n++
-			}
-		}
-		gathered = n
-	}); err != nil {
-		// The torn-record / out-of-range / double-gather panics surface
-		// here as a typed error instead of killing the run.
-		return FinalizeResult{}, &RemapError{Failure: FailGather, Window: -1, Tries: 1, Detail: err.Error()}
-	}
-	want := int64(m.NumActiveElems())
-	if gathered != want {
-		return FinalizeResult{}, fmt.Errorf("par: gathered %d elements, mesh has %d", gathered, want)
-	}
-
-	res := FinalizeResult{Elems: gathered}
-	clk := machine.NewClock(d.P)
-	for r := 1; r < d.P; r++ {
-		words := int64(len(bufs[r]))
+		words := loads[r] * finalizeWords
 		res.Words += words
-		clk.Add(r, mdl.MsgTime(words))
-		// The host pays the receive cost serially.
-		clk.Add(0, float64(words)*mdl.UnpackWord)
+		clk.Add(int(r), mdl.MsgTime(words))
+		clk.Add(host, float64(words)*mdl.UnpackWord)
 	}
 	clk.Barrier()
 	res.Time = clk.Elapsed()

@@ -253,6 +253,44 @@ func TestExecuteRemapRejectsBadLength(t *testing.T) {
 	}
 }
 
+// TestFinalizeAfterCrash checks the gather once rank 0 has died: the
+// survivors' elements are gathered on the lowest surviving rank, only the
+// live senders pay a message, and a dead rank that still owns elements
+// is an error, not a short gather.
+func TestFinalizeAfterCrash(t *testing.T) {
+	const p = 4
+	d, _, _ := fixture(t, p)
+	mdl := machine.SP2()
+	d.MarkDead([]int{0})
+	if _, err := d.Finalize(mdl); err == nil {
+		t.Fatal("finalize gathered around a dead rank that still owns elements")
+	}
+	newOwner := d.Owners()
+	for v, o := range newOwner {
+		if o == 0 {
+			newOwner[v] = 1 + int32(v)%(p-1)
+		}
+	}
+	if _, err := d.ExecuteRemapRecovery(newOwner, mdl); err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Finalize(mdl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := d.RankLoads()
+	if loads[0] != 0 || res.Elems != int64(d.M.NumActiveElems()) {
+		t.Fatalf("gathered %d elements (rank 0 owns %d), want %d", res.Elems, loads[0], d.M.NumActiveElems())
+	}
+	// Rank 1 hosts; ranks 2 and 3 send.
+	w2, w3 := loads[2]*finalizeWords, loads[3]*finalizeWords
+	host := float64(w2)*mdl.UnpackWord + float64(w3)*mdl.UnpackWord
+	want := max(host, mdl.MsgTime(w2), mdl.MsgTime(w3))
+	if res.Words != w2+w3 || res.Time != want {
+		t.Errorf("gather charged %d words in %g s, want %d in %g", res.Words, res.Time, w2+w3, want)
+	}
+}
+
 func TestFinalizeGather(t *testing.T) {
 	d, a, _ := fixture(t, 4)
 	a.MarkRandom(0.05, adapt.MarkRefine, 13)

@@ -121,6 +121,53 @@ func TestRemapRollbackRestoresOwnership(t *testing.T) {
 	}
 }
 
+// TestRemapCrashAtWindowZero pins the crash path: ranks the plan fates
+// to die fail the remap at the first window's boundary, before any
+// message draws a fate — FailCrash at window 0 after one try, naming
+// exactly the fated alive ranks in ascending order (sparing the lowest
+// when every survivor is fated) — and the ownership is left untouched.
+func TestRemapCrashAtWindowZero(t *testing.T) {
+	const p = 8
+	for _, c := range []struct {
+		name string
+		dead []int
+		rate float64
+	}{
+		{"some fated", nil, 0.4},
+		{"all fated", nil, 1},
+		{"all survivors fated after a death", []int{0}, 1},
+	} {
+		d, newOwner := bigFixture(t, p)
+		d.MarkDead(c.dead)
+		d.FaultCycle = 3
+		before := d.Owners()
+		plan := &fault.Plan{Seed: 11, Rate: c.rate, Kinds: []fault.Kind{fault.Crash, fault.Drop}}
+		var want []int
+		for _, r := range d.Alive() {
+			if plan.Crashed(fault.StageRemap, d.FaultCycle, int(r)) {
+				want = append(want, int(r))
+			}
+		}
+		if len(want) == d.AliveCount() {
+			want = want[1:]
+		}
+		if len(want) == 0 || !reflect.DeepEqual(want, d.crashRanks(plan)) {
+			t.Fatalf("%s: fated ranks %v, crashRanks %v", c.name, want, d.crashRanks(plan))
+		}
+		_, err := d.executeRemap(newOwner, machine.SP2(), 0, plan)
+		var re *RemapError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: error %v is not a *RemapError", c.name, err)
+		}
+		if re.Failure != FailCrash || re.Window != 0 || re.Tries != 1 || !re.RolledBack || !reflect.DeepEqual(re.Crashed, want) {
+			t.Errorf("%s: got %+v, want FailCrash at window 0, one try, ranks %v", c.name, re, want)
+		}
+		if !reflect.DeepEqual(d.Owners(), before) {
+			t.Errorf("%s: a crashed remap changed the ownership", c.name)
+		}
+	}
+}
+
 // TestRemapPartialCommitRollback drives the executor into a mid-stream
 // abort — early windows verify, a later one exhausts its retries — and
 // verifies the ownership map is untouched: it flips only after the last

@@ -12,8 +12,8 @@ import (
 	"plum/internal/partition"
 )
 
-// bigFixture builds a mesh large enough to engage the parallel remap
-// scatter and SPL scans (> SerialCutoff elements), distributed over p
+// bigFixture builds a mesh large enough to engage the parallel SPL scans
+// and the remap price's worker discount (> SerialCutoff elements), distributed over p
 // ranks, plus a reassignment that migrates a mixed set of trees.
 func bigFixture(t testing.TB, p int) (*Dist, []int32) {
 	t.Helper()
@@ -37,24 +37,13 @@ func bigFixture(t testing.TB, p int) (*Dist, []int32) {
 	return d, newOwner
 }
 
-// packAll packs every flow of fi into one record buffer — the
-// whole-payload window — at the given worker knob.
-func packAll(d *Dist, fi *flowIndex, workers int) []int64 {
-	recs := make([]int64, len(fi.elems)*recWords)
-	fi.packRange(d.M, 0, len(fi.flows), recs, workers)
-	return recs
-}
-
-// TestRemapExecWorkerParity is the determinism contract of the parallel
-// remap execution: the CSR payload buffer, the updated owner array, and
-// the whole RemapResult — modeled float times included — must be
-// byte-identical at every worker count.
+// TestRemapExecWorkerParity is the determinism contract of the remap
+// execution: the updated owner array and the whole RemapResult — modeled
+// float times included — must be byte-identical at every worker count.
 func TestRemapExecWorkerParity(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
 	refD.Workers = 1
-	refIdx := collectFlowIndex(refD.M, refD.owner, newOwner, p, 1)
-	refRecs := packAll(refD, &refIdx, 1)
 	refRes, err := refD.ExecuteRemap(newOwner, machine.SP2())
 	if err != nil {
 		t.Fatal(err)
@@ -66,13 +55,6 @@ func TestRemapExecWorkerParity(t *testing.T) {
 	for _, w := range []int{2, 4, 8} {
 		d, _ := bigFixture(t, p)
 		d.Workers = w
-		fi := collectFlowIndex(d.M, d.owner, newOwner, p, EffectiveWorkers(len(d.M.Elems), w))
-		if !reflect.DeepEqual(fi, refIdx) {
-			t.Fatalf("workers=%d: CSR flow index diverges", w)
-		}
-		if !reflect.DeepEqual(packAll(d, &fi, w), refRecs) {
-			t.Fatalf("workers=%d: payload buffer diverges", w)
-		}
 		res, err := d.ExecuteRemap(newOwner, machine.SP2())
 		if err != nil {
 			t.Fatal(err)

@@ -1,14 +1,28 @@
 package par
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
-	"plum/internal/comm"
 	"plum/internal/fault"
 	"plum/internal/machine"
+	"plum/internal/mesh"
 	"plum/internal/obs"
 	"plum/internal/remap"
 )
+
+// recWords is the size of one migrating element record on the modeled
+// wire: (root, v0..v3, level), the root element id being the tree's dual
+// vertex.
+const recWords = 6
+
+// RecordWords is the exported size of one migrating element record, in
+// words: Moved × RecordWords is the whole payload a remap moves, the
+// figure RemapResult.PeakWords is bounded by (and, under the adaptive
+// window budget, strictly below on multi-flow workloads).
+const RecordWords = recWords
 
 // RemapResult reports one executed data remapping.
 type RemapResult struct {
@@ -22,12 +36,10 @@ type RemapResult struct {
 	// WordsMoved is the modeled data volume: Moved × ElemWords plus the
 	// shared-structure perturbation.
 	WordsMoved int64
-	// PeakWords is the high-water mark of the host-side payload buffer,
-	// in record words (Moved × RecordWords is the total): the largest
-	// window the executor packed, strictly below the total whenever more
-	// than one flow moves. The figure is computed from the canonical flow
-	// layout, never from live goroutine scheduling, so it is
-	// deterministic at any worker count.
+	// PeakWords is the largest window's record words (Moved × RecordWords
+	// is the total), strictly below the total whenever more than one flow
+	// moves under the adaptive budget. The windows are planned from the
+	// canonical flow list alone, so it is the same at any worker count.
 	PeakWords int64
 	// PackTime, CommTime, RebuildTime decompose the modeled remapping
 	// overhead; Total is the slowest-rank end-to-end time.
@@ -41,51 +53,58 @@ type RemapResult struct {
 	// callers never fold it silently into volume time.
 	Setups    int64
 	SetupTime float64
-	// Retries and RetryWords count the extra physical frames (and their
-	// payload words, in record words on the wire) the exchange sent
-	// recovering injected faults; WindowRetries the window
-	// re-executions. RetryTime is the slowest rank's modeled recovery
-	// charge — resent messages at MsgTime plus exponential-backoff units
-	// at Model.RetryBackoff — which is also folded into CommTime/Total.
-	// All stay zero without an enabled fault plan.
+	// Retries and RetryWords count the extra messages (and their payload
+	// words, in record words on the wire) the exchange sent recovering
+	// injected faults; WindowRetries the window re-exchanges. RetryTime is
+	// the slowest rank's modeled recovery charge — resent messages at
+	// MsgTime plus exponential-backoff units at Model.RetryBackoff — which
+	// is also folded into CommTime/Total. All stay zero without an enabled
+	// fault plan.
 	Retries, RetryWords int64
 	WindowRetries       int
 	RetryTime           float64
 }
 
+// pairRetry is the recovery one (Src, Dst) flow needed under a fault
+// plan: Resends extra messages, and Backoff modeled backoff units
+// (Σ 2^try per lost attempt, plus one unit per stall and per failure), to
+// be scaled by the machine model's RetryBackoff.
+type pairRetry struct {
+	Src, Dst         int32
+	Resends, Backoff int64
+}
+
 // ExecuteRemap migrates element trees whose dual vertices change owner
-// under newOwner. Real payloads (element records) are exchanged between
-// goroutine ranks over the comm runtime and verified for conservation; the
-// machine model charges pack, transfer, and rebuild costs. On return the
-// ownership map is updated.
+// under newOwner: it charges the machine model the pack, transfer, and
+// rebuild costs of sending every migrating element to its new owner, and
+// updates the ownership map.
 //
-// Following the paper's experimental methodology, the data-structure
-// rebuild is charged to the model (RebuildElem per received element)
-// rather than re-linking the shared ground-truth mesh, which stays
-// authoritative — "all appropriate mesh objects are sent to their new host
-// processor, accurately modeling the communication phase".
+// Following the paper's experimental methodology, the mesh stays the
+// shared ground truth and the exchange is modeled — "all appropriate mesh
+// objects are sent to their new host processor, accurately modeling the
+// communication phase" — with the data-structure rebuild charged to the
+// model (RebuildElem per received element).
 //
-// The payload streams under the adaptive window budget (see
-// windowBudget): flows are packed, exchanged, and verified one window at
-// a time, so the host holds at most one window of records
-// (RemapResult.PeakWords), while the machine model charges the paper's
-// single bulk-synchronous exchange. A *RemapError names the failing
-// window, and with Dist.Trace set each verified window leaves a
-// remap.window event (and each window retry a remap.window.retry).
+// The exchange runs in windows under the adaptive budget (see
+// windowBudget): each window is the commit unit of the fault plan's
+// retries, and the largest one is RemapResult.PeakWords, while the machine
+// model charges the paper's single bulk-synchronous exchange. A
+// *RemapError names the failing window, and with Dist.Trace set each
+// delivered window leaves a remap.window event (and each window retry a
+// remap.window.retry).
 func (d *Dist) ExecuteRemap(newOwner []int32, mdl machine.Model) (RemapResult, error) {
 	return d.executeRemap(newOwner, mdl, 0, d.Faults)
 }
 
 // ExecuteRemapRecovery migrates the elements of crashed ranks onto the
-// survivors after a FailCrash rollback: the same streamed exchange as
-// ExecuteRemap — same canonical flow layout and windows, same
+// survivors after a FailCrash rollback: the same windowed exchange as
+// ExecuteRemap — same canonical flow list and windows, same
 // machine-model charges via ChargeRemap — run without the
 // fault plan. Recovery is the repair path, not another fault surface:
 // letting the plan re-draw crash or message fates here could cascade a
 // recovery into another rollback forever, so the modeled recovery runs
 // clean. The dead ranks' outgoing flows model the survivors replaying
-// those elements from the cycle checkpoint's replica (in process, the
-// dead rank's goroutine serves its checkpointed records); their cost is
+// those elements from the cycle checkpoint's replica; their cost is
 // charged like any other flow, which is exactly the modeled price of
 // re-sourcing the lost subgrid.
 func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapResult, error) {
@@ -96,97 +115,64 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapR
 // bounds a window's payload in record words (≤ 0 = adaptive); plan is the
 // fault plan, nil or zero-rate for a fault-free exchange.
 //
-// The migrating elements are indexed by the CSR flow scatter of
-// collectFlowIndex at the Dist's worker knob: flows are laid out in
-// canonical (src, dst) order and elements in slab order within a flow.
-// planWindows groups consecutive flows under the budget, and each window
-// is packed into the reused buffer, exchanged for real, and verified flow
-// by flow against the plan before the next is admitted — so no more than
-// one window of payload ever exists on the host. The window layout is
-// computed from the flow offsets alone, never from worker scheduling, and
-// the modeled times are float sums in canonical flow order, so the
-// payload bytes, the owner array and the whole RemapResult are
-// byte-identical at every worker count, and identical across budgets up
-// to PeakWords.
+// countFlows lists the flows in canonical (src, dst) order and
+// planWindows groups consecutive flows under the budget. Under an enabled
+// plan the ranks it fates to crash die at the first window's boundary,
+// before a word moves: the remap fails at once with FailCrash naming them
+// (there is no rank to retry with; the caller recovers by remapping onto
+// the survivors). Otherwise one fault.ExchangeModel per remap draws every
+// window flow's delivery on each try, its per-pair attempt counters
+// running on across tries; a window with an undelivered flow is
+// re-exchanged up to Retry.WindowRetries times, and exhausted retries
+// return a *RemapError with RolledBack set. Ownership flips once, after
+// the last window is delivered, so every failure leaves it untouched.
 //
-// Ownership flips once, after the last window verifies and the
-// conservation check passes, so every failure leaves it untouched. Every
-// exchange rides comm's framed transport. An enabled plan installs its
-// fault hook: a window whose transfers failed is re-exchanged up to
-// Retry.WindowRetries times, and exhausted retries (or structural
-// failures) return a *RemapError with RolledBack set. Without one the
-// transport draws no fates and keeps no per-pair state.
-//
-// Every structure the executor builds is sized by the slab, the moved
-// elements, the flows that exist or P — the flow index, the window plan,
-// the wire exchange, the transport's per-pair state and the accounting
-// all walk the flow list, never the P² pairs that could carry one.
-// The communicator is the Dist's own, reset per remap, and a window's
-// frames are cut from one slab reserved for it, so the executor's
-// allocations are a fixed set of buffers per remap and one slab per window
-// try — none per message and none per rank.
+// Everything is a function of the plan and the canonical flow list — the
+// windows, the fault draws, the float sums of the charge — so the owner
+// array and the whole RemapResult are byte-identical at every worker
+// count, and identical across budgets up to PeakWords. Every structure
+// the executor builds is sized by P or the flows that exist, never by the
+// P² pairs that could carry one.
 func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, plan *fault.Plan) (RemapResult, error) {
 	if len(newOwner) != len(d.owner) {
 		return RemapResult{}, fmt.Errorf("par: newOwner has %d entries, want %d", len(newOwner), len(d.owner))
 	}
-	if !plan.Enabled() {
-		plan = nil
+	flows := countFlows(d.M, d.owner, newOwner, d.P)
+	flowStart := make([]int64, len(flows)+1)
+	for f, fl := range flows {
+		flowStart[f+1] = flowStart[f] + fl.Elems
 	}
-	m := d.M
-	p := d.P
-	fi := collectFlowIndex(m, d.owner, newOwner, p, EffectiveWorkers(len(m.Elems), d.Workers))
-	moved := int64(len(fi.elems))
+	wins := planWindows(flowStart, windowBudget(flowStart, budget))
 
-	// Per-rank verified-element and failed-transfer counts of one window
-	// try. Each goroutine rank touches only its own slots and the Runs are
-	// sequential, so there is no contention.
-	counts := make([]int64, 2*p)
-	wp := &winPlan{fi: &fi, recv: counts[:p], failCount: counts[p:]}
-	exchange := wp.exchange // bound once: a window's Run allocates nothing
-
-	w := d.world
-	if w == nil {
-		w = comm.NewWorld(p)
-		d.world = w
-	} else {
-		w.Reset()
-	}
-	w.SetDeadline(d.StageDeadline)
+	var x *fault.ExchangeModel // nil: every message is delivered clean
+	var retries []pairRetry    // per flow, under an enabled plan
 	retry := d.Retry.Normalize()
-	if plan != nil {
-		w.SetFaults(plan.Hook(fault.StageRemap, d.FaultCycle), retry.MsgAttempts)
-		// Crash fates are stage-scoped, drawn once per balance cycle: the
-		// fated ranks die at the first window's boundary. A crash poisons
-		// the world and aborts without retries (there is no rank to retry
-		// with); the caller recovers by remapping onto the survivors.
-		wp.crash = d.crashMask(plan)
+	if plan.Enabled() {
+		// Crash fates are stage-scoped, drawn once per balance cycle.
+		if crashed := d.crashRanks(plan); crashed != nil {
+			return RemapResult{}, &RemapError{Failure: FailCrash, Window: 0, Tries: 1, RolledBack: true,
+				Crashed: crashed, Detail: fmt.Sprintf("ranks %v died at the remap boundary", crashed)}
+		}
+		x = plan.Exchange(fault.StageRemap, d.FaultCycle, retry.MsgAttempts)
+		retries = make([]pairRetry, len(flows))
 	}
 
-	wins := planWindows(fi.flowStart, windowBudget(fi.flowStart, budget))
 	var peak int64
-	for _, win := range wins {
-		peak = max(peak, (fi.flowStart[win.f1]-fi.flowStart[win.f0])*recWords)
-	}
-	buf := make([]int64, peak) // reused by every window
-	var recvTotal int64
 	windowRetries := 0
 	for wi, win := range wins {
-		words := (fi.flowStart[win.f1] - fi.flowStart[win.f0]) * recWords
-		wp.f0, wp.f1, wp.buf = win.f0, win.f1, buf[:words]
-		fi.packRange(m, win.f0, win.f1, wp.buf, d.Workers)
-		// Verification is plan-exact on every path: a received flow must
-		// match the plan's record count, so torn or misrouted windows fail
-		// here, not at the final conservation check.
+		words := (flowStart[win.f1] - flowStart[win.f0]) * recWords
+		peak = max(peak, words)
 		for tries := 1; ; tries++ {
-			clear(counts)
-			w.Reserve(win.f1-win.f0, words)
-			if err := w.Run(exchange); err != nil {
-				d.world = nil // a failed Run poisons its world
-				return RemapResult{}, remapErrFrom(err, wi, tries)
-			}
 			var nfail int64
-			for _, f := range wp.failCount {
-				nfail += f
+			for f := win.f0; f < win.f1; f++ {
+				resends, backoff, ok := x.Resends(flows[f].Src, flows[f].Dst)
+				if retries != nil {
+					retries[f].Resends += resends
+					retries[f].Backoff += backoff
+				}
+				if !ok {
+					nfail++
+				}
 			}
 			if nfail == 0 {
 				break
@@ -199,35 +185,76 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 			d.Trace.Event("warn", "remap.window.retry",
 				obs.Int("window", int64(wi)), obs.Int("failed", nfail), obs.Int("try", int64(tries)))
 		}
-		for _, n := range wp.recv {
-			recvTotal += n
-		}
-		wp.crash = nil // only the first window carries the mask
 		// The serial window loop is canonical order by construction: one
-		// event per verified window, in plan order.
+		// event per delivered window, in plan order.
 		d.Trace.Event("info", "remap.window",
 			obs.Int("window", int64(wi)), obs.Int("flows", int64(win.f1-win.f0)), obs.Int("words", words))
 	}
-	if recvTotal != moved {
-		return RemapResult{}, &RemapError{Failure: FailConservation, Window: -1, Tries: 1, RolledBack: true,
-			Detail: fmt.Sprintf("moved %d elements but received %d", moved, recvTotal)}
-	}
 
-	res := chargeRemap(mdl, d.Exchange, p, fi.flows, w.RetryCounters(), d.Trace)
+	// chargeRemap takes the pairs that needed any recovery, in canonical
+	// order.
+	n := 0
+	for f, r := range retries {
+		if r.Resends > 0 || r.Backoff > 0 {
+			retries[n] = pairRetry{Src: flows[f].Src, Dst: flows[f].Dst, Resends: r.Resends, Backoff: r.Backoff}
+			n++
+		}
+	}
+	res := chargeRemap(mdl, d.Exchange, d.P, flows, retries[:n], d.Trace)
 	res.PeakWords = peak
 	res.WindowRetries = windowRetries
 	copy(d.owner, newOwner)
 	return res, nil
 }
 
-// crashMask returns the per-rank mask of the alive ranks fated by plan to
-// die at the remap boundary of the current fault cycle — the crash mask
-// the executor injects — or nil when none is. Pure function of (plan,
-// cycle, alive set): byte-identical at any worker count. Two guards keep
-// the run recoverable: no crashes are drawn with fewer than two
-// survivors, and if every survivor is fated at once, the lowest-ranked
-// one is spared (a total loss has no survivor to recover onto).
-func (d *Dist) crashMask(plan *fault.Plan) []bool {
+// countFlows returns the canonical flow list of a remap from owner to
+// newOwner over p ranks, both indexed by root element id: every (src,
+// dst) pair some live element moves along, ascending by source then
+// destination, with its element count. An element migrates when its root
+// changes owner — its whole refinement tree moves with it (the paper's
+// Wremap rationale), which is why the scan walks the element slab rather
+// than the dual vertices. One pass counts into per-source lists of the
+// destinations seen; a rank sends to few others, so the walk is short,
+// and nothing is sized by the p² pairs that could carry a flow.
+func countFlows(m *mesh.Mesh, owner, newOwner []int32, p int) []remap.Flow {
+	head := make([]int32, p) // per source: its newest flow + 1, 0 for none
+	var flows []remap.Flow
+	var next []int32 // per flow: the source's next flow + 1, 0 at the end
+	for i := range m.Elems {
+		t := &m.Elems[i]
+		if t.Dead {
+			continue
+		}
+		src, dst := owner[t.Root], newOwner[t.Root]
+		if src == dst {
+			continue
+		}
+		k := head[src] - 1
+		for k >= 0 && flows[k].Dst != dst {
+			k = next[k] - 1
+		}
+		if k < 0 {
+			k = int32(len(flows))
+			flows = append(flows, remap.Flow{Src: src, Dst: dst})
+			next = append(next, head[src])
+			head[src] = k + 1
+		}
+		flows[k].Elems++
+	}
+	slices.SortFunc(flows, func(a, b remap.Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	return flows
+}
+
+// crashRanks returns the alive ranks fated by plan to die at the remap
+// boundary of the current fault cycle, ascending, or nil when none is.
+// Pure function of (plan, cycle, alive set): byte-identical at any worker
+// count. Two guards keep the run recoverable: no crashes are drawn with
+// fewer than two survivors, and if every survivor is fated at once, the
+// lowest-ranked one is spared (a total loss has no survivor to recover
+// onto).
+func (d *Dist) crashRanks(plan *fault.Plan) []int {
 	if !plan.CrashEnabled() {
 		return nil
 	}
@@ -235,21 +262,50 @@ func (d *Dist) crashMask(plan *fault.Plan) []bool {
 	if len(alive) < 2 {
 		return nil
 	}
-	var mask []bool
-	fated := 0
+	var fated []int
 	for _, r := range alive {
 		if plan.Crashed(fault.StageRemap, d.FaultCycle, int(r)) {
-			if mask == nil {
-				mask = make([]bool, d.P)
-			}
-			mask[r] = true
-			fated++
+			fated = append(fated, int(r))
 		}
 	}
-	if fated == len(alive) {
-		mask[alive[0]] = false
+	if len(fated) == len(alive) {
+		fated = fated[1:]
 	}
-	return mask
+	return fated
+}
+
+// PredictRemapOps returns the machine's work for one remap execution, and
+// its critical path at the given worker knob, for a remap of moved element
+// records in sets flows over an nElems-entry element slab on p ranks. The
+// quantities are exactly the cost model's C (elements moved,
+// remap.MoveStats' first return) and N (element sets, its second), so the
+// framework prices the execution on the acceptance rule's cost side
+// before deciding whether to execute the remap. The ranks scan their
+// elements for movers and file each under its flow; the flow list is
+// merged and laid out; each record is packed and, on the receiving side,
+// unpacked. The critical path divides the scans and the record traffic by
+// the effective worker count, which is 1 below SerialCutoff elements, so
+// there it equals the work; like the curve charge's it is capped at the
+// work. Every term is linear in the slab, the moved records, the flows or
+// p — none in the p² pairs that could exist.
+func PredictRemapOps(nElems int, moved int64, sets, p, workers int) (work, crit machine.Ops) {
+	ew := int64(EffectiveWorkers(nElems, workers))
+	// The mover scan streams the element slab (compute-bound).
+	scan := int64(nElems)
+	// Every moved record looks its flow up twice, once to count it and
+	// once to file it: compute-bound.
+	lookups := 2 * moved
+	// The merge: sorting the flow list, its layout prefix sum, the
+	// per-rank send and receive lists, and the per-flow message and
+	// accounting bookkeeping: serial, compute-bound.
+	merge := 2*int64(p) + int64(sets)*int64(3+bits.Len(uint(sets)))
+	// Packing the records and unpacking them at the receiver each touch
+	// the moved volume once, memory-bound.
+	records := moved * recWords
+	work = machine.Ops{Total: scan + lookups + merge + 2*records, Mem: 2 * records}
+	critMem := 2 * machine.CeilDiv(records, ew)
+	critTotal := machine.CeilDiv(scan, ew) + machine.CeilDiv(lookups, ew) + merge + critMem
+	return work, machine.Ops{Total: min(critTotal, work.Total), Mem: min(critMem, work.Mem)}
 }
 
 // ChargeRemap prices a remap on the machine clock from its flows alone:
@@ -268,16 +324,16 @@ func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 // and the trace the per-rank spans go to (nil for none).
 //
 // Every window budget charges the same bulk-synchronous superstep model
-// (all sends, then all receives): windowing changes how the host
-// materializes and exchanges the payload, not the machine being modeled,
-// which is what keeps the RemapResult byte-identical across budgets.
+// (all sends, then all receives): windows are the retry unit of the
+// exchange, not a change to the machine being modeled, which is what
+// keeps a fault-free RemapResult byte-identical across budgets.
 //
 // The modeled volume uses the cost model's M words per element plus a
 // small shared-structure term proportional to the number of flows
 // (partition-boundary data is a small percentage and causes the slight
 // perturbations the paper notes). One serial walk of the flows that exist
 // fills the per-rank sums — a rank's float charges accumulate in
-// ascending destination order, the canonical order of its stripe — so the
+// ascending destination order, the canonical order of its flows — so the
 // work is O(sets + p) and the result cannot depend on the worker count
 // (PredictRemapOps charges this phase serially).
 //
@@ -296,7 +352,7 @@ func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 // The wire itself — setups, volume, and under aggregated the receivers'
 // drains — is charged by machine.ChargeFlows under the schedule, on top
 // of each rank's pack + retry sum and inside the same superstep.
-func chargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flow, retries []comm.PairRetry, tr *obs.Trace) RemapResult {
+func chargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flow, retries []pairRetry, tr *obs.Trace) RemapResult {
 	res := RemapResult{Sets: len(flows)}
 	sendWords := make([]int64, p)
 	recvWords := make([]int64, p)

@@ -26,7 +26,7 @@ func allocBytes(fn func()) uint64 {
 // fixed mesh, the bytes the mapper (remap.Build + Heuristic) and one
 // executed remap allocate may grow no faster than P itself — each 4× step
 // in P by at most 4.5×. A dense similarity matrix, a p×p flow table or
-// per-pair transport state grows 16× a step and fails this at once.
+// per-pair exchange state grows 16× a step and fails this at once.
 func TestRemapAllocScalesWithP(t *testing.T) {
 	m := meshgen.Box(10, 10, 10, geom.Vec3{X: 1, Y: 1, Z: 1}) // 6000 elements
 	g := dual.Build(m)
@@ -63,14 +63,12 @@ func TestRemapAllocScalesWithP(t *testing.T) {
 }
 
 // TestFaultFreeRemapAllocs pins the allocations of a fault-free remap on a
-// Dist that has remapped before: the Dist keeps its communicator, and a
-// window's frames are cut from one slab, so an executed remap allocates a
-// fixed number of buffers (flow index, window plan, payload, slab, the
-// charge's per-rank sums) whatever P is and however many flows move. The
-// one budget holds from 8 ranks to 2048 (about 4000 flows): it is the
-// largest reading, 66 at P = 2048, plus a few. An allocation per frame,
-// per mailbox or per rank — a fresh world per remap, say — overruns it at
-// P = 64 and by far at P = 2048.
+// Dist that has remapped before: an executed remap allocates a fixed set
+// of buffers (the flow list and its layout, the window plan, the charge's
+// per-rank sums) whatever P is, the flow list growing by appends however
+// many flows move. The one budget holds from 8 ranks to 2048 (about 4000
+// flows), where the reading is 39. An allocation per flow or per rank
+// overruns it at P = 2048.
 func TestFaultFreeRemapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")

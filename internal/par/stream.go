@@ -1,18 +1,17 @@
 package par
 
-// The window planner of the remap executor. executeRemap packs,
-// exchanges, and verifies one window of flows at a time, in the canonical
-// src-major flow order the CSR scatter already defines. Because the window
-// layout is computed from the flow offsets and the budget alone — never
-// from worker scheduling — the payload bytes each rank sends, the owner
-// array, the modeled times, and the op accounting are the same under every
-// budget at any worker count; only PeakWords differs, and that is the
-// point: it drops from the total to the largest in-flight window.
+// The window planner of the remap executor. executeRemap exchanges one
+// window of flows at a time, in canonical src-major flow order, and a
+// window is the unit a fault plan's retries re-exchange. Because the
+// window layout is computed from the flow offsets and the budget alone —
+// never from worker scheduling — a fault-free remap's owner array,
+// modeled times and op accounting are the same under every budget at any
+// worker count; only PeakWords, the largest window, differs.
 
 // DefaultWindowFraction divides the total payload volume to derive the
 // adaptive window budget: ExecuteRemap targets ⌈total/8⌉ record
 // words per window (floored at the largest single flow, which can never
-// be split), giving roughly eight in-flight windows and a peak strictly
+// be split), giving roughly eight windows and a peak strictly
 // below the total whenever more than one flow moves.
 const DefaultWindowFraction = 8
 

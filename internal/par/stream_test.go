@@ -97,7 +97,7 @@ func TestStreamingWindowBudget(t *testing.T) {
 	// The largest flow is the atomic commit unit, so the peak is exactly
 	// the largest single flow under a sub-flow budget (indexed before the
 	// execution flips the ownership).
-	fi := collectFlowIndex(d.M, d.Owners(), newOwner, p, 1)
+	flows := countFlows(d.M, d.Owners(), newOwner, p)
 	// 64 words is far below any realistic flow: one flow per window.
 	res, err := d.executeRemap(newOwner, machine.SP2(), 64, nil)
 	if err != nil {
@@ -107,8 +107,8 @@ func TestStreamingWindowBudget(t *testing.T) {
 		t.Fatal("tiny window budget changed the owner array")
 	}
 	var largest int64
-	for f := range fi.flows {
-		largest = max(largest, fi.flowStart[f+1]-fi.flowStart[f])
+	for _, fl := range flows {
+		largest = max(largest, fl.Elems)
 	}
 	if res.PeakWords != largest*recWords {
 		t.Errorf("sub-flow budget peak %d, want largest flow %d", res.PeakWords, largest*recWords)

@@ -30,10 +30,10 @@ import (
 )
 
 // SerialCutoff is the frontier size below which a round's proposal scan
-// falls back to a serial loop. It is deliberately lower than the remap
-// scatter's cutoff: a frontier visit does six pattern probes and an
+// falls back to a serial loop. It is deliberately lower than par's
+// slab-scan cutoff: a frontier visit does six pattern probes and an
 // adjacency chase per element, so the chunk bookkeeping amortizes much
-// earlier than on the record-copy scans.
+// earlier than on the counting scans.
 const SerialCutoff = 1 << 10
 
 // EffectiveWorkers resolves the worker count a propagation round actually
@@ -167,7 +167,9 @@ type Engine struct {
 // does not barrier; callers own the superstep structure.
 func (eng Engine) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []PairWords) machine.ExchangeCharge {
 	return mdl.ChargeFlowsRetry(clk, pairs, func(src, dst int32, words int64) {
-		extra, backoff := eng.Faults.Resends(src, dst)
+		// An undelivered notification escalates out of band; its charge is
+		// the same resends and backoff.
+		extra, backoff, _ := eng.Faults.Resends(src, dst)
 		if extra == 0 && backoff == 0 {
 			return
 		}
