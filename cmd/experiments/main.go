@@ -20,7 +20,7 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments to run: table1, fig8, fig9, fig10, fig11, fig12, extension, partitioners, overlap, faults, recover, comm, all")
 	k := flag.Int("k", 16, "partition count for -exp partitioners")
 	faultSeed := flag.Int64("fault-seed", 7, "fault schedule seed for -exp faults")
-	workers := flag.Int("workers", 0, "worker goroutines of the SPL and classification scans and propagation (the host partitions and refines serially); on the modeled clock it moves only the curve partitioners' and the remap execution's critical paths (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "host worker goroutines of the SPL and classification scans and propagation; no output depends on it (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit the selected experiments as one JSON object keyed by name instead of text tables")
 	flag.Parse()
 	if *k < 1 {
@@ -40,7 +40,7 @@ func main() {
 		{"fig12", func() fmt.Stringer { return experiments.RunFig12() }},
 		{"extension", func() fmt.Stringer { return experiments.RunExtensionRepeated(8, 6, 1) }},
 		{"partitioners", func() fmt.Stringer { return experiments.RunPartitionerTable(*k) }},
-		{"overlap", func() fmt.Stringer { return experiments.RunOverlapTable(*workers) }},
+		{"overlap", func() fmt.Stringer { return experiments.RunOverlapTable() }},
 		{"faults", func() fmt.Stringer { return experiments.RunFaultTable(*faultSeed, *workers) }},
 		{"recover", func() fmt.Stringer { return experiments.RunRecoverTable(*faultSeed, *workers) }},
 		{"comm", func() fmt.Stringer { return experiments.RunCommTable() }},

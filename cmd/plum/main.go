@@ -47,7 +47,7 @@ func main() {
 		parter  = flag.String("partitioner", "multilevel", fmt.Sprintf("repartitioner, one of %v", partition.Methods))
 		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated (default: flat)")
 		seed    = flag.Int64("seed", 1, "random seed")
-		workers = flag.Int("workers", 0, "worker goroutines of the SPL and classification scans and propagation (the host partitions and refines serially); on the modeled clock it moves only the curve partitioners' and the remap execution's critical paths (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "host worker goroutines of the SPL and classification scans and propagation; no output but the config line depends on it (0 = GOMAXPROCS)")
 		overlap = flag.Bool("overlap", false, "hide the balance pipeline behind the solver iterations: the acceptance rule charges only the exposed cost")
 		faults  = flag.String("faults", "", "deterministic fault-injection plan, e.g. seed=7,rate=0.1,kinds=drop+corrupt or kinds=crash (empty = faults off)")
 		retries = flag.Int("retries", -1, "recovery budget with -faults: extra send attempts per message and re-executions per failed remap window (-1 = default policy: 3 attempts, 2 window retries)")
@@ -223,13 +223,11 @@ func main() {
 			if b.Repartitioned {
 				fmt.Printf("         repart ops=%d (refine %d) t=%.3gs reassign ops=%d t=%.3gs\n",
 					b.RepartitionOps, b.RefineOps, b.RepartitionTime, b.ReassignOps, b.ReassignTime)
-				fmt.Printf("         remap ops=%d execT=%.3gs", b.RemapOps, b.RemapExecTime)
 				if b.Accepted {
-					fmt.Printf(" pack=%.3gs comm=%.3gs rebuild=%.3gs setups=%d setupT=%.3gs peak=%d/%d words",
+					fmt.Printf("         remap pack=%.3gs comm=%.3gs rebuild=%.3gs setups=%d setupT=%.3gs peak=%d/%d words\n",
 						b.Remap.PackTime, b.Remap.CommTime, b.Remap.RebuildTime, b.Remap.Setups, b.Remap.SetupTime,
 						b.Remap.PeakWords, b.Remap.Moved*par.RecordWords)
 				}
-				fmt.Println()
 				if cfg.Overlap {
 					fmt.Printf("         overlap hidden=%.3gs cost full=%.3gs exposed=%.3gs\n", b.OverlapTime, b.CostFull, b.Cost)
 				}

@@ -11,14 +11,14 @@
 // the remap as the machine clock will charge it: the mapping's (source,
 // destination, elements) flows priced by par.ChargeRemap, the function
 // the executor charges every executed remap with — each rank's pack, wire
-// and rebuild time, the slowest rank's total — plus the repartition,
-// reassignment and remap-execution overheads. The remap term is the
-// clock's own: when an accepted pass executes without faults, its
-// Remap.Total equals the predicted Total bit for bit. The overheads are
-// priced beside it, and the remap-execution term is the decision's alone:
-// the clock does not charge it, and its record fill and drain are the
-// same volume the remap term's pack and rebuild already price. The paper's
-// total-volume formula, C·M·Tlat + N·Tsetup, is reported beside it
+// and rebuild time, the slowest rank's total — plus the repartition and
+// reassignment overheads, each its work on the machine model. The remap
+// term is the clock's own: when an accepted pass executes without faults,
+// its Remap.Total equals the predicted Total bit for bit; its pack and
+// rebuild are the remap's execution, so nothing prices that twice. Every
+// charge is a function of the mesh, P and the machine model: the host's
+// worker count moves no modeled number. The paper's total-volume
+// formula, C·M·Tlat + N·Tsetup, is reported beside it
 // (BalanceReport.CostPaper); it prices every flow as if one rank sent
 // them all, which at thousands of ranks overstates the remap by two
 // orders of magnitude and rejects passes worth their cost.
@@ -68,12 +68,8 @@ type Config struct {
 	// Seed drives any randomized components.
 	Seed int64
 	// Workers bounds the host's goroutines in the SPL and
-	// classification scans and the propagation frontier; the host
-	// partitions and refines serially. On the modeled
-	// clock it moves exactly two prices, each a critical path across
-	// Workers: RepartitionTime (curve methods only) and RemapExecTime,
-	// and through them the acceptance rule's cost side. Every op count
-	// and every assignment is identical at every worker count. ≤ 0 means
+	// classification scans and the propagation frontier. It is a host
+	// knob only: no report, trace or metric depends on it. ≤ 0 means
 	// runtime.GOMAXPROCS.
 	Workers int
 	// Exchange names the remap payload exchange schedule: "flat" (one
@@ -92,10 +88,10 @@ type Config struct {
 	// is rejected by New.
 	SolverIters int
 	// Overlap hides the balance pipeline behind the solver, the paper's
-	// latency-tolerance argument: the repartition + reassignment +
-	// remap-execution critical path runs concurrently with the modeled
-	// solver iterations on the machine clock, and the acceptance rule
-	// charges only the exposed (post-overlap) cost. False keeps the
+	// latency-tolerance argument: the repartition + reassignment
+	// pipeline runs concurrently with the modeled solver iterations on
+	// the machine clock, and the acceptance rule charges only the exposed
+	// (post-overlap) cost. False keeps the
 	// paper-faithful strict barrier chain. Overlap only prices: the remap
 	// executes the same way either way, and the partitions, owners and
 	// moved elements are identical.
@@ -125,10 +121,9 @@ type Config struct {
 	// modeled timeline as the cycles run — solver, adaption phases,
 	// repartition, reassignment, remap execution with per-rank
 	// send/rebuild tracks, fault retries, checkpoints, crash recovery.
-	// Only worker-invariant quantities are recorded, so exports are
-	// byte-identical at every worker count. nil (the default) disables
-	// tracing: every emission on a nil trace returns at once and
-	// allocates nothing. Not safe for concurrent Frameworks; give each
+	// Exports are byte-identical at every worker count. nil (the
+	// default) disables tracing: every emission on a nil trace returns at
+	// once and allocates nothing. Not safe for concurrent Frameworks; give each
 	// its own Trace.
 	Trace *obs.Trace
 	// Metrics, when non-nil, accumulates framework counters and gauges
@@ -157,10 +152,10 @@ func DefaultConfig(p int) Config {
 // adaptor, (optionally) a proxy flow solver, and the one repartitioner
 // the balance pass and crash recovery share.
 type Framework struct {
-	// Cfg is the configuration New resolved: the method, seed and workers
-	// into the repartitioner, and the exchange, workers, fault plan and
-	// retry budget into D. Editing it later re-resolves
-	// none of them; build a new Framework from the changed Config.
+	// Cfg is the configuration New resolved: the method and seed into the
+	// repartitioner, and the exchange, workers, fault plan and retry
+	// budget into D. Editing it later re-resolves none of them; build a
+	// new Framework from the changed Config.
 	Cfg Config
 	M   *mesh.Mesh
 	G   *dual.Graph
@@ -240,7 +235,7 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	}
 	// The initial partition is not charged: the first balance pass pays
 	// for the curve order it reuses.
-	fw.part = partition.NewRepartitioner(g, cfg.Method, partition.Options{Workers: cfg.Workers, Seed: cfg.Seed})
+	fw.part = partition.NewRepartitioner(g, cfg.Method, partition.Options{Seed: cfg.Seed})
 	d := par.NewDist(m, cfg.P, fw.part.Initial(cfg.P))
 	d.Workers = cfg.Workers // the SPL and classification scans share the knob
 	d.Exchange = exch       // the remap payload exchange schedule
@@ -365,8 +360,9 @@ type BalanceReport struct {
 	// Objective is the mapper's 𝒥. The cost model's C (elements moved)
 	// and N (element sets moved) are Predicted.Moved and Predicted.Sets.
 	Objective int64
-	// RepartitionOps is the partitioner's work including refinement.
-	// Every backend reports nonzero work.
+	// RepartitionOps is the partitioner's work including refinement,
+	// the survivor repartition's included on a Recovered pass. Every
+	// backend reports nonzero work.
 	RepartitionOps int64
 	// RefineOps is the memory-bound refinement share of RepartitionOps
 	// (multilevel's classic FM sweeps, the one refiner a partitioner
@@ -374,26 +370,15 @@ type BalanceReport struct {
 	// (key encoding, sorts, curve cuts, eigen-solves) is charged at
 	// Model.CompOp.
 	RefineOps int64
-	// RepartitionTime is the modeled wall clock of the repartition: the
-	// partitioner's critical path priced by machine.Ops.Time. Only the
-	// curve methods model a parallel pipeline (across Config.Workers);
-	// for the others it prices RepartitionOps.
+	// RepartitionTime is the modeled wall clock of the repartition:
+	// each proposal's partitioner work priced by machine.Ops.Time, the
+	// duration of its repartition span.
 	RepartitionTime float64
 	// ReassignOps and ReassignTime describe the mapper's work
-	// (similarity-matrix scans: memory-bound, charged at Model.MemOp).
+	// (similarity-matrix scans: memory-bound, charged at Model.MemOp),
+	// the survivor reassignment's included on a Recovered pass.
 	ReassignOps  int64
 	ReassignTime float64
-	// RemapOps is the remap execution's modeled work — the mover scan,
-	// the flow bookkeeping, and packing and unpacking the records
-	// (par.PredictRemapOps of the mapping's C and N). It is computed
-	// before the gain/cost decision, so RemapExecTime sits on the
-	// acceptance rule's cost side next to the repartition and
-	// reassignment overheads.
-	RemapOps int64
-	// RemapExecTime is the modeled wall clock of that execution: its
-	// critical path across Config.Workers, the memory-bound share at
-	// Model.MemOp, the compute-bound remainder at Model.CompOp.
-	RemapExecTime float64
 	// Gain and Cost are the two sides of the acceptance test; Accepted
 	// reports whether the remap was executed. Cost is the *exposed* cost:
 	// CostFull minus OverlapTime. Without overlap the two are equal.
@@ -407,9 +392,8 @@ type BalanceReport struct {
 	Gain, Cost float64
 	Accepted   bool
 	// CostFull is the serial (non-overlapped) cost side: Predicted.Total
-	// plus the pipeline — the measured repartition, reassignment and
-	// remap-execution overheads. It is what the acceptance rule charges
-	// when Config.Overlap is off.
+	// plus the pipeline, the repartition and reassignment overheads. It is
+	// what the acceptance rule charges when Config.Overlap is off.
 	CostFull float64
 	// Predicted is the remap the rule priced: par.ChargeRemap of the
 	// mapping's flows, the slowest rank's pack, wire and rebuild time on
@@ -424,10 +408,9 @@ type BalanceReport struct {
 	// over many ranks, by 157× and 170× on the two remaps of
 	// `plum -p 2048 -partitioner hilbert -cycles 3`.
 	CostPaper float64
-	// OverlapTime is the portion of the balance pipeline's critical path
-	// (repartition + reassignment + remap execution) hidden behind the
-	// cycle's modeled solver iterations when Config.Overlap is on:
-	// min(SolverTime, pipeline). The predicted remap itself stays
+	// OverlapTime is the portion of the balance pipeline (repartition +
+	// reassignment) hidden behind the cycle's modeled solver iterations
+	// when Config.Overlap is on: min(SolverTime, pipeline). The predicted remap itself stays
 	// exposed — element state can only move once the overlapped
 	// iterations have finished with it. Zero when overlap is off or when
 	// Balance runs outside a cycle (no solve to hide behind).
@@ -457,18 +440,17 @@ type BalanceReport struct {
 	// and exchanged onto the P−|crashed| survivors through the ordinary
 	// remap executor, with its machine-model charges (ChargeFlows under
 	// the configured exchange schedule) intact. Zero unless Outcome is
-	// Recovered. It is the only charge of the recovery: the survivor
-	// repartition and reassignment that planned it are not charged
-	// anywhere (a known under-charge).
+	// Recovered. The survivor repartition and reassignment that planned
+	// it are charged into RepartitionOps/Time and ReassignOps/Time.
 	Recovery par.RemapResult
 }
 
 // PipelineTime is the balance pipeline's overhead on the cost side:
-// RepartitionTime + ReassignTime + RemapExecTime, added in that order.
-// CostFull charges it beside Predicted.Total, and with Config.Overlap it
-// is what may hide behind the solver (OverlapTime).
+// RepartitionTime + ReassignTime. CostFull charges it beside
+// Predicted.Total, and with Config.Overlap it is what may hide behind the
+// solver (OverlapTime).
 func (b *BalanceReport) PipelineTime() float64 {
-	return b.RepartitionTime + b.ReassignTime + b.RemapExecTime
+	return b.RepartitionTime + b.ReassignTime
 }
 
 // Balance runs the repartitioning / reassignment / cost-decision /
@@ -530,17 +512,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 		return rep, err
 	}
 	rep.Objective = pr.objective
-	rep.RepartitionOps = pr.partOps.Total
-	rep.RefineOps = pr.partOps.Mem
-	rep.RepartitionTime = pr.partCrit.Time(f.Cfg.Model)
-	traceRepartition(tr, f.Cfg.Model, pr.partOps, len(alive)*f.Cfg.F)
-	rep.ReassignOps = pr.mapOps
-	rep.ReassignTime = float64(pr.mapOps) * f.Cfg.Model.MemOp
-	// The mapper's similarity scans run serially, so ReassignTime is
-	// already worker-invariant.
-	tr.Span(obs.FrameworkRank, "reassign", tr.Now(), rep.ReassignTime,
-		obs.Int("ops", pr.mapOps), obs.Int("objective", rep.Objective))
-	tr.Advance(rep.ReassignTime)
+	f.charge(&rep, pr, len(alive))
 
 	newLoads := pr.loads(f.G.Wcomp, rep.Alive)
 	rep.WmaxNew = slices.Max(newLoads)
@@ -551,17 +523,12 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// flows, mapped back from survivor positions to ranks through alive:
 	// the slowest rank's pack + wire + rebuild, which is the executed
 	// Remap.Total bit for bit on the fault-free path. The cost side also
-	// carries the measured balancing overhead (repartition + reassignment
-	// + remap-execution ops) — negligible for the incremental SFC path,
-	// which is the point of modeling it. The remap execution's work is
-	// predicted from the mapping's C and N (exactly the
-	// quantities ExecuteRemap will report).
+	// carries the balancing overhead (repartition + reassignment work) —
+	// negligible for the incremental SFC path, which is the point of
+	// modeling it.
 	rep.Predicted = par.ChargeRemap(f.Cfg.Model, f.D.Exchange, f.Cfg.P, pr.flows(alive))
 	moved, sets := rep.Predicted.Moved, rep.Predicted.Sets
 	rep.CostPaper = redistCost(f.Cfg.Model, f.D.Exchange, rep.Alive, moved, sets)
-	remapOps, remapCrit := par.PredictRemapOps(len(f.M.Elems), moved, sets, f.Cfg.P, f.Cfg.Workers)
-	rep.RemapOps = remapOps.Total
-	rep.RemapExecTime = remapCrit.Time(f.Cfg.Model)
 	rep.Gain = f.Cfg.Cost.Gain(rep.WmaxOld, rep.WmaxNew)
 	pipeline := rep.PipelineTime()
 	rep.CostFull = rep.Predicted.Total + pipeline
@@ -573,9 +540,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	}
 	rep.Cost = rep.CostFull - rep.OverlapTime
 	// The decision compares the reported quantities themselves, so the
-	// report can never drift from it. The cost side prices two critical
-	// paths that depend on the worker knob, so the trace records only the
-	// worker-invariant inputs and the verdict.
+	// report can never drift from it.
 	rep.Accepted = rep.Gain > rep.Cost
 	tr.Event("info", "remap.decide",
 		obs.Float("gain", rep.Gain), obs.Int("moved", moved), obs.Int("sets", int64(sets)),
@@ -640,7 +605,6 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 type proposal struct {
 	part      partition.Assignment
 	partOps   machine.Ops // the partitioner's work
-	partCrit  machine.Ops // and its critical path
 	sim       *remap.Similarity
 	mapping   remap.Mapping
 	objective int64
@@ -654,10 +618,26 @@ type proposal struct {
 // mapper.
 func (f *Framework) propose(alive []int32) (proposal, error) {
 	var pr proposal
-	pr.part, pr.partOps, pr.partCrit = f.part.Repartition(len(alive) * f.Cfg.F)
+	pr.part, pr.partOps = f.part.Repartition(len(alive) * f.Cfg.F)
 	pr.sim = remap.Build(f.compactOwners(alive), pr.part, f.G.Wremap, len(alive), f.Cfg.F)
 	pr.mapping, pr.objective, pr.mapOps = pr.sim.Heuristic()
 	return pr, pr.sim.Validate(pr.mapping)
+}
+
+// charge adds the proposal's repartition and reassignment over the given
+// survivor count to the pass's ops and times, and records each as a span
+// of its work's price, advancing the cursor past both.
+func (f *Framework) charge(rep *BalanceReport, pr proposal, alive int) {
+	tr, mdl := f.Cfg.Trace, f.Cfg.Model
+	rep.RepartitionOps += pr.partOps.Total
+	rep.RefineOps += pr.partOps.Mem
+	rep.RepartitionTime += traceRepartition(tr, mdl, pr.partOps, alive*f.Cfg.F)
+	reassign := float64(pr.mapOps) * mdl.MemOp
+	rep.ReassignOps += pr.mapOps
+	rep.ReassignTime += reassign
+	tr.Span(obs.FrameworkRank, "reassign", tr.Now(), reassign,
+		obs.Int("ops", pr.mapOps), obs.Int("objective", pr.objective))
+	tr.Advance(reassign)
 }
 
 // loads returns the projected loads of the n survivors under the
@@ -728,10 +708,10 @@ func (f *Framework) compactOwners(alive []int32) []int32 {
 // are all pure functions of (plan, cycle, survivors), so the recovered
 // state is byte-identical at any worker count and across repeat runs.
 //
-// The survivor repartition and reassignment run through propose like a
-// balance pass's, but their op counts are dropped: rep.Recovery charges
-// only the survivor remap. The repartitioner needs no reset for the
-// smaller k, since nothing it caches depends on k.
+// The survivor repartition and reassignment run through propose and are
+// charged like a balance pass's, on top of the failed proposal's: the
+// pass paid for both. The repartitioner needs no reset for the smaller
+// k, since nothing it caches depends on k.
 func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	rep.Accepted = false
 	rep.Outcome = OutcomeRecovered
@@ -762,6 +742,7 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	if err != nil {
 		return err
 	}
+	f.charge(rep, pr, len(alive))
 	res, err := f.D.ExecuteRemapRecovery(pr.owners(alive), f.Cfg.Model)
 	if err != nil {
 		return fmt.Errorf("core: survivor recovery after crash of %v failed: %w", re.Crashed, err)
@@ -819,9 +800,9 @@ func (e *CoarsenMarksError) Error() string {
 // marking via the supplied function, parallel mesh refinement (a coarsen
 // mark fails the cycle with a *CoarsenMarksError before the mesh changes),
 // solution transfer, and the balance pipeline. With Config.Overlap on,
-// the balance pipeline's CPU-side critical path is modeled as running
-// concurrently with the solver iterations, and the acceptance rule
-// charges only the exposed remainder.
+// the balance pipeline's repartition and reassignment are modeled as
+// running concurrently with the solver iterations, and the acceptance
+// rule charges only the exposed remainder.
 func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 	var rep CycleReport
 	// Scope this cycle's fault keys: the adaption exchanges and the remap

@@ -9,8 +9,10 @@ import (
 
 	"plum/internal/adapt"
 	"plum/internal/geom"
+	"plum/internal/machine"
 	"plum/internal/mesh"
 	"plum/internal/meshgen"
+	"plum/internal/obs"
 	"plum/internal/partition"
 	"plum/internal/solver"
 )
@@ -327,11 +329,11 @@ func TestImprovementBound(t *testing.T) {
 }
 
 // TestBalanceChargesEveryPartitioner pins the honest-cost contract closed
-// by the parallel-SFC PR: after a repartition, every backend — graph and
-// SFC alike — reports nonzero total and critical-path op counts, and the
-// modeled repartitioning time lands on the cost side of the acceptance
-// rule. The refinement share tells the methods apart, so a framework
-// that ran another method than its Config names fails here.
+// for every partitioner: after a repartition, every backend — graph and
+// SFC alike — reports nonzero work, its modeled repartitioning time is
+// that work priced by machine.Ops.Time, and it lands on the cost side of
+// the acceptance rule. The refinement share tells the methods apart, so a
+// framework that ran another method than its Config names fails here.
 func TestBalanceChargesEveryPartitioner(t *testing.T) {
 	for _, meth := range partition.Methods {
 		cfg := DefaultConfig(8)
@@ -356,26 +358,20 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 		if refines := meth == partition.MethodMultilevel; refines != (rep.RefineOps > 0) {
 			t.Errorf("%v: refine ops %d: the pass did not run this method", meth, rep.RefineOps)
 		}
-		if rep.RepartitionTime <= 0 {
-			t.Errorf("%v: repartition time not charged", meth)
-		}
-		// The remap execution's work is predicted before the
-		// decision and sits on the cost side too.
-		if rep.RemapOps <= 0 {
-			t.Errorf("%v: bad remap ops %d", meth, rep.RemapOps)
-		}
-		if rep.RemapExecTime <= 0 {
-			t.Errorf("%v: remap execution time not charged", meth)
+		work := machine.Ops{Total: rep.RepartitionOps, Mem: rep.RefineOps}
+		if rep.RepartitionTime <= 0 || rep.RepartitionTime != work.Time(f.Cfg.Model) {
+			t.Errorf("%v: repartition time %.17g, want its work priced, %.17g",
+				meth, rep.RepartitionTime, work.Time(f.Cfg.Model))
 		}
 		// The acceptance rule must see the whole balancing overhead: the
 		// reported cost is, bit for bit, the predicted remap (the
 		// executor's own per-rank charge of the mapping's flows) +
-		// repartition + reassignment + remap execution. The paper's
-		// total-volume formula is reported beside it, not charged.
+		// repartition + reassignment. The paper's total-volume formula is
+		// reported beside it, not charged.
 		if pr := rep.Predicted; pr.Total <= 0 || pr.Moved <= 0 || pr.Sets <= 0 {
 			t.Errorf("%v: predicted remap %+v prices no movement", meth, pr)
 		}
-		wantCost := rep.Predicted.Total + (rep.RepartitionTime + rep.ReassignTime + rep.RemapExecTime)
+		wantCost := rep.Predicted.Total + (rep.RepartitionTime + rep.ReassignTime)
 		if rep.Cost != wantCost {
 			t.Errorf("%v: cost %.17g is not the predicted remap plus the balancing overhead (want %.17g)",
 				meth, rep.Cost, wantCost)
@@ -390,8 +386,7 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 // split: the refinement share of the repartition ops is reported
 // separately, charged at Model.MemOp, and the compute-bound remainder at
 // Model.CompOp, with RepartitionTime their exact sum. It runs multilevel,
-// the one method whose repartition has a Mem share; it runs serially, so
-// its critical path is its work.
+// the one method whose repartition has a Mem share.
 func TestBalanceSplitsMemCompTime(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Method = partition.MethodMultilevel
@@ -426,11 +421,9 @@ func TestBalanceSplitsMemCompTime(t *testing.T) {
 // TestBalanceWorkerCountInvariance runs the full SFC pipeline at several
 // worker counts and demands identical ownership — the framework-level
 // restatement of the curve order's determinism guarantee — an accepted
-// remap that improves balance, and the same BalanceReport but for the
-// five worker-priced seconds. It holds on a small mesh and on a dual graph
-// of at least 1<<12 vertices, where the curve build's critical path is
-// divided across the workers at workers > 1 and is the work at
-// workers = 1.
+// remap that improves balance, and the same BalanceReport, every modeled
+// second included. It holds on a small mesh and on a dual graph of at
+// least 1<<12 vertices, where the host's chunked scans run in parallel.
 func TestBalanceWorkerCountInvariance(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -477,22 +470,47 @@ func TestBalanceWorkerCountInvariance(t *testing.T) {
 				t.Errorf("%s workers=%d: ownership diverges from workers=%d",
 					tc.name, workers, tc.workers[0])
 			}
-			if a, b := workerInvariant(rep), workerInvariant(refRep); !reflect.DeepEqual(a, b) {
+			if !reflect.DeepEqual(rep, refRep) {
 				t.Errorf("%s workers=%d: BalanceReport differs from workers=%d:\n got %+v\nwant %+v",
-					tc.name, workers, tc.workers[0], a, b)
+					tc.name, workers, tc.workers[0], rep, refRep)
 			}
 		}
 	}
 }
 
-// workerInvariant strips a BalanceReport of the five seconds that depend
-// on the worker count by design: the two prices of a critical path across
-// Config.Workers (RepartitionTime, RemapExecTime) and the cost terms that
-// add them up. Every other field is identical at every worker count.
-func workerInvariant(b BalanceReport) BalanceReport {
-	b.RepartitionTime, b.RemapExecTime = 0, 0
-	b.Cost, b.CostFull, b.OverlapTime = 0, 0, 0
-	return b
+// TestRepartitionSpanIsCharged pins the trace and the report to one
+// price: on the hilbert curve, at one worker and at four, the traced
+// repartition span lasts exactly the pass's RepartitionTime.
+func TestRepartitionSpanIsCharged(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		tr := obs.NewTrace()
+		cfg := DefaultConfig(8)
+		cfg.Method = partition.MethodHilbertSFC
+		cfg.Workers = workers
+		cfg.Trace = tr
+		f, err := New(meshgen.Box(9, 9, 9, geom.Vec3{X: 1, Y: 1, Z: 1}), nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
+		f.A.Refine()
+		rep, err := f.Balance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Repartitioned {
+			t.Fatalf("workers=%d: fixture did not repartition", workers)
+		}
+		var spans []float64
+		for _, sp := range tr.Spans() {
+			if sp.Stage == "repartition" {
+				spans = append(spans, sp.Dur)
+			}
+		}
+		if len(spans) != 1 || spans[0] != rep.RepartitionTime {
+			t.Errorf("workers=%d: repartition spans %v, report charges %.17g", workers, spans, rep.RepartitionTime)
+		}
+	}
 }
 
 // TestMultilevelRotorStaysBalanced pins the plum CLI's default run at

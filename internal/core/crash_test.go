@@ -8,6 +8,7 @@ import (
 	"plum/internal/fault"
 	"plum/internal/geom"
 	"plum/internal/meshgen"
+	"plum/internal/partition"
 )
 
 // runCrashScenario is runFaultScenario plus the framework itself, so
@@ -92,10 +93,8 @@ func TestCrashZeroRateParity(t *testing.T) {
 // TestCycleCrashRecovery drives crash-seed sweeps through the full
 // pipeline: a cycle that loses a rank must complete with
 // OutcomeRecovered, every element survivor-owned and the weight
-// conserved, with ownership and every report (but the five
-// worker-priced seconds, see workerInvariant) byte-identical at workers
-// 1, 2, 4, and 8, and whole reports across repeat runs, on both
-// executors.
+// conserved, with ownership and every report byte-identical at workers
+// 1, 2, 4, and 8 and across repeat runs, on both executors.
 func TestCycleCrashRecovery(t *testing.T) {
 	const cycles = 4
 	for _, overlap := range []bool{false, true} {
@@ -122,7 +121,6 @@ func TestCycleCrashRecovery(t *testing.T) {
 							t.Errorf("overlap=%v seed=%d cycle %d: recovery moved nothing", overlap, seed, i)
 						}
 					}
-					reps[i].Balance = workerInvariant(rep.Balance)
 				}
 				if recovered == 0 {
 					t.Fatalf("overlap=%v seed=%d workers=%d: no cycle recovered from a crash", overlap, seed, w)
@@ -152,6 +150,37 @@ func TestCycleCrashRecovery(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecoveryIsCharged pins crash recovery's charge: a Recovered pass
+// ran two proposals, the failed one over every rank alive before the
+// crash and the survivor one, and its RepartitionOps and RepartitionTime
+// are both proposals' work, each priced by machine.Ops.Time. Multilevel
+// caches nothing, so a one-shot partition of the same weights is each
+// proposal's work.
+func TestRecoveryIsCharged(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Faults = &fault.Plan{Seed: 1, Rate: 0.1, Kinds: []fault.Kind{fault.Crash}}
+	for cycles := 1; cycles <= 4; cycles++ {
+		reps, _, f := runCrashScenario(t, cfg, cycles)
+		b := reps[cycles-1].Balance
+		if b.Outcome != OutcomeRecovered {
+			continue
+		}
+		var ops int64
+		var want float64
+		for _, alive := range []int{b.Alive + len(b.CrashedRanks), b.Alive} {
+			_, work := partition.PartitionCounted(f.G, alive*cfg.F, cfg.Method, partition.Options{Seed: cfg.Seed})
+			ops += work.Total
+			want += work.Time(cfg.Model)
+		}
+		if b.RepartitionOps != ops || b.RepartitionTime != want {
+			t.Errorf("cycle %d: recovered pass charged %d ops in %.17gs, want both proposals' %d ops in %.17gs",
+				cycles, b.RepartitionOps, b.RepartitionTime, ops, want)
+		}
+		return
+	}
+	t.Fatal("no cycle recovered from a crash")
 }
 
 // TestCycleCrashWithMessageFaults mixes rank deaths with message faults:

@@ -72,7 +72,7 @@ func TestPredictedRemapIsExecuted(t *testing.T) {
 						pr.WordsMoved != ex.WordsMoved || pr.Moved != ex.Moved || pr.Sets != ex.Sets {
 						t.Errorf("%s cycle %d: predicted remap %+v, executed %+v", name, cyc, pr, ex)
 					}
-					if b.CostFull != pr.Total+(b.RepartitionTime+b.ReassignTime+b.RemapExecTime) {
+					if b.CostFull != pr.Total+(b.RepartitionTime+b.ReassignTime) {
 						t.Errorf("%s cycle %d: CostFull %.17g does not charge the predicted remap %.17g",
 							name, cyc, b.CostFull, pr.Total)
 					}

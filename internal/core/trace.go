@@ -12,13 +12,8 @@ import (
 // attributes it keeps, so an emission on a nil trace allocates nothing
 // (TestTraceDisabledIsFree pins this with testing.AllocsPerRun).
 //
-// Recorded quantities are exclusively worker-invariant: op counts,
-// modeled phase times from the canonical flow layout, moved counts,
-// imbalances, outcomes. The two critical-path prices (RepartitionTime,
-// RemapExecTime) legitimately depend on the worker knob and NEVER appear
-// in a span or metric — the repartition span prices the partitioner's
-// work serially instead — which is what keeps exports byte-identical at
-// any worker count (TestTraceWorkerParity).
+// No modeled quantity depends on the worker knob, so exports are
+// byte-identical at any worker count (TestTraceWorkerParity).
 
 // traceAdapt records the adaption pass: phase children laid end to end
 // under an enclosing span of the pass's modeled total, then advances
@@ -37,13 +32,14 @@ func traceAdapt(tr *obs.Trace, tm par.AdaptTimings) {
 	tr.Advance(tm.Total)
 }
 
-// traceRepartition records the repartitioning stage, priced serially
-// from its work, and advances the cursor.
-func traceRepartition(tr *obs.Trace, mdl machine.Model, work machine.Ops, parts int) {
+// traceRepartition records the repartitioning stage, priced from its
+// work, advances the cursor, and returns the price.
+func traceRepartition(tr *obs.Trace, mdl machine.Model, work machine.Ops, parts int) float64 {
 	dur := work.Time(mdl)
 	tr.Span(obs.FrameworkRank, "repartition", tr.Now(), dur,
 		obs.Int("parts", int64(parts)), obs.Int("ops", work.Total), obs.Int("mem_ops", work.Mem))
 	tr.Advance(dur)
+	return dur
 }
 
 // remapStages names an executed remap's enclosing span and its three
@@ -75,8 +71,7 @@ func traceRemapExec(tr *obs.Trace, st remapStages, res *par.RemapResult) {
 }
 
 // recordCycleMetrics accumulates one completed cycle's counters and
-// gauges. Every figure is worker-invariant, so metrics dumps are
-// byte-identical at any worker count.
+// gauges.
 func recordCycleMetrics(reg *obs.Registry, f *Framework, rep *CycleReport) {
 	if reg == nil {
 		return
@@ -93,7 +88,6 @@ func recordCycleMetrics(reg *obs.Registry, f *Framework, rep *CycleReport) {
 		reg.Inc("plum_repartitions_total")
 		reg.Add("plum_ops_total{stage=\"repartition\"}", float64(b.RepartitionOps))
 		reg.Add("plum_ops_total{stage=\"reassign\"}", float64(b.ReassignOps))
-		reg.Add("plum_ops_total{stage=\"remap\"}", float64(b.RemapOps))
 		if b.Accepted {
 			reg.Inc("plum_remaps_accepted_total")
 			reg.Add("plum_elements_moved_total", float64(b.Remap.Moved))

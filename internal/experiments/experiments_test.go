@@ -291,7 +291,7 @@ func TestTableStringsStable(t *testing.T) {
 	}
 
 	ov := &OverlapTable{Rows: []OverlapRow{
-		{P: 8, Workers: 1, Solver: 0.5, Pipeline: 0.1, Redist: 0.4,
+		{P: 8, Solver: 0.5, Pipeline: 0.1, Redist: 0.4,
 			CritBulk: 1, CritOverlap: 0.9, Hidden: 0.1, Speedup: 1.11,
 			PeakWords: 100, TotalWords: 600, Accepted: true},
 	}}

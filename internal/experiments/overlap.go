@@ -9,16 +9,15 @@ import (
 	"plum/internal/partition"
 )
 
-// OverlapRow is one (P, workers) cycle's overlap anatomy.
+// OverlapRow is one P's overlapped cycle anatomy.
 type OverlapRow struct {
-	P, Workers int
+	P int
 	// Solver is the modeled time of the cycle's solver iterations — the
 	// window the balance pipeline may hide behind.
 	Solver float64
-	// Pipeline is the CPU-side balance critical path (repartition +
-	// reassignment + remap execution); Redist the predicted remap (the
-	// slowest rank's pack + wire + rebuild, par.ChargeRemap), which stays
-	// exposed.
+	// Pipeline is the repartition + reassignment; Redist the predicted
+	// remap (the slowest rank's pack + wire + rebuild, par.ChargeRemap),
+	// which stays exposed.
 	Pipeline, Redist float64
 	// CritBulk and CritOverlap are the cycle's modeled critical path with
 	// the strict barrier chain (solver + full cost) and with overlap
@@ -37,57 +36,43 @@ type OverlapRow struct {
 // pipeline the solver iterations hide and how far the windowed remap
 // keeps its largest window below the whole payload, on the
 // Local_2-adapted paper mesh with the incremental Hilbert repartitioner.
-// The workers axis shows the pipeline's per-worker pricing: the curve
-// charge and the remap-execution price are critical paths across the
-// worker knob, so pipe, crit bulk and speedup (and, where the pipeline
-// outgrows the solve, hidden and crit ovlp) differ between wk 1 and 4,
-// while solver, redist and the word columns are the same at every worker
-// count.
 type OverlapTable struct {
 	Rows []OverlapRow
 }
 
 // RunOverlapTable runs one overlapped cycle (Hilbert repartitioner,
-// Local_2 refinement, Config.Overlap on) per processor count and worker
-// knob and reports the overlap anatomy. workers > 0 pins a single worker
-// count; ≤ 0 sweeps workers 1 and 4.
-func RunOverlapTable(workers int) *OverlapTable {
-	axis := []int{1, 4}
-	if workers > 0 {
-		axis = []int{workers}
-	}
+// Local_2 refinement, Config.Overlap on) per processor count and reports
+// the overlap anatomy.
+func RunOverlapTable() *OverlapTable {
 	out := &OverlapTable{}
 	for _, p := range ProcCounts {
 		if p < 8 {
 			continue // too little imbalance to repartition
 		}
-		for _, w := range axis {
-			cfg := core.DefaultConfig(p)
-			cfg.Method = partition.MethodHilbertSFC
-			cfg.Workers = w
-			cfg.Overlap = true
-			_, reps := runCycles(BaseMesh(), cfg, 1, func(_ int, a *adapt.Adaptor) {
-				a.MarkStrategyRefine(adapt.Local2, Seed)
-			})
-			rep := reps[0]
-			b := rep.Balance
-			row := OverlapRow{
-				P: p, Workers: w,
-				Solver:   rep.SolverTime,
-				Pipeline: b.PipelineTime(),
-				Accepted: b.Accepted,
-			}
-			row.Redist = b.Predicted.Total
-			row.CritBulk = rep.SolverTime + b.CostFull
-			row.CritOverlap = rep.SolverTime + b.Cost
-			row.Hidden = b.OverlapTime
-			if row.CritOverlap > 0 {
-				row.Speedup = row.CritBulk / row.CritOverlap
-			}
-			row.PeakWords = b.Remap.PeakWords
-			row.TotalWords = b.Remap.Moved * par.RecordWords
-			out.Rows = append(out.Rows, row)
+		cfg := core.DefaultConfig(p)
+		cfg.Method = partition.MethodHilbertSFC
+		cfg.Overlap = true
+		_, reps := runCycles(BaseMesh(), cfg, 1, func(_ int, a *adapt.Adaptor) {
+			a.MarkStrategyRefine(adapt.Local2, Seed)
+		})
+		rep := reps[0]
+		b := rep.Balance
+		row := OverlapRow{
+			P:        p,
+			Solver:   rep.SolverTime,
+			Pipeline: b.PipelineTime(),
+			Redist:   b.Predicted.Total,
+			CritBulk: rep.SolverTime + b.CostFull,
+			Hidden:   b.OverlapTime,
+			Accepted: b.Accepted,
 		}
+		row.CritOverlap = rep.SolverTime + b.Cost
+		if row.CritOverlap > 0 {
+			row.Speedup = row.CritBulk / row.CritOverlap
+		}
+		row.PeakWords = b.Remap.PeakWords
+		row.TotalWords = b.Remap.Moved * par.RecordWords
+		out.Rows = append(out.Rows, row)
 	}
 	return out
 }
@@ -95,10 +80,10 @@ func RunOverlapTable(workers int) *OverlapTable {
 // String renders the anatomy table.
 func (t *OverlapTable) String() string {
 	tb := newTable("Overlapped cycle anatomy on the Local_2-adapted mesh (Hilbert repartitioner, SP2 model)")
-	tb.row("P", "wk", "solver (s)", "pipe (s)", "redist (s)",
+	tb.row("P", "solver (s)", "pipe (s)", "redist (s)",
 		"crit bulk", "crit ovlp", "hidden (s)", "speedup", "peak wds", "total wds")
 	for _, r := range t.Rows {
-		tb.row(r.P, r.Workers,
+		tb.row(r.P,
 			fmt.Sprintf("%.4g", r.Solver), fmt.Sprintf("%.4g", r.Pipeline), fmt.Sprintf("%.4g", r.Redist),
 			fmt.Sprintf("%.4g", r.CritBulk), fmt.Sprintf("%.4g", r.CritOverlap), fmt.Sprintf("%.4g", r.Hidden),
 			fmt.Sprintf("%.3f", r.Speedup), r.PeakWords, r.TotalWords)

@@ -1,15 +1,13 @@
 package machine
 
 // Ops is the abstract work accounting every counted stage reports —
-// partitioning, boundary refinement, frontier propagation, the adaption
-// passes and the remap execution: Total is the op count of the whole
+// partitioning, boundary refinement, frontier propagation and the
+// adaption passes: Total is the op count of the whole
 // stage, and Mem the memory-bound slice of it (adjacency chasing, gain
 // scatter, record copies), charged at Model.MemOp; the compute-bound
 // remainder (key encoding, sorts, eigen-solves, pattern scans) is charged
 // at Model.CompOp. It counts work, not a schedule, so it is the same at
-// every worker count. The two stages the model runs as a parallel
-// pipeline, the curve partitioner's and the remap execution's, report
-// their critical path as a second Ops beside the work.
+// every worker count.
 type Ops struct {
 	Total, Mem int64
 }

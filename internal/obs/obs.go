@@ -6,10 +6,8 @@
 // The tracer records *modeled* time — the machine-model clock the balance
 // pipeline already computes per stage — not host wall time. Spans are
 // emitted in canonical program order from serial code (never inside
-// chunked worker loops), and every recorded quantity is worker-invariant
-// (op counts, modeled phase times, moved counts — never the two
-// critical-path prices, which legitimately depend on the worker knob), so
-// an exported trace is byte-identical at any worker count and GOMAXPROCS.
+// chunked worker loops), so an exported trace is byte-identical at any
+// worker count and GOMAXPROCS.
 //
 // Every method on Trace and Registry is safe on a nil receiver and does
 // nothing, so instrumented code needs no enabled-flag plumbing and no

@@ -113,14 +113,12 @@ type Dist struct {
 // SerialCutoff is the object count below which the chunked shared-object
 // scans (Init, RankLoads, the adaption passes) fall back to a serial
 // loop: under ~8k objects the chunk bookkeeping costs more than the
-// parallelism recovers. The remap execution's critical path
-// (PredictRemapOps) is its work below the cutoff.
+// parallelism recovers.
 const SerialCutoff = 1 << 13
 
 // EffectiveWorkers resolves the worker count a chunked scan actually runs
 // with: the knob (≤ 0 = GOMAXPROCS), clamped to 1 below SerialCutoff
-// objects and to n above it. It bounds the host's goroutines, and
-// PredictRemapOps divides the remap execution's chunked phases by it.
+// objects and to n above it. It bounds the host's goroutines.
 func EffectiveWorkers(n, workers int) int {
 	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
 }

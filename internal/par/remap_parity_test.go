@@ -90,29 +90,11 @@ func TestRemapResultDeterministic(t *testing.T) {
 	}
 }
 
-// TestRemapSerialFallbackCritEqualsTotal pins the critical path the
-// remap-execution price reads: below SerialCutoff elements a large worker
-// knob must not discount it — it equals the work — while a slab at the
-// cutoff is discounted.
+// TestRemapSerialFallbackCritEqualsTotal pins the serial fallback of the
+// chunked scans: below SerialCutoff elements a large worker knob resolves
+// to one worker.
 func TestRemapSerialFallbackCritEqualsTotal(t *testing.T) {
 	m := meshgen.SmallBox() // 384 elements: far below SerialCutoff
-	g := dual.Build(m)
-	d := NewDist(m, 4, partition.Partition(g, 4, partition.MethodInertial))
-	d.Workers = 8
-	newOwner := d.Owners()
-	for v := range newOwner {
-		newOwner[v] = (newOwner[v] + 1) % 4
-	}
-	res, err := d.ExecuteRemap(newOwner, machine.SP2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if work, crit := PredictRemapOps(len(m.Elems), res.Moved, res.Sets, d.P, 8); crit != work {
-		t.Errorf("serial fallback: critical path %+v != work %+v", crit, work)
-	}
-	if work, crit := PredictRemapOps(SerialCutoff, res.Moved, res.Sets, d.P, 8); crit.Total >= work.Total || crit.Mem >= work.Mem {
-		t.Errorf("parallel execution not discounted: critical path %+v vs work %+v", crit, work)
-	}
 	if ew := EffectiveWorkers(len(m.Elems), 8); ew != 1 {
 		t.Errorf("EffectiveWorkers(%d, 8) = %d, want 1", len(m.Elems), ew)
 	}

@@ -3,7 +3,6 @@ package par
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"plum/internal/fault"
@@ -274,40 +273,6 @@ func (d *Dist) crashRanks(plan *fault.Plan) []int {
 	return fated
 }
 
-// PredictRemapOps returns the machine's work for one remap execution, and
-// its critical path at the given worker knob, for a remap of moved element
-// records in sets flows over an nElems-entry element slab on p ranks. The
-// quantities are exactly the cost model's C (elements moved,
-// remap.MoveStats' first return) and N (element sets, its second), so the
-// framework prices the execution on the acceptance rule's cost side
-// before deciding whether to execute the remap. The ranks scan their
-// elements for movers and file each under its flow; the flow list is
-// merged and laid out; each record is packed and, on the receiving side,
-// unpacked. The critical path divides the scans and the record traffic by
-// the effective worker count, which is 1 below SerialCutoff elements, so
-// there it equals the work; like the curve charge's it is capped at the
-// work. Every term is linear in the slab, the moved records, the flows or
-// p — none in the p² pairs that could exist.
-func PredictRemapOps(nElems int, moved int64, sets, p, workers int) (work, crit machine.Ops) {
-	ew := int64(EffectiveWorkers(nElems, workers))
-	// The mover scan streams the element slab (compute-bound).
-	scan := int64(nElems)
-	// Every moved record looks its flow up twice, once to count it and
-	// once to file it: compute-bound.
-	lookups := 2 * moved
-	// The merge: sorting the flow list, its layout prefix sum, the
-	// per-rank send and receive lists, and the per-flow message and
-	// accounting bookkeeping: serial, compute-bound.
-	merge := 2*int64(p) + int64(sets)*int64(3+bits.Len(uint(sets)))
-	// Packing the records and unpacking them at the receiver each touch
-	// the moved volume once, memory-bound.
-	records := moved * recWords
-	work = machine.Ops{Total: scan + lookups + merge + 2*records, Mem: 2 * records}
-	critMem := 2 * machine.CeilDiv(records, ew)
-	critTotal := machine.CeilDiv(scan, ew) + machine.CeilDiv(lookups, ew) + merge + critMem
-	return work, machine.Ops{Total: min(critTotal, work.Total), Mem: min(critMem, work.Mem)}
-}
-
 // ChargeRemap prices a remap on the machine clock from its flows alone:
 // the flows in canonical (Src, Dst) order, elements per flow, on p ranks
 // under the exchange schedule x. It fills Moved, Sets, WordsMoved, the
@@ -334,8 +299,7 @@ func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 // perturbations the paper notes). One serial walk of the flows that exist
 // fills the per-rank sums — a rank's float charges accumulate in
 // ascending destination order, the canonical order of its flows — so the
-// work is O(sets + p) and the result cannot depend on the worker count
-// (PredictRemapOps charges this phase serially).
+// work is O(sets + p) and the result cannot depend on the worker count.
 //
 // When the exchange recovered injected faults, retries carries its
 // per-pair counters in the same canonical order — every message is a

@@ -13,8 +13,7 @@ import (
 // the coarse graph is partitioned spectrally, and the partition is
 // projected back up with boundary refinement at every level. The
 // refinement is boundary-driven FM (refine.FM), charged as serial
-// memory-bound work: the scheme is serial end to end, and opt.Workers
-// plays no part. It counts the matching and edge collapse of every
+// memory-bound work. It counts the matching and edge collapse of every
 // coarsening level, the spectral solve on the coarsest graph, and the
 // projection plus refinement of every uncoarsening level. opt.Seed
 // offsets the per-level matching RNG; seed 1 reproduces the historical

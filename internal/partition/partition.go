@@ -136,11 +136,8 @@ func MethodByName(name string) (Method, bool) {
 
 // Options configures a partitioning call.
 type Options struct {
-	// Workers is the worker count the curve methods' critical path
-	// divides their parallel phases across (see SFCPartitioner). It moves
-	// nothing else: the host partitions serially, multilevel and inertial
-	// ignore it, and assignments and work are identical at every value.
-	// ≤ 0 means runtime.GOMAXPROCS.
+	// Workers is unused: every partitioner runs serially and is charged
+	// its work. The benchmark module still sets it.
 	Workers int
 	// Seed drives the multilevel matching order. 0 is treated as 1, the
 	// historical default.
@@ -161,8 +158,7 @@ func Partition(g *dual.Graph, k int, m Method) Assignment {
 // a fresh Repartitioner, so a curve method's work includes building its
 // curve order.
 func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, machine.Ops) {
-	asg, work, _ := NewRepartitioner(g, m, opt).Repartition(k)
-	return asg, work
+	return NewRepartitioner(g, m, opt).Repartition(k)
 }
 
 // Repartitioner partitions one dual graph again and again with one
@@ -176,9 +172,7 @@ type Repartitioner struct {
 	method Method
 	opt    Options
 	sfc    *SFCPartitioner // the curve order; nil for the graph methods
-	// The curve build's work and critical path, until a Repartition pays
-	// them.
-	build, buildCrit machine.Ops
+	build  machine.Ops     // the curve build's work, until a Repartition pays it
 }
 
 // NewRepartitioner builds the repartitioner of g under method m, sorting
@@ -191,7 +185,7 @@ func NewRepartitioner(g *dual.Graph, m Method, opt Options) *Repartitioner {
 	r := &Repartitioner{g: g, method: m, opt: opt}
 	if c, ok := m.Curve(); ok {
 		r.sfc = NewSFCWorkers(g, c, opt.Workers)
-		r.build, r.buildCrit = r.sfc.BuildOps()
+		r.build = r.sfc.BuildOps()
 	}
 	return r
 }
@@ -199,40 +193,32 @@ func NewRepartitioner(g *dual.Graph, m Method, opt Options) *Repartitioner {
 // Initial returns the setup partition into k parts, uncharged: the first
 // Repartition still pays for the curve order it reuses.
 func (r *Repartitioner) Initial(k int) Assignment {
-	asg, _, _ := r.cut(k)
+	asg, _ := r.cut(k)
 	return asg
 }
 
 // Repartition divides the graph into k parts under its current weights
-// and returns the work and the critical path the model prices, the curve
-// build included on the first call. Refinement ops land in the Mem share.
-// Only the curve methods model a parallel pipeline; multilevel and
-// inertial run serially, so their critical path is their work.
-func (r *Repartitioner) Repartition(k int) (asg Assignment, work, crit machine.Ops) {
-	asg, work, crit = r.cut(k)
+// and returns the work the model prices, the curve build included on the
+// first call. Refinement ops land in the Mem share.
+func (r *Repartitioner) Repartition(k int) (Assignment, machine.Ops) {
+	asg, work := r.cut(k)
 	work.Add(r.build)
-	crit.Add(r.buildCrit)
-	r.build, r.buildCrit = machine.Ops{}, machine.Ops{}
-	return asg, work, crit
+	r.build = machine.Ops{}
+	return asg, work
 }
 
-// cut partitions with the method and counts the work and its critical
-// path, without the curve build. The curve methods' cut is the exact
-// minimum-bottleneck cut of the curve order, and nothing runs after it:
-// the modeled clock never prices the edge cut, and no cut of the curve
-// balances better.
-func (r *Repartitioner) cut(k int) (Assignment, machine.Ops, machine.Ops) {
-	var asg Assignment
-	var work machine.Ops
+// cut partitions with the method and counts the work, without the curve
+// build. The curve methods' cut is the exact minimum-bottleneck cut of
+// the curve order, and nothing runs after it: the modeled clock never
+// prices the edge cut, and no cut of the curve balances better.
+func (r *Repartitioner) cut(k int) (Assignment, machine.Ops) {
 	switch {
 	case r.sfc != nil:
 		return r.sfc.cut(r.g, k)
 	case r.method == MethodInertial:
-		asg, work = inertialCounted(r.g, k)
-	default:
-		asg, work = multilevelCounted(r.g, k, r.opt)
+		return inertialCounted(r.g, k)
 	}
-	return asg, work, work
+	return multilevelCounted(r.g, k, r.opt)
 }
 
 // inertialCounted partitions by recursive inertial bisection: each

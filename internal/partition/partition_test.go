@@ -96,8 +96,8 @@ func TestSFCIncrementalRepartition(t *testing.T) {
 	for _, meth := range []Method{MethodMortonSFC, MethodHilbertSFC} {
 		c, _ := meth.Curve()
 		s := NewSFCWorkers(g, c, 0)
-		sortOps, _ := s.BuildOps()
-		asg, ops, _ := s.cut(g, 8)
+		sortOps := s.BuildOps()
+		asg, ops := s.cut(g, 8)
 		if ops.Total >= sortOps.Total {
 			t.Errorf("%v: incremental scan (%d ops) not cheaper than sort (%d ops)", c, ops.Total, sortOps.Total)
 		}
@@ -364,61 +364,6 @@ func TestSortIndexByKey(t *testing.T) {
 	}
 }
 
-// TestSFCWorkerParity is the determinism contract of the parallel
-// pipeline: the curve order, every Assignment and the work must be
-// identical at any worker count, and the critical path must not exceed
-// the work, on a graph large enough to engage the parallel sample
-// sort and the chunked cut (n > the serial cutoffs), with heavy-tailed
-// weights and duplicate curve keys.
-func TestSFCWorkerParity(t *testing.T) {
-	g := gridGraph(24, 24, 16, 5) // 9216 vertices > repartSerialCutoff
-	for _, c := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
-		ref := NewSFCWorkers(g, c, 1)
-		for _, w := range []int{2, 3, 4, 8} {
-			s := NewSFCWorkers(g, c, w)
-			for _, k := range []int{1, 2, 7, 16, 61} {
-				want, wantWork, _ := ref.cut(g, k)
-				got, work, crit := s.cut(g, k)
-				for v := range want {
-					if got[v] != want[v] {
-						t.Fatalf("%v workers=%d k=%d: vertex %d in part %d, serial says %d",
-							c, w, k, v, got[v], want[v])
-					}
-				}
-				if work != wantWork {
-					t.Errorf("%v workers=%d k=%d: work %+v, serial %+v", c, w, k, work, wantWork)
-				}
-				if crit.Total > work.Total {
-					t.Errorf("%v workers=%d k=%d: critical path %d exceeds work %d",
-						c, w, k, crit.Total, work.Total)
-				}
-			}
-		}
-	}
-}
-
-// TestSFCWorkerParityAfterWeightUpdate re-runs the parity check after the
-// weights change (the incremental-repartition path the framework actually
-// exercises every adaption step).
-func TestSFCWorkerParityAfterWeightUpdate(t *testing.T) {
-	g := gridGraph(24, 24, 16, 11)
-	serial := NewSFCWorkers(g, sfc.Hilbert, 1)
-	par4 := NewSFCWorkers(g, sfc.Hilbert, 4)
-	// Mutate weights like a refinement step would: blow up one corner.
-	for v := 0; v < g.N/8; v++ {
-		g.Wcomp[v] *= 64
-	}
-	for _, k := range []int{2, 13, 32} {
-		want := serial.Repartition(g, k)
-		got := par4.Repartition(g, k)
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("k=%d: parallel cut diverges from serial at vertex %d after weight update", k, v)
-			}
-		}
-	}
-}
-
 // TestSFCCutAllocatesOnlyAssignment pins the cut's scratch to the
 // SFCPartitioner: once the boundary slab has grown to k, a cut allocates
 // its Assignment and nothing else, whatever the weights.
@@ -433,56 +378,27 @@ func TestSFCCutAllocatesOnlyAssignment(t *testing.T) {
 	}
 }
 
-// TestSFCCriticalPathHonestOnSerialFallback pins the critical path the curve
-// charge prices: when the graph is too small for the parallel phases
-// (every cutoff wins), a large worker knob must NOT discount it — the
-// critical path equals the work.
-func TestSFCCriticalPathHonestOnSerialFallback(t *testing.T) {
-	g := gridGraph(8, 8, 8, 3) // 512 vertices: below every parallel cutoff
-	s := NewSFCWorkers(g, sfc.Morton, 8)
-	if work, crit := s.BuildOps(); crit != work {
-		t.Errorf("build: critical path %+v != work %+v despite serial fallback", crit, work)
-	}
-	if _, work, crit := s.cut(g, 4); crit != work {
-		t.Errorf("repartition: critical path %+v != work %+v despite serial fallback", crit, work)
-	}
-	// And on a graph large enough to engage the parallel paths, the
-	// discount must appear.
-	big := gridGraph(24, 24, 16, 3) // 9216 > every cutoff
-	sb := NewSFCWorkers(big, sfc.Morton, 8)
-	if work, crit := sb.BuildOps(); crit.Total >= work.Total {
-		t.Errorf("parallel build not discounted: critical path %d vs work %d", crit.Total, work.Total)
-	}
-	if _, work, crit := sb.cut(big, 4); crit.Total >= work.Total {
-		t.Errorf("parallel repartition not discounted: critical path %d vs work %d", crit.Total, work.Total)
-	}
-}
-
 // TestRepartitionerContract pins what a Repartitioner caches and what it
-// bills, against the one-shot PartitionCounted, on a graph above
-// repartSerialCutoff: Initial is the one-shot assignment and charges
-// nothing, the first Repartition is the one-shot call in assignment and
-// ops (curve build included), and a later Repartition at a smaller k —
-// the survivor count after a crash — under changed weights is the
-// one-shot assignment at that k, charged without the curve build. The
-// graph methods' critical path is their work.
+// bills, against the one-shot PartitionCounted: Initial is the one-shot
+// assignment and charges nothing, the first Repartition is the one-shot
+// call in assignment and ops (curve build included), and a later
+// Repartition at a smaller k — the survivor count after a crash — under
+// changed weights is the one-shot assignment at that k, charged without
+// the curve build.
 func TestRepartitionerContract(t *testing.T) {
 	const k, k2 = 16, 13
-	opt := Options{Workers: 4}
+	var opt Options
 	for _, m := range Methods {
-		g := gridGraph(24, 24, 16, 5) // 9216 vertices > repartSerialCutoff
+		g := gridGraph(24, 24, 16, 5)
 		r := NewRepartitioner(g, m, opt)
 		want, wantOps := PartitionCounted(g, k, m, opt)
 		if got := r.Initial(k); !slices.Equal(got, want) {
 			t.Errorf("%v: Initial(%d) differs from the one-shot partition", m, k)
 		}
-		got, ops, crit := r.Repartition(k)
+		got, ops := r.Repartition(k)
 		if !slices.Equal(got, want) || ops != wantOps {
 			t.Errorf("%v: first Repartition(%d) charged %+v, one-shot %+v (assignments equal: %v)",
 				m, k, ops, wantOps, slices.Equal(got, want))
-		}
-		if _, curve := m.Curve(); !curve && crit != ops {
-			t.Errorf("%v: critical path %+v, work %+v: a serial method's must be equal", m, crit, ops)
 		}
 
 		for v := 0; v < g.N/8; v++ {
@@ -490,10 +406,9 @@ func TestRepartitionerContract(t *testing.T) {
 		}
 		want, wantOps = PartitionCounted(g, k2, m, opt)
 		if c, ok := m.Curve(); ok {
-			b, _ := NewSFCWorkers(g, c, opt.Workers).BuildOps()
-			wantOps.Total -= b.Total
+			wantOps.Total -= NewSFCWorkers(g, c, 0).BuildOps().Total
 		}
-		got, ops, _ = r.Repartition(k2)
+		got, ops = r.Repartition(k2)
 		if !slices.Equal(got, want) {
 			t.Errorf("%v: Repartition(%d) differs from the one-shot partition", m, k2)
 		}

@@ -3,25 +3,9 @@ package partition
 import (
 	"math/bits"
 
-	"plum/internal/chunk"
 	"plum/internal/dual"
 	"plum/internal/machine"
 	"plum/internal/sfc"
-)
-
-// The serial cutoffs of the parallel SFC pipeline the model charges (see
-// SFCPartitioner): below them a phase is charged serially.
-const (
-	// keysSerialCutoff is the point count from which key generation is
-	// charged across the workers.
-	keysSerialCutoff = 1 << 12
-	// sortSerialCutoff is the pair count from which the sample sort is
-	// charged across the workers, at no fewer than sortSerialCutoff/8
-	// pairs per worker.
-	sortSerialCutoff = 1 << 13
-	// repartSerialCutoff is the vertex count from which Repartition's
-	// weight scans are charged across the workers.
-	repartSerialCutoff = 1 << 13
 )
 
 // SFCPartitioner partitions the dual graph geometrically along a
@@ -30,13 +14,10 @@ const (
 // weighted chunks. Curve locality makes the chunks spatially compact, and
 // the whole construction is O(n log n) — no eigen-solves.
 //
-// The host runs one serial key pass, a stable radix sort and a serial
-// cut. The model charges the parallel pipeline of Borrell et al. instead,
-// over Workers: chunked key generation, a sample sort and the cut's
-// chunked scans, each charged serially below its size cutoff, plus the
-// cut's serial search. Equal keys keep vertex-index order, so the curve
-// order, every Assignment and the work depend only on the graph, and the
-// critical path only on the graph and Workers.
+// It runs one serial key pass, a stable radix sort and a serial cut, and
+// is charged its work, as every partitioner is. Equal keys keep
+// vertex-index order, so the curve order, every Assignment and the work
+// depend only on the graph.
 //
 // The curve order depends only on the centroids, which are fixed for the
 // lifetime of the dual graph (the paper's central invariant: the initial
@@ -52,9 +33,6 @@ const (
 // its Assignment; an SFCPartitioner is therefore not safe for concurrent
 // use.
 type SFCPartitioner struct {
-	// Workers is the resolved worker count the critical path divides the
-	// parallel phases across (≥ 1; construction resolves 0 to GOMAXPROCS).
-	Workers int
 	// order holds the dual vertices sorted by curve key.
 	order []int32
 	// prefix[i] is the Wcomp of order[:i] (n+1 entries); bounds, lowB and
@@ -66,42 +44,20 @@ type SFCPartitioner struct {
 }
 
 // NewSFCWorkers builds the cached curve order of g's centroids (the
-// O(n log n) part: key generation plus one sort), charged across the
-// given worker knob (≤ 0 = GOMAXPROCS) by BuildOps. The curve order is
-// the same at every worker count.
+// O(n log n) part: key generation plus one sort). The workers argument
+// is unused: the benchmark module still passes it.
 func NewSFCWorkers(g *dual.Graph, c sfc.Curve, workers int) *SFCPartitioner {
 	return &SFCPartitioner{
-		Workers: chunk.Workers(workers),
-		order:   sortByKey(sfc.Keys(c, g.Centroid)),
-		prefix:  make([]int64, g.N+1),
+		order:  sortByKey(sfc.Keys(c, g.Centroid)),
+		prefix: make([]int64, g.N+1),
 	}
 }
 
-// BuildOps is the charge of building the curve order: the work, n key
-// generations plus n·log2 n sort comparisons, and its critical path. The
-// critical path divides each phase by the workers it would run on, which
-// is 1 below the phase's cutoff, so a small graph is charged its whole
-// work. The sample sort's serial splitter selection is folded into its
-// +w term. Like the cut's, the critical path is capped at the work: the
-// serial merge terms can otherwise nudge it past at tiny n or w = 1, and
-// no schedule is slower than running everything serially. Both are
-// compute-bound.
-func (s *SFCPartitioner) BuildOps() (work, crit machine.Ops) {
+// BuildOps is the work of building the curve order, n key generations
+// plus n·log2 n sort comparisons, all compute-bound.
+func (s *SFCPartitioner) BuildOps() machine.Ops {
 	n := len(s.order)
-	kw := int64(phaseWorkers(n, s.Workers, keysSerialCutoff))
-	sw := int64(phaseWorkers(n, min(s.Workers, n/(sortSerialCutoff/8)), sortSerialCutoff))
-	keys, cmps := int64(n), int64(n)*int64(log2ceil(n))
-	path := machine.CeilDiv(keys, kw) + machine.CeilDiv(cmps, sw) + sw - 1
-	return machine.Ops{Total: keys + cmps}, machine.Ops{Total: min(path, keys+cmps)}
-}
-
-// phaseWorkers is the worker count a pipeline phase over n items is
-// charged across: w, or 1 below the phase's serial cutoff.
-func phaseWorkers(n, w, cutoff int) int {
-	if w <= 1 || n < cutoff {
-		return 1
-	}
-	return w
+	return machine.Ops{Total: int64(n) + int64(n)*int64(log2ceil(n))}
 }
 
 // sortByKey returns the indices of keys ordered by key, equal keys in
@@ -153,20 +109,18 @@ func sortByKey(keys []uint64) []int32 {
 // other way of cutting the curve into k chunks balances better, and
 // Wmax < ⌈ΣW/k⌉ + max(Wcomp), i.e. Imbalance ≤ 1 + k·max(Wcomp)/ΣW.
 func (s *SFCPartitioner) Repartition(g *dual.Graph, k int) Assignment {
-	asg, _, _ := s.cut(g, k)
+	asg, _ := s.cut(g, k)
 	return asg
 }
 
-// cut is Repartition with its charge, the work and its critical path,
-// both compute-bound. The prefix-sum scan, the midpoint window scan and
-// the fill are 3n ops at O(n/Workers) critical path, capped at the work;
-// the bisection's search steps are sequential in k and go whole onto the
-// critical path.
-func (s *SFCPartitioner) cut(g *dual.Graph, k int) (asg Assignment, work, crit machine.Ops) {
+// cut is Repartition with its work, compute-bound: the prefix-sum scan,
+// the midpoint window scan and the fill, 3n ops, plus the bisection's
+// search steps.
+func (s *SFCPartitioner) cut(g *dual.Graph, k int) (Assignment, machine.Ops) {
 	n := len(s.order)
-	asg = make(Assignment, n)
+	asg := make(Assignment, n)
 	if k <= 1 || n == 0 {
-		return asg, machine.Ops{Total: int64(n)}, machine.Ops{Total: int64(n)}
+		return asg, machine.Ops{Total: int64(n)}
 	}
 	k = min(k, n)
 	bounds, steps := s.cutSerial(g, k)
@@ -175,10 +129,7 @@ func (s *SFCPartitioner) cut(g *dual.Graph, k int) (asg Assignment, work, crit m
 			asg[v] = int32(p)
 		}
 	}
-	w := phaseWorkers(n, s.Workers, repartSerialCutoff)
-	scans := 3 * int64(n)
-	path := min(machine.CeilDiv(scans, int64(w))+int64(k)+int64(w), scans)
-	return asg, machine.Ops{Total: scans + steps}, machine.Ops{Total: path + steps}
+	return asg, machine.Ops{Total: 3*int64(n) + steps}
 }
 
 // cutSerial returns the chunk starts of the minimum-bottleneck cut
