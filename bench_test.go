@@ -33,8 +33,8 @@ func BenchmarkDualBuild(b *testing.B) {
 }
 
 // BenchmarkMultilevel measures one paper-default multilevel partition of
-// the rotor's dual graph at k = 64: coarsening, the spectral solve of the
-// coarsest graph, and the projection with FM refinement per level.
+// the rotor's dual graph at k = 64: coarsening, the level-set bisection of
+// the coarsest graph, and the projection with FM refinement per level.
 func BenchmarkMultilevel(b *testing.B) {
 	g := dual.Build(experiments.BaseMesh())
 	b.ReportAllocs()

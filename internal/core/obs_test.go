@@ -143,7 +143,7 @@ func TestTraceGolden(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Workers = 2
 	cfg.Overlap = true
-	cfg.Faults = &fault.Plan{Seed: 7, Rate: 0.2, Kinds: []fault.Kind{fault.Crash, fault.Drop}}
+	cfg.Faults = &fault.Plan{Seed: 9, Rate: 0.2, Kinds: []fault.Kind{fault.Crash, fault.Drop}}
 	cfg.Retry = fault.Retry{MsgAttempts: 1, WindowRetries: 4}
 	cfg.Trace = tr
 	cfg.Metrics = reg

@@ -139,8 +139,8 @@ func RegisterHelp(reg *obs.Registry) {
 	reg.SetHelp("plum_element_sets_total", "Element sets migrated by executed remaps.")
 	reg.SetHelp("plum_words_moved_total", "Modeled words moved by executed remaps (incl. recoveries).")
 	reg.SetHelp("plum_remap_setups_total", "Message setups of executed remap exchanges.")
-	reg.SetHelp("plum_msg_retries_total", "Remap transport frames resent recovering injected faults.")
-	reg.SetHelp("plum_retry_words_total", "Payload words of resent remap frames.")
+	reg.SetHelp("plum_msg_retries_total", "Remap messages resent recovering injected faults.")
+	reg.SetHelp("plum_retry_words_total", "Payload words of resent remap messages.")
 	reg.SetHelp("plum_window_retries_total", "Remap window re-executions.")
 	reg.SetHelp("plum_adapt_retries_total", "Modeled adaption-exchange retries.")
 	reg.SetHelp("plum_adapt_backoff_total", "Modeled adaption-exchange backoff units.")

@@ -219,7 +219,7 @@ func TestFig12Claims(t *testing.T) {
 
 func TestPartitionerTableClaims(t *testing.T) {
 	if testing.Short() {
-		t.Skip("paper-scale comparison (runs the Lanczos backends)")
+		t.Skip("paper-scale comparison (partitions the rotor with every method)")
 	}
 	tb := RunPartitionerTable(16)
 	if len(tb.Rows) != len(partition.Methods) {

@@ -33,7 +33,7 @@ type PartitionerRow struct {
 // standard adapted mesh (Local_2-refined rotor): the partitioner-family
 // table the paper's "pluggable black box" framing implies but never
 // prints. It is the experiment behind the SFC claim: curve-based cuts
-// reach spectral-class balance at a fraction of the cost, and repartition
+// reach multilevel-class balance at a fraction of the cost, and repartition
 // incrementally in O(n).
 type PartitionerTable struct {
 	K    int

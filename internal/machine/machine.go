@@ -51,7 +51,7 @@ type Model struct {
 	ElemWords int
 	// CompOp is the cost of one compute-bound inner-loop operation of
 	// the load-balancing algorithms (Hilbert/Morton key encoding, sort
-	// comparisons, Lanczos flops): arithmetic that streams through
+	// comparisons, BFS sweeps): arithmetic that streams through
 	// cache. It replaces the lower half of the old blended AlgOp.
 	CompOp float64
 	// MemOp is the cost of one memory-bound inner-loop operation

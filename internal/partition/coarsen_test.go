@@ -111,7 +111,7 @@ func shuffledGraph(nx, ny, nz, iso int, seed int64) *dual.Graph {
 // serves every level, as in multilevelCounted, and every level must pass
 // dual.Graph.Check. Wremap and Centroid are compared on neither side:
 // coarse levels do not carry them, because nothing reads them there (the
-// spectral solve and FM read only the adjacency and Wcomp).
+// level-set bisection and FM read only the adjacency and Wcomp).
 //
 // The weight cap is fuzzed too. Every coarse vertex with two members
 // weighs at most the cap, and a cap that cannot bind (at least twice the
@@ -200,10 +200,10 @@ func TestMatchOrderIsRandPerm(t *testing.T) {
 // TestMultilevelAllocsBounded pins the allocation budget of one multilevel
 // partition: a constant per coarsening level (the coarse graph and its
 // map) plus a fixed amount per call (the coarsener, FM's scratch, the
-// assignment buffers and boundary bitsets) and one result vector per
-// Fiedler solve. Fresh scratch per level (coarsener or FM), a rand.Perm
-// and a random source per level, or a Laplacian built row by row per
-// solve would each break it.
+// assignment buffers and boundary bitsets, the level-set scratch), and
+// nothing per bisection of the coarsest graph. Fresh scratch per level
+// (coarsener or FM), a rand.Perm and a random source per level, or a
+// distance vector or queue per bisection would each break it.
 func TestMultilevelAllocsBounded(t *testing.T) {
 	g := dual.Build(meshgen.Box(16, 8, 8, geom.Vec3{X: 2, Y: 1, Z: 1}))
 	const k = 8
@@ -217,23 +217,23 @@ func TestMultilevelAllocsBounded(t *testing.T) {
 		}
 	})
 	t.Logf("%v allocations over %d levels", allocs, len(levels))
-	const perLevel, perSolve, fixed = 8, 1, 80
-	if bound := float64(perLevel*len(levels) + perSolve*(k-1) + fixed); allocs > bound {
+	const perLevel, fixed = 6, 16
+	if bound := float64(perLevel*len(levels) + fixed); allocs > bound {
 		t.Errorf("multilevel allocates %v times over %d levels, want ≤ %v", allocs, len(levels), bound)
 	}
 }
 
-// BenchmarkFiedler measures the spectral partition of the rotor's
+// BenchmarkLevelSets measures the level-set partition of the rotor's
 // coarsest multilevel graph at k = 64, as multilevelCounted runs it: 63
-// Fiedler solves on one Lanczos workspace plus the recursive bisection's
+// two-sweep embeddings on one scratch plus the recursive bisection's
 // sort-and-split bookkeeping.
-func BenchmarkFiedler(b *testing.B) {
+func BenchmarkLevelSets(b *testing.B) {
 	const k = 64
 	levels, _, _ := coarsenChain(dual.Build(meshgen.PaperMesh()), k, 1)
 	g := levels[len(levels)-1].g
 	b.ReportAllocs()
 	for b.Loop() {
-		if asg, _ := spectralCounted(g, k); len(asg) != g.N {
+		if asg, _ := levelSetCounted(g, k); len(asg) != g.N {
 			b.Fatal("bad assignment")
 		}
 	}

@@ -10,14 +10,14 @@ import (
 
 // multilevelCounted partitions by the Chaco-style multilevel scheme: the
 // dual graph is coarsened by repeated edge matchings until it is small,
-// the coarse graph is partitioned spectrally, and the partition is
-// projected back up with boundary refinement at every level. The
-// refinement is boundary-driven FM (refine.FM), charged as serial
-// memory-bound work. It counts the matching and edge collapse of every
-// coarsening level, the spectral solve on the coarsest graph, and the
-// projection plus refinement of every uncoarsening level. opt.Seed
-// offsets the per-level matching RNG; seed 1 reproduces the historical
-// level-index seeding.
+// the coarse graph is partitioned by recursive level-set bisection
+// (levelSetCounted), and the partition is projected back up with boundary
+// refinement at every level. The refinement is boundary-driven FM
+// (refine.FM), charged as serial memory-bound work. It counts the matching
+// and edge collapse of every coarsening level, the BFS sweeps and splits
+// on the coarsest graph, and the projection plus refinement of every
+// uncoarsening level. opt.Seed offsets the per-level matching RNG; seed 1
+// reproduces the historical level-index seeding.
 //
 // FM walks only the boundary, and the boundary is carried down the chain:
 // a fine vertex whose coarse vertex is interior has every neighbour in
@@ -50,7 +50,7 @@ func multilevel(g *dual.Graph, k int, opt Options, carry bool) (Assignment, mach
 	// its assignment in bufs[li%2], so the finest (li = 0) lands in the
 	// g.N-long buffer.
 	cur := levels[len(levels)-1].g
-	asg, sops := spectralCounted(cur, k)
+	asg, sops := levelSetCounted(cur, k)
 	ops.Add(sops)
 	bnds := [2][]uint64{make([]uint64, refine.Words(g.N)), make([]uint64, refine.Words(g.N))}
 	bnd := bnds[(len(levels)-1)%2][:refine.Words(cur.N)]
@@ -168,8 +168,8 @@ func drawPerm(r *rand.Rand, seed int64, order []int32) {
 // pairs that fit the cap. Matched pairs merge their Wcomp; parallel coarse
 // edges are collapsed. g must be symmetric (every dual graph is); every
 // coarse row comes out in ascending vertex order. The coarse graph
-// carries only its adjacency and Wcomp, all that the spectral solve and
-// the refinement read.
+// carries only its adjacency and Wcomp, all that the level-set bisection
+// and the refinement read.
 //
 // The collapse is linear: a marker-array dedup writes each coarse row in
 // first-seen order, then one transpose leaves every row sorted. The op

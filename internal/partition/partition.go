@@ -1,14 +1,17 @@
 // Package partition provides weighted graph partitioners for the dual
-// graph, standing in for the Chaco package the paper uses ("multilevel
-// spectral Lanczos partitioning algorithm with local Kernighan-Lin
-// refinement"). The paper treats the partitioner as a pluggable black box;
-// this package supplies the same family, selected by Method:
+// graph, standing in for the Chaco package the paper uses (multilevel
+// spectral partitioning with local Kernighan-Lin refinement). The paper
+// treats the partitioner as a pluggable black box; this package supplies
+// the same family, selected by Method:
 //
 //   - inertial:   recursive coordinate bisection along principal axes;
-//   - multilevel: matching-based coarsening, recursive spectral bisection
-//     of the coarse graph (Lanczos Fiedler vectors, internal/sparse), and
+//   - multilevel: matching-based coarsening, recursive bisection of the
+//     coarse graph on BFS level sets from a pseudo-peripheral vertex, and
 //     Kernighan–Lin/Fiduccia–Mattheyses boundary refinement during
-//     uncoarsening — the Chaco-style default;
+//     uncoarsening — the paper's default. Chaco bisects the coarse graph
+//     on an eigenvector instead; METIS's graph growing (Karypis & Kumar)
+//     splits a graph of a few hundred vertices about as well for a
+//     fraction of the work;
 //   - morton, hilbert: the exact minimum-bottleneck contiguous cut of a
 //     space-filling-curve ordering (sfc.go), with no refinement after it.
 //
@@ -23,7 +26,6 @@ import (
 	"plum/internal/geom"
 	"plum/internal/machine"
 	"plum/internal/sfc"
-	"plum/internal/sparse"
 )
 
 // Assignment maps each dual-graph vertex to a partition number.
@@ -246,29 +248,20 @@ func inertialCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
 	return asg, machine.Ops{Total: ops}
 }
 
-// spectralCounted partitions by recursive spectral bisection: each
-// subdomain is split at the weighted median of its Fiedler vector
-// (Lanczos, see internal/sparse). It is Multilevel's coarse-graph solver,
-// not a selectable method: on the full dual graph it was the slowest
-// backend on every bench workload, by 3× to 200× modeled run time, and
-// won none on balance or cut (census in CHANGES.md, PR 20). The dominant
-// op term is the Lanczos work inside
-// sparse.Lanczos.Fiedler (per-iteration sparse matvecs plus full
-// reorthogonalization), which dwarfs the sort-and-split bookkeeping.
-// Every bisection of the call reuses one Laplacian and one Lanczos
-// workspace.
-func spectralCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
+// levelSetCounted partitions by recursive level-set bisection: each
+// subdomain is split at the weighted median of its BFS distances from a
+// pseudo-peripheral vertex (levelSets.embed), METIS's graph-growing idea
+// (Karypis & Kumar). It is Multilevel's coarse-graph solver, not a
+// selectable method, and FM refines its cut on every level after it.
+// Every bisection of the call reuses one scratch.
+func levelSetCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
 	asg := make(Assignment, g.N)
 	idxs := make([]int32, g.N)
 	for i := range idxs {
 		idxs[i] = int32(i)
 	}
-	s := &spectralWork{g: g, local: make([]int32, g.N)}
-	for i := range s.local {
-		s.local[i] = -1
-	}
 	var ops int64
-	recursiveBisect(g, idxs, 0, k, asg, &ops, make([]int32, g.N), s.fiedler)
+	recursiveBisect(g, idxs, 0, k, asg, &ops, make([]int32, g.N), newLevelSets(g).embed)
 	return asg, machine.Ops{Total: ops}
 }
 
@@ -393,38 +386,80 @@ func principalAxis(g *dual.Graph, sub []int32) geom.Vec3 {
 	return geom.Vec3{X: x[0], Y: x[1], Z: x[2]}
 }
 
-// spectralWork is the scratch every bisection of one spectralCounted call
-// reuses: local, a g.N-long index that is -1 everywhere outside a solve,
-// the subgraph's Laplacian, and the Lanczos workspace.
-type spectralWork struct {
+// levelSets is the scratch every bisection of one levelSetCounted call
+// reuses: local, a g.N-long index that is -1 everywhere outside a
+// bisection, and the distances (the embedding embed returns) and the BFS
+// queue, both indexed by position in the subset.
+type levelSets struct {
 	g     *dual.Graph
 	local []int32
-	L     sparse.CSR
-	lz    sparse.Lanczos
+	dist  []float64
+	queue []int32
 }
 
-// fiedler computes the Fiedler embedding of the subgraph induced by sub,
-// writing its Laplacian directly from g's rows, and reports the op count
-// of the extraction plus the Lanczos solve.
-func (s *spectralWork) fiedler(sub []int32) ([]float64, int64) {
-	g, local := s.g, s.local
-	for i, v := range sub {
-		local[v] = int32(i)
+func newLevelSets(g *dual.Graph) *levelSets {
+	s := &levelSets{g: g, local: make([]int32, g.N), dist: make([]float64, g.N), queue: make([]int32, 0, g.N)}
+	for i := range s.local {
+		s.local[i] = -1
 	}
+	return s
+}
+
+// embed returns the level-set embedding of the subgraph induced by sub:
+// a BFS from sub[0] ends at a pseudo-peripheral vertex, and the values are
+// the distances of a second BFS from it. Every further component is
+// searched once, from its lowest position in sub, with its distances
+// offset past the previous maximum, so each component stays contiguous in
+// the sort order. The op count charges 1 + deg for every vertex a sweep
+// visits.
+func (s *levelSets) embed(sub []int32) ([]float64, int64) {
+	dist := s.dist[:len(sub)]
+	if len(sub) == 0 {
+		return dist, 0
+	}
+	for i, v := range sub {
+		s.local[v] = int32(i)
+		dist[i] = -1
+	}
+	s.queue = s.queue[:0]
+	far, ops := s.sweep(sub, 0, 0)
+	for _, u := range s.queue {
+		dist[u] = -1
+	}
+	s.queue = s.queue[:0]
+	last, o := s.sweep(sub, far, 0)
+	ops += o
+	for i, d := range dist {
+		if d < 0 {
+			last, o = s.sweep(sub, int32(i), dist[last]+1)
+			ops += o
+		}
+	}
+	for _, v := range sub {
+		s.local[v] = -1
+	}
+	return dist, ops
+}
+
+// sweep runs a BFS over the subgraph induced by sub from position src,
+// at distance base, appending the positions it visits to the queue. It
+// returns the last position dequeued, the farthest from src, and 1 + deg
+// per visited vertex.
+func (s *levelSets) sweep(sub []int32, src int32, base float64) (int32, int64) {
 	var ops int64
-	sparse.Laplacian(&s.L, len(sub), func(i int, dst []int32) []int32 {
-		nbrs := g.Nbrs(sub[i])
+	q := append(s.queue, src)
+	s.dist[src] = base
+	for head := len(s.queue); head < len(q); head++ {
+		u := q[head]
+		nbrs := s.g.Nbrs(sub[u])
 		ops += 1 + int64(len(nbrs))
 		for _, w := range nbrs {
-			if lw := local[w]; lw >= 0 {
-				dst = append(dst, lw)
+			if lw := s.local[w]; lw >= 0 && s.dist[lw] < 0 {
+				s.dist[lw] = s.dist[u] + 1
+				q = append(q, lw)
 			}
 		}
-		return dst
-	})
-	for _, v := range sub {
-		local[v] = -1
 	}
-	vec, fops := s.lz.Fiedler(&s.L, 60, 1e-4, 42)
-	return vec, ops + fops
+	s.queue = q
+	return q[len(q)-1], ops
 }

@@ -74,9 +74,9 @@ func TestPartitionAdaptedWeights(t *testing.T) {
 		}
 	}
 	// Multilevel's coarse-graph solver, held to the same bound directly.
-	asg, _ := spectralCounted(g, 8)
+	asg, _ := levelSetCounted(g, 8)
 	if imb := Imbalance(g, asg, 8); imb > 1.6 {
-		t.Errorf("spectral bisection: imbalance %.3f on adapted weights", imb)
+		t.Errorf("level-set bisection: imbalance %.3f on adapted weights", imb)
 	}
 	// The SFC backends target the paper's operating point: ≤ 1.10.
 	for _, meth := range []Method{MethodMortonSFC, MethodHilbertSFC} {
@@ -272,6 +272,113 @@ func TestPartitionOversizedK(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// graphOf builds a unit-weight graph from symmetric rows.
+func graphOf(rows [][]int32) *dual.Graph {
+	g := &dual.Graph{N: len(rows), Wcomp: make([]int64, len(rows)), EdgeWeight: 1}
+	for i := range g.Wcomp {
+		g.Wcomp[i] = 1
+	}
+	setRows(g, rows)
+	return g
+}
+
+// pathRows returns the rows of the n-vertex path 0 – 1 – … – n-1.
+func pathRows(n int) [][]int32 {
+	rows := make([][]int32, n)
+	for i := 0; i+1 < n; i++ {
+		rows[i] = append(rows[i], int32(i+1))
+		rows[i+1] = append(rows[i+1], int32(i))
+	}
+	return rows
+}
+
+// TestLevelSetsPathIsMonotone: the level sets of a path order it. The
+// first sweep from vertex 0 ends at the far end, and the distances from
+// there fall by one per step along the path.
+func TestLevelSetsPathIsMonotone(t *testing.T) {
+	const n = 20
+	g := graphOf(pathRows(n))
+	sub := make([]int32, n)
+	for i := range sub {
+		sub[i] = int32(i)
+	}
+	vals, ops := newLevelSets(g).embed(sub)
+	for i, v := range vals {
+		if v != float64(n-1-i) {
+			t.Fatalf("values %v, want the distances from vertex %d", vals, n-1)
+		}
+	}
+	// Two sweeps, each visiting every vertex once at 1 + deg.
+	if want := int64(2 * (n + 2*(n-1))); ops != want {
+		t.Errorf("ops %d, want %d", ops, want)
+	}
+}
+
+// TestLevelSetsBisectDumbbell: two 5-cliques joined by one edge split at
+// the bridge, each clique whole in its own part.
+func TestLevelSetsBisectDumbbell(t *testing.T) {
+	rows := make([][]int32, 10)
+	link := func(a, b int) {
+		rows[a] = append(rows[a], int32(b))
+		rows[b] = append(rows[b], int32(a))
+	}
+	for i := range 5 {
+		for j := i + 1; j < 5; j++ {
+			link(i, j)
+			link(i+5, j+5)
+		}
+	}
+	link(0, 5)
+	asg, _ := levelSetCounted(graphOf(rows), 2)
+	for i := 1; i < 5; i++ {
+		if asg[i] != asg[0] || asg[i+5] != asg[5] {
+			t.Fatalf("assignment %v separates a clique", asg)
+		}
+	}
+	if asg[0] == asg[5] {
+		t.Errorf("assignment %v puts both cliques in part %d", asg, asg[0])
+	}
+}
+
+// TestLevelSetsDisconnectedSubset: a subset of the path 0 – … – 9 that
+// induces two components. The first is embedded from its far end; the
+// second is searched once, from its lowest position, with its distances
+// past the first's, so each component is contiguous in the sort order.
+// The scratch's index is clean afterwards.
+func TestLevelSetsDisconnectedSubset(t *testing.T) {
+	g := graphOf(pathRows(10))
+	s := newLevelSets(g)
+	vals, ops := s.embed([]int32{0, 1, 2, 7, 8, 9})
+	if want := []float64{2, 1, 0, 3, 4, 5}; !slices.Equal(vals, want) {
+		t.Errorf("values %v, want %v", vals, want)
+	}
+	// The first sweep visits 0, 1, 2 at 1 + deg = 2 + 3 + 3, the second
+	// visits them again, and the third visits 7, 8, 9 at 3 + 3 + 2.
+	if ops != 24 {
+		t.Errorf("ops %d, want 24", ops)
+	}
+	for v, l := range s.local {
+		if l != -1 {
+			t.Fatalf("local[%d] = %d after the embedding, want -1", v, l)
+		}
+	}
+}
+
+// TestLevelSetsFewerVerticesThanParts: a 3-vertex path cut into 5 parts
+// puts every vertex in a part of its own and leaves two parts empty,
+// where the bisection reaches subsets with no vertex at all.
+func TestLevelSetsFewerVerticesThanParts(t *testing.T) {
+	const k = 5
+	asg, _ := levelSetCounted(graphOf(pathRows(3)), k)
+	seen := map[int32]bool{}
+	for v, p := range asg {
+		if p < 0 || p >= k || seen[p] {
+			t.Fatalf("vertex %d in part %d: assignment %v", v, p, asg)
+		}
+		seen[p] = true
 	}
 }
 
