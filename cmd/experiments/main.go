@@ -20,7 +20,6 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments to run: table1, fig8, fig9, fig10, fig11, fig12, extension, partitioners, overlap, faults, recover, comm, all")
 	k := flag.Int("k", 16, "partition count for -exp partitioners")
 	faultSeed := flag.Int64("fault-seed", 7, "fault schedule seed for -exp faults")
-	workers := flag.Int("workers", 0, "host worker goroutines of the SPL and classification scans and propagation; no output depends on it (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit the selected experiments as one JSON object keyed by name instead of text tables")
 	flag.Parse()
 	if *k < 1 {
@@ -41,8 +40,8 @@ func main() {
 		{"extension", func() fmt.Stringer { return experiments.RunExtensionRepeated(8, 6, 1) }},
 		{"partitioners", func() fmt.Stringer { return experiments.RunPartitionerTable(*k) }},
 		{"overlap", func() fmt.Stringer { return experiments.RunOverlapTable() }},
-		{"faults", func() fmt.Stringer { return experiments.RunFaultTable(*faultSeed, *workers) }},
-		{"recover", func() fmt.Stringer { return experiments.RunRecoverTable(*faultSeed, *workers) }},
+		{"faults", func() fmt.Stringer { return experiments.RunFaultTable(*faultSeed) }},
+		{"recover", func() fmt.Stringer { return experiments.RunRecoverTable(*faultSeed) }},
 		{"comm", func() fmt.Stringer { return experiments.RunCommTable() }},
 	}
 

@@ -23,7 +23,6 @@ import (
 	"os"
 
 	"plum/internal/adapt"
-	"plum/internal/chunk"
 	"plum/internal/core"
 	"plum/internal/fault"
 	"plum/internal/geom"
@@ -47,14 +46,13 @@ func main() {
 		parter  = flag.String("partitioner", "multilevel", fmt.Sprintf("repartitioner, one of %v", partition.Methods))
 		exch    = flag.String("exchange", "", "remap payload exchange schedule: flat, aggregated (default: flat)")
 		seed    = flag.Int64("seed", 1, "random seed")
-		workers = flag.Int("workers", 0, "host worker goroutines of the SPL and classification scans and propagation; no output but the config line depends on it (0 = GOMAXPROCS)")
 		overlap = flag.Bool("overlap", false, "hide the balance pipeline behind the solver iterations: the acceptance rule charges only the exposed cost")
 		faults  = flag.String("faults", "", "deterministic fault-injection plan, e.g. seed=7,rate=0.1,kinds=drop+corrupt or kinds=crash (empty = faults off)")
 		retries = flag.Int("retries", -1, "recovery budget with -faults: extra send attempts per message and re-executions per failed remap window (-1 = default policy: 3 attempts, 2 window retries)")
 		ckpt    = flag.Bool("checkpoint", false, "capture a copy-on-write cycle checkpoint before every balance pass (forced on by a crash-capable -faults plan)")
 		scale   = flag.Float64("scale", 1.0, "mesh scale factor (1.0 = paper's 61k elements)")
 		verbose = flag.Bool("v", false, "print adaption phase breakdowns")
-		traceF  = flag.String("trace", "", "write the run's deterministic per-stage trace to this file as Chrome/Perfetto trace-event JSON (byte-identical at any -workers)")
+		traceF  = flag.String("trace", "", "write the run's deterministic per-stage trace to this file as Chrome/Perfetto trace-event JSON (byte-identical run to run)")
 		metricF = flag.String("metrics", "", "write a Prometheus text-format metrics dump to this file")
 		pprofA  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	)
@@ -79,7 +77,6 @@ func main() {
 	cfg.F = *f
 	cfg.ImbalanceThreshold = *thresh
 	cfg.Seed = *seed
-	cfg.Workers = *workers
 	cfg.Overlap = *overlap
 	method, ok := partition.MethodByName(*parter)
 	if !ok {
@@ -143,9 +140,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("mesh: %s\n", m.Stats())
-	fmt.Printf("config: P=%d F=%d threshold=%.2f partitioner=%s exchange=%s workers=%d overlap=%v\n",
-		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Method,
-		fw.D.Exchange, chunk.Workers(cfg.Workers), cfg.Overlap)
+	fmt.Printf("config: P=%d F=%d threshold=%.2f partitioner=%s exchange=%s overlap=%v\n",
+		cfg.P, cfg.F, cfg.ImbalanceThreshold, cfg.Method, fw.D.Exchange, cfg.Overlap)
 	if plan.Enabled() {
 		r := cfg.Retry.Normalize()
 		fmt.Printf("faults: %s attempts=%d window-retries=%d\n", plan, r.MsgAttempts, r.WindowRetries)

@@ -17,18 +17,19 @@ import (
 // remapping cycle under a budget that depends on its propagation rounds
 // but not on how many elements it creates — the same budget holds for a
 // cycle creating a few thousand elements and one creating ten times more.
-// Workers is pinned because every chunked scan allocates per worker.
+// The budgets are tight enough that a per-goroutine scan fails them: a
+// cycle that ran its scans on two goroutines measured 70 idle and 620-740
+// adapting.
 func TestCycleAllocBudget(t *testing.T) {
 	const (
-		idleBudget    = 150 // measured 70
-		adaptBase     = 800 // measured 620-740 at two rounds
-		adaptPerRound = 200
+		idleBudget    = 40  // measured 14-19 (24 under -race)
+		adaptBase     = 200 // measured 142-193 at two rounds (151-206 under -race)
+		adaptPerRound = 50
 	)
 	for _, n := range []int{12, 18} {
 		m := meshgen.Box(n, n, n, geom.Vec3{X: 1, Y: 1, Z: 1})
 		cfg := DefaultConfig(8)
 		cfg.Method = partition.MethodHilbertSFC
-		cfg.Workers = 2
 		f, err := New(m, nil, cfg)
 		if err != nil {
 			t.Fatal(err)

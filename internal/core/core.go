@@ -16,10 +16,9 @@
 // term is the clock's own: when an accepted pass executes without faults,
 // its Remap.Total equals the predicted Total bit for bit; its pack and
 // rebuild are the remap's execution, so nothing prices that twice. Every
-// charge is a function of the mesh, P and the machine model: the host's
-// worker count moves no modeled number. The paper's total-volume
-// formula, C·M·Tlat + N·Tsetup, is reported beside it
-// (BalanceReport.CostPaper); it prices every flow as if one rank sent
+// charge is a function of the mesh, P and the machine model. The
+// paper's total-volume formula, C·M·Tlat + N·Tsetup, is reported beside
+// it (BalanceReport.CostPaper); it prices every flow as if one rank sent
 // them all, which at thousands of ranks overstates the remap by two
 // orders of magnitude and rejects passes worth their cost.
 package core
@@ -67,10 +66,9 @@ type Config struct {
 	Cost remap.CostModel
 	// Seed drives any randomized components.
 	Seed int64
-	// Workers bounds the host's goroutines in the SPL and
-	// classification scans and the propagation frontier. It is a host
-	// knob only: no report, trace or metric depends on it. ≤ 0 means
-	// runtime.GOMAXPROCS.
+	// Workers is ignored: every scan runs on one host thread.
+	//
+	// Deprecated: it goes when the benchmark stops setting it.
 	Workers int
 	// Exchange names the remap payload exchange schedule: "flat" (one
 	// message per flow — the paper's semantics) or "aggregated" (one
@@ -121,7 +119,7 @@ type Config struct {
 	// modeled timeline as the cycles run — solver, adaption phases,
 	// repartition, reassignment, remap execution with per-rank
 	// send/rebuild tracks, fault retries, checkpoints, crash recovery.
-	// Exports are byte-identical at every worker count. nil (the
+	// Exports are byte-identical run to run. nil (the
 	// default) disables tracing: every emission on a nil trace returns at
 	// once and allocates nothing. Not safe for concurrent Frameworks; give each
 	// its own Trace.
@@ -153,7 +151,7 @@ func DefaultConfig(p int) Config {
 // the balance pass and crash recovery share.
 type Framework struct {
 	// Cfg is the configuration New resolved: the method and seed into the
-	// repartitioner, and the exchange, workers, fault plan and retry
+	// repartitioner, and the exchange, fault plan and retry
 	// budget into D. Editing it later re-resolves none of them; build a
 	// new Framework from the changed Config.
 	Cfg Config
@@ -237,9 +235,8 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	// for the curve order it reuses.
 	fw.part = partition.NewRepartitioner(g, cfg.Method, partition.Options{Seed: cfg.Seed})
 	d := par.NewDist(m, cfg.P, fw.part.Initial(cfg.P))
-	d.Workers = cfg.Workers // the SPL and classification scans share the knob
-	d.Exchange = exch       // the remap payload exchange schedule
-	d.Faults = cfg.Faults   // fault plan + recovery budget for the balance cycles
+	d.Exchange = exch     // the remap payload exchange schedule
+	d.Faults = cfg.Faults // fault plan + recovery budget for the balance cycles
 	d.Retry = cfg.Retry
 	d.Trace = cfg.Trace // per-rank remap spans + streaming window events
 	fw.D = d
@@ -706,7 +703,7 @@ func (f *Framework) compactOwners(alive []int32) []int32 {
 // is the repair path, and re-drawing fates inside it could cascade
 // forever. The crash set, the survivor plan, and the executed ownership
 // are all pure functions of (plan, cycle, survivors), so the recovered
-// state is byte-identical at any worker count and across repeat runs.
+// state is byte-identical across repeat runs.
 //
 // The survivor repartition and reassignment run through propose and are
 // charged like a balance pass's, on top of the failed proposal's: the

@@ -3,14 +3,11 @@ package core
 import (
 	"errors"
 	"math"
-	"reflect"
-	"slices"
 	"testing"
 
 	"plum/internal/adapt"
 	"plum/internal/geom"
 	"plum/internal/machine"
-	"plum/internal/mesh"
 	"plum/internal/meshgen"
 	"plum/internal/obs"
 	"plum/internal/partition"
@@ -418,98 +415,35 @@ func TestBalanceSplitsMemCompTime(t *testing.T) {
 	}
 }
 
-// TestBalanceWorkerCountInvariance runs the full SFC pipeline at several
-// worker counts and demands identical ownership — the framework-level
-// restatement of the curve order's determinism guarantee — an accepted
-// remap that improves balance, and the same BalanceReport, every modeled
-// second included. It holds on a small mesh and on a dual graph of at
-// least 1<<12 vertices, where the host's chunked scans run in parallel.
-func TestBalanceWorkerCountInvariance(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		mesh    func() *mesh.Mesh
-		workers []int
-	}{
-		{"small", meshgen.SmallBox, []int{1, 2, 5}},
-		{"box9", func() *mesh.Mesh { return meshgen.Box(9, 9, 9, geom.Vec3{X: 1, Y: 1, Z: 1}) }, []int{1, 2, 4}},
-	} {
-		var ref []int32
-		var refRep BalanceReport
-		for _, workers := range tc.workers {
-			cfg := DefaultConfig(8)
-			cfg.Method = partition.MethodHilbertSFC
-			cfg.Workers = workers
-			f, err := New(tc.mesh(), nil, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.name == "box9" && f.G.N < 1<<12 {
-				t.Fatalf("dual graph has %d vertices, need ≥ %d", f.G.N, 1<<12)
-			}
-			f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
-			f.A.Refine()
-			f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.4}, adapt.MarkRefine)
-			f.A.Refine()
-			rep, err := f.Balance()
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
-			if !rep.Accepted {
-				t.Fatalf("%s workers=%d: fixture executed no remap", tc.name, workers)
-			}
-			if rep.ImbalanceAfter >= rep.ImbalanceBefore {
-				t.Errorf("%s workers=%d: accepted remap did not improve balance: %.3f -> %.3f",
-					tc.name, workers, rep.ImbalanceBefore, rep.ImbalanceAfter)
-			}
-			owners := f.D.Owners()
-			if ref == nil {
-				ref, refRep = owners, rep
-				continue
-			}
-			if !slices.Equal(owners, ref) {
-				t.Errorf("%s workers=%d: ownership diverges from workers=%d",
-					tc.name, workers, tc.workers[0])
-			}
-			if !reflect.DeepEqual(rep, refRep) {
-				t.Errorf("%s workers=%d: BalanceReport differs from workers=%d:\n got %+v\nwant %+v",
-					tc.name, workers, tc.workers[0], rep, refRep)
-			}
+// TestRepartitionSpanIsCharged pins the trace and the report to one
+// price: on the hilbert curve the traced repartition span lasts exactly
+// the pass's RepartitionTime.
+func TestRepartitionSpanIsCharged(t *testing.T) {
+	tr := obs.NewTrace()
+	cfg := DefaultConfig(8)
+	cfg.Method = partition.MethodHilbertSFC
+	cfg.Trace = tr
+	f, err := New(meshgen.Box(9, 9, 9, geom.Vec3{X: 1, Y: 1, Z: 1}), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
+	f.A.Refine()
+	rep, err := f.Balance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Repartitioned {
+		t.Fatal("fixture did not repartition")
+	}
+	var spans []float64
+	for _, sp := range tr.Spans() {
+		if sp.Stage == "repartition" {
+			spans = append(spans, sp.Dur)
 		}
 	}
-}
-
-// TestRepartitionSpanIsCharged pins the trace and the report to one
-// price: on the hilbert curve, at one worker and at four, the traced
-// repartition span lasts exactly the pass's RepartitionTime.
-func TestRepartitionSpanIsCharged(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		tr := obs.NewTrace()
-		cfg := DefaultConfig(8)
-		cfg.Method = partition.MethodHilbertSFC
-		cfg.Workers = workers
-		cfg.Trace = tr
-		f, err := New(meshgen.Box(9, 9, 9, geom.Vec3{X: 1, Y: 1, Z: 1}), nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
-		f.A.Refine()
-		rep, err := f.Balance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Repartitioned {
-			t.Fatalf("workers=%d: fixture did not repartition", workers)
-		}
-		var spans []float64
-		for _, sp := range tr.Spans() {
-			if sp.Stage == "repartition" {
-				spans = append(spans, sp.Dur)
-			}
-		}
-		if len(spans) != 1 || spans[0] != rep.RepartitionTime {
-			t.Errorf("workers=%d: repartition spans %v, report charges %.17g", workers, spans, rep.RepartitionTime)
-		}
+	if len(spans) != 1 || spans[0] != rep.RepartitionTime {
+		t.Errorf("repartition spans %v, report charges %.17g", spans, rep.RepartitionTime)
 	}
 }
 

@@ -36,61 +36,31 @@ func runFaultScenario(t *testing.T, cfg Config, cycles int) ([]CycleReport, []in
 	return reps, f.D.Owners()
 }
 
-// faultTrace projects the fault-relevant observables out of one cycle
-// report — the fields that must be worker-invariant under a seeded plan.
-type cycleFaultTrace struct {
-	Outcome                                BalanceOutcome
-	Accepted                               bool
-	AdaptRetries, AdaptBackoff, AdaptExh   int64
-	RemapRetries, RemapRetryWords          int64
-	WindowRetries                          int
-	ImbalanceBefore, ImbalanceAfter, RTime float64
-}
-
-func traceOf(rep CycleReport) cycleFaultTrace {
-	return cycleFaultTrace{
-		Outcome:         rep.Outcome,
-		Accepted:        rep.Balance.Accepted,
-		AdaptRetries:    rep.AdaptTime.Retries,
-		AdaptBackoff:    rep.AdaptTime.Backoff,
-		AdaptExh:        rep.AdaptTime.Exhausted,
-		RemapRetries:    rep.Balance.Remap.Retries,
-		RemapRetryWords: rep.Balance.Remap.RetryWords,
-		WindowRetries:   rep.Balance.Remap.WindowRetries,
-		ImbalanceBefore: rep.Balance.ImbalanceBefore,
-		ImbalanceAfter:  rep.Balance.ImbalanceAfter,
-		RTime:           rep.Balance.Remap.RetryTime,
-	}
-}
-
 // TestCycleEmptyFaultPlanParity is the byte-parity acceptance criterion
 // at the framework level: with a present-but-empty fault plan every
 // CycleReport and the final ownership must be identical — bit for bit,
-// modeled floats included — to the nil-plan run, at workers 1, 2, 4, and
-// 8, on both the bulk-synchronous and the overlapped streaming pipeline.
+// modeled floats included — to the nil-plan run, on both the
+// bulk-synchronous and the overlapped streaming pipeline.
 func TestCycleEmptyFaultPlanParity(t *testing.T) {
 	const cycles = 3
 	for _, overlap := range []bool{false, true} {
-		for _, w := range []int{1, 2, 4, 8} {
-			cfg := DefaultConfig(4)
-			cfg.Workers = w
-			cfg.Overlap = overlap
-			refReps, refOwners := runFaultScenario(t, cfg, cycles)
+		cfg := DefaultConfig(4)
+		cfg.Overlap = overlap
+		refReps, refOwners := runFaultScenario(t, cfg, cycles)
 
-			cfg.Faults = &fault.Plan{Seed: 31, Rate: 0}
-			cfg.Retry = fault.Budget(2)
-			reps, owners := runFaultScenario(t, cfg, cycles)
-			if !reflect.DeepEqual(reps, refReps) {
-				t.Errorf("overlap=%v workers=%d: empty plan changed the reports:\n got %+v\nwant %+v",
-					overlap, w, reps, refReps)
-			}
-			if !reflect.DeepEqual(owners, refOwners) {
-				t.Errorf("overlap=%v workers=%d: empty plan changed the ownership", overlap, w)
-			}
-			for _, rep := range refReps {
-				if rep.Outcome != OutcomeCommitted {
-					t.Errorf("overlap=%v workers=%d: fault-free cycle reported %v", overlap, w, rep.Outcome)
-				}
+		cfg.Faults = &fault.Plan{Seed: 31, Rate: 0}
+		cfg.Retry = fault.Budget(2)
+		reps, owners := runFaultScenario(t, cfg, cycles)
+		if !reflect.DeepEqual(reps, refReps) {
+			t.Errorf("overlap=%v: empty plan changed the reports:\n got %+v\nwant %+v",
+				overlap, reps, refReps)
+		}
+		if !reflect.DeepEqual(owners, refOwners) {
+			t.Errorf("overlap=%v: empty plan changed the ownership", overlap)
+		}
+		for _, rep := range refReps {
+			if rep.Outcome != OutcomeCommitted {
+				t.Errorf("overlap=%v: fault-free cycle reported %v", overlap, rep.Outcome)
 			}
 		}
 	}
@@ -99,13 +69,11 @@ func TestCycleEmptyFaultPlanParity(t *testing.T) {
 // TestCycleFaultSeedsDeterministic pins the seeded half of the acceptance
 // criterion at two fault seeds: with a generous recovery budget every
 // cycle converges to the fault-free mesh state (same final ownership,
-// same kernel stats), the recovery is visible in the retry trace, the
-// trace is identical at workers 1, 2, and 4, and a repeated run is
-// byte-identical end to end.
+// same kernel stats), the recovery is visible in the retry trace, and a
+// repeated run is byte-identical end to end.
 func TestCycleFaultSeedsDeterministic(t *testing.T) {
 	const cycles = 3
 	base := DefaultConfig(4)
-	base.Workers = 2
 	base.Overlap = true // streaming remap: windows + commits under faults
 	refReps, refOwners := runFaultScenario(t, base, cycles)
 
@@ -114,46 +82,30 @@ func TestCycleFaultSeedsDeterministic(t *testing.T) {
 		cfg.Faults = &fault.Plan{Seed: seed, Rate: 0.2}
 		cfg.Retry = fault.Budget(8)
 
-		var first []cycleFaultTrace
-		for _, w := range []int{1, 2, 4} {
-			c := cfg
-			c.Workers = w
-			reps, owners := runFaultScenario(t, c, cycles)
-			if !reflect.DeepEqual(owners, refOwners) {
-				t.Fatalf("seed=%d workers=%d: recovered ownership diverges from fault-free", seed, w)
+		reps, owners := runFaultScenario(t, cfg, cycles)
+		if !reflect.DeepEqual(owners, refOwners) {
+			t.Fatalf("seed=%d: recovered ownership diverges from fault-free", seed)
+		}
+		var retried bool
+		for i, rep := range reps {
+			if rep.Outcome != OutcomeCommitted && rep.Outcome != OutcomeRetriedCommitted {
+				t.Fatalf("seed=%d cycle %d: did not converge: %v (%s)",
+					seed, i, rep.Outcome, rep.Balance.FaultDetail)
 			}
-			var traces []cycleFaultTrace
-			var retried bool
-			for i, rep := range reps {
-				if rep.Outcome != OutcomeCommitted && rep.Outcome != OutcomeRetriedCommitted {
-					t.Fatalf("seed=%d workers=%d cycle %d: did not converge: %v (%s)",
-						seed, w, i, rep.Outcome, rep.Balance.FaultDetail)
-				}
-				if rep.Outcome == OutcomeRetriedCommitted {
-					retried = true
-				}
-				if rep.Refine != refReps[i].Refine {
-					t.Errorf("seed=%d workers=%d cycle %d: faults changed the adaption kernel", seed, w, i)
-				}
-				traces = append(traces, traceOf(rep))
+			if rep.Outcome == OutcomeRetriedCommitted {
+				retried = true
 			}
-			if !retried {
-				t.Errorf("seed=%d workers=%d: rate 0.2 never left a remap retry trace", seed, w)
+			if rep.Refine != refReps[i].Refine {
+				t.Errorf("seed=%d cycle %d: faults changed the adaption kernel", seed, i)
 			}
-			if first == nil {
-				first = traces
-				continue
-			}
-			if !reflect.DeepEqual(traces, first) {
-				t.Errorf("seed=%d workers=%d: fault trace not worker-invariant:\n got %+v\nwant %+v",
-					seed, w, traces, first)
-			}
+		}
+		if !retried {
+			t.Errorf("seed=%d: rate 0.2 never left a remap retry trace", seed)
 		}
 
 		// Full byte determinism of a repeated identical run.
-		r1, o1 := runFaultScenario(t, cfg, cycles)
-		r2, o2 := runFaultScenario(t, cfg, cycles)
-		if !reflect.DeepEqual(r1, r2) || !reflect.DeepEqual(o1, o2) {
+		reps2, owners2 := runFaultScenario(t, cfg, cycles)
+		if !reflect.DeepEqual(reps, reps2) || !reflect.DeepEqual(owners, owners2) {
 			t.Errorf("seed=%d: two identical faulted runs differ", seed)
 		}
 	}

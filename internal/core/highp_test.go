@@ -1,16 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 
 	"plum/internal/adapt"
 	"plum/internal/geom"
 	"plum/internal/meshgen"
-	"plum/internal/obs"
 	"plum/internal/partition"
 )
 
@@ -35,49 +32,29 @@ func checkDistribution(t *testing.T, f *Framework) {
 
 // TestCycleHighP runs the whole cycle at P = 2048 — a few elements per
 // rank, thousands of tiny flows — on a toy rotor: the balancer must get
-// to execute a remap (its own mapper and executor no longer price it out),
-// keep the distribution sound, and produce identical owners, reports and
-// trace bytes at Workers 1 and 3.
+// to execute a remap (its own mapper and executor no longer price it out)
+// and keep the distribution sound.
 func TestCycleHighP(t *testing.T) {
 	const p = 2048
 	rp := meshgen.DefaultRotor()
 	rp.NR, rp.NTheta, rp.NZ = 10, 11, 11 // 7260 elements
 	centre := geom.Vec3{X: 1.4 * math.Cos(rp.Sweep/2), Y: 1.4 * math.Sin(rp.Sweep/2)}
-	type result struct {
-		owners  []int32
-		reports []BalanceReport
-		trace   []byte
+	cfg := DefaultConfig(p)
+	cfg.Method = partition.MethodHilbertSFC
+	f, err := New(meshgen.RotorDisk(rp), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(workers int) result {
-		cfg := DefaultConfig(p)
-		cfg.Method = partition.MethodHilbertSFC
-		cfg.Workers = workers
-		cfg.Trace = obs.NewTrace()
-		f, err := New(meshgen.RotorDisk(rp), nil, cfg)
+	accepted := 0
+	for c := 0; c < 3; c++ {
+		rep, err := f.Cycle(func(a *adapt.Adaptor) {
+			a.MarkRegion(adapt.SphereForFraction(a.M, centre, 0.05), adapt.MarkRefine)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res result
-		for c := 0; c < 3; c++ {
-			rep, err := f.Cycle(func(a *adapt.Adaptor) {
-				a.MarkRegion(adapt.SphereForFraction(a.M, centre, 0.05), adapt.MarkRefine)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkDistribution(t, f)
-			res.reports = append(res.reports, rep.Balance)
-		}
-		var buf bytes.Buffer
-		if err := obs.WritePerfetto(&buf, cfg.Trace); err != nil {
-			t.Fatal(err)
-		}
-		res.owners, res.trace = f.D.Owners(), buf.Bytes()
-		return res
-	}
-	ref := run(1)
-	accepted := 0
-	for c, b := range ref.reports {
+		checkDistribution(t, f)
+		b := rep.Balance
 		t.Logf("cycle %d: imbalance %.2f -> %.2f accepted=%v moved %d in %d sets, reassign ops %d",
 			c, b.ImbalanceBefore, b.ImbalanceAfter, b.Accepted, b.Remap.Moved, b.Remap.Sets, b.ReassignOps)
 		if b.Accepted {
@@ -89,18 +66,6 @@ func TestCycleHighP(t *testing.T) {
 	}
 	if accepted == 0 {
 		t.Fatal("no remap accepted at P = 2048: the balancer priced itself out")
-	}
-	got := run(3)
-	if !reflect.DeepEqual(got.owners, ref.owners) {
-		t.Error("owners differ between Workers 1 and 3")
-	}
-	for c := range ref.reports {
-		if !reflect.DeepEqual(got.reports[c], ref.reports[c]) {
-			t.Errorf("cycle %d: BalanceReport differs between Workers 1 and 3:\n got %+v\nwant %+v", c, got.reports[c], ref.reports[c])
-		}
-	}
-	if !bytes.Equal(got.trace, ref.trace) {
-		t.Error("trace bytes differ between Workers 1 and 3")
 	}
 }
 

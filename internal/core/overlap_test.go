@@ -11,14 +11,13 @@ import (
 	"plum/internal/partition"
 )
 
-// overlapFW builds a framework on a mesh big enough to clear the serial
-// cutoff, so the executor exercises real multi-window plans.
-func overlapFW(t *testing.T, workers int, overlap bool) *Framework {
+// overlapFW builds a framework on a mesh big enough that the executor
+// exercises real multi-window plans.
+func overlapFW(t *testing.T, overlap bool) *Framework {
 	t.Helper()
 	m := meshgen.Box(12, 12, 12, geom.Vec3{X: 1, Y: 1, Z: 1})
 	cfg := DefaultConfig(8)
 	cfg.Method = partition.MethodHilbertSFC
-	cfg.Workers = workers
 	cfg.Overlap = overlap
 	f, err := New(m, nil, cfg)
 	if err != nil {
@@ -47,69 +46,56 @@ func runOverlapCycle(t *testing.T, f *Framework) CycleReport {
 }
 
 // TestCycleOverlapParity is the determinism contract of the overlapped
-// cycle: at every worker count the Overlap=true cycle must produce the
-// byte-identical CycleReport and ownership to the strict-barrier baseline,
-// except for the fields overlap is *supposed* to change — the exposed cost
-// and the hidden time.
+// cycle: the Overlap=true cycle must produce the byte-identical
+// CycleReport and ownership to the strict-barrier baseline, except for the
+// fields overlap is *supposed* to change — the exposed cost and the hidden
+// time.
 func TestCycleOverlapParity(t *testing.T) {
-	var refOwners []int32
-	for _, w := range []int{1, 2, 4, 8} {
-		off := overlapFW(t, w, false)
-		on := overlapFW(t, w, true)
-		repOff := runOverlapCycle(t, off)
-		repOn := runOverlapCycle(t, on)
-		bOff, bOn := repOff.Balance, repOn.Balance
+	off := overlapFW(t, false)
+	on := overlapFW(t, true)
+	repOff := runOverlapCycle(t, off)
+	repOn := runOverlapCycle(t, on)
+	bOff, bOn := repOff.Balance, repOn.Balance
 
-		// The serial baseline charges the full cost and hides nothing.
-		if bOff.Cost != bOff.CostFull || bOff.OverlapTime != 0 {
-			t.Errorf("workers=%d: Overlap off must charge the full cost: cost=%g full=%g hidden=%g",
-				w, bOff.Cost, bOff.CostFull, bOff.OverlapTime)
-		}
-		// Overlap hides part of the pipeline behind the solve, never more
-		// than the solve itself, and charges only the exposed remainder.
-		if bOn.OverlapTime <= 0 || bOn.OverlapTime > repOn.SolverTime {
-			t.Errorf("workers=%d: OverlapTime %g outside (0, SolverTime=%g]",
-				w, bOn.OverlapTime, repOn.SolverTime)
-		}
-		if bOn.CostFull != bOff.Cost {
-			t.Errorf("workers=%d: overlapped CostFull %g != serial Cost %g", w, bOn.CostFull, bOff.Cost)
-		}
-		if bOn.Cost != bOn.CostFull-bOn.OverlapTime {
-			t.Errorf("workers=%d: exposed cost %g != full %g - hidden %g",
-				w, bOn.Cost, bOn.CostFull, bOn.OverlapTime)
-		}
-		// The streaming executor bounds the payload footprint strictly
-		// below the whole-buffer total.
-		total := bOn.Remap.Moved * par.RecordWords
-		if bOn.Remap.PeakWords <= 0 || bOn.Remap.PeakWords >= total {
-			t.Errorf("workers=%d: streaming peak %d not strictly below total %d",
-				w, bOn.Remap.PeakWords, total)
-		}
+	// The serial baseline charges the full cost and hides nothing.
+	if bOff.Cost != bOff.CostFull || bOff.OverlapTime != 0 {
+		t.Errorf("Overlap off must charge the full cost: cost=%g full=%g hidden=%g",
+			bOff.Cost, bOff.CostFull, bOff.OverlapTime)
+	}
+	// Overlap hides part of the pipeline behind the solve, never more
+	// than the solve itself, and charges only the exposed remainder.
+	if bOn.OverlapTime <= 0 || bOn.OverlapTime > repOn.SolverTime {
+		t.Errorf("OverlapTime %g outside (0, SolverTime=%g]", bOn.OverlapTime, repOn.SolverTime)
+	}
+	if bOn.CostFull != bOff.Cost {
+		t.Errorf("overlapped CostFull %g != serial Cost %g", bOn.CostFull, bOff.Cost)
+	}
+	if bOn.Cost != bOn.CostFull-bOn.OverlapTime {
+		t.Errorf("exposed cost %g != full %g - hidden %g", bOn.Cost, bOn.CostFull, bOn.OverlapTime)
+	}
+	// The streaming executor bounds the payload footprint strictly
+	// below the whole-buffer total.
+	total := bOn.Remap.Moved * par.RecordWords
+	if bOn.Remap.PeakWords <= 0 || bOn.Remap.PeakWords >= total {
+		t.Errorf("streaming peak %d not strictly below total %d", bOn.Remap.PeakWords, total)
+	}
 
-		// Everything else — partitions, owners, modeled times, op counts,
-		// the whole remap result — must be byte-identical.
-		repOn.Balance.OverlapTime = bOff.OverlapTime
-		repOn.Balance.Cost = bOff.Cost
-		if !reflect.DeepEqual(repOn, repOff) {
-			t.Errorf("workers=%d: overlapped cycle diverges beyond the overlap fields:\n on  %+v\n off %+v",
-				w, repOn, repOff)
-		}
-		owners := on.D.Owners()
-		if !reflect.DeepEqual(owners, off.D.Owners()) {
-			t.Errorf("workers=%d: overlapped ownership diverges from serial", w)
-		}
-		if refOwners == nil {
-			refOwners = owners
-		} else if !reflect.DeepEqual(owners, refOwners) {
-			t.Errorf("workers=%d: ownership diverges from workers=1", w)
-		}
+	// Everything else — partitions, owners, modeled times, op counts,
+	// the whole remap result — must be byte-identical.
+	repOn.Balance.OverlapTime = bOff.OverlapTime
+	repOn.Balance.Cost = bOff.Cost
+	if !reflect.DeepEqual(repOn, repOff) {
+		t.Errorf("overlapped cycle diverges beyond the overlap fields:\n on  %+v\n off %+v", repOn, repOff)
+	}
+	if !reflect.DeepEqual(on.D.Owners(), off.D.Owners()) {
+		t.Error("overlapped ownership diverges from serial")
 	}
 }
 
 // TestStandaloneBalanceHasNoWindow pins that Balance outside a cycle never
 // hides cost even with Overlap on: there is no solve to hide behind.
 func TestStandaloneBalanceHasNoWindow(t *testing.T) {
-	f := overlapFW(t, 2, true)
+	f := overlapFW(t, true)
 	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.4}, adapt.MarkRefine)
 	f.A.Refine()
 	rep, err := f.Balance()

@@ -17,29 +17,24 @@ import (
 // clock: the remap a balance pass predicts from its mapping's flows
 // (BalanceReport.Predicted, what Cost charges) is the remap ExecuteRemap
 // then charges, bit for bit, on every accepted fault-free pass — at low
-// and high P, under both exchange schedules, at two worker counts, and
-// after crashes left a compacted survivor set whose positions the
-// decision maps back to ranks.
+// and high P, under both exchange schedules, and after crashes left a
+// compacted survivor set whose positions the decision maps back to ranks.
 func TestPredictedRemapIsExecuted(t *testing.T) {
 	rp := meshgen.DefaultRotor()
 	rp.NR, rp.NTheta, rp.NZ = 10, 11, 11 // 7260 elements
 	centre := geom.Vec3{X: 1.4 * math.Cos(rp.Sweep/2), Y: 1.4 * math.Sin(rp.Sweep/2)}
 	for _, p := range []int{8, 64, 2048} {
 		for _, exch := range []string{"flat", "aggregated"} {
-			for _, c := range []struct {
-				workers int
-				dead    bool
-			}{{1, false}, {3, false}, {3, true}} {
-				name := fmt.Sprintf("P=%d/%s/workers=%d/dead=%v", p, exch, c.workers, c.dead)
+			for _, dead := range []bool{false, true} {
+				name := fmt.Sprintf("P=%d/%s/dead=%v", p, exch, dead)
 				cfg := DefaultConfig(p)
 				cfg.Method = partition.MethodHilbertSFC
 				cfg.Exchange = exch
-				cfg.Workers = c.workers
 				f, err := New(meshgen.RotorDisk(rp), nil, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if c.dead {
+				if dead {
 					// Ranks 1 and p/2+1 die; their trees go to rank 0, so
 					// the first pass balances over p−2 compacted survivors.
 					dead := []int{1, p/2 + 1}

@@ -12,13 +12,11 @@ import (
 // attributes it keeps, so an emission on a nil trace allocates nothing
 // (TestTraceDisabledIsFree pins this with testing.AllocsPerRun).
 //
-// No modeled quantity depends on the worker knob, so exports are
-// byte-identical at any worker count (TestTraceWorkerParity).
+// Exports are byte-identical run to run (TestTraceGolden).
 
 // traceAdapt records the adaption pass: phase children laid end to end
 // under an enclosing span of the pass's modeled total, then advances
-// the cursor. All AdaptTimings fields are worker-invariant (the adapt
-// parity tests compare them whole).
+// the cursor.
 func traceAdapt(tr *obs.Trace, tm par.AdaptTimings) {
 	t0 := tr.Now()
 	tr.Span(obs.FrameworkRank, "adapt", t0, tm.Total,
@@ -53,10 +51,9 @@ var (
 )
 
 // traceRemapExec records an executed remap's enclosing span with its phase
-// children (all from the canonical flow layout, byte-identical at every
-// worker count) and advances the cursor past the remap. The per-rank
-// send/rebuild spans were already emitted against the same base cursor
-// by par's accounting.
+// children (all from the canonical flow layout) and advances the cursor
+// past the remap. The per-rank send/rebuild spans were already emitted
+// against the same base cursor by par's accounting.
 func traceRemapExec(tr *obs.Trace, st remapStages, res *par.RemapResult) {
 	t0 := tr.Now()
 	tr.Span(obs.FrameworkRank, st.whole, t0, res.Total,

@@ -82,8 +82,7 @@ type CommTable struct {
 
 // RunCommTable charges the synthetic high-P flow sets through both
 // exchange schedules and returns the sweep. The table is purely modeled —
-// no mesh, no goroutines — and byte-identical across runs and worker
-// counts.
+// no mesh — and byte-identical across runs.
 func RunCommTable() *CommTable {
 	out := &CommTable{}
 	mdl := machine.SP2()
@@ -106,7 +105,7 @@ func RunCommTable() *CommTable {
 }
 
 // String renders the sweep with the per-P elapsed-time winner marked. The
-// output is byte-stable: CI diffs it across GOMAXPROCS and worker counts.
+// output is byte-stable: CI diffs it across GOMAXPROCS.
 func (t *CommTable) String() string {
 	tb := newTable(
 		"High-P remap exchange sweep: modeled charges of an SFC-neighbor + hypercube flow set",

@@ -46,27 +46,25 @@ type FaultRow struct {
 // FaultTable is the fault-tolerance anatomy: how the balance cycles
 // conclude — committed, retried, rolled back, degraded — as the fault
 // rate and the recovery budget vary, with the recovery traffic and its
-// modeled cost. Deterministic for a given seed at every worker count.
+// modeled cost. Deterministic for a given seed.
 type FaultTable struct {
-	Seed    int64
-	P       int
-	Workers int
-	Rows    []FaultRow
+	Seed int64
+	P    int
+	Rows []FaultRow
 }
 
 // RunFaultTable sweeps fault rate × recovery budget over a corner-refined
 // box workload (P=8, three overlapped balance cycles per cell, streaming
 // remap) under the given fault seed. Every figure in the table is
-// byte-identical at every worker count and across repeated runs — the
+// byte-identical across repeated runs — the
 // fault schedule is a pure function of (seed, cycle, stage, src, dst,
 // attempt).
-func RunFaultTable(seed int64, workers int) *FaultTable {
+func RunFaultTable(seed int64) *FaultTable {
 	const p = 8
-	out := &FaultTable{Seed: seed, P: p, Workers: workers}
+	out := &FaultTable{Seed: seed, P: p}
 	for _, rate := range faultRates {
 		for _, budget := range faultBudgets {
 			cfg := core.DefaultConfig(p)
-			cfg.Workers = workers
 			cfg.Overlap = true // the overlapped cycle's exposed-cost acceptance rule
 			cfg.Faults = &fault.Plan{Seed: seed, Rate: rate}
 			cfg.Retry = fault.Budget(budget)

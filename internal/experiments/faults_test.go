@@ -25,18 +25,17 @@ func (r *FaultRow) outcomeCounts() (committed, retried, rolledBack, degraded int
 	return
 }
 
-// TestFaultTableClaims verifies the sweep's robustness story and its
-// determinism contract: zero-rate rows are all-committed with zero retry
-// traffic, faulted rows with budget recover or degrade gracefully (never
-// a third state), a generous budget beats a zero budget, and the whole
-// table — every outcome, counter, and modeled float — is identical at
-// workers 1 and 4.
+// TestFaultTableClaims verifies the sweep's robustness story: zero-rate
+// rows are all-committed with zero retry traffic, faulted rows with
+// budget recover or degrade gracefully (never a third state), a generous
+// budget beats a zero budget, and a different seed draws a different
+// schedule.
 func TestFaultTableClaims(t *testing.T) {
 	if testing.Short() {
-		t.Skip("paper-scale sweep (CI pins the sweep's determinism race-enabled via cmd/experiments)")
+		t.Skip("paper-scale sweep (CI pins the sweep's determinism via cmd/experiments)")
 	}
 	const seed = 7
-	tb := RunFaultTable(seed, 1)
+	tb := RunFaultTable(seed)
 	cell := map[[2]int]FaultRow{}
 	for _, r := range tb.Rows {
 		cell[[2]int{int(r.Rate * 100), r.Budget}] = r
@@ -85,15 +84,8 @@ func TestFaultTableClaims(t *testing.T) {
 		}
 	}
 
-	// Worker parity: an independent second run, compared field by field
-	// (String is a pure function of the rows, TestTableStringsStable).
-	w4 := RunFaultTable(seed, 4)
-	if !reflect.DeepEqual(tb.Rows, w4.Rows) {
-		t.Errorf("fault table not worker-invariant:\n got %+v\nwant %+v", w4.Rows, tb.Rows)
-	}
-
 	// A different seed draws a different schedule.
-	other := RunFaultTable(seed+35, 1)
+	other := RunFaultTable(seed + 35)
 	if reflect.DeepEqual(tb.Rows, other.Rows) {
 		t.Error("two fault seeds produced identical sweeps")
 	}

@@ -46,24 +46,22 @@ type RecoverRow struct {
 // RecoverTable is the rank-crash recovery anatomy: how balance cycles
 // conclude as ranks die mid-remap, what the survivor remap moves, and
 // what the checkpoints cost, as the crash rate varies — alone and mixed
-// with message drops. Deterministic for a given seed at every worker
-// count.
+// with message drops. Deterministic for a given seed.
 type RecoverTable struct {
-	Seed    int64
-	P       int
-	Workers int
-	Rows    []RecoverRow
+	Seed int64
+	P    int
+	Rows []RecoverRow
 }
 
 // RunRecoverTable sweeps the crash rate over a corner-refined box
 // workload (P=8, four overlapped balance cycles per cell, streaming
 // remap) under the given crash seed, each rate once with crashes alone
-// and once mixed with message drops. Every figure is byte-identical at
-// every worker count and across repeated runs — crash fates are a pure
+// and once mixed with message drops. Every figure is byte-identical
+// across repeated runs — crash fates are a pure
 // function of (seed, cycle, stage, rank).
-func RunRecoverTable(seed int64, workers int) *RecoverTable {
+func RunRecoverTable(seed int64) *RecoverTable {
 	const p = 8
-	out := &RecoverTable{Seed: seed, P: p, Workers: workers}
+	out := &RecoverTable{Seed: seed, P: p}
 	for _, rate := range crashRates {
 		for _, mixed := range []bool{false, true} {
 			kinds := []fault.Kind{fault.Crash}
@@ -71,7 +69,6 @@ func RunRecoverTable(seed int64, workers int) *RecoverTable {
 				kinds = []fault.Kind{fault.Crash, fault.Drop}
 			}
 			cfg := core.DefaultConfig(p)
-			cfg.Workers = workers
 			cfg.Overlap = true // the overlapped cycle's exposed-cost acceptance rule
 			cfg.Faults = &fault.Plan{Seed: seed, Rate: rate, Kinds: kinds}
 			cfg.Retry = fault.Budget(3)

@@ -2,10 +2,10 @@
 // load balancer's robustness layer. A Plan is a pure function from the
 // key (cycle, stage, src, dst, attempt) to a fault Kind, derived from a
 // seed by a splitmix64-style hash: no state, no clocks, no randomness at
-// run time. Because the key never mentions worker counts or goroutine
-// scheduling, every injected failure — and every recovery the exchanges
-// and the remap perform in response — is byte-reproducible at any
-// worker count, per the repo's determinism contract.
+// run time. Because the key never mentions host state, every injected
+// failure — and every recovery the exchanges and the remap perform in
+// response — is byte-reproducible run to run, per the repo's determinism
+// contract.
 //
 // Every message exchange consults a Plan through an ExchangeModel: the
 // remap payload exchange, window by window, and the adaption notification
@@ -224,10 +224,10 @@ func (p *Plan) CrashEnabled() bool {
 
 // Crashed reports whether the plan fates the given rank to die at the
 // (stage, cycle) boundary. Like Fate it is a pure hash — no state — so
-// the set of crashed ranks for a cycle is byte-reproducible at any
-// worker count; unlike Fate the key is rank-scoped, with no message or
-// attempt coordinates. The key word holds the cycle's low 40 bits and the
-// rank's low 16; hashKey folds in the rest.
+// the set of crashed ranks for a cycle is byte-reproducible; unlike Fate
+// the key is rank-scoped, with no message or attempt coordinates. The key
+// word holds the cycle's low 40 bits and the rank's low 16; hashKey folds
+// in the rest.
 func (p *Plan) Crashed(stage Stage, cycle, rank int) bool {
 	if !p.CrashEnabled() {
 		return false
@@ -346,9 +346,8 @@ func (r Retry) Normalize() Retry {
 // ExchangeModel replays a plan against one exchange scope: the remap
 // payload exchange of one remap, or the adaption notification rounds of
 // one cycle. It keeps one attempt counter per (src, dst) pair within its
-// (stage, cycle) scope; callers draw serially, in canonical pair order,
-// so the counters and the resulting charges are byte-identical at every
-// worker count.
+// (stage, cycle) scope; callers draw in canonical pair order, so the
+// counters and the resulting charges are byte-identical run to run.
 //
 // Resends reports whether each message got through. The remap fails a
 // window on an undelivered message. Notifications are control-plane

@@ -6,8 +6,7 @@ package machine
 // stage, and Mem the memory-bound slice of it (adjacency chasing, gain
 // scatter, record copies), charged at Model.MemOp; the compute-bound
 // remainder (key encoding, sorts, eigen-solves, pattern scans) is charged
-// at Model.CompOp. It counts work, not a schedule, so it is the same at
-// every worker count.
+// at Model.CompOp. It counts work, not a schedule.
 type Ops struct {
 	Total, Mem int64
 }

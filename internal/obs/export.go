@@ -14,7 +14,7 @@ import (
 // Seq, metrics by name) and format floats via the shortest round-trip
 // rendering (encoding/json and strconv agree on it), so the output bytes
 // are a pure function of the recorded history — the property the CI
-// byte-diffs pin across worker counts and GOMAXPROCS.
+// byte-diffs pin run to run and across GOMAXPROCS.
 
 // perfettoEvent is one Chrome trace-event object. Complete spans use
 // ph "X" with microsecond ts/dur; instants use ph "i"; thread-name

@@ -5,9 +5,8 @@
 //
 // The tracer records *modeled* time — the machine-model clock the balance
 // pipeline already computes per stage — not host wall time. Spans are
-// emitted in canonical program order from serial code (never inside
-// chunked worker loops), so an exported trace is byte-identical at any
-// worker count and GOMAXPROCS.
+// emitted in canonical program order, so an exported trace is
+// byte-identical run to run and at any GOMAXPROCS.
 //
 // Every method on Trace and Registry is safe on a nil receiver and does
 // nothing, so instrumented code needs no enabled-flag plumbing and no
@@ -114,8 +113,8 @@ type openSpan struct {
 
 // Trace accumulates spans and events on the modeled timeline. The
 // zero value is ready to use; a nil *Trace is a no-op on every method.
-// Trace is not safe for concurrent use — emission happens from serial
-// canonical-order code by design (concurrent emission would break the
+// Trace is not safe for concurrent use — emission happens in canonical
+// program order by design (concurrent emission would break the
 // determinism contract no matter what a lock did).
 type Trace struct {
 	seq    int64

@@ -20,8 +20,8 @@ type Metric struct {
 // the exporter groups HELP/TYPE comments by the base name before '{'.
 // Every method is safe on a nil receiver and does nothing, so
 // instrumented code needs no enabled-flag plumbing. Not safe for
-// concurrent use — metrics are recorded from serial canonical-order
-// code, like trace emission.
+// concurrent use — metrics are recorded in canonical program order,
+// like trace emission.
 type Registry struct {
 	counters map[string]float64
 	gauges   map[string]float64

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"plum/internal/adapt"
-	"plum/internal/chunk"
 	"plum/internal/fault"
 	"plum/internal/machine"
 	"plum/internal/mesh"
@@ -12,10 +11,9 @@ import (
 )
 
 // AdaptTimings reports the modeled SP2 execution time of one parallel
-// adaption phase, broken down the way the paper instruments it. Every
-// field is byte-identical at every worker count: the scans merge integer
-// partials in chunk order and the message charges accumulate in sorted
-// (src, dst) pair order, never map order.
+// adaption phase, broken down the way the paper instruments it. The
+// message charges accumulate in sorted (src, dst) pair order, never map
+// order, so every field is the same run to run.
 type AdaptTimings struct {
 	// Target is the edge-marking (error indicator) phase: perfectly
 	// distributed across local edges.
@@ -54,12 +52,12 @@ type AdaptTimings struct {
 	Retries, Backoff, Exhausted int64
 }
 
-// engine builds the pass's frontier-propagation engine at the Dist's
-// worker knob, with the cycle's modeled exchange-fault model when the plan
-// is on. One model spans the whole fault cycle (refine and coarsen
-// continue the same per-pair attempt sequence, so their draws are
-// independent); with faults off the engine carries none, so the pass stays
-// byte-identical to the fault-free baseline.
+// engine builds the pass's frontier-propagation engine, with the cycle's
+// modeled exchange-fault model when the plan is on. One model spans the
+// whole fault cycle (refine and coarsen continue the same per-pair attempt
+// sequence, so their draws are independent); with faults off the engine
+// carries none, so the pass stays byte-identical to the fault-free
+// baseline.
 func (d *Dist) engine() propagate.Engine {
 	if !d.Faults.Enabled() {
 		d.adaptX = nil
@@ -67,7 +65,7 @@ func (d *Dist) engine() propagate.Engine {
 		d.adaptX = d.Faults.Exchange(fault.StageAdapt, d.FaultCycle, d.Retry.Normalize().MsgAttempts)
 		d.adaptXCycle = d.FaultCycle
 	}
-	return propagate.Engine{Workers: d.Workers, Faults: d.adaptX}
+	return propagate.Engine{Faults: d.adaptX}
 }
 
 // faultTrace snapshots an ExchangeModel's cumulative counters so a pass
@@ -92,10 +90,9 @@ func (t faultTrace) record(x *fault.ExchangeModel, tm *AdaptTimings) {
 }
 
 // adaptWorld adapts the (Dist, Adaptor) pair to the propagation engine's
-// World interface: patterns are proposed against the live mark set
-// (reads only, safe across worker goroutines), commits go through
-// SetMark serially, and reach/SPL probes walk the edge incidence lists
-// into the owner slab.
+// World interface: patterns are proposed against the live mark set,
+// commits go through SetMark, and reach/SPL probes walk the edge
+// incidence lists into the owner slab.
 type adaptWorld struct {
 	d *Dist
 	a *adapt.Adaptor
@@ -149,20 +146,6 @@ func (d *Dist) seedFrontier(a *adapt.Adaptor) []int32 {
 	return seed
 }
 
-// perRankCounts runs a chunked scan over [lo, hi), calling visit with a
-// per-chunk rank-count accumulator and a reusable SPL scratch buffer —
-// identical totals at every worker count (chunk.GatherCounts merges in
-// chunk order).
-func (d *Dist) perRankCounts(lo, hi int, visit func(i int, cnt []int64, buf *[]int32)) []int64 {
-	n := hi - lo
-	return chunk.GatherCounts(n, EffectiveWorkers(n, d.Workers), d.P, func(clo, chi int, cnt []int64) {
-		var buf []int32
-		for i := clo; i < chi; i++ {
-			visit(lo+i, cnt, &buf)
-		}
-	})
-}
-
 // PredictAdaptOps returns the op accounting one parallel adaption pass
 // reports for the given phase quantities: the target/shared-mark scans
 // over nEdges edges, the two slab-sized element scans (seed or snapshot,
@@ -202,9 +185,7 @@ func PredictAdaptOps(nEdges, nElems, mutations, classified int64, prop propagate
 // shared-edge classification round. The mesh mutation is performed by the
 // (verified) serial kernel; the per-rank work and message pattern are
 // replayed against the ownership map and charged to the machine model.
-// The edge scans are chunked over Workers goroutines with the same
-// determinism contract as ExecuteRemap and Init; the seed and the
-// children count walk the adaptor's touched set serially.
+// The seed and the children count walk the adaptor's touched set.
 func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.RefineStats, AdaptTimings) {
 	var tm AdaptTimings
 	m := d.M
@@ -241,20 +222,21 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	// --- Execution phase: bisection + subdivision, attributed by owner. ---
 	// Bisection work replicates on every rank sharing the edge; the scan
 	// counts shares per rank and charges once per rank.
-	marks := a.MarksSnapshot()
-	bisect := d.perRankCounts(0, len(marks), func(ei int, cnt []int64, buf *[]int32) {
-		if marks[ei] != adapt.MarkRefine {
-			return
+	bisect := make([]int64, d.P)
+	var buf []int32
+	for ei, mk := range a.MarksSnapshot() {
+		if mk != adapt.MarkRefine {
+			continue
 		}
 		ed := &m.Edges[ei]
 		if ed.Dead || ed.Bisected() {
-			return
+			continue
 		}
-		*buf = d.edgeSPL((*buf)[:0], mesh.EdgeID(ei))
-		for _, r := range *buf {
-			cnt[r]++
+		buf = d.edgeSPL(buf[:0], mesh.EdgeID(ei))
+		for _, r := range buf {
+			bisect[r]++
 		}
-	})
+	}
 	for r := 0; r < d.P; r++ {
 		clk.Add(r, float64(bisect[r])*mdl.BisectEdge)
 	}
@@ -295,20 +277,18 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	return st, tm
 }
 
-// classifyPairs runs the chunked shared-edge classification scan over the
-// edges created at or after edgesBefore: every new non-half edge whose
-// endpoint SPLs intersect in more than one rank contributes a two-word
-// query (edge id + verdict) per ordered rank pair. The raw contributions
-// merge in chunk order; AggregatePairs puts them in canonical charge
-// order.
+// classifyPairs runs the shared-edge classification scan over the edges
+// created at or after edgesBefore: every new non-half edge whose endpoint
+// SPLs intersect in more than one rank contributes a two-word query (edge
+// id + verdict) per ordered rank pair. AggregatePairs puts the raw
+// contributions in canonical charge order.
 //
 // A midpoint vertex is an endpoint of a dozen new edges, and nearly every
 // vertex lies inside one rank, so each endpoint's SPL is derived once: a
-// chunked vertex scan writes the list of every endpoint it finds shared
-// into its chunk's buffer, the buffers merge in chunk order into one cache,
-// and the edge scan intersects the cached lists of the edges whose two
-// endpoints are both shared — only those can intersect in more than one
-// rank.
+// vertex scan writes the list of every endpoint it finds shared into one
+// cache, and the edge scan intersects the cached lists of the edges whose
+// two endpoints are both shared — only those can intersect in more than
+// one rank.
 func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
 	m := d.M
 	// at[v] is where vertex v's cached list starts (the cache holds its
@@ -330,76 +310,45 @@ func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
 			at[ed.V[0]], at[ed.V[1]] = wanted, wanted
 		}
 	}
-	ew := EffectiveWorkers(nv, d.Workers)
-	nc := chunk.Count(nv, ew)
-	for len(d.vsplParts) < nc {
-		d.vsplParts = append(d.vsplParts, nil)
+	cache := d.vspl[:0]
+	for v := range at {
+		if at[v] != wanted {
+			continue
+		}
+		o := len(cache)
+		cache = d.vertSPL(append(cache, 0), mesh.VertID(v))
+		if k := len(cache) - o - 1; k > 1 {
+			cache[o], at[v] = int32(k), int32(o)
+		} else {
+			cache, at[v] = cache[:o], unwanted
+		}
 	}
-	parts := d.vsplParts[:nc]
-	chunk.For(nv, ew, func(c, lo, hi int) {
-		buf := parts[c][:0]
-		for v := lo; v < hi; v++ {
-			if at[v] != wanted {
-				continue
-			}
-			o := len(buf)
-			buf = d.vertSPL(append(buf, 0), mesh.VertID(v))
-			if k := len(buf) - o - 1; k > 1 {
-				buf[o], at[v] = int32(k), int32(o)
-			} else {
-				buf, at[v] = buf[:o], unwanted
-			}
-		}
-		parts[c] = buf
-	})
-	// Merge: chunk c's lists move up by the lengths of the chunks before it.
-	var size int
-	for _, p := range parts {
-		size += len(p)
-	}
-	d.vspl = slices.Grow(d.vspl[:0], size)[:size]
-	cache := d.vspl
-	chunk.For(nv, ew, func(c, lo, hi int) {
-		base := 0
-		for _, p := range parts[:c] {
-			base += len(p)
-		}
-		copy(cache[base:], parts[c])
-		for v := lo; v < hi; v++ {
-			if at[v] >= 0 {
-				at[v] += int32(base)
-			}
-		}
-	})
+	d.vspl = cache
 	spl := func(v mesh.VertID) []int32 {
 		o := at[v] + 1
 		return cache[o : o+cache[o-1]]
 	}
-	n := len(classified)
-	return chunk.Gather(n, EffectiveWorkers(n, d.Workers), func(lo, hi int) []propagate.PairWords {
-		var out []propagate.PairWords
-		var inter []int32
-		for i := lo; i < hi; i++ {
-			ed := &classified[i]
-			if ed.Dead || ed.Parent != mesh.InvalidEdge || at[ed.V[0]] < 0 || at[ed.V[1]] < 0 {
-				continue // half-edge (case 2), or an endpoint inside one rank
-			}
-			inter = intersectSorted(inter[:0], spl(ed.V[0]), spl(ed.V[1]))
-			if len(inter) <= 1 {
-				continue // internal edge (cases 1 and 3)
-			}
-			out = propagate.PairsFromSPL(out, inter, 2) // edge id + verdict, in words
+	var out []propagate.PairWords
+	var inter []int32
+	for i := range classified {
+		ed := &classified[i]
+		if ed.Dead || ed.Parent != mesh.InvalidEdge || at[ed.V[0]] < 0 || at[ed.V[1]] < 0 {
+			continue // half-edge (case 2), or an endpoint inside one rank
 		}
-		return out
-	})
+		inter = intersectSorted(inter[:0], spl(ed.V[0]), spl(ed.V[1]))
+		if len(inter) <= 1 {
+			continue // internal edge (cases 1 and 3)
+		}
+		out = propagate.PairsFromSPL(out, inter, 2) // edge id + verdict, in words
+	}
+	return out
 }
 
 // ParallelCoarsen executes one coarsening pass with per-rank attribution:
 // marking over local edges, one shared-mark consistency exchange through
 // the propagation backend, sibling-group removal charged to the parent's
 // owner, and the conformity re-refinement charged to the new children's
-// owners. The mark scan and both execution scans are chunked like
-// ParallelRefine's. The pass ends with the paper's compaction
+// owners. The pass ends with the paper's compaction
 // (adapt.Adaptor.Compact): the slabs it leaves hold no dead object, ids
 // past the initial mesh's are renumbered, and the mesh's log carries the
 // vertex renumbering to the solver's next SyncAfterAdaption.
@@ -424,28 +373,21 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 
 	// Shared-mark consistency round: coarsen marks on shared edges are
 	// exchanged once (symmetric marking makes further rounds unneeded).
-	// The chunked scan gathers per-chunk (src, dst) contributions; the
-	// sorted aggregation fixes the charge order the old per-round map
-	// left to map iteration.
-	marks := a.MarksSnapshot()
-	nMarks := len(marks)
-	raw := chunk.Gather(nMarks, EffectiveWorkers(nMarks, d.Workers), func(lo, hi int) []propagate.PairWords {
-		var out []propagate.PairWords
-		var buf []int32
-		for ei := lo; ei < hi; ei++ {
-			if marks[ei] != adapt.MarkCoarsen {
-				continue
-			}
-			ed := &m.Edges[ei]
-			if ed.Dead || ed.Bisected() {
-				continue
-			}
-			if buf = d.edgeSPL(buf[:0], mesh.EdgeID(ei)); len(buf) > 1 {
-				out = propagate.PairsFromSPL(out, buf, 1)
-			}
+	// The sorted aggregation fixes the charge order.
+	var raw []propagate.PairWords
+	var buf []int32
+	for ei, mk := range a.MarksSnapshot() {
+		if mk != adapt.MarkCoarsen {
+			continue
 		}
-		return out
-	})
+		ed := &m.Edges[ei]
+		if ed.Dead || ed.Bisected() {
+			continue
+		}
+		if buf = d.edgeSPL(buf[:0], mesh.EdgeID(ei)); len(buf) > 1 {
+			raw = propagate.PairsFromSPL(raw, buf, 1)
+		}
+	}
 	pairs := propagate.AggregatePairs(raw)
 	var res propagate.Result
 	res.Rounds = 1
@@ -462,21 +404,20 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	// Snapshot liveness so the post-kernel scans can attribute removals.
 	d.deadBefore = slices.Grow(d.deadBefore[:0], nElems0)[:nElems0]
 	deadBefore := d.deadBefore
-	chunk.For(nElems0, EffectiveWorkers(nElems0, d.Workers), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			deadBefore[i] = m.Elems[i].Dead
-		}
-	})
+	for i := range deadBefore {
+		deadBefore[i] = m.Elems[i].Dead
+	}
 
 	st := a.Coarsen()
 	d.fillOwn(nElems0)
 
 	// Removal work: newly dead elements, charged to their tree's owner.
-	removed := d.perRankCounts(0, nElems0, func(i int, cnt []int64, _ *[]int32) {
-		if m.Elems[i].Dead && !deadBefore[i] {
-			cnt[d.own[i]]++
+	removed := make([]int64, d.P)
+	for i, was := range deadBefore {
+		if m.Elems[i].Dead && !was {
+			removed[d.own[i]]++
 		}
-	})
+	}
 	for r := 0; r < d.P; r++ {
 		clk.Add(r, float64(removed[r])*mdl.RemoveElem)
 	}
@@ -485,11 +426,12 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	// charged into the pass's accounting here (PredictAdaptOps covers only
 	// the two slab-sized scans).
 	tail := len(m.Elems) - nElems0
-	created := d.perRankCounts(nElems0, len(m.Elems), func(i int, cnt []int64, _ *[]int32) {
+	created := make([]int64, d.P)
+	for i := nElems0; i < len(m.Elems); i++ {
 		if !m.Elems[i].Dead {
-			cnt[d.own[i]]++
+			created[d.own[i]]++
 		}
-	})
+	}
 	res.Ops.AddComp(int64(tail))
 	for r := 0; r < d.P; r++ {
 		clk.Add(r, float64(created[r])*mdl.SubdivideChild)

@@ -231,10 +231,9 @@ func markFront(a *adapt.Adaptor, c, cycles int) {
 }
 
 // sweepDist distributes a sweep box over four ranks.
-func sweepDist(nx, workers int) (*Dist, *adapt.Adaptor) {
+func sweepDist(nx int) (*Dist, *adapt.Adaptor) {
 	m := sweepBox(nx)
 	d := NewDist(m, 4, partition.Partition(dual.Build(m), 4, partition.MethodInertial))
-	d.Workers = workers
 	return d, adapt.New(m)
 }
 
@@ -247,7 +246,7 @@ func sweepDist(nx, workers int) (*Dist, *adapt.Adaptor) {
 // and boundary faces the same.
 func TestCompactIsRelabelling(t *testing.T) {
 	const cycles = 7
-	d, a := sweepDist(12, 0)
+	d, a := sweepDist(12)
 	plainM := sweepBox(12)
 	plain := adapt.New(plainM)
 	mdl := machine.SP2()
@@ -298,7 +297,7 @@ func TestCompactIsRelabelling(t *testing.T) {
 // distributed coarsening pass no slab holds a dead object.
 func TestSlotsFollowLive(t *testing.T) {
 	const cycles = 4
-	d, a := sweepDist(8, 0)
+	d, a := sweepDist(8)
 	for c := 0; c < cycles; c++ {
 		markWake(a, c, cycles)
 		d.ParallelCoarsen(a, machine.SP2())
@@ -315,7 +314,7 @@ func TestSlotsFollowLive(t *testing.T) {
 // where it is instead of growing by a wake's worth of dead slots a cycle.
 func TestHeapPlateaus(t *testing.T) {
 	const cycles = 9
-	d, a := sweepDist(16, 0)
+	d, a := sweepDist(16)
 	s := solver.New(d.M, solver.PlanarShock(0, 0.2))
 	var heap [cycles]uint64
 	for c := 0; c < cycles; c++ {
@@ -334,49 +333,6 @@ func TestHeapPlateaus(t *testing.T) {
 		if lo, hi := 0.85*float64(heap[4]), 1.15*float64(heap[4]); float64(heap[c]) < lo || float64(heap[c]) > hi {
 			t.Errorf("live heap after cycle %d is %d B, cycle 4 left %d B: %v", c, heap[c], heap[4], heap)
 		}
-	}
-}
-
-// TestCompactWorkerParity runs the compacting sweep at two worker counts:
-// owners, timings, the mesh slabs themselves and every list read through
-// the accessors must be equal.
-// Not skipped under -short: the race jobs run it at GOMAXPROCS 1 and 4.
-func TestCompactWorkerParity(t *testing.T) {
-	const cycles = 4
-	type pass struct {
-		Coarsen, Refine AdaptTimings
-	}
-	run := func(workers int) (*Dist, []pass) {
-		d, a := sweepDist(32, workers)
-		var out []pass
-		for c := 0; c < cycles; c++ {
-			var p pass
-			markWake(a, c, cycles)
-			_, p.Coarsen = d.ParallelCoarsen(a, machine.SP2())
-			markFront(a, c, cycles)
-			_, p.Refine = d.ParallelRefine(a, machine.SP2())
-			out = append(out, p)
-		}
-		return d, out
-	}
-	d1, tm1 := run(1)
-	d3, tm3 := run(3)
-	if len(d1.M.Elems) <= SerialCutoff {
-		t.Fatalf("%d element slots: the chunked scans never ran", len(d1.M.Elems))
-	}
-	if !reflect.DeepEqual(tm1, tm3) {
-		t.Errorf("timings differ:\nworkers 1 %+v\nworkers 3 %+v", tm1, tm3)
-	}
-	if !reflect.DeepEqual(d1.Owners(), d3.Owners()) {
-		t.Error("owners differ")
-	}
-	m1, m3 := d1.M, d3.M
-	if !reflect.DeepEqual(m1.Verts, m3.Verts) || !reflect.DeepEqual(m1.Edges, m3.Edges) ||
-		!reflect.DeepEqual(m1.Elems, m3.Elems) || !reflect.DeepEqual(m1.Faces, m3.Faces) {
-		t.Error("mesh slabs differ")
-	}
-	if err := relabelled(m1, m3); err != nil {
-		t.Errorf("meshes differ: %v", err)
 	}
 }
 

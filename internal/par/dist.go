@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"slices"
 
-	"plum/internal/chunk"
 	"plum/internal/fault"
 	"plum/internal/machine"
 	"plum/internal/mesh"
@@ -33,14 +32,6 @@ import (
 type Dist struct {
 	M *mesh.Mesh
 	P int
-
-	// Workers bounds the worker-goroutine count of the chunked O(mesh)
-	// scans — the Init shared-object analysis, RankLoads, and the
-	// adaption-phase target/execute/classification scans. ≤ 0 means
-	// runtime.GOMAXPROCS; below SerialCutoff objects every scan falls
-	// back to a serial loop regardless. Results are identical at every
-	// worker count.
-	Workers int
 
 	// Exchange selects the communication schedule of the remap payload
 	// exchange — flat (the zero value) or aggregated (see
@@ -70,10 +61,7 @@ type Dist struct {
 	// the modeled timeline (internal/obs). nil disables tracing: an
 	// emission on a nil trace does nothing and allocates nothing, and only
 	// the per-rank spans, whose arrays cost work to build, check for nil
-	// first. Emission happens only from serial canonical-order code —
-	// never inside the chunked worker loops — and records only
-	// worker-invariant quantities, so traces are byte-identical at any
-	// worker count.
+	// first.
 	Trace *obs.Trace
 
 	// dead marks ranks lost to crash recovery; nil until the first crash.
@@ -100,27 +88,13 @@ type Dist struct {
 	// leaves it stale, so nothing outside those scans reads it.
 	own []int32
 
-	// vsplAt, vsplParts and vspl are classifyPairs' per-vertex SPL cache,
-	// and deadBefore is ParallelCoarsen's per-element liveness snapshot;
-	// all are kept across passes, so a pass allocates only when the mesh
+	// vsplAt and vspl are classifyPairs' per-vertex SPL cache, and
+	// deadBefore is ParallelCoarsen's per-element liveness snapshot; all
+	// are kept across passes, so a pass allocates only when the mesh
 	// grows.
 	vsplAt     []int32
-	vsplParts  [][]int32
 	vspl       []int32
 	deadBefore []bool
-}
-
-// SerialCutoff is the object count below which the chunked shared-object
-// scans (Init, RankLoads, the adaption passes) fall back to a serial
-// loop: under ~8k objects the chunk bookkeeping costs more than the
-// parallelism recovers.
-const SerialCutoff = 1 << 13
-
-// EffectiveWorkers resolves the worker count a chunked scan actually runs
-// with: the knob (≤ 0 = GOMAXPROCS), clamped to 1 below SerialCutoff
-// objects and to n above it. It bounds the host's goroutines.
-func EffectiveWorkers(n, workers int) int {
-	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
 }
 
 // NewDist builds the distributed view from a dual-graph partition
@@ -196,19 +170,15 @@ func (d *Dist) SetOwners(o []int32) {
 func (d *Dist) OwnerOf(el mesh.ElemID) int32 { return d.owner[d.M.Elems[el].Root] }
 
 // fillOwn refreshes the owner slab over elements [lo, len(Elems)) in one
-// chunked streaming scan of the element slab: lo = 0 before a pass's
-// first probe, the pre-kernel slab length once the kernel has appended.
+// streaming scan of the element slab: lo = 0 before a pass's first probe,
+// the pre-kernel slab length once the kernel has appended.
 func (d *Dist) fillOwn(lo int) {
 	elems, owner := d.M.Elems, d.owner
 	n := len(elems)
 	d.own = slices.Grow(d.own[:lo], n-lo)[:n]
-	own := d.own[lo:]
-	tail := elems[lo:]
-	chunk.For(n-lo, EffectiveWorkers(n-lo, d.Workers), func(_, clo, chi int) {
-		for i := clo; i < chi; i++ {
-			own[i] = owner[tail[i].Root]
-		}
-	})
+	for i := lo; i < n; i++ {
+		d.own[i] = owner[elems[i].Root]
+	}
 }
 
 // edgeSPL appends the sorted shared-processor list of edge e — the owners
@@ -266,84 +236,71 @@ type InitStats struct {
 
 // Init performs the initialization-phase analysis: distributing the mesh
 // according to ownership, identifying shared edges and vertices, and
-// sizing the per-rank local subgrids. The edge, vertex, and element scans
-// are chunked over Workers goroutines (serial below SerialCutoff objects);
-// the per-chunk partial counts merge in chunk order, and every count is an
-// integer sum, so the stats are identical at every worker count.
+// sizing the per-rank local subgrids.
 func (d *Dist) Init() InitStats {
 	d.fillOwn(0)
 	var st InitStats
 	st.LocalEdges, st.SharedEdges = d.edgeCensus()
 
-	// Vertex scan: the shared-vertex census (slot 0 shared, slot 1 total).
-	nv := len(d.M.Verts)
-	vc := chunk.GatherCounts(nv, EffectiveWorkers(nv, d.Workers), 2, func(lo, hi int, cnt []int64) {
-		var buf []int32
-		for vi := lo; vi < hi; vi++ {
-			v := &d.M.Verts[vi]
-			if v.Dead || v.NumEdges() == 0 {
-				continue
-			}
-			cnt[1]++
-			if buf = d.vertSPL(buf[:0], mesh.VertID(vi)); len(buf) > 1 {
-				cnt[0]++
-			}
+	// Vertex scan: the shared-vertex census.
+	var buf []int32
+	var verts int64
+	for vi := range d.M.Verts {
+		v := &d.M.Verts[vi]
+		if v.Dead || v.NumEdges() == 0 {
+			continue
 		}
-	})
-	st.SharedVerts = int(vc[0])
+		verts++
+		if buf = d.vertSPL(buf[:0], mesh.VertID(vi)); len(buf) > 1 {
+			st.SharedVerts++
+		}
+	}
 
 	// Element scan: per-rank local subgrid sizes.
 	st.LocalElems = d.RankLoads()
 
-	total := int64(d.M.NumActiveEdges()) + vc[1]
+	total := int64(d.M.NumActiveEdges()) + verts
 	if total > 0 {
 		st.SharedFraction = float64(st.SharedEdges+st.SharedVerts) / float64(total)
 	}
 	return st
 }
 
-// edgeCensus runs the chunked edge scan of the initialization analysis:
-// the number of active edges each rank holds a copy of (an edge shared by
-// k ranks counts once on each) and how many edges are shared. It is all
-// the adaption passes need of Init to charge their marking phase. Each
-// chunk probes SPLs into its own scratch buffer; the integer partials
-// merge in chunk order. The owner slab must be filled.
+// edgeCensus runs the edge scan of the initialization analysis: the
+// number of active edges each rank holds a copy of (an edge shared by k
+// ranks counts once on each) and how many edges are shared. It is all the
+// adaption passes need of Init to charge their marking phase. The owner
+// slab must be filled.
 func (d *Dist) edgeCensus() (local []int64, shared int) {
-	ne := len(d.M.Edges)
-	// Slot P of the per-chunk counters carries the shared-edge count.
-	cnt := chunk.GatherCounts(ne, EffectiveWorkers(ne, d.Workers), d.P+1, func(lo, hi int, cnt []int64) {
-		var buf []int32
-		for ei := lo; ei < hi; ei++ {
-			ed := &d.M.Edges[ei]
-			if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
-				continue
-			}
-			buf = d.edgeSPL(buf[:0], mesh.EdgeID(ei))
-			for _, r := range buf {
-				cnt[r]++
-			}
-			if len(buf) > 1 {
-				cnt[d.P]++
-			}
+	local = make([]int64, d.P)
+	var buf []int32
+	for ei := range d.M.Edges {
+		ed := &d.M.Edges[ei]
+		if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
+			continue
 		}
-	})
-	return cnt[:d.P], int(cnt[d.P])
+		buf = d.edgeSPL(buf[:0], mesh.EdgeID(ei))
+		for _, r := range buf {
+			local[r]++
+		}
+		if len(buf) > 1 {
+			shared++
+		}
+	}
+	return local, shared
 }
 
 // RankLoads returns the active-element count per processor — the Wcomp
-// load the preliminary-evaluation step balances. The scan is chunked over
-// Workers goroutines; integer partial sums merge in chunk order, so the
-// result is identical at every worker count. It resolves owners through
-// the roots, so it is right at any time, not only inside a pass.
+// load the preliminary-evaluation step balances. It resolves owners
+// through the roots, so it is right at any time, not only inside a pass.
 func (d *Dist) RankLoads() []int64 {
-	n := len(d.M.Elems)
-	return chunk.GatherCounts(n, EffectiveWorkers(n, d.Workers), d.P, func(lo, hi int, cnt []int64) {
-		for i := lo; i < hi; i++ {
-			if d.M.Elems[i].Active() {
-				cnt[d.OwnerOf(mesh.ElemID(i))]++
-			}
+	cnt := make([]int64, d.P)
+	for i := range d.M.Elems {
+		if d.M.Elems[i].Active() {
+			cnt[d.OwnerOf(mesh.ElemID(i))]++
 		}
-	})
+	}
+	return cnt
 }
 
 // ImbalanceFactor returns the paper's Wmax/Wavg metric over the current

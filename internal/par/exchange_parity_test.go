@@ -23,8 +23,8 @@ var exchanges = []machine.Exchange{
 // exchange schedules move byte-identical payloads to byte-identical
 // owners — flat and aggregated differ only in the modeled communication
 // charges — and within each schedule the whole RemapResult, modeled
-// floats included, is byte-identical at workers 1/2/4/8 and, up to
-// PeakWords, between the adaptive window plan and a one-window run. It
+// floats included, is byte-identical, up to PeakWords, between the
+// adaptive window plan and a one-window run. It
 // holds at P = 8, where nearly every rank pair carries a flow, and at
 // P = 512, where nearly none does and the executor walks flow lists
 // instead of rank ranges. Under a fault plan the two schedules send the
@@ -43,39 +43,27 @@ func testExchangeParity(t *testing.T, p int) {
 		owners []int32
 	}
 	var plan *fault.Plan
-	run := func(x machine.Exchange, workers int, budget int64) outcome {
+	run := func(x machine.Exchange, budget int64) outcome {
 		d, newOwner := bigFixture(t, p)
-		d.Workers = workers
 		d.Exchange = x
 		d.Retry = fault.Retry{MsgAttempts: 12, WindowRetries: 6}
 		res, err := d.executeRemap(newOwner, mdl, budget, plan)
 		if err != nil {
-			t.Fatalf("%v workers=%d budget=%d: %v", x, workers, budget, err)
+			t.Fatalf("%v budget=%d: %v", x, budget, err)
 		}
 		return outcome{res, d.Owners()}
 	}
 
 	refs := map[machine.Exchange]outcome{}
 	for _, x := range exchanges {
-		ref := run(x, 1, 0)
+		ref := run(x, 0)
 		if ref.res.Moved == 0 || ref.res.Sets < 2 || ref.res.Setups == 0 || ref.res.SetupTime <= 0 {
 			t.Fatalf("%v: fixture not interesting: %+v", x, ref.res)
 		}
 		refs[x] = ref
 
-		// Worker parity within the schedule: the result is bit-identical.
-		for _, w := range []int{2, 4, 8} {
-			got := run(x, w, 0)
-			if !reflect.DeepEqual(got.owners, ref.owners) {
-				t.Fatalf("%v workers=%d: owner array diverges", x, w)
-			}
-			if !reflect.DeepEqual(got.res, ref.res) {
-				t.Errorf("%v workers=%d: RemapResult diverges:\n got %+v\nwant %+v", x, w, got.res, ref.res)
-			}
-		}
-
 		// Window parity: a one-window run is identical up to PeakWords.
-		one := run(x, 4, math.MaxInt64)
+		one := run(x, math.MaxInt64)
 		if !reflect.DeepEqual(one.owners, ref.owners) {
 			t.Fatalf("%v: one-window owner array diverges", x)
 		}
@@ -111,7 +99,7 @@ func testExchangeParity(t *testing.T, p int) {
 	// Fault leg: same frames, same fates — the schedules recover to the
 	// fault-free owners through identical retries.
 	plan = &fault.Plan{Seed: 1717, Rate: 0.25}
-	ff, fa := run(machine.ExchangeFlat, 4, 0), run(machine.ExchangeAggregated, 4, 0)
+	ff, fa := run(machine.ExchangeFlat, 0), run(machine.ExchangeAggregated, 0)
 	if !reflect.DeepEqual(ff.owners, flat.owners) || !reflect.DeepEqual(fa.owners, flat.owners) {
 		t.Fatal("recovered owners diverge from fault-free")
 	}
@@ -131,7 +119,6 @@ func testExchangeParity(t *testing.T, p int) {
 func TestFlatExchangeLegacyAccounting(t *testing.T) {
 	mdl := machine.SP2()
 	d, newOwner := bigFixture(t, 8)
-	d.Workers = 4
 	res, err := d.ExecuteRemap(newOwner, mdl)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ type RemapResult struct {
 	// PeakWords is the largest window's record words (Moved × RecordWords
 	// is the total), strictly below the total whenever more than one flow
 	// moves under the adaptive budget. The windows are planned from the
-	// canonical flow list alone, so it is the same at any worker count.
+	// canonical flow list alone.
 	PeakWords int64
 	// PackTime, CommTime, RebuildTime decompose the modeled remapping
 	// overhead; Total is the slowest-rank end-to-end time.
@@ -128,8 +128,8 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapR
 //
 // Everything is a function of the plan and the canonical flow list — the
 // windows, the fault draws, the float sums of the charge — so the owner
-// array and the whole RemapResult are byte-identical at every worker
-// count, and identical across budgets up to PeakWords. Every structure
+// array and the whole RemapResult are byte-identical run to run, and
+// identical across budgets up to PeakWords. Every structure
 // the executor builds is sized by P or the flows that exist, never by the
 // P² pairs that could carry one.
 func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, plan *fault.Plan) (RemapResult, error) {
@@ -248,11 +248,10 @@ func countFlows(m *mesh.Mesh, owner, newOwner []int32, p int) []remap.Flow {
 
 // crashRanks returns the alive ranks fated by plan to die at the remap
 // boundary of the current fault cycle, ascending, or nil when none is.
-// Pure function of (plan, cycle, alive set): byte-identical at any worker
-// count. Two guards keep the run recoverable: no crashes are drawn with
-// fewer than two survivors, and if every survivor is fated at once, the
-// lowest-ranked one is spared (a total loss has no survivor to recover
-// onto).
+// Pure function of (plan, cycle, alive set). Two guards keep the run
+// recoverable: no crashes are drawn with fewer than two survivors, and if
+// every survivor is fated at once, the lowest-ranked one is spared (a
+// total loss has no survivor to recover onto).
 func (d *Dist) crashRanks(plan *fault.Plan) []int {
 	if !plan.CrashEnabled() {
 		return nil
@@ -299,7 +298,7 @@ func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 // perturbations the paper notes). One serial walk of the flows that exist
 // fills the per-rank sums — a rank's float charges accumulate in
 // ascending destination order, the canonical order of its flows — so the
-// work is O(sets + p) and the result cannot depend on the worker count.
+// work is O(sets + p).
 //
 // When the exchange recovered injected faults, retries carries its
 // per-pair counters in the same canonical order — every message is a
@@ -382,9 +381,8 @@ func chargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 
 // traceRemapRanks emits the executed remap's per-rank spans on the
 // modeled timeline, based at the trace cursor (the caller advances the
-// cursor past res.Total afterwards). It runs serially after the chunked
-// accounting loops over per-rank arrays whose values are bit-identical
-// at every worker count, so emission order and span contents are
+// cursor past res.Total afterwards). It runs after the accounting loops
+// over the per-rank arrays, so emission order and span contents are
 // canonical. The send span covers a rank's send superstep — pack, retry
 // and wire charges, sendT being its clock reading before the barrier (so
 // under aggregated a rank that only receives shows its drain, words 0);

@@ -76,7 +76,6 @@ func TestFaultFreeRemapAllocs(t *testing.T) {
 	const budget = 72
 	for _, p := range []int{8, 64, 2048} {
 		d, newOwner := bigFixture(t, p)
-		d.Workers = 1
 		oldOwner := d.Owners()
 		// Each run remaps there and back, so both legs move the same flows;
 		// AllocsPerRun's warm-up run makes the Dist's first remap.

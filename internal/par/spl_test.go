@@ -3,12 +3,10 @@ package par
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
 	"plum/internal/adapt"
-	"plum/internal/chunk"
 	"plum/internal/dual"
 	"plum/internal/geom"
 	"plum/internal/machine"
@@ -137,8 +135,7 @@ func checkClassify(d *Dist, edgesBefore int) (int, error) {
 // TestEdgeAndVertSPL holds the slab-based SPLs and the cached
 // classification to their oracles through refine → remap → coarsen (with
 // its compaction) → refine, at P from two ranks to one rank per ~23
-// elements. The box has enough vertices for the classification's vertex
-// scan to run in several chunks, so the chunk-order merge is exercised.
+// elements.
 func TestEdgeAndVertSPL(t *testing.T) {
 	mdl := machine.SP2()
 	for _, p := range []int{2, 64, 2048} {
@@ -146,7 +143,6 @@ func TestEdgeAndVertSPL(t *testing.T) {
 			m := meshgen.Box(20, 20, 20, geom.Vec3{X: 1, Y: 1, Z: 1})
 			g := dual.Build(m)
 			d := NewDist(m, p, partition.Partition(g, p, partition.MethodHilbertSFC))
-			d.Workers = 3
 			a := adapt.New(m)
 			d.Init()
 			if err := checkSPLs(d); err != nil {
@@ -156,9 +152,6 @@ func TestEdgeAndVertSPL(t *testing.T) {
 				a.MarkRegion(geom.Sphere{Center: c, Radius: 0.3}, adapt.MarkRefine)
 				edgesBefore := len(m.Edges)
 				d.ParallelRefine(a, mdl)
-				if nv := len(m.Verts); chunk.Count(nv, EffectiveWorkers(nv, d.Workers)) < 2 {
-					t.Fatalf("%s: %d vertices, the classification's vertex scan ran in one chunk", step, nv)
-				}
 				pairs, err := checkClassify(d, edgesBefore)
 				if err != nil {
 					t.Fatalf("%s: %v", step, err)
@@ -189,11 +182,10 @@ func TestEdgeAndVertSPL(t *testing.T) {
 	}
 }
 
-// FuzzSPL drives twin distributed meshes, at Workers 1 and 3, through one
-// script of ParallelRefine, ParallelCoarsen and SetOwners steps. The fuzz
-// bytes pick the box, P ≤ 64, the per-root owners and the script. After
-// every step the twins' AdaptTimings and owners must agree, each
-// refinement's classification must equal the oracle's, and every
+// FuzzSPL drives a distributed mesh through one script of
+// ParallelRefine, ParallelCoarsen and SetOwners steps. The fuzz bytes pick
+// the box, P ≤ 64, the per-root owners and the script. After every step
+// each refinement's classification must equal the oracle's, and every
 // slab-based SPL the brute-force one.
 func FuzzSPL(f *testing.F) {
 	f.Add([]byte{0x2b, 0x07, 0x11, 0x20, 0x05, 0x82}) // refine, coarsen it, new owners
@@ -220,55 +212,37 @@ func FuzzSPL(f *testing.F) {
 			}
 			return o
 		}
-		type twin struct {
-			d *Dist
-			a *adapt.Adaptor
-		}
-		var tw [2]twin
-		for i, workers := range []int{1, 3} {
-			m := meshgen.Box(nx, ny, nz, size)
-			tw[i] = twin{NewDist(m, p, ownersOf(len(m.Elems), script[2])), adapt.New(m)}
-			tw[i].d.Workers = workers
-		}
+		m := meshgen.Box(nx, ny, nz, size)
+		d, a := NewDist(m, p, ownersOf(len(m.Elems), script[2])), adapt.New(m)
 		mdl := machine.SP2()
 		for step, b := range script[3:min(len(script), 7)] {
 			// Bits 0-1 pick the operation, the rest where the sphere sits.
 			centre := geom.Vec3{X: size.X * float64(b>>2&3) / 3, Y: size.Y * float64(b>>4&1), Z: size.Z * float64(b>>5&1)}
 			region := geom.Sphere{Center: centre, Radius: 0.9}
-			var tm [2]AdaptTimings
-			for i, w := range tw {
-				d, a := w.d, w.a
-				edgesBefore := len(d.M.Edges)
-				switch b & 3 {
-				case 0, 3:
-					if b&3 == 0 {
-						a.MarkRegion(region, adapt.MarkRefine)
-					} else {
-						a.MarkRandom(0.1, adapt.MarkRefine, int64(b))
-					}
-					_, tm[i] = d.ParallelRefine(a, mdl)
-					if _, err := checkClassify(d, edgesBefore); err != nil {
-						t.Fatalf("step %d twin %d: %v", step, i, err)
-					}
-				case 1:
-					a.MarkRegion(region, adapt.MarkCoarsen)
-					_, tm[i] = d.ParallelCoarsen(a, mdl)
-					d.fillOwn(0)
-				case 2:
-					d.SetOwners(ownersOf(len(d.owner), b))
-					d.fillOwn(0)
+			edgesBefore := len(m.Edges)
+			switch b & 3 {
+			case 0, 3:
+				if b&3 == 0 {
+					a.MarkRegion(region, adapt.MarkRefine)
+				} else {
+					a.MarkRandom(0.1, adapt.MarkRefine, int64(b))
 				}
-				if err := checkSPLs(d); err != nil {
-					t.Fatalf("step %d twin %d: %v", step, i, err)
+				d.ParallelRefine(a, mdl)
+				if _, err := checkClassify(d, edgesBefore); err != nil {
+					t.Fatalf("step %d: %v", step, err)
 				}
+			case 1:
+				a.MarkRegion(region, adapt.MarkCoarsen)
+				d.ParallelCoarsen(a, mdl)
+				d.fillOwn(0)
+			case 2:
+				d.SetOwners(ownersOf(len(d.owner), b))
+				d.fillOwn(0)
 			}
-			if !reflect.DeepEqual(tm[0], tm[1]) {
-				t.Fatalf("step %d: timings differ:\nworkers 1 %+v\nworkers 3 %+v", step, tm[0], tm[1])
+			if err := checkSPLs(d); err != nil {
+				t.Fatalf("step %d: %v", step, err)
 			}
-			if !slices.Equal(tw[0].d.owner, tw[1].d.owner) {
-				t.Fatalf("step %d: owners differ", step)
-			}
-			if len(tw[0].d.M.Elems) > 20000 {
+			if len(m.Elems) > 20000 {
 				break
 			}
 		}

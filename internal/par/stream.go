@@ -3,10 +3,9 @@ package par
 // The window planner of the remap executor. executeRemap exchanges one
 // window of flows at a time, in canonical src-major flow order, and a
 // window is the unit a fault plan's retries re-exchange. Because the
-// window layout is computed from the flow offsets and the budget alone —
-// never from worker scheduling — a fault-free remap's owner array,
-// modeled times and op accounting are the same under every budget at any
-// worker count; only PeakWords, the largest window, differs.
+// window layout is computed from the flow offsets and the budget alone, a
+// fault-free remap's owner array, modeled times and op accounting are the
+// same under every budget; only PeakWords, the largest window, differs.
 
 // DefaultWindowFraction divides the total payload volume to derive the
 // adaptive window budget: ExecuteRemap targets ⌈total/8⌉ record
@@ -22,8 +21,7 @@ type remapWindow struct{ f0, f1 int }
 // planWindows greedily groups consecutive flows into windows of at most
 // budget record words (a single flow larger than the budget gets a window
 // of its own — a flow is never split). The plan depends only
-// on the flow offsets and the budget, so it is identical at every worker
-// count.
+// on the flow offsets and the budget.
 func planWindows(flowStart []int64, budget int64) []remapWindow {
 	nf := len(flowStart) - 1
 	// Two consecutive windows hold more than budget words, which bounds

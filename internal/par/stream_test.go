@@ -20,7 +20,7 @@ var budgets = []struct {
 }{{"one", math.MaxInt64}, {"adaptive", 0}, {"64", 64}}
 
 // TestRemapStreamingParity is the determinism contract of the window
-// budget: under every budget and at every worker count the RemapResult —
+// budget: under every budget the RemapResult —
 // payload conservation, owner array, modeled float times, op accounting —
 // must be byte-identical to a one-window run. Only PeakWords may (and,
 // below the whole payload, must) differ: the streaming peak is the
@@ -29,7 +29,6 @@ var budgets = []struct {
 func TestRemapStreamingParity(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
-	refD.Workers = 1
 	refRes, err := refD.executeRemap(newOwner, machine.SP2(), math.MaxInt64, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -40,41 +39,36 @@ func TestRemapStreamingParity(t *testing.T) {
 	}
 
 	for _, b := range budgets {
-		for _, w := range []int{1, 2, 4, 8} {
-			d, _ := bigFixture(t, p)
-			d.Workers = w
-			res, err := d.executeRemap(newOwner, machine.SP2(), b.words, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
-				t.Fatalf("budget=%s workers=%d: owner array diverges from one window", b.name, w)
-			}
-			switch one := b.words == math.MaxInt64; {
-			case one && res.PeakWords != total:
-				t.Errorf("workers=%d: one-window peak %d != total %d", w, res.PeakWords, total)
-			case !one && (res.PeakWords <= 0 || res.PeakWords >= total):
-				t.Errorf("budget=%s workers=%d: streaming peak %d not strictly below total %d",
-					b.name, w, res.PeakWords, total)
-			}
-			// Everything except the peak must be bit-identical to the
-			// workers=1 one-window reference.
-			res.PeakWords = refRes.PeakWords
-			if !reflect.DeepEqual(res, refRes) {
-				t.Errorf("budget=%s workers=%d: RemapResult diverges:\n got %+v\nwant %+v", b.name, w, res, refRes)
-			}
+		d, _ := bigFixture(t, p)
+		res, err := d.executeRemap(newOwner, machine.SP2(), b.words, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
+			t.Fatalf("budget=%s: owner array diverges from one window", b.name)
+		}
+		switch one := b.words == math.MaxInt64; {
+		case one && res.PeakWords != total:
+			t.Errorf("one-window peak %d != total %d", res.PeakWords, total)
+		case !one && (res.PeakWords <= 0 || res.PeakWords >= total):
+			t.Errorf("budget=%s: streaming peak %d not strictly below total %d",
+				b.name, res.PeakWords, total)
+		}
+		// Everything except the peak must be bit-identical to the
+		// one-window reference.
+		res.PeakWords = refRes.PeakWords
+		if !reflect.DeepEqual(res, refRes) {
+			t.Errorf("budget=%s: RemapResult diverges:\n got %+v\nwant %+v", b.name, res, refRes)
 		}
 	}
 
 	// ExecuteRemap is the adaptive budget.
 	d, _ := bigFixture(t, p)
-	d.Workers = 1
 	res, err := d.ExecuteRemap(newOwner, machine.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2, _ := bigFixture(t, p)
-	d2.Workers = 1
 	if want, _ := d2.executeRemap(newOwner, machine.SP2(), 0, nil); !reflect.DeepEqual(res, want) {
 		t.Errorf("ExecuteRemap diverges from the adaptive budget:\n got %+v\nwant %+v", res, want)
 	}
@@ -86,14 +80,12 @@ func TestRemapStreamingParity(t *testing.T) {
 func TestStreamingWindowBudget(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
-	refD.Workers = 4
 	refRes, err := refD.ExecuteRemap(newOwner, machine.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	d, _ := bigFixture(t, p)
-	d.Workers = 4
 	// The largest flow is the atomic commit unit, so the peak is exactly
 	// the largest single flow under a sub-flow budget (indexed before the
 	// execution flips the ownership).
@@ -122,14 +114,13 @@ func TestStreamingWindowBudget(t *testing.T) {
 	}
 }
 
-// TestStreamingSerialFallback pins the serial-fallback contract: below
-// SerialCutoff elements a multi-flow remap still streams below its whole
-// payload, and a single-window plan's peak is the whole payload.
+// TestStreamingSerialFallback pins streaming on a small mesh: a
+// multi-flow remap of 384 elements still streams below its whole payload,
+// and a single-window plan's peak is the whole payload.
 func TestStreamingSerialFallback(t *testing.T) {
 	m := meshgen.SmallBox()
 	g := dual.Build(m)
 	d := NewDist(m, 4, partition.Partition(g, 4, partition.MethodInertial))
-	d.Workers = 8
 	newOwner := d.Owners()
 	for v := range newOwner {
 		newOwner[v] = (newOwner[v] + 1) % 4

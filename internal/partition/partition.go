@@ -138,8 +138,10 @@ func MethodByName(name string) (Method, bool) {
 
 // Options configures a partitioning call.
 type Options struct {
-	// Workers is unused: every partitioner runs serially and is charged
-	// its work. The benchmark module still sets it.
+	// Workers is ignored: every partitioner runs serially and is charged
+	// its work.
+	//
+	// Deprecated: it goes when the benchmark stops setting it.
 	Workers int
 	// Seed drives the multilevel matching order. 0 is treated as 1, the
 	// historical default.

@@ -44,8 +44,10 @@ type SFCPartitioner struct {
 }
 
 // NewSFCWorkers builds the cached curve order of g's centroids (the
-// O(n log n) part: key generation plus one sort). The workers argument
-// is unused: the benchmark module still passes it.
+// O(n log n) part: key generation plus one sort).
+//
+// Deprecated: workers is ignored; it goes when the benchmark stops passing
+// it.
 func NewSFCWorkers(g *dual.Graph, c sfc.Curve, workers int) *SFCPartitioner {
 	return &SFCPartitioner{
 		order:  sortByKey(sfc.Keys(c, g.Centroid)),

@@ -3,7 +3,6 @@ package propagate
 import (
 	"slices"
 
-	"plum/internal/chunk"
 	"plum/internal/machine"
 )
 
@@ -26,9 +25,8 @@ type notif struct {
 // allowed; the engine canonicalizes) until no round commits a mark,
 // charging per-round visit work and notification traffic to clk with a
 // barrier after every round. It takes ownership of the frontier slice.
-// Every phase either runs serially in a canonical order or chunks with
-// per-chunk partials merged in chunk order, so the result and the clock
-// are identical at every worker count.
+// Every phase runs in a canonical order, so the result and the clock are
+// the same run to run.
 func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine.Model) Result {
 	p := clk.P()
 	var res Result
@@ -37,47 +35,30 @@ func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine
 	slices.Sort(frontier)
 	frontier = slices.Compact(frontier)
 
+	visits := make([]int64, p)
+	var props []proposal
 	var outbox []notif
 	var raw []PairWords
+	var eb []int32
 	for len(frontier) > 0 {
 		res.Rounds++
 		n := len(frontier)
-		ew := EffectiveWorkers(n, eng.Workers)
-		nc := chunk.Count(n, ew)
 
-		// Proposal scan: per-worker frontier buckets. Chunks are
-		// contiguous ranges of the sorted frontier, so concatenating the
-		// buckets in chunk order reproduces canonical element order.
-		visitParts := make([][]int64, nc)
-		propParts := make([][]proposal, nc)
-		chunk.For(n, ew, func(c, lo, hi int) {
-			vis := make([]int64, p)
-			var props []proposal
-			var eb []int32
-			for i := lo; i < hi; i++ {
-				el := frontier[i]
-				src := w.Owner(el)
-				vis[src]++
-				eb = w.Propose(el, eb[:0])
-				for _, e := range eb {
-					props = append(props, proposal{e, src})
-				}
+		// Proposal scan, in ascending element order.
+		clear(visits)
+		props = props[:0]
+		for _, el := range frontier {
+			src := w.Owner(el)
+			visits[src]++
+			eb = w.Propose(el, eb[:0])
+			for _, e := range eb {
+				props = append(props, proposal{e, src})
 			}
-			visitParts[c] = vis
-			propParts[c] = props
-		})
-		visits := make([]int64, p)
-		var props []proposal
-		for c := 0; c < nc; c++ {
-			for r, v := range visitParts[c] {
-				visits[r] += v
-			}
-			props = append(props, propParts[c]...)
 		}
 		res.Visits += int64(n)
 		res.Ops.AddMem(int64(n))
 
-		// Commit phase: serial, ascending (edge, src), duplicates merged.
+		// Commit phase: ascending (edge, src), duplicates merged.
 		// The frontier slice is fully consumed, so its backing array is
 		// reused for the next round's candidates.
 		slices.SortFunc(props, func(a, b proposal) int {

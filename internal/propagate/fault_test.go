@@ -26,7 +26,7 @@ func faultPairs(p int) []propagate.PairWords {
 // fault model and returns the per-rank times plus the counters.
 func chargeWith(p int, x *fault.ExchangeModel) ([]float64, int64, int64) {
 	clk := machine.NewClock(p)
-	propagate.Engine{Workers: 1, Faults: x}.ChargeExchange(clk, machine.SP2(), faultPairs(p))
+	propagate.Engine{Faults: x}.ChargeExchange(clk, machine.SP2(), faultPairs(p))
 	times := make([]float64, p)
 	for r := 0; r < p; r++ {
 		times[r] = clk.Rank(r)

@@ -1,20 +1,18 @@
-// Package propagate is the deterministic parallel frontier-propagation
-// engine behind the distributed 3D_TAG adaption phases: the iterative
+// Package propagate is the deterministic frontier-propagation engine
+// behind the distributed 3D_TAG adaption phases: the iterative
 // pattern-upgrade process of ParallelRefine and the shared-mark
 // consistency exchange of ParallelCoarsen (internal/par).
 //
 // The engine runs the paper's marking propagation as bulk-synchronous
-// supersteps over an element frontier. Each round chunks the frontier
-// across worker goroutines, gathers every element's newly required edges
-// into per-worker buckets, merges the buckets in canonical element order,
-// commits the marks serially in ascending edge order, and lays the
-// round's shared-edge notifications out as a CSR outbox sorted by
+// supersteps over an element frontier. Each round scans the frontier in
+// ascending element order, gathering every element's newly required
+// edges, commits the marks in ascending edge order, and lays the round's
+// shared-edge notifications out as a CSR outbox sorted by
 // (src, dst, edge) — replacing the per-rank map[int32][]int64 outboxes
 // whose iteration order made the modeled times run-to-run nondeterministic.
-// Because every merge happens in a fixed order that depends only on the
-// frontier (never on the chunking), the final mark set, the round count,
-// the message/word traffic, and the modeled clock are byte-identical at
-// every worker count.
+// Every order depends only on the frontier, so the final mark set, the
+// round count, the message/word traffic, and the modeled clock are
+// byte-identical run to run.
 //
 // The notification exchanges follow the paper's bulk-synchronous model:
 // one message per nonempty (src, dst) rank pair per round, Tsetup paid
@@ -24,25 +22,9 @@ package propagate
 import (
 	"slices"
 
-	"plum/internal/chunk"
 	"plum/internal/fault"
 	"plum/internal/machine"
 )
-
-// SerialCutoff is the frontier size below which a round's proposal scan
-// falls back to a serial loop. It is deliberately lower than par's
-// slab-scan cutoff: a frontier visit does six pattern probes and an
-// adjacency chase per element, so the chunk bookkeeping amortizes much
-// earlier than on the counting scans.
-const SerialCutoff = 1 << 10
-
-// EffectiveWorkers resolves the worker count a propagation round actually
-// runs with: the knob (≤ 0 = GOMAXPROCS), clamped to 1 below SerialCutoff
-// frontier elements. It bounds the host's goroutines only; the op count
-// does not depend on it.
-func EffectiveWorkers(n, workers int) int {
-	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
-}
 
 // World is the mesh-facing surface the engine drives. The distributed
 // layer (par.Dist + adapt.Adaptor) implements it; tests substitute
@@ -52,9 +34,9 @@ type World interface {
 	Owner(el int32) int32
 	// Propose appends the edges element el newly requires under the
 	// current marks (its pattern upgrade's add-set) to buf and returns
-	// it. Called concurrently from worker goroutines during the frontier
-	// scan; it must only read shared state. The proposal rule must be
-	// monotone in the mark set — marking more edges never shrinks an
+	// it. A round proposes for its whole frontier before it commits, so
+	// every proposal reads the marks as the round found them. The proposal
+	// rule must be monotone in the mark set — marking more edges never shrinks an
 	// element's requirement — which makes the fixpoint independent of
 	// visit order.
 	Propose(el int32, buf []int32) []int32
@@ -146,17 +128,14 @@ type Result struct {
 // Engine is the frontier-propagation engine of one adaption pass. It is a
 // plain value built where it is used: nothing is armed, shared or carried
 // between passes. Marks, rounds, traffic, and the modeled clock depend
-// only on the frontier and the world, never on Workers.
+// only on the frontier and the world.
 type Engine struct {
-	// Workers bounds the worker goroutines of the frontier scans (≤ 0 =
-	// GOMAXPROCS).
-	Workers int
 	// Faults, when non-nil, replays a deterministic fault plan against
 	// each charged message and bills the sender the modeled recovery,
 	// Model.RetryTime: extra sends at the message's own MsgTime, backoff
 	// units at Model.RetryBackoff. Each message draws its fate per
-	// (src, dst). Charging runs serially in canonical (src, dst) order,
-	// so the model's attempt counters are worker-invariant. nil adds
+	// (src, dst). Charging runs in canonical (src, dst) order, so the
+	// model's attempt counters are the same run to run. nil adds
 	// exact zeros: the fault-free clock is bit-identical.
 	Faults *fault.ExchangeModel
 }

@@ -1,36 +1,26 @@
 package refine
 
 import (
-	"plum/internal/chunk"
 	"plum/internal/dual"
 	"plum/internal/machine"
 )
 
-// BandFM is the deterministic band-limited parallel Fiduccia–Mattheyses
-// refiner returned by Default. Each pass:
+// BandFM is the deterministic band-limited Fiduccia–Mattheyses refiner
+// returned by Default. Each pass:
 //
 //  1. extracts the boundary band (vertices with a neighbour in another
-//     part) with a chunked parallel scan;
+//     part);
 //  2. greedily colors the band-induced subgraph so no two vertices of a
 //     color class are adjacent — the conflict-free move sets;
-//  3. per class, computes every member's move proposal in parallel
-//     against a frozen weight snapshot (read-only: nothing mutates during
-//     the phase, so the proposals are independent of chunking);
-//  4. applies the proposals serially in class order, re-checking the
-//     balance cap and part populations against live state.
+//  3. per class, computes every member's move proposal against a frozen
+//     weight snapshot;
+//  4. applies the proposals in class order, re-checking the balance cap
+//     and part populations against live state.
 //
 // Because class members are pairwise non-adjacent, a proposal's gain is
 // still exact when it is applied — every accepted move has gain ≥ 0, so
-// the gain phase never increases the edge cut. The serial apply order is
-// fixed by vertex index, so the output and its op count are
-// byte-identical at every worker count; below SerialCutoff the same
-// algorithm runs as a serial replay.
-type BandFM struct {
-	// Workers bounds the worker-goroutine count of the band-extraction
-	// and gain phases (≤ 0 = GOMAXPROCS). Output is identical at every
-	// value.
-	Workers int
-}
+// the gain phase never increases the edge cut.
+type BandFM struct{}
 
 // Refine runs up to passes band sweeps over g, improving asg (a k-way
 // assignment) in place, and returns the op accounting of the work
@@ -40,16 +30,17 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 	if k <= 1 || g.N == 0 {
 		return ops
 	}
-	ew := EffectiveWorkers(g.N, r.Workers)
-	w, cnt := partState(g, asg, k, ew, &ops)
+	w, cnt := partState(g, asg, k, &ops)
 	maxW := balanceCap(w)
 	ops.AddMem(int64(k))
 
 	bandIdx := make([]int32, g.N) // band position + 1; 0 = outside the band
 	w0 := make([]int64, k)        // per-class frozen weight snapshot
+	conn := make([]int32, k)      // proposeMove's scratch
+	var props []int32
 
 	for pass := 0; pass < passes; pass++ {
-		band, bops := extractBand(g, asg, ew)
+		band, bops := extractBand(g, asg)
 		ops.AddMem(bops)
 		if len(band) == 0 {
 			break
@@ -61,21 +52,10 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 		for _, class := range classes {
 			copy(w0, w)
 			ops.AddMem(int64(k))
-			props := make([]int32, len(class))
-			nc := chunk.Count(len(class), ew)
-			chunkOps := make([]int64, nc)
-			chunk.For(len(class), ew, func(c, lo, hi int) {
-				conn := make([]int32, k)
-				var lops int64
-				for i := lo; i < hi; i++ {
-					v := class[i]
-					props[i] = proposeMove(g, asg, v, w0, maxW, conn)
-					lops += 1 + int64(len(g.Nbrs(v)))
-				}
-				chunkOps[c] = lops
-			})
-			for _, c := range chunkOps {
-				ops.AddMem(c)
+			props = props[:0]
+			for _, v := range class {
+				props = append(props, proposeMove(g, asg, v, w0, maxW, conn))
+				ops.AddMem(1 + int64(len(g.Nbrs(v))))
 			}
 
 			for i, v := range class {
@@ -112,34 +92,19 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 	return ops
 }
 
-// extractBand collects the boundary vertices in ascending index order
-// with a chunked scan. Chunks are contiguous index ranges concatenated in
-// chunk order, so the band is identical at every worker count. The
-// adjacency scan breaks at the first cross-part neighbour.
-func extractBand(g *dual.Graph, asg []int32, ew int) (band []int32, ops int64) {
-	nc := chunk.Count(g.N, ew)
-	parts := make([][]int32, nc)
-	chunkOps := make([]int64, nc)
-	chunk.For(g.N, ew, func(c, lo, hi int) {
-		var local []int32
-		var lops int64
-		for v := int32(lo); v < int32(hi); v++ {
-			a := asg[v]
-			lops++
-			for _, u := range g.Nbrs(v) {
-				lops++
-				if asg[u] != a {
-					local = append(local, v)
-					break
-				}
+// extractBand collects the boundary vertices in ascending index order.
+// The adjacency scan breaks at the first cross-part neighbour.
+func extractBand(g *dual.Graph, asg []int32) (band []int32, ops int64) {
+	for v := int32(0); v < int32(g.N); v++ {
+		a := asg[v]
+		ops++
+		for _, u := range g.Nbrs(v) {
+			ops++
+			if asg[u] != a {
+				band = append(band, v)
+				break
 			}
 		}
-		parts[c] = local
-		chunkOps[c] = lops
-	})
-	for c := 0; c < nc; c++ {
-		band = append(band, parts[c]...)
-		ops += chunkOps[c]
 	}
 	return band, ops
 }

@@ -12,13 +12,12 @@ import (
 // arbitrary connected lattice graphs, weight distributions, and starting
 // partitions: both refiners must preserve assignment validity (entries
 // in range, no part emptied), never push the heaviest part past
-// max(Wmax_before, the 3% cap), report sane ops, and — the determinism
-// contract — produce byte-identical output at any worker count. FMRefine
-// must also match its inline reference sweep move for move.
+// max(Wmax_before, the 3% cap). FMRefine must also match its inline
+// reference sweep move for move.
 func FuzzRefinerValidity(f *testing.F) {
 	f.Add(uint8(3), uint8(3), uint8(3), uint8(4), uint8(0), int64(1))
 	f.Add(uint8(6), uint8(2), uint8(1), uint8(7), uint8(1), int64(2))
-	f.Add(uint8(19), uint8(17), uint8(15), uint8(8), uint8(0), int64(3)) // > SerialCutoff
+	f.Add(uint8(19), uint8(17), uint8(15), uint8(8), uint8(0), int64(3))
 	f.Add(uint8(5), uint8(5), uint8(4), uint8(2), uint8(2), int64(99))
 	f.Fuzz(func(t *testing.T, nx, ny, nz, kk, ri uint8, seed int64) {
 		dims := func(d uint8) int { return 2 + int(d)%19 }
@@ -27,9 +26,8 @@ func FuzzRefinerValidity(f *testing.F) {
 		if k > g.N {
 			k = g.N
 		}
-		serial := backends(1)
-		ix := int(ri) % len(serial)
-		name := serial[ix].name
+		bk := backends()[int(ri)%2]
+		name := bk.name
 
 		init := blockAssignment(g.N, k)
 		checkFMMatchesReference(t, g, init, k, 2, "fm/block")
@@ -41,7 +39,7 @@ func FuzzRefinerValidity(f *testing.F) {
 		before = maxLoad(g, init, k)
 
 		ref := append([]int32(nil), init...)
-		refOps := serial[ix].refine(g, ref, k, 2)
+		bk.refine(g, ref, k, 2)
 
 		checkValid(t, g, ref, k, name)
 		cap := int64(float64(total) / float64(k) * 1.03)
@@ -55,17 +53,6 @@ func FuzzRefinerValidity(f *testing.F) {
 		if after := maxLoad(g, ref, k); after > bound {
 			t.Fatalf("%s k=%d: Wmax %d exceeds bound max(before=%d, cap=%d)",
 				name, k, after, before, cap)
-		}
-
-		got := append([]int32(nil), init...)
-		if ops := backends(4)[ix].refine(g, got, k, 2); ops != refOps {
-			t.Fatalf("%s workers=4: ops %+v, serial replay %+v", name, ops, refOps)
-		}
-		for v := range got {
-			if got[v] != ref[v] {
-				t.Fatalf("%s k=%d n=%d: workers=4 diverges from serial replay at vertex %d",
-					name, k, g.N, v)
-			}
 		}
 	})
 }

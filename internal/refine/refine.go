@@ -2,7 +2,7 @@
 // smoothing of a k-way dual-graph assignment after a partitioner has
 // produced the raw cut. It was extracted from internal/partition when the
 // serial Fiduccia–Mattheyses pass became the critical-path bottleneck of
-// the otherwise-parallel SFC balance pipeline.
+// the SFC balance pipeline.
 //
 // Two refiners live here:
 //
@@ -10,11 +10,10 @@
 //     sweep, walking only the boundary, which it carries as moves
 //     cascade — the one refiner a partitioner calls, at every level of
 //     multilevel, with the boundary carried down the chain.
-//   - BandFM (Default): a deterministic band-limited parallel FM —
-//     extract the boundary band, color it into conflict-free classes,
-//     compute move proposals per class in parallel against a frozen
-//     snapshot, apply them in a fixed serial order. Byte-identical output
-//     at every worker count. No partitioner runs it: the SFC methods'
+//   - BandFM (Default): a deterministic band-limited FM — extract the
+//     boundary band, color it into conflict-free classes, compute move
+//     proposals per class against a frozen snapshot, apply them in a
+//     fixed order. No partitioner runs it: the SFC methods'
 //     exact curve cut needs nothing after it. It is kept only because
 //     bench/run.go's repartition probe still calls Default, and can be
 //     deleted once that probe stops.
@@ -24,69 +23,32 @@
 // weights — and share the tolerance and overflow semantics: moves never
 // push a part past the 3% balance cap, never empty a part, and a final
 // overflow pass forces load out of parts the gain phase could not rescue.
-// Their work is memory-bound op accounting, the same at every worker
-// count.
+// Their work is memory-bound op accounting.
 package refine
 
 import (
-	"plum/internal/chunk"
 	"plum/internal/dual"
 	"plum/internal/machine"
 )
 
-// SerialCutoff is the vertex count below which the band machinery's
-// chunk bookkeeping costs more than the parallelism recovers; smaller
-// graphs run the serial replay.
-const SerialCutoff = 1 << 12
-
-// EffectiveWorkers resolves the worker count a refinement actually runs
-// with: the knob (≤ 0 = GOMAXPROCS), clamped to 1 below SerialCutoff. It
-// bounds the host's goroutines only; the op count does not depend on it.
-func EffectiveWorkers(n, workers int) int {
-	return chunk.EffectiveWorkers(n, workers, SerialCutoff)
-}
-
-// Default returns the band-limited FM refiner at the given worker knob,
-// at every graph size. No partitioner calls it (see the package doc). Below SerialCutoff, or with one worker, BandFM
-// runs its serial replay, which is byte-identical to its parallel path —
-// so the cut never depends on how many workers computed it. Choosing the
-// cheaper classic sweep for serial hosts would break that: FMRefine and
-// BandFM produce different (equally valid) cuts. The graph size n
-// therefore plays no part; it stays in the signature callers already
-// spell.
+// Default returns the band-limited FM refiner at every graph size. No
+// partitioner calls it (see the package doc).
+//
+// Deprecated: n and workers are ignored; they go when the benchmark stops
+// passing them.
 func Default(n, workers int) *BandFM {
-	return &BandFM{Workers: workers}
+	return &BandFM{}
 }
 
-// partState computes the per-part weight totals and populations with a
-// chunked scan over ew workers (int64 addition is exact, so the
-// chunk-order merge is identical at every worker count), charging the
-// scan and the k-sized reduction into ops.
-func partState(g *dual.Graph, asg []int32, k, ew int, ops *machine.Ops) (w []int64, cnt []int) {
-	nc := chunk.Count(g.N, ew)
-	pw := make([][]int64, nc)
-	pc := make([][]int, nc)
-	chunk.For(g.N, ew, func(c, lo, hi int) {
-		wloc := make([]int64, k)
-		cloc := make([]int, k)
-		for v := lo; v < hi; v++ {
-			p := asg[v]
-			wloc[p] += g.Wcomp[v]
-			cloc[p]++
-		}
-		pw[c] = wloc
-		pc[c] = cloc
-	})
+// partState computes the per-part weight totals and populations,
+// charging the scan and the k-sized reduction into ops.
+func partState(g *dual.Graph, asg []int32, k int, ops *machine.Ops) (w []int64, cnt []int) {
 	w = make([]int64, k)
 	cnt = make([]int, k)
-	for c := 0; c < nc; c++ {
-		for p := 0; p < k; p++ {
-			w[p] += pw[c][p]
-			cnt[p] += pc[c][p]
-		}
+	for v, p := range asg[:g.N] {
+		w[p] += g.Wcomp[v]
+		cnt[p]++
 	}
-	// The per-chunk partial arrays fold into each worker's scan, so the
-	// count is the same at every worker count.
 	ops.AddMem(int64(g.N) + int64(k))
 	return w, cnt
 }

@@ -136,10 +136,10 @@ type backend struct {
 // backends lists band-FM (Default, at the given worker knob) and the
 // classic FM sweep, whose op count multilevel charges as serial
 // memory-bound work.
-func backends(workers int) []backend {
+func backends() []backend {
 	return []backend{
 		{"bandfm", func(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
-			return Default(g.N, workers).Refine(g, asg, k, passes)
+			return new(BandFM).Refine(g, asg, k, passes)
 		}},
 		{"fm", func(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 			var ops machine.Ops
@@ -312,32 +312,6 @@ func TestFMMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBandFMWorkerParity is the determinism contract of band-FM: it
-// must produce byte-identical assignments at every worker count, on a
-// graph large enough to engage the parallel band machinery.
-func TestBandFMWorkerParity(t *testing.T) {
-	g := gridGraph(24, 24, 16, 5) // 9216 vertices > SerialCutoff
-	for _, k := range []int{2, 7, 16} {
-		init := blockAssignment(g.N, k)
-		ref := append([]int32(nil), init...)
-		refOps := Default(g.N, 1).Refine(g, ref, k, 2)
-		for _, w := range []int{2, 4, 8} {
-			got := append([]int32(nil), init...)
-			ops := Default(g.N, w).Refine(g, got, k, 2)
-			for v := range got {
-				if got[v] != ref[v] {
-					t.Fatalf("k=%d workers=%d: vertex %d in part %d, serial replay says %d",
-						k, w, v, got[v], ref[v])
-				}
-			}
-			if ops != refOps {
-				t.Errorf("k=%d workers=%d: ops %+v != serial replay's %+v (work must be worker-invariant)",
-					k, w, ops, refOps)
-			}
-		}
-	}
-}
-
 // TestRefinerContract runs the shared contract over both refiners:
 // validity and non-empty parts are preserved, no move pushes the heaviest
 // part past the 3% balance cap (Wmax never exceeds max(Wmax_before,
@@ -355,7 +329,7 @@ func TestRefinerContract(t *testing.T) {
 		for _, w := range fx.g.Wcomp {
 			total += w
 		}
-		for _, r := range backends(4) {
+		for _, r := range backends() {
 			for _, k := range []int{2, 5, 8} {
 				asg := blockAssignment(fx.g.N, k)
 				before := maxLoad(fx.g, asg, k)
@@ -431,50 +405,11 @@ func TestClassicFMStillImproves(t *testing.T) {
 	checkValid(t, g, asg, 2, "fm")
 }
 
-func TestEffectiveWorkers(t *testing.T) {
-	if w := EffectiveWorkers(SerialCutoff-1, 8); w != 1 {
-		t.Errorf("below cutoff: %d workers, want 1", w)
-	}
-	if w := EffectiveWorkers(SerialCutoff, 8); w != 8 {
-		t.Errorf("at cutoff: %d workers, want 8", w)
-	}
-	if w := EffectiveWorkers(1<<20, 1); w != 1 {
-		t.Errorf("explicit serial knob: %d workers, want 1", w)
-	}
-	if w := EffectiveWorkers(1<<20, 0); w < 1 {
-		t.Errorf("GOMAXPROCS resolution returned %d", w)
-	}
-}
-
-// TestDefaultWorkerIndependent pins the determinism contract on the
-// default backend: the same refiner — and therefore the same cut — at
-// every graph size and worker knob, including the serial hosts and small
-// graphs where BandFM runs its serial replay.
-func TestDefaultWorkerIndependent(t *testing.T) {
-	g := gridGraph(20, 20, 12, 3) // 4800 vertices: above SerialCutoff
-	if g.N < SerialCutoff {
-		t.Fatalf("fixture has %d vertices, need ≥ %d", g.N, SerialCutoff)
-	}
-	const k = 8
-	var ref []int32
-	for _, n := range []int{SerialCutoff - 1, g.N} {
-		for _, w := range []int{1, 2, 4, 8} {
-			asg := blockAssignment(g.N, k)
-			Default(n, w).Refine(g, asg, k, 2)
-			if ref == nil {
-				ref = asg
-			} else if !slices.Equal(asg, ref) {
-				t.Errorf("Default(%d, %d) refined to a different assignment", n, w)
-			}
-		}
-	}
-}
-
 // TestRefineDegenerate covers the k ≤ 1 and empty-graph guards.
 func TestRefineDegenerate(t *testing.T) {
 	g := gridGraph(3, 3, 3, 1)
 	asg := make([]int32, g.N)
-	for _, r := range backends(2) {
+	for _, r := range backends() {
 		if ops := r.refine(g, asg, 1, 2); ops.Total != 0 {
 			t.Errorf("%s: k=1 did work: %+v", r.name, ops)
 		}
