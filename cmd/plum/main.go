@@ -49,7 +49,6 @@ func main() {
 		overlap = flag.Bool("overlap", false, "hide the balance pipeline behind the solver iterations: the acceptance rule charges only the exposed cost")
 		faults  = flag.String("faults", "", "deterministic fault-injection plan, e.g. seed=7,rate=0.1,kinds=drop+corrupt or kinds=crash (empty = faults off)")
 		retries = flag.Int("retries", -1, "recovery budget with -faults: extra send attempts per message and re-executions per failed remap window (-1 = default policy: 3 attempts, 2 window retries)")
-		ckpt    = flag.Bool("checkpoint", false, "capture a copy-on-write cycle checkpoint before every balance pass (forced on by a crash-capable -faults plan)")
 		scale   = flag.Float64("scale", 1.0, "mesh scale factor (1.0 = paper's 61k elements)")
 		verbose = flag.Bool("v", false, "print adaption phase breakdowns")
 		traceF  = flag.String("trace", "", "write the run's deterministic per-stage trace to this file as Chrome/Perfetto trace-event JSON (byte-identical run to run)")
@@ -93,7 +92,6 @@ func main() {
 	if *retries >= 0 {
 		cfg.Retry = fault.Budget(*retries)
 	}
-	cfg.Checkpoint = *ckpt
 
 	// The observability hooks. Both stay nil (and cost nothing) unless
 	// asked for; flushObs writes them out on every exit path, so degraded
@@ -145,9 +143,6 @@ func main() {
 	if plan.Enabled() {
 		r := cfg.Retry.Normalize()
 		fmt.Printf("faults: %s attempts=%d window-retries=%d\n", plan, r.MsgAttempts, r.WindowRetries)
-	}
-	if fw.Cfg.Checkpoint {
-		fmt.Println("checkpoint: copy-on-write cycle snapshots on")
 	}
 
 	var stratFn func(a *adapt.Adaptor)

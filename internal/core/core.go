@@ -30,7 +30,6 @@ import (
 	"slices"
 
 	"plum/internal/adapt"
-	"plum/internal/ckpt"
 	"plum/internal/dual"
 	"plum/internal/fault"
 	"plum/internal/machine"
@@ -107,27 +106,24 @@ type Config struct {
 	// per message and re-executions per failed remap window. The zero
 	// value selects fault.DefaultRetry.
 	Retry fault.Retry
-	// Checkpoint snapshots the recoverable cycle state — ownership,
-	// element weights, the fault-cycle scope, the rollback streak — into
-	// an internal/ckpt checkpoint before each balance pass, so a rank
-	// crash mid-remap restores to an audited pre-pass state before the
-	// survivor remap runs. Delta/copy-on-write: a steady cycle writes only
-	// the changed words. New force-enables it when the fault plan can
-	// crash ranks; it can also be turned on alone to measure the cost.
+	// Checkpoint is ignored: crash recovery starts from the pre-pass
+	// ownership the failed remap left untouched.
+	//
+	// Deprecated: it goes when the benchmark stops setting it.
 	Checkpoint bool
 	// Trace, when non-nil, records per-stage spans and events on the
 	// modeled timeline as the cycles run — solver, adaption phases,
 	// repartition, reassignment, remap execution with per-rank
-	// send/rebuild tracks, fault retries, checkpoints, crash recovery.
+	// send/rebuild tracks, fault retries, crash recovery.
 	// Exports are byte-identical run to run. nil (the
 	// default) disables tracing: every emission on a nil trace returns at
 	// once and allocates nothing. Not safe for concurrent Frameworks; give each
 	// its own Trace.
 	Trace *obs.Trace
 	// Metrics, when non-nil, accumulates framework counters and gauges
-	// (cycles, outcomes, ops, moved elements, retries, checkpoint words,
-	// imbalance) after each completed cycle, for Prometheus text dumps.
-	// Same determinism contract as Trace; nil disables it.
+	// (cycles, outcomes, ops, moved elements, retries, imbalance) after
+	// each completed cycle, for Prometheus text dumps. Same determinism
+	// contract as Trace; nil disables it.
 	Metrics *obs.Registry
 }
 
@@ -173,21 +169,13 @@ type Framework struct {
 	// DegradedStreak the outcome escalates to OutcomeDegraded. A
 	// committed remap resets it.
 	rollbackStreak int
-	// ck is the cycle checkpoint (Config.Checkpoint); nil when
-	// checkpointing is off.
-	ck *ckpt.Checkpoint
 }
 
-// CheckpointStats returns the cycle checkpoint's capture/restore
-// counters (zero when Config.Checkpoint is off). The full-clone vs
-// delta-word split is the measured cost of the near-zero steady-state
-// claim: after the first capture, a cycle whose ownership barely moved
-// writes only the changed words.
-func (f *Framework) CheckpointStats() ckpt.Stats {
-	if f.ck == nil {
-		return ckpt.Stats{}
-	}
-	return f.ck.Stats()
+// CheckpointStats returns zero counters: there is no cycle checkpoint.
+//
+// Deprecated: it goes when the benchmark stops reading it.
+func (f *Framework) CheckpointStats() (st struct{ Captures, Restores, FullWords, DeltaWords int64 }) {
+	return st
 }
 
 // New builds a framework over m: the dual graph is constructed, an initial
@@ -217,12 +205,6 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.Faults.CrashEnabled() {
-		// Crash recovery restores from the cycle checkpoint before the
-		// survivor remap; a crash plan without checkpoints would have no
-		// audited state to recover to.
-		cfg.Checkpoint = true
-	}
 	g := dual.Build(m)
 	fw := &Framework{
 		Cfg: cfg,
@@ -240,9 +222,6 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 	d.Retry = cfg.Retry
 	d.Trace = cfg.Trace // per-rank remap spans + streaming window events
 	fw.D = d
-	if cfg.Checkpoint {
-		fw.ck = ckpt.New()
-	}
 	return fw, nil
 }
 
@@ -294,11 +273,12 @@ const (
 	// OutcomeRetriedCommitted: the remap executed and converged to the
 	// fault-free result, but only after message or window retries.
 	OutcomeRetriedCommitted
-	// OutcomeRecovered: one or more ranks crashed mid-remap; the pass
-	// restored the cycle checkpoint and remapped the dead ranks' elements
-	// onto the survivors with the balancer's own partitioner + remap
-	// machinery. The run continues on fewer processors with every element
-	// survivor-owned and the total weight conserved.
+	// OutcomeRecovered: one or more ranks crashed mid-remap; starting
+	// from the pre-pass ownership the failed remap left untouched, the
+	// pass remapped the dead ranks' elements onto the survivors with the
+	// balancer's own partitioner + remap machinery. The run continues on
+	// fewer processors with every element survivor-owned and the total
+	// weight conserved.
 	OutcomeRecovered
 	// OutcomeRolledBack: the remap exhausted its retry budget and rolled
 	// back; the cycle continues on the old partition (graceful
@@ -433,8 +413,8 @@ type BalanceReport struct {
 	// Config.P until the first crash, fewer after.
 	Alive int
 	// Recovery holds the survivor remap that repaired a crash: the
-	// dead ranks' elements re-sourced from the cycle checkpoint's replica
-	// and exchanged onto the P−|crashed| survivors through the ordinary
+	// dead ranks' elements, as the untouched pre-pass ownership places
+	// them, exchanged onto the P−|crashed| survivors through the ordinary
 	// remap executor, with its machine-model charges (ChargeFlows under
 	// the configured exchange schedule) intact. Zero unless Outcome is
 	// Recovered. The survivor repartition and reassignment that planned
@@ -469,14 +449,6 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.Exchange = f.D.Exchange
 	tr := f.Cfg.Trace
 	f.G.UpdateWeights(f.M)
-	// Capture the recoverable cycle state before anything mutates: a rank
-	// crash mid-remap restores to exactly this point before the survivor
-	// remap runs. Delta-captured, so a steady cycle writes almost nothing.
-	if f.ck != nil {
-		f.ck.Capture(ckpt.State{Cycle: f.D.FaultCycle, Streak: f.rollbackStreak,
-			Owners: f.D.Owners(), Weights: f.G.Wcomp})
-		tr.Event("info", "ckpt.capture", obs.Int("cycle", int64(f.D.FaultCycle)))
-	}
 	// All balance targets are the surviving ranks: after a crash the run
 	// continues on fewer processors, and dead ranks must never appear in
 	// an imbalance denominator or receive a partition. With every rank
@@ -554,9 +526,9 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 		if errors.As(err, &re) {
 			switch {
 			case re.Failure == par.FailCrash:
-				// Rank death: restore the cycle checkpoint and remap the
-				// dead ranks' elements onto the survivors. The run
-				// continues on fewer processors.
+				// Rank death: the executor left the pre-pass owners;
+				// remap the dead ranks' elements onto the survivors. The
+				// run continues on fewer processors.
 				if rerr := f.recoverCrash(&rep, re); rerr != nil {
 					return rep, rerr
 				}
@@ -692,9 +664,10 @@ func (f *Framework) compactOwners(alive []int32) []int32 {
 	return oldProc
 }
 
-// recoverCrash repairs a FailCrash rollback: restore the audited cycle
-// checkpoint, mark the dead ranks, and remap their elements onto the
-// survivors using the balancer's own machinery — the repartitioner
+// recoverCrash repairs a FailCrash rollback: the executor failed the
+// remap before any owner flipped, so the pre-pass ownership is the
+// recovery point. It marks the dead ranks and remaps their elements onto
+// the survivors using the balancer's own machinery — the repartitioner
 // produces the survivor partition, the mapper minimizes movement
 // relative to the surviving owners (crashed-owned vertices carry no
 // similarity, so they move wherever they land), and the ordinary bulk
@@ -717,16 +690,6 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	tr := f.Cfg.Trace
 	for _, r := range re.Crashed {
 		tr.Event("error", "rank.crash", obs.Int("rank", int64(r)))
-	}
-	// The executor already rolled its transaction back; the checkpoint
-	// restore is the audited path, and also recovers the outcome streak
-	// captured before the pass started.
-	if f.ck != nil {
-		if st, ok := f.ck.Restore(); ok {
-			f.D.SetOwners(st.Owners)
-			f.rollbackStreak = st.Streak
-			tr.Event("info", "ckpt.restore", obs.Int("cycle", int64(st.Cycle)))
-		}
 	}
 	f.D.MarkDead(re.Crashed)
 	alive := f.D.Alive()

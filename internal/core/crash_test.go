@@ -183,29 +183,64 @@ func TestCycleCrashWithMessageFaults(t *testing.T) {
 	verifySurvivorOwnership(t, f, "mixed-kind run")
 }
 
-// TestCheckpointAutoEnabledAndCounted pins the checkpoint wiring: a
-// crash-capable plan force-enables Config.Checkpoint, each balance pass
-// captures once, and the stats are visible through CheckpointStats.
-func TestCheckpointAutoEnabledAndCounted(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.Faults = &fault.Plan{Seed: 3, Rate: 0.05, Kinds: []fault.Kind{fault.Crash}}
-	reps, _, f := runCrashScenario(t, cfg, 2)
-	if f.ck == nil {
-		t.Fatal("crash plan did not auto-enable the cycle checkpoint")
-	}
-	st := f.CheckpointStats()
-	if st.Captures != len(reps) {
-		t.Errorf("captures=%d, want one per cycle (%d)", st.Captures, len(reps))
-	}
-	if st.FullWords == 0 {
-		t.Error("no words ever captured")
-	}
-
-	// Checkpoint alone (no fault plan) is a valid configuration too.
-	cfg2 := DefaultConfig(4)
-	cfg2.Checkpoint = true
-	_, _, f2 := runCrashScenario(t, cfg2, 2)
-	if f2.CheckpointStats().Captures != 2 {
-		t.Errorf("standalone checkpoint: captures=%d, want 2", f2.CheckpointStats().Captures)
+// TestCrashRecoveryStartsFromPrePassOwners pins the recovery point: a
+// crashed remap fails before any owner flips, so the survivor remap
+// starts from the owners the cycle began with. Owners are root-indexed
+// and the cycle refines before it balances, so the live elements whose
+// root owner differs between the owners before and after a Recovered
+// cycle are exactly the ones the survivor remap moved; anything else
+// touching ownership in between would break the equality. The mixed plan
+// rolls a pass back before its first crash, so the recovery must also
+// clear a live rollback streak.
+func TestCrashRecoveryStartsFromPrePassOwners(t *testing.T) {
+	crash := &fault.Plan{Seed: 1, Rate: 0.1, Kinds: []fault.Kind{fault.Crash}}
+	mixed := &fault.Plan{Seed: 15, Rate: 0.15, Kinds: []fault.Kind{fault.Crash, fault.Drop}}
+	for _, tc := range []struct {
+		plan       *fault.Plan
+		retry      fault.Retry
+		wantStreak bool // some crash hits while a rollback streak is live
+	}{{crash, fault.Retry{}, false}, {mixed, fault.Budget(0), true}} {
+		cfg := DefaultConfig(8)
+		cfg.Faults, cfg.Retry = tc.plan, tc.retry
+		f, err := New(meshgen.SmallBox(), nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered, cleared := 0, false
+		radius := 0.7
+		for i := 0; i < 4; i++ {
+			before, streak := f.D.Owners(), f.rollbackStreak
+			r := radius
+			rep, err := f.Cycle(func(a *adapt.Adaptor) {
+				a.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: r}, adapt.MarkRefine)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			radius *= 0.8
+			if rep.Outcome != OutcomeRecovered {
+				continue
+			}
+			recovered++
+			cleared = cleared || streak > 0
+			after := f.D.Owners()
+			var moved int64
+			for _, el := range f.M.Elems {
+				if !el.Dead && before[el.Root] != after[el.Root] {
+					moved++
+				}
+			}
+			if moved != rep.Balance.Recovery.Moved {
+				t.Errorf("%v cycle %d: %d live elements changed owner over the pass, survivor remap moved %d",
+					tc.plan, i, moved, rep.Balance.Recovery.Moved)
+			}
+			if f.rollbackStreak != 0 {
+				t.Errorf("%v cycle %d: rollback streak %d after recovery, want 0", tc.plan, i, f.rollbackStreak)
+			}
+		}
+		if recovered == 0 || cleared != tc.wantStreak {
+			t.Fatalf("%v: %d cycles recovered, cleared a live streak: %v, want %v",
+				tc.plan, recovered, cleared, tc.wantStreak)
+		}
 	}
 }

@@ -19,8 +19,7 @@ import (
 
 // tracedRun drives the mixed crash+drop scenario, overlapped, with
 // tracing and metrics attached, and returns both exports as byte slices.
-// It exercises retries, rollbacks, checkpoint restore, and survivor
-// recovery.
+// It exercises retries, rollbacks, rank crashes, and survivor recovery.
 func tracedRun(t *testing.T) (perfetto, prom []byte) {
 	t.Helper()
 	tr := obs.NewTrace()
@@ -77,10 +76,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the trace goldens in test
 // single-attempt budget forces window retries. Cycle 0 executes a
 // remap after retries, cycle 1 loses a rank and recovers, so the files
 // hold every stage the cycle emits: cycle, solver, the adaption phases,
-// checkpoint capture and restore, evaluate, repartition, reassign,
-// decide, remap.window and remap.window.retry, the per-rank remap.send
-// and remap.rebuild spans, rank.crash and remap.recovery. Regenerate
-// with -update only when a change moves the trace on purpose.
+// evaluate, repartition, reassign, decide, remap.window and
+// remap.window.retry, the per-rank remap.send and remap.rebuild spans,
+// rank.crash and remap.recovery. Regenerate with -update only when a
+// change moves the trace on purpose.
 func TestTraceGolden(t *testing.T) {
 	tr := obs.NewTrace()
 	reg := obs.NewRegistry()
@@ -143,7 +142,7 @@ func TestTraceContent(t *testing.T) {
 	perfetto, prom := tracedRun(t)
 	for _, want := range []string{
 		`"name": "cycle"`, `"name": "solver"`, `"name": "adapt.propagate"`,
-		`"name": "repartition"`, `"name": "reassign"`, `"name": "ckpt.capture"`,
+		`"name": "repartition"`, `"name": "reassign"`, `"name": "rank.crash"`,
 		`"name": "balance.evaluate"`,
 	} {
 		if !bytes.Contains(perfetto, []byte(want)) {
@@ -184,7 +183,6 @@ func TestTraceDisabledIsFree(t *testing.T) {
 		tr.End(obs.String("outcome", OutcomeRetriedCommitted.String()))
 		recordCycleMetrics(nil, nil, nil)
 		// balance.
-		tr.Event("info", "ckpt.capture", obs.Int("cycle", int64(cycle)))
 		tr.Event("info", "balance.evaluate", obs.Float("imbalance", imb), obs.Bool("repartition", true))
 		traceRepartition(tr, mdl, ops, cycle)
 		tr.Span(obs.FrameworkRank, "reassign", tr.Now(), gain, obs.Int("ops", moved), obs.Int("objective", words))
@@ -203,7 +201,6 @@ func TestTraceDisabledIsFree(t *testing.T) {
 		for _, r := range crashed {
 			tr.Event("error", "rank.crash", obs.Int("rank", int64(r)))
 		}
-		tr.Event("info", "ckpt.restore", obs.Int("cycle", int64(cycle)))
 		traceRemapExec(tr, recoveryStages, &res)
 	})
 	if allocs != 0 {

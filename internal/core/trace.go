@@ -112,11 +112,6 @@ func recordCycleMetrics(reg *obs.Registry, f *Framework, rep *CycleReport) {
 	reg.Set("plum_imbalance_after", b.ImbalanceAfter)
 	reg.Set("plum_alive_ranks", float64(b.Alive))
 	reg.Set("plum_mesh_elements", float64(f.M.NumActiveElems()))
-	st := f.CheckpointStats()
-	reg.Set("plum_checkpoint_captures", float64(st.Captures))
-	reg.Set("plum_checkpoint_restores", float64(st.Restores))
-	reg.Set("plum_checkpoint_full_words", float64(st.FullWords))
-	reg.Set("plum_checkpoint_delta_words", float64(st.DeltaWords))
 }
 
 // RegisterHelp attaches the framework's metric HELP strings to reg, for
@@ -148,8 +143,4 @@ func RegisterHelp(reg *obs.Registry) {
 	reg.SetHelp("plum_imbalance_after", "Wmax/Wavg after the last balance pass.")
 	reg.SetHelp("plum_alive_ranks", "Surviving processor count.")
 	reg.SetHelp("plum_mesh_elements", "Active mesh elements.")
-	reg.SetHelp("plum_checkpoint_captures", "Cycle-checkpoint captures.")
-	reg.SetHelp("plum_checkpoint_restores", "Cycle-checkpoint restores.")
-	reg.SetHelp("plum_checkpoint_full_words", "Checkpoint words written by whole-slice clones.")
-	reg.SetHelp("plum_checkpoint_delta_words", "Checkpoint words written by delta patches.")
 }

@@ -19,8 +19,7 @@ var crashRates = []float64{0, 0.05, 0.1, 0.2}
 const recoverCycles = 4
 
 // RecoverRow is one cell of the crash-recovery sweep: how the cycles
-// concluded, which ranks died, and what the survivor remap and the cycle
-// checkpoints cost.
+// concluded, which ranks died, and what the survivor remap cost.
 type RecoverRow struct {
 	Rate  float64
 	Mixed bool // crash+drop rather than crash alone
@@ -33,20 +32,14 @@ type RecoverRow struct {
 	// RecMoved and RecWords total the survivor-recovery remaps' element
 	// and payload traffic.
 	RecMoved, RecWords int64
-	// Captures, Restores, and DeltaWords summarize the cycle-checkpoint
-	// activity (DeltaWords is the copy-on-write patch volume; full
-	// clones are counted separately by the checkpoint but omitted here).
-	Captures, Restores int
-	DeltaWords         int64
 	// FinalImbalance is the load imbalance over the survivors after the
 	// last cycle.
 	FinalImbalance float64
 }
 
 // RecoverTable is the rank-crash recovery anatomy: how balance cycles
-// conclude as ranks die mid-remap, what the survivor remap moves, and
-// what the checkpoints cost, as the crash rate varies — alone and mixed
-// with message drops. Deterministic for a given seed.
+// conclude as ranks die mid-remap and what the survivor remap moves, as
+// the crash rate varies — alone and mixed with message drops. Deterministic for a given seed.
 type RecoverTable struct {
 	Seed int64
 	P    int
@@ -81,8 +74,6 @@ func RunRecoverTable(seed int64) *RecoverTable {
 				row.RecWords += rep.Balance.Recovery.WordsMoved
 				row.FinalImbalance = rep.Balance.ImbalanceAfter
 			}
-			st := f.CheckpointStats()
-			row.Captures, row.Restores, row.DeltaWords = st.Captures, st.Restores, st.DeltaWords
 			row.Alive = f.D.AliveCount()
 			out.Rows = append(out.Rows, row)
 		}
@@ -94,8 +85,7 @@ func RunRecoverTable(seed int64) *RecoverTable {
 func (t *RecoverTable) String() string {
 	tb := newTable(fmt.Sprintf("Rank-crash recovery: outcome sweep (seed %d, P=%d, %d cycles/cell, streaming remap)",
 		t.Seed, t.P, recoverCycles))
-	tb.row("rate", "kinds", "outcomes", "crashed", "alive", "rec mv", "rec wds",
-		"ckpt", "rst", "dlt wds", "imb")
+	tb.row("rate", "kinds", "outcomes", "crashed", "alive", "rec mv", "rec wds", "imb")
 	for _, r := range t.Rows {
 		kinds := "crash"
 		if r.Mixed {
@@ -106,8 +96,7 @@ func (t *RecoverTable) String() string {
 			crashed = strings.Trim(strings.Join(strings.Fields(fmt.Sprint(r.Crashed)), ","), "[]")
 		}
 		tb.row(fmt.Sprintf("%.2f", r.Rate), kinds, shortOutcomes(r.Outcomes), crashed, r.Alive,
-			r.RecMoved, r.RecWords, r.Captures, r.Restores, r.DeltaWords,
-			fmt.Sprintf("%.2f", r.FinalImbalance))
+			r.RecMoved, r.RecWords, fmt.Sprintf("%.2f", r.FinalImbalance))
 	}
 	return tb.String()
 }

@@ -93,7 +93,7 @@ type Span struct {
 	Attrs []Attr
 }
 
-// Event is one instantaneous occurrence (a checkpoint capture, a window
+// Event is one instantaneous occurrence (a remap decision, a window
 // retry, a crash) at modeled time T.
 type Event struct {
 	Seq   int64

@@ -19,7 +19,7 @@ func sampleTrace() *Trace {
 	tr.Begin("cycle", Int("cycle", 0))
 	tr.Span(FrameworkRank, "solver", tr.Now(), 1.5, Int("iters", 3))
 	tr.Advance(1.5)
-	tr.Event("info", "ckpt.capture", Int("cycle", 0))
+	tr.Event("error", "rank.crash", Int("rank", 1))
 	tr.Span(0, "remap.send", tr.Now(), 0.25, Int("words", 1000))
 	tr.Span(1, "remap.send", tr.Now(), 0.5)
 	tr.Advance(0.5)

@@ -102,10 +102,11 @@ func (d *Dist) ExecuteRemap(newOwner []int32, mdl machine.Model) (RemapResult, e
 // fault plan. Recovery is the repair path, not another fault surface:
 // letting the plan re-draw crash or message fates here could cascade a
 // recovery into another rollback forever, so the modeled recovery runs
-// clean. The dead ranks' outgoing flows model the survivors replaying
-// those elements from the cycle checkpoint's replica; their cost is
-// charged like any other flow, which is exactly the modeled price of
-// re-sourcing the lost subgrid.
+// clean. The failed remap left the pre-pass ownership untouched, so the
+// dead ranks' outgoing flows are their elements as that ownership places
+// them, re-sourced onto the survivors; their cost is charged like any
+// other flow, which is exactly the modeled price of re-sourcing the lost
+// subgrid.
 func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapResult, error) {
 	return d.executeRemap(newOwner, mdl, 0, nil)
 }
