@@ -230,8 +230,7 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 // used by the preliminary evaluation).
 func (f *Framework) Loads() []int64 {
 	loads := make([]int64, f.Cfg.P)
-	owners := f.D.Owners()
-	for v, o := range owners {
+	for v, o := range f.D.OwnersView() {
 		loads[o] += f.G.Wcomp[v]
 	}
 	return loads
@@ -584,11 +583,18 @@ type proposal struct {
 // repartition the dual graph into F parts per survivor, build the
 // similarity matrix in the compacted survivor index space (identity when
 // every rank is alive), and reassign the parts with the paper's heuristic
-// mapper.
+// mapper. With F = 1 the repartitioner starts from the compacted owners:
+// multilevel rebalances them unless they name a dead rank (crash
+// recovery), and partitions from scratch then.
 func (f *Framework) propose(alive []int32) (proposal, error) {
 	var pr proposal
-	pr.part, pr.partOps = f.part.Repartition(len(alive) * f.Cfg.F)
-	pr.sim = remap.Build(f.compactOwners(alive), pr.part, f.G.Wremap, len(alive), f.Cfg.F)
+	old := f.compactOwners(alive)
+	var from []int32
+	if f.Cfg.F == 1 {
+		from = old
+	}
+	pr.part, pr.partOps = f.part.Repartition(len(alive)*f.Cfg.F, from)
+	pr.sim = remap.Build(old, pr.part, f.G.Wremap, len(alive), f.Cfg.F)
 	pr.mapping, pr.objective, pr.mapOps = pr.sim.Heuristic()
 	return pr, pr.sim.Validate(pr.mapping)
 }
@@ -644,12 +650,12 @@ func (pr proposal) owners(alive []int32) []int32 {
 
 // compactOwners returns the owner array mapped into the compacted
 // survivor index space: alive[i] → i, dead ranks → −1 (no similarity
-// credit — see remap.Build). With every rank alive it returns the
-// owners unchanged.
+// credit — see remap.Build). With every rank alive it returns the owner
+// array itself, uncopied and read-only (par.Dist.OwnersView).
 func (f *Framework) compactOwners(alive []int32) []int32 {
-	oldProc := f.D.Owners()
+	owners := f.D.OwnersView()
 	if len(alive) == f.Cfg.P {
-		return oldProc
+		return owners
 	}
 	compact := make([]int32, f.Cfg.P)
 	for i := range compact {
@@ -658,10 +664,11 @@ func (f *Framework) compactOwners(alive []int32) []int32 {
 	for i, r := range alive {
 		compact[r] = int32(i)
 	}
-	for v, o := range oldProc {
-		oldProc[v] = compact[o]
+	out := make([]int32, len(owners))
+	for v, o := range owners {
+		out[v] = compact[o]
 	}
-	return oldProc
+	return out
 }
 
 // recoverCrash repairs a FailCrash rollback: the executor failed the

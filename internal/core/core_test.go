@@ -11,6 +11,7 @@ import (
 	"plum/internal/meshgen"
 	"plum/internal/obs"
 	"plum/internal/partition"
+	"plum/internal/remap"
 	"plum/internal/solver"
 )
 
@@ -454,6 +455,11 @@ func TestRepartitionSpanIsCharged(t *testing.T) {
 // accepted partitions drifted to 11.18 by cycle 4; every accepted
 // partition must stay at or below 2. The scaled-down rotors are not a
 // stand-in: at scale 0.2 and 0.4 the same run reads 2.35 and 2.37.
+//
+// It then replays the last balance pass both ways, on its weights: from
+// the owners the pass started from, as Cycle runs it, and from scratch.
+// After the heuristic mapping, the owner-seeded partition must move less
+// Wremap than the from-scratch one and stay within the same bound.
 func TestMultilevelRotorStaysBalanced(t *testing.T) {
 	rp := meshgen.DefaultRotor()
 	m := meshgen.RotorDisk(rp)
@@ -465,7 +471,9 @@ func TestMultilevelRotorStaysBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var prev []int32
 	for c := 1; c <= 4; c++ {
+		prev = f.D.Owners()
 		rep, err := f.Cycle(func(a *adapt.Adaptor) { a.MarkStrategyRefine(adapt.Local1, cfg.Seed) })
 		if err != nil {
 			t.Fatal(err)
@@ -476,5 +484,21 @@ func TestMultilevelRotorStaysBalanced(t *testing.T) {
 			t.Errorf("cycle %d: imbalance %.2f -> %.2f (accepted=%v), want an accepted partition ≤ 2",
 				c, b.ImbalanceBefore, b.ImbalanceAfter, b.Accepted)
 		}
+	}
+
+	moved := func(from []int32) (float64, int64) {
+		part, _ := partition.NewRepartitioner(f.G, cfg.Method, partition.Options{Seed: cfg.Seed}).Repartition(cfg.P, from)
+		sim := remap.Build(prev, part, f.G.Wremap, cfg.P, 1)
+		mp, _, _ := sim.Heuristic()
+		_, c := sim.MoveStats(mp)
+		return partition.Imbalance(f.G, part, cfg.P), c
+	}
+	seededImb, seeded := moved(prev)
+	scratchImb, scratch := moved(nil)
+	t.Logf("cycle 4 replayed: from the owners imb %.2f moving %d, from scratch imb %.2f moving %d",
+		seededImb, seeded, scratchImb, scratch)
+	if seeded >= scratch || seededImb > 2 || scratchImb > 2 {
+		t.Errorf("from the owners: imb %.2f moving %d Wremap; from scratch: imb %.2f moving %d; want less moved, both ≤ 2",
+			seededImb, seeded, scratchImb, scratch)
 	}
 }

@@ -133,28 +133,54 @@ func TestCycleCrashRecovery(t *testing.T) {
 // TestRecoveryIsCharged pins crash recovery's charge: a Recovered pass
 // ran two proposals, the failed one over every rank alive before the
 // crash and the survivor one, and its RepartitionOps and RepartitionTime
-// are both proposals' work, each priced by machine.Ops.Time. Multilevel
-// caches nothing, so a one-shot partition of the same weights is each
-// proposal's work.
+// are both proposals' work, each priced by machine.Ops.Time. Each
+// proposal is recomputed through the owner-seeded call it ran as: the
+// failed one rebalanced the pre-pass owners, and the survivor one was
+// given the same owners compacted over the survivors, which name the dead
+// ranks, so multilevel rejected them and partitioned from scratch.
 func TestRecoveryIsCharged(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Faults = &fault.Plan{Seed: 1, Rate: 0.1, Kinds: []fault.Kind{fault.Crash}}
-	for cycles := 1; cycles <= 4; cycles++ {
-		reps, _, f := runCrashScenario(t, cfg, cycles)
-		b := reps[cycles-1].Balance
+	f, err := New(meshgen.SmallBox(), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	radius := 0.7
+	for c := 1; c <= 4; c++ {
+		owners, before := f.D.Owners(), f.D.Alive()
+		r := radius
+		rep, err := f.Cycle(func(a *adapt.Adaptor) {
+			a.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: r}, adapt.MarkRefine)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		radius *= 0.8
+		b := rep.Balance
 		if b.Outcome != OutcomeRecovered {
 			continue
 		}
 		var ops int64
 		var want float64
-		for _, alive := range []int{b.Alive + len(b.CrashedRanks), b.Alive} {
-			_, work := partition.PartitionCounted(f.G, alive*cfg.F, cfg.Method, partition.Options{Seed: cfg.Seed})
+		for _, alive := range [][]int32{before, f.D.Alive()} {
+			compact := make([]int32, cfg.P)
+			for i := range compact {
+				compact[i] = -1
+			}
+			for i, rank := range alive {
+				compact[rank] = int32(i)
+			}
+			from := make([]int32, len(owners))
+			for v, o := range owners {
+				from[v] = compact[o]
+			}
+			_, work := partition.NewRepartitioner(f.G, cfg.Method, partition.Options{Seed: cfg.Seed}).Repartition(len(alive)*cfg.F, from)
 			ops += work.Total
 			want += work.Time(cfg.Model)
 		}
 		if b.RepartitionOps != ops || b.RepartitionTime != want {
 			t.Errorf("cycle %d: recovered pass charged %d ops in %.17gs, want both proposals' %d ops in %.17gs",
-				cycles, b.RepartitionOps, b.RepartitionTime, ops, want)
+				c, b.RepartitionOps, b.RepartitionTime, ops, want)
 		}
 		return
 	}

@@ -15,10 +15,10 @@ type PartitionerRow struct {
 	Method partition.Method
 	// PartitionSeconds is the wall time of one from-scratch partition.
 	PartitionSeconds float64
-	// IncrementalSeconds is the wall time of a later Repartition on the
-	// same partition.Repartitioner: the SFC backends reuse their cached
-	// curve order, the graph partitioners cache nothing and partition
-	// from scratch again.
+	// IncrementalSeconds is the wall time of a later Repartition, without
+	// owners, on the same partition.Repartitioner: the SFC backends reuse
+	// their cached curve order, the graph partitioners cache nothing and
+	// partition from scratch again.
 	IncrementalSeconds float64
 	// Ops is the backend's work, curve build included — the count the
 	// remap acceptance rule prices. Nonzero for every backend.
@@ -62,8 +62,8 @@ func RunPartitionerTable(k int) *PartitionerTable {
 		row.EdgeCut = partition.EdgeCut(g, asg)
 
 		r := partition.NewRepartitioner(g, meth, opt)
-		r.Repartition(k)
-		row.IncrementalSeconds = minTime(func() { r.Repartition(k) })
+		r.Repartition(k, nil)
+		row.IncrementalSeconds = minTime(func() { r.Repartition(k, nil) })
 		out.Rows = append(out.Rows, row)
 	}
 	return out

@@ -117,6 +117,11 @@ func NewDist(m *mesh.Mesh, p int, asg partition.Assignment) *Dist {
 // Owners returns a copy of the per-dual-vertex owner array.
 func (d *Dist) Owners() []int32 { return append([]int32(nil), d.owner...) }
 
+// OwnersView returns the per-dual-vertex owner array itself, without a
+// copy: the caller must not write it, and the next ownership change
+// (SetOwners, an executed remap) rewrites it in place.
+func (d *Dist) OwnersView() []int32 { return d.owner }
+
 // MarkDead records ranks lost to crash recovery. Dead ranks stay dead
 // for the rest of the run; marking an already-dead rank is a no-op.
 func (d *Dist) MarkDead(ranks []int) {

@@ -8,6 +8,7 @@ import (
 
 	"plum/internal/dual"
 	"plum/internal/geom"
+	"plum/internal/refine"
 )
 
 // gridGraph builds a connected nx×ny×nz lattice dual graph with weights
@@ -291,4 +292,77 @@ func minBottleneck(prefix []int64, k int) int64 {
 		best = next
 	}
 	return best[n]
+}
+
+// FuzzDiffuse holds rebalancing from the owners to its contract. The
+// bytes give a lattice with heavy-tailed weights (gridGraph) and up to
+// three isolated vertices, so the part graph can fall apart, k ≤ 16 and
+// an owner set of contiguous vertex blocks, each block's part a byte, with
+// every part given a vertex. The result must put every vertex in [0, k),
+// be identical on a rerun, return an owner set whose parts all fit the FM
+// cap unchanged, and end no more imbalanced than max(the owners',
+// diffuseTol, 1 + k·max(w)/ΣW). An owner naming a dead rank (−1) is
+// refused.
+func FuzzDiffuse(f *testing.F) {
+	f.Add([]byte{3, 3, 3, 1, 4, 0, 0, 0, 1, 2, 3})
+	f.Add([]byte{7, 5, 2, 9, 8, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{6, 6, 4, 42, 15, 5, 4, 3, 2, 1, 0, 7, 9, 11, 13, 15})
+	f.Add([]byte{1, 1, 9, 7, 2, 1, 0})
+	f.Add([]byte{0x35, 4, 2, 200, 5, 0, 1, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		g := gridGraph(1+int(data[0]%8), 1+int(data[1]%8), 1+int(data[2]%6), int64(data[3]))
+		for i := range int(data[0]>>4) % 4 {
+			g.Xadj = append(g.Xadj, int32(len(g.Adjncy)))
+			g.Wcomp = append(g.Wcomp, int64(1+97*i*int(data[3])%500))
+		}
+		g.N = len(g.Wcomp)
+		k := min(1+int(data[4]%16), g.N)
+		blocks := data[5:]
+		owners := make([]int32, g.N)
+		for v := range owners {
+			if len(blocks) > 0 {
+				owners[v] = int32(int(blocks[v*len(blocks)/g.N]) % k)
+			}
+		}
+		for p := range k {
+			owners[p*g.N/k] = int32(p)
+		}
+
+		asg, ops, ok := rebalance(g, k, owners)
+		if !ok || len(asg) != g.N {
+			t.Fatalf("k=%d n=%d: refused a valid owner set (ok=%v, %d entries)", k, g.N, ok, len(asg))
+		}
+		for v, p := range asg {
+			if p < 0 || int(p) >= k {
+				t.Fatalf("k=%d: vertex %d in part %d", k, v, p)
+			}
+		}
+		again, ops2, _ := rebalance(g, k, owners)
+		if !slices.Equal(asg, again) || ops != ops2 {
+			t.Fatalf("k=%d: a rerun differs (ops %+v vs %+v)", k, ops, ops2)
+		}
+
+		in := Weights(g, owners, k)
+		if slices.Max(in) <= refine.BalanceCap(in) && !slices.Equal(asg, Assignment(owners)) {
+			t.Fatalf("k=%d: owners within the cap came back changed", k)
+		}
+		var total, heaviest int64
+		for _, w := range g.Wcomp {
+			total += w
+			heaviest = max(heaviest, w)
+		}
+		bound := max(Imbalance(g, owners, k), diffuseTol, 1+float64(k)*float64(heaviest)/float64(total))
+		if got := Imbalance(g, asg, k); got > bound+1e-9 {
+			t.Fatalf("k=%d n=%d: imbalance %.6f above max(owners', %.2f, granularity) = %.6f",
+				k, g.N, got, diffuseTol, bound)
+		}
+
+		owners[len(owners)-1] = -1
+		if _, _, ok := rebalance(g, k, owners); ok {
+			t.Fatalf("k=%d: accepted an owner naming a dead rank", k)
+		}
+	})
 }

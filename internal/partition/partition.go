@@ -11,7 +11,8 @@
 //     uncoarsening — the paper's default. Chaco bisects the coarse graph
 //     on an eigenvector instead; METIS's graph growing (Karypis & Kumar)
 //     splits a graph of a few hundred vertices about as well for a
-//     fraction of the work;
+//     fraction of the work. Given the current owners, it rebalances them
+//     by diffusion instead (diffuse.go);
 //   - morton, hilbert: the exact minimum-bottleneck contiguous cut of a
 //     space-filling-curve ordering (sfc.go), with no refinement after it.
 //
@@ -158,11 +159,11 @@ func Partition(g *dual.Graph, k int, m Method) Assignment {
 
 // PartitionCounted is Partition with explicit options and honest cost
 // accounting: every backend — graph and SFC alike — reports the abstract
-// operation count of the work it actually did. It is one Repartition on
-// a fresh Repartitioner, so a curve method's work includes building its
-// curve order.
+// operation count of the work it actually did. It is one Repartition
+// without owners on a fresh Repartitioner, so a curve method's work
+// includes building its curve order.
 func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, machine.Ops) {
-	return NewRepartitioner(g, m, opt).Repartition(k)
+	return NewRepartitioner(g, m, opt).Repartition(k, nil)
 }
 
 // Repartitioner partitions one dual graph again and again with one
@@ -170,7 +171,8 @@ func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, 
 // weights change (the paper's central invariant), so what it caches never
 // needs invalidating, whatever the weights or k: the curve methods cache
 // their curve order and cut it in near-O(n) per call; the graph methods
-// cache nothing.
+// cache nothing, and multilevel's rebalancing from the owners
+// (diffuse.go) reads only the owners it is given.
 type Repartitioner struct {
 	g      *dual.Graph
 	method Method
@@ -194,8 +196,9 @@ func NewRepartitioner(g *dual.Graph, m Method, opt Options) *Repartitioner {
 	return r
 }
 
-// Initial returns the setup partition into k parts, uncharged: the first
-// Repartition still pays for the curve order it reuses.
+// Initial returns the setup partition into k parts, from scratch and
+// uncharged: the first Repartition still pays for the curve order it
+// reuses.
 func (r *Repartitioner) Initial(k int) Assignment {
 	asg, _ := r.cut(k)
 	return asg
@@ -204,10 +207,27 @@ func (r *Repartitioner) Initial(k int) Assignment {
 // Repartition divides the graph into k parts under its current weights
 // and returns the work the model prices, the curve build included on the
 // first call. Refinement ops land in the Mem share.
-func (r *Repartitioner) Repartition(k int) (Assignment, machine.Ops) {
-	asg, work := r.cut(k)
-	work.Add(r.build)
+//
+// owners is the current assignment, or nil. Multilevel rebalances it
+// when it is a k-way assignment with every part non-empty, moving load
+// only between neighbouring parts (rebalance, diffuse.go), and partitions
+// from scratch otherwise: without owners, with more parts than owners
+// (F > 1), with an owner outside [0, k), such as a dead rank's −1 in
+// crash recovery, or with fewer than diffuseMinVerts vertices a part. The
+// scan that rejects an owner set is charged too. The curve methods and
+// inertial ignore the owners.
+func (r *Repartitioner) Repartition(k int, owners []int32) (Assignment, machine.Ops) {
+	work := r.build
 	r.build = machine.Ops{}
+	if r.sfc == nil && r.method != MethodInertial && owners != nil && r.g.N >= diffuseMinVerts*k {
+		asg, ops, ok := rebalance(r.g, k, owners)
+		work.Add(ops)
+		if ok {
+			return asg, work
+		}
+	}
+	asg, ops := r.cut(k)
+	work.Add(ops)
 	return asg, work
 }
 

@@ -502,7 +502,7 @@ func TestRepartitionerContract(t *testing.T) {
 		if got := r.Initial(k); !slices.Equal(got, want) {
 			t.Errorf("%v: Initial(%d) differs from the one-shot partition", m, k)
 		}
-		got, ops := r.Repartition(k)
+		got, ops := r.Repartition(k, nil)
 		if !slices.Equal(got, want) || ops != wantOps {
 			t.Errorf("%v: first Repartition(%d) charged %+v, one-shot %+v (assignments equal: %v)",
 				m, k, ops, wantOps, slices.Equal(got, want))
@@ -515,13 +515,64 @@ func TestRepartitionerContract(t *testing.T) {
 		if c, ok := m.Curve(); ok {
 			wantOps.Total -= NewSFCWorkers(g, c, 0).BuildOps().Total
 		}
-		got, ops = r.Repartition(k2)
+		got, ops = r.Repartition(k2, nil)
 		if !slices.Equal(got, want) {
 			t.Errorf("%v: Repartition(%d) differs from the one-shot partition", m, k2)
 		}
 		if ops != wantOps {
 			t.Errorf("%v: Repartition(%d) charged %+v, want %+v", m, k2, ops, wantOps)
 		}
+	}
+}
+
+// TestRepartitionFromOwners pins when Repartition uses the owners it is
+// given. The curves and inertial ignore them. Multilevel returns owners
+// that fit the cap unchanged and rebalances unbalanced ones, moving less
+// than the fresh partition; it partitions from scratch when an owner
+// names a dead rank (−1), charging the scan up to it, and when a part
+// would average fewer than diffuseMinVerts vertices.
+func TestRepartitionFromOwners(t *testing.T) {
+	const k = 8
+	var opt Options
+	g := gridGraph(24, 24, 16, 5) // 9 216 vertices, 1 152 a part
+	owners := Partition(g, k, MethodHilbertSFC)
+	for _, m := range []Method{MethodInertial, MethodMortonSFC, MethodHilbertSFC} {
+		want, wantOps := PartitionCounted(g, k, m, opt)
+		if got, ops := NewRepartitioner(g, m, opt).Repartition(k, owners); !slices.Equal(got, want) || ops != wantOps {
+			t.Errorf("%v: owners changed the partition or its charge", m)
+		}
+	}
+
+	ml := NewRepartitioner(g, MethodMultilevel, opt)
+	if got, _ := ml.Repartition(k, owners); !slices.Equal(got, owners) {
+		t.Error("multilevel moved owners that fit the cap")
+	}
+	for v := 0; v < g.N/8; v++ {
+		g.Wcomp[v] *= 16 // an adaption step refines one corner
+	}
+	scratch, scratchOps := PartitionCounted(g, k, MethodMultilevel, opt)
+	got, _ := ml.Repartition(k, owners)
+	moved := func(asg Assignment) (n int) {
+		for v := range asg {
+			if asg[v] != owners[v] {
+				n++
+			}
+		}
+		return n
+	}
+	if imb := Imbalance(g, got, k); imb > diffuseTol+1e-9 || moved(got) >= moved(scratch) {
+		t.Errorf("rebalanced to imbalance %.4f moving %d vertices; from scratch %d", imb, moved(got), moved(scratch))
+	}
+
+	dead := slices.Clone(owners)
+	dead[100] = -1
+	if got, ops := ml.Repartition(k, dead); !slices.Equal(got, scratch) || ops.Total != scratchOps.Total+101 {
+		t.Errorf("an owner naming a dead rank: charged %+v, want the fresh partition's %+v plus 101", ops, scratchOps)
+	}
+	fine := g.N/diffuseMinVerts + 1
+	want, wantOps := PartitionCounted(g, fine, MethodMultilevel, opt)
+	if got, ops := ml.Repartition(fine, Partition(g, fine, MethodHilbertSFC)); !slices.Equal(got, want) || ops != wantOps {
+		t.Errorf("k=%d (%d vertices a part): not the fresh partition", fine, g.N/fine)
 	}
 }
 

@@ -31,7 +31,7 @@ func (r *BandFM) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
 		return ops
 	}
 	w, cnt := partState(g, asg, k, &ops)
-	maxW := balanceCap(w)
+	maxW := BalanceCap(w)
 	ops.AddMem(int64(k))
 
 	bandIdx := make([]int32, g.N) // band position + 1; 0 = outside the band

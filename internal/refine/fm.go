@@ -71,12 +71,26 @@ func NewFM(k int, ext []int32) *FM {
 // moves are exactly those of a sweep over every vertex that skips the
 // interior ones.
 //
+// A candidate set that leaves out boundary vertices restricts the walk:
+// a left-out vertex counts as interior, joins the set only if a
+// neighbour's move leaves its part, and its external degree is then
+// undercounted. Every move still obeys the move rule and the cap, so asg
+// stays a valid assignment, but bnd on return is only part of the
+// boundary. Rebalancing from the owners refines this way, over the
+// vertices it moved and their neighbours.
+//
 // The returned op count charges what runs: g.N + k for the part tallies,
 // the external-degree reset and the balance cap; 1 + deg for each vertex
 // a pass visits; deg for each move's neighbour updates; one per bitset
 // word a pass scans; and overflowPass's own count. With passes ≤ 0 one
 // pass still visits the candidates, to count them, and moves nothing.
 func (f *FM) Refine(g *dual.Graph, asg []int32, passes int, bnd []uint64) int64 {
+	return f.RefineCap(g, asg, passes, bnd, 0)
+}
+
+// RefineCap is Refine under the balance cap maxW in place of BalanceCap
+// of the part weights; maxW ≤ 0 means BalanceCap.
+func (f *FM) RefineCap(g *dual.Graph, asg []int32, passes int, bnd []uint64, maxW int64) int64 {
 	k := len(f.w)
 	if k <= 1 || g.N == 0 {
 		return 0
@@ -89,7 +103,9 @@ func (f *FM) Refine(g *dual.Graph, asg []int32, passes int, bnd []uint64) int64 
 		cnt[p]++
 		ext[v] = -int32(bnd[v>>6] >> (v & 63) & 1) // -1: a candidate not yet visited
 	}
-	maxW := balanceCap(w)
+	if maxW <= 0 {
+		maxW = BalanceCap(w)
+	}
 	ops := int64(g.N + k)
 
 	for pass := 0; pass < max(passes, 1); pass++ {

@@ -9,7 +9,8 @@
 //   - FM (FMRefine on fresh scratch): the classic serial cascading
 //     sweep, walking only the boundary, which it carries as moves
 //     cascade — the one refiner a partitioner calls, at every level of
-//     multilevel, with the boundary carried down the chain.
+//     multilevel, with the boundary carried down the chain, and after
+//     multilevel rebalances the owners, over the vertices it moved.
 //   - BandFM (Default): a deterministic band-limited FM — extract the
 //     boundary band, color it into conflict-free classes, compute move
 //     proposals per class against a frozen snapshot, apply them in a
@@ -53,9 +54,9 @@ func partState(g *dual.Graph, asg []int32, k int, ops *machine.Ops) (w []int64, 
 	return w, cnt
 }
 
-// balanceCap returns the serial FM's 3% tolerance cap on per-part
+// BalanceCap returns the serial FM's 3% tolerance cap on per-part
 // weight: no refinement move may push a part past it.
-func balanceCap(w []int64) int64 {
+func BalanceCap(w []int64) int64 {
 	var total int64
 	for _, x := range w {
 		total += x

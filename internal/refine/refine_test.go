@@ -161,7 +161,7 @@ func refFMRefine(g *dual.Graph, asg []int32, k, passes int) {
 	for v, p := range asg {
 		w[p] += g.Wcomp[v]
 	}
-	maxW := balanceCap(w)
+	maxW := BalanceCap(w)
 	cnt := make([]int, k)
 	for _, p := range asg {
 		cnt[p]++
