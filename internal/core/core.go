@@ -229,11 +229,7 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 // ownership (the projection of the new Wcomp onto the current partitions
 // used by the preliminary evaluation).
 func (f *Framework) Loads() []int64 {
-	loads := make([]int64, f.Cfg.P)
-	for v, o := range f.D.OwnersView() {
-		loads[o] += f.G.Wcomp[v]
-	}
-	return loads
+	return partition.Weights(f.G, f.D.OwnersView(), f.Cfg.P)
 }
 
 // aliveLoads returns the computational loads of the surviving ranks,
@@ -343,8 +339,8 @@ type BalanceReport struct {
 	// RefineOps is the memory-bound refinement share of RepartitionOps
 	// (multilevel's classic FM sweeps, the one refiner a partitioner
 	// still runs), charged at Model.MemOp; the compute-bound remainder
-	// (key encoding, sorts, curve cuts, eigen-solves) is charged at
-	// Model.CompOp.
+	// (key encoding, sorts, curve cuts, coarsening, level-set bisection,
+	// diffusion solves) is charged at Model.CompOp.
 	RefineOps int64
 	// RepartitionTime is the modeled wall clock of the repartition:
 	// each proposal's partitioner work priced by machine.Ops.Time, the

@@ -137,22 +137,14 @@ func balance(d *par.Dist, g *dual.Graph, fgran int, mdl machine.Model) pipelineR
 	for v, part := range newPart {
 		newOwner[v] = mp[part]
 	}
-	res.WmaxOld, res.WmaxNew = wmax(owners, g.Wcomp, d.P), wmax(newOwner, g.Wcomp, d.P)
+	res.WmaxOld = slices.Max(partition.Weights(g, owners, d.P))
+	res.WmaxNew = slices.Max(partition.Weights(g, newOwner, d.P))
 	rr, err := d.ExecuteRemap(newOwner, mdl)
 	if err != nil {
 		panic(err)
 	}
 	res.RemapTime = rr.Total
 	return res
-}
-
-// wmax returns the heaviest of p processor loads under owner.
-func wmax(owner []int32, w []int64, p int) int64 {
-	loads := make([]int64, p)
-	for v, o := range owner {
-		loads[o] += w[v]
-	}
-	return slices.Max(loads)
 }
 
 // ---------------------------------------------------------------- Table 1

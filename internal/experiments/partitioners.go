@@ -71,8 +71,8 @@ func RunPartitionerTable(k int) *PartitionerTable {
 
 // minTime returns the best of up to three timings of f — enough to shrug
 // off a scheduler preemption or GC pause for the millisecond-scale
-// backends, without tripling the cost of the second-scale eigen-solvers
-// (one sample of those is already stable).
+// backends. A call slower than a quarter second is timed once: one
+// sample of it is already stable.
 func minTime(f func()) float64 {
 	best := math.Inf(1)
 	for i := 0; i < 3; i++ {

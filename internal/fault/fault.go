@@ -314,8 +314,9 @@ type Retry struct {
 }
 
 // DefaultRetry is the policy used when the config leaves Retry zero:
-// three attempts per message, two re-executions per failed window.
-func DefaultRetry() Retry { return Retry{MsgAttempts: 3, WindowRetries: 2} }
+// Budget(2), three attempts per message and two re-executions per failed
+// window.
+func DefaultRetry() Retry { return Budget(2) }
 
 // Budget derives a policy from one scalar retry budget b ≥ 0: b extra
 // attempts per message and b window re-executions. Budget(0) disables

@@ -186,6 +186,9 @@ func TestRetryPolicies(t *testing.T) {
 	if d := (Retry{}).Normalize(); d != DefaultRetry() {
 		t.Errorf("zero Retry normalized to %+v", d)
 	}
+	if d := DefaultRetry(); d != (Retry{MsgAttempts: 3, WindowRetries: 2}) {
+		t.Errorf("DefaultRetry() = %+v, want 3 attempts and 2 window retries", d)
+	}
 	if b := Budget(2); b.MsgAttempts != 3 || b.WindowRetries != 2 {
 		t.Errorf("Budget(2) = %+v", b)
 	}

@@ -5,8 +5,9 @@ package machine
 // adaption passes: Total is the op count of the whole
 // stage, and Mem the memory-bound slice of it (adjacency chasing, gain
 // scatter, record copies), charged at Model.MemOp; the compute-bound
-// remainder (key encoding, sorts, eigen-solves, pattern scans) is charged
-// at Model.CompOp. It counts work, not a schedule.
+// remainder (key encoding, sorts, coarsening, level-set bisection,
+// diffusion solves, pattern scans) is charged at Model.CompOp. It counts
+// work, not a schedule.
 type Ops struct {
 	Total, Mem int64
 }

@@ -2,7 +2,6 @@ package par
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -22,13 +21,13 @@ var exchanges = []machine.Exchange{
 // TestExchangeParity is the schedules' determinism contract: both
 // exchange schedules move byte-identical payloads to byte-identical
 // owners — flat and aggregated differ only in the modeled communication
-// charges — and within each schedule the whole RemapResult, modeled
-// floats included, is byte-identical, up to PeakWords, between the
-// adaptive window plan and a one-window run. It
-// holds at P = 8, where nearly every rank pair carries a flow, and at
-// P = 512, where nearly none does and the executor walks flow lists
-// instead of rank ranges. Under a fault plan the two schedules send the
-// same frames to the same fates, so they also recover identically.
+// charges — and within each schedule the fault-free executed remap is,
+// modeled floats included and up to PeakWords, ChargeRemap of its flows,
+// the windowless price the acceptance rule quotes. It holds at P = 8,
+// where nearly every rank pair carries a flow, and at P = 512, where
+// nearly none does and the executor walks flow lists instead of rank
+// ranges. Under a fault plan the two schedules send the same frames to
+// the same fates, so they also recover identically.
 func TestExchangeParity(t *testing.T) {
 	for _, p := range []int{8, 512} {
 		testExchangeParity(t, p)
@@ -41,39 +40,38 @@ func testExchangeParity(t *testing.T, p int) {
 	type outcome struct {
 		res    RemapResult
 		owners []int32
+		flows  []remap.Flow
 	}
 	var plan *fault.Plan
-	run := func(x machine.Exchange, budget int64) outcome {
+	run := func(x machine.Exchange) outcome {
 		d, newOwner := bigFixture(t, p)
 		d.Exchange = x
 		d.Retry = fault.Retry{MsgAttempts: 12, WindowRetries: 6}
-		res, err := d.executeRemap(newOwner, mdl, budget, plan)
+		flows := countFlows(d.M, d.owner, newOwner, d.P)
+		res, err := d.executeRemap(newOwner, mdl, plan)
 		if err != nil {
-			t.Fatalf("%v budget=%d: %v", x, budget, err)
+			t.Fatalf("%v: %v", x, err)
 		}
-		return outcome{res, d.Owners()}
+		return outcome{res, d.Owners(), flows}
 	}
 
 	refs := map[machine.Exchange]outcome{}
 	for _, x := range exchanges {
-		ref := run(x, 0)
+		ref := run(x)
 		if ref.res.Moved == 0 || ref.res.Sets < 2 || ref.res.Setups == 0 || ref.res.SetupTime <= 0 {
 			t.Fatalf("%v: fixture not interesting: %+v", x, ref.res)
 		}
 		refs[x] = ref
 
-		// Window parity: a one-window run is identical up to PeakWords.
-		one := run(x, math.MaxInt64)
-		if !reflect.DeepEqual(one.owners, ref.owners) {
-			t.Fatalf("%v: one-window owner array diverges", x)
+		// The windows leave no trace on the charge: the executed remap is
+		// the windowless price of its flows.
+		want := ChargeRemap(mdl, x, p, ref.flows)
+		want.PeakWords = ref.res.PeakWords
+		if !reflect.DeepEqual(ref.res, want) {
+			t.Errorf("%v: executed remap diverges from ChargeRemap beyond PeakWords:\n got %+v\nwant %+v", x, ref.res, want)
 		}
-		norm := one.res
-		norm.PeakWords = ref.res.PeakWords
-		if !reflect.DeepEqual(norm, ref.res) {
-			t.Errorf("%v: one-window result diverges beyond PeakWords:\n got %+v\nwant %+v", x, one.res, ref.res)
-		}
-		if ref.res.PeakWords >= one.res.PeakWords {
-			t.Errorf("%v: streaming peak %d not below one window's %d", x, ref.res.PeakWords, one.res.PeakWords)
+		if total := ref.res.Moved * recWords; ref.res.PeakWords <= 0 || ref.res.PeakWords >= total {
+			t.Errorf("%v: streaming peak %d not strictly below the whole payload %d", x, ref.res.PeakWords, total)
 		}
 	}
 
@@ -99,7 +97,7 @@ func testExchangeParity(t *testing.T, p int) {
 	// Fault leg: same frames, same fates — the schedules recover to the
 	// fault-free owners through identical retries.
 	plan = &fault.Plan{Seed: 1717, Rate: 0.25}
-	ff, fa := run(machine.ExchangeFlat, 0), run(machine.ExchangeAggregated, 0)
+	ff, fa := run(machine.ExchangeFlat), run(machine.ExchangeAggregated)
 	if !reflect.DeepEqual(ff.owners, flat.owners) || !reflect.DeepEqual(fa.owners, flat.owners) {
 		t.Fatal("recovered owners diverge from fault-free")
 	}

@@ -5,11 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"plum/internal/dual"
 	"plum/internal/fault"
 	"plum/internal/machine"
-	"plum/internal/meshgen"
-	"plum/internal/partition"
 )
 
 // stripRetryFields zeroes the recovery-only fields of a RemapResult, the
@@ -35,9 +32,9 @@ func approxEq(a, b float64) bool {
 
 // TestRemapFaultRecoveryParity is the recovery half of the determinism
 // contract: with a generous retry budget, a faulted remap must converge to
-// the fault-free result under every window budget — same owner array,
-// same payload accounting, same pack/rebuild times — with the recovery
-// visible only in the retry counters and the comm-side times.
+// the fault-free result — same owner array, same payload accounting, same
+// pack/rebuild times — with the recovery visible only in the retry
+// counters and the comm-side times.
 func TestRemapFaultRecoveryParity(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
@@ -46,34 +43,26 @@ func TestRemapFaultRecoveryParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan := &fault.Plan{Seed: 4242, Rate: 0.25}
-	for _, b := range budgets {
-		d, _ := bigFixture(t, p)
-		d.Retry = fault.Retry{MsgAttempts: 10, WindowRetries: 4}
-		res, err := d.executeRemap(newOwner, machine.SP2(), b.words, plan)
-		if err != nil {
-			t.Fatalf("budget=%s: recovery failed: %v", b.name, err)
-		}
-		if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
-			t.Fatalf("budget=%s: recovered owner array diverges from fault-free", b.name)
-		}
-		if res.Retries == 0 || res.RetryTime == 0 {
-			t.Errorf("budget=%s: rate 0.25 left no retry trace: %+v", b.name, res)
-		}
-		if res.Total <= refRes.Total || res.CommTime <= refRes.CommTime {
-			t.Errorf("budget=%s: retry charges missing from modeled time: total %g vs %g",
-				b.name, res.Total, refRes.Total)
-		}
-		got, want := stripRetryFields(res), stripRetryFields(refRes)
-		got.PeakWords = want.PeakWords
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("budget=%s: recovered result diverges beyond retry fields:\n got %+v\nwant %+v",
-				b.name, got, want)
-		}
-		if !approxEq(res.RebuildTime, refRes.RebuildTime) {
-			t.Errorf("budget=%s: rebuild time diverges: %g vs %g",
-				b.name, res.RebuildTime, refRes.RebuildTime)
-		}
+	d, _ := bigFixture(t, p)
+	d.Retry = fault.Retry{MsgAttempts: 10, WindowRetries: 4}
+	res, err := d.executeRemap(newOwner, machine.SP2(), &fault.Plan{Seed: 4242, Rate: 0.25})
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
+		t.Fatal("recovered owner array diverges from fault-free")
+	}
+	if res.Retries == 0 || res.RetryTime == 0 {
+		t.Errorf("rate 0.25 left no retry trace: %+v", res)
+	}
+	if res.Total <= refRes.Total || res.CommTime <= refRes.CommTime {
+		t.Errorf("retry charges missing from modeled time: total %g vs %g", res.Total, refRes.Total)
+	}
+	if got, want := stripRetryFields(res), stripRetryFields(refRes); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered result diverges beyond retry fields:\n got %+v\nwant %+v", got, want)
+	}
+	if !approxEq(res.RebuildTime, refRes.RebuildTime) {
+		t.Errorf("rebuild time diverges: %g vs %g", res.RebuildTime, refRes.RebuildTime)
 	}
 }
 
@@ -139,7 +128,7 @@ func TestRemapCrashAtWindowZero(t *testing.T) {
 		if len(want) == 0 || !reflect.DeepEqual(want, d.crashRanks(plan)) {
 			t.Fatalf("%s: fated ranks %v, crashRanks %v", c.name, want, d.crashRanks(plan))
 		}
-		_, err := d.executeRemap(newOwner, machine.SP2(), 0, plan)
+		_, err := d.executeRemap(newOwner, machine.SP2(), plan)
 		var re *RemapError
 		if !errors.As(err, &re) {
 			t.Fatalf("%s: error %v is not a *RemapError", c.name, err)
@@ -161,13 +150,13 @@ func TestRemapPartialCommitRollback(t *testing.T) {
 	const p = 4
 	d, newOwner := bigFixture(t, p)
 	before := d.Owners()
-	// A low fault rate with zero recovery budget: the fixture's eight
-	// flows ride one per window and only flows that exist draw a fate, so
-	// the seed is picked for a late one — seven windows sail through, the
-	// eighth drops its message and aborts the transaction.
+	// A low fault rate with zero recovery budget: the adaptive plan puts
+	// the fixture's eight flows in seven windows and only flows that exist
+	// draw a fate, so the seed is picked for a late one — six windows sail
+	// through, the seventh drops its message and aborts the transaction.
 	plan := &fault.Plan{Seed: 5, Rate: 0.05, Kinds: []fault.Kind{fault.Drop}}
 	d.Retry = fault.Retry{MsgAttempts: 1, WindowRetries: 0}
-	_, err := d.executeRemap(newOwner, machine.SP2(), 512, plan) // many small windows
+	_, err := d.executeRemap(newOwner, machine.SP2(), plan)
 	var re *RemapError
 	if !errors.As(err, &re) {
 		t.Fatalf("expected a rolled-back RemapError, got %v", err)
@@ -176,7 +165,7 @@ func TestRemapPartialCommitRollback(t *testing.T) {
 		t.Fatalf("unexpected failure shape: %+v", re)
 	}
 	if re.Window == 0 {
-		t.Skip("first window failed; no verified window to leave behind at this seed")
+		t.Fatal("first window failed: no verified window to leave behind at this seed; re-pick it")
 	}
 	if !reflect.DeepEqual(d.Owners(), before) {
 		t.Fatal("verified windows changed ownership before the remap committed")
@@ -184,29 +173,27 @@ func TestRemapPartialCommitRollback(t *testing.T) {
 }
 
 // TestRemapZeroRatePlanIsLegacy pins the byte-parity acceptance criterion
-// at the executor level: under every window budget a present-but-empty
-// fault plan must take the legacy exchange and reproduce the nil-plan
-// result exactly, retry fields and all.
+// at the executor level: a present-but-empty fault plan must take the
+// legacy exchange and reproduce the nil-plan result exactly, retry fields
+// and all.
 func TestRemapZeroRatePlanIsLegacy(t *testing.T) {
 	const p = 8
-	for _, b := range budgets {
-		refD, newOwner := bigFixture(t, p)
-		refRes, err := refD.executeRemap(newOwner, machine.SP2(), b.words, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, _ := bigFixture(t, p)
-		d.Retry = fault.Budget(5)
-		res, err := d.executeRemap(newOwner, machine.SP2(), b.words, &fault.Plan{Seed: 123, Rate: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res, refRes) {
-			t.Errorf("budget=%s: zero-rate plan changed the result:\n got %+v\nwant %+v", b.name, res, refRes)
-		}
-		if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
-			t.Errorf("budget=%s: zero-rate plan changed the owner array", b.name)
-		}
+	refD, newOwner := bigFixture(t, p)
+	refRes, err := refD.executeRemap(newOwner, machine.SP2(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := bigFixture(t, p)
+	d.Retry = fault.Budget(5)
+	res, err := d.executeRemap(newOwner, machine.SP2(), &fault.Plan{Seed: 123, Rate: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, refRes) {
+		t.Errorf("zero-rate plan changed the result:\n got %+v\nwant %+v", res, refRes)
+	}
+	if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
+		t.Error("zero-rate plan changed the owner array")
 	}
 }
 
@@ -215,37 +202,25 @@ func TestRemapZeroRatePlanIsLegacy(t *testing.T) {
 // (same owners, same conserved payload) or rolls back with the pre-remap
 // ownership verifiably intact. There is no third state.
 func FuzzReliableExchange(f *testing.F) {
-	f.Add(int64(1), 0.2, uint8(3), uint8(2), int64(0))
-	f.Add(int64(7), 0.95, uint8(1), uint8(0), int64(512))
-	f.Add(int64(42), 0.5, uint8(6), uint8(3), int64(97))
-	f.Fuzz(func(t *testing.T, seed int64, rate float64, attempts, winRetries uint8, window int64) {
+	f.Add(int64(1), 0.2, uint8(3), uint8(2))
+	f.Add(int64(7), 0.95, uint8(1), uint8(0))
+	f.Add(int64(42), 0.5, uint8(6), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, rate float64, attempts, winRetries uint8) {
 		plan := &fault.Plan{Seed: seed, Rate: rate}
 		if plan.Validate() != nil {
 			t.Skip()
 		}
 		const p = 4
-		build := func() (*Dist, []int32) {
-			m := meshgen.SmallBox()
-			g := dual.Build(m)
-			d := NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
-			newOwner := d.Owners()
-			for v := range newOwner {
-				if v%2 == 0 {
-					newOwner[v] = (newOwner[v] + 1) % p
-				}
-			}
-			return d, newOwner
-		}
-		refD, newOwner := build()
-		refRes, err := refD.executeRemap(newOwner, machine.SP2(), window%2048, nil)
+		refD, newOwner := smallBoxRemap(p)
+		refRes, err := refD.executeRemap(newOwner, machine.SP2(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		d, _ := build()
+		d, _ := smallBoxRemap(p)
 		before := d.Owners()
 		d.Retry = fault.Retry{MsgAttempts: int(attempts % 8), WindowRetries: int(winRetries % 4)}
-		res, err := d.executeRemap(newOwner, machine.SP2(), window%2048, plan)
+		res, err := d.executeRemap(newOwner, machine.SP2(), plan)
 		if err != nil {
 			var re *RemapError
 			if !errors.As(err, &re) {

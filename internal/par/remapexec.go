@@ -92,7 +92,7 @@ type pairRetry struct {
 // delivered window leaves a remap.window event (and each window retry a
 // remap.window.retry).
 func (d *Dist) ExecuteRemap(newOwner []int32, mdl machine.Model) (RemapResult, error) {
-	return d.executeRemap(newOwner, mdl, 0, d.Faults)
+	return d.executeRemap(newOwner, mdl, d.Faults)
 }
 
 // ExecuteRemapRecovery migrates the elements of crashed ranks onto the
@@ -108,32 +108,32 @@ func (d *Dist) ExecuteRemap(newOwner []int32, mdl machine.Model) (RemapResult, e
 // other flow, which is exactly the modeled price of re-sourcing the lost
 // subgrid.
 func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapResult, error) {
-	return d.executeRemap(newOwner, mdl, 0, nil)
+	return d.executeRemap(newOwner, mdl, nil)
 }
 
-// executeRemap is the remap executor behind both entry points. budget
-// bounds a window's payload in record words (≤ 0 = adaptive); plan is the
-// fault plan, nil or zero-rate for a fault-free exchange.
+// executeRemap is the remap executor behind both entry points. plan is
+// the fault plan, nil or zero-rate for a fault-free exchange.
 //
 // countFlows lists the flows in canonical (src, dst) order and
-// planWindows groups consecutive flows under the budget. Under an enabled
-// plan the ranks it fates to crash die at the first window's boundary,
-// before a word moves: the remap fails at once with FailCrash naming them
-// (there is no rank to retry with; the caller recovers by remapping onto
-// the survivors). Otherwise one fault.ExchangeModel per remap draws every
-// window flow's delivery on each try, its per-pair attempt counters
-// running on across tries; a window with an undelivered flow is
-// re-exchanged up to Retry.WindowRetries times, and exhausted retries
-// return a *RemapError with RolledBack set. Ownership flips once, after
-// the last window is delivered, so every failure leaves it untouched.
+// planWindows groups consecutive flows under the adaptive budget. Under
+// an enabled plan the ranks it fates to crash die at the first window's
+// boundary, before a word moves: the remap fails at once with FailCrash
+// naming them (there is no rank to retry with; the caller recovers by
+// remapping onto the survivors). Otherwise one fault.ExchangeModel per
+// remap draws every window flow's delivery on each try, its per-pair
+// attempt counters running on across tries; a window with an undelivered
+// flow is re-exchanged up to Retry.WindowRetries times, and exhausted
+// retries return a *RemapError with RolledBack set. Ownership flips once,
+// after the last window is delivered, so every failure leaves it
+// untouched.
 //
 // Everything is a function of the plan and the canonical flow list — the
 // windows, the fault draws, the float sums of the charge — so the owner
-// array and the whole RemapResult are byte-identical run to run, and
-// identical across budgets up to PeakWords. Every structure
-// the executor builds is sized by P or the flows that exist, never by the
-// P² pairs that could carry one.
-func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, plan *fault.Plan) (RemapResult, error) {
+// array and the whole RemapResult are byte-identical run to run, and a
+// fault-free RemapResult is ChargeRemap of the flows up to PeakWords.
+// Every structure the executor builds is sized by P or the flows that
+// exist, never by the P² pairs that could carry one.
+func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, plan *fault.Plan) (RemapResult, error) {
 	if len(newOwner) != len(d.owner) {
 		return RemapResult{}, fmt.Errorf("par: newOwner has %d entries, want %d", len(newOwner), len(d.owner))
 	}
@@ -142,7 +142,7 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, budget int64, p
 	for f, fl := range flows {
 		flowStart[f+1] = flowStart[f] + fl.Elems
 	}
-	wins := planWindows(flowStart, windowBudget(flowStart, budget))
+	wins := planWindows(flowStart, windowBudget(flowStart))
 
 	var x *fault.ExchangeModel // nil: every message is delivered clean
 	var retries []pairRetry    // per flow, under an enabled plan
@@ -288,10 +288,10 @@ func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 // chargeRemap is ChargeRemap with the executed exchange's retry counters
 // and the trace the per-rank spans go to (nil for none).
 //
-// Every window budget charges the same bulk-synchronous superstep model
+// The windowed exchange is charged as one bulk-synchronous superstep
 // (all sends, then all receives): windows are the retry unit of the
 // exchange, not a change to the machine being modeled, which is what
-// keeps a fault-free RemapResult byte-identical across budgets.
+// makes a fault-free executed remap ChargeRemap of its flows.
 //
 // The modeled volume uses the cost model's M words per element plus a
 // small shared-structure term proportional to the number of flows

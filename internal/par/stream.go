@@ -2,10 +2,10 @@ package par
 
 // The window planner of the remap executor. executeRemap exchanges one
 // window of flows at a time, in canonical src-major flow order, and a
-// window is the unit a fault plan's retries re-exchange. Because the
-// window layout is computed from the flow offsets and the budget alone, a
-// fault-free remap's owner array, modeled times and op accounting are the
-// same under every budget; only PeakWords, the largest window, differs.
+// window is the unit a fault plan's retries re-exchange. The window layout
+// is computed from the flow offsets alone, and the windows are charged as
+// the one bulk exchange ChargeRemap prices, so of a fault-free remap's
+// result only PeakWords, the largest window, depends on them.
 
 // DefaultWindowFraction divides the total payload volume to derive the
 // adaptive window budget: ExecuteRemap targets ⌈total/8⌉ record
@@ -40,13 +40,9 @@ func planWindows(flowStart []int64, budget int64) []remapWindow {
 	return append(wins, remapWindow{start, nf})
 }
 
-// windowBudget resolves a window budget in record words: budget itself
-// when positive, else the adaptive default — the larger of the biggest
-// single flow and ⌈total/DefaultWindowFraction⌉.
-func windowBudget(flowStart []int64, budget int64) int64 {
-	if budget > 0 {
-		return budget
-	}
+// windowBudget is the adaptive window budget in record words: the larger
+// of the biggest single flow and ⌈total/DefaultWindowFraction⌉.
+func windowBudget(flowStart []int64) int64 {
 	nf := len(flowStart) - 1
 	var largest int64
 	for f := 0; f < nf; f++ {

@@ -1,8 +1,6 @@
 package par
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"plum/internal/dual"
@@ -11,112 +9,54 @@ import (
 	"plum/internal/partition"
 )
 
-// budgets is the window-budget axis of the executor parity tests: the
-// whole payload in one window, the adaptive eighth (ExecuteRemap), and a
-// budget far below any realistic flow — one flow per window.
-var budgets = []struct {
-	name  string
-	words int64
-}{{"one", math.MaxInt64}, {"adaptive", 0}, {"64", 64}}
-
-// TestRemapStreamingParity is the determinism contract of the window
-// budget: under every budget the RemapResult —
-// payload conservation, owner array, modeled float times, op accounting —
-// must be byte-identical to a one-window run. Only PeakWords may (and,
-// below the whole payload, must) differ: the streaming peak is the
-// largest window, strictly below the whole-buffer total on this
-// multi-flow fixture.
-func TestRemapStreamingParity(t *testing.T) {
-	const p = 8
-	refD, newOwner := bigFixture(t, p)
-	refRes, err := refD.executeRemap(newOwner, machine.SP2(), math.MaxInt64, nil)
-	if err != nil {
-		t.Fatal(err)
+// windowsOf returns the adaptive window plan of the remap from d's owners
+// to newOwner.
+func windowsOf(d *Dist, newOwner []int32) []remapWindow {
+	flows := countFlows(d.M, d.owner, newOwner, d.P)
+	flowStart := make([]int64, len(flows)+1)
+	for f, fl := range flows {
+		flowStart[f+1] = flowStart[f] + fl.Elems
 	}
-	total := refRes.Moved * recWords
-	if refRes.PeakWords != total {
-		t.Fatalf("one-window peak %d != total payload %d", refRes.PeakWords, total)
-	}
-
-	for _, b := range budgets {
-		d, _ := bigFixture(t, p)
-		res, err := d.executeRemap(newOwner, machine.SP2(), b.words, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
-			t.Fatalf("budget=%s: owner array diverges from one window", b.name)
-		}
-		switch one := b.words == math.MaxInt64; {
-		case one && res.PeakWords != total:
-			t.Errorf("one-window peak %d != total %d", res.PeakWords, total)
-		case !one && (res.PeakWords <= 0 || res.PeakWords >= total):
-			t.Errorf("budget=%s: streaming peak %d not strictly below total %d",
-				b.name, res.PeakWords, total)
-		}
-		// Everything except the peak must be bit-identical to the
-		// one-window reference.
-		res.PeakWords = refRes.PeakWords
-		if !reflect.DeepEqual(res, refRes) {
-			t.Errorf("budget=%s: RemapResult diverges:\n got %+v\nwant %+v", b.name, res, refRes)
-		}
-	}
-
-	// ExecuteRemap is the adaptive budget.
-	d, _ := bigFixture(t, p)
-	res, err := d.ExecuteRemap(newOwner, machine.SP2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, _ := bigFixture(t, p)
-	if want, _ := d2.executeRemap(newOwner, machine.SP2(), 0, nil); !reflect.DeepEqual(res, want) {
-		t.Errorf("ExecuteRemap diverges from the adaptive budget:\n got %+v\nwant %+v", res, want)
-	}
+	return planWindows(flowStart, windowBudget(flowStart))
 }
 
-// TestStreamingWindowBudget pins the window planner: an explicit tiny
-// budget forces many windows without changing any result byte, and the
-// peak never exceeds max(budget, largest flow).
-func TestStreamingWindowBudget(t *testing.T) {
-	const p = 8
-	refD, newOwner := bigFixture(t, p)
-	refRes, err := refD.ExecuteRemap(newOwner, machine.SP2())
-	if err != nil {
-		t.Fatal(err)
+// smallBoxRemap distributes the 384-element SmallBox over p ranks by
+// inertial bisection, plus a reassignment that moves every other tree to
+// the next rank.
+func smallBoxRemap(p int) (*Dist, []int32) {
+	m := meshgen.SmallBox()
+	g := dual.Build(m)
+	d := NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
+	newOwner := d.Owners()
+	for v := range newOwner {
+		if v%2 == 0 {
+			newOwner[v] = (newOwner[v] + 1) % int32(p)
+		}
 	}
+	return d, newOwner
+}
 
-	d, _ := bigFixture(t, p)
-	// The largest flow is the atomic commit unit, so the peak is exactly
-	// the largest single flow under a sub-flow budget (indexed before the
-	// execution flips the ownership).
-	flows := countFlows(d.M, d.Owners(), newOwner, p)
-	// 64 words is far below any realistic flow: one flow per window.
-	res, err := d.executeRemap(newOwner, machine.SP2(), 64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(d.Owners(), refD.Owners()) {
-		t.Fatal("tiny window budget changed the owner array")
-	}
-	var largest int64
-	for _, fl := range flows {
-		largest = max(largest, fl.Elems)
-	}
-	if res.PeakWords != largest*recWords {
-		t.Errorf("sub-flow budget peak %d, want largest flow %d", res.PeakWords, largest*recWords)
-	}
-	if res.PeakWords >= refRes.PeakWords {
-		t.Errorf("tiny budget peak %d not below adaptive peak %d", res.PeakWords, refRes.PeakWords)
-	}
-	res.PeakWords = refRes.PeakWords
-	if !reflect.DeepEqual(res, refRes) {
-		t.Errorf("window budget changed the result:\n got %+v\nwant %+v", res, refRes)
+// TestAdaptivePlanHasWindows holds the fixtures of the fault tests to
+// more than one window under the adaptive budget, so their faults land
+// on window retries and on windows past the first, not on one bulk
+// exchange.
+func TestAdaptivePlanHasWindows(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func() (*Dist, []int32)
+	}{
+		{"bigFixture p=4", func() (*Dist, []int32) { return bigFixture(t, 4) }},
+		{"bigFixture p=8", func() (*Dist, []int32) { return bigFixture(t, 8) }},
+		{"SmallBox p=4", func() (*Dist, []int32) { return smallBoxRemap(4) }},
+	} {
+		if n := len(windowsOf(c.build())); n < 2 {
+			t.Errorf("%s: adaptive plan has %d window(s), want more than one", c.name, n)
+		}
 	}
 }
 
 // TestStreamingSerialFallback pins streaming on a small mesh: a
-// multi-flow remap of 384 elements still streams below its whole payload,
-// and a single-window plan's peak is the whole payload.
+// multi-flow remap of 384 elements still streams below its whole payload.
 func TestStreamingSerialFallback(t *testing.T) {
 	m := meshgen.SmallBox()
 	g := dual.Build(m)
@@ -129,18 +69,7 @@ func TestStreamingSerialFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PeakWords >= res.Moved*recWords && res.Sets > 1 {
-		t.Errorf("multi-flow peak %d not below total %d", res.PeakWords, res.Moved*recWords)
-	}
-
-	// A budget covering everything yields exactly one window whose peak
-	// is the total.
-	d.SetOwners(partition.Partition(g, 4, partition.MethodInertial))
-	one, err := d.executeRemap(newOwner, machine.SP2(), res.Moved*recWords, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.PeakWords != one.Moved*recWords {
-		t.Errorf("one-window budget peak %d, want total %d", one.PeakWords, one.Moved*recWords)
+	if res.Sets < 2 || res.PeakWords >= res.Moved*recWords {
+		t.Errorf("%d-flow peak %d not below total %d", res.Sets, res.PeakWords, res.Moved*recWords)
 	}
 }

@@ -186,14 +186,13 @@ func (f *FM) move(g *dual.Graph, asg []int32, bnd []uint64, v, a, b int32) int64
 	return int64(len(nbrs))
 }
 
-// proposeMove is the move rule both refiners share: v's best
-// positive-gain move that fits the balance cap under the part weights w0,
-// or a zero-gain move into a strictly lighter part, or v's own part when
-// neither exists. BandFM passes a frozen per-class snapshot, FMRefine the
-// live weights. conn is a k-sized scratch owned by the caller, all zero
-// on entry and on return: only the entries of v's neighbours' parts are
-// touched and reset, so a call costs O(deg(v)), not O(k).
-func proposeMove(g *dual.Graph, asg []int32, v int32, w0 []int64, maxW int64, conn []int32) int32 {
+// proposeMove is FM's move rule: v's best positive-gain move that fits
+// the balance cap under the live part weights w, or a zero-gain move into
+// a strictly lighter part, or v's own part when neither exists. conn is a
+// k-sized scratch owned by the caller, all zero on entry and on return:
+// only the entries of v's neighbours' parts are touched and reset, so a
+// call costs O(deg(v)), not O(k).
+func proposeMove(g *dual.Graph, asg []int32, v int32, w []int64, maxW int64, conn []int32) int32 {
 	a := asg[v]
 	adj := g.Nbrs(v)
 	for _, u := range adj {
@@ -208,9 +207,9 @@ func proposeMove(g *dual.Graph, asg []int32, v int32, w0 []int64, maxW int64, co
 			continue
 		}
 		gain := conn[b] - conn[a]
-		fits := w0[b]+wv <= maxW
+		fits := w[b]+wv <= maxW
 		better := gain > bestGain && fits
-		balances := gain == bestGain && bestPart == a && w0[b]+wv < w0[a]
+		balances := gain == bestGain && bestPart == a && w[b]+wv < w[a]
 		if better || (balances && fits) {
 			bestPart = b
 			bestGain = gain

@@ -10,24 +10,22 @@ import (
 
 // FuzzRefinerValidity is the package-wide refiner contract under
 // arbitrary connected lattice graphs, weight distributions, and starting
-// partitions: both refiners must preserve assignment validity (entries
-// in range, no part emptied), never push the heaviest part past
-// max(Wmax_before, the 3% cap). FMRefine must also match its inline
-// reference sweep move for move.
+// partitions: FMRefine must preserve assignment validity (entries in
+// range, no part emptied), never push the heaviest part past
+// max(Wmax_before, the 3% cap), and match its inline reference sweep move
+// for move.
 func FuzzRefinerValidity(f *testing.F) {
-	f.Add(uint8(3), uint8(3), uint8(3), uint8(4), uint8(0), int64(1))
-	f.Add(uint8(6), uint8(2), uint8(1), uint8(7), uint8(1), int64(2))
-	f.Add(uint8(19), uint8(17), uint8(15), uint8(8), uint8(0), int64(3))
-	f.Add(uint8(5), uint8(5), uint8(4), uint8(2), uint8(2), int64(99))
-	f.Fuzz(func(t *testing.T, nx, ny, nz, kk, ri uint8, seed int64) {
+	f.Add(uint8(3), uint8(3), uint8(3), uint8(4), int64(1))
+	f.Add(uint8(6), uint8(2), uint8(1), uint8(7), int64(2))
+	f.Add(uint8(19), uint8(17), uint8(15), uint8(8), int64(3))
+	f.Add(uint8(5), uint8(5), uint8(4), uint8(2), int64(99))
+	f.Fuzz(func(t *testing.T, nx, ny, nz, kk uint8, seed int64) {
 		dims := func(d uint8) int { return 2 + int(d)%19 }
 		g := gridGraph(dims(nx), dims(ny), dims(nz), seed)
 		k := 2 + int(kk)%15
 		if k > g.N {
 			k = g.N
 		}
-		bk := backends()[int(ri)%2]
-		name := bk.name
 
 		init := blockAssignment(g.N, k)
 		checkFMMatchesReference(t, g, init, k, 2, "fm/block")
@@ -39,9 +37,9 @@ func FuzzRefinerValidity(f *testing.F) {
 		before = maxLoad(g, init, k)
 
 		ref := append([]int32(nil), init...)
-		bk.refine(g, ref, k, 2)
+		FMRefine(g, ref, k, 2)
 
-		checkValid(t, g, ref, k, name)
+		checkValid(t, g, ref, k, "fm")
 		cap := int64(float64(total) / float64(k) * 1.03)
 		if cap < 1 {
 			cap = 1
@@ -51,8 +49,8 @@ func FuzzRefinerValidity(f *testing.F) {
 			bound = cap
 		}
 		if after := maxLoad(g, ref, k); after > bound {
-			t.Fatalf("%s k=%d: Wmax %d exceeds bound max(before=%d, cap=%d)",
-				name, k, after, before, cap)
+			t.Fatalf("fm k=%d: Wmax %d exceeds bound max(before=%d, cap=%d)",
+				k, after, before, cap)
 		}
 	})
 }

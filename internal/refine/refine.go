@@ -1,30 +1,17 @@
 // Package refine is the partition-refinement subsystem: boundary
 // smoothing of a k-way dual-graph assignment after a partitioner has
-// produced the raw cut. It was extracted from internal/partition when the
-// serial Fiduccia–Mattheyses pass became the critical-path bottleneck of
-// the SFC balance pipeline.
+// produced the raw cut.
 //
-// Two refiners live here:
+// One refiner lives here: FM (FMRefine on fresh scratch), the classic
+// serial Fiduccia–Mattheyses cascading sweep, walking only the boundary,
+// which it carries as moves cascade. Multilevel calls it at every level,
+// with the boundary carried down the chain, and after it rebalances the
+// owners, over the vertices it moved. The curve methods call nothing here: their exact
+// minimum-bottleneck cut needs nothing after it.
 //
-//   - FM (FMRefine on fresh scratch): the classic serial cascading
-//     sweep, walking only the boundary, which it carries as moves
-//     cascade — the one refiner a partitioner calls, at every level of
-//     multilevel, with the boundary carried down the chain, and after
-//     multilevel rebalances the owners, over the vertices it moved.
-//   - BandFM (Default): a deterministic band-limited FM — extract the
-//     boundary band, color it into conflict-free classes, compute move
-//     proposals per class against a frozen snapshot, apply them in a
-//     fixed order. No partitioner runs it: the SFC methods'
-//     exact curve cut needs nothing after it. It is kept only because
-//     bench/run.go's repartition probe still calls Default, and can be
-//     deleted once that probe stops.
-//
-// Both pick a vertex's target part with the same move rule (proposeMove)
-// — band-FM against a frozen per-class snapshot, FM against the live
-// weights — and share the tolerance and overflow semantics: moves never
-// push a part past the 3% balance cap, never empty a part, and a final
-// overflow pass forces load out of parts the gain phase could not rescue.
-// Their work is memory-bound op accounting.
+// A move never pushes a part past the 3% balance cap and never empties a
+// part, and a final overflow pass forces load out of parts the gain phase
+// could not rescue. The work is memory-bound op accounting.
 package refine
 
 import (
@@ -32,26 +19,25 @@ import (
 	"plum/internal/machine"
 )
 
-// Default returns the band-limited FM refiner at every graph size. No
-// partitioner calls it (see the package doc).
+// Inert is the refiner Default returns: it refines nothing.
 //
-// Deprecated: n and workers are ignored; they go when the benchmark stops
-// passing them.
-func Default(n, workers int) *BandFM {
-	return &BandFM{}
+// Deprecated: it goes with Default.
+type Inert struct{}
+
+// Refine leaves asg untouched and returns no ops.
+//
+// Deprecated: it goes with Default.
+func (Inert) Refine(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
+	return machine.Ops{}
 }
 
-// partState computes the per-part weight totals and populations,
-// charging the scan and the k-sized reduction into ops.
-func partState(g *dual.Graph, asg []int32, k int, ops *machine.Ops) (w []int64, cnt []int) {
-	w = make([]int64, k)
-	cnt = make([]int, k)
-	for v, p := range asg[:g.N] {
-		w[p] += g.Wcomp[v]
-		cnt[p]++
-	}
-	ops.AddMem(int64(g.N) + int64(k))
-	return w, cnt
+// Default returns a refiner that does nothing. No partitioner calls
+// anything after the curve cut.
+//
+// Deprecated: it goes, with both ignored arguments, when the benchmark
+// stops calling it.
+func Default(n, workers int) Inert {
+	return Inert{}
 }
 
 // BalanceCap returns the serial FM's 3% tolerance cap on per-part
@@ -69,9 +55,8 @@ func BalanceCap(w []int64) int64 {
 	return maxW
 }
 
-// overflowPass is the shared last-resort rebalancer: gain- and
-// flow-driven moves alone cannot rescue a badly imbalanced input, so
-// force vertices out of overloaded parts into their lightest neighbouring
+// overflowPass is FM's last-resort rebalancer: gain-driven moves alone
+// cannot rescue a badly imbalanced input, so force vertices out of overloaded parts into their lightest neighbouring
 // part, accepting cut damage, until every part fits or no vertex can
 // leave. move reassigns v from part a to part b, carrying w and cnt (and
 // whatever else the caller tracks), and returns its own op count. Purely

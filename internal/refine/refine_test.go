@@ -127,30 +127,16 @@ func checkerboardAssignment(g *dual.Graph, k int) []int32 {
 	return asg
 }
 
-// backend is one of the package's two refiners at a fixed worker knob.
-type backend struct {
-	name   string
-	refine func(g *dual.Graph, asg []int32, k, passes int) machine.Ops
+// fmOps runs FMRefine and books its count as memory-bound work, the way
+// multilevel charges it.
+func fmOps(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
+	var ops machine.Ops
+	ops.AddMem(FMRefine(g, asg, k, passes))
+	return ops
 }
 
-// backends lists band-FM (Default, at the given worker knob) and the
-// classic FM sweep, whose op count multilevel charges as serial
-// memory-bound work.
-func backends() []backend {
-	return []backend{
-		{"bandfm", func(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
-			return new(BandFM).Refine(g, asg, k, passes)
-		}},
-		{"fm", func(g *dual.Graph, asg []int32, k, passes int) machine.Ops {
-			var ops machine.Ops
-			ops.AddMem(FMRefine(g, asg, k, passes))
-			return ops
-		}},
-	}
-}
-
-// refFMRefine is the classic FM sweep as written before it shared
-// band-FM's move rule and walked only the boundary: every vertex visited
+// refFMRefine is the classic FM sweep as written before its move rule
+// moved into proposeMove and it walked only the boundary: every vertex visited
 // on every pass, the gain/fit/balance selection inline, against the live
 // weights. FMRefine must match it move for move.
 func refFMRefine(g *dual.Graph, asg []int32, k, passes int) {
@@ -312,77 +298,70 @@ func TestFMMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRefinerContract runs the shared contract over both refiners:
-// validity and non-empty parts are preserved, no move pushes the heaviest
-// part past the 3% balance cap (Wmax never exceeds max(Wmax_before,
-// cap)), and the op accounting is sane.
+// TestRefinerContract runs the refiner contract over FM: validity and
+// non-empty parts are preserved, no move pushes the heaviest part past
+// the 3% balance cap (Wmax never exceeds max(Wmax_before, cap)), and the
+// op accounting is sane.
 func TestRefinerContract(t *testing.T) {
 	fixtures := []struct {
 		name string
 		g    *dual.Graph
 	}{
-		{"small", gridGraph(6, 6, 5, 3)},    // 180 vertices: serial fallback
-		{"large", gridGraph(20, 18, 14, 9)}, // 5040 vertices: parallel band path
+		{"small", gridGraph(6, 6, 5, 3)},    // 180 vertices
+		{"large", gridGraph(20, 18, 14, 9)}, // 5040 vertices
 	}
 	for _, fx := range fixtures {
 		var total int64
 		for _, w := range fx.g.Wcomp {
 			total += w
 		}
-		for _, r := range backends() {
-			for _, k := range []int{2, 5, 8} {
-				asg := blockAssignment(fx.g.N, k)
-				before := maxLoad(fx.g, asg, k)
-				ops := r.refine(fx.g, asg, k, 2)
+		for _, k := range []int{2, 5, 8} {
+			asg := blockAssignment(fx.g.N, k)
+			before := maxLoad(fx.g, asg, k)
+			ops := fmOps(fx.g, asg, k, 2)
 
-				label := fx.name + "/" + r.name
-				checkValid(t, fx.g, asg, k, label)
-				cap := int64(float64(total) / float64(k) * 1.03)
-				if cap < 1 {
-					cap = 1
-				}
-				bound := before
-				if cap > bound {
-					bound = cap
-				}
-				if after := maxLoad(fx.g, asg, k); after > bound {
-					t.Errorf("%s k=%d: Wmax %d exceeds bound max(before=%d, cap=%d)",
-						label, k, after, before, cap)
-				}
-				if ops.Total <= 0 {
-					t.Errorf("%s k=%d: no work reported", label, k)
-				}
-				if ops.Mem != ops.Total {
-					t.Errorf("%s k=%d: refinement is memory-bound, yet %d of %d ops are not",
-						label, k, ops.Total-ops.Mem, ops.Total)
-				}
+			label := fx.name + "/fm"
+			checkValid(t, fx.g, asg, k, label)
+			cap := int64(float64(total) / float64(k) * 1.03)
+			if cap < 1 {
+				cap = 1
+			}
+			bound := before
+			if cap > bound {
+				bound = cap
+			}
+			if after := maxLoad(fx.g, asg, k); after > bound {
+				t.Errorf("%s k=%d: Wmax %d exceeds bound max(before=%d, cap=%d)",
+					label, k, after, before, cap)
+			}
+			if ops.Total <= 0 {
+				t.Errorf("%s k=%d: no work reported", label, k)
+			}
+			if ops.Mem != ops.Total {
+				t.Errorf("%s k=%d: refinement is memory-bound, yet %d of %d ops are not",
+					label, k, ops.Total-ops.Mem, ops.Total)
 			}
 		}
 	}
 }
 
-// TestBandFMGainPhaseCutNonIncrease pins the conflict-free-class
-// guarantee: on a balanced input (the overflow pass is a no-op) every
-// applied move has exact gain ≥ 0, so the cut can only shrink. The
-// diagonal-checkerboard start is perfectly balanced (every dimension
-// divides k) and every edge is cut, so positive-gain moves abound.
-func TestBandFMGainPhaseCutNonIncrease(t *testing.T) {
+// TestDefaultIsInert pins the deprecated Default's contract: its Refine
+// leaves the assignment byte-identical and charges nothing, on a start
+// where FM would move vertices.
+func TestDefaultIsInert(t *testing.T) {
 	g := gridGraph(12, 12, 8, 1)
-	for i := range g.Wcomp {
-		g.Wcomp[i] = 1
-	}
 	for _, k := range []int{2, 4} {
 		asg := checkerboardAssignment(g, k)
-		before := edgeCut(g, asg)
-		Default(g.N, 3).Refine(g, asg, k, 8)
-		after := edgeCut(g, asg)
-		if after > before {
-			t.Errorf("k=%d: gain phase increased cut %d -> %d", k, before, after)
+		want := slices.Clone(asg)
+		if ops := Default(g.N, 3).Refine(g, asg, k, 8); ops != (machine.Ops{}) {
+			t.Errorf("k=%d: Default charged %+v", k, ops)
 		}
-		if after >= before {
-			t.Errorf("k=%d: band FM failed to improve a checkerboard cut (%d -> %d)", k, before, after)
+		if !slices.Equal(asg, want) {
+			t.Errorf("k=%d: Default changed the assignment", k)
 		}
-		checkValid(t, g, asg, k, "bandfm/checkerboard")
+		if FMRefine(g, asg, k, 8); slices.Equal(asg, want) {
+			t.Fatalf("k=%d: FM moves nothing on the fixture", k)
+		}
 	}
 }
 
@@ -409,13 +388,10 @@ func TestClassicFMStillImproves(t *testing.T) {
 func TestRefineDegenerate(t *testing.T) {
 	g := gridGraph(3, 3, 3, 1)
 	asg := make([]int32, g.N)
-	for _, r := range backends() {
-		if ops := r.refine(g, asg, 1, 2); ops.Total != 0 {
-			t.Errorf("%s: k=1 did work: %+v", r.name, ops)
-		}
-		empty := &dual.Graph{}
-		if ops := r.refine(empty, nil, 4, 2); ops.Total != 0 {
-			t.Errorf("%s: empty graph did work: %+v", r.name, ops)
-		}
+	if ops := FMRefine(g, asg, 1, 2); ops != 0 {
+		t.Errorf("k=1 did work: %d ops", ops)
+	}
+	if ops := FMRefine(&dual.Graph{}, nil, 4, 2); ops != 0 {
+		t.Errorf("empty graph did work: %d ops", ops)
 	}
 }
