@@ -18,7 +18,6 @@ import (
 	"plum/internal/meshgen"
 	"plum/internal/par"
 	"plum/internal/partition"
-	"plum/internal/sfc"
 )
 
 // BenchmarkDualBuild measures the dual-graph build of the 61k-tet rotor:
@@ -64,6 +63,7 @@ func BenchmarkParallelRefine(b *testing.B) {
 	base := experiments.BaseMesh()
 	asg := partition.Partition(dual.Build(base), p, partition.MethodHilbertSFC)
 	region := midArcSphere(base)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -79,14 +79,14 @@ func BenchmarkParallelRefine(b *testing.B) {
 
 // BenchmarkSFCBuild measures one curve-order build of the rotor's dual
 // graph plus one cut of it at k = 8, per curve: the key pass, the sort
-// and the weighted cut, as an SFC method's initial partition runs them
-// before its boundary refinement.
+// and the weighted cut, as a curve method's Repartitioner.Initial runs
+// them.
 func BenchmarkSFCBuild(b *testing.B) {
 	g := dual.Build(experiments.BaseMesh())
-	for _, c := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
-		b.Run(c.String(), func(b *testing.B) {
+	for _, m := range []partition.Method{partition.MethodMortonSFC, partition.MethodHilbertSFC} {
+		b.Run(m.String(), func(b *testing.B) {
 			for b.Loop() {
-				if asg := partition.NewSFCWorkers(g, c, 2).Repartition(g, 8); len(asg) != g.N {
+				if asg := partition.NewRepartitioner(g, m, partition.Options{}).Initial(8); len(asg) != g.N {
 					b.Fatal("bad assignment")
 				}
 			}
@@ -95,7 +95,8 @@ func BenchmarkSFCBuild(b *testing.B) {
 }
 
 // BenchmarkMeshClone measures one Clone of the rotor mesh: its records hold
-// no pointers, so it is a copy of each slab and list block.
+// no pointers, so it is a copy of the element slab and of every page of
+// the other slabs and the list blocks.
 func BenchmarkMeshClone(b *testing.B) {
 	m := experiments.BaseMesh()
 	b.ReportAllocs()

@@ -56,8 +56,8 @@ func main() {
 			continue
 		}
 		ar := geom.TetAspectRatio(
-			m.Verts[t.V[0]].Pos, m.Verts[t.V[1]].Pos,
-			m.Verts[t.V[2]].Pos, m.Verts[t.V[3]].Pos)
+			m.Vert(t.V[0]).Pos, m.Vert(t.V[1]).Pos,
+			m.Vert(t.V[2]).Pos, m.Vert(t.V[3]).Pos)
 		k := len(lims)
 		for j, l := range lims {
 			if ar <= l {

@@ -45,9 +45,9 @@ func main() {
 
 		// Rebuild the solution around the front (the proxy for time
 		// integration).
-		for i := range m.Verts {
-			if !m.Verts[i].Dead {
-				sol.U[i] = solver.PlanarShock(x0, 0.08)(m.Verts[i].Pos)
+		for i, v := range m.Verts() {
+			if !v.Dead {
+				sol.U[i] = solver.PlanarShock(x0, 0.08)(v.Pos)
 			}
 		}
 

@@ -10,7 +10,7 @@ import (
 )
 
 func singleTet() *mesh.Mesh {
-	m := mesh.New(4, 6, 1)
+	m := mesh.New(1)
 	v0 := m.AddVertex(geom.Vec3{})
 	v1 := m.AddVertex(geom.Vec3{X: 1})
 	v2 := m.AddVertex(geom.Vec3{Y: 1})
@@ -123,7 +123,7 @@ func TestPropagationAcrossElements(t *testing.T) {
 	if d == mesh.InvalidEdge {
 		t.Fatal("no body diagonal found")
 	}
-	if got := m.Edges[d].NumElems(); got != 6 {
+	if got := m.Edge(d).NumElems(); got != 6 {
 		t.Fatalf("diagonal shared by %d elements, want 6", got)
 	}
 	a.SetMark(d, MarkRefine)
@@ -321,7 +321,7 @@ func TestBoxForFractionLatticeBestAchievable(t *testing.T) {
 func TestMarkError(t *testing.T) {
 	m := meshgen.UnitCube()
 	a := New(m)
-	errv := make([]float64, len(m.Edges))
+	errv := make([]float64, m.EdgeSlots())
 	errv[0] = 1.0
 	errv[1] = -1.0
 	nr, nc := a.MarkError(errv, 0.5, -0.5)
@@ -341,14 +341,14 @@ func TestInterpolateBisections(t *testing.T) {
 	a.SetMark(m.FindEdge(2, 3), MarkRefine) // upgrades to 1:8
 	a.Refine()
 	out := InterpolateBisections(m, field)
-	if len(out) != len(m.Verts) {
-		t.Fatalf("field length %d != %d verts", len(out), len(m.Verts))
+	if len(out) != m.VertSlots() {
+		t.Fatalf("field length %d != %d verts", len(out), m.VertSlots())
 	}
-	mid01 := m.Edges[m.FindEdge(0, 1)].Mid
+	mid01 := m.Edge(m.FindEdge(0, 1)).Mid
 	if out[mid01] != 2 {
 		t.Errorf("midpoint(0,1) value = %g, want 2", out[mid01])
 	}
-	mid23 := m.Edges[m.FindEdge(2, 3)].Mid
+	mid23 := m.Edge(m.FindEdge(2, 3)).Mid
 	if out[mid23] != 6 {
 		t.Errorf("midpoint(2,3) value = %g, want 6", out[mid23])
 	}

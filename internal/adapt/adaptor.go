@@ -60,7 +60,7 @@ type Adaptor struct {
 // mesh handed over mid-refinement) on the carry list; from then on the
 // adaptor tracks those itself.
 func New(m *mesh.Mesh) *Adaptor {
-	a := &Adaptor{M: m, marks: make([]Mark, len(m.Edges)), touchedSlots: -1}
+	a := &Adaptor{M: m, marks: make([]Mark, m.EdgeSlots()), touchedSlots: -1}
 	for ti := range m.Elems {
 		if t := &m.Elems[ti]; t.Active() && a.bisectedPattern(t) != 0 {
 			a.carry = append(a.carry, mesh.ElemID(ti))
@@ -72,7 +72,7 @@ func New(m *mesh.Mesh) *Adaptor {
 // ensure sizes the mark array to the whole edge slab in one step the first
 // time a mark lands beyond it (edges created since the last marking pass).
 func (a *Adaptor) ensure(e mesh.EdgeID) {
-	if old, n := len(a.marks), len(a.M.Edges); int(e) >= old {
+	if old, n := len(a.marks), a.M.EdgeSlots(); int(e) >= old {
 		a.marks = slices.Grow(a.marks, n-old)[:n]
 		clear(a.marks[old:])
 	}
@@ -118,12 +118,6 @@ func (a *Adaptor) clearMark(mk Mark) {
 			a.marks[i] = MarkNone
 		}
 	}
-}
-
-// activeEdge reports whether e is a live, unbisected edge (markable).
-func (a *Adaptor) activeEdge(e mesh.EdgeID) bool {
-	ed := &a.M.Edges[e]
-	return !ed.Dead && !ed.Bisected()
 }
 
 // Compact forwards to the mesh's compaction and moves the marks, the

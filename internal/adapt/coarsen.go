@@ -116,9 +116,9 @@ func (a *Adaptor) removeElemGroups(st *CoarsenStats) int {
 func (a *Adaptor) removeFaceGroups(st *CoarsenStats) int {
 	m := a.M
 	removed := 0
-	nFaces := len(m.Faces)
+	nFaces := m.FaceSlots()
 	for fi := 0; fi < nFaces; fi++ {
-		f := &m.Faces[fi]
+		f := m.Face(mesh.FaceID(fi))
 		first, n := f.Children()
 		if f.Dead || n == 0 {
 			continue
@@ -127,13 +127,13 @@ func (a *Adaptor) removeFaceGroups(st *CoarsenStats) int {
 		all := true
 		stale := false
 		for c := first; c < end; c++ {
-			cf := &m.Faces[c]
+			cf := m.Face(c)
 			if !cf.Active() {
 				all = false
 				break
 			}
 			for _, e := range cf.E {
-				if m.Edges[e].NumElems() == 0 {
+				if m.Edge(e).NumElems() == 0 {
 					stale = true
 				}
 			}
@@ -160,10 +160,9 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 	m := a.M
 
 	// Edges referenced by active boundary faces must survive.
-	a.protected = a.protected.empty(len(m.Edges))
+	a.protected = a.protected.empty(m.EdgeSlots())
 	protected := a.protected
-	for fi := range m.Faces {
-		f := &m.Faces[fi]
+	for _, f := range m.Faces() {
 		if !f.Active() {
 			continue
 		}
@@ -174,8 +173,7 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 
 	for changed := true; changed; {
 		changed = false
-		for ei := range m.Edges {
-			ed := &m.Edges[ei]
+		for ei, ed := range m.Edges() {
 			if ed.Dead {
 				continue
 			}
@@ -185,9 +183,9 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 					mid := ed.Mid
 					m.KillEdge(c0)
 					m.KillEdge(c1)
-					m.ReactivateEdge(mesh.EdgeID(ei))
+					m.ReactivateEdge(ei)
 					st.EdgesPurged += 2
-					if m.Verts[mid].NumEdges() == 0 {
+					if m.Vert(mid).NumEdges() == 0 {
 						m.KillVertex(mid)
 						st.VertsPurged++
 					}
@@ -201,10 +199,10 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 			// refinement garbage.
 			if ed.Parent == mesh.InvalidEdge && ed.NumElems() == 0 && !protected.has(int32(ei)) {
 				v0, v1 := ed.V[0], ed.V[1]
-				m.KillEdge(mesh.EdgeID(ei))
+				m.KillEdge(ei)
 				st.EdgesPurged++
 				for _, v := range [2]mesh.VertID{v0, v1} {
-					if !m.Verts[v].Dead && m.Verts[v].NumEdges() == 0 {
+					if !m.Vert(v).Dead && m.Vert(v).NumEdges() == 0 {
 						m.KillVertex(v)
 						st.VertsPurged++
 					}
@@ -219,6 +217,6 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 // bounding no active element, and not referenced by an active boundary
 // face.
 func (a *Adaptor) edgeUnused(e mesh.EdgeID, protected bitset) bool {
-	ed := &a.M.Edges[e]
+	ed := a.M.Edge(e)
 	return !ed.Dead && !ed.Bisected() && ed.NumElems() == 0 && !protected.has(int32(e))
 }

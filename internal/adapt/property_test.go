@@ -154,16 +154,16 @@ func TestMarksSurviveCompaction(t *testing.T) {
 	a.Coarsen()
 	// Set a fresh mark, compact, and confirm it moved with the edge.
 	e := mesh.InvalidEdge
-	for ei := range m.Edges {
-		if a.activeEdge(mesh.EdgeID(ei)) {
-			e = mesh.EdgeID(ei)
+	for ei, ed := range m.Edges() {
+		if !ed.Dead && !ed.Bisected() {
+			e = ei
 			break
 		}
 	}
 	if e == mesh.InvalidEdge {
 		t.Fatal("no active edge")
 	}
-	v0, v1 := m.Edges[e].V[0], m.Edges[e].V[1]
+	v0, v1 := m.Edge(e).V[0], m.Edge(e).V[1]
 	a.SetMark(e, MarkRefine)
 	cm := a.Compact()
 	ne := m.FindEdge(cm.Vert[v0], cm.Vert[v1])

@@ -34,7 +34,7 @@ func (s RefineStats) TotalSubdivided() int {
 func (a *Adaptor) PatternOf(t *mesh.Element) Pattern {
 	var p Pattern
 	for le, e := range t.E {
-		if a.M.Edges[e].Bisected() || a.MarkOf(e) == MarkRefine {
+		if a.M.Edge(e).Bisected() || a.MarkOf(e) == MarkRefine {
 			p |= EdgeBit(le)
 		}
 	}
@@ -123,13 +123,13 @@ func (a *Adaptor) propagate(cands []mesh.ElemID) int {
 }
 
 // refineRound performs one refinement pass: it upgrades element patterns
-// to the valid set {1:2, 1:4, 1:8} with full propagation, sizes the mesh
-// slabs for what the final patterns will create, bisects every targeted
-// edge, independently subdivides each element according to its final
-// binary pattern, splits boundary faces to match, and consumes the refine
-// marks. Every element walk is a walk of the touched set in ascending id
-// order, the order of the slab, so ids and creation order are those a slab
-// scan gives.
+// to the valid set {1:2, 1:4, 1:8} with full propagation, sizes the
+// element slab for what the final patterns will create, bisects every
+// targeted edge, independently subdivides each element according to its
+// final binary pattern, splits boundary faces to match, and consumes the
+// refine marks. Every element walk is a walk of the touched set in
+// ascending id order, the order of the slab, so ids and creation order are
+// those a slab scan gives.
 func (a *Adaptor) refineRound() RefineStats {
 	var st RefineStats
 	m := a.M
@@ -137,12 +137,12 @@ func (a *Adaptor) refineRound() RefineStats {
 	// --- Phase 1: marking propagation to a fixpoint. ---
 	st.Propagations = a.propagate(a.Touched())
 	touched, edges := a.Touched(), a.refineEdges()
-	m.Reserve(a.roundGrowth(touched, edges))
+	m.Reserve(a.roundGrowth(touched))
 
 	// --- Phase 2: bisect all targeted edges. ---
 	// BisectEdge creates new edges (never marked), so the list stays whole.
 	for _, e := range edges {
-		if ed := &m.Edges[e]; !ed.Dead && !ed.Bisected() {
+		if ed := m.Edge(e); !ed.Dead && !ed.Bisected() {
 			m.BisectEdge(e)
 			st.EdgesBisected++
 		}
@@ -185,116 +185,79 @@ func (a *Adaptor) refineRound() RefineStats {
 func (a *Adaptor) bisectedPattern(t *mesh.Element) Pattern {
 	var p Pattern
 	for le, e := range t.E {
-		if a.M.Edges[e].Bisected() {
+		if a.M.Edge(e).Bisected() {
 			p |= EdgeBit(le)
 		}
 	}
 	return p
 }
 
-// roundGrowth returns how many vertices, edges, elements and boundary
-// faces the round will create, from the patterns the propagation fixpoint
-// left over the touched elements and the refine-marked edges: a midpoint
-// per marked unbisected edge; the children of every
-// element with a nonzero pattern; two half-edges per bisection, the
-// octahedron diagonal of every 1:8, and the edges interior to each split
-// element face (one when one of its edges is bisected, three when all are),
-// counted from the lowest-numbered active element on the face. The vertex,
-// element and face counts are exact. The edge count is exact on a
-// conforming mesh and an upper bound after coarsening, where a reinstated
-// parent's face may already carry the interior edges its refined
-// neighbour's children use.
-func (a *Adaptor) roundGrowth(touched []mesh.ElemID, edges []mesh.EdgeID) (nv, ne, nt, nf int) {
-	m := a.M
-	for _, e := range edges {
-		if a.activeEdge(e) {
-			nv++
-		}
-	}
-	ne = 2 * nv
+// roundGrowth returns how many elements the round will create, from the
+// patterns the propagation fixpoint left over the touched elements: the
+// children of every element with a nonzero pattern.
+func (a *Adaptor) roundGrowth(touched []mesh.ElemID) (nt int) {
 	for _, el := range touched {
-		t := &m.Elems[el]
-		p := a.PatternOf(t)
-		if p == 0 {
-			continue
-		}
-		nt += p.Kind().Children()
-		if p == PatternFull {
-			ne++
-		}
-		for f, fe := range mesh.ElemFaceEdges {
-			split := 0
-			for _, le := range fe {
-				if p.Has(le) {
-					split++
-				}
-			}
-			if split != 0 && !a.lowerAcrossFace(el, f) {
-				ne += split // 1 or 3: a valid pattern never splits two edges of a face
-			}
+		if p := a.PatternOf(&a.M.Elems[el]); p != 0 {
+			nt += p.Kind().Children()
 		}
 	}
-	for fi := range m.Faces {
-		f := &m.Faces[fi]
-		if !f.Active() {
-			continue
-		}
-		split := 0
-		for _, e := range f.E {
-			if m.Edges[e].Bisected() || a.MarkOf(e) == MarkRefine {
-				split++
-			}
-		}
-		if split != 0 {
-			nf += split + 1 // 2 or 4 child faces
-		}
-	}
-	return nv, ne, nt, nf
+	return nt
 }
 
-// lowerAcrossFace reports whether a lower-numbered active element shares
-// local face f of element el: it is on the incidence list of one of the
-// face's edges and references a second one.
-func (a *Adaptor) lowerAcrossFace(el mesh.ElemID, f int) bool {
-	m := a.M
-	t := &m.Elems[el]
-	fe := mesh.ElemFaceEdges[f]
-	for _, nb := range m.EdgeElems(t.E[fe[0]]) {
-		if nb < el && m.LocalEdgeOf(nb, t.E[fe[1]]) >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// mid returns the midpoint vertex of the element's local edge le.
-func (a *Adaptor) mid(t *mesh.Element, le int) mesh.VertID {
-	return a.M.Edges[t.E[le]].Mid
-}
+// A subdivision's points are the parent's four corners, numbered 0-3 as
+// its vertices, and the midpoints of its split edges: midPt(le) for local
+// edge le.
+func midPt(le int) int { return 4 + le }
 
 // subdivideElem splits element el according to its valid nonzero pattern
-// and returns the number of children created.
+// and returns the number of children created. Each child is handed the
+// edges the subdivision already knows — the parent's unsplit edges, the
+// halves of its split ones, and each face-interior edge once a sibling
+// has found or created it — so only a face-interior edge's first use
+// searches (a neighbour across the face may have made it), and the 1:8
+// diagonal, interior to the parent, is created without a search.
 func (a *Adaptor) subdivideElem(el mesh.ElemID, p Pattern) int {
 	m := a.M
 	t := &m.Elems[el]
-	v := t.V
 	root := t.Root
 	level := t.Level + 1
 
-	// Capture midpoints before any append invalidates t.
-	var mids [6]mesh.VertID
-	for le := 0; le < 6; le++ {
-		if p.Has(le) {
-			mids[le] = a.mid(t, le)
-		} else {
-			mids[le] = mesh.InvalidVert
+	// pts are the subdivision's points; edge[i][j] is the edge between
+	// points i and j plus one, so the zero value is InvalidEdge, unknown.
+	var pts [10]mesh.VertID
+	var edge [10][10]mesh.EdgeID
+	set := func(i, j int, e mesh.EdgeID) { edge[i][j], edge[j][i] = e+1, e+1 }
+	copy(pts[:], t.V[:])
+	for le, e := range t.E {
+		i, j := mesh.ElemEdgeVerts[le][0], mesh.ElemEdgeVerts[le][1]
+		if !p.Has(le) {
+			set(i, j, e)
+			continue
 		}
+		// Child[0] joins V[0] to the midpoint, Child[1] the midpoint to V[1].
+		ed := m.Edge(e)
+		hi, hj := ed.Child[0], ed.Child[1]
+		if pts[i] != ed.V[0] {
+			hi, hj = hj, hi
+		}
+		pts[midPt(le)] = ed.Mid
+		set(i, midPt(le), hi)
+		set(j, midPt(le), hj)
 	}
 
-	// The children are consecutive AddElement calls: el's sibling group.
+	// The children are consecutive AddElementEdges calls: el's sibling
+	// group.
 	m.DeactivateElement(el)
-	add := func(a0, a1, a2, a3 mesh.VertID) {
-		m.AddElement(a0, a1, a2, a3, el, root, level)
+	add := func(q0, q1, q2, q3 int) {
+		q := [4]int{q0, q1, q2, q3}
+		var e [6]mesh.EdgeID
+		for i, lv := range mesh.ElemEdgeVerts {
+			e[i] = edge[q[lv[0]]][q[lv[1]]] - 1
+		}
+		m.AddElementEdges([4]mesh.VertID{pts[q0], pts[q1], pts[q2], pts[q3]}, &e, el, root, level)
+		for i, lv := range mesh.ElemEdgeVerts {
+			set(q[lv[0]], q[lv[1]], e[i])
+		}
 	}
 
 	switch p.Kind() {
@@ -304,9 +267,8 @@ func (a *Adaptor) subdivideElem(el mesh.ElemID, p Pattern) int {
 		le := p.SoleEdge()
 		lv := mesh.ElemEdgeVerts[le]
 		others := mesh.ElemEdgeVerts[5-le] // the opposite edge's two vertices
-		mid := mids[le]
-		add(v[lv[0]], mid, v[others[0]], v[others[1]])
-		add(mid, v[lv[1]], v[others[0]], v[others[1]])
+		add(lv[0], midPt(le), others[0], others[1])
+		add(midPt(le), lv[1], others[0], others[1])
 
 	case KindQuarter:
 		// 1:4 — one face fully bisected; three corner children plus the
@@ -314,13 +276,13 @@ func (a *Adaptor) subdivideElem(el mesh.ElemID, p Pattern) int {
 		f := p.FaceOf()
 		fv := mesh.ElemFaceVerts[f]
 		apex := 0 + 1 + 2 + 3 - fv[0] - fv[1] - fv[2]
-		mab := mids[mesh.LocalEdge(fv[0], fv[1])]
-		mac := mids[mesh.LocalEdge(fv[0], fv[2])]
-		mbc := mids[mesh.LocalEdge(fv[1], fv[2])]
-		add(v[fv[0]], mab, mac, v[apex])
-		add(mab, v[fv[1]], mbc, v[apex])
-		add(mac, mbc, v[fv[2]], v[apex])
-		add(mab, mbc, mac, v[apex])
+		mab := midPt(mesh.LocalEdge(fv[0], fv[1]))
+		mac := midPt(mesh.LocalEdge(fv[0], fv[2]))
+		mbc := midPt(mesh.LocalEdge(fv[1], fv[2]))
+		add(fv[0], mab, mac, apex)
+		add(mab, fv[1], mbc, apex)
+		add(mac, mbc, fv[2], apex)
+		add(mab, mbc, mac, apex)
 
 	case KindFull:
 		// 1:8 — four corner children plus the inner octahedron split into
@@ -328,16 +290,16 @@ func (a *Adaptor) subdivideElem(el mesh.ElemID, p Pattern) int {
 		// Corner children: each original vertex with the midpoints of its
 		// three incident edges.
 		for i := 0; i < 4; i++ {
-			var ms [3]mesh.VertID
+			var ms [3]int
 			k := 0
 			for j := 0; j < 4; j++ {
 				if j == i {
 					continue
 				}
-				ms[k] = mids[mesh.LocalEdge(i, j)]
+				ms[k] = midPt(mesh.LocalEdge(i, j))
 				k++
 			}
-			add(v[i], ms[0], ms[1], ms[2])
+			add(i, ms[0], ms[1], ms[2])
 		}
 		// Octahedron diagonals connect midpoints of opposite edges:
 		// local edge pairs (0,5), (1,4), (2,3). The equator of each
@@ -350,15 +312,16 @@ func (a *Adaptor) subdivideElem(el mesh.ElemID, p Pattern) int {
 		}
 		best, bestLen := 0, -1.0
 		for d, pr := range diags {
-			l := m.Verts[mids[pr[0]]].Pos.Dist(m.Verts[mids[pr[1]]].Pos)
+			l := m.Vert(pts[midPt(pr[0])]).Pos.Dist(m.Vert(pts[midPt(pr[1])]).Pos)
 			if bestLen < 0 || l < bestLen {
 				best, bestLen = d, l
 			}
 		}
-		d0, d1 := mids[diags[best][0]], mids[diags[best][1]]
+		d0, d1 := midPt(diags[best][0]), midPt(diags[best][1])
+		set(d0, d1, mesh.FreshEdge)
 		eq := equators[best]
 		for i := 0; i < 4; i++ {
-			add(d0, d1, mids[eq[i]], mids[eq[(i+1)%4]])
+			add(d0, d1, midPt(eq[i]), midPt(eq[(i+1)%4]))
 		}
 	}
 
@@ -373,16 +336,16 @@ func (a *Adaptor) subdivideElem(el mesh.ElemID, p Pattern) int {
 func (a *Adaptor) refineFaces() int {
 	m := a.M
 	n := 0
-	nFaces := len(m.Faces)
+	nFaces := m.FaceSlots()
 	for fi := 0; fi < nFaces; fi++ {
-		f := &m.Faces[fi]
+		f := m.Face(mesh.FaceID(fi))
 		if !f.Active() {
 			continue
 		}
 		var split [3]bool
 		cnt := 0
 		for i, e := range f.E {
-			if m.Edges[e].Bisected() {
+			if m.Edge(e).Bisected() {
 				split[i] = true
 				cnt++
 			}
@@ -392,7 +355,7 @@ func (a *Adaptor) refineFaces() int {
 		}
 		v := f.V
 		// Edge order within a face: E[0]=(V0,V1), E[1]=(V0,V2), E[2]=(V1,V2).
-		midOf := func(i int) mesh.VertID { return m.Edges[f.E[i]].Mid }
+		midOf := func(i int) mesh.VertID { return m.Edge(f.E[i]).Mid }
 		id := mesh.FaceID(fi)
 		switch cnt {
 		case 1:

@@ -19,9 +19,8 @@ import (
 // returns how many edges were marked.
 func (a *Adaptor) MarkRegion(r geom.Region, mk Mark) int {
 	n := 0
-	for ei := range a.M.Edges {
-		e := mesh.EdgeID(ei)
-		if !a.activeEdge(e) {
+	for e, ed := range a.M.Edges() {
+		if ed.Dead || ed.Bisected() {
 			continue
 		}
 		if r.Contains(a.M.EdgeMid(e)) {
@@ -36,9 +35,8 @@ func (a *Adaptor) MarkRegion(r geom.Region, mk Mark) int {
 // with mk using the given seed, and returns how many were marked.
 func (a *Adaptor) MarkRandom(frac float64, mk Mark, seed int64) int {
 	var active []mesh.EdgeID
-	for ei := range a.M.Edges {
-		e := mesh.EdgeID(ei)
-		if a.activeEdge(e) {
+	for e, ed := range a.M.Edges() {
+		if !ed.Dead && !ed.Bisected() {
 			active = append(active, e)
 		}
 	}
@@ -59,14 +57,13 @@ func (a *Adaptor) MarkRandom(frac float64, mk Mark, seed int64) int {
 // are targeted for removal. err is indexed by EdgeID; missing entries are
 // treated as zero. It returns (refined, coarsened) counts.
 func (a *Adaptor) MarkError(err []float64, hi, lo float64) (nRefine, nCoarsen int) {
-	for ei := range a.M.Edges {
-		e := mesh.EdgeID(ei)
-		if !a.activeEdge(e) {
+	for e, ed := range a.M.Edges() {
+		if ed.Dead || ed.Bisected() {
 			continue
 		}
 		v := 0.0
-		if ei < len(err) {
-			v = err[ei]
+		if int(e) < len(err) {
+			v = err[e]
 		}
 		switch {
 		case v > hi:
@@ -83,12 +80,11 @@ func (a *Adaptor) MarkError(err []float64, hi, lo float64) (nRefine, nCoarsen in
 // eachEdgeMid calls fn with the midpoint of every active edge, in edge
 // order.
 func eachEdgeMid(m *mesh.Mesh, fn func(geom.Vec3)) {
-	for ei := range m.Edges {
-		ed := &m.Edges[ei]
+	for e, ed := range m.Edges() {
 		if ed.Dead || ed.Bisected() {
 			continue
 		}
-		fn(m.EdgeMid(mesh.EdgeID(ei)))
+		fn(m.EdgeMid(e))
 	}
 }
 
@@ -297,9 +293,9 @@ func (a *Adaptor) MarkStrategyCoarsen(s Strategy, seed int64) int {
 func meshCenter(m *mesh.Mesh) geom.Vec3 {
 	var c geom.Vec3
 	n := 0.0
-	for i := range m.Verts {
-		if !m.Verts[i].Dead {
-			c = c.Add(m.Verts[i].Pos)
+	for _, v := range m.Verts() {
+		if !v.Dead {
+			c = c.Add(v.Pos)
 			n++
 		}
 	}
@@ -316,9 +312,10 @@ func meshCenter(m *mesh.Mesh) geom.Vec3 {
 // from the two points that constitute the original edge). The returned
 // slice has one entry per mesh vertex.
 func InterpolateBisections(m *mesh.Mesh, field []float64) []float64 {
-	out := make([]float64, len(m.Verts))
+	out := make([]float64, m.VertSlots())
 	copy(out, field)
-	for _, b := range m.Bisections {
+	for i := range m.NumBisections() {
+		b := m.Bisection(i)
 		out[b.Mid] = 0.5 * (out[b.A] + out[b.B])
 	}
 	return out

@@ -81,7 +81,7 @@ func TestQuantileCutMatchesSort(t *testing.T) {
 // TestFractionRegionEmptyMesh sizes both regions on a mesh with no active
 // edge: a zero-size region at the centre, not an index panic.
 func TestFractionRegionEmptyMesh(t *testing.T) {
-	m := mesh.New(0, 0, 0)
+	m := mesh.New(0)
 	c := geom.Vec3{X: 1, Y: 2, Z: 3}
 	if s := SphereForFraction(m, c, 0.05); s.Center != c || s.Radius != 0 {
 		t.Errorf("sphere %+v, want radius 0 at %v", s, c)

@@ -11,8 +11,9 @@ import (
 )
 
 // TestCycleAllocBudget pins the allocation shape of the cycle hot path:
-// refinement allocates per round (one regrowth per object slab, one block
-// per list kind), never per object. A cycle that neither adapts nor remaps
+// refinement allocates per page and per round (a page when a paged slab
+// fills, one regrowth of the element slab per round), never per object. A
+// cycle that neither adapts nor remaps
 // stays under a small constant at any mesh size, and an adapting,
 // remapping cycle under a budget that depends on its propagation rounds
 // but not on how many elements it creates — the same budget holds for a

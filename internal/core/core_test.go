@@ -204,7 +204,7 @@ func TestCycleWithSolver(t *testing.T) {
 	if rep.SolverTime <= 0 || rep.AdaptTime.Total <= 0 {
 		t.Errorf("times: %+v", rep)
 	}
-	if len(s.U) != len(m.Verts) {
+	if len(s.U) != m.VertSlots() {
 		t.Error("solution not synced")
 	}
 	if err := m.Check(); err != nil {
@@ -223,7 +223,7 @@ func TestCycleRejectsCoarsenMarks(t *testing.T) {
 	elems := f.M.NumActiveElems()
 	var nCoarsen int
 	_, err := f.Cycle(func(a *adapt.Adaptor) {
-		errv := make([]float64, len(a.M.Edges))
+		errv := make([]float64, a.M.EdgeSlots())
 		for e := range errv {
 			errv[e] = float64(e % 10)
 		}
@@ -259,7 +259,7 @@ func TestSolverlessCycleResetsLog(t *testing.T) {
 		if rep.Refine.EdgesBisected == 0 {
 			t.Fatalf("cycle %d bisected nothing", c)
 		}
-		if n := len(f.M.Bisections); n > rep.Refine.EdgesBisected {
+		if n := f.M.NumBisections(); n > rep.Refine.EdgesBisected {
 			t.Fatalf("cycle %d: %d log entries after a cycle of %d bisections", c, n, rep.Refine.EdgesBisected)
 		}
 	}

@@ -97,7 +97,7 @@ func Build(m *mesh.Mesh) *Graph {
 		}
 	}
 	// Stable counting sort of the faces by smallest vertex.
-	start := make([]int32, len(m.Verts)+1)
+	start := make([]int32, m.VertSlots()+1)
 	for _, k := range keys {
 		start[k[0]+1]++
 	}
@@ -105,7 +105,7 @@ func Build(m *mesh.Mesh) *Graph {
 		start[v] += start[v-1]
 	}
 	byVert := make([]int32, len(keys))
-	fill := append([]int32(nil), start[:len(m.Verts)]...)
+	fill := append([]int32(nil), start[:m.VertSlots()]...)
 	for q, k := range keys {
 		byVert[fill[k[0]]] = int32(q)
 		fill[k[0]]++
@@ -117,7 +117,7 @@ func Build(m *mesh.Mesh) *Graph {
 		earlier[i] = -1
 	}
 	// Xadj[i+1] counts row i's degree, then becomes its end offset.
-	for v := 0; v < len(m.Verts); v++ {
+	for v := 0; v < m.VertSlots(); v++ {
 		bucket := byVert[start[v]:start[v+1]]
 		for x, q := range bucket {
 			for _, p := range bucket[:x] {

@@ -192,12 +192,14 @@ func mapAdjacency(m *mesh.Mesh) [][]int32 {
 // The generators number vertices in lattice order, so their faces'
 // smallest-vertex buckets follow element order; relabelled, they do not.
 func relabelVerts(m *mesh.Mesh, seed int64) {
-	perm := rand.New(rand.NewSource(seed)).Perm(len(m.Verts))
-	verts := make([]mesh.Vertex, len(m.Verts))
+	perm := rand.New(rand.NewSource(seed)).Perm(m.VertSlots())
+	verts := make([]mesh.Vertex, m.VertSlots())
 	for v, p := range perm {
-		verts[p] = m.Verts[v]
+		verts[p] = *m.Vert(mesh.VertID(v))
 	}
-	m.Verts = verts
+	for p := range verts {
+		*m.Vert(mesh.VertID(p)) = verts[p]
+	}
 	for i := range m.Elems {
 		for k, v := range m.Elems[i].V {
 			m.Elems[i].V[k] = mesh.VertID(perm[v])

@@ -10,7 +10,8 @@ import (
 // and debugging, not hot paths.
 //
 // Invariants checked:
-//   - every incidence list fits its carve, and the carve its block;
+//   - every incidence list fits its carve, and the carve one page of its
+//     block;
 //   - elements [0, NumRoots) are exactly the level-0 elements, and each is
 //     its own Root (the dual graph's vertex ids);
 //   - every sibling group, of elements and of boundary faces, is an id
@@ -31,23 +32,22 @@ import (
 func (m *Mesh) Check() error {
 	// Every vertex list lies in its carve, inside its block, so the views
 	// read below cannot run past the block (edge lists: in the edge loop).
-	for i := range m.Verts {
-		x := &m.Verts[i]
-		if err := checkCarve(len(m.edgeBlk), x.edgeOff, x.nEdges, x.edgeCls, vertEdgeCap); err != nil {
+	for i, x := range m.Verts() {
+		if err := checkCarve(&m.edgeBlk, x.edgeOff, x.nEdges, x.edgeCls, vertEdgeCap); err != nil {
 			return fmt.Errorf("vertex %d: edge list %v", i, err)
 		}
 	}
 
 	// Recount incidence from scratch: how many active elements reference
 	// each edge.
-	inc := make([]int32, len(m.Edges))
+	inc := make([]int32, m.edges.len())
 	nActiveElems := 0
 	for i := range m.Elems {
 		t := &m.Elems[i]
 		if root := i < m.nRoots; root != (t.Level == 0) || root && t.Root != ElemID(i) {
 			return fmt.Errorf("elem %d: level %d, root %d, but roots are the prefix [0, %d)", i, t.Level, t.Root, m.nRoots)
 		}
-		if err := checkGroup(m.Elems, ElemID(i), "elem", elemTree); err != nil {
+		if err := checkGroup(len(m.Elems), ElemID(i), "elem", m.elemTree); err != nil {
 			return err
 		}
 		if !t.Active() {
@@ -59,7 +59,7 @@ func (m *Mesh) Check() error {
 			if e == InvalidEdge {
 				return fmt.Errorf("elem %d: missing edge %d", i, le)
 			}
-			ed := &m.Edges[e]
+			ed := m.Edge(e)
 			if ed.Dead {
 				return fmt.Errorf("elem %d: edge %d (local %d) is dead", i, e, le)
 			}
@@ -80,13 +80,51 @@ func (m *Mesh) Check() error {
 		return fmt.Errorf("active element counter %d != recount %d", m.nActiveElems, nActiveElems)
 	}
 
+	// Vertex incidence lists must reference live edges that contain the
+	// vertex. The scan counts each edge's entries on the list of each of
+	// its ends, onList[2e+k] for end V[k], and notes at each vertex o the
+	// list that last reached it, metAt[o]-1, and by which edge, metBy[o]:
+	// a second edge reaching o from the same list connects the same two
+	// vertices.
+	onList := make([]uint16, 2*m.edges.len())
+	metAt := make([]VertID, m.verts.len())
+	metBy := make([]EdgeID, m.verts.len())
+	for i, v := range m.Verts() {
+		edges := m.VertEdges(i)
+		if v.Dead {
+			if len(edges) != 0 {
+				return fmt.Errorf("vertex %d: dead but has incident edges", i)
+			}
+			continue
+		}
+		for _, e := range edges {
+			ed := m.Edge(e)
+			if ed.Dead {
+				return fmt.Errorf("vertex %d: incident edge %d is dead", i, e)
+			}
+			k := 0
+			switch i {
+			case ed.V[0]:
+			case ed.V[1]:
+				k = 1
+			default:
+				return fmt.Errorf("vertex %d: incident edge %d does not contain it", i, e)
+			}
+			onList[2*int(e)+k]++
+			o := ed.V[1-k]
+			if metAt[o] == i+1 && metBy[o] != e {
+				return fmt.Errorf("edge %d: edge %d connects the same vertices %v", metBy[o], e, ed.V)
+			}
+			metAt[o], metBy[o] = i+1, e
+		}
+	}
+
 	nActiveEdges := 0
-	for i := range m.Edges {
-		ed := &m.Edges[i]
-		if err := checkCarve(len(m.elemBlk), ed.elemOff, ed.nElems, ed.elemCls, edgeElemCap); err != nil {
+	for i, ed := range m.Edges() {
+		if err := checkCarve(&m.elemBlk, ed.elemOff, ed.nElems, ed.elemCls, edgeElemCap); err != nil {
 			return fmt.Errorf("edge %d: element list %v", i, err)
 		}
-		elems := m.EdgeElems(EdgeID(i))
+		elems := m.EdgeElems(i)
 		if ed.Dead {
 			if len(elems) != 0 {
 				return fmt.Errorf("edge %d: dead but has %d incident elements", i, len(elems))
@@ -103,7 +141,7 @@ func (m *Mesh) Check() error {
 		// there are in all: the list is exactly those.
 		for j, el := range elems {
 			if el < 0 || int(el) >= len(m.Elems) || !m.Elems[el].Active() ||
-				m.LocalEdgeOf(el, EdgeID(i)) < 0 || slices.Contains(elems[:j], el) {
+				m.LocalEdgeOf(el, i) < 0 || slices.Contains(elems[:j], el) {
 				return fmt.Errorf("edge %d: stale incidence entry elem %d", i, el)
 			}
 		}
@@ -111,7 +149,7 @@ func (m *Mesh) Check() error {
 			if ed.Mid == InvalidVert {
 				return fmt.Errorf("edge %d: bisected without midpoint", i)
 			}
-			c0, c1 := &m.Edges[ed.Child[0]], &m.Edges[ed.Child[1]]
+			c0, c1 := m.Edge(ed.Child[0]), m.Edge(ed.Child[1])
 			if edgeKey(c0.V[0], c0.V[1]) != edgeKey(ed.V[0], ed.Mid) {
 				return fmt.Errorf("edge %d: child 0 endpoints wrong", i)
 			}
@@ -125,16 +163,8 @@ func (m *Mesh) Check() error {
 		if ed.V[0] >= ed.V[1] {
 			return fmt.Errorf("edge %d: endpoints %v not in ascending order", i, ed.V)
 		}
-		for _, v := range ed.V {
-			n := 0
-			for _, e := range m.VertEdges(v) {
-				if e == EdgeID(i) {
-					n++
-				} else if m.Edges[e].V == ed.V {
-					return fmt.Errorf("edge %d: edge %d connects the same vertices %v", i, e, ed.V)
-				}
-			}
-			if n != 1 {
+		for k, v := range ed.V {
+			if n := onList[2*int(i)+k]; n != 1 {
 				return fmt.Errorf("edge %d: on vertex %d incidence list %d times, want 1", i, v, n)
 			}
 		}
@@ -144,9 +174,8 @@ func (m *Mesh) Check() error {
 	}
 
 	nActiveFaces := 0
-	for i := range m.Faces {
-		f := &m.Faces[i]
-		if err := checkGroup(m.Faces, FaceID(i), "face", faceTree); err != nil {
+	for i, f := range m.Faces() {
+		if err := checkGroup(m.faces.len(), i, "face", m.faceTree); err != nil {
 			return err
 		}
 		if !f.Active() {
@@ -159,7 +188,7 @@ func (m *Mesh) Check() error {
 			if e == InvalidEdge {
 				return fmt.Errorf("face %d: missing edge %d", i, j)
 			}
-			ed := &m.Edges[e]
+			ed := m.Edge(e)
 			if ed.Dead {
 				return fmt.Errorf("face %d: edge %d dead", i, e)
 			}
@@ -172,61 +201,49 @@ func (m *Mesh) Check() error {
 		return fmt.Errorf("active face counter %d != recount %d", m.nActiveFaces, nActiveFaces)
 	}
 
-	// Vertex incidence lists must reference live edges that contain the vertex.
-	for i := range m.Verts {
-		edges := m.VertEdges(VertID(i))
-		if m.Verts[i].Dead {
-			if len(edges) != 0 {
-				return fmt.Errorf("vertex %d: dead but has incident edges", i)
-			}
-			continue
-		}
-		for _, e := range edges {
-			ed := &m.Edges[e]
-			if ed.Dead {
-				return fmt.Errorf("vertex %d: incident edge %d is dead", i, e)
-			}
-			if ed.V[0] != VertID(i) && ed.V[1] != VertID(i) {
-				return fmt.Errorf("vertex %d: incident edge %d does not contain it", i, e)
-			}
-		}
-	}
 	return nil
 }
 
 // checkCarve verifies that a list of n entries at off, carved with class
-// cls of a list kind first carved at first, fits its carve and the carve
-// fits a block of blkLen entries.
-func checkCarve(blkLen int, off int32, n uint16, cls uint8, first int) error {
-	c := capOf(cls, first)
-	if int(n) > c || off < 0 || int64(off)+int64(c) > int64(blkLen) {
-		return fmt.Errorf("of %d entries at %d, carve of %d, runs past its carve or its block of %d", n, off, c, blkLen)
+// cls of a list kind first carved at first, fits its carve, and the carve
+// lies in one page of blk, within the slots in use.
+func checkCarve[T any](blk *paged[T], off int32, n uint16, cls uint8, first int) error {
+	c := int64(capOf(cls, first))
+	end := int64(off) + c
+	if int64(n) > c || off < 0 || end > int64(blk.len()) || c > 0 && off>>pageShift[T]() != int32((end-1)>>pageShift[T]()) {
+		return fmt.Errorf("of %d entries at %d, carve of %d, runs past its carve, its page or its block of %d", n, off, c, blk.len())
 	}
 	return nil
 }
 
 // elemTree and faceTree read a record's refinement-tree fields for
 // checkGroup: its parent, its sibling group and whether it is dead.
-func elemTree(t *Element) (ElemID, ElemID, int, bool) { return t.Parent, t.kids, int(t.nKids), t.Dead }
-func faceTree(f *BoundaryFace) (FaceID, FaceID, int, bool) {
+func (m *Mesh) elemTree(id ElemID) (ElemID, ElemID, int, bool) {
+	t := &m.Elems[id]
+	return t.Parent, t.kids, int(t.nKids), t.Dead
+}
+
+func (m *Mesh) faceTree(id FaceID) (FaceID, FaceID, int, bool) {
+	f := m.Face(id)
 	return f.Parent, f.kids, int(f.nKids), f.Dead
 }
 
-// checkGroup verifies the sibling-group invariants at record id of slab:
-// its children are the in-slab ids [first, first+n), all live and each
-// with id as its parent, and a live child lies in its parent's range.
-func checkGroup[T any, ID ~int32](slab []T, id ID, kind string, tree func(*T) (parent, first ID, n int, dead bool)) error {
-	parent, first, n, dead := tree(&slab[id])
-	if parent < -1 || int(parent) >= len(slab) {
+// checkGroup verifies the sibling-group invariants at record id of a slab
+// of n records: its children are the in-slab ids [first, first+k), all
+// live and each with id as its parent, and a live child lies in its
+// parent's range.
+func checkGroup[ID ~int32](n int, id ID, kind string, tree func(ID) (parent, first ID, k int, dead bool)) error {
+	parent, first, k, dead := tree(id)
+	if parent < -1 || int(parent) >= n {
 		return fmt.Errorf("%s %d: parent %d outside the slab", kind, id, parent)
 	}
-	if n != 0 {
-		end := first + ID(n)
-		if first < 0 || int(end) > len(slab) {
+	if k != 0 {
+		end := first + ID(k)
+		if first < 0 || int(end) > n {
 			return fmt.Errorf("%s %d: child range [%d, %d) outside the slab", kind, id, first, end)
 		}
 		for c := first; c < end; c++ {
-			cp, _, _, cdead := tree(&slab[c])
+			cp, _, _, cdead := tree(c)
 			if cp != id {
 				return fmt.Errorf("%s %d: child range member %d has another parent %d", kind, id, c, cp)
 			}
@@ -236,8 +253,8 @@ func checkGroup[T any, ID ~int32](slab []T, id ID, kind string, tree func(*T) (p
 		}
 	}
 	if parent >= 0 && !dead {
-		if _, pf, pn, _ := tree(&slab[parent]); id < pf || id >= pf+ID(pn) {
-			return fmt.Errorf("%s %d: not in its parent %d's child range [%d, %d)", kind, id, parent, pf, pf+ID(pn))
+		if _, pf, pk, _ := tree(parent); id < pf || id >= pf+ID(pk) {
+			return fmt.Errorf("%s %d: not in its parent %d's child range [%d, %d)", kind, id, parent, pf, pf+ID(pk))
 		}
 	}
 	return nil

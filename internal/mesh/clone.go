@@ -5,18 +5,19 @@ import "slices"
 // Clone returns a deep copy of the mesh. The experiment harness uses this
 // to run one generated mesh through many independent adaption/partition
 // scenarios without regenerating it. The records hold no pointers, so it
-// copies each slab and list block whole: a constant number of allocations
-// whatever the mesh's size.
+// copies the element slab whole and every other slab page by page: one
+// allocation per page in use, plus one per page table and the element
+// slab.
 func (m *Mesh) Clone() *Mesh {
 	return &Mesh{
-		Verts:        slices.Clone(m.Verts),
-		Edges:        slices.Clone(m.Edges),
 		Elems:        slices.Clone(m.Elems),
-		Faces:        slices.Clone(m.Faces),
-		Bisections:   slices.Clone(m.Bisections),
 		Renumbering:  slices.Clone(m.Renumbering),
-		edgeBlk:      slices.Clone(m.edgeBlk),
-		elemBlk:      slices.Clone(m.elemBlk),
+		verts:        m.verts.clone(),
+		edges:        m.edges.clone(),
+		faces:        m.faces.clone(),
+		bisections:   m.bisections.clone(),
+		edgeBlk:      m.edgeBlk.clone(),
+		elemBlk:      m.elemBlk.clone(),
 		nRoots:       m.nRoots,
 		nActiveElems: m.nActiveElems,
 		nActiveEdges: m.nActiveEdges,

@@ -16,34 +16,34 @@ type CompactMap struct {
 
 // Compact drops dead vertices, edges, elements, and boundary faces,
 // renumbers the survivors densely in id order, and re-carves every live
-// incidence list into a fresh block, so the slots and carves the dead held
-// are reclaimed. A sibling group survives or dies whole and keeps its
-// order, so it stays an id range and only its first id moves. It is the
-// compaction the paper performs during the coarsening phase ("objects are
-// renumbered as a result of compaction and all internal and shared data
-// are updated accordingly"). The bisection log is renumbered, and loses the
-// entries whose edge or midpoint died; the vertex renumbering is added to
-// Renumbering for vertex-indexed fields to follow at their next sync. The
-// returned map lets callers holding edge, element or face ids (the
-// adaptor's marks) update them. With nothing dead nothing moves, and it
-// returns after the scan that finds that out.
+// incidence list in place (see compactLists), so the slots and carves the
+// dead held are reclaimed. A sibling group survives or dies whole and
+// keeps its order, so it stays an id range and only its first id moves.
+// It is the compaction the paper performs during the coarsening phase
+// ("objects are renumbered as a result of compaction and all internal and
+// shared data are updated accordingly"). The bisection log is renumbered,
+// and loses the entries whose edge or midpoint died; the vertex
+// renumbering is added to Renumbering for vertex-indexed fields to follow
+// at their next sync. The returned map lets callers holding edge, element
+// or face ids (the adaptor's marks) update them. With nothing dead nothing
+// moves, and it returns after the scan that finds that out.
 //
 // The initial mesh's vertices, edges and elements are never dead, so they
 // keep their ids for the life of the mesh; a root killed by hand leaves the
 // survivors as the shorter prefix [0, NumRoots).
 func (m *Mesh) Compact() CompactMap {
 	cm := &m.scratch
-	cm.Vert = resize(cm.Vert, len(m.Verts))
-	cm.Edge = resize(cm.Edge, len(m.Edges))
+	cm.Vert = resize(cm.Vert, m.verts.len())
+	cm.Edge = resize(cm.Edge, m.edges.len())
 	cm.Elem = resize(cm.Elem, len(m.Elems))
-	cm.Face = resize(cm.Face, len(m.Faces))
-	slots := len(m.Verts) + len(m.Edges) + len(m.Elems) + len(m.Faces)
+	cm.Face = resize(cm.Face, m.faces.len())
+	slots := m.verts.len() + m.edges.len() + len(m.Elems) + m.faces.len()
 
-	m.Verts = compactSlab(m.Verts, cm.Vert, func(v *Vertex) bool { return v.Dead })
-	m.Edges = compactSlab(m.Edges, cm.Edge, func(e *Edge) bool { return e.Dead })
+	compactPaged(&m.verts, cm.Vert, func(v *Vertex) bool { return v.Dead })
+	compactPaged(&m.edges, cm.Edge, func(e *Edge) bool { return e.Dead })
 	m.Elems = compactSlab(m.Elems, cm.Elem, func(t *Element) bool { return t.Dead })
-	m.Faces = compactSlab(m.Faces, cm.Face, func(f *BoundaryFace) bool { return f.Dead })
-	if len(m.Verts)+len(m.Edges)+len(m.Elems)+len(m.Faces) == slots {
+	compactPaged(&m.faces, cm.Face, func(f *BoundaryFace) bool { return f.Dead })
+	if m.verts.len()+m.edges.len()+len(m.Elems)+m.faces.len() == slots {
 		return CompactMap{}
 	}
 	roots := 0
@@ -54,21 +54,17 @@ func (m *Mesh) Compact() CompactMap {
 	}
 	m.nRoots = roots
 
-	// Re-carve the lists into one fresh block per kind, at the class push
-	// would have grown each to. The survivors never need more than the old
-	// block's capacity, and a smaller block would be copied again by the
-	// next round's Reserve.
-	edgeBlk := make([]EdgeID, 0, cap(m.edgeBlk))
-	elemBlk := make([]ElemID, 0, cap(m.elemBlk))
-	for i := range m.Verts {
-		v := &m.Verts[i]
-		v.edgeOff, v.nEdges, v.edgeCls = recarve(&edgeBlk, m.edgeBlk, v.edgeOff, v.nEdges, cm.Edge, vertEdgeCap)
-	}
-	for i := range m.Edges {
-		ed := &m.Edges[i]
+	compactLists(&m.edgeBlk, &m.listStarts, m.verts.len(), func(i int32) (*int32, *uint16, *uint8) {
+		v := m.verts.at(i)
+		return &v.edgeOff, &v.nEdges, &v.edgeCls
+	}, cm.Edge, vertEdgeCap)
+	compactLists(&m.elemBlk, &m.listStarts, m.edges.len(), func(i int32) (*int32, *uint16, *uint8) {
+		ed := m.edges.at(i)
+		return &ed.elemOff, &ed.nElems, &ed.elemCls
+	}, cm.Elem, edgeElemCap)
+	for _, ed := range m.Edges() {
 		ed.V[0] = cm.Vert[ed.V[0]]
 		ed.V[1] = cm.Vert[ed.V[1]]
-		ed.elemOff, ed.nElems, ed.elemCls = recarve(&elemBlk, m.elemBlk, ed.elemOff, ed.nElems, cm.Elem, edgeElemCap)
 		if ed.Parent != InvalidEdge {
 			ed.Parent = cm.Edge[ed.Parent]
 		}
@@ -78,7 +74,6 @@ func (m *Mesh) Compact() CompactMap {
 			ed.Mid = cm.Vert[ed.Mid]
 		}
 	}
-	m.edgeBlk, m.elemBlk = edgeBlk, elemBlk
 	for i := range m.Elems {
 		t := &m.Elems[i]
 		for j := range t.V {
@@ -95,8 +90,7 @@ func (m *Mesh) Compact() CompactMap {
 			t.kids = cm.Elem[t.kids]
 		}
 	}
-	for i := range m.Faces {
-		f := &m.Faces[i]
+	for _, f := range m.Faces() {
 		for j := range f.V {
 			f.V[j] = cm.Vert[f.V[j]]
 		}
@@ -111,14 +105,15 @@ func (m *Mesh) Compact() CompactMap {
 		}
 	}
 
-	kept := m.Bisections[:0]
-	for _, b := range m.Bisections {
+	var kept int32
+	for _, b := range all[int32](&m.bisections) {
 		if cm.Edge[b.Edge] == InvalidEdge || cm.Vert[b.Mid] == InvalidVert {
 			continue // bisected and coarsened away again before any sync
 		}
-		kept = append(kept, Bisection{Edge: cm.Edge[b.Edge], A: cm.Vert[b.A], B: cm.Vert[b.B], Mid: cm.Vert[b.Mid]})
+		*m.bisections.at(kept) = Bisection{Edge: cm.Edge[b.Edge], A: cm.Vert[b.A], B: cm.Vert[b.B], Mid: cm.Vert[b.Mid]}
+		kept++
 	}
-	m.Bisections = kept
+	m.bisections.truncate(kept)
 
 	if len(m.Renumbering) == 0 {
 		m.Renumbering = append(m.Renumbering, cm.Vert...)
@@ -153,4 +148,22 @@ func compactSlab[T any, ID ~int32](slab []T, ids []ID, dead func(*T) bool) []T {
 		n++
 	}
 	return slab[:n]
+}
+
+// compactPaged is compactSlab for a paged slab; the pages it empties are
+// kept for the slab to grow into.
+func compactPaged[T any, ID ~int32](p *paged[T], ids []ID, dead func(*T) bool) {
+	var n int32
+	for i, r := range all[int32](p) {
+		if dead(r) {
+			ids[i] = -1
+			continue
+		}
+		ids[i] = ID(n)
+		if n != i {
+			*p.at(n) = *r
+		}
+		n++
+	}
+	p.truncate(n)
 }

@@ -6,9 +6,9 @@ package mesh
 // The caller must deactivate the parent (DeactivateFace) once all children
 // are added.
 func (m *Mesh) AddChildFace(parent FaceID, v0, v1, v2 VertID) FaceID {
-	id := m.AddBoundaryFace(v0, v1, v2, m.Faces[parent].Patch)
-	m.Faces[id].Parent = parent
-	p := &m.Faces[parent]
+	p := m.Face(parent)
+	id := m.AddBoundaryFace(v0, v1, v2, p.Patch)
+	m.Face(id).Parent = parent
 	addChild(&p.kids, &p.nKids, id)
 	return id
 }
@@ -21,14 +21,16 @@ func (m *Mesh) DeactivateFace(f FaceID) { m.nActiveFaces-- }
 // caller has killed, making it an active leaf again (coarsening
 // reinstatement).
 func (m *Mesh) ReactivateFace(f FaceID) {
-	m.Faces[f].kids, m.Faces[f].nKids = 0, 0
+	x := m.Face(f)
+	x.kids, x.nKids = 0, 0
 	m.nActiveFaces++
 }
 
 // KillFace marks an active leaf face dead so compaction drops it.
 func (m *Mesh) KillFace(f FaceID) {
-	if m.Faces[f].Active() {
+	x := m.Face(f)
+	if x.Active() {
 		m.nActiveFaces--
 	}
-	m.Faces[f].Dead = true
+	x.Dead = true
 }

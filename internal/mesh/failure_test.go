@@ -13,7 +13,7 @@ import (
 
 func validPair(t *testing.T) *Mesh {
 	t.Helper()
-	m := New(8, 20, 2)
+	m := New(2)
 	v0 := m.AddVertex(geom.Vec3{})
 	v1 := m.AddVertex(geom.Vec3{X: 1})
 	v2 := m.AddVertex(geom.Vec3{Y: 1})
@@ -47,7 +47,7 @@ func TestCheckDetectsStaleIncidence(t *testing.T) {
 
 func TestCheckDetectsMissingIncidence(t *testing.T) {
 	m := validPair(t)
-	m.Edges[0].nElems = 0
+	m.Edge(0).nElems = 0
 	wantCheckError(t, m, "incidence")
 }
 
@@ -61,7 +61,7 @@ func TestCheckDetectsDanglingVertexEdge(t *testing.T) {
 
 func TestCheckDetectsWrongEdgeEndpoints(t *testing.T) {
 	m := validPair(t)
-	m.Edges[m.Elems[0].E[0]].V = [2]VertID{2, 3}
+	m.Edge(m.Elems[0].E[0]).V = [2]VertID{2, 3}
 	wantCheckError(t, m, "endpoints")
 }
 
@@ -70,9 +70,9 @@ func TestCheckDetectsActiveElementOnBisectedEdge(t *testing.T) {
 	e := m.Elems[0].E[0]
 	// Forge a bisection without subdividing the element.
 	mid := m.AddVertex(geom.Vec3{X: 0.5})
-	c0 := m.AddEdge(m.Edges[e].V[0], mid)
-	c1 := m.AddEdge(mid, m.Edges[e].V[1])
-	ed := &m.Edges[e]
+	c0 := m.AddEdge(m.Edge(e).V[0], mid)
+	c1 := m.AddEdge(mid, m.Edge(e).V[1])
+	ed := m.Edge(e)
 	ed.Child = [2]EdgeID{c0, c1}
 	ed.Mid = mid
 	wantCheckError(t, m, "bisected")
@@ -88,7 +88,7 @@ func TestCheckDetectsNegativeVolume(t *testing.T) {
 	m := validPair(t)
 	// Move a vertex so element 0 inverts. Element 0 is (0,1,2,3); push
 	// vertex 3 through the opposite face.
-	m.Verts[3].Pos = geom.Vec3{X: 0.6, Y: 0.6, Z: -2}
+	m.Vert(3).Pos = geom.Vec3{X: 0.6, Y: 0.6, Z: -2}
 	if err := m.Check(); err == nil {
 		t.Fatal("inverted element not detected")
 	}
@@ -96,7 +96,7 @@ func TestCheckDetectsNegativeVolume(t *testing.T) {
 
 func TestCheckDetectsDeadEdgeInUse(t *testing.T) {
 	m := validPair(t)
-	m.Edges[m.Elems[0].E[0]].Dead = true
+	m.Edge(m.Elems[0].E[0]).Dead = true
 	err := m.Check()
 	if err == nil {
 		t.Fatal("dead edge in use not detected")
@@ -107,7 +107,7 @@ func TestCheckDetectsFaceOverForeignEdge(t *testing.T) {
 	m := validPair(t)
 	m.AddBoundaryFace(0, 1, 2, 0)
 	// Point the face at an edge with the wrong endpoints.
-	m.Faces[0].E[0] = m.FindEdge(2, 3)
+	m.Face(0).E[0] = m.FindEdge(2, 3)
 	wantCheckError(t, m, "face")
 }
 
@@ -115,10 +115,10 @@ func TestCheckDetectsDuplicateEdge(t *testing.T) {
 	m := validPair(t)
 	// A second live edge over the endpoints of edge 0, registered the way
 	// AddEdge would have: FindEdge could return either.
-	dup := m.Edges[0]
+	dup := *m.Edge(0)
 	dup.elemOff, dup.nElems, dup.elemCls = 0, 0, 0
-	m.Edges = append(m.Edges, dup)
-	id := EdgeID(len(m.Edges) - 1)
+	m.edges.push(dup)
+	id := EdgeID(m.EdgeSlots() - 1)
 	for _, v := range dup.V {
 		m.addVertEdge(v, id)
 	}
@@ -128,25 +128,31 @@ func TestCheckDetectsDuplicateEdge(t *testing.T) {
 
 func TestCheckDetectsEdgeListedTwice(t *testing.T) {
 	m := validPair(t)
-	v := m.Edges[0].V[0]
+	v := m.Edge(0).V[0]
 	m.addVertEdge(v, 0)
 	wantCheckError(t, m, "incidence list 2 times")
 }
 
 func TestCheckDetectsEdgeMissingFromVertexList(t *testing.T) {
 	m := validPair(t)
-	v := m.Edges[0].V[1]
+	v := m.Edge(0).V[1]
 	m.delVertEdge(v, 0)
 	wantCheckError(t, m, "incidence list 0 times")
 }
 
 func TestCheckDetectsListPastItsBlock(t *testing.T) {
 	m := validPair(t)
-	m.Edges[0].elemOff = int32(len(m.elemBlk)) // a carve past the block's end
+	m.Edge(0).elemOff = int32(m.elemBlk.len()) // a carve past the block's end
 	wantCheckError(t, m, "edge 0: element list")
 
 	m = validPair(t)
-	m.Verts[0].nEdges = vertEdgeCap + 1 // more entries than the carve holds
+	m.elemBlk.carve(maxCarve) // a second page in use
+	m.elemBlk.carve(maxCarve)
+	m.Edge(0).elemOff = 1<<pageShift[ElemID]() - 2 // a carve across the page boundary
+	wantCheckError(t, m, "edge 0: element list")
+
+	m = validPair(t)
+	m.Vert(0).nEdges = vertEdgeCap + 1 // more entries than the carve holds
 	wantCheckError(t, m, "vertex 0: edge list")
 }
 
@@ -178,7 +184,7 @@ func TestAddElementPanicsOnRootAfterChild(t *testing.T) {
 
 func TestCheckDetectsUnorderedEndpoints(t *testing.T) {
 	m := validPair(t)
-	ed := &m.Edges[0]
+	ed := m.Edge(0)
 	ed.V[0], ed.V[1] = ed.V[1], ed.V[0]
 	wantCheckError(t, m, "ascending")
 }
@@ -224,7 +230,7 @@ func TestCheckDetectsBrokenChildRange(t *testing.T) {
 	m = validPair(t)
 	m.AddBoundaryFace(0, 1, 2, 0)
 	m.AddBoundaryFace(0, 1, 3, 0)
-	f := &m.Faces[0]
+	f := m.Face(0)
 	f.kids, f.nKids = 1, 1 // a face group whose member has no parent
 	wantCheckError(t, m, "face 0: child range member 1 has another parent")
 }
@@ -250,9 +256,9 @@ func TestListWritersPanicOnBrokenLists(t *testing.T) {
 	wantPanic(t, "does not hold", func() { m.DeactivateElement(0) })
 
 	// A list at the largest length its field holds.
-	blk := make([]EdgeID, maxListLen)
-	var off int32
+	var blk paged[EdgeID]
 	n, cls := uint16(maxListLen), classOf(maxListLen, vertEdgeCap)
+	off := blk.carve(capOf(cls, vertEdgeCap))
 	wantPanic(t, "list length overflows", func() { push(&blk, &off, &n, &cls, 0, vertEdgeCap) })
 
 	// A sibling group at the largest count its field holds, and an id that

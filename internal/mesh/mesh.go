@@ -13,10 +13,14 @@
 // The records hold no pointers. Each incidence list is an offset, a length
 // and a capacity class into one per-mesh block per list kind (see push),
 // read through VertEdges and EdgeElems, and a sibling group is the id
-// range its consecutive creation gave it (see Element.Children). Reserve
-// sizes the object slabs and the blocks once per refinement round, so
-// adaption allocates per round, not per object, and the GC never scans
-// the mesh.
+// range its consecutive creation gave it (see Element.Children). Vertices,
+// edges, boundary faces, the bisection log and both list blocks live in
+// pages that are allocated as the mesh grows and never move (see paged):
+// Vert, Edge, Face and Bisection read a record, Verts, Edges and Faces
+// scan a slab, and growing one copies nothing. Elements stay one
+// contiguous slab, Elems, which Reserve sizes once per refinement round.
+// So adaption allocates per page and per round, not per object, and the
+// GC never scans the mesh.
 //
 // Refinement history is retained: when an element is subdivided or an edge
 // is bisected, the parent object is deactivated but kept so that
@@ -29,6 +33,7 @@ package mesh
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"plum/internal/geom"
@@ -191,107 +196,119 @@ type Bisection struct {
 // Mesh is an adaptive tetrahedral mesh with full refinement history.
 // The zero value is not usable; call New.
 type Mesh struct {
-	Verts []Vertex
-	Edges []Edge
 	Elems []Element
-	Faces []BoundaryFace
 
-	// Bisections is the ordered log of edge bisections since the last
-	// call to ResetLog, used for solution interpolation.
-	Bisections []Bisection
-	// Renumbering is the other half of the log: old → new vertex id (-1
-	// for a vertex dropped) over the compactions since the last ResetLog,
-	// composed when there was more than one, empty when there was none.
-	// Its domain is the vertex slab as the first of them found it. A
-	// vertex-indexed field that has followed the log since before then
-	// applies it before it reads Bisections, whose entries Compact keeps
-	// in current ids.
+	// Renumbering is the other half of the bisection log (see Bisection):
+	// old → new vertex id (-1 for a vertex dropped) over the compactions
+	// since the last ResetLog, composed when there was more than one,
+	// empty when there was none. Its domain is the vertex slab as the
+	// first of them found it. A vertex-indexed field that has followed the
+	// log since before then applies it before it reads the bisections,
+	// whose entries Compact keeps in current ids.
 	Renumbering []VertID
+
+	verts paged[Vertex]
+	edges paged[Edge]
+	faces paged[BoundaryFace]
+	// bisections is the ordered log of edge bisections since the last
+	// call to ResetLog, used for solution interpolation.
+	bisections paged[Bisection]
 
 	// The blocks the incidence lists live in (see push): every vertex's
 	// edges in edgeBlk, every edge's elements in elemBlk.
-	edgeBlk []EdgeID
-	elemBlk []ElemID
+	edgeBlk paged[EdgeID]
+	elemBlk paged[ElemID]
 
 	nRoots       int // initial elements, ids [0, nRoots) (see NumRoots)
 	nActiveElems int
 	nActiveEdges int
 	nActiveFaces int
 
-	// scratch holds Compact's id maps between calls.
-	scratch CompactMap
+	// scratch and listStarts hold Compact's id maps and list marks
+	// between calls.
+	scratch    CompactMap
+	listStarts []uint64
 }
 
-// New returns an empty mesh with capacity hints for nv vertices, ne edges
-// and nt elements, and for the first carves of their incidence lists (a
-// list block that grows by copying costs a mesh generator a third of its
-// time).
-func New(nv, ne, nt int) *Mesh {
-	return &Mesh{
-		Verts:   make([]Vertex, 0, nv),
-		Edges:   make([]Edge, 0, ne),
-		Elems:   make([]Element, 0, nt),
-		edgeBlk: make([]EdgeID, 0, nv*vertEdgeCap),
-		elemBlk: make([]ElemID, 0, ne*edgeElemCap),
-	}
+// New returns an empty mesh with room for nt elements.
+func New(nt int) *Mesh {
+	return &Mesh{Elems: make([]Element, 0, nt)}
 }
 
-// Reserve makes room for nv more vertices, ne more edges, nt more
-// elements and nf more boundary faces, and for their incidence lists, so
-// that a refinement round whose growth is known up front regrows each
-// slab and block at most once. Every vertex of a round is an edge
-// midpoint, so the bisection log grows with nv.
-func (m *Mesh) Reserve(nv, ne, nt, nf int) {
-	m.Verts = slices.Grow(m.Verts, nv)
-	m.Edges = slices.Grow(m.Edges, ne)
-	m.Elems = slices.Grow(m.Elems, nt)
-	m.Faces = slices.Grow(m.Faces, nf)
-	m.Bisections = slices.Grow(m.Bisections, nv)
-	m.edgeBlk = slices.Grow(m.edgeBlk, nv*vertEdgeCap)
-	m.elemBlk = slices.Grow(m.elemBlk, ne*edgeElemCap)
-}
+// Reserve makes room for nt more elements, so that a refinement round
+// whose growth is known up front regrows the element slab at most once.
+// The paged slabs need no reservation.
+func (m *Mesh) Reserve(nt int) { m.Elems = slices.Grow(m.Elems, nt) }
+
+// Vert, Edge and Face return the record of vertex v, edge e and boundary
+// face f. A record's page never moves, so the pointer stays valid while
+// the mesh grows; Compact moves records between slots.
+func (m *Mesh) Vert(v VertID) *Vertex       { return m.verts.at(int32(v)) }
+func (m *Mesh) Edge(e EdgeID) *Edge         { return m.edges.at(int32(e)) }
+func (m *Mesh) Face(f FaceID) *BoundaryFace { return m.faces.at(int32(f)) }
+
+// Verts, Edges and Faces range over the vertex, edge and boundary-face
+// slots, live and dead, in id order with their records: a scan page by
+// page, as fast as a slice's. A loop sees the slots there were when it
+// began, and must not Compact.
+func (m *Mesh) Verts() iter.Seq2[VertID, *Vertex]       { return all[VertID](&m.verts) }
+func (m *Mesh) Edges() iter.Seq2[EdgeID, *Edge]         { return all[EdgeID](&m.edges) }
+func (m *Mesh) Faces() iter.Seq2[FaceID, *BoundaryFace] { return all[FaceID](&m.faces) }
+
+// VertSlots, EdgeSlots, FaceSlots and ElemSlots return the number of
+// vertex, edge, boundary-face and element slots, live and dead: the ids
+// run over [0, n).
+func (m *Mesh) VertSlots() int { return m.verts.len() }
+func (m *Mesh) EdgeSlots() int { return m.edges.len() }
+func (m *Mesh) FaceSlots() int { return m.faces.len() }
+func (m *Mesh) ElemSlots() int { return len(m.Elems) }
+
+// NumBisections returns the length of the bisection log, and Bisection its
+// entry i: the edge bisections since the last ResetLog, in creation order.
+func (m *Mesh) NumBisections() int        { return m.bisections.len() }
+func (m *Mesh) Bisection(i int) Bisection { return *m.bisections.at(int32(i)) }
 
 // VertEdges returns vertex v's incidence list: the live edges meeting at
 // it. The slice is a view of the mesh, valid until the mesh next changes;
 // its capacity is its length, so appending to it copies.
 func (m *Mesh) VertEdges(v VertID) []EdgeID {
-	x := &m.Verts[v]
-	return view(m.edgeBlk, x.edgeOff, x.nEdges)
+	x := m.Vert(v)
+	return m.edgeBlk.view(x.edgeOff, x.nEdges)
 }
 
 // EdgeElems returns edge e's incidence list: the active elements sharing
 // it. Like VertEdges it is a view, valid until the mesh next changes.
 func (m *Mesh) EdgeElems(e EdgeID) []ElemID {
-	x := &m.Edges[e]
-	return view(m.elemBlk, x.elemOff, x.nElems)
+	x := m.Edge(e)
+	return m.elemBlk.view(x.elemOff, x.nElems)
 }
 
 // addVertEdge and addEdgeElem push onto an incidence list; delVertEdge and
 // delEdgeElem remove from one, and panic when the entry is missing.
 func (m *Mesh) addVertEdge(v VertID, e EdgeID) {
-	x := &m.Verts[v]
+	x := m.Vert(v)
 	push(&m.edgeBlk, &x.edgeOff, &x.nEdges, &x.edgeCls, e, vertEdgeCap)
 }
 
 func (m *Mesh) addEdgeElem(e EdgeID, el ElemID) {
-	x := &m.Edges[e]
+	x := m.Edge(e)
 	push(&m.elemBlk, &x.elemOff, &x.nElems, &x.elemCls, el, edgeElemCap)
 }
 
 func (m *Mesh) delVertEdge(v VertID, e EdgeID) {
-	x := &m.Verts[v]
-	del(m.edgeBlk, x.edgeOff, &x.nEdges, e)
+	x := m.Vert(v)
+	del(&m.edgeBlk, x.edgeOff, &x.nEdges, e)
 }
 
 func (m *Mesh) delEdgeElem(e EdgeID, el ElemID) {
-	x := &m.Edges[e]
-	del(m.elemBlk, x.elemOff, &x.nElems, el)
+	x := m.Edge(e)
+	del(&m.elemBlk, x.elemOff, &x.nElems, el)
 }
 
 // AddVertex appends a vertex at p and returns its id.
 func (m *Mesh) AddVertex(p geom.Vec3) VertID {
-	m.Verts = append(m.Verts, Vertex{Pos: p})
-	return VertID(len(m.Verts) - 1)
+	m.verts.push(Vertex{Pos: p})
+	return VertID(m.verts.len() - 1)
 }
 
 func edgeKey(a, b VertID) [2]VertID {
@@ -306,12 +323,12 @@ func edgeKey(a, b VertID) [2]VertID {
 // the probe walks the shorter of the two endpoint lists.
 func (m *Mesh) FindEdge(a, b VertID) EdgeID {
 	key := edgeKey(a, b)
-	lst := m.VertEdges(a)
-	if lb := m.VertEdges(b); len(lb) < len(lst) {
-		lst = lb
+	x := m.Vert(a)
+	if y := m.Vert(b); y.nEdges < x.nEdges {
+		x = y
 	}
-	for _, e := range lst {
-		if m.Edges[e].V == key {
+	for _, e := range m.edgeBlk.view(x.edgeOff, x.nEdges) {
+		if m.Edge(e).V == key {
 			return e
 		}
 	}
@@ -322,14 +339,20 @@ func (m *Mesh) FindEdge(a, b VertID) EdgeID {
 // does not exist. New edges are active and registered on both vertices'
 // incidence lists.
 func (m *Mesh) AddEdge(a, b VertID) EdgeID {
-	if a == b {
-		panic("mesh: degenerate edge")
-	}
 	if id := m.FindEdge(a, b); id != InvalidEdge {
 		return id
 	}
-	id := EdgeID(len(m.Edges))
-	m.Edges = append(m.Edges, Edge{
+	return m.newEdge(a, b)
+}
+
+// newEdge creates the edge connecting a and b without looking for one:
+// the caller knows there is none.
+func (m *Mesh) newEdge(a, b VertID) EdgeID {
+	if a == b {
+		panic("mesh: degenerate edge")
+	}
+	id := EdgeID(m.edges.len())
+	m.edges.push(Edge{
 		V:      edgeKey(a, b),
 		Parent: InvalidEdge,
 		Child:  [2]EdgeID{InvalidEdge, InvalidEdge},
@@ -341,6 +364,10 @@ func (m *Mesh) AddEdge(a, b VertID) EdgeID {
 	return id
 }
 
+// FreshEdge, in the edges handed to AddElementEdges, stands for an edge
+// the caller knows does not exist yet: it is created without a search.
+const FreshEdge EdgeID = -2
+
 // AddElement creates an active tetrahedron over the four vertices,
 // creating any missing edges, and registers it on the incidence lists of
 // its six edges. The vertex order is normalized so the signed volume is
@@ -350,9 +377,22 @@ func (m *Mesh) AddEdge(a, b VertID) EdgeID {
 // joins its parent's sibling group, which consecutive calls build (see
 // Element.Children).
 func (m *Mesh) AddElement(v0, v1, v2, v3 VertID, parent ElemID, root ElemID, level int32) ElemID {
-	vol := geom.TetVolume(m.Verts[v0].Pos, m.Verts[v1].Pos, m.Verts[v2].Pos, m.Verts[v3].Pos)
-	if vol < 0 {
-		v2, v3 = v3, v2
+	e := [6]EdgeID{InvalidEdge, InvalidEdge, InvalidEdge, InvalidEdge, InvalidEdge, InvalidEdge}
+	return m.AddElementEdges([4]VertID{v0, v1, v2, v3}, &e, parent, root, level)
+}
+
+// AddElementEdges is AddElement for a caller that knows some of the
+// element's edges: e[i] is the edge over local vertices ElemEdgeVerts[i]
+// of v, InvalidEdge to find or create it, or FreshEdge to create it
+// without a search. The edges are taken, found and created in the order
+// AddElement would reach them, so ids come out the same. On return e holds
+// all six, in the order of v.
+func (m *Mesh) AddElementEdges(v [4]VertID, e *[6]EdgeID, parent ElemID, root ElemID, level int32) ElemID {
+	// Stored local edge i is the caller's local edge perm[i].
+	perm := [6]int{0, 1, 2, 3, 4, 5}
+	if geom.TetVolume(m.Vert(v[0]).Pos, m.Vert(v[1]).Pos, m.Vert(v[2]).Pos, m.Vert(v[3]).Pos) < 0 {
+		v[2], v[3] = v[3], v[2]
+		perm = [6]int{0, 2, 1, 4, 3, 5}
 	}
 	id := ElemID(len(m.Elems))
 	if root == InvalidElem {
@@ -367,15 +407,21 @@ func (m *Mesh) AddElement(v0, v1, v2, v3 VertID, parent ElemID, root ElemID, lev
 		addChild(&p.kids, &p.nKids, id)
 	}
 	el := Element{
-		V:      [4]VertID{v0, v1, v2, v3},
+		V:      v,
 		Parent: parent,
 		Root:   root,
 		Level:  level,
 	}
 	for i, lv := range ElemEdgeVerts {
-		e := m.AddEdge(el.V[lv[0]], el.V[lv[1]])
-		el.E[i] = e
-		m.addEdgeElem(e, id)
+		x := &e[perm[i]]
+		switch *x {
+		case InvalidEdge:
+			*x = m.AddEdge(v[lv[0]], v[lv[1]])
+		case FreshEdge:
+			*x = m.newEdge(v[lv[0]], v[lv[1]])
+		}
+		el.E[i] = *x
+		m.addEdgeElem(*x, id)
 	}
 	m.Elems = append(m.Elems, el)
 	m.nActiveElems++
@@ -385,7 +431,7 @@ func (m *Mesh) AddElement(v0, v1, v2, v3 VertID, parent ElemID, root ElemID, lev
 // AddBoundaryFace creates an active boundary triangle over the three
 // vertices (whose edges must already exist) with the given patch label.
 func (m *Mesh) AddBoundaryFace(v0, v1, v2 VertID, patch int32) FaceID {
-	id := FaceID(len(m.Faces))
+	id := FaceID(m.faces.len())
 	f := BoundaryFace{
 		V:      [3]VertID{v0, v1, v2},
 		Patch:  patch,
@@ -399,7 +445,7 @@ func (m *Mesh) AddBoundaryFace(v0, v1, v2 VertID, patch int32) FaceID {
 		}
 		f.E[i] = e
 	}
-	m.Faces = append(m.Faces, f)
+	m.faces.push(f)
 	m.nActiveFaces++
 	return id
 }
@@ -407,29 +453,29 @@ func (m *Mesh) AddBoundaryFace(v0, v1, v2 VertID, patch int32) FaceID {
 // BisectEdge splits edge e at its midpoint, creating the midpoint vertex
 // and two active child edges, and deactivating e. It is idempotent: if e
 // is already bisected it returns the existing midpoint. The bisection is
-// appended to the Bisections log.
+// appended to the bisection log.
 func (m *Mesh) BisectEdge(e EdgeID) VertID {
-	ed := &m.Edges[e]
+	ed := m.Edge(e)
 	if ed.Bisected() {
 		return ed.Mid
 	}
 	a, b := ed.V[0], ed.V[1]
-	mid := m.AddVertex(m.Verts[a].Pos.Mid(m.Verts[b].Pos))
-	c0 := m.AddEdge(a, mid)
-	c1 := m.AddEdge(mid, b)
-	ed = &m.Edges[e] // AddEdge may have grown the slice
+	mid := m.AddVertex(m.Vert(a).Pos.Mid(m.Vert(b).Pos))
+	// Both halves end at the new midpoint, so neither exists yet.
+	c0 := m.newEdge(a, mid)
+	c1 := m.newEdge(mid, b)
 	ed.Child = [2]EdgeID{c0, c1}
 	ed.Mid = mid
-	m.Edges[c0].Parent = e
-	m.Edges[c1].Parent = e
+	m.Edge(c0).Parent = e
+	m.Edge(c1).Parent = e
 	m.nActiveEdges-- // e becomes inactive
-	m.Bisections = append(m.Bisections, Bisection{Edge: e, A: a, B: b, Mid: mid})
+	m.bisections.push(Bisection{Edge: e, A: a, B: b, Mid: mid})
 	return mid
 }
 
 // HalfEdge returns the child of bisected edge e that has v as an endpoint.
 func (m *Mesh) HalfEdge(e EdgeID, v VertID) EdgeID {
-	ed := &m.Edges[e]
+	ed := m.Edge(e)
 	if !ed.Bisected() {
 		panic("mesh: HalfEdge on unbisected edge")
 	}
@@ -473,7 +519,7 @@ func (m *Mesh) KillElement(el ElemID) {
 // ReactivateEdge makes a bisected edge active again, discarding its
 // children (which must already be unused) and midpoint linkage.
 func (m *Mesh) ReactivateEdge(e EdgeID) {
-	ed := &m.Edges[e]
+	ed := m.Edge(e)
 	if !ed.Bisected() {
 		return
 	}
@@ -485,7 +531,7 @@ func (m *Mesh) ReactivateEdge(e EdgeID) {
 // KillEdge marks edge e dead and removes it from its endpoints' incidence
 // lists. The edge must not bound any active element.
 func (m *Mesh) KillEdge(e EdgeID) {
-	ed := &m.Edges[e]
+	ed := m.Edge(e)
 	if ed.nElems != 0 {
 		panic("mesh: killing edge still in use")
 	}
@@ -500,17 +546,18 @@ func (m *Mesh) KillEdge(e EdgeID) {
 
 // KillVertex marks vertex v dead. Its incidence list must be empty.
 func (m *Mesh) KillVertex(v VertID) {
-	if m.Verts[v].nEdges != 0 {
+	x := m.Vert(v)
+	if x.nEdges != 0 {
 		panic("mesh: killing vertex with live edges")
 	}
-	m.Verts[v].Dead = true
+	x.Dead = true
 }
 
 // NumVerts returns the number of live vertices.
 func (m *Mesh) NumVerts() int {
 	n := 0
-	for i := range m.Verts {
-		if !m.Verts[i].Dead {
+	for _, v := range m.Verts() {
+		if !v.Dead {
 			n++
 		}
 	}
@@ -547,25 +594,25 @@ func (m *Mesh) NumElemsTotal() int {
 // ElemVolume returns the volume of element el.
 func (m *Mesh) ElemVolume(el ElemID) float64 {
 	t := &m.Elems[el]
-	return geom.TetVolume(m.Verts[t.V[0]].Pos, m.Verts[t.V[1]].Pos, m.Verts[t.V[2]].Pos, m.Verts[t.V[3]].Pos)
+	return geom.TetVolume(m.Vert(t.V[0]).Pos, m.Vert(t.V[1]).Pos, m.Vert(t.V[2]).Pos, m.Vert(t.V[3]).Pos)
 }
 
 // ElemCentroid returns the centroid of element el.
 func (m *Mesh) ElemCentroid(el ElemID) geom.Vec3 {
 	t := &m.Elems[el]
-	return geom.TetCentroid(m.Verts[t.V[0]].Pos, m.Verts[t.V[1]].Pos, m.Verts[t.V[2]].Pos, m.Verts[t.V[3]].Pos)
+	return geom.TetCentroid(m.Vert(t.V[0]).Pos, m.Vert(t.V[1]).Pos, m.Vert(t.V[2]).Pos, m.Vert(t.V[3]).Pos)
 }
 
 // EdgeMid returns the midpoint position of edge e.
 func (m *Mesh) EdgeMid(e EdgeID) geom.Vec3 {
-	ed := &m.Edges[e]
-	return m.Verts[ed.V[0]].Pos.Mid(m.Verts[ed.V[1]].Pos)
+	ed := m.Edge(e)
+	return m.Vert(ed.V[0]).Pos.Mid(m.Vert(ed.V[1]).Pos)
 }
 
 // EdgeLength returns the length of edge e.
 func (m *Mesh) EdgeLength(e EdgeID) float64 {
-	ed := &m.Edges[e]
-	return m.Verts[ed.V[0]].Pos.Dist(m.Verts[ed.V[1]].Pos)
+	ed := m.Edge(e)
+	return m.Vert(ed.V[0]).Pos.Dist(m.Vert(ed.V[1]).Pos)
 }
 
 // LocalEdgeOf returns the local index (0..5) of edge e within element el,
@@ -593,7 +640,7 @@ func (m *Mesh) TotalVolume() float64 {
 // ResetLog clears the bisection log and the pending vertex renumbering
 // (call after a vertex-indexed field has consumed both).
 func (m *Mesh) ResetLog() {
-	m.Bisections = m.Bisections[:0]
+	m.bisections.truncate(0)
 	m.Renumbering = m.Renumbering[:0]
 }
 

@@ -9,7 +9,7 @@ import (
 // singleTet builds one unit right tetrahedron.
 func singleTet(t *testing.T) (*Mesh, ElemID) {
 	t.Helper()
-	m := New(4, 6, 1)
+	m := New(1)
 	v0 := m.AddVertex(geom.Vec3{})
 	v1 := m.AddVertex(geom.Vec3{X: 1})
 	v2 := m.AddVertex(geom.Vec3{Y: 1})
@@ -38,7 +38,7 @@ func TestSingleTetCounts(t *testing.T) {
 }
 
 func TestElemOrientationNormalized(t *testing.T) {
-	m := New(4, 6, 1)
+	m := New(1)
 	v0 := m.AddVertex(geom.Vec3{})
 	v1 := m.AddVertex(geom.Vec3{X: 1})
 	v2 := m.AddVertex(geom.Vec3{Y: 1})
@@ -51,7 +51,7 @@ func TestElemOrientationNormalized(t *testing.T) {
 }
 
 func TestEdgeDedup(t *testing.T) {
-	m := New(8, 20, 2)
+	m := New(2)
 	v0 := m.AddVertex(geom.Vec3{})
 	v1 := m.AddVertex(geom.Vec3{X: 1})
 	v2 := m.AddVertex(geom.Vec3{Y: 1})
@@ -67,7 +67,7 @@ func TestEdgeDedup(t *testing.T) {
 	if e == InvalidEdge {
 		t.Fatal("FindEdge symmetric lookup failed")
 	}
-	if got := m.Edges[e].NumElems(); got != 2 {
+	if got := m.Edge(e).NumElems(); got != 2 {
 		t.Errorf("shared edge incidence = %d, want 2", got)
 	}
 	if err := m.Check(); err != nil {
@@ -82,27 +82,27 @@ func TestBisectEdge(t *testing.T) {
 	if mid == InvalidVert {
 		t.Fatal("no midpoint")
 	}
-	if m.Verts[mid].Pos != (geom.Vec3{X: 0.5}) {
-		t.Errorf("midpoint at %v", m.Verts[mid].Pos)
+	if m.Vert(mid).Pos != (geom.Vec3{X: 0.5}) {
+		t.Errorf("midpoint at %v", m.Vert(mid).Pos)
 	}
-	if !m.Edges[e].Bisected() {
+	if !m.Edge(e).Bisected() {
 		t.Error("edge not marked bisected")
 	}
 	// Idempotent.
 	if again := m.BisectEdge(e); again != mid {
 		t.Error("BisectEdge not idempotent")
 	}
-	if len(m.Bisections) != 1 {
-		t.Errorf("bisection log has %d entries, want 1", len(m.Bisections))
+	if m.NumBisections() != 1 {
+		t.Errorf("bisection log has %d entries, want 1", m.NumBisections())
 	}
-	b := m.Bisections[0]
+	b := m.Bisection(0)
 	if b.Mid != mid || b.Edge != e {
 		t.Errorf("log entry %+v", b)
 	}
 	// Child lookup by endpoint.
 	c0 := m.HalfEdge(e, 0)
-	if m.Edges[c0].V != [2]VertID{0, mid} && m.Edges[c0].V != [2]VertID{mid, 0} {
-		t.Errorf("HalfEdge(0) endpoints %v", m.Edges[c0].V)
+	if m.Edge(c0).V != [2]VertID{0, mid} && m.Edge(c0).V != [2]VertID{mid, 0} {
+		t.Errorf("HalfEdge(0) endpoints %v", m.Edge(c0).V)
 	}
 	// Active edge count: 6 - 1 bisected + 2 children = 7.
 	if got := m.NumActiveEdges(); got != 7 {
@@ -145,7 +145,7 @@ func TestDeactivateReactivateElement(t *testing.T) {
 		t.Error("element still active")
 	}
 	for _, e := range m.Elems[el].E {
-		if m.Edges[e].NumElems() != 0 {
+		if m.Edge(e).NumElems() != 0 {
 			t.Error("incidence list not cleared")
 		}
 	}
@@ -159,12 +159,12 @@ func TestDeactivateReactivateElement(t *testing.T) {
 }
 
 func TestKillEdgeVertex(t *testing.T) {
-	m := New(2, 1, 0)
+	m := New(0)
 	a := m.AddVertex(geom.Vec3{})
 	b := m.AddVertex(geom.Vec3{X: 1})
 	e := m.AddEdge(a, b)
 	m.KillEdge(e)
-	if !m.Edges[e].Dead {
+	if !m.Edge(e).Dead {
 		t.Error("edge not dead")
 	}
 	if m.FindEdge(a, b) != InvalidEdge {
@@ -181,7 +181,7 @@ func TestKillEdgeVertex(t *testing.T) {
 }
 
 func TestCompactRenumbers(t *testing.T) {
-	m := New(8, 20, 2)
+	m := New(2)
 	v0 := m.AddVertex(geom.Vec3{})
 	v1 := m.AddVertex(geom.Vec3{X: 1})
 	v2 := m.AddVertex(geom.Vec3{Y: 1})
@@ -206,8 +206,8 @@ func TestCompactRenumbers(t *testing.T) {
 	if cm.Elem[e0] == InvalidElem {
 		t.Error("live element dropped")
 	}
-	if len(m.Verts) != 4 || len(m.Elems) != 1 || len(m.Edges) != 6 || m.NumRoots() != 1 {
-		t.Errorf("compacted sizes: %d verts %d edges %d elems %d roots", len(m.Verts), len(m.Edges), len(m.Elems), m.NumRoots())
+	if m.VertSlots() != 4 || len(m.Elems) != 1 || m.EdgeSlots() != 6 || m.NumRoots() != 1 {
+		t.Errorf("compacted sizes: %d verts %d edges %d elems %d roots", m.VertSlots(), m.EdgeSlots(), len(m.Elems), m.NumRoots())
 	}
 	if err := m.Check(); err != nil {
 		t.Fatalf("Check after compact: %v", err)
@@ -234,11 +234,11 @@ func (e *Edge) Other(v VertID) VertID {
 }
 
 func TestEdgeOther(t *testing.T) {
-	m := New(2, 1, 0)
+	m := New(0)
 	a := m.AddVertex(geom.Vec3{})
 	b := m.AddVertex(geom.Vec3{X: 1})
 	e := m.AddEdge(a, b)
-	if m.Edges[e].Other(a) != b || m.Edges[e].Other(b) != a {
+	if m.Edge(e).Other(a) != b || m.Edge(e).Other(b) != a {
 		t.Error("Other endpoint lookup wrong")
 	}
 	defer func() {
@@ -246,7 +246,7 @@ func TestEdgeOther(t *testing.T) {
 			t.Error("Other with non-endpoint must panic")
 		}
 	}()
-	m.Edges[e].Other(99)
+	m.Edge(e).Other(99)
 }
 
 func TestStatsString(t *testing.T) {

@@ -38,7 +38,7 @@ func Box(nx, ny, nz int, size geom.Vec3) *mesh.Mesh {
 func boxMapped(nx, ny, nz int, warp func(geom.Vec3) geom.Vec3) *mesh.Mesh {
 	nvx, nvy, nvz := nx+1, ny+1, nz+1
 	nTet := 6 * nx * ny * nz
-	m := mesh.New(nvx*nvy*nvz, nTet*7/5, nTet)
+	m := mesh.New(nTet)
 
 	vid := func(i, j, k int) mesh.VertID {
 		return mesh.VertID((i*nvy+j)*nvz + k)
@@ -56,19 +56,39 @@ func boxMapped(nx, ny, nz int, warp func(geom.Vec3) geom.Vec3) *mesh.Mesh {
 		}
 	}
 
+	// Every Kuhn edge joins a vertex v to its neighbour at a lattice offset
+	// d in {0,1}³ \ {0} (bits 4, 2, 1 for x, y, z), so the grid knows its
+	// edges: lattice[7v+d-1] is that edge, or FreshEdge until an element
+	// creates it. The elements get them without a search, in the order
+	// AddElement would have found and created them.
+	lattice := make([]mesh.EdgeID, 7*nvx*nvy*nvz)
+	for i := range lattice {
+		lattice[i] = mesh.FreshEdge
+	}
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
 			for k := 0; k < nz; k++ {
 				corner := [3]int{i, j, k}
 				for _, perm := range kuhnPerms {
 					var vs [4]mesh.VertID
+					var off [4]int // each path vertex's offset from the corner
 					cur := corner
 					vs[0] = vid(cur[0], cur[1], cur[2])
 					for s, axis := range perm {
 						cur[axis]++
 						vs[s+1] = vid(cur[0], cur[1], cur[2])
+						off[s+1] = off[s] | 4>>axis
 					}
-					m.AddElement(vs[0], vs[1], vs[2], vs[3], mesh.InvalidElem, mesh.InvalidElem, 0)
+					var e [6]mesh.EdgeID
+					var at [6]int
+					for le, lv := range mesh.ElemEdgeVerts {
+						at[le] = 7*int(vs[lv[0]]) + off[lv[1]] - off[lv[0]] - 1
+						e[le] = lattice[at[le]]
+					}
+					m.AddElementEdges(vs, &e, mesh.InvalidElem, mesh.InvalidElem, 0)
+					for le, x := range at {
+						lattice[x] = e[le]
+					}
 				}
 			}
 		}

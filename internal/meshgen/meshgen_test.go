@@ -91,7 +91,7 @@ func TestBoxConforming(t *testing.T) {
 				if d == mesh.InvalidEdge {
 					t.Fatalf("cube (%d,%d,%d): missing body diagonal", i, j, k)
 				}
-				if got := m.Edges[d].NumElems(); got != 6 {
+				if got := m.Edge(d).NumElems(); got != 6 {
 					t.Errorf("cube (%d,%d,%d): diagonal shared by %d tets, want 6", i, j, k, got)
 				}
 			}
@@ -133,8 +133,8 @@ func TestRotorDiskGeometry(t *testing.T) {
 		t.Fatalf("Check: %v", err)
 	}
 	// All vertices must lie within the annulus bounds.
-	for i := range m.Verts {
-		v := m.Verts[i].Pos
+	for i := range mesh.VertID(m.VertSlots()) {
+		v := m.Vert(i).Pos
 		r := math.Hypot(v.X, v.Y)
 		if r < p.R0-1e-9 || r > p.R1+1e-9 {
 			t.Fatalf("vertex %d radius %g outside [%g,%g]", i, r, p.R0, p.R1)

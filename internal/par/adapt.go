@@ -203,8 +203,8 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	clk.Barrier()
 	tm.Target = clk.Elapsed()
 
-	nEdges0 := len(m.Edges)
-	nElems0 := len(m.Elems)
+	nEdges0 := m.EdgeSlots()
+	nElems0 := m.ElemSlots()
 
 	// --- Propagation phase: superstep frontier fixpoint. ---
 	res := prop.Run(adaptWorld{d, a}, d.seedFrontier(a), clk, mdl)
@@ -228,7 +228,7 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 		if mk != adapt.MarkRefine {
 			continue
 		}
-		ed := &m.Edges[ei]
+		ed := m.Edge(mesh.EdgeID(ei))
 		if ed.Dead || ed.Bisected() {
 			continue
 		}
@@ -250,7 +250,7 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	for r := 0; r < d.P; r++ {
 		clk.Add(r, float64(children[r])*mdl.SubdivideChild)
 	}
-	edgesBefore := len(m.Edges)
+	edgesBefore := m.EdgeSlots()
 
 	st := a.Refine()
 	d.fillOwn(nElems0)
@@ -272,7 +272,7 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 
 	res.Ops.AddComp(int64(len(pairs)))
 	tm.Ops = PredictAdaptOps(int64(nEdges0), int64(nElems0), int64(st.NewElems),
-		int64(len(m.Edges)-edgesBefore), res)
+		int64(m.EdgeSlots()-edgesBefore), res)
 	trace.record(xm, &tm)
 	return st, tm
 }
@@ -297,16 +297,15 @@ func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
 		unwanted = -1 // no classified edge ends at v, or its SPL names one rank
 		wanted   = -2 // a classified edge ends at v, SPL not derived yet
 	)
-	nv := len(m.Verts)
+	nv := m.VertSlots()
 	d.vsplAt = slices.Grow(d.vsplAt[:0], nv)[:nv]
 	at := d.vsplAt
 	for v := range at {
 		at[v] = unwanted
 	}
-	classified := m.Edges[edgesBefore:]
-	for i := range classified {
+	for e := mesh.EdgeID(edgesBefore); int(e) < m.EdgeSlots(); e++ {
 		// Half-edges inherit their parent's SPL (case 2) and are skipped.
-		if ed := &classified[i]; !ed.Dead && ed.Parent == mesh.InvalidEdge {
+		if ed := m.Edge(e); !ed.Dead && ed.Parent == mesh.InvalidEdge {
 			at[ed.V[0]], at[ed.V[1]] = wanted, wanted
 		}
 	}
@@ -330,8 +329,8 @@ func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
 	}
 	var out []propagate.PairWords
 	var inter []int32
-	for i := range classified {
-		ed := &classified[i]
+	for e := mesh.EdgeID(edgesBefore); int(e) < m.EdgeSlots(); e++ {
+		ed := m.Edge(e)
 		if ed.Dead || ed.Parent != mesh.InvalidEdge || at[ed.V[0]] < 0 || at[ed.V[1]] < 0 {
 			continue // half-edge (case 2), or an endpoint inside one rank
 		}
@@ -368,8 +367,8 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	clk.Barrier()
 	tm.Target = clk.Elapsed()
 
-	nEdges0 := len(m.Edges)
-	nElems0 := len(m.Elems)
+	nEdges0 := m.EdgeSlots()
+	nElems0 := m.ElemSlots()
 
 	// Shared-mark consistency round: coarsen marks on shared edges are
 	// exchanged once (symmetric marking makes further rounds unneeded).
@@ -380,7 +379,7 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 		if mk != adapt.MarkCoarsen {
 			continue
 		}
-		ed := &m.Edges[ei]
+		ed := m.Edge(mesh.EdgeID(ei))
 		if ed.Dead || ed.Bisected() {
 			continue
 		}

@@ -102,21 +102,21 @@ func ref[ID ~int32](x ID, r []ID) ID {
 }
 
 func canon(m *mesh.Mesh) canonMesh {
-	rv := ranks[mesh.VertID](len(m.Verts), func(i int) bool { return m.Verts[i].Dead })
-	re := ranks[mesh.EdgeID](len(m.Edges), func(i int) bool { return m.Edges[i].Dead })
+	rv := ranks[mesh.VertID](m.VertSlots(), func(i int) bool { return m.Vert(mesh.VertID(i)).Dead })
+	re := ranks[mesh.EdgeID](m.EdgeSlots(), func(i int) bool { return m.Edge(mesh.EdgeID(i)).Dead })
 	rt := ranks[mesh.ElemID](len(m.Elems), func(i int) bool { return m.Elems[i].Dead })
-	rf := ranks[mesh.FaceID](len(m.Faces), func(i int) bool { return m.Faces[i].Dead })
+	rf := ranks[mesh.FaceID](m.FaceSlots(), func(i int) bool { return m.Face(mesh.FaceID(i)).Dead })
 	var c canonMesh
-	for i := range m.Verts {
+	for i := range mesh.VertID(m.VertSlots()) {
 		if rv[i] >= 0 {
-			c.Verts = append(c.Verts, canonVert{m.Verts[i].Pos, through(m.VertEdges(mesh.VertID(i)), re)})
+			c.Verts = append(c.Verts, canonVert{m.Vert(i).Pos, through(m.VertEdges(i), re)})
 		}
 	}
-	for i := range m.Edges {
+	for i := range mesh.EdgeID(m.EdgeSlots()) {
 		if re[i] < 0 {
 			continue
 		}
-		e := &m.Edges[i]
+		e := m.Edge(i)
 		c.Edges = append(c.Edges, canonEdge{
 			V:      [2]mesh.VertID{rv[e.V[0]], rv[e.V[1]]},
 			Parent: ref(e.Parent, re),
@@ -140,11 +140,11 @@ func canon(m *mesh.Mesh) canonMesh {
 		}
 		c.Elems = append(c.Elems, ct)
 	}
-	for i := range m.Faces {
+	for i := range mesh.FaceID(m.FaceSlots()) {
 		if rf[i] < 0 {
 			continue
 		}
-		f := &m.Faces[i]
+		f := m.Face(i)
 		first, n := f.Children()
 		cf := canonFace{Patch: f.Patch, Parent: ref(f.Parent, rf), Children: span(first, n, rf)}
 		for j := range f.V {
@@ -154,8 +154,8 @@ func canon(m *mesh.Mesh) canonMesh {
 	}
 	// The log of a mesh that never compacts keeps the bisections coarsening
 	// has undone since; Compact drops them.
-	for _, b := range m.Bisections {
-		if re[b.Edge] >= 0 && rv[b.Mid] >= 0 {
+	for i := range m.NumBisections() {
+		if b := m.Bisection(i); re[b.Edge] >= 0 && rv[b.Mid] >= 0 {
 			c.Log = append(c.Log, mesh.Bisection{Edge: re[b.Edge], A: rv[b.A], B: rv[b.B], Mid: rv[b.Mid]})
 		}
 	}
@@ -190,19 +190,19 @@ func relabelled(compacted, plain *mesh.Mesh) error {
 
 // slotsFollowLive reports the first slab of m that holds a dead object.
 func slotsFollowLive(m *mesh.Mesh) error {
-	for i := range m.Verts {
-		if m.Verts[i].Dead {
-			return fmt.Errorf("vertex slot %d of %d is dead", i, len(m.Verts))
+	for i := range mesh.VertID(m.VertSlots()) {
+		if m.Vert(i).Dead {
+			return fmt.Errorf("vertex slot %d of %d is dead", i, m.VertSlots())
 		}
 	}
-	for i := range m.Edges {
-		if m.Edges[i].Dead {
-			return fmt.Errorf("edge slot %d of %d is dead", i, len(m.Edges))
+	for i := range mesh.EdgeID(m.EdgeSlots()) {
+		if m.Edge(i).Dead {
+			return fmt.Errorf("edge slot %d of %d is dead", i, m.EdgeSlots())
 		}
 	}
-	for i := range m.Faces {
-		if m.Faces[i].Dead {
-			return fmt.Errorf("face slot %d of %d is dead", i, len(m.Faces))
+	for i := range mesh.FaceID(m.FaceSlots()) {
+		if m.Face(i).Dead {
+			return fmt.Errorf("face slot %d of %d is dead", i, m.FaceSlots())
 		}
 	}
 	if n := m.NumElemsTotal(); n != len(m.Elems) {
@@ -411,8 +411,8 @@ func FuzzCompact(f *testing.F) {
 		}
 		var u [2][]float64
 		for i, w := range tw {
-			for v := range w.m.Verts {
-				if !w.m.Verts[v].Dead {
+			for v := range mesh.VertID(w.m.VertSlots()) {
+				if !w.m.Vert(v).Dead {
 					u[i] = append(u[i], w.s.U[v])
 				}
 			}

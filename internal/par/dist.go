@@ -250,13 +250,12 @@ func (d *Dist) Init() InitStats {
 	// Vertex scan: the shared-vertex census.
 	var buf []int32
 	var verts int64
-	for vi := range d.M.Verts {
-		v := &d.M.Verts[vi]
+	for vi, v := range d.M.Verts() {
 		if v.Dead || v.NumEdges() == 0 {
 			continue
 		}
 		verts++
-		if buf = d.vertSPL(buf[:0], mesh.VertID(vi)); len(buf) > 1 {
+		if buf = d.vertSPL(buf[:0], vi); len(buf) > 1 {
 			st.SharedVerts++
 		}
 	}
@@ -279,12 +278,11 @@ func (d *Dist) Init() InitStats {
 func (d *Dist) edgeCensus() (local []int64, shared int) {
 	local = make([]int64, d.P)
 	var buf []int32
-	for ei := range d.M.Edges {
-		ed := &d.M.Edges[ei]
+	for ei, ed := range d.M.Edges() {
 		if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
 			continue
 		}
-		buf = d.edgeSPL(buf[:0], mesh.EdgeID(ei))
+		buf = d.edgeSPL(buf[:0], ei)
 		for _, r := range buf {
 			local[r]++
 		}

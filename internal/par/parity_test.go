@@ -11,7 +11,6 @@ import (
 	"plum/internal/meshgen"
 	"plum/internal/partition"
 	"plum/internal/remap"
-	"plum/internal/sfc"
 )
 
 func TestParallelCoarsenMatchesSerial(t *testing.T) {
@@ -93,7 +92,7 @@ func TestAdaptAfterRemap(t *testing.T) {
 // path, conserved elements/vertices through the remap, and a valid mesh.
 func TestSFCPartitionParity(t *testing.T) {
 	const p = 4
-	for _, curve := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
+	for _, method := range []partition.Method{partition.MethodMortonSFC, partition.MethodHilbertSFC} {
 		// Serial reference: same marks, no distribution.
 		serialM := meshgen.SmallBox()
 		serialA := adapt.New(serialM)
@@ -103,8 +102,8 @@ func TestSFCPartitionParity(t *testing.T) {
 		// Distributed over an SFC partition.
 		m := meshgen.SmallBox()
 		g := dual.Build(m)
-		s := partition.NewSFCWorkers(g, curve, 0)
-		asg := s.Repartition(g, p)
+		r := partition.NewRepartitioner(g, method, partition.Options{})
+		asg := r.Initial(p)
 		d := NewDist(m, p, asg)
 		a := adapt.New(m)
 		a.MarkRandom(0.15, adapt.MarkRefine, 77)
@@ -114,20 +113,20 @@ func TestSFCPartitionParity(t *testing.T) {
 			serialM.NumVerts() != d.M.NumVerts() ||
 			serialM.NumActiveEdges() != d.M.NumActiveEdges() {
 			t.Errorf("%v: distributed adaption diverged from serial: %v vs %v",
-				curve, serialM.Stats(), d.M.Stats())
+				method, serialM.Stats(), d.M.Stats())
 		}
 
 		// Incremental repartition on the adapted weights, mapped to
 		// minimize movement, then the executed remap.
 		g.UpdateWeights(m)
-		newPart := s.Repartition(g, p)
+		newPart, _ := r.Repartition(p, nil)
 		if imb := partition.Imbalance(g, newPart, p); imb > 1.10 {
-			t.Errorf("%v: repartition imbalance %.3f > 1.10", curve, imb)
+			t.Errorf("%v: repartition imbalance %.3f > 1.10", method, imb)
 		}
 		sim := remap.Build(d.Owners(), newPart, g.Wremap, p, 1)
 		mp, _, _ := sim.Heuristic()
 		if err := sim.Validate(mp); err != nil {
-			t.Fatalf("%v: %v", curve, err)
+			t.Fatalf("%v: %v", method, err)
 		}
 		newOwner := make([]int32, len(newPart))
 		for v, part := range newPart {
@@ -136,34 +135,34 @@ func TestSFCPartitionParity(t *testing.T) {
 		before := d.M.NumActiveElems()
 		beforeVol := d.M.TotalVolume()
 		if _, err := d.ExecuteRemap(newOwner, machine.SP2()); err != nil {
-			t.Fatalf("%v: remap failed: %v", curve, err)
+			t.Fatalf("%v: remap failed: %v", method, err)
 		}
 
 		// Conservation: the remap moves ownership, never mesh content.
 		if d.M.NumActiveElems() != before {
-			t.Errorf("%v: remap changed element count %d -> %d", curve, before, d.M.NumActiveElems())
+			t.Errorf("%v: remap changed element count %d -> %d", method, before, d.M.NumActiveElems())
 		}
 		if math.Abs(d.M.TotalVolume()-beforeVol) > 1e-12 {
-			t.Errorf("%v: remap changed total volume", curve)
+			t.Errorf("%v: remap changed total volume", method)
 		}
 		var total int64
 		for _, l := range d.RankLoads() {
 			total += l
 		}
 		if total != int64(d.M.NumActiveElems()) {
-			t.Errorf("%v: loads sum %d != %d active elements", curve, total, d.M.NumActiveElems())
+			t.Errorf("%v: loads sum %d != %d active elements", method, total, d.M.NumActiveElems())
 		}
 		if err := d.M.Check(); err != nil {
-			t.Errorf("%v: mesh invalid after SFC remap: %v", curve, err)
+			t.Errorf("%v: mesh invalid after SFC remap: %v", method, err)
 		}
 
 		// A second adaption on the remapped distribution keeps working.
 		a.MarkRegion(geom.Sphere{Center: geom.Vec3{X: 0.5, Y: 0.5, Z: 0.5}, Radius: 0.4}, adapt.MarkRefine)
 		if _, tm := d.ParallelRefine(a, machine.SP2()); tm.Total <= 0 {
-			t.Errorf("%v: no timing after remap", curve)
+			t.Errorf("%v: no timing after remap", method)
 		}
 		if err := d.M.Check(); err != nil {
-			t.Errorf("%v: mesh invalid after remap+refine: %v", curve, err)
+			t.Errorf("%v: mesh invalid after remap+refine: %v", method, err)
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // lists of its six edges and four vertices.
 func bruteSPLs(d *Dist) (edges, verts [][]int32) {
 	m := d.M
-	edges, verts = make([][]int32, len(m.Edges)), make([][]int32, len(m.Verts))
+	edges, verts = make([][]int32, m.EdgeSlots()), make([][]int32, m.VertSlots())
 	for i := range m.Elems {
 		t := &m.Elems[i]
 		if !t.Active() {
@@ -49,16 +49,16 @@ func bruteSPLs(d *Dist) (edges, verts [][]int32) {
 func checkSPLs(d *Dist) error {
 	edges, verts := bruteSPLs(d)
 	var buf []int32
-	for e := range d.M.Edges {
-		if d.M.Edges[e].Dead {
+	for e := range mesh.EdgeID(d.M.EdgeSlots()) {
+		if d.M.Edge(e).Dead {
 			continue
 		}
 		if buf = d.edgeSPL(buf[:0], mesh.EdgeID(e)); !slices.Equal(buf, edges[e]) {
 			return fmt.Errorf("edge %d: SPL %v, brute force %v", e, buf, edges[e])
 		}
 	}
-	for v := range d.M.Verts {
-		if d.M.Verts[v].Dead {
+	for v := range mesh.VertID(d.M.VertSlots()) {
+		if d.M.Vert(v).Dead {
 			continue
 		}
 		if buf = d.vertSPL(buf[:0], mesh.VertID(v)); !slices.Equal(buf, verts[v]) {
@@ -92,10 +92,9 @@ func oracleClassifyPairs(d *Dist, edgesBefore int) []propagate.PairWords {
 		wanted = 1
 		shared = 2
 	)
-	flag := make([]uint8, len(m.Verts))
-	classified := m.Edges[edgesBefore:]
-	for i := range classified {
-		if ed := &classified[i]; !ed.Dead && ed.Parent == mesh.InvalidEdge {
+	flag := make([]uint8, m.VertSlots())
+	for e := mesh.EdgeID(edgesBefore); int(e) < m.EdgeSlots(); e++ {
+		if ed := m.Edge(e); !ed.Dead && ed.Parent == mesh.InvalidEdge {
 			flag[ed.V[0]], flag[ed.V[1]] = wanted, wanted
 		}
 	}
@@ -108,8 +107,8 @@ func oracleClassifyPairs(d *Dist, edgesBefore int) []propagate.PairWords {
 		}
 	}
 	var out []propagate.PairWords
-	for i := range classified {
-		ed := &classified[i]
+	for e := mesh.EdgeID(edgesBefore); int(e) < m.EdgeSlots(); e++ {
+		ed := m.Edge(e)
 		if ed.Dead || ed.Parent != mesh.InvalidEdge || flag[ed.V[0]] != shared || flag[ed.V[1]] != shared {
 			continue
 		}
@@ -150,7 +149,7 @@ func TestEdgeAndVertSPL(t *testing.T) {
 			}
 			refine := func(step string, c geom.Vec3) {
 				a.MarkRegion(geom.Sphere{Center: c, Radius: 0.3}, adapt.MarkRefine)
-				edgesBefore := len(m.Edges)
+				edgesBefore := m.EdgeSlots()
 				d.ParallelRefine(a, mdl)
 				pairs, err := checkClassify(d, edgesBefore)
 				if err != nil {
@@ -219,7 +218,7 @@ func FuzzSPL(f *testing.F) {
 			// Bits 0-1 pick the operation, the rest where the sphere sits.
 			centre := geom.Vec3{X: size.X * float64(b>>2&3) / 3, Y: size.Y * float64(b>>4&1), Z: size.Z * float64(b>>5&1)}
 			region := geom.Sphere{Center: centre, Radius: 0.9}
-			edgesBefore := len(m.Edges)
+			edgesBefore := m.EdgeSlots()
 			switch b & 3 {
 			case 0, 3:
 				if b&3 == 0 {

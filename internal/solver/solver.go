@@ -27,10 +27,10 @@ type Solver struct {
 
 // New initializes the solution from the given field.
 func New(m *mesh.Mesh, field func(geom.Vec3) float64) *Solver {
-	s := &Solver{M: m, U: make([]float64, len(m.Verts)), Relax: 0.5}
-	for i := range m.Verts {
-		if !m.Verts[i].Dead {
-			s.U[i] = field(m.Verts[i].Pos)
+	s := &Solver{M: m, U: make([]float64, m.VertSlots()), Relax: 0.5}
+	for i, v := range m.Verts() {
+		if !v.Dead {
+			s.U[i] = field(v.Pos)
 		}
 	}
 	return s
@@ -41,15 +41,14 @@ func New(m *mesh.Mesh, field func(geom.Vec3) float64) *Solver {
 // endpoints, and each vertex relaxes toward its edge-neighbour average.
 func (s *Solver) Iterate(n int) {
 	m := s.M
-	flux := make([]float64, len(m.Verts))
-	deg := make([]float64, len(m.Verts))
+	flux := make([]float64, m.VertSlots())
+	deg := make([]float64, m.VertSlots())
 	for it := 0; it < n; it++ {
 		for i := range flux {
 			flux[i] = 0
 			deg[i] = 0
 		}
-		for ei := range m.Edges {
-			ed := &m.Edges[ei]
+		for _, ed := range m.Edges() {
 			if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
 				continue
 			}
@@ -73,13 +72,12 @@ func (s *Solver) Iterate(n int) {
 // the paper targets refinement. Indexed by EdgeID; inactive edges get 0.
 func (s *Solver) EdgeError() []float64 {
 	m := s.M
-	errv := make([]float64, len(m.Edges))
-	for ei := range m.Edges {
-		ed := &m.Edges[ei]
+	errv := make([]float64, m.EdgeSlots())
+	for ei, ed := range m.Edges() {
 		if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
 			continue
 		}
-		errv[ei] = math.Abs(s.U[ed.V[1]]-s.U[ed.V[0]]) * m.EdgeLength(mesh.EdgeID(ei))
+		errv[ei] = math.Abs(s.U[ed.V[1]]-s.U[ed.V[0]]) * m.EdgeLength(ei)
 	}
 	return errv
 }

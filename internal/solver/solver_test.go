@@ -15,8 +15,7 @@ import (
 func residual(s *Solver) float64 {
 	m := s.M
 	sum, n := 0.0, 0
-	for ei := range m.Edges {
-		ed := &m.Edges[ei]
+	for _, ed := range m.Edges() {
 		if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
 			continue
 		}
@@ -88,12 +87,12 @@ func TestSyncAfterAdaption(t *testing.T) {
 	a.MarkRegion(geom.AABB{Min: geom.Vec3{X: 0.3}, Max: geom.Vec3{X: 0.7, Y: 1, Z: 1}}, adapt.MarkRefine)
 	a.Refine()
 	s.SyncAfterAdaption()
-	if len(s.U) != len(m.Verts) {
-		t.Fatalf("solution has %d entries for %d verts", len(s.U), len(m.Verts))
+	if len(s.U) != m.VertSlots() {
+		t.Fatalf("solution has %d entries for %d verts", len(s.U), m.VertSlots())
 	}
 	// The interpolated field must stay within the original bounds.
 	for i, u := range s.U {
-		if m.Verts[i].Dead {
+		if m.Vert(mesh.VertID(i)).Dead {
 			continue
 		}
 		if u < -1-1e-9 || u > 1+1e-9 {
@@ -178,11 +177,11 @@ func linear(p geom.Vec3) float64 { return p.X + 8*p.Y + 64*p.Z }
 // the linear field at every live vertex's position.
 func checkLinear(t *testing.T, s *Solver, step string) {
 	t.Helper()
-	if len(s.U) != len(s.M.Verts) {
-		t.Fatalf("%s: %d values for %d vertex slots", step, len(s.U), len(s.M.Verts))
+	if len(s.U) != s.M.VertSlots() {
+		t.Fatalf("%s: %d values for %d vertex slots", step, len(s.U), s.M.VertSlots())
 	}
-	for v := range s.M.Verts {
-		if vt := &s.M.Verts[v]; !vt.Dead && math.Abs(s.U[v]-linear(vt.Pos)) > 1e-12 {
+	for v := range mesh.VertID(s.M.VertSlots()) {
+		if vt := s.M.Vert(v); !vt.Dead && math.Abs(s.U[v]-linear(vt.Pos)) > 1e-12 {
 			t.Fatalf("%s: vertex %d at %v holds %g, want %g", step, v, vt.Pos, s.U[v], linear(vt.Pos))
 		}
 	}
