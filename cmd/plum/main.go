@@ -67,6 +67,8 @@ func main() {
 		badFlag("invalid -retries %d: need ≥ 0, or -1 for the default policy", *retries)
 	case *cycles < 0:
 		badFlag("invalid -cycles %d: need ≥ 0", *cycles)
+	case math.IsNaN(*thresh):
+		badFlag("invalid -threshold %v: need a number", *thresh)
 	}
 	if *pprofA != "" {
 		go func() { log.Printf("pprof server: %v", http.ListenAndServe(*pprofA, nil)) }()

@@ -25,13 +25,13 @@ func main() {
 	// distribution.
 	m := meshgen.Box(6, 6, 6, geom.Vec3{X: 1, Y: 1, Z: 1})
 	g := dual.Build(m)
-	oldAsg := partition.Partition(g, P, partition.MethodInertial)
+	oldAsg := partition.Partition(g, P, partition.MethodHilbertSFC)
 	a := adapt.New(m)
 	a.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
 	a.Refine()
 	g.UpdateWeights(m)
 
-	newPart := partition.Partition(g, P*F, partition.MethodInertial)
+	newPart := partition.Partition(g, P*F, partition.MethodHilbertSFC)
 	sim := remap.Build(oldAsg, newPart, g.Wremap, P, F)
 
 	fmt.Printf("similarity matrix S (%d processors × %d partitions):\n", P, P*F)

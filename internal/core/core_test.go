@@ -352,7 +352,7 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 			t.Errorf("%v: zero repartition cost reported", meth)
 		}
 		// Multilevel is the one method that refines its cut: the curve
-		// methods' exact cut and inertial bisection run no refiner.
+		// methods' exact cut runs no refiner.
 		if refines := meth == partition.MethodMultilevel; refines != (rep.RefineOps > 0) {
 			t.Errorf("%v: refine ops %d: the pass did not run this method", meth, rep.RefineOps)
 		}

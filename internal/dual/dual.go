@@ -50,7 +50,7 @@ type Graph struct {
 	// cases).
 	EdgeWeight int64
 	// Centroid caches each root element's centroid for geometric
-	// (inertial) partitioning.
+	// (space-filling-curve) partitioning.
 	Centroid []geom.Vec3
 }
 

@@ -58,7 +58,7 @@ var adaptedMesh = sync.OnceValues(func() (*mesh.Mesh, *dual.Graph) {
 // ---------------------------------------------------------------- cells
 
 // adaptCell is one (strategy, P) run of the experiment behind Figs. 8, 9,
-// 11 and 12: the rotor mesh, partitioned inertially over P processors, is
+// 11 and 12: the rotor mesh, cut on the Hilbert curve over P processors, is
 // refined once, balanced once per granularity F from the same refined
 // state, and then coarsened.
 type adaptCell struct {
@@ -97,7 +97,7 @@ func cell(s adapt.Strategy, p int) *adaptCell {
 	mdl := machine.SP2()
 	m := BaseMesh()
 	g := dual.Build(m)
-	d := par.NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
+	d := par.NewDist(m, p, partition.Partition(g, p, partition.MethodHilbertSFC))
 	a := adapt.New(m)
 	a.MarkStrategyRefine(s, Seed)
 	_, tm := d.ParallelRefine(a, mdl)
@@ -127,7 +127,7 @@ func cell(s adapt.Strategy, p int) *adaptCell {
 // with the heuristic mapper, and executes the remap.
 func balance(d *par.Dist, g *dual.Graph, fgran int, mdl machine.Model) pipelineResult {
 	owners := d.Owners()
-	newPart := partition.Partition(g, d.P*fgran, partition.MethodInertial)
+	newPart := partition.Partition(g, d.P*fgran, partition.MethodHilbertSFC)
 	sim := remap.Build(owners, newPart, g.Wremap, d.P, fgran)
 	mp, _, ops := sim.Heuristic()
 	res := pipelineResult{ReassignTime: float64(ops) * mdl.MemOp}
@@ -338,9 +338,9 @@ func RunFig10() *Fig10 {
 	g0 := dual.Build(paperMesh())
 	out := &Fig10{}
 	for _, p := range ProcCounts[1:] {
-		oldAsg := partition.Partition(g0, p, partition.MethodInertial)
+		oldAsg := partition.Partition(g0, p, partition.MethodHilbertSFC)
 		for _, fg := range Fgrans {
-			newPart := partition.Partition(g, p*fg, partition.MethodInertial)
+			newPart := partition.Partition(g, p*fg, partition.MethodHilbertSFC)
 			sim := remap.Build(oldAsg, newPart, g.Wremap, p, fg)
 			pt := Fig10Point{P: p, F: fg}
 

@@ -239,20 +239,13 @@ func TestPartitionerTableClaims(t *testing.T) {
 		r := byMethod[m]
 		// The acceptance bar: SFC beats the Chaco-style multilevel scheme
 		// on modeled partition cost at equal k while staying inside the
-		// paper's operating imbalance of 1.10. The host seconds are close
-		// enough to swap under load, so they are printed, not compared.
+		// paper's operating imbalance of 1.10.
 		if r.Ops.Total >= ml.Ops.Total {
 			t.Errorf("%v partition work %d ops not below multilevel's %d",
 				m, r.Ops.Total, ml.Ops.Total)
 		}
 		if r.Imbalance > 1.10 {
 			t.Errorf("%v imbalance %.4f > 1.10", m, r.Imbalance)
-		}
-		// The incremental path must not cost more than the full build
-		// (it skips key generation and the sort).
-		if r.IncrementalSeconds <= 0 || r.IncrementalSeconds > r.PartitionSeconds {
-			t.Errorf("%v incremental repartition %.6fs vs full %.6fs",
-				m, r.IncrementalSeconds, r.PartitionSeconds)
 		}
 		// Curve cuts trade some edge cut for speed, but must stay in the
 		// same league as the graph partitioners (compactness of the curve).
@@ -343,7 +336,7 @@ func freshAdaption(s adapt.Strategy, p int) (refine, coarsen float64) {
 	mdl := machine.SP2()
 	m := BaseMesh()
 	g := dual.Build(m)
-	d := par.NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
+	d := par.NewDist(m, p, partition.Partition(g, p, partition.MethodHilbertSFC))
 	a := adapt.New(m)
 	a.MarkStrategyRefine(s, Seed)
 	_, tmR := d.ParallelRefine(a, mdl)
@@ -359,7 +352,7 @@ func freshPipeline(t *testing.T, s adapt.Strategy, p, fgran int) (adaptTime floa
 	mdl := machine.SP2()
 	m := BaseMesh()
 	g := dual.Build(m)
-	d := par.NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
+	d := par.NewDist(m, p, partition.Partition(g, p, partition.MethodHilbertSFC))
 	a := adapt.New(m)
 	a.MarkStrategyRefine(s, Seed)
 	_, tm := d.ParallelRefine(a, mdl)
@@ -371,7 +364,7 @@ func freshPipeline(t *testing.T, s adapt.Strategy, p, fgran int) (adaptTime floa
 	}
 	res.WmaxOld = slices.Max(loads)
 
-	newPart := partition.Partition(g, p*fgran, partition.MethodInertial)
+	newPart := partition.Partition(g, p*fgran, partition.MethodHilbertSFC)
 	sim := remap.Build(d.Owners(), newPart, g.Wremap, p, fgran)
 	mp, _, ops := sim.Heuristic()
 	res.ReassignTime = float64(ops) * mdl.MemOp

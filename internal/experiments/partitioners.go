@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"plum/internal/machine"
 	"plum/internal/partition"
@@ -13,13 +11,6 @@ import (
 // adapted paper-scale dual graph.
 type PartitionerRow struct {
 	Method partition.Method
-	// PartitionSeconds is the wall time of one from-scratch partition.
-	PartitionSeconds float64
-	// IncrementalSeconds is the wall time of a later Repartition, without
-	// owners, on the same partition.Repartitioner: the SFC backends reuse
-	// their cached curve order, the graph partitioners cache nothing and
-	// partition from scratch again.
-	IncrementalSeconds float64
 	// Ops is the backend's work, curve build included — the count the
 	// remap acceptance rule prices. Nonzero for every backend.
 	Ops machine.Ops
@@ -43,60 +34,35 @@ type PartitionerTable struct {
 // RunPartitionerTable measures all backends on the Local_2-adapted paper
 // mesh, partitioning into k parts (k < 1 is treated as 1). Only
 // multilevel refines, with classic FM at every level; the SFC methods'
-// exact curve cut and inertial's bisection are not refined.
+// exact curve cut is not refined. The table counts work and never times
+// the host, so it is deterministic; bench/ times the partitioners.
 func RunPartitionerTable(k int) *PartitionerTable {
 	if k < 1 {
 		k = 1
 	}
 	_, g := adaptedMesh()
 
-	var opt partition.Options
 	out := &PartitionerTable{K: k}
 	for _, meth := range partition.Methods {
-		row := PartitionerRow{Method: meth}
-		var asg partition.Assignment
-		row.PartitionSeconds = minTime(func() {
-			asg, row.Ops = partition.PartitionCounted(g, k, meth, opt)
+		asg, ops := partition.PartitionCounted(g, k, meth, partition.Options{})
+		out.Rows = append(out.Rows, PartitionerRow{
+			Method:    meth,
+			Ops:       ops,
+			Imbalance: partition.Imbalance(g, asg, k),
+			EdgeCut:   partition.EdgeCut(g, asg),
 		})
-		row.Imbalance = partition.Imbalance(g, asg, k)
-		row.EdgeCut = partition.EdgeCut(g, asg)
-
-		r := partition.NewRepartitioner(g, meth, opt)
-		r.Repartition(k, nil)
-		row.IncrementalSeconds = minTime(func() { r.Repartition(k, nil) })
-		out.Rows = append(out.Rows, row)
 	}
 	return out
-}
-
-// minTime returns the best of up to three timings of f — enough to shrug
-// off a scheduler preemption or GC pause for the millisecond-scale
-// backends. A call slower than a quarter second is timed once: one
-// sample of it is already stable.
-func minTime(f func()) float64 {
-	best := math.Inf(1)
-	for i := 0; i < 3; i++ {
-		t0 := time.Now()
-		f()
-		if d := time.Since(t0).Seconds(); d < best {
-			best = d
-		}
-		if best > 0.25 {
-			break
-		}
-	}
-	return best
 }
 
 // String renders the comparison table. The ops columns are the work the
 // framework counts for the remap acceptance rule and its memory-bound
 // refinement share.
 func (t *PartitionerTable) String() string {
-	tb := newTable(fmt.Sprintf("Partitioner backends on the Local_2-adapted mesh, k=%d (host wall time)", t.K))
-	tb.row("method", "t_part (s)", "t_incr (s)", "ops", "refine ops", "Wmax/Wavg", "edge cut")
+	tb := newTable(fmt.Sprintf("Partitioner backends on the Local_2-adapted mesh, k=%d", t.K))
+	tb.row("method", "ops", "refine ops", "Wmax/Wavg", "edge cut")
 	for _, r := range t.Rows {
-		tb.row(r.Method, fmt.Sprintf("%.6f", r.PartitionSeconds), fmt.Sprintf("%.6f", r.IncrementalSeconds),
-			r.Ops.Total, r.Ops.Mem, fmt.Sprintf("%.4f", r.Imbalance), r.EdgeCut)
+		tb.row(r.Method, r.Ops.Total, r.Ops.Mem, fmt.Sprintf("%.4f", r.Imbalance), r.EdgeCut)
 	}
 	return tb.String()
 }

@@ -17,7 +17,7 @@ func adaptFixture(t testing.TB, p int) (*Dist, *adapt.Adaptor) {
 	t.Helper()
 	m := meshgen.Box(12, 12, 12, geom.Vec3{X: 1, Y: 1, Z: 1})
 	g := dual.Build(m)
-	d := NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
+	d := NewDist(m, p, partition.Partition(g, p, partition.MethodHilbertSFC))
 	return d, adapt.New(m)
 }
 

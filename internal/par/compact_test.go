@@ -233,7 +233,7 @@ func markFront(a *adapt.Adaptor, c, cycles int) {
 // sweepDist distributes a sweep box over four ranks.
 func sweepDist(nx int) (*Dist, *adapt.Adaptor) {
 	m := sweepBox(nx)
-	d := NewDist(m, 4, partition.Partition(dual.Build(m), 4, partition.MethodInertial))
+	d := NewDist(m, 4, partition.Partition(dual.Build(m), 4, partition.MethodHilbertSFC))
 	return d, adapt.New(m)
 }
 

@@ -18,7 +18,7 @@ func fixture(t *testing.T, p int) (*Dist, *adapt.Adaptor, *dual.Graph) {
 	t.Helper()
 	m := meshgen.SmallBox()
 	g := dual.Build(m)
-	asg := partition.Partition(g, p, partition.MethodInertial)
+	asg := partition.Partition(g, p, partition.MethodHilbertSFC)
 	return NewDist(m, p, asg), adapt.New(m), g
 }
 
@@ -55,7 +55,7 @@ func TestInitSharedStats(t *testing.T) {
 	// fraction to shrink with mesh size (surface-to-volume scaling).
 	m2 := meshgen.Box(8, 8, 8, geom.Vec3{X: 1, Y: 1, Z: 1})
 	g2 := dual.Build(m2)
-	d2 := NewDist(m2, 8, partition.Partition(g2, 8, partition.MethodInertial))
+	d2 := NewDist(m2, 8, partition.Partition(g2, 8, partition.MethodHilbertSFC))
 	st2 := d2.Init()
 	if st2.SharedFraction >= st.SharedFraction {
 		t.Errorf("shared fraction did not shrink with mesh size: %.3f -> %.3f",

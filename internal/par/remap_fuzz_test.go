@@ -34,7 +34,7 @@ func FuzzExecuteRemap(f *testing.F) {
 		const p = 4
 		m := meshgen.SmallBox()
 		g := dual.Build(m)
-		d := NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
+		d := NewDist(m, p, partition.Partition(g, p, partition.MethodHilbertSFC))
 		if refineBits%2 == 1 { // half the corpus remaps an adapted mesh
 			a := adapt.New(m)
 			a.MarkRandom(0.08, adapt.MarkRefine, int64(refineBits))

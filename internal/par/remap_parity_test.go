@@ -17,7 +17,7 @@ func bigFixture(t testing.TB, p int) (*Dist, []int32) {
 	t.Helper()
 	m := meshgen.Box(12, 12, 12, geom.Vec3{X: 1, Y: 1, Z: 1})
 	g := dual.Build(m)
-	asg := partition.Partition(g, p, partition.MethodInertial)
+	asg := partition.Partition(g, p, partition.MethodHilbertSFC)
 	d := NewDist(m, p, asg)
 	// Migrate about a third of the trees with a deterministic mix of
 	// small rotations, leaving the rest put — many flows, all shapes.

@@ -21,12 +21,12 @@ func windowsOf(d *Dist, newOwner []int32) []remapWindow {
 }
 
 // smallBoxRemap distributes the 384-element SmallBox over p ranks by
-// inertial bisection, plus a reassignment that moves every other tree to
+// the Hilbert curve cut, plus a reassignment that moves every other tree to
 // the next rank.
 func smallBoxRemap(p int) (*Dist, []int32) {
 	m := meshgen.SmallBox()
 	g := dual.Build(m)
-	d := NewDist(m, p, partition.Partition(g, p, partition.MethodInertial))
+	d := NewDist(m, p, partition.Partition(g, p, partition.MethodHilbertSFC))
 	newOwner := d.Owners()
 	for v := range newOwner {
 		if v%2 == 0 {
@@ -60,7 +60,7 @@ func TestAdaptivePlanHasWindows(t *testing.T) {
 func TestStreamingSerialFallback(t *testing.T) {
 	m := meshgen.SmallBox()
 	g := dual.Build(m)
-	d := NewDist(m, 4, partition.Partition(g, 4, partition.MethodInertial))
+	d := NewDist(m, 4, partition.Partition(g, 4, partition.MethodHilbertSFC))
 	newOwner := d.Owners()
 	for v := range newOwner {
 		newOwner[v] = (newOwner[v] + 1) % 4

@@ -4,7 +4,6 @@
 // treats the partitioner as a pluggable black box; this package supplies
 // the same family, selected by Method:
 //
-//   - inertial:   recursive coordinate bisection along principal axes;
 //   - multilevel: matching-based coarsening, recursive bisection of the
 //     coarse graph on BFS level sets from a pseudo-peripheral vertex, and
 //     Kernighan–Lin/Fiduccia–Mattheyses boundary refinement during
@@ -20,11 +19,9 @@
 package partition
 
 import (
-	"math"
 	"slices"
 
 	"plum/internal/dual"
-	"plum/internal/geom"
 	"plum/internal/machine"
 	"plum/internal/sfc"
 )
@@ -81,8 +78,7 @@ type Method int
 
 // Available partitioners.
 const (
-	MethodInertial Method = iota
-	MethodMultilevel
+	MethodMultilevel Method = iota
 	// MethodMortonSFC and MethodHilbertSFC cut a space-filling-curve
 	// ordering of the element centroids into weighted chunks (see sfc.go):
 	// near-linear time, and O(n) incremental repartitioning on a
@@ -93,15 +89,11 @@ const (
 
 // Methods lists every available partitioner, in declaration order — the
 // iteration table for experiments, benchmarks, and CLI validation.
-var Methods = []Method{
-	MethodInertial, MethodMultilevel, MethodMortonSFC, MethodHilbertSFC,
-}
+var Methods = []Method{MethodMultilevel, MethodMortonSFC, MethodHilbertSFC}
 
 // String implements fmt.Stringer.
 func (m Method) String() string {
 	switch m {
-	case MethodInertial:
-		return "inertial"
 	case MethodMultilevel:
 		return "multilevel"
 	case MethodMortonSFC:
@@ -116,7 +108,7 @@ func (m Method) String() string {
 func (m Method) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 
 // Curve returns the space-filling curve of an SFC method; ok is false
-// for the graph partitioners.
+// for multilevel.
 func (m Method) Curve() (sfc.Curve, bool) {
 	switch m {
 	case MethodMortonSFC:
@@ -170,15 +162,14 @@ func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, 
 // method. The dual graph is built once, on the initial mesh, and only its
 // weights change (the paper's central invariant), so what it caches never
 // needs invalidating, whatever the weights or k: the curve methods cache
-// their curve order and cut it in near-O(n) per call; the graph methods
-// cache nothing, and multilevel's rebalancing from the owners
-// (diffuse.go) reads only the owners it is given.
+// their curve order and cut it in near-O(n) per call; multilevel caches
+// nothing, and its rebalancing from the owners (diffuse.go) reads only
+// the owners it is given.
 type Repartitioner struct {
-	g      *dual.Graph
-	method Method
-	opt    Options
-	sfc    *SFCPartitioner // the curve order; nil for the graph methods
-	build  machine.Ops     // the curve build's work, until a Repartition pays it
+	g     *dual.Graph
+	opt   Options
+	sfc   *SFCPartitioner // the curve order; nil for multilevel
+	build machine.Ops     // the curve build's work, until a Repartition pays it
 }
 
 // NewRepartitioner builds the repartitioner of g under method m, sorting
@@ -188,7 +179,7 @@ func NewRepartitioner(g *dual.Graph, m Method, opt Options) *Repartitioner {
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
-	r := &Repartitioner{g: g, method: m, opt: opt}
+	r := &Repartitioner{g: g, opt: opt}
 	if c, ok := m.Curve(); ok {
 		r.sfc = NewSFCWorkers(g, c, opt.Workers)
 		r.build = r.sfc.BuildOps()
@@ -214,12 +205,12 @@ func (r *Repartitioner) Initial(k int) Assignment {
 // from scratch otherwise: without owners, with more parts than owners
 // (F > 1), with an owner outside [0, k), such as a dead rank's −1 in
 // crash recovery, or with fewer than diffuseMinVerts vertices a part. The
-// scan that rejects an owner set is charged too. The curve methods and
-// inertial ignore the owners.
+// scan that rejects an owner set is charged too. The curve methods ignore
+// the owners.
 func (r *Repartitioner) Repartition(k int, owners []int32) (Assignment, machine.Ops) {
 	work := r.build
 	r.build = machine.Ops{}
-	if r.sfc == nil && r.method != MethodInertial && owners != nil && r.g.N >= diffuseMinVerts*k {
+	if r.sfc == nil && owners != nil && r.g.N >= diffuseMinVerts*k {
 		asg, ops, ok := rebalance(r.g, k, owners)
 		work.Add(ops)
 		if ok {
@@ -236,38 +227,10 @@ func (r *Repartitioner) Repartition(k int, owners []int32) (Assignment, machine.
 // the curve order, and nothing runs after it: the modeled clock never
 // prices the edge cut, and no cut of the curve balances better.
 func (r *Repartitioner) cut(k int) (Assignment, machine.Ops) {
-	switch {
-	case r.sfc != nil:
+	if r.sfc != nil {
 		return r.sfc.cut(r.g, k)
-	case r.method == MethodInertial:
-		return inertialCounted(r.g, k)
 	}
 	return multilevelCounted(r.g, k, r.opt)
-}
-
-// inertialCounted partitions by recursive inertial bisection: each
-// subdomain is split at the weighted median of element centroids projected
-// onto the subdomain's principal axis. It counts the covariance
-// accumulation and power iteration per subdomain, plus the shared
-// sort-and-split cost counted by recursiveBisect.
-func inertialCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
-	asg := make(Assignment, g.N)
-	idxs := make([]int32, g.N)
-	for i := range idxs {
-		idxs[i] = int32(i)
-	}
-	var ops int64
-	recursiveBisect(g, idxs, 0, k, asg, &ops, make([]int32, g.N), func(sub []int32) ([]float64, int64) {
-		axis := principalAxis(g, sub)
-		vals := make([]float64, len(sub))
-		for i, v := range sub {
-			vals[i] = g.Centroid[v].Dot(axis)
-		}
-		// Covariance build (~10 flops/vertex), 50 power iterations on the
-		// 3×3 (~12 flops each), and the projection.
-		return vals, int64(len(sub))*11 + 600
-	})
-	return asg, machine.Ops{Total: ops}
 }
 
 // levelSetCounted partitions by recursive level-set bisection: each
@@ -283,17 +246,17 @@ func levelSetCounted(g *dual.Graph, k int) (Assignment, machine.Ops) {
 		idxs[i] = int32(i)
 	}
 	var ops int64
-	recursiveBisect(g, idxs, 0, k, asg, &ops, make([]int32, g.N), newLevelSets(g).embed)
+	recursiveBisect(newLevelSets(g), idxs, 0, k, asg, &ops, make([]int32, g.N))
 	return asg, machine.Ops{Total: ops}
 }
 
 // recursiveBisect splits idxs into k parts numbered [base, base+k),
-// writing into asg. value computes, for a subset, the 1-D embedding to
-// split at the weighted median, and reports the abstract op count of that
-// computation; recursiveBisect adds the sort and scan costs to *ops. Each
-// split reorders idxs in place, sorted by value, so the two sides are its
-// prefix and suffix; ord is scratch of at least len(idxs) entries.
-func recursiveBisect(g *dual.Graph, idxs []int32, base, k int, asg Assignment, ops *int64, ord []int32, value func([]int32) ([]float64, int64)) {
+// writing into asg. Each split cuts the level-set embedding of the subset
+// (s.embed) at its weighted median; the embedding's op count and the sort
+// and scan costs are added to *ops. Each split reorders idxs in place,
+// sorted by distance, so the two sides are its prefix and suffix; ord is
+// scratch of at least len(idxs) entries.
+func recursiveBisect(s *levelSets, idxs []int32, base, k int, asg Assignment, ops *int64, ord []int32) {
 	if k <= 1 {
 		for _, v := range idxs {
 			asg[v] = int32(base)
@@ -303,7 +266,8 @@ func recursiveBisect(g *dual.Graph, idxs []int32, base, k int, asg Assignment, o
 	}
 	k1 := (k + 1) / 2
 	frac := float64(k1) / float64(k)
-	vals, vops := value(idxs)
+	g := s.g
+	vals, vops := s.embed(idxs)
 	n := int64(len(idxs))
 	*ops += vops + n*int64(log2ceil(len(idxs)+1)) + n
 
@@ -357,55 +321,8 @@ func recursiveBisect(g *dual.Graph, idxs []int32, base, k int, asg Assignment, o
 		ord[i] = idxs[o]
 	}
 	copy(idxs, ord)
-	recursiveBisect(g, idxs[:split], base, k1, asg, ops, ord, value)
-	recursiveBisect(g, idxs[split:], base+k1, k-k1, asg, ops, ord, value)
-}
-
-// principalAxis returns the dominant eigenvector of the weighted
-// covariance of the subset's centroids (power iteration on the 3×3
-// covariance matrix).
-func principalAxis(g *dual.Graph, sub []int32) geom.Vec3 {
-	var mean geom.Vec3
-	var wsum float64
-	for _, v := range sub {
-		w := float64(g.Wcomp[v])
-		mean = mean.Add(g.Centroid[v].Scale(w))
-		wsum += w
-	}
-	if wsum == 0 {
-		return geom.Vec3{X: 1}
-	}
-	mean = mean.Scale(1 / wsum)
-	var c [3][3]float64
-	for _, v := range sub {
-		d := g.Centroid[v].Sub(mean)
-		w := float64(g.Wcomp[v])
-		p := [3]float64{d.X, d.Y, d.Z}
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				c[i][j] += w * p[i] * p[j]
-			}
-		}
-	}
-	x := [3]float64{1, 0.7, 0.4} // deterministic, unlikely to be orthogonal
-	for it := 0; it < 50; it++ {
-		var y [3]float64
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				y[i] += c[i][j] * x[j]
-			}
-		}
-		n := y[0]*y[0] + y[1]*y[1] + y[2]*y[2]
-		if n == 0 {
-			break
-		}
-		inv := 1 / math.Sqrt(n)
-		for i := range y {
-			y[i] *= inv
-		}
-		x = y
-	}
-	return geom.Vec3{X: x[0], Y: x[1], Z: x[2]}
+	recursiveBisect(s, idxs[:split], base, k1, asg, ops, ord)
+	recursiveBisect(s, idxs[split:], base+k1, k-k1, asg, ops, ord)
 }
 
 // levelSets is the scratch every bisection of one levelSetCounted call

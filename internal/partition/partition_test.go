@@ -67,7 +67,7 @@ func TestPartitionAdaptedWeights(t *testing.T) {
 	a.Refine()
 	g.UpdateWeights(m)
 
-	for _, meth := range []Method{MethodInertial, MethodMultilevel} {
+	for _, meth := range []Method{MethodHilbertSFC, MethodMultilevel} {
 		asg := Partition(g, 8, meth)
 		if imb := Imbalance(g, asg, 8); imb > 1.6 {
 			t.Errorf("%s: imbalance %.3f on adapted weights", meth, imb)
@@ -526,7 +526,7 @@ func TestRepartitionerContract(t *testing.T) {
 }
 
 // TestRepartitionFromOwners pins when Repartition uses the owners it is
-// given. The curves and inertial ignore them. Multilevel returns owners
+// given. The curves ignore them. Multilevel returns owners
 // that fit the cap unchanged and rebalances unbalanced ones, moving less
 // than the fresh partition; it partitions from scratch when an owner
 // names a dead rank (−1), charging the scan up to it, and when a part
@@ -536,7 +536,7 @@ func TestRepartitionFromOwners(t *testing.T) {
 	var opt Options
 	g := gridGraph(24, 24, 16, 5) // 9 216 vertices, 1 152 a part
 	owners := Partition(g, k, MethodHilbertSFC)
-	for _, m := range []Method{MethodInertial, MethodMortonSFC, MethodHilbertSFC} {
+	for _, m := range []Method{MethodMortonSFC, MethodHilbertSFC} {
 		want, wantOps := PartitionCounted(g, k, m, opt)
 		if got, ops := NewRepartitioner(g, m, opt).Repartition(k, owners); !slices.Equal(got, want) || ops != wantOps {
 			t.Errorf("%v: owners changed the partition or its charge", m)
@@ -593,7 +593,7 @@ func TestPartitionCountedReportsWork(t *testing.T) {
 			t.Errorf("%v: memory-bound share out of range: %+v", m, ops)
 		}
 		// Multilevel must report its FM refinement in the Mem share; the
-		// curve cut and inertial bisection refine nothing and carry none.
+		// curve cut refines nothing and carries none.
 		refines := m == MethodMultilevel
 		if refines && ops.Mem <= 0 {
 			t.Errorf("%v: refinement work missing from the Mem share: %+v", m, ops)
@@ -620,7 +620,7 @@ func TestMethodString(t *testing.T) {
 			t.Errorf("MethodByName(%q) = %v, %v", m.String(), got, ok)
 		}
 	}
-	for _, name := range []string{"nope", "spectral", "graphgrow"} {
+	for _, name := range []string{"nope", "spectral", "graphgrow", "inertial"} {
 		if _, ok := MethodByName(name); ok {
 			t.Errorf("MethodByName accepted %q", name)
 		}
