@@ -44,6 +44,32 @@ func BenchmarkMultilevel(b *testing.B) {
 	}
 }
 
+// BenchmarkRebalance measures multilevel's rebalance of the rotor at
+// k = 64, the pass Cycle runs on the paper-default method: the initial
+// cut's owners, after two refinements of the 5 % mid-arc sphere, moved by
+// diffusion and boundary FM on one Repartitioner's reused scratch.
+// BenchmarkMultilevel times the from-scratch chain that core.New runs.
+func BenchmarkRebalance(b *testing.B) {
+	const k = 64
+	m := experiments.BaseMesh()
+	g := dual.Build(m)
+	r := partition.NewRepartitioner(g, partition.MethodMultilevel, partition.Options{})
+	owners := r.Initial(k)
+	a := adapt.New(m)
+	for range 2 {
+		a.MarkRegion(midArcSphere(m), adapt.MarkRefine)
+		a.Refine()
+	}
+	g.UpdateWeights(m)
+	mdl := machine.SP2()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ops, _ := r.Repartition(k, owners, mdl); ops.Mem == 0 {
+			b.Fatal("nothing rebalanced")
+		}
+	}
+}
+
 // midArcSphere is the sphere holding 5 % of the rotor's edge midpoints at
 // the mid-arc point.
 func midArcSphere(m *mesh.Mesh) geom.Region {

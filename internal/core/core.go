@@ -338,13 +338,21 @@ type BalanceReport struct {
 	RepartitionOps int64
 	// RefineOps is the memory-bound refinement share of RepartitionOps
 	// (multilevel's classic FM sweeps, the one refiner a partitioner
-	// still runs), charged at Model.MemOp; the compute-bound remainder
+	// still runs), priced at Model.MemOp; the compute-bound remainder
 	// (key encoding, sorts, curve cuts, coarsening, level-set bisection,
-	// diffusion solves) is charged at Model.CompOp.
+	// diffusion scans, solves and peels) is priced at Model.CompOp. Both
+	// count each op once, however many ranks the schedule below runs it
+	// on.
 	RefineOps int64
-	// RepartitionTime is the modeled wall clock of the repartition:
-	// each proposal's partitioner work priced by machine.Ops.Time, the
-	// duration of its repartition span.
+	// RepartitionTime is the modeled wall clock of the repartition, the
+	// sum over the pass's proposals of the seconds each
+	// partition.Repartitioner.Repartition returned, each the duration of
+	// its repartition span. Multilevel's rebalance of the owners runs on
+	// the parts' ranks (partition/schedule.go): each part scans its own
+	// vertices, the part graph is allgathered and its flows solved on
+	// every rank, the peels follow the flow DAG, and only the closing FM
+	// is priced serially. The curve cuts and multilevel's from-scratch
+	// chain run on one rank, priced at (Total−Mem)·CompOp + Mem·MemOp.
 	RepartitionTime float64
 	// ReassignOps and ReassignTime describe the mapper's work
 	// (similarity-matrix scans: memory-bound, charged at Model.MemOp),
@@ -569,6 +577,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 type proposal struct {
 	part      partition.Assignment
 	partOps   machine.Ops // the partitioner's work
+	partTime  float64     // its modeled seconds
 	sim       *remap.Similarity
 	mapping   remap.Mapping
 	objective int64
@@ -589,7 +598,7 @@ func (f *Framework) propose(alive []int32) (proposal, error) {
 	if f.Cfg.F == 1 {
 		from = old
 	}
-	pr.part, pr.partOps = f.part.Repartition(len(alive)*f.Cfg.F, from)
+	pr.part, pr.partOps, pr.partTime = f.part.Repartition(len(alive)*f.Cfg.F, from, f.Cfg.Model)
 	pr.sim = remap.Build(old, pr.part, f.G.Wremap, len(alive), f.Cfg.F)
 	pr.mapping, pr.objective, pr.mapOps = pr.sim.Heuristic()
 	return pr, pr.sim.Validate(pr.mapping)
@@ -597,12 +606,13 @@ func (f *Framework) propose(alive []int32) (proposal, error) {
 
 // charge adds the proposal's repartition and reassignment over the given
 // survivor count to the pass's ops and times, and records each as a span
-// of its work's price, advancing the cursor past both.
+// of its price, advancing the cursor past both.
 func (f *Framework) charge(rep *BalanceReport, pr proposal, alive int) {
 	tr, mdl := f.Cfg.Trace, f.Cfg.Model
 	rep.RepartitionOps += pr.partOps.Total
 	rep.RefineOps += pr.partOps.Mem
-	rep.RepartitionTime += traceRepartition(tr, mdl, pr.partOps, alive*f.Cfg.F)
+	rep.RepartitionTime += pr.partTime
+	traceRepartition(tr, pr.partOps, pr.partTime, alive*f.Cfg.F)
 	reassign := float64(pr.mapOps) * mdl.MemOp
 	rep.ReassignOps += pr.mapOps
 	rep.ReassignTime += reassign

@@ -8,6 +8,7 @@ import (
 	"plum/internal/adapt"
 	"plum/internal/geom"
 	"plum/internal/machine"
+	"plum/internal/mesh"
 	"plum/internal/meshgen"
 	"plum/internal/obs"
 	"plum/internal/partition"
@@ -383,36 +384,62 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 // TestBalanceSplitsMemCompTime pins the MemOp/CompOp machine-model
 // split: the refinement share of the repartition ops is reported
 // separately, charged at Model.MemOp, and the compute-bound remainder at
-// Model.CompOp, with RepartitionTime their exact sum. It runs multilevel,
-// the one method whose repartition has a Mem share.
+// Model.CompOp. On the paths one rank runs, RepartitionTime is their exact
+// sum: the hilbert cut (a balance pass, no refinement share) and
+// multilevel's from-scratch chain when an owner names a dead rank (FM's
+// share). Multilevel's rebalance of the owners, the pass of a 6×6×6 box at
+// P = 4 (324 dual vertices a part), is charged on the per-rank schedule:
+// it reports its refinement share, and the serial FM it closes with
+// bounds its charge from below.
 func TestBalanceSplitsMemCompTime(t *testing.T) {
-	cfg := DefaultConfig(8)
-	cfg.Method = partition.MethodMultilevel
-	f := newFWConfig(t, cfg)
-	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
-	f.A.Refine()
-	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.4}, adapt.MarkRefine)
-	f.A.Refine()
-	rep, err := f.Balance()
-	if err != nil {
-		t.Fatal(err)
+	mdl := DefaultConfig(1).Model
+	serial := func(ops, mem int64) float64 {
+		return float64(ops-mem)*mdl.CompOp + float64(mem)*mdl.MemOp
 	}
-	if !rep.Repartitioned {
-		t.Fatal("fixture did not trigger repartitioning")
+	balance := func(m partition.Method, p int, msh *mesh.Mesh) (*Framework, BalanceReport) {
+		t.Helper()
+		cfg := DefaultConfig(p)
+		cfg.Method = m
+		f, err := New(msh, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.6}, adapt.MarkRefine)
+		f.A.Refine()
+		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.4}, adapt.MarkRefine)
+		f.A.Refine()
+		rep, err := f.Balance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Repartitioned {
+			t.Fatalf("%v: fixture did not trigger repartitioning", m)
+		}
+		if rep.ReassignTime != float64(rep.ReassignOps)*mdl.MemOp {
+			t.Errorf("%v: reassignment not charged at MemOp", m)
+		}
+		return f, rep
 	}
-	if rep.RefineOps <= 0 {
-		t.Errorf("refinement share not reported: %d", rep.RefineOps)
+
+	_, rep := balance(partition.MethodHilbertSFC, 8, meshgen.SmallBox())
+	if rep.RefineOps != 0 || rep.RepartitionTime != serial(rep.RepartitionOps, 0) {
+		t.Errorf("hilbert: RepartitionTime %.17g for %d ops (%d refine), want %.17g",
+			rep.RepartitionTime, rep.RepartitionOps, rep.RefineOps, serial(rep.RepartitionOps, 0))
 	}
-	if rep.RefineOps > rep.RepartitionOps {
-		t.Errorf("refinement share %d exceeds repartition ops %d", rep.RefineOps, rep.RepartitionOps)
+
+	f, rep := balance(partition.MethodMultilevel, 4, meshgen.Box(6, 6, 6, geom.Vec3{X: 1, Y: 1, Z: 1}))
+	if rep.RefineOps <= 0 || rep.RefineOps > rep.RepartitionOps {
+		t.Errorf("rebalance: refinement share %d of %d repartition ops", rep.RefineOps, rep.RepartitionOps)
 	}
-	wantComp := float64(rep.RepartitionOps-rep.RefineOps) * f.Cfg.Model.CompOp
-	wantMem := float64(rep.RefineOps) * f.Cfg.Model.MemOp
-	if rep.RepartitionTime != wantComp+wantMem {
-		t.Errorf("RepartitionTime %.17g != comp %.17g + mem %.17g", rep.RepartitionTime, wantComp, wantMem)
+	if fm := float64(rep.RefineOps) * mdl.MemOp; rep.RepartitionTime < fm {
+		t.Errorf("rebalance: RepartitionTime %.17g below its serial FM's %.17g", rep.RepartitionTime, fm)
 	}
-	if rep.ReassignTime != float64(rep.ReassignOps)*f.Cfg.Model.MemOp {
-		t.Errorf("reassignment not charged at MemOp")
+
+	dead := f.D.Owners()
+	dead[0] = -1
+	_, ops, secs := partition.NewRepartitioner(f.G, partition.MethodMultilevel, partition.Options{Seed: f.Cfg.Seed}).Repartition(4, dead, mdl)
+	if ops.Mem <= 0 || secs != serial(ops.Total, ops.Mem) {
+		t.Errorf("chain after a dead owner: %.17g s for %+v, want %.17g", secs, ops, serial(ops.Total, ops.Mem))
 	}
 }
 
@@ -455,6 +482,8 @@ func TestRepartitionSpanIsCharged(t *testing.T) {
 // accepted partitions drifted to 11.18 by cycle 4; every accepted
 // partition must stay at or below 2. The scaled-down rotors are not a
 // stand-in: at scale 0.2 and 0.4 the same run reads 2.35 and 2.37.
+// Every pass rebalances the owners, and its per-rank charge must be
+// below the serial price of the same work.
 //
 // It then replays the last balance pass both ways, on its weights: from
 // the owners the pass started from, as Cycle runs it, and from scratch.
@@ -484,10 +513,14 @@ func TestMultilevelRotorStaysBalanced(t *testing.T) {
 			t.Errorf("cycle %d: imbalance %.2f -> %.2f (accepted=%v), want an accepted partition ≤ 2",
 				c, b.ImbalanceBefore, b.ImbalanceAfter, b.Accepted)
 		}
+		serial := float64(b.RepartitionOps-b.RefineOps)*cfg.Model.CompOp + float64(b.RefineOps)*cfg.Model.MemOp
+		if b.RepartitionTime >= serial {
+			t.Errorf("cycle %d: repartition charged %.4g s, not below its serial %.4g s", c, b.RepartitionTime, serial)
+		}
 	}
 
 	moved := func(from []int32) (float64, int64) {
-		part, _ := partition.NewRepartitioner(f.G, cfg.Method, partition.Options{Seed: cfg.Seed}).Repartition(cfg.P, from)
+		part, _, _ := partition.NewRepartitioner(f.G, cfg.Method, partition.Options{Seed: cfg.Seed}).Repartition(cfg.P, from, cfg.Model)
 		sim := remap.Build(prev, part, f.G.Wremap, cfg.P, 1)
 		mp, _, _ := sim.Heuristic()
 		_, c := sim.MoveStats(mp)

@@ -133,8 +133,8 @@ func TestCycleCrashRecovery(t *testing.T) {
 // TestRecoveryIsCharged pins crash recovery's charge: a Recovered pass
 // ran two proposals, the failed one over every rank alive before the
 // crash and the survivor one, and its RepartitionOps and RepartitionTime
-// are both proposals' work, each priced by machine.Ops.Time. Each
-// proposal is recomputed through the owner-seeded call it ran as: the
+// are both proposals' work and the seconds each Repartition returned.
+// Each proposal is recomputed through the owner-seeded call it ran as: the
 // failed one rebalanced the pre-pass owners, and the survivor one was
 // given the same owners compacted over the survivors, which name the dead
 // ranks, so multilevel rejected them and partitioned from scratch.
@@ -174,9 +174,9 @@ func TestRecoveryIsCharged(t *testing.T) {
 			for v, o := range owners {
 				from[v] = compact[o]
 			}
-			_, work := partition.NewRepartitioner(f.G, cfg.Method, partition.Options{Seed: cfg.Seed}).Repartition(len(alive)*cfg.F, from)
+			_, work, secs := partition.NewRepartitioner(f.G, cfg.Method, partition.Options{Seed: cfg.Seed}).Repartition(len(alive)*cfg.F, from, cfg.Model)
 			ops += work.Total
-			want += work.Time(cfg.Model)
+			want += secs
 		}
 		if b.RepartitionOps != ops || b.RepartitionTime != want {
 			t.Errorf("cycle %d: recovered pass charged %d ops in %.17gs, want both proposals' %d ops in %.17gs",

@@ -184,7 +184,7 @@ func TestTraceDisabledIsFree(t *testing.T) {
 		recordCycleMetrics(nil, nil, nil)
 		// balance.
 		tr.Event("info", "balance.evaluate", obs.Float("imbalance", imb), obs.Bool("repartition", true))
-		traceRepartition(tr, mdl, ops, cycle)
+		traceRepartition(tr, ops, ops.Time(mdl), cycle)
 		tr.Span(obs.FrameworkRank, "reassign", tr.Now(), gain, obs.Int("ops", moved), obs.Int("objective", words))
 		tr.Advance(gain)
 		tr.Event("info", "remap.decide",

@@ -30,14 +30,13 @@ func traceAdapt(tr *obs.Trace, tm par.AdaptTimings) {
 	tr.Advance(tm.Total)
 }
 
-// traceRepartition records the repartitioning stage, priced from its
-// work, advances the cursor, and returns the price.
-func traceRepartition(tr *obs.Trace, mdl machine.Model, work machine.Ops, parts int) float64 {
-	dur := work.Time(mdl)
+// traceRepartition records the repartitioning stage, its work priced at
+// the modeled seconds dur the partitioner returned, and advances the
+// cursor.
+func traceRepartition(tr *obs.Trace, work machine.Ops, dur float64, parts int) {
 	tr.Span(obs.FrameworkRank, "repartition", tr.Now(), dur,
 		obs.Int("parts", int64(parts)), obs.Int("ops", work.Total), obs.Int("mem_ops", work.Mem))
 	tr.Advance(dur)
-	return dur
 }
 
 // remapStages names an executed remap's enclosing span and its three

@@ -148,3 +148,21 @@ func (c *Clock) Elapsed() float64 {
 
 // Rank returns the current time of one rank.
 func (c *Clock) Rank(i int) float64 { return c.t[i] }
+
+// Wait advances a rank to time t if it is behind it: a blocking receive
+// whose message lands at t.
+func (c *Clock) Wait(rank int, t float64) {
+	if t > c.t[rank] {
+		c.t[rank] = t
+	}
+}
+
+// Reset returns the clock to time zero over p ranks, reusing its storage
+// when it is large enough.
+func (c *Clock) Reset(p int) {
+	if cap(c.t) < p {
+		c.t = make([]float64, p)
+	}
+	c.t = c.t[:p]
+	clear(c.t)
+}

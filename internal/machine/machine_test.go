@@ -101,3 +101,22 @@ func TestClockZero(t *testing.T) {
 		t.Error("barrier on idle clock advanced time")
 	}
 }
+
+func TestClockWaitAndReset(t *testing.T) {
+	c := NewClock(2)
+	c.Add(0, 3)
+	c.Wait(1, 2)
+	c.Wait(0, 1) // already past it
+	if c.Rank(0) != 3 || c.Rank(1) != 2 {
+		t.Errorf("after waits: ranks at %g, %g, want 3, 2", c.Rank(0), c.Rank(1))
+	}
+	c.Reset(3)
+	if c.P() != 3 || c.Elapsed() != 0 {
+		t.Errorf("reset to 3 ranks: P %d, elapsed %g", c.P(), c.Elapsed())
+	}
+	c.Add(2, 1)
+	c.Reset(1)
+	if c.P() != 1 || c.Elapsed() != 0 {
+		t.Errorf("reset to 1 rank: P %d, elapsed %g", c.P(), c.Elapsed())
+	}
+}

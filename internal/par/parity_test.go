@@ -119,7 +119,7 @@ func TestSFCPartitionParity(t *testing.T) {
 		// Incremental repartition on the adapted weights, mapped to
 		// minimize movement, then the executed remap.
 		g.UpdateWeights(m)
-		newPart, _ := r.Repartition(p, nil)
+		newPart, _, _ := r.Repartition(p, nil, machine.SP2())
 		if imb := partition.Imbalance(g, newPart, p); imb > 1.10 {
 			t.Errorf("%v: repartition imbalance %.3f > 1.10", method, imb)
 		}

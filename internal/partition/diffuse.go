@@ -30,12 +30,15 @@ const diffuseTol = 1.02
 // neighbours, the finest-level count of multilevel.
 const diffusePasses = 2
 
-// seedRec is one boundary record of the part-graph scan: vertex v has a
-// neighbour in part b.
+// seedRec pairs a vertex v with a part b: a boundary record of the
+// part-graph scan (v has a neighbour in b), or one of a round's moves (v
+// left b).
 type seedRec struct{ b, v int32 }
 
-// diffuser is the scratch of one rebalance, allocated at the call and
-// reused by its rounds: nothing outlives the call but its Assignment.
+// diffuser is the scratch of multilevel's rebalancing. A Repartitioner
+// keeps one and every rebalance reuses it: the slices over the vertices
+// are sized once, those over the parts grow when k does. Nothing outlives
+// a call but its Assignment.
 type diffuser struct {
 	w   []int64 // part weights, carried through the peels
 	cnt []int32 // part populations, carried through the peels
@@ -61,27 +64,69 @@ type diffuser struct {
 	order       []int32
 
 	// The peels: mark[v] is the number of the last peel that queued v,
-	// tag the current one's, queue the breadth-first queue, and moves the
-	// count of moves. cand marks every moved vertex and its neighbours,
-	// the closing FM's candidates, and mark is the FM's external-degree
-	// scratch once the peels are done.
+	// tag the current one's, queue the breadth-first queue, moves the
+	// count of moves and moved this round's, each as the vertex and the
+	// part it left. cand marks every moved vertex and its neighbours, the
+	// closing FM's candidates, and mark is that FM's external-degree
+	// scratch once the peels are done; fm is the FM, for fmK parts.
 	mark  []int32
 	tag   int32
 	queue []int32
 	moves int
+	moved []seedRec
 	cand  []uint64
+	fm    *refine.FM
+	fmK   int
+
+	// The per-rank schedule (schedule.go): clk holds one clock per part,
+	// own the ops each part ran on its own rank, once the ops every rank
+	// ran redundantly or waited out, scan each part's share of the round's
+	// dual-graph scan, words, pre and arrive a collective's block sizes,
+	// their prefix sums and its messages' arrivals, and flows the
+	// relabel notifications.
+	mdl    machine.Model
+	clk    machine.Clock
+	own    []int64
+	once   int64
+	scan   []int64
+	words  []int64
+	pre    []int64
+	arrive []float64
+	flows  []machine.Flow
 }
 
-// newDiffuser returns the scratch of one rebalance of g into k parts,
-// carrying the part weights w and populations cnt.
-func newDiffuser(g *dual.Graph, k int, w []int64, cnt []int32) *diffuser {
-	return &diffuser{
-		w: w, cnt: cnt,
-		recs: make([]seedRec, 0, g.N/2), count: make([]int32, k+1), last: make([]int32, k),
-		xadj: make([]int32, k+1), adj: make([]int32, 0, 16*k), seed: make([]int32, 0, 16*k+1),
-		x: make([]float64, k), r: make([]float64, k), p: make([]float64, k), q: make([]float64, k),
-		comp: make([]int32, k), compN: make([]int32, k), compW: make([]int64, k), order: make([]int32, k),
-		mark: make([]int32, g.N), queue: make([]int32, 0, g.N), cand: make([]uint64, refine.Words(g.N)),
+// fit returns s resliced to n entries, reallocated if it holds fewer.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reset sizes the scratch for a rebalance of an n-vertex graph into k
+// parts and clears what a call reads before writing: the part weights
+// and populations, the peel marks and the FM candidates.
+func (d *diffuser) reset(n, k int) {
+	if len(d.mark) != n {
+		d.mark, d.queue, d.cand = make([]int32, n), make([]int32, 0, n), make([]uint64, refine.Words(n))
+		d.recs, d.fm = make([]seedRec, 0, n/2), nil
+	}
+	clear(d.mark)
+	clear(d.cand)
+	d.tag, d.moves = 0, 0
+	d.w, d.cnt = fit(d.w, k), fit(d.cnt, k)
+	clear(d.w)
+	clear(d.cnt)
+	d.count, d.xadj, d.last = fit(d.count, k+1), fit(d.xadj, k+1), fit(d.last, k)
+	d.x, d.r, d.p, d.q = fit(d.x, k), fit(d.r, k), fit(d.p, k), fit(d.q, k)
+	d.comp, d.compN, d.compW, d.order = fit(d.comp, k), fit(d.compN, k), fit(d.compW, k), fit(d.order, k)
+	d.own, d.scan, d.words, d.arrive = fit(d.own, k), fit(d.scan, k), fit(d.words, k), fit(d.arrive, k)
+	d.pre = fit(d.pre, 2*k+1)
+	clear(d.own)
+	d.once = 0
+	d.clk.Reset(k)
+	if d.fm == nil || d.fmK != k {
+		d.fm, d.fmK = refine.NewFM(k, d.mark), k
 	}
 }
 
@@ -114,16 +159,24 @@ func newDiffuser(g *dual.Graph, k int, w []int64, cnt []int32) *diffuser {
 // assignment; the ops then count the scan that found it out. The op count
 // charges every scan, CG iteration, peel visit and FM op, the FM's
 // memory-bound.
-func rebalance(g *dual.Graph, k int, owners []int32) (asg Assignment, ops machine.Ops, ok bool) {
+//
+// secs is the call's modeled seconds on mdl when ok: the k parts' ranks
+// run it on the per-rank schedule of schedule.go, and only the closing FM
+// is priced serially. The schedule reads the graph, the owners, k and mdl
+// only, and prices the same ops: each part's own ops (d.own) plus the
+// ops every rank runs (d.once) sum to ops.Total.
+func (d *diffuser) rebalance(g *dual.Graph, k int, owners []int32, mdl machine.Model) (asg Assignment, ops machine.Ops, secs float64, ok bool) {
 	if len(owners) != g.N || k < 1 {
-		return nil, ops, false
+		return nil, ops, 0, false
 	}
-	w, cnt := make([]int64, k), make([]int32, k)
+	d.reset(g.N, k)
+	d.mdl = mdl
+	w, cnt := d.w, d.cnt
 	var total, heaviest int64
 	for v, p := range owners {
 		if p < 0 || int(p) >= k {
 			ops.AddComp(int64(v + 1))
-			return nil, ops, false
+			return nil, ops, 0, false
 		}
 		w[p] += g.Wcomp[v]
 		cnt[p]++
@@ -132,25 +185,46 @@ func rebalance(g *dual.Graph, k int, owners []int32) (asg Assignment, ops machin
 	}
 	ops.AddComp(int64(g.N + k))
 	if slices.Contains(cnt, 0) {
-		return nil, ops, false
+		return nil, ops, 0, false
 	}
+	for a := range k {
+		d.local(a, int64(cnt[a])+1)
+		d.words[a] = 1
+	}
+	d.allgather(k)
 	asg = slices.Clone(Assignment(owners))
 	if slices.Max(w) <= refine.BalanceCap(w) {
-		return asg, ops, true
+		return asg, ops, d.clk.Elapsed(), true
 	}
 
-	d := newDiffuser(g, k, w, cnt)
 	target := int64(float64(total) / float64(k) * diffuseTol)
 	for round := 0; round < diffuseRounds; round++ {
-		ops.AddComp(d.partGraph(g, asg, k) + d.solve(k))
+		partOps := d.partGraph(g, asg, k)
+		for a := range k {
+			recs := int64(d.seed[d.xadj[a+1]] - d.seed[d.xadj[a]])
+			d.local(a, d.scan[a]+3*recs+3)
+			d.words[a] = 2 + int64(d.xadj[a+1]-d.xadj[a])
+		}
+		d.allgather(k)
+		solve := d.solve(k)
+		sort := d.sortByPotential(k)
+		d.replicated(k, solve+sort)
 		before := d.moves
-		ops.AddComp(d.peelAll(g, asg, k, target) + int64(k))
+		peels := d.peelAll(g, asg, target)
+		d.relabel(g, asg, k)
+		d.disseminate(k, 2) // the stop test's allreduce: Wmax and whether a part moved
+		for a := range k {
+			d.local(a, 1)
+		}
+		ops.AddComp(partOps + solve + sort + peels + int64(k))
 		if d.moves == before || slices.Max(d.w) <= max(target, heaviest) {
 			break
 		}
 	}
-	ops.AddMem(refine.NewFM(k, d.mark).RefineCap(g, asg, diffusePasses, d.cand, max(target, heaviest)))
-	return asg, ops, true
+	fm := d.fm.RefineCap(g, asg, diffusePasses, d.cand, max(target, heaviest))
+	ops.AddMem(fm)
+	d.once += fm
+	return asg, ops, d.clk.Elapsed() + float64(fm)*mdl.MemOp, true
 }
 
 // partGraph builds the part graph of asg from one scan of g: every vertex
@@ -158,16 +232,20 @@ func rebalance(g *dual.Graph, k int, owners []int32) (asg Assignment, ops machin
 // counting sorts (by the foreign part, then by the vertex's own) group
 // the records by pair with their vertices ascending. It returns the
 // scan's 1 + deg per vertex, 2(T + k) for the sorts of the T records,
-// and T + k for the CSR.
+// and T + k for the CSR, and leaves each part's share of the scan, 1 +
+// deg for each of its vertices, in d.scan.
 func (d *diffuser) partGraph(g *dual.Graph, asg Assignment, k int) int64 {
 	last := d.last
 	for i := range last {
 		last[i] = -1
 	}
+	clear(d.scan)
 	recs := d.recs[:0]
 	for v := range int32(g.N) {
 		a := asg[v]
-		for _, u := range g.Nbrs(v) {
+		nbrs := g.Nbrs(v)
+		d.scan[a] += 1 + int64(len(nbrs))
+		for _, u := range nbrs {
 			if b := asg[u]; b != a && last[b] != v {
 				last[b] = v
 				recs = append(recs, seedRec{b, v})
@@ -289,12 +367,9 @@ func (d *diffuser) solve(k int) int64 {
 	return ops
 }
 
-// peelAll peels every positive flow of the solved potentials, the parts
-// taken in descending potential (ties by part number). Every flow runs
-// downhill, so a part has received all its inflow before it sends on: a
-// flow through a part larger than the part itself passes in one round. It
-// returns k·log2 k for the order plus every peel's count.
-func (d *diffuser) peelAll(g *dual.Graph, asg Assignment, k int, target int64) int64 {
+// sortByPotential orders the parts by descending potential, ties by part
+// number, and returns k·log2 k for the sort.
+func (d *diffuser) sortByPotential(k int) int64 {
 	x, order := d.x, d.order
 	for i := range order {
 		order[i] = int32(i)
@@ -308,13 +383,31 @@ func (d *diffuser) peelAll(g *dual.Graph, asg Assignment, k int, target int64) i
 		}
 		return int(a - b)
 	})
-	ops := int64(k) * int64(log2ceil(k))
-	for _, a := range order {
+	return int64(k) * int64(log2ceil(k))
+}
+
+// peelAll peels every positive flow of the solved potentials, the parts
+// taken in the order sortByPotential left. Every flow runs downhill, so a
+// part has received all its inflow before it sends on: a flow through a
+// part larger than the part itself passes in one round. A part's peels
+// run on its rank, and then one message a flow carries the moved
+// vertices to each receiver (deliver). It returns every peel's count.
+func (d *diffuser) peelAll(g *dual.Graph, asg Assignment, target int64) int64 {
+	x := d.x
+	d.moved = d.moved[:0]
+	var ops int64
+	for _, a := range d.order {
+		out := d.flows[:0]
 		for e := d.xadj[a]; e < d.xadj[a+1]; e++ {
 			if b := d.adj[e]; x[a] > x[b] {
-				ops += d.peel(g, asg, a, b, x[a]-x[b], d.recs[d.seed[e]:d.seed[e+1]], target)
+				n, words := d.peel(g, asg, a, b, x[a]-x[b], d.recs[d.seed[e]:d.seed[e+1]], target)
+				d.local(int(a), n)
+				out = append(out, machine.Flow{Src: a, Dst: b, Words: words})
+				ops += n
 			}
 		}
+		d.deliver(out)
+		d.flows = out
 	}
 	return ops
 }
@@ -330,8 +423,11 @@ func (d *diffuser) peelAll(g *dual.Graph, asg Assignment, k int, target int64) i
 //   - b stays within target, or b ends lighter than a was, so no move
 //     raises Wmax.
 //
-// It returns one op per seed plus 1 + deg per vertex it dequeues.
-func (d *diffuser) peel(g *dual.Graph, asg Assignment, a, b int32, flow float64, seeds []seedRec, target int64) int64 {
+// It returns one op per seed plus 1 + deg per vertex it dequeues, and the
+// words of the message that carries the moved vertices to b: 2 + deg
+// each, the vertex, its weight and its adjacency. Each move is recorded
+// in d.moved.
+func (d *diffuser) peel(g *dual.Graph, asg Assignment, a, b int32, flow float64, seeds []seedRec, target int64) (int64, int64) {
 	d.tag++
 	q := d.queue[:0]
 	for _, s := range seeds {
@@ -341,7 +437,7 @@ func (d *diffuser) peel(g *dual.Graph, asg Assignment, a, b int32, flow float64,
 		}
 	}
 	ops := int64(len(seeds))
-	var moved int64
+	var moved, words int64
 	for head := 0; head < len(q) && float64(moved) < flow; head++ {
 		v := q[head]
 		nbrs := g.Nbrs(v)
@@ -358,7 +454,9 @@ func (d *diffuser) peel(g *dual.Graph, asg Assignment, a, b int32, flow float64,
 		d.cnt[a]--
 		d.cnt[b]++
 		moved += wv
+		words += 2 + int64(len(nbrs))
 		d.moves++
+		d.moved = append(d.moved, seedRec{a, v})
 		d.cand[v>>6] |= 1 << (v & 63)
 		for _, u := range nbrs {
 			d.cand[u>>6] |= 1 << (u & 63)
@@ -369,5 +467,5 @@ func (d *diffuser) peel(g *dual.Graph, asg Assignment, a, b int32, flow float64,
 		}
 	}
 	d.queue = q
-	return ops
+	return ops, words
 }

@@ -8,6 +8,7 @@ import (
 
 	"plum/internal/dual"
 	"plum/internal/geom"
+	"plum/internal/machine"
 	"plum/internal/refine"
 )
 
@@ -299,10 +300,13 @@ func minBottleneck(prefix []int64, k int) int64 {
 // three isolated vertices, so the part graph can fall apart, k ≤ 16 and
 // an owner set of contiguous vertex blocks, each block's part a byte, with
 // every part given a vertex. The result must put every vertex in [0, k),
-// be identical on a rerun, return an owner set whose parts all fit the FM
-// cap unchanged, and end no more imbalanced than max(the owners',
-// diffuseTol, 1 + k·max(w)/ΣW). An owner naming a dead rank (−1) is
-// refused.
+// be identical on a rerun on the same scratch, its ops and charged seconds
+// bit for bit, return an owner set whose parts all fit the FM cap
+// unchanged, and end no more imbalanced than max(the owners', diffuseTol,
+// 1 + k·max(w)/ΣW). The per-rank ops, the replicated ones counted once,
+// must sum to the reported ops, and the charge must be at least the most
+// populous part's owner scan plus FM's serial price. An owner naming a
+// dead rank (−1) is refused.
 func FuzzDiffuse(f *testing.F) {
 	f.Add([]byte{3, 3, 3, 1, 4, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{7, 5, 2, 9, 8, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -331,7 +335,9 @@ func FuzzDiffuse(f *testing.F) {
 			owners[p*g.N/k] = int32(p)
 		}
 
-		asg, ops, ok := rebalance(g, k, owners)
+		mdl := machine.SP2()
+		var d diffuser
+		asg, ops, secs, ok := d.rebalance(g, k, owners, mdl)
 		if !ok || len(asg) != g.N {
 			t.Fatalf("k=%d n=%d: refused a valid owner set (ok=%v, %d entries)", k, g.N, ok, len(asg))
 		}
@@ -340,9 +346,23 @@ func FuzzDiffuse(f *testing.F) {
 				t.Fatalf("k=%d: vertex %d in part %d", k, v, p)
 			}
 		}
-		again, ops2, _ := rebalance(g, k, owners)
-		if !slices.Equal(asg, again) || ops != ops2 {
-			t.Fatalf("k=%d: a rerun differs (ops %+v vs %+v)", k, ops, ops2)
+		sum := d.once
+		for _, n := range d.own[:k] {
+			sum += n
+		}
+		if sum != ops.Total {
+			t.Fatalf("k=%d: per-rank ops sum to %d, the call reports %d", k, sum, ops.Total)
+		}
+		again, ops2, secs2, _ := d.rebalance(g, k, owners, mdl)
+		if !slices.Equal(asg, again) || ops != ops2 || math.Float64bits(secs) != math.Float64bits(secs2) {
+			t.Fatalf("k=%d: a rerun differs (ops %+v vs %+v, %.17g vs %.17g s)", k, ops, ops2, secs, secs2)
+		}
+		pop := make([]int64, k)
+		for _, p := range owners {
+			pop[p]++
+		}
+		if floor := float64(slices.Max(pop)+1)*mdl.CompOp + float64(ops.Mem)*mdl.MemOp; secs < floor {
+			t.Fatalf("k=%d: charged %.17g s, below the largest owner scan plus FM, %.17g s", k, secs, floor)
 		}
 
 		in := Weights(g, owners, k)
@@ -361,7 +381,7 @@ func FuzzDiffuse(f *testing.F) {
 		}
 
 		owners[len(owners)-1] = -1
-		if _, _, ok := rebalance(g, k, owners); ok {
+		if _, _, _, ok := d.rebalance(g, k, owners, mdl); ok {
 			t.Fatalf("k=%d: accepted an owner naming a dead rank", k)
 		}
 	})

@@ -11,7 +11,8 @@
 //     on an eigenvector instead; METIS's graph growing (Karypis & Kumar)
 //     splits a graph of a few hundred vertices about as well for a
 //     fraction of the work. Given the current owners, it rebalances them
-//     by diffusion instead (diffuse.go);
+//     by diffusion instead (diffuse.go), priced on the parts' ranks
+//     (schedule.go);
 //   - morton, hilbert: the exact minimum-bottleneck contiguous cut of a
 //     space-filling-curve ordering (sfc.go), with no refinement after it.
 //
@@ -151,25 +152,29 @@ func Partition(g *dual.Graph, k int, m Method) Assignment {
 
 // PartitionCounted is Partition with explicit options and honest cost
 // accounting: every backend — graph and SFC alike — reports the abstract
-// operation count of the work it actually did. It is one Repartition
-// without owners on a fresh Repartitioner, so a curve method's work
-// includes building its curve order.
+// operation count of the work it actually did. It is the partition and
+// work of one Repartition without owners on a fresh Repartitioner, so a
+// curve method's work includes building its curve order.
 func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, machine.Ops) {
-	return NewRepartitioner(g, m, opt).Repartition(k, nil)
+	r := NewRepartitioner(g, m, opt)
+	asg, ops := r.cut(k)
+	ops.Add(r.build)
+	return asg, ops
 }
 
 // Repartitioner partitions one dual graph again and again with one
 // method. The dual graph is built once, on the initial mesh, and only its
 // weights change (the paper's central invariant), so what it caches never
 // needs invalidating, whatever the weights or k: the curve methods cache
-// their curve order and cut it in near-O(n) per call; multilevel caches
-// nothing, and its rebalancing from the owners (diffuse.go) reads only
-// the owners it is given.
+// their curve order and cut it in near-O(n) per call; multilevel keeps
+// only the scratch of its rebalancing from the owners (diffuse.go), which
+// reads nothing but the owners it is given.
 type Repartitioner struct {
 	g     *dual.Graph
 	opt   Options
 	sfc   *SFCPartitioner // the curve order; nil for multilevel
 	build machine.Ops     // the curve build's work, until a Repartition pays it
+	diff  diffuser        // multilevel's rebalance scratch
 }
 
 // NewRepartitioner builds the repartitioner of g under method m, sorting
@@ -196,8 +201,13 @@ func (r *Repartitioner) Initial(k int) Assignment {
 }
 
 // Repartition divides the graph into k parts under its current weights
-// and returns the work the model prices, the curve build included on the
-// first call. Refinement ops land in the Mem share.
+// and returns the work, the curve build included on the first call, and
+// its modeled seconds on mdl. Refinement ops land in the Mem share.
+//
+// The seconds of a rebalance are the per-rank schedule of its k parts'
+// ranks (schedule.go), with only the closing FM priced serially. Every
+// other path runs on one rank: its seconds are the work's
+// machine.Ops.Time, the scan that rejected an owner set included.
 //
 // owners is the current assignment, or nil. Multilevel rebalances it
 // when it is a k-way assignment with every part non-empty, moving load
@@ -207,19 +217,19 @@ func (r *Repartitioner) Initial(k int) Assignment {
 // crash recovery, or with fewer than diffuseMinVerts vertices a part. The
 // scan that rejects an owner set is charged too. The curve methods ignore
 // the owners.
-func (r *Repartitioner) Repartition(k int, owners []int32) (Assignment, machine.Ops) {
+func (r *Repartitioner) Repartition(k int, owners []int32, mdl machine.Model) (Assignment, machine.Ops, float64) {
 	work := r.build
 	r.build = machine.Ops{}
 	if r.sfc == nil && owners != nil && r.g.N >= diffuseMinVerts*k {
-		asg, ops, ok := rebalance(r.g, k, owners)
+		asg, ops, secs, ok := r.diff.rebalance(r.g, k, owners, mdl)
 		work.Add(ops)
 		if ok {
-			return asg, work
+			return asg, work, secs
 		}
 	}
 	asg, ops := r.cut(k)
 	work.Add(ops)
-	return asg, work
+	return asg, work, work.Time(mdl)
 }
 
 // cut partitions with the method and counts the work, without the curve

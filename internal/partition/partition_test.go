@@ -10,6 +10,7 @@ import (
 	"plum/internal/adapt"
 	"plum/internal/dual"
 	"plum/internal/geom"
+	"plum/internal/machine"
 	"plum/internal/meshgen"
 	"plum/internal/refine"
 	"plum/internal/sfc"
@@ -495,6 +496,7 @@ func TestSFCCutAllocatesOnlyAssignment(t *testing.T) {
 func TestRepartitionerContract(t *testing.T) {
 	const k, k2 = 16, 13
 	var opt Options
+	mdl := machine.SP2()
 	for _, m := range Methods {
 		g := gridGraph(24, 24, 16, 5)
 		r := NewRepartitioner(g, m, opt)
@@ -502,8 +504,8 @@ func TestRepartitionerContract(t *testing.T) {
 		if got := r.Initial(k); !slices.Equal(got, want) {
 			t.Errorf("%v: Initial(%d) differs from the one-shot partition", m, k)
 		}
-		got, ops := r.Repartition(k, nil)
-		if !slices.Equal(got, want) || ops != wantOps {
+		got, ops, secs := r.Repartition(k, nil, mdl)
+		if !slices.Equal(got, want) || ops != wantOps || secs != ops.Time(mdl) {
 			t.Errorf("%v: first Repartition(%d) charged %+v, one-shot %+v (assignments equal: %v)",
 				m, k, ops, wantOps, slices.Equal(got, want))
 		}
@@ -515,12 +517,12 @@ func TestRepartitionerContract(t *testing.T) {
 		if c, ok := m.Curve(); ok {
 			wantOps.Total -= NewSFCWorkers(g, c, 0).BuildOps().Total
 		}
-		got, ops = r.Repartition(k2, nil)
+		got, ops, secs = r.Repartition(k2, nil, mdl)
 		if !slices.Equal(got, want) {
 			t.Errorf("%v: Repartition(%d) differs from the one-shot partition", m, k2)
 		}
-		if ops != wantOps {
-			t.Errorf("%v: Repartition(%d) charged %+v, want %+v", m, k2, ops, wantOps)
+		if ops != wantOps || secs != ops.Time(mdl) {
+			t.Errorf("%v: Repartition(%d) charged %+v in %gs, want %+v serially", m, k2, ops, secs, wantOps)
 		}
 	}
 }
@@ -534,24 +536,25 @@ func TestRepartitionerContract(t *testing.T) {
 func TestRepartitionFromOwners(t *testing.T) {
 	const k = 8
 	var opt Options
+	mdl := machine.SP2()
 	g := gridGraph(24, 24, 16, 5) // 9 216 vertices, 1 152 a part
 	owners := Partition(g, k, MethodHilbertSFC)
 	for _, m := range []Method{MethodMortonSFC, MethodHilbertSFC} {
 		want, wantOps := PartitionCounted(g, k, m, opt)
-		if got, ops := NewRepartitioner(g, m, opt).Repartition(k, owners); !slices.Equal(got, want) || ops != wantOps {
+		if got, ops, _ := NewRepartitioner(g, m, opt).Repartition(k, owners, mdl); !slices.Equal(got, want) || ops != wantOps {
 			t.Errorf("%v: owners changed the partition or its charge", m)
 		}
 	}
 
 	ml := NewRepartitioner(g, MethodMultilevel, opt)
-	if got, _ := ml.Repartition(k, owners); !slices.Equal(got, owners) {
+	if got, _, _ := ml.Repartition(k, owners, mdl); !slices.Equal(got, owners) {
 		t.Error("multilevel moved owners that fit the cap")
 	}
 	for v := 0; v < g.N/8; v++ {
 		g.Wcomp[v] *= 16 // an adaption step refines one corner
 	}
 	scratch, scratchOps := PartitionCounted(g, k, MethodMultilevel, opt)
-	got, _ := ml.Repartition(k, owners)
+	got, _, _ := ml.Repartition(k, owners, mdl)
 	moved := func(asg Assignment) (n int) {
 		for v := range asg {
 			if asg[v] != owners[v] {
@@ -566,12 +569,12 @@ func TestRepartitionFromOwners(t *testing.T) {
 
 	dead := slices.Clone(owners)
 	dead[100] = -1
-	if got, ops := ml.Repartition(k, dead); !slices.Equal(got, scratch) || ops.Total != scratchOps.Total+101 {
-		t.Errorf("an owner naming a dead rank: charged %+v, want the fresh partition's %+v plus 101", ops, scratchOps)
+	if got, ops, secs := ml.Repartition(k, dead, mdl); !slices.Equal(got, scratch) || ops.Total != scratchOps.Total+101 || secs != ops.Time(mdl) {
+		t.Errorf("an owner naming a dead rank: charged %+v in %gs, want the fresh partition's %+v plus 101, serially", ops, secs, scratchOps)
 	}
 	fine := g.N/diffuseMinVerts + 1
 	want, wantOps := PartitionCounted(g, fine, MethodMultilevel, opt)
-	if got, ops := ml.Repartition(fine, Partition(g, fine, MethodHilbertSFC)); !slices.Equal(got, want) || ops != wantOps {
+	if got, ops, _ := ml.Repartition(fine, Partition(g, fine, MethodHilbertSFC), mdl); !slices.Equal(got, want) || ops != wantOps {
 		t.Errorf("k=%d (%d vertices a part): not the fresh partition", fine, g.N/fine)
 	}
 }
