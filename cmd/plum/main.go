@@ -244,13 +244,14 @@ func main() {
 
 // costTerms spells the cost side of a balance decision: the exposed cost,
 // the predicted remap it charges (pack · wire · rebuild on the slowest
-// rank's clock), the pipeline, the overlap credit, and the paper's
-// total-volume formula beside them.
+// rank's clock), the pipeline (partition · reassign), the overlap credit,
+// and the paper's total-volume formula beside them, so a rejected pass
+// shows which term binds.
 func costTerms(b core.BalanceReport) string {
 	pr := b.Predicted
-	return fmt.Sprintf("cost %.3g = remap %.3g [pack %.3g · wire %.3g · rebuild %.3g] + pipeline %.3g − overlap %.3g; paper %.3g",
+	return fmt.Sprintf("cost %.3g = remap %.3g [pack %.3g · wire %.3g · rebuild %.3g] + pipeline %.3g [partition %.3g · reassign %.3g] − overlap %.3g; paper %.3g",
 		b.Cost, pr.Total, pr.PackTime, pr.CommTime, pr.RebuildTime,
-		b.PipelineTime(), b.OverlapTime, b.CostPaper)
+		b.PipelineTime(), b.RepartitionTime, b.ReassignTime, b.OverlapTime, b.CostPaper)
 }
 
 // badFlag rejects a flag value the way the flag package rejects a

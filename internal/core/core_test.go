@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"plum/internal/adapt"
+	"plum/internal/dual"
 	"plum/internal/geom"
 	"plum/internal/machine"
 	"plum/internal/mesh"
@@ -330,9 +331,11 @@ func TestImprovementBound(t *testing.T) {
 // TestBalanceChargesEveryPartitioner pins the honest-cost contract closed
 // for every partitioner: after a repartition, every backend — graph and
 // SFC alike — reports nonzero work, its modeled repartitioning time is
-// that work priced by machine.Ops.Time, and it lands on the cost side of
-// the acceptance rule. The refinement share tells the methods apart, so a
-// framework that ran another method than its Config names fails here.
+// that work priced by machine.Ops.Time, except the curve build this first
+// pass pays for, which is priced as the parallel sort on the P ranks
+// (curveBuild), and it lands on the cost side of the acceptance rule. The
+// refinement share tells the methods apart, so a framework that ran
+// another method than its Config names fails here.
 func TestBalanceChargesEveryPartitioner(t *testing.T) {
 	for _, meth := range partition.Methods {
 		cfg := DefaultConfig(8)
@@ -357,10 +360,10 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 		if refines := meth == partition.MethodMultilevel; refines != (rep.RefineOps > 0) {
 			t.Errorf("%v: refine ops %d: the pass did not run this method", meth, rep.RefineOps)
 		}
-		work := machine.Ops{Total: rep.RepartitionOps, Mem: rep.RefineOps}
-		if rep.RepartitionTime <= 0 || rep.RepartitionTime != work.Time(f.Cfg.Model) {
-			t.Errorf("%v: repartition time %.17g, want its work priced, %.17g",
-				meth, rep.RepartitionTime, work.Time(f.Cfg.Model))
+		build, buildTime := curveBuild(f.G, meth, cfg.P, f.Cfg.Model)
+		work := machine.Ops{Total: rep.RepartitionOps - build.Total, Mem: rep.RefineOps}
+		if want := work.Time(f.Cfg.Model) + buildTime; rep.RepartitionTime <= 0 || rep.RepartitionTime != want {
+			t.Errorf("%v: repartition time %.17g, want its work priced, %.17g", meth, rep.RepartitionTime, want)
 		}
 		// The acceptance rule must see the whole balancing overhead: the
 		// reported cost is, bit for bit, the predicted remap (the
@@ -381,13 +384,23 @@ func TestBalanceChargesEveryPartitioner(t *testing.T) {
 	}
 }
 
+// curveBuild returns the work of a curve method's build and its price on
+// k ranks, both of which the first Repartition pays; multilevel has none.
+func curveBuild(g *dual.Graph, m partition.Method, k int, mdl machine.Model) (machine.Ops, float64) {
+	c, ok := m.Curve()
+	if !ok {
+		return machine.Ops{}, 0
+	}
+	return partition.NewSFCWorkers(g, c, 0).BuildOps(), partition.CurveBuildTime(g.N, k, mdl)
+}
+
 // TestBalanceSplitsMemCompTime pins the MemOp/CompOp machine-model
 // split: the refinement share of the repartition ops is reported
 // separately, charged at Model.MemOp, and the compute-bound remainder at
 // Model.CompOp. On the paths one rank runs, RepartitionTime is their exact
-// sum: the hilbert cut (a balance pass, no refinement share) and
-// multilevel's from-scratch chain when an owner names a dead rank (FM's
-// share). Multilevel's rebalance of the owners, the pass of a 6×6×6 box at
+// sum: the hilbert cut (a first balance pass, no refinement share, which
+// adds its curve build's parallel sort) and multilevel's from-scratch
+// chain when an owner names a dead rank (FM's share). Multilevel's rebalance of the owners, the pass of a 6×6×6 box at
 // P = 4 (324 dual vertices a part), is charged on the per-rank schedule:
 // it reports its refinement share, and the serial FM it closes with
 // bounds its charge from below.
@@ -421,10 +434,11 @@ func TestBalanceSplitsMemCompTime(t *testing.T) {
 		return f, rep
 	}
 
-	_, rep := balance(partition.MethodHilbertSFC, 8, meshgen.SmallBox())
-	if rep.RefineOps != 0 || rep.RepartitionTime != serial(rep.RepartitionOps, 0) {
+	hf, rep := balance(partition.MethodHilbertSFC, 8, meshgen.SmallBox())
+	build, buildTime := curveBuild(hf.G, partition.MethodHilbertSFC, 8, mdl)
+	if want := serial(rep.RepartitionOps-build.Total, 0) + buildTime; rep.RefineOps != 0 || rep.RepartitionTime != want {
 		t.Errorf("hilbert: RepartitionTime %.17g for %d ops (%d refine), want %.17g",
-			rep.RepartitionTime, rep.RepartitionOps, rep.RefineOps, serial(rep.RepartitionOps, 0))
+			rep.RepartitionTime, rep.RepartitionOps, rep.RefineOps, want)
 	}
 
 	f, rep := balance(partition.MethodMultilevel, 4, meshgen.Box(6, 6, 6, geom.Vec3{X: 1, Y: 1, Z: 1}))

@@ -15,6 +15,9 @@
 //     (schedule.go);
 //   - morton, hilbert: the exact minimum-bottleneck contiguous cut of a
 //     space-filling-curve ordering (sfc.go), with no refinement after it.
+//     The curve order is built once and priced as a parallel sort on the
+//     parts' ranks (CurveBuildTime); the cut is priced at its serial
+//     work, because it walks the whole n-entry prefix.
 //
 // All partitioners balance the dual graph's computational weights Wcomp.
 package partition
@@ -156,9 +159,7 @@ func Partition(g *dual.Graph, k int, m Method) Assignment {
 // work of one Repartition without owners on a fresh Repartitioner, so a
 // curve method's work includes building its curve order.
 func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, machine.Ops) {
-	r := NewRepartitioner(g, m, opt)
-	asg, ops := r.cut(k)
-	ops.Add(r.build)
+	asg, ops, _ := NewRepartitioner(g, m, opt).Repartition(k, nil, machine.Model{})
 	return asg, ops
 }
 
@@ -170,11 +171,11 @@ func PartitionCounted(g *dual.Graph, k int, m Method, opt Options) (Assignment, 
 // only the scratch of its rebalancing from the owners (diffuse.go), which
 // reads nothing but the owners it is given.
 type Repartitioner struct {
-	g     *dual.Graph
-	opt   Options
-	sfc   *SFCPartitioner // the curve order; nil for multilevel
-	build machine.Ops     // the curve build's work, until a Repartition pays it
-	diff  diffuser        // multilevel's rebalance scratch
+	g      *dual.Graph
+	opt    Options
+	sfc    *SFCPartitioner // the curve order; nil for multilevel
+	unpaid bool            // no Repartition has paid for the curve build yet
+	diff   diffuser        // multilevel's rebalance scratch
 }
 
 // NewRepartitioner builds the repartitioner of g under method m, sorting
@@ -186,15 +187,14 @@ func NewRepartitioner(g *dual.Graph, m Method, opt Options) *Repartitioner {
 	}
 	r := &Repartitioner{g: g, opt: opt}
 	if c, ok := m.Curve(); ok {
-		r.sfc = NewSFCWorkers(g, c, opt.Workers)
-		r.build = r.sfc.BuildOps()
+		r.sfc, r.unpaid = NewSFCWorkers(g, c, opt.Workers), true
 	}
 	return r
 }
 
 // Initial returns the setup partition into k parts, from scratch and
 // uncharged: the first Repartition still pays for the curve order it
-// reuses.
+// reuses, priced as the parallel sort on that call's k ranks.
 func (r *Repartitioner) Initial(k int) Assignment {
 	asg, _ := r.cut(k)
 	return asg
@@ -204,10 +204,12 @@ func (r *Repartitioner) Initial(k int) Assignment {
 // and returns the work, the curve build included on the first call, and
 // its modeled seconds on mdl. Refinement ops land in the Mem share.
 //
-// The seconds of a rebalance are the per-rank schedule of its k parts'
-// ranks (schedule.go), with only the closing FM priced serially. Every
-// other path runs on one rank: its seconds are the work's
-// machine.Ops.Time, the scan that rejected an owner set included.
+// Two stages are priced on the k parts' ranks, one rank a part: a
+// rebalance, by its per-rank schedule (schedule.go) with only the closing
+// FM priced serially, and the curve build the first call pays for, as a
+// parallel sort (CurveBuildTime). Every other stage runs on one rank, and
+// its seconds are its work's machine.Ops.Time: the curve cut, the
+// from-scratch chain, and the scan that rejected an owner set.
 //
 // owners is the current assignment, or nil. Multilevel rebalances it
 // when it is a k-way assignment with every part non-empty, moving load
@@ -218,18 +220,23 @@ func (r *Repartitioner) Initial(k int) Assignment {
 // scan that rejects an owner set is charged too. The curve methods ignore
 // the owners.
 func (r *Repartitioner) Repartition(k int, owners []int32, mdl machine.Model) (Assignment, machine.Ops, float64) {
-	work := r.build
-	r.build = machine.Ops{}
+	var work machine.Ops
 	if r.sfc == nil && owners != nil && r.g.N >= diffuseMinVerts*k {
 		asg, ops, secs, ok := r.diff.rebalance(r.g, k, owners, mdl)
-		work.Add(ops)
 		if ok {
-			return asg, work, secs
+			return asg, ops, secs
 		}
+		work = ops
 	}
 	asg, ops := r.cut(k)
 	work.Add(ops)
-	return asg, work, work.Time(mdl)
+	secs := work.Time(mdl)
+	if r.unpaid {
+		r.unpaid = false
+		work.Add(r.sfc.BuildOps())
+		secs += CurveBuildTime(r.g.N, k, mdl)
+	}
+	return asg, work, secs
 }
 
 // cut partitions with the method and counts the work, without the curve

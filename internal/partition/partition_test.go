@@ -489,7 +489,8 @@ func TestSFCCutAllocatesOnlyAssignment(t *testing.T) {
 // TestRepartitionerContract pins what a Repartitioner caches and what it
 // bills, against the one-shot PartitionCounted: Initial is the one-shot
 // assignment and charges nothing, the first Repartition is the one-shot
-// call in assignment and ops (curve build included), and a later
+// call in assignment and ops (curve build included), priced as the cut's
+// serial work plus the build's parallel sort on the k ranks, and a later
 // Repartition at a smaller k — the survivor count after a crash — under
 // changed weights is the one-shot assignment at that k, charged without
 // the curve build.
@@ -505,9 +506,16 @@ func TestRepartitionerContract(t *testing.T) {
 			t.Errorf("%v: Initial(%d) differs from the one-shot partition", m, k)
 		}
 		got, ops, secs := r.Repartition(k, nil, mdl)
-		if !slices.Equal(got, want) || ops != wantOps || secs != ops.Time(mdl) {
-			t.Errorf("%v: first Repartition(%d) charged %+v, one-shot %+v (assignments equal: %v)",
-				m, k, ops, wantOps, slices.Equal(got, want))
+		wantSecs := ops.Time(mdl)
+		if c, ok := m.Curve(); ok {
+			s := NewSFCWorkers(g, c, 0)
+			cut := ops
+			cut.Total -= s.BuildOps().Total
+			wantSecs = cut.Time(mdl) + CurveBuildTime(g.N, k, mdl)
+		}
+		if !slices.Equal(got, want) || ops != wantOps || secs != wantSecs {
+			t.Errorf("%v: first Repartition(%d) charged %+v in %.17gs, one-shot %+v in %.17gs (assignments equal: %v)",
+				m, k, ops, secs, wantOps, wantSecs, slices.Equal(got, want))
 		}
 
 		for v := 0; v < g.N/8; v++ {
@@ -523,6 +531,50 @@ func TestRepartitionerContract(t *testing.T) {
 		}
 		if ops != wantOps || secs != ops.Time(mdl) {
 			t.Errorf("%v: Repartition(%d) charged %+v in %gs, want %+v serially", m, k2, ops, secs, wantOps)
+		}
+	}
+}
+
+// TestCurveBuildCharge pins the curve build's price, the bitonic
+// merge-split sort on k ranks, against its closed form written out by
+// hand: m = ⌈n/k⌉ records a rank, L = ⌈log2 k⌉, S = L(L+1)/2 stages, and
+// (m + m·⌈log2 m⌉ + S·m)·CompOp + S·(Tsetup + 2m·Tlat). At k = 1 it is the
+// serial price of the build's work, with more ranks than records each
+// holds one, and a rerun prices the same. On the rotor (60 984 roots) and
+// on sweep-coarsen's 9 216-tet box at the P the workloads run, it is
+// below the serial price.
+func TestCurveBuildCharge(t *testing.T) {
+	mdl := machine.SP2()
+	form := func(m, lgm, stages int64) float64 {
+		return float64(m+m*lgm+stages*m)*mdl.CompOp + float64(stages)*(mdl.Tsetup+float64(2*m)*mdl.Tlat)
+	}
+	const n = 9216
+	for _, c := range []struct {
+		k              int
+		m, lgm, stages int64
+	}{
+		{2, 4608, 13, 1},
+		{3, 3072, 12, 3},
+		{8, 1152, 11, 6},
+		{2048, 5, 3, 66},
+		{16384, 1, 0, 105},
+	} {
+		if got, want := CurveBuildTime(n, c.k, mdl), form(c.m, c.lgm, c.stages); got != want {
+			t.Errorf("k=%d: build priced %.17g, want %.17g", c.k, got, want)
+		}
+		if a, b := CurveBuildTime(n, c.k, mdl), CurveBuildTime(n, c.k, mdl); a != b {
+			t.Errorf("k=%d: reruns priced %.17g and %.17g", c.k, a, b)
+		}
+	}
+	g := gridGraph(24, 24, 16, 5) // n vertices
+	if got, want := CurveBuildTime(g.N, 1, mdl), NewSFCWorkers(g, sfc.Hilbert, 0).BuildOps().Time(mdl); got != want {
+		t.Errorf("k=1: build priced %.17g, want the serial %.17g", got, want)
+	}
+
+	for _, c := range []struct{ n, k int }{{60984, 8}, {60984, 16}, {60984, 2048}, {9216, 16}} {
+		serial := machine.Ops{Total: int64(c.n) + int64(c.n)*int64(log2ceil(c.n))}.Time(mdl)
+		if got := CurveBuildTime(c.n, c.k, mdl); got >= serial {
+			t.Errorf("n=%d k=%d: build priced %.4gs, not below the serial %.4gs", c.n, c.k, got, serial)
 		}
 	}
 }

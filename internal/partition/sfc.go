@@ -14,8 +14,9 @@ import (
 // weighted chunks. Curve locality makes the chunks spatially compact, and
 // the whole construction is O(n log n) — no eigen-solves.
 //
-// It runs one serial key pass, a stable radix sort and a serial cut, and
-// is charged its work, as every partitioner is. Equal keys keep
+// The host runs one serial key pass, a stable radix sort and a serial cut.
+// The model prices the build as the parallel sort the k ranks would run
+// (CurveBuildTime) and the cut at its serial work. Equal keys keep
 // vertex-index order, so the curve order, every Assignment and the work
 // depend only on the graph.
 //
@@ -28,10 +29,10 @@ import (
 // repartitioning essentially free next to the remap itself. The cut is
 // the exact minimum-bottleneck cut of that order (see Repartition), and
 // nothing runs after it. It is the curve cache of the morton and hilbert
-// Repartitioner, which charges the build (BuildOps) to its first
-// Repartition. The cut's scratch lives here too, so a cut allocates only
-// its Assignment; an SFCPartitioner is therefore not safe for concurrent
-// use.
+// Repartitioner, which charges the build (BuildOps, priced by
+// CurveBuildTime) to its first Repartition. The cut's scratch lives here
+// too, so a cut allocates only its Assignment; an SFCPartitioner is
+// therefore not safe for concurrent use.
 type SFCPartitioner struct {
 	// order holds the dual vertices sorted by curve key.
 	order []int32
@@ -56,10 +57,33 @@ func NewSFCWorkers(g *dual.Graph, c sfc.Curve, workers int) *SFCPartitioner {
 }
 
 // BuildOps is the work of building the curve order, n key generations
-// plus n·log2 n sort comparisons, all compute-bound.
+// plus n·log2 n sort comparisons, all compute-bound. It counts the work
+// once, wherever it runs; CurveBuildTime prices it.
 func (s *SFCPartitioner) BuildOps() machine.Ops {
 	n := len(s.order)
 	return machine.Ops{Total: int64(n) + int64(n)*int64(log2ceil(n))}
+}
+
+// CurveBuildTime is the modeled seconds of building the curve order of n
+// vertices on k ranks, one per part: a hypercube bitonic merge-split sort
+// of the n (key, vertex) records (Borrell et al.'s parallel SFC
+// partitioning). With m = ⌈n/k⌉ records a rank, L = ⌈log2 k⌉ and
+// S = L(L+1)/2 stages, each rank keys and locally sorts its m records,
+// m + m·⌈log2 m⌉ ops, and in each stage swaps its whole block of 2m words
+// (the 64-bit key and the vertex id) with one partner and merges it, m
+// ops:
+//
+//	(m + m·⌈log2 m⌉ + S·m)·CompOp + S·MsgTime(2m).
+//
+// The host runs the serial radix sort instead, which gives the same
+// order. At k = 1 the price is BuildOps().Time, bit for bit.
+func CurveBuildTime(n, k int, mdl machine.Model) float64 {
+	k = max(k, 1)
+	m := machine.CeilDiv(int64(n), int64(k))
+	l := int64(log2ceil(k))
+	stages := l * (l + 1) / 2
+	lg := int64(log2ceil(int(m)))
+	return float64(m+m*lg+stages*m)*mdl.CompOp + float64(stages)*mdl.MsgTime(2*m)
 }
 
 // sortByKey returns the indices of keys ordered by key, equal keys in
