@@ -4,7 +4,9 @@ import (
 	"math/bits"
 	"slices"
 
+	"plum/internal/machine"
 	"plum/internal/mesh"
+	"plum/internal/propagate"
 )
 
 // Mark is the per-edge adaption target of the paper: each edge is targeted
@@ -44,12 +46,12 @@ type Adaptor struct {
 	foldedCarry  int
 	touchedSlots int
 
-	// Per-pass scratch kept across passes: the propagation worklist and
-	// its members (a set of elements), the edges active boundary faces
-	// hold against cleanup, and a round's refine-marked edges as a set and
-	// in ascending order.
-	queue     []mesh.ElemID
-	queued    bitset
+	// Per-pass scratch kept across passes: the propagation engine's
+	// buffers and its one-rank clock, the edges active boundary faces hold
+	// against cleanup, and a round's refine-marked edges as a set and in
+	// ascending order.
+	prop      propagate.Scratch
+	clk       machine.Clock
 	protected bitset
 	edgeSet   bitset
 	edges     []mesh.EdgeID
@@ -214,7 +216,6 @@ type bitset []uint64
 
 func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 func (b bitset) add(i int32)      { b[i>>6] |= 1 << (i & 63) }
-func (b bitset) remove(i int32)   { b[i>>6] &^= 1 << (i & 63) }
 
 // members appends the elements of b to dst in ascending order.
 func members[ID ~int32](dst []ID, b bitset) []ID {

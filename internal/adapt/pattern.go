@@ -4,7 +4,10 @@
 // are upgraded to one of the three valid subdivision types (1:2, 1:4,
 // 1:8) by an iterative propagation process, marked edges are bisected, and
 // elements are subdivided independently according to their final binary
-// patterns. Coarsening removes sibling groups whose edges are targeted for
+// patterns. The propagation is the propagate engine's loop, run on World:
+// Refine closes every round's marks on one rank, and the distributed
+// layer closes the first round on its P ranks and hands the closed marks
+// to Subdivide. Coarsening removes sibling groups whose edges are targeted for
 // removal, reinstates their parents, and re-invokes refinement to restore
 // a valid conforming mesh. Edges cannot be coarsened beyond the initial
 // mesh.

@@ -3,14 +3,17 @@ package adapt
 import (
 	"fmt"
 
+	"plum/internal/machine"
 	"plum/internal/mesh"
+	"plum/internal/propagate"
 )
 
 // RefineStats summarizes one refinement pass.
 type RefineStats struct {
-	// Propagations counts element pattern-upgrade visits during the
-	// marking-propagation fixpoint (the process that requires
-	// communication rounds in the parallel version).
+	// Propagations counts the propagation engine's element visits
+	// (propagate.Result.Visits) over the pass's marking closures, which
+	// take communication rounds in the parallel version. They follow the
+	// frontier alone: the serial kernel and ParallelRefine count the same.
 	Propagations int
 	// EdgesBisected is the number of edges split this pass.
 	EdgesBisected int
@@ -41,19 +44,30 @@ func (a *Adaptor) PatternOf(t *mesh.Element) Pattern {
 	return p
 }
 
-// Refine performs refinement rounds until the mesh is conforming: in the
-// common case (fresh marks on a conforming mesh) a single round suffices,
-// but after coarsening a reinstated parent may sit on a multi-level edge
-// tree, in which case its children are split again in further rounds until
-// no active element references a bisected edge.
+// Refine performs refinement rounds until the mesh is conforming, each
+// round closing the refine marks and then subdividing what they require
+// (see Subdivide): in the common case (fresh marks on a conforming mesh) a
+// single round suffices, but after coarsening a reinstated parent may sit
+// on a multi-level edge tree, in which case its children are split again
+// in further rounds until no active element references a bisected edge.
 func (a *Adaptor) Refine() RefineStats {
-	var st RefineStats
+	return a.Subdivide(a.close(a.Touched()))
+}
+
+// Subdivide completes a refinement whose first round's marks are already
+// closed, by the serial closure or by a caller's own run of the
+// propagation engine on World; visits is that closure's visit count. It
+// subdivides what the marks require, and each carry round after the
+// first closes its own marks serially before it subdivides.
+func (a *Adaptor) Subdivide(visits int) RefineStats {
+	st := RefineStats{Propagations: visits}
 	for {
 		round := a.refineRound()
 		st.add(round)
 		if round.TotalSubdivided() == 0 && round.FacesSubdivided == 0 {
 			return st
 		}
+		st.Propagations += a.close(a.Touched())
 	}
 }
 
@@ -68,78 +82,89 @@ func (s *RefineStats) add(round RefineStats) {
 	s.FacesSubdivided += round.FacesSubdivided
 }
 
-// propagate upgrades element patterns to a fixpoint and returns the number
-// of element visits. The worklist is seeded with every active element of
-// cands (ascending, a superset of the nonzero patterns: the touched set)
-// whose pattern is nonzero; upgrades spread through edge incidence lists.
-func (a *Adaptor) propagate(cands []mesh.ElemID) int {
-	m := a.M
-	visits := 0
-	queue := a.queue[:0]
-	a.queued = a.queued.empty(len(m.Elems))
-	queued := a.queued
-	push := func(el mesh.ElemID) {
-		if !queued.has(int32(el)) && m.Elems[el].Active() {
-			queued.add(int32(el))
-			queue = append(queue, el)
+// World is the adaptor's marking closure as a propagate.World on one
+// rank: an element proposes the edges its pattern upgrade adds, a commit
+// marks the edge MarkRefine, and a marked edge reaches the active
+// elements around it. Every element is rank 0's and no edge is shared;
+// the distributed layer overrides Owner and SPL with its P ranks'.
+type World struct{ a *Adaptor }
+
+// World returns the adaptor's propagation world.
+func (a *Adaptor) World() World { return World{a} }
+
+// Owner puts every element on rank 0.
+func (World) Owner(int32) int32 { return 0 }
+
+// Propose appends the edges the pattern upgrade of active element el adds.
+func (w World) Propose(el int32, buf []int32) []int32 {
+	t := &w.a.M.Elems[el]
+	p := w.a.PatternOf(t)
+	add := p.Upgrade() &^ p
+	for le := 0; le < 6; le++ {
+		if add.Has(le) {
+			buf = append(buf, int32(t.E[le]))
 		}
 	}
-	for _, el := range cands {
-		if a.PatternOf(&m.Elems[el]) != 0 {
-			push(el)
-		}
-	}
-	for len(queue) > 0 {
-		el := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		queued.remove(int32(el))
-		t := &m.Elems[el]
-		if !t.Active() {
-			continue
-		}
-		visits++
-		p := a.PatternOf(t)
-		up := p.Upgrade()
-		add := up &^ p
-		if add == 0 {
-			continue
-		}
-		for le := 0; le < 6; le++ {
-			if !add.Has(le) {
-				continue
-			}
-			e := t.E[le]
-			a.SetMark(e, MarkRefine)
-			// Neighbours sharing the newly marked edge must re-check
-			// their patterns (this is the communication step in the
-			// distributed implementation).
-			for _, nb := range m.EdgeElems(e) {
-				push(nb)
-			}
-		}
-	}
-	a.queue = queue
-	return visits
+	return buf
 }
 
-// refineRound performs one refinement pass: it upgrades element patterns
-// to the valid set {1:2, 1:4, 1:8} with full propagation, sizes the
-// element slab for what the final patterns will create, bisects every
-// targeted edge, independently subdivides each element according to its
-// final binary pattern, splits boundary faces to match, and consumes the
-// refine marks. Every element walk is a walk of the touched set in
-// ascending id order, the order of the slab, so ids and creation order are
-// those a slab scan gives.
+// Commit marks edge e for refinement.
+func (w World) Commit(e int32) { w.a.SetMark(mesh.EdgeID(e), MarkRefine) }
+
+// Reach appends the active elements on edge e: their patterns grew.
+func (w World) Reach(e int32, elems []int32) []int32 {
+	m := w.a.M
+	for _, nb := range m.EdgeElems(mesh.EdgeID(e)) {
+		if m.Elems[nb].Active() {
+			elems = append(elems, int32(nb))
+		}
+	}
+	return elems
+}
+
+// SPL lists no rank: on one rank no edge is shared.
+func (World) SPL(_ int32, spl []int32) []int32 { return spl }
+
+// Seed appends to buf the frontier a round's closure starts from, the
+// touched elements with a nonzero pattern (ascending), and returns it.
+func (w World) Seed(buf []int32) []int32 { return w.a.seed(buf, w.a.Touched()) }
+
+// seed appends to buf the active elements of cands (ascending) whose
+// pattern is nonzero.
+func (a *Adaptor) seed(buf []int32, cands []mesh.ElemID) []int32 {
+	for _, el := range cands {
+		if t := &a.M.Elems[el]; t.Active() && a.PatternOf(t) != 0 {
+			buf = append(buf, int32(el))
+		}
+	}
+	return buf
+}
+
+// close upgrades element patterns to a fixpoint from the elements of
+// cands (the touched set, or a superset) with a nonzero pattern, through
+// the propagation engine on one rank, uncharged, and returns its visits.
+func (a *Adaptor) close(cands []mesh.ElemID) int {
+	a.clk.Reset(1)
+	eng := propagate.Engine{Scratch: &a.prop}
+	return int(eng.Run(a.World(), a.seed(a.prop.Seed(), cands), &a.clk, machine.Model{}).Visits)
+}
+
+// refineRound performs one refinement pass on closed marks (every
+// pattern in the valid set {1:2, 1:4, 1:8}): it sizes the element slab for
+// what the patterns will create, bisects every targeted edge,
+// independently subdivides each element according to its final binary
+// pattern, splits boundary faces to match, and consumes the refine marks.
+// Every element walk is a walk of the touched set in ascending id order,
+// the order of the slab, so ids and creation order are those a slab scan
+// gives.
 func (a *Adaptor) refineRound() RefineStats {
 	var st RefineStats
 	m := a.M
 
-	// --- Phase 1: marking propagation to a fixpoint. ---
-	st.Propagations = a.propagate(a.Touched())
 	touched, edges := a.Touched(), a.refineEdges()
 	m.Reserve(a.roundGrowth(touched))
 
-	// --- Phase 2: bisect all targeted edges. ---
+	// --- Phase 1: bisect all targeted edges. ---
 	// BisectEdge creates new edges (never marked), so the list stays whole.
 	for _, e := range edges {
 		if ed := m.Edge(e); !ed.Dead && !ed.Bisected() {
@@ -148,7 +173,7 @@ func (a *Adaptor) refineRound() RefineStats {
 		}
 	}
 
-	// --- Phase 3: subdivide each element independently. ---
+	// --- Phase 2: subdivide each element independently. ---
 	nElems := len(m.Elems)
 	for _, el := range touched {
 		p := a.bisectedPattern(&m.Elems[el])
@@ -173,10 +198,10 @@ func (a *Adaptor) refineRound() RefineStats {
 		}
 	}
 
-	// --- Phase 4: split boundary faces to match their edges. ---
+	// --- Phase 3: split boundary faces to match their edges. ---
 	st.FacesSubdivided = a.refineFaces()
 
-	// --- Phase 5: consume the refine marks. ---
+	// --- Phase 4: consume the refine marks. ---
 	a.clearMark(MarkRefine)
 	return st
 }

@@ -14,7 +14,7 @@ func checkedRounds(t *testing.T, a *Adaptor, what string) {
 	t.Helper()
 	m := a.M
 	for round := 0; ; round++ {
-		a.propagate(a.Touched())
+		a.close(a.Touched())
 		nt := a.roundGrowth(a.Touched())
 		t0 := len(m.Elems)
 		st := a.refineRound()

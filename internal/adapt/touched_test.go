@@ -38,7 +38,7 @@ func (a *Adaptor) refineRoundSlab() RefineStats {
 		return active
 	}
 
-	st.Propagations = a.propagate(scanActive())
+	st.Propagations = a.close(scanActive())
 
 	nMarks := mesh.EdgeID(len(a.marks))
 	for e := range nMarks {
@@ -110,6 +110,7 @@ func refineChecked(t *testing.T, a *Adaptor) (RefineStats, int) {
 				t.Fatalf("round %d: element %d has pattern %06b but is not in the touched set", rounds, ti, a.PatternOf(el))
 			}
 		}
+		st.Propagations += a.close(touched)
 		round := a.refineRound()
 		st.add(round)
 		if round.TotalSubdivided() == 0 && round.FacesSubdivided == 0 {

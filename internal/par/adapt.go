@@ -65,7 +65,7 @@ func (d *Dist) engine() propagate.Engine {
 		d.adaptX = d.Faults.Exchange(fault.StageAdapt, d.FaultCycle, d.Retry.Normalize().MsgAttempts)
 		d.adaptXCycle = d.FaultCycle
 	}
-	return propagate.Engine{Faults: d.adaptX}
+	return propagate.Engine{Faults: d.adaptX, Scratch: &d.prop}
 }
 
 // faultTrace snapshots an ExchangeModel's cumulative counters so a pass
@@ -89,61 +89,18 @@ func (t faultTrace) record(x *fault.ExchangeModel, tm *AdaptTimings) {
 	tm.Exhausted = x.Exhausted - t.exhausted
 }
 
-// adaptWorld adapts the (Dist, Adaptor) pair to the propagation engine's
-// World interface: patterns are proposed against the live mark set,
-// commits go through SetMark, and reach/SPL probes walk the edge
-// incidence lists into the owner slab.
+// adaptWorld is the adaptor's propagation world (adapt.World) on the P
+// ranks: each element lives on its owner, and a committed edge notifies
+// the ranks of its shared-processor list.
 type adaptWorld struct {
+	adapt.World
 	d *Dist
-	a *adapt.Adaptor
 }
 
 func (w adaptWorld) Owner(el int32) int32 { return w.d.own[el] }
 
-func (w adaptWorld) Propose(el int32, buf []int32) []int32 {
-	t := &w.d.M.Elems[el]
-	if !t.Active() {
-		return buf
-	}
-	p := w.a.PatternOf(t)
-	add := p.Upgrade() &^ p
-	if add == 0 {
-		return buf
-	}
-	for le := 0; le < 6; le++ {
-		if add.Has(le) {
-			buf = append(buf, int32(t.E[le]))
-		}
-	}
-	return buf
-}
-
-func (w adaptWorld) Commit(e int32) { w.a.SetMark(mesh.EdgeID(e), adapt.MarkRefine) }
-
-func (w adaptWorld) Reach(e int32, elems []int32) []int32 {
-	for _, nb := range w.d.M.EdgeElems(mesh.EdgeID(e)) {
-		if w.d.M.Elems[nb].Active() {
-			elems = append(elems, int32(nb))
-		}
-	}
-	return elems
-}
-
 func (w adaptWorld) SPL(e int32, spl []int32) []int32 {
 	return w.d.edgeSPL(spl, mesh.EdgeID(e))
-}
-
-// seedFrontier returns the initial propagation frontier: every active
-// element with a nonzero pattern, in ascending element order (a serial
-// walk of the adaptor's touched set).
-func (d *Dist) seedFrontier(a *adapt.Adaptor) []int32 {
-	var seed []int32
-	for _, el := range a.Touched() {
-		if a.PatternOf(&d.M.Elems[el]) != 0 {
-			seed = append(seed, int32(el))
-		}
-	}
-	return seed
 }
 
 // PredictAdaptOps returns the op accounting one parallel adaption pass
@@ -182,10 +139,13 @@ func PredictAdaptOps(nEdges, nElems, mutations, classified int64, prop propagate
 // ParallelRefine executes one refinement pass of the distributed 3D_TAG
 // algorithm: edge marking, superstep frontier propagation through the
 // propagate engine, independent subdivision of local elements, and the
-// shared-edge classification round. The mesh mutation is performed by the
-// (verified) serial kernel; the per-rank work and message pattern are
-// replayed against the ownership map and charged to the machine model.
-// The seed and the children count walk the adaptor's touched set.
+// shared-edge classification round. The engine's run on the P ranks is
+// the first round's only marking closure: the serial kernel subdivides
+// the marks it closed (adapt.Adaptor.Subdivide), closing only the carry
+// rounds after it itself, uncharged. The per-rank work and message
+// pattern are replayed against the ownership map and charged to the
+// machine model. The seed and the children count walk the adaptor's
+// touched set.
 func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.RefineStats, AdaptTimings) {
 	var tm AdaptTimings
 	m := d.M
@@ -207,7 +167,8 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	nElems0 := m.ElemSlots()
 
 	// --- Propagation phase: superstep frontier fixpoint. ---
-	res := prop.Run(adaptWorld{d, a}, d.seedFrontier(a), clk, mdl)
+	w := adaptWorld{a.World(), d}
+	res := prop.Run(w, w.Seed(d.prop.Seed()), clk, mdl)
 	if res.Rounds == 0 {
 		res.Rounds = 1 // the fixpoint-check round: one empty superstep
 		clk.Barrier()
@@ -252,7 +213,7 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	}
 	edgesBefore := m.EdgeSlots()
 
-	st := a.Refine()
+	st := a.Subdivide(int(res.Visits))
 	d.fillOwn(nElems0)
 
 	clk.Barrier()

@@ -256,9 +256,6 @@ func TestCompactIsRelabelling(t *testing.T) {
 		markWake(plain, c, cycles)
 		cst, _ := d.ParallelCoarsen(a, mdl)
 		want := plain.Coarsen()
-		// The distributed pass reaches the marking fixpoint in its own
-		// engine, so the kernel's visit count is not comparable.
-		cst.Rerefine.Propagations, want.Rerefine.Propagations = 0, 0
 		if cst != want {
 			t.Fatalf("cycle %d: coarsen stats %+v, serial kernel %+v", c, cst, want)
 		}
@@ -274,7 +271,6 @@ func TestCompactIsRelabelling(t *testing.T) {
 		markFront(plain, c, cycles)
 		rst, _ := d.ParallelRefine(a, mdl)
 		rwant := plain.Refine()
-		rst.Propagations, rwant.Propagations = 0, 0
 		if rst != rwant {
 			t.Fatalf("cycle %d: refine stats %+v, serial kernel %+v", c, rst, rwant)
 		}

@@ -25,6 +25,7 @@ import (
 	"plum/internal/mesh"
 	"plum/internal/obs"
 	"plum/internal/partition"
+	"plum/internal/propagate"
 )
 
 // Dist is a distributed view: a mesh plus processor ownership of each
@@ -88,13 +89,14 @@ type Dist struct {
 	// leaves it stale, so nothing outside those scans reads it.
 	own []int32
 
-	// vsplAt and vspl are classifyPairs' per-vertex SPL cache, and
-	// deadBefore is ParallelCoarsen's per-element liveness snapshot; all
-	// are kept across passes, so a pass allocates only when the mesh
-	// grows.
+	// vsplAt and vspl are classifyPairs' per-vertex SPL cache,
+	// deadBefore is ParallelCoarsen's per-element liveness snapshot, and
+	// prop is the propagation engine's buffers; all are kept across
+	// passes, so a pass allocates only when the mesh grows.
 	vsplAt     []int32
 	vspl       []int32
 	deadBefore []bool
+	prop       propagate.Scratch
 }
 
 // NewDist builds the distributed view from a dual-graph partition

@@ -91,9 +91,11 @@ func TestParallelRefineMatchesSerial(t *testing.T) {
 	a.MarkRandom(0.10, adapt.MarkRefine, 7)
 	parSt, tm := d.ParallelRefine(a, machine.SP2())
 
-	if serialSt.EdgesBisected != parSt.EdgesBisected ||
-		serialSt.TotalSubdivided() != parSt.TotalSubdivided() {
+	if serialSt != parSt {
 		t.Errorf("stats differ: serial %+v, parallel %+v", serialSt, parSt)
+	}
+	if tm.Visits != int64(parSt.Propagations) {
+		t.Errorf("engine visited %d elements, the stats count %d", tm.Visits, parSt.Propagations)
 	}
 	if serialM.NumActiveElems() != d.M.NumActiveElems() ||
 		serialM.NumActiveEdges() != d.M.NumActiveEdges() {
@@ -110,6 +112,41 @@ func TestParallelRefineMatchesSerial(t *testing.T) {
 	}
 	if tm.Target <= 0 || tm.Execute <= 0 {
 		t.Errorf("phase timings missing: %+v", tm)
+	}
+}
+
+// TestParallelRefineBisectsWhatItClosed pins the kernel to the charged
+// closure: on a conforming mesh (one round) ParallelRefine bisects the
+// marked edges and the edges its propagation engine committed, no more
+// and no fewer.
+func TestParallelRefineBisectsWhatItClosed(t *testing.T) {
+	rotor := meshgen.RotorDisk(meshgen.RotorParams{
+		NR: 8, NTheta: 10, NZ: 6, R0: 0.5, R1: 2, Sweep: 2.5, Height: 1,
+	})
+	for _, tc := range []struct {
+		name string
+		m    *mesh.Mesh
+		p    int
+	}{{"smallbox", meshgen.SmallBox(), 4}, {"rotor", rotor, 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDist(tc.m, tc.p, partition.Partition(dual.Build(tc.m), tc.p, partition.MethodHilbertSFC))
+			a := adapt.New(tc.m)
+			a.MarkRandom(0.05, adapt.MarkRefine, 11)
+			marked := 0
+			for e, mk := range a.MarksSnapshot() {
+				if mk == adapt.MarkRefine && !tc.m.Edge(mesh.EdgeID(e)).Bisected() {
+					marked++
+				}
+			}
+			st, tm := d.ParallelRefine(a, machine.SP2())
+			if tm.Marked == 0 {
+				t.Fatal("the engine committed no mark: the fixture does not propagate")
+			}
+			if want := marked + int(tm.Marked); st.EdgesBisected != want {
+				t.Errorf("bisected %d edges; %d marked + %d the engine committed = %d",
+					st.EdgesBisected, marked, tm.Marked, want)
+			}
+		})
 	}
 }
 

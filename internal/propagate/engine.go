@@ -13,33 +13,46 @@ type proposal struct {
 	edge, src int32
 }
 
-// notif is one shared-edge notification: src tells dst that edge was
-// newly marked this round. The round's outbox is the slice of these
-// sorted by (src, dst, edge) — a flat CSR layout whose runs are the
-// per-pair message batches.
-type notif struct {
-	src, dst, edge int32
+// Scratch is Run's working storage. A caller that runs the engine pass
+// after pass keeps one, hands it to every Engine it builds and builds each
+// seed in Seed's buffer, so a warm Run allocates nothing. No result
+// depends on it. The zero value is ready for use.
+type Scratch struct {
+	frontier, eb, reach, spl []int32
+	visits                   []int64
+	props                    []proposal
+	notes                    []PairWords
 }
 
-// Run propagates from the initial frontier (any order, duplicates
-// allowed; the engine canonicalizes) until no round commits a mark,
-// charging per-round visit work and notification traffic to clk with a
-// barrier after every round. It takes ownership of the frontier slice.
-// Every phase runs in a canonical order, so the result and the clock are
-// the same run to run.
-func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine.Model) Result {
-	p := clk.P()
+// Seed returns the frontier buffer the last Run left, emptied, for the
+// caller to append the next seed to.
+func (s *Scratch) Seed() []int32 { return s.frontier[:0] }
+
+// Run propagates from the seed frontier (any order, duplicates allowed;
+// the engine canonicalizes) until no round commits a mark, charging
+// per-round visit work and notification traffic to clk with a barrier
+// after every round. It takes ownership of the seed slice, whose backing
+// array holds every later frontier and stays in the Scratch. Every phase
+// runs in a canonical order, so the result and the clock are the same run
+// to run. An empty seed runs no round, charges nothing and allocates
+// nothing.
+func (eng Engine) Run(w World, seed []int32, clk *machine.Clock, mdl machine.Model) Result {
 	var res Result
+	if len(seed) == 0 {
+		return res
+	}
+	s := eng.Scratch
+	if s == nil {
+		s = new(Scratch)
+	}
+	p := clk.P()
 
 	// Canonicalize the seed: ascending unique element ids.
-	slices.Sort(frontier)
-	frontier = slices.Compact(frontier)
+	slices.Sort(seed)
+	frontier := slices.Compact(seed)
 
-	visits := make([]int64, p)
-	var props []proposal
-	var outbox []notif
-	var raw []PairWords
-	var eb []int32
+	visits := slices.Grow(s.visits[:0], p)[:p]
+	props, notes, eb, reach, spl := s.props, s.notes, s.eb, s.reach, s.spl
 	for len(frontier) > 0 {
 		res.Rounds++
 		n := len(frontier)
@@ -69,8 +82,7 @@ func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine
 		})
 		props = slices.Compact(props)
 		next := frontier[:0]
-		outbox = outbox[:0]
-		var reach, spl []int32
+		notes = notes[:0]
 		for i := 0; i < len(props); {
 			e := props[i].edge
 			j := i
@@ -90,7 +102,7 @@ func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine
 					src := props[k].src
 					for _, dst := range spl {
 						if dst != src {
-							outbox = append(outbox, notif{src, dst, e})
+							notes = append(notes, PairWords{Src: src, Dst: dst, Words: 1})
 						}
 					}
 				}
@@ -99,30 +111,15 @@ func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine
 		}
 		res.Ops.AddMem(int64(len(props)))
 
-		// The outbox is already in (src, dst, edge) order: edges ascend
-		// outermost, but a stable sort on (src, dst) keeps edge order
-		// within each run, yielding the CSR batch layout.
-		slices.SortStableFunc(outbox, func(a, b notif) int {
-			if a.src != b.src {
-				return int(a.src) - int(b.src)
-			}
-			return int(a.dst) - int(b.dst)
-		})
-		raw = raw[:0]
-		for _, nt := range outbox {
-			if k := len(raw); k > 0 && raw[k-1].Src == nt.src && raw[k-1].Dst == nt.dst {
-				raw[k-1].Words++
-			} else {
-				raw = append(raw, PairWords{Src: nt.src, Dst: nt.dst, Words: 1})
-			}
-		}
-		res.Ops.AddComp(int64(len(raw)))
+		// One word per notification, batched per (src, dst) pair.
+		pairs := AggregatePairs(notes)
+		res.Ops.AddComp(int64(len(pairs)))
 
 		// Charge the round and synchronize.
 		for r := 0; r < p; r++ {
 			clk.Add(r, float64(visits[r])*mdl.PropagateVisit)
 		}
-		ch := eng.ChargeExchange(clk, mdl, raw)
+		ch := eng.ChargeExchange(clk, mdl, pairs)
 		res.Msgs += ch.Msgs
 		res.Words += ch.Words
 		res.SetupTime += ch.SetupTime
@@ -131,5 +128,6 @@ func (eng Engine) Run(w World, frontier []int32, clk *machine.Clock, mdl machine
 		slices.Sort(next)
 		frontier = slices.Compact(next)
 	}
+	*s = Scratch{frontier, eb, reach, spl, visits, props, notes}
 	return res
 }

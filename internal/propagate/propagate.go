@@ -1,15 +1,18 @@
 // Package propagate is the deterministic frontier-propagation engine
-// behind the distributed 3D_TAG adaption phases: the iterative
-// pattern-upgrade process of ParallelRefine and the shared-mark
-// consistency exchange of ParallelCoarsen (internal/par).
+// behind the 3D_TAG adaption phases. Its loop is the one marking closure
+// (the iterative pattern upgrade): the serial kernel closes every
+// refinement round through it on one rank, uncharged
+// (adapt.Adaptor.Refine), and ParallelRefine closes the first round on
+// the P ranks and charges it (internal/par). ParallelCoarsen's
+// shared-mark consistency exchange is charged through it too.
 //
 // The engine runs the paper's marking propagation as bulk-synchronous
 // supersteps over an element frontier. Each round scans the frontier in
 // ascending element order, gathering every element's newly required
-// edges, commits the marks in ascending edge order, and lays the round's
-// shared-edge notifications out as a CSR outbox sorted by
-// (src, dst, edge) — replacing the per-rank map[int32][]int64 outboxes
-// whose iteration order made the modeled times run-to-run nondeterministic.
+// edges, commits the marks in ascending edge order, and batches the
+// round's shared-edge notifications, one word each, per (src, dst) pair in
+// sorted pair order — not per-rank maps, whose iteration order made the
+// modeled times run-to-run nondeterministic.
 // Every order depends only on the frontier, so the final mark set, the
 // round count, the message/word traffic, and the modeled clock are
 // byte-identical run to run.
@@ -26,9 +29,10 @@ import (
 	"plum/internal/machine"
 )
 
-// World is the mesh-facing surface the engine drives. The distributed
-// layer (par.Dist + adapt.Adaptor) implements it; tests substitute
-// synthetic graphs.
+// World is the mesh-facing surface the engine drives. adapt.World
+// implements it on one rank, and the distributed layer (internal/par)
+// gives that world the owners and shared-processor lists of its P ranks;
+// tests substitute synthetic graphs.
 type World interface {
 	// Owner returns the rank owning element el.
 	Owner(el int32) int32
@@ -126,9 +130,10 @@ type Result struct {
 }
 
 // Engine is the frontier-propagation engine of one adaption pass. It is a
-// plain value built where it is used: nothing is armed, shared or carried
-// between passes. Marks, rounds, traffic, and the modeled clock depend
-// only on the frontier and the world.
+// plain value built where it is used: nothing is armed or shared between
+// passes, and only the buffers in Scratch are carried. Marks, rounds,
+// traffic, and the modeled clock depend only on the frontier and the
+// world.
 type Engine struct {
 	// Faults, when non-nil, replays a deterministic fault plan against
 	// each charged message and bills the sender the modeled recovery,
@@ -138,6 +143,9 @@ type Engine struct {
 	// model's attempt counters are the same run to run. nil adds
 	// exact zeros: the fault-free clock is bit-identical.
 	Faults *fault.ExchangeModel
+	// Scratch, when non-nil, holds Run's buffers from one call to the
+	// next; nil runs on fresh ones.
+	Scratch *Scratch
 }
 
 // ChargeExchange charges one bulk exchange of shared-object notifications,

@@ -164,6 +164,38 @@ func TestRunMatchesSerialFixpoint(t *testing.T) {
 	}
 }
 
+// TestWarmRunAllocatesNothing pins the buffer reuse: an engine handed a
+// kept Scratch, its seed built in the Scratch's buffer, allocates nothing
+// on a warm Run, and reaches the same fixpoint and counts as one on fresh
+// buffers.
+func TestWarmRunAllocatesNothing(t *testing.T) {
+	const n, p = 1000, 8
+	base, frontier := newHyperWorld(n, p, 12345, 20)
+	fresh := base.clone()
+	want := propagate.Engine{}.Run(fresh, slices.Clone(frontier), machine.NewClock(p), machine.SP2())
+	if want.Rounds < 2 || want.Msgs == 0 {
+		t.Fatalf("fixture not interesting: %+v", want)
+	}
+
+	var s propagate.Scratch
+	eng := propagate.Engine{Scratch: &s}
+	clk := machine.NewClock(p)
+	w := base.clone()
+	run := func() propagate.Result {
+		copy(w.marked, base.marked)
+		return eng.Run(w, append(s.Seed(), frontier...), clk, machine.SP2())
+	}
+	if got := run(); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(w.marked, fresh.marked) {
+		t.Fatalf("kept scratch: %+v, fresh buffers: %+v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { run() }); allocs != 0 {
+		t.Errorf("warm Run allocated %v times", allocs)
+	}
+	if got := run(); !reflect.DeepEqual(got, want) {
+		t.Errorf("warm rerun: %+v, want %+v", got, want)
+	}
+}
+
 // TestChargeExchangeSemantics pins the notification exchange's message
 // model on a known batch list: one Tsetup per pair, charged to the sender.
 func TestChargeExchangeSemantics(t *testing.T) {
@@ -191,7 +223,7 @@ func TestChargeExchangeSemantics(t *testing.T) {
 }
 
 // TestEmptyFrontier checks the degenerate run: no rounds, no traffic, no
-// ops.
+// ops, no allocation.
 func TestEmptyFrontier(t *testing.T) {
 	w, _ := newHyperWorld(100, 2, 1, 0)
 	clk := machine.NewClock(2)
@@ -201,5 +233,8 @@ func TestEmptyFrontier(t *testing.T) {
 	}
 	if clk.Elapsed() != 0 {
 		t.Fatal("empty frontier charged time")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { propagate.Engine{}.Run(w, nil, clk, machine.SP2()) }); allocs != 0 {
+		t.Errorf("empty frontier allocated %v times", allocs)
 	}
 }
