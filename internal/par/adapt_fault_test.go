@@ -71,6 +71,7 @@ func testAdaptFaultCharges(t *testing.T) {
 		t.Errorf("faults changed refine beyond times:\n got %+v\nwant %+v",
 			stripFaultTimes(got.RefineTm), stripFaultTimes(clean.RefineTm))
 	}
+	checkAdaptGolden(t, "adapt_fault_p8.golden", got)
 }
 
 // TestAdaptZeroRatePlanIsClean pins byte parity at the adaption level: a
