@@ -122,6 +122,14 @@ func (c *Clock) P() int { return len(c.t) }
 // Add accrues seconds of local work on the given rank.
 func (c *Clock) Add(rank int, seconds float64) { c.t[rank] += seconds }
 
+// AddCounts accrues counts[r] units of work of unit seconds each on every
+// rank r.
+func (c *Clock) AddCounts(counts []int64, unit float64) {
+	for r, n := range counts {
+		c.t[r] += float64(n) * unit
+	}
+}
+
 // Barrier synchronizes: every rank's clock advances to the maximum.
 func (c *Clock) Barrier() {
 	max := 0.0

@@ -91,6 +91,24 @@ func TestClockSuperstep(t *testing.T) {
 	}
 }
 
+// TestClockAddCounts pins the per-rank charge to one Add per rank of the
+// count times the unit, rounded the same way.
+func TestClockAddCounts(t *testing.T) {
+	a, b := NewClock(3), NewClock(3)
+	counts := []int64{7, 0, 3}
+	for r, n := range counts {
+		a.Add(r, 0.1)
+		a.Add(r, float64(n)*1.3e-7)
+		b.Add(r, 0.1)
+	}
+	b.AddCounts(counts, 1.3e-7)
+	for r := range counts {
+		if a.Rank(r) != b.Rank(r) {
+			t.Errorf("rank %d: AddCounts %g, Add %g", r, b.Rank(r), a.Rank(r))
+		}
+	}
+}
+
 func TestClockZero(t *testing.T) {
 	c := NewClock(2)
 	if c.Elapsed() != 0 {

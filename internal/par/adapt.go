@@ -40,8 +40,9 @@ type AdaptTimings struct {
 	// Visits is the number of frontier element examinations the
 	// propagation engine performed; Marked the edges it newly committed.
 	Visits, Marked int64
-	// Ops is the abstract work accounting of the whole pass
-	// (PredictAdaptOps of the phase quantities).
+	// Ops is the abstract work accounting of the whole pass: the
+	// per-rank slab scans, the kernel's mutations and the exchanges' pair
+	// bookkeeping.
 	Ops machine.Ops
 	// Retries, Backoff, and Exhausted are the modeled retry traffic a
 	// fault plan (Dist.Faults) injected into this pass's notification
@@ -50,43 +51,6 @@ type AdaptTimings struct {
 	// escalated out of band. All zero without a plan, keeping the
 	// fault-free timings byte-identical.
 	Retries, Backoff, Exhausted int64
-}
-
-// engine builds the pass's frontier-propagation engine, with the cycle's
-// modeled exchange-fault model when the plan is on. One model spans the
-// whole fault cycle (refine and coarsen continue the same per-pair attempt
-// sequence, so their draws are independent); with faults off the engine
-// carries none, so the pass stays byte-identical to the fault-free
-// baseline.
-func (d *Dist) engine() propagate.Engine {
-	if !d.Faults.Enabled() {
-		d.adaptX = nil
-	} else if d.adaptX == nil || d.adaptXCycle != d.FaultCycle {
-		d.adaptX = d.Faults.Exchange(fault.StageAdapt, d.FaultCycle, d.Retry.Normalize().MsgAttempts)
-		d.adaptXCycle = d.FaultCycle
-	}
-	return propagate.Engine{Faults: d.adaptX, Scratch: &d.prop}
-}
-
-// faultTrace snapshots an ExchangeModel's cumulative counters so a pass
-// can report its own delta in AdaptTimings.
-type faultTrace struct{ resent, backoff, exhausted int64 }
-
-func snapshotFaults(x *fault.ExchangeModel) faultTrace {
-	if x == nil {
-		return faultTrace{}
-	}
-	return faultTrace{x.Resent, x.BackoffUnits, x.Exhausted}
-}
-
-// record writes the counter delta since the snapshot into tm.
-func (t faultTrace) record(x *fault.ExchangeModel, tm *AdaptTimings) {
-	if x == nil {
-		return
-	}
-	tm.Retries = x.Resent - t.resent
-	tm.Backoff = x.BackoffUnits - t.backoff
-	tm.Exhausted = x.Exhausted - t.exhausted
 }
 
 // adaptWorld is the adaptor's propagation world (adapt.World) on the P
@@ -103,37 +67,118 @@ func (w adaptWorld) SPL(e int32, spl []int32) []int32 {
 	return w.d.edgeSPL(spl, mesh.EdgeID(e))
 }
 
-// PredictAdaptOps returns the op accounting one parallel adaption pass
-// reports for the given phase quantities: the target/shared-mark scans
-// over nEdges edges, the two slab-sized element scans (seed or snapshot,
-// plus the execution charge over nElems), the kernel's element
-// mutations, the SPL-intersection classification over the classified new
-// edges, and the propagation engine's result — which also carries any
-// pass-specific extras the caller charged into prop.Ops (classification
-// pair bookkeeping, coarsening's created-tail scan). The slab scans are
-// the paper's: each rank scans its local objects. The host refinement
-// walks only the touched elements (adapt.Adaptor.Touched) and no longer
-// performs the element scans it is charged for, by design; the charge is
-// the machine's, not the host's. So is the classification charge, one
-// SPL-intersection probe per new edge: the host derives each endpoint's
-// SPL once and intersects only the edges whose two endpoints are shared.
-func PredictAdaptOps(nEdges, nElems, mutations, classified int64, prop propagate.Result) machine.Ops {
-	o := prop.Ops
-	// The target mark scan streams the edge slab (compute-bound); the
-	// bisection / shared-mark scan probes SPLs over the same slab
-	// (memory-bound pointer chasing).
-	o.AddComp(nEdges)
-	o.AddMem(nEdges)
-	// Seed/snapshot plus execution-charge pattern scans over the element
-	// slab (compute-bound).
-	o.AddComp(2 * nElems)
-	// Kernel mutations: element creation/removal (memory-bound
-	// data-structure updates).
-	o.AddMem(mutations)
-	// Classification: SPL-intersection probe over the new-edge slab
-	// (memory-bound).
-	o.AddMem(classified)
-	return o
+// adaptPass is the skeleton both adaption passes run on a fresh clock,
+// the paper's four phases: marking over each rank's local edges
+// (beginAdapt), the shared-edge mark exchange, local execution and the
+// shared-object update, each closed by phase. ParallelRefine and
+// ParallelCoarsen write only the middle: their per-rank charges, their
+// exchanges and the kernel call between.
+//
+// Neither pass charges all of its host work. Refine charges its kernel's
+// first round only: the carry rounds after it (adapt.Adaptor.Subdivide)
+// close, bisect and subdivide off the clock. Coarsen charges its
+// conformity re-refinement only as the children it creates: the
+// re-refinement's closure visits, notification rounds and bisections stay
+// off the clock.
+type adaptPass struct {
+	mdl machine.Model
+	clk machine.Clock
+	eng propagate.Engine
+	tm  AdaptTimings
+	// ops is the pass's work beyond the scans end books: the engine's and
+	// the exchanges' pair bookkeeping and each pass's own extra scans.
+	ops machine.Ops
+	// last is the clock at the end of the previous phase.
+	last float64
+	// nEdges0 and nElems0 are the slab sizes before the kernel runs.
+	nEdges0, nElems0 int
+	// The engine's fault counters at the start, so end reports this
+	// pass's retries only.
+	resent, backoff, exhausted int64
+}
+
+// beginAdapt opens a pass and runs its marking phase, the error indicator
+// over each rank's local edges. The pass's engine carries the cycle's
+// modeled exchange-fault model when the plan is on. One model spans the
+// whole fault cycle (refine and coarsen continue the same per-pair attempt
+// sequence, so their draws are independent); with faults off the engine
+// carries none, so the pass stays byte-identical to the fault-free
+// baseline.
+func (d *Dist) beginAdapt(mdl machine.Model) adaptPass {
+	if !d.Faults.Enabled() {
+		d.adaptX = nil
+	} else if d.adaptX == nil || d.adaptXCycle != d.FaultCycle {
+		d.adaptX = d.Faults.Exchange(fault.StageAdapt, d.FaultCycle, d.Retry.Normalize().MsgAttempts)
+		d.adaptXCycle = d.FaultCycle
+	}
+	p := adaptPass{mdl: mdl, eng: propagate.Engine{Faults: d.adaptX, Scratch: &d.prop}}
+	p.clk.Reset(d.P)
+	if x := d.adaptX; x != nil {
+		p.resent, p.backoff, p.exhausted = x.Resent, x.BackoffUnits, x.Exhausted
+	}
+	d.fillOwn(0)
+	localEdges, _ := d.edgeCensus()
+	p.clk.AddCounts(localEdges, mdl.MarkEdge)
+	p.phase(&p.tm.Target)
+	p.nEdges0, p.nElems0 = d.M.EdgeSlots(), d.M.ElemSlots()
+	return p
+}
+
+// phase closes a phase with a barrier and books its span into dst.
+func (p *adaptPass) phase(dst *float64) {
+	p.clk.Barrier()
+	now := p.clk.Elapsed()
+	*dst, p.last = now-p.last, now
+}
+
+// exchange charges one notification exchange of the raw per-pair
+// contributions, in the sorted order AggregatePairs gives them, and books
+// its traffic and its pair bookkeeping. It does not barrier.
+func (p *adaptPass) exchange(raw []propagate.PairWords) {
+	pairs := propagate.AggregatePairs(raw)
+	p.ops.AddComp(int64(len(pairs)))
+	ch := p.eng.ChargeExchange(&p.clk, p.mdl, pairs)
+	p.tm.Msgs += ch.Msgs
+	p.tm.Words += ch.Words
+	p.tm.SetupTime += ch.SetupTime
+}
+
+// end closes the pass: the slowest rank's total, the op accounting and the
+// retry traffic the fault model added since beginAdapt. The ops are the
+// paper's per-rank scans of the local objects: the target mark scan
+// streams the edge slab (compute-bound) and the bisection / shared-mark
+// scan probes SPLs over it (memory-bound); the seed or snapshot scan and
+// the execution charge's pattern scan each pass over the element slab
+// (compute-bound); the kernel's element mutations and one SPL-intersection
+// probe per classified new edge are memory-bound. The host walks only the
+// touched elements and intersects only the edges whose two endpoints are
+// shared; the charge is the machine's, not the host's.
+func (p *adaptPass) end(mutations, classified int64) AdaptTimings {
+	p.tm.Total = p.clk.Elapsed()
+	p.ops.AddComp(int64(p.nEdges0) + 2*int64(p.nElems0))
+	p.ops.AddMem(int64(p.nEdges0) + mutations + classified)
+	p.tm.Ops = p.ops
+	if x := p.eng.Faults; x != nil {
+		p.tm.Retries = x.Resent - p.resent
+		p.tm.Backoff = x.BackoffUnits - p.backoff
+		p.tm.Exhausted = x.Exhausted - p.exhausted
+	}
+	return p.tm
+}
+
+// eachMarkedSPL calls f with the shared-processor list of every live,
+// unbisected edge the adaptor's snapshot marks mk; f must not keep it.
+func (d *Dist) eachMarkedSPL(a *adapt.Adaptor, mk adapt.Mark, f func(spl []int32)) {
+	var buf []int32
+	for e, m := range a.MarksSnapshot() {
+		if m != mk {
+			continue
+		}
+		if ed := d.M.Edge(mesh.EdgeID(e)); !ed.Dead && !ed.Bisected() {
+			buf = d.edgeSPL(buf[:0], mesh.EdgeID(e))
+			f(buf)
+		}
+	}
 }
 
 // ParallelRefine executes one refinement pass of the distributed 3D_TAG
@@ -141,101 +186,46 @@ func PredictAdaptOps(nEdges, nElems, mutations, classified int64, prop propagate
 // propagate engine, independent subdivision of local elements, and the
 // shared-edge classification round. The engine's run on the P ranks is
 // the first round's only marking closure: the serial kernel subdivides
-// the marks it closed (adapt.Adaptor.Subdivide), closing only the carry
-// rounds after it itself, uncharged. The per-rank work and message
-// pattern are replayed against the ownership map and charged to the
-// machine model. The seed and the children count walk the adaptor's
-// touched set.
+// the marks it closed (adapt.Adaptor.Subdivide). Bisection work is
+// charged to every rank sharing the edge, subdivision to the element's
+// owner, one unit per child; the seed and the children count walk the
+// adaptor's touched set.
 func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.RefineStats, AdaptTimings) {
-	var tm AdaptTimings
+	p := d.beginAdapt(mdl)
 	m := d.M
-	clk := machine.NewClock(d.P)
-	prop := d.engine()
-	xm := prop.Faults
-	trace := snapshotFaults(xm)
 
-	// --- Target phase: error indicator over local edges. ---
-	d.fillOwn(0)
-	localEdges, _ := d.edgeCensus()
-	for r := 0; r < d.P; r++ {
-		clk.Add(r, float64(localEdges[r])*mdl.MarkEdge)
-	}
-	clk.Barrier()
-	tm.Target = clk.Elapsed()
-
-	nEdges0 := m.EdgeSlots()
-	nElems0 := m.ElemSlots()
-
-	// --- Propagation phase: superstep frontier fixpoint. ---
 	w := adaptWorld{a.World(), d}
-	res := prop.Run(w, w.Seed(d.prop.Seed()), clk, mdl)
-	if res.Rounds == 0 {
-		res.Rounds = 1 // the fixpoint-check round: one empty superstep
-		clk.Barrier()
-	}
-	tm.CommRounds = res.Rounds
-	tm.Msgs, tm.Words = res.Msgs, res.Words
-	tm.SetupTime = res.SetupTime
-	tm.Visits, tm.Marked = res.Visits, res.Marked
-	propEnd := clk.Elapsed()
-	tm.Propagate = propEnd - tm.Target
+	res := p.eng.Run(w, w.Seed(d.prop.Seed()), &p.clk, mdl)
+	p.tm.CommRounds = max(res.Rounds, 1) // an empty frontier still runs the fixpoint check
+	p.tm.Msgs, p.tm.Words, p.tm.SetupTime = res.Msgs, res.Words, res.SetupTime
+	p.tm.Visits, p.tm.Marked = res.Visits, res.Marked
+	p.ops = res.Ops
+	p.phase(&p.tm.Propagate)
 
-	// --- Execution phase: bisection + subdivision, attributed by owner. ---
-	// Bisection work replicates on every rank sharing the edge; the scan
-	// counts shares per rank and charges once per rank.
 	bisect := make([]int64, d.P)
-	var buf []int32
-	for ei, mk := range a.MarksSnapshot() {
-		if mk != adapt.MarkRefine {
-			continue
-		}
-		ed := m.Edge(mesh.EdgeID(ei))
-		if ed.Dead || ed.Bisected() {
-			continue
-		}
-		buf = d.edgeSPL(buf[:0], mesh.EdgeID(ei))
-		for _, r := range buf {
+	d.eachMarkedSPL(a, adapt.MarkRefine, func(spl []int32) {
+		for _, r := range spl {
 			bisect[r]++
 		}
-	}
-	for r := 0; r < d.P; r++ {
-		clk.Add(r, float64(bisect[r])*mdl.BisectEdge)
-	}
-	// Subdivision work goes to the element's owner, one unit per child.
+	})
+	p.clk.AddCounts(bisect, mdl.BisectEdge)
 	children := make([]int64, d.P)
 	for _, el := range a.Touched() {
-		if p := a.PatternOf(&m.Elems[el]); p != 0 {
-			children[d.own[el]] += int64(p.Kind().Children())
+		if pt := a.PatternOf(&m.Elems[el]); pt != 0 {
+			children[d.own[el]] += int64(pt.Kind().Children())
 		}
 	}
-	for r := 0; r < d.P; r++ {
-		clk.Add(r, float64(children[r])*mdl.SubdivideChild)
-	}
+	p.clk.AddCounts(children, mdl.SubdivideChild)
 	edgesBefore := m.EdgeSlots()
-
 	st := a.Subdivide(int(res.Visits))
-	d.fillOwn(nElems0)
+	d.fillOwn(p.nElems0)
+	p.phase(&p.tm.Execute)
 
-	clk.Barrier()
-	execEnd := clk.Elapsed()
-	tm.Execute = execEnd - propEnd
-
-	// --- Classification phase: new edges whose endpoint SPLs intersect
-	// require one communication to decide shared vs. internal. ---
-	pairs := propagate.AggregatePairs(d.classifyPairs(edgesBefore))
-	ch := prop.ChargeExchange(clk, mdl, pairs)
-	tm.Msgs += ch.Msgs
-	tm.Words += ch.Words
-	tm.SetupTime += ch.SetupTime
-	clk.Barrier()
-	tm.Classify = clk.Elapsed() - execEnd
-	tm.Total = clk.Elapsed()
-
-	res.Ops.AddComp(int64(len(pairs)))
-	tm.Ops = PredictAdaptOps(int64(nEdges0), int64(nElems0), int64(st.NewElems),
-		int64(m.EdgeSlots()-edgesBefore), res)
-	trace.record(xm, &tm)
-	return st, tm
+	// New edges whose endpoint SPLs intersect need one message to decide
+	// shared vs. internal.
+	p.exchange(d.classifyPairs(edgesBefore))
+	p.phase(&p.tm.Classify)
+	return st, p.end(int64(st.NewElems), int64(m.EdgeSlots()-edgesBefore))
 }
 
 // classifyPairs runs the shared-edge classification scan over the edges
@@ -305,100 +295,59 @@ func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
 }
 
 // ParallelCoarsen executes one coarsening pass with per-rank attribution:
-// marking over local edges, one shared-mark consistency exchange through
-// the propagation backend, sibling-group removal charged to the parent's
-// owner, and the conformity re-refinement charged to the new children's
-// owners. The pass ends with the paper's compaction
+// marking over local edges, one shared-mark consistency exchange
+// (symmetric marking makes further rounds unneeded), sibling-group removal
+// charged to the parent's owner, and the conformity re-refinement charged
+// by the children it creates to their owners (see adaptPass for what it
+// leaves off the clock). The pass ends with the paper's compaction
 // (adapt.Adaptor.Compact): the slabs it leaves hold no dead object, ids
 // past the initial mesh's are renumbered, and the mesh's log carries the
 // vertex renumbering to the solver's next SyncAfterAdaption.
 func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.CoarsenStats, AdaptTimings) {
-	var tm AdaptTimings
+	p := d.beginAdapt(mdl)
 	m := d.M
-	clk := machine.NewClock(d.P)
-	prop := d.engine()
-	xm := prop.Faults
-	trace := snapshotFaults(xm)
 
-	d.fillOwn(0)
-	localEdges, _ := d.edgeCensus()
-	for r := 0; r < d.P; r++ {
-		clk.Add(r, float64(localEdges[r])*mdl.MarkEdge)
-	}
-	clk.Barrier()
-	tm.Target = clk.Elapsed()
-
-	nEdges0 := m.EdgeSlots()
-	nElems0 := m.ElemSlots()
-
-	// Shared-mark consistency round: coarsen marks on shared edges are
-	// exchanged once (symmetric marking makes further rounds unneeded).
-	// The sorted aggregation fixes the charge order.
 	var raw []propagate.PairWords
-	var buf []int32
-	for ei, mk := range a.MarksSnapshot() {
-		if mk != adapt.MarkCoarsen {
-			continue
+	d.eachMarkedSPL(a, adapt.MarkCoarsen, func(spl []int32) {
+		if len(spl) > 1 {
+			raw = propagate.PairsFromSPL(raw, spl, 1)
 		}
-		ed := m.Edge(mesh.EdgeID(ei))
-		if ed.Dead || ed.Bisected() {
-			continue
-		}
-		if buf = d.edgeSPL(buf[:0], mesh.EdgeID(ei)); len(buf) > 1 {
-			raw = propagate.PairsFromSPL(raw, buf, 1)
-		}
-	}
-	pairs := propagate.AggregatePairs(raw)
-	var res propagate.Result
-	res.Rounds = 1
-	res.Ops.AddComp(int64(len(pairs)))
-	ch := prop.ChargeExchange(clk, mdl, pairs)
-	res.Msgs, res.Words, res.SetupTime = ch.Msgs, ch.Words, ch.SetupTime
-	clk.Barrier()
-	tm.CommRounds = res.Rounds
-	tm.Msgs, tm.Words = res.Msgs, res.Words
-	tm.SetupTime = res.SetupTime
-	propEnd := clk.Elapsed()
-	tm.Propagate = propEnd - tm.Target
+	})
+	p.exchange(raw)
+	p.tm.CommRounds = 1
+	p.phase(&p.tm.Propagate)
 
 	// Snapshot liveness so the post-kernel scans can attribute removals.
-	d.deadBefore = slices.Grow(d.deadBefore[:0], nElems0)[:nElems0]
+	d.deadBefore = slices.Grow(d.deadBefore[:0], p.nElems0)[:p.nElems0]
 	deadBefore := d.deadBefore
 	for i := range deadBefore {
 		deadBefore[i] = m.Elems[i].Dead
 	}
-
 	st := a.Coarsen()
-	d.fillOwn(nElems0)
+	d.fillOwn(p.nElems0)
 
 	// Removal work: newly dead elements, charged to their tree's owner.
+	var mutations int64
 	removed := make([]int64, d.P)
 	for i, was := range deadBefore {
 		if m.Elems[i].Dead && !was {
 			removed[d.own[i]]++
+			mutations++
 		}
 	}
-	for r := 0; r < d.P; r++ {
-		clk.Add(r, float64(removed[r])*mdl.RemoveElem)
-	}
+	p.clk.AddCounts(removed, mdl.RemoveElem)
 	// Re-refinement work: elements created during the pass. This tail
-	// scan is a third element pass ParallelRefine doesn't have, so it is
-	// charged into the pass's accounting here (PredictAdaptOps covers only
-	// the two slab-sized scans).
-	tail := len(m.Elems) - nElems0
+	// scan is a third element pass ParallelRefine doesn't have.
 	created := make([]int64, d.P)
-	for i := nElems0; i < len(m.Elems); i++ {
+	for i := p.nElems0; i < len(m.Elems); i++ {
 		if !m.Elems[i].Dead {
 			created[d.own[i]]++
+			mutations++
 		}
 	}
-	res.Ops.AddComp(int64(tail))
-	for r := 0; r < d.P; r++ {
-		clk.Add(r, float64(created[r])*mdl.SubdivideChild)
-	}
-	clk.Barrier()
-	tm.Execute = clk.Elapsed() - propEnd
-	tm.Total = clk.Elapsed()
+	p.ops.AddComp(int64(len(m.Elems) - p.nElems0))
+	p.clk.AddCounts(created, mdl.SubdivideChild)
+	p.phase(&p.tm.Execute)
 
 	// Compaction: the renumbering the paper folds into removal. It is
 	// booked the way the scans above are, as one more pass over the element
@@ -407,16 +356,9 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	// for it already, per removed element, in Model.RemoveElem.
 	scanned := int64(len(m.Elems))
 	if cm := a.Compact(); cm.Elem != nil {
-		res.Ops.AddMem(scanned)
+		p.ops.AddMem(scanned)
 	}
-
-	var mutations int64
-	for r := 0; r < d.P; r++ {
-		mutations += removed[r] + created[r]
-	}
-	tm.Ops = PredictAdaptOps(int64(nEdges0), int64(nElems0), mutations, 0, res)
-	trace.record(xm, &tm)
-	return st, tm
+	return st, p.end(mutations, 0)
 }
 
 // intersectSorted intersects two sorted unique slices into dst.

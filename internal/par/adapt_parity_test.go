@@ -86,7 +86,7 @@ func checkAdaptGolden(t *testing.T, name string, run adaptRun) {
 func TestAdaptChargeDeterministic(t *testing.T) {
 	for _, p := range []int{1, 4, 8} {
 		run := runAdaptPass(t, p)
-		if p > 1 && (run.RefineTm.Msgs == 0 || run.RefineTm.Marked == 0 || run.CoarsenTm.Msgs == 0) {
+		if run.RefineTm.Marked == 0 || p > 1 && (run.RefineTm.Msgs == 0 || run.CoarsenTm.Msgs == 0) {
 			t.Fatalf("P=%d: fixture exchanged nothing interesting: %+v", p, run.RefineTm)
 		}
 		checkAdaptGolden(t, fmt.Sprintf("adapt_p%d.golden", p), run)

@@ -74,7 +74,7 @@ type Dist struct {
 	// adaptX is the cycle's modeled fault model for the adaption
 	// notification exchanges, rebuilt when FaultCycle advances: refine and
 	// coarsen within one cycle continue the same per-pair attempt
-	// sequence, so their fault draws stay independent (see engine).
+	// sequence, so their fault draws stay independent (see beginAdapt).
 	adaptX      *fault.ExchangeModel
 	adaptXCycle int
 

@@ -116,9 +116,7 @@ func (eng Engine) Run(w World, seed []int32, clk *machine.Clock, mdl machine.Mod
 		res.Ops.AddComp(int64(len(pairs)))
 
 		// Charge the round and synchronize.
-		for r := 0; r < p; r++ {
-			clk.Add(r, float64(visits[r])*mdl.PropagateVisit)
-		}
+		clk.AddCounts(visits, mdl.PropagateVisit)
 		ch := eng.ChargeExchange(clk, mdl, pairs)
 		res.Msgs += ch.Msgs
 		res.Words += ch.Words

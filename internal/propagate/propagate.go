@@ -3,8 +3,10 @@
 // (the iterative pattern upgrade): the serial kernel closes every
 // refinement round through it on one rank, uncharged
 // (adapt.Adaptor.Refine), and ParallelRefine closes the first round on
-// the P ranks and charges it (internal/par). ParallelCoarsen's
-// shared-mark consistency exchange is charged through it too.
+// the P ranks and charges it (internal/par). ParallelCoarsen charges only
+// its shared-mark consistency exchange through the engine
+// (Engine.ChargeExchange): its conformity re-refinement closes through the
+// loop on one rank, uncharged.
 //
 // The engine runs the paper's marking propagation as bulk-synchronous
 // supersteps over an element frontier. Each round scans the frontier in
