@@ -8,14 +8,17 @@
 // computational gain exceeds the redistribution cost.
 //
 // The gain is the paper's, Titer·Nadapt·(Wmax_old − Wmax_new). The cost is
-// the remap as the machine clock will charge it: the mapping's (source,
-// destination, elements) flows priced by par.ChargeRemap, the function
-// the executor charges every executed remap with — each rank's pack, wire
-// and rebuild time, the slowest rank's total — plus the repartition and
-// reassignment overheads, each its work on the machine model. The remap
-// term is the clock's own: when an accepted pass executes without faults,
-// its Remap.Total equals the predicted Total bit for bit; its pack and
-// rebuild are the remap's execution, so nothing prices that twice. Every
+// the remap as the machine clock will charge it: the remap's (source,
+// destination, elements) flows, counted once on the dual graph from the
+// current and proposed owner arrays and Wremap (remap.Flows), priced by
+// par.ChargeRemap, the function the executor charges every executed remap
+// with — each rank's pack, wire and rebuild time, the slowest rank's
+// total — plus the repartition and reassignment overheads, each its work
+// on the machine model. An accepted pass hands that same flow list to the
+// executor, so the remap term is the clock's own: when it executes
+// without faults, its Remap.Total equals the predicted Total bit for bit;
+// its pack and rebuild are the remap's execution, so nothing prices that
+// twice. Every
 // charge is a function of the mesh, P and the machine model. The
 // paper's total-volume formula, C·M·Tlat + N·Tsetup, is reported beside
 // it (BalanceReport.CostPaper); it prices every flow as if one rank sent
@@ -232,12 +235,13 @@ func (f *Framework) Loads() []int64 {
 	return partition.Weights(f.G, f.D.OwnersView(), f.Cfg.P)
 }
 
-// aliveLoads returns the computational loads of the surviving ranks,
-// indexed by position in alive. With every rank alive the values and
-// their order equal Loads() exactly, so the imbalance floats are
-// bit-identical to the pre-crash-recovery arithmetic.
-func (f *Framework) aliveLoads(alive []int32) []int64 {
-	full := f.Loads()
+// aliveLoads returns the computational loads the surviving ranks carry
+// under owners (rank-space, indexed by dual vertex), indexed by position
+// in alive. With every rank alive the values and their order equal
+// partition.Weights exactly, so the imbalance floats are bit-identical to
+// the pre-crash-recovery arithmetic.
+func (f *Framework) aliveLoads(owners, alive []int32) []int64 {
+	full := partition.Weights(f.G, owners, f.Cfg.P)
 	out := make([]int64, len(alive))
 	for i, r := range alive {
 		out[i] = full[r]
@@ -251,7 +255,7 @@ func (f *Framework) aliveLoads(alive []int32) []int64 {
 // threshold.
 func (f *Framework) Evaluate() (imbalance float64, needsRepartition bool) {
 	f.G.UpdateWeights(f.M)
-	imb := par.ImbalanceFactor(f.aliveLoads(f.D.Alive()))
+	imb := par.ImbalanceFactor(f.aliveLoads(f.D.OwnersView(), f.D.Alive()))
 	return imb, imb > f.Cfg.ImbalanceThreshold
 }
 
@@ -376,10 +380,12 @@ type BalanceReport struct {
 	// what the acceptance rule charges when Config.Overlap is off.
 	CostFull float64
 	// Predicted is the remap the rule priced: par.ChargeRemap of the
-	// mapping's flows, the slowest rank's pack, wire and rebuild time on
-	// the same clock that charges the executed remap. When the pass is
-	// accepted and executes fault-free, Remap's Moved, Sets, WordsMoved,
-	// Setups and every time field equal these bit for bit.
+	// remap's flow list (remap.Flows of the current and proposed owners
+	// and Wremap), the slowest rank's pack, wire and rebuild time on the
+	// same clock that charges the executed remap. An accepted pass
+	// executes that same list, so when it runs fault-free, Remap's Moved,
+	// Sets, WordsMoved, Setups and every time field equal these bit for
+	// bit.
 	Predicted par.RemapResult
 	// CostPaper is the paper's redistribution formula for the same
 	// mapping, C·M·Tlat + N·Tsetup over the total volume (setups capped
@@ -459,7 +465,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// bit-identical to the legacy arithmetic.
 	alive := f.D.Alive()
 	rep.Alive = len(alive)
-	loads := f.aliveLoads(alive)
+	loads := f.aliveLoads(f.D.OwnersView(), alive)
 	rep.ImbalanceBefore = par.ImbalanceFactor(loads)
 	rep.ImbalanceAfter = rep.ImbalanceBefore
 	rep.WmaxOld = slices.Max(loads)
@@ -486,19 +492,24 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	rep.Objective = pr.objective
 	f.charge(&rep, pr, len(alive))
 
-	newLoads := pr.loads(f.G.Wcomp, rep.Alive)
+	// One rank-space owner array carries the proposal from here on: its
+	// loads, its flows, and the remap that executes it.
+	newOwner := pr.owners(alive)
+	newLoads := f.aliveLoads(newOwner, alive)
 	rep.WmaxNew = slices.Max(newLoads)
 	rep.ImbalanceAfter = par.ImbalanceFactor(newLoads)
 
 	// Gain/cost decision. The redistribution is priced by the function
-	// that charges the executed remap (par.ChargeRemap) on the mapping's
-	// flows, mapped back from survivor positions to ranks through alive:
-	// the slowest rank's pack + wire + rebuild, which is the executed
+	// that charges the executed remap (par.ChargeRemap) on the remap's
+	// flow list, counted once on the dual graph (remap.Flows of the two
+	// owner arrays and Wremap) and then handed to the executor: the
+	// slowest rank's pack + wire + rebuild, which is the executed
 	// Remap.Total bit for bit on the fault-free path. The cost side also
 	// carries the balancing overhead (repartition + reassignment work) —
 	// negligible for the incremental SFC path, which is the point of
 	// modeling it.
-	rep.Predicted = par.ChargeRemap(f.Cfg.Model, f.D.Exchange, f.Cfg.P, pr.flows(alive))
+	flows := remap.Flows(f.D.OwnersView(), newOwner, f.G.Wremap, f.Cfg.P)
+	rep.Predicted = par.ChargeRemap(f.Cfg.Model, f.D.Exchange, f.Cfg.P, flows)
 	moved, sets := rep.Predicted.Moved, rep.Predicted.Sets
 	rep.CostPaper = redistCost(f.Cfg.Model, f.D.Exchange, rep.Alive, moved, sets)
 	rep.Gain = f.Cfg.Cost.Gain(rep.WmaxOld, rep.WmaxNew)
@@ -522,8 +533,9 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 		return rep, nil
 	}
 
-	// Execute the remap: ownership follows the accepted mapping.
-	res, err := f.D.ExecuteRemap(pr.owners(alive), f.Cfg.Model)
+	// Execute the remap: ownership follows the accepted mapping, along
+	// the flows the decision priced.
+	res, err := f.D.ExecuteRemap(newOwner, flows, f.Cfg.Model)
 	if err != nil {
 		var re *par.RemapError
 		if errors.As(err, &re) {
@@ -621,29 +633,6 @@ func (f *Framework) charge(rep *BalanceReport, pr proposal, alive int) {
 	tr.Advance(reassign)
 }
 
-// loads returns the projected loads of the n survivors under the
-// proposal: every dual vertex's weight lands on the survivor its part is
-// mapped to.
-func (pr proposal) loads(w []int64, n int) []int64 {
-	out := make([]int64, n)
-	for v, p := range pr.part {
-		out[pr.mapping[p]] += w[v]
-	}
-	return out
-}
-
-// flows returns the element sets the proposal moves between ranks, in
-// canonical (Src, Dst) order: the mapping's MoveStats, mapped back from
-// survivor positions to ranks through alive (ascending, so the order
-// survives).
-func (pr proposal) flows(alive []int32) []remap.Flow {
-	flows, _ := pr.sim.MoveStats(pr.mapping)
-	for i := range flows {
-		flows[i].Src, flows[i].Dst = alive[flows[i].Src], alive[flows[i].Dst]
-	}
-	return flows
-}
-
 // owners returns the ownership the proposal assigns: every dual vertex
 // goes to the survivor its part is mapped to.
 func (pr proposal) owners(alive []int32) []int32 {
@@ -716,7 +705,11 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 		return err
 	}
 	f.charge(rep, pr, len(alive))
-	res, err := f.D.ExecuteRemapRecovery(pr.owners(alive), f.Cfg.Model)
+	// The flows leave the pre-pass owners, so the dead ranks' vertices
+	// are re-sourced onto the survivors they land on.
+	owners := pr.owners(alive)
+	flows := remap.Flows(f.D.OwnersView(), owners, f.G.Wremap, f.Cfg.P)
+	res, err := f.D.ExecuteRemapRecovery(owners, flows, f.Cfg.Model)
 	if err != nil {
 		return fmt.Errorf("core: survivor recovery after crash of %v failed: %w", re.Crashed, err)
 	}
@@ -725,7 +718,7 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	f.rollbackStreak = 0
 
 	// Report the post-recovery balance over the survivors.
-	loads := f.aliveLoads(alive)
+	loads := f.aliveLoads(owners, alive)
 	rep.WmaxNew = slices.Max(loads)
 	rep.ImbalanceAfter = par.ImbalanceFactor(loads)
 	return nil

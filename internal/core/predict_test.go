@@ -14,7 +14,7 @@ import (
 )
 
 // TestPredictedRemapIsExecuted pins the acceptance rule's price to the
-// clock: the remap a balance pass predicts from its mapping's flows
+// clock: the remap a balance pass predicts from its flow list
 // (BalanceReport.Predicted, what Cost charges) is the remap ExecuteRemap
 // then charges, bit for bit, on every accepted fault-free pass — at low
 // and high P, under both exchange schedules, and after crashes left a
@@ -80,11 +80,15 @@ func TestPredictedRemapIsExecuted(t *testing.T) {
 	}
 }
 
-// checkProposalFlows holds the flows the decision prices to an oracle:
-// the (old owner, new owner) element sums of every dual vertex the
-// proposal moves, by rank. With dead ranks the similarity rows and the
-// mapping are survivor positions, so a flow list left in positions names
-// the wrong ranks — which a slowest-rank total cannot see.
+// checkProposalFlows holds the flows the decision prices — remap.Flows
+// of the pre-pass owners, the proposal's rank-space owners and Wremap —
+// to two oracles: the (old owner, new owner) element sums of every dual
+// vertex the proposal moves, by rank; and, when no dead rank owns a
+// vertex (a dead rank has no similarity row), the similarity matrix's
+// MoveStats mapped back from survivor positions through alive, which ties
+// the mapper's C and N to the priced flows. With dead ranks the mapping
+// is in survivor positions, so a flow list left in positions names the
+// wrong ranks — which a slowest-rank total cannot see.
 func checkProposalFlows(t *testing.T, name string, f *Framework) {
 	t.Helper()
 	f.G.UpdateWeights(f.M)
@@ -93,10 +97,19 @@ func checkProposalFlows(t *testing.T, name string, f *Framework) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	newOwner := pr.owners(alive)
+	got := remap.Flows(f.D.OwnersView(), newOwner, f.G.Wremap, f.Cfg.P)
+	compare := func(oracle string, want []remap.Flow) {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: the decision prices %d flows, %s moves %d (first %v vs %v)",
+				name, len(got), oracle, len(want), got[:min(3, len(got))], want[:min(3, len(want))])
+		}
+	}
+
 	sums := map[[2]int32]int64{}
 	var want []remap.Flow
 	oldOwner := f.D.Owners()
-	for v, dst := range pr.owners(alive) {
+	for v, dst := range newOwner {
 		if src := oldOwner[v]; src != dst {
 			sums[[2]int32{src, dst}] += f.G.Wremap[v]
 		}
@@ -110,8 +123,27 @@ func checkProposalFlows(t *testing.T, name string, f *Framework) {
 		}
 		return int(a.Dst - b.Dst)
 	})
-	if got := pr.flows(alive); !slices.Equal(got, want) {
-		t.Errorf("%s: the decision prices %d flows, the proposal moves %d (first %v vs %v)",
-			name, len(got), len(want), got[:min(3, len(got))], want[:min(3, len(want))])
+	compare("the proposal", want)
+
+	isAlive := make([]bool, f.Cfg.P)
+	for _, r := range alive {
+		isAlive[r] = true
+	}
+	for _, o := range oldOwner {
+		if !isAlive[o] {
+			return // a dead rank owns a vertex: the similarity matrix has no row for it
+		}
+	}
+	moves, c := pr.sim.MoveStats(pr.mapping)
+	for i := range moves {
+		moves[i].Src, moves[i].Dst = alive[moves[i].Src], alive[moves[i].Dst]
+	}
+	compare("the mapping", moves)
+	var priced int64
+	for _, fl := range got {
+		priced += fl.Elems
+	}
+	if c != priced {
+		t.Errorf("%s: the mapping's C = %d, the priced flows carry %d", name, c, priced)
 	}
 }

@@ -27,18 +27,13 @@ var commProcs = []int{64, 1024, 16384, 131072}
 // commFlows builds the canonical src-major flow list for p ranks: SFC
 // curve neighbors at distance 1, 2, 3 carrying 4, 2, 1 elements, plus
 // hypercube partners src^2^k for k = 4 … log2(p)−1 carrying one element.
-// Words per flow follow the remap executor's convention: ElemWords per
-// element plus the 1/32 header overhead.
-func commFlows(p, elemWords int) []machine.Flow {
-	wordsFor := func(elems int64) int64 {
-		w := elems * int64(elemWords)
-		return w + w/32
-	}
+// Words per flow are the remap executor's, machine.Model.FlowWords.
+func commFlows(p int, mdl machine.Model) []machine.Flow {
 	var flows []machine.Flow
 	for src := 0; src < p; src++ {
 		first := len(flows)
 		add := func(dst int, elems int64) {
-			flows = append(flows, machine.Flow{Src: int32(src), Dst: int32(dst), Words: wordsFor(elems)})
+			flows = append(flows, machine.Flow{Src: int32(src), Dst: int32(dst), Words: mdl.FlowWords(elems)})
 		}
 		for d := 1; d <= 3; d++ {
 			if src+d < p {
@@ -87,7 +82,7 @@ func RunCommTable() *CommTable {
 	out := &CommTable{}
 	mdl := machine.SP2()
 	for _, p := range commProcs {
-		flows := commFlows(p, mdl.ElemWords)
+		flows := commFlows(p, mdl)
 		for _, x := range []machine.Exchange{machine.ExchangeFlat, machine.ExchangeAggregated} {
 			clk := machine.NewClock(p)
 			ch := mdl.ChargeFlows(clk, x, flows)

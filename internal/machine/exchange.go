@@ -1,6 +1,10 @@
 package machine
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Exchange selects the communication schedule used to move a set of
 // point-to-point flows, and with it how many message setups the machine
@@ -56,6 +60,27 @@ func ExchangeByName(name string) (Exchange, error) {
 type Flow struct {
 	Src, Dst int32
 	Words    int64
+}
+
+// AggregatePairs sorts raw flows by (Src, Dst) and merges duplicates,
+// summing their words, into the canonical list the charge functions
+// consume. The input is clobbered; the result aliases it.
+func AggregatePairs(raw []Flow) []Flow {
+	if len(raw) == 0 {
+		return nil
+	}
+	slices.SortFunc(raw, func(a, b Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	out := raw[:1]
+	for _, f := range raw[1:] {
+		if last := &out[len(out)-1]; last.Src == f.Src && last.Dst == f.Dst {
+			last.Words += f.Words
+		} else {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // RetryFunc lets a caller bill modeled retry/fault recovery per message

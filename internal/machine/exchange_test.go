@@ -5,6 +5,27 @@ import (
 	"testing"
 )
 
+func TestAggregatePairs(t *testing.T) {
+	raw := []Flow{
+		{Src: 2, Dst: 1, Words: 3},
+		{Src: 0, Dst: 1, Words: 1},
+		{Src: 2, Dst: 1, Words: 2},
+		{Src: 0, Dst: 2, Words: 4},
+	}
+	got := AggregatePairs(raw)
+	want := []Flow{
+		{Src: 0, Dst: 1, Words: 1},
+		{Src: 0, Dst: 2, Words: 4},
+		{Src: 2, Dst: 1, Words: 5},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v want %v", got, want)
+	}
+	if AggregatePairs(nil) != nil {
+		t.Fatal("empty input must aggregate to nil")
+	}
+}
+
 func TestExchangeNames(t *testing.T) {
 	for i, name := range ExchangeNames {
 		x, err := ExchangeByName(name)

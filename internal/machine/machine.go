@@ -96,6 +96,15 @@ func (m Model) RetryTime(resends, backoff, words int64) float64 {
 	return float64(resends)*m.MsgTime(words) + float64(backoff)*m.RetryBackoff
 }
 
+// FlowWords returns the modeled volume of a remap flow of elems
+// elements: ElemWords words per element plus the shared-structure
+// perturbation, ≈ 3 % (partition-boundary data the paper notes causes
+// slight perturbations).
+func (m Model) FlowWords(elems int64) int64 {
+	words := elems * int64(m.ElemWords)
+	return words + words/32
+}
+
 // RedistCost returns the paper's predicted redistribution overhead
 // (seconds) of moving C elements in N sets: C·M·Tlat + N·Tsetup, with M
 // = ElemWords. The paper notes C·M dominates N for realistic problems.

@@ -132,10 +132,10 @@ func (p *adaptPass) phase(dst *float64) {
 }
 
 // exchange charges one notification exchange of the raw per-pair
-// contributions, in the sorted order AggregatePairs gives them, and books
+// contributions, in the sorted order machine.AggregatePairs gives them, and books
 // its traffic and its pair bookkeeping. It does not barrier.
 func (p *adaptPass) exchange(raw []propagate.PairWords) {
-	pairs := propagate.AggregatePairs(raw)
+	pairs := machine.AggregatePairs(raw)
 	p.ops.AddComp(int64(len(pairs)))
 	ch := p.eng.ChargeExchange(&p.clk, p.mdl, pairs)
 	p.tm.Msgs += ch.Msgs
@@ -231,7 +231,7 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 // classifyPairs runs the shared-edge classification scan over the edges
 // created at or after edgesBefore: every new non-half edge whose endpoint
 // SPLs intersect in more than one rank contributes a two-word query (edge
-// id + verdict) per ordered rank pair. AggregatePairs puts the raw
+// id + verdict) per ordered rank pair. machine.AggregatePairs puts the raw
 // contributions in canonical charge order.
 //
 // A midpoint vertex is an endpoint of a dozen new edges, and nearly every

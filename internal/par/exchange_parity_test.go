@@ -47,8 +47,8 @@ func testExchangeParity(t *testing.T, p int) {
 		d, newOwner := bigFixture(t, p)
 		d.Exchange = x
 		d.Retry = fault.Retry{MsgAttempts: 12, WindowRetries: 6}
-		flows := countFlows(d.M, d.owner, newOwner, d.P)
-		res, err := d.executeRemap(newOwner, mdl, plan)
+		flows := countFlows(d.M, d.owner, newOwner)
+		res, err := d.executeRemap(newOwner, flows, mdl, plan)
 		if err != nil {
 			t.Fatalf("%v: %v", x, err)
 		}
@@ -70,7 +70,7 @@ func testExchangeParity(t *testing.T, p int) {
 		if !reflect.DeepEqual(ref.res, want) {
 			t.Errorf("%v: executed remap diverges from ChargeRemap beyond PeakWords:\n got %+v\nwant %+v", x, ref.res, want)
 		}
-		if total := ref.res.Moved * recWords; ref.res.PeakWords <= 0 || ref.res.PeakWords >= total {
+		if total := ref.res.Moved * RecordWords; ref.res.PeakWords <= 0 || ref.res.PeakWords >= total {
 			t.Errorf("%v: streaming peak %d not strictly below the whole payload %d", x, ref.res.PeakWords, total)
 		}
 	}
@@ -117,7 +117,7 @@ func testExchangeParity(t *testing.T, p int) {
 func TestFlatExchangeLegacyAccounting(t *testing.T) {
 	mdl := machine.SP2()
 	d, newOwner := bigFixture(t, 8)
-	res, err := d.ExecuteRemap(newOwner, mdl)
+	res, err := d.ExecuteRemap(newOwner, countFlows(d.M, d.owner, newOwner), mdl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFlatExchangeLegacyAccounting(t *testing.T) {
 // the executor or the plan, never a price.
 func TestRetryNamingNoFlowPanics(t *testing.T) {
 	d, newOwner := bigFixture(t, 8) // ring flows only: 0->4 moves nothing
-	flows := countFlows(d.M, d.owner, newOwner, d.P)
+	flows := countFlows(d.M, d.owner, newOwner)
 	if slices.ContainsFunc(flows, func(fl remap.Flow) bool { return fl.Src == 0 && fl.Dst == 4 }) {
 		t.Fatal("fixture has a 0->4 flow")
 	}

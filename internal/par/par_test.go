@@ -11,6 +11,7 @@ import (
 	"plum/internal/mesh"
 	"plum/internal/meshgen"
 	"plum/internal/partition"
+	"plum/internal/remap"
 )
 
 // fixture builds a small box mesh distributed over p ranks.
@@ -251,7 +252,7 @@ func TestExecuteRemapConservation(t *testing.T) {
 			expectMoved += g.Wremap[v]
 		}
 	}
-	res, err := d.ExecuteRemap(newOwner, machine.SP2())
+	res, err := d.ExecuteRemap(newOwner, remap.Flows(d.owner, newOwner, g.Wremap, d.P), machine.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestExecuteRemapConservation(t *testing.T) {
 
 func TestExecuteRemapIdentity(t *testing.T) {
 	d, _, _ := fixture(t, 4)
-	res, err := d.ExecuteRemap(d.Owners(), machine.SP2())
+	res, err := d.ExecuteRemap(d.Owners(), nil, machine.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestExecuteRemapIdentity(t *testing.T) {
 
 func TestExecuteRemapRejectsBadLength(t *testing.T) {
 	d, _, _ := fixture(t, 2)
-	if _, err := d.ExecuteRemap(make([]int32, 3), machine.SP2()); err == nil {
+	if _, err := d.ExecuteRemap(make([]int32, 3), nil, machine.SP2()); err == nil {
 		t.Error("accepted wrong-length owner array")
 	}
 }
@@ -308,7 +309,7 @@ func TestFinalizeAfterCrash(t *testing.T) {
 			newOwner[v] = 1 + int32(v)%(p-1)
 		}
 	}
-	if _, err := d.ExecuteRemapRecovery(newOwner, mdl); err != nil {
+	if _, err := d.ExecuteRemapRecovery(newOwner, countFlows(d.M, d.owner, newOwner), mdl); err != nil {
 		t.Fatal(err)
 	}
 	res, err := d.Finalize(mdl)

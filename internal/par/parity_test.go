@@ -56,7 +56,7 @@ func TestAdaptAfterRemap(t *testing.T) {
 	for v := range newOwner {
 		newOwner[v] = (newOwner[v] + 1) % 4
 	}
-	if _, err := d.ExecuteRemap(newOwner, machine.SP2()); err != nil {
+	if _, err := d.ExecuteRemap(newOwner, countFlows(d.M, d.owner, newOwner), machine.SP2()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,7 +134,7 @@ func TestSFCPartitionParity(t *testing.T) {
 		}
 		before := d.M.NumActiveElems()
 		beforeVol := d.M.TotalVolume()
-		if _, err := d.ExecuteRemap(newOwner, machine.SP2()); err != nil {
+		if _, err := d.ExecuteRemap(newOwner, countFlows(d.M, d.owner, newOwner), machine.SP2()); err != nil {
 			t.Fatalf("%v: remap failed: %v", method, err)
 		}
 

@@ -38,14 +38,14 @@ func approxEq(a, b float64) bool {
 func TestRemapFaultRecoveryParity(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
-	refRes, err := refD.ExecuteRemap(newOwner, machine.SP2())
+	refRes, err := refD.ExecuteRemap(newOwner, countFlows(refD.M, refD.owner, newOwner), machine.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	d, _ := bigFixture(t, p)
 	d.Retry = fault.Retry{MsgAttempts: 10, WindowRetries: 4}
-	res, err := d.executeRemap(newOwner, machine.SP2(), &fault.Plan{Seed: 4242, Rate: 0.25})
+	res, err := d.executeRemap(newOwner, countFlows(d.M, d.owner, newOwner), machine.SP2(), &fault.Plan{Seed: 4242, Rate: 0.25})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestRemapRollbackRestoresOwnership(t *testing.T) {
 	before := d.Owners()
 	d.Faults = &fault.Plan{Seed: 9, Rate: 1, Kinds: []fault.Kind{fault.Drop}}
 	d.Retry = fault.Retry{MsgAttempts: 2, WindowRetries: 1}
-	_, err := d.ExecuteRemap(newOwner, machine.SP2())
+	_, err := d.ExecuteRemap(newOwner, countFlows(d.M, d.owner, newOwner), machine.SP2())
 	var re *RemapError
 	if !errors.As(err, &re) {
 		t.Fatalf("error %v is not a *RemapError", err)
@@ -128,7 +128,7 @@ func TestRemapCrashAtWindowZero(t *testing.T) {
 		if len(want) == 0 || !reflect.DeepEqual(want, d.crashRanks(plan)) {
 			t.Fatalf("%s: fated ranks %v, crashRanks %v", c.name, want, d.crashRanks(plan))
 		}
-		_, err := d.executeRemap(newOwner, machine.SP2(), plan)
+		_, err := d.executeRemap(newOwner, countFlows(d.M, d.owner, newOwner), machine.SP2(), plan)
 		var re *RemapError
 		if !errors.As(err, &re) {
 			t.Fatalf("%s: error %v is not a *RemapError", c.name, err)
@@ -156,7 +156,7 @@ func TestRemapPartialCommitRollback(t *testing.T) {
 	// through, the seventh drops its message and aborts the transaction.
 	plan := &fault.Plan{Seed: 5, Rate: 0.05, Kinds: []fault.Kind{fault.Drop}}
 	d.Retry = fault.Retry{MsgAttempts: 1, WindowRetries: 0}
-	_, err := d.executeRemap(newOwner, machine.SP2(), plan)
+	_, err := d.executeRemap(newOwner, countFlows(d.M, d.owner, newOwner), machine.SP2(), plan)
 	var re *RemapError
 	if !errors.As(err, &re) {
 		t.Fatalf("expected a rolled-back RemapError, got %v", err)
@@ -179,13 +179,13 @@ func TestRemapPartialCommitRollback(t *testing.T) {
 func TestRemapZeroRatePlanIsLegacy(t *testing.T) {
 	const p = 8
 	refD, newOwner := bigFixture(t, p)
-	refRes, err := refD.executeRemap(newOwner, machine.SP2(), nil)
+	refRes, err := refD.executeRemap(newOwner, countFlows(refD.M, refD.owner, newOwner), machine.SP2(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, _ := bigFixture(t, p)
 	d.Retry = fault.Budget(5)
-	res, err := d.executeRemap(newOwner, machine.SP2(), &fault.Plan{Seed: 123, Rate: 0})
+	res, err := d.executeRemap(newOwner, countFlows(d.M, d.owner, newOwner), machine.SP2(), &fault.Plan{Seed: 123, Rate: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func FuzzReliableExchange(f *testing.F) {
 		}
 		const p = 4
 		refD, newOwner := smallBoxRemap(p)
-		refRes, err := refD.executeRemap(newOwner, machine.SP2(), nil)
+		refRes, err := refD.executeRemap(newOwner, countFlows(refD.M, refD.owner, newOwner), machine.SP2(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func FuzzReliableExchange(f *testing.F) {
 		d, _ := smallBoxRemap(p)
 		before := d.Owners()
 		d.Retry = fault.Retry{MsgAttempts: int(attempts % 8), WindowRetries: int(winRetries % 4)}
-		res, err := d.executeRemap(newOwner, machine.SP2(), plan)
+		res, err := d.executeRemap(newOwner, countFlows(d.M, d.owner, newOwner), machine.SP2(), plan)
 		if err != nil {
 			var re *RemapError
 			if !errors.As(err, &re) {

@@ -1,7 +1,8 @@
 package par
 
 import (
-	"reflect"
+	"cmp"
+	"slices"
 	"testing"
 
 	"plum/internal/adapt"
@@ -21,77 +22,70 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// FuzzExecuteRemap fuzzes the remap execution with random ownership
-// flips: the flow list must hold exactly the (src, dst) pairs some live
-// element moves along, in canonical order, each with its element count —
-// none lost, none duplicated — and the executed remap must move them all
-// and land the expected ownership.
+// FuzzExecuteRemap fuzzes the remap's flow list and its execution over
+// four random steps on a 4-rank SmallBox, two bits of ops each: a remap
+// (0), a refinement (1, 3) or a coarsening (2). After every step, under
+// weights fresh from the mesh, the dual-graph count remap.Flows of a
+// random ownership flip must equal the element-slab oracle countFlows —
+// canonical order, no empty flow, no self-move — and a remap step then
+// executes that same list, which must move every element it names and
+// land the new ownership.
 func FuzzExecuteRemap(f *testing.F) {
 	f.Add(uint64(1), uint8(0))
 	f.Add(uint64(42), uint8(3))
 	f.Add(uint64(0xdeadbeef), uint8(7))
-	f.Fuzz(func(t *testing.T, seed uint64, refineBits uint8) {
+	f.Add(uint64(7), uint8(0b00_10_01_01)) // refine, refine, coarsen, remap
+	f.Fuzz(func(t *testing.T, seed uint64, ops uint8) {
 		const p = 4
+		mdl := machine.SP2()
 		m := meshgen.SmallBox()
 		g := dual.Build(m)
 		d := NewDist(m, p, partition.Partition(g, p, partition.MethodHilbertSFC))
-		if refineBits%2 == 1 { // half the corpus remaps an adapted mesh
-			a := adapt.New(m)
-			a.MarkRandom(0.08, adapt.MarkRefine, int64(refineBits))
-			a.Refine()
-		}
-
-		owners := d.Owners()
-		newOwner := append([]int32(nil), owners...)
-		for v := range newOwner {
-			h := splitmix64(seed + uint64(v))
-			if h%4 != 0 { // flip ~3/4 of the trees
-				newOwner[v] = int32(h % p)
+		a := adapt.New(m)
+		for step := range 4 {
+			op := ops >> (2 * step) & 3
+			switch op {
+			case 1, 3:
+				a.MarkRandom(0.08, adapt.MarkRefine, int64(seed)+int64(step))
+				d.ParallelRefine(a, mdl)
+			case 2:
+				a.MarkRandom(0.5, adapt.MarkCoarsen, int64(seed)+int64(step))
+				d.ParallelCoarsen(a, mdl)
 			}
-		}
+			g.UpdateWeights(m)
 
-		// Serial reference: per-flow record counts straight off the
-		// element slab.
-		wantFlow := make([]int64, p*p)
-		var wantMoved int64
-		for i := range m.Elems {
-			el := &m.Elems[i]
-			if el.Dead {
+			newOwner := d.Owners()
+			for v := range newOwner {
+				h := splitmix64(seed + uint64(step)<<32 + uint64(v))
+				if h%4 != 0 { // flip ~3/4 of the trees
+					newOwner[v] = int32(h % p)
+				}
+			}
+			flows := remap.Flows(d.OwnersView(), newOwner, g.Wremap, p)
+			if want := countFlows(m, d.OwnersView(), newOwner); !slices.Equal(flows, want) {
+				t.Fatalf("step %d: dual-graph flows %v, element slab %v", step, flows, want)
+			}
+			var moved int64
+			for i, fl := range flows {
+				if fl.Elems <= 0 || fl.Src == fl.Dst ||
+					i > 0 && cmp.Or(cmp.Compare(flows[i-1].Src, fl.Src), cmp.Compare(flows[i-1].Dst, fl.Dst)) >= 0 {
+					t.Fatalf("step %d: flow list %v is not the canonical list of nonempty pairs", step, flows)
+				}
+				moved += fl.Elems
+			}
+			if op != 0 {
 				continue
 			}
-			if src, dst := owners[el.Root], newOwner[el.Root]; src != dst {
-				wantFlow[int(src)*p+int(dst)]++
-				wantMoved++
+			res, err := d.ExecuteRemap(newOwner, flows, mdl)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-
-		// The flow list holds exactly the pairs that move something, in
-		// canonical order, with the oracle's counts.
-		flows := countFlows(m, owners, newOwner, p)
-		f := 0
-		for pair, want := range wantFlow {
-			if want == 0 {
-				continue
+			if res.Moved != moved || res.Sets != len(flows) {
+				t.Fatalf("step %d: executed remap moved %d in %d sets, want %d in %d", step, res.Moved, res.Sets, moved, len(flows))
 			}
-			if f == len(flows) || flows[f] != (remap.Flow{Src: int32(pair / p), Dst: int32(pair % p), Elems: want}) {
-				t.Fatalf("flow list %v lacks %d->%d carrying %d elements", flows, pair/p, pair%p, want)
+			if !slices.Equal(d.OwnersView(), newOwner) {
+				t.Fatalf("step %d: ownership not updated to newOwner", step)
 			}
-			f++
-		}
-		if f != len(flows) {
-			t.Fatalf("flow list %v is not the canonical list of nonempty pairs", flows)
-		}
-
-		// The executed remap must move every element and update ownership.
-		res, err := d.ExecuteRemap(newOwner, machine.SP2())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Moved != wantMoved {
-			t.Fatalf("executed remap moved %d, want %d", res.Moved, wantMoved)
-		}
-		if !reflect.DeepEqual(d.Owners(), newOwner) {
-			t.Fatal("ownership not updated to newOwner")
 		}
 	})
 }

@@ -43,7 +43,7 @@ func TestRemapResultDeterministic(t *testing.T) {
 	const p = 8
 	run := func() RemapResult {
 		d, newOwner := bigFixture(t, p)
-		res, err := d.ExecuteRemap(newOwner, machine.SP2())
+		res, err := d.ExecuteRemap(newOwner, countFlows(d.M, d.owner, newOwner), machine.SP2())
 		if err != nil {
 			t.Fatal(err)
 		}

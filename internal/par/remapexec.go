@@ -1,27 +1,20 @@
 package par
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"plum/internal/fault"
 	"plum/internal/machine"
-	"plum/internal/mesh"
 	"plum/internal/obs"
 	"plum/internal/remap"
 )
 
-// recWords is the size of one migrating element record on the modeled
-// wire: (root, v0..v3, level), the root element id being the tree's dual
-// vertex.
-const recWords = 6
-
-// RecordWords is the exported size of one migrating element record, in
-// words: Moved × RecordWords is the whole payload a remap moves, the
-// figure RemapResult.PeakWords is bounded by (and, under the adaptive
-// window budget, strictly below on multi-flow workloads).
-const RecordWords = recWords
+// RecordWords is the size of one migrating element record on the modeled
+// wire, in words: (root, v0..v3, level), the root element id being the
+// tree's dual vertex. Moved × RecordWords is the whole payload a remap
+// moves, the figure RemapResult.PeakWords is bounded by (and, under the
+// adaptive window budget, strictly below on multi-flow workloads).
+const RecordWords = 6
 
 // RemapResult reports one executed data remapping.
 type RemapResult struct {
@@ -78,6 +71,12 @@ type pairRetry struct {
 // rebuild costs of sending every migrating element to its new owner, and
 // updates the ownership map.
 //
+// flows is the remap's canonical flow list, remap.Flows of the current
+// owners, newOwner and the dual graph's Wremap as the mesh now stands —
+// the list the caller priced. The executor moves and charges exactly
+// that list; it does not recount the mesh, so a list that does not
+// belong to newOwner is charged as given.
+//
 // Following the paper's experimental methodology, the mesh stays the
 // shared ground truth and the exchange is modeled — "all appropriate mesh
 // objects are sent to their new host processor, accurately modeling the
@@ -91,13 +90,13 @@ type pairRetry struct {
 // *RemapError names the failing window, and with Dist.Trace set each
 // delivered window leaves a remap.window event (and each window retry a
 // remap.window.retry).
-func (d *Dist) ExecuteRemap(newOwner []int32, mdl machine.Model) (RemapResult, error) {
-	return d.executeRemap(newOwner, mdl, d.Faults)
+func (d *Dist) ExecuteRemap(newOwner []int32, flows []remap.Flow, mdl machine.Model) (RemapResult, error) {
+	return d.executeRemap(newOwner, flows, mdl, d.Faults)
 }
 
 // ExecuteRemapRecovery migrates the elements of crashed ranks onto the
 // survivors after a FailCrash rollback: the same windowed exchange as
-// ExecuteRemap — same canonical flow list and windows, same
+// ExecuteRemap — same flow-list contract and windows, same
 // machine-model charges via ChargeRemap — run without the
 // fault plan. Recovery is the repair path, not another fault surface:
 // letting the plan re-draw crash or message fates here could cascade a
@@ -106,26 +105,27 @@ func (d *Dist) ExecuteRemap(newOwner []int32, mdl machine.Model) (RemapResult, e
 // dead ranks' outgoing flows are their elements as that ownership places
 // them, re-sourced onto the survivors; their cost is charged like any
 // other flow, which is exactly the modeled price of re-sourcing the lost
-// subgrid.
-func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapResult, error) {
-	return d.executeRemap(newOwner, mdl, nil)
+// subgrid. flows must therefore be counted from the pre-pass owners, dead
+// ranks included (remap.Flows of the rank-space owner arrays, not a
+// survivor mapping's flows, which have no rows for the dead ranks).
+func (d *Dist) ExecuteRemapRecovery(newOwner []int32, flows []remap.Flow, mdl machine.Model) (RemapResult, error) {
+	return d.executeRemap(newOwner, flows, mdl, nil)
 }
 
 // executeRemap is the remap executor behind both entry points. plan is
 // the fault plan, nil or zero-rate for a fault-free exchange.
 //
-// countFlows lists the flows in canonical (src, dst) order and
-// planWindows groups consecutive flows under the adaptive budget. Under
-// an enabled plan the ranks it fates to crash die at the first window's
-// boundary, before a word moves: the remap fails at once with FailCrash
-// naming them (there is no rank to retry with; the caller recovers by
-// remapping onto the survivors). Otherwise one fault.ExchangeModel per
-// remap draws every window flow's delivery on each try, its per-pair
-// attempt counters running on across tries; a window with an undelivered
-// flow is re-exchanged up to Retry.WindowRetries times, and exhausted
-// retries return a *RemapError with RolledBack set. Ownership flips once,
-// after the last window is delivered, so every failure leaves it
-// untouched.
+// planWindows groups consecutive flows of the canonical list under the
+// adaptive budget. Under an enabled plan the ranks it fates to crash die
+// at the first window's boundary, before a word moves: the remap fails at
+// once with FailCrash naming them (there is no rank to retry with; the
+// caller recovers by remapping onto the survivors). Otherwise one
+// fault.ExchangeModel per remap draws every window flow's delivery on
+// each try, its per-pair attempt counters running on across tries; a
+// window with an undelivered flow is re-exchanged up to
+// Retry.WindowRetries times, and exhausted retries return a *RemapError
+// with RolledBack set. Ownership flips once, after the last window is
+// delivered, so every failure leaves it untouched.
 //
 // Everything is a function of the plan and the canonical flow list — the
 // windows, the fault draws, the float sums of the charge — so the owner
@@ -133,11 +133,10 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, mdl machine.Model) (RemapR
 // fault-free RemapResult is ChargeRemap of the flows up to PeakWords.
 // Every structure the executor builds is sized by P or the flows that
 // exist, never by the P² pairs that could carry one.
-func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, plan *fault.Plan) (RemapResult, error) {
+func (d *Dist) executeRemap(newOwner []int32, flows []remap.Flow, mdl machine.Model, plan *fault.Plan) (RemapResult, error) {
 	if len(newOwner) != len(d.owner) {
 		return RemapResult{}, fmt.Errorf("par: newOwner has %d entries, want %d", len(newOwner), len(d.owner))
 	}
-	flows := countFlows(d.M, d.owner, newOwner, d.P)
 	flowStart := make([]int64, len(flows)+1)
 	for f, fl := range flows {
 		flowStart[f+1] = flowStart[f] + fl.Elems
@@ -160,7 +159,7 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, plan *fault.Pla
 	var peak int64
 	windowRetries := 0
 	for wi, win := range wins {
-		words := (flowStart[win.f1] - flowStart[win.f0]) * recWords
+		words := (flowStart[win.f1] - flowStart[win.f0]) * RecordWords
 		peak = max(peak, words)
 		for tries := 1; ; tries++ {
 			var nfail int64
@@ -205,46 +204,6 @@ func (d *Dist) executeRemap(newOwner []int32, mdl machine.Model, plan *fault.Pla
 	res.WindowRetries = windowRetries
 	copy(d.owner, newOwner)
 	return res, nil
-}
-
-// countFlows returns the canonical flow list of a remap from owner to
-// newOwner over p ranks, both indexed by root element id: every (src,
-// dst) pair some live element moves along, ascending by source then
-// destination, with its element count. An element migrates when its root
-// changes owner — its whole refinement tree moves with it (the paper's
-// Wremap rationale), which is why the scan walks the element slab rather
-// than the dual vertices. One pass counts into per-source lists of the
-// destinations seen; a rank sends to few others, so the walk is short,
-// and nothing is sized by the p² pairs that could carry a flow.
-func countFlows(m *mesh.Mesh, owner, newOwner []int32, p int) []remap.Flow {
-	head := make([]int32, p) // per source: its newest flow + 1, 0 for none
-	var flows []remap.Flow
-	var next []int32 // per flow: the source's next flow + 1, 0 at the end
-	for i := range m.Elems {
-		t := &m.Elems[i]
-		if t.Dead {
-			continue
-		}
-		src, dst := owner[t.Root], newOwner[t.Root]
-		if src == dst {
-			continue
-		}
-		k := head[src] - 1
-		for k >= 0 && flows[k].Dst != dst {
-			k = next[k] - 1
-		}
-		if k < 0 {
-			k = int32(len(flows))
-			flows = append(flows, remap.Flow{Src: src, Dst: dst})
-			next = append(next, head[src])
-			head[src] = k + 1
-		}
-		flows[k].Elems++
-	}
-	slices.SortFunc(flows, func(a, b remap.Flow) int {
-		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-	})
-	return flows
 }
 
 // crashRanks returns the alive ranks fated by plan to die at the remap
@@ -328,7 +287,7 @@ func chargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 	k := 0 // cursor into retries
 	for f, fl := range flows {
 		src, dst := int(fl.Src), int(fl.Dst)
-		words := flowWords(fl.Elems, mdl)
+		words := mdl.FlowWords(fl.Elems)
 		wire[f] = machine.Flow{Src: fl.Src, Dst: fl.Dst, Words: words}
 		res.Moved += fl.Elems
 		sendWords[src] += words
@@ -340,7 +299,7 @@ func chargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 		if k < len(retries) && retries[k].Src == fl.Src && retries[k].Dst == fl.Dst {
 			r := retries[k]
 			res.Retries += r.Resends
-			res.RetryWords += r.Resends * fl.Elems * recWords
+			res.RetryWords += r.Resends * fl.Elems * RecordWords
 			rt := mdl.RetryTime(r.Resends, r.Backoff, words)
 			clk.Add(src, rt)
 			retryT[src] += rt
@@ -400,11 +359,4 @@ func traceRemapRanks(tr *obs.Trace, mdl machine.Model, res *RemapResult, sendWor
 			tr.Span(int32(r), "remap.rebuild", rebuildAt, dur, obs.Int("elems", recvElems[r]))
 		}
 	}
-}
-
-// flowWords is the modeled volume of a flow of elems elements: the cost
-// model's M words per element plus the shared-structure perturbation ≈ 3%.
-func flowWords(elems int64, mdl machine.Model) int64 {
-	words := elems * int64(mdl.ElemWords)
-	return words + words/32
 }

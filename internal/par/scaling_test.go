@@ -46,7 +46,7 @@ func TestRemapAllocScalesWithP(t *testing.T) {
 		var res RemapResult
 		execBytes := allocBytes(func() {
 			var err error
-			if res, err = d.ExecuteRemap(newOwner, machine.SP2()); err != nil {
+			if res, err = d.ExecuteRemap(newOwner, remap.Flows(d.owner, newOwner, g.Wremap, p), machine.SP2()); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -63,11 +63,11 @@ func TestRemapAllocScalesWithP(t *testing.T) {
 }
 
 // TestFaultFreeRemapAllocs pins the allocations of a fault-free remap on a
-// Dist that has remapped before: an executed remap allocates a fixed set
-// of buffers (the flow list and its layout, the window plan, the charge's
-// per-rank sums) whatever P is, the flow list growing by appends however
-// many flows move. The one budget holds from 8 ranks to 2048 (about 4000
-// flows), where the reading is 39. An allocation per flow or per rank
+// Dist that has remapped before: counting its flows (remap.Flows) and
+// executing them allocates a fixed set of buffers (the flow list and its
+// layout, the window plan, the charge's per-rank sums) whatever P is, the
+// flow list growing by appends however many flows move. The one budget holds from 8 ranks to 2048 (about 4000
+// flows), where the reading is 38. An allocation per flow or per rank
 // overruns it at P = 2048.
 func TestFaultFreeRemapAllocs(t *testing.T) {
 	if raceEnabled {
@@ -77,11 +77,13 @@ func TestFaultFreeRemapAllocs(t *testing.T) {
 	for _, p := range []int{8, 64, 2048} {
 		d, newOwner := bigFixture(t, p)
 		oldOwner := d.Owners()
-		// Each run remaps there and back, so both legs move the same flows;
-		// AllocsPerRun's warm-up run makes the Dist's first remap.
+		wremap := dual.Build(d.M).Wremap
+		// Each run counts and remaps there and back, so both legs move the
+		// same flows; AllocsPerRun's warm-up run makes the Dist's first
+		// remap.
 		allocs := testing.AllocsPerRun(10, func() {
 			for _, own := range [][]int32{newOwner, oldOwner} {
-				if _, err := d.ExecuteRemap(own, machine.SP2()); err != nil {
+				if _, err := d.ExecuteRemap(own, remap.Flows(d.owner, own, wremap, p), machine.SP2()); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -14,6 +14,7 @@ import (
 	"plum/internal/meshgen"
 	"plum/internal/partition"
 	"plum/internal/propagate"
+	"plum/internal/remap"
 )
 
 // bruteSPLs builds the shared-processor list of every edge and vertex by
@@ -165,7 +166,8 @@ func TestEdgeAndVertSPL(t *testing.T) {
 			refine("first refinement", geom.Vec3{X: 0.35, Y: 0.4, Z: 0.45})
 
 			g.UpdateWeights(m)
-			if _, err := d.ExecuteRemap(partition.Partition(g, p, partition.MethodMortonSFC), mdl); err != nil {
+			newOwner := partition.Partition(g, p, partition.MethodMortonSFC)
+			if _, err := d.ExecuteRemap(newOwner, remap.Flows(d.owner, newOwner, g.Wremap, p), mdl); err != nil {
 				t.Fatal(err)
 			}
 			a.MarkRegion(geom.AABB{Max: geom.Vec3{X: 0.5, Y: 1, Z: 1}}, adapt.MarkCoarsen)

@@ -26,11 +26,11 @@ func planWindows(flowStart []int64, budget int64) []remapWindow {
 	nf := len(flowStart) - 1
 	// Two consecutive windows hold more than budget words, which bounds
 	// the window count.
-	wins := make([]remapWindow, 0, min(int64(nf), 2*(flowStart[nf]*recWords/max(budget, 1)))+1)
+	wins := make([]remapWindow, 0, min(int64(nf), 2*(flowStart[nf]*RecordWords/max(budget, 1)))+1)
 	start := 0
 	var cur int64
 	for f := 0; f < nf; f++ {
-		w := (flowStart[f+1] - flowStart[f]) * recWords
+		w := (flowStart[f+1] - flowStart[f]) * RecordWords
 		if cur > 0 && cur+w > budget {
 			wins = append(wins, remapWindow{start, f})
 			start, cur = f, 0
@@ -48,6 +48,6 @@ func windowBudget(flowStart []int64) int64 {
 	for f := 0; f < nf; f++ {
 		largest = max(largest, flowStart[f+1]-flowStart[f])
 	}
-	total := flowStart[nf] * recWords
-	return max(largest*recWords, (total+DefaultWindowFraction-1)/DefaultWindowFraction)
+	total := flowStart[nf] * RecordWords
+	return max(largest*RecordWords, (total+DefaultWindowFraction-1)/DefaultWindowFraction)
 }

@@ -12,7 +12,7 @@ import (
 // windowsOf returns the adaptive window plan of the remap from d's owners
 // to newOwner.
 func windowsOf(d *Dist, newOwner []int32) []remapWindow {
-	flows := countFlows(d.M, d.owner, newOwner, d.P)
+	flows := countFlows(d.M, d.owner, newOwner)
 	flowStart := make([]int64, len(flows)+1)
 	for f, fl := range flows {
 		flowStart[f+1] = flowStart[f] + fl.Elems
@@ -65,11 +65,11 @@ func TestStreamingSerialFallback(t *testing.T) {
 	for v := range newOwner {
 		newOwner[v] = (newOwner[v] + 1) % 4
 	}
-	res, err := d.ExecuteRemap(newOwner, machine.SP2())
+	res, err := d.ExecuteRemap(newOwner, countFlows(d.M, d.owner, newOwner), machine.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sets < 2 || res.PeakWords >= res.Moved*recWords {
-		t.Errorf("%d-flow peak %d not below total %d", res.Sets, res.PeakWords, res.Moved*recWords)
+	if res.Sets < 2 || res.PeakWords >= res.Moved*RecordWords {
+		t.Errorf("%d-flow peak %d not below total %d", res.Sets, res.PeakWords, res.Moved*RecordWords)
 	}
 }

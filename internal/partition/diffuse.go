@@ -211,7 +211,7 @@ func (d *diffuser) rebalance(g *dual.Graph, k int, owners []int32, mdl machine.M
 		d.replicated(k, solve+sort)
 		before := d.moves
 		peels := d.peelAll(g, asg, target)
-		d.relabel(g, asg, k)
+		d.relabel(g, asg)
 		d.disseminate(k, 2) // the stop test's allreduce: Wmax and whether a part moved
 		for a := range k {
 			d.local(a, 1)

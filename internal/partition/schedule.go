@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"slices"
-
 	"plum/internal/dual"
 	"plum/internal/machine"
 )
@@ -92,7 +90,7 @@ func (d *diffuser) disseminate(k int, fixed int64) {
 // and a barrier: each move's old owner tells every other part that holds
 // a neighbour of the vertex its new owner, two words a vertex and part,
 // one message a pair of parts (machine.Model.ChargeFlows).
-func (d *diffuser) relabel(g *dual.Graph, asg Assignment, k int) {
+func (d *diffuser) relabel(g *dual.Graph, asg Assignment) {
 	last, flows := d.last, d.flows[:0]
 	for i := range last {
 		last[i] = -1
@@ -106,21 +104,7 @@ func (d *diffuser) relabel(g *dual.Graph, asg Assignment, k int) {
 			}
 		}
 	}
-	slices.SortFunc(flows, func(x, y machine.Flow) int {
-		if x.Src != y.Src {
-			return int(x.Src - y.Src)
-		}
-		return int(x.Dst - y.Dst)
-	})
-	pairs := flows[:0]
-	for _, f := range flows {
-		if n := len(pairs); n > 0 && pairs[n-1].Src == f.Src && pairs[n-1].Dst == f.Dst {
-			pairs[n-1].Words += f.Words
-			continue
-		}
-		pairs = append(pairs, f)
-	}
 	d.flows = flows
-	d.mdl.ChargeFlows(&d.clk, machine.ExchangeFlat, pairs)
+	d.mdl.ChargeFlows(&d.clk, machine.ExchangeFlat, machine.AggregatePairs(flows))
 	d.clk.Barrier()
 }

@@ -112,7 +112,7 @@ func (eng Engine) Run(w World, seed []int32, clk *machine.Clock, mdl machine.Mod
 		res.Ops.AddMem(int64(len(props)))
 
 		// One word per notification, batched per (src, dst) pair.
-		pairs := AggregatePairs(notes)
+		pairs := machine.AggregatePairs(notes)
 		res.Ops.AddComp(int64(len(pairs)))
 
 		// Charge the round and synchronize.

@@ -25,8 +25,6 @@
 package propagate
 
 import (
-	"slices"
-
 	"plum/internal/fault"
 	"plum/internal/machine"
 )
@@ -64,47 +62,16 @@ type World interface {
 // models can never drift apart.
 type PairWords = machine.Flow
 
-// comparePairs orders batches by (src, dst) — the canonical exchange
-// order every backend charges in.
-func comparePairs(a, b PairWords) int {
-	switch {
-	case a.Src != b.Src:
-		return int(a.Src) - int(b.Src)
-	case a.Dst != b.Dst:
-		return int(a.Dst) - int(b.Dst)
-	}
-	return 0
-}
-
 // PairsFromSPL appends the ordered (src, dst) expansion of one shared
 // object's processor list to out — words message words from every sharer
 // to every other sharer — and returns it. Feed the accumulated raw list
-// to AggregatePairs for the canonical charge order.
+// to machine.AggregatePairs for the canonical charge order.
 func PairsFromSPL(out []PairWords, spl []int32, words int64) []PairWords {
 	for _, r := range spl {
 		for _, o := range spl {
 			if r != o {
 				out = append(out, PairWords{Src: r, Dst: o, Words: words})
 			}
-		}
-	}
-	return out
-}
-
-// AggregatePairs sorts raw (src, dst, words) contributions by (src, dst)
-// and merges duplicates, returning the canonical batch list
-// Engine.ChargeExchange consumes. The input is clobbered.
-func AggregatePairs(raw []PairWords) []PairWords {
-	if len(raw) == 0 {
-		return nil
-	}
-	slices.SortFunc(raw, comparePairs)
-	out := raw[:1]
-	for _, pw := range raw[1:] {
-		if last := &out[len(out)-1]; last.Src == pw.Src && last.Dst == pw.Dst {
-			last.Words += pw.Words
-		} else {
-			out = append(out, pw)
 		}
 	}
 	return out
@@ -152,7 +119,7 @@ type Engine struct {
 
 // ChargeExchange charges one bulk exchange of shared-object notifications,
 // one message per pair, given the per-(src, dst) word counts in canonical
-// sorted order (see AggregatePairs), and returns the charge breakdown. It
+// sorted order (see machine.AggregatePairs), and returns the charge breakdown. It
 // does not barrier; callers own the superstep structure.
 func (eng Engine) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []PairWords) machine.ExchangeCharge {
 	return mdl.ChargeFlowsRetry(clk, pairs, func(src, dst int32, words int64) {

@@ -124,27 +124,6 @@ func serialFixpoint(w *hyperWorld, frontier []int32) {
 	}
 }
 
-func TestAggregatePairs(t *testing.T) {
-	raw := []propagate.PairWords{
-		{Src: 2, Dst: 1, Words: 3},
-		{Src: 0, Dst: 1, Words: 1},
-		{Src: 2, Dst: 1, Words: 2},
-		{Src: 0, Dst: 2, Words: 4},
-	}
-	got := propagate.AggregatePairs(raw)
-	want := []propagate.PairWords{
-		{Src: 0, Dst: 1, Words: 1},
-		{Src: 0, Dst: 2, Words: 4},
-		{Src: 2, Dst: 1, Words: 5},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	if propagate.AggregatePairs(nil) != nil {
-		t.Fatal("empty input must aggregate to nil")
-	}
-}
-
 // TestRunMatchesSerialFixpoint checks the engine's fixpoint against the
 // worklist replay.
 func TestRunMatchesSerialFixpoint(t *testing.T) {

@@ -12,8 +12,9 @@ package remap
 // machine.Model's (machine.Model.RedistCost is the formula). The new
 // partitioning and mapping are accepted when gain > cost. core.balance
 // keeps the gain and replaces the cost's total-volume formula with the
-// executor's own per-rank charge of the mapping's flows (MoveStats'
-// flows priced by par.ChargeRemap), plus the measured balancing overhead
+// executor's own per-rank charge of the remap's flows (Flows of the old
+// and new owner arrays and Wremap, priced by par.ChargeRemap and then
+// executed as they are), plus the measured balancing overhead
 // (repartition, reassignment and remap-execution time) that the paper
 // neglects because its spectral repartitioner runs rarely.
 type CostModel struct {

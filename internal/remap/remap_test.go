@@ -195,6 +195,25 @@ func TestMoveStatsCombinesDestinations(t *testing.T) {
 	}
 }
 
+// TestFlows pins the dual-graph flow count on a toy remap: the list is in
+// canonical (Src, Dst) order whatever order the vertices first name their
+// pairs in, destinations merge per source, and zero-weight vertices and
+// vertices that keep their owner contribute nothing.
+func TestFlows(t *testing.T) {
+	owner := []int32{2, 0, 0, 2, 1, 0, 2, 1, 1}
+	newOwner := []int32{0, 2, 1, 1, 1, 2, 0, 0, 2}
+	wremap := []int64{3, 1, 4, 1, 5, 9, 2, 0, 7}
+	// vertex 4 keeps rank 1 and vertex 7 weighs nothing: neither counts;
+	// vertices 1 and 5 merge into 0->2, vertices 0 and 6 into 2->0.
+	want := []Flow{{0, 1, 4}, {0, 2, 10}, {1, 2, 7}, {2, 0, 5}, {2, 1, 1}}
+	if got := Flows(owner, newOwner, wremap, 3); !slices.Equal(got, want) {
+		t.Errorf("Flows = %v, want %v", got, want)
+	}
+	if got := Flows(owner, owner, wremap, 3); len(got) != 0 {
+		t.Errorf("identity remap flows = %v, want none", got)
+	}
+}
+
 func TestZeroMoveForCongruentPartitioning(t *testing.T) {
 	// If the new partitions coincide with the old distribution, the
 	// optimal mapping moves nothing.

@@ -171,6 +171,43 @@ type Flow struct {
 	Elems    int64
 }
 
+// Flows returns the canonical flow list of a remap from owner to newOwner
+// over p ranks, both indexed by dual vertex: every (Src, Dst) pair some
+// vertex moves along, ascending by source then destination, carrying the
+// Wremap weights of the vertices it moves. Wremap is the element count
+// of each vertex's refinement tree, which moves whole with its root, so
+// the list is the element sets the remap migrates, counted on the dual
+// graph instead of the mesh. Vertices with zero weight and vertices that
+// keep their owner are skipped. One pass counts into per-source lists of
+// the destinations seen; a rank sends to few others, so the walk is
+// short, and nothing is sized by the p² pairs that could carry a flow.
+func Flows(owner, newOwner []int32, wremap []int64, p int) []Flow {
+	head := make([]int32, p) // per source: its newest flow + 1, 0 for none
+	var flows []Flow
+	var next []int32 // per flow: the source's next flow + 1, 0 at the end
+	for v, w := range wremap {
+		src, dst := owner[v], newOwner[v]
+		if w == 0 || src == dst {
+			continue
+		}
+		k := head[src] - 1
+		for k >= 0 && flows[k].Dst != dst {
+			k = next[k] - 1
+		}
+		if k < 0 {
+			k = int32(len(flows))
+			flows = append(flows, Flow{Src: src, Dst: dst})
+			next = append(next, head[src])
+			head[src] = k + 1
+		}
+		flows[k].Elems += w
+	}
+	slices.SortFunc(flows, func(a, b Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	return flows
+}
+
 // MoveStats returns the data-movement statistics of a mapping: the
 // element sets it moves, one Flow per (source processor, destination
 // processor) pair with nonzero traffic in canonical (Src, Dst) order —
