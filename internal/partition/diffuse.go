@@ -5,7 +5,6 @@ import (
 
 	"plum/internal/dual"
 	"plum/internal/machine"
-	"plum/internal/refine"
 )
 
 // diffuseMinVerts is the fewest dual vertices per part, on average, that
@@ -21,9 +20,10 @@ const diffuseMinVerts = 200
 // round left, and peels them off again.
 const diffuseRounds = 4
 
-// diffuseTol is the balance the rounds aim at, Wmax ≤ 1.02·avg, inside
-// FM's 3% cap, and the closing FM's cap too: Wmax is the solver's
-// bottleneck and the cut is not priced, so FM buys no cut with balance.
+// diffuseTol is the balance the rounds aim at, Wmax ≤ 1.02·avg, below
+// balanceCap's 1.03·avg, and the closing FM's cap too: Wmax is the
+// solver's bottleneck and the cut is not priced, so FM buys no cut with
+// balance.
 const diffuseTol = 1.02
 
 // diffusePasses is the FM pass count over the moved vertices and their
@@ -75,7 +75,7 @@ type diffuser struct {
 	moves int
 	moved []seedRec
 	cand  []uint64
-	fm    *refine.FM
+	fm    *fm
 	fmK   int
 
 	// The per-rank schedule (schedule.go): clk holds one clock per part,
@@ -108,7 +108,7 @@ func fit[T any](s []T, n int) []T {
 // and populations, the peel marks and the FM candidates.
 func (d *diffuser) reset(n, k int) {
 	if len(d.mark) != n {
-		d.mark, d.queue, d.cand = make([]int32, n), make([]int32, 0, n), make([]uint64, refine.Words(n))
+		d.mark, d.queue, d.cand = make([]int32, n), make([]int32, 0, n), make([]uint64, words(n))
 		d.recs, d.fm = make([]seedRec, 0, n/2), nil
 	}
 	clear(d.mark)
@@ -126,7 +126,7 @@ func (d *diffuser) reset(n, k int) {
 	d.once = 0
 	d.clk.Reset(k)
 	if d.fm == nil || d.fmK != k {
-		d.fm, d.fmK = refine.NewFM(k, d.mark), k
+		d.fm, d.fmK = newFM(k, d.mark), k
 	}
 }
 
@@ -134,7 +134,7 @@ func (d *diffuser) reset(n, k int) {
 // assignment with every part non-empty, instead of from scratch: the
 // adaptive repartitioning of ParMETIS (Schloegel, Karypis & Kumar) with
 // Hu–Blake diffusion for the flows (Demiralp et al., arXiv:2208.07553).
-// An owner set whose parts all fit the FM balance cap (refine.BalanceCap,
+// An owner set whose parts all fit the FM balance cap (balanceCap,
 // 1.03·avg) comes back unchanged. Otherwise each round
 //
 //  1. scans the dual graph once for the part graph and the boundary seeds
@@ -147,7 +147,7 @@ func (d *diffuser) reset(n, k int) {
 //     it sends on (peelAll);
 //
 // until Wmax fits diffuseTol·avg or the heaviest vertex, a round moves
-// nothing, or diffuseRounds rounds ran. Boundary FM (refine.FM) then runs
+// nothing, or diffuseRounds rounds ran. Boundary FM (fm.go) then runs
 // only over the moved vertices and their neighbours, capped at the larger
 // of diffuseTol·avg and the heaviest vertex, so its overflow pass pushes a
 // part the rounds left above that cap into a neighbour with room.
@@ -193,7 +193,7 @@ func (d *diffuser) rebalance(g *dual.Graph, k int, owners []int32, mdl machine.M
 	}
 	d.allgather(k)
 	asg = slices.Clone(Assignment(owners))
-	if slices.Max(w) <= refine.BalanceCap(w) {
+	if slices.Max(w) <= balanceCap(w) {
 		return asg, ops, d.clk.Elapsed(), true
 	}
 
@@ -221,10 +221,10 @@ func (d *diffuser) rebalance(g *dual.Graph, k int, owners []int32, mdl machine.M
 			break
 		}
 	}
-	fm := d.fm.RefineCap(g, asg, diffusePasses, d.cand, max(target, heaviest))
-	ops.AddMem(fm)
-	d.once += fm
-	return asg, ops, d.clk.Elapsed() + float64(fm)*mdl.MemOp, true
+	fmOps := d.fm.refineCap(g, asg, diffusePasses, d.cand, max(target, heaviest))
+	ops.AddMem(fmOps)
+	d.once += fmOps
+	return asg, ops, d.clk.Elapsed() + float64(fmOps)*mdl.MemOp, true
 }
 
 // partGraph builds the part graph of asg from one scan of g: every vertex

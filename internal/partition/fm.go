@@ -1,4 +1,4 @@
-package refine
+package partition
 
 import (
 	"math/bits"
@@ -6,27 +6,25 @@ import (
 	"plum/internal/dual"
 )
 
-// FMRefine performs Fiduccia–Mattheyses-style boundary refinement on a
-// k-way assignment in place, with every vertex a candidate: FM.Refine on
-// fresh scratch. It returns the abstract operation count of the
-// refinement, FM.Refine's charge plus one op per word of the all-vertex
-// candidate set it fills; nothing for k ≤ 1 or an empty graph.
-func FMRefine(g *dual.Graph, asg []int32, k, passes int) int64 {
-	if k <= 1 || g.N == 0 {
-		return 0
-	}
-	bnd := make([]uint64, Words(g.N))
-	ops := AllVertices(bnd, g.N)
-	return ops + NewFM(k, make([]int32, g.N)).Refine(g, asg, passes, bnd)
-}
+// Boundary refinement: the classic serial Fiduccia–Mattheyses cascading
+// sweep, walking only the boundary, which it carries as moves cascade.
+// Multilevel runs it at every level of its chain, with the boundary
+// carried down the chain, and after a rebalance from the owners, over the
+// vertices the rebalance moved. The curve methods run nothing after their
+// exact minimum-bottleneck cut.
+//
+// A move never pushes a part past the balance cap (balanceCap, 1.03·avg,
+// unless the caller gives its own) and never empties a part, and a final
+// overflow pass forces load out of parts the gain phase could not rescue.
+// The work is memory-bound op accounting.
 
-// Words is the length of a vertex bitset over n vertices: bit v&63 of
+// words is the length of a vertex bitset over n vertices: bit v&63 of
 // word v>>6 stands for vertex v.
-func Words(n int) int { return (n + 63) >> 6 }
+func words(n int) int { return (n + 63) >> 6 }
 
-// AllVertices sets the bits of vertices [0, n) in bnd, which holds
-// Words(n) words, and returns its op count: one per word.
-func AllVertices(bnd []uint64, n int) int64 {
+// allVertices sets the bits of vertices [0, n) in bnd, which holds
+// words(n) words, and returns its op count: one per word.
+func allVertices(bnd []uint64, n int) int64 {
 	for i := range bnd {
 		bnd[i] = ^uint64(0)
 	}
@@ -36,23 +34,38 @@ func AllVertices(bnd []uint64, n int) int64 {
 	return int64(len(bnd))
 }
 
-// FM is the scratch of boundary-driven FM refinement into k parts. It is
+// balanceCap returns FM's 3% tolerance cap on per-part weight: no
+// refinement move may push a part past it.
+func balanceCap(w []int64) int64 {
+	var total int64
+	for _, x := range w {
+		total += x
+	}
+	avg := float64(total) / float64(len(w))
+	maxW := int64(avg * 1.03)
+	if maxW < 1 {
+		maxW = 1
+	}
+	return maxW
+}
+
+// fm is the scratch of boundary-driven FM refinement into k parts. It is
 // sized once, for the largest graph it refines, and reused by every
-// Refine: multilevel refines every level of its chain on one FM.
-type FM struct {
+// refine: multilevel refines every level of its chain on one fm.
+type fm struct {
 	ext  []int32 // v's adjacency entries in other parts; 0 off the boundary
 	w    []int64 // part weights
 	cnt  []int   // part populations
 	conn []int32 // proposeMove's per-part tally
 }
 
-// NewFM returns FM scratch for k parts on graphs of at most len(ext)
-// vertices. ext is borrowed: every Refine overwrites it.
-func NewFM(k int, ext []int32) *FM {
-	return &FM{ext: ext, w: make([]int64, k), cnt: make([]int, k), conn: make([]int32, k)}
+// newFM returns FM scratch for k parts on graphs of at most len(ext)
+// vertices. ext is borrowed: every refine overwrites it.
+func newFM(k int, ext []int32) *fm {
+	return &fm{ext: ext, w: make([]int64, k), cnt: make([]int, k), conn: make([]int32, k)}
 }
 
-// Refine improves asg, a k-way assignment of g, in place: boundary
+// refine improves asg, a k-way assignment of g, in place: boundary
 // vertices greedily move to adjacent parts when the move reduces the edge
 // cut without violating the balance tolerance, or when it strictly
 // improves balance at equal cut. Moves apply immediately and cascade
@@ -60,9 +73,9 @@ func NewFM(k int, ext []int32) *FM {
 // number of passes.
 //
 // Only the boundary (the vertices with an edge into another part) can
-// move, so only the boundary is walked. bnd, Words(g.N) words, holds on
+// move, so only the boundary is walked. bnd, words(g.N) words, holds on
 // entry a candidate set, any superset of asg's boundary, and on return
-// exactly the boundary of the refined asg. Refine keeps every vertex's
+// exactly the boundary of the refined asg. refine keeps every vertex's
 // external degree and the boundary bitset current as moves cascade; a
 // candidate's external degree is counted on its first visit, and an
 // interior one leaves the set there. Each pass visits the set in
@@ -84,13 +97,13 @@ func NewFM(k int, ext []int32) *FM {
 // a pass visits; deg for each move's neighbour updates; one per bitset
 // word a pass scans; and overflowPass's own count. With passes ≤ 0 one
 // pass still visits the candidates, to count them, and moves nothing.
-func (f *FM) Refine(g *dual.Graph, asg []int32, passes int, bnd []uint64) int64 {
-	return f.RefineCap(g, asg, passes, bnd, 0)
+func (f *fm) refine(g *dual.Graph, asg []int32, passes int, bnd []uint64) int64 {
+	return f.refineCap(g, asg, passes, bnd, 0)
 }
 
-// RefineCap is Refine under the balance cap maxW in place of BalanceCap
-// of the part weights; maxW ≤ 0 means BalanceCap.
-func (f *FM) RefineCap(g *dual.Graph, asg []int32, passes int, bnd []uint64, maxW int64) int64 {
+// refineCap is refine under the balance cap maxW in place of balanceCap
+// of the part weights; maxW ≤ 0 means balanceCap.
+func (f *fm) refineCap(g *dual.Graph, asg []int32, passes int, bnd []uint64, maxW int64) int64 {
 	k := len(f.w)
 	if k <= 1 || g.N == 0 {
 		return 0
@@ -104,7 +117,7 @@ func (f *FM) RefineCap(g *dual.Graph, asg []int32, passes int, bnd []uint64, max
 		ext[v] = -int32(bnd[v>>6] >> (v & 63) & 1) // -1: a candidate not yet visited
 	}
 	if maxW <= 0 {
-		maxW = BalanceCap(w)
+		maxW = balanceCap(w)
 	}
 	ops := int64(g.N + k)
 
@@ -144,16 +157,14 @@ func (f *FM) RefineCap(g *dual.Graph, asg []int32, passes int, bnd []uint64, max
 			break
 		}
 	}
-	return ops + overflowPass(g, asg, k, w, cnt, maxW, func(v, a, b int32) int64 {
-		return f.move(g, asg, bnd, v, a, b)
-	})
+	return ops + f.overflowPass(g, asg, bnd, maxW)
 }
 
 // move reassigns v from part a to part b and carries the part tallies,
 // the external degrees and the boundary with it. It returns its op count,
 // deg(v): one scan of v's neighbours updates theirs and recounts v's own.
 // A candidate not yet visited is left to count its own on its visit.
-func (f *FM) move(g *dual.Graph, asg []int32, bnd []uint64, v, a, b int32) int64 {
+func (f *fm) move(g *dual.Graph, asg []int32, bnd []uint64, v, a, b int32) int64 {
 	asg[v] = b
 	f.w[a] -= g.Wcomp[v]
 	f.w[b] += g.Wcomp[v]
@@ -219,4 +230,56 @@ func proposeMove(g *dual.Graph, asg []int32, v int32, w []int64, maxW int64, con
 		conn[asg[u]] = 0
 	}
 	return bestPart
+}
+
+// overflowPass is FM's last-resort rebalancer: gain-driven moves alone
+// cannot rescue a badly imbalanced input, so force vertices out of
+// overloaded parts into their lightest neighbouring part, accepting cut
+// damage, until every part fits maxW or no vertex can leave. Each force
+// is a move. Purely serial; returns its op count: k per round for
+// finding the heaviest overloaded part, one per vertex scanned plus deg
+// for each vertex of that part whose neighbours it reads, and what the
+// moves report.
+func (f *fm) overflowPass(g *dual.Graph, asg []int32, bnd []uint64, maxW int64) int64 {
+	w, cnt, k := f.w, f.cnt, len(f.w)
+	var ops int64
+	for iter := 0; iter < 2*k; iter++ {
+		ops += int64(k)
+		over := -1
+		for p := 0; p < k; p++ {
+			if w[p] > maxW && (over < 0 || w[p] > w[over]) {
+				over = p
+			}
+		}
+		if over < 0 {
+			return ops
+		}
+		moved := false
+		for v := int32(0); int(v) < g.N && w[over] > maxW; v++ {
+			ops++
+			if asg[v] != int32(over) || cnt[over] <= 1 {
+				continue
+			}
+			best := int32(-1)
+			nbrs := g.Nbrs(v)
+			ops += int64(len(nbrs))
+			for _, u := range nbrs {
+				b := asg[u]
+				if b == int32(over) {
+					continue
+				}
+				if best < 0 || w[b] < w[best] {
+					best = b
+				}
+			}
+			if best >= 0 && w[best]+g.Wcomp[v] <= maxW {
+				ops += f.move(g, asg, bnd, v, int32(over), best)
+				moved = true
+			}
+		}
+		if !moved {
+			return ops
+		}
+	}
+	return ops
 }

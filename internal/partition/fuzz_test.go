@@ -9,7 +9,6 @@ import (
 	"plum/internal/dual"
 	"plum/internal/geom"
 	"plum/internal/machine"
-	"plum/internal/refine"
 )
 
 // gridGraph builds a connected nx×ny×nz lattice dual graph with weights
@@ -366,7 +365,7 @@ func FuzzDiffuse(f *testing.F) {
 		}
 
 		in := Weights(g, owners, k)
-		if slices.Max(in) <= refine.BalanceCap(in) && !slices.Equal(asg, Assignment(owners)) {
+		if slices.Max(in) <= balanceCap(in) && !slices.Equal(asg, Assignment(owners)) {
 			t.Fatalf("k=%d: owners within the cap came back changed", k)
 		}
 		var total, heaviest int64

@@ -1,4 +1,4 @@
-package sfc
+package partition
 
 import (
 	"math/rand"
@@ -6,6 +6,57 @@ import (
 
 	"plum/internal/geom"
 )
+
+// compact3 is the inverse of spread3: it gathers every third bit of v into
+// the low 21 bits.
+func compact3(v uint64) uint64 {
+	v &= 0x1249249249249249
+	v = (v | v>>2) & 0x10c30c30c30c30c3
+	v = (v | v>>4) & 0x100f00f00f00f00f
+	v = (v | v>>8) & 0x001f0000ff0000ff
+	v = (v | v>>16) & 0x001f00000000ffff
+	v = (v | v>>32) & maxCoord
+	return v
+}
+
+// mortonDecode inverts mortonEncode: the round-trip oracle.
+func mortonDecode(key uint64) (x, y, z uint32) {
+	return uint32(compact3(key)), uint32(compact3(key >> 1)), uint32(compact3(key >> 2))
+}
+
+// hilbertDecode inverts hilbertEncode: the round-trip oracle, and the
+// walk the unit-step test takes along the curve.
+func hilbertDecode(key uint64) (x, y, z uint32) {
+	z, y, x = mortonDecode(key)
+
+	// Gray decode by H ^ (H/2).
+	t := z >> 1
+	z ^= y
+	y ^= x
+	x ^= t
+	// Undo the excess work (bit 1 up to the top bit).
+	for q := uint32(2); q != 1<<keyBits; q <<= 1 {
+		p := q - 1
+		if z&q != 0 {
+			x ^= p
+		} else {
+			t := (x ^ z) & p
+			x ^= t
+			z ^= t
+		}
+		if y&q != 0 {
+			x ^= p
+		} else {
+			t := (x ^ y) & p
+			x ^= t
+			y ^= t
+		}
+		if x&q != 0 {
+			x ^= p
+		}
+	}
+	return x, y, z
+}
 
 func TestMortonKnownValues(t *testing.T) {
 	cases := []struct {
@@ -21,33 +72,36 @@ func TestMortonKnownValues(t *testing.T) {
 		{maxCoord, maxCoord, maxCoord, 1<<63 - 1},
 	}
 	for _, c := range cases {
-		if got := MortonEncode(c.x, c.y, c.z); got != c.key {
-			t.Errorf("MortonEncode(%d,%d,%d) = %#x, want %#x", c.x, c.y, c.z, got, c.key)
+		if got := mortonEncode(c.x, c.y, c.z); got != c.key {
+			t.Errorf("mortonEncode(%d,%d,%d) = %#x, want %#x", c.x, c.y, c.z, got, c.key)
 		}
-		x, y, z := MortonDecode(c.key)
+		x, y, z := mortonDecode(c.key)
 		if x != c.x || y != c.y || z != c.z {
-			t.Errorf("MortonDecode(%#x) = (%d,%d,%d), want (%d,%d,%d)", c.key, x, y, z, c.x, c.y, c.z)
+			t.Errorf("mortonDecode(%#x) = (%d,%d,%d), want (%d,%d,%d)", c.key, x, y, z, c.x, c.y, c.z)
 		}
 	}
 }
 
 func TestRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, c := range []Curve{Morton, Hilbert} {
-		decode := MortonDecode
-		if c == Hilbert {
-			decode = HilbertDecode
-		}
+	for _, c := range []struct {
+		name   string
+		encode func(x, y, z uint32) uint64
+		decode func(key uint64) (x, y, z uint32)
+	}{
+		{"morton", mortonEncode, mortonDecode},
+		{"hilbert", hilbertEncode, hilbertDecode},
+	} {
 		for i := 0; i < 10000; i++ {
 			x := rng.Uint32() & maxCoord
 			y := rng.Uint32() & maxCoord
 			z := rng.Uint32() & maxCoord
-			gx, gy, gz := decode(c.Encode(x, y, z))
+			gx, gy, gz := c.decode(c.encode(x, y, z))
 			if gx != x || gy != y || gz != z {
-				t.Fatalf("%v round trip (%d,%d,%d) -> (%d,%d,%d)", c, x, y, z, gx, gy, gz)
+				t.Fatalf("%s round trip (%d,%d,%d) -> (%d,%d,%d)", c.name, x, y, z, gx, gy, gz)
 			}
-			if c == Hilbert && HilbertEncode(x, y, z) != refHilbertEncode(x, y, z) {
-				t.Fatalf("HilbertEncode(%d,%d,%d) differs from the array-form reference", x, y, z)
+			if c.name == "hilbert" && hilbertEncode(x, y, z) != refhilbertEncode(x, y, z) {
+				t.Fatalf("hilbertEncode(%d,%d,%d) differs from the array-form reference", x, y, z)
 			}
 		}
 	}
@@ -57,9 +111,9 @@ func TestRoundTripRandom(t *testing.T) {
 // curve: consecutive indices are face-adjacent lattice cells (exactly one
 // coordinate changes, by exactly one).
 func TestHilbertUnitSteps(t *testing.T) {
-	px, py, pz := HilbertDecode(0)
+	px, py, pz := hilbertDecode(0)
 	for key := uint64(1); key < 1<<12; key++ {
-		x, y, z := HilbertDecode(key)
+		x, y, z := hilbertDecode(key)
 		d := absDiff(x, px) + absDiff(y, py) + absDiff(z, pz)
 		if d != 1 {
 			t.Fatalf("keys %d->%d jump by %d: (%d,%d,%d)->(%d,%d,%d)",
@@ -77,7 +131,7 @@ func TestHilbertIsPermutation(t *testing.T) {
 	for x := uint32(0); x < n; x++ {
 		for y := uint32(0); y < n; y++ {
 			for z := uint32(0); z < n; z++ {
-				k := HilbertEncode(x, y, z)
+				k := hilbertEncode(x, y, z)
 				if prev, dup := seen[k]; dup {
 					t.Fatalf("key collision: (%d,%d,%d) and %v -> %#x", x, y, z, prev, k)
 				}
@@ -89,27 +143,27 @@ func TestHilbertIsPermutation(t *testing.T) {
 
 func TestMortonMasksHighBits(t *testing.T) {
 	// Bits above the lattice resolution must not corrupt the key.
-	if MortonEncode(1<<Bits|5, 3, 0) != MortonEncode(5, 3, 0) {
+	if mortonEncode(1<<keyBits|5, 3, 0) != mortonEncode(5, 3, 0) {
 		t.Error("high bits leaked into the Morton key")
 	}
-	if HilbertEncode(1<<Bits|5, 3, 0) != HilbertEncode(5, 3, 0) {
+	if hilbertEncode(1<<keyBits|5, 3, 0) != hilbertEncode(5, 3, 0) {
 		t.Error("high bits leaked into the Hilbert key")
 	}
 }
 
 func TestQuantizer(t *testing.T) {
 	b := geom.NewAABB(geom.Vec3{X: -1, Y: 0, Z: 2}, geom.Vec3{X: 1, Y: 4, Z: 3})
-	q := NewQuantizer(b)
-	x, y, z := q.Cell(b.Min)
+	q := newQuantizer(b)
+	x, y, z := q.cell(b.Min)
 	if x != 0 || y != 0 || z != 0 {
 		t.Errorf("min corner -> (%d,%d,%d), want origin", x, y, z)
 	}
-	x, y, z = q.Cell(b.Max)
+	x, y, z = q.cell(b.Max)
 	if x != maxCoord || y != maxCoord || z != maxCoord {
 		t.Errorf("max corner -> (%d,%d,%d), want lattice max", x, y, z)
 	}
 	// Outside points clamp rather than wrap.
-	x, _, _ = q.Cell(geom.Vec3{X: 99, Y: -99, Z: 2.5})
+	x, _, _ = q.cell(geom.Vec3{X: 99, Y: -99, Z: 2.5})
 	if x != maxCoord {
 		t.Errorf("overflow clamped to %d, want %d", x, maxCoord)
 	}
@@ -118,8 +172,8 @@ func TestQuantizer(t *testing.T) {
 func TestQuantizerDegenerateAxis(t *testing.T) {
 	// A planar point set (zero Z extent) must still produce usable keys.
 	b := geom.NewAABB(geom.Vec3{}, geom.Vec3{X: 1, Y: 1})
-	q := NewQuantizer(b)
-	_, _, z := q.Cell(geom.Vec3{X: 0.5, Y: 0.5})
+	q := newQuantizer(b)
+	_, _, z := q.cell(geom.Vec3{X: 0.5, Y: 0.5})
 	if z != 0 {
 		t.Errorf("degenerate axis -> %d, want 0", z)
 	}
@@ -137,8 +191,8 @@ func TestKeysLocality(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pts = append(pts, geom.Vec3{X: 10 + rng.Float64()*0.1, Y: 10 + rng.Float64()*0.1, Z: 10 + rng.Float64()*0.1})
 	}
-	for _, c := range []Curve{Morton, Hilbert} {
-		keys := Keys(c, pts)
+	for _, c := range []Method{MethodMortonSFC, MethodHilbertSFC} {
+		keys := curveKeys(c, pts)
 		var loMax, hiMin uint64 = 0, 1 << 63
 		for i, k := range keys {
 			if i < 100 && k > loMax {
@@ -154,18 +208,12 @@ func TestKeysLocality(t *testing.T) {
 	}
 }
 
-func TestCurveString(t *testing.T) {
-	if Morton.String() != "morton" || Hilbert.String() != "hilbert" {
-		t.Error("curve names wrong")
-	}
-}
-
-// refHilbertEncode is Skilling's transpose algorithm in its textbook
+// refhilbertEncode is Skilling's transpose algorithm in its textbook
 // array form, with the bit planes interleaved one bit at a time: the
-// reference HilbertEncode's register-resident version must equal.
-func refHilbertEncode(x, y, z uint32) uint64 {
+// reference hilbertEncode's register-resident version must equal.
+func refhilbertEncode(x, y, z uint32) uint64 {
 	X := [3]uint32{x & maxCoord, y & maxCoord, z & maxCoord}
-	for q := uint32(1 << (Bits - 1)); q > 1; q >>= 1 {
+	for q := uint32(1 << (keyBits - 1)); q > 1; q >>= 1 {
 		p := q - 1
 		for i := 0; i < 3; i++ {
 			if X[i]&q != 0 {
@@ -181,13 +229,13 @@ func refHilbertEncode(x, y, z uint32) uint64 {
 		X[i] ^= X[i-1]
 	}
 	var t uint32
-	for q := uint32(1 << (Bits - 1)); q > 1; q >>= 1 {
+	for q := uint32(1 << (keyBits - 1)); q > 1; q >>= 1 {
 		if X[2]&q != 0 {
 			t ^= q - 1
 		}
 	}
 	var key uint64
-	for bit := Bits - 1; bit >= 0; bit-- {
+	for bit := keyBits - 1; bit >= 0; bit-- {
 		for i := 0; i < 3; i++ {
 			key = key<<1 | uint64((X[i]^t)>>uint(bit)&1)
 		}
@@ -211,15 +259,15 @@ func FuzzHilbertRoundTrip(f *testing.F) {
 	f.Add(uint32(maxCoord), uint32(maxCoord), uint32(maxCoord))
 	f.Add(uint32(1<<20), uint32(1<<10), uint32(1))
 	f.Fuzz(func(t *testing.T, x, y, z uint32) {
-		key := HilbertEncode(x, y, z)
-		if ref := refHilbertEncode(x, y, z); key != ref {
-			t.Fatalf("HilbertEncode(%d,%d,%d) = %#x, reference %#x", x, y, z, key, ref)
+		key := hilbertEncode(x, y, z)
+		if ref := refhilbertEncode(x, y, z); key != ref {
+			t.Fatalf("hilbertEncode(%d,%d,%d) = %#x, reference %#x", x, y, z, key, ref)
 		}
 		x, y, z = x&maxCoord, y&maxCoord, z&maxCoord
 		if key >= 1<<63 {
 			t.Fatalf("key %#x exceeds 63 bits", key)
 		}
-		gx, gy, gz := HilbertDecode(key)
+		gx, gy, gz := hilbertDecode(key)
 		if gx != x || gy != y || gz != z {
 			t.Fatalf("round trip (%d,%d,%d) -> %#x -> (%d,%d,%d)", x, y, z, key, gx, gy, gz)
 		}
@@ -233,12 +281,12 @@ func FuzzMortonRoundTrip(f *testing.F) {
 	f.Add(uint32(maxCoord), uint32(0), uint32(maxCoord))
 	f.Fuzz(func(t *testing.T, x, y, z uint32) {
 		x, y, z = x&maxCoord, y&maxCoord, z&maxCoord
-		key := MortonEncode(x, y, z)
-		gx, gy, gz := MortonDecode(key)
+		key := mortonEncode(x, y, z)
+		gx, gy, gz := mortonDecode(key)
 		if gx != x || gy != y || gz != z {
 			t.Fatalf("round trip (%d,%d,%d) -> %#x -> (%d,%d,%d)", x, y, z, key, gx, gy, gz)
 		}
-		if x < maxCoord && MortonEncode(x+1, y, z) <= key {
+		if x < maxCoord && mortonEncode(x+1, y, z) <= key {
 			t.Fatalf("key not monotone in x at (%d,%d,%d)", x, y, z)
 		}
 	})

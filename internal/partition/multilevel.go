@@ -5,7 +5,6 @@ import (
 
 	"plum/internal/dual"
 	"plum/internal/machine"
-	"plum/internal/refine"
 )
 
 // multilevelCounted partitions by the Chaco-style multilevel scheme: the
@@ -13,7 +12,7 @@ import (
 // the coarse graph is partitioned by recursive level-set bisection
 // (levelSetCounted), and the partition is projected back up with boundary
 // refinement at every level. The refinement is boundary-driven FM
-// (refine.FM), charged as serial memory-bound work. It counts the matching
+// (fm.go), charged as serial memory-bound work. It counts the matching
 // and edge collapse of every coarsening level, the BFS sweeps and splits
 // on the coarsest graph, and the projection plus refinement of every
 // uncoarsening level. opt.Seed offsets the per-level matching RNG; seed 1
@@ -43,7 +42,7 @@ func multilevel(g *dual.Graph, k int, opt Options, carry bool) (Assignment, mach
 	var ops machine.Ops
 	levels, spare, cops := coarsenChain(g, k, opt.Seed)
 	ops.AddComp(cops)
-	fm := refine.NewFM(k, spare)
+	f := newFM(k, spare)
 
 	// Initial partition of the coarsest graph, every vertex a candidate.
 	// Level li keeps its boundary in bnds[li%2] and, below the coarsest,
@@ -52,9 +51,9 @@ func multilevel(g *dual.Graph, k int, opt Options, carry bool) (Assignment, mach
 	cur := levels[len(levels)-1].g
 	asg, sops := levelSetCounted(cur, k)
 	ops.Add(sops)
-	bnds := [2][]uint64{make([]uint64, refine.Words(g.N)), make([]uint64, refine.Words(g.N))}
-	bnd := bnds[(len(levels)-1)%2][:refine.Words(cur.N)]
-	ops.AddMem(refine.AllVertices(bnd, cur.N) + fm.Refine(cur, asg, 4, bnd))
+	bnds := [2][]uint64{make([]uint64, words(g.N)), make([]uint64, words(g.N))}
+	bnd := bnds[(len(levels)-1)%2][:words(cur.N)]
+	ops.AddMem(allVertices(bnd, cur.N) + f.refine(cur, asg, 4, bnd))
 	if len(levels) == 1 {
 		return asg, ops
 	}
@@ -66,7 +65,7 @@ func multilevel(g *dual.Graph, k int, opt Options, carry bool) (Assignment, mach
 		fine := levels[li-1].g
 		cmap := levels[li].map_
 		fineAsg := bufs[(li-1)%2][:fine.N]
-		cand := bnds[(li-1)%2][:refine.Words(fine.N)]
+		cand := bnds[(li-1)%2][:words(fine.N)]
 		for i := range cand {
 			var word uint64
 			for v, end := i<<6, min(fine.N, i<<6+64); v < end; v++ {
@@ -80,7 +79,7 @@ func multilevel(g *dual.Graph, k int, opt Options, carry bool) (Assignment, mach
 		}
 		asg, bnd = fineAsg, cand
 		ops.AddComp(int64(fine.N))
-		ops.AddMem(fm.Refine(fine, asg, 2, bnd))
+		ops.AddMem(f.refine(fine, asg, 2, bnd))
 	}
 	return asg, ops
 }

@@ -2,11 +2,11 @@
 // graph, standing in for the Chaco package the paper uses (multilevel
 // spectral partitioning with local Kernighan-Lin refinement). The paper
 // treats the partitioner as a pluggable black box; this package supplies
-// the same family, selected by Method:
+// the same family, selected by Method, and owns every algorithm of it:
 //
 //   - multilevel: matching-based coarsening, recursive bisection of the
 //     coarse graph on BFS level sets from a pseudo-peripheral vertex, and
-//     Kernighan–Lin/Fiduccia–Mattheyses boundary refinement during
+//     Fiduccia–Mattheyses boundary refinement (fm.go) during
 //     uncoarsening — the paper's default. Chaco bisects the coarse graph
 //     on an eigenvector instead; METIS's graph growing (Karypis & Kumar)
 //     splits a graph of a few hundred vertices about as well for a
@@ -14,12 +14,15 @@
 //     by diffusion instead (diffuse.go), priced on the parts' ranks
 //     (schedule.go);
 //   - morton, hilbert: the exact minimum-bottleneck contiguous cut of a
-//     space-filling-curve ordering (sfc.go), with no refinement after it.
+//     space-filling-curve ordering (sfc.go) of the element centroids'
+//     curve keys (keys.go), with no refinement after it.
 //     The curve order is built once and priced as a parallel sort on the
 //     parts' ranks (CurveBuildTime); the cut is priced at its serial
 //     work, because it walks the whole n-entry prefix.
 //
-// All partitioners balance the dual graph's computational weights Wcomp.
+// Method is the one curve selector: the key generation switches on it
+// once per call. All partitioners balance the dual graph's computational
+// weights Wcomp.
 package partition
 
 import (
@@ -27,7 +30,6 @@ import (
 
 	"plum/internal/dual"
 	"plum/internal/machine"
-	"plum/internal/sfc"
 )
 
 // Assignment maps each dual-graph vertex to a partition number.
@@ -111,16 +113,10 @@ func (m Method) String() string {
 // MarshalText spells the method by its String name in JSON.
 func (m Method) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 
-// Curve returns the space-filling curve of an SFC method; ok is false
-// for multilevel.
-func (m Method) Curve() (sfc.Curve, bool) {
-	switch m {
-	case MethodMortonSFC:
-		return sfc.Morton, true
-	case MethodHilbertSFC:
-		return sfc.Hilbert, true
-	}
-	return 0, false
+// Curve returns m and whether it is a space-filling-curve method: the
+// methods are the curve enum, and NewSFCWorkers keys along m itself.
+func (m Method) Curve() (Method, bool) {
+	return m, m == MethodMortonSFC || m == MethodHilbertSFC
 }
 
 // MethodByName returns the partitioner with the given CLI name.
@@ -186,8 +182,8 @@ func NewRepartitioner(g *dual.Graph, m Method, opt Options) *Repartitioner {
 		opt.Seed = 1
 	}
 	r := &Repartitioner{g: g, opt: opt}
-	if c, ok := m.Curve(); ok {
-		r.sfc, r.unpaid = NewSFCWorkers(g, c, opt.Workers), true
+	if _, ok := m.Curve(); ok {
+		r.sfc, r.unpaid = NewSFCWorkers(g, m, opt.Workers), true
 	}
 	return r
 }

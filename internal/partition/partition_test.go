@@ -12,8 +12,6 @@ import (
 	"plum/internal/geom"
 	"plum/internal/machine"
 	"plum/internal/meshgen"
-	"plum/internal/refine"
-	"plum/internal/sfc"
 )
 
 func testGraph(t *testing.T) *dual.Graph {
@@ -136,7 +134,7 @@ func TestSFCImbalanceBound(t *testing.T) {
 			maxW = w
 		}
 	}
-	for _, c := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
+	for _, c := range []Method{MethodMortonSFC, MethodHilbertSFC} {
 		for _, k := range []int{2, 5, 8, 16} {
 			asg := NewSFCWorkers(g, c, 0).Repartition(g, k)
 			ws := Weights(g, asg, k)
@@ -161,7 +159,7 @@ func TestCurveCutRotorBound(t *testing.T) {
 	m := meshgen.RotorDisk(rp)
 	g := dual.Build(m)
 	centre := geom.Vec3{X: 1.4 * math.Cos(rp.Sweep/2), Y: 1.4 * math.Sin(rp.Sweep/2)}
-	curves := []sfc.Curve{sfc.Morton, sfc.Hilbert}
+	curves := []Method{MethodMortonSFC, MethodHilbertSFC}
 	var cuts []*SFCPartitioner
 	for _, c := range curves {
 		cuts = append(cuts, NewSFCWorkers(g, c, 2))
@@ -218,8 +216,7 @@ func TestImbalancePerfect(t *testing.T) {
 // refiner a partitioner runs on a mesh dual, classic FM as multilevel
 // charges it: starting from a deliberately bad odd/even striping, it must
 // reduce the cut without breaking balance. (The curve methods run no
-// refiner; the algorithmic contracts live in internal/refine's own
-// tests.)
+// refiner; FM's algorithmic contracts live in fm_test.go.)
 func TestRefinersImproveCut(t *testing.T) {
 	g := testGraph(t)
 	asg := make(Assignment, g.N)
@@ -227,7 +224,7 @@ func TestRefinersImproveCut(t *testing.T) {
 		asg[i] = int32(i % 2)
 	}
 	before := EdgeCut(g, asg)
-	ops := refine.FMRefine(g, asg, 2, 8)
+	ops := fmRefine(g, asg, 2, 8)
 	if after := EdgeCut(g, asg); after >= before {
 		t.Errorf("fm did not improve cut: %d -> %d", before, after)
 	}
@@ -477,7 +474,7 @@ func TestSortIndexByKey(t *testing.T) {
 // its Assignment and nothing else, whatever the weights.
 func TestSFCCutAllocatesOnlyAssignment(t *testing.T) {
 	g := gridGraph(24, 24, 16, 7)
-	s := NewSFCWorkers(g, sfc.Hilbert, 2)
+	s := NewSFCWorkers(g, MethodHilbertSFC, 2)
 	for _, k := range []int{2, 61, 61, 16} {
 		if a := testing.AllocsPerRun(5, func() { s.cut(g, k) }); a != 1 {
 			t.Errorf("k=%d: cut made %.0f allocations, want 1 (the Assignment)", k, a)
@@ -567,7 +564,7 @@ func TestCurveBuildCharge(t *testing.T) {
 		}
 	}
 	g := gridGraph(24, 24, 16, 5) // n vertices
-	if got, want := CurveBuildTime(g.N, 1, mdl), NewSFCWorkers(g, sfc.Hilbert, 0).BuildOps().Time(mdl); got != want {
+	if got, want := CurveBuildTime(g.N, 1, mdl), NewSFCWorkers(g, MethodHilbertSFC, 0).BuildOps().Time(mdl); got != want {
 		t.Errorf("k=1: build priced %.17g, want the serial %.17g", got, want)
 	}
 

@@ -6,8 +6,6 @@ import (
 
 	"plum/internal/dual"
 	"plum/internal/meshgen"
-	"plum/internal/refine"
-	"plum/internal/sfc"
 )
 
 // hashInt32s is the FNV-1a hash of xs, each entry as four little-endian
@@ -32,11 +30,11 @@ func TestKeyAndFMPin(t *testing.T) {
 	rp.NR, rp.NTheta, rp.NZ = 10, 11, 11
 	g := dual.Build(meshgen.RotorDisk(rp))
 	for _, c := range []struct {
-		curve sfc.Curve
+		curve Method
 		hash  uint64
 	}{
-		{sfc.Morton, 0x6ceda608709473ed},
-		{sfc.Hilbert, 0x78813744483ca1cd},
+		{MethodMortonSFC, 0x6ceda608709473ed},
+		{MethodHilbertSFC, 0x78813744483ca1cd},
 	} {
 		if got := hashInt32s(NewSFCWorkers(g, c.curve, 0).order); got != c.hash {
 			t.Errorf("%v: curve order hash %#x, pinned %#x", c.curve, got, c.hash)
@@ -61,7 +59,7 @@ func TestKeyAndFMPin(t *testing.T) {
 				asg[v] = int32(v % c.k)
 			}
 		}
-		ops := refine.FMRefine(fx, asg, c.k, c.passes)
+		ops := fmRefine(fx, asg, c.k, c.passes)
 		if got := hashInt32s(asg); ops != c.ops || got != c.hash {
 			t.Errorf("%s k=%d: FM charged %d ops, assignment hash %#x; pinned %d, %#x", c.name, c.k, ops, got, c.ops, c.hash)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"plum/internal/dual"
 	"plum/internal/machine"
-	"plum/internal/sfc"
 )
 
 // SFCPartitioner partitions the dual graph geometrically along a
@@ -44,14 +43,15 @@ type SFCPartitioner struct {
 	bounds, lowB, highB []int
 }
 
-// NewSFCWorkers builds the cached curve order of g's centroids (the
-// O(n log n) part: key generation plus one sort).
+// NewSFCWorkers builds the cached curve order of g's centroids along the
+// curve of method m (the O(n log n) part: key generation, keys.go, plus
+// one sort). Any m but MethodHilbertSFC keys along the Morton curve.
 //
 // Deprecated: workers is ignored; it goes when the benchmark stops passing
 // it.
-func NewSFCWorkers(g *dual.Graph, c sfc.Curve, workers int) *SFCPartitioner {
+func NewSFCWorkers(g *dual.Graph, m Method, workers int) *SFCPartitioner {
 	return &SFCPartitioner{
-		order:  sortByKey(sfc.Keys(c, g.Centroid)),
+		order:  sortByKey(curveKeys(m, g.Centroid)),
 		prefix: make([]int64, g.N+1),
 	}
 }
