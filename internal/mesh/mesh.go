@@ -473,21 +473,6 @@ func (m *Mesh) BisectEdge(e EdgeID) VertID {
 	return mid
 }
 
-// HalfEdge returns the child of bisected edge e that has v as an endpoint.
-func (m *Mesh) HalfEdge(e EdgeID, v VertID) EdgeID {
-	ed := m.Edge(e)
-	if !ed.Bisected() {
-		panic("mesh: HalfEdge on unbisected edge")
-	}
-	if v == ed.V[0] {
-		return ed.Child[0]
-	}
-	if v == ed.V[1] {
-		return ed.Child[1]
-	}
-	panic("mesh: HalfEdge vertex not an endpoint")
-}
-
 // DeactivateElement removes el from its edges' incidence lists. The caller
 // is responsible for adding children (subdivision) or marking it dead
 // (coarsening removal).

@@ -99,10 +99,14 @@ func TestBisectEdge(t *testing.T) {
 	if b.Mid != mid || b.Edge != e {
 		t.Errorf("log entry %+v", b)
 	}
-	// Child lookup by endpoint.
-	c0 := m.HalfEdge(e, 0)
+	// The child on vertex 0: Child[0] spans (V[0], Mid), Child[1]
+	// (Mid, V[1]).
+	c0 := m.Edge(e).Child[0]
+	if m.Edge(e).V[1] == 0 {
+		c0 = m.Edge(e).Child[1]
+	}
 	if m.Edge(c0).V != [2]VertID{0, mid} && m.Edge(c0).V != [2]VertID{mid, 0} {
-		t.Errorf("HalfEdge(0) endpoints %v", m.Edge(c0).V)
+		t.Errorf("child on vertex 0 has endpoints %v", m.Edge(c0).V)
 	}
 	// Active edge count: 6 - 1 bisected + 2 children = 7.
 	if got := m.NumActiveEdges(); got != 7 {

@@ -134,7 +134,7 @@ func (p *adaptPass) phase(dst *float64) {
 // exchange charges one notification exchange of the raw per-pair
 // contributions, in the sorted order machine.AggregatePairs gives them, and books
 // its traffic and its pair bookkeeping. It does not barrier.
-func (p *adaptPass) exchange(raw []propagate.PairWords) {
+func (p *adaptPass) exchange(raw []machine.Flow) {
 	pairs := machine.AggregatePairs(raw)
 	p.ops.AddComp(int64(len(pairs)))
 	ch := p.eng.ChargeExchange(&p.clk, p.mdl, pairs)
@@ -240,7 +240,7 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 // cache, and the edge scan intersects the cached lists of the edges whose
 // two endpoints are both shared — only those can intersect in more than
 // one rank.
-func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
+func (d *Dist) classifyPairs(edgesBefore int) []machine.Flow {
 	m := d.M
 	// at[v] is where vertex v's cached list starts (the cache holds its
 	// length there, then its ranks), or one of:
@@ -278,7 +278,7 @@ func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
 		o := at[v] + 1
 		return cache[o : o+cache[o-1]]
 	}
-	var out []propagate.PairWords
+	var out []machine.Flow
 	var inter []int32
 	for e := mesh.EdgeID(edgesBefore); int(e) < m.EdgeSlots(); e++ {
 		ed := m.Edge(e)
@@ -307,7 +307,7 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	p := d.beginAdapt(mdl)
 	m := d.M
 
-	var raw []propagate.PairWords
+	var raw []machine.Flow
 	d.eachMarkedSPL(a, adapt.MarkCoarsen, func(spl []int32) {
 		if len(spl) > 1 {
 			raw = propagate.PairsFromSPL(raw, spl, 1)

@@ -3,8 +3,6 @@ package par
 import (
 	"fmt"
 	"reflect"
-	"slices"
-	"strings"
 	"testing"
 
 	"plum/internal/fault"
@@ -130,18 +128,26 @@ func TestFlatExchangeLegacyAccounting(t *testing.T) {
 }
 
 // TestRetryNamingNoFlowPanics: every message of the exchange is a flow's,
-// so a retry record for a pair the flow list does not hold is a bug in
-// the executor or the plan, never a price.
+// and the executor keeps one retry counter per flow, at its index, so a
+// counter slice of any other length names a flow the list does not hold
+// (or misses one): a bug in the executor, never a price. nil is the
+// fault-free path.
 func TestRetryNamingNoFlowPanics(t *testing.T) {
-	d, newOwner := bigFixture(t, 8) // ring flows only: 0->4 moves nothing
+	d, newOwner := bigFixture(t, 8)
 	flows := countFlows(d.M, d.owner, newOwner)
-	if slices.ContainsFunc(flows, func(fl remap.Flow) bool { return fl.Src == 0 && fl.Dst == 4 }) {
-		t.Fatal("fixture has a 0->4 flow")
+	mdl := machine.SP2()
+	if got, want := chargeRemap(mdl, d.Exchange, d.P, flows, make([]pairRetry, len(flows)), nil), ChargeRemap(mdl, d.Exchange, d.P, flows); got != want {
+		t.Errorf("all-zero counters charged %+v, want the fault-free %+v", got, want)
 	}
-	defer func() {
-		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "retry counters for 0->4 name no flow") {
-			t.Fatalf("bogus retry record: got %q", msg)
-		}
-	}()
-	chargeRemap(machine.SP2(), d.Exchange, d.P, flows, []pairRetry{{Src: 0, Dst: 4, Resends: 1}}, nil)
+	for _, n := range []int{len(flows) + 1, len(flows) - 1, 0} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("par: %d retry counters for %d flows", n, len(flows))
+				if msg := fmt.Sprint(recover()); msg != want {
+					t.Errorf("%d counters: got panic %q, want %q", n, msg, want)
+				}
+			}()
+			chargeRemap(mdl, d.Exchange, d.P, flows, make([]pairRetry, n), nil)
+		}()
+	}
 }

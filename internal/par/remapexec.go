@@ -57,12 +57,12 @@ type RemapResult struct {
 	RetryTime           float64
 }
 
-// pairRetry is the recovery one (Src, Dst) flow needed under a fault
-// plan: Resends extra messages, and Backoff modeled backoff units
-// (Σ 2^try per lost attempt, plus one unit per stall and per failure), to
-// be scaled by the machine model's RetryBackoff.
+// pairRetry is the recovery one flow needed under a fault plan: Resends
+// extra messages, and Backoff modeled backoff units (Σ 2^try per lost
+// attempt, plus one unit per stall and per failure), to be scaled by the
+// machine model's RetryBackoff. The executor keeps one per flow, at the
+// flow's index.
 type pairRetry struct {
-	Src, Dst         int32
 	Resends, Backoff int64
 }
 
@@ -190,16 +190,7 @@ func (d *Dist) executeRemap(newOwner []int32, flows []remap.Flow, mdl machine.Mo
 			obs.Int("window", int64(wi)), obs.Int("flows", int64(win.f1-win.f0)), obs.Int("words", words))
 	}
 
-	// chargeRemap takes the pairs that needed any recovery, in canonical
-	// order.
-	n := 0
-	for f, r := range retries {
-		if r.Resends > 0 || r.Backoff > 0 {
-			retries[n] = pairRetry{Src: flows[f].Src, Dst: flows[f].Dst, Resends: r.Resends, Backoff: r.Backoff}
-			n++
-		}
-	}
-	res := chargeRemap(mdl, d.Exchange, d.P, flows, retries[:n], d.Trace)
+	res := chargeRemap(mdl, d.Exchange, d.P, flows, retries, d.Trace)
 	res.PeakWords = peak
 	res.WindowRetries = windowRetries
 	copy(d.owner, newOwner)
@@ -260,10 +251,10 @@ func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 // ascending destination order, the canonical order of its flows — so the
 // work is O(sets + p).
 //
-// When the exchange recovered injected faults, retries carries its
-// per-pair counters in the same canonical order — every message is a
-// flow's, so every record names a flow (one that does not is a bug and
-// panics): each resent message counts into Retries and its flow's record
+// Under a fault plan, retries carries the exchange's counters, one per
+// flow at the flow's index — every message is a flow's, so a slice of any
+// other length is a bug and panics. For each flow that needed any
+// recovery, each resent message counts into Retries and the flow's record
 // words into RetryWords (every message of a pair is that flow's records),
 // and the pair is charged Model.RetryTime (another MsgTime of the flow's
 // modeled volume per resend, RetryBackoff per backoff unit) on the
@@ -284,7 +275,9 @@ func chargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 	retryT := make([]float64, p)
 	wire := make([]machine.Flow, len(flows))
 	clk := machine.NewClock(p)
-	k := 0 // cursor into retries
+	if retries != nil && len(retries) != len(flows) {
+		panic(fmt.Sprintf("par: %d retry counters for %d flows", len(retries), len(flows)))
+	}
 	for f, fl := range flows {
 		src, dst := int(fl.Src), int(fl.Dst)
 		words := mdl.FlowWords(fl.Elems)
@@ -296,18 +289,16 @@ func chargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 		pack := float64(words) * mdl.PackWord
 		clk.Add(src, pack)
 		packT[src] += pack
-		if k < len(retries) && retries[k].Src == fl.Src && retries[k].Dst == fl.Dst {
-			r := retries[k]
+		if retries == nil {
+			continue
+		}
+		if r := retries[f]; r.Resends > 0 || r.Backoff > 0 {
 			res.Retries += r.Resends
 			res.RetryWords += r.Resends * fl.Elems * RecordWords
 			rt := mdl.RetryTime(r.Resends, r.Backoff, words)
 			clk.Add(src, rt)
 			retryT[src] += rt
-			k++
 		}
-	}
-	if k < len(retries) {
-		panic(fmt.Sprintf("par: retry counters for %d->%d name no flow", retries[k].Src, retries[k].Dst))
 	}
 	for r := 0; r < p; r++ {
 		res.WordsMoved += sendWords[r]

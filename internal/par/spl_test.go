@@ -87,7 +87,7 @@ func oracleVertSPL(d *Dist, v mesh.VertID) []int32 {
 // SPL cache, run serially: it settles once per endpoint whether its SPL
 // names more than one rank, then derives both endpoint SPLs again for
 // every edge whose two endpoints do.
-func oracleClassifyPairs(d *Dist, edgesBefore int) []propagate.PairWords {
+func oracleClassifyPairs(d *Dist, edgesBefore int) []machine.Flow {
 	m := d.M
 	const (
 		wanted = 1
@@ -107,7 +107,7 @@ func oracleClassifyPairs(d *Dist, edgesBefore int) []propagate.PairWords {
 			}
 		}
 	}
-	var out []propagate.PairWords
+	var out []machine.Flow
 	for e := mesh.EdgeID(edgesBefore); int(e) < m.EdgeSlots(); e++ {
 		ed := m.Edge(e)
 		if ed.Dead || ed.Parent != mesh.InvalidEdge || flag[ed.V[0]] != shared || flag[ed.V[1]] != shared {

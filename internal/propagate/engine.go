@@ -21,7 +21,7 @@ type Scratch struct {
 	frontier, eb, reach, spl []int32
 	visits                   []int64
 	props                    []proposal
-	notes                    []PairWords
+	notes                    []machine.Flow
 }
 
 // Seed returns the frontier buffer the last Run left, emptied, for the
@@ -102,7 +102,7 @@ func (eng Engine) Run(w World, seed []int32, clk *machine.Clock, mdl machine.Mod
 					src := props[k].src
 					for _, dst := range spl {
 						if dst != src {
-							notes = append(notes, PairWords{Src: src, Dst: dst, Words: 1})
+							notes = append(notes, machine.Flow{Src: src, Dst: dst, Words: 1})
 						}
 					}
 				}

@@ -10,12 +10,12 @@ import (
 
 // faultPairs is a batch list with real fan-out: every ordered pair of 6
 // ranks, word counts varying per pair.
-func faultPairs(p int) []propagate.PairWords {
-	var out []propagate.PairWords
+func faultPairs(p int) []machine.Flow {
+	var out []machine.Flow
 	for s := int32(0); s < int32(p); s++ {
 		for d := int32(0); d < int32(p); d++ {
 			if s != d {
-				out = append(out, propagate.PairWords{Src: s, Dst: d, Words: int64(1 + (s+2*d)%5)})
+				out = append(out, machine.Flow{Src: s, Dst: d, Words: int64(1 + (s+2*d)%5)})
 			}
 		}
 	}

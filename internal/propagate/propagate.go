@@ -55,22 +55,15 @@ type World interface {
 	SPL(e int32, spl []int32) []int32
 }
 
-// PairWords is one (src, dst) notification batch of an exchange: Words
-// message words bound from rank Src to rank Dst. It is the machine
-// model's Flow — the adaption notification exchanges and the remap
-// payload exchange feed the same charge functions, so their communication
-// models can never drift apart.
-type PairWords = machine.Flow
-
 // PairsFromSPL appends the ordered (src, dst) expansion of one shared
 // object's processor list to out — words message words from every sharer
 // to every other sharer — and returns it. Feed the accumulated raw list
 // to machine.AggregatePairs for the canonical charge order.
-func PairsFromSPL(out []PairWords, spl []int32, words int64) []PairWords {
+func PairsFromSPL(out []machine.Flow, spl []int32, words int64) []machine.Flow {
 	for _, r := range spl {
 		for _, o := range spl {
 			if r != o {
-				out = append(out, PairWords{Src: r, Dst: o, Words: words})
+				out = append(out, machine.Flow{Src: r, Dst: o, Words: words})
 			}
 		}
 	}
@@ -121,7 +114,7 @@ type Engine struct {
 // one message per pair, given the per-(src, dst) word counts in canonical
 // sorted order (see machine.AggregatePairs), and returns the charge breakdown. It
 // does not barrier; callers own the superstep structure.
-func (eng Engine) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []PairWords) machine.ExchangeCharge {
+func (eng Engine) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []machine.Flow) machine.ExchangeCharge {
 	return mdl.ChargeFlowsRetry(clk, pairs, func(src, dst int32, words int64) {
 		// An undelivered notification escalates out of band; its charge is
 		// the same resends and backoff.

@@ -179,7 +179,7 @@ func TestWarmRunAllocatesNothing(t *testing.T) {
 // model on a known batch list: one Tsetup per pair, charged to the sender.
 func TestChargeExchangeSemantics(t *testing.T) {
 	mdl := machine.SP2()
-	pairs := []propagate.PairWords{
+	pairs := []machine.Flow{
 		{Src: 0, Dst: 1, Words: 10},
 		{Src: 0, Dst: 2, Words: 5},
 		{Src: 2, Dst: 0, Words: 1},

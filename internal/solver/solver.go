@@ -21,13 +21,14 @@ type Solver struct {
 	M *mesh.Mesh
 	// U is the solution value at each vertex (indexed by VertID).
 	U []float64
-	// Relax is the explicit smoothing factor in (0, 1].
-	Relax float64
 }
+
+// relax is the explicit smoothing factor, in (0, 1].
+const relax = 0.5
 
 // New initializes the solution from the given field.
 func New(m *mesh.Mesh, field func(geom.Vec3) float64) *Solver {
-	s := &Solver{M: m, U: make([]float64, m.VertSlots()), Relax: 0.5}
+	s := &Solver{M: m, U: make([]float64, m.VertSlots())}
 	for i, v := range m.Verts() {
 		if !v.Dead {
 			s.U[i] = field(v.Pos)
@@ -61,7 +62,7 @@ func (s *Solver) Iterate(n int) {
 		}
 		for i := range s.U {
 			if deg[i] > 0 {
-				s.U[i] += s.Relax * flux[i] / deg[i]
+				s.U[i] += relax * flux[i] / deg[i]
 			}
 		}
 	}
