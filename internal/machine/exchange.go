@@ -56,7 +56,9 @@ func ExchangeByName(name string) (Exchange, error) {
 // Flow is one directed transfer of Words words from rank Src to rank Dst
 // (Src ≠ Dst). Charge functions require flows in canonical src-major
 // order — ascending (Src, Dst) — which is the order every producer in
-// this repo already emits.
+// this repo already emits. The remap's payload and the adaption passes'
+// notification batches are both Flows fed to the same charge functions,
+// so their communication models cannot drift apart.
 type Flow struct {
 	Src, Dst int32
 	Words    int64

@@ -100,7 +100,7 @@ func TestRoundTripRandom(t *testing.T) {
 			if gx != x || gy != y || gz != z {
 				t.Fatalf("%s round trip (%d,%d,%d) -> (%d,%d,%d)", c.name, x, y, z, gx, gy, gz)
 			}
-			if c.name == "hilbert" && hilbertEncode(x, y, z) != refhilbertEncode(x, y, z) {
+			if c.name == "hilbert" && hilbertEncode(x, y, z) != refHilbertEncode(x, y, z) {
 				t.Fatalf("hilbertEncode(%d,%d,%d) differs from the array-form reference", x, y, z)
 			}
 		}
@@ -208,10 +208,10 @@ func TestKeysLocality(t *testing.T) {
 	}
 }
 
-// refhilbertEncode is Skilling's transpose algorithm in its textbook
+// refHilbertEncode is Skilling's transpose algorithm in its textbook
 // array form, with the bit planes interleaved one bit at a time: the
 // reference hilbertEncode's register-resident version must equal.
-func refhilbertEncode(x, y, z uint32) uint64 {
+func refHilbertEncode(x, y, z uint32) uint64 {
 	X := [3]uint32{x & maxCoord, y & maxCoord, z & maxCoord}
 	for q := uint32(1 << (keyBits - 1)); q > 1; q >>= 1 {
 		p := q - 1
@@ -260,7 +260,7 @@ func FuzzHilbertRoundTrip(f *testing.F) {
 	f.Add(uint32(1<<20), uint32(1<<10), uint32(1))
 	f.Fuzz(func(t *testing.T, x, y, z uint32) {
 		key := hilbertEncode(x, y, z)
-		if ref := refhilbertEncode(x, y, z); key != ref {
+		if ref := refHilbertEncode(x, y, z); key != ref {
 			t.Fatalf("hilbertEncode(%d,%d,%d) = %#x, reference %#x", x, y, z, key, ref)
 		}
 		x, y, z = x&maxCoord, y&maxCoord, z&maxCoord

@@ -6,8 +6,8 @@
 //
 //   - multilevel: matching-based coarsening, recursive bisection of the
 //     coarse graph on BFS level sets from a pseudo-peripheral vertex, and
-//     Fiduccia–Mattheyses boundary refinement (fm.go) during
-//     uncoarsening — the paper's default. Chaco bisects the coarse graph
+//     Kernighan–Lin/Fiduccia–Mattheyses boundary refinement (fm.go)
+//     during uncoarsening — the paper's default. Chaco bisects the coarse graph
 //     on an eigenvector instead; METIS's graph growing (Karypis & Kumar)
 //     splits a graph of a few hundred vertices about as well for a
 //     fraction of the work. Given the current owners, it rebalances them
