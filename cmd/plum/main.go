@@ -21,6 +21,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof on the -pprof server
 	"os"
+	"slices"
 
 	"plum/internal/adapt"
 	"plum/internal/core"
@@ -158,12 +159,7 @@ func main() {
 	case "error":
 		stratFn = func(a *adapt.Adaptor) {
 			errv := sol.EdgeError()
-			hi := 0.0
-			for _, e := range errv {
-				if e > hi {
-					hi = e
-				}
-			}
+			hi := slices.Max(errv)
 			a.MarkError(errv, 0.4*hi, -1)
 		}
 	default:

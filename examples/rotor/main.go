@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 
 	"plum/internal/adapt"
 	"plum/internal/core"
@@ -43,12 +44,7 @@ func main() {
 	for cycle := 1; cycle <= 3; cycle++ {
 		rep, err := fw.Cycle(func(a *adapt.Adaptor) {
 			errv := sol.EdgeError()
-			hi := 0.0
-			for _, e := range errv {
-				if e > hi {
-					hi = e
-				}
-			}
+			hi := slices.Max(errv)
 			// Refine the sharpest 'shock-like' edges; lo < 0 marks
 			// nothing for coarsening, which Cycle does not run.
 			a.MarkError(errv, 0.35*hi, -1)

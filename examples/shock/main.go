@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"plum/internal/adapt"
 	"plum/internal/core"
@@ -53,12 +54,7 @@ func main() {
 
 		rep, err := fw.Cycle(func(a *adapt.Adaptor) {
 			errv := sol.EdgeError()
-			hi := 0.0
-			for _, e := range errv {
-				if e > hi {
-					hi = e
-				}
-			}
+			hi := slices.Max(errv)
 			a.MarkError(errv, 0.3*hi, -1) // refine only: the wake is coarsened above
 		})
 		if err != nil {

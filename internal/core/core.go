@@ -229,34 +229,23 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 }
 
 // Loads returns the per-processor computational weight under the current
-// ownership (the projection of the new Wcomp onto the current partitions
-// used by the preliminary evaluation).
+// ownership: the projection of the mesh's Wcomp, as it stands, onto the
+// current partitions (the paper's preliminary evaluation). It refreshes
+// the dual weights first, so it is right whatever adapted the mesh since
+// the last balance pass; it is the one place the framework refreshes them.
 func (f *Framework) Loads() []int64 {
+	f.G.UpdateWeights(f.M)
 	return partition.Weights(f.G, f.D.OwnersView(), f.Cfg.P)
 }
 
-// aliveLoads returns the computational loads the surviving ranks carry
-// under owners (rank-space, indexed by dual vertex), indexed by position
-// in alive. With every rank alive the values and their order equal
-// partition.Weights exactly, so the imbalance floats are bit-identical to
-// the pre-crash-recovery arithmetic.
-func (f *Framework) aliveLoads(owners, alive []int32) []int64 {
-	full := partition.Weights(f.G, owners, f.Cfg.P)
+// aliveLoads returns the rank-indexed loads of the ranks in alive, indexed
+// by position in alive.
+func aliveLoads(loads []int64, alive []int32) []int64 {
 	out := make([]int64, len(alive))
 	for i, r := range alive {
-		out[i] = full[r]
+		out[i] = loads[r]
 	}
 	return out
-}
-
-// Evaluate is the preliminary evaluation step: it refreshes the dual
-// weights from the mesh and returns the imbalance factor Wmax/Wavg over
-// the surviving ranks and whether it exceeds the repartitioning
-// threshold.
-func (f *Framework) Evaluate() (imbalance float64, needsRepartition bool) {
-	f.G.UpdateWeights(f.M)
-	imb := par.ImbalanceFactor(f.aliveLoads(f.D.OwnersView(), f.D.Alive()))
-	return imb, imb > f.Cfg.ImbalanceThreshold
 }
 
 // BalanceOutcome classifies how one balance pass concluded under the
@@ -457,7 +446,6 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	var rep BalanceReport
 	rep.Exchange = f.D.Exchange
 	tr := f.Cfg.Trace
-	f.G.UpdateWeights(f.M)
 	// All balance targets are the surviving ranks: after a crash the run
 	// continues on fewer processors, and dead ranks must never appear in
 	// an imbalance denominator or receive a partition. With every rank
@@ -465,7 +453,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// bit-identical to the legacy arithmetic.
 	alive := f.D.Alive()
 	rep.Alive = len(alive)
-	loads := f.aliveLoads(f.D.OwnersView(), alive)
+	loads := aliveLoads(f.Loads(), alive)
 	rep.ImbalanceBefore = par.ImbalanceFactor(loads)
 	rep.ImbalanceAfter = rep.ImbalanceBefore
 	rep.WmaxOld = slices.Max(loads)
@@ -495,7 +483,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// One rank-space owner array carries the proposal from here on: its
 	// loads, its flows, and the remap that executes it.
 	newOwner := pr.owners(alive)
-	newLoads := f.aliveLoads(newOwner, alive)
+	newLoads := aliveLoads(partition.Weights(f.G, newOwner, f.Cfg.P), alive)
 	rep.WmaxNew = slices.Max(newLoads)
 	rep.ImbalanceAfter = par.ImbalanceFactor(newLoads)
 
@@ -548,7 +536,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 					return rep, rerr
 				}
 				return rep, nil
-			case re.RolledBack:
+			case re.Failure == par.FailTransfer:
 				// Graceful degradation: the remap exhausted its recovery
 				// budget and restored the pre-balance ownership, so the cycle
 				// continues on the old partition. The new partitioning is
@@ -718,7 +706,7 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	f.rollbackStreak = 0
 
 	// Report the post-recovery balance over the survivors.
-	loads := f.aliveLoads(owners, alive)
+	loads := aliveLoads(partition.Weights(f.G, owners, f.Cfg.P), alive)
 	rep.WmaxNew = slices.Max(loads)
 	rep.ImbalanceAfter = par.ImbalanceFactor(loads)
 	return nil
@@ -738,9 +726,11 @@ func redistCost(mdl machine.Model, x machine.Exchange, alive int, moved int64, s
 // CycleReport records one full solution/adaption cycle.
 type CycleReport struct {
 	// SolverTime is the modeled time of the Config.SolverIters solver
-	// iterations preceding adaption under the pre-adaption loads — the
-	// same iteration count the proxy solver actually runs, and the window
-	// the balance pipeline may hide behind when Config.Overlap is on.
+	// iterations preceding adaption under the loads the cycle finds
+	// (Loads: the mesh as it stands, a coarsening before the cycle
+	// included) — the same iteration count the proxy solver actually runs,
+	// and the window the balance pipeline may hide behind when
+	// Config.Overlap is on.
 	SolverTime float64
 	// Refine holds the adaption statistics.
 	Refine adapt.RefineStats

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"plum/internal/adapt"
@@ -82,11 +83,14 @@ func TestCycleAdaptAccounting(t *testing.T) {
 
 func TestEvaluateBalancedInitially(t *testing.T) {
 	f := newFW(t, 4)
-	imb, need := f.Evaluate()
-	if need {
-		t.Errorf("fresh partition flagged for repartitioning (imb=%.3f)", imb)
+	rep, err := f.Balance()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if imb < 1 || imb > f.Cfg.ImbalanceThreshold {
+	if rep.Repartitioned {
+		t.Errorf("fresh partition flagged for repartitioning (imb=%.3f)", rep.ImbalanceBefore)
+	}
+	if imb := rep.ImbalanceBefore; imb < 1 || imb > f.Cfg.ImbalanceThreshold {
 		t.Errorf("initial imbalance %.3f", imb)
 	}
 }
@@ -110,13 +114,12 @@ func TestBalanceAfterLocalizedRefinement(t *testing.T) {
 	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.4}, adapt.MarkRefine)
 	f.A.Refine()
 
-	imb, need := f.Evaluate()
-	if !need {
-		t.Fatalf("imbalance %.3f did not exceed threshold", imb)
-	}
 	rep, err := f.Balance()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.ImbalanceBefore <= f.Cfg.ImbalanceThreshold {
+		t.Fatalf("imbalance %.3f did not exceed threshold", rep.ImbalanceBefore)
 	}
 	if !rep.Repartitioned {
 		t.Fatal("did not repartition")
@@ -249,6 +252,49 @@ func TestCycleRejectsCoarsenMarks(t *testing.T) {
 	}
 }
 
+// TestLoadsReadTheMeshAsItStands checks Loads against Dist.RankLoads,
+// which counts the element slab under the current owners, after each way
+// the mesh adapts outside a cycle: a parallel coarsening, a parallel
+// refinement and a serial refinement. A cycle run after the coarsening
+// must price its solver on the coarsened mesh, not on the weights the
+// previous balance pass left.
+func TestLoadsReadTheMeshAsItStands(t *testing.T) {
+	f, err := New(meshgen.Box(6, 6, 6, geom.Vec3{X: 1, Y: 1, Z: 1}), nil, DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(after string) {
+		t.Helper()
+		if got, want := f.Loads(), f.D.RankLoads(); !slices.Equal(got, want) {
+			t.Errorf("after %s: Loads = %v, RankLoads = %v", after, got, want)
+		}
+	}
+	corner := geom.Sphere{Center: geom.Vec3{}, Radius: 0.5}
+	if _, err := f.Cycle(func(a *adapt.Adaptor) { a.MarkRegion(corner, adapt.MarkRefine) }); err != nil {
+		t.Fatal(err)
+	}
+	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.3}, adapt.MarkCoarsen)
+	if st, _ := f.D.ParallelCoarsen(f.A, f.Cfg.Model); st.ElemsRemoved == 0 {
+		t.Fatal("the coarsening removed nothing")
+	}
+	check("ParallelCoarsen")
+	want := f.Cfg.Cost.SolverTimeIters(slices.Max(f.D.RankLoads()), f.Cfg.SolverIters)
+	rep, err := f.Cycle(func(a *adapt.Adaptor) { a.MarkRegion(corner, adapt.MarkRefine) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SolverTime != want {
+		t.Errorf("cycle after coarsening: SolverTime = %.5f, want %.5f on the coarsened mesh", rep.SolverTime, want)
+	}
+
+	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{X: 1, Y: 1, Z: 1}, Radius: 0.4}, adapt.MarkRefine)
+	f.D.ParallelRefine(f.A, f.Cfg.Model)
+	check("ParallelRefine")
+	f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{X: 1}, Radius: 0.4}, adapt.MarkRefine)
+	f.A.Refine()
+	check("Adaptor.Refine")
+}
+
 // TestSolverlessCycleResetsLog checks that with no solver to consume it
 // the mesh's log does not outlive the cycle that wrote it.
 func TestSolverlessCycleResetsLog(t *testing.T) {
@@ -278,7 +324,7 @@ func TestOptimalMapperPath(t *testing.T) {
 		f := newFWConfig(t, cfg)
 		f.A.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: 0.7}, adapt.MarkRefine)
 		f.A.Refine()
-		f.G.UpdateWeights(f.M)
+		f.Loads() // refresh the dual weights the proposal reads
 		pr, err := f.propose(f.D.Alive())
 		if err != nil {
 			t.Fatal(err)

@@ -56,7 +56,7 @@ func verifySurvivorOwnership(t *testing.T, f *Framework, label string) {
 	for _, w := range f.G.Wcomp {
 		want += w
 	}
-	for _, l := range f.aliveLoads(f.D.OwnersView(), f.D.Alive()) {
+	for _, l := range aliveLoads(f.Loads(), f.D.Alive()) {
 		got += l
 	}
 	if got != want {

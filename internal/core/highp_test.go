@@ -137,7 +137,7 @@ func TestBalanceSkipsOnlyAtTheFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wmaxNew := slices.Max(f.aliveLoads(pr.owners(alive), alive)); wmaxNew < b.WmaxOld {
+	if wmaxNew := slices.Max(aliveLoads(partition.Weights(f.G, pr.owners(alive), f.Cfg.P), alive)); wmaxNew < b.WmaxOld {
 		t.Errorf("forced proposal reaches Wmax %d below the floor %d", wmaxNew, b.WmaxOld)
 	}
 

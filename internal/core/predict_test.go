@@ -91,7 +91,7 @@ func TestPredictedRemapIsExecuted(t *testing.T) {
 // wrong ranks — which a slowest-rank total cannot see.
 func checkProposalFlows(t *testing.T, name string, f *Framework) {
 	t.Helper()
-	f.G.UpdateWeights(f.M)
+	f.Loads() // refresh the dual weights the proposal reads
 	alive := f.D.Alive()
 	pr, err := f.propose(alive)
 	if err != nil {

@@ -66,14 +66,14 @@ func RunExtensionRepeated(p, cycles int, seed int64) *Extension {
 				Max: geom.Vec3{X: sp.Center.X - 0.4, Y: 1, Z: 1},
 			}, adapt.MarkCoarsen)
 			fw.D.ParallelCoarsen(fw.A, fw.Cfg.Model)
-			if _, err := fw.Cycle(func(a *adapt.Adaptor) {
+			rep, err := fw.Cycle(func(a *adapt.Adaptor) {
 				a.MarkRegion(*sp, adapt.MarkRefine)
-			}); err != nil {
+			})
+			if err != nil {
 				panic(err)
 			}
 			sp.Center.X += 2.0 / float64(cycles)
-			imb, _ := fw.Evaluate()
-			return imb, fw.M.NumActiveElems()
+			return rep.Balance.ImbalanceAfter, fw.M.NumActiveElems()
 		}
 		imbB, elems := step(balanced, sB)
 		imbU, _ := step(unbalanced, sU)

@@ -90,9 +90,6 @@ func (b AABB) Extend(p Vec3) AABB {
 	}
 }
 
-// Center returns the centroid of the box.
-func (b AABB) Center() Vec3 { return b.Min.Mid(b.Max) }
-
 // Size returns the per-axis extents of the box.
 func (b AABB) Size() Vec3 { return b.Max.Sub(b.Min) }
 

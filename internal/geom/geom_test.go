@@ -146,9 +146,6 @@ func TestAABB(t *testing.T) {
 	if e2.Min != (Vec3{1, 1, 1}) || e2.Max != (Vec3{1, 1, 1}) || !e2.Contains(Vec3{1, 1, 1}) {
 		t.Error("Extend of empty box")
 	}
-	if got := b.Center(); got != (Vec3{1.5, 2.5, 3.5}) {
-		t.Errorf("Center = %v", got)
-	}
 	if got := b.Size(); got != (Vec3{1, 5, 1}) {
 		t.Errorf("Size = %v", got)
 	}

@@ -81,7 +81,7 @@ func TestRemapRollbackRestoresOwnership(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("error %v is not a *RemapError", err)
 	}
-	if re.Failure != FailTransfer || !re.RolledBack {
+	if re.Failure != FailTransfer {
 		t.Fatalf("unexpected failure %+v", re)
 	}
 	if re.Tries != 2 {
@@ -133,7 +133,7 @@ func TestRemapCrashAtWindowZero(t *testing.T) {
 		if !errors.As(err, &re) {
 			t.Fatalf("%s: error %v is not a *RemapError", c.name, err)
 		}
-		if re.Failure != FailCrash || re.Window != 0 || re.Tries != 1 || !re.RolledBack || !reflect.DeepEqual(re.Crashed, want) {
+		if re.Failure != FailCrash || re.Window != 0 || re.Tries != 1 || !reflect.DeepEqual(re.Crashed, want) {
 			t.Errorf("%s: got %+v, want FailCrash at window 0, one try, ranks %v", c.name, re, want)
 		}
 		if !reflect.DeepEqual(d.Owners(), before) {
@@ -161,7 +161,7 @@ func TestRemapPartialCommitRollback(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("expected a rolled-back RemapError, got %v", err)
 	}
-	if !re.RolledBack || re.Window < 0 {
+	if re.Failure != FailTransfer || re.Window < 0 {
 		t.Fatalf("unexpected failure shape: %+v", re)
 	}
 	if re.Window == 0 {
@@ -225,9 +225,6 @@ func FuzzReliableExchange(f *testing.F) {
 			var re *RemapError
 			if !errors.As(err, &re) {
 				t.Fatalf("untyped remap failure: %v", err)
-			}
-			if !re.RolledBack {
-				t.Fatalf("failure without rollback: %+v", re)
 			}
 			if !reflect.DeepEqual(d.Owners(), before) {
 				t.Fatal("rollback left a partially committed ownership map")

@@ -29,8 +29,10 @@ func (f RemapFailure) String() string {
 	return fmt.Sprintf("RemapFailure(%d)", int(f))
 }
 
-// RemapError is the typed error of the transactional remap path. Callers
-// (core.Framework) use Failure and RolledBack to decide between graceful
+// RemapError is the typed error of the transactional remap path. The
+// executor writes ownership once, after the last window is delivered, so
+// every RemapError leaves the ownership map as it was before the remap.
+// Callers (core.Framework) use Failure to decide between graceful
 // degradation — keep the old partition, skip the remap charge, continue
 // the cycle — and survivor recovery.
 type RemapError struct {
@@ -40,10 +42,6 @@ type RemapError struct {
 	Window int
 	// Tries is the number of times the failing window was exchanged.
 	Tries int
-	// RolledBack reports that the ownership map is unchanged from its
-	// pre-remap state. The executor writes ownership once, after the last
-	// window is delivered, so every remap failure sets it.
-	RolledBack bool
 	// Crashed names the ranks that died when Failure is FailCrash
 	// (sorted ascending); nil otherwise.
 	Crashed []int
@@ -57,10 +55,7 @@ func (e *RemapError) Error() string {
 	if e.Tries > 1 {
 		s += fmt.Sprintf(", %d tries", e.Tries)
 	}
-	s += ")"
-	if e.RolledBack {
-		s += ", rolled back"
-	}
+	s += "), rolled back"
 	if e.Detail != "" {
 		s += ": " + e.Detail
 	}

@@ -124,7 +124,7 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, flows []remap.Flow, mdl ma
 // each try, its per-pair attempt counters running on across tries; a
 // window with an undelivered flow is re-exchanged up to
 // Retry.WindowRetries times, and exhausted retries return a *RemapError
-// with RolledBack set. Ownership flips once, after the last window is
+// with FailTransfer. Ownership flips once, after the last window is
 // delivered, so every failure leaves it untouched.
 //
 // Everything is a function of the plan and the canonical flow list — the
@@ -149,7 +149,7 @@ func (d *Dist) executeRemap(newOwner []int32, flows []remap.Flow, mdl machine.Mo
 	if plan.Enabled() {
 		// Crash fates are stage-scoped, drawn once per balance cycle.
 		if crashed := d.crashRanks(plan); crashed != nil {
-			return RemapResult{}, &RemapError{Failure: FailCrash, Window: 0, Tries: 1, RolledBack: true,
+			return RemapResult{}, &RemapError{Failure: FailCrash, Window: 0, Tries: 1,
 				Crashed: crashed, Detail: fmt.Sprintf("ranks %v died at the remap boundary", crashed)}
 		}
 		x = plan.Exchange(fault.StageRemap, d.FaultCycle, retry.MsgAttempts)
@@ -177,7 +177,7 @@ func (d *Dist) executeRemap(newOwner []int32, flows []remap.Flow, mdl machine.Mo
 				break
 			}
 			if tries > retry.WindowRetries {
-				return RemapResult{}, &RemapError{Failure: FailTransfer, Window: wi, Tries: tries, RolledBack: true,
+				return RemapResult{}, &RemapError{Failure: FailTransfer, Window: wi, Tries: tries,
 					Detail: fmt.Sprintf("%d transfers failed after %d attempts per message", nfail, retry.MsgAttempts)}
 			}
 			windowRetries++

@@ -35,9 +35,6 @@ import (
 // Assignment maps each dual-graph vertex to a partition number.
 type Assignment []int32
 
-// Clone returns a copy of the assignment.
-func (a Assignment) Clone() Assignment { return append(Assignment(nil), a...) }
-
 // Weights returns the total Wcomp per partition.
 func Weights(g *dual.Graph, asg Assignment, k int) []int64 {
 	w := make([]int64, k)
