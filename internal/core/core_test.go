@@ -81,25 +81,14 @@ func TestCycleAdaptAccounting(t *testing.T) {
 	}
 }
 
-func TestEvaluateBalancedInitially(t *testing.T) {
-	f := newFW(t, 4)
-	rep, err := f.Balance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Repartitioned {
-		t.Errorf("fresh partition flagged for repartitioning (imb=%.3f)", rep.ImbalanceBefore)
-	}
-	if imb := rep.ImbalanceBefore; imb < 1 || imb > f.Cfg.ImbalanceThreshold {
-		t.Errorf("initial imbalance %.3f", imb)
-	}
-}
-
 func TestBalanceNoOpWhenBalanced(t *testing.T) {
 	f := newFW(t, 4)
 	rep, err := f.Balance()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if imb := rep.ImbalanceBefore; imb < 1 || imb > f.Cfg.ImbalanceThreshold {
+		t.Errorf("initial imbalance %.3f", imb)
 	}
 	if rep.Repartitioned || rep.Accepted {
 		t.Errorf("balanced mesh triggered pipeline: %+v", rep)

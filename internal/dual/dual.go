@@ -52,6 +52,11 @@ type Graph struct {
 	// Centroid caches each root element's centroid for geometric
 	// (space-filling-curve) partitioning.
 	Centroid []geom.Vec3
+
+	// read and readGen are the mesh and generation the weights were last
+	// read from (see UpdateWeights).
+	read    *mesh.Mesh
+	readGen uint64
 }
 
 // Build constructs the dual graph of m's initial (level-0) elements: dual
@@ -151,11 +156,17 @@ func Build(m *mesh.Mesh) *Graph {
 // UpdateWeights recomputes Wcomp and Wremap from the mesh's current
 // refinement forest — this is the "translation" of an adapted grid onto
 // the constant dual graph. An element's Root is its dual vertex, so the
-// pass allocates nothing.
+// pass allocates nothing. It records the mesh and its Generation, and
+// returns at once when called again on the same mesh at the same
+// generation: the forest it would read is the one it read last.
 func (g *Graph) UpdateWeights(m *mesh.Mesh) {
 	if m.NumRoots() != g.N {
 		panic(fmt.Sprintf("dual: mesh has %d roots, graph has %d", m.NumRoots(), g.N))
 	}
+	if m == g.read && m.Generation() == g.readGen {
+		return
+	}
+	g.read, g.readGen = m, m.Generation()
 	clear(g.Wcomp)
 	clear(g.Wremap)
 	for i := range m.Elems {

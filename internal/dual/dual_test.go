@@ -246,14 +246,19 @@ func TestBuildMatchesMapOracle(t *testing.T) {
 
 // TestUpdateWeightsAllocatesNothing pins the translation of an adapted
 // mesh onto the dual graph at zero allocations: a root's id is its dual
-// vertex, so no root → vertex map is built per call.
+// vertex, so no root → vertex map is built per call. The calls alternate
+// between the mesh and a clone, so each one reads a forest.
 func TestUpdateWeightsAllocatesNothing(t *testing.T) {
 	m := meshgen.SmallBox()
 	g := Build(m)
 	a := adapt.New(m)
 	a.MarkRegion(geom.Sphere{Center: geom.Vec3{X: 0.5, Y: 0.5, Z: 0.5}, Radius: 0.4}, adapt.MarkRefine)
 	a.Refine()
-	if allocs := testing.AllocsPerRun(20, func() { g.UpdateWeights(m) }); allocs != 0 {
+	clone := m.Clone()
+	if allocs := testing.AllocsPerRun(20, func() {
+		g.UpdateWeights(clone)
+		g.UpdateWeights(m)
+	}); allocs != 0 {
 		t.Errorf("UpdateWeights allocates %v times per call, want 0", allocs)
 	}
 	if g.TotalWremap() != int64(m.NumElemsTotal()) || g.TotalWcomp() != int64(m.NumActiveElems()) {
@@ -272,4 +277,59 @@ func TestUpdateWeightsPanicsOnWrongMesh(t *testing.T) {
 		}
 	}()
 	g.UpdateWeights(other)
+}
+
+// TestUpdateWeightsSkipsUnchangedMesh: a refresh of the mesh the weights
+// were read from, at the same generation, reads nothing, so a weight
+// scribbled between two refreshes survives. Every mutator of the element
+// forest, and a clone, makes the next refresh overwrite it with the
+// weights a fresh build reads.
+func TestUpdateWeightsSkipsUnchangedMesh(t *testing.T) {
+	m := meshgen.UnitCube()
+	g := Build(m)
+	scribble := func() { g.Wcomp[0], g.Wremap[0] = -7, -7 }
+	scribble()
+	g.UpdateWeights(m)
+	if g.Wcomp[0] != -7 || g.Wremap[0] != -7 {
+		t.Fatal("a refresh of an unchanged mesh read it again")
+	}
+
+	v := m.Elems[0].V
+	var c1, c2 mesh.ElemID
+	steps := []struct {
+		name   string
+		mutate func()
+	}{
+		{"DeactivateElement", func() { m.DeactivateElement(0) }},
+		{"AddElement", func() { c1 = m.AddElement(v[0], v[1], v[2], v[3], 0, 0, 1) }},
+		{"AddElementEdges", func() {
+			e := [6]mesh.EdgeID{mesh.InvalidEdge, mesh.InvalidEdge, mesh.InvalidEdge, mesh.InvalidEdge, mesh.InvalidEdge, mesh.InvalidEdge}
+			c2 = m.AddElementEdges(v, &e, 0, 0, 1)
+		}},
+		{"DeactivateElement of a child", func() { m.DeactivateElement(c1) }},
+		{"KillElement", func() { m.KillElement(c1) }},
+		{"DeactivateElement of the other child", func() { m.DeactivateElement(c2) }},
+		{"KillElement of the other child", func() { m.KillElement(c2) }},
+		{"ReactivateElement", func() { m.ReactivateElement(0) }},
+		{"Compact", func() { m.Compact() }},
+		{"Clone", func() { m = m.Clone() }},
+	}
+	for _, st := range steps {
+		st.mutate()
+		scribble()
+		g.UpdateWeights(m)
+		want := Build(m)
+		if !slices.Equal(g.Wcomp, want.Wcomp) || !slices.Equal(g.Wremap, want.Wremap) {
+			t.Fatalf("after %s: weights %v / %v, a fresh build reads %v / %v",
+				st.name, g.Wcomp, g.Wremap, want.Wcomp, want.Wremap)
+		}
+		scribble()
+		g.UpdateWeights(m)
+		if g.Wcomp[0] != -7 {
+			t.Fatalf("after %s: a second refresh read the unchanged mesh again", st.name)
+		}
+	}
+	if m.NumElemsTotal() != 6 || m.NumActiveElems() != 6 {
+		t.Fatalf("the steps left %d elements, %d active; want the 6 roots", m.NumElemsTotal(), m.NumActiveElems())
+	}
 }

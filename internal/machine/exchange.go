@@ -64,24 +64,62 @@ type Flow struct {
 	Words    int64
 }
 
-// AggregatePairs sorts raw flows by (Src, Dst) and merges duplicates,
-// summing their words, into the canonical list the charge functions
-// consume. The input is clobbered; the result aliases it.
-func AggregatePairs(raw []Flow) []Flow {
-	if len(raw) == 0 {
-		return nil
+// Pairs sums the words of one exchange per (src, dst) rank pair as they
+// are counted, so a producer never lists its contributions. It stores only
+// the distinct pairs, each source's chained from its own head as
+// remap.Flows chains them, and one chain head per rank named as a source:
+// nothing is sized by P². The zero value is ready for use, and a warm
+// accumulator allocates nothing.
+type Pairs struct {
+	head  []int32 // per source rank: its newest pair + 1, 0 for none
+	flows []Flow  // the distinct pairs, in first-seen order
+	next  []int32 // per pair: the source's next pair + 1, 0 at the end
+}
+
+// Add adds words to the pair (src, dst).
+func (ps *Pairs) Add(src, dst int32, words int64) {
+	if n := int(src) + 1 - len(ps.head); n > 0 {
+		ps.head = append(ps.head, make([]int32, n)...)
 	}
-	slices.SortFunc(raw, func(a, b Flow) int {
-		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-	})
-	out := raw[:1]
-	for _, f := range raw[1:] {
-		if last := &out[len(out)-1]; last.Src == f.Src && last.Dst == f.Dst {
-			last.Words += f.Words
-		} else {
-			out = append(out, f)
+	k := ps.head[src] - 1
+	for k >= 0 && ps.flows[k].Dst != dst {
+		k = ps.next[k] - 1
+	}
+	if k < 0 {
+		k = int32(len(ps.flows))
+		ps.flows = append(ps.flows, Flow{Src: src, Dst: dst})
+		ps.next = append(ps.next, ps.head[src])
+		ps.head[src] = k + 1
+	}
+	ps.flows[k].Words += words
+}
+
+// AddSPL adds words from every rank of a shared object's processor list
+// spl to every other rank of it: one notification per ordered pair of
+// sharers. A list of fewer than two ranks adds nothing.
+func (ps *Pairs) AddSPL(spl []int32, words int64) {
+	for _, r := range spl {
+		for _, o := range spl {
+			if r != o {
+				ps.Add(r, o, words)
+			}
 		}
 	}
+}
+
+// Flows returns the summed pairs in canonical ascending (Src, Dst) order,
+// the order the charge functions require, and empties the accumulator. The
+// result aliases its buffers, which it keeps: it is valid until the next
+// Add.
+func (ps *Pairs) Flows() []Flow {
+	out := ps.flows
+	for _, f := range out {
+		ps.head[f.Src] = 0
+	}
+	slices.SortFunc(out, func(a, b Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	ps.flows, ps.next = out[:0], ps.next[:0]
 	return out
 }
 

@@ -1,28 +1,142 @@
 package machine
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-func TestAggregatePairs(t *testing.T) {
-	raw := []Flow{
-		{Src: 2, Dst: 1, Words: 3},
-		{Src: 0, Dst: 1, Words: 1},
-		{Src: 2, Dst: 1, Words: 2},
-		{Src: 0, Dst: 2, Words: 4},
+// sortMergePairs is the accumulator's oracle: it sorts raw flows by
+// (Src, Dst) and merges duplicates, summing their words.
+func sortMergePairs(raw []Flow) []Flow {
+	raw = slices.Clone(raw)
+	slices.SortFunc(raw, func(a, b Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	var out []Flow
+	for _, f := range raw {
+		if n := len(out); n > 0 && out[n-1].Src == f.Src && out[n-1].Dst == f.Dst {
+			out[n-1].Words += f.Words
+		} else {
+			out = append(out, f)
+		}
 	}
-	got := AggregatePairs(raw)
+	return out
+}
+
+func TestPairs(t *testing.T) {
+	var ps Pairs
+	ps.Add(2, 1, 3)
+	ps.Add(0, 1, 1)
+	ps.Add(2, 1, 2)
+	ps.Add(0, 2, 4)
 	want := []Flow{
 		{Src: 0, Dst: 1, Words: 1},
 		{Src: 0, Dst: 2, Words: 4},
 		{Src: 2, Dst: 1, Words: 5},
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got := ps.Flows(); !slices.Equal(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
-	if AggregatePairs(nil) != nil {
-		t.Fatal("empty input must aggregate to nil")
+	if got := ps.Flows(); len(got) != 0 {
+		t.Fatalf("Flows did not empty the accumulator: %v", got)
+	}
+	ps.AddSPL([]int32{1, 4, 6}, 2)
+	ps.AddSPL([]int32{4, 6}, 1)
+	ps.AddSPL([]int32{3}, 7) // one sharer: no notification
+	want = []Flow{
+		{Src: 1, Dst: 4, Words: 2}, {Src: 1, Dst: 6, Words: 2},
+		{Src: 4, Dst: 1, Words: 2}, {Src: 4, Dst: 6, Words: 3},
+		{Src: 6, Dst: 1, Words: 2}, {Src: 6, Dst: 4, Words: 3},
+	}
+	if got := ps.Flows(); !slices.Equal(got, want) {
+		t.Fatalf("after reuse: got %v want %v", got, want)
+	}
+}
+
+// pairsRank maps a fuzz byte to a rank among the lowest sixteen or the
+// sixteen below 32768, the largest P the CLI is probed at.
+func pairsRank(b byte) int32 {
+	if b&0x80 != 0 {
+		return 32767 - int32(b&0x0f)
+	}
+	return int32(b & 0x0f)
+}
+
+// FuzzPairs runs a script of Add and AddSPL calls on one accumulator,
+// emptying it at the script's flush marks and at its end. Every Flows
+// result must equal the sort-and-merge of the raw contributions since the
+// last flush.
+func FuzzPairs(f *testing.F) {
+	f.Add([]byte{0x00, 0x01, 0x02, 0x05, 0x02, 0x01, 0x02, 0x07})
+	f.Add([]byte{0x01, 0x04, 0x81, 0x02, 0x8f, 0x03, 0x00, 0x8f, 0x81, 0x09})
+	f.Add([]byte{0x00, 0x8e, 0x83, 0x01, 0x02, 0x00, 0x8e, 0x83, 0x04, 0x01, 0x03, 0x8e, 0x83, 0x05, 0x06})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		var ps Pairs
+		var raw []Flow
+		check := func(at int) {
+			if got, want := ps.Flows(), sortMergePairs(raw); !slices.Equal(got, want) {
+				t.Fatalf("flush at byte %d: got %v want %v", at, got, want)
+			}
+			raw = raw[:0]
+		}
+		next := func(i *int) byte {
+			b := script[*i%len(script)]
+			*i++
+			return b
+		}
+		for i := 0; i < len(script); {
+			op := next(&i)
+			switch op % 3 {
+			case 0: // Add
+				src, dst, words := pairsRank(next(&i)), pairsRank(next(&i)), int64(next(&i))
+				if src == dst {
+					continue
+				}
+				ps.Add(src, dst, words)
+				raw = append(raw, Flow{Src: src, Dst: dst, Words: words})
+			case 1: // AddSPL of a sorted list of distinct ranks
+				n := int(next(&i)) % 6
+				var spl []int32
+				for range n {
+					spl = append(spl, pairsRank(next(&i)))
+				}
+				slices.Sort(spl)
+				spl = slices.Compact(spl)
+				words := int64(op>>2) + 1
+				ps.AddSPL(spl, words)
+				for _, r := range spl {
+					for _, o := range spl {
+						if r != o {
+							raw = append(raw, Flow{Src: r, Dst: o, Words: words})
+						}
+					}
+				}
+			case 2:
+				check(i)
+			}
+		}
+		check(len(script))
+	})
+}
+
+// TestPairsWarmAllocatesNothing pins the accumulator's reuse: once its
+// buffers have grown to a round's distinct pairs, summing and reading the
+// round again allocates nothing.
+func TestPairsWarmAllocatesNothing(t *testing.T) {
+	var ps Pairs
+	round := func() {
+		for r := int32(0); r < 64; r++ {
+			ps.Add(r, (r+1)%64, 1)
+			ps.Add(32767-r, r, 2)
+			ps.AddSPL([]int32{r, r + 100, 32000 + r}, 1)
+		}
+		ps.Flows()
+	}
+	round()
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Fatalf("a warm accumulator allocated %.0f times a round", n)
 	}
 }
 

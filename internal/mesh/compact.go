@@ -32,6 +32,7 @@ type CompactMap struct {
 // keep their ids for the life of the mesh; a root killed by hand leaves the
 // survivors as the shorter prefix [0, NumRoots).
 func (m *Mesh) Compact() CompactMap {
+	m.gen++
 	cm := &m.scratch
 	cm.Vert = resize(cm.Vert, m.verts.len())
 	cm.Edge = resize(cm.Edge, m.edges.len())

@@ -224,11 +224,22 @@ type Mesh struct {
 	nActiveEdges int
 	nActiveFaces int
 
+	// gen counts the changes to the element forest (see Generation).
+	gen uint64
+
 	// scratch and listStarts hold Compact's id maps and list marks
 	// between calls.
 	scratch    CompactMap
 	listStarts []uint64
 }
+
+// Generation returns a count that changes whenever an element is added,
+// changes its liveness or moves: every AddElement, AddElementEdges,
+// DeactivateElement, ReactivateElement, KillElement and Compact bumps it.
+// Two reads of one mesh at the same generation see the same element
+// forest, so a view derived from it (the dual weights) need not be
+// derived again.
+func (m *Mesh) Generation() uint64 { return m.gen }
 
 // New returns an empty mesh with room for nt elements.
 func New(nt int) *Mesh {
@@ -425,6 +436,7 @@ func (m *Mesh) AddElementEdges(v [4]VertID, e *[6]EdgeID, parent ElemID, root El
 	}
 	m.Elems = append(m.Elems, el)
 	m.nActiveElems++
+	m.gen++
 	return id
 }
 
@@ -481,6 +493,7 @@ func (m *Mesh) DeactivateElement(el ElemID) {
 		m.delEdgeElem(e, el)
 	}
 	m.nActiveElems--
+	m.gen++
 }
 
 // ReactivateElement re-registers a previously subdivided element el on its
@@ -494,11 +507,13 @@ func (m *Mesh) ReactivateElement(el ElemID) {
 		m.addEdgeElem(e, el)
 	}
 	m.nActiveElems++
+	m.gen++
 }
 
 // KillElement marks a (deactivated) element dead so compaction drops it.
 func (m *Mesh) KillElement(el ElemID) {
 	m.Elems[el].Dead = true
+	m.gen++
 }
 
 // ReactivateEdge makes a bisected edge active again, discarding its

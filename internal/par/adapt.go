@@ -131,11 +131,10 @@ func (p *adaptPass) phase(dst *float64) {
 	*dst, p.last = now-p.last, now
 }
 
-// exchange charges one notification exchange of the raw per-pair
-// contributions, in the sorted order machine.AggregatePairs gives them, and books
-// its traffic and its pair bookkeeping. It does not barrier.
-func (p *adaptPass) exchange(raw []machine.Flow) {
-	pairs := machine.AggregatePairs(raw)
+// exchange charges one notification exchange of the summed per-pair words
+// in canonical (src, dst) order (machine.Pairs.Flows), and books its
+// traffic and its pair bookkeeping. It does not barrier.
+func (p *adaptPass) exchange(pairs []machine.Flow) {
 	p.ops.AddComp(int64(len(pairs)))
 	ch := p.eng.ChargeExchange(&p.clk, p.mdl, pairs)
 	p.tm.Msgs += ch.Msgs
@@ -231,8 +230,9 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 // classifyPairs runs the shared-edge classification scan over the edges
 // created at or after edgesBefore: every new non-half edge whose endpoint
 // SPLs intersect in more than one rank contributes a two-word query (edge
-// id + verdict) per ordered rank pair. machine.AggregatePairs puts the raw
-// contributions in canonical charge order.
+// id + verdict) per ordered rank pair. The queries are summed per pair in
+// the Dist's accumulator as they are found; the result is its canonical
+// pair list, valid until the accumulator's next use.
 //
 // A midpoint vertex is an endpoint of a dozen new edges, and nearly every
 // vertex lies inside one rank, so each endpoint's SPL is derived once: a
@@ -278,7 +278,6 @@ func (d *Dist) classifyPairs(edgesBefore int) []machine.Flow {
 		o := at[v] + 1
 		return cache[o : o+cache[o-1]]
 	}
-	var out []machine.Flow
 	var inter []int32
 	for e := mesh.EdgeID(edgesBefore); int(e) < m.EdgeSlots(); e++ {
 		ed := m.Edge(e)
@@ -289,9 +288,9 @@ func (d *Dist) classifyPairs(edgesBefore int) []machine.Flow {
 		if len(inter) <= 1 {
 			continue // internal edge (cases 1 and 3)
 		}
-		out = propagate.PairsFromSPL(out, inter, 2) // edge id + verdict, in words
+		d.pairs.AddSPL(inter, 2) // edge id + verdict, in words
 	}
-	return out
+	return d.pairs.Flows()
 }
 
 // ParallelCoarsen executes one coarsening pass with per-rank attribution:
@@ -307,13 +306,10 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	p := d.beginAdapt(mdl)
 	m := d.M
 
-	var raw []machine.Flow
 	d.eachMarkedSPL(a, adapt.MarkCoarsen, func(spl []int32) {
-		if len(spl) > 1 {
-			raw = propagate.PairsFromSPL(raw, spl, 1)
-		}
+		d.pairs.AddSPL(spl, 1)
 	})
-	p.exchange(raw)
+	p.exchange(d.pairs.Flows())
 	p.tm.CommRounds = 1
 	p.phase(&p.tm.Propagate)
 

@@ -90,12 +90,15 @@ type Dist struct {
 	own []int32
 
 	// vsplAt and vspl are classifyPairs' per-vertex SPL cache,
-	// deadBefore is ParallelCoarsen's per-element liveness snapshot, and
-	// prop is the propagation engine's buffers; all are kept across
-	// passes, so a pass allocates only when the mesh grows.
+	// deadBefore is ParallelCoarsen's per-element liveness snapshot,
+	// pairs sums the words of classifyPairs' and ParallelCoarsen's
+	// notification exchanges, and prop is the propagation engine's
+	// buffers; all are kept across passes, so a pass allocates only when
+	// the mesh grows.
 	vsplAt     []int32
 	vspl       []int32
 	deadBefore []bool
+	pairs      machine.Pairs
 	prop       propagate.Scratch
 }
 

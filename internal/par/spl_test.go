@@ -1,6 +1,7 @@
 package par
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -13,7 +14,6 @@ import (
 	"plum/internal/mesh"
 	"plum/internal/meshgen"
 	"plum/internal/partition"
-	"plum/internal/propagate"
 	"plum/internal/remap"
 )
 
@@ -107,15 +107,31 @@ func oracleClassifyPairs(d *Dist, edgesBefore int) []machine.Flow {
 			}
 		}
 	}
-	var out []machine.Flow
+	var raw []machine.Flow
 	for e := mesh.EdgeID(edgesBefore); int(e) < m.EdgeSlots(); e++ {
 		ed := m.Edge(e)
 		if ed.Dead || ed.Parent != mesh.InvalidEdge || flag[ed.V[0]] != shared || flag[ed.V[1]] != shared {
 			continue
 		}
 		inter := intersectSorted(nil, oracleVertSPL(d, ed.V[0]), oracleVertSPL(d, ed.V[1]))
-		if len(inter) > 1 {
-			out = propagate.PairsFromSPL(out, inter, 2)
+		for _, r := range inter {
+			for _, o := range inter {
+				if r != o {
+					raw = append(raw, machine.Flow{Src: r, Dst: o, Words: 2})
+				}
+			}
+		}
+	}
+	// Sort and merge the raw queries into the canonical pair list.
+	slices.SortFunc(raw, func(a, b machine.Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	var out []machine.Flow
+	for _, f := range raw {
+		if n := len(out); n > 0 && out[n-1].Src == f.Src && out[n-1].Dst == f.Dst {
+			out[n-1].Words += f.Words
+		} else {
+			out = append(out, f)
 		}
 	}
 	return out
@@ -123,11 +139,12 @@ func oracleClassifyPairs(d *Dist, edgesBefore int) []machine.Flow {
 
 // checkClassify compares the cached classification of the edges created
 // at or after edgesBefore with the oracle's, reading the owner slab as the
-// last pass left it. It returns the number of raw pairs.
+// last pass left it. Both are the canonical pair lists the exchange
+// charges. It returns the number of pairs.
 func checkClassify(d *Dist, edgesBefore int) (int, error) {
 	got, want := d.classifyPairs(edgesBefore), oracleClassifyPairs(d, edgesBefore)
 	if !slices.Equal(got, want) {
-		return 0, fmt.Errorf("classification: %d raw pairs, oracle %d", len(got), len(want))
+		return 0, fmt.Errorf("classification: %d pairs, oracle %d", len(got), len(want))
 	}
 	return len(got), nil
 }

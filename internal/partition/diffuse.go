@@ -82,8 +82,8 @@ type diffuser struct {
 	// own the ops each part ran on its own rank, once the ops every rank
 	// ran redundantly or waited out, scan each part's share of the round's
 	// dual-graph scan, words, pre and arrive a collective's block sizes,
-	// their prefix sums and its messages' arrivals, and flows the
-	// relabel notifications.
+	// their prefix sums and its messages' arrivals, flows one part's peel
+	// messages, and pairs the relabel notifications.
 	mdl    machine.Model
 	clk    machine.Clock
 	own    []int64
@@ -93,6 +93,7 @@ type diffuser struct {
 	pre    []int64
 	arrive []float64
 	flows  []machine.Flow
+	pairs  machine.Pairs
 }
 
 // fit returns s resliced to n entries, reallocated if it holds fewer.

@@ -91,7 +91,7 @@ func (d *diffuser) disseminate(k int, fixed int64) {
 // a neighbour of the vertex its new owner, two words a vertex and part,
 // one message a pair of parts (machine.Model.ChargeFlows).
 func (d *diffuser) relabel(g *dual.Graph, asg Assignment) {
-	last, flows := d.last, d.flows[:0]
+	last := d.last
 	for i := range last {
 		last[i] = -1
 	}
@@ -100,11 +100,10 @@ func (d *diffuser) relabel(g *dual.Graph, asg Assignment) {
 		for _, u := range g.Nbrs(mv.v) {
 			if c := asg[u]; c != from && c != to && last[c] != int32(i) {
 				last[c] = int32(i)
-				flows = append(flows, machine.Flow{Src: from, Dst: c, Words: 2})
+				d.pairs.Add(from, c, 2)
 			}
 		}
 	}
-	d.flows = flows
-	d.mdl.ChargeFlows(&d.clk, machine.ExchangeFlat, machine.AggregatePairs(flows))
+	d.mdl.ChargeFlows(&d.clk, machine.ExchangeFlat, d.pairs.Flows())
 	d.clk.Barrier()
 }

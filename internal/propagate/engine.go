@@ -21,7 +21,7 @@ type Scratch struct {
 	frontier, eb, reach, spl []int32
 	visits                   []int64
 	props                    []proposal
-	notes                    []machine.Flow
+	pairs                    machine.Pairs
 }
 
 // Seed returns the frontier buffer the last Run left, emptied, for the
@@ -52,7 +52,7 @@ func (eng Engine) Run(w World, seed []int32, clk *machine.Clock, mdl machine.Mod
 	frontier := slices.Compact(seed)
 
 	visits := slices.Grow(s.visits[:0], p)[:p]
-	props, notes, eb, reach, spl := s.props, s.notes, s.eb, s.reach, s.spl
+	props, eb, reach, spl := s.props, s.eb, s.reach, s.spl
 	for len(frontier) > 0 {
 		res.Rounds++
 		n := len(frontier)
@@ -82,7 +82,6 @@ func (eng Engine) Run(w World, seed []int32, clk *machine.Clock, mdl machine.Mod
 		})
 		props = slices.Compact(props)
 		next := frontier[:0]
-		notes = notes[:0]
 		for i := 0; i < len(props); {
 			e := props[i].edge
 			j := i
@@ -102,7 +101,7 @@ func (eng Engine) Run(w World, seed []int32, clk *machine.Clock, mdl machine.Mod
 					src := props[k].src
 					for _, dst := range spl {
 						if dst != src {
-							notes = append(notes, machine.Flow{Src: src, Dst: dst, Words: 1})
+							s.pairs.Add(src, dst, 1)
 						}
 					}
 				}
@@ -111,8 +110,8 @@ func (eng Engine) Run(w World, seed []int32, clk *machine.Clock, mdl machine.Mod
 		}
 		res.Ops.AddMem(int64(len(props)))
 
-		// One word per notification, batched per (src, dst) pair.
-		pairs := machine.AggregatePairs(notes)
+		// One word per notification, summed per (src, dst) pair.
+		pairs := s.pairs.Flows()
 		res.Ops.AddComp(int64(len(pairs)))
 
 		// Charge the round and synchronize.
@@ -126,6 +125,6 @@ func (eng Engine) Run(w World, seed []int32, clk *machine.Clock, mdl machine.Mod
 		slices.Sort(next)
 		frontier = slices.Compact(next)
 	}
-	*s = Scratch{frontier, eb, reach, spl, visits, props, notes}
+	s.frontier, s.eb, s.reach, s.spl, s.visits, s.props = frontier, eb, reach, spl, visits, props
 	return res
 }

@@ -12,9 +12,10 @@
 // supersteps over an element frontier. Each round scans the frontier in
 // ascending element order, gathering every element's newly required
 // edges, commits the marks in ascending edge order, and batches the
-// round's shared-edge notifications, one word each, per (src, dst) pair in
-// sorted pair order — not per-rank maps, whose iteration order made the
-// modeled times run-to-run nondeterministic.
+// round's shared-edge notifications, one word each, summed per (src, dst)
+// pair as they are made (machine.Pairs) and charged in sorted pair order —
+// not per-rank maps, whose iteration order made the modeled times run-to-run
+// nondeterministic.
 // Every order depends only on the frontier, so the final mark set, the
 // round count, the message/word traffic, and the modeled clock are
 // byte-identical run to run.
@@ -53,21 +54,6 @@ type World interface {
 	// SPL appends the sorted shared-processor list of edge e to spl and
 	// returns it; a list longer than one marks a shared edge.
 	SPL(e int32, spl []int32) []int32
-}
-
-// PairsFromSPL appends the ordered (src, dst) expansion of one shared
-// object's processor list to out — words message words from every sharer
-// to every other sharer — and returns it. Feed the accumulated raw list
-// to machine.AggregatePairs for the canonical charge order.
-func PairsFromSPL(out []machine.Flow, spl []int32, words int64) []machine.Flow {
-	for _, r := range spl {
-		for _, o := range spl {
-			if r != o {
-				out = append(out, machine.Flow{Src: r, Dst: o, Words: words})
-			}
-		}
-	}
-	return out
 }
 
 // Result reports one propagation run (or one standalone exchange).
@@ -112,7 +98,7 @@ type Engine struct {
 
 // ChargeExchange charges one bulk exchange of shared-object notifications,
 // one message per pair, given the per-(src, dst) word counts in canonical
-// sorted order (see machine.AggregatePairs), and returns the charge breakdown. It
+// sorted order (machine.Pairs.Flows), and returns the charge breakdown. It
 // does not barrier; callers own the superstep structure.
 func (eng Engine) ChargeExchange(clk *machine.Clock, mdl machine.Model, pairs []machine.Flow) machine.ExchangeCharge {
 	return mdl.ChargeFlowsRetry(clk, pairs, func(src, dst int32, words int64) {
