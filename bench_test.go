@@ -121,8 +121,8 @@ func BenchmarkSFCBuild(b *testing.B) {
 }
 
 // BenchmarkMeshClone measures one Clone of the rotor mesh: its records hold
-// no pointers, so it is a copy of the element slab and of every page of
-// the other slabs and the list blocks.
+// no pointers, so it is a copy of the element-forest slab and of every page
+// of the other slabs, the Tets among them, and the list blocks.
 func BenchmarkMeshClone(b *testing.B) {
 	m := experiments.BaseMesh()
 	b.ReportAllocs()

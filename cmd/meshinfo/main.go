@@ -51,10 +51,10 @@ func main() {
 	var buckets [6]int
 	lims := []float64{1.5, 2, 3, 5, 10}
 	for i := range m.Elems {
-		t := &m.Elems[i]
-		if !t.Active() {
+		if !m.Elems[i].Active() {
 			continue
 		}
+		t := m.Tet(mesh.ElemID(i))
 		ar := geom.TetAspectRatio(
 			m.Vert(t.V[0]).Pos, m.Vert(t.V[1]).Pos,
 			m.Vert(t.V[2]).Pos, m.Vert(t.V[3]).Pos)

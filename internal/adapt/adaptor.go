@@ -64,7 +64,7 @@ type Adaptor struct {
 func New(m *mesh.Mesh) *Adaptor {
 	a := &Adaptor{M: m, marks: make([]Mark, m.EdgeSlots()), touchedSlots: -1}
 	for ti := range m.Elems {
-		if t := &m.Elems[ti]; t.Active() && a.bisectedPattern(t) != 0 {
+		if m.Elems[ti].Active() && a.bisectedPattern(mesh.ElemID(ti)) != 0 {
 			a.carry = append(a.carry, mesh.ElemID(ti))
 		}
 	}

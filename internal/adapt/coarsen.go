@@ -86,7 +86,7 @@ func (a *Adaptor) removeElemGroups(st *CoarsenStats) int {
 				all = false
 				break
 			}
-			for _, e := range ch.E {
+			for _, e := range m.Tet(c).E {
 				if a.MarkOf(e) == MarkCoarsen {
 					trigger = true
 				}

@@ -30,13 +30,13 @@ func (s RefineStats) TotalSubdivided() int {
 	return s.Subdivided[KindHalf] + s.Subdivided[KindQuarter] + s.Subdivided[KindFull]
 }
 
-// PatternOf returns the element's current 6-bit pattern: local edges that
+// PatternOf returns element el's current 6-bit pattern: local edges that
 // are marked for refinement or already bisected (the latter occurs for
 // parents reinstated by coarsening, which must be re-subdivided to restore
 // a conforming mesh).
-func (a *Adaptor) PatternOf(t *mesh.Element) Pattern {
+func (a *Adaptor) PatternOf(el mesh.ElemID) Pattern {
 	var p Pattern
-	for le, e := range t.E {
+	for le, e := range a.M.Tet(el).E {
 		if a.M.Edge(e).Bisected() || a.MarkOf(e) == MarkRefine {
 			p |= EdgeBit(le)
 		}
@@ -97,8 +97,8 @@ func (World) Owner(int32) int32 { return 0 }
 
 // Propose appends the edges the pattern upgrade of active element el adds.
 func (w World) Propose(el int32, buf []int32) []int32 {
-	t := &w.a.M.Elems[el]
-	p := w.a.PatternOf(t)
+	t := w.a.M.Tet(mesh.ElemID(el))
+	p := w.a.PatternOf(mesh.ElemID(el))
 	add := p.Upgrade() &^ p
 	for le := 0; le < 6; le++ {
 		if add.Has(le) {
@@ -133,7 +133,7 @@ func (w World) Seed(buf []int32) []int32 { return w.a.seed(buf, w.a.Touched()) }
 // pattern is nonzero.
 func (a *Adaptor) seed(buf []int32, cands []mesh.ElemID) []int32 {
 	for _, el := range cands {
-		if t := &a.M.Elems[el]; t.Active() && a.PatternOf(t) != 0 {
+		if a.M.Elems[el].Active() && a.PatternOf(el) != 0 {
 			buf = append(buf, int32(el))
 		}
 	}
@@ -176,7 +176,7 @@ func (a *Adaptor) refineRound() RefineStats {
 	// --- Phase 2: subdivide each element independently. ---
 	nElems := len(m.Elems)
 	for _, el := range touched {
-		p := a.bisectedPattern(&m.Elems[el])
+		p := a.bisectedPattern(el)
 		if p == 0 {
 			continue
 		}
@@ -193,7 +193,7 @@ func (a *Adaptor) refineRound() RefineStats {
 	// list.
 	a.carry = a.carry[:0]
 	for ti := nElems; ti < len(m.Elems); ti++ {
-		if a.bisectedPattern(&m.Elems[ti]) != 0 {
+		if a.bisectedPattern(mesh.ElemID(ti)) != 0 {
 			a.carry = append(a.carry, mesh.ElemID(ti))
 		}
 	}
@@ -206,10 +206,10 @@ func (a *Adaptor) refineRound() RefineStats {
 	return st
 }
 
-// bisectedPattern returns the pattern of the element's bisected edges.
-func (a *Adaptor) bisectedPattern(t *mesh.Element) Pattern {
+// bisectedPattern returns the pattern of element el's bisected edges.
+func (a *Adaptor) bisectedPattern(el mesh.ElemID) Pattern {
 	var p Pattern
-	for le, e := range t.E {
+	for le, e := range a.M.Tet(el).E {
 		if a.M.Edge(e).Bisected() {
 			p |= EdgeBit(le)
 		}
@@ -222,7 +222,7 @@ func (a *Adaptor) bisectedPattern(t *mesh.Element) Pattern {
 // children of every element with a nonzero pattern.
 func (a *Adaptor) roundGrowth(touched []mesh.ElemID) (nt int) {
 	for _, el := range touched {
-		if p := a.PatternOf(&a.M.Elems[el]); p != 0 {
+		if p := a.PatternOf(el); p != 0 {
 			nt += p.Kind().Children()
 		}
 	}
@@ -243,9 +243,9 @@ func midPt(le int) int { return 4 + le }
 // diagonal, interior to the parent, is created without a search.
 func (a *Adaptor) subdivideElem(el mesh.ElemID, p Pattern) int {
 	m := a.M
-	t := &m.Elems[el]
-	root := t.Root
-	level := t.Level + 1
+	root := m.Elems[el].Root
+	level := int32(m.Elems[el].Level) + 1
+	t := m.Tet(el)
 
 	// pts are the subdivision's points; edge[i][j] is the edge between
 	// points i and j plus one, so the zero value is InvalidEdge, unknown.

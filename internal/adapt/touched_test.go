@@ -57,12 +57,11 @@ func (a *Adaptor) refineRoundSlab() RefineStats {
 
 	nElems := len(m.Elems)
 	for ti := 0; ti < nElems; ti++ {
-		t := &m.Elems[ti]
-		if !t.Active() {
+		if !m.Elems[ti].Active() {
 			continue
 		}
 		var p Pattern
-		for le, e := range t.E {
+		for le, e := range m.Tet(mesh.ElemID(ti)).E {
 			if m.Edge(e).Bisected() {
 				p |= EdgeBit(le)
 			}
@@ -102,11 +101,11 @@ func refineChecked(t *testing.T, a *Adaptor) (RefineStats, int) {
 			t.Fatalf("round %d: touched set not ascending", rounds)
 		}
 		for ti := range a.M.Elems {
-			el := &a.M.Elems[ti]
-			if !el.Active() || a.PatternOf(el) == 0 {
+			el := mesh.ElemID(ti)
+			if !a.M.Elems[ti].Active() || a.PatternOf(el) == 0 {
 				continue
 			}
-			if _, ok := slices.BinarySearch(touched, mesh.ElemID(ti)); !ok {
+			if _, ok := slices.BinarySearch(touched, el); !ok {
 				t.Fatalf("round %d: element %d has pattern %06b but is not in the touched set", rounds, ti, a.PatternOf(el))
 			}
 		}

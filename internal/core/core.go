@@ -164,6 +164,9 @@ type Framework struct {
 	// work (the paper times only reassignment and remap, which flatters
 	// its spectral partitioner), the curve build on the first pass.
 	part *partition.Repartitioner
+	// flows sums each remap's flow list (remap.Flows), kept warm across
+	// passes so counting one allocates nothing.
+	flows machine.Pairs
 
 	// cycles counts completed Cycle calls; it scopes the fault keys so
 	// each cycle draws an independent schedule (par.Dist.FaultCycle).
@@ -413,7 +416,7 @@ type BalanceReport struct {
 	// Recovery holds the survivor remap that repaired a crash: the
 	// dead ranks' elements, as the untouched pre-pass ownership places
 	// them, exchanged onto the P−|crashed| survivors through the ordinary
-	// remap executor, with its machine-model charges (ChargeFlows under
+	// remap executor, with its machine-model charges (ChargeElemFlows under
 	// the configured exchange schedule) intact. Zero unless Outcome is
 	// Recovered. The survivor repartition and reassignment that planned
 	// it are charged into RepartitionOps/Time and ReassignOps/Time.
@@ -496,7 +499,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// carries the balancing overhead (repartition + reassignment work) —
 	// negligible for the incremental SFC path, which is the point of
 	// modeling it.
-	flows := remap.Flows(f.D.OwnersView(), newOwner, f.G.Wremap, f.Cfg.P)
+	flows := remap.Flows(&f.flows, f.D.OwnersView(), newOwner, f.G.Wremap)
 	rep.Predicted = par.ChargeRemap(f.Cfg.Model, f.D.Exchange, f.Cfg.P, flows)
 	moved, sets := rep.Predicted.Moved, rep.Predicted.Sets
 	rep.CostPaper = redistCost(f.Cfg.Model, f.D.Exchange, rep.Alive, moved, sets)
@@ -696,7 +699,7 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	// The flows leave the pre-pass owners, so the dead ranks' vertices
 	// are re-sourced onto the survivors they land on.
 	owners := pr.owners(alive)
-	flows := remap.Flows(f.D.OwnersView(), owners, f.G.Wremap, f.Cfg.P)
+	flows := remap.Flows(&f.flows, f.D.OwnersView(), owners, f.G.Wremap)
 	res, err := f.D.ExecuteRemapRecovery(owners, flows, f.Cfg.Model)
 	if err != nil {
 		return fmt.Errorf("core: survivor recovery after crash of %v failed: %w", re.Crashed, err)

@@ -8,6 +8,7 @@ import (
 
 	"plum/internal/adapt"
 	"plum/internal/geom"
+	"plum/internal/machine"
 	"plum/internal/meshgen"
 	"plum/internal/partition"
 	"plum/internal/remap"
@@ -98,8 +99,8 @@ func checkProposalFlows(t *testing.T, name string, f *Framework) {
 		t.Fatal(err)
 	}
 	newOwner := pr.owners(alive)
-	got := remap.Flows(f.D.OwnersView(), newOwner, f.G.Wremap, f.Cfg.P)
-	compare := func(oracle string, want []remap.Flow) {
+	got := remap.Flows(new(machine.Pairs), f.D.OwnersView(), newOwner, f.G.Wremap)
+	compare := func(oracle string, want []machine.Flow) {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: the decision prices %d flows, %s moves %d (first %v vs %v)",
 				name, len(got), oracle, len(want), got[:min(3, len(got))], want[:min(3, len(want))])
@@ -107,7 +108,7 @@ func checkProposalFlows(t *testing.T, name string, f *Framework) {
 	}
 
 	sums := map[[2]int32]int64{}
-	var want []remap.Flow
+	var want []machine.Flow
 	oldOwner := f.D.Owners()
 	for v, dst := range newOwner {
 		if src := oldOwner[v]; src != dst {
@@ -115,9 +116,9 @@ func checkProposalFlows(t *testing.T, name string, f *Framework) {
 		}
 	}
 	for k, e := range sums {
-		want = append(want, remap.Flow{Src: k[0], Dst: k[1], Elems: e})
+		want = append(want, machine.Flow{Src: k[0], Dst: k[1], Words: e})
 	}
-	slices.SortFunc(want, func(a, b remap.Flow) int {
+	slices.SortFunc(want, func(a, b machine.Flow) int {
 		if a.Src != b.Src {
 			return int(a.Src - b.Src)
 		}
@@ -141,7 +142,7 @@ func checkProposalFlows(t *testing.T, name string, f *Framework) {
 	compare("the mapping", moves)
 	var priced int64
 	for _, fl := range got {
-		priced += fl.Elems
+		priced += fl.Words
 	}
 	if c != priced {
 		t.Errorf("%s: the mapping's C = %d, the priced flows carry %d", name, c, priced)

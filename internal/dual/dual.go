@@ -85,7 +85,7 @@ func Build(m *mesh.Mesh) *Graph {
 	// Face 4i+f is local face f of root i, as a sorted vertex triple.
 	keys := make([][3]mesh.VertID, 4*n)
 	for i := range n {
-		t := &m.Elems[i]
+		t := m.Tet(mesh.ElemID(i))
 		g.Centroid[i] = m.ElemCentroid(mesh.ElemID(i))
 		for f, fv := range mesh.ElemFaceVerts {
 			a, b, c := t.V[fv[0]], t.V[fv[1]], t.V[fv[2]]

@@ -171,7 +171,7 @@ func mapAdjacency(m *mesh.Mesh) [][]int32 {
 	adj := make([][]int32, n)
 	faces := make(map[[3]mesh.VertID]int32, 2*n)
 	for i := range n {
-		t := &m.Elems[i]
+		t := m.Tet(mesh.ElemID(i))
 		for _, fv := range mesh.ElemFaceVerts {
 			k := [3]mesh.VertID{t.V[fv[0]], t.V[fv[1]], t.V[fv[2]]}
 			slices.Sort(k[:])
@@ -201,8 +201,9 @@ func relabelVerts(m *mesh.Mesh, seed int64) {
 		*m.Vert(mesh.VertID(p)) = verts[p]
 	}
 	for i := range m.Elems {
-		for k, v := range m.Elems[i].V {
-			m.Elems[i].V[k] = mesh.VertID(perm[v])
+		t := m.Tet(mesh.ElemID(i))
+		for k, v := range t.V {
+			t.V[k] = mesh.VertID(perm[v])
 		}
 	}
 }
@@ -294,7 +295,7 @@ func TestUpdateWeightsSkipsUnchangedMesh(t *testing.T) {
 		t.Fatal("a refresh of an unchanged mesh read it again")
 	}
 
-	v := m.Elems[0].V
+	v := m.Tet(0).V
 	var c1, c2 mesh.ElemID
 	steps := []struct {
 		name   string

@@ -16,8 +16,8 @@ import (
 // with its curve neighbors (distance 1/2/3 at 4/2/1 elements) plus
 // long-range hypercube partners (rank ^ 2^k, one element each) standing in
 // for the stray far moves a remap always has. Everything is charged
-// through machine.ChargeFlows — the same code path the real executors
-// use — so the table is a statement about the model, not a reimplementation
+// through machine.ChargeElemFlows — the call the remap executor prices
+// its flow list with — so the table is a statement about the model, not a reimplementation
 // of it.
 
 // commProcs is the sweep axis: the processor count. Powers of two keep the
@@ -27,13 +27,13 @@ var commProcs = []int{64, 1024, 16384, 131072}
 // commFlows builds the canonical src-major flow list for p ranks: SFC
 // curve neighbors at distance 1, 2, 3 carrying 4, 2, 1 elements, plus
 // hypercube partners src^2^k for k = 4 … log2(p)−1 carrying one element.
-// Words per flow are the remap executor's, machine.Model.FlowWords.
-func commFlows(p int, mdl machine.Model) []machine.Flow {
+// Each flow counts elements, as a remap's flow list does.
+func commFlows(p int) []machine.Flow {
 	var flows []machine.Flow
 	for src := 0; src < p; src++ {
 		first := len(flows)
 		add := func(dst int, elems int64) {
-			flows = append(flows, machine.Flow{Src: int32(src), Dst: int32(dst), Words: mdl.FlowWords(elems)})
+			flows = append(flows, machine.Flow{Src: int32(src), Dst: int32(dst), Words: elems})
 		}
 		for d := 1; d <= 3; d++ {
 			if src+d < p {
@@ -82,10 +82,10 @@ func RunCommTable() *CommTable {
 	out := &CommTable{}
 	mdl := machine.SP2()
 	for _, p := range commProcs {
-		flows := commFlows(p, mdl)
+		flows := commFlows(p)
 		for _, x := range []machine.Exchange{machine.ExchangeFlat, machine.ExchangeAggregated} {
 			clk := machine.NewClock(p)
-			ch := mdl.ChargeFlows(clk, x, flows)
+			ch := mdl.ChargeElemFlows(clk, x, flows)
 			clk.Barrier()
 			out.Rows = append(out.Rows, CommRow{
 				P: p, Exchange: x,

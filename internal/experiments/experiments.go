@@ -139,7 +139,7 @@ func balance(d *par.Dist, g *dual.Graph, fgran int, mdl machine.Model) pipelineR
 	}
 	res.WmaxOld = slices.Max(partition.Weights(g, owners, d.P))
 	res.WmaxNew = slices.Max(partition.Weights(g, newOwner, d.P))
-	rr, err := d.ExecuteRemap(newOwner, remap.Flows(owners, newOwner, g.Wremap, d.P), mdl)
+	rr, err := d.ExecuteRemap(newOwner, remap.Flows(new(machine.Pairs), owners, newOwner, g.Wremap), mdl)
 	if err != nil {
 		panic(err)
 	}

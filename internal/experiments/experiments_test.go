@@ -380,7 +380,7 @@ func freshPipeline(t *testing.T, s adapt.Strategy, p, fgran int) (adaptTime floa
 	for v, part := range newPart {
 		newOwner[v] = mp[part]
 	}
-	rr, err := d.ExecuteRemap(newOwner, remap.Flows(d.OwnersView(), newOwner, g.Wremap, p), mdl)
+	rr, err := d.ExecuteRemap(newOwner, remap.Flows(new(machine.Pairs), d.OwnersView(), newOwner, g.Wremap), mdl)
 	if err != nil {
 		t.Fatal(err)
 	}

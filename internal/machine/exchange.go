@@ -59,15 +59,20 @@ func ExchangeByName(name string) (Exchange, error) {
 // this repo already emits. The remap's payload and the adaption passes'
 // notification batches are both Flows fed to the same charge functions,
 // so their communication models cannot drift apart.
+//
+// A remap's flow list (remap.Flows) counts elements, not words: its Words
+// is the number of elements the flow migrates, and ChargeElemFlows prices
+// each flow at Model.FlowWords of that count. Every other Flow counts
+// words.
 type Flow struct {
 	Src, Dst int32
 	Words    int64
 }
 
-// Pairs sums the words of one exchange per (src, dst) rank pair as they
-// are counted, so a producer never lists its contributions. It stores only
-// the distinct pairs, each source's chained from its own head as
-// remap.Flows chains them, and one chain head per rank named as a source:
+// Pairs sums the words (or, for a remap, the elements) of one exchange per
+// (src, dst) rank pair as they are counted, so a producer never lists its
+// contributions. It stores only the distinct pairs, each source's chained
+// from its own head, and one chain head per rank named as a source:
 // nothing is sized by P². The zero value is ready for use, and a warm
 // accumulator allocates nothing.
 type Pairs struct {
@@ -147,23 +152,50 @@ type ExchangeCharge struct {
 // canonical src-major order; charges are applied in a deterministic
 // order, so the clock is byte-identical for identical inputs.
 func (m Model) ChargeFlows(clk *Clock, e Exchange, flows []Flow) ExchangeCharge {
-	if e == ExchangeAggregated {
-		return m.chargeAggregated(clk, flows)
-	}
-	return m.ChargeFlowsRetry(clk, flows, nil)
+	return m.charge(clk, e, flows, false)
+}
+
+// ChargeElemFlows is ChargeFlows for a remap's flow list, whose counts are
+// elements (see Flow): each flow moves FlowWords of its count, and the
+// returned Words is the words moved.
+func (m Model) ChargeElemFlows(clk *Clock, e Exchange, flows []Flow) ExchangeCharge {
+	return m.charge(clk, e, flows, true)
 }
 
 // ChargeFlowsRetry bills the flat schedule — one message per flow, MsgTime
 // of its words, to the sender — with a per-message retry hook (see
 // RetryFunc); a nil hook is ChargeFlows under ExchangeFlat.
 func (m Model) ChargeFlowsRetry(clk *Clock, flows []Flow, retry RetryFunc) ExchangeCharge {
+	return m.chargeFlat(clk, flows, false, retry)
+}
+
+// charge bills flows under the schedule e; elems says their counts are
+// elements, priced at FlowWords.
+func (m Model) charge(clk *Clock, e Exchange, flows []Flow, elems bool) ExchangeCharge {
+	if e == ExchangeAggregated {
+		return m.chargeAggregated(clk, flows, elems)
+	}
+	return m.chargeFlat(clk, flows, elems, nil)
+}
+
+// words returns the words flow f moves: its count, or FlowWords of it for
+// a count of elements.
+func (m Model) words(f Flow, elems bool) int64 {
+	if elems {
+		return m.FlowWords(f.Words)
+	}
+	return f.Words
+}
+
+func (m Model) chargeFlat(clk *Clock, flows []Flow, elems bool, retry RetryFunc) ExchangeCharge {
 	var ch ExchangeCharge
 	for _, f := range flows {
-		clk.Add(int(f.Src), m.MsgTime(f.Words))
+		w := m.words(f, elems)
+		clk.Add(int(f.Src), m.MsgTime(w))
 		ch.Msgs++
-		ch.Words += f.Words
+		ch.Words += w
 		if retry != nil {
-			retry(f.Src, f.Dst, f.Words)
+			retry(f.Src, f.Dst, w)
 		}
 	}
 	ch.SetupTime = float64(ch.Msgs) * m.Tsetup
@@ -174,15 +206,16 @@ func (m Model) ChargeFlowsRetry(clk *Clock, flows []Flow, retry RetryFunc) Excha
 // per-word drain on every destination. Each rank's words are totalled as
 // integers and each total is priced once: MsgTime over the source's
 // combined total, total·Tlat of drain.
-func (m Model) chargeAggregated(clk *Clock, flows []Flow) ExchangeCharge {
+func (m Model) chargeAggregated(clk *Clock, flows []Flow, elems bool) ExchangeCharge {
 	p := clk.P()
 	var ch ExchangeCharge
-	out := make([]int64, p)
-	in := make([]int64, p)
+	tot := make([]int64, 2*p)
+	out, in := tot[:p], tot[p:]
 	for _, f := range flows {
-		ch.Words += f.Words
-		out[f.Src] += f.Words
-		in[f.Dst] += f.Words
+		w := m.words(f, elems)
+		ch.Words += w
+		out[f.Src] += w
+		in[f.Dst] += w
 	}
 	for r := 0; r < p; r++ {
 		if out[r] > 0 {

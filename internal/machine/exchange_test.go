@@ -242,6 +242,25 @@ func TestChargeDeterminism(t *testing.T) {
 	}
 }
 
+// TestChargeElemFlows holds ChargeElemFlows on a list counting elements to
+// ChargeFlows on the same list converted to FlowWords: the same charge and
+// a byte-identical clock under both schedules.
+func TestChargeElemFlows(t *testing.T) {
+	mdl := SP2()
+	words := slices.Clone(chargeFixture)
+	for i := range words {
+		words[i].Words = mdl.FlowWords(words[i].Words)
+	}
+	for _, x := range []Exchange{ExchangeFlat, ExchangeAggregated} {
+		ce, cw := NewClock(8), NewClock(8)
+		che := mdl.ChargeElemFlows(ce, x, chargeFixture)
+		chw := mdl.ChargeFlows(cw, x, words)
+		if che != chw || !slices.Equal(ce.t, cw.t) {
+			t.Errorf("%v: element charge %+v %v, word charge %+v %v", x, che, ce.t, chw, cw.t)
+		}
+	}
+}
+
 // TestRetryHookPosition checks that the retry hook fires once per message
 // with the flow's ranks and its as-sent word count.
 func TestRetryHookPosition(t *testing.T) {

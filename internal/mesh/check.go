@@ -12,6 +12,7 @@ import (
 // Invariants checked:
 //   - every incidence list fits its carve, and the carve one page of its
 //     block;
+//   - every element slot has its Tet;
 //   - elements [0, NumRoots) are exactly the level-0 elements, and each is
 //     its own Root (the dual graph's vertex ids);
 //   - every sibling group, of elements and of boundary faces, is an id
@@ -38,6 +39,9 @@ func (m *Mesh) Check() error {
 		}
 	}
 
+	if m.tets.len() != len(m.Elems) {
+		return fmt.Errorf("%d element records for %d Tets", len(m.Elems), m.tets.len())
+	}
 	// Recount incidence from scratch: how many active elements reference
 	// each edge.
 	inc := make([]int32, m.edges.len())
@@ -54,8 +58,9 @@ func (m *Mesh) Check() error {
 			continue
 		}
 		nActiveElems++
+		tt := m.Tet(ElemID(i))
 		for le, lv := range ElemEdgeVerts {
-			e := t.E[le]
+			e := tt.E[le]
 			if e == InvalidEdge {
 				return fmt.Errorf("elem %d: missing edge %d", i, le)
 			}
@@ -66,7 +71,7 @@ func (m *Mesh) Check() error {
 			if ed.Bisected() {
 				return fmt.Errorf("elem %d: edge %d (local %d) is bisected but element is active", i, e, le)
 			}
-			a, b := t.V[lv[0]], t.V[lv[1]]
+			a, b := tt.V[lv[0]], tt.V[lv[1]]
 			if edgeKey(a, b) != edgeKey(ed.V[0], ed.V[1]) {
 				return fmt.Errorf("elem %d: edge %d endpoints %v != element vertices (%d,%d)", i, e, ed.V, a, b)
 			}

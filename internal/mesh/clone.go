@@ -5,8 +5,8 @@ import "slices"
 // Clone returns a deep copy of the mesh. The experiment harness uses this
 // to run one generated mesh through many independent adaption/partition
 // scenarios without regenerating it. The records hold no pointers, so it
-// copies the element slab whole and every other slab page by page: one
-// allocation per page in use, plus one per page table and the element
+// copies the forest slab whole and every other slab page by page: one
+// allocation per page in use, plus one per page table and the forest
 // slab.
 func (m *Mesh) Clone() *Mesh {
 	return &Mesh{
@@ -15,6 +15,7 @@ func (m *Mesh) Clone() *Mesh {
 		verts:        m.verts.clone(),
 		edges:        m.edges.clone(),
 		faces:        m.faces.clone(),
+		tets:         m.tets.clone(),
 		bisections:   m.bisections.clone(),
 		edgeBlk:      m.edgeBlk.clone(),
 		elemBlk:      m.elemBlk.clone(),

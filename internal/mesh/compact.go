@@ -75,14 +75,24 @@ func (m *Mesh) Compact() CompactMap {
 			ed.Mid = cm.Vert[ed.Mid]
 		}
 	}
+	// The Tets move with their elements and are renumbered on the way.
+	var n int32
+	for i, t := range all[ElemID](&m.tets) {
+		if cm.Elem[i] == InvalidElem {
+			continue
+		}
+		x := m.tets.at(n)
+		for j, v := range t.V {
+			x.V[j] = cm.Vert[v]
+		}
+		for j, e := range t.E {
+			x.E[j] = cm.Edge[e]
+		}
+		n++
+	}
+	m.tets.truncate(n)
 	for i := range m.Elems {
 		t := &m.Elems[i]
-		for j := range t.V {
-			t.V[j] = cm.Vert[t.V[j]]
-		}
-		for j := range t.E {
-			t.E[j] = cm.Edge[t.E[j]]
-		}
 		if t.Parent != InvalidElem {
 			t.Parent = cm.Elem[t.Parent]
 		}

@@ -3,10 +3,10 @@ package mesh
 import "unsafe"
 
 // Pages returns how many pages each paged slab of m has in use: the
-// vertices, the edges, the boundary faces, the bisection log, the edge-list
-// block and the element-list block.
-func (m *Mesh) Pages() [6]int {
-	return [6]int{len(m.verts.pages), len(m.edges.pages), len(m.faces.pages),
+// vertices, the edges, the boundary faces, the Tets, the bisection log,
+// the edge-list block and the element-list block.
+func (m *Mesh) Pages() [7]int {
+	return [7]int{len(m.verts.pages), len(m.edges.pages), len(m.faces.pages), len(m.tets.pages),
 		len(m.bisections.pages), len(m.edgeBlk.pages), len(m.elemBlk.pages)}
 }
 

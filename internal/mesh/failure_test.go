@@ -61,13 +61,13 @@ func TestCheckDetectsDanglingVertexEdge(t *testing.T) {
 
 func TestCheckDetectsWrongEdgeEndpoints(t *testing.T) {
 	m := validPair(t)
-	m.Edge(m.Elems[0].E[0]).V = [2]VertID{2, 3}
+	m.Edge(m.Tet(0).E[0]).V = [2]VertID{2, 3}
 	wantCheckError(t, m, "endpoints")
 }
 
 func TestCheckDetectsActiveElementOnBisectedEdge(t *testing.T) {
 	m := validPair(t)
-	e := m.Elems[0].E[0]
+	e := m.Tet(0).E[0]
 	// Forge a bisection without subdividing the element.
 	mid := m.AddVertex(geom.Vec3{X: 0.5})
 	c0 := m.AddEdge(m.Edge(e).V[0], mid)
@@ -96,7 +96,7 @@ func TestCheckDetectsNegativeVolume(t *testing.T) {
 
 func TestCheckDetectsDeadEdgeInUse(t *testing.T) {
 	m := validPair(t)
-	m.Edge(m.Elems[0].E[0]).Dead = true
+	m.Edge(m.Tet(0).E[0]).Dead = true
 	err := m.Check()
 	if err == nil {
 		t.Fatal("dead edge in use not detected")
@@ -180,6 +180,21 @@ func TestAddElementPanicsOnRootAfterChild(t *testing.T) {
 		}
 	}()
 	m.AddElement(1, 2, 3, mid, InvalidElem, InvalidElem, 0)
+}
+
+func TestAddElementPanicsPastLevel255(t *testing.T) {
+	m := validPair(t)
+	mid := m.AddVertex(geom.Vec3{X: 0.5})
+	m.AddElement(0, mid, 2, 3, 0, 0, 255)
+	if got := m.Elems[2].Level; got != 255 {
+		t.Fatalf("level %d, want 255", got)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "refinement level 256 outside [0, 255]") {
+			t.Fatalf("level 256: got panic %q", msg)
+		}
+	}()
+	m.AddElement(mid, 1, 2, 3, 0, 0, 256)
 }
 
 func TestCheckDetectsUnorderedEndpoints(t *testing.T) {

@@ -109,6 +109,7 @@ type slabs struct {
 	verts []mesh.Vertex
 	edges []mesh.Edge
 	elems []mesh.Element
+	tets  []mesh.Tet
 	faces []mesh.BoundaryFace
 }
 
@@ -124,6 +125,9 @@ func copySlabs(m *mesh.Mesh) slabs {
 		s.faces = append(s.faces, *m.Face(f))
 	}
 	s.elems = slices.Clone(m.Elems)
+	for el := range mesh.ElemID(m.ElemSlots()) {
+		s.tets = append(s.tets, *m.Tet(el))
+	}
 	return s
 }
 
@@ -193,14 +197,14 @@ func TestMeshRecordsHoldNoPointers(t *testing.T) {
 			t.Errorf("%s is a %s: mesh records must hold no pointers", path, ty.Kind())
 		}
 	}
-	for _, rec := range []any{mesh.Vertex{}, mesh.Edge{}, mesh.Element{}, mesh.BoundaryFace{}, mesh.Bisection{}} {
+	for _, rec := range []any{mesh.Vertex{}, mesh.Edge{}, mesh.Element{}, mesh.Tet{}, mesh.BoundaryFace{}, mesh.Bisection{}} {
 		ty := reflect.TypeOf(rec)
 		walk(ty.Name(), ty)
 	}
 }
 
 // cloneAllocs returns the allocations Clone makes of m: the Mesh and its
-// element slab, and for every paged slab that holds anything its page
+// forest slab, and for every paged slab that holds anything its page
 // table and one per page in use. The bisection log and the renumbering
 // must be empty (ResetLog).
 func cloneAllocs(m *mesh.Mesh) int {
@@ -224,9 +228,9 @@ func TestCloneAllocatesConstant(t *testing.T) {
 	a.MarkRandom(0.2, adapt.MarkRefine, 3)
 	a.Refine()
 	big.ResetLog()
-	// The Mesh, its element slab, and the page table and the one page of
-	// each of the five non-empty paged slabs.
-	const want = 12
+	// The Mesh, its forest slab, and the page table and the one page of
+	// each of the six non-empty paged slabs.
+	const want = 14
 	for _, m := range []*mesh.Mesh{small, big} {
 		if got := testing.AllocsPerRun(10, func() { m.Clone() }); got != want || cloneAllocs(m) != want {
 			t.Errorf("Clone of %d elements allocates %v times, want %d (pages in use %v)", len(m.Elems), got, want, m.Pages())

@@ -14,13 +14,14 @@
 // and a capacity class into one per-mesh block per list kind (see push),
 // read through VertEdges and EdgeElems, and a sibling group is the id
 // range its consecutive creation gave it (see Element.Children). Vertices,
-// edges, boundary faces, the bisection log and both list blocks live in
-// pages that are allocated as the mesh grows and never move (see paged):
-// Vert, Edge, Face and Bisection read a record, Verts, Edges and Faces
-// scan a slab, and growing one copies nothing. Elements stay one
-// contiguous slab, Elems, which Reserve sizes once per refinement round.
-// So adaption allocates per page and per round, not per object, and the
-// GC never scans the mesh.
+// edges, boundary faces, each element's corners and edges (its Tet), the
+// bisection log and both list blocks live in pages that are allocated as
+// the mesh grows and never move (see paged): Vert, Edge, Face, Tet and
+// Bisection read a record, Verts, Edges and Faces scan a slab, and growing
+// one copies nothing. Only the elements' refinement forest, 16 bytes a
+// record, stays one contiguous slab, Elems, which Reserve sizes once per
+// refinement round. So adaption allocates per page and per round, not per
+// object, and the GC never scans the mesh.
 //
 // Refinement history is retained: when an element is subdivided or an edge
 // is bisected, the parent object is deactivated but kept so that
@@ -34,6 +35,7 @@ package mesh
 import (
 	"fmt"
 	"iter"
+	"math"
 	"slices"
 
 	"plum/internal/geom"
@@ -138,20 +140,31 @@ func (e *Edge) NumElems() int { return int(e.nElems) }
 // Bisected reports whether the edge has been split into two child edges.
 func (e *Edge) Bisected() bool { return e.Child[0] != InvalidEdge }
 
-// Element is a tetrahedron defined by 4 vertices and, canonically, by its
-// 6 edges (see ElemEdgeVerts). Parent and Children record the refinement
-// tree; Root is the initial-mesh ancestor, whose id is the dual-graph
-// vertex the element contributes weight to (see Mesh.NumRoots). An element
-// with children is inactive.
+// Element is a tetrahedron's place in the refinement forest. Parent and
+// Children record the refinement tree; Root is the initial-mesh ancestor,
+// whose id is the dual-graph vertex the element contributes weight to (see
+// Mesh.NumRoots). An element with children is inactive. Its corners and
+// edges are its Tet, in a slab of their own (see Mesh.Tet), so a scan of
+// the forest reads 16 bytes an element.
 type Element struct {
-	V      [4]VertID
-	E      [6]EdgeID
 	Parent ElemID
 	Root   ElemID
-	Level  int32
 	kids   ElemID // the sibling group [kids, kids+nKids) (see Children)
+	Level  uint8
 	nKids  uint8
 	Dead   bool
+}
+
+// maxLevel is the deepest refinement level Element.Level holds.
+const maxLevel = math.MaxUint8
+
+// Tet is a tetrahedron's geometry: its 4 vertices and, canonically, its 6
+// edges (see ElemEdgeVerts). Mesh.Tet reads element el's; the record sits
+// at the element's id in a paged slab, so it moves only when Compact moves
+// the element.
+type Tet struct {
+	V [4]VertID
+	E [6]EdgeID
 }
 
 // Children returns the element's children, the ids [first, first+n); n is
@@ -210,6 +223,8 @@ type Mesh struct {
 	verts paged[Vertex]
 	edges paged[Edge]
 	faces paged[BoundaryFace]
+	// tets holds every element's corners and edges, at its id in Elems.
+	tets paged[Tet]
 	// bisections is the ordered log of edge bisections since the last
 	// call to ResetLog, used for solution interpolation.
 	bisections paged[Bisection]
@@ -247,16 +262,18 @@ func New(nt int) *Mesh {
 }
 
 // Reserve makes room for nt more elements, so that a refinement round
-// whose growth is known up front regrows the element slab at most once.
-// The paged slabs need no reservation.
+// whose growth is known up front regrows the forest slab at most once.
+// The paged slabs, the Tets among them, need no reservation.
 func (m *Mesh) Reserve(nt int) { m.Elems = slices.Grow(m.Elems, nt) }
 
-// Vert, Edge and Face return the record of vertex v, edge e and boundary
-// face f. A record's page never moves, so the pointer stays valid while
-// the mesh grows; Compact moves records between slots.
+// Vert, Edge, Face and Tet return the record of vertex v, edge e, boundary
+// face f and element el's corners and edges. A record's page never moves,
+// so the pointer stays valid while the mesh grows; Compact moves records
+// between slots.
 func (m *Mesh) Vert(v VertID) *Vertex       { return m.verts.at(int32(v)) }
 func (m *Mesh) Edge(e EdgeID) *Edge         { return m.edges.at(int32(e)) }
 func (m *Mesh) Face(f FaceID) *BoundaryFace { return m.faces.at(int32(f)) }
+func (m *Mesh) Tet(el ElemID) *Tet          { return m.tets.at(int32(el)) }
 
 // Verts, Edges and Faces range over the vertex, edge and boundary-face
 // slots, live and dead, in id order with their records: a scan page by
@@ -386,7 +403,7 @@ const FreshEdge EdgeID = -2
 // InvalidElem to make the element its own root (initial-mesh elements).
 // Roots come first: one added after a refinement child panics. A child
 // joins its parent's sibling group, which consecutive calls build (see
-// Element.Children).
+// Element.Children). A level outside [0, 255] panics.
 func (m *Mesh) AddElement(v0, v1, v2, v3 VertID, parent ElemID, root ElemID, level int32) ElemID {
 	e := [6]EdgeID{InvalidEdge, InvalidEdge, InvalidEdge, InvalidEdge, InvalidEdge, InvalidEdge}
 	return m.AddElementEdges([4]VertID{v0, v1, v2, v3}, &e, parent, root, level)
@@ -399,6 +416,9 @@ func (m *Mesh) AddElement(v0, v1, v2, v3 VertID, parent ElemID, root ElemID, lev
 // AddElement would reach them, so ids come out the same. On return e holds
 // all six, in the order of v.
 func (m *Mesh) AddElementEdges(v [4]VertID, e *[6]EdgeID, parent ElemID, root ElemID, level int32) ElemID {
+	if level < 0 || level > maxLevel {
+		panic(fmt.Sprintf("mesh: refinement level %d outside [0, %d]", level, maxLevel))
+	}
 	// Stored local edge i is the caller's local edge perm[i].
 	perm := [6]int{0, 1, 2, 3, 4, 5}
 	if geom.TetVolume(m.Vert(v[0]).Pos, m.Vert(v[1]).Pos, m.Vert(v[2]).Pos, m.Vert(v[3]).Pos) < 0 {
@@ -417,12 +437,7 @@ func (m *Mesh) AddElementEdges(v [4]VertID, e *[6]EdgeID, parent ElemID, root El
 		p := &m.Elems[parent]
 		addChild(&p.kids, &p.nKids, id)
 	}
-	el := Element{
-		V:      v,
-		Parent: parent,
-		Root:   root,
-		Level:  level,
-	}
+	t := Tet{V: v}
 	for i, lv := range ElemEdgeVerts {
 		x := &e[perm[i]]
 		switch *x {
@@ -431,10 +446,11 @@ func (m *Mesh) AddElementEdges(v [4]VertID, e *[6]EdgeID, parent ElemID, root El
 		case FreshEdge:
 			*x = m.newEdge(v[lv[0]], v[lv[1]])
 		}
-		el.E[i] = *x
+		t.E[i] = *x
 		m.addEdgeElem(*x, id)
 	}
-	m.Elems = append(m.Elems, el)
+	m.Elems = append(m.Elems, Element{Parent: parent, Root: root, Level: uint8(level)})
+	m.tets.push(t)
 	m.nActiveElems++
 	m.gen++
 	return id
@@ -489,7 +505,7 @@ func (m *Mesh) BisectEdge(e EdgeID) VertID {
 // is responsible for adding children (subdivision) or marking it dead
 // (coarsening removal).
 func (m *Mesh) DeactivateElement(el ElemID) {
-	for _, e := range m.Elems[el].E {
+	for _, e := range m.Tet(el).E {
 		m.delEdgeElem(e, el)
 	}
 	m.nActiveElems--
@@ -503,7 +519,7 @@ func (m *Mesh) DeactivateElement(el ElemID) {
 func (m *Mesh) ReactivateElement(el ElemID) {
 	t := &m.Elems[el]
 	t.kids, t.nKids = 0, 0
-	for _, e := range t.E {
+	for _, e := range m.Tet(el).E {
 		m.addEdgeElem(e, el)
 	}
 	m.nActiveElems++
@@ -593,13 +609,13 @@ func (m *Mesh) NumElemsTotal() int {
 
 // ElemVolume returns the volume of element el.
 func (m *Mesh) ElemVolume(el ElemID) float64 {
-	t := &m.Elems[el]
+	t := m.Tet(el)
 	return geom.TetVolume(m.Vert(t.V[0]).Pos, m.Vert(t.V[1]).Pos, m.Vert(t.V[2]).Pos, m.Vert(t.V[3]).Pos)
 }
 
 // ElemCentroid returns the centroid of element el.
 func (m *Mesh) ElemCentroid(el ElemID) geom.Vec3 {
-	t := &m.Elems[el]
+	t := m.Tet(el)
 	return geom.TetCentroid(m.Vert(t.V[0]).Pos, m.Vert(t.V[1]).Pos, m.Vert(t.V[2]).Pos, m.Vert(t.V[3]).Pos)
 }
 
@@ -618,7 +634,7 @@ func (m *Mesh) EdgeLength(e EdgeID) float64 {
 // LocalEdgeOf returns the local index (0..5) of edge e within element el,
 // or -1 if el does not reference e.
 func (m *Mesh) LocalEdgeOf(el ElemID, e EdgeID) int {
-	for i, x := range m.Elems[el].E {
+	for i, x := range m.Tet(el).E {
 		if x == e {
 			return i
 		}

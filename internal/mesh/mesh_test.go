@@ -148,7 +148,7 @@ func TestDeactivateReactivateElement(t *testing.T) {
 	if m.NumActiveElems() != 0 {
 		t.Error("element still active")
 	}
-	for _, e := range m.Elems[el].E {
+	for _, e := range m.Tet(el).E {
 		if m.Edge(e).NumElems() != 0 {
 			t.Error("incidence list not cleared")
 		}

@@ -210,7 +210,7 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	p.clk.AddCounts(bisect, mdl.BisectEdge)
 	children := make([]int64, d.P)
 	for _, el := range a.Touched() {
-		if pt := a.PatternOf(&m.Elems[el]); pt != 0 {
+		if pt := a.PatternOf(el); pt != 0 {
 			children[d.own[el]] += int64(pt.Kind().Children())
 		}
 	}

@@ -48,7 +48,7 @@ type canonElem struct {
 	V            [4]mesh.VertID
 	E            [6]mesh.EdgeID
 	Parent, Root mesh.ElemID
-	Level        int32
+	Level        uint8
 	Children     []mesh.ElemID
 }
 
@@ -132,11 +132,12 @@ func canon(m *mesh.Mesh) canonMesh {
 		t := &m.Elems[i]
 		first, n := t.Children()
 		ct := canonElem{Parent: ref(t.Parent, rt), Root: rt[t.Root], Level: t.Level, Children: span(first, n, rt)}
-		for j := range t.V {
-			ct.V[j] = rv[t.V[j]]
+		tt := m.Tet(mesh.ElemID(i))
+		for j, v := range tt.V {
+			ct.V[j] = rv[v]
 		}
-		for j := range t.E {
-			ct.E[j] = re[t.E[j]]
+		for j, e := range tt.E {
+			ct.E[j] = re[e]
 		}
 		c.Elems = append(c.Elems, ct)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"plum/internal/fault"
 	"plum/internal/machine"
-	"plum/internal/remap"
 )
 
 // exchanges is the iteration table for the parity tests.
@@ -38,7 +37,7 @@ func testExchangeParity(t *testing.T, p int) {
 	type outcome struct {
 		res    RemapResult
 		owners []int32
-		flows  []remap.Flow
+		flows  []machine.Flow
 	}
 	var plan *fault.Plan
 	run := func(x machine.Exchange) outcome {

@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"slices"
 
+	"plum/internal/machine"
 	"plum/internal/mesh"
-	"plum/internal/remap"
 )
 
 // countFlows is the element-slab oracle of a remap's flow list: it walks
@@ -14,7 +14,7 @@ import (
 // per (src, dst) pair, in canonical order. The executor moves the list
 // remap.Flows counts on the dual graph; countFlows is what that list must
 // equal under weights fresh from m.
-func countFlows(m *mesh.Mesh, owner, newOwner []int32) []remap.Flow {
+func countFlows(m *mesh.Mesh, owner, newOwner []int32) []machine.Flow {
 	sums := map[[2]int32]int64{}
 	for i := range m.Elems {
 		t := &m.Elems[i]
@@ -22,11 +22,11 @@ func countFlows(m *mesh.Mesh, owner, newOwner []int32) []remap.Flow {
 			sums[[2]int32{src, dst}]++
 		}
 	}
-	flows := make([]remap.Flow, 0, len(sums))
+	flows := make([]machine.Flow, 0, len(sums))
 	for k, n := range sums {
-		flows = append(flows, remap.Flow{Src: k[0], Dst: k[1], Elems: n})
+		flows = append(flows, machine.Flow{Src: k[0], Dst: k[1], Words: n})
 	}
-	slices.SortFunc(flows, func(a, b remap.Flow) int {
+	slices.SortFunc(flows, func(a, b machine.Flow) int {
 		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
 	return flows

@@ -252,7 +252,7 @@ func TestExecuteRemapConservation(t *testing.T) {
 			expectMoved += g.Wremap[v]
 		}
 	}
-	res, err := d.ExecuteRemap(newOwner, remap.Flows(d.owner, newOwner, g.Wremap, d.P), machine.SP2())
+	res, err := d.ExecuteRemap(newOwner, remap.Flows(new(machine.Pairs), d.owner, newOwner, g.Wremap), machine.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}

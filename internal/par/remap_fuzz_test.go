@@ -61,17 +61,17 @@ func FuzzExecuteRemap(f *testing.F) {
 					newOwner[v] = int32(h % p)
 				}
 			}
-			flows := remap.Flows(d.OwnersView(), newOwner, g.Wremap, p)
+			flows := remap.Flows(new(machine.Pairs), d.OwnersView(), newOwner, g.Wremap)
 			if want := countFlows(m, d.OwnersView(), newOwner); !slices.Equal(flows, want) {
 				t.Fatalf("step %d: dual-graph flows %v, element slab %v", step, flows, want)
 			}
 			var moved int64
 			for i, fl := range flows {
-				if fl.Elems <= 0 || fl.Src == fl.Dst ||
+				if fl.Words <= 0 || fl.Src == fl.Dst ||
 					i > 0 && cmp.Or(cmp.Compare(flows[i-1].Src, fl.Src), cmp.Compare(flows[i-1].Dst, fl.Dst)) >= 0 {
 					t.Fatalf("step %d: flow list %v is not the canonical list of nonempty pairs", step, flows)
 				}
-				moved += fl.Elems
+				moved += fl.Words
 			}
 			if op != 0 {
 				continue

@@ -6,7 +6,6 @@ import (
 	"plum/internal/fault"
 	"plum/internal/machine"
 	"plum/internal/obs"
-	"plum/internal/remap"
 )
 
 // RecordWords is the size of one migrating element record on the modeled
@@ -73,7 +72,8 @@ type pairRetry struct {
 //
 // flows is the remap's canonical flow list, remap.Flows of the current
 // owners, newOwner and the dual graph's Wremap as the mesh now stands —
-// the list the caller priced. The executor moves and charges exactly
+// the list the caller priced, each flow's count its elements (see
+// machine.Flow). The executor moves and charges exactly
 // that list; it does not recount the mesh, so a list that does not
 // belong to newOwner is charged as given.
 //
@@ -90,7 +90,7 @@ type pairRetry struct {
 // *RemapError names the failing window, and with Dist.Trace set each
 // delivered window leaves a remap.window event (and each window retry a
 // remap.window.retry).
-func (d *Dist) ExecuteRemap(newOwner []int32, flows []remap.Flow, mdl machine.Model) (RemapResult, error) {
+func (d *Dist) ExecuteRemap(newOwner []int32, flows []machine.Flow, mdl machine.Model) (RemapResult, error) {
 	return d.executeRemap(newOwner, flows, mdl, d.Faults)
 }
 
@@ -108,7 +108,7 @@ func (d *Dist) ExecuteRemap(newOwner []int32, flows []remap.Flow, mdl machine.Mo
 // subgrid. flows must therefore be counted from the pre-pass owners, dead
 // ranks included (remap.Flows of the rank-space owner arrays, not a
 // survivor mapping's flows, which have no rows for the dead ranks).
-func (d *Dist) ExecuteRemapRecovery(newOwner []int32, flows []remap.Flow, mdl machine.Model) (RemapResult, error) {
+func (d *Dist) ExecuteRemapRecovery(newOwner []int32, flows []machine.Flow, mdl machine.Model) (RemapResult, error) {
 	return d.executeRemap(newOwner, flows, mdl, nil)
 }
 
@@ -133,13 +133,13 @@ func (d *Dist) ExecuteRemapRecovery(newOwner []int32, flows []remap.Flow, mdl ma
 // fault-free RemapResult is ChargeRemap of the flows up to PeakWords.
 // Every structure the executor builds is sized by P or the flows that
 // exist, never by the P² pairs that could carry one.
-func (d *Dist) executeRemap(newOwner []int32, flows []remap.Flow, mdl machine.Model, plan *fault.Plan) (RemapResult, error) {
+func (d *Dist) executeRemap(newOwner []int32, flows []machine.Flow, mdl machine.Model, plan *fault.Plan) (RemapResult, error) {
 	if len(newOwner) != len(d.owner) {
 		return RemapResult{}, fmt.Errorf("par: newOwner has %d entries, want %d", len(newOwner), len(d.owner))
 	}
 	flowStart := make([]int64, len(flows)+1)
 	for f, fl := range flows {
-		flowStart[f+1] = flowStart[f] + fl.Elems
+		flowStart[f+1] = flowStart[f] + fl.Words
 	}
 	wins := planWindows(flowStart, windowBudget(flowStart))
 
@@ -224,14 +224,15 @@ func (d *Dist) crashRanks(plan *fault.Plan) []int {
 }
 
 // ChargeRemap prices a remap on the machine clock from its flows alone:
-// the flows in canonical (Src, Dst) order, elements per flow, on p ranks
+// the flows in canonical (Src, Dst) order, each counting its elements
+// (see machine.Flow), on p ranks
 // under the exchange schedule x. It fills Moved, Sets, WordsMoved, the
 // time decomposition PackTime, CommTime, RebuildTime, Total, and Setups /
 // SetupTime. It is the one remap price: the executor charges every
 // executed remap with it, and the balance pass prices a proposal with it
 // before deciding, so an accepted remap's Total is the remap term the
 // decision priced — bit for bit, on the fault-free path.
-func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flow) RemapResult {
+func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []machine.Flow) RemapResult {
 	return chargeRemap(mdl, x, p, flows, nil, nil)
 }
 
@@ -247,7 +248,7 @@ func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 // small shared-structure term proportional to the number of flows
 // (partition-boundary data is a small percentage and causes the slight
 // perturbations the paper notes). One serial walk of the flows that exist
-// fills the per-rank sums — a rank's float charges accumulate in
+// fills the per-rank tallies — a rank's float charges accumulate in
 // ascending destination order, the canonical order of its flows — so the
 // work is O(sets + p).
 //
@@ -264,90 +265,98 @@ func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flo
 // path, and every prediction) adds no terms at all.
 //
 // The wire itself — setups, volume, and under aggregated the receivers'
-// drains — is charged by machine.ChargeFlows under the schedule, on top
-// of each rank's pack + retry sum and inside the same superstep.
-func chargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []remap.Flow, retries []pairRetry, tr *obs.Trace) RemapResult {
+// drains — is charged by machine.ChargeElemFlows under the schedule, on
+// top of each rank's pack + retry sum and inside the same superstep.
+func chargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []machine.Flow, retries []pairRetry, tr *obs.Trace) RemapResult {
 	res := RemapResult{Sets: len(flows)}
-	sendWords := make([]int64, p)
-	recvWords := make([]int64, p)
-	recvElems := make([]int64, p)
-	packT := make([]float64, p)
-	retryT := make([]float64, p)
-	wire := make([]machine.Flow, len(flows))
+	tally := make([]rankTally, p)
 	clk := machine.NewClock(p)
 	if retries != nil && len(retries) != len(flows) {
 		panic(fmt.Sprintf("par: %d retry counters for %d flows", len(retries), len(flows)))
 	}
 	for f, fl := range flows {
-		src, dst := int(fl.Src), int(fl.Dst)
-		words := mdl.FlowWords(fl.Elems)
-		wire[f] = machine.Flow{Src: fl.Src, Dst: fl.Dst, Words: words}
-		res.Moved += fl.Elems
-		sendWords[src] += words
-		recvWords[dst] += words
-		recvElems[dst] += fl.Elems
+		src, dst := &tally[fl.Src], &tally[fl.Dst]
+		elems := fl.Words
+		words := mdl.FlowWords(elems)
+		res.Moved += elems
+		src.sendWords += words
+		dst.recvWords += words
+		dst.recvElems += elems
 		pack := float64(words) * mdl.PackWord
-		clk.Add(src, pack)
-		packT[src] += pack
+		clk.Add(int(fl.Src), pack)
+		src.pack += pack
 		if retries == nil {
 			continue
 		}
 		if r := retries[f]; r.Resends > 0 || r.Backoff > 0 {
 			res.Retries += r.Resends
-			res.RetryWords += r.Resends * fl.Elems * RecordWords
+			res.RetryWords += r.Resends * elems * RecordWords
 			rt := mdl.RetryTime(r.Resends, r.Backoff, words)
-			clk.Add(src, rt)
-			retryT[src] += rt
+			clk.Add(int(fl.Src), rt)
+			src.retry += rt
 		}
 	}
-	for r := 0; r < p; r++ {
-		res.WordsMoved += sendWords[r]
-		res.PackTime = max(res.PackTime, packT[r])
-		res.RetryTime = max(res.RetryTime, retryT[r])
+	for _, t := range tally {
+		res.WordsMoved += t.sendWords
+		res.PackTime = max(res.PackTime, t.pack)
+		res.RetryTime = max(res.RetryTime, t.retry)
 	}
-	ch := mdl.ChargeFlows(clk, x, wire)
+	ch := mdl.ChargeElemFlows(clk, x, flows)
 	res.Setups = ch.Msgs
 	res.SetupTime = ch.SetupTime
-	var sendT []float64 // each rank's send superstep, read off the clock before the barrier
 	if tr != nil {
-		sendT = make([]float64, p)
-		for r := range sendT {
-			sendT[r] = clk.Rank(r)
+		for r := range tally {
+			tally[r].sendT = clk.Rank(r)
 		}
 	}
 	clk.Barrier()
 	res.CommTime = clk.Elapsed() - res.PackTime
-	for r := 0; r < p; r++ {
-		clk.Add(r, float64(recvWords[r])*mdl.UnpackWord+float64(recvElems[r])*mdl.RebuildElem)
+	for r, t := range tally {
+		clk.Add(r, t.rebuild(mdl))
 	}
 	clk.Barrier()
 	res.RebuildTime = clk.Elapsed() - res.CommTime - res.PackTime
 	res.Total = clk.Elapsed()
 
 	if tr != nil {
-		traceRemapRanks(tr, mdl, &res, sendWords, sendT, recvWords, recvElems)
+		traceRemapRanks(tr, mdl, &res, tally)
 	}
 	return res
+}
+
+// rankTally is one rank's share of a charged remap: the words it sends
+// and receives, the elements it receives, its pack and retry charges, and
+// sendT, its clock reading before the send superstep's barrier (filled
+// only for a trace).
+type rankTally struct {
+	sendWords, recvWords, recvElems int64
+	pack, retry, sendT              float64
+}
+
+// rebuild returns the rank's unpack and rebuild charge.
+func (t *rankTally) rebuild(mdl machine.Model) float64 {
+	return float64(t.recvWords)*mdl.UnpackWord + float64(t.recvElems)*mdl.RebuildElem
 }
 
 // traceRemapRanks emits the executed remap's per-rank spans on the
 // modeled timeline, based at the trace cursor (the caller advances the
 // cursor past res.Total afterwards). It runs after the accounting loops
-// over the per-rank arrays, so emission order and span contents are
+// over the per-rank tallies, so emission order and span contents are
 // canonical. The send span covers a rank's send superstep — pack, retry
-// and wire charges, sendT being its clock reading before the barrier (so
-// under aggregated a rank that only receives shows its drain, words 0);
-// the rebuild span starts at the superstep barrier (pack + comm elapsed)
-// and covers the rank's unpack/rebuild charge.
-func traceRemapRanks(tr *obs.Trace, mdl machine.Model, res *RemapResult, sendWords []int64, sendT []float64, recvWords, recvElems []int64) {
+// and wire charges, up to its sendT (so under aggregated a rank that only
+// receives shows its drain, words 0); the rebuild span starts at the
+// superstep barrier (pack + comm elapsed) and covers the rank's
+// unpack/rebuild charge.
+func traceRemapRanks(tr *obs.Trace, mdl machine.Model, res *RemapResult, tally []rankTally) {
 	base := tr.Now()
 	rebuildAt := base + res.PackTime + res.CommTime
-	for r := range sendT {
-		if sendT[r] > 0 {
-			tr.Span(int32(r), "remap.send", base, sendT[r], obs.Int("words", sendWords[r]))
+	for r := range tally {
+		t := &tally[r]
+		if t.sendT > 0 {
+			tr.Span(int32(r), "remap.send", base, t.sendT, obs.Int("words", t.sendWords))
 		}
-		if dur := float64(recvWords[r])*mdl.UnpackWord + float64(recvElems[r])*mdl.RebuildElem; dur > 0 {
-			tr.Span(int32(r), "remap.rebuild", rebuildAt, dur, obs.Int("elems", recvElems[r]))
+		if dur := t.rebuild(mdl); dur > 0 {
+			tr.Span(int32(r), "remap.rebuild", rebuildAt, dur, obs.Int("elems", t.recvElems))
 		}
 	}
 }

@@ -46,7 +46,7 @@ func TestRemapAllocScalesWithP(t *testing.T) {
 		var res RemapResult
 		execBytes := allocBytes(func() {
 			var err error
-			if res, err = d.ExecuteRemap(newOwner, remap.Flows(d.owner, newOwner, g.Wremap, p), machine.SP2()); err != nil {
+			if res, err = d.ExecuteRemap(newOwner, remap.Flows(new(machine.Pairs), d.owner, newOwner, g.Wremap), machine.SP2()); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -83,7 +83,7 @@ func TestFaultFreeRemapAllocs(t *testing.T) {
 		// remap.
 		allocs := testing.AllocsPerRun(10, func() {
 			for _, own := range [][]int32{newOwner, oldOwner} {
-				if _, err := d.ExecuteRemap(own, remap.Flows(d.owner, own, wremap, p), machine.SP2()); err != nil {
+				if _, err := d.ExecuteRemap(own, remap.Flows(new(machine.Pairs), d.owner, own, wremap), machine.SP2()); err != nil {
 					t.Fatal(err)
 				}
 			}

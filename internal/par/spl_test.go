@@ -24,10 +24,10 @@ func bruteSPLs(d *Dist) (edges, verts [][]int32) {
 	m := d.M
 	edges, verts = make([][]int32, m.EdgeSlots()), make([][]int32, m.VertSlots())
 	for i := range m.Elems {
-		t := &m.Elems[i]
-		if !t.Active() {
+		if !m.Elems[i].Active() {
 			continue
 		}
+		t := m.Tet(mesh.ElemID(i))
 		r := d.OwnerOf(mesh.ElemID(i))
 		for _, e := range t.E {
 			edges[e] = append(edges[e], r)
@@ -184,7 +184,7 @@ func TestEdgeAndVertSPL(t *testing.T) {
 
 			g.UpdateWeights(m)
 			newOwner := partition.Partition(g, p, partition.MethodMortonSFC)
-			if _, err := d.ExecuteRemap(newOwner, remap.Flows(d.owner, newOwner, g.Wremap, p), mdl); err != nil {
+			if _, err := d.ExecuteRemap(newOwner, remap.Flows(new(machine.Pairs), d.owner, newOwner, g.Wremap), mdl); err != nil {
 				t.Fatal(err)
 			}
 			a.MarkRegion(geom.AABB{Max: geom.Vec3{X: 0.5, Y: 1, Z: 1}}, adapt.MarkCoarsen)

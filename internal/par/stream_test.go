@@ -15,7 +15,7 @@ func windowsOf(d *Dist, newOwner []int32) []remapWindow {
 	flows := countFlows(d.M, d.owner, newOwner)
 	flowStart := make([]int64, len(flows)+1)
 	for f, fl := range flows {
-		flowStart[f+1] = flowStart[f] + fl.Elems
+		flowStart[f+1] = flowStart[f] + fl.Words
 	}
 	return planWindows(flowStart, windowBudget(flowStart))
 }

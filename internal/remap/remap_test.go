@@ -157,6 +157,11 @@ func TestHeuristicHalfApproximation(t *testing.T) {
 	}
 }
 
+// flow is the remap flow of elems elements from src to dst.
+func flow(src, dst int32, elems int64) machine.Flow {
+	return machine.Flow{Src: src, Dst: dst, Words: elems}
+}
+
 func TestMoveStats(t *testing.T) {
 	// 2 procs, F=1: identity mapping moves the off-diagonal weight.
 	s := FromDense(1, [][]int64{{10, 4}, {3, 20}})
@@ -165,7 +170,7 @@ func TestMoveStats(t *testing.T) {
 	if c != 7 {
 		t.Errorf("C = %d, want 7", c)
 	}
-	if want := []Flow{{0, 1, 4}, {1, 0, 3}}; !slices.Equal(flows, want) {
+	if want := []machine.Flow{flow(0, 1, 4), flow(1, 0, 3)}; !slices.Equal(flows, want) {
 		t.Errorf("flows = %v, want %v", flows, want)
 	}
 	// C + objective = total.
@@ -190,7 +195,7 @@ func TestMoveStatsCombinesDestinations(t *testing.T) {
 	}
 	// Four (source partition → destination) flows collapse into two
 	// (source processor → destination processor) sets.
-	if want := []Flow{{0, 1, 11}, {1, 0, 2}}; !slices.Equal(flows, want) {
+	if want := []machine.Flow{flow(0, 1, 11), flow(1, 0, 2)}; !slices.Equal(flows, want) {
 		t.Errorf("flows = %v, want %v (sets combined per destination)", flows, want)
 	}
 }
@@ -198,19 +203,24 @@ func TestMoveStatsCombinesDestinations(t *testing.T) {
 // TestFlows pins the dual-graph flow count on a toy remap: the list is in
 // canonical (Src, Dst) order whatever order the vertices first name their
 // pairs in, destinations merge per source, and zero-weight vertices and
-// vertices that keep their owner contribute nothing.
+// vertices that keep their owner contribute nothing. A warm accumulator
+// counts the next list without allocating.
 func TestFlows(t *testing.T) {
 	owner := []int32{2, 0, 0, 2, 1, 0, 2, 1, 1}
 	newOwner := []int32{0, 2, 1, 1, 1, 2, 0, 0, 2}
 	wremap := []int64{3, 1, 4, 1, 5, 9, 2, 0, 7}
 	// vertex 4 keeps rank 1 and vertex 7 weighs nothing: neither counts;
 	// vertices 1 and 5 merge into 0->2, vertices 0 and 6 into 2->0.
-	want := []Flow{{0, 1, 4}, {0, 2, 10}, {1, 2, 7}, {2, 0, 5}, {2, 1, 1}}
-	if got := Flows(owner, newOwner, wremap, 3); !slices.Equal(got, want) {
+	want := []machine.Flow{flow(0, 1, 4), flow(0, 2, 10), flow(1, 2, 7), flow(2, 0, 5), flow(2, 1, 1)}
+	ps := new(machine.Pairs)
+	if got := Flows(ps, owner, newOwner, wremap); !slices.Equal(got, want) {
 		t.Errorf("Flows = %v, want %v", got, want)
 	}
-	if got := Flows(owner, owner, wremap, 3); len(got) != 0 {
+	if got := Flows(ps, owner, owner, wremap); len(got) != 0 {
 		t.Errorf("identity remap flows = %v, want none", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { Flows(ps, owner, newOwner, wremap) }); n != 0 {
+		t.Errorf("Flows on a warm accumulator allocates %v times, want 0", n)
 	}
 }
 
@@ -490,10 +500,10 @@ func checkAgainstDense(t *testing.T, s *Similarity) {
 		if k > 0 && (fl.Src < flows[k-1].Src || fl.Src == flows[k-1].Src && fl.Dst <= flows[k-1].Dst) {
 			t.Fatalf("P=%d F=%d: flows %v and %v out of canonical order", s.P, s.F, flows[k-1], fl)
 		}
-		if !pairs[[2]int32{fl.Src, fl.Dst}] || fl.Elems <= 0 {
+		if !pairs[[2]int32{fl.Src, fl.Dst}] || fl.Words <= 0 {
 			t.Fatalf("P=%d F=%d: flow %v is not a dense pair", s.P, s.F, fl)
 		}
-		sum += fl.Elems
+		sum += fl.Words
 	}
 	if sum != c {
 		t.Errorf("P=%d F=%d: flows carry %d elements, C = %d", s.P, s.F, sum, c)

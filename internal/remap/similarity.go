@@ -12,6 +12,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"plum/internal/machine"
 )
 
 // Similarity is the P×(P·F) similarity matrix: entry (i, j) is the sum of
@@ -164,82 +166,41 @@ func (s *Similarity) Objective(mp Mapping) int64 {
 	return obj
 }
 
-// Flow is one (source processor, destination processor) element set of a
-// mapping: Elems elements move from Src to Dst (Src ≠ Dst).
-type Flow struct {
-	Src, Dst int32
-	Elems    int64
-}
-
-// Flows returns the canonical flow list of a remap from owner to newOwner
-// over p ranks, both indexed by dual vertex: every (Src, Dst) pair some
-// vertex moves along, ascending by source then destination, carrying the
-// Wremap weights of the vertices it moves. Wremap is the element count
-// of each vertex's refinement tree, which moves whole with its root, so
-// the list is the element sets the remap migrates, counted on the dual
-// graph instead of the mesh. Vertices with zero weight and vertices that
-// keep their owner are skipped. One pass counts into per-source lists of
-// the destinations seen; a rank sends to few others, so the walk is
-// short, and nothing is sized by the p² pairs that could carry a flow.
-func Flows(owner, newOwner []int32, wremap []int64, p int) []Flow {
-	head := make([]int32, p) // per source: its newest flow + 1, 0 for none
-	var flows []Flow
-	var next []int32 // per flow: the source's next flow + 1, 0 at the end
+// Flows sums into ps the flow list of a remap from owner to newOwner,
+// both indexed by dual vertex, and returns it in canonical (Src, Dst)
+// order: every pair some vertex moves along, its count the Wremap weights
+// of the vertices it moves. Wremap is the element count of each vertex's
+// refinement tree, which moves whole with its root, so the list is the
+// element sets the remap migrates, counted on the dual graph instead of
+// the mesh, and each Flow's count is elements (see machine.Flow).
+// Vertices with zero weight and vertices that keep their owner are
+// skipped. The list is ps's (machine.Pairs.Flows): valid until ps's next
+// Add, and a warm ps allocates nothing.
+func Flows(ps *machine.Pairs, owner, newOwner []int32, wremap []int64) []machine.Flow {
 	for v, w := range wremap {
-		src, dst := owner[v], newOwner[v]
-		if w == 0 || src == dst {
-			continue
+		if src, dst := owner[v], newOwner[v]; w != 0 && src != dst {
+			ps.Add(src, dst, w)
 		}
-		k := head[src] - 1
-		for k >= 0 && flows[k].Dst != dst {
-			k = next[k] - 1
-		}
-		if k < 0 {
-			k = int32(len(flows))
-			flows = append(flows, Flow{Src: src, Dst: dst})
-			next = append(next, head[src])
-			head[src] = k + 1
-		}
-		flows[k].Elems += w
 	}
-	slices.SortFunc(flows, func(a, b Flow) int {
-		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-	})
-	return flows
+	return ps.Flows()
 }
 
 // MoveStats returns the data-movement statistics of a mapping: the
-// element sets it moves, one Flow per (source processor, destination
-// processor) pair with nonzero traffic in canonical (Src, Dst) order —
-// partitions that share a destination combine (cf. the paper's Fig. 7,
-// where two rather than three sets leave a processor whose two partitions
-// land on the same destination) — and their total C = ΣS − 𝒥, the number
-// of elements that must move. len(flows) is the cost model's N.
-func (s *Similarity) MoveStats(mp Mapping) (flows []Flow, c int64) {
-	// slot[dst] is the current row's flow to dst, or -1.
-	slot := make([]int32, s.P)
-	for i := range slot {
-		slot[i] = -1
-	}
-	for i := 0; i < s.P; i++ {
-		lo := len(flows)
-		for _, e := range s.row(i) {
-			dst := mp[e.col]
-			if dst == int32(i) {
-				continue
+// element sets it moves, one Flow of elements per (source processor,
+// destination processor) pair with nonzero traffic in canonical (Src, Dst)
+// order — partitions that share a destination combine (cf. the paper's
+// Fig. 7, where two rather than three sets leave a processor whose two
+// partitions land on the same destination) — and their total C = ΣS − 𝒥,
+// the number of elements that must move. len(flows) is the cost model's N.
+func (s *Similarity) MoveStats(mp Mapping) (flows []machine.Flow, c int64) {
+	var ps machine.Pairs
+	for i := range int32(s.P) {
+		for _, e := range s.row(int(i)) {
+			if dst := mp[e.col]; dst != i {
+				ps.Add(i, dst, e.w)
+				c += e.w
 			}
-			c += e.w
-			if slot[dst] < 0 {
-				slot[dst] = int32(len(flows))
-				flows = append(flows, Flow{Src: int32(i), Dst: dst})
-			}
-			flows[slot[dst]].Elems += e.w
 		}
-		row := flows[lo:]
-		for _, fl := range row {
-			slot[fl.Dst] = -1
-		}
-		slices.SortFunc(row, func(a, b Flow) int { return cmp.Compare(a.Dst, b.Dst) })
 	}
-	return flows, c
+	return ps.Flows(), c
 }
