@@ -7,9 +7,11 @@ package plum
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"plum/internal/adapt"
+	"plum/internal/core"
 	"plum/internal/dual"
 	"plum/internal/experiments"
 	"plum/internal/geom"
@@ -68,6 +70,49 @@ func BenchmarkRebalance(b *testing.B) {
 			b.Fatal("nothing rebalanced")
 		}
 	}
+}
+
+// BenchmarkBalancePass measures one warm balance pass of the rotor at
+// P = 64 under the paper-default multilevel, the pass the rotor-repart
+// workload runs every cycle: after two refinements of the 5 % mid-arc
+// sphere, the framework's owners are reset to the initial partition before
+// each pass, so every pass rebalances them, builds the similarity matrix,
+// maps, prices and executes the same remap on the scratch the pass before
+// it sized. One pass off the clock sizes it first. It reports the
+// allocations and bytes per pass, which a warm pass keeps at zero, and the
+// elements each pass moves.
+func BenchmarkBalancePass(b *testing.B) {
+	m := experiments.BaseMesh()
+	f, err := core.New(m, nil, core.DefaultConfig(64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	owners := f.D.Owners()
+	for range 2 {
+		f.A.MarkRegion(midArcSphere(m), adapt.MarkRefine)
+		f.A.Refine()
+	}
+	var moved int64
+	pass := func() {
+		f.D.SetOwners(owners)
+		rep, err := f.Balance()
+		if err != nil || !rep.Accepted {
+			b.Fatalf("pass accepted=%v err=%v: the fixture must remap", rep.Accepted, err)
+		}
+		moved = rep.Remap.Moved
+	}
+	pass()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	passes := 0
+	for b.Loop() {
+		pass()
+		passes++
+	}
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(passes), "allocs/pass")
+	b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(passes), "B/pass")
+	b.ReportMetric(float64(moved), "moved-elems/pass")
 }
 
 // midArcSphere is the sphere holding 5 % of the rotor's edge midpoints at

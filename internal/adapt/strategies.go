@@ -310,10 +310,13 @@ func meshCenter(m *mesh.Mesh) geom.Vec3 {
 // interpolation (average) of its edge endpoints, applied in creation order
 // (the paper linearly interpolates the solution vector at the mid-point
 // from the two points that constitute the original edge). The returned
-// slice has one entry per mesh vertex.
+// slice has one entry per mesh vertex. It is field extended in place, as
+// append extends it: field's backing array is reused while it has room,
+// and the vertices it did not cover start from zero.
 func InterpolateBisections(m *mesh.Mesh, field []float64) []float64 {
-	out := make([]float64, m.VertSlots())
-	copy(out, field)
+	n := m.VertSlots()
+	out := field[:min(len(field), n)]
+	out = append(out, make([]float64, n-len(out))...)
 	for i := range m.NumBisections() {
 		b := m.Bisection(i)
 		out[b.Mid] = 0.5 * (out[b.A] + out[b.B])

@@ -23,8 +23,8 @@ import (
 // adapting.
 func TestCycleAllocBudget(t *testing.T) {
 	const (
-		idleBudget    = 40  // measured 14-19 (24 under -race)
-		adaptBase     = 200 // measured 142-193 at two rounds (151-206 under -race)
+		idleBudget    = 25  // measured 3-15 (3-16 under -race)
+		adaptBase     = 150 // measured 67-101 at two rounds (81-114 under -race)
 		adaptPerRound = 50
 	)
 	for _, n := range []int{12, 18} {
@@ -66,6 +66,47 @@ func TestCycleAllocBudget(t *testing.T) {
 		}
 		if created[0] == 0 || created[1] < 10*created[0] {
 			t.Fatalf("n=%d: cycles created %v elements, want a tenfold spread", n, created)
+		}
+	}
+}
+
+// TestWarmBalanceAllocations pins a warm balance pass to the scratch the
+// framework, its repartitioner, its similarity matrix and its Dist keep:
+// with the owners reset to the same imbalanced assignment before each
+// Balance, every pass repartitions, maps, prices, accepts and executes a
+// remap, and allocates at most warmBudget times once the first pass has
+// sized the buffers — for the curve cut on SmallBox, and for multilevel's
+// rebalance of the owners on a box with enough vertices a part for it.
+func TestWarmBalanceAllocations(t *testing.T) {
+	const warmBudget = 0
+	for _, c := range []struct {
+		n      int
+		method partition.Method
+	}{{4, partition.MethodHilbertSFC}, {6, partition.MethodMultilevel}} {
+		m := meshgen.Box(c.n, c.n, c.n, geom.Vec3{X: 1, Y: 1, Z: 1})
+		cfg := DefaultConfig(4)
+		cfg.Method = c.method
+		f, err := New(m, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Half the trees on rank 0, the rest as they were.
+		imbalanced := f.D.Owners()
+		for v := range imbalanced[:len(imbalanced)/2] {
+			imbalanced[v] = 0
+		}
+		pass := func() {
+			f.D.SetOwners(imbalanced)
+			rep, err := f.Balance()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Repartitioned || !rep.Accepted || rep.Remap.Moved == 0 {
+				t.Fatalf("%v: pass repartitioned=%v accepted=%v moved %d: the fixture must remap", c.method, rep.Repartitioned, rep.Accepted, rep.Remap.Moved)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, pass); allocs > warmBudget {
+			t.Errorf("%v on a %d³ box: a warm balance pass allocated %.0f times, budget %d", c.method, c.n, allocs, warmBudget)
 		}
 	}
 }

@@ -164,9 +164,19 @@ type Framework struct {
 	// work (the paper times only reassignment and remap, which flatters
 	// its spectral partitioner), the curve build on the first pass.
 	part *partition.Repartitioner
-	// flows sums each remap's flow list (remap.Flows), kept warm across
-	// passes so counting one allocates nothing.
+	// flows sums each remap's flow list (remap.Flows) and each
+	// proposal's similarity matrix (remap.Similarity.Rebuild), kept warm
+	// across passes so counting either allocates nothing.
 	flows machine.Pairs
+	// The rest of the balance pass's scratch, kept across passes so a
+	// warm pass allocates nothing: sim is the proposal's similarity
+	// matrix with the mapper's scratch, newOwner its rank-space owner
+	// array (proposal.owners), loads the per-rank loads (rankLoads), and
+	// compact the owners in survivor positions (compactOwners, once a
+	// rank has died).
+	sim               remap.Similarity
+	newOwner, compact []int32
+	loads             []int64
 
 	// cycles counts completed Cycle calls; it scopes the fault keys so
 	// each cycle draws an independent schedule (par.Dist.FaultCycle).
@@ -236,19 +246,31 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 // current partitions (the paper's preliminary evaluation). It refreshes
 // the dual weights first, so it is right whatever adapted the mesh since
 // the last balance pass; it is the one place the framework refreshes them.
+// The slice is f's own, valid until f's next Loads, Balance or Cycle.
 func (f *Framework) Loads() []int64 {
 	f.G.UpdateWeights(f.M)
-	return partition.Weights(f.G, f.D.OwnersView(), f.Cfg.P)
+	return f.rankLoads(f.D.OwnersView())
 }
 
-// aliveLoads returns the rank-indexed loads of the ranks in alive, indexed
-// by position in alive.
-func aliveLoads(loads []int64, alive []int32) []int64 {
-	out := make([]int64, len(alive))
-	for i, r := range alive {
-		out[i] = loads[r]
+// rankLoads returns the per-rank sums of the dual weights under owners,
+// in f's loads scratch.
+func (f *Framework) rankLoads(owners []int32) []int64 {
+	f.loads = slices.Grow(f.loads[:0], f.Cfg.P)[:f.Cfg.P]
+	clear(f.loads)
+	for v, o := range owners {
+		f.loads[o] += f.G.Wcomp[v]
 	}
-	return out
+	return f.loads
+}
+
+// aliveLoads compacts the rank-indexed loads to the ranks in alive, in
+// place, and returns them indexed by position in alive. alive ascends, so
+// every load moves down or stays, past the ones still to be read.
+func aliveLoads(loads []int64, alive []int32) []int64 {
+	for i, r := range alive {
+		loads[i] = loads[r]
+	}
+	return loads[:len(alive)]
 }
 
 // BalanceOutcome classifies how one balance pass concluded under the
@@ -486,7 +508,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// One rank-space owner array carries the proposal from here on: its
 	// loads, its flows, and the remap that executes it.
 	newOwner := pr.owners(alive)
-	newLoads := aliveLoads(partition.Weights(f.G, newOwner, f.Cfg.P), alive)
+	newLoads := aliveLoads(f.rankLoads(newOwner), alive)
 	rep.WmaxNew = slices.Max(newLoads)
 	rep.ImbalanceAfter = par.ImbalanceFactor(newLoads)
 
@@ -500,7 +522,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// negligible for the incremental SFC path, which is the point of
 	// modeling it.
 	flows := remap.Flows(&f.flows, f.D.OwnersView(), newOwner, f.G.Wremap)
-	rep.Predicted = par.ChargeRemap(f.Cfg.Model, f.D.Exchange, f.Cfg.P, flows)
+	rep.Predicted = f.D.ChargeRemap(flows, f.Cfg.Model)
 	moved, sets := rep.Predicted.Moved, rep.Predicted.Sets
 	rep.CostPaper = redistCost(f.Cfg.Model, f.D.Exchange, rep.Alive, moved, sets)
 	rep.Gain = f.Cfg.Cost.Gain(rep.WmaxOld, rep.WmaxNew)
@@ -576,7 +598,8 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 
 // proposal is one candidate redistribution over the surviving ranks: the
 // new partitioning, its assignment to processors, and what computing the
-// two cost.
+// two cost. Its slices are the framework's scratch, valid until the next
+// propose.
 type proposal struct {
 	part      partition.Assignment
 	partOps   machine.Ops // the partitioner's work
@@ -584,7 +607,8 @@ type proposal struct {
 	sim       *remap.Similarity
 	mapping   remap.Mapping
 	objective int64
-	mapOps    int64 // the mapper's work
+	mapOps    int64   // the mapper's work
+	newOwner  []int32 // where owners writes the rank-space owners
 }
 
 // propose runs the sequence the balance pass and crash recovery share:
@@ -602,8 +626,11 @@ func (f *Framework) propose(alive []int32) (proposal, error) {
 		from = old
 	}
 	pr.part, pr.partOps, pr.partTime = f.part.Repartition(len(alive)*f.Cfg.F, from, f.Cfg.Model)
-	pr.sim = remap.Build(old, pr.part, f.G.Wremap, len(alive), f.Cfg.F)
+	f.sim.Rebuild(&f.flows, old, pr.part, f.G.Wremap, len(alive), f.Cfg.F)
+	pr.sim = &f.sim
 	pr.mapping, pr.objective, pr.mapOps = pr.sim.Heuristic()
+	f.newOwner = slices.Grow(f.newOwner[:0], len(pr.part))[:len(pr.part)]
+	pr.newOwner = f.newOwner
 	return pr, pr.sim.Validate(pr.mapping)
 }
 
@@ -624,10 +651,10 @@ func (f *Framework) charge(rep *BalanceReport, pr proposal, alive int) {
 	tr.Advance(reassign)
 }
 
-// owners returns the ownership the proposal assigns: every dual vertex
-// goes to the survivor its part is mapped to.
+// owners returns the ownership the proposal assigns, in its newOwner
+// scratch: every dual vertex goes to the survivor its part is mapped to.
 func (pr proposal) owners(alive []int32) []int32 {
-	out := make([]int32, len(pr.part))
+	out := pr.newOwner
 	for v, p := range pr.part {
 		out[v] = alive[pr.mapping[p]]
 	}
@@ -636,25 +663,22 @@ func (pr proposal) owners(alive []int32) []int32 {
 
 // compactOwners returns the owner array mapped into the compacted
 // survivor index space: alive[i] → i, dead ranks → −1 (no similarity
-// credit — see remap.Build). With every rank alive it returns the owner
-// array itself, uncopied and read-only (par.Dist.OwnersView).
+// credit — see remap.Build), in f's compact scratch. With every rank alive
+// it returns the owner array itself, uncopied and read-only
+// (par.Dist.OwnersView).
 func (f *Framework) compactOwners(alive []int32) []int32 {
 	owners := f.D.OwnersView()
 	if len(alive) == f.Cfg.P {
 		return owners
 	}
-	compact := make([]int32, f.Cfg.P)
-	for i := range compact {
-		compact[i] = -1
-	}
-	for i, r := range alive {
-		compact[r] = int32(i)
-	}
-	out := make([]int32, len(owners))
+	f.compact = slices.Grow(f.compact[:0], len(owners))[:len(owners)]
 	for v, o := range owners {
-		out[v] = compact[o]
+		f.compact[v] = -1
+		if i, ok := slices.BinarySearch(alive, o); ok {
+			f.compact[v] = int32(i)
+		}
 	}
-	return out
+	return f.compact
 }
 
 // recoverCrash repairs a FailCrash rollback: the executor failed the
@@ -709,7 +733,7 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	f.rollbackStreak = 0
 
 	// Report the post-recovery balance over the survivors.
-	loads := aliveLoads(partition.Weights(f.G, owners, f.Cfg.P), alive)
+	loads := aliveLoads(f.rankLoads(owners), alive)
 	rep.WmaxNew = slices.Max(loads)
 	rep.ImbalanceAfter = par.ImbalanceFactor(loads)
 	return nil

@@ -71,18 +71,27 @@ type Flow struct {
 
 // Pairs sums the words (or, for a remap, the elements) of one exchange per
 // (src, dst) rank pair as they are counted, so a producer never lists its
-// contributions. It stores only the distinct pairs, each source's chained
-// from its own head, and one chain head per rank named as a source:
-// nothing is sized by P². The zero value is ready for use, and a warm
-// accumulator allocates nothing.
+// contributions. The similarity matrix sums through it too, its pairs
+// (old owner, new partition) and its counts remapping weight. It stores
+// only the distinct pairs, each source's chained from its own head, and
+// one chain head per rank named as a source: nothing is sized by P². The
+// zero value is ready for use, and a warm accumulator allocates nothing.
 type Pairs struct {
 	head  []int32 // per source rank: its newest pair + 1, 0 for none
 	flows []Flow  // the distinct pairs, in first-seen order
 	next  []int32 // per pair: the source's next pair + 1, 0 at the end
+	last  int     // the pair the last Add summed into
+	out   []Flow  // the last Flows result
 }
 
-// Add adds words to the pair (src, dst).
+// Add adds words to the pair (src, dst). A run of adds to one pair, as
+// the similarity matrix's neighbouring vertices make, skips the chain
+// walk after the first.
 func (ps *Pairs) Add(src, dst int32, words int64) {
+	if k := ps.last; k < len(ps.flows) && ps.flows[k].Src == src && ps.flows[k].Dst == dst {
+		ps.flows[k].Words += words
+		return
+	}
 	if n := int(src) + 1 - len(ps.head); n > 0 {
 		ps.head = append(ps.head, make([]int32, n)...)
 	}
@@ -97,6 +106,7 @@ func (ps *Pairs) Add(src, dst int32, words int64) {
 		ps.head[src] = k + 1
 	}
 	ps.flows[k].Words += words
+	ps.last = int(k)
 }
 
 // AddSPL adds words from every rank of a shared object's processor list
@@ -113,18 +123,22 @@ func (ps *Pairs) AddSPL(spl []int32, words int64) {
 }
 
 // Flows returns the summed pairs in canonical ascending (Src, Dst) order,
-// the order the charge functions require, and empties the accumulator. The
-// result aliases its buffers, which it keeps: it is valid until the next
-// Add.
+// the order the charge functions require, and empties the accumulator. It
+// walks the sources in order and sorts only each source's own pairs, so a
+// list of many sources costs no comparison sort over all of them. The
+// result aliases a buffer the accumulator keeps: it is valid until the
+// next Flows.
 func (ps *Pairs) Flows() []Flow {
-	out := ps.flows
-	for _, f := range out {
-		ps.head[f.Src] = 0
+	out := slices.Grow(ps.out[:0], len(ps.flows))
+	for src, h := range ps.head {
+		lo := len(out)
+		for k := h - 1; k >= 0; k = ps.next[k] - 1 {
+			out = append(out, ps.flows[k])
+		}
+		ps.head[src] = 0
+		slices.SortFunc(out[lo:], func(a, b Flow) int { return cmp.Compare(a.Dst, b.Dst) })
 	}
-	slices.SortFunc(out, func(a, b Flow) int {
-		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-	})
-	ps.flows, ps.next = out[:0], ps.next[:0]
+	ps.out, ps.flows, ps.next = out, ps.flows[:0], ps.next[:0]
 	return out
 }
 

@@ -67,10 +67,10 @@ func (w adaptWorld) SPL(e int32, spl []int32) []int32 {
 	return w.d.edgeSPL(spl, mesh.EdgeID(e))
 }
 
-// adaptPass is the skeleton both adaption passes run on a fresh clock,
-// the paper's four phases: marking over each rank's local edges
-// (beginAdapt), the shared-edge mark exchange, local execution and the
-// shared-object update, each closed by phase. ParallelRefine and
+// adaptPass is the skeleton both adaption passes run on the Dist's clock,
+// reset for the pass, the paper's four phases: marking over each rank's
+// local edges (beginAdapt), the shared-edge mark exchange, local
+// execution and the shared-object update, each closed by phase. ParallelRefine and
 // ParallelCoarsen write only the middle: their per-rank charges, their
 // exchanges and the kernel call between.
 //
@@ -82,7 +82,7 @@ func (w adaptWorld) SPL(e int32, spl []int32) []int32 {
 // off the clock.
 type adaptPass struct {
 	mdl machine.Model
-	clk machine.Clock
+	clk *machine.Clock // the Dist's, reset for the pass
 	eng propagate.Engine
 	tm  AdaptTimings
 	// ops is the pass's work beyond the scans end books: the engine's and
@@ -111,7 +111,7 @@ func (d *Dist) beginAdapt(mdl machine.Model) adaptPass {
 		d.adaptX = d.Faults.Exchange(fault.StageAdapt, d.FaultCycle, d.Retry.Normalize().MsgAttempts)
 		d.adaptXCycle = d.FaultCycle
 	}
-	p := adaptPass{mdl: mdl, eng: propagate.Engine{Faults: d.adaptX, Scratch: &d.prop}}
+	p := adaptPass{mdl: mdl, clk: &d.adaptClk, eng: propagate.Engine{Faults: d.adaptX, Scratch: &d.prop}}
 	p.clk.Reset(d.P)
 	if x := d.adaptX; x != nil {
 		p.resent, p.backoff, p.exhausted = x.Resent, x.BackoffUnits, x.Exhausted
@@ -136,7 +136,7 @@ func (p *adaptPass) phase(dst *float64) {
 // traffic and its pair bookkeeping. It does not barrier.
 func (p *adaptPass) exchange(pairs []machine.Flow) {
 	p.ops.AddComp(int64(len(pairs)))
-	ch := p.eng.ChargeExchange(&p.clk, p.mdl, pairs)
+	ch := p.eng.ChargeExchange(p.clk, p.mdl, pairs)
 	p.tm.Msgs += ch.Msgs
 	p.tm.Words += ch.Words
 	p.tm.SetupTime += ch.SetupTime
@@ -194,21 +194,21 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	m := d.M
 
 	w := adaptWorld{a.World(), d}
-	res := p.eng.Run(w, w.Seed(d.prop.Seed()), &p.clk, mdl)
+	res := p.eng.Run(w, w.Seed(d.prop.Seed()), p.clk, mdl)
 	p.tm.CommRounds = max(res.Rounds, 1) // an empty frontier still runs the fixpoint check
 	p.tm.Msgs, p.tm.Words, p.tm.SetupTime = res.Msgs, res.Words, res.SetupTime
 	p.tm.Visits, p.tm.Marked = res.Visits, res.Marked
 	p.ops = res.Ops
 	p.phase(&p.tm.Propagate)
 
-	bisect := make([]int64, d.P)
+	bisect := d.rankCounts()
 	d.eachMarkedSPL(a, adapt.MarkRefine, func(spl []int32) {
 		for _, r := range spl {
 			bisect[r]++
 		}
 	})
 	p.clk.AddCounts(bisect, mdl.BisectEdge)
-	children := make([]int64, d.P)
+	children := d.rankCounts()
 	for _, el := range a.Touched() {
 		if pt := a.PatternOf(el); pt != 0 {
 			children[d.own[el]] += int64(pt.Kind().Children())
@@ -324,7 +324,7 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 
 	// Removal work: newly dead elements, charged to their tree's owner.
 	var mutations int64
-	removed := make([]int64, d.P)
+	removed := d.rankCounts()
 	for i, was := range deadBefore {
 		if m.Elems[i].Dead && !was {
 			removed[d.own[i]]++
@@ -334,7 +334,7 @@ func (d *Dist) ParallelCoarsen(a *adapt.Adaptor, mdl machine.Model) (adapt.Coars
 	p.clk.AddCounts(removed, mdl.RemoveElem)
 	// Re-refinement work: elements created during the pass. This tail
 	// scan is a third element pass ParallelRefine doesn't have.
-	created := make([]int64, d.P)
+	created := d.rankCounts()
 	for i := p.nElems0; i < len(m.Elems); i++ {
 		if !m.Elems[i].Dead {
 			created[d.own[i]]++

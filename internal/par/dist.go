@@ -68,8 +68,10 @@ type Dist struct {
 	// dead marks ranks lost to crash recovery; nil until the first crash.
 	// A dead rank owns no elements, sends no messages, and is excluded
 	// from every subsequent balance target. Ownership maps never name a
-	// dead rank once recovery completes.
-	dead []bool
+	// dead rank once recovery completes. alive lists the others,
+	// ascending; MarkDead replaces it rather than rewriting it.
+	dead  []bool
+	alive []int32
 
 	// adaptX is the cycle's modeled fault model for the adaption
 	// notification exchanges, rebuilt when FaultCycle advances: refine and
@@ -92,14 +94,19 @@ type Dist struct {
 	// vsplAt and vspl are classifyPairs' per-vertex SPL cache,
 	// deadBefore is ParallelCoarsen's per-element liveness snapshot,
 	// pairs sums the words of classifyPairs' and ParallelCoarsen's
-	// notification exchanges, and prop is the propagation engine's
-	// buffers; all are kept across passes, so a pass allocates only when
+	// notification exchanges, prop is the propagation engine's buffers,
+	// adaptClk the adaption passes' clock, counts the per-rank tally a
+	// pass charges to it (rankCounts), and remap the remap charge's
+	// scratch; all are kept across passes, so a pass allocates only when
 	// the mesh grows.
 	vsplAt     []int32
 	vspl       []int32
 	deadBefore []bool
 	pairs      machine.Pairs
 	prop       propagate.Scratch
+	adaptClk   machine.Clock
+	counts     []int64
+	remap      remapScratch
 }
 
 // NewDist builds the distributed view from a dual-graph partition
@@ -109,8 +116,11 @@ func NewDist(m *mesh.Mesh, p int, asg partition.Assignment) *Dist {
 	if len(asg) != m.NumRoots() {
 		panic(fmt.Sprintf("par: %d roots vs %d owners", m.NumRoots(), len(asg)))
 	}
-	d := &Dist{M: m, P: p, owner: make([]int32, len(asg))}
+	d := &Dist{M: m, P: p, owner: make([]int32, len(asg)), alive: make([]int32, p)}
 	copy(d.owner, asg)
+	for r := range d.alive {
+		d.alive[r] = int32(r)
+	}
 	for _, o := range d.owner {
 		if o < 0 || int(o) >= p {
 			panic(fmt.Sprintf("par: owner %d out of range", o))
@@ -141,19 +151,20 @@ func (d *Dist) MarkDead(ranks []int) {
 			d.dead[r] = true
 		}
 	}
+	alive := make([]int32, 0, d.P)
+	for r, dead := range d.dead {
+		if !dead {
+			alive = append(alive, int32(r))
+		}
+	}
+	d.alive = alive
 }
 
 // Alive returns the surviving ranks, sorted ascending. With no deaths it
-// is simply [0, P).
-func (d *Dist) Alive() []int32 {
-	out := make([]int32, 0, d.P)
-	for r := 0; r < d.P; r++ {
-		if d.dead == nil || !d.dead[r] {
-			out = append(out, int32(r))
-		}
-	}
-	return out
-}
+// is simply [0, P). The slice is d's own, not a copy: the caller must not
+// write it. MarkDead replaces it with a new one, so a slice read before a
+// crash keeps listing the ranks alive then.
+func (d *Dist) Alive() []int32 { return d.alive }
 
 // AliveCount returns the number of surviving ranks.
 func (d *Dist) AliveCount() int {
@@ -250,7 +261,8 @@ type InitStats struct {
 func (d *Dist) Init() InitStats {
 	d.fillOwn(0)
 	var st InitStats
-	st.LocalEdges, st.SharedEdges = d.edgeCensus()
+	local, shared := d.edgeCensus()
+	st.LocalEdges, st.SharedEdges = slices.Clone(local), shared
 
 	// Vertex scan: the shared-vertex census.
 	var buf []int32
@@ -279,9 +291,9 @@ func (d *Dist) Init() InitStats {
 // number of active edges each rank holds a copy of (an edge shared by k
 // ranks counts once on each) and how many edges are shared. It is all the
 // adaption passes need of Init to charge their marking phase. The owner
-// slab must be filled.
+// slab must be filled. local is d's per-rank tally (rankCounts).
 func (d *Dist) edgeCensus() (local []int64, shared int) {
-	local = make([]int64, d.P)
+	local = d.rankCounts()
 	var buf []int32
 	for ei, ed := range d.M.Edges() {
 		if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
@@ -296,6 +308,15 @@ func (d *Dist) edgeCensus() (local []int64, shared int) {
 		}
 	}
 	return local, shared
+}
+
+// rankCounts returns d's per-rank tally, P zeros: a pass counts one
+// per-rank charge at a time into it and hands it to its clock before the
+// next.
+func (d *Dist) rankCounts() []int64 {
+	d.counts = slices.Grow(d.counts[:0], d.P)[:d.P]
+	clear(d.counts)
+	return d.counts
 }
 
 // RankLoads returns the active-element count per processor — the Wcomp

@@ -135,7 +135,7 @@ func TestRetryNamingNoFlowPanics(t *testing.T) {
 	d, newOwner := bigFixture(t, 8)
 	flows := countFlows(d.M, d.owner, newOwner)
 	mdl := machine.SP2()
-	if got, want := chargeRemap(mdl, d.Exchange, d.P, flows, make([]pairRetry, len(flows)), nil), ChargeRemap(mdl, d.Exchange, d.P, flows); got != want {
+	if got, want := new(remapScratch).charge(mdl, d.Exchange, d.P, flows, make([]pairRetry, len(flows)), nil), ChargeRemap(mdl, d.Exchange, d.P, flows); got != want {
 		t.Errorf("all-zero counters charged %+v, want the fault-free %+v", got, want)
 	}
 	for _, n := range []int{len(flows) + 1, len(flows) - 1, 0} {
@@ -146,7 +146,7 @@ func TestRetryNamingNoFlowPanics(t *testing.T) {
 					t.Errorf("%d counters: got panic %q, want %q", n, msg, want)
 				}
 			}()
-			chargeRemap(mdl, d.Exchange, d.P, flows, make([]pairRetry, n), nil)
+			new(remapScratch).charge(mdl, d.Exchange, d.P, flows, make([]pairRetry, n), nil)
 		}()
 	}
 }

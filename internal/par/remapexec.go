@@ -2,6 +2,7 @@ package par
 
 import (
 	"fmt"
+	"slices"
 
 	"plum/internal/fault"
 	"plum/internal/machine"
@@ -137,11 +138,15 @@ func (d *Dist) executeRemap(newOwner []int32, flows []machine.Flow, mdl machine.
 	if len(newOwner) != len(d.owner) {
 		return RemapResult{}, fmt.Errorf("par: newOwner has %d entries, want %d", len(newOwner), len(d.owner))
 	}
-	flowStart := make([]int64, len(flows)+1)
+	sc := &d.remap
+	sc.flowStart = slices.Grow(sc.flowStart[:0], len(flows)+1)[:len(flows)+1]
+	flowStart := sc.flowStart
+	flowStart[0] = 0
 	for f, fl := range flows {
 		flowStart[f+1] = flowStart[f] + fl.Words
 	}
-	wins := planWindows(flowStart, windowBudget(flowStart))
+	sc.wins = planWindows(sc.wins, flowStart, windowBudget(flowStart))
+	wins := sc.wins
 
 	var x *fault.ExchangeModel // nil: every message is delivered clean
 	var retries []pairRetry    // per flow, under an enabled plan
@@ -153,7 +158,9 @@ func (d *Dist) executeRemap(newOwner []int32, flows []machine.Flow, mdl machine.
 				Crashed: crashed, Detail: fmt.Sprintf("ranks %v died at the remap boundary", crashed)}
 		}
 		x = plan.Exchange(fault.StageRemap, d.FaultCycle, retry.MsgAttempts)
-		retries = make([]pairRetry, len(flows))
+		sc.retries = slices.Grow(sc.retries[:0], len(flows))[:len(flows)]
+		retries = sc.retries
+		clear(retries)
 	}
 
 	var peak int64
@@ -190,7 +197,7 @@ func (d *Dist) executeRemap(newOwner []int32, flows []machine.Flow, mdl machine.
 			obs.Int("window", int64(wi)), obs.Int("flows", int64(win.f1-win.f0)), obs.Int("words", words))
 	}
 
-	res := chargeRemap(mdl, d.Exchange, d.P, flows, retries, d.Trace)
+	res := sc.charge(mdl, d.Exchange, d.P, flows, retries, d.Trace)
 	res.PeakWords = peak
 	res.WindowRetries = windowRetries
 	copy(d.owner, newOwner)
@@ -233,10 +240,29 @@ func (d *Dist) crashRanks(plan *fault.Plan) []int {
 // before deciding, so an accepted remap's Total is the remap term the
 // decision priced — bit for bit, on the fault-free path.
 func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []machine.Flow) RemapResult {
-	return chargeRemap(mdl, x, p, flows, nil, nil)
+	return new(remapScratch).charge(mdl, x, p, flows, nil, nil)
 }
 
-// chargeRemap is ChargeRemap with the executed exchange's retry counters
+// ChargeRemap is the package's ChargeRemap on d's P ranks under d's
+// exchange schedule, run on the per-rank scratch d keeps for its remaps,
+// so a warm balance pass prices its proposal without allocating.
+func (d *Dist) ChargeRemap(flows []machine.Flow, mdl machine.Model) RemapResult {
+	return d.remap.charge(mdl, d.Exchange, d.P, flows, nil, nil)
+}
+
+// remapScratch is what a remap's charge and execution work in: the
+// per-rank tallies and the clock of the charge, and the executor's
+// running flow offsets, window plan and per-flow retry counters. A Dist
+// keeps one, so its remaps allocate only when P or the flow count grows.
+type remapScratch struct {
+	tally     []rankTally
+	clk       machine.Clock
+	flowStart []int64
+	wins      []remapWindow
+	retries   []pairRetry
+}
+
+// charge is ChargeRemap with the executed exchange's retry counters
 // and the trace the per-rank spans go to (nil for none).
 //
 // The windowed exchange is charged as one bulk-synchronous superstep
@@ -267,10 +293,13 @@ func ChargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []machine.F
 // The wire itself — setups, volume, and under aggregated the receivers'
 // drains — is charged by machine.ChargeElemFlows under the schedule, on
 // top of each rank's pack + retry sum and inside the same superstep.
-func chargeRemap(mdl machine.Model, x machine.Exchange, p int, flows []machine.Flow, retries []pairRetry, tr *obs.Trace) RemapResult {
+func (sc *remapScratch) charge(mdl machine.Model, x machine.Exchange, p int, flows []machine.Flow, retries []pairRetry, tr *obs.Trace) RemapResult {
 	res := RemapResult{Sets: len(flows)}
-	tally := make([]rankTally, p)
-	clk := machine.NewClock(p)
+	sc.tally = slices.Grow(sc.tally[:0], p)[:p]
+	tally := sc.tally
+	clear(tally)
+	clk := &sc.clk
+	clk.Reset(p)
 	if retries != nil && len(retries) != len(flows) {
 		panic(fmt.Sprintf("par: %d retry counters for %d flows", len(retries), len(flows)))
 	}

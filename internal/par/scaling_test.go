@@ -63,27 +63,27 @@ func TestRemapAllocScalesWithP(t *testing.T) {
 }
 
 // TestFaultFreeRemapAllocs pins the allocations of a fault-free remap on a
-// Dist that has remapped before: counting its flows (remap.Flows) and
-// executing them allocates a fixed set of buffers (the flow list and its
-// layout, the window plan, the charge's per-rank sums) whatever P is, the
-// flow list growing by appends however many flows move. The one budget holds from 8 ranks to 2048 (about 4000
-// flows), where the reading is 38. An allocation per flow or per rank
-// overruns it at P = 2048.
+// Dist that has remapped before: counting its flows (remap.Flows) into a
+// warm accumulator and executing them allocates nothing at any P, since
+// the flow list, its layout, the window plan and the charge's per-rank
+// sums are all kept scratch. The budget holds from 8 ranks to 2048 (about
+// 4000 flows); an allocation per flow, per rank or per remap overruns it.
 func TestFaultFreeRemapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")
 	}
-	const budget = 72
+	const budget = 0
 	for _, p := range []int{8, 64, 2048} {
 		d, newOwner := bigFixture(t, p)
 		oldOwner := d.Owners()
 		wremap := dual.Build(d.M).Wremap
+		var ps machine.Pairs
 		// Each run counts and remaps there and back, so both legs move the
 		// same flows; AllocsPerRun's warm-up run makes the Dist's first
 		// remap.
 		allocs := testing.AllocsPerRun(10, func() {
 			for _, own := range [][]int32{newOwner, oldOwner} {
-				if _, err := d.ExecuteRemap(own, remap.Flows(new(machine.Pairs), d.owner, own, wremap), machine.SP2()); err != nil {
+				if _, err := d.ExecuteRemap(own, remap.Flows(&ps, d.owner, own, wremap), machine.SP2()); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,5 +1,7 @@
 package par
 
+import "slices"
+
 // The window planner of the remap executor. executeRemap exchanges one
 // window of flows at a time, in canonical src-major flow order, and a
 // window is the unit a fault plan's retries re-exchange. The window layout
@@ -21,12 +23,12 @@ type remapWindow struct{ f0, f1 int }
 // planWindows greedily groups consecutive flows into windows of at most
 // budget record words (a single flow larger than the budget gets a window
 // of its own — a flow is never split). The plan depends only
-// on the flow offsets and the budget.
-func planWindows(flowStart []int64, budget int64) []remapWindow {
+// on the flow offsets and the budget; it is written over dst's storage.
+func planWindows(dst []remapWindow, flowStart []int64, budget int64) []remapWindow {
 	nf := len(flowStart) - 1
 	// Two consecutive windows hold more than budget words, which bounds
 	// the window count.
-	wins := make([]remapWindow, 0, min(int64(nf), 2*(flowStart[nf]*RecordWords/max(budget, 1)))+1)
+	wins := slices.Grow(dst[:0], int(min(int64(nf), 2*(flowStart[nf]*RecordWords/max(budget, 1)))+1))
 	start := 0
 	var cur int64
 	for f := 0; f < nf; f++ {

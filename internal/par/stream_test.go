@@ -17,7 +17,7 @@ func windowsOf(d *Dist, newOwner []int32) []remapWindow {
 	for f, fl := range flows {
 		flowStart[f+1] = flowStart[f] + fl.Words
 	}
-	return planWindows(flowStart, windowBudget(flowStart))
+	return planWindows(nil, flowStart, windowBudget(flowStart))
 }
 
 // smallBoxRemap distributes the 384-element SmallBox over p ranks by

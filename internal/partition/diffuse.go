@@ -38,8 +38,9 @@ type seedRec struct{ b, v int32 }
 // diffuser is the scratch of multilevel's rebalancing. A Repartitioner
 // keeps one and every rebalance reuses it: the slices over the vertices
 // are sized once, those over the parts grow when k does. Nothing outlives
-// a call but its Assignment.
+// a call but its Assignment, asg, which the next call rewrites.
 type diffuser struct {
+	asg Assignment
 	w   []int64 // part weights, carried through the peels
 	cnt []int32 // part populations, carried through the peels
 
@@ -159,7 +160,7 @@ func (d *diffuser) reset(n, k int) {
 // diffuseTol·avg). ok is false, and asg nil, when owners is not such an
 // assignment; the ops then count the scan that found it out. The op count
 // charges every scan, CG iteration, peel visit and FM op, the FM's
-// memory-bound.
+// memory-bound. asg is d's own, valid until the next rebalance.
 //
 // secs is the call's modeled seconds on mdl when ok: the k parts' ranks
 // run it on the per-rank schedule of schedule.go, and only the closing FM
@@ -193,7 +194,9 @@ func (d *diffuser) rebalance(g *dual.Graph, k int, owners []int32, mdl machine.M
 		d.words[a] = 1
 	}
 	d.allgather(k)
-	asg = slices.Clone(Assignment(owners))
+	d.asg = fit(d.asg, g.N)
+	asg = d.asg
+	copy(asg, owners)
 	if slices.Max(w) <= balanceCap(w) {
 		return asg, ops, d.clk.Elapsed(), true
 	}

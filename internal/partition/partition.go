@@ -169,6 +169,7 @@ type Repartitioner struct {
 	sfc    *SFCPartitioner // the curve order; nil for multilevel
 	unpaid bool            // no Repartition has paid for the curve build yet
 	diff   diffuser        // multilevel's rebalance scratch
+	asg    Assignment      // the curve cut's assignment
 }
 
 // NewRepartitioner builds the repartitioner of g under method m, sorting
@@ -187,7 +188,8 @@ func NewRepartitioner(g *dual.Graph, m Method, opt Options) *Repartitioner {
 
 // Initial returns the setup partition into k parts, from scratch and
 // uncharged: the first Repartition still pays for the curve order it
-// reuses, priced as the parallel sort on that call's k ranks.
+// reuses, priced as the parallel sort on that call's k ranks. Like
+// Repartition's, the assignment is valid until r's next call.
 func (r *Repartitioner) Initial(k int) Assignment {
 	asg, _ := r.cut(k)
 	return asg
@@ -211,7 +213,9 @@ func (r *Repartitioner) Initial(k int) Assignment {
 // (F > 1), with an owner outside [0, k), such as a dead rank's −1 in
 // crash recovery, or with fewer than diffuseMinVerts vertices a part. The
 // scan that rejects an owner set is charged too. The curve methods ignore
-// the owners.
+// the owners. The curve cut and the rebalance write the assignment into
+// r's own scratch, so it is valid until r's next Repartition or Initial,
+// and a warm r allocates none.
 func (r *Repartitioner) Repartition(k int, owners []int32, mdl machine.Model) (Assignment, machine.Ops, float64) {
 	var work machine.Ops
 	if r.sfc == nil && owners != nil && r.g.N >= diffuseMinVerts*k {
@@ -238,7 +242,9 @@ func (r *Repartitioner) Repartition(k int, owners []int32, mdl machine.Model) (A
 // prices the edge cut, and no cut of the curve balances better.
 func (r *Repartitioner) cut(k int) (Assignment, machine.Ops) {
 	if r.sfc != nil {
-		return r.sfc.cut(r.g, k)
+		var ops machine.Ops
+		r.asg, ops = r.sfc.cut(r.g, k, r.asg)
+		return r.asg, ops
 	}
 	return multilevelCounted(r.g, k, r.opt)
 }

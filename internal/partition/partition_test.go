@@ -96,7 +96,7 @@ func TestSFCIncrementalRepartition(t *testing.T) {
 		c, _ := meth.Curve()
 		s := NewSFCWorkers(g, c, 0)
 		sortOps := s.BuildOps()
-		asg, ops := s.cut(g, 8)
+		asg, ops := s.cut(g, 8, nil)
 		if ops.Total >= sortOps.Total {
 			t.Errorf("%v: incremental scan (%d ops) not cheaper than sort (%d ops)", c, ops.Total, sortOps.Total)
 		}
@@ -471,13 +471,18 @@ func TestSortIndexByKey(t *testing.T) {
 
 // TestSFCCutAllocatesOnlyAssignment pins the cut's scratch to the
 // SFCPartitioner: once the boundary slab has grown to k, a cut allocates
-// its Assignment and nothing else, whatever the weights.
+// its Assignment and nothing else, whatever the weights, and a cut into a
+// kept Assignment (the Repartitioner's) allocates nothing.
 func TestSFCCutAllocatesOnlyAssignment(t *testing.T) {
 	g := gridGraph(24, 24, 16, 7)
 	s := NewSFCWorkers(g, MethodHilbertSFC, 2)
+	var kept Assignment
 	for _, k := range []int{2, 61, 61, 16} {
-		if a := testing.AllocsPerRun(5, func() { s.cut(g, k) }); a != 1 {
+		if a := testing.AllocsPerRun(5, func() { s.cut(g, k, nil) }); a != 1 {
 			t.Errorf("k=%d: cut made %.0f allocations, want 1 (the Assignment)", k, a)
+		}
+		if a := testing.AllocsPerRun(5, func() { kept, _ = s.cut(g, k, kept) }); a != 0 {
+			t.Errorf("k=%d: cut into a kept Assignment made %.0f allocations, want 0", k, a)
 		}
 		g.Wcomp[k] *= 9
 	}

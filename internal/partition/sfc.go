@@ -135,17 +135,19 @@ func sortByKey(keys []uint64) []int32 {
 // other way of cutting the curve into k chunks balances better, and
 // Wmax < ⌈ΣW/k⌉ + max(Wcomp), i.e. Imbalance ≤ 1 + k·max(Wcomp)/ΣW.
 func (s *SFCPartitioner) Repartition(g *dual.Graph, k int) Assignment {
-	asg, _ := s.cut(g, k)
+	asg, _ := s.cut(g, k, nil)
 	return asg
 }
 
 // cut is Repartition with its work, compute-bound: the prefix-sum scan,
 // the midpoint window scan and the fill, 3n ops, plus the bisection's
-// search steps.
-func (s *SFCPartitioner) cut(g *dual.Graph, k int) (Assignment, machine.Ops) {
+// search steps. It writes the assignment into asg, reallocated if it
+// holds fewer than n entries (nil for a fresh one).
+func (s *SFCPartitioner) cut(g *dual.Graph, k int, asg Assignment) (Assignment, machine.Ops) {
 	n := len(s.order)
-	asg := make(Assignment, n)
+	asg = fit(asg, n)
 	if k <= 1 || n == 0 {
+		clear(asg)
 		return asg, machine.Ops{Total: int64(n)}
 	}
 	k = min(k, n)

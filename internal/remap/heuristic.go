@@ -41,21 +41,26 @@ import "slices"
 // the walk's share of the count is at most P·F over the whole mapping,
 // where Z exhausted processors each marking their whole need would place
 // up to Z·F marks every round.
+//
+// mp is s's own scratch, as is every array the mapper works in: it stays
+// valid until s's next Heuristic or Rebuild, and a warm s maps without
+// allocating.
 func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 	cols := s.Cols()
-	mp = make(Mapping, cols)
+	h := &s.h
+	mp = fit(&h.mp, cols)
 	for j := range mp {
 		mp[j] = -1
 	}
 	// rows[i] is row i while it still has unassigned columns; top is the
 	// running list of a scan's largest entries.
-	rows := make([][]entry, s.P)
+	rows := fit(&h.rows, s.P)
 	for i := range rows {
 		rows[i] = s.row(i)
 	}
-	top := make([]entry, 0, s.F)
-	unmapped := make([]int32, s.P) // partitions still needed per processor
-	active := make([]int32, s.P)   // processors with nonzeros left and unmapped > 0, ascending
+	top := fit(&h.top, s.F)[:0]
+	unmapped := fit(&h.unmapped, s.P) // partitions still needed per processor
+	active := fit(&h.active, s.P)     // processors with nonzeros left and unmapped > 0, ascending
 	for i := range active {
 		unmapped[i] = int32(s.F)
 		active[i] = int32(i)
@@ -64,10 +69,10 @@ func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 	// the row lasts and once it is done) in a max tree, so the walk finds
 	// the next exhausted processor that needs more than the lower ones
 	// reach without visiting the ones in between.
-	exhausted := newMaxTree(s.P)
+	exhausted := h.exhausted.reset(s.P)
 	// skip[j] is a column ≥ j at or before the next unassigned one (cols
 	// when none is left); nextFree follows and compresses the chain.
-	skip := make([]int32, cols+1)
+	skip := fit(&h.skip, cols+1)
 	for j := range skip {
 		skip[j] = int32(j)
 	}
@@ -85,14 +90,10 @@ func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 	// largest weight, ties to the lower processor, whatever order the
 	// marks arrive in. markedBy[j] = i+1 keeps processor i's zero marks
 	// off the columns it marked this round.
-	type mark struct {
-		proc int32
-		w    int64
-	}
-	best := make([]mark, cols)
-	markedIn := make([]int32, cols)
-	markedBy := make([]int32, cols)
-	touched := make([]int32, 0, cols) // the columns a round marked
+	best, markedIn, markedBy := fit(&h.best, cols), fit(&h.markedIn, cols), fit(&h.markedBy, cols)
+	clear(markedIn)
+	clear(markedBy)
+	touched := fit(&h.touched, cols)[:0] // the columns a round marked
 	var round int32
 	place := func(i, j int32, w int64) {
 		markedBy[j] = i + 1
@@ -172,16 +173,41 @@ func (s *Similarity) Heuristic() (mp Mapping, objective, ops int64) {
 	return mp, s.Objective(mp), ops
 }
 
+// mapper is Heuristic's scratch, kept with the matrix: the mapping, the
+// rows still scanned, a scan's top entries, each processor's need (the
+// partitions it has, for Validate), the active processors, the exhausted
+// ones' max tree, the free-column skip list, and each column's winning
+// mark, its round, its marker and the columns a round touched.
+type mapper struct {
+	mp                 Mapping
+	rows               [][]entry
+	top                []entry
+	unmapped, active   []int32
+	exhausted          maxTree
+	skip               []int32
+	best               []mark
+	markedIn, markedBy []int32
+	touched            []int32
+}
+
+// mark is a processor's mark on a column, with the weight it marked.
+type mark struct {
+	proc int32
+	w    int64
+}
+
 // maxTree is a binary max tree over the processors' needs, with the
 // leaves padded to a power of two.
 type maxTree []int32
 
-func newMaxTree(n int) maxTree {
+// reset resizes *t to n processors with every need zero and returns it.
+func (t *maxTree) reset(n int) maxTree {
 	size := 1
 	for size < n {
 		size *= 2
 	}
-	return make(maxTree, 2*size)
+	clear(fit(t, 2*size))
+	return *t
 }
 
 // max returns the largest need.

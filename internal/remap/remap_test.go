@@ -1,6 +1,7 @@
 package remap
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -569,13 +570,20 @@ func TestHeuristicOpsSparse(t *testing.T) {
 }
 
 // TestHeuristicAllocatesUpFront pins the mapper's allocations to its
-// fixed set of scratch arrays: the count must not grow with P, the
-// nonzeros or the rounds.
+// scratch, which the matrix keeps: a warm Similarity maps without
+// allocating, and a cold one allocates its fixed set of scratch arrays,
+// a count that must not grow with P, the nonzeros or the rounds.
 func TestHeuristicAllocatesUpFront(t *testing.T) {
 	var want float64
 	for _, p := range []int{64, 2048} {
 		s := randomSimilarity(rand.New(rand.NewSource(1)), p, 2, 4)
-		got := testing.AllocsPerRun(3, func() { s.Heuristic() })
+		if warm := testing.AllocsPerRun(3, func() { s.Heuristic() }); warm != 0 {
+			t.Errorf("P=%d: a warm mapping allocated %.0f times, want 0", p, warm)
+		}
+		got := testing.AllocsPerRun(3, func() {
+			s.h = mapper{}
+			s.Heuristic()
+		})
 		if p == 64 {
 			want = got
 		} else if got != want {
@@ -585,4 +593,96 @@ func TestHeuristicAllocatesUpFront(t *testing.T) {
 	if want > 11 {
 		t.Errorf("%.0f allocations, want at most the 11 scratch arrays", want)
 	}
+}
+
+// countingSortBuild is Rebuild's oracle, the similarity matrix as a
+// counting sort builds it: the vertices bucketed by old owner, each row
+// summed through one column-indexed scratch, its zero entries dropped and
+// its columns sorted.
+func countingSortBuild(oldProc, newPart []int32, wremap []int64, p, f int) *Similarity {
+	start := make([]int32, p+1)
+	for _, o := range oldProc {
+		if o >= 0 {
+			start[o+1]++
+		}
+	}
+	for i := 0; i < p; i++ {
+		start[i+1] += start[i]
+	}
+	byOwner := make([]int32, start[p])
+	next := slices.Clone(start[:p])
+	for v, o := range oldProc {
+		if o >= 0 {
+			byOwner[next[o]] = int32(v)
+			next[o]++
+		}
+	}
+	s := &Similarity{P: p, F: f, rowStart: make([]int32, p+1)}
+	slot := make([]int32, p*f) // a column's entry in the row being built, or -1
+	for j := range slot {
+		slot[j] = -1
+	}
+	for i := 0; i < p; i++ {
+		lo := len(s.ents)
+		for _, v := range byOwner[start[i]:start[i+1]] {
+			j := newPart[v]
+			if slot[j] < 0 {
+				slot[j] = int32(len(s.ents))
+				s.ents = append(s.ents, entry{col: j})
+			}
+			s.ents[slot[j]].w += wremap[v]
+		}
+		row := s.ents[lo:]
+		for _, e := range row {
+			slot[e.col] = -1
+		}
+		row = slices.DeleteFunc(row, func(e entry) bool { return e.w == 0 })
+		slices.SortFunc(row, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
+		s.ents = s.ents[:lo+len(row)]
+		s.rowStart[i+1] = int32(len(s.ents))
+	}
+	return s
+}
+
+// FuzzBuild checks the similarity matrix summed through the pair
+// accumulator against the counting sort's, offsets and entries alike, on
+// random owners with crashed (−1) holders, zero weights, P ≤ 64 and
+// F ≤ 4. One warm Similarity and accumulator are rebuilt across the
+// rounds, shapes changing, and the warm matrix must also map exactly as a
+// fresh one: no scratch may leak from one round into the next.
+func FuzzBuild(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(1), uint16(1))
+	f.Add(int64(7), uint8(16), uint8(2), uint16(300))
+	f.Add(int64(99), uint8(63), uint8(3), uint16(2000))
+	f.Add(int64(4), uint8(40), uint8(0), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, p, fgran uint8, n uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		var warm Similarity
+		var ps machine.Pairs
+		for round := range 3 {
+			p, f, n := 1+(int(p)+round*17)%64, 1+(int(fgran)+round)%4, (int(n)+round*131)%4096
+			oldProc, newPart, wremap := make([]int32, n), make([]int32, n), make([]int64, n)
+			for v := range n {
+				oldProc[v] = int32(rng.Intn(p+1)) - 1 // −1: the owner crashed
+				newPart[v] = int32(rng.Intn(p * f))
+				if rng.Intn(4) != 0 {
+					wremap[v] = 1 + rng.Int63n(50) // else zero: nothing to move
+				}
+			}
+			want := countingSortBuild(oldProc, newPart, wremap, p, f)
+			warm.Rebuild(&ps, oldProc, newPart, wremap, p, f)
+			for name, got := range map[string]*Similarity{"warm": &warm, "fresh": Build(oldProc, newPart, wremap, p, f)} {
+				if got.P != p || got.F != f || !slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.ents, want.ents) {
+					t.Fatalf("round %d P=%d F=%d n=%d: %s matrix differs from the counting sort's:\n got %v %v\nwant %v %v",
+						round, p, f, n, name, got.rowStart, got.ents, want.rowStart, want.ents)
+				}
+			}
+			gotMp, gotObj, gotOps := warm.Heuristic()
+			wantMp, wantObj, wantOps := want.Heuristic()
+			if !slices.Equal(gotMp, wantMp) || gotObj != wantObj || gotOps != wantOps {
+				t.Fatalf("round %d P=%d F=%d: the warm matrix maps (𝒥 %d, %d ops), a fresh one (𝒥 %d, %d ops)",
+					round, p, f, gotObj, gotOps, wantObj, wantOps)
+			}
+		}
+	})
 }

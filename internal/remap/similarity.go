@@ -24,8 +24,8 @@ import (
 // Only the nonzero entries are stored, row-major (CSR): a processor
 // shares weight with the few partitions that overlap its subdomain, so the
 // matrix holds O(dual vertices) nonzeros however large P grows. Memory is
-// O(nnz + P), and every method but Optimal runs over the nonzeros — no
-// part of the mapper scales with P².
+// O(nnz + P·F), the mapper's scratch included, and every method but
+// Optimal runs over the nonzeros — no part of the mapper scales with P².
 type Similarity struct {
 	// P is the number of processors; F is the number of partitions per
 	// processor (the paper's granularity factor).
@@ -34,6 +34,9 @@ type Similarity struct {
 	// ascending by column, every weight positive.
 	rowStart []int32
 	ents     []entry
+	// h is the mapper's scratch (Heuristic), kept with the matrix so a
+	// warm Similarity maps without allocating.
+	h mapper
 }
 
 // entry is one nonzero of a similarity row: column col holds weight w.
@@ -45,58 +48,54 @@ type entry struct {
 // Build constructs the similarity matrix from the old processor assignment
 // and the new partitioning of the dual graph. oldProc[v] is the processor
 // currently holding dual vertex v; newPart[v] is the new partition of v;
-// wremap[v] is its redistribution weight. A negative oldProc[v] marks a
-// vertex with no surviving holder (its rank crashed): it contributes no
-// similarity to any processor, so the mapper treats it as guaranteed
-// movement wherever it lands.
+// wremap[v] is its redistribution weight, never negative. A negative
+// oldProc[v] marks a vertex with no surviving holder (its rank crashed):
+// it contributes no similarity to any processor, so the mapper treats it
+// as guaranteed movement wherever it lands.
 //
-// The vertices are bucketed by old owner and each row is summed through
-// one column-indexed scratch that the row's own entries clear again, so
-// Build allocates O(vertices + P·F), never a P×P·F table.
+// Build is Rebuild over a fresh matrix and accumulator: the caller owns
+// the result.
 func Build(oldProc, newPart []int32, wremap []int64, p, f int) *Similarity {
-	// Counting sort of the vertices by old owner.
-	start := make([]int32, p+1)
-	for _, o := range oldProc {
-		if o >= 0 {
-			start[o+1]++
-		}
-	}
-	for i := 0; i < p; i++ {
-		start[i+1] += start[i]
-	}
-	byOwner := make([]int32, start[p])
-	next := slices.Clone(start[:p])
-	for v, o := range oldProc {
-		if o >= 0 {
-			byOwner[next[o]] = int32(v)
-			next[o]++
-		}
-	}
-	s := &Similarity{P: p, F: f, rowStart: make([]int32, p+1)}
-	slot := make([]int32, p*f) // a column's entry in the row being built, or -1
-	for j := range slot {
-		slot[j] = -1
-	}
-	for i := 0; i < p; i++ {
-		lo := len(s.ents)
-		for _, v := range byOwner[start[i]:start[i+1]] {
-			j := newPart[v]
-			if slot[j] < 0 {
-				slot[j] = int32(len(s.ents))
-				s.ents = append(s.ents, entry{col: j})
-			}
-			s.ents[slot[j]].w += wremap[v]
-		}
-		row := s.ents[lo:]
-		for _, e := range row {
-			slot[e.col] = -1
-		}
-		row = slices.DeleteFunc(row, func(e entry) bool { return e.w == 0 })
-		slices.SortFunc(row, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
-		s.ents = s.ents[:lo+len(row)]
-		s.rowStart[i+1] = int32(len(s.ents))
-	}
+	s := new(Similarity)
+	s.Rebuild(new(machine.Pairs), oldProc, newPart, wremap, p, f)
 	return s
+}
+
+// Rebuild refills s with the similarity matrix of its arguments (see
+// Build), overwriting the matrix and the Mapping Heuristic returned last.
+// Each vertex adds its weight to the pair (old owner, new part) of ps, and
+// the pair list ps hands back, in canonical (Src, Dst) order, is the CSR
+// itself: rows in order, columns ascending, every weight positive, since
+// the vertices with no holder or no weight add nothing. It allocates
+// O(nonzeros + P), never a P×P·F table, and nothing when s and ps are
+// warm; ps is left empty.
+func (s *Similarity) Rebuild(ps *machine.Pairs, oldProc, newPart []int32, wremap []int64, p, f int) {
+	for v, o := range oldProc {
+		if w := wremap[v]; o >= 0 && w != 0 {
+			ps.Add(o, newPart[v], w)
+		}
+	}
+	pairs := ps.Flows()
+	s.P, s.F = p, f
+	clear(fit(&s.rowStart, p+1))
+	fit(&s.ents, len(pairs))
+	for k, pr := range pairs {
+		s.ents[k] = entry{col: pr.Dst, w: pr.Words}
+		s.rowStart[pr.Src+1] = int32(k + 1)
+	}
+	for i := range p {
+		s.rowStart[i+1] = max(s.rowStart[i+1], s.rowStart[i]) // an empty row ends where the last ended
+	}
+}
+
+// fit reslices *s to n entries, reallocated if it holds fewer, and
+// returns it; the entries keep whatever they held.
+func fit[S ~[]E, E any](s *S, n int) S {
+	if cap(*s) < n {
+		*s = make(S, n)
+	}
+	*s = (*s)[:n]
+	return *s
 }
 
 // row returns processor i's nonzero entries in column order.
@@ -132,12 +131,14 @@ func (s *Similarity) Total() int64 {
 type Mapping []int32
 
 // Validate checks that the mapping assigns every partition to a processor
-// in range and every processor exactly F partitions.
+// in range and every processor exactly F partitions. It counts in the
+// mapper's per-processor scratch.
 func (s *Similarity) Validate(mp Mapping) error {
 	if len(mp) != s.Cols() {
 		return fmt.Errorf("remap: mapping has %d entries, want %d", len(mp), s.Cols())
 	}
-	cnt := make([]int, s.P)
+	cnt := fit(&s.h.unmapped, s.P)
+	clear(cnt)
 	for j, i := range mp {
 		if i < 0 || int(i) >= s.P {
 			return fmt.Errorf("remap: partition %d mapped to invalid processor %d", j, i)
@@ -145,7 +146,7 @@ func (s *Similarity) Validate(mp Mapping) error {
 		cnt[i]++
 	}
 	for i, c := range cnt {
-		if c != s.F {
+		if int(c) != s.F {
 			return fmt.Errorf("remap: processor %d assigned %d partitions, want F=%d", i, c, s.F)
 		}
 	}
@@ -175,7 +176,7 @@ func (s *Similarity) Objective(mp Mapping) int64 {
 // the mesh, and each Flow's count is elements (see machine.Flow).
 // Vertices with zero weight and vertices that keep their owner are
 // skipped. The list is ps's (machine.Pairs.Flows): valid until ps's next
-// Add, and a warm ps allocates nothing.
+// Flows, and a warm ps allocates nothing.
 func Flows(ps *machine.Pairs, owner, newOwner []int32, wremap []int64) []machine.Flow {
 	for v, w := range wremap {
 		if src, dst := owner[v], newOwner[v]; w != 0 && src != dst {

@@ -10,6 +10,7 @@ package solver
 
 import (
 	"math"
+	"slices"
 
 	"plum/internal/adapt"
 	"plum/internal/geom"
@@ -21,6 +22,9 @@ type Solver struct {
 	M *mesh.Mesh
 	// U is the solution value at each vertex (indexed by VertID).
 	U []float64
+	// flux and deg are Iterate's per-vertex sums, kept across calls so a
+	// step allocates only when the mesh grew.
+	flux, deg []float64
 }
 
 // relax is the explicit smoothing factor, in (0, 1].
@@ -42,13 +46,12 @@ func New(m *mesh.Mesh, field func(geom.Vec3) float64) *Solver {
 // endpoints, and each vertex relaxes toward its edge-neighbour average.
 func (s *Solver) Iterate(n int) {
 	m := s.M
-	flux := make([]float64, m.VertSlots())
-	deg := make([]float64, m.VertSlots())
+	nv := m.VertSlots()
+	s.flux, s.deg = slices.Grow(s.flux[:0], nv)[:nv], slices.Grow(s.deg[:0], nv)[:nv]
+	flux, deg := s.flux, s.deg
 	for it := 0; it < n; it++ {
-		for i := range flux {
-			flux[i] = 0
-			deg[i] = 0
-		}
+		clear(flux)
+		clear(deg)
 		for _, ed := range m.Edges() {
 			if ed.Dead || ed.Bisected() || ed.NumElems() == 0 {
 				continue
@@ -86,7 +89,8 @@ func (s *Solver) EdgeError() []float64 {
 // SyncAfterAdaption brings the solution up to date with the mesh's log and
 // clears it: the field first follows its vertices through a pending
 // compaction renumbering, then extends over the vertices created since the
-// last sync (linear interpolation along bisected edges, as the paper does).
+// last sync (linear interpolation along bisected edges, as the paper does),
+// in place: U grows only when the mesh did.
 func (s *Solver) SyncAfterAdaption() {
 	if rn := s.M.Renumbering; len(rn) != 0 {
 		// In place: survivors keep their order, so no value moves up.

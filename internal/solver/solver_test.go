@@ -242,3 +242,28 @@ func TestSyncAfterUndoneBisections(t *testing.T) {
 	s.SyncAfterAdaption()
 	checkLinear(t, s, "refined, coarsened, compacted, synced")
 }
+
+// TestIterateWarmAllocatesNothing pins the solver step to its kept
+// scratch: once a step has sized the per-vertex sums, further steps
+// allocate nothing, before and after an adaption grows the mesh, and a
+// sync with nothing new to cover extends the field in place.
+func TestIterateWarmAllocatesNothing(t *testing.T) {
+	m := meshgen.SmallBox()
+	s := New(m, GaussianPulse(geom.Vec3{X: 0.5, Y: 0.5, Z: 0.5}, 0.1))
+	if n := testing.AllocsPerRun(5, func() { s.Iterate(3) }); n != 0 {
+		t.Errorf("a warm step allocated %v times, want 0", n)
+	}
+	a := adapt.New(m)
+	a.MarkRegion(geom.Sphere{Center: geom.Vec3{X: 0.5, Y: 0.5, Z: 0.5}, Radius: 0.3}, adapt.MarkRefine)
+	a.Refine()
+	s.SyncAfterAdaption()
+	if len(s.U) != m.VertSlots() {
+		t.Fatalf("field covers %d vertices, mesh has %d", len(s.U), m.VertSlots())
+	}
+	if n := testing.AllocsPerRun(5, func() { s.Iterate(3) }); n != 0 {
+		t.Errorf("a warm step on the refined mesh allocated %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(5, s.SyncAfterAdaption); n != 0 {
+		t.Errorf("a sync with an empty log allocated %v times, want 0", n)
+	}
+}
