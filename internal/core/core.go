@@ -1,11 +1,13 @@
 // Package core implements the paper's framework for parallel adaptive flow
 // computation (its Fig. 1): a flow solver and mesh adaptor coupled to a
 // partitioner and mapper that redistribute the computational mesh when
-// necessary. Each cycle runs the solver, adapts the mesh, evaluates the
-// load balance on the dual graph, and — if the imbalance exceeds the
-// threshold — repartitions, reassigns partitions to processors so as to
-// minimize data movement, and accepts the remap only when the expected
-// computational gain exceeds the redistribution cost.
+// necessary. Each cycle runs the solver, marks the mesh and closes the
+// marks, evaluates the load balance on the dual graph's weights as the
+// marks will leave them, and — if the imbalance exceeds the threshold —
+// repartitions, reassigns partitions to processors so as to minimize data
+// movement, and accepts the remap only when the expected computational
+// gain exceeds the redistribution cost; then it subdivides the mesh on the
+// owners the balance left.
 //
 // The gain is the paper's, Titer·Nadapt·(Wmax_old − Wmax_new). The cost is
 // the remap as the machine clock will charge it: the remap's (source,
@@ -177,6 +179,10 @@ type Framework struct {
 	sim               remap.Similarity
 	newOwner, compact []int32
 	loads             []int64
+	// moving is the Wremap of the trees as they stand, kept by Cycle while
+	// G holds the weights predicted for its closed marks: the remap moves
+	// the trees before they are subdivided.
+	moving []int64
 
 	// cycles counts completed Cycle calls; it scopes the fault keys so
 	// each cycle draws an independent schedule (par.Dist.FaultCycle).
@@ -245,7 +251,7 @@ func New(m *mesh.Mesh, sol *solver.Solver, cfg Config) (*Framework, error) {
 // ownership: the projection of the mesh's Wcomp, as it stands, onto the
 // current partitions (the paper's preliminary evaluation). It refreshes
 // the dual weights first, so it is right whatever adapted the mesh since
-// the last balance pass; it is the one place the framework refreshes them.
+// the last balance pass, as Balance and the end of Cycle do.
 // The slice is f's own, valid until f's next Loads, Balance or Cycle.
 func (f *Framework) Loads() []int64 {
 	f.G.UpdateWeights(f.M)
@@ -454,20 +460,27 @@ func (b *BalanceReport) PipelineTime() float64 {
 }
 
 // Balance runs the repartitioning / reassignment / cost-decision /
-// remapping pipeline of the framework once. When the current partitions
-// are adequately balanced, or when the redistribution cost exceeds the
-// expected gain, the mesh distribution is left untouched (the paper
-// discards the new partitioning in that case).
+// remapping pipeline of the framework once, on the mesh as it stands.
+// When the current partitions are adequately balanced, or when the
+// redistribution cost exceeds the expected gain, the mesh distribution is
+// left untouched (the paper discards the new partitioning in that case).
 //
 // A standalone Balance has no solver phase to hide behind, so even with
 // Config.Overlap the acceptance rule charges the full cost (OverlapTime
 // is zero); Cycle passes its modeled solver time as the overlap window.
-func (f *Framework) Balance() (BalanceReport, error) { return f.balance(0) }
+func (f *Framework) Balance() (BalanceReport, error) {
+	f.G.UpdateWeights(f.M)
+	return f.balance(0, f.G.Wremap)
+}
 
-// balance is the pipeline with an explicit overlap window: the modeled
-// solver time the balance pipeline may hide behind when Config.Overlap is
-// on.
-func (f *Framework) balance(window float64) (BalanceReport, error) {
+// balance is the pipeline on the dual weights G holds, with an explicit
+// overlap window, the modeled solver time the balance pipeline may hide
+// behind when Config.Overlap is on, and the Wremap of the trees as they
+// stand, moving. The loads, the partitioner and the similarity matrix read
+// G; the remap's flows, and so its price, its execution and crash
+// recovery's, read moving. Balance passes G's own Wremap; Cycle passes the
+// weights before its subdivision, while G holds the prediction.
+func (f *Framework) balance(window float64, moving []int64) (BalanceReport, error) {
 	var rep BalanceReport
 	rep.Exchange = f.D.Exchange
 	tr := f.Cfg.Trace
@@ -478,7 +491,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// bit-identical to the legacy arithmetic.
 	alive := f.D.Alive()
 	rep.Alive = len(alive)
-	loads := aliveLoads(f.Loads(), alive)
+	loads := aliveLoads(f.rankLoads(f.D.OwnersView()), alive)
 	rep.ImbalanceBefore = par.ImbalanceFactor(loads)
 	rep.ImbalanceAfter = rep.ImbalanceBefore
 	rep.WmaxOld = slices.Max(loads)
@@ -515,13 +528,13 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 	// Gain/cost decision. The redistribution is priced by the function
 	// that charges the executed remap (par.ChargeRemap) on the remap's
 	// flow list, counted once on the dual graph (remap.Flows of the two
-	// owner arrays and Wremap) and then handed to the executor: the
+	// owner arrays and the moving Wremap) and then handed to the executor: the
 	// slowest rank's pack + wire + rebuild, which is the executed
 	// Remap.Total bit for bit on the fault-free path. The cost side also
 	// carries the balancing overhead (repartition + reassignment work) —
 	// negligible for the incremental SFC path, which is the point of
 	// modeling it.
-	flows := remap.Flows(&f.flows, f.D.OwnersView(), newOwner, f.G.Wremap)
+	flows := remap.Flows(&f.flows, f.D.OwnersView(), newOwner, moving)
 	rep.Predicted = f.D.ChargeRemap(flows, f.Cfg.Model)
 	moved, sets := rep.Predicted.Moved, rep.Predicted.Sets
 	rep.CostPaper = redistCost(f.Cfg.Model, f.D.Exchange, rep.Alive, moved, sets)
@@ -557,7 +570,7 @@ func (f *Framework) balance(window float64) (BalanceReport, error) {
 				// Rank death: the executor left the pre-pass owners;
 				// remap the dead ranks' elements onto the survivors. The
 				// run continues on fewer processors.
-				if rerr := f.recoverCrash(&rep, re); rerr != nil {
+				if rerr := f.recoverCrash(&rep, re, moving); rerr != nil {
 					return rep, rerr
 				}
 				return rep, nil
@@ -693,13 +706,14 @@ func (f *Framework) compactOwners(alive []int32) []int32 {
 // is the repair path, and re-drawing fates inside it could cascade
 // forever. The crash set, the survivor plan, and the executed ownership
 // are all pure functions of (plan, cycle, survivors), so the recovered
-// state is byte-identical across repeat runs.
+// state is byte-identical across repeat runs. Like the failed remap, the
+// survivor remap moves the trees as they stand, whose Wremap is moving.
 //
 // The survivor repartition and reassignment run through propose and are
 // charged like a balance pass's, on top of the failed proposal's: the
 // pass paid for both. The repartitioner needs no reset for the smaller
 // k, since nothing it caches depends on k.
-func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
+func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError, moving []int64) error {
 	rep.Accepted = false
 	rep.Outcome = OutcomeRecovered
 	rep.FaultDetail = re.Error()
@@ -723,7 +737,7 @@ func (f *Framework) recoverCrash(rep *BalanceReport, re *par.RemapError) error {
 	// The flows leave the pre-pass owners, so the dead ranks' vertices
 	// are re-sourced onto the survivors they land on.
 	owners := pr.owners(alive)
-	flows := remap.Flows(&f.flows, f.D.OwnersView(), owners, f.G.Wremap)
+	flows := remap.Flows(&f.flows, f.D.OwnersView(), owners, moving)
 	res, err := f.D.ExecuteRemapRecovery(owners, flows, f.Cfg.Model)
 	if err != nil {
 		return fmt.Errorf("core: survivor recovery after crash of %v failed: %w", re.Crashed, err)
@@ -779,13 +793,31 @@ func (e *CoarsenMarksError) Error() string {
 	return fmt.Sprintf("core: mark left %d coarsen marks, and Cycle only refines: coarsen before the cycle", e.Marks)
 }
 
-// Cycle executes one pass of the paper's Fig. 1 loop: flow solution, edge
-// marking via the supplied function, parallel mesh refinement (a coarsen
-// mark fails the cycle with a *CoarsenMarksError before the mesh changes),
-// solution transfer, and the balance pipeline. With Config.Overlap on,
-// the balance pipeline's repartition and reassignment are modeled as
-// running concurrently with the solver iterations, and the acceptance
-// rule charges only the exposed remainder.
+// CarryRoundError reports a Cycle whose subdivision took a carry round
+// (adapt.Adaptor.Subdivide): it created Created elements, where the first
+// round's patterns, which the balance pass read (dual.Graph.PredictWeights),
+// predicted Predicted. A conforming mesh never needs one. The cycle ran to
+// its end, and the dual weights were read from the subdivided mesh, but
+// the balance pass priced a partition on weights short of it.
+type CarryRoundError struct{ Predicted, Created int64 }
+
+func (e *CarryRoundError) Error() string {
+	return fmt.Sprintf("core: the subdivision took a carry round: it created %d elements, the balance read %d", e.Created, e.Predicted)
+}
+
+// Cycle executes one pass of the paper's Fig. 1 loop in the paper's order:
+// flow solution, edge marking via the supplied function (a coarsen mark
+// fails the cycle with a *CoarsenMarksError before the mesh changes), the
+// marks' closure on the current owners (par.Dist.CloseRefine), the balance
+// pipeline on the weights the closed marks predict
+// (dual.Graph.PredictWeights), and the subdivision on the owners the
+// balance left (par.Dist.FinishRefine), with the solution transfer. The
+// partition and the mapping are those of balancing after the subdivision,
+// since the weights are; the remap moves the trees before they are
+// subdivided, and the subdivision is charged on the balanced owners. With
+// Config.Overlap on, the balance pipeline's repartition and reassignment
+// are modeled as running concurrently with the solver iterations, and the
+// acceptance rule charges only the exposed remainder.
 func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 	var rep CycleReport
 	// Scope this cycle's fault keys: the adaption exchanges and the remap
@@ -794,6 +826,11 @@ func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 	tr := f.Cfg.Trace
 	tr.Begin("cycle", obs.Int("cycle", int64(f.cycles)))
 	f.cycles++
+	fail := func(err error) (CycleReport, error) {
+		tr.Event("error", "cycle.error", obs.String("err", err.Error()))
+		tr.End(obs.String("outcome", "error"))
+		return rep, err
+	}
 	loads := f.Loads()
 	rep.SolverTime = f.Cfg.Cost.SolverTimeIters(slices.Max(loads), f.Cfg.SolverIters)
 	if f.S != nil {
@@ -811,26 +848,29 @@ func (f *Framework) Cycle(mark func(*adapt.Adaptor)) (CycleReport, error) {
 		}
 	}
 	if coarsen > 0 {
-		err := &CoarsenMarksError{Marks: coarsen}
-		tr.Event("error", "cycle.error", obs.String("err", err.Error()))
-		tr.End(obs.String("outcome", "error"))
-		return rep, err
+		return fail(&CoarsenMarksError{Marks: coarsen})
 	}
-	rep.Refine, rep.AdaptTime = f.D.ParallelRefine(f.A, f.Cfg.Model)
+	pend := f.D.CloseRefine(f.A, f.Cfg.Model)
+	traceAdaptClose(tr, pend.Timings())
+	f.moving = append(f.moving[:0], f.G.Wremap...)
+	predicted := f.G.PredictWeights(f.A)
+	bal, balErr := f.balance(rep.SolverTime, f.moving)
+	rep.Refine, rep.AdaptTime = f.D.FinishRefine(&pend)
 	if f.S != nil {
 		f.S.SyncAfterAdaption()
 	} else {
 		f.M.ResetLog() // nobody consumes the log: keep it one cycle long
 	}
-	traceAdapt(tr, rep.AdaptTime)
-	bal, err := f.balance(rep.SolverTime)
-	if err != nil {
-		tr.Event("error", "cycle.error", obs.String("err", err.Error()))
-		tr.End(obs.String("outcome", "error"))
-		return rep, err
+	f.G.UpdateWeights(f.M) // the subdivided mesh replaces the prediction
+	traceAdaptFinish(tr, rep.AdaptTime)
+	if balErr != nil {
+		return fail(balErr)
 	}
 	rep.Balance = bal
 	rep.Outcome = bal.Outcome
+	if created := int64(rep.Refine.NewElems); created != predicted {
+		return fail(&CarryRoundError{Predicted: predicted, Created: created})
+	}
 	tr.End(obs.String("outcome", rep.Outcome.String()))
 	recordCycleMetrics(f.Cfg.Metrics, f, &rep)
 	return rep, nil

@@ -212,10 +212,11 @@ func TestCycleCrashWithMessageFaults(t *testing.T) {
 // TestCrashRecoveryStartsFromPrePassOwners pins the recovery point: a
 // crashed remap fails before any owner flips, so the survivor remap
 // starts from the owners the cycle began with. Owners are root-indexed
-// and the cycle refines before it balances, so the live elements whose
-// root owner differs between the owners before and after a Recovered
-// cycle are exactly the ones the survivor remap moved; anything else
-// touching ownership in between would break the equality. The mixed plan
+// and the cycle balances before it subdivides, so the live elements, on
+// the mesh as it stood before the cycle, of the roots whose owner differs
+// between the owners before and after a Recovered cycle are exactly the
+// ones the survivor remap moved; anything else touching ownership in
+// between would break the equality. The mixed plan
 // rolls a pass back before its first crash, so the recovery must also
 // clear a live rollback streak.
 func TestCrashRecoveryStartsFromPrePassOwners(t *testing.T) {
@@ -236,6 +237,12 @@ func TestCrashRecoveryStartsFromPrePassOwners(t *testing.T) {
 		radius := 0.7
 		for i := 0; i < 4; i++ {
 			before, streak := f.D.Owners(), f.rollbackStreak
+			trees := make([]int64, len(before)) // live elements per root, before the cycle
+			for _, el := range f.M.Elems {
+				if !el.Dead {
+					trees[el.Root]++
+				}
+			}
 			r := radius
 			rep, err := f.Cycle(func(a *adapt.Adaptor) {
 				a.MarkRegion(geom.Sphere{Center: geom.Vec3{}, Radius: r}, adapt.MarkRefine)
@@ -251,9 +258,9 @@ func TestCrashRecoveryStartsFromPrePassOwners(t *testing.T) {
 			cleared = cleared || streak > 0
 			after := f.D.Owners()
 			var moved int64
-			for _, el := range f.M.Elems {
-				if !el.Dead && before[el.Root] != after[el.Root] {
-					moved++
+			for v, w := range trees {
+				if before[v] != after[v] {
+					moved += w
 				}
 			}
 			if moved != rep.Balance.Recovery.Moved {

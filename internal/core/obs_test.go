@@ -177,7 +177,8 @@ func TestTraceDisabledIsFree(t *testing.T) {
 		tr.Begin("cycle", obs.Int("cycle", int64(cycle)))
 		tr.Span(obs.FrameworkRank, "solver", tr.Now(), gain, obs.Int("iters", int64(cycle)))
 		tr.Advance(gain)
-		traceAdapt(tr, tm)
+		traceAdaptClose(tr, tm)
+		traceAdaptFinish(tr, tm)
 		tr.Event("error", "cycle.error", obs.String("err", errBoom.Error()))
 		tr.End(obs.String("outcome", "error"))
 		tr.End(obs.String("outcome", OutcomeRetriedCommitted.String()))

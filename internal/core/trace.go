@@ -14,20 +14,30 @@ import (
 //
 // Exports are byte-identical run to run (TestTraceGolden).
 
-// traceAdapt records the adaption pass: phase children laid end to end
-// under an enclosing span of the pass's modeled total, then advances
-// the cursor.
-func traceAdapt(tr *obs.Trace, tm par.AdaptTimings) {
-	t0 := tr.Now()
-	tr.Span(obs.FrameworkRank, "adapt", t0, tm.Total,
-		obs.Int("visits", tm.Visits), obs.Int("marked", tm.Marked),
-		obs.Int("ops", tm.Ops.Total), obs.Int("retries", tm.Retries), obs.Int("backoff", tm.Backoff))
+// traceAdaptClose records a refinement's closed half (par.Dist.CloseRefine),
+// the marking and the closure on the pre-balance owners: phase children
+// laid end to end under an enclosing span of their sum, then advances the
+// cursor.
+func traceAdaptClose(tr *obs.Trace, tm par.AdaptTimings) {
+	t0, dur := tr.Now(), tm.Target+tm.Propagate
+	tr.Span(obs.FrameworkRank, "adapt.close", t0, dur,
+		obs.Int("visits", tm.Visits), obs.Int("marked", tm.Marked))
 	tr.Span(obs.FrameworkRank, "adapt.target", t0, tm.Target)
 	tr.Span(obs.FrameworkRank, "adapt.propagate", t0+tm.Target, tm.Propagate,
 		obs.Int("rounds", int64(tm.CommRounds)), obs.Int("msgs", tm.Msgs), obs.Int("words", tm.Words))
-	tr.Span(obs.FrameworkRank, "adapt.execute", t0+tm.Target+tm.Propagate, tm.Execute)
-	tr.Span(obs.FrameworkRank, "adapt.classify", t0+tm.Target+tm.Propagate+tm.Execute, tm.Classify)
-	tr.Advance(tm.Total)
+	tr.Advance(dur)
+}
+
+// traceAdaptFinish records the subdivision half (par.Dist.FinishRefine) on
+// the balanced owners, with the whole pass's ops and retries: phase
+// children under an enclosing span of their sum, then advances the cursor.
+func traceAdaptFinish(tr *obs.Trace, tm par.AdaptTimings) {
+	t0, dur := tr.Now(), tm.Execute+tm.Classify
+	tr.Span(obs.FrameworkRank, "adapt.finish", t0, dur,
+		obs.Int("ops", tm.Ops.Total), obs.Int("retries", tm.Retries), obs.Int("backoff", tm.Backoff))
+	tr.Span(obs.FrameworkRank, "adapt.execute", t0, tm.Execute)
+	tr.Span(obs.FrameworkRank, "adapt.classify", t0+tm.Execute, tm.Classify)
+	tr.Advance(dur)
 }
 
 // traceRepartition records the repartitioning stage, its work priced at

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"slices"
 
+	"plum/internal/adapt"
 	"plum/internal/geom"
 	"plum/internal/mesh"
 )
@@ -179,6 +180,31 @@ func (g *Graph) UpdateWeights(m *mesh.Mesh) {
 			g.Wcomp[t.Root]++
 		}
 	}
+}
+
+// PredictWeights adds to the weights the refinement round the adaptor's
+// closed marks describe: every touched element with a nonzero pattern
+// becomes Children() leaves, so its root gains Children()−1 to Wcomp and
+// Children() to Wremap. It walks the touched set only, and returns the
+// elements the round will create. On the weights of the mesh as it stands
+// (UpdateWeights), the result is what UpdateWeights reads after the round,
+// unless a carry round follows it (adapt.Adaptor.Subdivide): its children
+// are not in the first round's patterns, and the subdivision then creates
+// more elements than PredictWeights returned. Until the subdivision the
+// prediction is what the graph holds: UpdateWeights returns at once on the
+// unchanged mesh, and the first one after the subdivision, which bumps the
+// mesh's Generation, reads the mesh again.
+func (g *Graph) PredictWeights(a *adapt.Adaptor) (created int64) {
+	for _, el := range a.Touched() {
+		if p := a.PatternOf(el); p != 0 {
+			c := int64(p.Kind().Children())
+			root := a.M.Elems[el].Root
+			g.Wcomp[root] += c - 1
+			g.Wremap[root] += c
+			created += c
+		}
+	}
+	return created
 }
 
 // TotalWcomp returns the sum of computational weights (the number of

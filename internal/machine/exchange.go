@@ -77,7 +77,7 @@ type Flow struct {
 // one chain head per rank named as a source: nothing is sized by P². The
 // zero value is ready for use, and a warm accumulator allocates nothing.
 type Pairs struct {
-	head  []int32 // per source rank: its newest pair + 1, 0 for none
+	head  []int32 // per source rank: its chain's first pair + 1, 0 for none
 	flows []Flow  // the distinct pairs, in first-seen order
 	next  []int32 // per pair: the source's next pair + 1, 0 at the end
 	last  int     // the pair the last Add summed into
@@ -86,7 +86,9 @@ type Pairs struct {
 
 // Add adds words to the pair (src, dst). A run of adds to one pair, as
 // the similarity matrix's neighbouring vertices make, skips the chain
-// walk after the first.
+// walk after the first, and a pair the walk finds moves to its chain's
+// head, so the destinations a source is adding to now are the first
+// walked.
 func (ps *Pairs) Add(src, dst int32, words int64) {
 	if k := ps.last; k < len(ps.flows) && ps.flows[k].Src == src && ps.flows[k].Dst == dst {
 		ps.flows[k].Words += words
@@ -95,15 +97,18 @@ func (ps *Pairs) Add(src, dst int32, words int64) {
 	if n := int(src) + 1 - len(ps.head); n > 0 {
 		ps.head = append(ps.head, make([]int32, n)...)
 	}
-	k := ps.head[src] - 1
+	prev, k := int32(-1), ps.head[src]-1
 	for k >= 0 && ps.flows[k].Dst != dst {
-		k = ps.next[k] - 1
+		prev, k = k, ps.next[k]-1
 	}
-	if k < 0 {
+	switch {
+	case k < 0:
 		k = int32(len(ps.flows))
 		ps.flows = append(ps.flows, Flow{Src: src, Dst: dst})
 		ps.next = append(ps.next, ps.head[src])
 		ps.head[src] = k + 1
+	case prev >= 0:
+		ps.next[prev], ps.next[k], ps.head[src] = ps.next[k], ps.head[src], k+1
 	}
 	ps.flows[k].Words += words
 	ps.last = int(k)

@@ -70,9 +70,10 @@ func (w adaptWorld) SPL(e int32, spl []int32) []int32 {
 // adaptPass is the skeleton both adaption passes run on the Dist's clock,
 // reset for the pass, the paper's four phases: marking over each rank's
 // local edges (beginAdapt), the shared-edge mark exchange, local
-// execution and the shared-object update, each closed by phase. ParallelRefine and
-// ParallelCoarsen write only the middle: their per-rank charges, their
-// exchanges and the kernel call between.
+// execution and the shared-object update, each closed by phase. The
+// refinement (CloseRefine, FinishRefine) and ParallelCoarsen write only
+// the middle: their per-rank charges, their exchanges and the kernel call
+// between.
 //
 // Neither pass charges all of its host work. Refine charges its kernel's
 // first round only: the carry rounds after it (adapt.Adaptor.Subdivide)
@@ -181,18 +182,37 @@ func (d *Dist) eachMarkedSPL(a *adapt.Adaptor, mk adapt.Mark, f func(spl []int32
 }
 
 // ParallelRefine executes one refinement pass of the distributed 3D_TAG
-// algorithm: edge marking, superstep frontier propagation through the
-// propagate engine, independent subdivision of local elements, and the
-// shared-edge classification round. The engine's run on the P ranks is
-// the first round's only marking closure: the serial kernel subdivides
-// the marks it closed (adapt.Adaptor.Subdivide). Bisection work is
-// charged to every rank sharing the edge, subdivision to the element's
-// owner, one unit per child; the seed and the children count walk the
-// adaptor's touched set.
+// algorithm on the current owners: edge marking, superstep frontier
+// propagation through the propagate engine, independent subdivision of
+// local elements, and the shared-edge classification round. It is
+// CloseRefine followed at once by FinishRefine; core.Cycle runs the two
+// halves with the balance pass between them.
 func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.RefineStats, AdaptTimings) {
-	p := d.beginAdapt(mdl)
-	m := d.M
+	r := d.CloseRefine(a, mdl)
+	return d.FinishRefine(&r)
+}
 
+// A Refinement is a refinement pass whose marks are closed and whose
+// subdivision waits (CloseRefine, then FinishRefine). In between, the mesh
+// is as the pass found it, and the owners may change: a remap moves the
+// unrefined trees, marks and all, and the subdivision is charged on the
+// owners it finds.
+type Refinement struct {
+	a *adapt.Adaptor
+	p adaptPass
+}
+
+// Timings returns the phases the pass has run so far: after CloseRefine,
+// the marking (Target) and the closure (Propagate, its rounds, traffic
+// and visits).
+func (r *Refinement) Timings() AdaptTimings { return r.p.tm }
+
+// CloseRefine opens a refinement pass and runs its first two phases on
+// the current owners: the marking over each rank's local edges and the
+// engine's superstep closure of the marks on the P ranks, which is the
+// first round's only marking closure. The mesh is not changed.
+func (d *Dist) CloseRefine(a *adapt.Adaptor, mdl machine.Model) Refinement {
+	p := d.beginAdapt(mdl)
 	w := adaptWorld{a.World(), d}
 	res := p.eng.Run(w, w.Seed(d.prop.Seed()), p.clk, mdl)
 	p.tm.CommRounds = max(res.Rounds, 1) // an empty frontier still runs the fixpoint check
@@ -200,11 +220,22 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	p.tm.Visits, p.tm.Marked = res.Visits, res.Marked
 	p.ops = res.Ops
 	p.phase(&p.tm.Propagate)
+	return Refinement{a: a, p: p}
+}
 
+// FinishRefine completes a closed pass on the owners it finds: the serial
+// kernel subdivides the marks the engine closed (adapt.Adaptor.Subdivide),
+// and the new shared edges are classified. Bisection work is charged to
+// every rank sharing the edge, subdivision to the element's owner, one
+// unit per child; the children count walks the adaptor's touched set.
+func (d *Dist) FinishRefine(r *Refinement) (adapt.RefineStats, AdaptTimings) {
+	a, p, m := r.a, &r.p, d.M
+	mdl := p.mdl
+	d.fillOwn(0) // the owners may have changed since CloseRefine
 	bisect := d.rankCounts()
 	d.eachMarkedSPL(a, adapt.MarkRefine, func(spl []int32) {
-		for _, r := range spl {
-			bisect[r]++
+		for _, rk := range spl {
+			bisect[rk]++
 		}
 	})
 	p.clk.AddCounts(bisect, mdl.BisectEdge)
@@ -216,7 +247,7 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 	}
 	p.clk.AddCounts(children, mdl.SubdivideChild)
 	edgesBefore := m.EdgeSlots()
-	st := a.Subdivide(int(res.Visits))
+	st := a.Subdivide(int(p.tm.Visits))
 	d.fillOwn(p.nElems0)
 	p.phase(&p.tm.Execute)
 

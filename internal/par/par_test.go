@@ -344,3 +344,47 @@ func TestFinalizeGather(t *testing.T) {
 		t.Errorf("result: %+v", res)
 	}
 }
+
+// TestFinishRefineChargesTheOwnersItFinds holds the split refinement to
+// the owners each half runs on: a pass closed on one ownership and
+// finished after the owners changed charges its subdivision and
+// classification as a whole pass on the new owners does, and creates the
+// same mesh, while a pass on the old owners throughout charges them
+// differently.
+func TestFinishRefineChargesTheOwnersItFinds(t *testing.T) {
+	const p = 4
+	mdl := machine.SP2()
+	region := geom.Sphere{Center: geom.Vec3{X: 0.2, Y: 0.3, Z: 0.1}, Radius: 0.5}
+	refine := func(start, finish partition.Assignment) (*Dist, AdaptTimings) {
+		d, a, _ := fixture(t, p)
+		d.SetOwners(start)
+		a.MarkRegion(region, adapt.MarkRefine)
+		r := d.CloseRefine(a, mdl)
+		d.SetOwners(finish)
+		_, tm := d.FinishRefine(&r)
+		return d, tm
+	}
+	d0, _, _ := fixture(t, p)
+	before := d0.Owners()
+	after := make(partition.Assignment, len(before)) // the trees dealt round robin
+	for v := range after {
+		after[v] = int32(v % p)
+	}
+	moved, tm := refine(before, after)
+	whole, want := refine(after, after)
+	stayed, old := refine(before, before)
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(a, b) }
+	if !near(tm.Execute, want.Execute) || !near(tm.Classify, want.Classify) {
+		t.Errorf("finished on the new owners: execute %.9g classify %.9g, a pass on them %.9g %.9g",
+			tm.Execute, tm.Classify, want.Execute, want.Classify)
+	}
+	if near(tm.Execute, old.Execute) {
+		t.Errorf("execute %.9g on either ownership: the fixture does not tell them apart", tm.Execute)
+	}
+	for _, d := range []*Dist{whole, stayed} {
+		if len(d.M.Elems) != len(moved.M.Elems) || d.M.NumActiveElems() != moved.M.NumActiveElems() {
+			t.Errorf("meshes differ: %d/%d elements against %d/%d",
+				len(d.M.Elems), d.M.NumActiveElems(), len(moved.M.Elems), moved.M.NumActiveElems())
+		}
+	}
+}

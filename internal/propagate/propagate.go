@@ -2,8 +2,8 @@
 // behind the 3D_TAG adaption phases. Its loop is the one marking closure
 // (the iterative pattern upgrade): the serial kernel closes every
 // refinement round through it on one rank, uncharged
-// (adapt.Adaptor.Refine), and ParallelRefine closes the first round on
-// the P ranks and charges it (internal/par). ParallelCoarsen charges only
+// (adapt.Adaptor.Refine), and the distributed refinement closes the first
+// round on the P ranks and charges it (internal/par's CloseRefine). ParallelCoarsen charges only
 // its shared-mark consistency exchange through the engine
 // (Engine.ChargeExchange): its conformity re-refinement closes through the
 // loop on one rank, uncharged.

@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"plum/internal/dual"
 	"plum/internal/machine"
+	"plum/internal/meshgen"
+	"plum/internal/partition"
 )
 
 // FromDense builds the similarity matrix of len(rows) processors from
@@ -683,6 +686,31 @@ func FuzzBuild(f *testing.F) {
 				t.Fatalf("round %d P=%d F=%d: the warm matrix maps (𝒥 %d, %d ops), a fresh one (𝒥 %d, %d ops)",
 					round, p, f, gotObj, gotOps, wantObj, wantOps)
 			}
+		}
+	})
+}
+
+// BenchmarkRebuildCrossCut builds the similarity matrix of the rotor's
+// dual graph with hilbert owners against a morton partition at P = 2048,
+// the shape where each old owner's vertices land in many new parts (a
+// from-scratch repartition meets it after a crash), through a warm
+// accumulator and matrix ("pairs") and through the counting sort that
+// FuzzBuild holds it to ("countingsort").
+func BenchmarkRebuildCrossCut(b *testing.B) {
+	const p = 2048
+	g := dual.Build(meshgen.PaperMesh())
+	owners, _ := partition.PartitionCounted(g, p, partition.MethodHilbertSFC, partition.Options{Seed: 1})
+	cut, _ := partition.PartitionCounted(g, p, partition.MethodMortonSFC, partition.Options{Seed: 1})
+	b.Run("pairs", func(b *testing.B) {
+		var ps machine.Pairs
+		var s Similarity
+		for b.Loop() {
+			s.Rebuild(&ps, owners, cut, g.Wremap, p, 1)
+		}
+	})
+	b.Run("countingsort", func(b *testing.B) {
+		for b.Loop() {
+			countingSortBuild(owners, cut, g.Wremap, p, 1)
 		}
 	})
 }
